@@ -47,45 +47,11 @@ type perfReport struct {
 	// kernels and v1 vs v2 wire frames on a 20%-density regional instance.
 	// Optional so reports from pre-sparse builds still diff cleanly.
 	Sparse *sparseScalePerf `json:"sparse_scale,omitempty"`
-	// SparseCohort is the 1M-client sparse-cohort entry: one cohorted
-	// round's initiator data plane (warm aggregation, reduced solve,
-	// disaggregation, install columns, notify bodies) through the dense
-	// adapters vs the packed end-to-end path core now runs. Optional so
-	// reports from earlier builds still diff cleanly.
-	SparseCohort *sparseCohortPerf `json:"sparse_cohort,omitempty"`
 	// Drift is the steady-state incremental sweep: incremental vs full
 	// rounds over drifting demands at 10k clients (see driftPerf).
 	// Optional so reports from pre-incremental builds still diff cleanly.
 	Drift *driftPerf `json:"drift_sweep,omitempty"`
 	Notes []string   `json:"notes,omitempty"`
-}
-
-// sparseCohortPerf pins the packed-pipeline claim at client scale: a
-// cohorted round over 1M clients at ~20% density, dense adapters
-// (AggregateRows/Disaggregate plus dense column and per-client notify
-// construction) vs the packed path (CSR gather/scatter adapters, CSC
-// install columns, per-cohort notify bodies, one final dense scatter for
-// the report). Grouping and the sparsity builds are identical on both
-// sides and excluded (GroupNs reports them); the reduced solve is
-// included in both. AggDisagg isolates the aggregation/disaggregation
-// phase the ≥3x tripwire guards.
-type sparseCohortPerf struct {
-	Clients  int     `json:"clients"`
-	Regions  int     `json:"regions"`
-	Replicas int     `json:"replicas"`
-	Density  float64 `json:"density"`
-	Cohorts  int     `json:"cohorts"`
-	Ratio    float64 `json:"compression_ratio"`
-	MaxIters int     `json:"max_iters"`
-	GroupNs  int64   `json:"group_ns"`
-
-	DenseRoundNs  int64   `json:"dense_round_ns_per_op"`
-	PackedRoundNs int64   `json:"packed_round_ns_per_op"`
-	RoundSpeedup  float64 `json:"round_speedup_vs_dense"`
-
-	DenseAggDisaggNs  int64   `json:"dense_aggdisagg_ns_per_op"`
-	PackedAggDisaggNs int64   `json:"packed_aggdisagg_ns_per_op"`
-	AggDisaggSpeedup  float64 `json:"aggdisagg_speedup_vs_dense"`
 }
 
 // sparseScalePerf pins the sparse-core claims: kernel speedup of the
@@ -277,15 +243,6 @@ func runPerf(outDir string, seed uint64, baseline string) error {
 		sp.Clients, 100*sp.Density, sp.DenseNs, sp.SparseNs, sp.Speedup,
 		sp.WireV1BytesPerIteration, sp.WireV2BytesPerIteration, sp.WireRatio)
 
-	sc, err := measureSparseCohort(seed)
-	if err != nil {
-		return err
-	}
-	report.SparseCohort = sc
-	fmt.Printf("perf spcoh  %d clients -> %d cohorts at %.0f%% density; round dense %12d ns/op  packed %12d ns/op  speedup %.1fx; agg+disagg %12d vs %12d ns/op (%.1fx)\n",
-		sc.Clients, sc.Cohorts, 100*sc.Density, sc.DenseRoundNs, sc.PackedRoundNs, sc.RoundSpeedup,
-		sc.DenseAggDisaggNs, sc.PackedAggDisaggNs, sc.AggDisaggSpeedup)
-
 	dp, err := measureDriftSweep(seed)
 	if err != nil {
 		return err
@@ -386,22 +343,6 @@ func diffBaseline(fresh *perfReport, path string) error {
 			regressions = append(regressions, fmt.Sprintf(
 				"sparse-scale wire saving fell to %.1fx (baseline %.1fx, floor %gx)",
 				fresh.Sparse.WireRatio, base.Sparse.WireRatio, wireFloor))
-		}
-	}
-	// Sparse-cohort tripwires, relative like the gates above: the packed
-	// aggregation/disaggregation phase must stay ≥3x over the dense
-	// adapters at 1M clients, and the packed round end to end ≥5x.
-	if base.SparseCohort != nil && fresh.SparseCohort != nil {
-		const aggFloor, roundFloor = 3.0, 5.0
-		if base.SparseCohort.AggDisaggSpeedup >= aggFloor && fresh.SparseCohort.AggDisaggSpeedup < aggFloor {
-			regressions = append(regressions, fmt.Sprintf(
-				"sparse-cohort agg/disagg speedup fell to %.1fx (baseline %.1fx, floor %gx)",
-				fresh.SparseCohort.AggDisaggSpeedup, base.SparseCohort.AggDisaggSpeedup, aggFloor))
-		}
-		if base.SparseCohort.RoundSpeedup >= roundFloor && fresh.SparseCohort.RoundSpeedup < roundFloor {
-			regressions = append(regressions, fmt.Sprintf(
-				"sparse-cohort round speedup fell to %.1fx (baseline %.1fx, floor %gx)",
-				fresh.SparseCohort.RoundSpeedup, base.SparseCohort.RoundSpeedup, roundFloor))
 		}
 	}
 	// Drift-sweep tripwires, relative like the gates above: the 1%-drift
@@ -737,223 +678,6 @@ func liveRoundFrames(alg core.Algorithm) (frameMix, error) {
 		mix.DeltaHitRate = float64(delta) / float64(total)
 	}
 	return mix, nil
-}
-
-// measureSparseCohort times one cohorted round's initiator data plane at
-// 1M clients / 50 regions, masked to the 2 nearest replicas per client
-// (~20% density): warm-start aggregation, the reduced solve, result
-// disaggregation, per-replica install columns, and client-notify body
-// construction — once through the dense cohort adapters (the pre-packed
-// path) and once through the packed CSR/CSC pipeline core now runs,
-// ending in the packed path's one dense scatter for the report matrix.
-// Grouping and the (cached) mask/sparsity builds are identical on both
-// sides and run once up front; each side takes the best of three rounds.
-func measureSparseCohort(seed uint64) (*sparseCohortPerf, error) {
-	const clients, replicas, regions, iters, keep = 1_000_000, 10, 50, 25, 2
-	prob, err := probgen.New(sim.NewRand(seed), probgen.Spec{
-		Clients:  clients,
-		Replicas: replicas,
-		Regions:  regions,
-		DemandLo: 5e-5,
-		DemandHi: 5e-4,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range prob.Latency {
-		row := prob.Latency[i]
-		idx := make([]int, len(row))
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool { return row[idx[a]] < row[idx[b]] })
-		for _, j := range idx[keep:] {
-			row[j] = 10 * prob.MaxLatency
-		}
-	}
-	prob.InvalidateMask()
-
-	t0 := time.Now()
-	g, err := cohort.Group(prob, cohort.Options{})
-	if err != nil {
-		return nil, err
-	}
-	groupNs := time.Since(t0).Nanoseconds()
-	// Feasibility on the reduced instance: homogeneous-mask cohorts make
-	// the answer identical to the ungrouped one (§10), at |K| max-flow
-	// rows instead of 1M — minutes of oracle otherwise.
-	if err := opt.CheckFeasible(g.Reduced()); err != nil {
-		return nil, fmt.Errorf("sparse-cohort instance: %w", err)
-	}
-	fullSp, redSp := g.Sparse() // primes both cached sparsity views
-
-	warm, err := prob.UniformStart() // stands in for the last-good history
-	if err != nil {
-		return nil, err
-	}
-	repAddrs := make([]string, replicas)
-	for j := range repAddrs {
-		repAddrs[j] = prob.System.Replicas[j].Name
-	}
-	s := cdpsm.New()
-	s.MaxIters = iters
-	reduced := g.Reduced()
-	sink := 0.0
-
-	// Dense round: AggregateRows → solve → Disaggregate → dense column
-	// reads → one per-replica allocation body built and marshaled per
-	// client (the pre-packed notify path marshals |C| messages). The
-	// disaggregated matrix doubles as the report matrix for free.
-	denseRound := func() (total, agg time.Duration, err error) {
-		start := time.Now()
-		ta := time.Now()
-		warmK := g.AggregateRows(warm)
-		agg += time.Since(ta)
-		sink += warmK[0][0]
-		res, err := s.Solve(reduced)
-		if err != nil {
-			return 0, 0, err
-		}
-		ta = time.Now()
-		x, err := g.Disaggregate(res.Assignment)
-		if err != nil {
-			return 0, 0, err
-		}
-		agg += time.Since(ta)
-		for j := 0; j < replicas; j++ {
-			col := make([]float64, clients)
-			for i := range col {
-				col[i] = x[i][j]
-			}
-			sink += col[clients-1]
-		}
-		for i := 0; i < clients; i++ {
-			per := make(map[string]float64, keep)
-			for j := 0; j < replicas; j++ {
-				if x[i][j] > 0 {
-					per[repAddrs[j]] = x[i][j]
-				}
-			}
-			b, err := json.Marshal(core.AllocationBody{Round: 1, PerReplicaMB: per, Algorithm: "cdpsm", Iterations: iters})
-			if err != nil {
-				return 0, 0, err
-			}
-			sink += float64(len(b))
-		}
-		return time.Since(start), agg, nil
-	}
-
-	// Packed round: packed aggregation + scatter to the reduced spec shape
-	// → solve → gather + packed disaggregation → CSC install columns →
-	// one notify body built and marshaled per cohort (members share it; the
-	// fan-out sends are network, not initiator CPU) → final dense scatter
-	// for the report.
-	warmBuf := make([]float64, redSp.NNZ())
-	warmKmat := opt.NewMatrix(g.K(), replicas)
-	vkBuf := make([]float64, redSp.NNZ())
-	xBuf := make([]float64, fullSp.NNZ())
-	packedRound := func() (total, agg time.Duration, err error) {
-		start := time.Now()
-		ta := time.Now()
-		warmPk := g.AggregateRowsPacked(warm, warmBuf)
-		redSp.Scatter(warmKmat, warmPk)
-		agg += time.Since(ta)
-		sink += warmKmat[0][0]
-		res, err := s.Solve(reduced)
-		if err != nil {
-			return 0, 0, err
-		}
-		ta = time.Now()
-		vk := redSp.Gather(vkBuf, res.Assignment)
-		xPk, err := g.DisaggregatePacked(vk, xBuf)
-		if err != nil {
-			return 0, 0, err
-		}
-		agg += time.Since(ta)
-		for j := 0; j < replicas; j++ {
-			col := make([]float64, clients)
-			for s := fullSp.ColStart[j]; s < fullSp.ColStart[j+1]; s++ {
-				col[fullSp.RowIdx[s]] = xPk[fullSp.PosCSR[s]]
-			}
-			sink += col[clients-1]
-		}
-		for k := 0; k < g.K(); k++ {
-			kb, ke := redSp.RowStart[k], redSp.RowStart[k+1]
-			unit := make([]float64, ke-kb)
-			addrs := make([]string, ke-kb)
-			sum := 0.0
-			for t := range unit {
-				v := vk[kb+t]
-				if v < 0 {
-					v = 0
-				}
-				unit[t], addrs[t] = v, repAddrs[redSp.ColIdx[kb+t]]
-				sum += v
-			}
-			if sum > 0 {
-				for t := range unit {
-					unit[t] /= sum
-				}
-			}
-			b, err := json.Marshal(core.CohortAllocationBody{Round: 1, Algorithm: "cdpsm", Iterations: iters, Replicas: addrs, UnitMB: unit})
-			if err != nil {
-				return 0, 0, err
-			}
-			sink += float64(len(b))
-		}
-		full := opt.NewMatrix(clients, replicas)
-		fullSp.Scatter(full, xPk)
-		sink += full[clients-1][0]
-		return time.Since(start), agg, nil
-	}
-
-	best := func(round func() (time.Duration, time.Duration, error)) (time.Duration, time.Duration, error) {
-		var bTotal, bAgg time.Duration
-		for run := 0; run < 3; run++ {
-			total, agg, err := round()
-			if err != nil {
-				return 0, 0, err
-			}
-			if bTotal == 0 || total < bTotal {
-				bTotal = total
-			}
-			if bAgg == 0 || agg < bAgg {
-				bAgg = agg
-			}
-		}
-		return bTotal, bAgg, nil
-	}
-	denseTotal, denseAgg, err := best(denseRound)
-	if err != nil {
-		return nil, err
-	}
-	packedTotal, packedAgg, err := best(packedRound)
-	if err != nil {
-		return nil, err
-	}
-	_ = sink
-
-	sc := &sparseCohortPerf{
-		Clients:           clients,
-		Regions:           regions,
-		Replicas:          replicas,
-		Density:           float64(fullSp.NNZ()) / float64(clients*replicas),
-		Cohorts:           g.K(),
-		Ratio:             g.Ratio(),
-		MaxIters:          iters,
-		GroupNs:           groupNs,
-		DenseRoundNs:      denseTotal.Nanoseconds(),
-		PackedRoundNs:     packedTotal.Nanoseconds(),
-		DenseAggDisaggNs:  denseAgg.Nanoseconds(),
-		PackedAggDisaggNs: packedAgg.Nanoseconds(),
-	}
-	if sc.PackedRoundNs > 0 {
-		sc.RoundSpeedup = float64(sc.DenseRoundNs) / float64(sc.PackedRoundNs)
-	}
-	if sc.PackedAggDisaggNs > 0 {
-		sc.AggDisaggSpeedup = float64(sc.DenseAggDisaggNs) / float64(sc.PackedAggDisaggNs)
-	}
-	return sc, nil
 }
 
 // measureWire frames one C×N estimate reply through both codecs and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -251,6 +252,8 @@ func TestDegradedRoundFallsBackToLastGood(t *testing.T) {
 		}
 	}
 
+	committed := f.replicas[0].committed()
+
 	// Round 2: r3 is unreachable for the entire round.
 	f.net.Partition([]string{"r3"}, []string{"r1", "r2"})
 	for _, cl := range f.clients {
@@ -276,6 +279,23 @@ func TestDegradedRoundFallsBackToLastGood(t *testing.T) {
 		if math.Abs(rows[i]-demands[addr]) > 1e-6 {
 			t.Fatalf("degraded round serves %s %g, want %g (renormalized)", addr, rows[i], demands[addr])
 		}
+	}
+	// The degraded plan is installed on every reachable survivor, and the
+	// stale split did not displace the last optimized round.
+	for j, addr := range report.ReplicaAddrs {
+		for _, rs := range f.replicas {
+			if rs.Addr() != addr {
+				continue
+			}
+			for i, client := range report.ClientAddrs {
+				if got, want := rs.Plan(report.Round, client), report.Assignment[i][j]; math.Abs(got-want) > 1e-9 {
+					t.Fatalf("%s installed %g MB for %s in degraded round %d, report says %g", addr, got, client, report.Round, want)
+				}
+			}
+		}
+	}
+	if f.replicas[0].committed() != committed {
+		t.Fatal("degraded round overwrote the last-known-good round")
 	}
 	// The unreachable member was NOT declared dead: the fault may be
 	// transient, and pruning is what RoundRetries is for.
@@ -411,7 +431,7 @@ func TestRoundDeadlineNotAttributedToMembers(t *testing.T) {
 		t.Fatal("round met a 150ms deadline while a member black-holed for 2s")
 	}
 	var fail *failedMemberError
-	if asFailedMember(err, &fail) {
+	if errors.As(err, &fail) {
 		t.Fatalf("round-deadline expiry was attributed to member %s", fail.addr)
 	}
 	if got := f.replicas[0].Stats.RoundsRestarted.Value(); got != 0 {

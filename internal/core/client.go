@@ -123,7 +123,7 @@ func (c *Client) handleCohortDuals(req transport.Message) (transport.Message, er
 
 // handleCohortAllocation expands a cohort-level allocation into this
 // client's own per-replica split (unit share × own demand) and records it
-// like a legacy allocation — WaitAllocation callers see no difference.
+// like a per-client allocation — WaitAllocation callers see no difference.
 // The demand is the client's own last-submitted figure: cohort members
 // split cohort load proportionally to demand, so the unit vector times
 // R_c reproduces the member row the initiator installed (a client that
@@ -157,7 +157,7 @@ func (c *Client) handleCohortAllocation(req transport.Message) (transport.Messag
 	select {
 	case c.alloc <- alloc:
 	default:
-		// Drop rather than block the initiator, as with legacy allocations.
+		// Drop rather than block the initiator, as with per-client allocations.
 	}
 	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
 }

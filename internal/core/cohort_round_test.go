@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"edr/internal/model"
 	"edr/internal/opt"
@@ -187,112 +184,5 @@ func TestCohortingDisabledBelowThreshold(t *testing.T) {
 	rows := opt.RowSums(report.Assignment)
 	if len(rows) != 1 || math.Abs(rows[0]-10) > 1e-6 {
 		t.Fatalf("row sums = %v, want [10]", rows)
-	}
-}
-
-// TestCohortNotifyLegacyFallback pins the wire-compat contract of the
-// batched allocation fan-out: a client that rejects the
-// client.allocation.cohort verb (an older build) must still receive its
-// exact split as a legacy per-client client.allocation message.
-func TestCohortNotifyLegacyFallback(t *testing.T) {
-	const nModern = 4
-	f := cohortFleet(t, []float64{1, 10, 5}, nModern, CDPSM)
-	ctx := context.Background()
-
-	// A raw node standing in for an old client: it knows client.allocation
-	// but errors on the cohort verb, exactly like Client.handle's default
-	// branch in a build that predates it.
-	const legacyAddr = "legacy-client"
-	const legacyDemand = 7.5
-	allocCh := make(chan AllocationBody, 1)
-	var cohortRejects atomic.Int64
-	node, err := f.net.Listen(legacyAddr, func(ctx context.Context, req transport.Message) (transport.Message, error) {
-		switch req.Type {
-		case MsgCohortAllocation:
-			cohortRejects.Add(1)
-			return transport.Message{}, fmt.Errorf("core: client %s: unknown message type %q", legacyAddr, req.Type)
-		case MsgAllocation:
-			var body AllocationBody
-			if err := req.DecodeBody(&body); err != nil {
-				return transport.Message{}, err
-			}
-			select {
-			case allocCh <- body:
-			default:
-			}
-			return transport.NewMessage(MsgAllocation+".ack", legacyAddr, nil)
-		default:
-			return transport.Message{}, fmt.Errorf("legacy client: unexpected %q", req.Type)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { node.Close() })
-
-	// The legacy node submits by speaking the request wire format directly;
-	// its latency profile matches class 0, so it lands in a shared cohort.
-	reqBody := RequestBody{ClientAddr: legacyAddr, DemandMB: legacyDemand, LatencySec: classLatencies(f, 0)}
-	req, err := transport.NewMessage(MsgClientRequest, legacyAddr, reqBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := node.Send(ctx, f.replicas[0].Addr(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack RequestAck
-	if err := resp.DecodeBody(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if !ack.Accepted {
-		t.Fatal("legacy request rejected")
-	}
-	demands := make([]float64, nModern)
-	for i, cl := range f.clients {
-		demands[i] = 4 + float64(i)
-		if err := cl.Submit(ctx, f.replicas[0].Addr(), demands[i], classLatencies(f, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	report, err := f.replicas[0].RunRound(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Cohorts != 3 {
-		t.Fatalf("Cohorts = %d, want 3 (legacy joins class 0)", report.Cohorts)
-	}
-	if cohortRejects.Load() == 0 {
-		t.Fatal("legacy client was never offered the cohort verb")
-	}
-	select {
-	case body := <-allocCh:
-		sum := 0.0
-		for _, mb := range body.PerReplicaMB {
-			sum += mb
-		}
-		if math.Abs(sum-legacyDemand) > 1e-6 {
-			t.Fatalf("legacy fallback allocated %g of demand %g", sum, legacyDemand)
-		}
-		if body.Algorithm != "CDPSM" {
-			t.Fatalf("fallback algorithm = %q", body.Algorithm)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("legacy client never received the fallback allocation")
-	}
-	// Cohort-aware members of the same round are unaffected by the fallback.
-	for i, cl := range f.clients {
-		alloc, err := cl.WaitAllocation(ctx)
-		if err != nil {
-			t.Fatalf("client %d allocation: %v", i, err)
-		}
-		total := 0.0
-		for _, mb := range alloc.PerReplicaMB {
-			total += mb
-		}
-		if math.Abs(total-demands[i]) > 1e-6 {
-			t.Fatalf("client %d allocated %g of demand %g", i, total, demands[i])
-		}
 	}
 }

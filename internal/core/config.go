@@ -127,8 +127,6 @@ type ReplicaConfig struct {
 	// CohortDuals opts cohorted rounds into fanning the final cohort dual
 	// out to every cohort member via client.duals.cohort, instead of only
 	// the representative member seeing μ through the iteration protocol.
-	// Members that do not know the verb receive a legacy μ-update that
-	// reproduces the same value.
 	CohortDuals bool
 	// WireJSON forces JSON bodies for every RPC this node initiates,
 	// disabling the compact binary codec on the wire. Peers always mirror

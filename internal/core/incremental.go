@@ -1,19 +1,17 @@
 package core
 
 import (
-	"context"
-	"edr/internal/cohort"
-	"edr/internal/engine"
-	"edr/internal/opt"
 	"errors"
 	"math"
+
+	"edr/internal/opt"
 )
 
-// errEscalateFull is the incremental path's verdict that this round needs
+// errEscalateFull is the incremental plan's verdict that this round needs
 // a full solve: the dirty subproblem was infeasible against residual
 // capacity, or the merged result failed the feasibility/KKT gate.
-// runRoundOnce answers it by re-running the attempt with the incremental
-// path disabled — escalation costs one extra attempt, never a wrong
+// runAttempt answers it by re-planning the attempt as a full solve —
+// escalation costs one extra pass over the stages, never a wrong
 // assignment.
 var errEscalateFull = errors.New("core: incremental result rejected; escalating to full solve")
 
@@ -57,10 +55,9 @@ type incrementalPlan struct {
 // nil — full solve, no escalation accounting — when there is no usable
 // history or the replica roster changed (a membership epoch change shifts
 // every column and cohort key, so incremental state is reset wholesale).
-func (r *ReplicaServer) planIncremental(requests []*RequestBody, infos []ReplicaInfo, prob *opt.Problem) *incrementalPlan {
-	r.mu.Lock()
-	lg := r.lastGood
-	r.mu.Unlock()
+func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
+	requests, infos, prob := in.requests, in.infos, in.prob
+	lg := r.committed()
 	if lg == nil || lg.prob == nil {
 		return nil
 	}
@@ -180,357 +177,29 @@ func (r *ReplicaServer) planIncremental(requests []*RequestBody, infos []Replica
 	return plan
 }
 
-// runIncremental executes the dirty-subset round: solve the dirty clients
-// against residual capacity with clean column loads frozen into the
-// energy model, merge with the committed rows, gate the merged result,
-// and fan out only what changed. spec/prob are the round's full
-// per-client instance; the returned report is full-roster like any other
-// round's.
-func (r *ReplicaServer) runIncremental(ctx context.Context, requests []*RequestBody, infos []ReplicaInfo, spec *RoundSpec, prob *opt.Problem, plan *incrementalPlan, round, restarts int) (*RoundReport, error) {
-	if !plan.delta.Dirty() {
-		return r.commitClean(spec, prob, infos, plan, restarts)
-	}
-	dirty := plan.delta.DirtyClients
-
-	// The dirty subproblem: rows are the dirty clients; columns keep this
-	// round's order but carry residual capacity and the frozen base load,
-	// so every solver optimizes the true global objective restricted to
-	// the dirty rows (the frozen part contributes a constant).
-	subInfos := make([]ReplicaInfo, len(infos))
-	for j, info := range infos {
-		info.Bandwidth = plan.residual[j]
-		info.BaseMB = plan.frozen[j]
-		subInfos[j] = info
-	}
-	subSpec := &RoundSpec{
-		Round:         round,
-		Replicas:      subInfos,
-		MaxLatencySec: spec.MaxLatencySec,
-	}
-	subRequests := make([]*RequestBody, len(dirty))
-	for idx, i := range dirty {
-		subRequests[idx] = requests[i]
-		subSpec.ClientAddrs = append(subSpec.ClientAddrs, spec.ClientAddrs[i])
-		subSpec.Demands = append(subSpec.Demands, spec.Demands[i])
-		subSpec.LatencySec = append(subSpec.LatencySec, spec.LatencySec[i])
-	}
-	subProb, err := specProblem(subSpec)
-	if err != nil {
-		return nil, errEscalateFull
-	}
-	// Cohort the subproblem like any round; the registry keeps cohort
-	// identity stable across rounds even though the dirty subset varies.
-	solveSpec, solveProb := subSpec, subProb
-	var grouping *cohort.Grouping
-	if min := r.cfg.CohortMinClients; min > 0 && len(dirty) >= min {
-		g, _, gerr := r.registry.Group(subProb, cohort.Options{
-			Quantum:    r.cfg.CohortQuantumSec,
-			MaxCohorts: r.cfg.CohortMax,
-		})
-		if gerr == nil && g.K() < subProb.C() {
-			grouping = g
-			reduced := g.Reduced()
-			rspec := &RoundSpec{
-				Round:         round,
-				Replicas:      subInfos,
-				MaxLatencySec: spec.MaxLatencySec,
-				RawClients:    len(dirty),
-				Demands:       reduced.Demands,
-				LatencySec:    reduced.Latency,
-			}
-			rspec.ClientAddrs = make([]string, g.K())
-			for k := range rspec.ClientAddrs {
-				rspec.ClientAddrs[k] = subSpec.ClientAddrs[g.Members(k)[0]]
-			}
-			solveSpec, solveProb = rspec, reduced
-		}
-	}
-	// Feasibility runs on the (possibly cohort-reduced) sub-instance, as
-	// the full path checks its own solve problem: if the clean majority
-	// pinned the cheap columns and the dirty demand no longer fits the
-	// residual capacity, re-balance everything.
-	if err := opt.CheckFeasible(solveProb); err != nil {
-		return nil, errEscalateFull
-	}
-
-	// Warm start the dirty rows from their committed values (aligned by
-	// address inside warmStart), renormalized over residual capacity.
-	if !r.cfg.ColdStart {
-		warm, _ := r.warmStart(subRequests, subInfos, subProb)
-		if grouping != nil && warm != nil {
-			warm = grouping.AggregateRows(warm)
-		}
-		solveSpec.Warm = warm
-	}
-
-	// Round state on every member: the final install below needs each
-	// replica to hold state for this round id, and MsgRoundStart is what
-	// creates it. No iteration traffic follows — see below.
-	if err := engine.FanOut(ctx, len(subInfos), func(ctx context.Context, i int) error {
-		_, err := r.sendReplica(ctx, subInfos[i].Addr, MsgRoundStart, solveSpec)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	replicaAddrs := make([]string, len(infos))
-	for j, info := range infos {
-		replicaAddrs[j] = info.Addr
-	}
-
-	// Solve the reduced dirty sub-instance centrally with the
-	// projected-gradient reference method instead of driving a distributed
-	// sub-round: the initiator already holds every parameter of the
-	// sub-instance (it built it), the instance is small — O(dirty) rows,
-	// and a handful of cohorts once reduced — and a distributed solve
-	// would pay per-iteration fan-out latency on a problem that no longer
-	// needs distribution. The full-problem gate below vets the result
-	// exactly as it would a distributed one.
-	x0 := solveSpec.Warm
-	if x0 == nil {
-		x0 = opt.NewMatrix(solveProb.C(), solveProb.N())
-	}
-	res, err := opt.ProjectedGradient(solveProb, x0, opt.PGDOptions{})
-	if err != nil {
-		return nil, errEscalateFull
-	}
-	subX, iterations := res.X, res.Iterations
-	if grouping != nil {
-		x, derr := grouping.Disaggregate(subX)
-		if derr != nil {
-			return nil, errEscalateFull
-		}
-		subX = x
-	}
-
-	// Merge: dirty rows replace their scaffold zeros; clean rows are the
-	// rescaled committed assignment.
-	merged := plan.base
-	for idx, i := range dirty {
-		copy(merged[i], subX[idx])
-	}
-
-	// Gate the merged full-problem result: exact feasibility (clean rows
-	// conserve demand by the rescale, columns by frozen + residual ≤ B)
-	// and a first-order stationarity spot-check. The stationarity bar is
-	// relative to the committed assignment's own KKT gap — the quality a
-	// full solve actually delivers at the configured tolerance — with an
-	// absolute floor for committed rounds that happened to land near the
-	// exact optimum. Either gate failing means the frozen-base
-	// decomposition was a bad approximation this round: redo it as a full
-	// solve rather than install a doubtful plan.
+// gate vets the merged full-problem result: exact feasibility (clean rows
+// conserve demand by the rescale, columns by frozen + residual ≤ B) and a
+// first-order stationarity spot-check. The stationarity bar is relative to
+// the committed assignment's own KKT gap — the quality a full solve
+// actually delivers at the configured tolerance — with an absolute floor
+// for committed rounds that happened to land near the exact optimum.
+// Either check failing means the frozen-base decomposition was a bad
+// approximation this round: redo it as a full solve rather than install a
+// doubtful plan.
+func (p *incrementalPlan) gate(prob *opt.Problem, merged [][]float64) error {
 	scale := 1.0
 	for _, d := range prob.Demands {
 		scale = math.Max(scale, d)
 	}
-	for _, info := range infos {
-		scale = math.Max(scale, info.Bandwidth)
+	for _, rep := range prob.System.Replicas {
+		scale = math.Max(scale, rep.Bandwidth)
 	}
 	if viol := prob.Violation(merged); viol > 1e-6*scale {
-		return nil, errEscalateFull
+		return errEscalateFull
 	}
-	objective := prob.Cost(merged)
-	gapLimit := math.Max(2*plan.baseGap, 0.10*math.Max(math.Abs(objective), 1))
+	gapLimit := math.Max(2*p.baseGap, 0.10*math.Max(math.Abs(prob.Cost(merged)), 1))
 	if gap := opt.KKTGap(prob, merged); gap > gapLimit {
-		return nil, errEscalateFull
+		return errEscalateFull
 	}
-
-	// Install on every replica (participants hold this round's state from
-	// the sub-spec install), then notify only clients whose row actually
-	// moved. When the committed round's install is addressable, each
-	// replica gets a delta against it — O(dirty) entries instead of the
-	// full |C| column — otherwise the full column.
-	if err := engine.FanOut(ctx, len(infos), func(ctx context.Context, j int) error {
-		var body AssignBody
-		if plan.instPrev != nil {
-			updates := make(map[string]float64)
-			for i, addr := range spec.ClientAddrs {
-				ip := plan.instPrev[i]
-				if ip == nil || merged[i][j] != ip[j] {
-					updates[addr] = merged[i][j]
-				}
-			}
-			for _, addr := range plan.departed {
-				updates[addr] = 0
-			}
-			body = AssignBody{Round: round, BaseRound: plan.lg.installedRound, Updates: updates}
-		} else {
-			col := make([]float64, len(spec.ClientAddrs))
-			for i := range spec.ClientAddrs {
-				col[i] = merged[i][j]
-			}
-			body = AssignBody{Round: round, Column: col, ClientAddrs: spec.ClientAddrs}
-		}
-		_, err := r.sendReplica(ctx, infos[j].Addr, MsgAssign, body)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	suppressed := r.notifyMoved(ctx, round, spec.ClientAddrs, infos, merged, plan.prev, prob.Demands, iterations)
-
-	// Duals: clean clients keep their committed μ; dirty clients get a
-	// fresh first-order estimate — the highest congestion price among the
-	// columns now serving them — so the next warm start sees current
-	// prices for everyone (the centralized sub-solve reports no duals of
-	// its own). Skipped entirely when the committed round carried no
-	// duals: a partial overlay would hand the next warm start zeros for
-	// every clean client.
-	mus := plan.lg.mus
-	if plan.lg.mus != nil {
-		price := make([]float64, len(infos))
-		cols := opt.ColSums(merged)
-		for j := range price {
-			price[j] = prob.System.Replicas[j].MarginalCost(cols[j])
-		}
-		muOf := func(i int) float64 {
-			mu := 0.0
-			for j, v := range merged[i] {
-				if v > 1e-9*math.Max(1, prob.Demands[i]) && price[j] > mu {
-					mu = price[j]
-				}
-			}
-			return mu
-		}
-		mus = make(map[string]float64, len(spec.ClientAddrs))
-		for addr, v := range plan.lg.mus {
-			mus[addr] = v
-		}
-		for _, i := range dirty {
-			mus[spec.ClientAddrs[i]] = muOf(i)
-		}
-		if grouping != nil && r.cfg.CohortDuals {
-			duals := make([]float64, grouping.K())
-			for k := range duals {
-				duals[k] = muOf(dirty[grouping.Members(k)[0]])
-			}
-			r.fanOutCohortDuals(ctx, round, subSpec.ClientAddrs, grouping, duals)
-		}
-	}
-
-	r.mu.Lock()
-	r.lastGood = &lastGoodRound{
-		round:          round,
-		infos:          infos,
-		clientAddrs:    spec.ClientAddrs,
-		assignment:     merged,
-		mus:            mus,
-		prob:           prob,
-		objective:      objective,
-		installed:      merged,
-		installedRound: round,
-	}
-	for _, info := range infos {
-		r.infoCache[info.Addr] = info
-	}
-	r.mu.Unlock()
-	r.Stats.RoundsIncremental.Inc(1)
-
-	report := &RoundReport{
-		Round:              round,
-		Algorithm:          r.cfg.Algorithm.String(),
-		Iterations:         iterations,
-		Restarts:           restarts,
-		ReplicaAddrs:       replicaAddrs,
-		ClientAddrs:        spec.ClientAddrs,
-		Assignment:         merged,
-		Objective:          objective,
-		WarmStarted:        solveSpec.Warm != nil,
-		Incremental:        true,
-		DirtyClients:       len(dirty),
-		SuppressedNotifies: suppressed,
-	}
-	if grouping != nil {
-		report.Cohorts = grouping.K()
-		report.CohortRatio = grouping.Ratio()
-	}
-	return report, nil
-}
-
-// commitClean finishes a round whose dirty set is empty: the committed
-// assignment (rescaled within epsilon) is already optimal for this
-// round's problem, so it is re-committed with no round-start, install, or
-// notify fan-out at all — the replicas keep serving their installed
-// plans, and every client's notify is suppressed. Cost: the replica-info
-// fan-out plus an O(|C|·|N|) diff.
-func (r *ReplicaServer) commitClean(spec *RoundSpec, prob *opt.Problem, infos []ReplicaInfo, plan *incrementalPlan, restarts int) (*RoundReport, error) {
-	merged := plan.base
-	objective := prob.Cost(merged)
-	r.mu.Lock()
-	r.lastGood = &lastGoodRound{
-		round:       spec.Round,
-		infos:       infos,
-		clientAddrs: spec.ClientAddrs,
-		assignment:  merged,
-		mus:         plan.lg.mus,
-		prob:        prob,
-		objective:   objective,
-		// The fleet still serves the last installed plan — nothing was
-		// fanned out this round — so the install reference carries over.
-		installed:      plan.lg.installed,
-		installedRound: plan.lg.installedRound,
-	}
-	for _, info := range infos {
-		r.infoCache[info.Addr] = info
-	}
-	r.mu.Unlock()
-	r.Stats.RoundsIncremental.Inc(1)
-	replicaAddrs := make([]string, len(infos))
-	for j, info := range infos {
-		replicaAddrs[j] = info.Addr
-	}
-	return &RoundReport{
-		Round:              spec.Round,
-		Algorithm:          r.cfg.Algorithm.String(),
-		Iterations:         0,
-		Restarts:           restarts,
-		ReplicaAddrs:       replicaAddrs,
-		ClientAddrs:        spec.ClientAddrs,
-		Assignment:         merged,
-		Objective:          objective,
-		Incremental:        true,
-		DirtyClients:       0,
-		SuppressedNotifies: len(spec.ClientAddrs),
-	}, nil
-}
-
-// notifyMoved is the change-suppressed allocation fan-out: a client is
-// notified only when some entry of its row moved beyond DeltaEps of its
-// demand against what it was last told (clients with no committed row are
-// always notified). Returns the number of suppressed clients. Failures
-// never abort a round, as with the other notify paths.
-func (r *ReplicaServer) notifyMoved(ctx context.Context, round int, clientAddrs []string, infos []ReplicaInfo, x [][]float64, prev [][]float64, demands []float64, iterations int) int {
-	moved := make([]int, 0, len(clientAddrs))
-	for i := range clientAddrs {
-		tol := r.cfg.DeltaEps * math.Max(demands[i], 1e-12)
-		p := prev[i]
-		notify := p == nil
-		if !notify {
-			for j := range x[i] {
-				if math.Abs(x[i][j]-p[j]) > tol {
-					notify = true
-					break
-				}
-			}
-		}
-		if notify {
-			moved = append(moved, i)
-		}
-	}
-	_ = engine.FanOut(ctx, len(moved), func(ctx context.Context, t int) error {
-		i := moved[t]
-		per := make(map[string]float64, len(infos))
-		for j, info := range infos {
-			if x[i][j] > 0 {
-				per[info.Addr] = x[i][j]
-			}
-		}
-		body := AllocationBody{
-			Round:        round,
-			PerReplicaMB: per,
-			Algorithm:    r.cfg.Algorithm.String(),
-			Iterations:   iterations,
-		}
-		_, _ = r.sendRetry(ctx, clientAddrs[i], MsgAllocation, body)
-		return nil
-	})
-	return len(clientAddrs) - len(moved)
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"edr/internal/opt"
-	"edr/internal/transport"
 )
 
 // drainAllocations empties every client's allocation channel so a later
@@ -237,50 +236,6 @@ func TestCohortDualsFanOut(t *testing.T) {
 		if mus[i] != mus[0] {
 			t.Fatalf("member μ diverged: %v", mus)
 		}
-	}
-}
-
-// The legacy fallback (a single step-1 μ-update with served=μ, demand=0)
-// must land the same absolute value MsgCohortDuals would, pinning the
-// wire-compat contract documented on the verb.
-func TestCohortDualsLegacyFallbackEquivalent(t *testing.T) {
-	net := transport.NewInProcNetwork()
-	mkClient := func(name string) *Client {
-		cl, err := NewClient(net, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
-	}
-	modern, legacy := mkClient("modern"), mkClient("legacy")
-	ctx := context.Background()
-	const mu, round = 3.75, 7
-
-	msg, err := transport.NewMessage(MsgCohortDuals, "replicaX", CohortDualsBody{Round: round, Mu: mu})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := modern.handle(ctx, msg); err != nil {
-		t.Fatal(err)
-	}
-	fb, err := transport.NewMessage(MsgMuUpdate, "replicaX", MuUpdateBody{Round: round, Step: 1, ServedMB: mu, DemandMB: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.handle(ctx, fb); err != nil {
-		t.Fatal(err)
-	}
-
-	key := fmt.Sprintf("replicaX/%d", round)
-	modern.mu.Lock()
-	a := modern.mus[key]
-	modern.mu.Unlock()
-	legacy.mu.Lock()
-	b := legacy.mus[key]
-	legacy.mu.Unlock()
-	if a != mu || b != mu {
-		t.Fatalf("μ mismatch: cohort verb %g, legacy fallback %g, want %g", a, b, mu)
 	}
 }
 

@@ -43,8 +43,7 @@ const (
 	MsgAllocation = "client.allocation"
 	// MsgCohortAllocation is initiator → client on cohorted rounds: deliver
 	// the client's cohort-level allocation (shared per-unit split + member
-	// demands) in one message built once per cohort. Clients that do not
-	// know the verb reject it and receive the legacy MsgAllocation instead.
+	// demands) in one message built once per cohort.
 	MsgCohortAllocation = "client.allocation.cohort"
 	// MsgAllocationPull is client → initiator: fetch the caller's row of
 	// the last committed round. Change-suppressed rounds deliberately skip
@@ -57,8 +56,7 @@ const (
 	// MsgCohortDuals is initiator → client on cohorted rounds (opt-in via
 	// ReplicaConfig.CohortDuals): deliver the cohort's final dual μ to
 	// every member, not just the representative the iteration protocol
-	// routed through. Clients that do not know the verb reject it and
-	// receive a legacy μ-update reproducing the same value instead.
+	// routed through.
 	MsgCohortDuals = "client.duals.cohort"
 	// MsgDownload is client → replica: fetch the selected bytes.
 	MsgDownload = "download.request"
@@ -172,9 +170,10 @@ type RoundSpec struct {
 // incremental path's change-suppressed install, which shrinks the
 // steady-state fan-out from O(|C|) to O(dirty). A replica holding no
 // state for BaseRound rejects the delta, failing the round into its
-// usual restart/escalation path; the initiator only sends deltas against
-// a round it installed on every member, so that means the member lost
-// state (restart) and the full solve re-seeds it.
+// usual restart path; the initiator only sends deltas against a round it
+// installed on every member and that is recent enough to still be held
+// (roundStatesKept), so that means the member lost state (restart) and
+// the full solve re-seeds it.
 type AssignBody struct {
 	Round int `json:"round"`
 	// Column[c] is the MB this replica serves to client c (row order of

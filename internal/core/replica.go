@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"edr/internal/cohort"
 	"edr/internal/engine"
@@ -30,6 +31,7 @@ type ReplicaServer struct {
 	mu         sync.Mutex
 	pending    map[string]*RequestBody // keyed by client address, demand aggregated
 	rounds     map[int]*roundState     // participant-side state, keyed by round id
+	roundOrder []int                   // ids of rounds, oldest first (see roundStatesKept)
 	roundSeq   int
 	lastGood   *lastGoodRound         // fallback assignment for degraded rounds
 	lastReport *RoundReport           // most recent completed round (admin /status)
@@ -37,6 +39,10 @@ type ReplicaServer struct {
 	pool       *opt.Pool              // recycles initiator-side round scratch
 	par        *opt.Parallel          // fans solver kernels across cores (nil = serial)
 	registry   *cohort.Registry       // stable cross-round cohort identity (initiator side)
+	// startsSinceInstall counts the round.start waves this initiator sent
+	// since it last committed an install: once it reaches roundStatesKept
+	// the members may have pruned the delta-install base.
+	startsSinceInstall atomic.Int32
 
 	// Stats are exported runtime counters.
 	Stats ReplicaStats
@@ -74,19 +80,24 @@ type lastGoodRound struct {
 	mus map[string]float64
 	// prob is the full per-client problem the assignment solved
 	// (rows follow clientAddrs, columns follow infos); the incremental
-	// path diffs the next round against it. Nil on degraded commits.
+	// path diffs the next round against it.
 	prob *opt.Problem
-	// objective is the committed assignment's cost under prob.
-	objective float64
 	// installed is the assignment actually fanned out to replica round
 	// state, and installedRound the round id it was installed under.
 	// Usually identical to assignment, but a clean incremental commit
-	// (commitClean) rescales rows without re-installing anything, so the
+	// rescales rows without re-installing anything, so the
 	// two can drift apart; the delta install diffs against installed —
 	// what replicas really hold — never against assignment.
 	installed      [][]float64
 	installedRound int
 }
+
+// roundStatesKept bounds the participant-side round states a replica
+// holds: round.start evicts the oldest beyond it. It counts states, not
+// round-id distance — clean commits advance the initiator's round id
+// without creating state, and the base of a delta install must survive any
+// run of them.
+const roundStatesKept = 8
 
 // roundState is the participant-side view of one round: the engine's
 // ServerRound (problem, column, lazily-built per-algorithm state) plus the
@@ -511,10 +522,6 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 	if myCol < 0 {
 		return transport.Message{}, fmt.Errorf("core: replica %s not listed in round %d", r.Addr(), spec.Round)
 	}
-	replicaAddrs := make([]string, len(spec.Replicas))
-	for j, info := range spec.Replicas {
-		replicaAddrs[j] = info.Addr
-	}
 	// Algorithm-specific participant state is built lazily by each server
 	// half on first use (engine.ServerRound.State), so a round pays only
 	// for the algorithm actually driven over it.
@@ -523,13 +530,20 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 		Prob:         prob,
 		Col:          myCol,
 		Self:         r.Addr(),
-		ReplicaAddrs: replicaAddrs,
+		ReplicaAddrs: addrsOf(spec.Replicas),
 		Warm:         spec.Warm,
 		Peers:        peerSender{r},
 		Par:          r.par,
 	}}
 	r.mu.Lock()
+	if _, held := r.rounds[spec.Round]; !held {
+		r.roundOrder = append(r.roundOrder, spec.Round)
+	}
 	r.rounds[spec.Round] = st
+	for len(r.roundOrder) > roundStatesKept {
+		delete(r.rounds, r.roundOrder[0])
+		r.roundOrder = r.roundOrder[1:]
+	}
 	r.mu.Unlock()
 	return transport.NewMessage(MsgRoundStart+".ack", r.Addr(), nil)
 }

@@ -2,15 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
 	"time"
 
-	"edr/internal/cohort"
 	"edr/internal/engine"
-	"edr/internal/opt"
 	"edr/internal/telemetry"
 	"edr/internal/transport"
 )
@@ -32,8 +31,7 @@ type RoundReport struct {
 	ClientAddrs  []string `json:"client_addrs"`
 	// Assignment is the final load split (clients × replicas).
 	Assignment [][]float64 `json:"assignment"`
-	// Objective is the total energy cost of the assignment (0 when a
-	// degraded round could not rebuild the cost model).
+	// Objective is the total energy cost of the assignment.
 	Objective float64 `json:"objective"`
 	// Degraded reports that coordination kept failing after RoundRetries
 	// restarts and the round fell back to the last-known-good assignment
@@ -255,15 +253,15 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 
 	var lastErr error
 	restarts := 0
-	for attempt := 0; attempt <= r.cfg.RoundRetries; attempt++ {
-		report, err := r.runRoundOnce(ctx, requests, restarts)
+	for try := 0; try <= r.cfg.RoundRetries; try++ {
+		report, err := r.runAttempt(ctx, &attempt{restarts: restarts, full: instance{requests: requests}})
 		if err == nil {
 			r.finishRound(report, start)
 			return report, nil
 		}
 		lastErr = err
 		var fail *failedMemberError
-		if attempt < r.cfg.RoundRetries && asFailedMember(err, &fail) && r.ring.Contains(fail.addr) && fail.addr != r.Addr() {
+		if try < r.cfg.RoundRetries && errors.As(err, &fail) && r.ring.Contains(fail.addr) && fail.addr != r.Addr() {
 			// Prune the dead member, tell the survivors, retry.
 			r.mon.DeclareDead(fail.addr)
 			r.Stats.RoundsRestarted.Inc(1)
@@ -281,8 +279,9 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 	// (infeasible demand, bad specs) still surface: stale assignments
 	// cannot fix a problem that was never solvable.
 	var fail *failedMemberError
-	if asFailedMember(lastErr, &fail) && ctx.Err() == nil {
-		if report, ok := r.degradedRound(ctx, requests, restarts, fail.addr); ok {
+	if errors.As(lastErr, &fail) && ctx.Err() == nil {
+		degraded := &attempt{restarts: restarts, full: instance{requests: requests}, kind: kindDegraded, failed: fail.addr}
+		if report, err := r.runAttempt(ctx, degraded); err == nil {
 			r.finishRound(report, start)
 			r.cfg.Telemetry.Publish(telemetry.RoundDegraded{
 				Round:        report.Round,
@@ -335,124 +334,6 @@ func (r *ReplicaServer) finishRound(report *RoundReport, start time.Time) {
 	})
 }
 
-// degradedRound builds a best-effort round from the last successful one:
-// the stale assignment restricted to reachable replicas, renormalized per
-// client so every demand is fully assigned. Returns false when there is no
-// usable history (no prior success, or no surviving replica columns).
-func (r *ReplicaServer) degradedRound(ctx context.Context, requests []*RequestBody, restarts int, failedAddr string) (*RoundReport, bool) {
-	r.mu.Lock()
-	lg := r.lastGood
-	r.mu.Unlock()
-	if lg == nil {
-		return nil, false
-	}
-	// Surviving columns: active (non-drained) ring members minus the
-	// member the failure was attributed to (unreachable right now, though
-	// possibly still alive).
-	var cols []int
-	for j, info := range lg.infos {
-		if info.Addr != failedAddr && r.ring.Contains(info.Addr) && !r.member.IsDrained(info.Addr) {
-			cols = append(cols, j)
-		}
-	}
-	if len(cols) == 0 {
-		return nil, false
-	}
-	infos := make([]ReplicaInfo, len(cols))
-	replicaAddrs := make([]string, len(cols))
-	for jj, j := range cols {
-		infos[jj] = lg.infos[j]
-		replicaAddrs[jj] = lg.infos[j].Addr
-	}
-	rowOf := make(map[string]int, len(lg.clientAddrs))
-	for i, addr := range lg.clientAddrs {
-		rowOf[addr] = i
-	}
-
-	// Renormalize per client (shared warm-start kernel): keep the
-	// last-good proportions across the surviving replicas; clients with
-	// no history (or whose entire last split landed on lost replicas)
-	// spread uniformly over their latency-feasible columns, and cap
-	// excess is redistributed onto replicas with headroom.
-	weights := opt.NewMatrix(len(requests), len(cols))
-	demands := make([]float64, len(requests))
-	clientAddrs := make([]string, len(requests))
-	caps := make([]float64, len(cols))
-	for jj := range cols {
-		caps[jj] = infos[jj].Bandwidth
-	}
-	allowed := make([][]bool, len(requests))
-	for i, req := range requests {
-		clientAddrs[i] = req.ClientAddr
-		demands[i] = req.DemandMB
-		allowed[i] = make([]bool, len(cols))
-		for jj := range cols {
-			l, ok := req.LatencySec[infos[jj].Addr]
-			allowed[i][jj] = ok && l <= r.cfg.MaxLatencySec
-		}
-		if row, ok := rowOf[req.ClientAddr]; ok {
-			for jj, j := range cols {
-				weights[i][jj] = lg.assignment[row][j]
-			}
-		}
-	}
-	assignment := opt.Renormalize(weights, demands, caps, allowed)
-
-	r.mu.Lock()
-	r.roundSeq++
-	round := r.roundSeq
-	r.mu.Unlock()
-
-	// Install the plan and notify the clients best-effort: a replica we
-	// cannot reach keeps its previous plan, which is exactly the fallback
-	// we are re-publishing.
-	_ = engine.FanOut(ctx, len(cols), func(ctx context.Context, jj int) error {
-		col := make([]float64, len(clientAddrs))
-		for i := range clientAddrs {
-			col[i] = assignment[i][jj]
-		}
-		body := AssignBody{Round: round, Column: col, ClientAddrs: clientAddrs}
-		_, _ = r.sendRetry(ctx, replicaAddrs[jj], MsgAssign, body)
-		return nil
-	})
-	r.notifyClients(ctx, round, clientAddrs, infos, assignment, 0)
-
-	// The objective is recomputed from the cached energy models when
-	// possible; a failure here degrades the report, not the round.
-	objective := 0.0
-	spec := RoundSpec{Round: round, Replicas: infos, MaxLatencySec: r.cfg.MaxLatencySec}
-	for i, req := range requests {
-		spec.ClientAddrs = append(spec.ClientAddrs, req.ClientAddr)
-		spec.Demands = append(spec.Demands, req.DemandMB)
-		row := make([]float64, len(infos))
-		for j, info := range infos {
-			if l, ok := req.LatencySec[info.Addr]; ok {
-				row[j] = l
-			} else {
-				row[j] = 10 * r.cfg.MaxLatencySec
-			}
-		}
-		spec.LatencySec = append(spec.LatencySec, row)
-		_ = i
-	}
-	if prob, err := specProblem(&spec); err == nil {
-		objective = prob.Cost(assignment)
-	}
-
-	r.Stats.RoundsDegraded.Inc(1)
-	return &RoundReport{
-		Round:        round,
-		Algorithm:    r.cfg.Algorithm.String(),
-		Iterations:   0,
-		Restarts:     restarts,
-		ReplicaAddrs: replicaAddrs,
-		ClientAddrs:  clientAddrs,
-		Assignment:   assignment,
-		Objective:    objective,
-		Degraded:     true,
-	}, true
-}
-
 // ServeRounds runs scheduling rounds on a timer until ctx ends: every
 // interval, pending requests (if any) are scheduled with RunRound. Round
 // outcomes are delivered to onRound (which may be nil); errors to onError
@@ -486,540 +367,4 @@ func (r *ReplicaServer) ServeRounds(ctx context.Context, interval time.Duration,
 			}
 		}
 	}
-}
-
-// asFailedMember unwraps err into *failedMemberError.
-func asFailedMember(err error, target **failedMemberError) bool {
-	for err != nil {
-		if fe, ok := err.(*failedMemberError); ok {
-			*target = fe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-// runRoundOnce executes one attempt over the current ring membership. The
-// first try may take the incremental path (dirty-subset solve against the
-// committed assignment); when the incremental gate rejects its result, the
-// attempt re-runs immediately as a full solve — escalation is a retry of
-// this attempt, not a round restart.
-func (r *ReplicaServer) runRoundOnce(ctx context.Context, requests []*RequestBody, restarts int) (*RoundReport, error) {
-	report, err := r.runRoundAttempt(ctx, requests, restarts, true)
-	if err == errEscalateFull {
-		r.Stats.RoundsEscalated.Inc(1)
-		report, err = r.runRoundAttempt(ctx, requests, restarts, false)
-	}
-	return report, err
-}
-
-// runRoundAttempt executes one attempt over the current ring membership,
-// excluding drained members (they keep heartbeating and serving installed
-// plans, but take no new load — the membership layer's drain semantics).
-func (r *ReplicaServer) runRoundAttempt(ctx context.Context, requests []*RequestBody, restarts int, allowIncremental bool) (*RoundReport, error) {
-	members := r.activeMembers()
-	if len(members) == 0 {
-		return nil, fmt.Errorf("core: replica %s: no active ring members", r.Addr())
-	}
-
-	// 1. Gather every member's model parameters (parallel fan-out).
-	infos := make([]ReplicaInfo, len(members))
-	if err := engine.FanOut(ctx, len(members), func(ctx context.Context, i int) error {
-		resp, err := r.sendReplica(ctx, members[i], MsgReplicaInfo, nil)
-		if err != nil {
-			return err
-		}
-		return resp.DecodeBody(&infos[i])
-	}); err != nil {
-		return nil, err
-	}
-	// Deterministic column order, mirroring the request-row sort: byte
-	// keys in the cohort registry and row/column maps in the incremental
-	// diff stay aligned across rounds of a stable roster.
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Addr < infos[j].Addr })
-
-	// 2. Build the round spec: rows in request order, columns in address
-	// order. Latencies a client did not measure are treated as beyond the
-	// bound (the replica is not a candidate for that client).
-	r.mu.Lock()
-	r.roundSeq++
-	round := r.roundSeq
-	r.mu.Unlock()
-	spec := RoundSpec{
-		Round:         round,
-		Replicas:      infos,
-		MaxLatencySec: r.cfg.MaxLatencySec,
-	}
-	for _, req := range requests {
-		spec.ClientAddrs = append(spec.ClientAddrs, req.ClientAddr)
-		spec.Demands = append(spec.Demands, req.DemandMB)
-		row := make([]float64, len(infos))
-		for j, info := range infos {
-			if l, ok := req.LatencySec[info.Addr]; ok {
-				row[j] = l
-			} else {
-				row[j] = 10 * r.cfg.MaxLatencySec // unmeasured → infeasible
-			}
-		}
-		spec.LatencySec = append(spec.LatencySec, row)
-	}
-	prob, err := specProblem(&spec)
-	if err != nil {
-		return nil, err
-	}
-
-	// Incremental re-optimization: when the committed round covers this
-	// one's roster, diff against it and solve only the dirty subset (or
-	// commit outright when nothing drifted). Gate failures surface as
-	// errEscalateFull, which runRoundOnce answers by re-running this
-	// attempt with allowIncremental false.
-	if r.cfg.Incremental && allowIncremental {
-		if plan := r.planIncremental(requests, infos, prob); plan != nil {
-			return r.runIncremental(ctx, requests, infos, &spec, prob, plan, round, restarts)
-		}
-	}
-
-	// Cohort aggregation: at client scale, merge clients sharing a
-	// feasibility mask and latency class into virtual clients and run the
-	// distributed loop on the reduced instance. The objective depends on
-	// an assignment only through per-replica column sums, so the reduced
-	// optimum matches the ungrouped one and disaggregation loses nothing
-	// (see internal/cohort). The grouping is skipped when it would not
-	// compress — a round over distinct clients gains nothing from an
-	// extra indirection. Grouping goes through the cross-round registry:
-	// quiet rounds over a stable roster reuse the cached partition and
-	// primed sparsity outright, and surviving cohorts keep their relative
-	// order either way.
-	solveSpec, solveProb := &spec, prob
-	var grouping *cohort.Grouping
-	if min := r.cfg.CohortMinClients; min > 0 && len(requests) >= min {
-		g, _, gerr := r.registry.Group(prob, cohort.Options{
-			Quantum:    r.cfg.CohortQuantumSec,
-			MaxCohorts: r.cfg.CohortMax,
-		})
-		if gerr == nil && g.K() < prob.C() {
-			grouping = g
-			reduced := g.Reduced()
-			rspec := &RoundSpec{
-				Round:         round,
-				Replicas:      infos,
-				MaxLatencySec: r.cfg.MaxLatencySec,
-				RawClients:    len(requests),
-				Demands:       reduced.Demands,
-				LatencySec:    reduced.Latency,
-			}
-			// Each cohort's exchanges (LDDM μ updates, allocation rows)
-			// route to one representative member; cohorts are disjoint,
-			// so representatives are distinct and the client-side
-			// accumulators never collide.
-			rspec.ClientAddrs = make([]string, g.K())
-			for k := range rspec.ClientAddrs {
-				rspec.ClientAddrs[k] = spec.ClientAddrs[g.Members(k)[0]]
-			}
-			solveSpec, solveProb = rspec, reduced
-		}
-	}
-	if err := opt.CheckFeasible(solveProb); err != nil {
-		return nil, err
-	}
-
-	// Warm start: when a last-known-good assignment exists, renormalize it
-	// over this round's roster and ship it with the spec so every solver
-	// seeds from a demand-conserving point near the previous optimum. This
-	// is what makes epoch changes cheap — the round after a join or drain
-	// re-converges from the old split instead of from the uniform start.
-	// Cohorted rounds fold the per-client history into cohort rows (and
-	// per-client duals into demand-weighted cohort duals) first.
-	var warmMu []float64
-	if !r.cfg.ColdStart {
-		warm, mu := r.warmStart(requests, infos, prob)
-		if grouping != nil && warm != nil {
-			// Packed fold: gather the per-client history straight into the
-			// cohorts' CSR slots, then scatter once into a pooled |K|×|N|
-			// matrix for the spec. No dense |C|×|N| intermediate, and the
-			// pooled buffers are done being read before Run releases them
-			// (the spec is marshaled at step 3; rd.Warm is consumed in Init).
-			_, redSp := grouping.Sparse()
-			warmPk := grouping.AggregateRowsPacked(warm, r.pool.Vector(redSp.NNZ()))
-			warmK := r.pool.Matrix(grouping.K(), prob.N())
-			redSp.Scatter(warmK, warmPk)
-			warm = warmK
-			if mu != nil {
-				mu = grouping.AggregateDualsInto(mu, r.pool.Vector(grouping.K()))
-			}
-		}
-		solveSpec.Warm, warmMu = warm, mu
-	}
-
-	// 3. Install the round on every replica (the reduced spec when
-	// cohorting is active — participants never see raw client rows).
-	if err := engine.FanOut(ctx, len(infos), func(ctx context.Context, i int) error {
-		_, err := r.sendReplica(ctx, infos[i].Addr, MsgRoundStart, solveSpec)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-
-	// 4. Run the distributed iterations through the solver engine: the
-	// registered algorithm supplies the per-iteration exchanges and the
-	// convergence test, the shared driver owns fan-out, cancellation, and
-	// iteration accounting. Trajectories are recorded only when someone is
-	// listening on the telemetry bus — the extra per-iteration objective
-	// evaluations stay off the unobserved path.
-	reg, ok := engine.Lookup(string(r.cfg.Algorithm))
-	if !ok {
-		return nil, fmt.Errorf("core: unknown algorithm %q", r.cfg.Algorithm)
-	}
-	replicaAddrs := make([]string, len(infos))
-	for j, info := range infos {
-		replicaAddrs[j] = info.Addr
-	}
-	trace := roundTrace{observe: r.cfg.Telemetry.Active()}
-	driver := &engine.Driver{
-		Transport: roundTransport{r},
-		Observe:   trace.observe,
-		OnIterate: func(_ int, residual, cost float64) { trace.add(residual, cost) },
-	}
-	rd := &engine.Round{
-		Seq:          round,
-		Prob:         solveProb,
-		ReplicaAddrs: replicaAddrs,
-		ClientAddrs:  solveSpec.ClientAddrs,
-		MaxIters:     r.cfg.MaxIters,
-		Tol:          r.cfg.Tol,
-		Warm:         solveSpec.Warm,
-		WarmMu:       warmMu,
-		Pool:         r.pool,
-		Par:          r.par,
-	}
-	alg := reg.New()
-	assignment, iterations, err := driver.Run(ctx, alg, rd)
-	if err != nil {
-		return nil, err
-	}
-
-	// 5. Disaggregate a cohorted result back to per-client granularity and
-	// install the final plan on replicas, then notify clients. Cohorted
-	// rounds stay packed between the engine and the install fan-out: the
-	// reduced assignment is gathered into its CSR slots, disaggregated
-	// slot-to-slot, and each replica's install column is materialized
-	// straight from the packed per-client vector through the CSC view —
-	// the only dense |C|×|N| matrix built is the one the report (and the
-	// warm-start history) needs anyway.
-	if grouping != nil {
-		fullSp, redSp := grouping.Sparse()
-		vk := redSp.Gather(nil, assignment)
-		xPk, derr := grouping.DisaggregatePacked(vk, nil)
-		if derr != nil {
-			return nil, derr
-		}
-		if err := engine.FanOut(ctx, len(infos), func(ctx context.Context, j int) error {
-			col := make([]float64, len(spec.ClientAddrs))
-			for s := fullSp.ColStart[j]; s < fullSp.ColStart[j+1]; s++ {
-				col[fullSp.RowIdx[s]] = xPk[fullSp.PosCSR[s]]
-			}
-			body := AssignBody{Round: round, Column: col, ClientAddrs: spec.ClientAddrs}
-			_, err := r.sendReplica(ctx, infos[j].Addr, MsgAssign, body)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		r.notifyCohorts(ctx, round, spec.ClientAddrs, grouping, infos, vk, iterations)
-		full := opt.NewMatrix(len(spec.ClientAddrs), len(infos)) // escapes into the report
-		fullSp.Scatter(full, xPk)
-		assignment = full
-	} else {
-		if err := engine.FanOut(ctx, len(infos), func(ctx context.Context, j int) error {
-			col := make([]float64, len(spec.ClientAddrs))
-			for i := range spec.ClientAddrs {
-				col[i] = assignment[i][j]
-			}
-			body := AssignBody{Round: round, Column: col, ClientAddrs: spec.ClientAddrs}
-			_, err := r.sendReplica(ctx, infos[j].Addr, MsgAssign, body)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		r.notifyClients(ctx, round, spec.ClientAddrs, infos, assignment, iterations)
-	}
-
-	// Remember this round as the fallback for degraded rounds and the seed
-	// for the next warm start (duals included when the algorithm reports
-	// them), and cache each participant's model parameters for the
-	// autoscaler's pricing signal.
-	var mus map[string]float64
-	if dr, ok := alg.(engine.DualReporter); ok {
-		if duals := dr.Duals(); len(duals) == len(solveSpec.ClientAddrs) {
-			mus = make(map[string]float64, len(spec.ClientAddrs))
-			if grouping != nil {
-				// μ is a per-unit congestion price: every member of a
-				// cohort inherits its cohort's dual, so the next round's
-				// warm duals cover the full client set.
-				for k, v := range duals {
-					for _, c := range grouping.Members(k) {
-						mus[spec.ClientAddrs[c]] = v
-					}
-				}
-				if r.cfg.CohortDuals {
-					r.fanOutCohortDuals(ctx, round, spec.ClientAddrs, grouping, duals)
-				}
-			} else {
-				for i, addr := range spec.ClientAddrs {
-					mus[addr] = duals[i]
-				}
-			}
-		}
-	}
-	objective := prob.Cost(assignment)
-	r.mu.Lock()
-	r.lastGood = &lastGoodRound{
-		round:          round,
-		infos:          infos,
-		clientAddrs:    spec.ClientAddrs,
-		assignment:     assignment,
-		mus:            mus,
-		prob:           prob,
-		objective:      objective,
-		installed:      assignment,
-		installedRound: round,
-	}
-	for _, info := range infos {
-		r.infoCache[info.Addr] = info
-	}
-	r.mu.Unlock()
-
-	report := &RoundReport{
-		Round:        round,
-		Algorithm:    r.cfg.Algorithm.String(),
-		Iterations:   iterations,
-		Restarts:     restarts,
-		ReplicaAddrs: replicaAddrs,
-		ClientAddrs:  spec.ClientAddrs,
-		Assignment:   assignment,
-		Objective:    objective,
-		WarmStarted:  solveSpec.Warm != nil,
-		Residuals:    trace.residuals,
-		Costs:        trace.costs,
-	}
-	if grouping != nil {
-		report.Cohorts = grouping.K()
-		report.CohortRatio = grouping.Ratio()
-	}
-	return report, nil
-}
-
-// warmStart builds the round's warm-start matrix (and, when the previous
-// round reported duals, the per-client dual seed) from the last-known-good
-// assignment: old columns are aligned to the new roster by replica address
-// and old rows to the new request set by client address, then the whole
-// matrix is renormalized so every row conserves its demand within this
-// round's capacity and latency constraints. Returns nils when there is no
-// history to warm from.
-func (r *ReplicaServer) warmStart(requests []*RequestBody, infos []ReplicaInfo, prob *opt.Problem) ([][]float64, []float64) {
-	r.mu.Lock()
-	lg := r.lastGood
-	r.mu.Unlock()
-	if lg == nil {
-		return nil, nil
-	}
-	colOf := make(map[string]int, len(lg.infos))
-	for j, info := range lg.infos {
-		colOf[info.Addr] = j
-	}
-	rowOf := make(map[string]int, len(lg.clientAddrs))
-	for i, addr := range lg.clientAddrs {
-		rowOf[addr] = i
-	}
-	// Pooled scratch: Renormalize allocates its own output, so weights is
-	// dead once it returns (the pool recycles it after the round's solve).
-	weights := r.pool.Matrix(len(requests), len(infos))
-	var newCols []int
-	for j, info := range infos {
-		if _, ok := colOf[info.Addr]; !ok {
-			newCols = append(newCols, j)
-		}
-	}
-	for i, req := range requests {
-		row, ok := rowOf[req.ClientAddr]
-		if !ok {
-			continue // new client: Renormalize spreads it uniformly
-		}
-		total, kept := 0.0, 0.0
-		for _, v := range lg.assignment[row] {
-			total += v
-		}
-		for j, info := range infos {
-			if oj, ok := colOf[info.Addr]; ok {
-				weights[i][j] = lg.assignment[row][oj]
-				kept += weights[i][j]
-			}
-		}
-		// Mass that lived on departed columns seeds the joined ones: on a
-		// swap (drain one member, join another) the new optimum tends to
-		// hand the newcomer roughly the departed member's share, so
-		// inheriting it lands the seed much closer than spreading the
-		// loss over the incumbents.
-		if lost := total - kept; lost > 0 && len(newCols) > 0 {
-			for _, j := range newCols {
-				weights[i][j] = lost / float64(len(newCols))
-			}
-		}
-	}
-	caps := make([]float64, len(infos))
-	for j, info := range infos {
-		caps[j] = info.Bandwidth
-	}
-	var warmMu []float64
-	if lg.mus != nil {
-		warmMu = make([]float64, len(requests))
-		for i, req := range requests {
-			warmMu[i] = lg.mus[req.ClientAddr] // zero for new clients
-		}
-	}
-	return opt.Renormalize(weights, prob.Demands, caps, prob.Allowed()), warmMu
-}
-
-// notifyClients delivers each client its allocation. Client failures never
-// abort a round: the other clients' allocations stand.
-func (r *ReplicaServer) notifyClients(ctx context.Context, round int, clientAddrs []string, infos []ReplicaInfo, assignment [][]float64, iterations int) {
-	_ = engine.FanOut(ctx, len(clientAddrs), func(ctx context.Context, i int) error {
-		per := make(map[string]float64, len(infos))
-		for j, info := range infos {
-			if assignment[i][j] > 0 {
-				per[info.Addr] = assignment[i][j]
-			}
-		}
-		body := AllocationBody{
-			Round:        round,
-			PerReplicaMB: per,
-			Algorithm:    r.cfg.Algorithm.String(),
-			Iterations:   iterations,
-		}
-		_, _ = r.sendRetry(ctx, clientAddrs[i], MsgAllocation, body)
-		return nil
-	})
-}
-
-// fanOutCohortDuals delivers each cohort's final dual μ to its
-// non-representative members (the representative already owns μ through
-// the iteration protocol). The body is built and marshaled once per
-// cohort. Members that reject the verb — clients predating it — get a
-// legacy μ-update instead: their accumulator for this round is untouched
-// (only representatives receive in-round updates), so a single step-1
-// update with served=μ and demand=0 lands the same absolute value.
-// Failures never abort the round.
-func (r *ReplicaServer) fanOutCohortDuals(ctx context.Context, round int, clientAddrs []string, g *cohort.Grouping, duals []float64) {
-	if len(duals) < g.K() {
-		return
-	}
-	type target struct{ i, k int }
-	var targets []target
-	msgs := make([]transport.Message, g.K())
-	for k := 0; k < g.K(); k++ {
-		mem := g.Members(k)
-		if len(mem) < 2 {
-			continue
-		}
-		if msg, err := r.newMessage(MsgCohortDuals, CohortDualsBody{Round: round, Mu: duals[k]}); err == nil {
-			msgs[k] = msg
-		}
-		for _, c := range mem[1:] {
-			targets = append(targets, target{c, k})
-		}
-	}
-	_ = engine.FanOut(ctx, len(targets), func(ctx context.Context, t int) error {
-		tg := targets[t]
-		if msgs[tg.k].Type != "" {
-			if _, err := r.sendMsgRetry(ctx, clientAddrs[tg.i], msgs[tg.k]); err == nil || ctx.Err() != nil {
-				return nil
-			}
-		}
-		body := MuUpdateBody{Round: round, Step: 1, ServedMB: duals[tg.k], DemandMB: 0}
-		_, _ = r.sendRetry(ctx, clientAddrs[tg.i], MsgMuUpdate, body)
-		return nil
-	})
-}
-
-// notifyCohorts is the cohorted-round allocation fan-out: every member of a
-// cohort receives the same prebuilt message — the cohort's per-unit split
-// over its feasible replicas — and reconstructs its own per-replica map
-// locally by scaling with its own submitted demand. The body is built and
-// marshaled once per cohort instead of once per client, which is what makes
-// the notify phase scale with |K| work + |C| sends rather than |C| marshals
-// of |N|-entry maps. Clients that do not understand the verb (wire compat
-// with older fleets) get the legacy per-client allocation as a fallback.
-// Failures never abort the round.
-func (r *ReplicaServer) notifyCohorts(ctx context.Context, round int, clientAddrs []string, g *cohort.Grouping, infos []ReplicaInfo, vk []float64, iterations int) {
-	_, redSp := g.Sparse()
-	msgs := make([]transport.Message, g.K())
-	units := make([][]float64, g.K()) // kept for the legacy fallback
-	reps := make([][]string, g.K())
-	for k := 0; k < g.K(); k++ {
-		kb, ke := redSp.RowStart[k], redSp.RowStart[k+1]
-		w := ke - kb
-		unit := make([]float64, w)
-		addrs := make([]string, w)
-		sum := 0.0
-		for t := 0; t < w; t++ {
-			v := vk[kb+t]
-			if v < 0 {
-				v = 0
-			}
-			unit[t] = v
-			addrs[t] = infos[redSp.ColIdx[kb+t]].Addr
-			sum += v
-		}
-		if sum > 0 {
-			for t := range unit {
-				unit[t] /= sum
-			}
-		} else if w > 0 {
-			for t := range unit {
-				unit[t] = 1 / float64(w)
-			}
-		}
-		body := CohortAllocationBody{
-			Round:      round,
-			Algorithm:  r.cfg.Algorithm.String(),
-			Iterations: iterations,
-			Replicas:   addrs,
-			UnitMB:     unit,
-		}
-		msg, err := r.newMessage(MsgCohortAllocation, body)
-		if err != nil {
-			continue // msgs[k].Type stays empty → members fall back below
-		}
-		msgs[k], units[k], reps[k] = msg, unit, addrs
-	}
-	_ = engine.FanOut(ctx, len(clientAddrs), func(ctx context.Context, i int) error {
-		k := g.CohortOf(i)
-		if msgs[k].Type != "" {
-			if _, err := r.sendMsgRetry(ctx, clientAddrs[i], msgs[k]); err == nil {
-				return nil
-			} else if ctx.Err() != nil {
-				return nil
-			}
-		}
-		// Legacy fallback: reconstruct this member's per-replica map the
-		// same way the cohort-aware client would.
-		per := make(map[string]float64, len(reps[k]))
-		for t, addr := range reps[k] {
-			if v := units[k][t] * g.Orig().Demands[i]; v > 0 {
-				per[addr] = v
-			}
-		}
-		body := AllocationBody{
-			Round:        round,
-			PerReplicaMB: per,
-			Algorithm:    r.cfg.Algorithm.String(),
-			Iterations:   iterations,
-		}
-		_, _ = r.sendRetry(ctx, clientAddrs[i], MsgAllocation, body)
-		return nil
-	})
 }
