@@ -230,6 +230,8 @@ func printStatus(w *os.File, st *core.Status) {
 	fmt.Fprintf(w, "counters  requests %d, rounds %d (restarted %d, degraded %d), downloads %d, rpc retries %d\n",
 		st.RequestsReceived, st.RoundsInitiated, st.RoundsRestarted, st.RoundsDegraded,
 		st.DownloadsServed, st.SendRetried)
+	fmt.Fprintf(w, "tcp pool  %d dials, %d reuses, %d stale redials; %d idle, %d served connections\n",
+		st.TCP.Dials, st.TCP.Reuses, st.TCP.Redials, st.TCP.Idle, st.TCP.Served)
 	if st.LastRound == nil {
 		fmt.Fprintln(w, "last round: none yet")
 		return

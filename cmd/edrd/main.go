@@ -138,6 +138,7 @@ func main() {
 		collector.Attach(bus)
 		// Instrumented wraps outermost so injected faults are counted too.
 		network = transport.NewInstrumented(network, collector.Registry, bus)
+		transport.RegisterTCPStats(collector.Registry)
 	}
 	server, err := core.NewReplicaServer(network, *listen, members, core.ReplicaConfig{
 		Replica:      rep,

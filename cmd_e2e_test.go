@@ -7,7 +7,9 @@ package edr_test
 
 import (
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -131,11 +133,37 @@ func TestBinariesEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"replica   " + addrs[0],
 		"ring",
+		"tcp pool  ",
 		"last round 1: LDDM",
 		"assignment (MB, 1 clients x 3 replicas):",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("edrctl status output missing %q:\n%s", want, text)
 		}
+	}
+
+	// A round's iterations reuse the fleet's pooled connections, and the
+	// admin plane says so.
+	resp, err := http.Get("http://" + adminAddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE edr_transport_tcp_dials_total counter",
+		"edr_transport_tcp_redials_total ",
+		"edr_transport_tcp_idle_conns ",
+		"edr_transport_tcp_served_conns ",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	if strings.Contains(string(metrics), "edr_transport_tcp_reuses_total 0\n") {
+		t.Fatalf("no connection was reused across a whole round:\n%s", metrics)
 	}
 }

@@ -267,6 +267,10 @@ type Status struct {
 	SendRetried       int64        `json:"send_retried"`
 	Degraded          bool         `json:"degraded"` // last round fell back
 	LastRound         *RoundReport `json:"last_round,omitempty"`
+
+	// TCP is the process's connection-pool counters (all zero on the
+	// in-process fabric).
+	TCP transport.TCPStats `json:"tcp"`
 }
 
 // Status snapshots the replica's runtime state for the admin plane.
@@ -290,6 +294,7 @@ func (r *ReplicaServer) Status() Status {
 		RoundsEscalated:   r.Stats.RoundsEscalated.Value(),
 		DownloadsServed:   r.Stats.DownloadsServed.Value(),
 		SendRetried:       r.Stats.SendRetried.Value(),
+		TCP:               transport.TCPPoolStats(),
 	}
 	s.LastRound = r.LastReport()
 	if s.LastRound != nil {

@@ -95,7 +95,17 @@ func (r *Registry) Counter(name, help string, labels Labels) *metrics.Counter {
 // invoked at render time; re-registering the same series replaces the
 // callback.
 func (r *Registry) Gauge(name, help string, labels Labels, fn func() float64) {
-	f := r.family(name, help, "gauge")
+	r.callback(name, help, "gauge", labels, fn)
+}
+
+// CounterFunc registers a callback counter — a monotone count that is
+// kept elsewhere and only read at render time. Otherwise as Gauge.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
+	r.callback(name, help, "counter", labels, fn)
+}
+
+func (r *Registry) callback(name, help, typ string, labels Labels, fn func() float64) {
+	f := r.family(name, help, typ)
 	s := f.get(labels, func() *series { return &series{} })
 	f.mu.Lock()
 	s.gauge = fn

@@ -109,6 +109,7 @@ func TestRegistryPrometheusRender(t *testing.T) {
 	reg.Counter("edr_test_total", "A test counter.", Labels{"peer": `a"b\c`}).Inc(3)
 	reg.Counter("edr_test_total", "A test counter.", Labels{"peer": "plain"}).Inc(1)
 	reg.Gauge("edr_test_gauge", "A test gauge.", nil, func() float64 { return 2.5 })
+	reg.CounterFunc("edr_test_read_total", "A counter kept elsewhere.", nil, func() float64 { return 7 })
 	reg.Histogram("edr_test_seconds", "A test histogram.", nil, []float64{0.1, 1}).Observe(0.5)
 
 	var b strings.Builder
@@ -126,6 +127,8 @@ func TestRegistryPrometheusRender(t *testing.T) {
 		"edr_test_seconds_sum 0.5",
 		"edr_test_seconds_count 1",
 		"# TYPE edr_test_total counter",
+		"# TYPE edr_test_read_total counter",
+		"edr_test_read_total 7",
 		"# TYPE edr_test_seconds histogram",
 	} {
 		if !strings.Contains(text, want) {

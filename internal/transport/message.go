@@ -1,6 +1,7 @@
 // Package transport carries EDR's inter-node messages: a small typed
-// envelope, a length-prefixed JSON wire codec, and two interchangeable
-// fabrics — real TCP sockets (the paper's deployment, §III-C) and an
+// envelope, a length-prefixed wire codec (JSON, or the compact binary
+// envelope of binary.go), and two interchangeable fabrics — real TCP
+// sockets held open between peers (the paper's deployment, §III-C) and an
 // in-process fabric for deterministic tests and simulations.
 //
 // The paper's server design is multithreaded with TCP/IP sockets: a
@@ -120,15 +121,34 @@ func WriteFrame(w io.Writer, m Message) error {
 	if len(payload) > MaxFrameBytes {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", len(payload), MaxFrameBytes)
 	}
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(len(payload)))
-	if _, err := w.Write(prefix[:]); err != nil {
-		return fmt.Errorf("transport: write frame prefix: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write frame payload: %w", err)
+	// One buffer, one Write: on a TCP_NODELAY socket two writes are two
+	// segments.
+	buf := make([]byte, 4, 4+len(payload))
+	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
+	if _, err := w.Write(append(buf, payload...)); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
+}
+
+// frameEagerBytes is the largest payload ReadFrame allocates on the
+// strength of the length prefix alone. A longer frame's buffer grows with
+// the bytes actually received, so a peer that claims MaxFrameBytes and
+// sends nothing costs this much, not 64 MB.
+const frameEagerBytes = 64 << 10
+
+// readPayload reads n payload bytes from r.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, frameEagerBytes))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, buf[read:]); err != nil {
+			return nil, err
+		}
+		if read = len(buf); read == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-read, read))...)
+	}
 }
 
 // ReadFrame reads one length-prefixed message written by WriteFrame,
@@ -144,8 +164,8 @@ func ReadFrame(r io.Reader) (Message, error) {
 	if n > MaxFrameBytes {
 		return Message{}, fmt.Errorf("transport: frame length %d exceeds limit %d", n, MaxFrameBytes)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return Message{}, fmt.Errorf("transport: read frame payload: %w", err)
 	}
 	if isBin {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -108,6 +110,34 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 	buf.WriteString("short")
 	if _, err := ReadFrame(&buf); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+}
+
+// A length prefix is a claim, not a payload: a frame that announces the
+// maximum and then stalls must cost what arrived, not what was announced.
+func TestReadFrameAllocatesWithBytesReceived(t *testing.T) {
+	var prefix [4]byte
+	binary.BigEndian.PutUint32(prefix[:], MaxFrameBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(io.MultiReader(bytes.NewReader(prefix[:]), strings.NewReader("a few bytes")))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*frameEagerBytes {
+		t.Fatalf("a %d-byte claim with 11 bytes behind it allocated %d bytes", MaxFrameBytes, grew)
+	}
+
+	// And a frame longer than the eager bound still arrives whole.
+	m := Message{Type: "bulk", Bin: bytes.Repeat([]byte{0xAB, 0xCD, 0xEF}, frameEagerBytes)}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrame(iotest.OneByteReader(&buf))
+	if err != nil || !bytes.Equal(got.Bin, m.Bin) {
+		t.Fatalf("grown frame: err %v, %d of %d body bytes intact", err, len(got.Bin), len(m.Bin))
 	}
 }
 
