@@ -85,8 +85,7 @@ func main() {
 
 	ctx := context.Background()
 	lat := map[string]float64{"r1": 0.0005, "r2": 0.0005, "r3": 0.0005}
-	// Clients stay up across rounds: LDDM pushes μ updates to them while
-	// iterating.
+	// Clients stay up across rounds to receive their allocations.
 	var clients []*core.Client
 	defer func() {
 		for _, cl := range clients {

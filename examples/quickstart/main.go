@@ -61,8 +61,8 @@ func main() {
 	}
 
 	// Any replica with pending requests can initiate the round; the
-	// optimization itself is distributed (replicas solve local problems,
-	// clients update their own multipliers).
+	// optimization itself is distributed (replicas solve local problems
+	// against multipliers the initiator steps each iteration).
 	report, err := replicas[0].RunRound(ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -51,8 +51,9 @@ func init() {
 }
 
 // roundAlg is the initiator half of sharing-ADMM over the fabric: replicas
-// answer proximal solves, and clients hold the scaled dual (their MuUpdate
-// rule with step 1/|N| is exactly the ADMM dual update u += (served−R)/|N|).
+// answer proximal solves and the initiator holds the scaled dual,
+// u += (served−R)/|N| on the columns they return. One iteration is one
+// wave of |N| RPCs.
 type roundAlg struct {
 	rd  *engine.Round
 	k   int
@@ -65,6 +66,7 @@ type roundAlg struct {
 	tx         transport.DeltaTx
 	u          []float64
 	warmU      []float64 // additive dual offset from the previous round
+	acc        []float64 // this round's dual ascent, accumulated from zero
 	share      []float64
 	rowAvg     []float64
 	primal     [][]float64 // client×replica scratch for trajectory costing
@@ -83,7 +85,9 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	a.rho = autoRho(rd.Prob)
 	a.z = rd.Pool.Matrix(n, c)
 	a.targets = rd.Pool.Matrix(n, c)
-	a.u = rd.Pool.Vector(c)
+	a.u = make([]float64, c) // escapes via Duals; not pool-owned
+	a.acc = rd.Pool.Vector(c)
+	a.warmU = rd.Pool.Vector(c)
 	a.share = rd.Pool.Vector(c)
 	a.rowAvg = rd.Pool.Vector(c)
 	a.primal = rd.Pool.Matrix(c, n)
@@ -115,13 +119,14 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		// or delta.
 		a.sp = sp
 	}
-	a.warmU = make([]float64, c) // escapes via Duals; not pool-owned
 	if len(rd.WarmMu) == c {
-		// Warm-start the scaled dual: the clients accumulate μ from zero
-		// every round, so the previous round's final duals enter as an
-		// additive offset on this side. Iteration count in sharing-ADMM is
-		// dominated by the dual climbing to its fixed point — starting it
-		// there is what makes warm rounds converge in a handful of steps.
+		// Warm-start the scaled dual: the previous round's final duals
+		// enter as an additive offset on an accumulator that starts from
+		// zero every round (u = warmU + acc, not u += step, so a warm round's
+		// rounding does not depend on how large the offset is). Iteration
+		// count in sharing-ADMM is dominated by the dual climbing to its
+		// fixed point — starting it there is what makes warm rounds converge
+		// in a handful of steps.
 		copy(a.warmU, rd.WarmMu)
 		copy(a.u, a.warmU)
 	}
@@ -129,8 +134,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		{
 			// Proximal solves (parallel: disjoint z and target rows; rowAvg
 			// is frozen for the wave by Iterate).
-			Verb:  MsgProx,
-			Class: engine.Replicas,
+			Verb: MsgProx,
 			Body: func(j int) any {
 				t := a.targets[j]
 				if a.sp != nil {
@@ -165,33 +169,6 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 				return nil
 			},
 		},
-		{
-			// Dual updates at the clients; step 1/|N| realizes the ADMM rule
-			// (parallel: disjoint u entries).
-			Verb:  engine.MsgMuUpdate,
-			Class: engine.Clients,
-			Body: func(i int) any {
-				served := 0.0
-				for j := 0; j < n; j++ {
-					served += a.z[j][i]
-				}
-				return engine.MuUpdateBody{
-					Round:    rd.Seq,
-					Iter:     a.k,
-					ServedMB: served,
-					DemandMB: rd.Prob.Demands[i],
-					Step:     1 / float64(n),
-				}
-			},
-			Fold: func(i int, r engine.Reply) error {
-				var reply engine.MuUpdateReply
-				if err := r.Decode(&reply); err != nil {
-					return err
-				}
-				a.u[i] = a.warmU[i] + reply.Mu
-				return nil
-			},
-		},
 	}
 	return nil
 }
@@ -211,15 +188,21 @@ func (a *roundAlg) Iterate(k int) []engine.Exchange {
 	return a.exchanges
 }
 
+// Converged takes the scaled dual step on the fresh columns and tests the
+// primal residual, both off one pass over each client's served total.
 func (a *roundAlg) Converged(k int) (float64, bool) {
 	c, n := a.rd.Prob.C(), a.rd.Prob.N()
+	step := 1 / float64(n)
 	maxPrimal := 0.0
 	for i := 0; i < c; i++ {
 		served := 0.0
 		for j := 0; j < n; j++ {
 			served += a.z[j][i]
 		}
-		if r := math.Abs(served - a.rd.Prob.Demands[i]); r > maxPrimal {
+		gap := served - a.rd.Prob.Demands[i]
+		a.acc[i] += step * gap
+		a.u[i] = a.warmU[i] + a.acc[i]
+		if r := math.Abs(gap); r > maxPrimal {
 			maxPrimal = r
 		}
 	}
@@ -228,10 +211,7 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 
 // Duals reports the final scaled dual values (engine.DualReporter) so the
 // next round can warm-start from them. Returned in a non-pooled buffer.
-func (a *roundAlg) Duals() []float64 {
-	copy(a.warmU, a.u)
-	return a.warmU
-}
+func (a *roundAlg) Duals() []float64 { return a.u }
 
 // Primal exposes the current iterate (transposed into client×replica
 // form) for trajectory costing.

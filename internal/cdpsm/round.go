@@ -104,8 +104,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	a.moved = rd.Pool.Vector(n)
 	a.exchanges = []engine.Exchange{
 		{
-			Verb:  MsgStep,
-			Class: engine.Replicas,
+			Verb: MsgStep,
 			Body: func(j int) any {
 				return StepBody{Round: rd.Seq, Iter: a.k, Step: DefaultStep}
 			},
@@ -119,8 +118,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 			},
 		},
 		{
-			Verb:  MsgCommit,
-			Class: engine.Replicas,
+			Verb: MsgCommit,
 			Body: func(j int) any {
 				return CommitBody{Round: rd.Seq, Iter: a.k}
 			},
@@ -152,10 +150,9 @@ func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, 
 	nReplicas := len(a.rd.ReplicaAddrs)
 	sum := opt.NewMatrix(c, n) // freshly allocated: escapes into the report
 	var mu sync.Mutex
-	err := d.Exec(ctx, a.rd, engine.Exchange{
-		Verb:  MsgEstimate,
-		Class: engine.Replicas,
-		Body:  func(j int) any { return EstimateBody{Round: a.rd.Seq, Base: -1} },
+	err := d.Exec(ctx, engine.Exchange{
+		Verb: MsgEstimate,
+		Body: func(j int) any { return EstimateBody{Round: a.rd.Seq, Base: -1} },
 		Fold: func(j int, r engine.Reply) error {
 			var reply EstimateReply
 			if err := r.Decode(&reply); err != nil {

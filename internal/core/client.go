@@ -11,38 +11,44 @@ import (
 )
 
 // Client is the EDR client library: it submits requests to a contact
-// replica, participates in LDDM rounds by owning its multiplier μ_c
-// (Algorithm 2 assigns the update task to the clients), receives its final
-// allocation, and downloads the selected bytes from each chosen replica in
-// parallel — the paper's "the client side will create new threads to
-// communicate with all the replicas at the same time".
+// replica, receives its final allocation, and downloads the selected bytes
+// from each chosen replica in parallel — the paper's "the client side will
+// create new threads to communicate with all the replicas at the same
+// time". It takes no part in a round's iterations: the initiator holds the
+// multipliers (Algorithm 2 assigns their update to the clients, but every
+// input of that update reaches a client only through the initiator).
 type Client struct {
 	node transport.Node
 
 	mu      sync.Mutex
-	mus     map[string]float64 // multiplier per (initiator, round)
-	demand  float64            // last submitted demand, for cohort allocations
-	contact string             // last contact replica, for allocation pulls
-	ackSeq  int                // RequestAck.Round watermark of the last submission
+	dual    clientDual // latest cohort dual delivered, if any
+	demand  float64    // last submitted demand, for cohort allocations
+	contact string     // last contact replica, for allocation pulls
+	ackSeq  int        // RequestAck.Round watermark of the last submission
 	alloc   chan AllocationBody
 
 	// Stats counts client activity.
 	Stats ClientStats
 }
 
+// clientDual is the most recent cohort dual a round delivered
+// (MsgCohortDuals, opt-in). One record, overwritten each round: a
+// long-lived client's state does not grow with the rounds it has seen.
+type clientDual struct {
+	initiator string
+	round     int
+	mu        float64
+}
+
 // ClientStats aggregates client-side counters.
 type ClientStats struct {
-	MuUpdates     metrics.Counter
 	Allocations   metrics.Counter
 	BytesReceived metrics.Counter
 }
 
 // NewClient binds a client endpoint on the network.
 func NewClient(network transport.Network, addr string) (*Client, error) {
-	c := &Client{
-		mus:   make(map[string]float64),
-		alloc: make(chan AllocationBody, 64),
-	}
+	c := &Client{alloc: make(chan AllocationBody, 64)}
 	node, err := network.Listen(addr, c.handle)
 	if err != nil {
 		return nil, err
@@ -59,8 +65,6 @@ func (c *Client) Close() error { return c.node.Close() }
 
 func (c *Client) handle(ctx context.Context, req transport.Message) (transport.Message, error) {
 	switch req.Type {
-	case MsgMuUpdate:
-		return c.handleMuUpdate(req)
 	case MsgAllocation:
 		return c.handleAllocation(req)
 	case MsgCohortAllocation:
@@ -70,22 +74,6 @@ func (c *Client) handle(ctx context.Context, req transport.Message) (transport.M
 	default:
 		return transport.Message{}, fmt.Errorf("core: client %s: unknown message type %q", c.Addr(), req.Type)
 	}
-}
-
-// handleMuUpdate applies μ_c ← μ_c + d·(served − R_c) for one round.
-func (c *Client) handleMuUpdate(req transport.Message) (transport.Message, error) {
-	var body MuUpdateBody
-	if err := req.DecodeBody(&body); err != nil {
-		return transport.Message{}, err
-	}
-	key := fmt.Sprintf("%s/%d", req.From, body.Round)
-	c.mu.Lock()
-	mu := c.mus[key]
-	mu += body.Step * (body.ServedMB - body.DemandMB)
-	c.mus[key] = mu
-	c.mu.Unlock()
-	c.Stats.MuUpdates.Inc(1)
-	return transport.NewReply(req, MsgMuUpdate+".ack", c.Addr(), MuUpdateReply{Mu: mu})
 }
 
 // handleAllocation records the round outcome for WaitAllocation.
@@ -104,21 +92,18 @@ func (c *Client) handleAllocation(req transport.Message) (transport.Message, err
 	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
 }
 
-// handleCohortDuals installs the cohort's final dual as this client's μ
-// for the round. The value is absolute, not a step: non-representative
-// members never receive in-round μ-updates, so the cohort's price simply
-// replaces whatever (zero) accumulator the round key holds.
+// handleCohortDuals records the cohort's final dual for the round as this
+// client's congestion price. The value is absolute, not a step, so a
+// redelivered message is harmless.
 func (c *Client) handleCohortDuals(req transport.Message) (transport.Message, error) {
 	var body CohortDualsBody
 	if err := req.DecodeBody(&body); err != nil {
 		return transport.Message{}, err
 	}
-	key := fmt.Sprintf("%s/%d", req.From, body.Round)
 	c.mu.Lock()
-	c.mus[key] = body.Mu
+	c.dual = clientDual{initiator: req.From, round: body.Round, mu: body.Mu}
 	c.mu.Unlock()
-	c.Stats.MuUpdates.Inc(1)
-	return transport.NewReply(req, MsgCohortDuals+".ack", c.Addr(), MuUpdateReply{Mu: body.Mu})
+	return transport.NewMessage(MsgCohortDuals+".ack", c.Addr(), nil)
 }
 
 // handleCohortAllocation expands a cohort-level allocation into this

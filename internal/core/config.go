@@ -125,8 +125,8 @@ type ReplicaConfig struct {
 	// 0 means 1e-3; negative pins exact matching (any change is dirty).
 	DeltaEps float64
 	// CohortDuals opts cohorted rounds into fanning the final cohort dual
-	// out to every cohort member via client.duals.cohort, instead of only
-	// the representative member seeing μ through the iteration protocol.
+	// out to every cohort member via client.duals.cohort; without it no
+	// client sees μ (the initiator holds the duals).
 	CohortDuals bool
 	// WireJSON forces JSON bodies for every RPC this node initiates,
 	// disabling the compact binary codec on the wire. Peers always mirror

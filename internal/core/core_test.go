@@ -157,10 +157,6 @@ func TestRoundLDDMEndToEnd(t *testing.T) {
 			t.Fatal("downloaded zero bytes")
 		}
 	}
-	// μ updates actually flowed through the clients.
-	if f.clients[0].Stats.MuUpdates.Value() == 0 {
-		t.Fatal("client never updated μ — LDDM round skipped the clients")
-	}
 }
 
 func TestRoundCDPSMEndToEnd(t *testing.T) {

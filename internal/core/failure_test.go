@@ -38,14 +38,12 @@ func TestCDPSMRoundSurvivesReplicaFailure(t *testing.T) {
 	}
 }
 
-func TestRoundSurvivesClientFailureAfterSubmit(t *testing.T) {
-	// A client that dies after submitting must not poison the round for
-	// the others: μ updates to it fail, which aborts LDDM for that round —
-	// but the dead client is not a ring member, so the round error
-	// surfaces rather than deadlocks. With CDPSM (no client participation
-	// in the iteration), the round completes and only the dead client's
-	// allocation notification is lost.
-	f := newFleet(t, []float64{1, 5}, 2, CDPSM)
+// roundSurvivesDeadClient pins the blast radius of a client that dies after
+// submitting: clients take no part in any algorithm's iterations, so the
+// round commits with both rows, the survivor gets its allocation, and only
+// the dead client's notification is lost.
+func roundSurvivesDeadClient(t *testing.T, alg Algorithm) {
+	f := newFleet(t, []float64{1, 5}, 2, alg)
 	ctx := context.Background()
 	for _, cl := range f.clients {
 		if err := cl.Submit(ctx, f.replicas[0].Addr(), 15, f.uniformLatencies()); err != nil {
@@ -57,30 +55,26 @@ func TestRoundSurvivesClientFailureAfterSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The surviving client still gets its allocation.
+	if report.Degraded {
+		t.Fatal("round degraded instead of committing")
+	}
+	if len(report.ClientAddrs) != 2 || len(report.Assignment) != 2 {
+		t.Fatalf("round dropped a client row: %v", report.ClientAddrs)
+	}
 	wctx, cancel := context.WithTimeout(ctx, time.Second)
 	defer cancel()
-	if _, err := f.clients[0].WaitAllocation(wctx); err != nil {
+	alloc, err := f.clients[0].WaitAllocation(wctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.ClientAddrs) != 2 {
-		t.Fatalf("round dropped a client row: %v", report.ClientAddrs)
+	if alloc.Round != report.Round {
+		t.Fatalf("survivor got round %d's allocation, want %d", alloc.Round, report.Round)
 	}
 }
 
-func TestLDDMRoundClientFailureSurfacesError(t *testing.T) {
-	f := newFleet(t, []float64{1, 5}, 2, LDDM)
-	ctx := context.Background()
-	for _, cl := range f.clients {
-		if err := cl.Submit(ctx, f.replicas[0].Addr(), 15, f.uniformLatencies()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.net.Crash(f.clients[1].Addr())
-	if _, err := f.replicas[0].RunRound(ctx); err == nil {
-		t.Fatal("LDDM round succeeded despite a dead μ-owning client")
-	}
-}
+func TestRoundSurvivesClientFailureAfterSubmit(t *testing.T) { roundSurvivesDeadClient(t, CDPSM) }
+func TestLDDMRoundSurvivesDeadClient(t *testing.T)           { roundSurvivesDeadClient(t, LDDM) }
+func TestADMMRoundSurvivesDeadClient(t *testing.T)           { roundSurvivesDeadClient(t, ADMM) }
 
 func TestConsecutiveRoundsIndependent(t *testing.T) {
 	f := newFleet(t, []float64{2, 7}, 1, LDDM)

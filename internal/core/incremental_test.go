@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -197,44 +196,42 @@ func TestIncrementalReplicaChangePromotesClients(t *testing.T) {
 	}
 }
 
-// Cohort duals: with CohortDuals enabled, every non-representative cohort
-// member receives the cohort's final μ (ADMM is the dual-reporting
-// algorithm). Without the flag, only representatives see duals.
+// Cohort duals: with CohortDuals enabled, every cohort member — the first
+// one included — receives the cohort's final μ (ADMM is the dual-reporting
+// algorithm) and holds exactly one record of it, replaced round over round.
 func TestCohortDualsFanOut(t *testing.T) {
 	f := newFleetCfg(t, []float64{1, 10, 5}, 4, ADMM, func(i int, cfg *ReplicaConfig) {
 		cfg.CohortMinClients = 2
 		cfg.CohortDuals = true
 	})
 	ctx := context.Background()
-	// Identical latencies and equal demands: all four clients form one
-	// cohort whose representative is the first member.
-	for _, cl := range f.clients {
-		if err := cl.Submit(ctx, f.replicas[0].Addr(), 20, f.uniformLatencies()); err != nil {
+	for round := 1; round <= 2; round++ {
+		// Identical latencies and equal demands: all four clients form
+		// one cohort.
+		for _, cl := range f.clients {
+			if err := cl.Submit(ctx, f.replicas[0].Addr(), 20*float64(round), f.uniformLatencies()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report, err := f.replicas[0].RunRound(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	report, err := f.replicas[0].RunRound(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Cohorts != 1 {
-		t.Fatalf("cohorts = %d, want 1", report.Cohorts)
-	}
-	key := fmt.Sprintf("%s/%d", f.replicas[0].Addr(), report.Round)
-	var mus []float64
-	for _, cl := range f.clients {
-		cl.mu.Lock()
-		mu, ok := cl.mus[key]
-		cl.mu.Unlock()
-		if !ok {
-			t.Fatalf("client %s holds no μ for round key %s", cl.Addr(), key)
+		if report.Cohorts != 1 {
+			t.Fatalf("cohorts = %d, want 1", report.Cohorts)
 		}
-		mus = append(mus, mu)
-	}
-	// One cohort → one shared dual on every member.
-	for i := 1; i < len(mus); i++ {
-		if mus[i] != mus[0] {
-			t.Fatalf("member μ diverged: %v", mus)
+		committed := f.replicas[0].committed().mus
+		for _, cl := range f.clients {
+			cl.mu.Lock()
+			got := cl.dual
+			cl.mu.Unlock()
+			want := clientDual{initiator: f.replicas[0].Addr(), round: report.Round, mu: committed[cl.Addr()]}
+			if got != want {
+				t.Fatalf("round %d: client %s holds %+v, want %+v", round, cl.Addr(), got, want)
+			}
+			if got.mu != committed[f.clients[0].Addr()] {
+				t.Fatalf("round %d: member μ diverged within the cohort: %g", round, got.mu)
+			}
 		}
 	}
 }

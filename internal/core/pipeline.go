@@ -325,10 +325,8 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 				LatencySec:    a.solveProb.Latency,
 				ClientAddrs:   make([]string, g.K()),
 			}
-			// Each cohort's exchanges (LDDM μ updates, allocation rows)
-			// route to one representative member; cohorts are disjoint,
-			// so representatives are distinct and the client-side
-			// accumulators never collide.
+			// A cohort's row is named after its first member; cohorts are
+			// disjoint, so the names are distinct.
 			for k := range a.solveSpec.ClientAddrs {
 				a.solveSpec.ClientAddrs[k] = a.sub.spec.ClientAddrs[g.Members(k)[0]]
 			}
@@ -507,7 +505,6 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 		Seq:          a.round,
 		Prob:         a.solveProb,
 		ReplicaAddrs: addrsOf(a.full.infos),
-		ClientAddrs:  a.solveSpec.ClientAddrs,
 		MaxIters:     r.cfg.MaxIters,
 		Tol:          r.cfg.Tol,
 		Warm:         a.solveSpec.Warm,
@@ -725,8 +722,7 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 		return nil
 	})
 
-	// Cohort duals (opt-in): the representative already owns μ through the
-	// iteration protocol; every other member gets the cohort's final value,
+	// Cohort duals (opt-in): every member gets its cohort's final value,
 	// one body built and marshaled per cohort.
 	if g := a.grouping; g != nil && a.duals != nil && r.cfg.CohortDuals {
 		type target struct{ c, k int }
@@ -738,7 +734,7 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 				continue
 			}
 			msgs[k] = msg
-			for _, c := range g.Members(k)[1:] {
+			for _, c := range g.Members(k) {
 				targets = append(targets, target{c, k})
 			}
 		}

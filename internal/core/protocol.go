@@ -55,14 +55,15 @@ const (
 	MsgAllocationPull = "client.allocation.pull"
 	// MsgCohortDuals is initiator → client on cohorted rounds (opt-in via
 	// ReplicaConfig.CohortDuals): deliver the cohort's final dual μ to
-	// every member, not just the representative the iteration protocol
-	// routed through.
+	// every member. It is the only way a client ever sees a dual — the
+	// iteration protocol runs between the initiator and the replicas.
 	MsgCohortDuals = "client.duals.cohort"
 	// MsgDownload is client → replica: fetch the selected bytes.
 	MsgDownload = "download.request"
 )
 
 // Algorithm-owned verbs (see the respective packages for semantics).
+// MsgMuUpdate is a retired verb with no handler (see engine.MsgMuUpdate).
 const (
 	MsgLocalSolve    = lddm.MsgLocalSolve
 	MsgMuUpdate      = engine.MsgMuUpdate
@@ -76,8 +77,6 @@ const (
 type (
 	LocalSolveBody     = lddm.SolveBody
 	LocalSolveReply    = lddm.SolveReply
-	MuUpdateBody       = engine.MuUpdateBody
-	MuUpdateReply      = engine.MuUpdateReply
 	ADMMProxBody       = admm.ProxBody
 	ADMMProxReply      = admm.ProxReply
 	CDPSMStepBody      = cdpsm.StepBody
@@ -107,8 +106,8 @@ type ReplicaInfo struct {
 
 // RequestBody is the client.request payload.
 type RequestBody struct {
-	// ClientAddr is the client's transport address (for μ updates,
-	// allocation delivery).
+	// ClientAddr is the client's transport address (for allocation
+	// delivery).
 	ClientAddr string `json:"client_addr"`
 	// DemandMB is R_c for this request.
 	DemandMB float64 `json:"demand_mb"`

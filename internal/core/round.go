@@ -199,21 +199,12 @@ type msgReply struct{ m transport.Message }
 func (mr msgReply) Decode(into any) error { return mr.m.DecodeBody(into) }
 
 // roundTransport adapts the replica's retry/attribution stack to the
-// engine's Transport: replica sends carry member-failure attribution so
-// RunRound can prune the peer and restart; client sends retry without it
-// (clients are not ring members).
+// engine's Transport: sends carry member-failure attribution so RunRound
+// can prune the peer and restart.
 type roundTransport struct{ r *ReplicaServer }
 
 func (t roundTransport) Replica(ctx context.Context, addr, verb string, body any) (engine.Reply, error) {
 	resp, err := t.r.sendReplica(ctx, addr, verb, body)
-	if err != nil {
-		return nil, err
-	}
-	return msgReply{resp}, nil
-}
-
-func (t roundTransport) Client(ctx context.Context, addr, verb string, body any) (engine.Reply, error) {
-	resp, err := t.r.sendRetry(ctx, addr, verb, body)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,13 @@
 //
 // The family of distributed methods EDR runs shares one skeleton (cf. the
 // unified ADM framework of Feng, Xu & Li, arXiv:1407.8309): per iteration
-// the initiator fans a request out to every replica and/or every client,
-// folds the replies into local state, tests a residual, and finally
-// recovers a feasible primal assignment. The driver owns everything that
-// is the same across methods — concurrent fan-out, retry/cancellation
-// semantics (delegated to the Transport), iteration accounting, and the
+// the initiator fans a request out to every replica, folds the replies
+// into local state (dual steps included — the initiator already holds
+// everything they read), tests a residual, and finally recovers a feasible
+// primal assignment. The driver owns everything that is the same across
+// methods — concurrent fan-out on senders that live for the round,
+// retry/cancellation semantics (delegated to the Transport), iteration
+// accounting, and the
 // residual/cost trajectory hook telemetry consumes — while an Algorithm
 // describes only what differs: the per-iteration exchanges (verb, body
 // builder, reply folder), the convergence test, and primal recovery.
@@ -19,8 +21,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"math"
+	"sync"
 
 	"edr/internal/opt"
 )
@@ -33,8 +36,6 @@ type Round struct {
 	Prob *opt.Problem
 	// ReplicaAddrs lists the participating replicas in column order.
 	ReplicaAddrs []string
-	// ClientAddrs lists the participating clients in row order.
-	ClientAddrs []string
 	// MaxIters bounds the distributed iterations (0 = no iterations: the
 	// algorithm recovers straight from its initial state).
 	MaxIters int
@@ -45,13 +46,12 @@ type Round struct {
 	// assignment (the last-known-good split renormalized over this
 	// round's roster — see opt.Renormalize). Algorithms holding a primal
 	// iterate seed from it instead of their cold start; algorithms
-	// without one (LDDM's client-held duals are round-scoped) ignore it.
+	// without one (LDDM iterates on duals only) ignore it.
 	Warm [][]float64
 	// WarmMu, when non-nil, carries the previous round's final per-client
 	// dual values in this round's row order (from a DualReporter, below).
-	// Clients accumulate their μ from zero each round, so an initiator
-	// warm-starts the dual by treating WarmMu as an additive offset —
-	// no client-side state or wire change involved.
+	// The initiator holds the round's duals, so an algorithm warm-starts
+	// them by seeding its own vector from WarmMu — no wire change involved.
 	WarmMu []float64
 	// Pool recycles the round's scratch matrices/vectors; the driver
 	// creates one when nil and releases it when the round ends. Buffers
@@ -61,18 +61,6 @@ type Round struct {
 	// per-replica folds) across cores; nil runs them serially.
 	Par *opt.Parallel
 }
-
-// PeerClass selects which side of the fabric an Exchange addresses.
-type PeerClass int
-
-const (
-	// Replicas fans out over Round.ReplicaAddrs; failures are attributed
-	// to the member so the round can restart without it.
-	Replicas PeerClass = iota
-	// Clients fans out over Round.ClientAddrs; failures surface
-	// unattributed (clients are not ring members).
-	Clients
-)
 
 // Reply decodes one peer's response body.
 type Reply interface {
@@ -87,19 +75,16 @@ type Transport interface {
 	// the transport's retry budget should carry member-failure
 	// attribution so the caller can prune the peer and restart.
 	Replica(ctx context.Context, addr, verb string, body any) (Reply, error)
-	// Client performs one RPC to a client (retry, no attribution).
-	Client(ctx context.Context, addr, verb string, body any) (Reply, error)
 }
 
 // Exchange is one declarative fan-out wave: the driver sends Verb to
-// every peer of Class concurrently, building each request body with Body
-// and folding each reply with Fold. Body and Fold are indexed by the
-// peer's position in the round's address list and may run concurrently
-// for distinct indexes — they must only touch disjoint state unless they
-// lock.
+// every replica of the round concurrently, building each request body
+// with Body and folding each reply with Fold. Body and Fold are indexed
+// by the replica's position in Round.ReplicaAddrs and may run
+// concurrently for distinct indexes — they must only touch disjoint state
+// unless they lock.
 type Exchange struct {
-	Verb  string
-	Class PeerClass
+	Verb string
 	// Body builds the request body for peer i (nil Body sends an empty
 	// body).
 	Body func(i int) any
@@ -120,8 +105,10 @@ type Algorithm interface {
 	Iterate(k int) []Exchange
 	// Converged reports iteration k's residual and whether the loop is
 	// done. It runs after the iteration's exchanges complete, every
-	// iteration, so the residual doubles as the telemetry trajectory —
-	// compute it once here, not in a separate trace branch.
+	// iteration, on the driver's goroutine: steps that need the whole
+	// wave's replies (a dual update) belong here. The residual doubles as
+	// the telemetry trajectory — compute it once here, not in a separate
+	// trace branch.
 	Converged(k int) (residual float64, done bool)
 	// Recover assembles the final assignment after the loop ends. The
 	// returned matrix must be freshly allocated (not Pool-owned): it
@@ -152,7 +139,8 @@ type DualReporter interface {
 }
 
 // Driver runs Algorithms over a Transport. The zero value is unusable;
-// populate Transport at least.
+// populate Transport at least. A Driver runs one round at a time: Run and
+// Exec are not safe for concurrent use.
 type Driver struct {
 	Transport Transport
 	// Observe gates trajectory recording: when false, OnIterate is never
@@ -162,11 +150,25 @@ type Driver struct {
 	// OnIterate, when Observe is set, receives each iteration's residual
 	// and primal cost (NaN when the algorithm exposes no primal).
 	OnIterate func(iter int, residual, cost float64)
+
+	// The round's senders, one per replica, alive from Run's start to its
+	// return: jobs[i] feeds sender i, results collects one error per
+	// sender per wave (sized to the sends, so a sender never blocks on it).
+	jobs    []chan job
+	results chan error
+	senders sync.WaitGroup
+}
+
+// job is one sender's share of a wave.
+type job struct {
+	ctx context.Context
+	ex  Exchange
 }
 
 // Run drives one round of alg to convergence (or rd.MaxIters) and returns
 // the recovered assignment and the number of iterations executed. The
-// round's Pool is released before returning, success or failure alike.
+// round's Pool is released and its senders are stopped before returning,
+// success or failure alike.
 func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([][]float64, int, error) {
 	if rd.Pool == nil {
 		rd.Pool = &opt.Pool{}
@@ -175,12 +177,14 @@ func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([][]float64
 	if err := alg.Init(rd); err != nil {
 		return nil, 0, err
 	}
+	d.startSenders(rd.ReplicaAddrs)
+	defer d.stopSenders()
 	tracer, _ := alg.(PrimalTracer)
 	iterations := 0
 	for k := 1; k <= rd.MaxIters; k++ {
 		iterations = k
 		for _, ex := range alg.Iterate(k) {
-			if err := d.Exec(ctx, rd, ex); err != nil {
+			if err := d.Exec(ctx, ex); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -205,42 +209,82 @@ func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([][]float64
 	return final, iterations, nil
 }
 
-// Exec runs one exchange: a concurrent fan-out of ex.Verb over the
-// exchange's peer class, cancelled as a wave on the first error.
-func (d *Driver) Exec(ctx context.Context, rd *Round, ex Exchange) error {
-	addrs := rd.ReplicaAddrs
-	if ex.Class == Clients {
-		addrs = rd.ClientAddrs
+// startSenders starts one sender goroutine per replica. A round runs
+// hundreds of waves over the same peers; a goroutine spawned per RPC has to
+// regrow its stack through the transport's frames every time, while a
+// sender that lives for the round grows it once.
+func (d *Driver) startSenders(addrs []string) {
+	d.jobs = make([]chan job, len(addrs))
+	d.results = make(chan error, len(addrs))
+	d.senders.Add(len(addrs))
+	for i, addr := range addrs {
+		d.jobs[i] = make(chan job)
+		go func(i int, addr string, jobs <-chan job) {
+			defer d.senders.Done()
+			for jb := range jobs {
+				d.results <- d.send(jb, i, addr)
+			}
+		}(i, addr, d.jobs[i])
 	}
-	return FanOut(ctx, len(addrs), func(ctx context.Context, i int) error {
-		var body any
-		if ex.Body != nil {
-			body = ex.Body(i)
-		}
-		var (
-			reply Reply
-			err   error
-		)
-		if ex.Class == Clients {
-			reply, err = d.Transport.Client(ctx, addrs[i], ex.Verb, body)
-			if err != nil {
-				return fmt.Errorf("engine: client %s %s: %w", addrs[i], ex.Verb, err)
-			}
-		} else {
-			reply, err = d.Transport.Replica(ctx, addrs[i], ex.Verb, body)
-			if err != nil {
-				return err
-			}
-		}
-		if ex.Fold != nil {
-			return ex.Fold(i, reply)
-		}
-		return nil
-	})
 }
 
-// FanOut runs fn for every index concurrently and returns the first
-// error. The paper's server and client are multithreaded ("create new
+// stopSenders ends the round's senders and waits for them to exit. Exec
+// returns only once every sender has reported, so they are all idle here.
+func (d *Driver) stopSenders() {
+	for _, jobs := range d.jobs {
+		close(jobs)
+	}
+	d.senders.Wait()
+	d.jobs, d.results = nil, nil
+}
+
+// send performs replica i's part of a wave: build the body, one RPC, fold
+// the reply.
+func (d *Driver) send(jb job, i int, addr string) error {
+	var body any
+	if jb.ex.Body != nil {
+		body = jb.ex.Body(i)
+	}
+	reply, err := d.Transport.Replica(jb.ctx, addr, jb.ex.Verb, body)
+	if err != nil {
+		return err
+	}
+	if jb.ex.Fold != nil {
+		return jb.ex.Fold(i, reply)
+	}
+	return nil
+}
+
+// Exec runs one exchange on the round's senders: ex.Verb goes to every
+// replica concurrently, one RPC each. It keeps FanOut's contract — the
+// first error cancels the wave's context so the remaining sends abort
+// promptly, and Exec still waits for every sender to finish before
+// returning, so callers may reuse the buffers Body and Fold touched. It is
+// valid only while Run is executing (an Algorithm's Recover calls it for a
+// closing exchange).
+func (d *Driver) Exec(ctx context.Context, ex Exchange) error {
+	if d.jobs == nil {
+		return errors.New("engine: Exec outside Run")
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	for _, jobs := range d.jobs {
+		jobs <- job{ctx: wctx, ex: ex}
+	}
+	var first error
+	for range d.jobs {
+		if err := <-d.results; err != nil && first == nil {
+			first = err
+			cancel()
+		}
+	}
+	return first
+}
+
+// FanOut runs fn for every index concurrently, one goroutine each, and
+// returns the first error — the one-shot form of a wave, for callers
+// without a round's senders (round start, install, notify). The paper's
+// server and client are multithreaded ("create new
 // threads to communicate with all the replicas at the same time"), so one
 // coordination wave costs one round trip of wall time, not count × RTT.
 // On the first error the wave's context is cancelled so the remaining

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"edr/internal/opt"
 )
@@ -26,11 +29,10 @@ func (f fakeReply) Decode(into any) error {
 // fakeTransport answers every send with the peer's configured value and
 // records traffic per verb.
 type fakeTransport struct {
-	mu      sync.Mutex
-	values  map[string]float64
-	sent    map[string]int
-	failOn  string // addr whose sends error
-	clients int
+	mu     sync.Mutex
+	values map[string]float64
+	sent   map[string]int
+	failOn string // addr whose sends error
 }
 
 func (t *fakeTransport) roundTrip(addr, verb string) (Reply, error) {
@@ -47,13 +49,6 @@ func (t *fakeTransport) roundTrip(addr, verb string) (Reply, error) {
 }
 
 func (t *fakeTransport) Replica(ctx context.Context, addr, verb string, body any) (Reply, error) {
-	return t.roundTrip(addr, verb)
-}
-
-func (t *fakeTransport) Client(ctx context.Context, addr, verb string, body any) (Reply, error) {
-	t.mu.Lock()
-	t.clients++
-	t.mu.Unlock()
 	return t.roundTrip(addr, verb)
 }
 
@@ -77,8 +72,7 @@ func (a *sumAlg) Init(rd *Round) error {
 
 func (a *sumAlg) Iterate(k int) []Exchange {
 	return []Exchange{{
-		Verb:  "toy.pull",
-		Class: Replicas,
+		Verb: "toy.pull",
 		Fold: func(i int, r Reply) error {
 			return r.Decode(&a.pulled[i])
 		},
@@ -104,7 +98,6 @@ func testRound() *Round {
 	return &Round{
 		Seq:          1,
 		ReplicaAddrs: []string{"r1", "r2"},
-		ClientAddrs:  []string{"c1"},
 		MaxIters:     10,
 	}
 }
@@ -189,15 +182,6 @@ func TestDriverReplicaErrorAborts(t *testing.T) {
 	}
 }
 
-func TestExecClientErrorIsWrapped(t *testing.T) {
-	tr := &fakeTransport{failOn: "c1"}
-	d := &Driver{Transport: tr}
-	err := d.Exec(context.Background(), testRound(), Exchange{Verb: "toy.notify", Class: Clients})
-	if err == nil || !strings.Contains(err.Error(), `engine: client c1 toy.notify`) {
-		t.Fatalf("err = %v, want wrapped client error", err)
-	}
-}
-
 func TestDriverDefaultsAndReleasesPool(t *testing.T) {
 	tr := &fakeTransport{values: map[string]float64{"r1": 1, "r2": 2}}
 	rd := testRound()
@@ -228,6 +212,239 @@ func (p *probeAlg) Init(rd *Round) error {
 	}
 	p.target = 3
 	return p.sumAlg.Init(rd)
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine 123 [running]:") — test-only, to tell senders apart.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// waveAlg is a toy Algorithm for the driver's wave mechanics: one exchange
+// per iteration whose body is the iteration number, never converging, with
+// an optional closing exchange from Recover (CDPSM's shape) and an optional
+// Fold.
+type waveAlg struct {
+	k       int
+	fold    func(i int, r Reply) error
+	closing bool
+}
+
+func (a *waveAlg) Init(*Round) error { return nil }
+
+func (a *waveAlg) Iterate(k int) []Exchange {
+	a.k = k
+	return []Exchange{{Verb: "toy.wave", Body: func(int) any { return a.k }, Fold: a.fold}}
+}
+
+func (a *waveAlg) Converged(int) (float64, bool) { return 1, false }
+
+func (a *waveAlg) Recover(ctx context.Context, d *Driver) ([][]float64, error) {
+	if a.closing {
+		if err := d.Exec(ctx, Exchange{Verb: "toy.close"}); err != nil {
+			return nil, err
+		}
+	}
+	return [][]float64{{0}}, nil
+}
+
+// funcTransport adapts a function to Transport.
+type funcTransport func(ctx context.Context, addr, verb string, body any) (Reply, error)
+
+func (f funcTransport) Replica(ctx context.Context, addr, verb string, body any) (Reply, error) {
+	return f(ctx, addr, verb, body)
+}
+
+func waveRound(replicas, iters int) *Round {
+	rd := &Round{Seq: 1, MaxIters: iters}
+	for i := 0; i < replicas; i++ {
+		rd.ReplicaAddrs = append(rd.ReplicaAddrs, fmt.Sprintf("r%d", i))
+	}
+	return rd
+}
+
+// watchGoroutines fails the test if, once it ends, more goroutines are
+// alive than when it was called (the leak-watcher idiom of
+// internal/transport's watchTCPLeaks).
+func watchGoroutines(t *testing.T) int {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Errorf("goroutines %d after the round, %d before", runtime.NumGoroutine(), base)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	return base
+}
+
+// One iteration is one wave: a round makes exactly iters × |N| transport
+// calls, |N| per iteration, and each replica is served by one goroutine for
+// the whole round — Recover's closing exchange included.
+func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
+	const replicas, iters = 5, 40
+	base := watchGoroutines(t)
+	var (
+		mu      sync.Mutex
+		calls   int
+		perIter = map[int]int{}
+		closing int
+		sender  = map[string]map[string]bool{} // addr → goroutine ids that served it
+		peak    int
+	)
+	tr := funcTransport(func(ctx context.Context, addr, verb string, body any) (Reply, error) {
+		id, g := goid(), runtime.NumGoroutine()
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if verb == "toy.close" {
+			closing++
+		} else {
+			perIter[body.(int)]++
+		}
+		if sender[addr] == nil {
+			sender[addr] = map[string]bool{}
+		}
+		sender[addr][id] = true
+		peak = max(peak, g)
+		return fakeReply{}, nil
+	})
+	d := &Driver{Transport: tr}
+	_, got, err := d.Run(context.Background(), &waveAlg{closing: true}, waveRound(replicas, iters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != iters || calls != (iters+1)*replicas || closing != replicas {
+		t.Fatalf("iterations %d, calls %d, closing calls %d; want %d, %d, %d",
+			got, calls, closing, iters, (iters+1)*replicas, replicas)
+	}
+	if len(perIter) != iters {
+		t.Fatalf("%d waves, want one per iteration (%d)", len(perIter), iters)
+	}
+	for k, n := range perIter {
+		if n != replicas {
+			t.Fatalf("iteration %d made %d calls, want %d", k, n, replicas)
+		}
+	}
+	ids := map[string]bool{}
+	for addr, set := range sender {
+		if len(set) != 1 {
+			t.Fatalf("%s was served by %d goroutines, want one sender for the round", addr, len(set))
+		}
+		for id := range set {
+			ids[id] = true
+		}
+	}
+	if len(ids) != replicas {
+		t.Fatalf("%d distinct senders for %d replicas", len(ids), replicas)
+	}
+	if peak > base+replicas+2 {
+		t.Fatalf("goroutines peaked at %d during the round, baseline %d + %d senders", peak, base, replicas)
+	}
+	if err := d.Exec(context.Background(), Exchange{Verb: "toy.late"}); err == nil {
+		t.Fatal("Exec after Run returned: want an error, the senders are gone")
+	}
+}
+
+// The senders are stopped on every return path.
+func TestDriverStopsSendersOnError(t *testing.T) {
+	t.Run("replica error", func(t *testing.T) {
+		watchGoroutines(t)
+		tr := funcTransport(func(ctx context.Context, addr, verb string, body any) (Reply, error) {
+			if body.(int) == 3 && addr == "r1" {
+				return nil, errors.New("peer down")
+			}
+			return fakeReply{}, nil
+		})
+		d := &Driver{Transport: tr}
+		if _, _, err := d.Run(context.Background(), &waveAlg{}, waveRound(4, 10)); err == nil || err.Error() != "peer down" {
+			t.Fatalf("err = %v, want peer down", err)
+		}
+	})
+	t.Run("cancel mid-wave", func(t *testing.T) {
+		watchGoroutines(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var waiting atomic.Int32
+		tr := funcTransport(func(ctx context.Context, addr, verb string, body any) (Reply, error) {
+			if body.(int) < 3 {
+				return fakeReply{}, nil
+			}
+			// Iteration 3: every send blocks; the last one in gives up on
+			// the round.
+			if waiting.Add(1) == 4 {
+				cancel()
+			}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		d := &Driver{Transport: tr}
+		if _, _, err := d.Run(ctx, &waveAlg{}, waveRound(4, 10)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	})
+}
+
+// Exec keeps FanOut's contract: the first error cancels the wave's context,
+// and Exec (hence Run) returns only after every Fold has finished.
+func TestExecFirstErrorCancelsWaveAndWaitsForFolds(t *testing.T) {
+	watchGoroutines(t)
+	var (
+		waveCtx    atomic.Value // r1's wave context
+		inFold     = make(chan struct{})
+		foldsEnded atomic.Int32
+	)
+	tr := funcTransport(func(ctx context.Context, addr, verb string, body any) (Reply, error) {
+		if addr == "r0" {
+			<-inFold // fail only once r1 is inside its Fold
+			return nil, errors.New("boom")
+		}
+		waveCtx.Store(ctx)
+		return fakeReply{}, nil
+	})
+	alg := &waveAlg{fold: func(i int, r Reply) error {
+		close(inFold)
+		<-waveCtx.Load().(context.Context).Done() // r0's error cancels the wave
+		time.Sleep(10 * time.Millisecond)
+		foldsEnded.Add(1)
+		return nil
+	}}
+	d := &Driver{Transport: tr}
+	_, _, err := d.Run(context.Background(), alg, waveRound(2, 5))
+	if err == nil || err.Error() != "boom" {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if foldsEnded.Load() != 1 {
+		t.Fatal("Run returned before the wave's Fold finished")
+	}
+}
+
+// bareAlg is waveAlg with a body-less exchange built once, so a wave
+// allocates nothing of its own.
+type bareAlg struct {
+	waveAlg
+	exchanges []Exchange
+}
+
+func (a *bareAlg) Iterate(int) []Exchange { return a.exchanges }
+
+// BenchmarkEngineExchange is one wave over 10 replicas on a no-op
+// transport: the engine's own cost per iteration. A wave must not spawn —
+// what is left is the wave context (2 allocs/op) and 10 channel hand-offs.
+func BenchmarkEngineExchange(b *testing.B) {
+	tr := funcTransport(func(context.Context, string, string, any) (Reply, error) { return fakeReply{}, nil })
+	d := &Driver{Transport: tr}
+	alg := &bareAlg{exchanges: []Exchange{{Verb: "toy.wave"}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, _, err := d.Run(context.Background(), alg, waveRound(10, b.N)); err != nil {
+		b.Fatal(err)
+	}
 }
 
 func TestFanOutCancelsWaveOnError(t *testing.T) {

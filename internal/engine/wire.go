@@ -1,23 +1,7 @@
 package engine
 
-// MsgMuUpdate is initiator → client: apply one multiplier update. It is
-// engine-level rather than algorithm-level because the client-held dual
-// is a shared primitive: LDDM's μ ascent (Algorithm 2, line 6 — the
-// update task "is assigned to the clients") and ADMM's scaled dual u are
-// the same wire exchange with different step sizes.
+// MsgMuUpdate is a retired verb with no handler: initiator → client, one
+// multiplier update per client per iteration. The initiator now takes the
+// dual step itself; the name is kept because the benchmark's verb → phase
+// table compiles against it.
 const MsgMuUpdate = "client.muupdate"
-
-// MuUpdateBody asks a client to update its multiplier:
-// μ ← μ + Step·(ServedMB − DemandMB).
-type MuUpdateBody struct {
-	Round    int     `json:"round"`
-	Iter     int     `json:"iter"`
-	ServedMB float64 `json:"served_mb"`
-	DemandMB float64 `json:"demand_mb"`
-	Step     float64 `json:"step"`
-}
-
-// MuUpdateReply returns the client's new multiplier.
-type MuUpdateReply struct {
-	Mu float64 `json:"mu"`
-}

@@ -17,8 +17,8 @@ import (
 // request count scales from 24 to 192 (step 24), EDR (3 replicas, LDDM)
 // versus DONAR (3 mapping nodes). Both systems run LIVE over the same
 // in-process fabric with identical injected link delays — EDR as the full
-// core runtime (submission, round start, distributed LDDM iterations with
-// client-owned μ updates, assignment installation, allocation delivery),
+// core runtime (submission, round start, distributed LDDM iterations,
+// assignment installation, allocation delivery),
 // DONAR as its real mapping-node runtime (internal/donar: submission,
 // Gauss-Seidel decomposition epoch with aggregate gossip, allocation
 // delivery). Expected shape: response time grows close to linearly with

@@ -78,9 +78,9 @@ func AutoStepScaled(prob *opt.Problem, rampIters float64) opt.StepRule {
 	return opt.ConstantStep(autoStepValue(prob, rampIters))
 }
 
-// AutoStepValue is AutoStep's constant as a scalar, for callers that ship
-// the step inside wire messages (the distributed round's μ updates)
-// rather than evaluating a StepRule.
+// AutoStepValue is AutoStep's constant as a scalar, for the distributed
+// round, which applies one constant step rather than evaluating a
+// StepRule.
 func AutoStepValue(prob *opt.Problem) float64 {
 	return autoStepValue(prob, 50)
 }

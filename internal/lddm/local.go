@@ -13,13 +13,15 @@
 // and each client c updates its multiplier by gradient ascent on the dual:
 // μ_c ← μ_c + d·(Σ_n p_{c,n} − R_c). Coordination is purely pairwise
 // between clients and replicas — O(|C|·|N|) scalars per iteration, the
-// source of LDDM's speed advantage over CDPSM (paper §III-D.2).
+// source of LDDM's speed advantage over CDPSM (paper §III-D.2). Solver
+// models that pattern and its message count; the live round (round.go)
+// takes the same step on the initiator, which already holds its inputs.
 package lddm
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"edr/internal/model"
 )
@@ -41,6 +43,23 @@ type LocalProblem struct {
 	// water-filling in O(|Clients| log |Clients|) instead of O(|C| log |C|);
 	// Mu and Demands stay full-length and are indexed through it.
 	Clients []int
+
+	// order is the candidate-ordering scratch, kept across solves: a
+	// LocalProblem is solved by one goroutine at a time (the replica's
+	// server state holds it under its lock).
+	order []int
+}
+
+// byMu orders client ids by ascending multiplier with the strict < the
+// water-filling is defined on (ties, and NaNs, compare equal).
+func byMu(mu []float64, a, b int) int {
+	switch {
+	case mu[a] < mu[b]:
+		return -1
+	case mu[b] < mu[a]:
+		return 1
+	}
+	return 0
 }
 
 // Validate checks shape consistency.
@@ -93,13 +112,14 @@ func SolveLocal(lp *LocalProblem) ([]float64, error) {
 	p := make([]float64, c)
 
 	// Candidate clients in ascending μ.
-	order := make([]int, 0, c)
+	order := lp.order[:0]
 	for i := 0; i < c; i++ {
 		if lp.Allowed[i] && lp.Demands[i] > 0 {
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return lp.Mu[order[a]] < lp.Mu[order[b]] })
+	lp.order = order
+	slices.SortFunc(order, func(a, b int) int { return byMu(lp.Mu, a, b) })
 
 	s := 0.0
 	budget := lp.Replica.Bandwidth
@@ -147,15 +167,14 @@ func SolveLocalPacked(lp *LocalProblem) ([]float64, error) {
 	// Candidate positions in ascending μ. lp.Clients is ascending, so the
 	// pre-sort sequence (and hence the sort's permutation on ties) matches
 	// the dense path exactly.
-	order := make([]int, 0, len(lp.Clients))
+	order := lp.order[:0]
 	for idx, i := range lp.Clients {
 		if lp.Demands[i] > 0 {
 			order = append(order, idx)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return lp.Mu[lp.Clients[order[a]]] < lp.Mu[lp.Clients[order[b]]]
-	})
+	lp.order = order
+	slices.SortFunc(order, func(a, b int) int { return byMu(lp.Mu, lp.Clients[a], lp.Clients[b]) })
 
 	s := 0.0
 	budget := lp.Replica.Bandwidth

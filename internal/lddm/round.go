@@ -50,8 +50,12 @@ func init() {
 }
 
 // roundAlg is the initiator half of Algorithm 2 over the fabric: replicas
-// answer local solves, clients answer multiplier updates, and the final
-// assignment is recovered from a doubling suffix average of the primal.
+// answer local solves, the initiator takes the multiplier step on the
+// columns they return, and the final assignment is recovered from a
+// doubling suffix average of the primal. One iteration is one wave of |N|
+// RPCs. The paper assigns the μ update to the clients; in EDR's topology
+// every input of that update (served, R_c, the step) reaches a client only
+// through the initiator, so the step is taken where the data already is.
 type roundAlg struct {
 	rd   *engine.Round
 	k    int
@@ -95,8 +99,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		{
 			// Local solves, one per replica (Algorithm 2 lines 4–5;
 			// parallel: disjoint primal columns and per-peer μ rows).
-			Verb:  MsgLocalSolve,
-			Class: engine.Replicas,
+			Verb: MsgLocalSolve,
 			Body: func(j int) any {
 				mu := a.mu
 				if a.muPeer != nil {
@@ -129,33 +132,6 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 				return nil
 			},
 		},
-		{
-			// Multiplier updates, one per client — the clients own μ
-			// (line 6; parallel: disjoint μ entries).
-			Verb:  engine.MsgMuUpdate,
-			Class: engine.Clients,
-			Body: func(i int) any {
-				served := 0.0
-				for j := 0; j < n; j++ {
-					served += a.primal[i][j]
-				}
-				return engine.MuUpdateBody{
-					Round:    rd.Seq,
-					Iter:     a.k,
-					ServedMB: served,
-					DemandMB: rd.Prob.Demands[i],
-					Step:     a.step,
-				}
-			},
-			Fold: func(i int, r engine.Reply) error {
-				var reply engine.MuUpdateReply
-				if err := r.Decode(&reply); err != nil {
-					return err
-				}
-				a.mu[i] = reply.Mu
-				return nil
-			},
-		},
 	}
 	return nil
 }
@@ -165,13 +141,21 @@ func (a *roundAlg) Iterate(k int) []engine.Exchange {
 	return a.exchanges
 }
 
-// Converged folds the fresh primal into the doubling suffix average and
-// tests its demand residual: the raw water-filling iterate oscillates
-// under a constant dual step, so the averaged iterate — also what Recover
-// starts from — is the thing to test and to trace. The convergence gate
-// waits for a window of 16 so a freshly-restarted average cannot
-// spuriously pass.
+// Converged takes the dual step (Algorithm 2 line 6:
+// μ_c += d·(Σ_n P_{c,n} − R_c)), then folds the fresh primal into the
+// doubling suffix average and tests its demand residual: the raw
+// water-filling iterate oscillates under a constant dual step, so the
+// averaged iterate — also what Recover starts from — is the thing to test
+// and to trace. The convergence gate waits for a window of 16 so a
+// freshly-restarted average cannot spuriously pass.
 func (a *roundAlg) Converged(k int) (float64, bool) {
+	for i, row := range a.primal {
+		served := 0.0
+		for _, v := range row {
+			served += v
+		}
+		a.mu[i] += a.step * (served - a.rd.Prob.Demands[i])
+	}
 	if k == a.windowStart*2 {
 		a.windowStart = k
 		opt.Fill(a.avg, 0)

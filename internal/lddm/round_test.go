@@ -1,0 +1,134 @@
+package lddm
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"edr/internal/engine"
+	"edr/internal/opt"
+	"edr/internal/probgen"
+	"edr/internal/sim"
+	"edr/internal/transport"
+)
+
+// wireReply decodes a marshaled message, as the live fabric's replies do.
+type wireReply struct{ m transport.Message }
+
+func (w wireReply) Decode(into any) error { return w.m.DecodeBody(into) }
+
+// loopTransport is an in-process engine.Transport: every RPC goes through
+// the real body codecs (delta frames included) into the real server half.
+// onSolve sees each decoded request before it is answered.
+type loopTransport struct {
+	rounds  map[string]*engine.ServerRound
+	onSolve func(col int, body SolveBody) error
+}
+
+func newLoopTransport(prob *opt.Problem, addrs []string) *loopTransport {
+	lt := &loopTransport{rounds: make(map[string]*engine.ServerRound)}
+	for j, addr := range addrs {
+		lt.rounds[addr] = &engine.ServerRound{Round: 1, Prob: prob, Col: j, Self: addr, ReplicaAddrs: addrs}
+	}
+	return lt
+}
+
+func (lt *loopTransport) Replica(ctx context.Context, addr, verb string, body any) (engine.Reply, error) {
+	sr := lt.rounds[addr]
+	req, err := transport.NewMessage(verb, "initiator", body)
+	if err != nil {
+		return nil, err
+	}
+	if lt.onSolve != nil {
+		if err := lt.onSolve(sr.Col, body.(SolveBody)); err != nil {
+			return nil, err
+		}
+	}
+	reply, err := serverHalf{}.Handle(ctx, verb, wireReply{req}, sr)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := transport.NewMessage(verb+".ack", addr, reply)
+	if err != nil {
+		return nil, err
+	}
+	return wireReply{resp}, nil
+}
+
+// clientAccumulator is the multiplier as a client used to hold it: zero at
+// the start of a round, one step per client.muupdate it answered.
+type clientAccumulator struct{ mu float64 }
+
+func (c *clientAccumulator) update(served, demand, step float64) float64 {
+	c.mu += step * (served - demand)
+	return c.mu
+}
+
+// The initiator's μ is, bit for bit and at every iteration, what the
+// per-client accumulators of the retired client.muupdate wave would hold —
+// both as the algorithm's state after the step and as the vector the next
+// iteration actually ships to each replica.
+func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
+	r := sim.NewRand(11)
+	full, err := probgen.MustFeasible(r, probgen.Spec{Clients: 12, Replicas: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prob := range map[string]*opt.Problem{
+		"full":   full,
+		"masked": maskedInstance(t, r, 10, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, n := prob.C(), prob.N()
+			addrs := make([]string, n)
+			for j := range addrs {
+				addrs[j] = fmt.Sprintf("r%d", j)
+			}
+			clients := make([]clientAccumulator, c)
+			step := AutoStepValue(prob)
+			allowed := prob.Allowed()
+
+			lt := newLoopTransport(prob, addrs)
+			lt.onSolve = func(j int, body SolveBody) error {
+				for i := 0; i < c; i++ {
+					want := clients[i].mu
+					if !allowed[i][j] && !prob.Sparsity().Full {
+						want = 0 // projected onto the replica's support
+					}
+					if math.Float64bits(body.Mu[i]) != math.Float64bits(want) {
+						return fmt.Errorf("iteration %d: replica %d is sent μ[%d] = %v, client accumulator holds %v",
+							body.Iter, j, i, body.Mu[i], want)
+					}
+				}
+				return nil
+			}
+			alg := &roundAlg{}
+			iters := 0
+			d := &engine.Driver{
+				Transport: lt,
+				Observe:   true,
+				OnIterate: func(k int, _, _ float64) {
+					iters = k
+					for i := 0; i < c; i++ {
+						served := 0.0
+						for j := 0; j < n; j++ {
+							served += alg.primal[i][j]
+						}
+						want := clients[i].update(served, prob.Demands[i], step)
+						if math.Float64bits(alg.mu[i]) != math.Float64bits(want) {
+							t.Fatalf("iteration %d: initiator μ[%d] = %v, client accumulator %v", k, i, alg.mu[i], want)
+						}
+					}
+				},
+			}
+			rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs, MaxIters: 60}
+			if _, _, err := d.Run(context.Background(), alg, rd); err != nil {
+				t.Fatal(err)
+			}
+			if iters < 16 {
+				t.Fatalf("only %d iterations compared", iters)
+			}
+		})
+	}
+}
