@@ -481,9 +481,9 @@ func BenchmarkMaxFlowFeasibility(b *testing.B) {
 
 // BenchmarkMatrixWireBytes round-trips the frame CDPSM pulls from every
 // peer every iteration — a full 100×10 estimate matrix — through both body
-// codecs, reporting bytes/frame for each. The binary codec is the default
-// for matrix-bearing verbs; JSON remains the fallback for pre-codec peers
-// (-wire-json). The bytes/frame ratio is the per-iteration wire saving.
+// codecs, reporting bytes/frame for each. The binary codec is what a node
+// emits; JSON is what it still accepts from a caller that speaks nothing
+// else. The bytes/frame ratio is the per-iteration wire saving.
 func BenchmarkMatrixWireBytes(b *testing.B) {
 	r := sim.NewRand(7)
 	est := make([][]float64, 100)

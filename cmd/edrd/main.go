@@ -57,9 +57,8 @@ func main() {
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "ring heartbeat interval")
 		maxIters  = flag.Int("max-iters", 200, "distributed iteration bound per round")
 
-		// Round hot-path performance knobs.
+		// Round hot-path performance knob.
 		parallelism = flag.Int("parallelism", 0, "solver-kernel worker count (0 = GOMAXPROCS, -1 = serial)")
-		wireJSON    = flag.Bool("wire-json", false, "force JSON bodies on initiated RPCs (disable the compact binary codec; for pre-codec peers)")
 
 		// Client-scale cohort aggregation (internal/cohort): rounds with at
 		// least -cohort-min pending requests merge clients sharing a
@@ -149,7 +148,6 @@ func main() {
 		RetryBase:    *retryBase,
 		RoundRetries: *roundRetries,
 		Parallelism:  *parallelism,
-		WireJSON:     *wireJSON,
 		Telemetry:    bus,
 
 		CohortMinClients: *cohortMin,

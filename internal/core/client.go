@@ -89,7 +89,7 @@ func (c *Client) handleAllocation(req transport.Message) (transport.Message, err
 		// Drop rather than block the initiator: a client that stopped
 		// consuming allocations should not stall the fleet.
 	}
-	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
+	return transport.NewReply(req, MsgAllocation+".ack", c.Addr(), nil)
 }
 
 // handleCohortDuals records the cohort's final dual for the round as this
@@ -103,7 +103,7 @@ func (c *Client) handleCohortDuals(req transport.Message) (transport.Message, er
 	c.mu.Lock()
 	c.dual = clientDual{initiator: req.From, round: body.Round, mu: body.Mu}
 	c.mu.Unlock()
-	return transport.NewMessage(MsgCohortDuals+".ack", c.Addr(), nil)
+	return transport.NewReply(req, MsgCohortDuals+".ack", c.Addr(), nil)
 }
 
 // handleCohortAllocation expands a cohort-level allocation into this
@@ -144,7 +144,7 @@ func (c *Client) handleCohortAllocation(req transport.Message) (transport.Messag
 	default:
 		// Drop rather than block the initiator, as with per-client allocations.
 	}
-	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
+	return transport.NewReply(req, MsgAllocation+".ack", c.Addr(), nil)
 }
 
 // Ping measures the round-trip time to a replica by timing a

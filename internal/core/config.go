@@ -128,12 +128,6 @@ type ReplicaConfig struct {
 	// out to every cohort member via client.duals.cohort; without it no
 	// client sees μ (the initiator holds the duals).
 	CohortDuals bool
-	// WireJSON forces JSON bodies for every RPC this node initiates,
-	// disabling the compact binary codec on the wire. Peers always mirror
-	// a request's codec in their replies, so a JSON-only node
-	// interoperates with binary-capable peers either way; the knob exists
-	// for wire compatibility with pre-codec builds and for debugging.
-	WireJSON bool
 	// Telemetry, when non-nil, receives runtime events (round outcomes,
 	// RPC retries, ring suspicion — see internal/telemetry). Nil disables
 	// observability at zero cost: every would-be publish is a single nil

@@ -438,17 +438,21 @@ func (r *ReplicaServer) warmStart(in *instance) ([][]float64, []float64) {
 	return opt.Renormalize(weights, in.prob.Demands, caps, in.prob.Allowed()), warmMu
 }
 
-// toReplicas sends body(j) to every column's replica in one wave. A
+// toReplicas sends msg(j) to every column's replica in one wave. A
 // failure is pinned on the member so RunRound can prune it and restart —
 // except on a degraded round, which is best-effort: a replica it cannot
 // reach keeps its previous plan, exactly the fallback being republished.
-func (r *ReplicaServer) toReplicas(ctx context.Context, a *attempt, verb string, body func(j int) any) error {
+func (r *ReplicaServer) toReplicas(ctx context.Context, a *attempt, msg func(j int) (transport.Message, error)) error {
 	return engine.FanOut(ctx, len(a.full.infos), func(ctx context.Context, j int) error {
+		req, err := msg(j)
+		if err != nil {
+			return err
+		}
 		if a.kind == kindDegraded {
-			_, _ = r.sendRetry(ctx, a.full.infos[j].Addr, verb, body(j))
+			_, _ = r.sendMsgRetry(ctx, a.full.infos[j].Addr, req)
 			return nil
 		}
-		_, err := r.sendReplica(ctx, a.full.infos[j].Addr, verb, body(j))
+		_, err = r.sendReplicaMsg(ctx, a.full.infos[j].Addr, req)
 		return err
 	})
 }
@@ -457,9 +461,14 @@ func (r *ReplicaServer) toReplicas(ctx context.Context, a *attempt, verb string,
 // when cohorting is active; participants never see raw client rows. The
 // engine iterates over that state, and install needs it to exist even
 // when no iteration traffic follows (incremental and degraded rounds).
+// Every replica gets the same spec, so it is marshaled once.
 func (r *ReplicaServer) start(ctx context.Context, a *attempt) error {
 	r.startsSinceInstall.Add(1)
-	return r.toReplicas(ctx, a, MsgRoundStart, func(int) any { return a.solveSpec })
+	req, err := r.newMessage(MsgRoundStart, a.solveSpec)
+	if err != nil {
+		return err
+	}
+	return r.toReplicas(ctx, a, func(int) (transport.Message, error) { return req, nil })
 }
 
 // solve produces the assignment at solve-row granularity. A full plan
@@ -617,13 +626,13 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 	if a.kind == kindIncremental && r.startsSinceInstall.Load() < roundStatesKept {
 		base = a.inc.instPrev
 	}
-	return r.toReplicas(ctx, a, MsgAssign, func(j int) any {
+	return r.toReplicas(ctx, a, func(j int) (transport.Message, error) {
 		if base == nil {
 			col := make([]float64, len(clients))
 			for i := range col {
 				col[i] = a.x[i][j]
 			}
-			return AssignBody{Round: a.round, Column: col, ClientAddrs: clients}
+			return r.newMessage(MsgAssign, AssignBody{Round: a.round, Column: col, ClientAddrs: clients})
 		}
 		updates := make(map[string]float64)
 		for i, addr := range clients {
@@ -634,7 +643,7 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 		for _, addr := range a.inc.departed {
 			updates[addr] = 0
 		}
-		return AssignBody{Round: a.round, BaseRound: a.inc.lg.installedRound, Updates: updates}
+		return r.newMessage(MsgAssign, AssignBody{Round: a.round, BaseRound: a.inc.lg.installedRound, Updates: updates})
 	})
 }
 

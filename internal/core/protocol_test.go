@@ -11,8 +11,21 @@ import (
 // rawSeq disambiguates prober node names across sendRaw calls.
 var rawSeq int
 
-// sendRaw delivers an arbitrary message to a fleet member.
+// sendRaw delivers an arbitrary message to a fleet member, in the codec a
+// current node would pick for the body.
 func sendRaw(t *testing.T, f *fleet, to string, msgType string, body any) (transport.Message, error) {
+	t.Helper()
+	return sendRawWith(t, f, to, msgType, body, transport.NewMessage)
+}
+
+// sendRawJSON is sendRaw with the body forced to JSON.
+func sendRawJSON(t *testing.T, f *fleet, to string, msgType string, body any) (transport.Message, error) {
+	t.Helper()
+	return sendRawWith(t, f, to, msgType, body, transport.NewJSONMessage)
+}
+
+func sendRawWith(t *testing.T, f *fleet, to, msgType string, body any,
+	build func(msgType, from string, v any) (transport.Message, error)) (transport.Message, error) {
 	t.Helper()
 	rawSeq++
 	name := fmt.Sprintf("raw-%d-%s", rawSeq, msgType)
@@ -23,7 +36,7 @@ func sendRaw(t *testing.T, f *fleet, to string, msgType string, body any) (trans
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	msg, err := transport.NewMessage(msgType, node.Name(), body)
+	msg, err := build(msgType, node.Name(), body)
 	if err != nil {
 		t.Fatal(err)
 	}

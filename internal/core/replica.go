@@ -374,13 +374,9 @@ func engineRound(req transport.Message) (int, error) {
 	return hdr.Round, nil
 }
 
-// newMessage builds an outgoing message, honoring the WireJSON knob: by
-// default bodies that support it ship the compact binary codec; WireJSON
-// pins everything this node initiates to JSON.
+// newMessage builds a message this node initiates: binary for every body
+// that has a binary codec, JSON for the rest.
 func (r *ReplicaServer) newMessage(msgType string, v any) (transport.Message, error) {
-	if r.cfg.WireJSON {
-		return transport.NewJSONMessage(msgType, r.Addr(), v)
-	}
 	return transport.NewMessage(msgType, r.Addr(), v)
 }
 
@@ -418,6 +414,10 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 	r.mu.Lock()
 	if existing, ok := r.pending[body.ClientAddr]; ok {
 		existing.DemandMB += body.DemandMB
+		if existing.LatencySec == nil {
+			// A submission without latencies decodes to a nil map.
+			existing.LatencySec = make(map[string]float64, len(body.LatencySec))
+		}
 		for addr, l := range body.LatencySec {
 			existing.LatencySec[addr] = l
 		}
@@ -428,7 +428,7 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 	seq := r.roundSeq
 	r.mu.Unlock()
 	r.Stats.RequestsReceived.Inc(1)
-	return transport.NewMessage(MsgClientRequest+".ack", r.Addr(), RequestAck{Accepted: true, Pending: depth, Round: seq})
+	return transport.NewReply(req, MsgClientRequest+".ack", r.Addr(), RequestAck{Accepted: true, Pending: depth, Round: seq})
 }
 
 // handleAllocationPull serves a client's row of the last committed round.
@@ -461,7 +461,7 @@ func (r *ReplicaServer) handleAllocationPull(req transport.Message) (transport.M
 		}
 	}
 	r.mu.Unlock()
-	return transport.NewMessage(MsgAllocationPull+".ack", r.Addr(), reply)
+	return transport.NewReply(req, MsgAllocationPull+".ack", r.Addr(), reply)
 }
 
 // handleReplicaInfo reports this replica's model parameters.
@@ -550,7 +550,7 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 		r.roundOrder = r.roundOrder[1:]
 	}
 	r.mu.Unlock()
-	return transport.NewMessage(MsgRoundStart+".ack", r.Addr(), nil)
+	return transport.NewReply(req, MsgRoundStart+".ack", r.Addr(), nil)
 }
 
 // lookupRound fetches participant state.
@@ -612,7 +612,7 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 	r.mu.Lock()
 	st.plan = plan
 	r.mu.Unlock()
-	return transport.NewMessage(MsgAssign+".ack", r.Addr(), nil)
+	return transport.NewReply(req, MsgAssign+".ack", r.Addr(), nil)
 }
 
 // Plan returns the MB this replica was assigned to serve to the given

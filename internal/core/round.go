@@ -176,10 +176,19 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) error {
 	}
 }
 
-// sendReplica is sendRetry with member-failure attribution: only after the
-// retry budget is exhausted is the failure pinned on the destination.
+// sendReplica marshals body and sends it as sendReplicaMsg does.
 func (r *ReplicaServer) sendReplica(ctx context.Context, to, msgType string, body any) (transport.Message, error) {
-	resp, err := r.sendRetry(ctx, to, msgType, body)
+	req, err := r.newMessage(msgType, body)
+	if err != nil {
+		return transport.Message{}, err
+	}
+	return r.sendReplicaMsg(ctx, to, req)
+}
+
+// sendReplicaMsg is sendMsgRetry with member-failure attribution: only after
+// the retry budget is exhausted is the failure pinned on the destination.
+func (r *ReplicaServer) sendReplicaMsg(ctx context.Context, to string, req transport.Message) (transport.Message, error) {
+	resp, err := r.sendMsgRetry(ctx, to, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The round's own budget ran out (or its wave was cancelled)

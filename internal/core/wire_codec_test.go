@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"edr/internal/model"
@@ -11,7 +12,7 @@ import (
 )
 
 // newFleetCfg is newFleet with a per-replica config hook, for tests that
-// exercise the wire-codec and parallelism knobs.
+// exercise the parallelism knob.
 func newFleetCfg(t *testing.T, prices []float64, nClients int, alg Algorithm, mutate func(i int, cfg *ReplicaConfig)) *fleet {
 	t.Helper()
 	f := &fleet{net: transport.NewInProcNetwork()}
@@ -72,32 +73,104 @@ func runOneRound(t *testing.T, f *fleet) *RoundReport {
 	return report
 }
 
-// A JSON-only node must interoperate with binary-capable peers: replies
-// mirror the request codec, so the WireJSON initiator only ever sees JSON
-// bodies while its peers keep talking binary among themselves. CDPSM is
-// the matrix-heavy verb set, so it covers the codec-bearing exchanges.
-func TestRoundJSONOnlyInitiatorInteroperates(t *testing.T) {
-	f := newFleetCfg(t, []float64{1, 10, 5}, 3, CDPSM, func(i int, cfg *ReplicaConfig) {
-		if i == 0 {
-			cfg.WireJSON = true
-		}
-	})
-	report := runOneRound(t, f)
-	if report.Algorithm != "CDPSM" {
-		t.Fatalf("algorithm = %q", report.Algorithm)
-	}
-}
+// Core never emits JSON on a round's path but still accepts it: hand-built
+// JSON client.request, round.start, replica.localsolve and replica.assign
+// messages (a hand-written tool, an older client) are answered in JSON and
+// leave a binary fleet in the same state as their binary twins.
+func TestJSONRequestsInteroperateWithBinaryFleet(t *testing.T) {
+	f := newFleet(t, []float64{1, 10, 5}, 2, LDDM)
+	ctx := context.Background()
+	contact := f.replicas[0].Addr()
+	isJSON := func(m transport.Message) bool { return len(m.Bin) == 0 }
 
-// An all-JSON fleet exercises the pre-codec wire format end to end — the
-// compatibility mode -wire-json promises.
-func TestRoundAllJSONWire(t *testing.T) {
-	for _, alg := range []Algorithm{LDDM, CDPSM, ADMM} {
-		t.Run(alg.String(), func(t *testing.T) {
-			f := newFleetCfg(t, []float64{1, 10, 5}, 3, alg, func(i int, cfg *ReplicaConfig) {
-				cfg.WireJSON = true
-			})
-			runOneRound(t, f)
-		})
+	// client.request: a JSON submission is acked in JSON and scheduled in
+	// the same round as a binary one.
+	jsonClient, binClient := f.clients[0], f.clients[1]
+	resp, err := sendRawJSON(t, f, contact, MsgClientRequest,
+		RequestBody{ClientAddr: jsonClient.Addr(), DemandMB: 30, LatencySec: f.uniformLatencies()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack RequestAck
+	if err := resp.DecodeBody(&ack); err != nil || !isJSON(resp) || !ack.Accepted || ack.Pending != 1 {
+		t.Fatalf("JSON client.request ack = %+v (json %v, err %v)", ack, isJSON(resp), err)
+	}
+	if err := binClient.Submit(ctx, contact, 20, f.uniformLatencies()); err != nil {
+		t.Fatal(err)
+	}
+	report, err := f.replicas[0].RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := opt.RowSums(report.Assignment); len(got) != 2 || math.Abs(got[0]-30) > 0.1 || math.Abs(got[1]-20) > 0.1 {
+		t.Fatalf("row sums = %v, want [30 20]", got)
+	}
+
+	// round.start, an iteration verb and replica.assign: the same bodies
+	// under two round ids, one sent as JSON and one as binary.
+	spec := RoundSpec{
+		ClientAddrs:   []string{"c1", "c2"},
+		Demands:       []float64{10, 20},
+		LatencySec:    [][]float64{{0.0005, 0.0005, 0.0005}, {0.0005, 0.0005, 0.0005}},
+		MaxLatencySec: 0.0018,
+	}
+	for _, rs := range f.replicas {
+		resp, err := sendRaw(t, f, rs.Addr(), MsgReplicaInfo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info ReplicaInfo
+		if err := resp.DecodeBody(&info); err != nil {
+			t.Fatal(err)
+		}
+		spec.Replicas = append(spec.Replicas, info)
+	}
+	target := f.replicas[1]
+	const jsonRound, binRound = 900, 901
+	columns := make(map[int][]float64)
+	for _, tc := range []struct {
+		round int
+		send  func(*testing.T, *fleet, string, string, any) (transport.Message, error)
+	}{{jsonRound, sendRawJSON}, {binRound, sendRaw}} {
+		wantJSON := tc.round == jsonRound
+		spec.Round = tc.round
+		steps := []struct {
+			verb string
+			body any
+		}{
+			{MsgRoundStart, spec},
+			{MsgLocalSolve, LocalSolveBody{Round: tc.round, Iter: 1, BaseIter: -1, Mu: []float64{0.5, 0.5}}},
+			{MsgAssign, AssignBody{Round: tc.round, Column: []float64{4, 0}, ClientAddrs: spec.ClientAddrs}},
+		}
+		for _, step := range steps {
+			resp, err := tc.send(t, f, target.Addr(), step.verb, step.body)
+			if err != nil {
+				t.Fatalf("round %d %s: %v", tc.round, step.verb, err)
+			}
+			// The install acks carry no body; what must never happen is a
+			// body in the codec the caller did not speak.
+			if (wantJSON && len(resp.Bin) > 0) || (!wantJSON && len(resp.Body) > 0) {
+				t.Errorf("round %d %s: ack does not mirror the request's codec (JSON request: %v)", tc.round, step.verb, wantJSON)
+			}
+			if step.verb == MsgLocalSolve {
+				var reply LocalSolveReply
+				if err := resp.DecodeBody(&reply); err != nil {
+					t.Fatal(err)
+				}
+				columns[tc.round] = reply.Column
+			}
+		}
+	}
+	if len(columns[jsonRound]) != 2 || !reflect.DeepEqual(columns[jsonRound], columns[binRound]) {
+		t.Errorf("local solve over JSON = %v, over binary = %v", columns[jsonRound], columns[binRound])
+	}
+	for _, addr := range spec.ClientAddrs {
+		if j, b := target.Plan(jsonRound, addr), target.Plan(binRound, addr); j != b {
+			t.Errorf("plan for %s: %g installed over JSON, %g over binary", addr, j, b)
+		}
+	}
+	if got := target.Plan(jsonRound, "c1"); got != 4 {
+		t.Errorf("plan for c1 = %g, want 4", got)
 	}
 }
 

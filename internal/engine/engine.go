@@ -24,6 +24,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"edr/internal/opt"
 )
@@ -281,32 +282,52 @@ func (d *Driver) Exec(ctx context.Context, ex Exchange) error {
 	return first
 }
 
-// FanOut runs fn for every index concurrently, one goroutine each, and
-// returns the first error — the one-shot form of a wave, for callers
-// without a round's senders (round start, install, notify). The paper's
-// server and client are multithreaded ("create new
-// threads to communicate with all the replicas at the same time"), so one
-// coordination wave costs one round trip of wall time, not count × RTT.
-// On the first error the wave's context is cancelled so the remaining
-// sends abort promptly instead of running out their full RPC timeouts;
-// FanOut still waits for every goroutine to finish before returning, so
-// callers may reuse the buffers the callbacks wrote to.
+// fanOutWidth bounds the goroutines one FanOut wave runs on. It is far
+// above any replica wave (|N| ≤ 10) and any paper-scale notify (100
+// clients), so those keep every RPC of the wave in flight at once; only a
+// fleet-scale notify is batched — ⌈|C|/fanOutWidth⌉ successive waves' worth
+// of sends instead of |C| simultaneous ones, which over TCP would also want
+// |C| sockets open at once.
+const fanOutWidth = 256
+
+// FanOut runs fn for every index in [0, count) on min(count, fanOutWidth)
+// goroutines and returns the first error — the one-shot form of a wave, for
+// callers without a round's senders (round start, install, notify). The
+// paper's server and client are multithreaded ("create new threads to
+// communicate with all the replicas at the same time"), so one coordination
+// wave costs one round trip of wall time, not count × RTT. Each goroutine
+// takes the next unclaimed index until none is left, so it grows its stack
+// through the send path once, not once per index. On the first error the
+// wave's context is cancelled so the sends in flight abort promptly instead
+// of running out their full RPC timeouts, and indices not yet started are
+// skipped; FanOut still waits for every started fn to return, so callers may
+// reuse the buffers the callbacks wrote to.
 func FanOut(ctx context.Context, count int, fn func(ctx context.Context, i int) error) error {
-	if count == 0 {
-		return nil
-	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	errs := make(chan error, count)
-	for i := 0; i < count; i++ {
-		go func(i int) { errs <- fn(wctx, i) }(i)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		first  error // written by the one goroutine that sets failed
+		wg     sync.WaitGroup
+	)
+	workers := min(count, fanOutWidth)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= count {
+					return
+				}
+				if err := fn(wctx, i); err != nil && failed.CompareAndSwap(false, true) {
+					first = err
+					cancel()
+				}
+			}
+		}()
 	}
-	var first error
-	for i := 0; i < count; i++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-			cancel()
-		}
-	}
+	wg.Wait()
 	return first
 }

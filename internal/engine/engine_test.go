@@ -448,13 +448,16 @@ func BenchmarkEngineExchange(b *testing.B) {
 }
 
 func TestFanOutCancelsWaveOnError(t *testing.T) {
+	started := make(chan struct{})
 	blocked := make(chan struct{})
 	err := FanOut(context.Background(), 2, func(ctx context.Context, i int) error {
 		if i == 0 {
+			<-started // fail only once the other call is in flight
 			return errors.New("boom")
 		}
-		// The second goroutine waits for cancellation: FanOut must cancel
-		// the wave and still wait for it to finish.
+		// The second call waits for cancellation: FanOut must cancel the
+		// wave and still wait for it to finish.
+		close(started)
 		<-ctx.Done()
 		close(blocked)
 		return ctx.Err()
@@ -466,6 +469,114 @@ func TestFanOutCancelsWaveOnError(t *testing.T) {
 	case <-blocked:
 	default:
 		t.Fatal("FanOut returned before the cancelled goroutine finished")
+	}
+}
+
+// A wave of any size runs on at most fanOutWidth goroutines: with every fn
+// blocking, exactly fanOutWidth calls are in flight and no more start until
+// one returns; every index still runs exactly once, and the goroutines are
+// gone when FanOut returns.
+func TestFanOutBoundsInFlightCalls(t *testing.T) {
+	const count = 10 * fanOutWidth
+	watchGoroutines(t)
+	var (
+		inFlight, peak atomic.Int32
+		runs           [count]atomic.Int32
+		entered        = make(chan struct{}, count)
+		release        = make(chan struct{})
+		done           = make(chan error, 1)
+	)
+	go func() {
+		done <- FanOut(context.Background(), count, func(ctx context.Context, i int) error {
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			runs[i].Add(1)
+			entered <- struct{}{}
+			<-release
+			inFlight.Add(-1)
+			return nil
+		})
+	}()
+	for i := 0; i < fanOutWidth; i++ {
+		<-entered
+	}
+	// All workers are parked inside fn; a 257th call would show up here.
+	select {
+	case <-entered:
+		t.Fatalf("more than fanOutWidth = %d calls in flight", fanOutWidth)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got != fanOutWidth {
+		t.Errorf("peak in-flight calls = %d, want %d", got, fanOutWidth)
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("index %d ran %d times", i, n)
+		}
+	}
+}
+
+// After an error the indices not yet started are skipped, and FanOut
+// returns only when every started call has.
+func TestFanOutSkipsUnstartedAfterError(t *testing.T) {
+	const count = 4 * fanOutWidth
+	watchGoroutines(t)
+	var (
+		started, finished atomic.Int32
+		allIn             = make(chan struct{})
+	)
+	err := FanOut(context.Background(), count, func(ctx context.Context, i int) error {
+		if started.Add(1) == fanOutWidth {
+			close(allIn) // every worker holds a call: fail the wave now
+		}
+		<-allIn
+		defer finished.Add(1)
+		if i == 0 {
+			return errors.New("boom")
+		}
+		<-ctx.Done()
+		time.Sleep(5 * time.Millisecond)
+		return ctx.Err()
+	})
+	if err == nil || err.Error() != "boom" {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if s, f := started.Load(), finished.Load(); s != f {
+		t.Fatalf("FanOut returned with %d calls started and %d finished", s, f)
+	}
+	if s := started.Load(); s != fanOutWidth {
+		t.Errorf("%d calls started, want only the %d in flight when the error hit", s, fanOutWidth)
+	}
+}
+
+// A wave no wider than fanOutWidth has all its calls in flight at once — the
+// one-round-trip-per-wave property: a barrier every call must reach before
+// any returns would deadlock otherwise.
+func TestFanOutRunsNarrowWaveAllAtOnce(t *testing.T) {
+	for _, count := range []int{1, 10, 100, fanOutWidth} {
+		var barrier sync.WaitGroup
+		barrier.Add(count)
+		done := make(chan error, 1)
+		go func() {
+			done <- FanOut(context.Background(), count, func(context.Context, int) error {
+				barrier.Done()
+				barrier.Wait()
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("a %d-call wave did not run all at once", count)
+		}
 	}
 }
 

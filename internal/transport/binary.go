@@ -8,13 +8,16 @@ import (
 	"sync/atomic"
 )
 
-// Compact binary body codec, version 1. The engine's matrix-bearing wire
-// verbs dominate a round's bytes — every CDPSM iteration ships full
-// |C|×|N| float64 matrices, paid at JSON-text prices (~19 bytes per
-// element) under the original codec. Bodies that implement
+// Compact binary body codec, version 1. Two kinds of body dominate a
+// round's bytes and codec time: the engine's matrix-bearing iteration verbs
+// — every CDPSM iteration ships full |C|×|N| float64 matrices, paid at
+// JSON-text prices (~19 bytes per element) under the original codec — and
+// the control-plane bodies paid once per client or per replica every round
+// (internal/core/codec.go). Bodies that implement
 // encoding.BinaryMarshaler/BinaryUnmarshaler are instead carried as raw
-// little-endian scalars with u32 dims headers (8 bytes per element, no
-// reflection), assembled from the primitives below.
+// little-endian scalars, length-headed strings and vectors and dims-headed
+// matrices (8 bytes per element, no reflection), assembled from the
+// primitives below.
 //
 // Wire format: the 4-byte frame length prefix keeps its meaning, but a
 // set top bit flags a binary envelope (JSON payloads can never set it —
@@ -30,9 +33,9 @@ import (
 // type supports it, and replies always mirror the request's codec
 // (NewReply), so a JSON-only peer keeps interoperating — its JSON
 // requests get JSON replies, and DecodeBody accepts either direction.
-// Body convention: every engine *request* body starts with its u32 LE
-// round id, so the replica dispatcher can route a binary body without
-// decoding it.
+// Body convention: every request body addressed to a round's participant
+// state (the engine verbs, round.start, replica.assign) starts with its u32
+// LE round id, so a dispatcher can route a binary body without decoding it.
 const (
 	// binFlag marks a binary envelope in the frame length prefix.
 	binFlag = 1 << 31
@@ -104,7 +107,8 @@ func decodeBinaryFrame(payload []byte) (Message, error) {
 //
 // The Append*/Read* pairs below are the vocabulary algorithm packages
 // build their MarshalBinary/UnmarshalBinary from. All scalars are
-// little-endian; vectors and matrices carry u32 dims headers.
+// little-endian; vectors, lists and matrices carry u32 dims headers and a
+// string a u16 length.
 
 // AppendUint32 appends v little-endian.
 func AppendUint32(b []byte, v uint32) []byte {
@@ -140,6 +144,62 @@ func AppendMatrix(b []byte, m [][]float64) []byte {
 		}
 	}
 	return b
+}
+
+// AppendString appends a u16 length header followed by s's bytes. A string
+// the header cannot describe is an error, never a truncated length.
+func AppendString(b []byte, s string) ([]byte, error) {
+	if len(s) > math.MaxUint16 {
+		return nil, fmt.Errorf("transport: string of %d bytes exceeds the %d the binary codec carries", len(s), math.MaxUint16)
+	}
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
+	return append(b, s...), nil
+}
+
+// AppendStrings appends a u32 count followed by each string as AppendString
+// writes it.
+func AppendStrings(b []byte, v []string) ([]byte, error) {
+	b = AppendUint32(b, uint32(len(v)))
+	var err error
+	for _, s := range v {
+		if b, err = AppendString(b, s); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// ReadString consumes a string written by AppendString.
+func ReadString(b []byte) (string, []byte, error) {
+	if len(b) < 2 {
+		return "", nil, fmt.Errorf("transport: binary body truncated (want string header, %d bytes left)", len(b))
+	}
+	n := int(binary.LittleEndian.Uint16(b))
+	b = b[2:]
+	if n > len(b) {
+		return "", nil, fmt.Errorf("transport: binary string claims %d bytes, %d left", n, len(b))
+	}
+	return string(b[:n]), b[n:], nil
+}
+
+// ReadStrings consumes a list written by AppendStrings. The count is checked
+// against the bytes left (every string costs at least its header) before
+// anything is allocated.
+func ReadStrings(b []byte) ([]string, []byte, error) {
+	n, b, err := ReadUint32(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(n)*2 > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("transport: binary list claims %d strings, %d bytes left", n, len(b))
+	}
+	v := make([]string, n)
+	for i := range v {
+		if v[i], b, err = ReadString(b); err != nil {
+			return nil, nil, err
+		}
+	}
+	return v, b, nil
 }
 
 // ReadUint32 consumes a little-endian u32.

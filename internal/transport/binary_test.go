@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -193,6 +194,37 @@ func TestBinaryPrimitivesRejectTruncation(t *testing.T) {
 	}
 	if _, _, err := ReadFloats(AppendUint32(nil, math.MaxUint32)); err == nil {
 		t.Fatal("vector with 2³² claimed length decoded")
+	}
+}
+
+func TestBinaryStringPrimitives(t *testing.T) {
+	want := []string{"", "replica-1", "ünïcode", strings.Repeat("x", math.MaxUint16)}
+	full, err := AppendStrings(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rest, err := ReadStrings(full)
+	if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: %d strings, %d bytes left, err %v", len(got), len(rest), err)
+	}
+	for cut := 0; cut < len(full); cut += 1 + cut/16 {
+		if _, _, err := ReadStrings(full[:cut]); err == nil {
+			t.Fatalf("cut=%d: truncated list decoded without error", cut)
+		}
+	}
+	// A string the u16 header cannot describe is refused, not truncated.
+	if _, err := AppendString(nil, strings.Repeat("x", math.MaxUint16+1)); err == nil {
+		t.Fatal("64 KiB string appended")
+	}
+	if _, err := AppendStrings(nil, []string{"ok", strings.Repeat("x", math.MaxUint16+1)}); err == nil {
+		t.Fatal("list holding a 64 KiB string appended")
+	}
+	// A corrupt count must not cause a giant allocation.
+	if _, _, err := ReadStrings(AppendUint32(nil, math.MaxUint32)); err == nil {
+		t.Fatal("list with 2³² claimed strings decoded")
+	}
+	if _, _, err := ReadString([]byte{0xff, 0xff, 'a'}); err == nil {
+		t.Fatal("string with 65 535 claimed bytes decoded from 1")
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 
 // Message is the envelope exchanged between EDR nodes. A message carries
 // exactly one body: Body (type-specific JSON, the original codec) or Bin
-// (the compact binary codec of binary.go, for the matrix-bearing engine
-// verbs). DecodeBody accepts either, so handlers are codec-agnostic.
+// (the compact binary codec of binary.go, for every body on a round's
+// path). DecodeBody accepts either, so handlers are codec-agnostic.
 type Message struct {
 	// Type routes the message (e.g. "client.request", "replica.solution",
 	// "ring.heartbeat").
