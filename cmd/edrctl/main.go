@@ -249,8 +249,8 @@ func printStatus(w *os.File, st *core.Status) {
 		if n := len(r.ClientAddrs); n > 0 {
 			suppressed = 100 * float64(r.SuppressedNotifies) / float64(n)
 		}
-		flag += fmt.Sprintf("  incremental (dirty %d/%d, suppressed %.0f%%)",
-			r.DirtyClients, len(r.ClientAddrs), suppressed)
+		flag += fmt.Sprintf("  incremental (dirty %d/%d, gap %.2g, suppressed %.0f%%)",
+			r.DirtyClients, len(r.ClientAddrs), r.SubsolveGap, suppressed)
 	}
 	if r.Degraded {
 		flag = "  DEGRADED (last-good fallback)"

@@ -215,8 +215,8 @@ func main() {
 				extra += fmt.Sprintf(" [%d cohorts, %.1fx]", report.Cohorts, report.CohortRatio)
 			}
 			if report.Incremental {
-				extra += fmt.Sprintf(" [incremental dirty %d/%d, suppressed %.0f%%]",
-					report.DirtyClients, len(report.ClientAddrs),
+				extra += fmt.Sprintf(" [incremental dirty %d/%d, gap %.2g, suppressed %.0f%%]",
+					report.DirtyClients, len(report.ClientAddrs), report.SubsolveGap,
 					100*float64(report.SuppressedNotifies)/math.Max(1, float64(len(report.ClientAddrs))))
 			}
 			if report.Degraded {

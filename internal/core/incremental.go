@@ -27,12 +27,14 @@ type incrementalPlan struct {
 	base [][]float64
 	// prev[i] is client i's committed row in this round's column order,
 	// unrescaled (nil for clients with no history) — the reference the
-	// change-suppressed notify fan-out compares against.
+	// change-suppressed notify fan-out compares against. Read-only: the rows
+	// are the committed round's own unless the columns were permuted.
 	prev [][]float64
 	// instPrev[i] is client i's row of the *installed* assignment in this
 	// round's column order — the values replicas actually hold under
 	// lg.installedRound, which the delta install diffs against. Equal to
-	// prev except after clean commits (which rescale without installing).
+	// prev except after clean commits (which rescale without installing),
+	// and read-only like it.
 	instPrev [][]float64
 	// departed lists committed clients absent from this round: the delta
 	// install must remove them from the base plan.
@@ -116,22 +118,31 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 	if haveInstall {
 		plan.instPrev = make([][]float64, len(requests))
 	}
-	for i := range requests {
-		pr := rowMap[i]
+	// A committed row in this round's column order. prev and instPrev are
+	// only ever read, so while the roster keeps its order — every
+	// stable-roster round — the committed rows themselves serve; a copy is
+	// made only under a real column permutation.
+	reordered := false
+	for j, oj := range colMap {
+		reordered = reordered || oj != j
+	}
+	inOrder := func(row []float64) []float64 {
+		if !reordered {
+			return row
+		}
+		out := make([]float64, n)
+		for j := range out {
+			out[j] = row[colMap[j]]
+		}
+		return out
+	}
+	for i, pr := range rowMap {
 		if pr < 0 {
 			continue
 		}
-		row := make([]float64, n)
-		for j := 0; j < n; j++ {
-			row[j] = lg.assignment[pr][colMap[j]]
-		}
-		plan.prev[i] = row
+		plan.prev[i] = inOrder(lg.assignment[pr])
 		if haveInstall {
-			irow := make([]float64, n)
-			for j := 0; j < n; j++ {
-				irow[j] = lg.installed[pr][colMap[j]]
-			}
-			plan.instPrev[i] = irow
+			plan.instPrev[i] = inOrder(lg.installed[pr])
 		}
 	}
 	if len(lg.clientAddrs) != len(requests) {

@@ -284,3 +284,125 @@ func TestPullAllocationAfterQuietRound(t *testing.T) {
 		}
 	}
 }
+
+// checkFeasibleReport holds a committed assignment to the problem's
+// constraints: every row serves its demand, no column exceeds 100 MB (the
+// fleets' default bandwidth).
+func checkFeasibleReport(t *testing.T, f *fleet, report *RoundReport, demands []float64) {
+	t.Helper()
+	demandOf := make(map[string]float64, len(demands))
+	for i, cl := range f.clients {
+		demandOf[cl.Addr()] = demands[i]
+	}
+	for i, got := range opt.RowSums(report.Assignment) {
+		if want := demandOf[report.ClientAddrs[i]]; math.Abs(got-want) > 1e-6*math.Max(1, want) {
+			t.Fatalf("client %s served %g, want %g", report.ClientAddrs[i], got, want)
+		}
+	}
+	for j, load := range opt.ColSums(report.Assignment) {
+		if load > 100*(1+1e-6) {
+			t.Fatalf("replica %s carries %g MB over its 100 MB bandwidth", report.ReplicaAddrs[j], load)
+		}
+	}
+}
+
+// A drift round on a cohorted 200-client fleet: the dirty rows fold into
+// cohorts, the central sub-solve stops on its duality-gap certificate well
+// inside its iteration bound, and the merged result passes the gate.
+func TestIncrementalDriftRoundStopsOnCertificate(t *testing.T) {
+	const nClients = 200
+	f := newFleetCfg(t, []float64{1, 10, 5, 3}, nClients, LDDM, func(_ int, cfg *ReplicaConfig) {
+		cfg.Incremental = true
+		cfg.CohortMinClients = 2
+	})
+	ctx := context.Background()
+	demands := make([]float64, nClients)
+	submit := func() {
+		for i, cl := range f.clients {
+			if err := cl.Submit(ctx, f.replicas[0].Addr(), demands[i], classLatencies(f, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range demands {
+		demands[i] = 0.2 + 0.005*float64(i)
+	}
+	submit()
+	if _, err := f.replicas[0].RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	drainAllocations(t, f)
+
+	const drifted = 10
+	for k := 0; k < drifted; k++ {
+		demands[k*nClients/drifted] *= 1.1
+	}
+	submit()
+	report, err := f.replicas[0].RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := &f.replicas[0].Stats
+	if !report.Incremental || report.DirtyClients != drifted || stats.RoundsEscalated.Value() != 0 {
+		t.Fatalf("drift round did not commit incrementally: incremental=%v dirty=%d escalated=%d",
+			report.Incremental, report.DirtyClients, stats.RoundsEscalated.Value())
+	}
+	if report.Cohorts == 0 || report.Cohorts >= drifted {
+		t.Fatalf("dirty rows solved as %d cohorts, want them folded", report.Cohorts)
+	}
+	if report.Iterations < 1 || report.Iterations >= 200 {
+		t.Fatalf("sub-solve took %d iterations, want a certificate within 200", report.Iterations)
+	}
+	// The certificate is relative to the sub-instance's objective, which the
+	// whole round's bounds from above.
+	if stats.SubsolveUnconverged.Value() != 0 || report.SubsolveGap > 1e-4*(1+report.Objective) {
+		t.Fatalf("sub-solve uncertified: gap %g on objective %g, unconverged %d",
+			report.SubsolveGap, report.Objective, stats.SubsolveUnconverged.Value())
+	}
+	checkFeasibleReport(t, f, report, demands)
+}
+
+// When the clean rows hold the cheap replica at its bandwidth the dirty
+// sub-instance's residual cap binds, so the sub-solve's oracle must route
+// through the flow network. Whatever the outcome it is explicit — an
+// incremental commit carrying a certificate, or a counted escalation to a
+// full solve — and what is installed is feasible.
+func TestIncrementalBindingResidualCapIsCertifiedOrEscalated(t *testing.T) {
+	f := newFleetCfg(t, []float64{1, 10}, 4, LDDM, func(_ int, cfg *ReplicaConfig) {
+		cfg.Incremental = true
+	})
+	ctx := context.Background()
+	demands := []float64{40, 40, 40, 40}
+	submitAll(t, f, demands)
+	first, err := f.replicas[0].RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if load := opt.ColSums(first.Assignment)[0]; load < 99 {
+		t.Fatalf("cheap replica carries %g MB; the test needs it at its 100 MB cap", load)
+	}
+	drainAllocations(t, f)
+
+	demands[0] = 44
+	submitAll(t, f, demands)
+	report, err := f.replicas[0].RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := &f.replicas[0].Stats
+	switch {
+	case report.Incremental:
+		if report.DirtyClients != 1 || stats.RoundsEscalated.Value() != 0 {
+			t.Fatalf("incremental commit with dirty=%d escalated=%d", report.DirtyClients, stats.RoundsEscalated.Value())
+		}
+		if report.Iterations < 1 || report.SubsolveGap > 1e-4*(1+report.Objective) {
+			t.Fatalf("incremental commit without a certificate: %d iterations, gap %g", report.Iterations, report.SubsolveGap)
+		}
+	case stats.RoundsEscalated.Value() != 1:
+		t.Fatalf("round left the incremental path without counting an escalation: %+v", report)
+	}
+	if stats.SubsolveUnconverged.Value() > stats.RoundsEscalated.Value() {
+		t.Fatalf("SubsolveUnconverged %d exceeds RoundsEscalated %d", stats.SubsolveUnconverged.Value(), stats.RoundsEscalated.Value())
+	}
+	checkFeasibleReport(t, f, report, demands)
+}

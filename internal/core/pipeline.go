@@ -82,6 +82,9 @@ type attempt struct {
 	solved     [][]float64
 	iterations int
 	duals      []float64
+	// subGap is the duality gap the incremental plan's central sub-solve
+	// stopped on: its certified distance from the sub-instance's optimum.
+	subGap float64
 	// x is the round's result, rows × columns of full; mus the per-client
 	// duals kept for the next warm start; suppressed the clients whose
 	// allocation push was withheld because their row did not move.
@@ -480,24 +483,26 @@ func (r *ReplicaServer) start(ctx context.Context, a *attempt) error {
 // the unobserved path.
 //
 // An incremental plan solves its sub-instance centrally with the
-// projected-gradient reference method instead: the initiator already
-// holds every parameter of the sub-instance (it built it), the instance is
-// small — O(dirty) rows, and a handful of cohorts once reduced — and a
-// distributed solve would pay per-iteration fan-out latency on a problem
-// that no longer needs distribution. The gate in expand vets the result
-// exactly as it would a distributed one.
+// conditional-gradient method instead: the initiator already holds every
+// parameter of the sub-instance (it built it), the instance is small —
+// O(dirty) rows, and a handful of cohorts once reduced — and a distributed
+// solve would pay per-iteration fan-out latency on a problem that no longer
+// needs distribution. The solve starts from the warm seed and stops on its
+// duality-gap certificate; running into the iteration bound without one
+// escalates rather than installing an uncertified plan. The gate in expand
+// then vets the merged result exactly as it would a distributed one.
 func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 	a.duals = nil
 	if a.kind == kindIncremental {
-		x0 := a.solveSpec.Warm
-		if x0 == nil {
-			x0 = opt.NewMatrix(a.solveProb.C(), a.solveProb.N())
-		}
-		res, err := opt.ProjectedGradient(a.solveProb, x0, opt.PGDOptions{})
+		res, err := opt.FrankWolfeFrom(a.solveProb, a.solveSpec.Warm, opt.FWOptions{})
 		if err != nil {
 			return err
 		}
-		a.solved, a.iterations = res.X, res.Iterations
+		a.solved, a.iterations, a.subGap = res.X, res.Iterations, res.Gap
+		if !res.Converged {
+			r.Stats.SubsolveUnconverged.Inc(1)
+			return errEscalateFull
+		}
 		return nil
 	}
 	reg, ok := engine.Lookup(string(r.cfg.Algorithm))
@@ -790,6 +795,7 @@ func (r *ReplicaServer) commit(a *attempt) *RoundReport {
 	}
 	if a.kind == kindIncremental {
 		report.DirtyClients = len(a.sub.requests)
+		report.SubsolveGap = a.subGap
 	}
 	lg := &lastGoodRound{
 		round:          a.round,

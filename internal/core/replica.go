@@ -60,6 +60,10 @@ type ReplicaStats struct {
 	MBServed          metrics.Counter // whole MB, rounded down per download
 	CoordMessages     metrics.Counter // coordination messages this node sent
 	SendRetried       metrics.Counter // coordination RPC retry attempts
+
+	// SubsolveUnconverged counts the escalations caused by an incremental
+	// sub-solve reaching its iteration bound without its gap certificate.
+	SubsolveUnconverged metrics.Counter
 }
 
 // lastGoodRound caches the initiator's view of its latest successful
@@ -271,6 +275,10 @@ type Status struct {
 	// TCP is the process's connection-pool counters (all zero on the
 	// in-process fabric).
 	TCP transport.TCPStats `json:"tcp"`
+
+	// SubsolveUnconverged is the share of RoundsEscalated caused by an
+	// uncertified incremental sub-solve (the rest failed the gate).
+	SubsolveUnconverged int64 `json:"subsolve_unconverged,omitempty"`
 }
 
 // Status snapshots the replica's runtime state for the admin plane.
@@ -295,6 +303,8 @@ func (r *ReplicaServer) Status() Status {
 		DownloadsServed:   r.Stats.DownloadsServed.Value(),
 		SendRetried:       r.Stats.SendRetried.Value(),
 		TCP:               transport.TCPPoolStats(),
+
+		SubsolveUnconverged: r.Stats.SubsolveUnconverged.Value(),
 	}
 	s.LastRound = r.LastReport()
 	if s.LastRound != nil {

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"edr/internal/engine"
@@ -59,6 +60,10 @@ type RoundReport struct {
 	// DirtyClients is how many clients the incremental diff re-solved
 	// (len(ClientAddrs) on full rounds with Incremental unset).
 	DirtyClients int `json:"dirty_clients,omitempty"`
+	// SubsolveGap is the duality gap an incremental round's central
+	// sub-solve stopped on after Iterations steps: a certified bound on how
+	// far the dirty rows' cost sits above the sub-instance's optimum.
+	SubsolveGap float64 `json:"subsolve_gap,omitempty"`
 	// SuppressedNotifies counts clients not re-notified because their
 	// allocation row moved at most DeltaEps of their demand.
 	SuppressedNotifies int `json:"suppressed_notifies,omitempty"`
@@ -247,7 +252,7 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 	// stable roster then yields identical row order round over round,
 	// which is what lets the incremental diff run with identity row maps
 	// and the cohort registry hit its cross-round cache.
-	sort.Slice(requests, func(i, j int) bool { return requests[i].ClientAddr < requests[j].ClientAddr })
+	slices.SortFunc(requests, func(a, b *RequestBody) int { return strings.Compare(a.ClientAddr, b.ClientAddr) })
 	r.Stats.RoundsInitiated.Inc(1)
 	start := time.Now()
 
@@ -328,6 +333,7 @@ func (r *ReplicaServer) finishRound(report *RoundReport, start time.Time) {
 		CohortRatio:        report.CohortRatio,
 		Incremental:        report.Incremental,
 		DirtyClients:       report.DirtyClients,
+		SubsolveGap:        report.SubsolveGap,
 		SuppressedNotifies: report.SuppressedNotifies,
 		Residuals:          report.Residuals,
 		Costs:              report.Costs,

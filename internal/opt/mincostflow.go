@@ -4,20 +4,23 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+
+	"edr/internal/model"
 )
 
 // Min-cost flow on the replica-selection transportation polytope. Given
 // per-entry linear costs w[c][n], MinCostAssignment finds the feasible
-// assignment minimizing Σ w·p — the linear minimization oracle used by
-// the Frank-Wolfe reference solver (and a strong initializer: with
-// w = price·α it is the exact optimum of the γ=1 problem).
+// assignment minimizing Σ w·p — the linear minimization oracle of the
+// Frank-Wolfe solver (and a strong initializer: with w = price·α it is the
+// exact optimum of the γ=1 problem).
 //
-// The implementation is successive shortest augmenting paths with
-// Johnson potentials (Dijkstra on reduced costs), which requires
-// non-negative edge costs — satisfied here because marginal energy costs
-// are non-negative. Arc structure matches CheckFeasible's network:
-// source → clients (capacity R_c), client→replica (capacity R_c, cost
-// w[c][n], present iff feasible), replica → sink (capacity B_n).
+// Where no bandwidth cap binds the oracle is a per-row argmin
+// (assignSeparable). Otherwise the implementation is successive shortest
+// augmenting paths with Johnson potentials (Dijkstra on reduced costs),
+// which requires non-negative edge costs — satisfied here because marginal
+// energy costs are non-negative. Arc structure matches CheckFeasible's
+// network: source → clients (capacity R_c), client→replica (capacity R_c,
+// cost w[c][n], present iff feasible), replica → sink (capacity B_n).
 
 // mcfEdge is one arc of the residual network.
 type mcfEdge struct {
@@ -123,10 +126,78 @@ func MinCostAssignment(prob *Problem, w [][]float64) ([][]float64, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
+	x := NewMatrix(prob.C(), prob.N())
+	if err := minCostAssignInto(prob, w, x, make([]float64, prob.N())); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// minCostAssignInto is MinCostAssignment on a validated prob, writing the
+// assignment into x and its column sums into loads (both overwritten) so an
+// iterating caller reuses its buffers. The separable vertex is tried first;
+// only when a column cap would bind does the flow network decide who spills
+// where.
+func minCostAssignInto(prob *Problem, w, x [][]float64, loads []float64) error {
 	c, n := prob.C(), prob.N()
 	if len(w) != c {
-		return nil, fmt.Errorf("opt: cost matrix has %d rows for %d clients", len(w), c)
+		return fmt.Errorf("opt: cost matrix has %d rows for %d clients", len(w), c)
 	}
+	mask := prob.Allowed()
+	for i := range w {
+		if len(w[i]) != n {
+			return fmt.Errorf("opt: cost row %d has %d cols for %d replicas", i, len(w[i]), n)
+		}
+		for j, ok := range mask[i] {
+			if ok && (w[i][j] < 0 || math.IsNaN(w[i][j])) {
+				return fmt.Errorf("opt: negative/NaN cost w[%d][%d] = %g", i, j, w[i][j])
+			}
+		}
+	}
+	if assignSeparable(prob, w, x, loads) {
+		return nil
+	}
+	return assignByFlow(prob, w, x, loads)
+}
+
+// assignSeparable sends each client's whole demand to its cheapest allowed
+// column — the optimum of the LP without its column caps, which decouples
+// per row — and reports whether every column stayed within its bandwidth.
+// If so the vertex is feasible for the capped LP and optimal for a
+// relaxation of it, hence optimal. On false, x and loads hold garbage.
+func assignSeparable(prob *Problem, w, x [][]float64, loads []float64) bool {
+	mask := prob.Allowed()
+	for j := range loads {
+		loads[j] = 0
+	}
+	for i, row := range x {
+		best := -1
+		for j := range row {
+			row[j] = 0
+			if mask[i][j] && (best < 0 || w[i][j] < w[i][best]) {
+				best = j
+			}
+		}
+		if prob.Demands[i] == 0 {
+			continue
+		}
+		if best < 0 {
+			return false // unservable row: the flow reports the shortfall
+		}
+		row[best] = prob.Demands[i]
+		loads[best] += prob.Demands[i]
+	}
+	for j, load := range loads {
+		if load > prob.System.Replicas[j].Bandwidth {
+			return false
+		}
+	}
+	return true
+}
+
+// assignByFlow solves the capped LP on the transportation network.
+func assignByFlow(prob *Problem, w, x [][]float64, loads []float64) error {
+	c, n := prob.C(), prob.N()
 	mask := prob.Allowed()
 	source, sink := 0, c+n+1
 	g := newMCFGraph(c + n + 2)
@@ -134,46 +205,36 @@ func MinCostAssignment(prob *Problem, w [][]float64) ([][]float64, error) {
 	type edgeRef struct{ client, replica, idx int }
 	var refs []edgeRef
 	for i := 0; i < c; i++ {
-		if len(w[i]) != n {
-			return nil, fmt.Errorf("opt: cost row %d has %d cols for %d replicas", i, len(w[i]), n)
-		}
 		g.addEdge(source, 1+i, prob.Demands[i], 0)
 		want += prob.Demands[i]
 		for j := 0; j < n; j++ {
+			x[i][j] = 0
 			if !mask[i][j] {
 				continue
-			}
-			if w[i][j] < 0 || math.IsNaN(w[i][j]) {
-				return nil, fmt.Errorf("opt: negative/NaN cost w[%d][%d] = %g", i, j, w[i][j])
 			}
 			refs = append(refs, edgeRef{client: i, replica: j, idx: len(g.adj[1+i])})
 			g.addEdge(1+i, 1+c+j, prob.Demands[i], w[i][j])
 		}
 	}
 	for j := 0; j < n; j++ {
+		loads[j] = 0
 		g.addEdge(1+c+j, sink, prob.System.Replicas[j].Bandwidth, 0)
 	}
 	flow, _ := g.minCostFlow(source, sink, want)
 	if flow < want-1e-6*(1+want) {
-		return nil, fmt.Errorf("opt: infeasible instance: routed %g of %g MB", flow, want)
+		return fmt.Errorf("opt: infeasible instance: routed %g of %g MB", flow, want)
 	}
-	x := NewMatrix(c, n)
 	for _, ref := range refs {
 		e := g.adj[1+ref.client][ref.idx]
 		if sent := prob.Demands[ref.client] - e.capacity; sent > 1e-12 {
 			x[ref.client][ref.replica] = sent
+			loads[ref.replica] += sent
 		}
 	}
-	return x, nil
+	return nil
 }
 
-// FrankWolfe minimizes prob's convex objective by the conditional-gradient
-// method: at each iterate, the gradient is linearized and minimized
-// exactly over the polytope by min-cost flow, then the iterate moves
-// toward the vertex with the classic 2/(k+2) step. It serves as a second,
-// structurally different reference solver: every iterate is exactly
-// feasible by construction (a convex combination of polytope points), and
-// no Euclidean projections are involved.
+// FWOptions configures FrankWolfe.
 type FWOptions struct {
 	// MaxIters bounds conditional-gradient steps; 0 means 300.
 	MaxIters int
@@ -189,13 +250,34 @@ type FWResult struct {
 	X          [][]float64
 	Objective  float64
 	Iterations int
-	Converged  bool
+	// Converged reports that the run stopped on its certificate, Gap ≤
+	// Tol·(1+|f|), rather than on the iteration bound.
+	Converged bool
 	// Gap is the final duality gap — a certified bound on suboptimality.
 	Gap float64
 }
 
-// FrankWolfe runs the conditional-gradient method on prob.
+// FrankWolfe minimizes prob's convex objective by the conditional-gradient
+// method from the min-cost vertex of the linearization at zero load — the
+// exact optimum of the γ=1 relaxation. See FrankWolfeFrom.
 func FrankWolfe(prob *Problem, opts FWOptions) (*FWResult, error) {
+	return FrankWolfeFrom(prob, nil, opts)
+}
+
+// FrankWolfeFrom runs the conditional-gradient method on prob starting from
+// x0 when x0 is feasible for prob (it is not modified), and from
+// FrankWolfe's cold start otherwise. At each iterate the gradient is
+// linearized and minimized exactly over the polytope (minCostAssignInto),
+// then the iterate moves toward that vertex by an exact line search. Every
+// iterate is a convex combination of feasible points — no Euclidean
+// projections are involved — so a feasible start is never left, and the
+// line search never increases the objective.
+//
+// The objective depends on the matrix only through its |N| column loads,
+// and so do the gradient (constant down each column), the duality gap and
+// the line search: one iteration costs the oracle plus O(|C|·|N|) to move
+// the iterate, and allocates nothing.
+func FrankWolfeFrom(prob *Problem, x0 [][]float64, opts FWOptions) (*FWResult, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
@@ -207,68 +289,106 @@ func FrankWolfe(prob *Problem, opts FWOptions) (*FWResult, error) {
 	if tol <= 0 {
 		tol = 1e-4
 	}
-	// Start from the min-cost vertex of the linearization at zero load —
-	// the exact optimum of the γ=1 relaxation.
-	zero := NewMatrix(prob.C(), prob.N())
-	x, err := MinCostAssignment(prob, prob.Gradient(zero))
-	if err != nil {
-		return nil, err
+	c, n := prob.C(), prob.N()
+	reps := prob.System.Replicas
+	// Every row of grad is the one marginal-cost vector.
+	marginal := make([]float64, n)
+	grad := make([][]float64, c)
+	for i := range grad {
+		grad[i] = marginal
 	}
+	price := func(loads []float64) {
+		for j := range marginal {
+			marginal[j] = reps[j].MarginalCost(loads[j])
+		}
+	}
+	var x [][]float64
+	var lx []float64
+	if feasibleStart(prob, x0) {
+		x = Clone(x0)
+		lx = ColSums(x)
+	} else {
+		x, lx = NewMatrix(c, n), make([]float64, n)
+		price(lx)
+		if err := minCostAssignInto(prob, grad, x, lx); err != nil {
+			return nil, err
+		}
+	}
+	vertex, lv := NewMatrix(c, n), make([]float64, n)
 	res := &FWResult{}
 	for k := 1; k <= maxIters; k++ {
 		res.Iterations = k
-		grad := prob.Gradient(x)
-		vertex, err := MinCostAssignment(prob, grad)
-		if err != nil {
+		price(lx)
+		if err := minCostAssignInto(prob, grad, vertex, lv); err != nil {
 			return nil, fmt.Errorf("opt: frank-wolfe LMO at iteration %d: %w", k, err)
 		}
-		// Duality gap <∇f(x), x − vertex> certifies progress.
-		gap := 0.0
-		for c := range x {
-			for n := range x[c] {
-				gap += grad[c][n] * (x[c][n] - vertex[c][n])
-			}
+		// Duality gap <∇f(x), x − vertex>, column by column.
+		res.Gap = 0
+		for j := range marginal {
+			res.Gap += marginal[j] * (lx[j] - lv[j])
 		}
-		res.Gap = gap
-		if gap <= tol*(1+math.Abs(prob.Cost(x))) {
+		if res.Gap <= tol*(1+math.Abs(prob.System.CostOfLoads(lx))) {
 			res.Converged = true
 			break
 		}
-		// Exact line search on f(x + s·(vertex − x)), s ∈ [0, 1]: the
-		// objective restricted to the segment is a smooth convex
-		// polynomial in s, so ternary search finds the minimizer. This
-		// beats the classic 2/(k+2) schedule by a wide margin in practice.
-		step := lineSearch(prob, x, vertex)
+		step := lineSearch(reps, lx, lv)
 		if step <= 0 {
-			res.Converged = true
-			break
+			break // rounding left no descent along the segment; uncertified
 		}
 		Scale(x, 1-step)
 		AXPY(x, step, vertex)
+		for j := range lx {
+			lx[j] = (1-step)*lx[j] + step*lv[j]
+		}
 	}
 	res.X = x
 	res.Objective = prob.Cost(x)
 	return res, nil
 }
 
-// lineSearch minimizes s ↦ f(x + s·(v − x)) over [0, 1] by ternary search
-// (f restricted to the segment is convex).
-func lineSearch(prob *Problem, x, v [][]float64) float64 {
-	probe := NewMatrix(len(x), len(x[0]))
-	eval := func(s float64) float64 {
-		Copy(probe, x)
-		Scale(probe, 1-s)
-		AXPY(probe, s, v)
-		return prob.Cost(probe)
+// feasibleStart reports whether x0 can seed FrankWolfeFrom: right shape and
+// within rounding of prob's feasible region. The iterates inherit whatever
+// violation the start carries (shrinking it every step), so the bar sits
+// three orders below the 1e-6 the flow oracle itself tolerates.
+func feasibleStart(prob *Problem, x0 [][]float64) bool {
+	if len(x0) != prob.C() {
+		return false
+	}
+	want := 0.0
+	for i, row := range x0 {
+		if len(row) != prob.N() {
+			return false
+		}
+		want += prob.Demands[i]
+	}
+	return prob.Violation(x0) <= 1e-9*(1+want)
+}
+
+// lineSearch minimizes φ(s) = Σ_n Cost_n((1−s)·lx_n + s·lv_n) over [0, 1]:
+// the objective along the segment between two assignments with column
+// loads lx and lv. φ is convex, so φ′ is nondecreasing and bisection on its
+// sign finds the minimizer at O(|N|) per probe.
+func lineSearch(reps []model.Replica, lx, lv []float64) float64 {
+	slope := func(s float64) float64 {
+		d := 0.0
+		for j := range reps {
+			d += (lv[j] - lx[j]) * reps[j].MarginalCost((1-s)*lx[j]+s*lv[j])
+		}
+		return d
+	}
+	if slope(0) >= 0 {
+		return 0
+	}
+	if slope(1) <= 0 {
+		return 1
 	}
 	lo, hi := 0.0, 1.0
-	for iter := 0; iter < 60 && hi-lo > 1e-10; iter++ {
-		m1 := lo + (hi-lo)/3
-		m2 := hi - (hi-lo)/3
-		if eval(m1) <= eval(m2) {
-			hi = m2
+	for hi-lo > 1e-12 {
+		mid := (lo + hi) / 2
+		if slope(mid) < 0 {
+			lo = mid
 		} else {
-			lo = m1
+			hi = mid
 		}
 	}
 	return (lo + hi) / 2

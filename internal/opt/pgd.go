@@ -36,7 +36,11 @@ func DiminishingStep(d float64) StepRule {
 type PGDOptions struct {
 	// MaxIters bounds gradient iterations. Default 2000.
 	MaxIters int
-	// Step selects step sizes. Default DiminishingStep(1).
+	// Step selects step sizes. Default DiminishingStep(1), which is
+	// unscaled: a 1 MB first step regardless of the instance's demands and
+	// curvature, so it zig-zags to MaxIters on instances far from unit
+	// scale. Callers should pass a rule scaled to their instance, as
+	// central.autoStep does.
 	Step StepRule
 	// Tol declares convergence when the iterate moves less than Tol
 	// (Frobenius) in one step. Default 1e-8.

@@ -10,7 +10,7 @@ import (
 
 // testProblem builds a small instance with the paper's default parameters:
 // all latencies feasible unless the mask says otherwise.
-func testProblem(t *testing.T, prices []float64, demands []float64) *Problem {
+func testProblem(t testing.TB, prices []float64, demands []float64) *Problem {
 	t.Helper()
 	rs := make([]model.Replica, len(prices))
 	for i, u := range prices {

@@ -21,6 +21,7 @@ import (
 //	edr_round_cohorts                      gauge, virtual clients of the last round (0 = ungrouped)
 //	edr_round_cohort_ratio                 gauge, |C|/|K| compression of the last round
 //	edr_round_dirty_clients                gauge, dirty-subset size of the last round (clients on full rounds)
+//	edr_round_subsolve_gap                 gauge, certified duality gap of the last incremental sub-solve (0 otherwise)
 //	edr_round_suppressed_notifies          gauge, notifies suppressed on the last round
 //	edr_ring_joined_total{member}          counter, members added to the view
 //	edr_ring_removed_total{member}         counter, members removed from the view
@@ -47,6 +48,7 @@ type Collector struct {
 	lastCohorts     int
 	lastCohortRatio float64
 	lastDirty       int
+	lastSubsolveGap float64
 	lastSuppressed  int
 }
 
@@ -91,6 +93,12 @@ func NewCollector(keep int) *Collector {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return float64(c.lastDirty)
+		})
+	reg.Gauge("edr_round_subsolve_gap",
+		"Certified duality gap of the most recent round's incremental sub-solve; 0 when the round had none.", nil, func() float64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return c.lastSubsolveGap
 		})
 	reg.Gauge("edr_round_suppressed_notifies",
 		"Clients not re-notified on the most recent round (allocation moved within epsilon).", nil, func() float64 {
@@ -140,6 +148,7 @@ func (c *Collector) Handle(e Event) {
 		} else {
 			c.lastDirty = ev.Clients
 		}
+		c.lastSubsolveGap = ev.SubsolveGap
 		c.lastSuppressed = ev.SuppressedNotifies
 		c.rounds = append(c.rounds, ev)
 		if len(c.rounds) > c.keep {

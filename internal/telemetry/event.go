@@ -43,6 +43,9 @@ type RoundCompleted struct {
 	Incremental bool `json:"incremental,omitempty"`
 	// DirtyClients is the dirty-subset size of an incremental round.
 	DirtyClients int `json:"dirty_clients,omitempty"`
+	// SubsolveGap is the certified duality gap of an incremental round's
+	// central sub-solve (0 on every other round).
+	SubsolveGap float64 `json:"subsolve_gap,omitempty"`
 	// SuppressedNotifies counts clients whose allocation moved too little
 	// to be worth a notify this round.
 	SuppressedNotifies int `json:"suppressed_notifies,omitempty"`
