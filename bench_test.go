@@ -295,55 +295,6 @@ func BenchmarkSolve(b *testing.B) {
 	})
 }
 
-// BenchmarkSparseSolve measures each engine dense (SparseOff) vs packed
-// sparse (SparseForce) on the masked C=100, N=10 geo instance — the CI
-// smoke for the sparse kernels, and a local read on the per-engine packed
-// speedup at paper scale.
-func BenchmarkSparseSolve(b *testing.B) {
-	prob := solveScaleProblem(b, 2026)
-	if prob.Sparsity().Full {
-		b.Fatal("geo instance unexpectedly has no structural zeros")
-	}
-	for _, mode := range []struct {
-		name string
-		m    opt.SparseMode
-	}{{"Dense", opt.SparseOff}, {"Sparse", opt.SparseForce}} {
-		b.Run("LDDM/"+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := lddm.New()
-				s.MaxIters = 400
-				s.Sparse = mode.m
-				if _, err := s.Solve(prob); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("CDPSM/"+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := cdpsm.New()
-				s.MaxIters = 25
-				s.Sparse = mode.m
-				if _, err := s.Solve(prob); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("ADMM/"+mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := admm.New()
-				s.MaxIters = 60
-				s.Sparse = mode.m
-				if _, err := s.Solve(prob); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSolverLDDM runs the LDDM engine on the paper-scale instance.
 func BenchmarkSolverLDDM(b *testing.B) {
 	prob := paperScaleProblem(b, 1)
@@ -453,12 +404,12 @@ func BenchmarkWaterFilling(b *testing.B) {
 		Replica: model.NewReplica("r", 5),
 		Mu:      make([]float64, c),
 		Demands: make([]float64, c),
-		Allowed: make([]bool, c),
+		Clients: make([]int, c),
 	}
 	for i := 0; i < c; i++ {
 		lp.Mu[i] = r.Range(-40, 5)
 		lp.Demands[i] = r.Range(1, 30)
-		lp.Allowed[i] = true
+		lp.Clients[i] = i
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

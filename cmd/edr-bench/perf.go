@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -43,38 +42,11 @@ type perfReport struct {
 	// solve ungrouped vs through the cohort layer. Optional so reports
 	// from pre-cohort builds still diff cleanly.
 	Cohort *cohortPerf `json:"cohort_scale,omitempty"`
-	// Sparse is the 10k-client sparse-scale entry: dense vs packed CDPSM
-	// kernels and v1 vs v2 wire frames on a 20%-density regional instance.
-	// Optional so reports from pre-sparse builds still diff cleanly.
-	Sparse *sparseScalePerf `json:"sparse_scale,omitempty"`
 	// Drift is the steady-state incremental sweep: incremental vs full
 	// rounds over drifting demands at 10k clients (see driftPerf).
 	// Optional so reports from pre-incremental builds still diff cleanly.
 	Drift *driftPerf `json:"drift_sweep,omitempty"`
 	Notes []string   `json:"notes,omitempty"`
-}
-
-// sparseScalePerf pins the sparse-core claims: kernel speedup of the
-// packed CSR path over the dense path at 10k clients and ≤20% density,
-// and the wire saving of a kinded (sparse) estimate frame over the dense
-// v1 layout. Kernel times subtract the feasibility oracle (identical on
-// both sides and not part of the iteration hot path).
-type sparseScalePerf struct {
-	Clients  int     `json:"clients"`
-	Regions  int     `json:"regions"`
-	Replicas int     `json:"replicas"`
-	Density  float64 `json:"density"`
-	MaxIters int     `json:"max_iters"`
-	OracleNs int64   `json:"feasibility_oracle_ns"`
-	DenseNs  int64   `json:"dense_kernel_ns_per_op"`
-	SparseNs int64   `json:"sparse_kernel_ns_per_op"`
-	Speedup  float64 `json:"speedup_vs_dense"`
-	// One CDPSM iteration fleet-wide (N agents × N-1 peer pulls), framing
-	// the same estimate matrix with the v1 dense codec vs the v2 kinded
-	// chooser (sparse layout at this density).
-	WireV1BytesPerIteration int     `json:"wire_v1_bytes_per_iteration"`
-	WireV2BytesPerIteration int     `json:"wire_v2_bytes_per_iteration"`
-	WireRatio               float64 `json:"wire_v1_over_v2"`
 }
 
 type cohortPerf struct {
@@ -234,15 +206,6 @@ func runPerf(outDir string, seed uint64, baseline string) error {
 	fmt.Printf("perf cohort %d clients -> %d cohorts (%.0fx); ungrouped %12d ns/op  cohorted %12d ns/op  speedup %.0fx\n",
 		cp.Clients, cp.Cohorts, cp.Ratio, cp.UngroupedNs, cp.CohortNs, cp.Speedup)
 
-	sp, err := measureSparseScale(seed)
-	if err != nil {
-		return err
-	}
-	report.Sparse = sp
-	fmt.Printf("perf sparse %d clients at %.0f%% density; dense kernel %12d ns/op  sparse %12d ns/op  speedup %.1fx; wire %d B vs %d B per iteration (%.1fx)\n",
-		sp.Clients, 100*sp.Density, sp.DenseNs, sp.SparseNs, sp.Speedup,
-		sp.WireV1BytesPerIteration, sp.WireV2BytesPerIteration, sp.WireRatio)
-
 	dp, err := measureDriftSweep(seed)
 	if err != nil {
 		return err
@@ -327,27 +290,6 @@ func diffBaseline(fresh *perfReport, path string) error {
 			regressions = append(regressions, fmt.Sprintf(
 				"cohort-scale speedup fell to %.1fx (baseline %.1fx, floor %gx)",
 				fresh.Cohort.Speedup, base.Cohort.Speedup, cohortFloor))
-		}
-	}
-	// Sparse-scale tripwires, relative like the cohort gate: the packed
-	// kernels must stay ≥3x over dense at ≤20% density, and a kinded
-	// estimate frame must stay ≥2x leaner than the dense v1 layout. A
-	// packed kernel time of 0 is the extrapolation failing to resolve the
-	// kernel from the solve's fixed cost on a noisy machine — too small to
-	// measure, which is not a slowdown — so that run skips the kernel floor.
-	if base.Sparse != nil && fresh.Sparse != nil {
-		const kernelFloor, wireFloor = 3.0, 2.0
-		if fresh.Sparse.SparseNs == 0 {
-			fmt.Println("perf baseline: sparse-scale kernel time unresolved this run — kernel floor not checked")
-		} else if base.Sparse.Speedup >= kernelFloor && fresh.Sparse.Speedup < kernelFloor {
-			regressions = append(regressions, fmt.Sprintf(
-				"sparse-scale kernel speedup fell to %.1fx (baseline %.1fx, floor %gx)",
-				fresh.Sparse.Speedup, base.Sparse.Speedup, kernelFloor))
-		}
-		if base.Sparse.WireRatio >= wireFloor && fresh.Sparse.WireRatio < wireFloor {
-			regressions = append(regressions, fmt.Sprintf(
-				"sparse-scale wire saving fell to %.1fx (baseline %.1fx, floor %gx)",
-				fresh.Sparse.WireRatio, base.Sparse.WireRatio, wireFloor))
 		}
 	}
 	// Drift-sweep tripwires, relative like the gates above: the 1%-drift
@@ -451,125 +393,6 @@ func measureCohortScale(seed uint64) (*cohortPerf, error) {
 		cp.Speedup = float64(cp.UngroupedNs) / float64(cp.CohortNs)
 	}
 	return cp, nil
-}
-
-// measureSparseScale times the CDPSM kernels dense vs packed-sparse on a
-// 10k-client regional instance masked down to the 2 nearest replicas per
-// client (exactly 20% density). Tol is pinned unreachably low so every
-// iteration runs — the measurement is fixed-iteration kernel cost, not
-// convergence speed. Each mode is solved at 5 and at 25 iterations and
-// the timings differenced: the feasibility oracle and solver setup are
-// identical in both solves and cancel exactly, which a separately-timed
-// oracle subtraction cannot guarantee (the standalone oracle run can be
-// slower than the one inside Solve, driving the kernel estimate
-// negative). Each configuration takes the best of two runs.
-func measureSparseScale(seed uint64) (*sparseScalePerf, error) {
-	const clients, replicas, regions, itersLo, iters, keep = 10000, 10, 50, 5, 25, 2
-	prob, err := probgen.New(sim.NewRand(seed), probgen.Spec{
-		Clients:  clients,
-		Replicas: replicas,
-		Regions:  regions,
-		DemandLo: 0.01,
-		DemandHi: 0.1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range prob.Latency {
-		row := prob.Latency[i]
-		idx := make([]int, len(row))
-		for j := range idx {
-			idx[j] = j
-		}
-		sort.Slice(idx, func(a, b int) bool { return row[idx[a]] < row[idx[b]] })
-		for _, j := range idx[keep:] {
-			row[j] = 10 * prob.MaxLatency
-		}
-	}
-	prob.InvalidateMask()
-
-	// The oracle timing is informational only (it no longer feeds the
-	// kernel numbers); one standalone run suffices.
-	t0 := time.Now()
-	if err := opt.CheckFeasible(prob); err != nil {
-		return nil, fmt.Errorf("sparse-scale instance: %w", err)
-	}
-	oracle := time.Since(t0)
-
-	mk := func(mode opt.SparseMode, maxIters int) *cdpsm.Solver {
-		s := cdpsm.New()
-		s.MaxIters = maxIters
-		s.Tol = 1e-300
-		s.Sparse = mode
-		return s
-	}
-	var res *solver.Result
-	// solve returns the best-of-two wall time for maxIters iterations,
-	// keeping the last assignment for the wire measurement below.
-	solve := func(mode opt.SparseMode, maxIters int) (time.Duration, error) {
-		var best time.Duration
-		for run := 0; run < 2; run++ {
-			t0 := time.Now()
-			r, err := mk(mode, maxIters).Solve(prob)
-			if err != nil {
-				return 0, err
-			}
-			if d := time.Since(t0); best == 0 || d < best {
-				best = d
-			}
-			res = r
-		}
-		return best, nil
-	}
-	// kernel extrapolates the fixed-cost-free per-iteration time back to
-	// the full iteration count: (T_hi − T_lo) covers hi−lo iterations.
-	kernel := func(mode opt.SparseMode) (time.Duration, error) {
-		tLo, err := solve(mode, itersLo)
-		if err != nil {
-			return 0, err
-		}
-		tHi, err := solve(mode, iters)
-		if err != nil {
-			return 0, err
-		}
-		d := (tHi - tLo) * iters / (iters - itersLo)
-		if d < 0 {
-			d = 0
-		}
-		return d, nil
-	}
-	dense, err := kernel(opt.SparseOff)
-	if err != nil {
-		return nil, err
-	}
-	sparse, err := kernel(opt.SparseAuto)
-	if err != nil {
-		return nil, err
-	}
-
-	spz := prob.Sparsity()
-	v1 := len(transport.AppendMatrix(nil, res.Assignment))
-	v2 := len(transport.AppendMatrixKinded(nil, res.Assignment, nil))
-	pulls := replicas * (replicas - 1)
-	sp := &sparseScalePerf{
-		Clients:                 clients,
-		Regions:                 regions,
-		Replicas:                replicas,
-		Density:                 float64(spz.NNZ()) / float64(clients*replicas),
-		MaxIters:                iters,
-		OracleNs:                oracle.Nanoseconds(),
-		DenseNs:                 dense.Nanoseconds(),
-		SparseNs:                sparse.Nanoseconds(),
-		WireV1BytesPerIteration: v1 * pulls,
-		WireV2BytesPerIteration: v2 * pulls,
-	}
-	if sp.SparseNs > 0 {
-		sp.Speedup = float64(sp.DenseNs) / float64(sp.SparseNs)
-	}
-	if v2 > 0 {
-		sp.WireRatio = float64(v1) / float64(v2)
-	}
-	return sp, nil
 }
 
 // measureDeltaHitRate runs one live round per algorithm on an in-process

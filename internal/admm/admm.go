@@ -49,14 +49,6 @@ type Solver struct {
 	// across cores: > 0 pins the worker count, 0 sizes from GOMAXPROCS,
 	// < 0 forces serial. Parallel and serial runs are bit-identical.
 	Parallelism int
-	// Sparse selects the packed sparse kernels (CSC columns, packed
-	// proximal targets). The default, opt.SparseAuto, dispatches on the
-	// instance: masked instances run sparse, fully-feasible ones keep the
-	// dense kernels bit-for-bit. On masked instances the packed loop's
-	// iterates match the dense loop bitwise (both proximal evals sum over
-	// the support only); the final feasibility polish runs a different
-	// projector, so end objectives agree to tolerance rather than bitwise.
-	Sparse opt.SparseMode
 }
 
 // New returns an ADMM solver with defaults.
@@ -65,7 +57,11 @@ func New() *Solver { return &Solver{} }
 // Name implements solver.Solver.
 func (s *Solver) Name() string { return "ADMM" }
 
-// Solve implements solver.Solver.
+// Solve implements solver.Solver. Each replica's column z_n lives as a CSC
+// slice over its feasible client list (every client on a fully-feasible
+// instance), so the proximal subproblems — the hot path: two
+// O(len log len) slice projections per ternary-search step — cost the
+// column's nnz, and the per-client row sums walk CSR through PosCSC.
 func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
@@ -73,10 +69,9 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	if err := opt.CheckFeasible(prob); err != nil {
 		return nil, err
 	}
-	if sp := prob.Sparsity(); s.Sparse.Enabled(sp) {
-		return s.solveSparse(prob, sp)
-	}
+	sp := prob.Sparsity()
 	c, n := prob.C(), prob.N()
+	nnz := sp.NNZ()
 	rho := s.Rho
 	if rho <= 0 {
 		rho = autoRho(prob)
@@ -94,14 +89,13 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 		localIters = 40
 	}
 
-	mask := prob.Allowed()
-	// Per-replica proximal solves write disjoint z rows against read-only
-	// shared state, so they fan across cores bit-identically; the gate
-	// keeps small instances serial.
-	par := opt.NewParallel(s.Parallelism).Gate(c * n)
-	// Per-replica columns z_n, shared scaled dual u (per client), and the
-	// per-client demand share R/|N|.
-	z := opt.NewMatrix(n, c) // note: transposed layout, z[n][cl]
+	par := opt.NewParallel(s.Parallelism).Gate(nnz)
+	zp := make([]float64, nnz)       // CSC layout
+	capsPk := make([]float64, nnz)   // packed caps: client demand per slot
+	targetPk := make([]float64, nnz) // packed proximal targets, same layout
+	for k, i := range sp.RowIdx {
+		capsPk[k] = prob.Demands[i]
+	}
 	u := make([]float64, c)
 	share := make([]float64, c)
 	for i := 0; i < c; i++ {
@@ -109,19 +103,7 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	}
 	rowAvg := make([]float64, c)
 	prevAvg := make([]float64, c)
-	// The caps are constant (each client's demand) and the latency masks
-	// are per replica: hoist both out of the iteration loop. Targets get
-	// one scratch row per chunk so concurrent solves never share one.
-	caps := make([]float64, c)
-	copy(caps, prob.Demands)
-	allowed := make([][]bool, n)
-	for j := 0; j < n; j++ {
-		allowed[j] = make([]bool, c)
-		for i := 0; i < c; i++ {
-			allowed[j][i] = mask[i][j]
-		}
-	}
-	targets := opt.NewMatrix(par.Chunks(n), c)
+	rows := make([]float64, c)
 
 	demandNorm := 0.0
 	for _, d := range prob.Demands {
@@ -129,53 +111,63 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	}
 	demandNorm = math.Sqrt(demandNorm)
 
+	// rowSums accumulates each client's Σ_n z_{c,n} in ascending replica
+	// order by walking the CSR index through PosCSC.
+	rowSums := func(dst []float64) {
+		for i := 0; i < sp.C; i++ {
+			sum := 0.0
+			for k := sp.RowStart[i]; k < sp.RowStart[i+1]; k++ {
+				sum += zp[sp.PosCSC[k]]
+			}
+			dst[i] = sum
+		}
+	}
+
 	res := &solver.Result{}
 	for k := 1; k <= maxIters; k++ {
 		res.Iterations = k
 		copy(prevAvg, rowAvg)
-		// Row averages from the previous iterates.
+		rowSums(rowAvg)
 		for i := 0; i < c; i++ {
-			sum := 0.0
-			for j := 0; j < n; j++ {
-				sum += z[j][i]
-			}
-			rowAvg[i] = sum / float64(n)
+			rowAvg[i] /= float64(n)
 		}
-		// Each replica's proximal solve against its target.
-		if err := par.ForErr(n, func(chunk, lo, hi int) error {
-			target := targets[chunk]
+		// Each replica's proximal solve against its target; columns are
+		// disjoint CSC ranges, so the fan-out is bit-identical to the serial
+		// sweep. The target build writes the shared packed vector but only
+		// this column's slots.
+		if err := par.ForBalancedErr(n, sp.ColStart, func(_, lo, hi int) error {
 			for j := lo; j < hi; j++ {
-				for i := 0; i < c; i++ {
-					target[i] = z[j][i] - rowAvg[i] + share[i] - u[i]
+				cs, ce := sp.ColStart[j], sp.ColStart[j+1]
+				for k := cs; k < ce; k++ {
+					i := sp.RowIdx[k]
+					targetPk[k] = zp[k] - rowAvg[i] + share[i] - u[i]
 				}
-				out, err := ProximalColumn(prob.System.Replicas[j], allowed[j], caps, target, rho, localIters)
+				out, err := ProximalColumn(prob.System.Replicas[j], capsPk[cs:ce], targetPk[cs:ce], rho, localIters)
 				if err != nil {
 					return fmt.Errorf("admm: replica %d proximal: %w", j, err)
 				}
-				copy(z[j], out)
+				copy(zp[cs:ce], out)
 			}
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		// Dual update from the fresh row averages.
+		// Dual update from the fresh row sums (rowAvg keeps the
+		// pre-proximal averages for the dual residual).
 		maxPrimal := 0.0
+		rowSums(rows)
 		for i := 0; i < c; i++ {
-			sum := 0.0
-			for j := 0; j < n; j++ {
-				sum += z[j][i]
-			}
-			avg := sum / float64(n)
+			avg := rows[i] / float64(n)
 			u[i] += avg - share[i]
-			if r := math.Abs(sum - prob.Demands[i]); r > maxPrimal {
+			if r := math.Abs(rows[i] - prob.Demands[i]); r > maxPrimal {
 				maxPrimal = r
 			}
 		}
 		// Communication accounting: like LDDM, each replica exchanges its
-		// per-client contributions with the clients holding the dual:
-		// O(|C|·|N|) scalars per iteration.
-		res.Comm.Messages += 2 * c * n
-		res.Comm.Scalars += 2 * c * n
+		// per-client contributions with the feasible clients holding the
+		// dual: 2·nnz scalars per iteration, which is O(|C|·|N|).
+		res.Comm.Messages += 2 * nnz
+		res.Comm.Scalars += 2 * nnz
 
 		// Residual-based stopping (Boyd §3.3): primal ‖Σz − R‖, dual
 		// ρ·‖avg − prevAvg‖, both relative to the demand scale.
@@ -192,14 +184,15 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 		}
 	}
 
-	// Transpose into client×replica form and polish exactly feasible.
+	// Scatter the packed columns into client×replica form and polish
+	// exactly feasible.
 	x := opt.NewMatrix(c, n)
 	for j := 0; j < n; j++ {
-		for i := 0; i < c; i++ {
-			x[i][j] = z[j][i]
+		for k := sp.ColStart[j]; k < sp.ColStart[j+1]; k++ {
+			x[sp.RowIdx[k]][j] = zp[k]
 		}
 	}
-	if err := opt.ProjectFeasibleMode(prob, x, 1e-6, par, s.Sparse); err != nil {
+	if err := opt.ProjectFeasiblePar(prob, x, 1e-6, par); err != nil {
 		return nil, fmt.Errorf("admm: final polish: %w", err)
 	}
 	res.Assignment = x
@@ -210,22 +203,24 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 // ProximalColumn solves one replica's ADMM subproblem
 //
 //	min_{z ∈ X}  E(Σ z) + (ρ/2)‖z − target‖²
-//	X = {0 ≤ z ≤ caps, mask, Σz ≤ B}
+//	X = {0 ≤ z ≤ caps, Σz ≤ B}
 //
-// exactly up to a 1-D tolerance by exploiting its structure: for a fixed
-// column sum S, the optimal z is the Euclidean projection of the target
-// onto the slice {0 ≤ z ≤ caps, mask, Σz = S}, so the whole subproblem
-// reduces to minimizing the convex value function
+// over the replica's feasible clients only: target, caps and the returned
+// column hold one entry per client within its latency bound, so the mask
+// never appears. It is exact up to a 1-D tolerance by exploiting the
+// problem's structure: for a fixed column sum S, the optimal z is the
+// Euclidean projection of the target onto the slice {0 ≤ z ≤ caps, Σz = S},
+// so the whole subproblem reduces to minimizing the convex value function
 //
 //	h(S) = E(S) + (ρ/2)·dist²(target, slice_S)
 //
 // over S ∈ [0, min(B, Σcaps)] by ternary search with `iters` steps. It is
 // exported because the live runtime's ADMM rounds invoke it on each
-// replica server (see internal/core).
-func ProximalColumn(rep model.Replica, allowed []bool, caps, target []float64, rho float64, iters int) ([]float64, error) {
-	c := len(target)
-	if len(allowed) != c || len(caps) != c {
-		return nil, fmt.Errorf("admm: proximal shape mismatch: %d targets, %d allowed, %d caps", c, len(allowed), len(caps))
+// replica server (see round.go).
+func ProximalColumn(rep model.Replica, caps, target []float64, rho float64, iters int) ([]float64, error) {
+	m := len(target)
+	if len(caps) != m {
+		return nil, fmt.Errorf("admm: proximal shape mismatch: %d targets, %d caps", m, len(caps))
 	}
 	if rho <= 0 {
 		return nil, fmt.Errorf("admm: non-positive rho %g", rho)
@@ -234,33 +229,24 @@ func ProximalColumn(rep model.Replica, allowed []bool, caps, target []float64, r
 		iters = 40
 	}
 	capSum := 0.0
-	for i := 0; i < c; i++ {
-		if allowed[i] {
-			capSum += caps[i]
-		}
+	for _, u := range caps {
+		capSum += u
 	}
-	z := make([]float64, c)
+	z := make([]float64, m)
 	maxS := math.Min(rep.Bandwidth, capSum)
 	if maxS <= 0 {
 		return z, nil
 	}
-	probe := make([]float64, c)
+	probe := make([]float64, m)
 	eval := func(S float64) (float64, error) {
 		copy(probe, target)
-		if err := opt.ProjectMaskedCappedSimplex(probe, caps, allowed, S); err != nil {
+		if err := opt.ProjectCappedSimplex(probe, caps, S); err != nil {
 			return 0, err
 		}
-		// Masked entries contribute only the constant (0 − target_i)² to the
-		// distance — irrelevant to the argmin, but large enough to drown the
-		// h1/h2 comparison in rounding noise once the ternary interval is
-		// small. Summing over the support keeps the comparison exact and
-		// makes this eval bitwise identical to ProximalColumnPacked's.
 		d := 0.0
-		for i := 0; i < c; i++ {
-			if allowed[i] {
-				diff := probe[i] - target[i]
-				d += diff * diff
-			}
+		for i := 0; i < m; i++ {
+			diff := probe[i] - target[i]
+			d += diff * diff
 		}
 		return rep.Cost(S) + rho/2*d, nil
 	}
@@ -284,7 +270,7 @@ func ProximalColumn(rep model.Replica, allowed []bool, caps, target []float64, r
 	}
 	best := (lo + hi) / 2
 	copy(z, target)
-	if err := opt.ProjectMaskedCappedSimplex(z, caps, allowed, best); err != nil {
+	if err := opt.ProjectCappedSimplex(z, caps, best); err != nil {
 		return nil, err
 	}
 	return z, nil

@@ -111,14 +111,11 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 			}
 		}
 	}
-	if sp := rd.Prob.Sparsity(); opt.SparseAuto.Enabled(sp) {
-		// Masked instance: each replica's proximal solve reads only its
-		// feasible clients' targets, so build (and ship) the target
-		// projected onto that support. The structural zeros are bit-stable
-		// across iterations, which lets the kinded wire frames go sparse
-		// or delta.
-		a.sp = sp
-	}
+	// Each replica's proximal solve reads only its feasible clients'
+	// targets, so build (and ship) the target projected onto that support.
+	// The structural zeros are bit-stable across iterations, which lets the
+	// kinded wire frames go sparse or delta.
+	a.sp = rd.Prob.Sparsity()
 	if len(rd.WarmMu) == c {
 		// Warm-start the scaled dual: the previous round's final duals
 		// enter as an additive offset on an accumulator that starts from
@@ -136,18 +133,12 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 			// is frozen for the wave by Iterate).
 			Verb: MsgProx,
 			Body: func(j int) any {
+				// Off-support entries stay zero: the pooled row was zeroed
+				// at acquisition and is only ever written here.
 				t := a.targets[j]
-				if a.sp != nil {
-					// Off-support entries stay zero: the pooled row was
-					// zeroed at acquisition and is only ever written here.
-					for s := a.sp.ColStart[j]; s < a.sp.ColStart[j+1]; s++ {
-						i := a.sp.RowIdx[s]
-						t[i] = a.z[j][i] - a.rowAvg[i] + a.share[i] - a.u[i]
-					}
-				} else {
-					for i := 0; i < c; i++ {
-						t[i] = a.z[j][i] - a.rowAvg[i] + a.share[i] - a.u[i]
-					}
+				for s := a.sp.ColStart[j]; s < a.sp.ColStart[j+1]; s++ {
+					i := a.sp.RowIdx[s]
+					t[i] = a.z[j][i] - a.rowAvg[i] + a.share[i] - a.u[i]
 				}
 				body := ProxBody{Round: rd.Seq, Iter: a.k, Rho: a.rho, Target: t}
 				body.Base, body.BaseIter = a.tx.Stage(rd.ReplicaAddrs[j], a.k, t)
@@ -239,16 +230,11 @@ func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, 
 	return final, nil
 }
 
-// serverState caches the replica's latency mask and per-client caps so a
-// round's repeated proximal solves skip rebuilding them. On masked
-// instances the dense mask is replaced by the packed support (clients +
-// packed caps) and the proximal runs on the packed kernel.
+// serverState caches the replica's feasible client list and their caps so
+// a round's repeated proximal solves skip rebuilding them.
 type serverState struct {
-	allowed []bool
-	caps    []float64
-
-	clients []int     // packed ascending client ids (nil on full instances)
-	capsPk  []float64 // caps aligned with clients
+	clients []int     // ascending ids of the clients within the latency bound
+	caps    []float64 // per-client caps (demands) aligned with clients
 
 	rx transport.DeltaRx // delta-frame receive window for the target stream
 }
@@ -261,21 +247,11 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	// Fetch (or build) the round state before decoding: a delta target
 	// frame resolves its base from the receive window.
 	st, err := sr.State("ADMM", func() (any, error) {
-		s := &serverState{}
-		if sp := sr.Prob.Sparsity(); opt.SparseAuto.Enabled(sp) {
-			s.clients = sp.RowIdx[sp.ColStart[sr.Col]:sp.ColStart[sr.Col+1]:sp.ColStart[sr.Col+1]]
-			s.capsPk = make([]float64, len(s.clients))
-			for idx, i := range s.clients {
-				s.capsPk[idx] = sr.Prob.Demands[i]
-			}
-			return s, nil
-		}
-		mask := sr.Prob.Allowed()
-		s.allowed = make([]bool, c)
-		s.caps = make([]float64, c)
-		for i := 0; i < c; i++ {
-			s.allowed[i] = mask[i][sr.Col]
-			s.caps[i] = sr.Prob.Demands[i]
+		sp := sr.Prob.Sparsity()
+		s := &serverState{clients: sp.RowIdx[sp.ColStart[sr.Col]:sp.ColStart[sr.Col+1]:sp.ColStart[sr.Col+1]]}
+		s.caps = make([]float64, len(s.clients))
+		for idx, i := range s.clients {
+			s.caps[idx] = sr.Prob.Demands[i]
 		}
 		return s, nil
 	})
@@ -292,26 +268,19 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 		return nil, fmt.Errorf("admm: round %d: %d targets for %d clients", body.Round, len(body.Target), c)
 	}
 	ps.rx.Absorb(body.Iter, body.Target)
-	// Both proximal kernels are stateless over read-only inputs, so
+	// The proximal kernel is stateless over read-only inputs, so
 	// concurrent solves need no lock.
-	if ps.clients != nil {
-		targetPk := make([]float64, len(ps.clients))
-		for idx, i := range ps.clients {
-			targetPk[idx] = body.Target[i]
-		}
-		packed, err := ProximalColumnPacked(sr.Prob.System.Replicas[sr.Col], ps.capsPk, targetPk, body.Rho, 40)
-		if err != nil {
-			return nil, err
-		}
-		col := make([]float64, c)
-		for idx, i := range ps.clients {
-			col[i] = packed[idx]
-		}
-		return ProxReply{Column: col}, nil
+	target := make([]float64, len(ps.clients))
+	for idx, i := range ps.clients {
+		target[idx] = body.Target[i]
 	}
-	col, err := ProximalColumn(sr.Prob.System.Replicas[sr.Col], ps.allowed, ps.caps, body.Target, body.Rho, 40)
+	packed, err := ProximalColumn(sr.Prob.System.Replicas[sr.Col], ps.caps, target, body.Rho, 40)
 	if err != nil {
 		return nil, err
+	}
+	col := make([]float64, c)
+	for idx, i := range ps.clients {
+		col[i] = packed[idx]
 	}
 	return ProxReply{Column: col}, nil
 }

@@ -65,14 +65,6 @@ type Solver struct {
 	// < 0 forces serial. Parallel and serial runs are bit-identical —
 	// each agent writes only its own estimate.
 	Parallelism int
-	// Sparse selects the packed sparse kernels (CSR estimates, incremental
-	// column sums in the local projections). The default, opt.SparseAuto,
-	// dispatches on the instance: masked instances run sparse, fully-
-	// feasible ones keep the dense kernels bit-for-bit. opt.SparseOff is
-	// the dense baseline; opt.SparseForce runs sparse everywhere
-	// (tolerance-equivalent on full instances — the incremental sums
-	// change floating-point summation order).
-	Sparse opt.SparseMode
 }
 
 // Topology is a CDPSM gossip pattern.
@@ -134,51 +126,6 @@ func (s *Solver) params(n int) (step opt.StepRule, maxIters int, tol float64, we
 	return step, maxIters, tol, weights, sweeps, nil
 }
 
-// agentState is one replica's view.
-type agentState struct {
-	estimate [][]float64
-}
-
-// LocalProjection builds agent i's constraint-set projection P_i.
-func LocalProjection(prob *opt.Problem, agent int, sweeps int) opt.SetProjection {
-	return LocalProjectionPar(prob, agent, sweeps, nil)
-}
-
-// LocalProjectionPar is LocalProjection with the per-client row sweep
-// fanned over par (nil = serial, identical results). The returned closure
-// owns reused scratch, so it is safe for repeated sequential calls but
-// not for concurrent calls of the same closure.
-func LocalProjectionPar(prob *opt.Problem, agent int, sweeps int, par *opt.Parallel) opt.SetProjection {
-	mask := prob.Allowed()
-	caps := prob.Caps()
-	par = par.Gate(prob.C() * prob.N())
-	rowSet := func(x [][]float64) error {
-		return par.ForErr(len(x), func(_, lo, hi int) error {
-			for c := lo; c < hi; c++ {
-				if err := opt.ProjectMaskedCappedSimplex(x[c], caps[c], mask[c], prob.Demands[c]); err != nil {
-					return fmt.Errorf("cdpsm: agent %d client %d: %w", agent, c, err)
-				}
-			}
-			return nil
-		})
-	}
-	col := make([]float64, prob.C()) // hoisted: reused across every sweep
-	colSet := func(x [][]float64) error {
-		for c := range x {
-			col[c] = x[c][agent]
-		}
-		opt.ProjectHalfspaceSumLE(col, prob.System.Replicas[agent].Bandwidth)
-		for c := range x {
-			x[c][agent] = col[c]
-		}
-		return nil
-	}
-	return func(x [][]float64) error {
-		_, err := opt.Dykstra(x, []opt.SetProjection{rowSet, colSet}, opt.DykstraOptions{MaxSweeps: sweeps, Tol: 1e-9})
-		return err
-	}
-}
-
 // LocalGradient writes agent i's ∇E_i(v) into g: only column i is nonzero,
 // with value u_i·(α_i + β_i·γ_i·(Σ_c v_{c,i})^{γ_i−1}).
 func LocalGradient(prob *opt.Problem, agent int, v, g [][]float64) {
@@ -198,7 +145,11 @@ func LocalGradient(prob *opt.Problem, agent int, v, g [][]float64) {
 	}
 }
 
-// Solve implements solver.Solver.
+// Solve implements solver.Solver. Estimates live as CSR-packed vectors
+// over the latency-feasibility support (a fully-feasible instance is the
+// density-1 case): per iteration each agent's consensus, gradient step and
+// local projection cost O(nnz), and agents write only their own next
+// estimate, so parallel and serial runs stay bit-identical.
 func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
@@ -206,20 +157,14 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	if err := opt.CheckFeasible(prob); err != nil {
 		return nil, err
 	}
-	if sp := prob.Sparsity(); s.Sparse.Enabled(sp) {
-		return s.solveSparse(prob, sp)
-	}
+	sp := prob.Sparsity()
 	nAgents := prob.N()
 	step, maxIters, tol, weights, sweeps, err := s.params(nAgents)
 	if err != nil {
 		return nil, err
 	}
-	c, n := prob.C(), prob.N()
-	// Fan the per-agent work across cores: each agent's consensus step,
-	// gradient step and projection write only that agent's next[i] (plus
-	// per-chunk scratch), so parallel and serial runs are bit-identical —
-	// the gate keeps test-sized instances on the serial path.
-	par := opt.NewParallel(s.Parallelism).Gate(c * n * nAgents)
+	nnz := sp.NNZ()
+	par := opt.NewParallel(s.Parallelism).Gate(nnz * nAgents)
 	chunks := par.Chunks(nAgents)
 
 	// Initialize every agent from the uniform start projected into its
@@ -229,16 +174,22 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	agents := make([]agentState, nAgents)
-	projections := make([]opt.SetProjection, nAgents)
-	for i := range agents {
-		agents[i].estimate = opt.Clone(start)
-		projections[i] = LocalProjection(prob, i, sweeps)
+	vstart := sp.Gather(nil, start)
+
+	ests := make([][]float64, nAgents)
+	next := make([][]float64, nAgents)
+	projs := make([]*opt.SparseProjector, nAgents)
+	for i := range ests {
+		ests[i] = append([]float64(nil), vstart...)
+		next[i] = make([]float64, nnz)
+		// Serial projector per agent: parallelism lives across agents.
+		projs[i] = newLocalProjector(prob, sp, i, nil)
 	}
+	popts := opt.DykstraOptions{MaxSweeps: sweeps, Tol: 1e-9}
 	if err := par.ForErr(nAgents, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			if err := projections[i](agents[i].estimate); err != nil {
-				return err
+			if _, err := projs[i].Project(ests[i], popts); err != nil {
+				return fmt.Errorf("cdpsm: agent %d: %w", i, err)
 			}
 		}
 		return nil
@@ -247,46 +198,33 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	}
 
 	res := &solver.Result{}
-	grads := make([][][]float64, chunks)
-	conses := make([][][]float64, chunks)
-	for ch := range grads {
-		grads[ch] = opt.NewMatrix(c, n)
-		conses[ch] = opt.NewMatrix(c, n)
+	conses := make([][]float64, chunks)
+	for ch := range conses {
+		conses[ch] = make([]float64, nnz)
 	}
-	avg := opt.NewMatrix(c, n)
+	avg := make([]float64, nnz)
+	loads := make([]float64, sp.N)
 	moved := make([]float64, nAgents)
-	uw := make([]float64, nAgents) // hoisted uniform-mean weights, reused every iteration
-	next := make([][][]float64, nAgents)
-	for i := range next {
-		next[i] = opt.NewMatrix(c, n)
-	}
-	mats := make([][][]float64, nAgents)
+	uw := make([]float64, nAgents)
+	mats := make([][]float64, nAgents)
 
 	for k := 1; k <= maxIters; k++ {
 		// Snapshot all estimates (messages: each agent pulls everyone
-		// else's full matrix).
-		for i := range agents {
-			mats[i] = agents[i].estimate
-		}
+		// else's).
+		copy(mats, ests)
 		d := step(k)
 		if err := par.ForErr(nAgents, func(chunk, lo, hi int) error {
-			grad, consensus := grads[chunk], conses[chunk]
+			cons := conses[chunk]
 			for i := lo; i < hi; i++ {
-				// Consensus step V^i (Eq. 3). Complete topology: the general
-				// weighted average Σ_j a_j P^j (with uniform weights every
-				// agent computes the same average). Ring topology: the
-				// ¼/½/¼ neighbor average, whose weight matrix is doubly
-				// stochastic over the ring graph.
-				s.consensusFor(i, weights, mats, consensus)
-				// Gradient step on the local objective.
-				LocalGradient(prob, i, consensus, grad)
-				opt.Copy(next[i], consensus)
-				opt.AXPY(next[i], -d, grad)
-				// Project onto the local constraint set.
-				if err := projections[i](next[i]); err != nil {
-					return err
+				// Consensus step V^i, gradient step on the local objective,
+				// projection onto the local constraint set.
+				s.consensusFor(i, weights, mats, cons)
+				copy(next[i], cons)
+				gradStep(prob, sp, i, d, next[i])
+				if _, err := projs[i].Project(next[i], popts); err != nil {
+					return fmt.Errorf("cdpsm: agent %d: %w", i, err)
 				}
-				moved[i] = opt.Dist(next[i], agents[i].estimate)
+				moved[i] = opt.VecDist(next[i], ests[i])
 			}
 			return nil
 		}); err != nil {
@@ -298,25 +236,27 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 				maxMove = m
 			}
 		}
-		for i := range agents {
-			opt.Copy(agents[i].estimate, next[i])
+		for i := range ests {
+			copy(ests[i], next[i])
 		}
 		// Communication accounting for this iteration (paper §III-D.1):
 		// complete topology has each of the |N| agents receive |N|−1
-		// estimates of |C|·|N| scalars → O(|C|·|N|³) per iteration
-		// system-wide; the ring variant receives only 2.
+		// estimates of nnz ≤ |C|·|N| supported scalars → O(|C|·|N|³) per
+		// iteration system-wide; the ring variant receives only 2.
 		peers := nAgents - 1
 		if s.Topology == TopologyRing && nAgents > 2 {
 			peers = 2
 		}
 		res.Comm.Messages += nAgents * peers
-		res.Comm.Scalars += nAgents * peers * c * n
+		res.Comm.Scalars += nAgents * peers * nnz
 		res.Iterations = k
 
 		// Record the objective of the global average estimate (the common
-		// point the agents are converging to).
-		uniformMean(avg, uw, mats)
-		res.History = append(res.History, prob.Cost(avg))
+		// point the agents are converging to); it depends only on column
+		// sums, so the average never needs densifying.
+		uniformMean(avg, uw, ests)
+		sp.ColSumsInto(loads, avg)
+		res.History = append(res.History, prob.System.CostOfLoads(loads))
 
 		if maxMove <= tol {
 			res.Converged = true
@@ -326,12 +266,10 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 
 	// Final solution: the consensus average of the agents' estimates,
 	// polished onto the exact feasible region.
-	for i := range agents {
-		mats[i] = agents[i].estimate
-	}
-	final := opt.NewMatrix(c, n)
-	uniformMean(final, uw, mats)
-	if err := opt.ProjectFeasibleMode(prob, final, 1e-6, par, s.Sparse); err != nil {
+	uniformMean(avg, uw, ests)
+	final := opt.NewMatrix(prob.C(), prob.N())
+	sp.Scatter(final, avg)
+	if err := opt.ProjectFeasiblePar(prob, final, 1e-6, par); err != nil {
 		return nil, fmt.Errorf("cdpsm: final polish: %w", err)
 	}
 	res.Assignment = final
@@ -339,27 +277,66 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	return res, nil
 }
 
-// consensusFor computes agent i's consensus average into dst.
-func (s *Solver) consensusFor(i int, weights []float64, mats [][][]float64, dst [][]float64) {
-	n := len(mats)
-	if s.Topology == TopologyRing && n > 2 {
-		prev := mats[(i-1+n)%n]
-		next := mats[(i+1)%n]
-		opt.Fill(dst, 0)
-		opt.AXPY(dst, 0.25, prev)
-		opt.AXPY(dst, 0.5, mats[i])
-		opt.AXPY(dst, 0.25, next)
-		return
+// newLocalProjector builds agent i's packed local-set projector: every
+// client row plus the agent's own capacity halfspace (other columns are
+// unconstrained in P_i, encoded as +Inf bounds the projector skips in
+// O(1)).
+func newLocalProjector(prob *opt.Problem, sp *opt.Sparsity, agent int, par *opt.Parallel) *opt.SparseProjector {
+	bounds := make([]float64, sp.N)
+	for n := range bounds {
+		bounds[n] = math.Inf(1)
 	}
-	opt.Mean(dst, weights, mats...)
+	bounds[agent] = prob.System.Replicas[agent].Bandwidth
+	return opt.NewSparseProjector(sp, prob.Demands, bounds, par)
 }
 
-// uniformMean averages all estimates with equal weight into dst — the
-// common reference point used for history and the final answer. w is the
-// caller's reused weights buffer (len(mats)), filled here.
-func uniformMean(dst [][]float64, w []float64, mats [][][]float64) {
-	for i := range w {
-		w[i] = 1 / float64(len(mats))
+// packedColSum returns Σ_c v_{c,n} of a CSR-packed vector, accumulated in
+// ascending client order.
+func packedColSum(sp *opt.Sparsity, n int, v []float64) float64 {
+	s := 0.0
+	for k := sp.ColStart[n]; k < sp.ColStart[n+1]; k++ {
+		s += v[sp.PosCSR[k]]
 	}
-	opt.Mean(dst, w, mats...)
+	return s
+}
+
+// gradStep applies agent i's gradient step in place: the local
+// objective E_i depends only on column i, so v loses d·∇E_i only on that
+// column's support.
+func gradStep(prob *opt.Problem, sp *opt.Sparsity, agent int, d float64, v []float64) {
+	load := packedColSum(sp, agent, v)
+	if load < 0 {
+		load = 0
+	}
+	marginal := prob.System.Replicas[agent].MarginalCost(load)
+	for k := sp.ColStart[agent]; k < sp.ColStart[agent+1]; k++ {
+		v[sp.PosCSR[k]] -= d * marginal
+	}
+}
+
+// consensusFor computes agent i's consensus average over packed
+// estimates into dst (Eq. 3). Complete topology: the general weighted
+// average Σ_j a_j P^j (with uniform weights every agent computes the same
+// average). Ring topology: the ¼/½/¼ neighbor average, whose weight matrix
+// is doubly stochastic over the ring graph.
+func (s *Solver) consensusFor(i int, weights []float64, vs [][]float64, dst []float64) {
+	n := len(vs)
+	if s.Topology == TopologyRing && n > 2 {
+		opt.VecFill(dst, 0)
+		opt.VecAXPY(dst, 0.25, vs[(i-1+n)%n])
+		opt.VecAXPY(dst, 0.5, vs[i])
+		opt.VecAXPY(dst, 0.25, vs[(i+1)%n])
+		return
+	}
+	opt.VecMean(dst, weights, vs...)
+}
+
+// uniformMean averages packed estimates with equal weight into dst — the
+// common reference point used for history and the final answer. w is the
+// caller's reused weights buffer (len(vs)), filled here.
+func uniformMean(dst []float64, w []float64, vs [][]float64) {
+	for i := range w {
+		w[i] = 1 / float64(len(vs))
+	}
+	opt.VecMean(dst, w, vs...)
 }

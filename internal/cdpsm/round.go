@@ -344,19 +344,15 @@ func handleStep(ctx context.Context, body *StepBody, sr *engine.ServerRound) (St
 	LocalGradient(sr.Prob, sr.Col, consensus, grad)
 	next := opt.Clone(consensus)
 	opt.AXPY(next, -body.Step, grad)
-	// Local projection: masked instances run the packed sparse projector
-	// (every estimate in flight is supported on the mask, so gathering
-	// drops only exact zeros); full instances keep the dense Dykstra.
-	if sp := sr.Prob.Sparsity(); opt.SparseAuto.Enabled(sp) {
-		v := sp.Gather(nil, next)
-		pj := newLocalProjector(sr.Prob, sp, sr.Col, sr.Par)
-		if _, err := pj.Project(v, opt.DykstraOptions{MaxSweeps: 60, Tol: 1e-9}); err != nil {
-			return StepReply{}, fmt.Errorf("cdpsm: step projection: %w", err)
-		}
-		sp.Scatter(next, v)
-	} else if err := LocalProjectionPar(sr.Prob, sr.Col, 60, sr.Par)(next); err != nil {
-		return StepReply{}, err
+	// Local projection on the packed projector: every estimate in flight
+	// is supported on the mask, so gathering drops only exact zeros.
+	sp := sr.Prob.Sparsity()
+	v := sp.Gather(nil, next)
+	pj := newLocalProjector(sr.Prob, sp, sr.Col, sr.Par)
+	if _, err := pj.Project(v, opt.DykstraOptions{MaxSweeps: 60, Tol: 1e-9}); err != nil {
+		return StepReply{}, fmt.Errorf("cdpsm: step projection: %w", err)
 	}
+	sp.Scatter(next, v)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()

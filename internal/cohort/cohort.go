@@ -307,31 +307,6 @@ func (g *Grouping) AggregateRows(full [][]float64) [][]float64 {
 	return out
 }
 
-// AggregateDuals folds per-client dual values into demand-weighted cohort
-// duals (uniform-weighted for zero-demand cohorts) — μ is a per-unit
-// price, so the cohort's dual is its members' demand-weighted average.
-func (g *Grouping) AggregateDuals(mu []float64) []float64 {
-	out := make([]float64, g.K())
-	for k, mem := range g.members {
-		num, den := 0.0, 0.0
-		for _, c := range mem {
-			if c >= len(mu) {
-				continue
-			}
-			w := g.orig.Demands[c]
-			if g.reduced.Demands[k] == 0 {
-				w = 1
-			}
-			num += w * mu[c]
-			den += w
-		}
-		if den > 0 {
-			out[k] = num / den
-		}
-	}
-	return out
-}
-
 // Check verifies a disaggregated assignment's invariants against the
 // original problem: per-client demand conservation within tol, zero load
 // on latency-infeasible links, and finite entries. Tests, the fuzz

@@ -8,9 +8,10 @@ import (
 )
 
 // This file holds the sparsity-aware cohort adapters: packed counterparts
-// of Disaggregate/AggregateRows/AggregateDuals that move assignments
-// between the full (|C|×|N|) and reduced (|K|×|N|) instances through
-// their opt.Sparsity views, with no dense |C|×|N| intermediate.
+// of Disaggregate/AggregateRows that move assignments between the full
+// (|C|×|N|) and reduced (|K|×|N|) instances through their opt.Sparsity
+// views, with no dense |C|×|N| intermediate, plus the per-client → cohort
+// dual fold.
 //
 // The structural fact everything below leans on: cohort keying is exact
 // on the feasibility mask, so member c's CSR row segment in the full
@@ -135,27 +136,11 @@ func (g *Grouping) DisaggregatePacked(vk []float64, dst []float64) ([]float64, e
 	return dst, nil
 }
 
-// AggregateRowsInto is AggregateRows with caller-owned (pooled) output:
-// out must be |K|×|N| and is overwritten. Returns out.
-func (g *Grouping) AggregateRowsInto(full [][]float64, out [][]float64) [][]float64 {
-	n := g.orig.N()
-	if len(out) != g.K() || (g.K() > 0 && len(out[0]) != n) {
-		panic(fmt.Sprintf("cohort: AggregateRowsInto got %dx? out for %dx%d", len(out), g.K(), n))
-	}
-	opt.Fill(out, 0)
-	for c, k := range g.of {
-		if c >= len(full) {
-			break
-		}
-		for j, v := range full[c] {
-			out[k][j] += v
-		}
-	}
-	return out
-}
-
-// AggregateDualsInto is AggregateDuals with caller-owned (pooled) output:
-// dst must have length |K| and is overwritten. Returns dst.
+// AggregateDualsInto folds per-client dual values into demand-weighted
+// cohort duals (uniform-weighted for zero-demand cohorts) — μ is a per-unit
+// price, so the cohort's dual is its members' demand-weighted average. The
+// output is caller-owned (pooled): dst must have length |K| and is
+// overwritten. Returns dst.
 func (g *Grouping) AggregateDualsInto(mu []float64, dst []float64) []float64 {
 	if len(dst) != g.K() {
 		panic(fmt.Sprintf("cohort: AggregateDualsInto got %d-slot dst for %d cohorts", len(dst), g.K()))

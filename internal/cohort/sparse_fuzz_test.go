@@ -13,7 +13,7 @@ import (
 // counterparts on adversarial masks: whatever instance and solver output
 // the fuzzer invents, DisaggregatePacked must be bitwise the full-sparsity
 // gather of Disaggregate, AggregateRowsPacked bitwise the reduced-sparsity
-// gather of AggregateRows, AggregateDualsInto bitwise AggregateDuals — and
+// gather of AggregateRows, AggregateDualsInto bitwise its reference — and
 // the packed result must conserve every client's demand (row sums match
 // the dense invariant exactly, bit for bit). This is the contract that
 // lets core run cohorted rounds packed end to end without a behavioral
@@ -144,7 +144,7 @@ func FuzzSparseCohortEquiv(f *testing.F) {
 		for i := range mu {
 			mu[i] = r.Range(-3, 3)
 		}
-		duWant := g.AggregateDuals(mu)
+		duWant := denseDuals(g, mu)
 		duGot := g.AggregateDualsInto(mu, make([]float64, g.K()))
 		for k := range duWant {
 			if math.Float64bits(duGot[k]) != math.Float64bits(duWant[k]) {

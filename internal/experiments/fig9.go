@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"edr/internal/core"
@@ -59,9 +60,16 @@ func Fig9(seed uint64) (*Result, error) {
 	}
 	var donarAtM []float64
 	for _, m := range []int{3, 6, 9, 12} {
-		ms, err := measureDONAR(r.Split(), 96, prices, m)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fig9 DONAR at %d mapping nodes: %w", m, err)
+		// Best of three: donar_m_growth_factor is a ratio of two of these
+		// points, and a single wall-clock sample of a ~10 ms epoch is at
+		// the mercy of whatever else the machine is running.
+		ms := math.Inf(1)
+		for sample := 0; sample < 3; sample++ {
+			v, err := measureDONAR(r.Split(), 96, prices, m)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: fig9 DONAR at %d mapping nodes: %w", m, err)
+			}
+			ms = math.Min(ms, v)
 		}
 		if err := mTab.AddRow(m, ms, edrAt96); err != nil {
 			return nil, err

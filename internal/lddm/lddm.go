@@ -44,15 +44,6 @@ type Solver struct {
 	// worker count, 0 sizes from GOMAXPROCS, < 0 forces serial. Parallel
 	// and serial runs are bit-identical.
 	Parallelism int
-	// Sparse selects the packed sparse kernels (CSR primal, packed
-	// water-filling over each replica's client list). The default,
-	// opt.SparseAuto, dispatches on the instance: masked instances run
-	// sparse, fully-feasible ones keep the dense kernels bit-for-bit.
-	// The packed water-filling preserves the dense candidate order and
-	// arithmetic, so on masked instances the sparse iterates (and the
-	// recorded History) are also bit-identical to the dense ones; only the
-	// final polish differs within projection tolerance.
-	Sparse opt.SparseMode
 }
 
 // New returns an LDDM solver with the defaults above.
@@ -117,6 +108,10 @@ func DemandResidual(x [][]float64, demands, rows []float64) float64 {
 		rows = make([]float64, len(x))
 	}
 	opt.RowSumsInto(rows, x)
+	return maxRelResidual(rows, demands)
+}
+
+func maxRelResidual(rows, demands []float64) float64 {
 	maxRel := 0.0
 	for i, r := range rows {
 		denom := demands[i]
@@ -130,7 +125,10 @@ func DemandResidual(x [][]float64, demands, rows []float64) float64 {
 	return maxRel
 }
 
-// Solve implements solver.Solver.
+// Solve implements solver.Solver. The primal lives as a CSR vector over
+// the latency-feasibility support (a fully-feasible instance is simply the
+// density-1 case): each replica water-fills only its own client list, and
+// the suffix averaging, μ updates and history cost O(nnz) per iteration.
 func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
@@ -138,9 +136,7 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	if err := opt.CheckFeasible(prob); err != nil {
 		return nil, err
 	}
-	if sp := prob.Sparsity(); s.Sparse.Enabled(sp) {
-		return s.solveSparse(prob, sp)
-	}
+	sp := prob.Sparsity()
 	step := s.Step
 	if step == nil {
 		step = AutoStepScaled(prob, s.StepRamp)
@@ -155,49 +151,42 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	}
 
 	c, n := prob.C(), prob.N()
-	mask := prob.Allowed()
-	// Per-replica local solves write disjoint primal columns, so they fan
-	// across cores bit-identically; the gate keeps small instances serial.
-	par := opt.NewParallel(s.Parallelism).Gate(c * n)
+	nnz := sp.NNZ()
+	par := opt.NewParallel(s.Parallelism).Gate(nnz)
 
-	// Clients hold the multipliers; replicas hold their columns.
 	mu := make([]float64, c)
 	locals := make([]*LocalProblem, n)
 	for j := 0; j < n; j++ {
-		allowed := make([]bool, c)
-		for i := 0; i < c; i++ {
-			allowed[i] = mask[i][j]
-		}
 		locals[j] = &LocalProblem{
 			Replica: prob.System.Replicas[j],
 			Mu:      mu, // shared slice: replicas read the latest multipliers
 			Demands: prob.Demands,
-			Allowed: allowed,
+			Clients: sp.RowIdx[sp.ColStart[j]:sp.ColStart[j+1]:sp.ColStart[j+1]],
 		}
 	}
 
 	res := &solver.Result{}
-	primal := opt.NewMatrix(c, n)
-	avgRows := make([]float64, c)
-	// Suffix-averaged primal iterate (restarted at powers of two): dual
-	// gradient methods with constant steps oscillate around the optimum;
-	// the window average converges, and restarting sheds burn-in bias.
-	avg := opt.NewMatrix(c, n)
+	primal := make([]float64, nnz) // CSR layout
+	avg := make([]float64, nnz)
+	rows := make([]float64, c)
+	loads := make([]float64, n)
 	windowStart := 1
 
 	for k := 1; k <= maxIters; k++ {
 		// Each replica solves its local problem given the current μ
-		// (Algorithm 2 line 4) and sends its column to the clients
-		// (line 5). SolveLocal reads the shared μ snapshot and writes only
-		// its own primal column.
-		if err := par.ForErr(n, func(_, lo, hi int) error {
+		// (Algorithm 2 line 4) and sends its column to the clients (line
+		// 5): it reads the shared μ snapshot and writes only its own CSC
+		// column slots, scattered into the CSR primal via PosCSR — disjoint
+		// per replica, so the fan-out stays bit-identical.
+		if err := par.ForBalancedErr(n, sp.ColStart, func(_, lo, hi int) error {
 			for j := lo; j < hi; j++ {
 				col, err := SolveLocal(locals[j])
 				if err != nil {
 					return fmt.Errorf("lddm: replica %d local solve: %w", j, err)
 				}
-				for i := 0; i < c; i++ {
-					primal[i][j] = col[i]
+				base := sp.ColStart[j]
+				for idx, v := range col {
+					primal[sp.PosCSR[base+idx]] = v
 				}
 			}
 			return nil
@@ -207,48 +196,49 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 		// Each client updates its multiplier from its served total
 		// (line 6): μ_c += d·(Σ_n p_{c,n} − R_c).
 		d := step(k)
+		packedRowSums(sp, primal, rows)
 		for i := 0; i < c; i++ {
-			served := 0.0
-			for j := 0; j < n; j++ {
-				served += primal[i][j]
-			}
-			mu[i] += d * (served - prob.Demands[i])
+			mu[i] += d * (rows[i] - prob.Demands[i])
 		}
 		// Doubling suffix average: restart the window at powers of two,
-		// then avg ← avg + (primal − avg)/w over the current window.
+		// then avg ← avg + (primal − avg)/w over the current window. Dual
+		// gradient methods with constant steps oscillate around the
+		// optimum; the window average converges, and restarting sheds
+		// burn-in bias.
 		if k == windowStart*2 {
 			windowStart = k
-			opt.Fill(avg, 0)
+			opt.VecFill(avg, 0)
 		}
 		w := k - windowStart + 1
-		opt.Scale(avg, float64(w-1)/float64(w))
-		opt.AXPY(avg, 1/float64(w), primal)
+		opt.VecScale(avg, float64(w-1)/float64(w))
+		opt.VecAXPY(avg, 1/float64(w), primal)
 
 		// Convergence test on the averaged iterate's demand residuals —
 		// only once the window is wide enough to have smoothed the
 		// oscillation.
 		maxRel := math.Inf(1)
 		if w >= 64 {
-			maxRel = DemandResidual(avg, prob.Demands, avgRows)
+			packedRowSums(sp, avg, rows)
+			maxRel = maxRelResidual(rows, prob.Demands)
 		}
 
 		// Communication accounting (paper §III-D.2): each iteration every
-		// replica exchanges its |C| column entries with the clients and
-		// receives |C| multipliers → O(|C|·|N|) scalars.
-		res.Comm.Messages += 2 * c * n
-		res.Comm.Scalars += 2 * c * n
+		// replica exchanges its column entries with the clients it may
+		// serve and receives their multipliers → 2·nnz scalars, which is
+		// O(|C|·|N|).
+		res.Comm.Messages += 2 * nnz
+		res.Comm.Scalars += 2 * nnz
 		res.Iterations = k
 
-		// Record the objective of the demand-normalized iterate so the
-		// convergence history (Fig 5) reflects comparable feasible costs.
 		if s.FeasibleHistory {
-			repaired := opt.Clone(avg)
-			if err := opt.ProjectFeasibleMode(prob, repaired, 1e-4, par, s.Sparse); err != nil {
+			repaired := opt.NewMatrix(c, n)
+			sp.Scatter(repaired, avg)
+			if err := opt.ProjectFeasiblePar(prob, repaired, 1e-4, par); err != nil {
 				return nil, fmt.Errorf("lddm: history repair at iteration %d: %w", k, err)
 			}
 			res.History = append(res.History, prob.Cost(repaired))
 		} else {
-			res.History = append(res.History, prob.Cost(normalizeRows(prob, primal)))
+			res.History = append(res.History, packedNormalizedCost(prob, sp, primal, rows, loads))
 		}
 
 		if maxRel <= tol {
@@ -260,8 +250,9 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	// Primal recovery: start from the ergodic average and repair
 	// feasibility exactly (constant-step dual iterates are near- but not
 	// exactly feasible).
-	final := opt.Clone(avg)
-	if err := opt.ProjectFeasibleMode(prob, final, 1e-6, par, s.Sparse); err != nil {
+	final := opt.NewMatrix(c, n)
+	sp.Scatter(final, avg)
+	if err := opt.ProjectFeasiblePar(prob, final, 1e-6, par); err != nil {
 		return nil, fmt.Errorf("lddm: primal recovery: %w", err)
 	}
 	res.Assignment = final
@@ -269,22 +260,36 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	return res, nil
 }
 
-// normalizeRows rescales each client's row toward its demand so intermediate
-// dual iterates can be costed on a comparable footing. Rows currently at
-// zero are left alone (their cost contribution is zero anyway).
-func normalizeRows(prob *opt.Problem, x [][]float64) [][]float64 {
-	out := opt.Clone(x)
-	for c := range out {
-		sum := 0.0
-		for _, v := range out[c] {
-			sum += v
+// packedRowSums writes each client's served total Σ_n v_{c,n} of a
+// CSR-packed vector into rows, accumulating in ascending replica order.
+func packedRowSums(sp *opt.Sparsity, v, rows []float64) {
+	for c := 0; c < sp.C; c++ {
+		s := 0.0
+		for k := sp.RowStart[c]; k < sp.RowStart[c+1]; k++ {
+			s += v[k]
 		}
-		if sum > 1e-12 {
-			scale := prob.Demands[c] / sum
-			for j := range out[c] {
-				out[c][j] *= scale
-			}
+		rows[c] = s
+	}
+}
+
+// packedNormalizedCost costs the iterate with each client's row rescaled
+// toward its demand, so intermediate dual iterates are costed on a
+// comparable footing (rows currently at zero are left alone — their cost
+// contribution is zero anyway). Per-replica loads accumulate in row-major
+// order, the order prob.Cost walks a dense matrix.
+func packedNormalizedCost(prob *opt.Problem, sp *opt.Sparsity, v, rows, loads []float64) float64 {
+	packedRowSums(sp, v, rows)
+	for n := range loads {
+		loads[n] = 0
+	}
+	for c := 0; c < sp.C; c++ {
+		scale := 1.0
+		if rows[c] > 1e-12 {
+			scale = prob.Demands[c] / rows[c]
+		}
+		for k := sp.RowStart[c]; k < sp.RowStart[c+1]; k++ {
+			loads[sp.ColIdx[k]] += v[k] * scale
 		}
 	}
-	return out
+	return prob.System.CostOfLoads(loads)
 }

@@ -153,22 +153,99 @@ func TestLDDMConvergesOnPaperScale(t *testing.T) {
 }
 
 func TestNormalizeRows(t *testing.T) {
+	// The default history costs the iterate with each row rescaled toward
+	// its demand; rows at zero are left alone.
 	r := sim.NewRand(31)
 	prob, err := probgen.New(r, probgen.Spec{Clients: 2, Replicas: 2, Demands: []float64{10, 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := [][]float64{{2, 3}, {0, 0}}
-	out := normalizeRows(prob, x)
-	if s := out[0][0] + out[0][1]; math.Abs(s-10) > 1e-9 {
-		t.Fatalf("row 0 normalized to %g, want 10", s)
+	sp := prob.Sparsity()
+	v := sp.Gather(nil, [][]float64{{2, 3}, {0, 0}})
+	before := append([]float64(nil), v...)
+	got := packedNormalizedCost(prob, sp, v, make([]float64, 2), make([]float64, 2))
+	// Row 0 (sum 5) scales by 2 to its demand 10; row 1 stays zero.
+	if want := prob.System.CostOfLoads([]float64{4, 6}); math.Abs(got-want) > 1e-9*(1+want) {
+		t.Fatalf("normalized cost %g, want %g", got, want)
 	}
-	if out[1][0] != 0 || out[1][1] != 0 {
-		t.Fatalf("zero row rescaled: %v", out[1])
+	for k := range v {
+		if v[k] != before[k] {
+			t.Fatal("packedNormalizedCost mutated its input")
+		}
 	}
-	// Input untouched.
-	if x[0][0] != 2 {
-		t.Fatal("normalizeRows mutated input")
+}
+
+func maskedInstance(t *testing.T, r *sim.Rand, clients, replicas int) *opt.Problem {
+	return maskedInstanceSpec(t, r, probgen.Spec{Clients: clients, Replicas: replicas, Geo: true})
+}
+
+func maskedInstanceSpec(t *testing.T, r *sim.Rand, spec probgen.Spec) *opt.Problem {
+	t.Helper()
+	for attempt := 0; attempt < 50; attempt++ {
+		prob, err := probgen.MustFeasible(r, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prob.Sparsity().Density() < 1 {
+			return prob
+		}
+	}
+	t.Fatal("no masked instance in 50 draws")
+	return nil
+}
+
+func TestLDDMSparseMatchesCentral(t *testing.T) {
+	r := sim.NewRand(61)
+	prob := maskedInstance(t, r, 8, 4)
+	res, err := New().Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := solver.Verify(prob, res, 1e-4); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := central.New().Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Objective > ref.Objective*1.05+1e-6 {
+		t.Fatalf("LDDM %.4f vs central %.4f (>5%% gap)", res.Objective, ref.Objective)
+	}
+}
+
+func TestLDDMSparseParallelSerialBitForBit(t *testing.T) {
+	r := sim.NewRand(67)
+	prob := maskedInstanceSpec(t, r, probgen.Spec{Clients: 40, Replicas: 6, Geo: true, DemandLo: 1, DemandHi: 6})
+	serial, err := (&Solver{Parallelism: -1, MaxIters: 500}).Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := (&Solver{Parallelism: 4, MaxIters: 500}).Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Iterations != parallel.Iterations {
+		t.Fatalf("iterations differ: %d vs %d", serial.Iterations, parallel.Iterations)
+	}
+	for c := range serial.Assignment {
+		for n := range serial.Assignment[c] {
+			if serial.Assignment[c][n] != parallel.Assignment[c][n] {
+				t.Fatalf("assignment differs at [%d][%d]", c, n)
+			}
+		}
+	}
+}
+
+func TestLDDMSparseCommCountsNNZ(t *testing.T) {
+	r := sim.NewRand(71)
+	prob := maskedInstance(t, r, 8, 4)
+	nnz := prob.Sparsity().NNZ()
+	res, err := (&Solver{MaxIters: 100}).Solve(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Comm.Scalars/res.Iterations, 2*nnz; got != want {
+		t.Fatalf("scalars/iteration = %d, want %d (2·nnz)", got, want)
 	}
 }
 

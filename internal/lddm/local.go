@@ -34,14 +34,11 @@ type LocalProblem struct {
 	Mu []float64
 	// Demands holds R_c — the per-client caps p_{c,n} ≤ R_c.
 	Demands []float64
-	// Allowed[c] reports whether this replica is within client c's
-	// latency bound.
-	Allowed []bool
-	// Clients, when non-nil, is the packed form of Allowed: the ascending
-	// client ids this replica may serve (a CSC column slice of the
-	// problem's Sparsity view). SolveLocalPacked uses it to run the
-	// water-filling in O(|Clients| log |Clients|) instead of O(|C| log |C|);
-	// Mu and Demands stay full-length and are indexed through it.
+	// Clients holds the ascending ids of the clients within this
+	// replica's latency bound (a CSC column slice of the problem's
+	// Sparsity view; every client on a fully-feasible instance). Mu and
+	// Demands stay full-length and are indexed through it, so the
+	// water-filling costs O(|Clients| log |Clients|).
 	Clients []int
 
 	// order is the candidate-ordering scratch, kept across solves: a
@@ -68,9 +65,11 @@ func (lp *LocalProblem) Validate() error {
 	if c == 0 {
 		return fmt.Errorf("lddm: local problem has no clients")
 	}
-	if len(lp.Demands) != c || len(lp.Allowed) != c {
-		return fmt.Errorf("lddm: local problem shape mismatch: mu %d, demands %d, allowed %d",
-			c, len(lp.Demands), len(lp.Allowed))
+	if len(lp.Demands) != c {
+		return fmt.Errorf("lddm: local problem shape mismatch: mu %d, demands %d", c, len(lp.Demands))
+	}
+	if lp.Clients == nil {
+		return fmt.Errorf("lddm: local problem has no client list")
 	}
 	return lp.Replica.Validate()
 }
@@ -96,77 +95,23 @@ func marginalLoad(r model.Replica, m float64) float64 {
 	return s
 }
 
-// SolveLocal solves the replica-local problem exactly by water-filling.
+// SolveLocal solves the replica-local problem exactly by water-filling,
+// returning the column values for lp.Clients (same order).
 //
 // The objective is Φ(S) + Σ μ_c p_c with Φ convex increasing, so the
 // optimum allocates to clients in ascending-μ order: client c receives
 // load while the marginal Φ'(S) + μ_c stays negative, stopping at its cap
 // R_c, at the capacity B_n, or at the break-even load Φ'(S) = −μ_c,
 // whichever comes first. Clients with μ_c ≥ −Φ'(current S) receive
-// nothing, as do latency-infeasible clients.
+// nothing; latency-infeasible clients are not in lp.Clients at all.
 func SolveLocal(lp *LocalProblem) ([]float64, error) {
 	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
-	c := len(lp.Mu)
-	p := make([]float64, c)
-
-	// Candidate clients in ascending μ.
-	order := lp.order[:0]
-	for i := 0; i < c; i++ {
-		if lp.Allowed[i] && lp.Demands[i] > 0 {
-			order = append(order, i)
-		}
-	}
-	lp.order = order
-	slices.SortFunc(order, func(a, b int) int { return byMu(lp.Mu, a, b) })
-
-	s := 0.0
-	budget := lp.Replica.Bandwidth
-	for _, i := range order {
-		if s >= budget-1e-15 {
-			break
-		}
-		mu := lp.Mu[i]
-		// Load level at which this client's marginal hits zero.
-		breakEven := marginalLoad(lp.Replica, -mu)
-		if breakEven <= s {
-			break // this and all later clients have non-negative marginals
-		}
-		take := math.Min(lp.Demands[i], math.Min(budget, breakEven)-s)
-		if take <= 0 {
-			break
-		}
-		p[i] = take
-		s += take
-	}
-	return p, nil
-}
-
-// SolveLocalPacked is SolveLocal on the packed client list: it returns the
-// column values for lp.Clients only (same order), skipping the masked-out
-// clients entirely. The candidate ordering, accumulation order and
-// water-filling arithmetic are identical to SolveLocal's, so the returned
-// values are bit-for-bit the supported entries of the dense solution.
-func SolveLocalPacked(lp *LocalProblem) ([]float64, error) {
-	if lp.Clients == nil {
-		return nil, fmt.Errorf("lddm: SolveLocalPacked needs a packed client list")
-	}
-	c := len(lp.Mu)
-	if c == 0 {
-		return nil, fmt.Errorf("lddm: local problem has no clients")
-	}
-	if len(lp.Demands) != c {
-		return nil, fmt.Errorf("lddm: local problem shape mismatch: mu %d, demands %d", c, len(lp.Demands))
-	}
-	if err := lp.Replica.Validate(); err != nil {
-		return nil, err
-	}
 	p := make([]float64, len(lp.Clients))
 
-	// Candidate positions in ascending μ. lp.Clients is ascending, so the
-	// pre-sort sequence (and hence the sort's permutation on ties) matches
-	// the dense path exactly.
+	// Candidate positions in ascending μ (lp.Clients is ascending, so ties
+	// keep client-id order).
 	order := lp.order[:0]
 	for idx, i := range lp.Clients {
 		if lp.Demands[i] > 0 {
@@ -183,10 +128,10 @@ func SolveLocalPacked(lp *LocalProblem) ([]float64, error) {
 			break
 		}
 		i := lp.Clients[idx]
-		mu := lp.Mu[i]
-		breakEven := marginalLoad(lp.Replica, -mu)
+		// Load level at which this client's marginal hits zero.
+		breakEven := marginalLoad(lp.Replica, -lp.Mu[i])
 		if breakEven <= s {
-			break
+			break // this and all later clients have non-negative marginals
 		}
 		take := math.Min(lp.Demands[i], math.Min(budget, breakEven)-s)
 		if take <= 0 {
@@ -198,13 +143,14 @@ func SolveLocalPacked(lp *LocalProblem) ([]float64, error) {
 	return p, nil
 }
 
-// LocalObjective evaluates E_n(S) + Σ μ_c p_c for a candidate column p.
+// LocalObjective evaluates E_n(S) + Σ μ_c p_c for a candidate column p
+// over lp.Clients.
 func LocalObjective(lp *LocalProblem, p []float64) float64 {
 	s := 0.0
 	linear := 0.0
-	for c, v := range p {
+	for idx, v := range p {
 		s += v
-		linear += lp.Mu[c] * v
+		linear += lp.Mu[lp.Clients[idx]] * v
 	}
 	return lp.Replica.Cost(s) + linear
 }
@@ -219,8 +165,7 @@ func SolveLocalPGD(lp *LocalProblem, iters int, step float64) ([]float64, error)
 	if iters <= 0 || step <= 0 {
 		return nil, fmt.Errorf("lddm: SolveLocalPGD needs positive iters and step")
 	}
-	c := len(lp.Mu)
-	p := make([]float64, c)
+	p := make([]float64, len(lp.Clients))
 	for k := 1; k <= iters; k++ {
 		s := 0.0
 		for _, v := range p {
@@ -228,16 +173,12 @@ func SolveLocalPGD(lp *LocalProblem, iters int, step float64) ([]float64, error)
 		}
 		marginal := lp.Replica.MarginalCost(s)
 		d := step / math.Sqrt(float64(k))
-		for i := 0; i < c; i++ {
-			if !lp.Allowed[i] {
-				p[i] = 0
-				continue
-			}
-			p[i] -= d * (marginal + lp.Mu[i])
-			if p[i] < 0 {
-				p[i] = 0
-			} else if p[i] > lp.Demands[i] {
-				p[i] = lp.Demands[i]
+		for idx, i := range lp.Clients {
+			p[idx] -= d * (marginal + lp.Mu[i])
+			if p[idx] < 0 {
+				p[idx] = 0
+			} else if p[idx] > lp.Demands[i] {
+				p[idx] = lp.Demands[i]
 			}
 		}
 		// Re-impose the capacity budget.

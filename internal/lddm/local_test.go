@@ -2,22 +2,101 @@ package lddm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"edr/internal/model"
 	"edr/internal/sim"
 )
 
+// clientsOf packs a latency mask column into the ascending client list a
+// LocalProblem carries.
+func clientsOf(allowed []bool) []int {
+	clients := []int{}
+	for i, ok := range allowed {
+		if ok {
+			clients = append(clients, i)
+		}
+	}
+	return clients
+}
+
 func localProblem(price float64, mu, demands []float64) *LocalProblem {
-	allowed := make([]bool, len(mu))
-	for i := range allowed {
-		allowed[i] = true
+	clients := make([]int, len(mu))
+	for i := range clients {
+		clients[i] = i
 	}
 	return &LocalProblem{
 		Replica: model.NewReplica("r", price),
 		Mu:      mu,
 		Demands: demands,
-		Allowed: allowed,
+		Clients: clients,
+	}
+}
+
+// solveLocalDense is the dense reference water-filling SolveLocal is
+// checked against: it scans all |C| clients, tests the mask per client and
+// returns a full-length column.
+func solveLocalDense(rep model.Replica, mu, demands []float64, allowed []bool) []float64 {
+	p := make([]float64, len(mu))
+	order := []int{}
+	for i := range mu {
+		if allowed[i] && demands[i] > 0 {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int { return byMu(mu, a, b) })
+	s := 0.0
+	budget := rep.Bandwidth
+	for _, i := range order {
+		if s >= budget-1e-15 {
+			break
+		}
+		breakEven := marginalLoad(rep, -mu[i])
+		if breakEven <= s {
+			break
+		}
+		take := math.Min(demands[i], math.Min(budget, breakEven)-s)
+		if take <= 0 {
+			break
+		}
+		p[i] = take
+		s += take
+	}
+	return p
+}
+
+func TestSolveLocalMatchesDenseOracle(t *testing.T) {
+	r := sim.NewRand(53)
+	for trial := 0; trial < 40; trial++ {
+		c := r.IntBetween(1, 12)
+		rep := model.NewReplica("r", r.Range(1, 20))
+		rep.Bandwidth = r.Range(20, 120)
+		mu := make([]float64, c)
+		demands := make([]float64, c)
+		allowed := make([]bool, c)
+		for i := 0; i < c; i++ {
+			mu[i] = r.Range(-2, 2)
+			demands[i] = r.Range(0, 30)
+			// The last ten trials run the full (density-1) client list.
+			allowed[i] = trial >= 30 || r.Float64() < 0.7
+		}
+		dense := solveLocalDense(rep, mu, demands, allowed)
+		lp := &LocalProblem{Replica: rep, Mu: mu, Demands: demands, Clients: clientsOf(allowed)}
+		packed, err := SolveLocal(lp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, i := range lp.Clients {
+			if packed[idx] != dense[i] {
+				t.Fatalf("trial %d: packed[%d]=%v, dense[%d]=%v", trial, idx, packed[idx], i, dense[i])
+			}
+		}
+		for i, v := range dense {
+			if !allowed[i] && v != 0 {
+				t.Fatalf("trial %d: dense wrote masked client %d", trial, i)
+			}
+		}
 	}
 }
 
@@ -90,16 +169,16 @@ func TestSolveLocalStopsAtBreakEven(t *testing.T) {
 
 func TestSolveLocalMaskedClient(t *testing.T) {
 	lp := localProblem(1, []float64{-1e6, -1e6}, []float64{10, 10})
-	lp.Allowed[0] = false
+	lp.Clients = []int{1} // client 0 is beyond the latency bound
 	p, err := SolveLocal(lp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p[0] != 0 {
-		t.Fatalf("masked client served %g", p[0])
+	if len(p) != 1 {
+		t.Fatalf("column has %d entries for 1 feasible client", len(p))
 	}
-	if math.Abs(p[1]-10) > 1e-9 {
-		t.Fatalf("allowed client got %g", p[1])
+	if math.Abs(p[0]-10) > 1e-9 {
+		t.Fatalf("allowed client got %g", p[0])
 	}
 }
 
@@ -110,6 +189,11 @@ func TestSolveLocalValidate(t *testing.T) {
 	}
 	if _, err := SolveLocal(&LocalProblem{}); err == nil {
 		t.Fatal("empty local problem accepted")
+	}
+	lp = localProblem(1, []float64{0}, []float64{1})
+	lp.Clients = nil
+	if _, err := SolveLocal(lp); err == nil {
+		t.Fatal("local problem without a client list accepted")
 	}
 }
 
@@ -151,7 +235,7 @@ func TestSolveLocalMatchesPGDProperty(t *testing.T) {
 			Replica: model.NewReplica("r", float64(r.IntBetween(1, 20))),
 			Mu:      mu,
 			Demands: demands,
-			Allowed: allowed,
+			Clients: clientsOf(allowed),
 		}
 		exact, err := SolveLocal(lp)
 		if err != nil {
@@ -188,7 +272,7 @@ func TestSolveLocalKKTProperty(t *testing.T) {
 			Replica: model.NewReplica("r", float64(r.IntBetween(1, 20))),
 			Mu:      mu,
 			Demands: demands,
-			Allowed: allowed,
+			Clients: clientsOf(allowed),
 		}
 		p, err := SolveLocal(lp)
 		if err != nil {
@@ -203,7 +287,7 @@ func TestSolveLocalKKTProperty(t *testing.T) {
 		}
 		atCapacity := s >= lp.Replica.Bandwidth-1e-9
 		marginal := lp.Replica.MarginalCost(s)
-		for i := 0; i < c; i++ {
+		for i := 0; i < c; i++ { // every client is allowed: p is full-length
 			g := marginal + mu[i] // ∂f/∂p_i
 			switch {
 			case p[i] < -1e-12 || p[i] > demands[i]+1e-9:

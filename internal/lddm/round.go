@@ -87,28 +87,22 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	a.avg = rd.Pool.Matrix(c, n)
 	a.rows = rd.Pool.Vector(c)
 	a.windowStart = 1
-	if sp := rd.Prob.Sparsity(); opt.SparseAuto.Enabled(sp) {
-		// Masked instance: each replica's local solve reads only its
-		// feasible clients' multipliers, so ship μ projected onto that
-		// support. The structural zeros are bit-stable across iterations,
-		// which is what lets the kinded wire frames go sparse or delta.
-		a.sp = sp
-		a.muPeer = rd.Pool.Matrix(n, c)
-	}
+	// Each replica's local solve reads only its feasible clients'
+	// multipliers, so ship μ projected onto that support. The structural
+	// zeros are bit-stable across iterations, which is what lets the
+	// kinded wire frames go sparse or delta.
+	a.sp = rd.Prob.Sparsity()
+	a.muPeer = rd.Pool.Matrix(n, c)
 	a.exchanges = []engine.Exchange{
 		{
 			// Local solves, one per replica (Algorithm 2 lines 4–5;
 			// parallel: disjoint primal columns and per-peer μ rows).
 			Verb: MsgLocalSolve,
 			Body: func(j int) any {
-				mu := a.mu
-				if a.muPeer != nil {
-					row := a.muPeer[j] // off-support entries stay zero
-					for s := a.sp.ColStart[j]; s < a.sp.ColStart[j+1]; s++ {
-						i := a.sp.RowIdx[s]
-						row[i] = a.mu[i]
-					}
-					mu = row
+				mu := a.muPeer[j] // off-support entries stay zero
+				for s := a.sp.ColStart[j]; s < a.sp.ColStart[j+1]; s++ {
+					i := a.sp.RowIdx[s]
+					mu[i] = a.mu[i]
 				}
 				body := SolveBody{Round: rd.Seq, Iter: a.k, Mu: mu}
 				body.Base, body.BaseIter = a.tx.Stage(rd.ReplicaAddrs[j], a.k, mu)
@@ -195,22 +189,12 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	// Fetch (or build) the round state before decoding: a delta μ frame
 	// resolves its base from the receive window.
 	st, err := sr.State("LDDM", func() (any, error) {
-		local := &LocalProblem{
+		sp := sr.Prob.Sparsity()
+		return &serverState{local: &LocalProblem{
 			Replica: sr.Prob.System.Replicas[sr.Col],
 			Demands: sr.Prob.Demands,
-		}
-		if sp := sr.Prob.Sparsity(); opt.SparseAuto.Enabled(sp) {
-			// Masked instance: water-fill over the packed support only.
-			local.Clients = sp.RowIdx[sp.ColStart[sr.Col]:sp.ColStart[sr.Col+1]:sp.ColStart[sr.Col+1]]
-		} else {
-			mask := sr.Prob.Allowed()
-			allowed := make([]bool, c)
-			for i := range allowed {
-				allowed[i] = mask[i][sr.Col]
-			}
-			local.Allowed = allowed
-		}
-		return &serverState{local: local}, nil
+			Clients: sp.RowIdx[sp.ColStart[sr.Col]:sp.ColStart[sr.Col+1]:sp.ColStart[sr.Col+1]],
+		}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -228,20 +212,13 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	ls.local.Mu = body.Mu
-	if ls.local.Clients != nil {
-		packed, err := SolveLocalPacked(ls.local)
-		if err != nil {
-			return nil, err
-		}
-		col := make([]float64, c)
-		for idx, i := range ls.local.Clients {
-			col[i] = packed[idx]
-		}
-		return SolveReply{Column: col}, nil
-	}
-	col, err := SolveLocal(ls.local)
+	packed, err := SolveLocal(ls.local)
 	if err != nil {
 		return nil, err
+	}
+	col := make([]float64, c)
+	for idx, i := range ls.local.Clients {
+		col[i] = packed[idx]
 	}
 	return SolveReply{Column: col}, nil
 }

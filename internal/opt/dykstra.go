@@ -1,9 +1,6 @@
 package opt
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dykstra's alternating projection algorithm for the Euclidean projection
 // onto an intersection of convex sets, given the individual projections.
@@ -95,105 +92,32 @@ func Dykstra(x [][]float64, sets []SetProjection, opts DykstraOptions) (int, err
 //     mask} — demand, box and latency constraints, and
 //  2. per-column halfspaces            {Σ_c p_{c,n} ≤ B_n} — capacity.
 //
-// Their intersection is exactly the constraint set of Eq. 2.
+// Their intersection is exactly the constraint set of Eq. 2. Dykstra over
+// these dense sets is the reference the packed SparseProjector (which
+// ProjectFeasible runs) is tested against.
 func FeasibleSetProjections(prob *Problem) []SetProjection {
-	return FeasibleSetProjectionsPar(prob, nil)
-}
-
-// FeasibleSetProjectionsPar is FeasibleSetProjections with the row and
-// column sweeps fanned over par (nil = serial). Every row (and every
-// column) projection writes disjoint state, so the parallel sweeps are
-// bit-identical to the serial ones. The returned closures own per-chunk
-// scratch: each is safe for repeated sequential calls (Dykstra's usage)
-// but not for concurrent calls of the same closure.
-func FeasibleSetProjectionsPar(prob *Problem, par *Parallel) []SetProjection {
 	mask := prob.Allowed()
 	caps := prob.Caps()
-	c, n := prob.C(), prob.N()
-	par = par.Gate(c * n)
 	rowsSet := func(x [][]float64) error {
-		return par.ForErr(len(x), func(_, lo, hi int) error {
-			for c := lo; c < hi; c++ {
-				if err := ProjectMaskedCappedSimplex(x[c], caps[c], mask[c], prob.Demands[c]); err != nil {
-					return fmt.Errorf("client %d: %w", c, err)
-				}
-			}
-			return nil
-		})
-	}
-	// One column-gather scratch per chunk, hoisted out of the sweep loop
-	// (serial callers get exactly one).
-	colScratch := make([][]float64, par.Chunks(n))
-	for i := range colScratch {
-		colScratch[i] = make([]float64, c)
-	}
-	colsSet := func(x [][]float64) error {
-		par.For(n, func(chunk, lo, hi int) {
-			col := colScratch[chunk]
-			for j := lo; j < hi; j++ {
-				for c := range x {
-					col[c] = x[c][j]
-				}
-				ProjectHalfspaceSumLE(col, prob.System.Replicas[j].Bandwidth)
-				for c := range x {
-					x[c][j] = col[c]
-				}
-			}
-		})
-		return nil
-	}
-	return []SetProjection{rowsSet, colsSet}
-}
-
-// ProjectFeasible projects x in place onto the feasible region of prob
-// using Dykstra's algorithm, then verifies the result. tol bounds the
-// acceptable residual violation.
-func ProjectFeasible(prob *Problem, x [][]float64, tol float64) error {
-	return ProjectFeasiblePar(prob, x, tol, nil)
-}
-
-// ProjectFeasiblePar is ProjectFeasible with the per-client and per-column
-// projection kernels fanned over par (nil = serial, identical results).
-// Masked instances dispatch to the packed sparse projector (identical
-// guarantees, O(nnz) sweeps); fully-feasible ones keep the dense kernels
-// bit-for-bit.
-func ProjectFeasiblePar(prob *Problem, x [][]float64, tol float64, par *Parallel) error {
-	return ProjectFeasibleMode(prob, x, tol, par, SparseAuto)
-}
-
-// ProjectFeasibleMode is ProjectFeasiblePar with explicit sparse-kernel
-// dispatch, for solvers exposing a SparseMode knob and for dense-baseline
-// benchmarks.
-func ProjectFeasibleMode(prob *Problem, x [][]float64, tol float64, par *Parallel, mode SparseMode) error {
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	if mode.Enabled(prob.Sparsity()) {
-		return ProjectFeasibleSp(prob, x, tol, par)
-	}
-	sets := FeasibleSetProjectionsPar(prob, par)
-	// The row/column sets can meet at a shallow angle when capacities are
-	// tight, making Dykstra's linear rate slow; sweeps are cheap
-	// (O(C·N log N)) so a generous bound is the right trade.
-	if _, err := Dykstra(x, sets, DykstraOptions{MaxSweeps: 5000, Tol: tol / 10}); err != nil {
-		return err
-	}
-	// Final exact row pass so demands hold exactly even if Dykstra stopped
-	// on the column set; rows are the equality constraints.
-	mask := prob.Allowed()
-	caps := prob.Caps()
-	if err := par.Gate(prob.C()*prob.N()).ForErr(len(x), func(_, lo, hi int) error {
-		for c := lo; c < hi; c++ {
+		for c := range x {
 			if err := ProjectMaskedCappedSimplex(x[c], caps[c], mask[c], prob.Demands[c]); err != nil {
-				return err
+				return fmt.Errorf("client %d: %w", c, err)
 			}
 		}
 		return nil
-	}); err != nil {
-		return err
 	}
-	if v := prob.Violation(x); v > tol && !math.IsNaN(v) {
-		return fmt.Errorf("opt: projection left violation %g > tol %g (instance may be infeasible)", v, tol)
+	col := make([]float64, prob.C())
+	colsSet := func(x [][]float64) error {
+		for j := 0; j < prob.N(); j++ {
+			for c := range x {
+				col[c] = x[c][j]
+			}
+			ProjectHalfspaceSumLE(col, prob.System.Replicas[j].Bandwidth)
+			for c := range x {
+				x[c][j] = col[c]
+			}
+		}
+		return nil
 	}
-	return nil
+	return []SetProjection{rowsSet, colsSet}
 }

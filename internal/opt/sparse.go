@@ -5,38 +5,6 @@ import (
 	"math"
 )
 
-// SparseMode selects whether a solver (or projection) runs on the packed
-// sparse kernels or the dense ones. The zero value is automatic dispatch,
-// so existing configs pick up the sparse path with no changes.
-type SparseMode int
-
-const (
-	// SparseAuto uses the sparse kernels exactly when the instance's
-	// feasibility mask has structural zeros (density < 1). Fully-feasible
-	// instances stay on the dense code paths, which keeps results
-	// bit-for-bit identical to the pre-sparse implementation there.
-	SparseAuto SparseMode = iota
-	// SparseOff forces the dense kernels everywhere — the baseline the
-	// sparse benchmarks compare against.
-	SparseOff
-	// SparseForce runs the sparse kernels even on fully-feasible
-	// instances, for equivalence tests and kernel benchmarks.
-	SparseForce
-)
-
-// Enabled reports whether the mode selects the sparse kernels for an
-// instance with the given sparsity view.
-func (m SparseMode) Enabled(sp *Sparsity) bool {
-	switch m {
-	case SparseOff:
-		return false
-	case SparseForce:
-		return true
-	default:
-		return !sp.Full
-	}
-}
-
 // Sparsity is the immutable CSR+CSC index view of a problem's latency-
 // feasibility mask. Packed vectors indexed by it hold one float64 per
 // allowed (client, replica) pair in row-major (CSR) order, so per-client
@@ -65,8 +33,6 @@ type Sparsity struct {
 	PosCSR []int
 	// PosCSC[k] is the CSC slot of CSR slot k (the inverse of PosCSR).
 	PosCSC []int
-	// Full reports a mask with no structural zeros (density 1).
-	Full bool
 
 	maxRow int
 }
@@ -101,7 +67,6 @@ func NewSparsity(mask [][]bool) *Sparsity {
 		}
 	}
 	sp.maxRow = maxRow
-	sp.Full = nnz == c*n
 	sp.ColIdx = make([]int, nnz)
 	sp.RowIdx = make([]int, nnz)
 	sp.PosCSR = make([]int, nnz)

@@ -245,8 +245,7 @@ func (pj *SparseProjector) converged(v []float64, tol float64) (bool, error) {
 
 // FinishRows projects every row of v exactly onto its capped simplex (no
 // corrections), so the demand equalities hold exactly even when Dykstra
-// stopped on the column set — the packed counterpart of the dense final
-// row pass.
+// stopped on the column set.
 func (pj *SparseProjector) FinishRows(v []float64) error {
 	sp := pj.sp
 	return pj.par.ForBalancedErr(sp.C, sp.RowStart, func(chunk, lo, hi int) error {
@@ -267,13 +266,20 @@ func (pj *SparseProjector) FinishRows(v []float64) error {
 	})
 }
 
-// ProjectFeasibleSp projects dense x onto the feasible region of prob via
-// the packed sparse projector: off-support entries are zeroed (the
-// projection onto the mask subspace — the feasible set lies inside it), the
-// packed iterate is Dykstra-projected with incrementally maintained column
-// sums, rows get a final exact pass, and the result is scattered back and
-// verified like the dense path.
-func ProjectFeasibleSp(prob *Problem, x [][]float64, tol float64, par *Parallel) error {
+// ProjectFeasible projects x in place onto the feasible region of prob,
+// then verifies the result. tol bounds the acceptable residual violation.
+func ProjectFeasible(prob *Problem, x [][]float64, tol float64) error {
+	return ProjectFeasiblePar(prob, x, tol, nil)
+}
+
+// ProjectFeasiblePar is ProjectFeasible with the row and column sweeps
+// fanned over par (nil = serial, identical results). Off-support entries
+// of x are zeroed (the projection onto the mask subspace — the feasible
+// set lies inside it), the packed iterate is Dykstra-projected with
+// incrementally maintained column sums, rows get a final exact pass so
+// demands hold exactly even if Dykstra stopped on the column set, and the
+// result is scattered back and verified.
+func ProjectFeasiblePar(prob *Problem, x [][]float64, tol float64, par *Parallel) error {
 	if tol <= 0 {
 		tol = 1e-6
 	}
@@ -284,6 +290,9 @@ func ProjectFeasibleSp(prob *Problem, x [][]float64, tol float64, par *Parallel)
 	}
 	pj := NewSparseProjector(sp, prob.Demands, bounds, par)
 	v := sp.Gather(nil, x)
+	// The row/column sets can meet at a shallow angle when capacities are
+	// tight, making Dykstra's linear rate slow; sweeps are cheap (O(nnz))
+	// so a generous bound is the right trade.
 	if _, err := pj.Project(v, DykstraOptions{MaxSweeps: 5000, Tol: tol / 10}); err != nil {
 		return err
 	}

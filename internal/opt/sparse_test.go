@@ -15,8 +15,8 @@ func TestSparsityIndexes(t *testing.T) {
 		[]bool{false, false, true},
 		[]bool{true, true, false},
 	))
-	if sp.C != 3 || sp.N != 3 || sp.NNZ() != 5 || sp.Full {
-		t.Fatalf("C=%d N=%d nnz=%d full=%v", sp.C, sp.N, sp.NNZ(), sp.Full)
+	if sp.C != 3 || sp.N != 3 || sp.NNZ() != 5 {
+		t.Fatalf("C=%d N=%d nnz=%d", sp.C, sp.N, sp.NNZ())
 	}
 	wantRowStart := []int{0, 2, 3, 5}
 	for i, w := range wantRowStart {
@@ -100,19 +100,11 @@ func TestGatherScatterColSums(t *testing.T) {
 }
 
 func TestSparsityFullMask(t *testing.T) {
+	// A fully-feasible instance is a density-1 CSR: every slot present,
+	// rows and columns all full width.
 	sp := NewSparsity(maskOf([]bool{true, true}, []bool{true, true}))
-	if !sp.Full || sp.NNZ() != 4 {
-		t.Fatalf("full mask: full=%v nnz=%d", sp.Full, sp.NNZ())
-	}
-	if SparseAuto.Enabled(sp) {
-		t.Fatal("SparseAuto picked sparse kernels on a full mask")
-	}
-	if !SparseForce.Enabled(sp) || SparseOff.Enabled(sp) {
-		t.Fatal("Force/Off dispatch wrong")
-	}
-	masked := NewSparsity(maskOf([]bool{true, false}))
-	if !SparseAuto.Enabled(masked) {
-		t.Fatal("SparseAuto skipped sparse kernels on a masked instance")
+	if sp.NNZ() != 4 || sp.Density() != 1 || sp.MaxRowNNZ() != 2 || sp.ColNNZ(0) != 2 {
+		t.Fatalf("full mask: nnz=%d density=%g maxRow=%d col0=%d", sp.NNZ(), sp.Density(), sp.MaxRowNNZ(), sp.ColNNZ(0))
 	}
 }
 
@@ -209,51 +201,79 @@ func sparseTestInstance(t *testing.T, r *sim.Rand, clients, replicas int) (*Prob
 	return p, x
 }
 
-func TestProjectFeasibleSpMatchesDense(t *testing.T) {
+// denseProjectFeasible is the reference ProjectFeasible is checked
+// against: generic Dykstra over the dense row/column sets of
+// FeasibleSetProjections, then an exact final row pass.
+func denseProjectFeasible(p *Problem, x [][]float64, tol float64) error {
+	if _, err := Dykstra(x, FeasibleSetProjections(p), DykstraOptions{MaxSweeps: 5000, Tol: tol / 10}); err != nil {
+		return err
+	}
+	mask, caps := p.Allowed(), p.Caps()
+	for c := range x {
+		if err := ProjectMaskedCappedSimplex(x[c], caps[c], mask[c], p.Demands[c]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func TestProjectFeasibleMatchesDenseDykstra(t *testing.T) {
 	r := sim.NewRand(2013)
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 30; trial++ {
 		p, x := sparseTestInstance(t, r, r.IntBetween(3, 12), r.IntBetween(2, 5))
+		if trial >= 20 {
+			// Full masks: the density-1 case runs the same packed projector.
+			for c := range p.Latency {
+				for n := range p.Latency[c] {
+					p.Latency[c][n] = p.MaxLatency / 2
+				}
+			}
+			p.InvalidateMask()
+			if p.Sparsity().Density() != 1 {
+				t.Fatalf("trial %d: mask not full", trial)
+			}
+		}
 		dense := Clone(x)
-		sparse := Clone(x)
-		if err := ProjectFeasibleMode(p, dense, 1e-6, nil, SparseOff); err != nil {
+		packed := Clone(x)
+		if err := denseProjectFeasible(p, dense, 1e-6); err != nil {
 			t.Fatalf("trial %d dense: %v", trial, err)
 		}
-		if err := ProjectFeasibleSp(p, sparse, 1e-6, nil); err != nil {
-			t.Fatalf("trial %d sparse: %v", trial, err)
+		if err := ProjectFeasible(p, packed, 1e-6); err != nil {
+			t.Fatalf("trial %d packed: %v", trial, err)
 		}
-		if v := p.Violation(sparse); v > 1e-6 {
-			t.Fatalf("trial %d: sparse projection violation %g", trial, v)
+		if v := p.Violation(packed); v > 1e-6 {
+			t.Fatalf("trial %d: packed projection violation %g", trial, v)
 		}
 		// Both are (approximate) Euclidean projections of the same point
 		// onto the same convex set, so they must nearly coincide.
-		if d := Dist(dense, sparse); d > 1e-4 {
-			t.Fatalf("trial %d: dense and sparse projections differ by %g", trial, d)
+		if d := Dist(dense, packed); d > 1e-4 {
+			t.Fatalf("trial %d: dense and packed projections differ by %g", trial, d)
 		}
-		if gap := math.Abs(p.Cost(dense) - p.Cost(sparse)); gap > 1e-6*(1+p.Cost(dense)) {
+		if gap := math.Abs(p.Cost(dense) - p.Cost(packed)); gap > 1e-6*(1+p.Cost(dense)) {
 			t.Fatalf("trial %d: objective gap %g", trial, gap)
 		}
 	}
 }
 
-func TestProjectFeasibleSpParallelSerialBitForBit(t *testing.T) {
+func TestProjectFeasibleParallelSerialBitForBit(t *testing.T) {
 	r := sim.NewRand(99)
 	p, x := sparseTestInstance(t, r, 60, 8)
 	serial := Clone(x)
 	parallel := Clone(x)
-	if err := ProjectFeasibleSp(p, serial, 1e-6, nil); err != nil {
+	if err := ProjectFeasible(p, serial, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 	par := NewParallel(4)
 	if par == nil {
 		t.Skip("single-core host")
 	}
-	if err := ProjectFeasibleSp(p, parallel, 1e-6, par); err != nil {
+	if err := ProjectFeasiblePar(p, parallel, 1e-6, par); err != nil {
 		t.Fatal(err)
 	}
 	for c := range serial {
 		for n := range serial[c] {
 			if serial[c][n] != parallel[c][n] {
-				t.Fatalf("parallel sparse projection differs at [%d][%d]: %v vs %v",
+				t.Fatalf("parallel projection differs at [%d][%d]: %v vs %v",
 					c, n, serial[c][n], parallel[c][n])
 			}
 		}
@@ -301,7 +321,7 @@ func TestSparseProjectorSingleColumnBound(t *testing.T) {
 func TestSparsityCachedAndInvalidated(t *testing.T) {
 	p := testProblem(t, []float64{1, 2}, []float64{5, 5})
 	s1 := p.Sparsity()
-	if !s1.Full {
+	if s1.NNZ() != p.C()*p.N() {
 		t.Fatal("all-feasible instance reported sparse")
 	}
 	if s2 := p.Sparsity(); s2 != s1 {
@@ -313,8 +333,8 @@ func TestSparsityCachedAndInvalidated(t *testing.T) {
 	}
 	p.InvalidateMask()
 	s3 := p.Sparsity()
-	if s3 == s1 || s3.Full || s3.NNZ() != 3 {
-		t.Fatalf("InvalidateMask did not refresh sparsity: full=%v nnz=%d", s3.Full, s3.NNZ())
+	if s3 == s1 || s3.NNZ() != 3 {
+		t.Fatalf("InvalidateMask did not refresh sparsity: nnz=%d", s3.NNZ())
 	}
 	// The mask and sparsity views must agree after invalidation.
 	mask := p.Allowed()

@@ -15,9 +15,9 @@ import (
 // the control-plane bodies paid once per client or per replica every round
 // (internal/core/codec.go). Bodies that implement
 // encoding.BinaryMarshaler/BinaryUnmarshaler are instead carried as raw
-// little-endian scalars, length-headed strings and vectors and dims-headed
-// matrices (8 bytes per element, no reflection), assembled from the
-// primitives below.
+// little-endian scalars, length-headed strings and vectors and kinded
+// matrix frames (at most 8 bytes per element, no reflection), assembled
+// from the primitives below.
 //
 // Wire format: the 4-byte frame length prefix keeps its meaning, but a
 // set top bit flags a binary envelope (JSON payloads can never set it —
@@ -129,23 +129,6 @@ func AppendFloats(b []byte, v []float64) []byte {
 	return b
 }
 
-// AppendMatrix appends u32 rows, u32 cols, then the values row-major.
-// Rows must share one length (the module's dense client×replica layout).
-func AppendMatrix(b []byte, m [][]float64) []byte {
-	cols := 0
-	if len(m) > 0 {
-		cols = len(m[0])
-	}
-	b = AppendUint32(b, uint32(len(m)))
-	b = AppendUint32(b, uint32(cols))
-	for _, row := range m {
-		for _, x := range row {
-			b = AppendFloat64(b, x)
-		}
-	}
-	return b
-}
-
 // AppendString appends a u16 length header followed by s's bytes. A string
 // the header cannot describe is an error, never a truncated length.
 func AppendString(b []byte, s string) ([]byte, error) {
@@ -234,45 +217,16 @@ func ReadFloats(b []byte) ([]float64, []byte, error) {
 	return v, b, nil
 }
 
-// ReadMatrix consumes a dims-headed matrix written by AppendMatrix.
-func ReadMatrix(b []byte) ([][]float64, []byte, error) {
-	rows, b, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols, b, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if uint64(rows)*uint64(cols)*8 > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("transport: binary matrix claims %d×%d values, %d bytes left", rows, cols, len(b))
-	}
-	// A zero-column claim slips past the payload bound above (the product
-	// is 0) but would still allocate one row header per claimed row.
-	if rows != 0 && cols == 0 {
-		return nil, nil, fmt.Errorf("transport: binary matrix claims %d rows of zero columns", rows)
-	}
-	backing := make([]float64, int(rows)*int(cols))
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i], backing = backing[:cols:cols], backing[cols:]
-		for j := range m[i] {
-			m[i][j], b, _ = ReadFloat64(b)
-		}
-	}
-	return m, b, nil
-}
-
-// --- Kinded matrix frames (v2) ------------------------------------------
+// --- Kinded matrix frames -----------------------------------------------
 //
-// A dense AppendMatrix frame pays 8 bytes per element even when most
-// entries are structural zeros (latency-masked instances) or unchanged
-// since the estimate the receiver already holds (consecutive CDPSM
-// iterations). A kinded frame prefixes one byte selecting the cheapest of
-// three layouts and keeps the u32 dims header:
+// A dense row-major frame pays 8 bytes per element even when most entries
+// are structural zeros (latency-masked instances) or unchanged since the
+// estimate the receiver already holds (consecutive CDPSM iterations). A
+// kinded frame prefixes one byte selecting the cheapest of three layouts,
+// then a u32 dims header:
 //
 //	[u8 kind] [u32 rows] [u32 cols] ...
-//	kind 0 (full):   values row-major, as AppendMatrix
+//	kind 0 (full):   values row-major
 //	kind 1 (sparse): u32 count, then (u32 flat index, f64 value) per
 //	                 entry whose bits differ from +0
 //	kind 2 (delta):  u32 count, then (u32 flat index, f64 value) per

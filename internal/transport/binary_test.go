@@ -10,8 +10,8 @@ import (
 )
 
 // matrixBody is a stand-in for the engine's matrix-bearing bodies: a round
-// header plus a dense matrix, with both codecs implemented the way the
-// algorithm packages do it.
+// header plus a matrix in a kinded frame, with both codecs implemented the
+// way the algorithm packages do it.
 type matrixBody struct {
 	Round int         `json:"round"`
 	M     [][]float64 `json:"m"`
@@ -19,7 +19,7 @@ type matrixBody struct {
 
 func (b matrixBody) MarshalBinary() ([]byte, error) {
 	out := AppendUint32(nil, uint32(b.Round))
-	return AppendMatrix(out, b.M), nil
+	return AppendMatrixKinded(out, b.M, nil), nil
 }
 
 func (b *matrixBody) UnmarshalBinary(data []byte) error {
@@ -27,7 +27,7 @@ func (b *matrixBody) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	m, _, err := ReadMatrix(data)
+	m, _, err := ReadMatrixKinded(data, nil)
 	if err != nil {
 		return err
 	}
@@ -163,34 +163,72 @@ func TestDecodeBodyRejectsBinaryIntoPlainStruct(t *testing.T) {
 }
 
 func TestBinaryPrimitivesRejectTruncation(t *testing.T) {
-	full := AppendMatrix(AppendFloats(AppendFloat64(AppendUint32(nil, 9), 1.5), []float64{1, 2, 3}), testMatrix(3, 4))
-	for cut := 0; cut < len(full); cut++ {
-		b := full[:cut]
-		v, b2, err := ReadUint32(b)
-		if err != nil {
-			continue
-		}
-		if v != 9 {
-			t.Fatalf("cut=%d: u32 = %d", cut, v)
-		}
-		f, b2, err := ReadFloat64(b2)
-		if err != nil {
-			continue
-		}
-		if f != 1.5 {
-			t.Fatalf("cut=%d: f64 = %g", cut, f)
-		}
-		if _, b2, err = ReadFloats(b2); err != nil {
-			continue
-		}
-		if _, _, err = ReadMatrix(b2); err == nil && cut < len(full) {
-			t.Fatalf("cut=%d: truncated matrix decoded without error", cut)
+	sparse := testMatrix(3, 4)
+	for i := range sparse {
+		for j := range sparse[i] {
+			if (i+j)%5 != 0 {
+				sparse[i][j] = 0
+			}
 		}
 	}
-	// A corrupt length header must not cause a giant allocation.
-	huge := AppendUint32(AppendUint32(nil, math.MaxUint32), math.MaxUint32)
-	if _, _, err := ReadMatrix(huge); err == nil {
-		t.Fatal("matrix with 2³²×2³² claimed dims decoded")
+	base := testMatrix(3, 4)
+	delta := testMatrix(3, 4)
+	delta[1][2] += 1
+	for _, tc := range []struct {
+		name    string
+		m, base [][]float64
+		kind    byte
+	}{
+		{"full", testMatrix(3, 4), nil, MatrixFull},
+		{"sparse", sparse, nil, MatrixSparse},
+		{"delta", delta, base, MatrixDelta},
+	} {
+		head := AppendFloats(AppendFloat64(AppendUint32(nil, 9), 1.5), []float64{1, 2, 3})
+		full := AppendMatrixKinded(head, tc.m, tc.base)
+		if full[len(head)] != tc.kind {
+			t.Fatalf("%s: chooser picked kind %d", tc.name, full[len(head)])
+		}
+		for cut := 0; cut < len(full); cut++ {
+			b := full[:cut]
+			v, b2, err := ReadUint32(b)
+			if err != nil {
+				continue
+			}
+			if v != 9 {
+				t.Fatalf("cut=%d: u32 = %d", cut, v)
+			}
+			f, b2, err := ReadFloat64(b2)
+			if err != nil {
+				continue
+			}
+			if f != 1.5 {
+				t.Fatalf("cut=%d: f64 = %g", cut, f)
+			}
+			if _, b2, err = ReadFloats(b2); err != nil {
+				continue
+			}
+			if _, _, err = ReadMatrixKinded(b2, tc.base); err == nil {
+				t.Fatalf("%s cut=%d: truncated matrix decoded without error", tc.name, cut)
+			}
+		}
+	}
+	// A corrupt header must not cause a giant allocation: oversized dims on
+	// every kind, an entry count the payload cannot back, and a zero-column
+	// claim (whose element product is 0 but which would still allocate one
+	// row header per claimed row).
+	for kind := byte(MatrixFull); kind <= MatrixDelta; kind++ {
+		huge := AppendUint32(AppendUint32([]byte{kind}, math.MaxUint32), math.MaxUint32)
+		if _, _, err := ReadMatrixKinded(huge, nil); err == nil {
+			t.Fatalf("kind %d matrix with 2³²×2³² claimed dims decoded", kind)
+		}
+		zeroCols := AppendUint32(AppendUint32([]byte{kind}, math.MaxUint32), 0)
+		if _, _, err := ReadMatrixKinded(zeroCols, nil); err == nil {
+			t.Fatalf("kind %d matrix with 2³² rows of zero columns decoded", kind)
+		}
+	}
+	entries := AppendUint32(AppendUint32(AppendUint32([]byte{MatrixSparse}, 2), 2), math.MaxUint32)
+	if _, _, err := ReadMatrixKinded(entries, nil); err == nil {
+		t.Fatal("sparse matrix with 2³² claimed entries decoded")
 	}
 	if _, _, err := ReadFloats(AppendUint32(nil, math.MaxUint32)); err == nil {
 		t.Fatal("vector with 2³² claimed length decoded")

@@ -141,7 +141,7 @@ func TestKindedMatrixDeltaNeedsBase(t *testing.T) {
 
 func TestKindedMatrixSizes(t *testing.T) {
 	// The chooser must deliver the advertised wins: ≤20% density → at
-	// least 2x fewer bytes than a dense v1 frame; one-entry delta → far
+	// least 2x fewer bytes than the dense row-major layout; one-entry delta → far
 	// smaller still.
 	rows, cols := 100, 50
 	m := make([][]float64, rows)
@@ -151,10 +151,10 @@ func TestKindedMatrixSizes(t *testing.T) {
 			m[i][(i+5*j)%cols] = float64(i*cols+j) + 0.5
 		}
 	}
-	v1 := len(AppendMatrix(nil, m))
+	dense := 1 + 8 + 8*rows*cols // kind byte, dims header, 8 B per element
 	v2 := len(AppendMatrixKinded(nil, m, nil))
-	if v1 < 2*v2 {
-		t.Fatalf("sparse frame %d B vs dense %d B: less than 2x win at 20%% density", v2, v1)
+	if dense < 2*v2 {
+		t.Fatalf("sparse frame %d B vs dense %d B: less than 2x win at 20%% density", v2, dense)
 	}
 	next := make([][]float64, rows)
 	for i := range next {
@@ -184,9 +184,9 @@ func TestMatrixFrameStats(t *testing.T) {
 	}
 }
 
-// FuzzDeltaCodec mirrors FuzzMatrixCodec for the kinded frames: arbitrary
-// bytes must never panic the reader (with or without a base), and anything
-// that decodes must re-encode/re-decode stably bit-for-bit.
+// FuzzDeltaCodec mirrors FuzzMatrixCodec with a delta base in play:
+// arbitrary bytes must never panic the reader (with or without a base), and
+// anything that decodes must re-encode/re-decode stably bit-for-bit.
 func FuzzDeltaCodec(f *testing.F) {
 	base := testMatrix(3, 5)
 	m := testMatrix(3, 5)
