@@ -77,6 +77,10 @@ func historyHash(h []float64) uint64 {
 // Full instances moved from the dense kernels onto the packed ones: same
 // iteration count, objective within 1e-9 relative (the packed projector
 // maintains column sums incrementally, which reorders float additions).
+// ADMM's masked rows take the full rows' comparison too: its proximal
+// kernel went from a ternary search over projections (the recorded values)
+// to the exact KKT solve, which moves the objective in the last digits
+// (≈ 2e-12 relative) but no iteration count.
 func TestSolverGolden(t *testing.T) {
 	want := make(map[string]goldenRow, len(goldenRows))
 	for _, row := range goldenRows {
@@ -107,7 +111,7 @@ func TestSolverGolden(t *testing.T) {
 				t.Errorf("%s/%s: %d iterations, golden %d; computed %s", inst.name, eng.name, got.iterations, w.iterations, literal)
 				continue
 			}
-			if !inst.full {
+			if !inst.full && eng.name != "ADMM" {
 				if got != w {
 					t.Errorf("%s/%s: masked result not bit-identical to golden; computed %s", inst.name, eng.name, literal)
 				}

@@ -12,11 +12,13 @@
 //	z_n ← argmin_{z ∈ X_n}  E_n(Σ_c z_c) + (ρ/2)·‖z − t_n‖²
 //
 // against a target t_n assembled from the current row residuals and the
-// scaled dual u (held, like LDDM's μ, by the clients), followed by the
-// dual update u ← u + (mean row sum − R/|N|). Communication per iteration
-// is O(|C|·|N|) — the same as LDDM — but the quadratic proximal term
-// damps the oscillation that constant-step dual ascent suffers from, so
-// ADMM typically converges in far fewer iterations. The paper's future
+// scaled dual u, followed by the dual update u ← u + (mean row sum − R/|N|).
+// The subproblem has a closed-form answer in one scalar KKT multiplier
+// (ProximalColumn), so a replica's step costs a bisection over O(|C|) sums.
+// Communication per iteration is O(|C|·|N|) — the same as LDDM — but the
+// quadratic proximal term damps the oscillation that constant-step dual
+// ascent suffers from, so ADMM typically converges in far fewer
+// iterations. The paper's future
 // work invites "more restrictions"; ADMM is also the standard route to
 // adding non-smooth ones (e.g. switching penalties) later.
 package admm
@@ -42,9 +44,6 @@ type Solver struct {
 	// ‖Σ_n z_n − R‖/(1+‖R‖) and the dual residual ρ·‖avg − prevAvg‖ scaled
 	// the same way fall below Tol; 0 means 1e-4.
 	Tol float64
-	// LocalIters bounds the 1-D ternary-search steps of each proximal
-	// subproblem (each step costs two slice projections); 0 means 40.
-	LocalIters int
 	// Parallelism fans the per-replica proximal solves (disjoint z rows)
 	// across cores: > 0 pins the worker count, 0 sizes from GOMAXPROCS,
 	// < 0 forces serial. Parallel and serial runs are bit-identical.
@@ -59,9 +58,9 @@ func (s *Solver) Name() string { return "ADMM" }
 
 // Solve implements solver.Solver. Each replica's column z_n lives as a CSC
 // slice over its feasible client list (every client on a fully-feasible
-// instance), so the proximal subproblems — the hot path: two
-// O(len log len) slice projections per ternary-search step — cost the
-// column's nnz, and the per-client row sums walk CSR through PosCSC.
+// instance), so the proximal subproblems — the hot path: an O(len) sum per
+// bisection step on the KKT multiplier — cost the column's nnz, and the
+// per-client row sums walk CSR through PosCSC.
 func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
@@ -83,10 +82,6 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 	tol := s.Tol
 	if tol <= 0 {
 		tol = 1e-4
-	}
-	localIters := s.LocalIters
-	if localIters <= 0 {
-		localIters = 40
 	}
 
 	par := opt.NewParallel(s.Parallelism).Gate(nnz)
@@ -142,7 +137,7 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 					i := sp.RowIdx[k]
 					targetPk[k] = zp[k] - rowAvg[i] + share[i] - u[i]
 				}
-				out, err := ProximalColumn(prob.System.Replicas[j], capsPk[cs:ce], targetPk[cs:ce], rho, localIters)
+				out, err := ProximalColumn(prob.System.Replicas[j], capsPk[cs:ce], targetPk[cs:ce], rho)
 				if err != nil {
 					return fmt.Errorf("admm: replica %d proximal: %w", j, err)
 				}
@@ -207,73 +202,89 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 //
 // over the replica's feasible clients only: target, caps and the returned
 // column hold one entry per client within its latency bound, so the mask
-// never appears. It is exact up to a 1-D tolerance by exploiting the
-// problem's structure: for a fixed column sum S, the optimal z is the
-// Euclidean projection of the target onto the slice {0 ≤ z ≤ caps, Σz = S},
-// so the whole subproblem reduces to minimizing the convex value function
+// never appears. It is exported because the live runtime's ADMM rounds
+// invoke it on each replica server (see round.go).
 //
-//	h(S) = E(S) + (ρ/2)·dist²(target, slice_S)
-//
-// over S ∈ [0, min(B, Σcaps)] by ternary search with `iters` steps. It is
-// exported because the live runtime's ADMM rounds invoke it on each
-// replica server (see round.go).
-func ProximalColumn(rep model.Replica, caps, target []float64, rho float64, iters int) ([]float64, error) {
+// The solve is exact, from the KKT conditions. Every entry answers one
+// scalar multiplier λ the same way, z_c = clip(t_c − λ/ρ, 0, cap_c), so the
+// column sum served(λ) is continuous and nonincreasing in λ. Stationarity
+// asks λ = E′(served(λ)) — a unique root, since the left side rises and the
+// right side falls in λ — unless served exceeds B there, in which case the
+// capacity multiplier lifts λ to the root of served(λ) = B. Both conditions
+// are monotone, so one bisection finds the larger of the two roots. It runs
+// on the shift μ = λ/ρ, to the precision the entries can express, at O(m)
+// per step with no allocation beyond the returned column.
+func ProximalColumn(rep model.Replica, caps, target []float64, rho float64) ([]float64, error) {
 	m := len(target)
 	if len(caps) != m {
 		return nil, fmt.Errorf("admm: proximal shape mismatch: %d targets, %d caps", m, len(caps))
 	}
-	if rho <= 0 {
-		return nil, fmt.Errorf("admm: non-positive rho %g", rho)
+	if !(rho > 0) || math.IsInf(rho, 1) {
+		return nil, fmt.Errorf("admm: rho %g is not positive and finite", rho)
 	}
-	if iters <= 0 {
-		iters = 40
-	}
-	capSum := 0.0
-	for _, u := range caps {
+	// Bracket the shift: at lo every entry sits at its cap, so
+	// ρ·lo ≤ E′(0) ≤ E′(Σcaps); at hi every entry is zero and ρ·hi ≥ E′(0).
+	idle := rep.MarginalCost(0) / rho
+	lo, hi := idle, idle
+	capSum, scale := 0.0, 0.0
+	for c, t := range target {
+		u := caps[c]
+		if math.IsNaN(t) || math.IsInf(t, 0) || !(u >= 0) || math.IsInf(u, 1) {
+			return nil, fmt.Errorf("admm: proximal entry %d: target %g, cap %g", c, t, u)
+		}
+		lo = math.Min(lo, t-u)
+		hi = math.Max(hi, t)
 		capSum += u
+		scale = math.Max(scale, math.Max(math.Abs(t), u))
 	}
 	z := make([]float64, m)
-	maxS := math.Min(rep.Bandwidth, capSum)
-	if maxS <= 0 {
+	if math.Min(rep.Bandwidth, capSum) <= 0 {
 		return z, nil
 	}
-	probe := make([]float64, m)
-	eval := func(S float64) (float64, error) {
-		copy(probe, target)
-		if err := opt.ProjectCappedSimplex(probe, caps, S); err != nil {
-			return 0, err
-		}
-		d := 0.0
-		for i := 0; i < m; i++ {
-			diff := probe[i] - target[i]
-			d += diff * diff
-		}
-		return rep.Cost(S) + rho/2*d, nil
+	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
+		return nil, fmt.Errorf("admm: proximal bracket [%g, %g] is not finite", lo, hi)
 	}
-	lo, hi := 0.0, maxS
-	for it := 0; it < iters && hi-lo > 1e-9*(1+maxS); it++ {
-		m1 := lo + (hi-lo)/3
-		m2 := hi - (hi-lo)/3
-		h1, err := eval(m1)
-		if err != nil {
-			return nil, err
+	served := func(mu float64) float64 {
+		s := 0.0
+		for c, t := range target {
+			s += clip(t-mu, caps[c])
 		}
-		h2, err := eval(m2)
-		if err != nil {
-			return nil, err
+		return s
+	}
+	// done(μ) holds from the optimal shift upward: the column fits B and
+	// the proximal pull ρμ covers the marginal energy cost at its load.
+	done := func(mu float64) bool {
+		s := served(mu)
+		return s <= rep.Bandwidth && rho*mu >= rep.MarginalCost(s)
+	}
+	// A shift finer than the entries' own rounding changes no entry.
+	floor := 0x1p-52 * scale
+	for hi-lo > floor {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			break
 		}
-		if h1 <= h2 {
-			hi = m2
+		if done(mid) {
+			hi = mid
 		} else {
-			lo = m1
+			lo = mid
 		}
 	}
-	best := (lo + hi) / 2
-	copy(z, target)
-	if err := opt.ProjectCappedSimplex(z, caps, best); err != nil {
-		return nil, err
+	for c, t := range target {
+		z[c] = clip(t-hi, caps[c])
 	}
 	return z, nil
+}
+
+// clip bounds v to [0, u] for finite v and u ≥ 0.
+func clip(v, u float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > u {
+		return u
+	}
+	return v
 }
 
 // autoRho scales the penalty so the proximal and energy gradients are

@@ -232,9 +232,9 @@ func proximalColumnDense(rep model.Replica, allowed []bool, caps, target []float
 }
 
 func TestProximalColumnMatchesDenseOracle(t *testing.T) {
-	// The packed proximal drops only constant (masked-entry) penalty terms
-	// from the dense evaluation, so the two ternary searches minimize the
-	// same function and land on the same column up to the 1-D tolerance.
+	// The dense oracle minimizes the same function by a ternary search over
+	// the column sum, accurate only to its 1-D tolerance (≈ 1e-6 entry-wise),
+	// so the exact packed kernel must reach an objective no worse than it.
 	r := sim.NewRand(73)
 	for trial := 0; trial < 40; trial++ {
 		c := r.IntBetween(1, 10)
@@ -262,14 +262,18 @@ func TestProximalColumnMatchesDenseOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := ProximalColumn(rep, packedCaps, packedTarget, rho, 60)
+		packed, err := ProximalColumn(rep, packedCaps, packedTarget, rho)
 		if err != nil {
 			t.Fatal(err)
 		}
+		oracle := make([]float64, len(idx))
 		for p, i := range idx {
-			if math.Abs(packed[p]-dense[i]) > 1e-6*(1+math.Abs(dense[i])) {
-				t.Fatalf("trial %d: packed[%d]=%v, dense[%d]=%v", trial, p, packed[p], i, dense[i])
-			}
+			oracle[p] = dense[i]
+		}
+		got := proxObjective(rep, packed, packedTarget, rho)
+		want := proxObjective(rep, oracle, packedTarget, rho)
+		if got > want+1e-12*(1+math.Abs(want)) {
+			t.Fatalf("trial %d: objective %v above the ternary oracle's %v", trial, got, want)
 		}
 		for i, v := range dense {
 			if !allowed[i] && v != 0 {

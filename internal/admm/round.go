@@ -274,7 +274,7 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	for idx, i := range ps.clients {
 		target[idx] = body.Target[i]
 	}
-	packed, err := ProximalColumn(sr.Prob.System.Replicas[sr.Col], ps.caps, target, body.Rho, 40)
+	packed, err := ProximalColumn(sr.Prob.System.Replicas[sr.Col], ps.caps, target, body.Rho)
 	if err != nil {
 		return nil, err
 	}

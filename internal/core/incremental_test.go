@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -156,6 +157,67 @@ func TestIncrementalDirtySubsetRound(t *testing.T) {
 		} else if err == nil {
 			t.Fatalf("clean client %s was re-notified", cl.Addr())
 		}
+	}
+}
+
+// Committed duals across quiet rounds (LDDM reports its μ): an incremental
+// round overwrites only its solved rows, clean clients keep their values
+// bit for bit, a departed client's entry is dropped once the map outgrows
+// the roster, and a roster-sized map is updated in place, not copied.
+func TestIncrementalDualsUpdatedInPlace(t *testing.T) {
+	f := newFleetCfg(t, []float64{1, 10, 5}, 4, LDDM, func(i int, cfg *ReplicaConfig) {
+		cfg.Incremental = true
+	})
+	ctx := context.Background()
+	submit := func(demands []float64) *RoundReport {
+		t.Helper()
+		for i, d := range demands {
+			if err := f.clients[i].Submit(ctx, f.replicas[0].Addr(), d, f.uniformLatencies()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report, err := f.replicas[0].RunRound(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report
+	}
+	addr := func(i int) string { return f.clients[i].Addr() }
+
+	submit([]float64{30, 20, 25, 15})
+	full := f.replicas[0].committed().mus
+	if len(full) != 4 {
+		t.Fatalf("full round committed %d duals, want 4", len(full))
+	}
+	before := map[string]float64{}
+	for k, v := range full {
+		before[k] = v
+	}
+
+	// Client 3 leaves, client 0 drifts: one solved row among three.
+	if r := submit([]float64{33, 20, 25}); !r.Incremental || r.DirtyClients != 1 {
+		t.Fatalf("second round: incremental %v, dirty %d; want incremental, 1", r.Incremental, r.DirtyClients)
+	}
+	second := f.replicas[0].committed().mus
+	if _, ok := second[addr(3)]; ok || len(second) != 3 {
+		t.Fatalf("departed client's dual kept: %v", second)
+	}
+	for _, i := range []int{1, 2} {
+		if second[addr(i)] != before[addr(i)] {
+			t.Fatalf("clean client %d's dual moved: %v → %v", i, before[addr(i)], second[addr(i)])
+		}
+	}
+
+	// Client 1 drifts next: the map is the roster's size, so it is reused.
+	if r := submit([]float64{33, 22, 25}); !r.Incremental || r.DirtyClients != 1 {
+		t.Fatalf("third round: incremental %v, dirty %d; want incremental, 1", r.Incremental, r.DirtyClients)
+	}
+	third := f.replicas[0].committed().mus
+	if reflect.ValueOf(third).UnsafePointer() != reflect.ValueOf(second).UnsafePointer() {
+		t.Fatal("a roster-sized dual map was copied, not updated in place")
+	}
+	if len(third) != 3 {
+		t.Fatalf("third round committed %d duals, want 3", len(third))
 	}
 }
 

@@ -584,15 +584,26 @@ func (r *ReplicaServer) expand(a *attempt) error {
 // highest marginal cost among the columns now serving it. That overlay is
 // skipped when the committed round carried no duals: a partial one would
 // hand the next warm start zeros for every clean client.
+//
+// The overlay writes the committed map in place, as a clean plan aliases
+// it: rounds run one at a time and nothing else reads it, so a quiet round
+// pays for its solved rows, not for |C|. The map is rebuilt from this
+// round's clients only once it holds more entries than there are clients,
+// which keeps departed clients' duals from piling up.
 func (r *ReplicaServer) settleDuals(a *attempt) {
 	a.mus = nil
 	if a.kind == kindIncremental {
-		if a.inc.lg.mus == nil {
+		if a.mus = a.inc.lg.mus; a.mus == nil {
 			return
 		}
-		a.mus = make(map[string]float64, len(a.full.requests))
-		for addr, v := range a.inc.lg.mus {
-			a.mus[addr] = v
+		if len(a.mus) > len(a.full.requests) {
+			kept := make(map[string]float64, len(a.full.requests))
+			for _, req := range a.full.requests {
+				if v, ok := a.mus[req.ClientAddr]; ok {
+					kept[req.ClientAddr] = v
+				}
+			}
+			a.mus = kept
 		}
 		prob := a.full.prob
 		price := opt.ColSums(a.x)

@@ -130,9 +130,10 @@ type PrimalTracer interface {
 }
 
 // DualReporter is implemented by algorithms whose per-client dual values
-// survive a round usefully (ADMM's scaled dual u). After a successful run
-// the initiator stores them keyed by client and ships them back in as the
-// next round's Round.WarmMu, warm-starting the dual alongside the primal.
+// survive a round usefully (LDDM's μ, ADMM's scaled dual u). After a
+// successful run the initiator stores them keyed by client and ships them
+// back in as the next round's Round.WarmMu, warm-starting the dual
+// alongside the primal.
 type DualReporter interface {
 	// Duals returns the final per-client dual values in row order. The
 	// slice must remain valid after the driver returns.

@@ -82,7 +82,12 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		a.tol = 0.02
 	}
 	a.step = AutoStepValue(rd.Prob)
-	a.mu = rd.Pool.Vector(c)
+	a.mu = make([]float64, c) // escapes via Duals; not pool-owned
+	if len(rd.WarmMu) == c {
+		// Resume the dual ascent where the previous round left it: the
+		// multipliers, not the primal, are LDDM's iterate.
+		copy(a.mu, rd.WarmMu)
+	}
 	a.primal = rd.Pool.Matrix(c, n)
 	a.avg = rd.Pool.Matrix(c, n)
 	a.rows = rd.Pool.Vector(c)
@@ -160,6 +165,10 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 	a.residual = DemandResidual(a.avg, a.rd.Prob.Demands, a.rows)
 	return a.residual, w >= 16 && a.residual <= a.tol
 }
+
+// Duals reports the final multipliers (engine.DualReporter) so the next
+// round can warm-start from them. Returned in a non-pooled buffer.
+func (a *roundAlg) Duals() []float64 { return a.mu }
 
 // Primal exposes the suffix-averaged iterate for trajectory costing.
 func (a *roundAlg) Primal() [][]float64 { return a.avg }

@@ -132,3 +132,55 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 		})
 	}
 }
+
+// Warm duals: a round seeded with the previous round's reported μ ships
+// exactly that μ in its first wave, and with a short iteration budget lands
+// nearer the long cold round's cost than a cold round with the same budget.
+// The reported duals outlive the round's pool, which the initiator keeps
+// across rounds and releases after each.
+func TestRoundWarmDuals(t *testing.T) {
+	prob := maskedInstance(t, sim.NewRand(29), 16, 5)
+	addrs := make([]string, prob.N())
+	for j := range addrs {
+		addrs[j] = fmt.Sprintf("r%d", j)
+	}
+	allowed := prob.Allowed()
+	pool := &opt.Pool{}
+	run := func(maxIters int, warmMu []float64) ([][]float64, []float64) {
+		t.Helper()
+		defer pool.Release()
+		lt := newLoopTransport(prob, addrs)
+		lt.onSolve = func(j int, body SolveBody) error {
+			if body.Iter != 1 || warmMu == nil {
+				return nil
+			}
+			for i, v := range body.Mu {
+				if want := warmMu[i]; allowed[i][j] && v != want {
+					return fmt.Errorf("replica %d is sent μ[%d] = %v in the first wave, warm seed %v", j, i, v, want)
+				}
+			}
+			return nil
+		}
+		alg := &roundAlg{}
+		rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs, MaxIters: maxIters, Tol: 1e-12, WarmMu: warmMu, Pool: pool}
+		x, _, err := (&engine.Driver{Transport: lt}).Run(context.Background(), alg, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, alg.Duals()
+	}
+	long, duals := run(200, nil)
+	kept := append([]float64(nil), duals...)
+	cold, _ := run(20, nil)
+	warm, _ := run(20, duals)
+	for i := range kept {
+		if math.Float64bits(duals[i]) != math.Float64bits(kept[i]) {
+			t.Fatalf("reported dual %d changed after later rounds: %v → %v", i, kept[i], duals[i])
+		}
+	}
+	ref := prob.Cost(long)
+	coldGap, warmGap := math.Abs(prob.Cost(cold)-ref), math.Abs(prob.Cost(warm)-ref)
+	if warmGap >= coldGap {
+		t.Fatalf("warm round %g from the long round's cost, cold round %g", warmGap, coldGap)
+	}
+}

@@ -78,35 +78,45 @@ func (g *flowGraph) maxFlow(s, t int) float64 {
 }
 
 // CheckFeasible decides whether prob admits any assignment satisfying all
-// constraints, via max flow. It returns nil when feasible and a diagnostic
-// error (including the shortfall) otherwise.
+// constraints. It returns nil when feasible and a diagnostic error
+// (including the shortfall) otherwise. Most instances are settled by a
+// witness — the uniform split fitting every capacity — and only the rest
+// pay for max flow (FeasiblePoint).
 func CheckFeasible(prob *Problem) error {
 	if err := prob.Validate(); err != nil {
 		return err
 	}
-	c, n := prob.C(), prob.N()
-	mask := prob.Allowed()
-	// Vertices: 0 = source, 1..c = clients, c+1..c+n = replicas, c+n+1 = sink.
-	source, sink := 0, c+n+1
-	g := newFlowGraph(c + n + 2)
-	want := 0.0
-	for i, r := range prob.Demands {
-		g.addEdge(source, 1+i, r)
-		want += r
-		for j := 0; j < n; j++ {
-			if mask[i][j] {
-				g.addEdge(1+i, 1+c+j, r)
-			}
+	if uniformSplitFits(prob) {
+		return nil
+	}
+	_, err := FeasiblePoint(prob)
+	return err
+}
+
+// uniformSplitFits reports whether spreading each client's demand evenly
+// over its latency-feasible replicas keeps every replica within its
+// bandwidth. That split conserves demand and respects the mask, so true
+// proves the instance feasible; false decides nothing (a client with no
+// feasible replica, or a cap only a skewed split can respect).
+func uniformSplitFits(prob *Problem) bool {
+	sp := prob.Sparsity()
+	load := make([]float64, sp.N)
+	for i, d := range prob.Demands {
+		lo, hi := sp.RowStart[i], sp.RowStart[i+1]
+		if lo == hi {
+			return false
+		}
+		share := d / float64(hi-lo)
+		for _, j := range sp.ColIdx[lo:hi] {
+			load[j] += share
 		}
 	}
-	for j := 0; j < n; j++ {
-		g.addEdge(1+c+j, sink, prob.System.Replicas[j].Bandwidth)
+	for j, l := range load {
+		if !(l <= prob.System.Replicas[j].Bandwidth) {
+			return false
+		}
 	}
-	got := g.maxFlow(source, sink)
-	if got < want-1e-6*(1+want) {
-		return fmt.Errorf("opt: infeasible instance: only %g of %g MB routable under capacity and latency constraints", got, want)
-	}
-	return nil
+	return true
 }
 
 // FeasiblePoint computes one feasible assignment by extracting the flow on
@@ -139,7 +149,7 @@ func FeasiblePoint(prob *Problem) ([][]float64, error) {
 	}
 	got := g.maxFlow(source, sink)
 	if got < want-1e-6*(1+want) {
-		return nil, fmt.Errorf("opt: infeasible instance: only %g of %g MB routable", got, want)
+		return nil, fmt.Errorf("opt: infeasible instance: only %g of %g MB routable under capacity and latency constraints", got, want)
 	}
 	x := NewMatrix(c, n)
 	for _, ref := range refs {

@@ -80,6 +80,89 @@ func TestFeasibilityOracleAgreementProperty(t *testing.T) {
 	}
 }
 
+// The uniform-split witness never accepts what max flow refuses, and
+// CheckFeasible's verdict is max flow's on every seeded instance — capacity
+// drawn from slack down to below total demand, so the witness, max flow
+// alone and refusal all occur.
+func TestCheckFeasibleWitnessAgreesWithMaxFlow(t *testing.T) {
+	r := sim.NewRand(4242)
+	seen := map[string]int{}
+	for trial := 0; trial < 300; trial++ {
+		clients, replicas := r.IntBetween(1, 12), r.IntBetween(1, 6)
+		p := randomProblem(t, r, clients, replicas)
+		total := 0.0
+		for _, d := range p.Demands {
+			total += d
+		}
+		for j := range p.System.Replicas {
+			p.System.Replicas[j].Bandwidth = total / float64(replicas) * r.Range(0.4, 2.5)
+		}
+		_, flowErr := FeasiblePoint(p)
+		witness := uniformSplitFits(p)
+		if witness && flowErr != nil {
+			t.Fatalf("trial %d: witness accepted an instance max flow refuses: %v", trial, flowErr)
+		}
+		if err := CheckFeasible(p); (err == nil) != (flowErr == nil) {
+			t.Fatalf("trial %d: CheckFeasible=%v, max flow=%v", trial, err, flowErr)
+		}
+		switch {
+		case witness:
+			seen["witness"]++
+		case flowErr == nil:
+			seen["max flow"]++
+		default:
+			seen["infeasible"]++
+		}
+	}
+	for _, k := range []string{"witness", "max flow", "infeasible"} {
+		if seen[k] == 0 {
+			t.Errorf("no %q verdict in the sweep: %v", k, seen)
+		}
+	}
+}
+
+// An instance the uniform split settles never reaches max flow: the check
+// costs one load vector, not a flow graph.
+func TestCheckFeasibleWitnessSkipsMaxFlow(t *testing.T) {
+	p := randomProblem(t, sim.NewRand(5), 100, 10)
+	for i := range p.Demands {
+		p.Demands[i] = 3 // 300 MB over 1000 MB/s of capacity
+	}
+	if !uniformSplitFits(p) {
+		t.Fatal("instance has no uniform-split witness")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := CheckFeasible(p); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("CheckFeasible allocated %v times on a witnessed instance", allocs)
+	}
+}
+
+// An instance whose uniform split overflows a cap is not refused on that
+// account: only a skewed split fits, and max flow finds it.
+func TestCheckFeasibleSkewedSplitGoesToMaxFlow(t *testing.T) {
+	p := testProblem(t, []float64{1, 2}, []float64{60})
+	p.System.Replicas[1].Bandwidth = 10 // the even 30/30 split overflows it; 50/10 fits
+	if uniformSplitFits(p) {
+		t.Fatal("uniform split reported as fitting a 10 MB/s cap with 30 MB")
+	}
+	if err := CheckFeasible(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A client with demand but no replica within its latency bound is refused,
+// however much capacity the others leave.
+func TestCheckFeasibleUnreachableClient(t *testing.T) {
+	p := testProblem(t, []float64{1, 2}, []float64{5, 5})
+	p.Latency[1][0], p.Latency[1][1] = 0.01, 0.01
+	if err := CheckFeasible(p); err == nil {
+		t.Fatal("client with no reachable replica accepted")
+	}
+}
+
 func TestMaxFlowTinyGraph(t *testing.T) {
 	// Classic diamond: s→a (3), s→b (2), a→t (2), b→t (3), a→b (1).
 	g := newFlowGraph(4)
