@@ -90,10 +90,11 @@ type wirePerf struct {
 	SparseFrames uint64  `json:"sparse_frames"`
 	DeltaFrames  uint64  `json:"delta_frames"`
 	DeltaHitRate float64 `json:"delta_hit_rate"`
-	// FramesByAlgorithm is the same measurement per algorithm: CDPSM pulls
-	// estimate matrices, LDDM ships μ-vectors, ADMM ships proximal
+	// FramesByAlgorithm is the same measurement per algorithm that ships
+	// kinded frames: CDPSM pulls estimate matrices, ADMM pushes proximal
 	// targets — each through the kinded chooser with per-peer delta-base
-	// negotiation.
+	// negotiation. (LDDM ships packed μ and decision-coded replies, no
+	// kinded frames.)
 	FramesByAlgorithm map[string]frameMix `json:"frames_by_algorithm,omitempty"`
 }
 
@@ -395,16 +396,15 @@ func measureCohortScale(seed uint64) (*cohortPerf, error) {
 	return cp, nil
 }
 
-// measureDeltaHitRate runs one live round per algorithm on an in-process
-// fleet (5 replicas, latency-masked links) and reads the kinded matrix
-// frame counters: every kinded body the round ships — CDPSM estimate
-// matrices, LDDM μ-vectors, ADMM proximal targets — is counted by kind,
-// giving the measured delta-frame hit rate of the per-peer base
-// negotiation. The CDPSM numbers also fill the report's historical
-// top-level fields.
+// measureDeltaHitRate runs one live round per kinded-frame algorithm on an
+// in-process fleet (5 replicas, latency-masked links) and reads the kinded
+// matrix frame counters: every kinded body the round ships — CDPSM
+// estimate matrices, ADMM proximal targets — is counted by kind, giving the
+// measured delta-frame hit rate of the per-peer base negotiation. The CDPSM
+// numbers also fill the report's historical top-level fields.
 func measureDeltaHitRate(w *wirePerf) error {
-	w.FramesByAlgorithm = make(map[string]frameMix, 3)
-	for _, alg := range []core.Algorithm{core.CDPSM, core.LDDM, core.ADMM} {
+	w.FramesByAlgorithm = make(map[string]frameMix, 2)
+	for _, alg := range []core.Algorithm{core.CDPSM, core.ADMM} {
 		mix, err := liveRoundFrames(alg)
 		if err != nil {
 			return fmt.Errorf("%s live round: %w", alg, err)
@@ -421,8 +421,8 @@ func measureDeltaHitRate(w *wirePerf) error {
 // liveRoundFrames runs one round of alg over a masked in-process fleet
 // and returns the kinded-frame census. The client count is sized so
 // vectors are large enough for the delta layout to win once per-client
-// values go bit-stable (LDDM μ for exactly-served clients, ADMM targets
-// for clamped ones, CDPSM estimates between consensus steps).
+// values go bit-stable (ADMM targets for clamped clients, CDPSM estimates
+// between consensus steps).
 func liveRoundFrames(alg core.Algorithm) (frameMix, error) {
 	net := transport.NewInProcNetwork()
 	prices := []float64{1, 3, 5, 7, 9}
@@ -439,14 +439,12 @@ func liveRoundFrames(alg core.Algorithm) (frameMix, error) {
 	nClients := 8
 	maxIters := 25
 	tol := 0.0
-	if alg != core.CDPSM {
-		nClients = 32 // per-client vectors: give the delta layout room
-	}
 	if alg == core.ADMM {
-		// ADMM's proximal targets only go bit-stable as the iterates close
-		// on the fixed point; run well past the default 2% convergence
-		// bar so the delta layout has stable entries to exploit.
-		maxIters, tol = 60, 1e-9
+		// Per-client target vectors: give the delta layout room. They only
+		// go bit-stable as the iterates close on the fixed point; run well
+		// past the default 2% convergence bar so the delta layout has
+		// stable entries to exploit.
+		nClients, maxIters, tol = 32, 60, 1e-9
 	}
 	for i, price := range prices {
 		rs, err := core.NewReplicaServer(net, names[i], names, core.ReplicaConfig{

@@ -139,7 +139,7 @@ func TestJSONRequestsInteroperateWithBinaryFleet(t *testing.T) {
 			body any
 		}{
 			{MsgRoundStart, spec},
-			{MsgLocalSolve, LocalSolveBody{Round: tc.round, Iter: 1, BaseIter: -1, Mu: []float64{0.5, 0.5}}},
+			{MsgLocalSolve, LocalSolveBody{Round: tc.round, Iter: 1, Mu: []float64{-100, -80}}},
 			{MsgAssign, AssignBody{Round: tc.round, Column: []float64{4, 0}, ClientAddrs: spec.ClientAddrs}},
 		}
 		for _, step := range steps {
@@ -153,16 +153,25 @@ func TestJSONRequestsInteroperateWithBinaryFleet(t *testing.T) {
 				t.Errorf("round %d %s: ack does not mirror the request's codec (JSON request: %v)", tc.round, step.verb, wantJSON)
 			}
 			if step.verb == MsgLocalSolve {
+				// Both clients are within reach, so the reply's support is
+				// the whole roster; rebuild the column from the demands.
 				var reply LocalSolveReply
 				if err := resp.DecodeBody(&reply); err != nil {
 					t.Fatal(err)
 				}
-				columns[tc.round] = reply.Column
+				col := opt.NewMatrix(len(spec.Demands), 1)
+				if err := reply.Unpack([]int{0, 1}, spec.Demands, col, 0); err != nil {
+					t.Fatal(err)
+				}
+				columns[tc.round] = opt.RowSums(col)
 			}
 		}
 	}
 	if len(columns[jsonRound]) != 2 || !reflect.DeepEqual(columns[jsonRound], columns[binRound]) {
 		t.Errorf("local solve over JSON = %v, over binary = %v", columns[jsonRound], columns[binRound])
+	}
+	if got := columns[binRound]; got[0] != spec.Demands[0] || got[1] == 0 || got[1] == spec.Demands[1] {
+		t.Errorf("local solve column %v: want client c1 served whole and c2 in part", got)
 	}
 	for _, addr := range spec.ClientAddrs {
 		if j, b := target.Plan(jsonRound, addr), target.Plan(binRound, addr); j != b {

@@ -16,6 +16,10 @@
 // source of LDDM's speed advantage over CDPSM (paper §III-D.2). Solver
 // models that pattern and its message count; the live round (round.go)
 // takes the same step on the initiator, which already holds its inputs.
+// On the live wire a replica with m feasible clients is sent their m
+// multipliers and answers with the water-filling's decision — a bitmap of
+// clients served their whole demand plus the one partial share — from
+// which the initiator rebuilds the column bit for bit (codec.go).
 package lddm
 
 import (

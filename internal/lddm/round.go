@@ -3,41 +3,107 @@ package lddm
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"edr/internal/engine"
 	"edr/internal/opt"
-	"edr/internal/transport"
 )
 
 // MsgLocalSolve is initiator → replica: solve the replica-local problem
 // for the current multipliers and return the resulting column.
 const MsgLocalSolve = "replica.localsolve"
 
-// SolveBody carries the clients' multipliers to one replica. On the
-// binary codec the μ vector rides in a kinded frame (full/sparse/delta)
-// with per-peer base negotiation: BaseIter declares which earlier
-// iteration's vector the receiver already holds, Base/Resolve are
-// marshal/decode context in the transport convention (never serialized
-// themselves). The JSON codec always carries the full vector.
+// SolveBody carries the clients' multipliers to one replica, packed over
+// that replica's support: Mu[p] is μ of the p-th client of the replica's CSC
+// column (ascending client id), the only multipliers its local solve reads.
 type SolveBody struct {
 	Round int       `json:"round"`
 	Iter  int       `json:"iter"`
 	Mu    []float64 `json:"mu"`
-
-	// BaseIter is the iteration id of the μ snapshot the receiver holds
-	// (−1: none). Binary codec only.
-	BaseIter int `json:"-"`
-	// Base is the sender's copy of that snapshot (marshal-time context).
-	Base []float64 `json:"-"`
-	// Resolve maps a declared base iteration to the receiver's held
-	// snapshot (decode-time context).
-	Resolve func(iter int) []float64 `json:"-"`
 }
 
-// SolveReply returns the replica's column of the primal iterate.
+// SolveReply is a replica's water-filling decision over its support of M
+// clients. Served is a ⌈M/8⌉-byte bitmap whose bit p (bit p%8 of byte p/8)
+// is set where the p-th client's value equals its demand R_c bit for bit;
+// Pos and Val list every other nonzero value by support position,
+// ascending. The water-filling serves clients whole or not at all until the
+// single partial share where it stops, so a reply is the bitmap plus
+// usually one entry; the codec does not rely on that. The initiator
+// rebuilds the column from its own demands (Unpack).
 type SolveReply struct {
-	Column []float64 `json:"column"`
+	M      int       `json:"m"`
+	Served []byte    `json:"served"`
+	Pos    []int     `json:"pos,omitempty"`
+	Val    []float64 `json:"val,omitempty"`
+}
+
+// packReply encodes the packed column SolveLocal returned for clients.
+func packReply(packed []float64, clients []int, demands []float64) SolveReply {
+	r := SolveReply{M: len(packed), Served: make([]byte, (len(packed)+7)/8)}
+	for p, v := range packed {
+		switch bits := math.Float64bits(v); {
+		case bits == math.Float64bits(demands[clients[p]]):
+			r.Served[p>>3] |= 1 << (p & 7)
+		case bits != 0:
+			r.Pos = append(r.Pos, p)
+			r.Val = append(r.Val, v)
+		}
+	}
+	return r
+}
+
+// Unpack checks the reply against a support of len(clients) clients and
+// writes it into column j of x: for the p-th client i, demands[i] where bit
+// p is set, the listed value where p is listed, 0 otherwise. Rows outside
+// clients are not touched.
+func (r *SolveReply) Unpack(clients []int, demands []float64, x [][]float64, j int) error {
+	if r.M != len(clients) {
+		return fmt.Errorf("decision over %d clients for a support of %d", r.M, len(clients))
+	}
+	if err := r.valid(); err != nil {
+		return err
+	}
+	for p, i := range clients {
+		v := 0.0
+		if r.served(p) {
+			v = demands[i]
+		}
+		x[i][j] = v
+	}
+	for e, p := range r.Pos {
+		x[clients[p]][j] = r.Val[e]
+	}
+	return nil
+}
+
+func (r *SolveReply) served(p int) bool { return r.Served[p>>3]&(1<<(p&7)) != 0 }
+
+// valid checks what a reply must satisfy whatever the support: a
+// ⌈M/8⌉-byte bitmap with no bit set at or past M, and one value per listed
+// position, the positions strictly ascending, below M and clear in the
+// bitmap — so every column has exactly one encoding.
+func (r *SolveReply) valid() error {
+	if r.M < 0 || len(r.Served) != (r.M+7)/8 {
+		return fmt.Errorf("%d-byte bitmap over %d clients", len(r.Served), r.M)
+	}
+	if tail := r.M % 8; tail != 0 && r.Served[len(r.Served)-1]>>tail != 0 {
+		return fmt.Errorf("bitmap sets bits past its %d clients", r.M)
+	}
+	if len(r.Pos) != len(r.Val) {
+		return fmt.Errorf("%d positions for %d values", len(r.Pos), len(r.Val))
+	}
+	prev := -1
+	for _, p := range r.Pos {
+		if p <= prev || p >= r.M {
+			return fmt.Errorf("position %d out of order or out of %d clients", p, r.M)
+		}
+		if r.served(p) {
+			return fmt.Errorf("position %d is also in the bitmap", p)
+		}
+		prev = p
+	}
+	return nil
 }
 
 func init() {
@@ -63,9 +129,8 @@ type roundAlg struct {
 	step float64
 
 	mu          []float64
-	muPeer      [][]float64 // per-replica μ projected onto its support
+	muPacked    []float64 // μ gathered in CSC order: replica j's body is its column's slice
 	sp          *opt.Sparsity
-	tx          transport.DeltaTx
 	primal, avg [][]float64
 	rows        []float64
 	windowStart int
@@ -93,40 +158,32 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	a.rows = rd.Pool.Vector(c)
 	a.windowStart = 1
 	// Each replica's local solve reads only its feasible clients'
-	// multipliers, so ship μ projected onto that support. The structural
-	// zeros are bit-stable across iterations, which is what lets the
-	// kinded wire frames go sparse or delta.
+	// multipliers, so each is sent just those, in its CSC column's order;
+	// its reply covers the same support, and off-support primal entries
+	// stay the pool's zeros.
 	a.sp = rd.Prob.Sparsity()
-	a.muPeer = rd.Pool.Matrix(n, c)
+	a.muPacked = rd.Pool.Vector(a.sp.NNZ())
 	a.exchanges = []engine.Exchange{
 		{
 			// Local solves, one per replica (Algorithm 2 lines 4–5;
-			// parallel: disjoint primal columns and per-peer μ rows).
+			// parallel: disjoint primal columns and μ slices).
 			Verb: MsgLocalSolve,
 			Body: func(j int) any {
-				mu := a.muPeer[j] // off-support entries stay zero
-				for s := a.sp.ColStart[j]; s < a.sp.ColStart[j+1]; s++ {
-					i := a.sp.RowIdx[s]
-					mu[i] = a.mu[i]
+				lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
+				for s := lo; s < hi; s++ {
+					a.muPacked[s] = a.mu[a.sp.RowIdx[s]]
 				}
-				body := SolveBody{Round: rd.Seq, Iter: a.k, Mu: mu}
-				body.Base, body.BaseIter = a.tx.Stage(rd.ReplicaAddrs[j], a.k, mu)
-				return body
+				return SolveBody{Round: rd.Seq, Iter: a.k, Mu: a.muPacked[lo:hi:hi]}
 			},
 			Fold: func(j int, r engine.Reply) error {
-				// The reply proves the peer decoded (and now holds) the
-				// staged μ — promote it to the delta base.
-				a.tx.Ack(rd.ReplicaAddrs[j])
 				var reply SolveReply
-				if err := r.Decode(&reply); err != nil {
-					return err
+				err := r.Decode(&reply)
+				if err == nil {
+					clients := a.sp.RowIdx[a.sp.ColStart[j]:a.sp.ColStart[j+1]]
+					err = reply.Unpack(clients, rd.Prob.Demands, a.primal, j)
 				}
-				if len(reply.Column) != c {
-					return fmt.Errorf("lddm: %s returned %d entries for %d clients",
-						rd.ReplicaAddrs[j], len(reply.Column), c)
-				}
-				for i := 0; i < c; i++ {
-					a.primal[i][j] = reply.Column[i]
+				if err != nil {
+					return fmt.Errorf("lddm: local solve from %s: %w", rd.ReplicaAddrs[j], err)
 				}
 				return nil
 			},
@@ -182,25 +239,28 @@ func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, 
 }
 
 // serverState is one replica's LDDM view of a round: its local
-// water-filling problem, re-solved against each iteration's multipliers,
-// plus the delta-frame receive window for the μ stream.
+// water-filling problem, re-solved against each iteration's multipliers.
+// local.Mu is full-length scratch the packed multipliers are scattered
+// into; only the support's entries are ever written or read.
 type serverState struct {
 	mu    sync.Mutex
 	local *LocalProblem
-	rx    transport.DeltaRx
 }
 
-// serverHalf answers MsgLocalSolve on a participant replica.
+// serverHalf answers MsgLocalSolve on a participant replica. The reply is
+// a function of the request alone.
 type serverHalf struct{}
 
 func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (any, error) {
-	c := sr.Prob.C()
-	// Fetch (or build) the round state before decoding: a delta μ frame
-	// resolves its base from the receive window.
+	var body SolveBody
+	if err := req.Decode(&body); err != nil {
+		return nil, fmt.Errorf("lddm: replica %s: %w", sr.Self, err)
+	}
 	st, err := sr.State("LDDM", func() (any, error) {
 		sp := sr.Prob.Sparsity()
 		return &serverState{local: &LocalProblem{
 			Replica: sr.Prob.System.Replicas[sr.Col],
+			Mu:      make([]float64, sr.Prob.C()),
 			Demands: sr.Prob.Demands,
 			Clients: sp.RowIdx[sp.ColStart[sr.Col]:sp.ColStart[sr.Col+1]:sp.ColStart[sr.Col+1]],
 		}}, nil
@@ -209,25 +269,18 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 		return nil, err
 	}
 	ls := st.(*serverState)
-	var body SolveBody
-	body.Resolve = ls.rx.Resolve
-	if err := req.Decode(&body); err != nil {
-		return nil, err
+	if len(body.Mu) != len(ls.local.Clients) {
+		return nil, fmt.Errorf("lddm: replica %s, round %d: %d multipliers for a support of %d clients",
+			sr.Self, body.Round, len(body.Mu), len(ls.local.Clients))
 	}
-	if len(body.Mu) != c {
-		return nil, fmt.Errorf("lddm: round %d: %d multipliers for %d clients", body.Round, len(body.Mu), c)
-	}
-	ls.rx.Absorb(body.Iter, body.Mu)
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	ls.local.Mu = body.Mu
+	for p, i := range ls.local.Clients {
+		ls.local.Mu[i] = body.Mu[p]
+	}
 	packed, err := SolveLocal(ls.local)
 	if err != nil {
 		return nil, err
 	}
-	col := make([]float64, c)
-	for idx, i := range ls.local.Clients {
-		col[i] = packed[idx]
-	}
-	return SolveReply{Column: col}, nil
+	return packReply(packed, ls.local.Clients, ls.local.Demands), nil
 }

@@ -19,11 +19,13 @@ type wireReply struct{ m transport.Message }
 func (w wireReply) Decode(into any) error { return w.m.DecodeBody(into) }
 
 // loopTransport is an in-process engine.Transport: every RPC goes through
-// the real body codecs (delta frames included) into the real server half.
-// onSolve sees each decoded request before it is answered.
+// the real body codecs into the real server half. onSolve sees each request
+// as the replica decoded it, before it is answered; onReply sees each reply
+// as the initiator decodes it.
 type loopTransport struct {
 	rounds  map[string]*engine.ServerRound
 	onSolve func(col int, body SolveBody) error
+	onReply func(col int, reply SolveReply) error
 }
 
 func newLoopTransport(prob *opt.Problem, addrs []string) *loopTransport {
@@ -41,7 +43,11 @@ func (lt *loopTransport) Replica(ctx context.Context, addr, verb string, body an
 		return nil, err
 	}
 	if lt.onSolve != nil {
-		if err := lt.onSolve(sr.Col, body.(SolveBody)); err != nil {
+		var decoded SolveBody
+		if err := req.DecodeBody(&decoded); err != nil {
+			return nil, err
+		}
+		if err := lt.onSolve(sr.Col, decoded); err != nil {
 			return nil, err
 		}
 	}
@@ -53,7 +59,25 @@ func (lt *loopTransport) Replica(ctx context.Context, addr, verb string, body an
 	if err != nil {
 		return nil, err
 	}
+	if lt.onReply != nil {
+		var decoded SolveReply
+		if err := resp.DecodeBody(&decoded); err != nil {
+			return nil, err
+		}
+		if err := lt.onReply(sr.Col, decoded); err != nil {
+			return nil, err
+		}
+	}
 	return wireReply{resp}, nil
+}
+
+// replicaAddrs names a problem's replicas r0, r1, ….
+func replicaAddrs(n int) []string {
+	addrs := make([]string, n)
+	for j := range addrs {
+		addrs[j] = fmt.Sprintf("r%d", j)
+	}
+	return addrs
 }
 
 // clientAccumulator is the multiplier as a client used to hold it: zero at
@@ -81,24 +105,20 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			c, n := prob.C(), prob.N()
-			addrs := make([]string, n)
-			for j := range addrs {
-				addrs[j] = fmt.Sprintf("r%d", j)
-			}
 			clients := make([]clientAccumulator, c)
 			step := AutoStepValue(prob)
-			allowed := prob.Allowed()
+			sp := prob.Sparsity()
 
-			lt := newLoopTransport(prob, addrs)
+			lt := newLoopTransport(prob, replicaAddrs(n))
 			lt.onSolve = func(j int, body SolveBody) error {
-				for i := 0; i < c; i++ {
-					want := clients[i].mu
-					if !allowed[i][j] {
-						want = 0 // projected onto the replica's support
-					}
-					if math.Float64bits(body.Mu[i]) != math.Float64bits(want) {
+				support := sp.RowIdx[sp.ColStart[j]:sp.ColStart[j+1]]
+				if len(body.Mu) != len(support) {
+					return fmt.Errorf("replica %d is sent %d multipliers for a support of %d", j, len(body.Mu), len(support))
+				}
+				for p, i := range support {
+					if want := clients[i].mu; math.Float64bits(body.Mu[p]) != math.Float64bits(want) {
 						return fmt.Errorf("iteration %d: replica %d is sent μ[%d] = %v, client accumulator holds %v",
-							body.Iter, j, i, body.Mu[i], want)
+							body.Iter, j, i, body.Mu[p], want)
 					}
 				}
 				return nil
@@ -122,7 +142,7 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 					}
 				},
 			}
-			rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs, MaxIters: 60}
+			rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: replicaAddrs(n), MaxIters: 60}
 			if _, _, err := d.Run(context.Background(), alg, rd); err != nil {
 				t.Fatal(err)
 			}
@@ -140,11 +160,8 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 // across rounds and releases after each.
 func TestRoundWarmDuals(t *testing.T) {
 	prob := maskedInstance(t, sim.NewRand(29), 16, 5)
-	addrs := make([]string, prob.N())
-	for j := range addrs {
-		addrs[j] = fmt.Sprintf("r%d", j)
-	}
-	allowed := prob.Allowed()
+	addrs := replicaAddrs(prob.N())
+	sp := prob.Sparsity()
 	pool := &opt.Pool{}
 	run := func(maxIters int, warmMu []float64) ([][]float64, []float64) {
 		t.Helper()
@@ -154,8 +171,8 @@ func TestRoundWarmDuals(t *testing.T) {
 			if body.Iter != 1 || warmMu == nil {
 				return nil
 			}
-			for i, v := range body.Mu {
-				if want := warmMu[i]; allowed[i][j] && v != want {
+			for p, i := range sp.RowIdx[sp.ColStart[j]:sp.ColStart[j+1]] {
+				if v, want := body.Mu[p], warmMu[i]; v != want {
 					return fmt.Errorf("replica %d is sent μ[%d] = %v in the first wave, warm seed %v", j, i, v, want)
 				}
 			}

@@ -12,7 +12,8 @@ import "sync"
 //     iteration id; the server diffs its reply against the matching
 //     snapshot it kept.
 //
-//   - Push verbs (LDDM μ-vectors, ADMM proximal targets): the sender
+//   - Push verbs (ADMM proximal targets; LDDM's μ, packed over each
+//     replica's support, rides plain vectors): the sender
 //     tracks, per peer, the last vector that peer confirmed decoding
 //     (DeltaTx) and diffs each new frame against it; the receiver keeps
 //     its last two absorbed vectors (DeltaRx) so both the next frame and
