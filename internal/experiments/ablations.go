@@ -122,7 +122,7 @@ func Ablations(seed uint64) (*Result, error) {
 // lddmSaving returns the % model-cost saving of LDDM vs Round-Robin on
 // one instance.
 func lddmSaving(prob *opt.Problem) (float64, error) {
-	ld, err := lddm.New().Solve(prob)
+	ld, err := (&lddm.Solver{MaxIters: 3000, Tol: 0.01}).Solve(prob)
 	if err != nil {
 		return 0, err
 	}

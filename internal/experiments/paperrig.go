@@ -74,15 +74,9 @@ func paperRounds(r *sim.Rand, app workload.Application, prices []float64, rounds
 func newSolver(algo string, budget int) (solver.Solver, error) {
 	switch algo {
 	case "LDDM":
-		s := lddm.New()
-		s.MaxIters = budget
-		s.StepRamp = 10
-		return s, nil
+		return &lddm.Solver{MaxIters: budget, StepRamp: 10, Tol: 0.01}, nil
 	case "CDPSM":
-		s := cdpsm.New()
-		s.MaxIters = budget
-		s.Step = opt.ConstantStep(0.0005)
-		return s, nil
+		return &cdpsm.Solver{MaxIters: budget, Step: 0.0005, Tol: 1e-6}, nil
 	case "Round-Robin":
 		return baseline.RoundRobin{}, nil
 	default:
