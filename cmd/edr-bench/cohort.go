@@ -84,11 +84,7 @@ func runCohortScale(clients int, cohorts string, seed uint64) error {
 	fmt.Printf("cohort-scale: %d clients x %d replicas (%d regions) generated in %v\n",
 		clients, replicas, regions, time.Since(t0).Round(time.Millisecond))
 
-	mkSolver := func() *lddm.Solver {
-		s := lddm.New()
-		s.MaxIters = 400
-		return s
-	}
+	mkSolver := func() *lddm.Solver { return &lddm.Solver{MaxIters: 400} }
 
 	if ungrouped {
 		t0 = time.Now()

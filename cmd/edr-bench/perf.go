@@ -136,20 +136,11 @@ func runPerf(outDir string, seed uint64, baseline string) error {
 	mk := func(alg string, parallelism int) (solver.Solver, int) {
 		switch alg {
 		case "LDDM":
-			s := lddm.New()
-			s.MaxIters = 400
-			s.Parallelism = parallelism
-			return s, s.MaxIters
+			return &lddm.Solver{MaxIters: 400, Parallelism: parallelism}, 400
 		case "CDPSM":
-			s := cdpsm.New()
-			s.MaxIters = 25
-			s.Parallelism = parallelism
-			return s, s.MaxIters
+			return &cdpsm.Solver{MaxIters: 25, Parallelism: parallelism}, 25
 		default:
-			s := admm.New()
-			s.MaxIters = 60
-			s.Parallelism = parallelism
-			return s, s.MaxIters
+			return &admm.Solver{MaxIters: 60, Parallelism: parallelism}, 60
 		}
 	}
 	bench := func(s solver.Solver) testing.BenchmarkResult {
@@ -352,8 +343,7 @@ func measureCohortScale(seed uint64) (*cohortPerf, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := cdpsm.New()
-	s.MaxIters = iters
+	s := &cdpsm.Solver{MaxIters: iters}
 
 	t0 := time.Now()
 	if _, err := s.Solve(prob); err != nil {

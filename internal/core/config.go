@@ -53,13 +53,14 @@ type ReplicaConfig struct {
 	// MaxLatencySec is T for rounds this replica initiates; 0 means the
 	// paper default 1.8 ms.
 	MaxLatencySec float64
-	// MaxIters bounds distributed iterations per round; 0 means 200 (live
-	// rounds favor latency; the in-process engines run longer). -1 means
-	// zero iterations: the initiator skips the distributed loop and just
-	// projects a feasible assignment.
+	// MaxIters bounds distributed iterations per round; 0 means
+	// engine.DefaultMaxIters (200), the in-process solvers' default too.
+	// -1 means zero iterations: the initiator skips the distributed loop
+	// and just projects a feasible assignment.
 	MaxIters int
-	// Tol is the round convergence tolerance; 0 means 0.02 relative
-	// demand residual for LDDM, 1e-4 movement for CDPSM.
+	// Tol is the round convergence tolerance; 0 means each algorithm's
+	// own: 0.02 relative demand residual for LDDM, a 1e-3 primal residual
+	// relative to 1+‖R‖ for ADMM, 1e-3 estimate movement for CDPSM.
 	Tol float64
 	// RPCTimeout bounds each coordination message; 0 means 3s.
 	RPCTimeout time.Duration
@@ -149,7 +150,7 @@ func (c *ReplicaConfig) withDefaults() ReplicaConfig {
 	if out.MaxIters < 0 {
 		out.MaxIters = 0
 	} else if out.MaxIters == 0 {
-		out.MaxIters = 200
+		out.MaxIters = engine.DefaultMaxIters
 	}
 	if out.RPCTimeout <= 0 {
 		out.RPCTimeout = 3 * time.Second

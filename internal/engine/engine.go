@@ -16,7 +16,9 @@
 // describes only what differs: the per-iteration exchanges (verb, body
 // builder, reply folder), the convergence test, and primal recovery.
 // Adding a new method (dual gradient tracking, an accelerated variant) is
-// a ~100-line registry entry, not a fork of internal/core.
+// a ~100-line registry entry, not a fork of internal/core. The fleet runs
+// the driver over its replicas; the in-process solvers run the same
+// Algorithms over a Loopback, so each method has one loop.
 package engine
 
 import (

@@ -13,9 +13,10 @@
 // and each client c updates its multiplier by gradient ascent on the dual:
 // μ_c ← μ_c + d·(Σ_n p_{c,n} − R_c). Coordination is purely pairwise
 // between clients and replicas — O(|C|·|N|) scalars per iteration, the
-// source of LDDM's speed advantage over CDPSM (paper §III-D.2). Solver
-// models that pattern and its message count; the live round (round.go)
-// takes the same step on the initiator, which already holds its inputs.
+// source of LDDM's speed advantage over CDPSM (paper §III-D.2); Solver
+// counts that pattern. The round (round.go) — live, and in-process under
+// Solver — takes the same step on the initiator, which already holds its
+// inputs.
 // On the live wire a replica with m feasible clients is sent their m
 // multipliers and answers with the water-filling's decision — a bitmap of
 // clients served their whole demand plus the one partial share — from

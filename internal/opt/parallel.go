@@ -8,26 +8,25 @@ import (
 )
 
 // Parallel is a bounded worker pool for fanning the independent units of a
-// solver iteration across cores: CDPSM's per-agent consensus+gradient+
-// projection steps, LDDM/ADMM per-replica subproblems, and the per-row /
-// per-column sweeps inside the feasible-set projections. It exists because
-// those units are embarrassingly parallel — each writes disjoint state —
-// while the surrounding iteration stays sequential.
+// solver kernel across cores: the per-row / per-column sweeps inside the
+// feasible-set projections. It exists because those units are
+// embarrassingly parallel — each writes disjoint state — while the
+// surrounding iteration stays sequential.
 //
 // Design rules the callers rely on:
 //
-//   - Determinism: For partitions [0, n) into the same contiguous chunks
-//     every call, and callers give each index (or each chunk) disjoint
-//     output state, so a parallel run is bit-for-bit identical to the
-//     serial one — only the wall clock changes. Reductions (max movement,
-//     first error) happen serially after the fan-out.
+//   - Determinism: ForBalanced partitions [0, n) into the same contiguous
+//     chunks every call, and callers give each index (or each chunk)
+//     disjoint output state, so a parallel run is bit-for-bit identical to
+//     the serial one — only the wall clock changes. Reductions (max
+//     movement, first error) happen serially after the fan-out.
 //   - Nil is serial: a nil *Parallel is valid and runs everything inline,
 //     so call sites need no branching; NewParallel returns nil for serial
 //     configurations.
 //   - Bounded and nest-safe: at most workers goroutines exist per pool.
-//     When a parallel region is entered from inside another (an agent's
-//     projection inside the per-agent fan-out), chunk handoff degrades to
-//     inline execution instead of spawning unboundedly.
+//     When a parallel region is entered from inside another, chunk
+//     handoff degrades to inline execution instead of spawning
+//     unboundedly.
 type Parallel struct {
 	workers int
 	tokens  chan struct{}
@@ -63,8 +62,8 @@ func (p *Parallel) Workers() int {
 	return p.workers
 }
 
-// Chunks reports how many chunks For/ForErr will split n units into —
-// callers allocating per-chunk scratch size it with this.
+// Chunks reports how many chunks ForBalanced/ForBalancedErr will split n
+// units into — callers allocating per-chunk scratch size it with this.
 func (p *Parallel) Chunks(n int) int {
 	w := p.Workers()
 	if n < w {
@@ -91,52 +90,17 @@ func (p *Parallel) Gate(work int) *Parallel {
 // instances (tens of elements) stay serial, paper-scale ones fan out.
 const parallelGrain = 512
 
-// For splits [0, n) into Chunks(n) contiguous chunks and runs
-// fn(chunk, lo, hi) for each, concurrently when workers are free and
-// inline otherwise, returning when all chunks are done. The partition is
-// deterministic (chunk c covers [c·n/W, (c+1)·n/W)), and chunk indexes are
-// dense in [0, Chunks(n)) so fn can index per-chunk scratch. fn must write
-// only state disjoint per index range (or per chunk).
-func (p *Parallel) For(n int, fn func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	chunks := p.Chunks(n)
-	if chunks <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for c := 1; c < chunks; c++ {
-		lo, hi := c*n/chunks, (c+1)*n/chunks
-		select {
-		case <-p.tokens:
-			wg.Add(1)
-			go func(c, lo, hi int) {
-				defer func() {
-					p.tokens <- struct{}{}
-					wg.Done()
-				}()
-				fn(c, lo, hi)
-			}(c, lo, hi)
-		default:
-			// Pool saturated — a nested parallel region. Run inline
-			// rather than spawn past the bound.
-			fn(c, lo, hi)
-		}
-	}
-	fn(0, 0, n/chunks)
-	wg.Wait()
-}
-
-// ForBalanced is For with chunk boundaries balanced by cumulative weight
-// instead of unit counts: cum (len n+1, non-decreasing, cum[0] = 0) gives
-// the cumulative work before each unit, and chunk c covers the units whose
-// weight spans [c·W/chunks, (c+1)·W/chunks) where W = cum[n]. Sparse row
-// sweeps pass a CSR RowStart so workers get equal nnz even when row
-// fan-outs differ wildly. Boundaries depend only on cum and the pool
-// width, so (as with For) callers giving each unit disjoint output state
-// get chunking-independent results.
+// ForBalanced splits [0, n) into Chunks(n) contiguous chunks balanced by
+// cumulative weight and runs fn(chunk, lo, hi) for each, concurrently when
+// workers are free and inline otherwise (a nested region never spawns past
+// the bound), returning when all chunks are done. cum (len n+1,
+// non-decreasing, cum[0] = 0) gives the cumulative work before each unit,
+// and chunk c covers the units whose weight spans [c·W/chunks,
+// (c+1)·W/chunks) where W = cum[n]. Sparse row sweeps pass a CSR RowStart so
+// workers get equal nnz even when row fan-outs differ wildly. Chunk indexes
+// are dense in [0, Chunks(n)) so fn can index per-chunk scratch, and
+// boundaries depend only on cum and the pool width, so callers giving each
+// unit disjoint output state get chunking-independent results.
 func (p *Parallel) ForBalanced(n int, cum []int, fn func(chunk, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -185,8 +149,10 @@ func (p *Parallel) ForBalanced(n int, cum []int, fn func(chunk, lo, hi int)) {
 	wg.Wait()
 }
 
-// ForBalancedErr is ForBalanced with ForErr's error collection: the
-// lowest-indexed chunk's error wins, matching serial left-to-right order.
+// ForBalancedErr is ForBalanced with error collection: each chunk may
+// return an error, and the lowest-indexed chunk's error is returned — the
+// error a serial left-to-right loop would have surfaced first. All chunks
+// run to completion regardless.
 func (p *Parallel) ForBalancedErr(n int, cum []int, fn func(chunk, lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -200,31 +166,6 @@ func (p *Parallel) ForBalancedErr(n int, cum []int, fn func(chunk, lo, hi int) e
 	}
 	errs := make([]error, chunks)
 	p.ForBalanced(n, cum, func(chunk, lo, hi int) {
-		errs[chunk] = fn(chunk, lo, hi)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForErr is For with error collection: each chunk may return an error, and
-// the lowest-indexed chunk's error is returned — the same error a serial
-// left-to-right loop would have surfaced first, keeping failure behavior
-// deterministic. All chunks run to completion regardless (projection
-// kernels have no useful partial-cancellation).
-func (p *Parallel) ForErr(n int, fn func(chunk, lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	chunks := p.Chunks(n)
-	if chunks <= 1 {
-		return fn(0, 0, n)
-	}
-	errs := make([]error, chunks)
-	p.For(n, func(chunk, lo, hi int) {
 		errs[chunk] = fn(chunk, lo, hi)
 	})
 	for _, err := range errs {

@@ -6,12 +6,21 @@ import (
 	"testing"
 )
 
+// units is the cumulative weight of n unit-weight units.
+func units(n int) []int {
+	cum := make([]int, n+1)
+	for i := range cum {
+		cum[i] = i
+	}
+	return cum
+}
+
 func TestParallelCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{-1, 1, 2, 3, 8, 64} {
 		p := NewParallel(workers)
 		for _, n := range []int{0, 1, 2, 7, 64, 1001} {
 			hits := make([]int32, n)
-			p.For(n, func(_, lo, hi int) {
+			p.ForBalanced(n, units(n), func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -30,7 +39,7 @@ func TestParallelChunkIndexesAreDense(t *testing.T) {
 	const n = 37
 	want := p.Chunks(n)
 	seen := make([]int32, want)
-	p.For(n, func(chunk, lo, hi int) {
+	p.ForBalanced(n, units(n), func(chunk, lo, hi int) {
 		if chunk < 0 || chunk >= want {
 			t.Errorf("chunk %d outside [0,%d)", chunk, want)
 			return
@@ -56,7 +65,7 @@ func TestParallelNilAndSerialAreInline(t *testing.T) {
 		t.Fatalf("NewParallel(1) = %v, want nil", got)
 	}
 	calls := 0
-	p.For(10, func(chunk, lo, hi int) {
+	p.ForBalanced(10, units(10), func(chunk, lo, hi int) {
 		calls++
 		if chunk != 0 || lo != 0 || hi != 10 {
 			t.Fatalf("nil pool chunked: chunk=%d lo=%d hi=%d", chunk, lo, hi)
@@ -70,7 +79,7 @@ func TestParallelNilAndSerialAreInline(t *testing.T) {
 func TestParallelForErrReturnsLowestChunkError(t *testing.T) {
 	p := NewParallel(4)
 	e1, e3 := errors.New("chunk 1"), errors.New("chunk 3")
-	err := p.ForErr(400, func(chunk, lo, hi int) error {
+	err := p.ForBalancedErr(400, units(400), func(chunk, lo, hi int) error {
 		switch chunk {
 		case 1:
 			return e1
@@ -80,20 +89,20 @@ func TestParallelForErrReturnsLowestChunkError(t *testing.T) {
 		return nil
 	})
 	if err != e1 {
-		t.Fatalf("ForErr returned %v, want lowest-chunk error %v", err, e1)
+		t.Fatalf("ForBalancedErr returned %v, want lowest-chunk error %v", err, e1)
 	}
-	if err := p.ForErr(100, func(_, _, _ int) error { return nil }); err != nil {
-		t.Fatalf("ForErr with no failures returned %v", err)
+	if err := p.ForBalancedErr(100, units(100), func(_, _, _ int) error { return nil }); err != nil {
+		t.Fatalf("ForBalancedErr with no failures returned %v", err)
 	}
 }
 
 func TestParallelNestedRegionsStayBounded(t *testing.T) {
 	p := NewParallel(4)
 	var live, peak int32
-	p.For(16, func(_, lo, hi int) {
+	p.ForBalanced(16, units(16), func(_, lo, hi int) {
 		// Nested fan-out from inside a chunk: must complete (inline when
 		// saturated) and never exceed the worker bound.
-		p.For(64, func(_, lo2, hi2 int) {
+		p.ForBalanced(64, units(64), func(_, lo2, hi2 int) {
 			n := atomic.AddInt32(&live, 1)
 			for {
 				old := atomic.LoadInt32(&peak)

@@ -1,9 +1,6 @@
 package opt
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Sparsity is the immutable CSR+CSC index view of a problem's latency-
 // feasibility mask. Packed vectors indexed by it hold one float64 per
@@ -169,52 +166,9 @@ func (sp *Sparsity) ColSumsInto(dst []float64, v []float64) []float64 {
 	return dst
 }
 
-// VecAXPY computes dst += s·a over packed vectors.
-func VecAXPY(dst []float64, s float64, a []float64) {
-	if len(dst) != len(a) {
-		panic(fmt.Sprintf("opt: VecAXPY length mismatch: %d vs %d", len(dst), len(a)))
-	}
-	for i := range dst {
-		dst[i] += s * a[i]
-	}
-}
-
-// VecScale multiplies every entry of v by s.
-func VecScale(v []float64, s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}
-
 // VecFill sets every entry of v to x.
 func VecFill(v []float64, x float64) {
 	for i := range v {
 		v[i] = x
-	}
-}
-
-// VecDist returns the Euclidean distance ‖a−b‖ over packed vectors.
-func VecDist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("opt: VecDist length mismatch: %d vs %d", len(a), len(b)))
-	}
-	sum := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
-
-// VecMean averages packed vectors entry-wise with the given weights into
-// dst — the packed counterpart of Mean, with the same accumulation order
-// (zero, then one AXPY per vector).
-func VecMean(dst []float64, weights []float64, vs ...[]float64) {
-	if len(weights) != len(vs) {
-		panic(fmt.Sprintf("opt: VecMean got %d weights for %d vectors", len(weights), len(vs)))
-	}
-	VecFill(dst, 0)
-	for k, v := range vs {
-		VecAXPY(dst, weights[k], v)
 	}
 }

@@ -69,8 +69,8 @@ func FuzzSparseDenseEquiv(f *testing.F) {
 			nearCenter bool
 		}{
 			{&cdpsm.Solver{MaxIters: 60}, false},
-			{&lddm.Solver{}, true},
-			{&admm.Solver{}, true},
+			{&lddm.Solver{MaxIters: 3000, Tol: 0.01}, true},
+			{&admm.Solver{MaxIters: 500, Tol: 1e-4}, true},
 		}
 		for _, e := range engines {
 			res, err := e.s.Solve(prob)
