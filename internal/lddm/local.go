@@ -26,7 +26,6 @@ package lddm
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"edr/internal/model"
 )
@@ -43,25 +42,45 @@ type LocalProblem struct {
 	// replica's latency bound (a CSC column slice of the problem's
 	// Sparsity view; every client on a fully-feasible instance). Mu and
 	// Demands stay full-length and are indexed through it, so the
-	// water-filling costs O(|Clients| log |Clients|).
+	// water-filling costs O(m + k log m) for m = |Clients| and k clients
+	// served.
 	Clients []int
 
-	// order is the candidate-ordering scratch, kept across solves: a
-	// LocalProblem is solved by one goroutine at a time (the replica's
-	// server state holds it under its lock).
-	order []int
+	// heap is the candidate scratch, kept across solves: a LocalProblem is
+	// solved by one goroutine at a time (the replica's server state holds
+	// it under its lock).
+	heap []candidate
 }
 
-// byMu orders client ids by ascending multiplier with the strict < the
-// water-filling is defined on (ties, and NaNs, compare equal).
-func byMu(mu []float64, a, b int) int {
-	switch {
-	case mu[a] < mu[b]:
-		return -1
-	case mu[b] < mu[a]:
-		return 1
+// candidate is a positive-demand client awaiting the water-filling: its
+// multiplier and its position in the support.
+type candidate struct {
+	mu  float64
+	pos int
+}
+
+// before is the order the fill serves candidates in: ascending μ, ties by
+// support position — the lower client id, lp.Clients being ascending.
+func (a candidate) before(b candidate) bool {
+	return a.mu < b.mu || (a.mu == b.mu && a.pos < b.pos)
+}
+
+// siftDown restores the min-heap order below h[i].
+func siftDown(h []candidate, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return 0
 }
 
 // Validate checks shape consistency.
@@ -109,94 +128,50 @@ func marginalLoad(r model.Replica, m float64) float64 {
 // R_c, at the capacity B_n, or at the break-even load Φ'(S) = −μ_c,
 // whichever comes first. Clients with μ_c ≥ −Φ'(current S) receive
 // nothing; latency-infeasible clients are not in lp.Clients at all.
+//
+// The fill stops after a handful of the m candidates, so they are not
+// sorted: a binary min-heap is built over them in O(m) and popped only
+// while the fill runs. Its order (candidate.before) is total over finite
+// μ, so every solve serves the same clients in the same sequence.
 func SolveLocal(lp *LocalProblem) ([]float64, error) {
 	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
 	p := make([]float64, len(lp.Clients))
 
-	// Candidate positions in ascending μ (lp.Clients is ascending, so ties
-	// keep client-id order).
-	order := lp.order[:0]
+	h := lp.heap[:0]
 	for idx, i := range lp.Clients {
 		if lp.Demands[i] > 0 {
-			order = append(order, idx)
+			h = append(h, candidate{lp.Mu[i], idx})
 		}
 	}
-	lp.order = order
-	slices.SortFunc(order, func(a, b int) int { return byMu(lp.Mu, lp.Clients[a], lp.Clients[b]) })
+	lp.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
 
 	s := 0.0
 	budget := lp.Replica.Bandwidth
-	for _, idx := range order {
+	for len(h) > 0 {
 		if s >= budget-1e-15 {
 			break
 		}
-		i := lp.Clients[idx]
+		c := h[0]
 		// Load level at which this client's marginal hits zero.
-		breakEven := marginalLoad(lp.Replica, -lp.Mu[i])
+		breakEven := marginalLoad(lp.Replica, -c.mu)
 		if breakEven <= s {
 			break // this and all later clients have non-negative marginals
 		}
-		take := math.Min(lp.Demands[i], math.Min(budget, breakEven)-s)
+		take := math.Min(lp.Demands[lp.Clients[c.pos]], math.Min(budget, breakEven)-s)
 		if take <= 0 {
 			break
 		}
-		p[idx] = take
+		p[c.pos] = take
 		s += take
-	}
-	return p, nil
-}
-
-// LocalObjective evaluates E_n(S) + Σ μ_c p_c for a candidate column p
-// over lp.Clients.
-func LocalObjective(lp *LocalProblem, p []float64) float64 {
-	s := 0.0
-	linear := 0.0
-	for idx, v := range p {
-		s += v
-		linear += lp.Mu[lp.Clients[idx]] * v
-	}
-	return lp.Replica.Cost(s) + linear
-}
-
-// SolveLocalPGD solves the same local problem by projected gradient
-// descent — a slower, independent method used in tests to cross-check the
-// water-filling solution.
-func SolveLocalPGD(lp *LocalProblem, iters int, step float64) ([]float64, error) {
-	if err := lp.Validate(); err != nil {
-		return nil, err
-	}
-	if iters <= 0 || step <= 0 {
-		return nil, fmt.Errorf("lddm: SolveLocalPGD needs positive iters and step")
-	}
-	p := make([]float64, len(lp.Clients))
-	for k := 1; k <= iters; k++ {
-		s := 0.0
-		for _, v := range p {
-			s += v
-		}
-		marginal := lp.Replica.MarginalCost(s)
-		d := step / math.Sqrt(float64(k))
-		for idx, i := range lp.Clients {
-			p[idx] -= d * (marginal + lp.Mu[i])
-			if p[idx] < 0 {
-				p[idx] = 0
-			} else if p[idx] > lp.Demands[i] {
-				p[idx] = lp.Demands[i]
-			}
-		}
-		// Re-impose the capacity budget.
-		s = 0.0
-		for _, v := range p {
-			s += v
-		}
-		if s > lp.Replica.Bandwidth {
-			scale := lp.Replica.Bandwidth / s
-			for i := range p {
-				p[i] *= scale
-			}
-		}
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h, 0)
 	}
 	return p, nil
 }

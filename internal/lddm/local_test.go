@@ -1,6 +1,8 @@
 package lddm
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -35,8 +37,9 @@ func localProblem(price float64, mu, demands []float64) *LocalProblem {
 }
 
 // solveLocalDense is the dense reference water-filling SolveLocal is
-// checked against: it scans all |C| clients, tests the mask per client and
-// returns a full-length column.
+// checked against: it scans all |C| clients, tests the mask per client,
+// sorts the candidates by μ then client id and returns a full-length
+// column.
 func solveLocalDense(rep model.Replica, mu, demands []float64, allowed []bool) []float64 {
 	p := make([]float64, len(mu))
 	order := []int{}
@@ -45,7 +48,7 @@ func solveLocalDense(rep model.Replica, mu, demands []float64, allowed []bool) [
 			order = append(order, i)
 		}
 	}
-	slices.SortFunc(order, func(a, b int) int { return byMu(mu, a, b) })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(mu[a], mu[b]), a-b) })
 	s := 0.0
 	budget := rep.Bandwidth
 	for _, i := range order {
@@ -66,38 +69,97 @@ func solveLocalDense(rep model.Replica, mu, demands []float64, allowed []bool) [
 	return p
 }
 
+// checkAgainstDense solves lp and compares it with the dense oracle bit for
+// bit, returning the load it placed.
+func checkAgainstDense(t *testing.T, lp *LocalProblem, allowed []bool) float64 {
+	t.Helper()
+	dense := solveLocalDense(lp.Replica, lp.Mu, lp.Demands, allowed)
+	packed, err := SolveLocal(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := 0.0
+	for idx, i := range lp.Clients {
+		if math.Float64bits(packed[idx]) != math.Float64bits(dense[i]) {
+			t.Fatalf("packed[%d]=%v, dense[%d]=%v", idx, packed[idx], i, dense[i])
+		}
+		s += packed[idx]
+	}
+	for i, v := range dense {
+		if !allowed[i] && v != 0 {
+			t.Fatalf("dense wrote masked client %d", i)
+		}
+	}
+	return s
+}
+
+// The first 40 trials are small supports with continuous μ. The rest reach
+// m ≈ 200 with μ on eight levels, so ties are common and their order decides
+// who is served, and the deepest level makes capacity bind in about half.
 func TestSolveLocalMatchesDenseOracle(t *testing.T) {
 	r := sim.NewRand(53)
-	for trial := 0; trial < 40; trial++ {
+	binding := 0
+	for trial := 0; trial < 120; trial++ {
+		wide := trial >= 40
 		c := r.IntBetween(1, 12)
+		if wide {
+			c = r.IntBetween(13, 200)
+		}
 		rep := model.NewReplica("r", r.Range(1, 20))
 		rep.Bandwidth = r.Range(20, 120)
+		deepest := rep.MarginalCost(rep.Bandwidth) * r.Range(0.5, 2)
 		mu := make([]float64, c)
 		demands := make([]float64, c)
 		allowed := make([]bool, c)
 		for i := 0; i < c; i++ {
-			mu[i] = r.Range(-2, 2)
+			if wide {
+				mu[i] = -deepest * float64(r.Intn(8)) / 7
+			} else {
+				mu[i] = r.Range(-2, 2)
+			}
 			demands[i] = r.Range(0, 30)
-			// The last ten trials run the full (density-1) client list.
-			allowed[i] = trial >= 30 || r.Float64() < 0.7
+			// The last ten small trials run the full (density-1) client list.
+			allowed[i] = (trial >= 30 && !wide) || r.Float64() < 0.7
 		}
-		dense := solveLocalDense(rep, mu, demands, allowed)
 		lp := &LocalProblem{Replica: rep, Mu: mu, Demands: demands, Clients: clientsOf(allowed)}
-		packed, err := SolveLocal(lp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for idx, i := range lp.Clients {
-			if packed[idx] != dense[i] {
-				t.Fatalf("trial %d: packed[%d]=%v, dense[%d]=%v", trial, idx, packed[idx], i, dense[i])
+		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
+			if s := checkAgainstDense(t, lp, allowed); s >= rep.Bandwidth-1e-9 {
+				binding++
 			}
-		}
-		for i, v := range dense {
-			if !allowed[i] && v != 0 {
-				t.Fatalf("trial %d: dense wrote masked client %d", trial, i)
-			}
-		}
+		})
 	}
+	if binding < 20 {
+		t.Fatalf("capacity bound in %d trials; want at least 20", binding)
+	}
+}
+
+// FuzzWaterFilling compares SolveLocal with the dense oracle bit for bit.
+// Each client takes three bytes: μ on a coarse grid (so ties are common),
+// its demand (zero included), and whether it is within the latency bound.
+// The first argument picks the price and, by its top bit, a linear cost
+// (break-even +Inf); the second the capacity.
+func FuzzWaterFilling(f *testing.F) {
+	f.Add(uint8(3), uint16(800), []byte{10, 40, 0, 10, 40, 0, 10, 40, 0, 250, 8, 1, 60, 200, 0})
+	f.Add(uint8(0x85), uint16(100), []byte{0, 255, 0, 0, 255, 0, 5, 1, 0})
+	f.Fuzz(func(t *testing.T, price uint8, bandwidth uint16, data []byte) {
+		rep := model.NewReplica("r", 1+float64(price&0x1f))
+		if price&0x80 != 0 {
+			rep.Gamma = 1
+		}
+		rep.Bandwidth = 1 + float64(bandwidth)/16
+		c := min(len(data)/3, 256)
+		if c == 0 {
+			return
+		}
+		mu, demands, allowed := make([]float64, c), make([]float64, c), make([]bool, c)
+		for i := range mu {
+			b := data[3*i:]
+			mu[i] = -float64(b[0]) * 4
+			demands[i] = float64(b[1]) / 4
+			allowed[i] = b[2]&1 == 0
+		}
+		checkAgainstDense(t, &LocalProblem{Replica: rep, Mu: mu, Demands: demands, Clients: clientsOf(allowed)}, allowed)
+	})
 }
 
 func TestSolveLocalAllZeroMu(t *testing.T) {
@@ -241,12 +303,12 @@ func TestSolveLocalMatchesPGDProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		approx, err := SolveLocalPGD(lp, 4000, 0.5)
+		approx, err := solveLocalPGD(lp, 4000, 0.5)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		fExact := LocalObjective(lp, exact)
-		fApprox := LocalObjective(lp, approx)
+		fExact := localObjective(lp, exact)
+		fApprox := localObjective(lp, approx)
 		// The exact solver must never be worse than PGD (beyond noise).
 		if fExact > fApprox+1e-3*(1+math.Abs(fApprox)) {
 			t.Fatalf("trial %d: water-filling %g worse than PGD %g\nmu=%v demands=%v allowed=%v",
@@ -315,10 +377,63 @@ func TestSolveLocalKKTProperty(t *testing.T) {
 
 func TestSolveLocalPGDBadArgs(t *testing.T) {
 	lp := localProblem(1, []float64{0}, []float64{1})
-	if _, err := SolveLocalPGD(lp, 0, 1); err == nil {
+	if _, err := solveLocalPGD(lp, 0, 1); err == nil {
 		t.Fatal("zero iters accepted")
 	}
-	if _, err := SolveLocalPGD(lp, 10, 0); err == nil {
+	if _, err := solveLocalPGD(lp, 10, 0); err == nil {
 		t.Fatal("zero step accepted")
 	}
+}
+
+// localObjective evaluates E_n(S) + Σ μ_c p_c for a candidate column p
+// over lp.Clients.
+func localObjective(lp *LocalProblem, p []float64) float64 {
+	s := 0.0
+	linear := 0.0
+	for idx, v := range p {
+		s += v
+		linear += lp.Mu[lp.Clients[idx]] * v
+	}
+	return lp.Replica.Cost(s) + linear
+}
+
+// solveLocalPGD solves the same local problem by projected gradient
+// descent — a slower, independent method the water-filling is
+// cross-checked against.
+func solveLocalPGD(lp *LocalProblem, iters int, step float64) ([]float64, error) {
+	if err := lp.Validate(); err != nil {
+		return nil, err
+	}
+	if iters <= 0 || step <= 0 {
+		return nil, fmt.Errorf("lddm: solveLocalPGD needs positive iters and step")
+	}
+	p := make([]float64, len(lp.Clients))
+	for k := 1; k <= iters; k++ {
+		s := 0.0
+		for _, v := range p {
+			s += v
+		}
+		marginal := lp.Replica.MarginalCost(s)
+		d := step / math.Sqrt(float64(k))
+		for idx, i := range lp.Clients {
+			p[idx] -= d * (marginal + lp.Mu[i])
+			if p[idx] < 0 {
+				p[idx] = 0
+			} else if p[idx] > lp.Demands[i] {
+				p[idx] = lp.Demands[i]
+			}
+		}
+		// Re-impose the capacity budget.
+		s = 0.0
+		for _, v := range p {
+			s += v
+		}
+		if s > lp.Replica.Bandwidth {
+			scale := lp.Replica.Bandwidth / s
+			for i := range p {
+				p[i] *= scale
+			}
+		}
+	}
+	return p, nil
 }

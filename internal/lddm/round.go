@@ -56,13 +56,22 @@ func packReply(packed []float64, clients []int, demands []float64) SolveReply {
 // Unpack checks the reply against a support of len(clients) clients and
 // writes it into column j of x: for the p-th client i, demands[i] where bit
 // p is set, the listed value where p is listed, 0 otherwise. Rows outside
-// clients are not touched.
+// clients are not touched, nor is anything written when the reply is
+// refused. A listed share must lie strictly inside (0, R_c): the honest
+// partial take = min(R_c, …) always does, and anything else — negative,
+// NaN, infinite, or a whole demand the bitmap should carry — would go
+// straight into the primal and from there into μ.
 func (r *SolveReply) Unpack(clients []int, demands []float64, x [][]float64, j int) error {
 	if r.M != len(clients) {
 		return fmt.Errorf("decision over %d clients for a support of %d", r.M, len(clients))
 	}
 	if err := r.valid(); err != nil {
 		return err
+	}
+	for e, p := range r.Pos {
+		if v, d := r.Val[e], demands[clients[p]]; !(v > 0 && v < d) {
+			return fmt.Errorf("share %v at position %d outside (0, %v)", v, p, d)
+		}
 	}
 	for p, i := range clients {
 		v := 0.0
@@ -274,6 +283,14 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	if len(body.Mu) != len(ls.local.Clients) {
 		return nil, fmt.Errorf("lddm: replica %s, round %d: %d multipliers for a support of %d clients",
 			sr.Self, body.Round, len(body.Mu), len(ls.local.Clients))
+	}
+	// A non-finite μ has no place in the fill's order: NaN is unordered
+	// against every value, so it would scramble the finite ones' order too.
+	for p, v := range body.Mu {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("lddm: replica %s, round %d: multiplier %v at position %d",
+				sr.Self, body.Round, v, p)
+		}
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()

@@ -329,6 +329,67 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 	}
 }
 
+// A request whose multipliers are not all finite is refused before the
+// fill runs: a NaN would scramble the order of the finite clients too.
+func TestLocalSolveRefusesNonFiniteMultipliers(t *testing.T) {
+	prob := maskedInstance(t, sim.NewRand(7), 20, 4)
+	addrs := replicaAddrs(prob.N())
+	const j = 0
+	m := prob.Sparsity().ColNNZ(j)
+	sr := &engine.ServerRound{Round: 1, Prob: prob, Col: j, Self: addrs[j], ReplicaAddrs: addrs}
+	// Only the binary codec can carry them: JSON has no non-finite numbers.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mu := make([]float64, m)
+		mu[m-1] = bad
+		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply{mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu})}, sr)
+		if err == nil || !strings.Contains(err.Error(), addrs[j]) {
+			t.Errorf("μ %v: handler error %v, want one naming %s", bad, err, addrs[j])
+		}
+	}
+}
+
+// A listed share outside (0, R_c) is refused and nothing is folded; an
+// in-range one is accepted.
+func TestSolveReplyRefusesOutOfRangeShares(t *testing.T) {
+	clients, demands := []int{0, 2}, []float64{4, 9, 2.5}
+	for _, tc := range []struct {
+		val float64
+		ok  bool
+	}{
+		{1.25, true},
+		{math.Nextafter(2.5, 0), true},
+		{0, false},
+		{math.Copysign(0, -1), false},
+		{-1, false},
+		{2.5, false}, // the whole demand belongs in the bitmap
+		{3, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		reply := SolveReply{M: 2, Served: []byte{0x01}, Pos: []int{1}, Val: []float64{tc.val}}
+		col := opt.NewMatrix(len(demands), 1)
+		for i := range col {
+			col[i][0] = -7 // what a refused reply must leave in place
+		}
+		err := reply.Unpack(clients, demands, col, 0)
+		if tc.ok {
+			if err != nil || col[0][0] != 4 || col[2][0] != tc.val {
+				t.Errorf("share %v: refused (%v) or rebuilt as %v", tc.val, err, col)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("share %v accepted", tc.val)
+		}
+		for i := range col {
+			if col[i][0] != -7 {
+				t.Errorf("share %v: refused reply wrote row %d = %v", tc.val, i, col[i][0])
+			}
+		}
+	}
+}
+
 func mustMessage(t *testing.T, body SolveBody) transport.Message {
 	t.Helper()
 	msg, err := transport.NewMessage(MsgLocalSolve, "initiator", body)
@@ -363,7 +424,8 @@ func sameBody(a, b wireBody) bool {
 // bytes. Nothing may panic; whatever decodes must re-encode to exactly the
 // input bytes (the encoding is canonical) and decode again to the same body;
 // a valid body must survive encode → decode bit for bit, and a reply must
-// Unpack to the column it was packed from.
+// Unpack to the column it was packed from; one listing a share outside
+// (0, R_c) must be refused.
 func FuzzLocalSolveBodies(f *testing.F) {
 	seeds := []wireBody{
 		&SolveBody{Round: 3, Iter: 7, Mu: []float64{-1.5, math.Copysign(0, -1), math.NaN(), math.Inf(-1)}},
@@ -410,18 +472,28 @@ func FuzzLocalSolveBodies(f *testing.F) {
 
 		// A valid body of each kind from the same bytes: 16 bytes a client,
 		// its packed value then its demand, the demand replaced by the value
-		// itself when the value's low byte is odd. Capped at 20 clients
-		// (three bitmap bytes): longer inputs add no case, only fuzzer time.
+		// itself when the value's low byte is odd. A value that is neither
+		// 0, nor its demand, nor strictly inside (0, demand) is no honest
+		// share: the valid column holds 0 there, and the raw one must be
+		// refused. Capped at 20 clients (three bitmap bytes): longer inputs
+		// add no case, only fuzzer time.
 		m := min(len(in)/16, 20)
 		packed, demands, clients := make([]float64, m), make([]float64, m), make([]int, m)
+		raw, hostile := make([]float64, m), false
 		for p := range packed {
 			chunk := in[16*p:]
-			packed[p] = math.Float64frombits(binary.LittleEndian.Uint64(chunk))
+			raw[p] = math.Float64frombits(binary.LittleEndian.Uint64(chunk))
 			demands[p] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8:]))
 			if chunk[0]&1 == 1 {
-				demands[p] = packed[p]
+				demands[p] = raw[p]
 			}
 			clients[p] = p
+			v, bits := raw[p], math.Float64bits(raw[p])
+			if bits == 0 || bits == math.Float64bits(demands[p]) || (v > 0 && v < demands[p]) {
+				packed[p] = v
+			} else {
+				hostile = true
+			}
 		}
 		reply := packReply(packed, clients, demands)
 		for _, pair := range [][2]wireBody{
@@ -444,6 +516,12 @@ func FuzzLocalSolveBodies(f *testing.F) {
 		for p := range packed {
 			if math.Float64bits(col[p][0]) != math.Float64bits(packed[p]) {
 				t.Fatalf("client %d: packed %v (demand %v) rebuilt as %v", p, packed[p], demands[p], col[p][0])
+			}
+		}
+		if hostile {
+			bad := packReply(raw, clients, demands)
+			if err := bad.Unpack(clients, demands, col, 0); err == nil {
+				t.Fatalf("column %v over demands %v: out-of-range share accepted", raw, demands)
 			}
 		}
 	})
