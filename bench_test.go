@@ -166,12 +166,9 @@ func BenchmarkFig9EDRRoundTelemetry(b *testing.B) { benchEDRRound(b, true) }
 // the steady state a deployed initiator sits in. Unlike benchEDRRound, the
 // fleet is built once outside the timer, so the per-op allocation figure
 // isolates the round hot path itself: the number this guards is what the
-// engine's buffer pool (opt.Pool) and the parallel solver kernels exist to
-// keep flat across rounds. Parallelism is left at auto (GOMAXPROCS), so
-//
-//	go test -bench SteadyStateRound -cpu 1,8 -benchmem
-//
-// compares the serial and parallel hot paths on identical work.
+// engine's buffer pool (opt.Pool) exists to keep flat across rounds. The
+// kernels are serial; the round's replicas step concurrently, one
+// engine.Driver sender each, so GOMAXPROCS sets how many run at once.
 func BenchmarkSteadyStateRound(b *testing.B) {
 	const nReplicas = 10
 	prices := []float64{3, 7, 12, 5, 9, 2, 14, 6, 11, 4}[:nReplicas]
@@ -239,9 +236,8 @@ func paperScaleProblem(b *testing.B, seed uint64) *opt.Problem {
 	return prob
 }
 
-// solveScaleProblem builds the large instance the parallel solver kernels
-// are sized for: C=100 clients over N=10 replicas — past every kernel's
-// work gate, so the fan-out paths actually run.
+// solveScaleProblem builds the larger instance the Solve benchmarks run
+// on: C=100 clients over N=10 replicas, with a geographic latency mask.
 func solveScaleProblem(b *testing.B, seed uint64) *opt.Problem {
 	b.Helper()
 	prob, err := probgen.MustFeasible(sim.NewRand(seed), probgen.Spec{
@@ -255,12 +251,8 @@ func solveScaleProblem(b *testing.B, seed uint64) *opt.Problem {
 
 // BenchmarkSolve measures each distributed solver's full Solve on the
 // C=100, N=10 instance with iteration bounds held fixed, so ns/op tracks
-// per-iteration kernel cost. Parallelism stays at auto (GOMAXPROCS):
-//
-//	go test -bench 'BenchmarkSolve/' -cpu 1,8 -benchmem
-//
-// compares the serial (-cpu 1) and parallel (-cpu 8) kernels on identical,
-// bit-for-bit-equivalent work (see TestParallelSolversMatchSerialBitForBit).
+// per-iteration kernel cost: the serial kernels plus the loopback round
+// that carries each iteration's wave to the in-process replicas.
 func BenchmarkSolve(b *testing.B) {
 	prob := solveScaleProblem(b, 2026)
 	b.Run("LDDM", func(b *testing.B) {

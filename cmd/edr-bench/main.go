@@ -19,26 +19,17 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1, fig3..fig9) or 'all'")
-		seed     = flag.Uint64("seed", 2013, "base random seed (experiments are deterministic per seed)")
-		out      = flag.String("out", "", "directory to write CSV tables into (empty: don't write)")
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		perf     = flag.Bool("perf", false, "benchmark the round hot path (solver kernels serial vs parallel, wire codec, cohort scale) and write BENCH_round.json to -out (or cwd)")
-		baseline = flag.String("baseline", "", "with -perf: committed BENCH_round.json to diff against; gross regressions (>=5x kernel slowdown, >=2x wire growth) exit nonzero")
-		clients  = flag.Int("clients", 0, "client-scale cohort demo: raw client count to aggregate and solve (e.g. 100000); 0 disables")
-		cohorts  = flag.String("cohorts", "auto", "with -clients: 'auto' (unbounded grouping), 'off' (ungrouped solve), or a cohort-count bound")
+		exp     = flag.String("exp", "all", "experiment id (table1, fig3..fig9) or 'all'")
+		seed    = flag.Uint64("seed", 2013, "base random seed (experiments are deterministic per seed)")
+		out     = flag.String("out", "", "directory to write CSV tables into (empty: don't write)")
+		list    = flag.Bool("list", false, "list available experiments and exit")
+		clients = flag.Int("clients", 0, "client-scale cohort demo: raw client count to aggregate and solve (e.g. 100000); 0 disables")
+		cohorts = flag.String("cohorts", "auto", "with -clients: 'auto' (unbounded grouping), 'off' (ungrouped solve), or a cohort-count bound")
 	)
 	flag.Parse()
 
 	if *clients > 0 {
 		if err := runCohortScale(*clients, *cohorts, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *perf {
-		if err := runPerf(*out, *seed, *baseline); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -57,9 +57,6 @@ func main() {
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "ring heartbeat interval")
 		maxIters  = flag.Int("max-iters", 200, "distributed iteration bound per round")
 
-		// Round hot-path performance knob.
-		parallelism = flag.Int("parallelism", 0, "solver-kernel worker count (0 = GOMAXPROCS, -1 = serial)")
-
 		// Client-scale cohort aggregation (internal/cohort): rounds with at
 		// least -cohort-min pending requests merge clients sharing a
 		// feasibility mask and latency class into virtual clients, solve at
@@ -147,7 +144,6 @@ func main() {
 		SendRetries:  *sendRetries,
 		RetryBase:    *retryBase,
 		RoundRetries: *roundRetries,
-		Parallelism:  *parallelism,
 		Telemetry:    bus,
 
 		CohortMinClients: *cohortMin,

@@ -44,11 +44,6 @@ type Solver struct {
 	// Tol declares convergence when the primal residual max_c |Σ_n z_{c,n}
 	// − R_c| falls below Tol·(1+‖R‖); 0 means the round's 1e-3.
 	Tol float64
-	// Parallelism fans the recovery projections across cores: > 0 pins the
-	// worker count, 0 sizes from GOMAXPROCS, < 0 forces serial. The
-	// replicas' proximal solves run concurrently either way. Parallel and
-	// serial runs are bit-identical.
-	Parallelism int
 }
 
 // New returns an ADMM solver with defaults.
@@ -62,7 +57,7 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) { return s.sol
 
 // solve runs Solve's round with carry as the loopback's carrier.
 func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result, error) {
-	lb, err := engine.NewLoopback(prob, s.MaxIters, s.Tol, s.Parallelism, carry)
+	lb, err := engine.NewLoopback(prob, s.MaxIters, s.Tol, carry)
 	if err != nil {
 		return nil, err
 	}

@@ -224,7 +224,7 @@ func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, 
 			final[i][j] = a.z[j][i]
 		}
 	}
-	if err := opt.ProjectFeasiblePar(a.rd.Prob, final, 1e-6, a.rd.Par); err != nil {
+	if err := opt.ProjectFeasible(a.rd.Prob, final, 1e-6); err != nil {
 		return nil, fmt.Errorf("admm: primal recovery: %w", err)
 	}
 	return final, nil

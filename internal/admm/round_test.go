@@ -37,7 +37,7 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 			prob := tc.prob
 			c, n := prob.C(), prob.N()
 			warm := make([]float64, c)
-			lb, err := engine.NewLoopback(prob, 25, 1e-12, 0, wiretest.Codec)
+			lb, err := engine.NewLoopback(prob, 25, 1e-12, wiretest.Codec)
 			if err != nil {
 				t.Fatal(err)
 			}

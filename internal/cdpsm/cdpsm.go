@@ -47,11 +47,6 @@ type Solver struct {
 	// Tol declares convergence when no replica's estimate moved more than
 	// Tol (Frobenius) in one iteration; 0 means the round's 1e-3.
 	Tol float64
-	// Parallelism fans each replica's local projection and the recovery
-	// polish across cores: > 0 pins the worker count, 0 sizes from
-	// GOMAXPROCS, < 0 forces serial. The replicas step concurrently either
-	// way. Parallel and serial runs are bit-identical.
-	Parallelism int
 }
 
 // New returns a CDPSM solver with the defaults above.
@@ -87,7 +82,7 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) { return s.sol
 
 // solve runs Solve's round with carry as the loopback's carrier.
 func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result, error) {
-	lb, err := engine.NewLoopback(prob, s.MaxIters, s.Tol, s.Parallelism, carry)
+	lb, err := engine.NewLoopback(prob, s.MaxIters, s.Tol, carry)
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +113,11 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 // client row plus the agent's own capacity halfspace (other columns are
 // unconstrained in P_i, encoded as +Inf bounds the projector skips in
 // O(1)).
-func newLocalProjector(prob *opt.Problem, sp *opt.Sparsity, agent int, par *opt.Parallel) *opt.SparseProjector {
+func newLocalProjector(prob *opt.Problem, sp *opt.Sparsity, agent int) *opt.SparseProjector {
 	bounds := make([]float64, sp.N)
 	for n := range bounds {
 		bounds[n] = math.Inf(1)
 	}
 	bounds[agent] = prob.System.Replicas[agent].Bandwidth
-	return opt.NewSparseProjector(sp, prob.Demands, bounds, par)
+	return opt.NewSparseProjector(sp, prob.Demands, bounds)
 }

@@ -207,33 +207,6 @@ func maskedInstance(t *testing.T, r *sim.Rand, clients, replicas int) *opt.Probl
 	return nil
 }
 
-func TestCDPSMSparseParallelSerialBitForBit(t *testing.T) {
-	// Each agent writes only its own packed estimate and the projector's
-	// incremental sums are chunking-independent, so fanning the agents
-	// across cores must not change a single bit.
-	r := sim.NewRand(43)
-	prob := maskedInstance(t, r, 12, 5)
-	serial, err := (&Solver{Parallelism: -1, MaxIters: 300}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := (&Solver{Parallelism: 4, MaxIters: 300}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Iterations != parallel.Iterations {
-		t.Fatalf("iterations differ: %d vs %d", serial.Iterations, parallel.Iterations)
-	}
-	for c := range serial.Assignment {
-		for n := range serial.Assignment[c] {
-			if serial.Assignment[c][n] != parallel.Assignment[c][n] {
-				t.Fatalf("assignment differs at [%d][%d]: %v vs %v",
-					c, n, serial.Assignment[c][n], parallel.Assignment[c][n])
-			}
-		}
-	}
-}
-
 func TestCDPSMSparseCommCountsNNZ(t *testing.T) {
 	r := sim.NewRand(47)
 	prob := maskedInstance(t, r, 8, 4)

@@ -178,7 +178,7 @@ func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, 
 		opt.Add(sum, e)
 	}
 	opt.Scale(sum, 1/float64(nReplicas))
-	if err := opt.ProjectFeasiblePar(a.rd.Prob, sum, 1e-6, a.rd.Par); err != nil {
+	if err := opt.ProjectFeasible(a.rd.Prob, sum, 1e-6); err != nil {
 		return nil, fmt.Errorf("cdpsm: final polish: %w", err)
 	}
 	return sum, nil
@@ -355,7 +355,7 @@ func handleStep(ctx context.Context, body *StepBody, sr *engine.ServerRound) (St
 	// is supported on the mask, so gathering drops only exact zeros.
 	sp := sr.Prob.Sparsity()
 	v := sp.Gather(nil, next)
-	pj := newLocalProjector(sr.Prob, sp, sr.Col, sr.Par)
+	pj := newLocalProjector(sr.Prob, sp, sr.Col)
 	if _, err := pj.Project(v, opt.DykstraOptions{MaxSweeps: 60, Tol: 1e-9}); err != nil {
 		return StepReply{}, fmt.Errorf("cdpsm: step projection: %w", err)
 	}

@@ -81,19 +81,6 @@ type ReplicaConfig struct {
 	// RetryBase is the backoff before the first RPC retry; it doubles per
 	// attempt with ±50% jitter. 0 means 50ms.
 	RetryBase time.Duration
-	// Parallelism fans this node's solver kernels (local projections,
-	// recovery polish) across cores: > 0 pins the worker count, 0 sizes
-	// the pool from GOMAXPROCS, -1 forces serial execution. Parallel and
-	// serial rounds compute bit-identical results.
-	Parallelism int
-	// ColdStart disables warm-started rounds: by default a round whose
-	// initiator holds a last-known-good assignment starts the solvers
-	// from that split renormalized over the current roster
-	// (opt.Renormalize), which after an epoch change (join, drain,
-	// departure) converges in far fewer iterations than the cold uniform
-	// start. Set ColdStart to pin every round to the cold start — for
-	// A/B measurement or bit-exact reproduction of the paper's runs.
-	ColdStart bool
 	// CohortMinClients, when positive, enables cohort aggregation
 	// (internal/cohort) for rounds this replica initiates once the pending
 	// request count reaches the threshold: clients sharing a feasibility

@@ -23,6 +23,14 @@ type fleet struct {
 // "client<i+1>".
 func newFleet(t *testing.T, prices []float64, nClients int, alg Algorithm) *fleet {
 	t.Helper()
+	return newFleetCfg(t, prices, nClients, alg, nil)
+}
+
+// newFleetCfg builds a fleet like newFleet, calling mutate (when non-nil)
+// on replica i's config before the replica starts: tests that need
+// incremental rounds, cohorting or other non-default settings use it.
+func newFleetCfg(t *testing.T, prices []float64, nClients int, alg Algorithm, mutate func(i int, cfg *ReplicaConfig)) *fleet {
+	t.Helper()
 	f := &fleet{net: transport.NewInProcNetwork()}
 	names := make([]string, len(prices))
 	for i := range prices {
@@ -32,6 +40,9 @@ func newFleet(t *testing.T, prices []float64, nClients int, alg Algorithm) *flee
 		cfg := ReplicaConfig{
 			Replica:   model.NewReplica(replicaName(i), price),
 			Algorithm: alg,
+		}
+		if mutate != nil {
+			mutate(i, &cfg)
 		}
 		rs, err := NewReplicaServer(f.net, replicaName(i), names, cfg)
 		if err != nil {

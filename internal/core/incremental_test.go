@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"edr/internal/opt"
+	"edr/internal/sim"
+	"edr/internal/workload"
 )
 
 // drainAllocations empties every client's allocation channel so a later
@@ -467,4 +469,53 @@ func TestIncrementalBindingResidualCapIsCertifiedOrEscalated(t *testing.T) {
 		t.Fatalf("SubsolveUnconverged %d exceeds RoundsEscalated %d", stats.SubsolveUnconverged.Value(), stats.RoundsEscalated.Value())
 	}
 	checkFeasibleReport(t, f, report, demands)
+}
+
+// A cohorted fleet through cumulative demand drift — 0%, 1%, 10% and then
+// 100% of the clients moved by up to ±20% — against an always-full cohorted
+// fleet given the same demands: the quiet round commits clean with every
+// notify suppressed, and at every level the incremental round is feasible
+// and its objective within 15% of the full fleet's.
+func TestCohortedDriftTracksFullFleet(t *testing.T) {
+	const nClients = 200
+	cohorted := func(incremental bool) *fleet {
+		return newFleetCfg(t, []float64{1, 10, 5, 3}, nClients, LDDM, func(_ int, cfg *ReplicaConfig) {
+			cfg.Incremental = incremental
+			cfg.CohortMinClients = 2
+		})
+	}
+	inc, full := cohorted(true), cohorted(false)
+	ctx := context.Background()
+	run := func(f *fleet, demands []float64) *RoundReport {
+		t.Helper()
+		for i, cl := range f.clients {
+			if err := cl.Submit(ctx, f.replicas[0].Addr(), demands[i], classLatencies(f, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report, err := f.replicas[0].RunRound(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report
+	}
+	r := sim.NewRand(11)
+	demands := make([]float64, nClients)
+	for i := range demands {
+		demands[i] = r.Range(0.2, 1.2)
+	}
+	run(inc, demands)
+	run(full, demands)
+	for _, frac := range []float64{0, 0.01, 0.10, 1} {
+		demands = workload.Drift{Fraction: frac, Magnitude: 0.2}.Apply(r, demands)
+		got, want := run(inc, demands), run(full, demands)
+		if frac == 0 && (!got.Incremental || got.DirtyClients != 0 || got.SuppressedNotifies != nClients) {
+			t.Fatalf("quiet round: incremental=%v dirty=%d suppressed=%d, want clean with %d suppressed",
+				got.Incremental, got.DirtyClients, got.SuppressedNotifies, nClients)
+		}
+		checkFeasibleReport(t, inc, got, demands)
+		if gap := math.Abs(got.Objective-want.Objective) / math.Max(1, math.Abs(want.Objective)); gap > 0.15 {
+			t.Fatalf("%g%% drift: incremental objective %g vs full %g (rel gap %g)", 100*frac, got.Objective, want.Objective, gap)
+		}
+	}
 }

@@ -84,19 +84,21 @@ func (f *elasticFleet) submitAll(t *testing.T, demands []float64) {
 	}
 }
 
+// elasticDemands are the two clients' demands in every elastic round.
+var elasticDemands = []float64{30, 20}
+
 // runElasticSequence drives the acceptance scenario: one cold round on
 // {replica1..3}, then replica4 joins and replica3 drains, then three more
 // rounds on the new roster. It returns the four reports.
-func runElasticSequence(t *testing.T, alg Algorithm, cold bool) []*RoundReport {
+func runElasticSequence(t *testing.T, alg Algorithm) []*RoundReport {
 	t.Helper()
-	f := newElasticFleet(t, alg, func(cfg *ReplicaConfig) { cfg.ColdStart = cold })
+	f := newElasticFleet(t, alg, nil)
 	ctx := context.Background()
-	demands := []float64{30, 20}
 
 	var reports []*RoundReport
 	runOne := func() *RoundReport {
 		t.Helper()
-		f.submitAll(t, demands)
+		f.submitAll(t, elasticDemands)
 		report, err := f.replicas[0].RunRound(ctx)
 		if err != nil {
 			t.Fatalf("round %d: %v", len(reports)+1, err)
@@ -129,7 +131,7 @@ func TestElasticMembershipMidStream(t *testing.T) {
 	for _, alg := range []Algorithm{CDPSM, ADMM} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
-			reports := runElasticSequence(t, alg, false)
+			reports := runElasticSequence(t, alg)
 			if reports[0].WarmStarted {
 				t.Fatal("first round had no history to warm from")
 			}
@@ -168,20 +170,61 @@ func TestElasticMembershipMidStream(t *testing.T) {
 	}
 }
 
+// coldPostChangeRound runs the elastic sequence's post-change round on a
+// fresh fleet: the same roster {replica1, replica2, replica4} at the same
+// prices, the same clients and demands. With no history to warm from, its
+// round starts cold by construction.
+func coldPostChangeRound(t *testing.T, alg Algorithm) *RoundReport {
+	t.Helper()
+	f := &fleet{net: transport.NewInProcNetwork()}
+	names := []string{replicaName(0), replicaName(1), replicaName(3)}
+	prices := []float64{1, 10, 3}
+	for i, name := range names {
+		rs, err := NewReplicaServer(f.net, name, names, ReplicaConfig{
+			Replica:   model.NewReplica(name, prices[i]),
+			Algorithm: alg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rs.Close() })
+		f.replicas = append(f.replicas, rs)
+	}
+	ctx := context.Background()
+	for i, demand := range elasticDemands {
+		cl, err := NewClient(f.net, clientName(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		if err := cl.Submit(ctx, f.replicas[0].Addr(), demand, f.uniformLatencies()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report, err := f.replicas[0].RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.WarmStarted {
+		t.Fatal("a fleet's first round warm-started")
+	}
+	return report
+}
+
 // TestWarmStartBeatsColdAfterEpochChange asserts the warm start earns its
 // keep: the first post-change round converges in strictly fewer
-// distributed iterations than the identical sequence run with ColdStart.
+// distributed iterations than the same round solved cold on a fresh fleet.
 func TestWarmStartBeatsColdAfterEpochChange(t *testing.T) {
 	for _, alg := range []Algorithm{CDPSM, ADMM} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
-			warm := runElasticSequence(t, alg, false)
-			cold := runElasticSequence(t, alg, true)
-			if warm[1].Iterations >= cold[1].Iterations {
+			warm := runElasticSequence(t, alg)[1]
+			cold := coldPostChangeRound(t, alg)
+			if warm.Iterations >= cold.Iterations {
 				t.Fatalf("post-change round: warm %d iterations, cold %d — warm start bought nothing",
-					warm[1].Iterations, cold[1].Iterations)
+					warm.Iterations, cold.Iterations)
 			}
-			t.Logf("%s post-change round: warm %d iterations vs cold %d", alg, warm[1].Iterations, cold[1].Iterations)
+			t.Logf("%s post-change round: warm %d iterations vs cold %d", alg, warm.Iterations, cold.Iterations)
 		})
 	}
 }

@@ -341,17 +341,16 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 }
 
 // warm seeds the solve from the committed assignment renormalized over
-// this round's roster, so every solver starts from a demand-conserving
-// point near the previous optimum — what makes epoch changes cheap.
+// this round's roster (opt.Renormalize), so every solver starts from a
+// demand-conserving point near the previous optimum — what makes epoch
+// changes (join, drain, departure) cheap. A round with no committed
+// history has nothing to warm from and starts cold, from the uniform split.
 // Cohorted solves fold the per-client history into cohort rows (and
 // per-client duals into demand-weighted cohort duals). For a degraded
 // round the renormalized history is not a seed but the result.
 func (r *ReplicaServer) warm(a *attempt) {
 	if a.kind == kindDegraded {
 		a.x, _ = r.warmStart(&a.full)
-		return
-	}
-	if r.cfg.ColdStart {
 		return
 	}
 	warm, mu := r.warmStart(&a.sub)
@@ -524,7 +523,6 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 		Warm:         a.solveSpec.Warm,
 		WarmMu:       a.warmMu,
 		Pool:         r.pool,
-		Par:          r.par,
 	}
 	alg := reg.New()
 	var err error

@@ -37,7 +37,6 @@ type ReplicaServer struct {
 	lastReport *RoundReport           // most recent completed round (admin /status)
 	infoCache  map[string]ReplicaInfo // model parameters of every replica ever seen in a round
 	pool       *opt.Pool              // recycles initiator-side round scratch
-	par        *opt.Parallel          // fans solver kernels across cores (nil = serial)
 	registry   *cohort.Registry       // stable cross-round cohort identity (initiator side)
 	// startsSinceInstall counts the round.start waves this initiator sent
 	// since it last committed an install: once it reaches roundStatesKept
@@ -127,7 +126,6 @@ func NewReplicaServer(network transport.Network, addr string, members []string, 
 		pool:      &opt.Pool{},
 		registry:  cohort.NewRegistry(),
 	}
-	r.par = opt.NewParallel(r.cfg.Parallelism)
 	if _, ok := engine.Lookup(string(r.cfg.Algorithm)); !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q", r.cfg.Algorithm)
 	}
@@ -548,7 +546,6 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 		ReplicaAddrs: addrsOf(spec.Replicas),
 		Warm:         spec.Warm,
 		Peers:        peerSender{r},
-		Par:          r.par,
 	}}
 	r.mu.Lock()
 	if _, held := r.rounds[spec.Round]; !held {

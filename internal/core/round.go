@@ -41,7 +41,7 @@ type RoundReport struct {
 	Degraded bool `json:"degraded"`
 	// WarmStarted reports that the solvers were seeded from the previous
 	// round's assignment renormalized over this round's roster instead of
-	// the cold uniform start (see ReplicaConfig.ColdStart).
+	// the cold uniform start, which only a round with no history takes.
 	WarmStarted bool `json:"warm_started,omitempty"`
 	// Cohorts is the number of virtual clients the distributed loop
 	// solved over when cohort aggregation was active (see

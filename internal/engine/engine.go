@@ -60,9 +60,6 @@ type Round struct {
 	// creates one when nil and releases it when the round ends. Buffers
 	// that outlive the round (the recovered assignment) must be cloned.
 	Pool *opt.Pool
-	// Par fans the initiator-side solver kernels (projection polish,
-	// per-replica folds) across cores; nil runs them serially.
-	Par *opt.Parallel
 }
 
 // Reply decodes one peer's response body.

@@ -39,10 +39,9 @@ type Loopback struct {
 
 // NewLoopback checks prob and builds an in-process round of it: replica j
 // is addressed "loop/j", maxIters ≤ 0 selects DefaultMaxIters, tol ≤ 0 the
-// algorithm's own default, and parallelism fans the initiator's and the
-// replicas' kernels (> 0 pins the workers, 0 sizes from GOMAXPROCS, < 0 is
-// serial). carry nil hands each body over as it is, without a copy.
-func NewLoopback(prob *opt.Problem, maxIters int, tol float64, parallelism int, carry Carrier) (*Loopback, error) {
+// algorithm's own default, and carry nil hands each body over as it is,
+// without a copy.
+func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*Loopback, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
@@ -56,15 +55,14 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, parallelism int, 
 		carry = func(_ string, body any) (Reply, error) { return handOver{body}, nil }
 	}
 	n := prob.N()
-	par := opt.NewParallel(parallelism).Gate(prob.Sparsity().NNZ())
 	addrs := make([]string, n)
 	l := &Loopback{servers: make([]*ServerRound, n), cols: make(map[string]int, n), carry: carry}
 	for j := range addrs {
 		addrs[j] = fmt.Sprintf("loop/%d", j)
 		l.cols[addrs[j]] = j
-		l.servers[j] = &ServerRound{Round: 1, Prob: prob, Col: j, Self: addrs[j], ReplicaAddrs: addrs, Peers: l, Par: par}
+		l.servers[j] = &ServerRound{Round: 1, Prob: prob, Col: j, Self: addrs[j], ReplicaAddrs: addrs, Peers: l}
 	}
-	l.rd = &Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs, MaxIters: maxIters, Tol: tol, Par: par}
+	l.rd = &Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs, MaxIters: maxIters, Tol: tol}
 	return l, nil
 }
 

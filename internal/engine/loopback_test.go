@@ -88,7 +88,7 @@ func (a *loopAlg) Recover(ctx context.Context, d *Driver) ([][]float64, error) {
 // newLoop builds a loopback round over n toy replicas.
 func newLoop(t *testing.T, n, maxIters int) *Loopback {
 	t.Helper()
-	l, err := NewLoopback(loopProblem(t, n), maxIters, 0, 0, nil)
+	l, err := NewLoopback(loopProblem(t, n), maxIters, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,6 @@ type ServerRound struct {
 	// (client×replica) shipped with the round spec; participant state
 	// that holds a full-solution estimate (CDPSM) seeds from it.
 	Warm [][]float64
-	// Par fans this replica's solver kernels (local projections) across
-	// cores; nil runs them serially.
-	Par *opt.Parallel
 
 	mu     sync.Mutex
 	states map[string]any

@@ -172,10 +172,12 @@ func TestFig9ShapeNearLinearAndClose(t *testing.T) {
 	if ratio := res.Summary["edr_vs_donar_at_192"]; ratio > 5 {
 		t.Fatalf("EDR/DONAR ratio %g at 192 requests — not close", ratio)
 	}
-	// And DONAR's cost must grow with the mapping-node count while EDR's
-	// does not depend on it (the complexity crossover argument).
-	if g := res.Summary["donar_m_growth_factor"]; g < 1.3 {
-		t.Fatalf("DONAR mapping-node growth %g too flat", g)
+	// And DONAR's communication must grow with the mapping-node count while
+	// EDR's does not depend on it (the O(|C|·|N|·|M|) vs O(|C|·|N|)
+	// crossover argument), read off the messages counted on the fabric, not
+	// off the wall clock of a ~10 ms epoch.
+	if g := res.Summary["donar_m_message_growth_factor"]; g < 3 {
+		t.Fatalf("DONAR mapping-plane message growth %g from 3 to 12 nodes, want >= 3", g)
 	}
 }
 

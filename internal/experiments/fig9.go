@@ -3,13 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"edr/internal/core"
 	"edr/internal/donar"
 	"edr/internal/model"
 	"edr/internal/sim"
+	"edr/internal/telemetry"
 	"edr/internal/trace"
 	"edr/internal/transport"
 )
@@ -38,7 +38,7 @@ func Fig9(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig9 EDR at %d requests: %w", count, err)
 		}
-		donarMS, err := measureDONAR(r.Split(), count, prices, 3)
+		donarMS, _, err := measureDONAR(r.Split(), count, prices, 3)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig9 DONAR at %d requests: %w", count, err)
 		}
@@ -52,29 +52,25 @@ func Fig9(seed uint64) (*Result, error) {
 	// The paper's closing argument for Fig 9: DONAR's communication is
 	// O(|C|·|N|·|M|) versus EDR's O(|C|·|N|), so "with the increasing
 	// system size |M|, EDR will eventually outperform DONAR". Sweep the
-	// mapping-node count at a fixed request count to show the trend.
-	mTab := trace.NewTable("fig9b-mapping-node-scaling", "mapping_nodes", "donar_ms", "edr_ms_constant")
+	// mapping-node count at a fixed request count to show the trend, both
+	// in wall-clock time and in the epoch's mapping-plane messages counted
+	// on the fabric (the deterministic form of the argument).
+	mTab := trace.NewTable("fig9b-mapping-node-scaling", "mapping_nodes", "donar_ms", "donar_mapping_msgs", "edr_ms_constant")
 	edrAt96, err := measureEDR(r.Split(), 96, prices)
 	if err != nil {
 		return nil, err
 	}
-	var donarAtM []float64
+	var donarAtM, msgsAtM []float64
 	for _, m := range []int{3, 6, 9, 12} {
-		// Best of three: donar_m_growth_factor is a ratio of two of these
-		// points, and a single wall-clock sample of a ~10 ms epoch is at
-		// the mercy of whatever else the machine is running.
-		ms := math.Inf(1)
-		for sample := 0; sample < 3; sample++ {
-			v, err := measureDONAR(r.Split(), 96, prices, m)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fig9 DONAR at %d mapping nodes: %w", m, err)
-			}
-			ms = math.Min(ms, v)
+		ms, msgs, err := measureDONAR(r.Split(), 96, prices, m)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fig9 DONAR at %d mapping nodes: %w", m, err)
 		}
-		if err := mTab.AddRow(m, ms, edrAt96); err != nil {
+		if err := mTab.AddRow(m, ms, msgs, edrAt96); err != nil {
 			return nil, err
 		}
 		donarAtM = append(donarAtM, ms)
+		msgsAtM = append(msgsAtM, float64(msgs))
 	}
 
 	res := &Result{
@@ -94,6 +90,7 @@ func Fig9(seed uint64) (*Result, error) {
 	res.addSummary("donar_growth_factor", donarSeries[len(donarSeries)-1]/donarSeries[0])
 	res.addSummary("edr_vs_donar_at_192", edrSeries[len(edrSeries)-1]/donarSeries[len(donarSeries)-1])
 	res.addSummary("donar_m_growth_factor", donarAtM[len(donarAtM)-1]/donarAtM[0])
+	res.addSummary("donar_m_message_growth_factor", msgsAtM[len(msgsAtM)-1]/msgsAtM[0])
 	return res, nil
 }
 
@@ -161,16 +158,20 @@ func measureEDR(r *sim.Rand, count int, prices []float64) (float64, error) {
 // measureDONAR times the live DONAR runtime (internal/donar mapping-node
 // servers) on an equivalent batch over the same fabric: submission,
 // decomposition epoch with per-node local solves and aggregate gossip,
-// and allocation delivery.
-func measureDONAR(r *sim.Rand, count int, prices []float64, mappingNodes int) (float64, error) {
-	net := transport.NewInProcNetwork()
-	net.Delay = func(from, to string) time.Duration { return linkDelay }
+// and allocation delivery. It also returns the epoch's mapping-plane
+// messages — the collect, local-solve and notify sends to mapping nodes —
+// as counted on the fabric.
+func measureDONAR(r *sim.Rand, count int, prices []float64, mappingNodes int) (float64, int64, error) {
+	inproc := transport.NewInProcNetwork()
+	inproc.Delay = func(from, to string) time.Duration { return linkDelay }
+	reg := telemetry.NewRegistry()
+	net := transport.NewInstrumented(inproc, reg, nil)
 
 	nodes := make([]*donar.MappingNode, mappingNodes)
 	for m := 0; m < mappingNodes; m++ {
 		node, err := donar.NewMappingNode(net, fmt.Sprintf("mapping%d", m+1))
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		defer node.Close()
 		nodes[m] = node
@@ -183,7 +184,7 @@ func measureDONAR(r *sim.Rand, count int, prices []float64, mappingNodes int) (f
 	for i := 0; i < count; i++ {
 		node, err := net.Listen(fmt.Sprintf("dclient%d", i+1), sink)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		defer node.Close()
 		clients[i] = node
@@ -202,7 +203,7 @@ func measureDONAR(r *sim.Rand, count int, prices []float64, mappingNodes int) (f
 	begin := time.Now()
 	for i, cl := range clients {
 		if err := donar.SubmitRequest(ctx, cl, nodes[i%mappingNodes].Addr(), 1.0, latencies); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	peers := make([]string, 0, mappingNodes-1)
@@ -210,7 +211,14 @@ func measureDONAR(r *sim.Rand, count int, prices []float64, mappingNodes int) (f
 		peers = append(peers, nodes[m].Addr())
 	}
 	if _, err := nodes[0].RunEpoch(ctx, peers, specs, 10); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return float64(time.Since(begin)) / float64(time.Millisecond), nil
+	ms := float64(time.Since(begin)) / float64(time.Millisecond)
+	var msgs int64
+	for _, node := range nodes {
+		for _, verb := range []string{donar.MsgCollect, donar.MsgLocalSolve, donar.MsgNotify} {
+			msgs += reg.Counter("edr_transport_messages_total", "", telemetry.Labels{"peer": node.Addr(), "verb": verb}).Value()
+		}
+	}
+	return ms, msgs, nil
 }

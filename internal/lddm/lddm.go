@@ -36,11 +36,6 @@ type Solver struct {
 	// worst relative demand residual falls below Tol; 0 means the round's
 	// 0.02 (see roundAlg.Converged).
 	Tol float64
-	// Parallelism fans the recovery projections across cores: > 0 pins the
-	// worker count, 0 sizes from GOMAXPROCS, < 0 forces serial. The
-	// replicas' local solves run concurrently either way. Parallel and
-	// serial runs are bit-identical.
-	Parallelism int
 }
 
 // New returns an LDDM solver with the defaults above.
@@ -95,7 +90,7 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) { return s.sol
 
 // solve runs Solve's round with carry as the loopback's carrier.
 func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result, error) {
-	lb, err := engine.NewLoopback(prob, s.MaxIters, s.Tol, s.Parallelism, carry)
+	lb, err := engine.NewLoopback(prob, s.MaxIters, s.Tol, carry)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +103,7 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 	if s.FeasibleHistory {
 		history = func(k int, _, _ float64) float64 {
 			repaired := opt.Clone(alg.Primal())
-			if err := opt.ProjectFeasiblePar(prob, repaired, 1e-4, lb.Round().Par); err != nil && repairErr == nil {
+			if err := opt.ProjectFeasible(prob, repaired, 1e-4); err != nil && repairErr == nil {
 				repairErr = fmt.Errorf("lddm: history repair at iteration %d: %w", k, err)
 			}
 			return prob.Cost(repaired)

@@ -190,29 +190,6 @@ func TestLDDMSparseMatchesCentral(t *testing.T) {
 	}
 }
 
-func TestLDDMSparseParallelSerialBitForBit(t *testing.T) {
-	r := sim.NewRand(67)
-	prob := maskedInstanceSpec(t, r, probgen.Spec{Clients: 40, Replicas: 6, Geo: true, DemandLo: 1, DemandHi: 6})
-	serial, err := (&Solver{Parallelism: -1, MaxIters: 500}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := (&Solver{Parallelism: 4, MaxIters: 500}).Solve(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Iterations != parallel.Iterations {
-		t.Fatalf("iterations differ: %d vs %d", serial.Iterations, parallel.Iterations)
-	}
-	for c := range serial.Assignment {
-		for n := range serial.Assignment[c] {
-			if serial.Assignment[c][n] != parallel.Assignment[c][n] {
-				t.Fatalf("assignment differs at [%d][%d]", c, n)
-			}
-		}
-	}
-}
-
 func TestLDDMSparseCommCountsNNZ(t *testing.T) {
 	r := sim.NewRand(71)
 	prob := maskedInstance(t, r, 8, 4)

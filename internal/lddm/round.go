@@ -243,7 +243,7 @@ func (a *roundAlg) Primal() [][]float64 { return a.avg }
 
 func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, error) {
 	final := opt.Clone(a.avg)
-	if err := opt.ProjectFeasiblePar(a.rd.Prob, final, 1e-6, a.rd.Par); err != nil {
+	if err := opt.ProjectFeasible(a.rd.Prob, final, 1e-6); err != nil {
 		return nil, fmt.Errorf("lddm: primal recovery: %w", err)
 	}
 	return final, nil

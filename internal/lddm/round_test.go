@@ -34,7 +34,7 @@ type spyTransport struct {
 // newSpy builds a codec-carrying loopback round of prob.
 func newSpy(t *testing.T, prob *opt.Problem, maxIters int, tol float64) *spyTransport {
 	t.Helper()
-	lb, err := engine.NewLoopback(prob, maxIters, tol, 0, wiretest.Codec)
+	lb, err := engine.NewLoopback(prob, maxIters, tol, wiretest.Codec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,7 @@ type Sparsity struct {
 	// C, N are the dense dimensions (clients × replicas).
 	C, N int
 	// RowStart[c]..RowStart[c+1] bound client c's slots in packed vectors
-	// (len C+1). It is also the cumulative-nnz weight vector that
-	// Parallel.ForBalanced chunks rows by.
+	// (len C+1).
 	RowStart []int
 	// ColIdx[k] is the replica of CSR slot k (ascending within each row).
 	ColIdx []int
@@ -150,8 +149,7 @@ func (sp *Sparsity) Scatter(m [][]float64, v []float64) {
 }
 
 // ColSumsInto writes the per-replica column sums of packed v into dst
-// (len N). Each column accumulates in fixed CSC order, so the result is
-// independent of any row chunking that produced v.
+// (len N). Each column accumulates in fixed CSC order.
 func (sp *Sparsity) ColSumsInto(dst []float64, v []float64) []float64 {
 	if len(dst) != sp.N {
 		panic(fmt.Sprintf("opt: ColSumsInto got %d-slot dst for %d replicas", len(dst), sp.N))

@@ -18,10 +18,9 @@ import (
 //     amount, so the column-set correction is one scalar per column
 //     instead of a correction matrix;
 //   - per-replica column sums S_n are maintained incrementally: the row
-//     phase records per-entry deltas, which are folded into S per column
-//     in fixed CSC order (so results never depend on how rows were chunked
-//     across workers), and columns whose maintained sum already satisfies
-//     their bound are skipped in O(1).
+//     phase adds each entry's movement to its column's sum as it goes (rows
+//     ascend, so every column takes its deltas in CSC order), and columns
+//     whose maintained sum already satisfies their bound are skipped in O(1).
 //
 // A projector is built once per (sparsity, demands, bounds) triple and
 // reused across Project calls; it is not safe for concurrent use.
@@ -31,45 +30,31 @@ type SparseProjector struct {
 	// bounds holds the per-column capacity; +Inf marks an unconstrained
 	// column (CDPSM's local sets bound only the agent's own column).
 	bounds []float64
-	par    *Parallel
 
-	corrRow  []float64   // packed row-set Dykstra corrections
-	colCorr  []float64   // per-column scalar halfspace corrections
-	dRow     []float64   // packed per-entry deltas from the row phase
-	s        []float64   // maintained column sums of the iterate
-	rowDist2 []float64   // per-row squared movement for the membership check
-	caps     [][]float64 // per-chunk sort scratch for the row simplex projections
-	scratch  [][]float64 // per-chunk row-copy scratch for membership checks
+	corrRow []float64 // packed row-set Dykstra corrections
+	colCorr []float64 // per-column scalar halfspace corrections
+	s       []float64 // maintained column sums of the iterate
+	caps    []float64 // sort scratch for the row simplex projections
+	scratch []float64 // row-copy scratch: pre-sweep values, membership checks
 }
 
 // NewSparseProjector builds a projector over sp with per-client demands and
 // per-column capacity bounds (use math.Inf(1) for unconstrained columns).
-// The row sweeps fan over par (nil = serial, identical results).
-func NewSparseProjector(sp *Sparsity, demands, bounds []float64, par *Parallel) *SparseProjector {
+func NewSparseProjector(sp *Sparsity, demands, bounds []float64) *SparseProjector {
 	if len(demands) != sp.C || len(bounds) != sp.N {
 		panic(fmt.Sprintf("opt: NewSparseProjector got %d demands, %d bounds for %d×%d sparsity",
 			len(demands), len(bounds), sp.C, sp.N))
 	}
-	par = par.Gate(sp.NNZ())
-	pj := &SparseProjector{
-		sp:       sp,
-		demands:  demands,
-		bounds:   bounds,
-		par:      par,
-		corrRow:  make([]float64, sp.NNZ()),
-		colCorr:  make([]float64, sp.N),
-		dRow:     make([]float64, sp.NNZ()),
-		s:        make([]float64, sp.N),
-		rowDist2: make([]float64, sp.C),
+	return &SparseProjector{
+		sp:      sp,
+		demands: demands,
+		bounds:  bounds,
+		corrRow: make([]float64, sp.NNZ()),
+		colCorr: make([]float64, sp.N),
+		s:       make([]float64, sp.N),
+		caps:    make([]float64, sp.MaxRowNNZ()),
+		scratch: make([]float64, sp.MaxRowNNZ()),
 	}
-	chunks := par.Chunks(sp.C)
-	pj.caps = make([][]float64, chunks)
-	pj.scratch = make([][]float64, chunks)
-	for i := range pj.caps {
-		pj.caps[i] = make([]float64, sp.MaxRowNNZ())
-		pj.scratch[i] = make([]float64, sp.MaxRowNNZ())
-	}
-	return pj
 }
 
 // Project runs Dykstra sweeps on packed v in place until v is within
@@ -89,7 +74,6 @@ func (pj *SparseProjector) Project(v []float64, opts DykstraOptions) (int, error
 		if err := pj.rowPhase(v); err != nil {
 			return sweep, err
 		}
-		pj.applyRowDeltas()
 		pj.colPhase(v)
 		ok, err := pj.converged(v, opts.Tol)
 		if err != nil {
@@ -103,54 +87,35 @@ func (pj *SparseProjector) Project(v []float64, opts DykstraOptions) (int, error
 }
 
 // rowPhase is one Dykstra pass over the row sets: add the row corrections,
-// project each contiguous row segment onto its capped simplex, and record
-// both the new corrections and the per-entry deltas for the S_n update.
+// project each contiguous row segment onto its capped simplex, record the
+// new corrections, and fold each entry's movement into its column's sum.
 func (pj *SparseProjector) rowPhase(v []float64) error {
 	sp := pj.sp
-	return pj.par.ForBalancedErr(sp.C, sp.RowStart, func(chunk, lo, hi int) error {
-		caps := pj.caps[chunk]
-		for c := lo; c < hi; c++ {
-			rs, re := sp.RowStart[c], sp.RowStart[c+1]
-			r := pj.demands[c]
-			if rs == re {
-				if r > 1e-12 {
-					return fmt.Errorf("opt: client %d has no feasible replica for demand %g", c, r)
-				}
-				continue
+	for c := 0; c < sp.C; c++ {
+		rs, re := sp.RowStart[c], sp.RowStart[c+1]
+		r := pj.demands[c]
+		if rs == re {
+			if r > 1e-12 {
+				return fmt.Errorf("opt: client %d has no feasible replica for demand %g", c, r)
 			}
-			seg, cr, d := v[rs:re], pj.corrRow[rs:re], pj.dRow[rs:re]
-			for k := range seg {
-				d[k] = seg[k] // stash the pre-sweep value
-				seg[k] += cr[k]
-			}
-			// The row set {Σy = r, 0 ≤ y ≤ r} is the plain simplex: the
-			// per-entry cap r is implied by Σy = r, y ≥ 0, so the exact
-			// sort-based projection replaces the capped bisection.
-			ProjectSimplexScratch(seg, caps, r)
-			for k := range seg {
-				y := d[k] + cr[k]
-				cr[k] = y - seg[k]
-				d[k] = seg[k] - d[k]
-			}
+			continue
 		}
-		return nil
-	})
-}
-
-// applyRowDeltas folds the row phase's per-entry deltas into the maintained
-// column sums. Each column consumes its deltas in fixed CSC order, so S is
-// identical however the row phase was chunked.
-func (pj *SparseProjector) applyRowDeltas() {
-	sp := pj.sp
-	pj.par.ForBalanced(sp.N, sp.ColStart, func(_, lo, hi int) {
-		for n := lo; n < hi; n++ {
-			s := pj.s[n]
-			for k := sp.ColStart[n]; k < sp.ColStart[n+1]; k++ {
-				s += pj.dRow[sp.PosCSR[k]]
-			}
-			pj.s[n] = s
+		seg, cr, cols, pre := v[rs:re], pj.corrRow[rs:re], sp.ColIdx[rs:re], pj.scratch[:re-rs]
+		for k := range seg {
+			pre[k] = seg[k]
+			seg[k] += cr[k]
 		}
-	})
+		// The row set {Σy = r, 0 ≤ y ≤ r} is the plain simplex: the
+		// per-entry cap r is implied by Σy = r, y ≥ 0, so the exact
+		// sort-based projection replaces the capped bisection.
+		ProjectSimplexScratch(seg, pj.caps, r)
+		for k := range seg {
+			y := pre[k] + cr[k]
+			cr[k] = y - seg[k]
+			pj.s[cols[k]] += seg[k] - pre[k]
+		}
+	}
+	return nil
 }
 
 // colPhase is one Dykstra pass over the column halfspaces. Because the
@@ -159,44 +124,40 @@ func (pj *SparseProjector) applyRowDeltas() {
 // skipped without touching their entries.
 func (pj *SparseProjector) colPhase(v []float64) {
 	sp := pj.sp
-	pj.par.ForBalanced(sp.N, sp.ColStart, func(_, lo, hi int) {
-		for n := lo; n < hi; n++ {
-			cs, ce := sp.ColStart[n], sp.ColStart[n+1]
-			cnt := ce - cs
-			if cnt == 0 {
-				continue
-			}
-			corr := pj.colCorr[n]
-			b := pj.bounds[n]
-			if corr == 0 && pj.s[n] <= b {
-				continue
-			}
-			sumY := pj.s[n] + float64(cnt)*corr
-			if sumY <= b {
-				for k := cs; k < ce; k++ {
-					v[sp.PosCSR[k]] += corr
-				}
-				pj.s[n] = sumY
-				pj.colCorr[n] = 0
-				continue
-			}
-			shift := (sumY - b) / float64(cnt)
-			if add := corr - shift; add != 0 {
-				for k := cs; k < ce; k++ {
-					v[sp.PosCSR[k]] += add
-				}
-			}
-			pj.s[n] = sumY - shift*float64(cnt)
-			pj.colCorr[n] = shift
+	for n := 0; n < sp.N; n++ {
+		cs, ce := sp.ColStart[n], sp.ColStart[n+1]
+		cnt := ce - cs
+		if cnt == 0 {
+			continue
 		}
-	})
+		corr := pj.colCorr[n]
+		b := pj.bounds[n]
+		if corr == 0 && pj.s[n] <= b {
+			continue
+		}
+		sumY := pj.s[n] + float64(cnt)*corr
+		if sumY <= b {
+			for k := cs; k < ce; k++ {
+				v[sp.PosCSR[k]] += corr
+			}
+			pj.s[n] = sumY
+			pj.colCorr[n] = 0
+			continue
+		}
+		shift := (sumY - b) / float64(cnt)
+		if add := corr - shift; add != 0 {
+			for k := cs; k < ce; k++ {
+				v[sp.PosCSR[k]] += add
+			}
+		}
+		pj.s[n] = sumY - shift*float64(cnt)
+		pj.colCorr[n] = shift
+	}
 }
 
 // converged reports whether v is within tol of every set: column
 // memberships read off the maintained sums in O(N), row memberships project
 // per-row scratch copies (the same membership test the dense Dykstra runs).
-// Squared row movements accumulate per row and reduce in ascending row
-// order, keeping the stop decision chunk-independent.
 func (pj *SparseProjector) converged(v []float64, tol float64) (bool, error) {
 	sp := pj.sp
 	colDist2 := 0.0
@@ -212,32 +173,20 @@ func (pj *SparseProjector) converged(v []float64, tol float64) (bool, error) {
 	if colDist2 > tol*tol {
 		return false, nil
 	}
-	err := pj.par.ForBalancedErr(sp.C, sp.RowStart, func(chunk, lo, hi int) error {
-		caps, scr := pj.caps[chunk], pj.scratch[chunk]
-		for c := lo; c < hi; c++ {
-			rs, re := sp.RowStart[c], sp.RowStart[c+1]
-			pj.rowDist2[c] = 0
-			if rs == re {
-				continue
-			}
-			r := pj.demands[c]
-			s := scr[:re-rs]
-			copy(s, v[rs:re])
-			ProjectSimplexScratch(s, caps, r)
-			d2 := 0.0
-			for k := range s {
-				diff := s[k] - v[rs+k]
-				d2 += diff * diff
-			}
-			pj.rowDist2[c] = d2
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
 	total := 0.0
-	for _, d2 := range pj.rowDist2 {
+	for c := 0; c < sp.C; c++ {
+		rs, re := sp.RowStart[c], sp.RowStart[c+1]
+		if rs == re {
+			continue
+		}
+		s := pj.scratch[:re-rs]
+		copy(s, v[rs:re])
+		ProjectSimplexScratch(s, pj.caps, pj.demands[c])
+		d2 := 0.0
+		for k := range s {
+			diff := s[k] - v[rs+k]
+			d2 += diff * diff
+		}
 		total += d2
 	}
 	return total <= tol*tol, nil
@@ -248,38 +197,28 @@ func (pj *SparseProjector) converged(v []float64, tol float64) (bool, error) {
 // stopped on the column set.
 func (pj *SparseProjector) FinishRows(v []float64) error {
 	sp := pj.sp
-	return pj.par.ForBalancedErr(sp.C, sp.RowStart, func(chunk, lo, hi int) error {
-		caps := pj.caps[chunk]
-		for c := lo; c < hi; c++ {
-			rs, re := sp.RowStart[c], sp.RowStart[c+1]
-			r := pj.demands[c]
-			if rs == re {
-				if r > 1e-12 {
-					return fmt.Errorf("opt: client %d has no feasible replica for demand %g", c, r)
-				}
-				continue
+	for c := 0; c < sp.C; c++ {
+		rs, re := sp.RowStart[c], sp.RowStart[c+1]
+		r := pj.demands[c]
+		if rs == re {
+			if r > 1e-12 {
+				return fmt.Errorf("opt: client %d has no feasible replica for demand %g", c, r)
 			}
-			seg := v[rs:re]
-			ProjectSimplexScratch(seg, caps, r)
+			continue
 		}
-		return nil
-	})
+		ProjectSimplexScratch(v[rs:re], pj.caps, r)
+	}
+	return nil
 }
 
 // ProjectFeasible projects x in place onto the feasible region of prob,
 // then verifies the result. tol bounds the acceptable residual violation.
+// Off-support entries of x are zeroed (the projection onto the mask
+// subspace — the feasible set lies inside it), the packed iterate is
+// Dykstra-projected with incrementally maintained column sums, rows get a
+// final exact pass so demands hold exactly even if Dykstra stopped on the
+// column set, and the result is scattered back and verified.
 func ProjectFeasible(prob *Problem, x [][]float64, tol float64) error {
-	return ProjectFeasiblePar(prob, x, tol, nil)
-}
-
-// ProjectFeasiblePar is ProjectFeasible with the row and column sweeps
-// fanned over par (nil = serial, identical results). Off-support entries
-// of x are zeroed (the projection onto the mask subspace — the feasible
-// set lies inside it), the packed iterate is Dykstra-projected with
-// incrementally maintained column sums, rows get a final exact pass so
-// demands hold exactly even if Dykstra stopped on the column set, and the
-// result is scattered back and verified.
-func ProjectFeasiblePar(prob *Problem, x [][]float64, tol float64, par *Parallel) error {
 	if tol <= 0 {
 		tol = 1e-6
 	}
@@ -288,7 +227,7 @@ func ProjectFeasiblePar(prob *Problem, x [][]float64, tol float64, par *Parallel
 	for n := range bounds {
 		bounds[n] = prob.System.Replicas[n].Bandwidth
 	}
-	pj := NewSparseProjector(sp, prob.Demands, bounds, par)
+	pj := NewSparseProjector(sp, prob.Demands, bounds)
 	v := sp.Gather(nil, x)
 	// The row/column sets can meet at a shallow angle when capacities are
 	// tight, making Dykstra's linear rate slow; sweeps are cheap (O(nnz))

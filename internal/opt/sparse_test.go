@@ -108,61 +108,6 @@ func TestSparsityFullMask(t *testing.T) {
 	}
 }
 
-func TestForBalancedPartition(t *testing.T) {
-	par := NewParallel(4)
-	if par == nil {
-		t.Skip("single-core host")
-	}
-	r := sim.NewRand(11)
-	for trial := 0; trial < 100; trial++ {
-		n := r.IntBetween(1, 40)
-		cum := make([]int, n+1)
-		for i := 1; i <= n; i++ {
-			cum[i] = cum[i-1] + r.IntBetween(0, 9)
-		}
-		seen := make([]int32, n)
-		par.ForBalanced(n, cum, func(chunk, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				seen[i]++ // disjoint ranges: no two chunks touch the same unit
-			}
-		})
-		for i, s := range seen {
-			if s != 1 {
-				t.Fatalf("trial %d: unit %d covered %d times (cum=%v)", trial, i, s, cum)
-			}
-		}
-	}
-}
-
-func TestForBalancedSerialAndErrors(t *testing.T) {
-	var p *Parallel // nil = serial
-	got := 0
-	p.ForBalanced(5, []int{0, 1, 2, 3, 4, 5}, func(chunk, lo, hi int) {
-		if chunk != 0 || lo != 0 || hi != 5 {
-			t.Fatalf("serial chunking = (%d, %d, %d)", chunk, lo, hi)
-		}
-		got++
-	})
-	if got != 1 {
-		t.Fatalf("serial ForBalanced ran %d times", got)
-	}
-	err := NewParallel(4).ForBalancedErr(6, []int{0, 1, 2, 3, 4, 5, 6}, func(chunk, lo, hi int) error {
-		if lo <= 2 && 2 < hi {
-			return errTest
-		}
-		return nil
-	})
-	if err != errTest {
-		t.Fatalf("ForBalancedErr = %v, want errTest", err)
-	}
-}
-
-var errTest = errSentinel("test error")
-
-type errSentinel string
-
-func (e errSentinel) Error() string { return string(e) }
-
 // sparseTestInstance builds a random masked instance plus a random
 // infeasible-ish starting matrix supported on the mask.
 func sparseTestInstance(t *testing.T, r *sim.Rand, clients, replicas int) (*Problem, [][]float64) {
@@ -255,31 +200,6 @@ func TestProjectFeasibleMatchesDenseDykstra(t *testing.T) {
 	}
 }
 
-func TestProjectFeasibleParallelSerialBitForBit(t *testing.T) {
-	r := sim.NewRand(99)
-	p, x := sparseTestInstance(t, r, 60, 8)
-	serial := Clone(x)
-	parallel := Clone(x)
-	if err := ProjectFeasible(p, serial, 1e-6); err != nil {
-		t.Fatal(err)
-	}
-	par := NewParallel(4)
-	if par == nil {
-		t.Skip("single-core host")
-	}
-	if err := ProjectFeasiblePar(p, parallel, 1e-6, par); err != nil {
-		t.Fatal(err)
-	}
-	for c := range serial {
-		for n := range serial[c] {
-			if serial[c][n] != parallel[c][n] {
-				t.Fatalf("parallel projection differs at [%d][%d]: %v vs %v",
-					c, n, serial[c][n], parallel[c][n])
-			}
-		}
-	}
-}
-
 func TestSparseProjectorSingleColumnBound(t *testing.T) {
 	// CDPSM's local sets bound only one column; the others are +Inf and
 	// must be skipped without arithmetic on their entries.
@@ -292,7 +212,7 @@ func TestSparseProjectorSingleColumnBound(t *testing.T) {
 		bounds[n] = math.Inf(1)
 	}
 	bounds[agent] = p.System.Replicas[agent].Bandwidth
-	pj := NewSparseProjector(sp, p.Demands, bounds, nil)
+	pj := NewSparseProjector(sp, p.Demands, bounds)
 	v := sp.Gather(nil, x)
 	if _, err := pj.Project(v, DykstraOptions{MaxSweeps: 200, Tol: 1e-9}); err != nil {
 		t.Fatal(err)

@@ -54,18 +54,3 @@ func (d Drift) Apply(r *sim.Rand, demands []float64) []float64 {
 	}
 	return out
 }
-
-// DriftRounds unrolls a drift process over count rounds: round 0 is the
-// base vector itself, each later round perturbs its predecessor with
-// d.Apply. The returned slices share no storage.
-func DriftRounds(r *sim.Rand, d Drift, base []float64, count int) [][]float64 {
-	if count <= 0 {
-		panic(fmt.Sprintf("workload: DriftRounds(count=%d) invalid", count))
-	}
-	rounds := make([][]float64, count)
-	rounds[0] = append([]float64(nil), base...)
-	for t := 1; t < count; t++ {
-		rounds[t] = d.Apply(r, rounds[t-1])
-	}
-	return rounds
-}

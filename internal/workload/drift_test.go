@@ -62,34 +62,3 @@ func TestDriftApplyDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestDriftRounds(t *testing.T) {
-	r := sim.NewRand(3)
-	base := []float64{100, 100, 100, 100}
-	rounds := DriftRounds(r, Drift{Fraction: 1, Magnitude: 0.1}, base, 4)
-	if len(rounds) != 4 {
-		t.Fatalf("got %d rounds, want 4", len(rounds))
-	}
-	for i := range base {
-		if rounds[0][i] != base[i] {
-			t.Fatalf("round 0 is not the base at %d", i)
-		}
-	}
-	// Every later round differs from its predecessor (full fraction) and
-	// shares no storage with it.
-	for tt := 1; tt < 4; tt++ {
-		same := true
-		for i := range base {
-			if rounds[tt][i] != rounds[tt-1][i] {
-				same = false
-			}
-		}
-		if same {
-			t.Fatalf("round %d identical to round %d under full drift", tt, tt-1)
-		}
-	}
-	rounds[1][0] = -1
-	if rounds[2][0] == -1 || base[0] != 100 {
-		t.Fatal("rounds share storage")
-	}
-}
