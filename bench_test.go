@@ -442,10 +442,8 @@ func BenchmarkMaxFlowFeasibility(b *testing.B) {
 }
 
 // BenchmarkMatrixWireBytes round-trips the frame CDPSM pulls from every
-// peer every iteration — a full 100×10 estimate matrix — through both body
-// codecs, reporting bytes/frame for each. The binary codec is what a node
-// emits; JSON is what it still accepts from a caller that speaks nothing
-// else. The bytes/frame ratio is the per-iteration wire saving.
+// peer every iteration — a full 100×10 estimate matrix — through the wire
+// codec, reporting bytes/frame.
 func BenchmarkMatrixWireBytes(b *testing.B) {
 	r := sim.NewRand(7)
 	est := make([][]float64, 100)
@@ -482,16 +480,6 @@ func BenchmarkMatrixWireBytes(b *testing.B) {
 	}
 	b.Run("Binary", func(b *testing.B) {
 		msg, err := transport.NewMessage("cdpsm.estimate.ack", "replica1", body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(msg.Bin) == 0 {
-			b.Fatal("estimate reply did not take the binary codec")
-		}
-		bench(b, msg)
-	})
-	b.Run("JSON", func(b *testing.B) {
-		msg, err := transport.NewJSONMessage("cdpsm.estimate.ack", "replica1", body)
 		if err != nil {
 			b.Fatal(err)
 		}

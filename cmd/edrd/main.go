@@ -65,7 +65,6 @@ func main() {
 		cohortMin     = flag.Int("cohort-min", 0, "pending-request threshold that enables cohort aggregation (0 disables)")
 		cohortQuantum = flag.Duration("cohort-quantum", 0, "latency quantization step for cohort keying (0 = T/4)")
 		cohortMax     = flag.Int("cohort-max", 0, "cohort-count bound, enforced by coarsening the quantum (0 = unbounded)")
-		cohortDuals   = flag.Bool("cohort-duals", false, "fan each cohort's final dual μ out to every member (client.duals.cohort)")
 
 		// Cross-round incremental re-optimization: diff each round against
 		// the committed one and re-solve only the clients that drifted,
@@ -149,7 +148,6 @@ func main() {
 		CohortMinClients: *cohortMin,
 		CohortQuantumSec: cohortQuantum.Seconds(),
 		CohortMax:        *cohortMax,
-		CohortDuals:      *cohortDuals,
 
 		Incremental: *incremental,
 		DeltaEps:    *deltaEps,

@@ -180,7 +180,7 @@ func TestADMMHistoryResidualsDecay(t *testing.T) {
 	}
 }
 
-func maskedInstance(t *testing.T, r *sim.Rand, clients, replicas int) *opt.Problem {
+func maskedInstance(t testing.TB, r *sim.Rand, clients, replicas int) *opt.Problem {
 	t.Helper()
 	for attempt := 0; attempt < 50; attempt++ {
 		prob, err := probgen.MustFeasible(r, probgen.Spec{Clients: clients, Replicas: replicas, Geo: true})

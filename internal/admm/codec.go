@@ -1,19 +1,28 @@
 package admm
 
-import "edr/internal/transport"
+import (
+	"fmt"
 
-// Compact binary codecs for the ADMM verbs: the proximal target vector
-// out, the updated column back. Request bodies lead with the u32 LE
-// round id per the wire convention. The target rides in a v2 kinded
-// frame: a u32 declares the negotiated base iteration (0 = none, else
-// iter+1), then the full/sparse/delta layout the chooser picked.
+	"edr/internal/transport"
+)
+
+// Compact binary codecs for the ADMM verb: the proximal target out, the
+// updated column back.
+//
+//	request: [u32 round] [u32 iter] [f64 rho] [kinded frame target]
+//	reply:   [u32 c] [c × f64 column]
+//
+// The request leads with its u32 LE round id per the wire convention; its
+// target rides a kinded frame, full or sparse, whichever is smaller. Both
+// decoders refuse trailing bytes and ReadFloatsKinded refuses any frame
+// but the one AppendFloatsKinded writes, so a decoded body re-encodes to
+// the bytes it came from.
 
 func (b ProxBody) MarshalBinary() ([]byte, error) {
 	out := transport.AppendUint32(nil, uint32(b.Round))
 	out = transport.AppendUint32(out, uint32(b.Iter))
 	out = transport.AppendFloat64(out, b.Rho)
-	out = transport.AppendUint32(out, uint32(b.BaseIter+1))
-	return transport.AppendFloatsKinded(out, b.Target, b.Base), nil
+	return transport.AppendFloatsKinded(out, b.Target), nil
 }
 
 func (b *ProxBody) UnmarshalBinary(data []byte) error {
@@ -29,20 +38,14 @@ func (b *ProxBody) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	baseIter, data, err := transport.ReadUint32(data)
+	target, data, err := transport.ReadFloatsKinded(data)
 	if err != nil {
 		return err
 	}
-	b.Round, b.Iter, b.Rho, b.BaseIter = int(round), int(iter), rho, int(baseIter)-1
-	var base []float64
-	if b.BaseIter >= 0 && b.Resolve != nil {
-		base = b.Resolve(b.BaseIter)
+	if len(data) != 0 {
+		return fmt.Errorf("admm: %d trailing bytes after the target", len(data))
 	}
-	target, _, err := transport.ReadFloatsKinded(data, base)
-	if err != nil {
-		return err
-	}
-	b.Target = target
+	b.Round, b.Iter, b.Rho, b.Target = int(round), int(iter), rho, target
 	return nil
 }
 
@@ -51,9 +54,12 @@ func (b ProxReply) MarshalBinary() ([]byte, error) {
 }
 
 func (b *ProxReply) UnmarshalBinary(data []byte) error {
-	col, _, err := transport.ReadFloats(data)
+	col, data, err := transport.ReadFloats(data)
 	if err != nil {
 		return err
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("admm: %d trailing bytes after the column", len(data))
 	}
 	b.Column = col
 	return nil

@@ -7,38 +7,24 @@ import (
 
 	"edr/internal/engine"
 	"edr/internal/opt"
-	"edr/internal/transport"
 )
 
 // MsgProx is initiator → replica: solve the replica's proximal subproblem
 // against an initiator-assembled target and return the new column.
 const MsgProx = "replica.admm.prox"
 
-// ProxBody carries one replica's proximal target. On the binary codec
-// the target rides in a kinded frame (full/sparse/delta) with per-peer
-// base negotiation: BaseIter declares which earlier iteration's target
-// the receiver already holds; Base/Resolve are marshal/decode context in
-// the transport convention (never serialized). JSON always carries the
-// full vector.
+// ProxBody carries one replica's proximal target, zero off the replica's
+// support. It rides a kinded frame, full or sparse (codec.go).
 type ProxBody struct {
-	Round  int       `json:"round"`
-	Iter   int       `json:"iter"`
-	Rho    float64   `json:"rho"`
-	Target []float64 `json:"target"`
-
-	// BaseIter is the iteration id of the target snapshot the receiver
-	// holds (−1: none). Binary codec only.
-	BaseIter int `json:"-"`
-	// Base is the sender's copy of that snapshot (marshal-time context).
-	Base []float64 `json:"-"`
-	// Resolve maps a declared base iteration to the receiver's held
-	// snapshot (decode-time context).
-	Resolve func(iter int) []float64 `json:"-"`
+	Round  int
+	Iter   int
+	Rho    float64
+	Target []float64
 }
 
 // ProxReply returns the replica's updated column z_n.
 type ProxReply struct {
-	Column []float64 `json:"column"`
+	Column []float64
 }
 
 func init() {
@@ -63,7 +49,6 @@ type roundAlg struct {
 	z          [][]float64 // transposed: z[replica][client]
 	targets    [][]float64 // per-replica proximal targets, same layout
 	sp         *opt.Sparsity
-	tx         transport.DeltaTx
 	u          []float64
 	warmU      []float64 // additive dual offset from the previous round
 	acc        []float64 // this round's dual ascent, accumulated from zero
@@ -113,8 +98,8 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	}
 	// Each replica's proximal solve reads only its feasible clients'
 	// targets, so build (and ship) the target projected onto that support.
-	// The structural zeros are bit-stable across iterations, which lets the
-	// kinded wire frames go sparse or delta.
+	// On a masked instance the structural zeros let the kinded wire frame
+	// go sparse.
 	a.sp = rd.Prob.Sparsity()
 	if len(rd.WarmMu) == c {
 		// Warm-start the scaled dual: the previous round's final duals
@@ -140,26 +125,43 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 					i := a.sp.RowIdx[s]
 					t[i] = a.z[j][i] - a.rowAvg[i] + a.share[i] - a.u[i]
 				}
-				body := ProxBody{Round: rd.Seq, Iter: a.k, Rho: a.rho, Target: t}
-				body.Base, body.BaseIter = a.tx.Stage(rd.ReplicaAddrs[j], a.k, t)
-				return body
+				return ProxBody{Round: rd.Seq, Iter: a.k, Rho: a.rho, Target: t}
 			},
 			Fold: func(j int, r engine.Reply) error {
-				// The reply proves the peer decoded (and now holds) the
-				// staged target — promote it to the delta base.
-				a.tx.Ack(rd.ReplicaAddrs[j])
 				var reply ProxReply
-				if err := r.Decode(&reply); err != nil {
-					return err
+				err := r.Decode(&reply)
+				if err == nil {
+					err = a.checkColumn(j, reply.Column)
 				}
-				if len(reply.Column) != c {
-					return fmt.Errorf("admm: %s returned %d entries for %d clients",
-						rd.ReplicaAddrs[j], len(reply.Column), c)
+				if err != nil {
+					return fmt.Errorf("admm: reply from %s: %w", rd.ReplicaAddrs[j], err)
 				}
 				copy(a.z[j], reply.Column)
 				return nil
 			},
 		},
+	}
+	return nil
+}
+
+// checkColumn refuses a reply column no proximal solve returns: one of the
+// wrong length, with an entry outside [0, R_c] (non-finite included), or
+// with a nonzero entry off replica j's support.
+func (a *roundAlg) checkColumn(j int, col []float64) error {
+	demands := a.rd.Prob.Demands
+	if len(col) != len(demands) {
+		return fmt.Errorf("%d entries for %d clients", len(col), len(demands))
+	}
+	support := a.sp.RowIdx[a.sp.ColStart[j]:a.sp.ColStart[j+1]]
+	for i, v := range col {
+		if len(support) > 0 && support[0] == i {
+			support = support[1:]
+		} else if v != 0 {
+			return fmt.Errorf("client %d is off the support but served %v", i, v)
+		}
+		if !(v >= 0 && v <= demands[i]) {
+			return fmt.Errorf("client %d served %v, outside [0, %v]", i, v, demands[i])
+		}
 	}
 	return nil
 }
@@ -235,8 +237,6 @@ func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, 
 type serverState struct {
 	clients []int     // ascending ids of the clients within the latency bound
 	caps    []float64 // per-client caps (demands) aligned with clients
-
-	rx transport.DeltaRx // delta-frame receive window for the target stream
 }
 
 // serverHalf answers MsgProx on a participant replica.
@@ -244,8 +244,13 @@ type serverHalf struct{}
 
 func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (any, error) {
 	c := sr.Prob.C()
-	// Fetch (or build) the round state before decoding: a delta target
-	// frame resolves its base from the receive window.
+	var body ProxBody
+	if err := req.Decode(&body); err != nil {
+		return nil, fmt.Errorf("admm: replica %s: %w", sr.Self, err)
+	}
+	if len(body.Target) != c {
+		return nil, fmt.Errorf("admm: replica %s: round %d: %d targets for %d clients", sr.Self, body.Round, len(body.Target), c)
+	}
 	st, err := sr.State("ADMM", func() (any, error) {
 		sp := sr.Prob.Sparsity()
 		s := &serverState{clients: sp.RowIdx[sp.ColStart[sr.Col]:sp.ColStart[sr.Col+1]:sp.ColStart[sr.Col+1]]}
@@ -259,15 +264,6 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 		return nil, err
 	}
 	ps := st.(*serverState)
-	var body ProxBody
-	body.Resolve = ps.rx.Resolve
-	if err := req.Decode(&body); err != nil {
-		return nil, err
-	}
-	if len(body.Target) != c {
-		return nil, fmt.Errorf("admm: round %d: %d targets for %d clients", body.Round, len(body.Target), c)
-	}
-	ps.rx.Absorb(body.Iter, body.Target)
 	// The proximal kernel is stateless over read-only inputs, so
 	// concurrent solves need no lock.
 	target := make([]float64, len(ps.clients))
@@ -276,7 +272,7 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	}
 	packed, err := ProximalColumn(sr.Prob.System.Replicas[sr.Col], ps.caps, target, body.Rho)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("admm: replica %s: %w", sr.Self, err)
 	}
 	col := make([]float64, c)
 	for idx, i := range ps.clients {

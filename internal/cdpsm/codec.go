@@ -4,11 +4,9 @@ import "edr/internal/transport"
 
 // Compact binary codecs (transport binary body v1) for the CDPSM verbs.
 // The estimate exchange is the round's dominant traffic — every step pulls
-// a full |C|×|N| matrix from each peer — so all five bodies speak the
-// binary codec and the small requests carry it too: a reply mirrors its
-// request's codec (transport.NewReply), so a binary EstimateBody is what
-// makes the matrix-bearing EstimateReply come back binary. Per the wire
-// convention, every request body leads with its u32 LE round id.
+// a full |C|×|N| matrix from each peer — and all five bodies are binary,
+// the small requests too. Per the wire convention, every request body
+// leads with its u32 LE round id.
 
 func (b StepBody) MarshalBinary() ([]byte, error) {
 	out := transport.AppendUint32(nil, uint32(b.Round))

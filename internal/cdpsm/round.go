@@ -267,7 +267,6 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 		return handleStep(ctx, &body, sr)
 	case MsgEstimate:
 		var body EstimateBody
-		body.Base = -1 // absent in legacy JSON bodies means "no base held"
 		if err := req.Decode(&body); err != nil {
 			return nil, err
 		}

@@ -21,23 +21,13 @@ type Client struct {
 	node transport.Node
 
 	mu      sync.Mutex
-	dual    clientDual // latest cohort dual delivered, if any
-	demand  float64    // last submitted demand, for cohort allocations
-	contact string     // last contact replica, for allocation pulls
-	ackSeq  int        // RequestAck.Round watermark of the last submission
+	demand  float64 // last submitted demand, for cohort allocations
+	contact string  // last contact replica, for allocation pulls
+	ackSeq  int     // RequestAck.Round watermark of the last submission
 	alloc   chan AllocationBody
 
 	// Stats counts client activity.
 	Stats ClientStats
-}
-
-// clientDual is the most recent cohort dual a round delivered
-// (MsgCohortDuals, opt-in). One record, overwritten each round: a
-// long-lived client's state does not grow with the rounds it has seen.
-type clientDual struct {
-	initiator string
-	round     int
-	mu        float64
 }
 
 // ClientStats aggregates client-side counters.
@@ -69,8 +59,6 @@ func (c *Client) handle(ctx context.Context, req transport.Message) (transport.M
 		return c.handleAllocation(req)
 	case MsgCohortAllocation:
 		return c.handleCohortAllocation(req)
-	case MsgCohortDuals:
-		return c.handleCohortDuals(req)
 	default:
 		return transport.Message{}, fmt.Errorf("core: client %s: unknown message type %q", c.Addr(), req.Type)
 	}
@@ -89,21 +77,7 @@ func (c *Client) handleAllocation(req transport.Message) (transport.Message, err
 		// Drop rather than block the initiator: a client that stopped
 		// consuming allocations should not stall the fleet.
 	}
-	return transport.NewReply(req, MsgAllocation+".ack", c.Addr(), nil)
-}
-
-// handleCohortDuals records the cohort's final dual for the round as this
-// client's congestion price. The value is absolute, not a step, so a
-// redelivered message is harmless.
-func (c *Client) handleCohortDuals(req transport.Message) (transport.Message, error) {
-	var body CohortDualsBody
-	if err := req.DecodeBody(&body); err != nil {
-		return transport.Message{}, err
-	}
-	c.mu.Lock()
-	c.dual = clientDual{initiator: req.From, round: body.Round, mu: body.Mu}
-	c.mu.Unlock()
-	return transport.NewReply(req, MsgCohortDuals+".ack", c.Addr(), nil)
+	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
 }
 
 // handleCohortAllocation expands a cohort-level allocation into this
@@ -144,7 +118,7 @@ func (c *Client) handleCohortAllocation(req transport.Message) (transport.Messag
 	default:
 		// Drop rather than block the initiator, as with per-client allocations.
 	}
-	return transport.NewReply(req, MsgAllocation+".ack", c.Addr(), nil)
+	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
 }
 
 // Ping measures the round-trip time to a replica by timing a

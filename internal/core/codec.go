@@ -9,13 +9,12 @@ import (
 
 // Binary codecs for the runtime-owned bodies on a round's path: what a
 // client submits and is told (client.request and its ack, client.allocation,
-// client.allocation.cohort, client.duals.cohort) and what the initiator
-// installs on the replicas (round.start, replica.assign). They are paid once
-// per client or per replica every round, so they leave JSON the way the
-// iteration verbs did; replica.info, the pull request, membership, ring and
-// download bodies stay JSON. A node always emits these bodies in binary and
-// accepts either codec (transport.DecodeBody), and acks mirror the request
-// (transport.NewReply), so a JSON caller is answered in JSON.
+// client.allocation.cohort) and what the initiator installs on the replicas
+// (round.start, replica.assign). They are paid once per client or per
+// replica every round, so they are binary like the iteration verbs;
+// replica.info, the pull request, membership, ring and download bodies are
+// JSON. A body's type is its only codec (transport.DecodeBody): a JSON
+// body sent to one of these verbs is refused.
 //
 // Layouts, all little-endian, built from the transport primitives (string =
 // u16 length + bytes, strings = u32 count + strings, floats = u32 count +
@@ -34,7 +33,6 @@ import (
 //	                      u32 Iterations
 //	CohortAllocationBody  u32 Round | string Algorithm | u32 Iterations |
 //	                      strings Replicas | floats UnitMB
-//	CohortDualsBody       u32 Round | f64 Mu
 //
 // RoundSpec and AssignBody lead with their round id per the wire convention
 // (transport.BinaryRound). Map entries are written in sorted key order, so a
@@ -373,19 +371,5 @@ func (b *CohortAllocationBody) UnmarshalBinary(data []byte) error {
 	if r.err == nil && len(b.UnitMB) != len(b.Replicas) {
 		r.fail("binary cohort allocation has %d unit entries for %d replicas", len(b.UnitMB), len(b.Replicas))
 	}
-	return r.err
-}
-
-func (b CohortDualsBody) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 12)}
-	w.u32(b.Round)
-	w.f64(b.Mu)
-	return w.done()
-}
-
-func (b *CohortDualsBody) UnmarshalBinary(data []byte) error {
-	r := reader{b: data}
-	b.Round = r.u32()
-	b.Mu = r.f64()
 	return r.err
 }

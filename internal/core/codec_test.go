@@ -23,13 +23,13 @@ type binaryBody interface {
 func controlBodies() []binaryBody {
 	return []binaryBody{
 		&RequestBody{}, &RequestAck{}, &RoundSpec{}, &AssignBody{},
-		&AllocationBody{}, &CohortAllocationBody{}, &CohortDualsBody{},
+		&AllocationBody{}, &CohortAllocationBody{},
 	}
 }
 
 // codecCases are the bodies the round-trip tests and the fuzz corpus start
-// from: every codec, with its empty, nil-Warm, delta-form and zero-demand
-// shapes.
+// from: every codec, with its empty, nil-Warm, delta-form, zero-demand and
+// refused shapes.
 func codecCases() []binaryBody {
 	infos := []ReplicaInfo{
 		{Addr: "r1", Price: 1, Alpha: 1, Beta: 0.01, Gamma: 3, Bandwidth: 100},
@@ -41,6 +41,7 @@ func codecCases() []binaryBody {
 		&RequestBody{ClientAddr: "c1", DemandMB: 25.125, LatencySec: map[string]float64{"r2": 0.0011, "r1": 0.0005, "r3": 1e-9}},
 		&RequestAck{},
 		&RequestAck{Accepted: true, Pending: 10000, Round: 41},
+		&RequestAck{Pending: 3, Round: 2},
 		&RoundSpec{},
 		&RoundSpec{ // nil Warm, one infeasible pair
 			Round: 7, Replicas: infos, ClientAddrs: []string{"c1", "c2", "c3"},
@@ -58,12 +59,11 @@ func codecCases() []binaryBody {
 		&AssignBody{},
 		&AssignBody{Round: 7, Column: []float64{4, 0, 2.5}, ClientAddrs: []string{"c1", "c2", "c3"}},
 		&AssignBody{Round: 9, BaseRound: 7, Updates: map[string]float64{"c3": 0, "c1": 4.25, "c9": 1}},
+		&AssignBody{Round: 10, BaseRound: 9},
 		&AllocationBody{},
 		&AllocationBody{Round: 7, PerReplicaMB: map[string]float64{"r2": 3, "r1": 7}, Algorithm: "LDDM", Iterations: 200},
 		&CohortAllocationBody{},
 		&CohortAllocationBody{Round: 7, Algorithm: "ADMM", Iterations: 12, Replicas: []string{"r1", "r2"}, UnitMB: []float64{0.75, 0.25}},
-		&CohortDualsBody{},
-		&CohortDualsBody{Round: 7, Mu: -0.125},
 	}
 }
 
@@ -80,9 +80,6 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		bin, err := in.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if len(bin) == 0 {
-			t.Fatalf("%s: empty encoding — transport treats that as no body", name)
 		}
 		fromBin := fresh(in)
 		if err := fromBin.UnmarshalBinary(bin); err != nil {
@@ -194,7 +191,6 @@ func TestControlCodecRejectsHostileInput(t *testing.T) {
 		{"allocation: map count", &AllocationBody{}, hostile{}.u32(1).u32(huge)},
 		{"cohort allocation: replica count", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(huge)},
 		{"cohort allocation: units without replicas", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(0).u32(1).f64(1)},
-		{"duals: truncated", &CohortDualsBody{}, hostile{}.u32(1).u32(0)},
 	}
 	for _, tc := range cases {
 		var before, after runtime.MemStats

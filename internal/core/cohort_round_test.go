@@ -128,6 +128,7 @@ func TestCohortedRoundEndToEnd(t *testing.T) {
 			if report.Objective <= 0 {
 				t.Fatalf("objective = %g", report.Objective)
 			}
+			checkCohortDuals(t, f)
 			// Every client received its allocation despite μ-update fan-out
 			// touching only cohort representatives.
 			for i, cl := range f.clients {
@@ -161,7 +162,28 @@ func TestCohortedRoundEndToEnd(t *testing.T) {
 			if second.Cohorts != 3 {
 				t.Fatalf("second round Cohorts = %d, want 3", second.Cohorts)
 			}
+			checkCohortDuals(t, f)
 		})
+	}
+}
+
+// checkCohortDuals holds the committed duals of a dual-reporting algorithm
+// to the cohort they were solved for: every member of a latency class (one
+// cohort) carries the same μ.
+func checkCohortDuals(t *testing.T, f *fleet) {
+	t.Helper()
+	mus := f.replicas[0].committed().mus
+	if mus == nil {
+		return // CDPSM reports no duals
+	}
+	for i, cl := range f.clients {
+		mu, ok := mus[cl.Addr()]
+		if !ok {
+			t.Fatalf("client %s has no committed dual", cl.Addr())
+		}
+		if head := mus[f.clients[i%3].Addr()]; mu != head {
+			t.Fatalf("cohort %d: member %s holds μ %g, its first member %g", i%3, cl.Addr(), mu, head)
+		}
 	}
 }
 

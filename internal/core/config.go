@@ -112,10 +112,6 @@ type ReplicaConfig struct {
 	// while its allocation row moved by at most DeltaEps of its demand.
 	// 0 means 1e-3; negative pins exact matching (any change is dirty).
 	DeltaEps float64
-	// CohortDuals opts cohorted rounds into fanning the final cohort dual
-	// out to every cohort member via client.duals.cohort; without it no
-	// client sees μ (the initiator holds the duals).
-	CohortDuals bool
 	// Telemetry, when non-nil, receives runtime events (round outcomes,
 	// RPC retries, ring suspicion — see internal/telemetry). Nil disables
 	// observability at zero cost: every would-be publish is a single nil

@@ -260,46 +260,6 @@ func TestIncrementalReplicaChangePromotesClients(t *testing.T) {
 	}
 }
 
-// Cohort duals: with CohortDuals enabled, every cohort member — the first
-// one included — receives the cohort's final μ (ADMM is the dual-reporting
-// algorithm) and holds exactly one record of it, replaced round over round.
-func TestCohortDualsFanOut(t *testing.T) {
-	f := newFleetCfg(t, []float64{1, 10, 5}, 4, ADMM, func(i int, cfg *ReplicaConfig) {
-		cfg.CohortMinClients = 2
-		cfg.CohortDuals = true
-	})
-	ctx := context.Background()
-	for round := 1; round <= 2; round++ {
-		// Identical latencies and equal demands: all four clients form
-		// one cohort.
-		for _, cl := range f.clients {
-			if err := cl.Submit(ctx, f.replicas[0].Addr(), 20*float64(round), f.uniformLatencies()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		report, err := f.replicas[0].RunRound(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if report.Cohorts != 1 {
-			t.Fatalf("cohorts = %d, want 1", report.Cohorts)
-		}
-		committed := f.replicas[0].committed().mus
-		for _, cl := range f.clients {
-			cl.mu.Lock()
-			got := cl.dual
-			cl.mu.Unlock()
-			want := clientDual{initiator: f.replicas[0].Addr(), round: report.Round, mu: committed[cl.Addr()]}
-			if got != want {
-				t.Fatalf("round %d: client %s holds %+v, want %+v", round, cl.Addr(), got, want)
-			}
-			if got.mu != committed[f.clients[0].Addr()] {
-				t.Fatalf("round %d: member μ diverged within the cohort: %g", round, got.mu)
-			}
-		}
-	}
-}
-
 // A suppressed client must not be starved: change-suppressed rounds push
 // nothing to clients whose split did not move, so a one-shot client (the
 // edrctl path) falls back to pulling its committed row. The submission ack

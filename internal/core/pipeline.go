@@ -744,29 +744,6 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 		_, _ = r.sendRetry(ctx, clients[i], MsgAllocation, body)
 		return nil
 	})
-
-	// Cohort duals (opt-in): every member gets its cohort's final value,
-	// one body built and marshaled per cohort.
-	if g := a.grouping; g != nil && a.duals != nil && r.cfg.CohortDuals {
-		type target struct{ c, k int }
-		var targets []target
-		msgs := make([]transport.Message, g.K())
-		for k := range msgs {
-			msg, err := r.newMessage(MsgCohortDuals, CohortDualsBody{Round: a.round, Mu: a.duals[k]})
-			if err != nil {
-				continue
-			}
-			msgs[k] = msg
-			for _, c := range g.Members(k) {
-				targets = append(targets, target{c, k})
-			}
-		}
-		_ = engine.FanOut(ctx, len(targets), func(ctx context.Context, t int) error {
-			tg := targets[t]
-			_, _ = r.sendMsgRetry(ctx, a.sub.spec.ClientAddrs[tg.c], msgs[tg.k])
-			return nil
-		})
-	}
 }
 
 // commit records the attempt's outcome and reports it. It is the only

@@ -53,10 +53,9 @@ const (
 	// an answer. Such a client polls this verb until the reply's Round
 	// passes the watermark its submission ack reported.
 	MsgAllocationPull = "client.allocation.pull"
-	// MsgCohortDuals is initiator → client on cohorted rounds (opt-in via
-	// ReplicaConfig.CohortDuals): deliver the cohort's final dual μ to
-	// every member. It is the only way a client ever sees a dual — the
-	// iteration protocol runs between the initiator and the replicas.
+	// MsgCohortDuals is a retired verb with no handler: initiator → client,
+	// a cohort's final dual μ. The name is kept because the benchmark's
+	// verb → phase table compiles against it.
 	MsgCohortDuals = "client.duals.cohort"
 	// MsgDownload is client → replica: fetch the selected bytes.
 	MsgDownload = "download.request"
@@ -217,16 +216,6 @@ type CohortAllocationBody struct {
 	// UnitMB[t] is the fraction of a member's demand served by Replicas[t]
 	// (sums to 1 when the cohort carries load).
 	UnitMB []float64 `json:"unit_mb"`
-}
-
-// CohortDualsBody delivers a cohort's final dual to one member. μ is a
-// per-unit congestion price shared by every member of a cohort (they are
-// interchangeable rows of the transportation polytope), so one scalar per
-// member suffices and the body is built once per cohort.
-type CohortDualsBody struct {
-	Round int `json:"round"`
-	// Mu is the cohort's final multiplier μ for this round.
-	Mu float64 `json:"mu"`
 }
 
 // DownloadBody requests bytes from a replica.

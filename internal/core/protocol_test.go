@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"edr/internal/transport"
@@ -16,12 +18,6 @@ var rawSeq int
 func sendRaw(t *testing.T, f *fleet, to string, msgType string, body any) (transport.Message, error) {
 	t.Helper()
 	return sendRawWith(t, f, to, msgType, body, transport.NewMessage)
-}
-
-// sendRawJSON is sendRaw with the body forced to JSON.
-func sendRawJSON(t *testing.T, f *fleet, to string, msgType string, body any) (transport.Message, error) {
-	t.Helper()
-	return sendRawWith(t, f, to, msgType, body, transport.NewJSONMessage)
 }
 
 func sendRawWith(t *testing.T, f *fleet, to, msgType string, body any,
@@ -68,6 +64,48 @@ func TestProtocolRejectsMalformedBodies(t *testing.T) {
 			t.Errorf("%s with body %v accepted", tc.msgType, tc.body)
 		}
 	}
+}
+
+// One client submitting a non-finite demand or a non-finite or negative
+// latency is refused with an error naming the sender, and queues nothing;
+// the other clients' round still commits.
+func TestClientRequestRefusesNonFiniteInput(t *testing.T) {
+	f := newFleet(t, []float64{1, 10, 5}, 2, LDDM)
+	contact := f.replicas[0]
+	badLatency := func(l float64) map[string]float64 {
+		m := f.uniformLatencies()
+		m[f.replicas[1].Addr()] = l
+		return m
+	}
+	for _, body := range []RequestBody{
+		{ClientAddr: "hostile", DemandMB: math.NaN(), LatencySec: f.uniformLatencies()},
+		{ClientAddr: "hostile", DemandMB: math.Inf(1), LatencySec: f.uniformLatencies()},
+		{ClientAddr: "hostile", DemandMB: math.Inf(-1), LatencySec: f.uniformLatencies()},
+		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.NaN())},
+		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.Inf(1))},
+		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.Inf(-1))},
+		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(-1e-3)},
+	} {
+		_, err := sendRaw(t, f, contact.Addr(), MsgClientRequest, body)
+		if sender := fmt.Sprintf("raw-%d-", rawSeq); err == nil || !strings.Contains(err.Error(), sender) {
+			t.Errorf("demand %g, latencies %v: error %v, want a refusal naming %s…", body.DemandMB, body.LatencySec, err, sender)
+		}
+	}
+	if n := contact.PendingRequests(); n != 0 {
+		t.Fatalf("refused submissions left %d pending", n)
+	}
+
+	ctx := context.Background()
+	demands := []float64{30, 20}
+	submitAll(t, f, demands)
+	report, err := contact.RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.ClientAddrs) != len(f.clients) {
+		t.Fatalf("round committed %d clients, want %d", len(report.ClientAddrs), len(f.clients))
+	}
+	checkFeasibleReport(t, f, report, demands)
 }
 
 func TestCDPSMCommitWithoutStageRejected(t *testing.T) {

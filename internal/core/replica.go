@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -346,44 +347,28 @@ func (r *ReplicaServer) handle(ctx context.Context, req transport.Message) (tran
 }
 
 // handleEngine dispatches an algorithm verb to its registered server
-// half. Every algorithm body carries the round id, which locates the
-// participant state the server half operates on. The reply mirrors the
-// request's codec (transport.NewReply), so JSON-only initiators keep
-// interoperating with binary-capable participants.
+// half. Every algorithm body leads with the round id (transport.BinaryRound),
+// which locates the participant state the server half operates on. A body
+// that is not the verb's binary one is refused naming the verb: by the
+// round lookup, or by the server half's decoder (transport.DecodeBody).
 func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registration, req transport.Message) (transport.Message, error) {
-	round, err := engineRound(req)
+	round, err := transport.BinaryRound(req)
 	if err != nil {
 		return transport.Message{}, err
 	}
 	st, err := r.lookupRound(round)
 	if err != nil {
-		return transport.Message{}, err
+		return transport.Message{}, fmt.Errorf("core: %s: %w", req.Type, err)
 	}
 	body, err := reg.Server.Handle(ctx, req.Type, msgReply{req}, st.eng)
 	if err != nil {
 		return transport.Message{}, err
 	}
-	return transport.NewReply(req, req.Type+".ack", r.Addr(), body)
+	return r.newMessage(req.Type+".ack", body)
 }
 
-// engineRound extracts the round id an algorithm request body carries:
-// binary bodies lead with it by wire convention (no full decode needed),
-// JSON bodies name it "round".
-func engineRound(req transport.Message) (int, error) {
-	if len(req.Bin) > 0 {
-		return transport.BinaryRound(req)
-	}
-	var hdr struct {
-		Round int `json:"round"`
-	}
-	if err := req.DecodeBody(&hdr); err != nil {
-		return 0, err
-	}
-	return hdr.Round, nil
-}
-
-// newMessage builds a message this node initiates: binary for every body
-// that has a binary codec, JSON for the rest.
+// newMessage builds a request or reply from this node: binary for every
+// body that has a binary codec, JSON for the rest.
 func (r *ReplicaServer) newMessage(msgType string, v any) (transport.Message, error) {
 	return transport.NewMessage(msgType, r.Addr(), v)
 }
@@ -416,8 +401,8 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 	if err := req.DecodeBody(&body); err != nil {
 		return transport.Message{}, err
 	}
-	if body.ClientAddr == "" || body.DemandMB <= 0 {
-		return transport.Message{}, fmt.Errorf("core: bad request from %s: addr=%q demand=%g", req.From, body.ClientAddr, body.DemandMB)
+	if err := checkRequest(&body); err != nil {
+		return transport.Message{}, fmt.Errorf("core: bad request from %s: %w", req.From, err)
 	}
 	r.mu.Lock()
 	if existing, ok := r.pending[body.ClientAddr]; ok {
@@ -436,7 +421,25 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 	seq := r.roundSeq
 	r.mu.Unlock()
 	r.Stats.RequestsReceived.Inc(1)
-	return transport.NewReply(req, MsgClientRequest+".ack", r.Addr(), RequestAck{Accepted: true, Pending: depth, Round: seq})
+	return r.newMessage(MsgClientRequest+".ack", RequestAck{Accepted: true, Pending: depth, Round: seq})
+}
+
+// checkRequest refuses a submission no client can mean: no address, a
+// demand that is not positive and finite, or a latency that is not finite
+// and non-negative.
+func checkRequest(body *RequestBody) error {
+	if body.ClientAddr == "" {
+		return fmt.Errorf("no client address")
+	}
+	if !(body.DemandMB > 0) || math.IsInf(body.DemandMB, 1) {
+		return fmt.Errorf("client %s demand %g MB is not positive and finite", body.ClientAddr, body.DemandMB)
+	}
+	for addr, l := range body.LatencySec {
+		if !(l >= 0) || math.IsInf(l, 1) {
+			return fmt.Errorf("client %s latency %g s to %s is not finite and non-negative", body.ClientAddr, l, addr)
+		}
+	}
+	return nil
 }
 
 // handleAllocationPull serves a client's row of the last committed round.
@@ -469,7 +472,7 @@ func (r *ReplicaServer) handleAllocationPull(req transport.Message) (transport.M
 		}
 	}
 	r.mu.Unlock()
-	return transport.NewReply(req, MsgAllocationPull+".ack", r.Addr(), reply)
+	return r.newMessage(MsgAllocationPull+".ack", reply)
 }
 
 // handleReplicaInfo reports this replica's model parameters.
@@ -557,7 +560,7 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 		r.roundOrder = r.roundOrder[1:]
 	}
 	r.mu.Unlock()
-	return transport.NewReply(req, MsgRoundStart+".ack", r.Addr(), nil)
+	return r.newMessage(MsgRoundStart+".ack", nil)
 }
 
 // lookupRound fetches participant state.
@@ -619,7 +622,7 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 	r.mu.Lock()
 	st.plan = plan
 	r.mu.Unlock()
-	return transport.NewReply(req, MsgAssign+".ack", r.Addr(), nil)
+	return r.newMessage(MsgAssign+".ack", nil)
 }
 
 // Plan returns the MB this replica was assigned to serve to the given

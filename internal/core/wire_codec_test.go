@@ -1,51 +1,29 @@
 package core
 
 import (
-	"context"
-	"math"
-	"reflect"
+	"encoding/json"
+	"strings"
 	"testing"
 
-	"edr/internal/opt"
 	"edr/internal/transport"
 )
 
-// Core never emits JSON on a round's path but still accepts it: hand-built
-// JSON client.request, round.start, replica.localsolve and replica.assign
-// messages (a hand-written tool, an older client) are answered in JSON and
-// leave a binary fleet in the same state as their binary twins.
-func TestJSONRequestsInteroperateWithBinaryFleet(t *testing.T) {
-	f := newFleet(t, []float64{1, 10, 5}, 2, LDDM)
-	ctx := context.Background()
-	contact := f.replicas[0].Addr()
-	isJSON := func(m transport.Message) bool { return len(m.Bin) == 0 }
+// jsonMessage builds a message whose body is JSON whatever its type.
+func jsonMessage(msgType, from string, v any) (transport.Message, error) {
+	b, err := json.Marshal(v)
+	return transport.Message{Type: msgType, From: from, Body: b}, err
+}
 
-	// client.request: a JSON submission is acked in JSON and scheduled in
-	// the same round as a binary one.
-	jsonClient, binClient := f.clients[0], f.clients[1]
-	resp, err := sendRawJSON(t, f, contact, MsgClientRequest,
-		RequestBody{ClientAddr: jsonClient.Addr(), DemandMB: 30, LatencySec: f.uniformLatencies()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ack RequestAck
-	if err := resp.DecodeBody(&ack); err != nil || !isJSON(resp) || !ack.Accepted || ack.Pending != 1 {
-		t.Fatalf("JSON client.request ack = %+v (json %v, err %v)", ack, isJSON(resp), err)
-	}
-	if err := binClient.Submit(ctx, contact, 20, f.uniformLatencies()); err != nil {
-		t.Fatal(err)
-	}
-	report, err := f.replicas[0].RunRound(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := opt.RowSums(report.Assignment); len(got) != 2 || math.Abs(got[0]-30) > 0.1 || math.Abs(got[1]-20) > 0.1 {
-		t.Fatalf("row sums = %v, want [30 20]", got)
-	}
+// A body's type is its only codec: a JSON body sent to a binary verb is
+// refused with an error naming the verb, and leaves no pending request, no
+// round state and no installed plan behind — while its binary twin is
+// served. replica.info, whose body is JSON, is still answered.
+func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
+	f := newFleet(t, []float64{1, 10, 5}, 1, LDDM)
+	contact, target := f.replicas[0], f.replicas[1]
 
-	// round.start, an iteration verb and replica.assign: the same bodies
-	// under two round ids, one sent as JSON and one as binary.
 	spec := RoundSpec{
+		Round:         900,
 		ClientAddrs:   []string{"c1", "c2"},
 		Demands:       []float64{10, 20},
 		LatencySec:    [][]float64{{0.0005, 0.0005, 0.0005}, {0.0005, 0.0005, 0.0005}},
@@ -57,65 +35,54 @@ func TestJSONRequestsInteroperateWithBinaryFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		var info ReplicaInfo
-		if err := resp.DecodeBody(&info); err != nil {
-			t.Fatal(err)
+		if err := resp.DecodeBody(&info); err != nil || info.Addr != rs.Addr() {
+			t.Fatalf("replica.info from %s: %+v, %v", rs.Addr(), info, err)
 		}
 		spec.Replicas = append(spec.Replicas, info)
 	}
-	target := f.replicas[1]
-	const jsonRound, binRound = 900, 901
-	columns := make(map[int][]float64)
-	for _, tc := range []struct {
-		round int
-		send  func(*testing.T, *fleet, string, string, any) (transport.Message, error)
-	}{{jsonRound, sendRawJSON}, {binRound, sendRaw}} {
-		wantJSON := tc.round == jsonRound
-		spec.Round = tc.round
-		steps := []struct {
-			verb string
-			body any
-		}{
-			{MsgRoundStart, spec},
-			{MsgLocalSolve, LocalSolveBody{Round: tc.round, Iter: 1, Mu: []float64{-100, -80}}},
-			{MsgAssign, AssignBody{Round: tc.round, Column: []float64{4, 0}, ClientAddrs: spec.ClientAddrs}},
-		}
-		for _, step := range steps {
-			resp, err := tc.send(t, f, target.Addr(), step.verb, step.body)
-			if err != nil {
-				t.Fatalf("round %d %s: %v", tc.round, step.verb, err)
-			}
-			// The install acks carry no body; what must never happen is a
-			// body in the codec the caller did not speak.
-			if (wantJSON && len(resp.Bin) > 0) || (!wantJSON && len(resp.Body) > 0) {
-				t.Errorf("round %d %s: ack does not mirror the request's codec (JSON request: %v)", tc.round, step.verb, wantJSON)
-			}
-			if step.verb == MsgLocalSolve {
-				// Both clients are within reach, so the reply's support is
-				// the whole roster; rebuild the column from the demands.
-				var reply LocalSolveReply
-				if err := resp.DecodeBody(&reply); err != nil {
-					t.Fatal(err)
-				}
-				col := opt.NewMatrix(len(spec.Demands), 1)
-				if err := reply.Unpack([]int{0, 1}, spec.Demands, col, 0); err != nil {
-					t.Fatal(err)
-				}
-				columns[tc.round] = opt.RowSums(col)
-			}
+
+	refuse := func(to *ReplicaServer, verb string, body any) {
+		t.Helper()
+		_, err := sendRawWith(t, f, to.Addr(), verb, body, jsonMessage)
+		if err == nil || !strings.Contains(err.Error(), verb) {
+			t.Fatalf("JSON %s: error %v, want a refusal naming the verb", verb, err)
 		}
 	}
-	if len(columns[jsonRound]) != 2 || !reflect.DeepEqual(columns[jsonRound], columns[binRound]) {
-		t.Errorf("local solve over JSON = %v, over binary = %v", columns[jsonRound], columns[binRound])
-	}
-	if got := columns[binRound]; got[0] != spec.Demands[0] || got[1] == 0 || got[1] == spec.Demands[1] {
-		t.Errorf("local solve column %v: want client c1 served whole and c2 in part", got)
-	}
-	for _, addr := range spec.ClientAddrs {
-		if j, b := target.Plan(jsonRound, addr), target.Plan(binRound, addr); j != b {
-			t.Errorf("plan for %s: %g installed over JSON, %g over binary", addr, j, b)
+	serve := func(to *ReplicaServer, verb string, body any) {
+		t.Helper()
+		if _, err := sendRaw(t, f, to.Addr(), verb, body); err != nil {
+			t.Fatalf("binary %s: %v", verb, err)
 		}
 	}
-	if got := target.Plan(jsonRound, "c1"); got != 4 {
-		t.Errorf("plan for c1 = %g, want 4", got)
+
+	request := RequestBody{ClientAddr: f.clients[0].Addr(), DemandMB: 30, LatencySec: f.uniformLatencies()}
+	refuse(contact, MsgClientRequest, request)
+	if n := contact.PendingRequests(); n != 0 {
+		t.Fatalf("refused client.request left %d pending", n)
+	}
+	serve(contact, MsgClientRequest, request)
+	if n := contact.PendingRequests(); n != 1 {
+		t.Fatalf("binary client.request: %d pending, want 1", n)
+	}
+
+	refuse(target, MsgRoundStart, spec)
+	if _, err := target.lookupRound(spec.Round); err == nil {
+		t.Fatal("refused round.start installed round state")
+	}
+	serve(target, MsgRoundStart, spec)
+
+	refuse(target, MsgLocalSolve, LocalSolveBody{Round: spec.Round, Iter: 1, Mu: []float64{-100, -80}})
+	serve(target, MsgLocalSolve, LocalSolveBody{Round: spec.Round, Iter: 1, Mu: []float64{-100, -80}})
+	refuse(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Iter: 1, Rho: 1, Target: []float64{4, 6}})
+	serve(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Iter: 1, Rho: 1, Target: []float64{4, 6}})
+
+	assign := AssignBody{Round: spec.Round, Column: []float64{4, 0}, ClientAddrs: spec.ClientAddrs}
+	refuse(target, MsgAssign, assign)
+	if got := target.Plan(spec.Round, "c1"); got != 0 {
+		t.Fatalf("refused replica.assign installed %g MB for c1", got)
+	}
+	serve(target, MsgAssign, assign)
+	if got := target.Plan(spec.Round, "c1"); got != 4 {
+		t.Fatalf("binary replica.assign installed %g MB for c1, want 4", got)
 	}
 }

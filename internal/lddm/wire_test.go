@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -122,8 +121,8 @@ func TestLocalSolveReplyBitExact(t *testing.T) {
 }
 
 // Hand-built local problems at the water-filling's edges: each column
-// survives packReply → binary and JSON → Unpack bit for bit, off-support
-// rows untouched, with at most one explicit entry.
+// survives packReply → binary → Unpack bit for bit, off-support rows
+// untouched, with at most one explicit entry.
 func TestLocalSolveReplyEdgeColumns(t *testing.T) {
 	rep := func(mutate func(*model.Replica)) model.Replica {
 		r := model.NewReplica("r", 2)
@@ -183,36 +182,31 @@ func TestLocalSolveReplyEdgeColumns(t *testing.T) {
 		if n := len(reply.Pos); n > 1 || (n == 1) != tc.partial {
 			t.Fatalf("%s: %d explicit entries for column %v (partial share expected: %v)", tc.name, n, packed, tc.partial)
 		}
-		for _, codec := range []struct {
-			name string
-			msg  func(string, string, any) (transport.Message, error)
-		}{{"binary", transport.NewMessage}, {"json", transport.NewJSONMessage}} {
-			msg, err := codec.msg(MsgLocalSolve+".ack", "r", reply)
-			if err != nil {
-				t.Fatal(err)
+		msg, err := transport.NewMessage(MsgLocalSolve+".ack", "r", reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got SolveReply
+		if err := msg.DecodeBody(&got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		col := opt.NewMatrix(len(tc.lp.Demands), 2)
+		for i := range col {
+			col[i][1] = math.NaN() // a neighbouring column Unpack must not touch
+		}
+		if err := got.Unpack(tc.lp.Clients, tc.lp.Demands, col, 0); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		inSupport := make([]bool, len(col))
+		for p, i := range tc.lp.Clients {
+			inSupport[i] = true
+			if math.Float64bits(col[i][0]) != math.Float64bits(packed[p]) {
+				t.Fatalf("%s: client %d rebuilt as %v, SolveLocal %v", tc.name, i, col[i][0], packed[p])
 			}
-			var got SolveReply
-			if err := msg.DecodeBody(&got); err != nil {
-				t.Fatalf("%s over %s: %v", tc.name, codec.name, err)
-			}
-			col := opt.NewMatrix(len(tc.lp.Demands), 2)
-			for i := range col {
-				col[i][1] = math.NaN() // a neighbouring column Unpack must not touch
-			}
-			if err := got.Unpack(tc.lp.Clients, tc.lp.Demands, col, 0); err != nil {
-				t.Fatalf("%s over %s: %v", tc.name, codec.name, err)
-			}
-			inSupport := make([]bool, len(col))
-			for p, i := range tc.lp.Clients {
-				inSupport[i] = true
-				if math.Float64bits(col[i][0]) != math.Float64bits(packed[p]) {
-					t.Fatalf("%s over %s: client %d rebuilt as %v, SolveLocal %v", tc.name, codec.name, i, col[i][0], packed[p])
-				}
-			}
-			for i, row := range col {
-				if (!inSupport[i] && math.Float64bits(row[0]) != 0) || !math.IsNaN(row[1]) {
-					t.Fatalf("%s over %s: Unpack wrote outside its column's support (row %d = %v)", tc.name, codec.name, i, row)
-				}
+		}
+		for i, row := range col {
+			if (!inSupport[i] && math.Float64bits(row[0]) != 0) || !math.IsNaN(row[1]) {
+				t.Fatalf("%s: Unpack wrote outside its column's support (row %d = %v)", tc.name, i, row)
 			}
 		}
 	}
@@ -259,14 +253,7 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 	defer rd.Pool.Release()
 	fold := alg.exchanges[0].Fold
 
-	jsonBody := func(v any) transport.Message {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return transport.Message{Type: MsgLocalSolve + ".ack", Body: b}
-	}
-	binBody := func(b []byte) transport.Message { return transport.Message{Type: MsgLocalSolve + ".ack", Bin: b} }
+	binBody := func(b []byte) transport.Message { return transport.Message{Type: MsgLocalSolve + ".ack", Body: b} }
 	valid := SolveReply{M: m + 1, Served: make([]byte, (m+8)/8)}
 	wrongM, err := valid.MarshalBinary()
 	if err != nil {
@@ -277,18 +264,14 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 		msg  transport.Message
 	}{
 		{"m above the support", binBody(wrongM)},
-		{"m below the support (json)", jsonBody(map[string]any{"m": m - 1, "served": make([]byte, (m+6)/8)})},
+		{"m below the support", binBody(replyBytes(uint32(m-1), make([]byte, (m+6)/8), 0))},
 		{"bitmap truncated", binBody(replyBytes(uint32(m), make([]byte, width-1), 0)[:4+width-1])},
-		{"bitmap of the wrong length (json)", jsonBody(map[string]any{"m": m, "served": make([]byte, width+1)})},
 		{"count beyond the bytes left", binBody(replyBytes(uint32(m), make([]byte, width), 1000, uint32(0), 1.5))},
 		{"count below the bytes left", binBody(replyBytes(uint32(m), make([]byte, width), 0, uint32(0), 1.5))},
 		{"huge count", binBody(replyBytes(uint32(m), make([]byte, width), math.MaxUint32))},
 		{"position at m", binBody(replyBytes(uint32(m), make([]byte, width), 1, uint32(m), 1.5))},
-		{"position at m (json)", jsonBody(SolveReply{M: m, Served: make([]byte, width), Pos: []int{m}, Val: []float64{1.5}})},
-		{"negative position (json)", jsonBody(SolveReply{M: m, Served: make([]byte, width), Pos: []int{-1}, Val: []float64{1.5}})},
 		{"positions out of order", binBody(replyBytes(uint32(m), make([]byte, width), 2, uint32(3), 1.5, uint32(1), 2.5))},
 		{"position also in the bitmap", binBody(replyBytes(uint32(m), append([]byte{0x01}, make([]byte, width-1)...), 1, uint32(0), 1.5))},
-		{"values without positions (json)", jsonBody(SolveReply{M: m, Served: make([]byte, width), Val: []float64{1.5}})},
 		{"huge m", binBody(replyBytes(math.MaxUint32, nil, 0))},
 		{"empty", binBody([]byte{0})},
 	}
@@ -307,9 +290,9 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 	}{
 		{"short multipliers", mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu(m - 1)})},
 		{"long multipliers", mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu(m + 1)})},
-		{"short multipliers (json)", jsonBody(SolveBody{Round: 1, Iter: 1, Mu: mu(m - 1)})},
-		{"count beyond the bytes left", transport.Message{Type: MsgLocalSolve, Bin: binary.LittleEndian.AppendUint32(make([]byte, 8), uint32(m))}},
-		{"trailing bytes", transport.Message{Type: MsgLocalSolve, Bin: append(mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu(m)}).Bin, 0)}},
+		{"JSON multipliers", transport.Message{Type: MsgLocalSolve, Body: []byte(`{"Round":1,"Iter":1,"Mu":[0]}`)}},
+		{"count beyond the bytes left", transport.Message{Type: MsgLocalSolve, Body: binary.LittleEndian.AppendUint32(make([]byte, 8), uint32(m))}},
+		{"trailing bytes", transport.Message{Type: MsgLocalSolve, Body: append(mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu(m)}).Body, 0)}},
 	}
 	for _, tc := range requests {
 		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply{tc.msg}, sr)
@@ -337,7 +320,6 @@ func TestLocalSolveRefusesNonFiniteMultipliers(t *testing.T) {
 	const j = 0
 	m := prob.Sparsity().ColNNZ(j)
 	sr := &engine.ServerRound{Round: 1, Prob: prob, Col: j, Self: addrs[j], ReplicaAddrs: addrs}
-	// Only the binary codec can carry them: JSON has no non-finite numbers.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		mu := make([]float64, m)
 		mu[m-1] = bad

@@ -10,80 +10,74 @@ import (
 
 // Compact binary body codec, version 1. Two kinds of body dominate a
 // round's bytes and codec time: the engine's matrix-bearing iteration verbs
-// — every CDPSM iteration ships full |C|×|N| float64 matrices, paid at
-// JSON-text prices (~19 bytes per element) under the original codec — and
-// the control-plane bodies paid once per client or per replica every round
-// (internal/core/codec.go). Bodies that implement
-// encoding.BinaryMarshaler/BinaryUnmarshaler are instead carried as raw
-// little-endian scalars, length-headed strings and vectors and kinded
-// matrix frames (at most 8 bytes per element, no reflection), assembled
-// from the primitives below.
+// — every CDPSM iteration ships full |C|×|N| float64 matrices, which would
+// cost ~19 bytes per element as JSON text — and the control-plane bodies
+// paid once per client or per replica every round (internal/core/codec.go).
+// Bodies that implement encoding.BinaryMarshaler/BinaryUnmarshaler are
+// carried as raw little-endian scalars, length-headed strings and vectors
+// and kinded matrix frames (at most 8 bytes per element, no reflection),
+// assembled from the primitives below.
 //
-// Wire format: the 4-byte frame length prefix keeps its meaning, but a
-// set top bit flags a binary envelope (JSON payloads can never set it —
-// MaxFrameBytes < 2³¹):
+// Wire format: every frame, whatever codec its body's type picked, has one
+// layout:
 //
-//	[u32 BE  len | binFlag]
+//	[u32 BE  len]
 //	[u8      version (=1)]
 //	[u16 BE  len(Type)] [Type]
 //	[u16 BE  len(From)] [From]
 //	[body bytes]
 //
-// Codec negotiation is per message: a node sends binary whenever the body
-// type supports it, and replies always mirror the request's codec
-// (NewReply), so a JSON-only peer keeps interoperating — its JSON
-// requests get JSON replies, and DecodeBody accepts either direction.
-// Body convention: every request body addressed to a round's participant
-// state (the engine verbs, round.start, replica.assign) starts with its u32
-// LE round id, so a dispatcher can route a binary body without decoding it.
-const (
-	// binFlag marks a binary envelope in the frame length prefix.
-	binFlag = 1 << 31
-	// BinaryVersion is the envelope version emitted and accepted.
-	BinaryVersion = 1
-)
+// The body's Go type picks its codec on both ends (NewMessage,
+// DecodeBody): a body sent in the codec its receiver's type does not
+// speak is refused, never reinterpreted. Body convention: every request
+// body addressed to a round's participant state (the engine verbs,
+// round.start, replica.assign) starts with its u32 LE round id, so a
+// dispatcher can route a body without decoding it.
 
-// writeBinaryFrame emits the binary envelope for a message carrying Bin.
-func writeBinaryFrame(w io.Writer, m Message) error {
+// BinaryVersion is the envelope version emitted and accepted.
+const BinaryVersion = 1
+
+// WriteFrame writes m in the envelope above, as one Write: on a
+// TCP_NODELAY socket two writes are two segments.
+func WriteFrame(w io.Writer, m Message) error {
 	if len(m.Type) > math.MaxUint16 || len(m.From) > math.MaxUint16 {
-		return fmt.Errorf("transport: binary frame type/from too long (%d/%d)", len(m.Type), len(m.From))
+		return fmt.Errorf("transport: frame type/from too long (%d/%d)", len(m.Type), len(m.From))
 	}
-	n := 1 + 2 + len(m.Type) + 2 + len(m.From) + len(m.Bin)
+	n := 1 + 2 + len(m.Type) + 2 + len(m.From) + len(m.Body)
 	if n > MaxFrameBytes {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, MaxFrameBytes)
 	}
 	buf := make([]byte, 4, 4+n)
-	binary.BigEndian.PutUint32(buf, uint32(n)|binFlag)
+	binary.BigEndian.PutUint32(buf, uint32(n))
 	buf = append(buf, BinaryVersion)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Type)))
 	buf = append(buf, m.Type...)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.From)))
 	buf = append(buf, m.From...)
-	buf = append(buf, m.Bin...)
+	buf = append(buf, m.Body...)
 	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("transport: write binary frame: %w", err)
+		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
 }
 
-// decodeBinaryFrame parses the payload of a binary envelope (after the
-// length prefix).
-func decodeBinaryFrame(payload []byte) (Message, error) {
+// decodeFrame parses a frame's payload (after the length prefix).
+func decodeFrame(payload []byte) (Message, error) {
 	if len(payload) < 1 {
-		return Message{}, fmt.Errorf("transport: empty binary frame")
+		return Message{}, fmt.Errorf("transport: empty frame")
 	}
 	if v := payload[0]; v != BinaryVersion {
-		return Message{}, fmt.Errorf("transport: binary frame version %d, want %d", v, BinaryVersion)
+		return Message{}, fmt.Errorf("transport: frame version %d, want %d", v, BinaryVersion)
 	}
 	rest := payload[1:]
 	readStr := func() (string, error) {
 		if len(rest) < 2 {
-			return "", fmt.Errorf("transport: truncated binary frame header")
+			return "", fmt.Errorf("transport: truncated frame header")
 		}
 		n := int(binary.BigEndian.Uint16(rest))
 		rest = rest[2:]
 		if len(rest) < n {
-			return "", fmt.Errorf("transport: binary frame header claims %d bytes, %d left", n, len(rest))
+			return "", fmt.Errorf("transport: frame header claims %d bytes, %d left", n, len(rest))
 		}
 		s := string(rest[:n])
 		rest = rest[n:]
@@ -98,7 +92,7 @@ func decodeBinaryFrame(payload []byte) (Message, error) {
 		return Message{}, err
 	}
 	if len(rest) > 0 {
-		m.Bin = append([]byte(nil), rest...)
+		m.Body = append([]byte(nil), rest...)
 	}
 	return m, nil
 }
@@ -269,6 +263,14 @@ func ResetMatrixFrameStats() {
 // base, when non-nil and of identical dims, enables the delta layout;
 // ties prefer the simpler kind (full, then sparse, then delta).
 func AppendMatrixKinded(b []byte, m, base [][]float64) []byte {
+	b, kind := appendMatrixKinded(b, m, base)
+	matrixFrameStats[kind].Add(1)
+	return b
+}
+
+// appendMatrixKinded is AppendMatrixKinded without the frame count; it
+// also reports the kind it picked.
+func appendMatrixKinded(b []byte, m, base [][]float64) ([]byte, int) {
 	rows := len(m)
 	cols := 0
 	if rows > 0 {
@@ -306,7 +308,6 @@ func AppendMatrixKinded(b []byte, m, base [][]float64) []byte {
 			kind = MatrixDelta
 		}
 	}
-	matrixFrameStats[kind].Add(1)
 	b = append(b, byte(kind))
 	b = AppendUint32(b, uint32(rows))
 	b = AppendUint32(b, uint32(cols))
@@ -338,7 +339,7 @@ func AppendMatrixKinded(b []byte, m, base [][]float64) []byte {
 			}
 		}
 	}
-	return b
+	return b, kind
 }
 
 // ReadMatrixKinded consumes a kinded matrix frame. base supplies the
@@ -435,11 +436,11 @@ func ReadMatrixKinded(b []byte, base [][]float64) ([][]float64, []byte, error) {
 	return nil, nil, fmt.Errorf("transport: unknown matrix frame kind %d", kind)
 }
 
-// BinaryRound reads the u32 LE round id every binary engine request body
-// leads with, letting dispatchers route without a full decode.
+// BinaryRound reads the u32 LE round id every engine request body leads
+// with, letting dispatchers route without a full decode.
 func BinaryRound(m Message) (int, error) {
-	if len(m.Bin) < 4 {
-		return 0, fmt.Errorf("transport: %s binary body too short for a round header", m.Type)
+	if len(m.Body) < 4 {
+		return 0, fmt.Errorf("transport: %s body too short for a round header", m.Type)
 	}
-	return int(binary.LittleEndian.Uint32(m.Bin)), nil
+	return int(binary.LittleEndian.Uint32(m.Body)), nil
 }

@@ -52,12 +52,11 @@ func TestBinaryBodyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msg.Bin) == 0 || len(msg.Body) != 0 {
-		t.Fatalf("NewMessage on a BinaryMarshaler: Bin=%d Body=%d bytes, want binary only",
-			len(msg.Bin), len(msg.Body))
+	if bin, _ := want.MarshalBinary(); !bytes.Equal(msg.Body, bin) {
+		t.Fatalf("NewMessage on a BinaryMarshaler carried %d bytes, not its %d-byte binary form", len(msg.Body), len(bin))
 	}
-	if msg.BodyLen() != len(msg.Bin) {
-		t.Fatalf("BodyLen %d != len(Bin) %d", msg.BodyLen(), len(msg.Bin))
+	if msg.BodyLen() != len(msg.Body) {
+		t.Fatalf("BodyLen %d != len(Body) %d", msg.BodyLen(), len(msg.Body))
 	}
 	var got matrixBody
 	if err := msg.DecodeBody(&got); err != nil {
@@ -84,15 +83,15 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Type != msg.Type || got.From != msg.From || !bytes.Equal(got.Bin, msg.Bin) || len(got.Body) != 0 {
+	if got.Type != msg.Type || got.From != msg.From || !bytes.Equal(got.Body, msg.Body) {
 		t.Fatalf("frame round trip mismatch: got %+v want %+v", got, msg)
 	}
 }
 
-func TestJSONFramesUnchangedByBinarySupport(t *testing.T) {
-	// A JSON message must still produce the original wire bytes: a plain
-	// length prefix (top bit clear) and a JSON object without a bin field.
-	msg, err := NewMessage("client.request", "client-1", map[string]int{"mb": 3})
+// A JSON body rides the same envelope as a binary one, byte for byte:
+// length, version, type, sender, then the body as NewMessage marshaled it.
+func TestJSONBodyRidesTheOneEnvelope(t *testing.T) {
+	msg, err := NewMessage("replica.info.ack", "r1", map[string]int{"mb": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,54 +99,29 @@ func TestJSONFramesUnchangedByBinarySupport(t *testing.T) {
 	if err := WriteFrame(&buf, msg); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	if raw[0]&0x80 != 0 {
-		t.Fatal("JSON frame has the binary flag set")
-	}
-	if bytes.Contains(raw, []byte(`"bin"`)) {
-		t.Fatal("JSON frame leaked a bin field")
+	want := []byte{0, 0, 0, 31, BinaryVersion, 0, 16}
+	want = append(want, "replica.info.ack"...)
+	want = append(want, 0, 2, 'r', '1')
+	want = append(want, `{"mb":3}`...)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("frame\n %q\nwant\n %q", buf.Bytes(), want)
 	}
 	got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != msg.Type || !bytes.Equal(got.Body, msg.Body) {
-		t.Fatalf("JSON frame round trip mismatch: got %+v", got)
+	if err != nil || got.Type != msg.Type || got.From != msg.From || !bytes.Equal(got.Body, msg.Body) {
+		t.Fatalf("round trip: %+v, %v", got, err)
 	}
 }
 
-func TestNewReplyMirrorsRequestCodec(t *testing.T) {
-	body := matrixBody{Round: 3, M: testMatrix(2, 2)}
-
-	jsonReq, err := NewJSONMessage("replica.cdpsm.estimate", "replica-1", map[string]int{"round": 3})
+// The target's type picks the codec: a JSON body is refused by a binary
+// decoder, and the error names the message type.
+func TestDecodeBodyRefusesJSONIntoBinaryBody(t *testing.T) {
+	msg, err := NewMessage("replica.cdpsm.step", "n", map[string]any{"round": 1, "m": testMatrix(1, 1)})
 	if err != nil {
 		t.Fatal(err)
-	}
-	reply, err := NewReply(jsonReq, "replica.cdpsm.estimate.ack", "replica-2", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Bin) != 0 || len(reply.Body) == 0 {
-		t.Fatalf("reply to a JSON request used binary (Bin=%d Body=%d)", len(reply.Bin), len(reply.Body))
 	}
 	var got matrixBody
-	if err := reply.DecodeBody(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, body) {
-		t.Fatalf("JSON reply decode mismatch: %+v", got)
-	}
-
-	binReq, err := NewMessage("replica.cdpsm.estimate", "replica-1", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err = NewReply(binReq, "replica.cdpsm.estimate.ack", "replica-2", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reply.Bin) == 0 {
-		t.Fatal("reply to a binary request fell back to JSON")
+	if err := msg.DecodeBody(&got); err == nil || !strings.Contains(err.Error(), "replica.cdpsm.step") {
+		t.Fatalf("JSON body decoded into a binary body: %+v, %v", got, err)
 	}
 }
 
@@ -298,7 +272,7 @@ func FuzzMatrixCodec(f *testing.F) {
 			}
 		}
 		// Frame reader on arbitrary payloads: error or success, no panic.
-		_, _ = decodeBinaryFrame(data)
+		_, _ = decodeFrame(data)
 	})
 }
 

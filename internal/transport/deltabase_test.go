@@ -5,70 +5,6 @@ import (
 	"testing"
 )
 
-// TestDeltaTxStageAck exercises the sender half's base negotiation: no
-// base before the first ack, the acked vector as base afterwards, and
-// un-acked stages never promoted.
-func TestDeltaTxStageAck(t *testing.T) {
-	var tx DeltaTx
-	v0 := []float64{1, 2, 3}
-	base, iter := tx.Stage("peer", 0, v0)
-	if base != nil || iter != -1 {
-		t.Fatalf("first Stage returned base (%v, %d), want (nil, -1)", base, iter)
-	}
-	tx.Ack("peer")
-	v1 := []float64{1, 2, 4}
-	base, iter = tx.Stage("peer", 1, v1)
-	if iter != 0 || len(base) != 3 || base[2] != 3 {
-		t.Fatalf("Stage after Ack returned (%v, %d), want (v0, 0)", base, iter)
-	}
-	// Mutating the caller's slice must not corrupt the staged copy.
-	v1[0] = 99
-	tx.Ack("peer")
-	base, iter = tx.Stage("peer", 2, []float64{0, 0, 0})
-	if iter != 1 || base[0] != 1 {
-		t.Fatalf("staged copy aliased caller slice: (%v, %d)", base, iter)
-	}
-	// A stage that is never acked must not become the base.
-	base, iter = tx.Stage("peer", 3, []float64{7, 7, 7})
-	if iter != 1 {
-		t.Fatalf("un-acked stage promoted: base iter %d, want 1", iter)
-	}
-	// Ack on an unknown peer is a no-op.
-	tx.Ack("stranger")
-}
-
-// TestDeltaRxWindow exercises the receiver's two-deep window: resolution
-// by iteration id, forward rotation, in-place duplicate replacement, and
-// stale duplicates ignored.
-func TestDeltaRxWindow(t *testing.T) {
-	var rx DeltaRx
-	if got := rx.Resolve(0); got != nil {
-		t.Fatalf("empty window resolved %v", got)
-	}
-	rx.Absorb(0, []float64{0})
-	rx.Absorb(1, []float64{1})
-	if got := rx.Resolve(0); got == nil || got[0] != 0 {
-		t.Fatalf("Resolve(0) = %v, want [0]", got)
-	}
-	if got := rx.Resolve(1); got == nil || got[0] != 1 {
-		t.Fatalf("Resolve(1) = %v, want [1]", got)
-	}
-	rx.Absorb(2, []float64{2})
-	if got := rx.Resolve(0); got != nil {
-		t.Fatalf("iteration 0 still resolvable after rotation: %v", got)
-	}
-	// Duplicate of the current iteration replaces in place.
-	rx.Absorb(2, []float64{22})
-	if got := rx.Resolve(2); got[0] != 22 {
-		t.Fatalf("duplicate absorb did not replace: %v", got)
-	}
-	// An older duplicate must not roll the window back.
-	rx.Absorb(0, []float64{0})
-	if got := rx.Resolve(2); got == nil || got[0] != 22 {
-		t.Fatalf("stale absorb rolled the window back: %v", got)
-	}
-}
-
 // TestMatrixBaseCache covers the pull-side cache.
 func TestMatrixBaseCache(t *testing.T) {
 	var c MatrixBaseCache
@@ -86,31 +22,25 @@ func TestMatrixBaseCache(t *testing.T) {
 	}
 }
 
-// TestFloatsKindedRoundTrip round-trips vectors through the kinded frame
-// with and without a base, including the empty vector and the delta path.
+// TestFloatsKindedRoundTrip round-trips vectors through the kinded frame,
+// including the empty vector, and refuses a delta frame, which a vector
+// frame never carries.
 func TestFloatsKindedRoundTrip(t *testing.T) {
-	cases := []struct {
-		name    string
-		v, base []float64
+	for _, tc := range []struct {
+		name string
+		v    []float64
+		kind byte
 	}{
-		{"empty", []float64{}, nil},
-		{"dense no base", []float64{1, -2, 3.5, 0}, nil},
-		{"mostly zero", append(make([]float64, 100), 7), nil},
-		{"delta-friendly", nil, nil},
-	}
-	// delta-friendly: 100 entries, one changed vs base.
-	base := make([]float64, 100)
-	v := make([]float64, 100)
-	for i := range base {
-		base[i] = float64(i)
-		v[i] = float64(i)
-	}
-	v[17] = math.Pi
-	cases[3].v, cases[3].base = v, base
-
-	for _, tc := range cases {
-		b := AppendFloatsKinded(nil, tc.v, tc.base)
-		got, rest, err := ReadFloatsKinded(b, tc.base)
+		{"empty", []float64{}, MatrixFull},
+		{"dense", []float64{1, -2, 3.5, 0}, MatrixFull},
+		{"mostly zero", append(make([]float64, 100), 7), MatrixSparse},
+		{"specials", []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1)}, MatrixFull},
+	} {
+		b := AppendFloatsKinded(nil, tc.v)
+		if b[0] != tc.kind {
+			t.Fatalf("%s: chooser picked kind %d, want %d", tc.name, b[0], tc.kind)
+		}
+		got, rest, err := ReadFloatsKinded(b)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
@@ -127,50 +57,12 @@ func TestFloatsKindedRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Length-mismatched bases must be ignored at append time (no delta
-	// emitted), so decoding with no base succeeds.
-	b := AppendFloatsKinded(nil, []float64{1, 2, 3}, []float64{1, 2})
-	if _, _, err := ReadFloatsKinded(b, nil); err != nil {
-		t.Fatalf("mismatched base leaked into the frame: %v", err)
+	base := []float64{1, 2, 3}
+	delta := AppendMatrixKinded(nil, [][]float64{{1, 2, 4}}, [][]float64{base})
+	if delta[0] != MatrixDelta {
+		t.Fatalf("chooser picked kind %d, want delta", delta[0])
 	}
-}
-
-// TestDeltaNegotiationEndToEnd wires DeltaTx and DeltaRx through the
-// codec the way an engine verb does and checks a delta frame actually
-// flows once the first exchange acked.
-func TestDeltaNegotiationEndToEnd(t *testing.T) {
-	var tx DeltaTx
-	var rx DeltaRx
-	ResetMatrixFrameStats()
-
-	n := 64
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = float64(i)
-	}
-	for iter := 0; iter < 3; iter++ {
-		v[5] = float64(100 + iter) // one entry moves per iteration
-		base, baseIter := tx.Stage("peer", iter, v)
-		frame := AppendFloatsKinded(nil, v, base)
-		// Receiver side: resolve the declared base, decode, absorb.
-		var rbase []float64
-		if baseIter >= 0 {
-			rbase = rx.Resolve(baseIter)
-		}
-		got, _, err := ReadFloatsKinded(frame, rbase)
-		if err != nil {
-			t.Fatalf("iter %d: decode: %v", iter, err)
-		}
-		for i := range got {
-			if got[i] != v[i] {
-				t.Fatalf("iter %d: entry %d = %g, want %g", iter, i, got[i], v[i])
-			}
-		}
-		rx.Absorb(iter, got)
-		tx.Ack("peer")
-	}
-	full, sparse, delta := MatrixFrameStats()
-	if delta == 0 {
-		t.Fatalf("no delta frames after negotiation: full=%d sparse=%d delta=%d", full, sparse, delta)
+	if _, _, err := ReadFloatsKinded(delta); err == nil {
+		t.Fatal("delta vector frame decoded without a base")
 	}
 }

@@ -130,14 +130,14 @@ func TestReadFrameAllocatesWithBytesReceived(t *testing.T) {
 	}
 
 	// And a frame longer than the eager bound still arrives whole.
-	m := Message{Type: "bulk", Bin: bytes.Repeat([]byte{0xAB, 0xCD, 0xEF}, frameEagerBytes)}
+	m := Message{Type: "bulk", Body: bytes.Repeat([]byte{0xAB, 0xCD, 0xEF}, frameEagerBytes)}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(iotest.OneByteReader(&buf))
-	if err != nil || !bytes.Equal(got.Bin, m.Bin) {
-		t.Fatalf("grown frame: err %v, %d of %d body bytes intact", err, len(got.Bin), len(m.Bin))
+	if err != nil || !bytes.Equal(got.Body, m.Body) {
+		t.Fatalf("grown frame: err %v, %d of %d body bytes intact", err, len(got.Body), len(m.Body))
 	}
 }
 
@@ -151,6 +151,8 @@ func TestReadFrameOversizedLength(t *testing.T) {
 	}
 }
 
+// A payload that does not open with the envelope version — here, bare
+// JSON text — is refused.
 func TestReadFrameGarbageJSON(t *testing.T) {
 	var buf bytes.Buffer
 	var prefix [4]byte

@@ -224,7 +224,8 @@ func (nd *tcpNode) serveConn(conn net.Conn) {
 		}
 		resp, err := nd.handler(nd.ctx, req)
 		if err != nil {
-			resp = Message{Type: "error", From: nd.name, Body: mustJSON(err.Error())}
+			// A string always marshals: the error text goes as JSON.
+			resp, _ = NewMessage("error", nd.name, err.Error())
 		}
 		conn.SetWriteDeadline(time.Now().Add(nd.frameTO))
 		err = WriteFrame(conn, resp)
@@ -232,17 +233,6 @@ func (nd *tcpNode) serveConn(conn net.Conn) {
 			return
 		}
 	}
-}
-
-func mustJSON(s string) []byte {
-	// A JSON string literal; strconv.Quote escapes everything JSON needs
-	// except a few control sequences that never appear in error text from
-	// this module. Marshal via the encoder for full correctness.
-	b, err := NewMessage("", "", s)
-	if err != nil {
-		return []byte(`"error"`)
-	}
-	return b.Body
 }
 
 func (nd *tcpNode) Name() string { return nd.name }

@@ -508,7 +508,7 @@ func TestTCPStalledFrameReleasesServer(t *testing.T) {
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	network := NewTCPNetwork()
 	server, err := network.Listen("127.0.0.1:0", func(ctx context.Context, req Message) (Message, error) {
-		return Message{Type: "ack", Bin: req.Bin}, nil
+		return Message{Type: "ack", Body: req.Body}, nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -519,7 +519,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer client.Close()
-	req := Message{Type: "lddm.mu", Bin: make([]byte, 100)}
+	req := Message{Type: "lddm.mu", Body: make([]byte, 100)}
 	send := func(b *testing.B) {
 		if _, err := client.Send(context.Background(), server.Name(), req); err != nil {
 			b.Error(err)
