@@ -442,16 +442,13 @@ func BenchmarkMaxFlowFeasibility(b *testing.B) {
 }
 
 // BenchmarkMatrixWireBytes round-trips the frame CDPSM pulls from every
-// peer every iteration — a full 100×10 estimate matrix — through the wire
-// codec, reporting bytes/frame.
+// peer every iteration — the packed estimate of a fully feasible 100×10
+// instance, 1 000 values — through the wire codec, reporting bytes/frame.
 func BenchmarkMatrixWireBytes(b *testing.B) {
 	r := sim.NewRand(7)
-	est := make([][]float64, 100)
-	for i := range est {
-		est[i] = make([]float64, 10)
-		for j := range est[i] {
-			est[i][j] = r.Range(0, 40)
-		}
+	est := make([]float64, 100*10)
+	for k := range est {
+		est[k] = r.Range(0, 40)
 	}
 	body := cdpsm.EstimateReply{Estimate: est}
 	bench := func(b *testing.B, msg transport.Message) {

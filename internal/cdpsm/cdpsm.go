@@ -58,22 +58,22 @@ func (s *Solver) Name() string { return "CDPSM" }
 // DefaultStep is the constant step size used when none is configured.
 const DefaultStep = 0.05
 
-// LocalGradient writes agent i's ∇E_i(v) into g: only column i is nonzero,
-// with value u_i·(α_i + β_i·γ_i·(Σ_c v_{c,i})^{γ_i−1}).
-func LocalGradient(prob *opt.Problem, agent int, v, g [][]float64) {
+// gradientStep takes agent i's step v ← v − d·∇E_i(v) in place on packed
+// v. E_i depends on column i only, so exactly the column's supported
+// entries move, each by −d·u_i·(α_i + β_i·γ_i·(Σ_c v_{c,i})^{γ_i−1}).
+func gradientStep(prob *opt.Problem, agent int, v []float64, step float64) {
+	sp := prob.Sparsity()
+	col := sp.PosCSR[sp.ColStart[agent]:sp.ColStart[agent+1]]
 	load := 0.0
-	for c := range v {
-		load += v[c][agent]
+	for _, k := range col {
+		load += v[k]
 	}
 	if load < 0 {
 		load = 0
 	}
-	marginal := prob.System.Replicas[agent].MarginalCost(load)
-	for c := range g {
-		for n := range g[c] {
-			g[c][n] = 0
-		}
-		g[c][agent] = marginal
+	move := -step * prob.System.Replicas[agent].MarginalCost(load)
+	for _, k := range col {
+		v[k] += move
 	}
 }
 
@@ -88,8 +88,9 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 	}
 	// History records the objective of the replicas' mean committed
 	// estimate, the common point they are converging to.
-	c, n := prob.C(), prob.N()
-	ests, mean := make([][][]float64, n), opt.NewMatrix(c, n)
+	sp := prob.Sparsity()
+	n := prob.N()
+	ests, mean, x := make([][]float64, n), make([]float64, sp.NNZ()), opt.NewMatrix(prob.C(), n)
 	history := func(int, float64, float64) float64 {
 		for j := range ests {
 			st, err := state(lb.Server(j))
@@ -100,12 +101,13 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 			ests[j] = st.committed
 			st.mu.Unlock()
 		}
-		opt.Mean(mean, ConsensusWeights(n), ests...)
-		return prob.Cost(mean)
+		average(mean, ests)
+		sp.Scatter(x, mean)
+		return prob.Cost(x)
 	}
 	// Each iteration every replica pulls the |N|−1 other estimates of nnz
 	// ≤ |C|·|N| supported scalars: O(|C|·|N|³) system-wide (paper §III-D.1).
-	peers, nnz := n*(n-1), prob.Sparsity().NNZ()
+	peers, nnz := n*(n-1), sp.NNZ()
 	return lb.Solve(&roundAlg{step: s.Step}, solver.CommStats{Messages: peers, Scalars: peers * nnz}, history)
 }
 

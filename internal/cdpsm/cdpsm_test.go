@@ -2,6 +2,7 @@ package cdpsm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"edr/internal/central"
@@ -162,37 +163,46 @@ func TestCDPSMMaskRespected(t *testing.T) {
 	}
 }
 
+// The packed gradient step moves only the agent's own supported entries,
+// each by −step times the analytic marginal at the column's load.
 func TestLocalGradientOnlyOwnColumn(t *testing.T) {
-	r := sim.NewRand(41)
-	prob, err := probgen.MustFeasible(r, probgen.Spec{Clients: 3, Replicas: 3})
+	prob := maskedInstance(t, sim.NewRand(41), 6, 3)
+	sp := prob.Sparsity()
+	start, err := prob.UniformStart()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := prob.UniformStart()
-	if err != nil {
-		t.Fatal(err)
+	const agent, step = 1, 0.05
+	before := sp.Gather(nil, start)
+	v := slices.Clone(before)
+	gradientStep(prob, agent, v, step)
+	load := 0.0
+	for c := range start {
+		load += start[c][agent]
 	}
-	g := opt.NewMatrix(3, 3)
-	LocalGradient(prob, 1, v, g)
-	for c := range g {
-		if g[c][0] != 0 || g[c][2] != 0 {
-			t.Fatalf("gradient leaked outside own column: %v", g[c])
+	marginal := prob.System.Replicas[agent].MarginalCost(load)
+	if marginal <= 0 {
+		t.Fatalf("own-column marginal %g not positive", marginal)
+	}
+	moved := 0
+	for k := range v {
+		want := before[k]
+		if sp.ColIdx[k] == agent {
+			want -= step * marginal
+			moved++
 		}
-		if g[c][1] <= 0 {
-			t.Fatalf("own-column gradient %g not positive", g[c][1])
+		if math.Abs(v[k]-want) > 1e-12 {
+			t.Fatalf("slot %d (replica %d) = %g, want %g", k, sp.ColIdx[k], v[k], want)
 		}
 	}
-	// Value matches the analytic marginal at the column-1 load.
-	load := v[0][1] + v[1][1] + v[2][1]
-	want := prob.System.Replicas[1].MarginalCost(load)
-	if math.Abs(g[0][1]-want) > 1e-12 {
-		t.Fatalf("gradient = %g, want %g", g[0][1], want)
+	if moved != sp.ColNNZ(agent) || moved == len(v) {
+		t.Fatalf("%d of %d slots moved, column %d has %d", moved, len(v), agent, sp.ColNNZ(agent))
 	}
 }
 
 // maskedInstance draws a feasible wide-area instance whose latency mask has
 // structural zeros (retrying until it does).
-func maskedInstance(t *testing.T, r *sim.Rand, clients, replicas int) *opt.Problem {
+func maskedInstance(t testing.TB, r *sim.Rand, clients, replicas int) *opt.Problem {
 	t.Helper()
 	for attempt := 0; attempt < 50; attempt++ {
 		prob, err := probgen.MustFeasible(r, probgen.Spec{Clients: clients, Replicas: replicas, Geo: true})
@@ -226,7 +236,8 @@ func TestCDPSMSparseCommCountsNNZ(t *testing.T) {
 }
 
 // Solve gives the same answer bit for bit with bodies handed over and
-// through the real codecs (delta estimate frames between peers included).
+// through the real codecs (the packed estimate frames between peers
+// included).
 func TestSolveLoopbackMatchesCodec(t *testing.T) {
 	r := sim.NewRand(59)
 	full, err := probgen.MustFeasible(r, probgen.Spec{Clients: 8, Replicas: 4})

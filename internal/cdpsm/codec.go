@@ -1,16 +1,30 @@
 package cdpsm
 
-import "edr/internal/transport"
+import (
+	"fmt"
+
+	"edr/internal/transport"
+)
 
 // Compact binary codecs (transport binary body v1) for the CDPSM verbs.
 // The estimate exchange is the round's dominant traffic — every step pulls
-// a full |C|×|N| matrix from each peer — and all five bodies are binary,
-// the small requests too. Per the wire convention, every request body
-// leads with its u32 LE round id.
+// each peer's committed estimate, nnz floats packed over the support — and
+// all five bodies are binary, the small requests too:
+//
+//	step:         [u32 round] [f64 step]
+//	step ack:     [f64 moved]
+//	estimate:     [u32 round]
+//	estimate ack: [kinded vector frame]
+//	commit:       [u32 round]
+//
+// Per the wire convention, every request body leads with its u32 LE round
+// id. The estimate rides a kinded frame, full or sparse, whichever is
+// smaller. Both estimate decoders refuse trailing bytes and
+// ReadFloatsKinded refuses any frame but the one AppendFloatsKinded
+// writes, so a decoded estimate body re-encodes to the bytes it came from.
 
 func (b StepBody) MarshalBinary() ([]byte, error) {
 	out := transport.AppendUint32(nil, uint32(b.Round))
-	out = transport.AppendUint32(out, uint32(b.Iter))
 	return transport.AppendFloat64(out, b.Step), nil
 }
 
@@ -19,15 +33,11 @@ func (b *StepBody) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	iter, data, err := transport.ReadUint32(data)
-	if err != nil {
-		return err
-	}
 	step, _, err := transport.ReadFloat64(data)
 	if err != nil {
 		return err
 	}
-	b.Round, b.Iter, b.Step = int(round), int(iter), step
+	b.Round, b.Step = int(round), step
 	return nil
 }
 
@@ -45,8 +55,7 @@ func (b *StepReply) UnmarshalBinary(data []byte) error {
 }
 
 func (b EstimateBody) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(nil, uint32(b.Round))
-	return transport.AppendUint32(out, uint32(int32(b.Base))), nil
+	return transport.AppendUint32(nil, uint32(b.Round)), nil
 }
 
 func (b *EstimateBody) UnmarshalBinary(data []byte) error {
@@ -54,51 +63,38 @@ func (b *EstimateBody) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	base, _, err := transport.ReadUint32(data)
-	if err != nil {
-		return err
+	if len(data) != 0 {
+		return fmt.Errorf("cdpsm: %d trailing bytes after the round", len(data))
 	}
-	b.Round, b.Base = int(round), int(int32(base))
+	b.Round = int(round)
 	return nil
 }
 
-// EstimateReply rides the kinded matrix frames of transport v2: the
-// chooser picks the cheapest of full, sparse (masked instances) and delta
-// (consecutive-iteration pulls) layouts; Base supplies the delta
-// reference on both sides and is itself never shipped.
 func (b EstimateReply) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(nil, uint32(int32(b.Iter)))
-	return transport.AppendMatrixKinded(out, b.Estimate, b.Base), nil
+	return transport.AppendFloatsKinded(nil, b.Estimate), nil
 }
 
 func (b *EstimateReply) UnmarshalBinary(data []byte) error {
-	iter, data, err := transport.ReadUint32(data)
+	est, data, err := transport.ReadFloatsKinded(data)
 	if err != nil {
 		return err
 	}
-	m, _, err := transport.ReadMatrixKinded(data, b.Base)
-	if err != nil {
-		return err
+	if len(data) != 0 {
+		return fmt.Errorf("cdpsm: %d trailing bytes after the estimate", len(data))
 	}
-	b.Iter = int(int32(iter))
-	b.Estimate = m
+	b.Estimate = est
 	return nil
 }
 
 func (b CommitBody) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(nil, uint32(b.Round))
-	return transport.AppendUint32(out, uint32(b.Iter)), nil
+	return transport.AppendUint32(nil, uint32(b.Round)), nil
 }
 
 func (b *CommitBody) UnmarshalBinary(data []byte) error {
-	round, data, err := transport.ReadUint32(data)
+	round, _, err := transport.ReadUint32(data)
 	if err != nil {
 		return err
 	}
-	iter, _, err := transport.ReadUint32(data)
-	if err != nil {
-		return err
-	}
-	b.Round, b.Iter = int(round), int(iter)
+	b.Round = int(round)
 	return nil
 }

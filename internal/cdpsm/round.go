@@ -3,11 +3,11 @@ package cdpsm
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"edr/internal/engine"
 	"edr/internal/opt"
-	"edr/internal/transport"
 )
 
 // CDPSM wire protocol. The initiator drives the synchronous iteration of
@@ -29,7 +29,6 @@ const (
 // StepBody asks one replica to run one consensus + subgradient step.
 type StepBody struct {
 	Round int     `json:"round"`
-	Iter  int     `json:"iter"`
 	Step  float64 `json:"step"`
 }
 
@@ -39,33 +38,21 @@ type StepReply struct {
 	Moved float64 `json:"moved"`
 }
 
-// EstimateBody requests a replica's committed estimate. Base, when ≥ 0,
-// is the iteration id of the estimate the requester already holds from
-// this replica — the server may then answer with a delta frame against
-// that base instead of a full matrix. Base −1 requests a standalone frame.
+// EstimateBody requests a replica's committed estimate.
 type EstimateBody struct {
 	Round int `json:"round"`
-	Base  int `json:"base"`
 }
 
-// EstimateReply carries the committed estimate (clients × replicas) and
-// the iteration id it was committed at (the base id for the requester's
-// next delta pull). Base is decode/encode context, never serialized
-// itself: the server sets it to the matrix it diffed against (enabling a
-// delta frame) and the requester pre-sets it to its cached copy of the
-// same matrix before Decode, per the transport convention that DecodeBody
-// unmarshals into the caller's value in place.
+// EstimateReply carries a replica's committed estimate packed over the
+// round's support: one value per allowed (client, replica) pair, in
+// opt.Sparsity CSR order.
 type EstimateReply struct {
-	Estimate [][]float64 `json:"estimate"`
-	Iter     int         `json:"iter"`
-
-	Base [][]float64 `json:"-"`
+	Estimate []float64 `json:"estimate"`
 }
 
 // CommitBody promotes a replica's staged estimate.
 type CommitBody struct {
 	Round int `json:"round"`
-	Iter  int `json:"iter"`
 }
 
 func init() {
@@ -86,7 +73,6 @@ func init() {
 // PrimalTracer).
 type roundAlg struct {
 	rd   *engine.Round
-	k    int
 	tol  float64
 	step float64 // constant step; preset by Solver, else DefaultStep
 
@@ -110,7 +96,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		{
 			Verb: MsgStep,
 			Body: func(j int) any {
-				return StepBody{Round: rd.Seq, Iter: a.k, Step: a.step}
+				return StepBody{Round: rd.Seq, Step: a.step}
 			},
 			Fold: func(j int, r engine.Reply) error {
 				var reply StepReply
@@ -124,17 +110,14 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		{
 			Verb: MsgCommit,
 			Body: func(j int) any {
-				return CommitBody{Round: rd.Seq, Iter: a.k}
+				return CommitBody{Round: rd.Seq}
 			},
 		},
 	}
 	return nil
 }
 
-func (a *roundAlg) Iterate(k int) []engine.Exchange {
-	a.k = k
-	return a.exchanges
-}
+func (a *roundAlg) Iterate(int) []engine.Exchange { return a.exchanges }
 
 func (a *roundAlg) Converged(k int) (float64, bool) {
 	maxMoved := 0.0
@@ -152,83 +135,96 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 // arrival order, so a round's answer does not depend on which reply
 // lands first.
 func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, error) {
-	c, n := a.rd.Prob.C(), a.rd.Prob.N()
-	nReplicas := len(a.rd.ReplicaAddrs)
-	ests := make([][][]float64, nReplicas)
-	err := d.Exec(ctx, engine.Exchange{
-		Verb: MsgEstimate,
-		Body: func(j int) any { return EstimateBody{Round: a.rd.Seq, Base: -1} },
-		Fold: func(j int, r engine.Reply) error {
-			var reply EstimateReply
-			if err := r.Decode(&reply); err != nil {
-				return err
-			}
-			if err := checkShape(reply.Estimate, c, n); err != nil {
-				return fmt.Errorf("cdpsm: estimate from %s: %w", a.rd.ReplicaAddrs[j], err)
-			}
-			ests[j] = reply.Estimate
-			return nil
-		},
-	})
-	if err != nil {
+	ests := make([][]float64, len(a.rd.ReplicaAddrs))
+	if err := d.Exec(ctx, a.collect(ests)); err != nil {
 		return nil, err
 	}
-	sum := opt.NewMatrix(c, n) // freshly allocated: escapes into the report
+	sp := a.rd.Prob.Sparsity()
+	sum := make([]float64, sp.NNZ())
 	for _, e := range ests {
-		opt.Add(sum, e)
+		for k, x := range e {
+			sum[k] += x
+		}
 	}
-	opt.Scale(sum, 1/float64(nReplicas))
-	if err := opt.ProjectFeasible(a.rd.Prob, sum, 1e-6); err != nil {
+	scale := 1 / float64(len(ests))
+	for k := range sum {
+		sum[k] *= scale
+	}
+	x := opt.NewMatrix(sp.C, sp.N) // freshly allocated: escapes into the report
+	sp.Scatter(x, sum)
+	if err := opt.ProjectFeasible(a.rd.Prob, x, 1e-6); err != nil {
 		return nil, fmt.Errorf("cdpsm: final polish: %w", err)
 	}
-	return sum, nil
+	return x, nil
 }
 
-// ConsensusWeights returns the doubly-stochastic consensus row for n
-// agents: the uniform weights a_{i,j} = 1/n of Eq. 3 over a complete
-// communication graph. It is computed from the count of estimates
-// actually gathered each step — not a matrix fixed at round setup — so
-// when an epoch changes |N| mid-stream the next round's consensus
-// weights are rebuilt online for the new roster with no extra machinery.
-func ConsensusWeights(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1 / float64(n)
+// collect is Recover's closing exchange: it checks each replica's
+// committed estimate and keeps it in ests at the replica's column.
+func (a *roundAlg) collect(ests [][]float64) engine.Exchange {
+	nnz := a.rd.Prob.Sparsity().NNZ()
+	return engine.Exchange{
+		Verb: MsgEstimate,
+		Body: func(int) any { return EstimateBody{Round: a.rd.Seq} },
+		Fold: func(j int, r engine.Reply) (err error) {
+			ests[j], err = decodeEstimate(r, a.rd.ReplicaAddrs[j], nnz)
+			return err
+		},
 	}
-	return w
 }
 
-// checkShape validates a wire-decoded matrix before it reaches the shape-
-// panicking opt kernels.
-func checkShape(x [][]float64, c, n int) error {
-	if len(x) != c {
-		return fmt.Errorf("%d rows for %d clients", len(x), c)
+// average writes the consensus Σ_j a_j·P^j of Eq. 3 into dst, with the
+// uniform weights a_j = 1/len(ests) of a complete communication graph,
+// summing every entry in the order the estimates are given. The weights
+// come from the count of estimates actually gathered, not from a matrix
+// fixed at round setup, so when an epoch changes |N| the next round's
+// consensus is rebuilt for the new roster with no extra machinery.
+func average(dst []float64, ests [][]float64) {
+	w := 1 / float64(len(ests))
+	opt.VecFill(dst, 0)
+	for _, e := range ests {
+		for k, x := range e {
+			dst[k] += w * x
+		}
 	}
-	for _, row := range x {
-		if len(row) != n {
-			return fmt.Errorf("row of %d entries for %d replicas", len(row), n)
+}
+
+// decodeEstimate decodes an estimate reply from the replica at addr and
+// checks it, so a bad peer is refused, by name, before its values reach
+// consensus or the final average.
+func decodeEstimate(r engine.Reply, addr string, nnz int) ([]float64, error) {
+	var reply EstimateReply
+	err := r.Decode(&reply)
+	if err == nil {
+		err = checkEstimate(reply.Estimate, nnz)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cdpsm: estimate from %s: %w", addr, err)
+	}
+	return reply.Estimate, nil
+}
+
+// checkEstimate refuses a packed estimate that is not one finite value per
+// supported pair.
+func checkEstimate(v []float64, nnz int) error {
+	if len(v) != nnz {
+		return fmt.Errorf("%d values for %d supported pairs", len(v), nnz)
+	}
+	for k, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("value %d is %v", k, x)
 		}
 	}
 	return nil
 }
 
 // serverState is one replica's CDPSM view of a round: the committed
-// estimate its peers may pull, the staged successor awaiting commit, the
-// previous committed estimate kept as the delta base for peers one
-// iteration behind, and a cache of each peer's last pulled estimate (the
-// requester-side half of the delta protocol, on the shared transport
-// machinery). Committed matrices are replaced wholesale on commit and
-// never mutated in place, so serving prev as a marshal-time delta base
-// outside the lock is safe.
+// estimate its peers pull and the staged successor awaiting commit, both
+// packed over the round's support. Commit replaces the committed vector and
+// nothing writes into it, so a pull shares it instead of copying.
 type serverState struct {
-	mu            sync.Mutex
-	committed     [][]float64
-	committedIter int
-	prev          [][]float64
-	prevIter      int
-	staged        [][]float64
-	stagedIter    int
-	peers         transport.MatrixBaseCache
+	mu        sync.Mutex
+	committed []float64
+	staged    []float64
 }
 
 // serverHalf answers the three CDPSM verbs on a participant replica.
@@ -239,17 +235,24 @@ type serverHalf struct{}
 // initiator shipped one (an epoch change renormalized the last-known-good
 // split over the new roster) and the uniform start otherwise — every
 // agent seeds from the same point either way, so consensus starts
-// agreeing instead of spending iterations re-converging.
+// agreeing instead of spending iterations re-converging. The seed is
+// gathered onto the support once; its dims were checked where the round
+// spec was decoded.
 func state(sr *engine.ServerRound) (*serverState, error) {
 	st, err := sr.State("CDPSM", func() (any, error) {
-		if w := sr.Warm; w != nil && checkShape(w, sr.Prob.C(), sr.Prob.N()) == nil {
-			return &serverState{committed: opt.Clone(w)}, nil
+		start := sr.Warm
+		if start == nil {
+			var err error
+			if start, err = sr.Prob.UniformStart(); err != nil {
+				return nil, err
+			}
 		}
-		start, err := sr.Prob.UniformStart()
-		if err != nil {
-			return nil, err
+		sp := sr.Prob.Sparsity()
+		v := sp.Gather(nil, start)
+		if err := checkEstimate(v, sp.NNZ()); err != nil {
+			return nil, fmt.Errorf("cdpsm: warm seed on %s: %w", sr.Self, err)
 		}
-		return &serverState{committed: start}, nil
+		return &serverState{committed: v}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -268,7 +271,7 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	case MsgEstimate:
 		var body EstimateBody
 		if err := req.Decode(&body); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cdpsm: replica %s: %w", sr.Self, err)
 		}
 		st, err := state(sr)
 		if err != nil {
@@ -276,14 +279,7 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 		}
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		reply := EstimateReply{Estimate: opt.Clone(st.committed), Iter: st.committedIter}
-		if body.Base >= 0 && st.prev != nil && body.Base == st.prevIter {
-			// The requester holds our previous committed estimate: let the
-			// marshal-time chooser diff against it (full-frame fallback stays
-			// automatic — the chooser only picks delta when it is smallest).
-			reply.Base = st.prev
-		}
-		return reply, nil
+		return EstimateReply{Estimate: st.committed}, nil
 	case MsgCommit:
 		var body CommitBody
 		if err := req.Decode(&body); err != nil {
@@ -298,72 +294,56 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 		if st.staged == nil {
 			return nil, fmt.Errorf("cdpsm: commit round %d with no staged estimate", body.Round)
 		}
-		st.prev, st.prevIter = st.committed, st.committedIter
-		st.committed, st.committedIter = st.staged, st.stagedIter
-		st.staged = nil
+		st.committed, st.staged = st.staged, nil
 		return nil, nil
 	}
 	return nil, fmt.Errorf("cdpsm: unhandled verb %q", verb)
 }
 
-// handleStep runs one consensus + subgradient step: pull peers' committed
-// estimates, average with uniform weights (Eq. 3), take the local
-// gradient step, project onto the local constraint set, and stage.
+// handleStep runs one consensus + subgradient step on packed estimates:
+// pull peers' committed estimates, average with uniform weights (Eq. 3),
+// take the local gradient step, project onto the local constraint set, and
+// stage.
 func handleStep(ctx context.Context, body *StepBody, sr *engine.ServerRound) (StepReply, error) {
 	st, err := state(sr)
 	if err != nil {
 		return StepReply{}, err
 	}
-	c, n := sr.Prob.C(), sr.Prob.N()
+	sp := sr.Prob.Sparsity()
+	estimates := make([][]float64, 1, len(sr.ReplicaAddrs))
 	st.mu.Lock()
-	own := opt.Clone(st.committed)
+	estimates[0] = st.committed
 	st.mu.Unlock()
-	estimates := make([][][]float64, 0, len(sr.ReplicaAddrs))
-	estimates = append(estimates, own)
 	for _, addr := range sr.ReplicaAddrs {
 		if addr == sr.Self {
 			continue
 		}
-		// Declare the iteration id of this peer's last pulled estimate so
-		// the peer can answer with a delta frame against it; decode with
-		// that cached matrix as the base.
-		base, baseIter := st.peers.Get(addr)
-		resp, err := sr.Peers.Send(ctx, addr, MsgEstimate, EstimateBody{Round: sr.Round, Base: baseIter})
+		resp, err := sr.Peers.Send(ctx, addr, MsgEstimate, EstimateBody{Round: sr.Round})
 		if err != nil {
 			return StepReply{}, fmt.Errorf("cdpsm: step: fetch estimate from %s: %w", addr, err)
 		}
-		er := EstimateReply{Base: base}
-		if err := resp.Decode(&er); err != nil {
+		est, err := decodeEstimate(resp, addr, sp.NNZ())
+		if err != nil {
 			return StepReply{}, err
 		}
-		if err := checkShape(er.Estimate, c, n); err != nil {
-			return StepReply{}, fmt.Errorf("cdpsm: estimate from %s: %w", addr, err)
-		}
-		st.peers.Put(addr, er.Iter, er.Estimate)
-		estimates = append(estimates, er.Estimate)
+		estimates = append(estimates, est)
 	}
 
-	consensus := opt.NewMatrix(c, n)
-	opt.Mean(consensus, ConsensusWeights(len(estimates)), estimates...)
-
-	grad := opt.NewMatrix(c, n)
-	LocalGradient(sr.Prob, sr.Col, consensus, grad)
-	next := opt.Clone(consensus)
-	opt.AXPY(next, -body.Step, grad)
-	// Local projection on the packed projector: every estimate in flight
-	// is supported on the mask, so gathering drops only exact zeros.
-	sp := sr.Prob.Sparsity()
-	v := sp.Gather(nil, next)
+	next := make([]float64, sp.NNZ())
+	average(next, estimates)
+	gradientStep(sr.Prob, sr.Col, next, body.Step)
 	pj := newLocalProjector(sr.Prob, sp, sr.Col)
-	if _, err := pj.Project(v, opt.DykstraOptions{MaxSweeps: 60, Tol: 1e-9}); err != nil {
+	if _, err := pj.Project(next, opt.DykstraOptions{MaxSweeps: 60, Tol: 1e-9}); err != nil {
 		return StepReply{}, fmt.Errorf("cdpsm: step projection: %w", err)
 	}
-	sp.Scatter(next, v)
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	moved := opt.Dist(next, st.committed)
+	sum := 0.0
+	for k, x := range next {
+		d := x - st.committed[k]
+		sum += d * d
+	}
 	st.staged = next
-	st.stagedIter = body.Iter
-	return StepReply{Moved: moved}, nil
+	return StepReply{Moved: math.Sqrt(sum)}, nil
 }

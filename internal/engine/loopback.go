@@ -27,9 +27,9 @@ type Carrier func(verb string, body any) (Reply, error)
 // Bodies are handed over, not marshaled: a receiver decodes the very
 // slices its sender built, so no body is copied. That is sound for the
 // rounds registered here — each handler is done with its request when it
-// replies and builds every reply afresh, and the delta bases that keep a
-// received matrix are read only by a codec — and each engine's solver
-// test checks that it gives the real codecs' answer bit for bit.
+// replies, and every reply is built afresh or, like a committed CDPSM
+// estimate, never written again — and each engine's solver test checks
+// that it gives the real codecs' answer bit for bit.
 type Loopback struct {
 	rd      *Round
 	servers []*ServerRound

@@ -98,7 +98,7 @@ func TestProjectFeasibleFixedPointProperty(t *testing.T) {
 		if err := ProjectFeasible(p, x, 1e-6); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if d := Dist(before, x); d > 1e-4*(1+Norm(before)) {
+		if d := Dist(before, x); d > 1e-4*(1+Dist(before, NewMatrix(p.C(), p.N()))) {
 			t.Fatalf("trial %d: feasible point moved by %g", trial, d)
 		}
 	}

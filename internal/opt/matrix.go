@@ -102,29 +102,6 @@ func Scale(m [][]float64, s float64) {
 	}
 }
 
-// Dot returns the Frobenius inner product Σ a_{ij}·b_{ij}.
-func Dot(a, b [][]float64) float64 {
-	checkSameShape(a, b, "Dot")
-	sum := 0.0
-	for i := range a {
-		for j := range a[i] {
-			sum += a[i][j] * b[i][j]
-		}
-	}
-	return sum
-}
-
-// Norm returns the Frobenius norm of m.
-func Norm(m [][]float64) float64 {
-	sum := 0.0
-	for i := range m {
-		for j := range m[i] {
-			sum += m[i][j] * m[i][j]
-		}
-	}
-	return math.Sqrt(sum)
-}
-
 // Dist returns the Frobenius distance ‖a−b‖.
 func Dist(a, b [][]float64) float64 {
 	checkSameShape(a, b, "Dist")
@@ -170,19 +147,6 @@ func RowSumsInto(dst []float64, m [][]float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// Mean averages the given matrices entry-wise with the given weights
-// (Σ w = 1 is the caller's responsibility) into dst. Used by the CDPSM
-// consensus step.
-func Mean(dst [][]float64, weights []float64, ms ...[][]float64) {
-	if len(weights) != len(ms) {
-		panic(fmt.Sprintf("opt: Mean got %d weights for %d matrices", len(weights), len(ms)))
-	}
-	Fill(dst, 0)
-	for k, m := range ms {
-		AXPY(dst, weights[k], m)
-	}
 }
 
 func checkSameShape(a, b [][]float64, op string) {

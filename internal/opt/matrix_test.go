@@ -89,12 +89,6 @@ func TestArithmetic(t *testing.T) {
 func TestDotNormDist(t *testing.T) {
 	a := [][]float64{{1, 2}, {2, 0}}
 	b := [][]float64{{3, 1}, {0, 5}}
-	if got := Dot(a, b); got != 5 {
-		t.Fatalf("Dot = %g, want 5", got)
-	}
-	if got := Norm(a); got != 3 {
-		t.Fatalf("Norm = %g, want 3", got)
-	}
 	if got := Dist(a, a); got != 0 {
 		t.Fatalf("Dist(a,a) = %g", got)
 	}
@@ -127,32 +121,12 @@ func TestColRowSums(t *testing.T) {
 	}
 }
 
-func TestMeanWeighted(t *testing.T) {
-	a := [][]float64{{2, 0}}
-	b := [][]float64{{0, 4}}
-	dst := NewMatrix(1, 2)
-	Mean(dst, []float64{0.5, 0.5}, a, b)
-	if dst[0][0] != 1 || dst[0][1] != 2 {
-		t.Fatalf("Mean = %v", dst)
-	}
-}
-
-func TestMeanWeightMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Mean with mismatched weights did not panic")
-		}
-	}()
-	Mean(NewMatrix(1, 1), []float64{1, 2}, NewMatrix(1, 1))
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	a := NewMatrix(2, 2)
 	b := NewMatrix(2, 3)
 	for name, fn := range map[string]func(){
 		"Add":  func() { Add(a, b) },
 		"Sub":  func() { Sub(a, b) },
-		"Dot":  func() { Dot(a, b) },
 		"Dist": func() { Dist(a, b) },
 		"Copy": func() { Copy(a, b) },
 	} {

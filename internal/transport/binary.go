@@ -9,14 +9,15 @@ import (
 )
 
 // Compact binary body codec, version 1. Two kinds of body dominate a
-// round's bytes and codec time: the engine's matrix-bearing iteration verbs
-// — every CDPSM iteration ships full |C|×|N| float64 matrices, which would
-// cost ~19 bytes per element as JSON text — and the control-plane bodies
-// paid once per client or per replica every round (internal/core/codec.go).
-// Bodies that implement encoding.BinaryMarshaler/BinaryUnmarshaler are
-// carried as raw little-endian scalars, length-headed strings and vectors
-// and kinded matrix frames (at most 8 bytes per element, no reflection),
-// assembled from the primitives below.
+// round's bytes and codec time: the engine's vector-bearing iteration verbs
+// — every CDPSM step pulls each peer's estimate, nnz float64s packed over
+// the support, which would cost ~19 bytes per value as JSON text — and the
+// control-plane bodies paid once per client or per replica every round
+// (internal/core/codec.go). Bodies that implement
+// encoding.BinaryMarshaler/BinaryUnmarshaler are carried as raw
+// little-endian scalars, length-headed strings and vectors and kinded
+// matrix frames (at most 8 bytes per element, no reflection), assembled
+// from the primitives below.
 //
 // Wire format: every frame, whatever codec its body's type picked, has one
 // layout:
@@ -214,10 +215,9 @@ func ReadFloats(b []byte) ([]float64, []byte, error) {
 // --- Kinded matrix frames -----------------------------------------------
 //
 // A dense row-major frame pays 8 bytes per element even when most entries
-// are structural zeros (latency-masked instances) or unchanged since the
-// estimate the receiver already holds (consecutive CDPSM iterations). A
-// kinded frame prefixes one byte selecting the cheapest of three layouts,
-// then a u32 dims header:
+// are structural zeros (latency-masked instances) or unchanged since a
+// matrix the receiver already holds. A kinded frame prefixes one byte
+// selecting the cheapest of three layouts, then a u32 dims header:
 //
 //	[u8 kind] [u32 rows] [u32 cols] ...
 //	kind 0 (full):   values row-major
@@ -228,9 +228,10 @@ func ReadFloats(b []byte) ([]float64, []byte, error) {
 //
 // Change detection is bitwise (math.Float64bits), so a decoded matrix is
 // bit-identical to the encoded one regardless of kind. Delta frames need
-// the receiver to hold the same base the sender diffed against; the CDPSM
-// estimate protocol negotiates that via iteration ids and falls back to
-// full/sparse when the bases drift.
+// the receiver to hold the same base the sender diffed against; no verb
+// negotiates a base any more (a packed CDPSM estimate changes on most of
+// its entries between iterations, so a delta never won), and every caller
+// outside the tests passes a nil base.
 const (
 	// MatrixFull is the dense row-major layout.
 	MatrixFull = 0

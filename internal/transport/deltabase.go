@@ -3,52 +3,12 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"sync"
 )
 
-// Delta-base negotiation for a pull verb (CDPSM estimates): the requester
-// caches the last matrix it pulled from each peer (MatrixBaseCache) and
-// declares its iteration id; the server diffs its reply against the
-// matching snapshot it kept. Base matching is by iteration id, and the
-// marshal-time chooser (AppendMatrixKinded) only emits a delta when it is
-// strictly smallest — bases drifting apart degrade to full/sparse frames,
-// never to corruption.
-
-// MatrixBaseCache is the requester half of a pull verb's base
-// negotiation: the last matrix pulled from each peer and the iteration
-// id it was committed at. The zero value is ready to use; safe for
-// concurrent use.
-type MatrixBaseCache struct {
-	mu    sync.Mutex
-	bases map[string]matrixBase
-}
-
-type matrixBase struct {
-	m    [][]float64
-	iter int
-}
-
-// Get returns the cached matrix and iteration id for peer, or (nil, −1).
-func (c *MatrixBaseCache) Get(peer string) ([][]float64, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.bases[peer]
-	if !ok {
-		return nil, -1
-	}
-	return b.m, b.iter
-}
-
-// Put records the matrix just decoded from peer at iteration iter. m
-// must not be mutated afterwards.
-func (c *MatrixBaseCache) Put(peer string, iter int, m [][]float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.bases == nil {
-		c.bases = make(map[string]matrixBase)
-	}
-	c.bases[peer] = matrixBase{m: m, iter: iter}
-}
+// Kinded vector frames: a packed vector (a CDPSM estimate, an ADMM target)
+// rides the matrix chooser as a 1×len(v) frame, full or sparse, whichever
+// is smaller. A vector frame is never a delta: no verb negotiates a base
+// for one, so a vector has one byte representation.
 
 // AppendFloatsKinded appends v as a kinded 1×len(v) matrix frame, sharing
 // the matrix chooser (full or sparse, smallest wins) and the

@@ -5,23 +5,6 @@ import (
 	"testing"
 )
 
-// TestMatrixBaseCache covers the pull-side cache.
-func TestMatrixBaseCache(t *testing.T) {
-	var c MatrixBaseCache
-	if m, iter := c.Get("a"); m != nil || iter != -1 {
-		t.Fatalf("empty cache returned (%v, %d)", m, iter)
-	}
-	m0 := [][]float64{{1, 2}}
-	c.Put("a", 3, m0)
-	if m, iter := c.Get("a"); iter != 3 || m[0][1] != 2 {
-		t.Fatalf("Get after Put = (%v, %d)", m, iter)
-	}
-	c.Put("a", 4, [][]float64{{5, 6}})
-	if m, iter := c.Get("a"); iter != 4 || m[0][0] != 5 {
-		t.Fatalf("Put did not replace: (%v, %d)", m, iter)
-	}
-}
-
 // TestFloatsKindedRoundTrip round-trips vectors through the kinded frame,
 // including the empty vector, and refuses a delta frame, which a vector
 // frame never carries.
