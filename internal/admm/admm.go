@@ -14,11 +14,13 @@
 // against a target t_n assembled from the current row residuals and the
 // scaled dual u, followed by the dual update u ← u + (mean row sum − R/|N|).
 // The subproblem has a closed-form answer in one scalar KKT multiplier
-// (ProximalColumn), so a replica's step costs a bisection over O(|C|) sums.
-// Communication per iteration is O(|C|·|N|) — the same as LDDM — but the
-// quadratic proximal term damps the oscillation that constant-step dual
-// ascent suffers from, so ADMM typically converges in far fewer
-// iterations. The paper's future
+// (ProximalShift), so a replica's step costs a bisection over O(|C|) sums
+// and its answer is that one scalar: the initiator rebuilds the column
+// from it (ProximalColumn). Communication per iteration is O(nnz) out —
+// each replica's targets over its feasible clients — and O(|N|) back, one
+// shift a replica. The quadratic proximal term damps the oscillation that
+// constant-step dual ascent suffers from, so ADMM typically converges in
+// far fewer iterations than LDDM. The paper's future
 // work invites "more restrictions"; ADMM is also the standard route to
 // adding non-smooth ones (e.g. switching penalties) later.
 package admm
@@ -69,15 +71,16 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 		func(_ int, _, cost float64) float64 { return cost })
 }
 
-// ProximalColumn solves one replica's ADMM subproblem
+// ProximalShift solves one replica's ADMM subproblem
 //
 //	min_{z ∈ X}  E(Σ z) + (ρ/2)‖z − target‖²
 //	X = {0 ≤ z ≤ caps, Σz ≤ B}
 //
-// over the replica's feasible clients only: target, caps and the returned
-// column hold one entry per client within its latency bound, so the mask
-// never appears. It is exported because the live runtime's ADMM rounds
-// invoke it on each replica server (see round.go).
+// over the replica's feasible clients only: target and caps hold one entry
+// per client within its latency bound, so the mask never appears. It
+// returns the optimal shift s, from which ProximalColumn rebuilds the
+// column. It is exported because the live runtime's ADMM rounds invoke it
+// on each replica server (see round.go).
 //
 // The solve is exact, from the KKT conditions. Every entry answers one
 // scalar multiplier λ the same way, z_c = clip(t_c − λ/ρ, 0, cap_c), so the
@@ -86,15 +89,15 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 // right side falls in λ — unless served exceeds B there, in which case the
 // capacity multiplier lifts λ to the root of served(λ) = B. Both conditions
 // are monotone, so one bisection finds the larger of the two roots. It runs
-// on the shift μ = λ/ρ, to the precision the entries can express, at O(m)
-// per step with no allocation beyond the returned column.
-func ProximalColumn(rep model.Replica, caps, target []float64, rho float64) ([]float64, error) {
-	m := len(target)
-	if len(caps) != m {
-		return nil, fmt.Errorf("admm: proximal shape mismatch: %d targets, %d caps", m, len(caps))
+// on the shift s = λ/ρ, to the precision the entries can express, at O(m)
+// per step with no allocation. When nothing fits (min(B, Σcaps) ≤ 0) the
+// shift is +Inf, which clips every entry to +0.
+func ProximalShift(rep model.Replica, caps, target []float64, rho float64) (float64, error) {
+	if len(caps) != len(target) {
+		return 0, fmt.Errorf("admm: proximal shape mismatch: %d targets, %d caps", len(target), len(caps))
 	}
 	if !(rho > 0) || math.IsInf(rho, 1) {
-		return nil, fmt.Errorf("admm: rho %g is not positive and finite", rho)
+		return 0, fmt.Errorf("admm: rho %g is not positive and finite", rho)
 	}
 	// Bracket the shift: at lo every entry sits at its cap, so
 	// ρ·lo ≤ E′(0) ≤ E′(Σcaps); at hi every entry is zero and ρ·hi ≥ E′(0).
@@ -104,19 +107,18 @@ func ProximalColumn(rep model.Replica, caps, target []float64, rho float64) ([]f
 	for c, t := range target {
 		u := caps[c]
 		if math.IsNaN(t) || math.IsInf(t, 0) || !(u >= 0) || math.IsInf(u, 1) {
-			return nil, fmt.Errorf("admm: proximal entry %d: target %g, cap %g", c, t, u)
+			return 0, fmt.Errorf("admm: proximal entry %d: target %g, cap %g", c, t, u)
 		}
 		lo = math.Min(lo, t-u)
 		hi = math.Max(hi, t)
 		capSum += u
 		scale = math.Max(scale, math.Max(math.Abs(t), u))
 	}
-	z := make([]float64, m)
 	if math.Min(rep.Bandwidth, capSum) <= 0 {
-		return z, nil
+		return math.Inf(1), nil
 	}
 	if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
-		return nil, fmt.Errorf("admm: proximal bracket [%g, %g] is not finite", lo, hi)
+		return 0, fmt.Errorf("admm: proximal bracket [%g, %g] is not finite", lo, hi)
 	}
 	served := func(mu float64) float64 {
 		s := 0.0
@@ -144,10 +146,17 @@ func ProximalColumn(rep model.Replica, caps, target []float64, rho float64) ([]f
 			lo = mid
 		}
 	}
+	return hi, nil
+}
+
+// ProximalColumn writes into z the column the shift s answers,
+// z_c = clip(target_c − s, 0, cap_c). The replica's solve and the
+// initiator's rebuild of its reply both run this loop, so the two agree
+// bit for bit.
+func ProximalColumn(z, caps, target []float64, s float64) {
 	for c, t := range target {
-		z[c] = clip(t-hi, caps[c])
+		z[c] = clip(t-s, caps[c])
 	}
-	return z, nil
 }
 
 // clip bounds v to [0, u] for finite v and u ≥ 0.

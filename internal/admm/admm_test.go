@@ -195,7 +195,7 @@ func maskedInstance(t testing.TB, r *sim.Rand, clients, replicas int) *opt.Probl
 	return nil
 }
 
-// proximalColumnDense is the dense reference ProximalColumn is checked
+// proximalColumnDense is the dense reference the packed kernel is checked
 // against: a full-length column over all |C| clients with the latency mask
 // handled inside the slice projection. The penalty sums over the support
 // only — masked entries contribute a constant (0 − target_i)², irrelevant
@@ -285,7 +285,7 @@ func TestProximalColumnMatchesDenseOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := ProximalColumn(rep, packedCaps, packedTarget, rho)
+		packed, err := proximal(rep, packedCaps, packedTarget, rho)
 		if err != nil {
 			t.Fatal(err)
 		}

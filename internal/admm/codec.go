@@ -6,23 +6,21 @@ import (
 	"edr/internal/transport"
 )
 
-// Compact binary codecs for the ADMM verb: the proximal target out, the
-// updated column back.
+// Compact binary codecs for the ADMM verb: the proximal targets over the
+// replica's support of m clients out, the one shift that decides its
+// column back.
 //
-//	request: [u32 round] [u32 iter] [f64 rho] [kinded frame target]
-//	reply:   [u32 c] [c × f64 column]
+//	request: [u32 round] [f64 rho] [u32 m] [m × f64 target]
+//	reply:   [f64 shift]
 //
-// The request leads with its u32 LE round id per the wire convention; its
-// target rides a kinded frame, full or sparse, whichever is smaller. Both
-// decoders refuse trailing bytes and ReadFloatsKinded refuses any frame
-// but the one AppendFloatsKinded writes, so a decoded body re-encodes to
-// the bytes it came from.
+// The request leads with its u32 LE round id per the wire convention. Both
+// decoders refuse trailing bytes, so a decoded body re-encodes to the bytes
+// it came from.
 
 func (b ProxBody) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(nil, uint32(b.Round))
-	out = transport.AppendUint32(out, uint32(b.Iter))
+	out := transport.AppendUint32(make([]byte, 0, 16+8*len(b.Target)), uint32(b.Round))
 	out = transport.AppendFloat64(out, b.Rho)
-	return transport.AppendFloatsKinded(out, b.Target), nil
+	return transport.AppendFloats(out, b.Target), nil
 }
 
 func (b *ProxBody) UnmarshalBinary(data []byte) error {
@@ -30,37 +28,33 @@ func (b *ProxBody) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	iter, data, err := transport.ReadUint32(data)
-	if err != nil {
-		return err
-	}
 	rho, data, err := transport.ReadFloat64(data)
 	if err != nil {
 		return err
 	}
-	target, data, err := transport.ReadFloatsKinded(data)
+	target, data, err := transport.ReadFloats(data)
 	if err != nil {
 		return err
 	}
 	if len(data) != 0 {
-		return fmt.Errorf("admm: %d trailing bytes after the target", len(data))
+		return fmt.Errorf("admm: %d trailing bytes after the targets", len(data))
 	}
-	b.Round, b.Iter, b.Rho, b.Target = int(round), int(iter), rho, target
+	b.Round, b.Rho, b.Target = int(round), rho, target
 	return nil
 }
 
 func (b ProxReply) MarshalBinary() ([]byte, error) {
-	return transport.AppendFloats(nil, b.Column), nil
+	return transport.AppendFloat64(make([]byte, 0, 8), b.Shift), nil
 }
 
 func (b *ProxReply) UnmarshalBinary(data []byte) error {
-	col, data, err := transport.ReadFloats(data)
+	shift, data, err := transport.ReadFloat64(data)
 	if err != nil {
 		return err
 	}
 	if len(data) != 0 {
-		return fmt.Errorf("admm: %d trailing bytes after the column", len(data))
+		return fmt.Errorf("admm: %d trailing bytes after the shift", len(data))
 	}
-	b.Column = col
+	b.Shift = shift
 	return nil
 }

@@ -9,6 +9,18 @@ import (
 	"edr/internal/sim"
 )
 
+// proximal solves the subproblem as a replica and its initiator do
+// together: the replica's shift, rebuilt into the column.
+func proximal(rep model.Replica, caps, target []float64, rho float64) ([]float64, error) {
+	s, err := ProximalShift(rep, caps, target, rho)
+	if err != nil {
+		return nil, err
+	}
+	z := make([]float64, len(target))
+	ProximalColumn(z, caps, target, s)
+	return z, nil
+}
+
 // proxObjective evaluates E(Σz) + (ρ/2)‖z − target‖² over a packed column.
 func proxObjective(rep model.Replica, z, target []float64, rho float64) float64 {
 	s, d := 0.0, 0.0
@@ -113,7 +125,7 @@ func TestProximalColumnKKT(t *testing.T) {
 			rep.Bandwidth = 1e6
 		}
 		rho := math.Pow(10, r.Range(-3, 3))
-		z, err := ProximalColumn(rep, caps, target, rho)
+		z, err := proximal(rep, caps, target, rho)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -165,8 +177,8 @@ func TestProximalColumnRejectsNonFinite(t *testing.T) {
 	for _, tc := range cases {
 		caps, target := good()
 		tc.mutate(caps, target)
-		if z, err := ProximalColumn(rep, caps, target, tc.rho); err == nil {
-			t.Errorf("%s: accepted, returned %v", tc.name, z)
+		if s, err := ProximalShift(rep, caps, target, tc.rho); err == nil {
+			t.Errorf("%s: accepted, returned shift %v", tc.name, s)
 		}
 	}
 }
@@ -191,7 +203,7 @@ func FuzzProximalColumn(f *testing.F) {
 			}
 			target[c] = r.Range(-10, 30)
 		}
-		z, err := ProximalColumn(rep, caps, target, rho)
+		z, err := proximal(rep, caps, target, rho)
 		if err == nil {
 			for c, v := range z {
 				if math.IsNaN(v) {
@@ -213,11 +225,45 @@ func FuzzProximalColumn(f *testing.F) {
 	})
 }
 
+// When nothing fits — an empty support, all-zero caps, or no bandwidth —
+// the shift is +Inf and the column it rebuilds is +0 in every slot, the
+// bits of a freshly made column.
+func TestProximalShiftInfiniteWhenNothingFits(t *testing.T) {
+	rep := model.NewReplica("r", 5)
+	idle := rep
+	idle.Bandwidth = 0
+	for _, tc := range []struct {
+		name         string
+		rep          model.Replica
+		caps, target []float64
+	}{
+		{"empty support", rep, []float64{}, []float64{}},
+		{"zero caps", rep, []float64{0, 0, 0}, []float64{4, -1, math.Copysign(0, -1)}},
+		{"no bandwidth", idle, []float64{3, 5}, []float64{2, 7}},
+	} {
+		s, err := ProximalShift(tc.rep, tc.caps, tc.target, 0.5)
+		if err != nil || !math.IsInf(s, 1) {
+			t.Fatalf("%s: shift %v, err %v; want +Inf", tc.name, s, err)
+		}
+		z := make([]float64, len(tc.target))
+		for c := range z {
+			z[c] = math.NaN()
+		}
+		ProximalColumn(z, tc.caps, tc.target, s)
+		for c, v := range z {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: entry %d = %v, want +0", tc.name, c, v)
+			}
+		}
+	}
+}
+
 // proxSink keeps the benchmarked call from being optimized away.
 var proxSink []float64
 
-// BenchmarkProximalColumn times one replica's proximal step on a 70-entry
-// column, the size of a paper-scale replica's feasible client list.
+// BenchmarkProximalColumn times one replica's proximal step — the shift and
+// the column it rebuilds — on a 70-entry column, the size of a paper-scale
+// replica's feasible client list. It allocates nothing.
 func BenchmarkProximalColumn(b *testing.B) {
 	r := sim.NewRand(1)
 	rep := model.NewReplica("r", 7)
@@ -227,13 +273,15 @@ func BenchmarkProximalColumn(b *testing.B) {
 		caps[c] = r.Range(1, 6)
 		target[c] = r.Range(-2, 4)
 	}
+	z := make([]float64, 70)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z, err := ProximalColumn(rep, caps, target, 0.5)
+		s, err := ProximalShift(rep, caps, target, 0.5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		proxSink = z
+		ProximalColumn(z, caps, target, s)
 	}
+	proxSink = z
 }

@@ -55,6 +55,7 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 			}
 			clients := make([]float64, c) // the client-held accumulators
 			step := 1 / float64(n)
+			sp := prob.Sparsity()
 			alg := &roundAlg{}
 			iters := 0
 			d := &engine.Driver{
@@ -63,9 +64,10 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 				OnIterate: func(k int, _, _ float64) {
 					iters = k
 					for i := 0; i < c; i++ {
+						// Client i's entries of the packed z, in replica order.
 						served := 0.0
-						for j := 0; j < n; j++ {
-							served += alg.z[j][i]
+						for slot := sp.RowStart[i]; slot < sp.RowStart[i+1]; slot++ {
+							served += alg.z[sp.PosCSC[slot]]
 						}
 						clients[i] += step * (served - prob.Demands[i])
 						if want := warm[i] + clients[i]; math.Float64bits(alg.u[i]) != math.Float64bits(want) {
@@ -123,14 +125,15 @@ type wireBody interface {
 // Handle of that replica over an engine.Loopback and to the real Fold of the
 // initiator. Nothing may panic; whatever decodes must re-encode to exactly
 // the input bytes (the encoding is canonical); a request Handle serves must
-// come back as a column Fold accepts, and a refusal must name the replica.
-// A column built from the same bytes is folded bit for bit when every entry
-// lies in [0, R_c] on the replica's support and is zero off it, and refused
-// with an error naming the replica otherwise.
+// come back as a shift Fold accepts, and every refusal must name the
+// replica. Handle refuses targets of the wrong length for the replica's
+// support; Fold accepts exactly the 8-byte replies holding a shift s ≥ 0
+// (+Inf included) and rebuilds the column as clip(t − s, 0, R_c) of the
+// targets the wave sent, bit for bit.
 func FuzzProxBodies(f *testing.F) {
 	prob := maskedInstance(f, sim.NewRand(11), 8, 3)
-	c, n := prob.C(), prob.N()
-	allowed := prob.Allowed()
+	n := prob.N()
+	sp := prob.Sparsity()
 	lb, err := engine.NewLoopback(prob, 1, 0, wiretest.Codec)
 	if err != nil {
 		f.Fatal(err)
@@ -141,18 +144,21 @@ func FuzzProxBodies(f *testing.F) {
 	if err := alg.Init(rd); err != nil {
 		f.Fatal(err)
 	}
-	fold := alg.exchanges[0].Fold
+	ex := alg.exchanges[0]
 
-	target := make([]float64, c)
-	for i := range target {
-		target[i] = 0.5*float64(i) - 1
+	support := func(j int) int { return sp.ColStart[j+1] - sp.ColStart[j] }
+	target := make([]float64, support(0))
+	for p := range target {
+		target[p] = 0.5*float64(p) - 1
 	}
 	for k, s := range []wireBody{
-		&ProxBody{Round: 1, Iter: 3, Rho: alg.rho, Target: target},
-		&ProxBody{Round: 1, Iter: 1, Rho: 1, Target: append(make([]float64, c-1), 2)},
-		&ProxBody{Round: 1, Iter: 2, Rho: 0.5, Target: []float64{}},
-		&ProxReply{Column: make([]float64, c)},
-		&ProxReply{Column: append([]float64{math.NaN(), -1}, target[2:]...)},
+		&ProxBody{Round: 1, Rho: alg.rho, Target: target},
+		&ProxBody{Round: 1, Rho: 1, Target: append(make([]float64, max(support(1)-1, 0)), 2)},
+		&ProxBody{Round: 1, Rho: 0.5, Target: []float64{}},
+		&ProxReply{Shift: 0.25},
+		&ProxReply{Shift: math.Inf(1)},
+		&ProxReply{Shift: math.NaN()},
+		&ProxReply{Shift: -1},
 	} {
 		bin, err := s.MarshalBinary()
 		if err != nil {
@@ -170,6 +176,7 @@ func FuzzProxBodies(f *testing.F) {
 		}
 		j, in := int(data[0]/2)%n, data[1:]
 		addr := rd.ReplicaAddrs[j]
+		lo, hi := sp.ColStart[j], sp.ColStart[j+1]
 		var body wireBody = &ProxBody{}
 		if data[0]%2 == 1 {
 			body = &ProxReply{}
@@ -181,46 +188,40 @@ func FuzzProxBodies(f *testing.F) {
 			}
 		}
 
-		// The bytes as replica j's request, then as its reply.
+		// The bytes as replica j's request.
+		var req ProxBody
+		wrongLength := req.UnmarshalBinary(in) == nil && len(req.Target) != hi-lo
+		ex.Body(j)
 		if resp, err := lb.Send(context.Background(), addr, MsgProx, rawBody(in)); err != nil {
 			if !strings.Contains(err.Error(), addr) {
 				t.Fatalf("request refused without naming %s: %v", addr, err)
 			}
-		} else if err := fold(j, resp); err != nil {
-			t.Fatalf("%s served a column its initiator refuses: %v", addr, err)
-		}
-		rep, _ := wiretest.Codec(MsgProx+".ack", rawBody(in))
-		if err := fold(j, rep); err != nil && !strings.Contains(err.Error(), addr) {
-			t.Fatalf("reply refused without naming %s: %v", addr, err)
+		} else if wrongLength {
+			t.Fatalf("%s served %d targets for a support of %d", addr, len(req.Target), hi-lo)
+		} else if err := ex.Fold(j, resp); err != nil {
+			t.Fatalf("%s served a shift its initiator refuses: %v", addr, err)
 		}
 
-		// A column from the same bytes, 8 a client: the honest one keeps each
-		// raw value a proximal solve could return and zeroes the rest.
-		raw, honest, hostile := make([]float64, c), make([]float64, c), false
-		for i := range raw {
-			if 8*(i+1) <= len(in) {
-				raw[i] = math.Float64frombits(binary.LittleEndian.Uint64(in[8*i:]))
-			}
-			if v := raw[i]; v == 0 || (allowed[i][j] && v >= 0 && v <= prob.Demands[i]) {
-				honest[i] = v
-			} else {
-				hostile = true
-			}
+		// The bytes as replica j's reply: the column is rebuilt from the
+		// targets of the wave the reply answers.
+		ex.Body(j)
+		sent := slices.Clone(alg.targets[lo:hi])
+		rep, _ := wiretest.Codec(MsgProx+".ack", rawBody(in))
+		err := ex.Fold(j, rep)
+		shift := math.NaN()
+		if len(in) == 8 {
+			shift = math.Float64frombits(binary.LittleEndian.Uint64(in))
 		}
-		for _, tc := range []struct {
-			col    []float64
-			refuse bool
-		}{{honest, false}, {honest[:c-1], true}, {raw, hostile}} {
-			rep, err := wiretest.Codec(MsgProx+".ack", ProxReply{Column: tc.col})
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = fold(j, rep)
-			if tc.refuse != (err != nil) || (err != nil && !strings.Contains(err.Error(), addr)) {
-				t.Fatalf("column %v for %s: fold error %v, want refused %v", tc.col, addr, err, tc.refuse)
-			}
-			if err == nil && !slices.EqualFunc(alg.z[j], tc.col, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-				t.Fatalf("folded %v, sent %v", alg.z[j], tc.col)
+		if accept := shift >= 0; accept != (err == nil) || (err != nil && !strings.Contains(err.Error(), addr)) {
+			t.Fatalf("%d reply bytes (shift %v) for %s: fold error %v, want accepted %v", len(in), shift, addr, err, accept)
+		}
+		if err != nil {
+			return
+		}
+		for p, v := range alg.z[lo:hi] {
+			want := clip(sent[p]-shift, prob.Demands[sp.RowIdx[lo+p]])
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("shift %v folded slot %d to %v, want clip(%v − s) = %v", shift, p, v, sent[p], want)
 			}
 		}
 	})

@@ -14,14 +14,12 @@ import (
 //	step:         [u32 round] [f64 step]
 //	step ack:     [f64 moved]
 //	estimate:     [u32 round]
-//	estimate ack: [kinded vector frame]
+//	estimate ack: [u32 nnz] [nnz × f64 estimate]
 //	commit:       [u32 round]
 //
 // Per the wire convention, every request body leads with its u32 LE round
-// id. The estimate rides a kinded frame, full or sparse, whichever is
-// smaller. Both estimate decoders refuse trailing bytes and
-// ReadFloatsKinded refuses any frame but the one AppendFloatsKinded
-// writes, so a decoded estimate body re-encodes to the bytes it came from.
+// id. Both estimate decoders refuse trailing bytes, so a decoded estimate
+// body re-encodes to the bytes it came from.
 
 func (b StepBody) MarshalBinary() ([]byte, error) {
 	out := transport.AppendUint32(nil, uint32(b.Round))
@@ -71,11 +69,11 @@ func (b *EstimateBody) UnmarshalBinary(data []byte) error {
 }
 
 func (b EstimateReply) MarshalBinary() ([]byte, error) {
-	return transport.AppendFloatsKinded(nil, b.Estimate), nil
+	return transport.AppendFloats(make([]byte, 0, 4+8*len(b.Estimate)), b.Estimate), nil
 }
 
 func (b *EstimateReply) UnmarshalBinary(data []byte) error {
-	est, data, err := transport.ReadFloatsKinded(data)
+	est, data, err := transport.ReadFloats(data)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,6 +72,128 @@ func roundSurvivesDeadClient(t *testing.T, alg Algorithm) {
 	}
 	if alloc.Round != report.Round {
 		t.Fatalf("survivor got round %d's allocation, want %d", alloc.Round, report.Round)
+	}
+}
+
+// nanProxNetwork is an in-process fabric on which one replica, while armed,
+// overwrites every float of its replica.admm.prox replies with NaN: it
+// answers each wave on time, with a body no honest replica sends.
+type nanProxNetwork struct {
+	*transport.InProcNetwork
+	bad   string
+	armed atomic.Bool
+}
+
+func (n *nanProxNetwork) Listen(name string, h transport.Handler) (transport.Node, error) {
+	if name != n.bad {
+		return n.InProcNetwork.Listen(name, h)
+	}
+	return n.InProcNetwork.Listen(name, func(ctx context.Context, req transport.Message) (transport.Message, error) {
+		resp, err := h(ctx, req)
+		if err != nil || req.Type != MsgADMMProx || !n.armed.Load() {
+			return resp, err
+		}
+		body := slices.Clone(resp.Body)
+		for end := len(body); end >= 8; end -= 8 {
+			binary.LittleEndian.PutUint64(body[end-8:], math.Float64bits(math.NaN()))
+		}
+		resp.Body = body
+		return resp, nil
+	})
+}
+
+// A reply the initiator refuses is pinned on the replica that sent it, as
+// an unreachable member is: with the default budget the round restarts
+// without it and commits a finite split; with no restarts allowed the round
+// degrades to the committed split, which stays the last good one.
+func TestRefusedReplyPinnedOnSender(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		retries int
+	}{{"restart", 0}, {"degrade", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := &nanProxNetwork{InProcNetwork: transport.NewInProcNetwork(), bad: "rb"}
+			names := []string{"ra", "rb", "rc"}
+			var replicas []*ReplicaServer
+			for i, name := range names {
+				rs, err := NewReplicaServer(net, name, names, ReplicaConfig{
+					Replica:      model.NewReplica(name, []float64{1, 4, 9}[i]),
+					Algorithm:    ADMM,
+					RoundRetries: tc.retries,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { rs.Close() })
+				replicas = append(replicas, rs)
+			}
+			ra := replicas[0]
+			var clients []*Client
+			for _, name := range []string{"c1", "c2"} {
+				cl, err := NewClient(net, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { cl.Close() })
+				clients = append(clients, cl)
+			}
+			ctx := context.Background()
+			lat := map[string]float64{"ra": 0.0005, "rb": 0.0005, "rc": 0.0005}
+			submit := func() {
+				t.Helper()
+				for _, cl := range clients {
+					if err := cl.Submit(ctx, "ra", 20, lat); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			var committed *lastGoodRound
+			if tc.retries < 0 {
+				// A clean round first, for the degraded round to fall back on.
+				submit()
+				if _, err := ra.RunRound(ctx); err != nil {
+					t.Fatal(err)
+				}
+				committed = ra.committed()
+			}
+			net.armed.Store(true)
+			submit()
+			report, err := ra.RunRound(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(report.ReplicaAddrs, "rb") {
+				t.Fatalf("round kept the refused replica: %v", report.ReplicaAddrs)
+			}
+			for i, row := range report.Assignment {
+				sum := 0.0
+				for _, v := range row {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("client %d's row %v is not finite", i, row)
+					}
+					sum += v
+				}
+				if math.Abs(sum-20) > 0.2 {
+					t.Fatalf("client %d served %g, want 20", i, sum)
+				}
+			}
+			if tc.retries < 0 {
+				if !report.Degraded || report.Restarts != 0 {
+					t.Fatalf("degraded %v after %d restarts, want a degraded round with none", report.Degraded, report.Restarts)
+				}
+				if ra.committed() != committed {
+					t.Fatal("the degraded round replaced the last good one")
+				}
+				return
+			}
+			if report.Degraded || report.Restarts == 0 {
+				t.Fatalf("degraded %v after %d restarts, want a committed restart", report.Degraded, report.Restarts)
+			}
+			if ra.Ring().Contains("rb") {
+				t.Fatal("the refused replica is still in the ring")
+			}
+		})
 	}
 }
 

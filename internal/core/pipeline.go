@@ -527,6 +527,12 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 	alg := reg.New()
 	var err error
 	if a.solved, a.iterations, err = driver.Run(ctx, alg, rd); err != nil {
+		// A refused reply is the sender's failure: RunRound restarts
+		// without it, or degrades, as it would for an unreachable member.
+		var refused *engine.RefusedReplyError
+		if errors.As(err, &refused) {
+			return &failedMemberError{addr: refused.Addr, err: err}
+		}
 		return err
 	}
 	if dr, ok := alg.(engine.DualReporter); ok {

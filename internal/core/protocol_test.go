@@ -136,7 +136,7 @@ func TestLocalSolveMultiplierLengthChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round 1 had two clients; a 1-multiplier solve must be rejected.
-	body := LocalSolveBody{Round: 1, Iter: 1, Mu: []float64{0}}
+	body := LocalSolveBody{Round: 1, Mu: []float64{0}}
 	if _, err := sendRaw(t, f, f.replicas[1].Addr(), MsgLocalSolve, body); err == nil {
 		t.Error("short multiplier vector accepted")
 	}

@@ -71,10 +71,10 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 	}
 	serve(target, MsgRoundStart, spec)
 
-	refuse(target, MsgLocalSolve, LocalSolveBody{Round: spec.Round, Iter: 1, Mu: []float64{-100, -80}})
-	serve(target, MsgLocalSolve, LocalSolveBody{Round: spec.Round, Iter: 1, Mu: []float64{-100, -80}})
-	refuse(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Iter: 1, Rho: 1, Target: []float64{4, 6}})
-	serve(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Iter: 1, Rho: 1, Target: []float64{4, 6}})
+	refuse(target, MsgLocalSolve, LocalSolveBody{Round: spec.Round, Mu: []float64{-100, -80}})
+	serve(target, MsgLocalSolve, LocalSolveBody{Round: spec.Round, Mu: []float64{-100, -80}})
+	refuse(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
+	serve(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
 
 	assign := AssignBody{Round: spec.Round, Column: []float64{4, 0}, ClientAddrs: spec.ClientAddrs}
 	refuse(target, MsgAssign, assign)

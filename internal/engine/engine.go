@@ -251,10 +251,24 @@ func (d *Driver) send(jb job, i int, addr string) error {
 		return err
 	}
 	if jb.ex.Fold != nil {
-		return jb.ex.Fold(i, reply)
+		if err := jb.ex.Fold(i, reply); err != nil {
+			return &RefusedReplyError{Addr: addr, Err: err}
+		}
 	}
 	return nil
 }
+
+// RefusedReplyError is a reply the algorithm's Fold refused: the replica
+// at Addr answered, but with a body no honest replica sends. The fleet
+// pins it on that replica as it does an unreachable one.
+type RefusedReplyError struct {
+	Addr string
+	Err  error
+}
+
+func (e *RefusedReplyError) Error() string { return e.Err.Error() }
+
+func (e *RefusedReplyError) Unwrap() error { return e.Err }
 
 // Exec runs one exchange on the round's senders: ex.Verb goes to every
 // replica concurrently, one RPC each. It keeps FanOut's contract — the

@@ -11,7 +11,7 @@ import (
 // same support, which costs ⌈m/8⌉ bytes plus 12 per partial share instead
 // of m floats:
 //
-//	request: [u32 round] [u32 iter] [u32 m] [m × f64 μ]
+//	request: [u32 round] [u32 m] [m × f64 μ]
 //	reply:   [u32 m] [⌈m/8⌉ bytes bitmap] [u32 count] [count × (u32 pos, f64 value)]
 //
 // Request bodies lead with the u32 LE round id per the wire convention.
@@ -19,17 +19,12 @@ import (
 // refuses, so a decoded body re-encodes to the bytes it came from.
 
 func (b SolveBody) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(nil, uint32(b.Round))
-	out = transport.AppendUint32(out, uint32(b.Iter))
+	out := transport.AppendUint32(make([]byte, 0, 8+8*len(b.Mu)), uint32(b.Round))
 	return transport.AppendFloats(out, b.Mu), nil
 }
 
 func (b *SolveBody) UnmarshalBinary(data []byte) error {
 	round, data, err := transport.ReadUint32(data)
-	if err != nil {
-		return err
-	}
-	iter, data, err := transport.ReadUint32(data)
 	if err != nil {
 		return err
 	}
@@ -40,7 +35,7 @@ func (b *SolveBody) UnmarshalBinary(data []byte) error {
 	if len(data) != 0 {
 		return fmt.Errorf("lddm: %d trailing bytes after the multipliers", len(data))
 	}
-	b.Round, b.Iter, b.Mu = int(round), int(iter), mu
+	b.Round, b.Mu = int(round), mu
 	return nil
 }
 

@@ -19,7 +19,6 @@ const MsgLocalSolve = "replica.localsolve"
 // column (ascending client id), the only multipliers its local solve reads.
 type SolveBody struct {
 	Round int       `json:"round"`
-	Iter  int       `json:"iter"`
 	Mu    []float64 `json:"mu"`
 }
 
@@ -133,7 +132,6 @@ func init() {
 // through the initiator, so the step is taken where the data already is.
 type roundAlg struct {
 	rd   *engine.Round
-	k    int
 	tol  float64
 	step float64 // constant dual step; preset by Solver, else AutoStepValue
 
@@ -184,7 +182,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 				for s := lo; s < hi; s++ {
 					a.muPacked[s] = a.mu[a.sp.RowIdx[s]]
 				}
-				return SolveBody{Round: rd.Seq, Iter: a.k, Mu: a.muPacked[lo:hi:hi]}
+				return SolveBody{Round: rd.Seq, Mu: a.muPacked[lo:hi:hi]}
 			},
 			Fold: func(j int, r engine.Reply) error {
 				var reply SolveReply
@@ -203,10 +201,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	return nil
 }
 
-func (a *roundAlg) Iterate(k int) []engine.Exchange {
-	a.k = k
-	return a.exchanges
-}
+func (a *roundAlg) Iterate(k int) []engine.Exchange { return a.exchanges }
 
 // Converged takes the dual step (Algorithm 2 line 6:
 // μ_c += d·(Σ_n P_{c,n} − R_c)), then folds the fresh primal into the

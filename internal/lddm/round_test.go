@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"edr/internal/engine"
@@ -111,6 +112,7 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 			step := AutoStepValue(prob, 0)
 			sp := prob.Sparsity()
 
+			iters := 0 // iterations completed; the wave in flight is iters+1
 			lt := newSpy(t, prob, 60, 0)
 			lt.onSolve = func(j int, body SolveBody) error {
 				support := sp.RowIdx[sp.ColStart[j]:sp.ColStart[j+1]]
@@ -120,13 +122,12 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 				for p, i := range support {
 					if want := clients[i].mu; math.Float64bits(body.Mu[p]) != math.Float64bits(want) {
 						return fmt.Errorf("iteration %d: replica %d is sent μ[%d] = %v, client accumulator holds %v",
-							body.Iter, j, i, body.Mu[p], want)
+							iters+1, j, i, body.Mu[p], want)
 					}
 				}
 				return nil
 			}
 			alg := &roundAlg{}
-			iters := 0
 			d := &engine.Driver{
 				Observe: true,
 				OnIterate: func(k int, _, _ float64) {
@@ -166,8 +167,9 @@ func TestRoundWarmDuals(t *testing.T) {
 		t.Helper()
 		defer pool.Release()
 		lt := newSpy(t, prob, maxIters, 1e-12)
+		var solves atomic.Int64 // the first wave is the first |N| solves
 		lt.onSolve = func(j int, body SolveBody) error {
-			if body.Iter != 1 || warmMu == nil {
+			if solves.Add(1) > int64(prob.N()) || warmMu == nil {
 				return nil
 			}
 			for p, i := range sp.RowIdx[sp.ColStart[j]:sp.ColStart[j+1]] {

@@ -288,11 +288,11 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 		name string
 		msg  transport.Message
 	}{
-		{"short multipliers", mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu(m - 1)})},
-		{"long multipliers", mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu(m + 1)})},
-		{"JSON multipliers", transport.Message{Type: MsgLocalSolve, Body: []byte(`{"Round":1,"Iter":1,"Mu":[0]}`)}},
-		{"count beyond the bytes left", transport.Message{Type: MsgLocalSolve, Body: binary.LittleEndian.AppendUint32(make([]byte, 8), uint32(m))}},
-		{"trailing bytes", transport.Message{Type: MsgLocalSolve, Body: append(mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu(m)}).Body, 0)}},
+		{"short multipliers", mustMessage(t, SolveBody{Round: 1, Mu: mu(m - 1)})},
+		{"long multipliers", mustMessage(t, SolveBody{Round: 1, Mu: mu(m + 1)})},
+		{"JSON multipliers", transport.Message{Type: MsgLocalSolve, Body: []byte(`{"Round":1,"Mu":[0]}`)}},
+		{"count beyond the bytes left", transport.Message{Type: MsgLocalSolve, Body: binary.LittleEndian.AppendUint32(make([]byte, 4), uint32(m))}},
+		{"trailing bytes", transport.Message{Type: MsgLocalSolve, Body: append(mustMessage(t, SolveBody{Round: 1, Mu: mu(m)}).Body, 0)}},
 	}
 	for _, tc := range requests {
 		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply{tc.msg}, sr)
@@ -300,7 +300,7 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 			t.Errorf("%s: handler error %v, want one naming %s", tc.name, err, addrs[j])
 		}
 	}
-	wellFormed := wireReply{mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu(m)})}
+	wellFormed := wireReply{mustMessage(t, SolveBody{Round: 1, Mu: mu(m)})}
 	if _, err := (serverHalf{}).Handle(context.Background(), MsgLocalSolve, wellFormed, sr); err != nil {
 		t.Fatalf("well-formed request refused: %v", err)
 	}
@@ -323,7 +323,7 @@ func TestLocalSolveRefusesNonFiniteMultipliers(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		mu := make([]float64, m)
 		mu[m-1] = bad
-		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply{mustMessage(t, SolveBody{Round: 1, Iter: 1, Mu: mu})}, sr)
+		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply{mustMessage(t, SolveBody{Round: 1, Mu: mu})}, sr)
 		if err == nil || !strings.Contains(err.Error(), addrs[j]) {
 			t.Errorf("μ %v: handler error %v, want one naming %s", bad, err, addrs[j])
 		}
@@ -392,7 +392,7 @@ func sameBody(a, b wireBody) bool {
 	switch a := a.(type) {
 	case *SolveBody:
 		b := b.(*SolveBody)
-		return a.Round == b.Round && a.Iter == b.Iter && sameBits(a.Mu, b.Mu)
+		return a.Round == b.Round && sameBits(a.Mu, b.Mu)
 	case *SolveReply:
 		b := b.(*SolveReply)
 		return a.M == b.M && bytes.Equal(a.Served, b.Served) &&
@@ -410,8 +410,8 @@ func sameBody(a, b wireBody) bool {
 // (0, R_c) must be refused.
 func FuzzLocalSolveBodies(f *testing.F) {
 	seeds := []wireBody{
-		&SolveBody{Round: 3, Iter: 7, Mu: []float64{-1.5, math.Copysign(0, -1), math.NaN(), math.Inf(-1)}},
-		&SolveBody{Round: 1, Iter: 1, Mu: []float64{}},
+		&SolveBody{Round: 3, Mu: []float64{-1.5, math.Copysign(0, -1), math.NaN(), math.Inf(-1)}},
+		&SolveBody{Round: 1, Mu: []float64{}},
 		&SolveReply{M: 0, Served: []byte{}},
 		&SolveReply{M: 9, Served: []byte{0x5b, 0x00}, Pos: []int{2}, Val: []float64{0.25}},
 		&SolveReply{M: 12, Served: []byte{0x01, 0x08}, Pos: []int{1, 4, 10}, Val: []float64{1, math.NaN(), -2}},
@@ -479,7 +479,7 @@ func FuzzLocalSolveBodies(f *testing.F) {
 		}
 		reply := packReply(packed, clients, demands)
 		for _, pair := range [][2]wireBody{
-			{&SolveBody{Round: m, Iter: len(in), Mu: packed}, &SolveBody{}},
+			{&SolveBody{Round: m, Mu: packed}, &SolveBody{}},
 			{&reply, &SolveReply{}},
 		} {
 			valid, got := pair[0], pair[1]
@@ -529,7 +529,7 @@ func BenchmarkLocalSolveWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := SolveBody{Round: 12, Iter: 100}
+	body := SolveBody{Round: 12}
 	for _, i := range lp.Clients {
 		body.Mu = append(body.Mu, lp.Mu[i])
 	}

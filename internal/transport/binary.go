@@ -229,9 +229,10 @@ func ReadFloats(b []byte) ([]float64, []byte, error) {
 // Change detection is bitwise (math.Float64bits), so a decoded matrix is
 // bit-identical to the encoded one regardless of kind. Delta frames need
 // the receiver to hold the same base the sender diffed against; no verb
-// negotiates a base any more (a packed CDPSM estimate changes on most of
-// its entries between iterations, so a delta never won), and every caller
-// outside the tests passes a nil base.
+// negotiates a base any more, and every caller outside the tests passes a
+// nil base. Vectors (ADMM targets, CDPSM estimates) are packed over the
+// support and ride plain AppendFloats frames: a packed vector has no
+// structural zeros for a sparse frame to drop.
 const (
 	// MatrixFull is the dense row-major layout.
 	MatrixFull = 0
@@ -264,14 +265,6 @@ func ResetMatrixFrameStats() {
 // base, when non-nil and of identical dims, enables the delta layout;
 // ties prefer the simpler kind (full, then sparse, then delta).
 func AppendMatrixKinded(b []byte, m, base [][]float64) []byte {
-	b, kind := appendMatrixKinded(b, m, base)
-	matrixFrameStats[kind].Add(1)
-	return b
-}
-
-// appendMatrixKinded is AppendMatrixKinded without the frame count; it
-// also reports the kind it picked.
-func appendMatrixKinded(b []byte, m, base [][]float64) ([]byte, int) {
 	rows := len(m)
 	cols := 0
 	if rows > 0 {
@@ -340,7 +333,8 @@ func appendMatrixKinded(b []byte, m, base [][]float64) ([]byte, int) {
 			}
 		}
 	}
-	return b, kind
+	matrixFrameStats[kind].Add(1)
+	return b
 }
 
 // ReadMatrixKinded consumes a kinded matrix frame. base supplies the
