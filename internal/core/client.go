@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -144,7 +146,7 @@ func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB flo
 	c.mu.Lock()
 	c.demand = demandMB
 	c.mu.Unlock()
-	body := RequestBody{ClientAddr: c.Addr(), DemandMB: demandMB, LatencySec: latencies}
+	body := RequestBody{ClientAddr: c.Addr(), DemandMB: demandMB, LatencySec: latencyList(latencies)}
 	req, err := transport.NewMessage(MsgClientRequest, c.Addr(), body)
 	if err != nil {
 		return err
@@ -165,6 +167,17 @@ func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB flo
 	c.ackSeq = ack.Round
 	c.mu.Unlock()
 	return nil
+}
+
+// latencyList lists latencies as a request carries them, ascending by
+// replica address.
+func latencyList(latencies map[string]float64) []Latency {
+	list := make([]Latency, 0, len(latencies))
+	for addr, sec := range latencies {
+		list = append(list, Latency{addr, sec})
+	}
+	slices.SortFunc(list, func(a, b Latency) int { return strings.Compare(a.Replica, b.Replica) })
+	return list
 }
 
 // WaitAllocation blocks until the next allocation arrives or ctx ends.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"edr/internal/transport"
 )
@@ -18,31 +18,35 @@ import (
 //
 // Layouts, all little-endian, built from the transport primitives (string =
 // u16 length + bytes, strings = u32 count + strings, floats = u32 count +
-// f64s, map = u32 count + (string, f64) pairs in ascending key order, matrix
-// = one v2 kinded frame):
+// f64s, pairs = u32 count + (string, f64) pairs whose keys strictly ascend,
+// matrix = one v2 kinded frame):
 //
-//	RequestBody           string ClientAddr | f64 DemandMB | map LatencySec
+//	RequestBody           string ClientAddr | f64 DemandMB | pairs LatencySec
 //	RequestAck            u8 Accepted | u32 Pending | u32 Round
 //	RoundSpec             u32 Round | u32 n, n × (string Addr | f64 Price Alpha
 //	                      Beta Gamma Bandwidth BaseMB) | strings ClientAddrs |
 //	                      floats Demands | matrix LatencySec |
 //	                      f64 MaxLatencySec | u32 RawClients | matrix Warm
 //	AssignBody            u32 Round | u32 BaseRound | floats Column |
-//	                      strings ClientAddrs | map Updates
-//	AllocationBody        u32 Round | map PerReplicaMB | string Algorithm |
+//	                      strings ClientAddrs | pairs Updates
+//	AllocationBody        u32 Round | pairs PerReplicaMB | string Algorithm |
 //	                      u32 Iterations
 //	CohortAllocationBody  u32 Round | string Algorithm | u32 Iterations |
 //	                      strings Replicas | floats UnitMB
 //
 // RoundSpec and AssignBody lead with their round id per the wire convention
-// (transport.BinaryRound). Map entries are written in sorted key order, so a
-// body has exactly one byte representation. A zero-length list, map or
-// matrix decodes as nil, which is what JSON decodes an absent one to.
+// (transport.BinaryRound). A pair list is written in ascending key order and
+// a list out of order, or with a key twice, is refused both ways: the
+// request's latencies and the delta's updates are Go slices kept in that
+// order from the client to the replica's plan, and a map (PerReplicaMB) is
+// sorted on its way out. A body has exactly one byte representation. A
+// zero-length list or matrix decodes as nil, which is what JSON decodes an
+// absent one to. A decoded list's strings share one allocation.
 //
 // Decoders take hostile input: a claimed count is checked against the bytes
 // left before anything is allocated for it (a string costs at least 2 bytes,
-// a map entry 10, a ReplicaInfo 50), a RoundSpec matrix must have the
-// spec's own rows × columns, and paired lists must agree in length.
+// a pair 10, a ReplicaInfo 50), a RoundSpec matrix must have the spec's own
+// rows × columns, and paired lists must agree in length.
 
 // minReplicaInfoBytes is the size of a ReplicaInfo with an empty address.
 const minReplicaInfoBytes = 2 + 6*8
@@ -73,16 +77,11 @@ func (w *writer) strs(v []string) {
 	}
 }
 
-func (w *writer) floatMap(m map[string]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.u32(len(keys))
-	for _, k := range keys {
-		w.str(k)
-		w.f64(m[k])
+// pairs writes a pair list; keys that do not strictly ascend fail the
+// marshal (transport.AppendPairs).
+func (w *writer) pairs(n int, pair func(i int) (string, float64)) {
+	if w.err == nil {
+		w.b, w.err = transport.AppendPairs(w.b, n, pair)
 	}
 }
 
@@ -170,21 +169,15 @@ func (r *reader) floats() []float64 {
 	return v
 }
 
-func (r *reader) floatMap() map[string]float64 {
-	n := r.u32()
-	if r.err != nil || n == 0 {
+// readPairs consumes a pair list (transport.ReadPairs): keys strictly
+// ascending, an empty list read as nil.
+func readPairs[T any](r *reader, pair func(key string, v float64) T) []T {
+	if r.err != nil {
 		return nil
 	}
-	if uint64(n)*10 > uint64(len(r.b)) {
-		r.fail("binary map claims %d entries, %d bytes left", n, len(r.b))
-		return nil
-	}
-	m := make(map[string]float64, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.str()
-		m[k] = r.f64()
-	}
-	return m
+	var v []T
+	v, r.b, r.err = transport.ReadPairs(r.b, pair)
+	return v
 }
 
 // matrix consumes a kinded frame that must be rows × cols or empty (an
@@ -218,7 +211,7 @@ func (b RequestBody) MarshalBinary() ([]byte, error) {
 	w := writer{b: make([]byte, 0, 16+len(b.ClientAddr)+32*len(b.LatencySec))}
 	w.str(b.ClientAddr)
 	w.f64(b.DemandMB)
-	w.floatMap(b.LatencySec)
+	w.pairs(len(b.LatencySec), func(i int) (string, float64) { return b.LatencySec[i].Replica, b.LatencySec[i].Sec })
 	return w.done()
 }
 
@@ -226,7 +219,7 @@ func (b *RequestBody) UnmarshalBinary(data []byte) error {
 	r := reader{b: data}
 	b.ClientAddr = r.str()
 	b.DemandMB = r.f64()
-	b.LatencySec = r.floatMap()
+	b.LatencySec = readPairs(&r, func(addr string, sec float64) Latency { return Latency{addr, sec} })
 	return r.err
 }
 
@@ -316,7 +309,7 @@ func (b AssignBody) MarshalBinary() ([]byte, error) {
 	w.u32(b.BaseRound)
 	w.floats(b.Column)
 	w.strs(b.ClientAddrs)
-	w.floatMap(b.Updates)
+	w.pairs(len(b.Updates), func(i int) (string, float64) { return b.Updates[i].Client, b.Updates[i].MB })
 	return w.done()
 }
 
@@ -329,14 +322,19 @@ func (b *AssignBody) UnmarshalBinary(data []byte) error {
 	if r.err == nil && len(b.Column) != len(b.ClientAddrs) {
 		r.fail("binary assign round %d has %d amounts for %d clients", b.Round, len(b.Column), len(b.ClientAddrs))
 	}
-	b.Updates = r.floatMap()
+	b.Updates = readPairs(&r, func(addr string, mb float64) ClientMB { return ClientMB{addr, mb} })
 	return r.err
 }
 
 func (b AllocationBody) MarshalBinary() ([]byte, error) {
 	w := writer{b: make([]byte, 0, 32+len(b.Algorithm)+32*len(b.PerReplicaMB))}
+	addrs := make([]string, 0, len(b.PerReplicaMB))
+	for addr := range b.PerReplicaMB {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
 	w.u32(b.Round)
-	w.floatMap(b.PerReplicaMB)
+	w.pairs(len(addrs), func(i int) (string, float64) { return addrs[i], b.PerReplicaMB[addrs[i]] })
 	w.str(b.Algorithm)
 	w.u32(b.Iterations)
 	return w.done()
@@ -345,7 +343,17 @@ func (b AllocationBody) MarshalBinary() ([]byte, error) {
 func (b *AllocationBody) UnmarshalBinary(data []byte) error {
 	r := reader{b: data}
 	b.Round = r.u32()
-	b.PerReplicaMB = r.floatMap()
+	b.PerReplicaMB = nil
+	type share struct {
+		addr string
+		mb   float64
+	}
+	if per := readPairs(&r, func(addr string, mb float64) share { return share{addr, mb} }); per != nil {
+		b.PerReplicaMB = make(map[string]float64, len(per))
+		for _, s := range per {
+			b.PerReplicaMB[s.addr] = s.mb
+		}
+	}
 	b.Algorithm = r.str()
 	b.Iterations = r.u32()
 	return r.err

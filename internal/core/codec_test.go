@@ -37,8 +37,8 @@ func codecCases() []binaryBody {
 	}
 	return []binaryBody{
 		&RequestBody{},
-		&RequestBody{ClientAddr: "c1", DemandMB: 0, LatencySec: map[string]float64{"r1": 0.0005}},
-		&RequestBody{ClientAddr: "c1", DemandMB: 25.125, LatencySec: map[string]float64{"r2": 0.0011, "r1": 0.0005, "r3": 1e-9}},
+		&RequestBody{ClientAddr: "c1", DemandMB: 0, LatencySec: []Latency{{"r1", 0.0005}}},
+		&RequestBody{ClientAddr: "c1", DemandMB: 25.125, LatencySec: []Latency{{"r1", 0.0005}, {"r2", 0.0011}, {"r3", 1e-9}}},
 		&RequestAck{},
 		&RequestAck{Accepted: true, Pending: 10000, Round: 41},
 		&RequestAck{Pending: 3, Round: 2},
@@ -58,7 +58,7 @@ func codecCases() []binaryBody {
 		},
 		&AssignBody{},
 		&AssignBody{Round: 7, Column: []float64{4, 0, 2.5}, ClientAddrs: []string{"c1", "c2", "c3"}},
-		&AssignBody{Round: 9, BaseRound: 7, Updates: map[string]float64{"c3": 0, "c1": 4.25, "c9": 1}},
+		&AssignBody{Round: 9, BaseRound: 7, Updates: []ClientMB{{"c1", 4.25}, {"c3", 0}, {"c9", 1}}},
 		&AssignBody{Round: 10, BaseRound: 9},
 		&AllocationBody{},
 		&AllocationBody{Round: 7, PerReplicaMB: map[string]float64{"r2": 3, "r1": 7}, Algorithm: "LDDM", Iterations: 200},
@@ -99,7 +99,7 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(fromBin, fromJSON) {
 			t.Errorf("%s: codecs disagree\nbinary %+v\n  JSON %+v", name, fromBin, fromJSON)
 		}
-		// Map iteration order must not reach the wire.
+		// Map iteration order (PerReplicaMB) must not reach the wire.
 		for rep := 0; rep < 8; rep++ {
 			again, err := in.MarshalBinary()
 			if err != nil {
@@ -127,21 +127,32 @@ func TestControlCodecRoundHeader(t *testing.T) {
 }
 
 // A string the u16 header cannot describe fails the marshal; it is never
-// written with a truncated length.
+// written with a truncated length. Neither is a pair list whose keys do not
+// strictly ascend, which no decoder would take back.
 func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 	long := strings.Repeat("x", 1<<16)
 	for _, body := range []binaryBody{
 		&RequestBody{ClientAddr: long},
-		&RequestBody{ClientAddr: "c", LatencySec: map[string]float64{long: 1}},
+		&RequestBody{ClientAddr: "c", LatencySec: []Latency{{long, 1}}},
 		&RoundSpec{Replicas: []ReplicaInfo{{Addr: long}}},
 		&RoundSpec{ClientAddrs: []string{"ok", long}},
 		&AssignBody{ClientAddrs: []string{long}, Column: []float64{1}},
-		&AssignBody{BaseRound: 1, Updates: map[string]float64{long: 1}},
+		&AssignBody{BaseRound: 1, Updates: []ClientMB{{long, 1}}},
 		&AllocationBody{Algorithm: long},
 		&CohortAllocationBody{Replicas: []string{long}, UnitMB: []float64{1}},
 	} {
 		if _, err := body.MarshalBinary(); err == nil {
 			t.Errorf("%T with a 64 KiB string marshaled", body)
+		}
+	}
+	for _, body := range []binaryBody{
+		&RequestBody{ClientAddr: "c", LatencySec: []Latency{{"r2", 1}, {"r1", 1}}},
+		&RequestBody{ClientAddr: "c", LatencySec: []Latency{{"r1", 1}, {"r1", 2}}},
+		&AssignBody{BaseRound: 1, Updates: []ClientMB{{"c2", 1}, {"c1", 1}}},
+		&AssignBody{BaseRound: 1, Updates: []ClientMB{{"c1", 1}, {"c1", 0}}},
+	} {
+		if _, err := body.MarshalBinary(); err == nil {
+			t.Errorf("%+v with keys out of order marshaled", body)
 		}
 	}
 	ok := &RequestBody{ClientAddr: long[:1<<16-1]}
@@ -160,13 +171,25 @@ func (h hostile) str(s string) hostile {
 	return b
 }
 
-// A decoder must not take a count's word for it: a header claiming more
-// entries than the bytes behind it could hold is refused before anything is
-// allocated for it, and lists that have to pair up must agree in length.
-func TestControlCodecRejectsHostileInput(t *testing.T) {
+// hostileCases are bodies every decoder must refuse. A decoder must not
+// take a count's word for it: a header claiming more entries than the bytes
+// behind it could hold is refused before anything is allocated for it, lists
+// that have to pair up must agree in length, and a pair list's keys must
+// strictly ascend — out of order or repeated, two byte strings would decode
+// to one body.
+func hostileCases() []struct {
+	name string
+	into binaryBody
+	data hostile
+} {
 	const huge = 1 << 30
 	emptyMatrix := func(h hostile) hostile { return append(h, transport.MatrixFull).u32(0).u32(0) }
-	cases := []struct {
+	// Each opens a two-pair list, freshly: appending to a shared prefix
+	// would let one case overwrite another.
+	request := func() hostile { return hostile{}.str("c").f64(1).u32(2) }
+	update := func() hostile { return hostile{}.u32(2).u32(1).u32(0).u32(0).u32(2) }
+	allocation := func() hostile { return hostile{}.u32(1).u32(2) }
+	return []struct {
 		name string
 		into binaryBody
 		data hostile
@@ -191,8 +214,17 @@ func TestControlCodecRejectsHostileInput(t *testing.T) {
 		{"allocation: map count", &AllocationBody{}, hostile{}.u32(1).u32(huge)},
 		{"cohort allocation: replica count", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(huge)},
 		{"cohort allocation: units without replicas", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(0).u32(1).f64(1)},
+		{"request: latencies out of order", &RequestBody{}, request().str("r2").f64(1e-4).str("r1").f64(1e-4)},
+		{"request: latency twice", &RequestBody{}, request().str("r1").f64(1e-4).str("r1").f64(2e-4)},
+		{"assign: updates out of order", &AssignBody{}, update().str("c2").f64(1).str("c1").f64(1)},
+		{"assign: update twice", &AssignBody{}, update().str("c1").f64(1).str("c1").f64(0)},
+		{"allocation: replicas out of order", &AllocationBody{}, allocation().str("r2").f64(1).str("r1").f64(1).str("LDDM").u32(9)},
+		{"allocation: replica twice", &AllocationBody{}, allocation().str("r1").f64(1).str("r1").f64(2).str("LDDM").u32(9)},
 	}
-	for _, tc := range cases {
+}
+
+func TestControlCodecRejectsHostileInput(t *testing.T) {
+	for _, tc := range hostileCases() {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := tc.into.UnmarshalBinary(tc.data)
@@ -241,19 +273,26 @@ func decodedBytes(v reflect.Value) int {
 // FuzzControlBodies feeds arbitrary bytes to every decoder in codec.go:
 // none may panic, none may build a body out of proportion to its input, and
 // whatever decodes must re-encode to bytes that decode to the same body.
-// The first input byte picks the decoder.
+// The first input byte picks the decoder. The seeds are every codec case
+// and every refused body of hostileCases.
 func FuzzControlBodies(f *testing.F) {
 	kinds := controlBodies()
-	for _, body := range codecCases() {
-		bin, err := body.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
+	seed := func(body binaryBody, bin []byte) {
 		for k := range kinds {
 			if reflect.TypeOf(kinds[k]) == reflect.TypeOf(body) {
 				f.Add(append([]byte{byte(k)}, bin...))
 			}
 		}
+	}
+	for _, body := range codecCases() {
+		bin, err := body.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(body, bin)
+	}
+	for _, tc := range hostileCases() {
+		seed(tc.into, tc.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -294,14 +333,16 @@ func FuzzControlBodies(f *testing.F) {
 // codecSink keeps the benchmarked calls observable.
 var codecSink int
 
-// BenchmarkControlCodec is one encode plus one decode of the three bodies
-// that dominate a fleet-scale round, binary beside encoding/json.
+// BenchmarkControlCodec is one encode plus one decode of the bodies that
+// dominate a fleet-scale round, binary beside encoding/json: a request
+// naming 10 replicas, a full 10 000-client assign column, the 100-update
+// delta assign of a 1 %-drift round, and a cohort allocation.
 func BenchmarkControlCodec(b *testing.B) {
-	request := &RequestBody{ClientAddr: "client-004217", DemandMB: 12.5, LatencySec: map[string]float64{}}
+	request := &RequestBody{ClientAddr: "client-004217", DemandMB: 12.5}
 	cohort := &CohortAllocationBody{Round: 12, Algorithm: "LDDM", Iterations: 200}
 	for j := 0; j < 10; j++ {
 		addr := fmt.Sprintf("replica-%02d", j)
-		request.LatencySec[addr] = 0.0004 + 0.0001*float64(j)
+		request.LatencySec = append(request.LatencySec, Latency{addr, 0.0004 + 0.0001*float64(j)})
 		cohort.Replicas = append(cohort.Replicas, addr)
 		cohort.UnitMB = append(cohort.UnitMB, 0.1)
 	}
@@ -310,10 +351,14 @@ func BenchmarkControlCodec(b *testing.B) {
 		assign.ClientAddrs = append(assign.ClientAddrs, fmt.Sprintf("client-%06d", i))
 		assign.Column = append(assign.Column, float64(i%7)*1.375)
 	}
+	delta := &AssignBody{Round: 13, BaseRound: 12}
+	for i := 0; i < 10000; i += 100 {
+		delta.Updates = append(delta.Updates, ClientMB{fmt.Sprintf("client-%06d", i), float64(i%7) * 1.5})
+	}
 	for _, tc := range []struct {
 		name string
 		body binaryBody
-	}{{"request", request}, {"assign10k", assign}, {"cohort", cohort}} {
+	}{{"request", request}, {"assign10k", assign}, {"assignDelta100", delta}, {"cohort", cohort}} {
 		b.Run(tc.name+"/binary", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

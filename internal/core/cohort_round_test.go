@@ -172,16 +172,15 @@ func TestCohortedRoundEndToEnd(t *testing.T) {
 // cohort) carries the same μ.
 func checkCohortDuals(t *testing.T, f *fleet) {
 	t.Helper()
-	mus := f.replicas[0].committed().mus
-	if mus == nil {
+	if f.replicas[0].committed().mus == nil {
 		return // CDPSM reports no duals
 	}
 	for i, cl := range f.clients {
-		mu, ok := mus[cl.Addr()]
+		mu, ok := committedMu(f.replicas[0], cl.Addr())
 		if !ok {
 			t.Fatalf("client %s has no committed dual", cl.Addr())
 		}
-		if head := mus[f.clients[i%3].Addr()]; mu != head {
+		if head, _ := committedMu(f.replicas[0], f.clients[i%3].Addr()); mu != head {
 			t.Fatalf("cohort %d: member %s holds μ %g, its first member %g", i%3, cl.Addr(), mu, head)
 		}
 	}

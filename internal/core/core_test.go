@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -72,6 +73,16 @@ func (f *fleet) uniformLatencies() map[string]float64 {
 		m[r.Addr()] = 0.0005
 	}
 	return m
+}
+
+// latencyList is uniformLatencies as a request body carries it: ascending
+// by replica address.
+func (f *fleet) latencyList() []Latency {
+	out := make([]Latency, len(f.replicas))
+	for j, r := range f.replicas {
+		out[j] = Latency{r.Addr(), 0.0005}
+	}
+	return out
 }
 
 func TestAlgorithmString(t *testing.T) {
@@ -235,6 +246,32 @@ func TestRepeatSubmissionsAggregate(t *testing.T) {
 	rows := opt.RowSums(report.Assignment)
 	if math.Abs(rows[0]-30) > 0.1 {
 		t.Fatalf("aggregated demand served %g, want 30", rows[0])
+	}
+}
+
+// Repeat submissions whose replica sets differ — the same size with other
+// replicas, then the same set again — queue one request whose latencies
+// ascend by replica and hold each replica's newest figure.
+func TestRepeatSubmissionsMergeLatencies(t *testing.T) {
+	f := newFleet(t, []float64{1, 2, 3}, 1, LDDM)
+	ctx := context.Background()
+	r1, r2, r3 := f.replicas[0].Addr(), f.replicas[1].Addr(), f.replicas[2].Addr()
+	for _, lat := range []map[string]float64{
+		{r2: 1e-4, r1: 2e-4},
+		{r3: 3e-4, r2: 4e-4},
+		{r2: 5e-4, r3: 6e-4},
+	} {
+		if err := f.clients[0].Submit(ctx, r1, 10, lat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs := f.replicas[0]
+	rs.mu.Lock()
+	got := *rs.pending[f.clients[0].Addr()]
+	rs.mu.Unlock()
+	want := []Latency{{r1, 2e-4}, {r2, 5e-4}, {r3, 6e-4}}
+	if got.DemandMB != 30 || !reflect.DeepEqual(got.LatencySec, want) {
+		t.Fatalf("queued %g MB with latencies %v, want 30 MB with %v", got.DemandMB, got.LatencySec, want)
 	}
 }
 

@@ -25,19 +25,19 @@ type incrementalPlan struct {
 	// rescaled by demand ratio so row sums land exactly on the new
 	// demands); dirty rows are zero until the sub-solve fills them.
 	base [][]float64
-	// prev[i] is client i's committed row in this round's column order,
-	// unrescaled (nil for clients with no history) — the reference the
-	// change-suppressed notify fan-out compares against. Read-only: the rows
-	// are the committed round's own unless the columns were permuted.
+	// prev[i] is client i's committed row, unrescaled (nil for clients with
+	// no history) — the reference the change-suppressed notify fan-out
+	// compares against. Read-only: the rows are the committed round's own.
 	prev [][]float64
-	// instPrev[i] is client i's row of the *installed* assignment in this
-	// round's column order — the values replicas actually hold under
-	// lg.installedRound, which the delta install diffs against. Equal to
-	// prev except after clean commits (which rescale without installing),
-	// and read-only like it.
+	// instPrev[i] is client i's row of the *installed* assignment — the
+	// values replicas actually hold under lg.installedRound, which the delta
+	// install diffs against. Equal to prev except after clean commits (which
+	// rescale without installing), and read-only like it.
 	instPrev [][]float64
-	// departed lists committed clients absent from this round: the delta
-	// install must remove them from the base plan.
+	// rowMap[i] is client i's committed row (−1 for a newcomer); departed
+	// lists, ascending, the committed clients absent from this round: the
+	// delta install must remove them from the base plan.
+	rowMap   []int
 	departed []string
 	// frozen[j] is the clean rows' load on column j; residual[j] is the
 	// bandwidth left for the dirty subproblem (floored at a hair above
@@ -57,6 +57,9 @@ type incrementalPlan struct {
 // nil — full solve, no escalation accounting — when there is no usable
 // history or the replica roster changed (a membership epoch change shifts
 // every column and cohort key, so incremental state is reset wholesale).
+// Both rosters ascend by address, so an unchanged one is column for column
+// the committed one; the rows align by one merge of the sorted client
+// addresses.
 func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 	requests, infos, prob := in.requests, in.infos, in.prob
 	lg := r.committed()
@@ -67,31 +70,15 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 		r.registry.Reset()
 		return nil
 	}
-	colOf := make(map[string]int, len(lg.infos))
-	for j, info := range lg.infos {
-		colOf[info.Addr] = j
-	}
 	colMap := make([]int, len(infos))
 	for j, info := range infos {
-		oj, ok := colOf[info.Addr]
-		if !ok {
+		if info.Addr != lg.infos[j].Addr {
 			r.registry.Reset()
 			return nil
 		}
-		colMap[j] = oj
+		colMap[j] = j
 	}
-	rowOf := make(map[string]int, len(lg.clientAddrs))
-	for i, addr := range lg.clientAddrs {
-		rowOf[addr] = i
-	}
-	rowMap := make([]int, len(requests))
-	for i, req := range requests {
-		if row, ok := rowOf[req.ClientAddr]; ok {
-			rowMap[i] = row
-		} else {
-			rowMap[i] = -1
-		}
-	}
+	rowMap, gone := align(in.spec.ClientAddrs, lg.clientAddrs)
 	delta, err := opt.DiffRounds(lg.prob, prob, rowMap, colMap, r.cfg.DeltaEps)
 	if err != nil {
 		return nil
@@ -110,50 +97,25 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 		delta:    delta,
 		base:     opt.NewMatrix(len(requests), n),
 		prev:     make([][]float64, len(requests)),
+		rowMap:   rowMap,
 		frozen:   make([]float64, n),
 		residual: make([]float64, n),
 		lg:       lg,
+	}
+	for _, o := range gone {
+		plan.departed = append(plan.departed, lg.clientAddrs[o])
 	}
 	haveInstall := lg.installedRound > 0 && len(lg.installed) == len(lg.clientAddrs)
 	if haveInstall {
 		plan.instPrev = make([][]float64, len(requests))
 	}
-	// A committed row in this round's column order. prev and instPrev are
-	// only ever read, so while the roster keeps its order — every
-	// stable-roster round — the committed rows themselves serve; a copy is
-	// made only under a real column permutation.
-	reordered := false
-	for j, oj := range colMap {
-		reordered = reordered || oj != j
-	}
-	inOrder := func(row []float64) []float64 {
-		if !reordered {
-			return row
-		}
-		out := make([]float64, n)
-		for j := range out {
-			out[j] = row[colMap[j]]
-		}
-		return out
-	}
 	for i, pr := range rowMap {
 		if pr < 0 {
 			continue
 		}
-		plan.prev[i] = inOrder(lg.assignment[pr])
+		plan.prev[i] = lg.assignment[pr]
 		if haveInstall {
-			plan.instPrev[i] = inOrder(lg.installed[pr])
-		}
-	}
-	if len(lg.clientAddrs) != len(requests) {
-		here := make(map[string]bool, len(requests))
-		for _, req := range requests {
-			here[req.ClientAddr] = true
-		}
-		for _, addr := range lg.clientAddrs {
-			if !here[addr] {
-				plan.departed = append(plan.departed, addr)
-			}
+			plan.instPrev[i] = lg.installed[pr]
 		}
 	}
 	for _, i := range delta.CleanClients {
@@ -186,6 +148,52 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 	}
 	plan.baseGap = opt.KKTGap(lg.prob, lg.assignment)
 	return plan
+}
+
+// mus is the committed duals row-aligned with this round (nil when the
+// committed round reported none). While the row set is the committed one
+// that is the committed vector itself, which the caller may overlay in
+// place; a round whose clients joined or departed gets a remapped copy,
+// newcomers at zero.
+func (p *incrementalPlan) mus() []float64 {
+	old := p.lg.mus
+	if old == nil {
+		return nil
+	}
+	// No committed row departed and none joined: the rows are the same.
+	if len(p.departed) == 0 && len(p.rowMap) == len(old) {
+		return old
+	}
+	mus := make([]float64, len(p.rowMap))
+	for i, row := range p.rowMap {
+		if row >= 0 {
+			mus[i] = old[row]
+		}
+	}
+	return mus
+}
+
+// align merges two address lists that ascend strictly: at[i] is the index
+// in old of next[i] (−1 when old lacks it), and gone lists, ascending, the
+// indices in old of the addresses next lacks.
+func align(next, old []string) (at, gone []int) {
+	at = make([]int, len(next))
+	o := 0
+	for i, addr := range next {
+		for o < len(old) && old[o] < addr {
+			gone = append(gone, o)
+			o++
+		}
+		at[i] = -1
+		if o < len(old) && old[o] == addr {
+			at[i] = o
+			o++
+		}
+	}
+	for ; o < len(old); o++ {
+		gone = append(gone, o)
+	}
+	return at, gone
 }
 
 // gate vets the merged full-problem result: exact feasibility (clean rows

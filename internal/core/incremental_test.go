@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,10 +163,21 @@ func TestIncrementalDirtySubsetRound(t *testing.T) {
 	}
 }
 
+// committedMu is a client's dual in rs's committed round (false when the
+// round has no row for it or reported no duals).
+func committedMu(rs *ReplicaServer, addr string) (float64, bool) {
+	lg := rs.committed()
+	i, ok := slices.BinarySearch(lg.clientAddrs, addr)
+	if !ok || lg.mus == nil {
+		return 0, false
+	}
+	return lg.mus[i], true
+}
+
 // Committed duals across quiet rounds (LDDM reports its μ): an incremental
 // round overwrites only its solved rows, clean clients keep their values
-// bit for bit, a departed client's entry is dropped once the map outgrows
-// the roster, and a roster-sized map is updated in place, not copied.
+// bit for bit, a departed client's entry is dropped with its row, and a
+// vector over an unchanged roster is updated in place, not copied.
 func TestIncrementalDualsUpdatedInPlace(t *testing.T) {
 	f := newFleetCfg(t, []float64{1, 10, 5}, 4, LDDM, func(i int, cfg *ReplicaConfig) {
 		cfg.Incremental = true
@@ -192,8 +204,8 @@ func TestIncrementalDualsUpdatedInPlace(t *testing.T) {
 		t.Fatalf("full round committed %d duals, want 4", len(full))
 	}
 	before := map[string]float64{}
-	for k, v := range full {
-		before[k] = v
+	for i := range full {
+		before[addr(i)], _ = committedMu(f.replicas[0], addr(i))
 	}
 
 	// Client 3 leaves, client 0 drifts: one solved row among three.
@@ -201,25 +213,94 @@ func TestIncrementalDualsUpdatedInPlace(t *testing.T) {
 		t.Fatalf("second round: incremental %v, dirty %d; want incremental, 1", r.Incremental, r.DirtyClients)
 	}
 	second := f.replicas[0].committed().mus
-	if _, ok := second[addr(3)]; ok || len(second) != 3 {
+	if _, ok := committedMu(f.replicas[0], addr(3)); ok || len(second) != 3 {
 		t.Fatalf("departed client's dual kept: %v", second)
 	}
 	for _, i := range []int{1, 2} {
-		if second[addr(i)] != before[addr(i)] {
-			t.Fatalf("clean client %d's dual moved: %v → %v", i, before[addr(i)], second[addr(i)])
+		if got, _ := committedMu(f.replicas[0], addr(i)); got != before[addr(i)] {
+			t.Fatalf("clean client %d's dual moved: %v → %v", i, before[addr(i)], got)
 		}
 	}
 
-	// Client 1 drifts next: the map is the roster's size, so it is reused.
+	// Client 1 drifts next: the roster is unchanged, so the vector is reused.
 	if r := submit([]float64{33, 22, 25}); !r.Incremental || r.DirtyClients != 1 {
 		t.Fatalf("third round: incremental %v, dirty %d; want incremental, 1", r.Incremental, r.DirtyClients)
 	}
 	third := f.replicas[0].committed().mus
-	if reflect.ValueOf(third).UnsafePointer() != reflect.ValueOf(second).UnsafePointer() {
-		t.Fatal("a roster-sized dual map was copied, not updated in place")
-	}
 	if len(third) != 3 {
 		t.Fatalf("third round committed %d duals, want 3", len(third))
+	}
+	if &third[0] != &second[0] {
+		t.Fatal("the dual vector of an unchanged roster was copied, not updated in place")
+	}
+}
+
+// A client departs and another joins between two rounds: the warm start
+// hands each surviving client its own committed μ and the newcomer 0, and an
+// incremental round over the new roster commits the survivors' μ on their
+// new rows. The committed duals are overwritten with one distinct value per
+// client first, so a vector misaligned by one row fails every survivor.
+func TestWarmDualsFollowClientsAcrossJoinAndDeparture(t *testing.T) {
+	f := newFleetCfg(t, []float64{1, 10, 5}, 5, LDDM, func(i int, cfg *ReplicaConfig) {
+		cfg.Incremental = true
+	})
+	ctx := context.Background()
+	rs := f.replicas[0]
+	addr := func(i int) string { return f.clients[i].Addr() }
+	demands := []float64{30, 20, 25, 15, 10}
+	submit := func(clients ...int) *RoundReport {
+		t.Helper()
+		for _, i := range clients {
+			if err := f.clients[i].Submit(ctx, rs.Addr(), demands[i], f.uniformLatencies()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report, err := rs.RunRound(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report
+	}
+
+	submit(0, 1, 2, 3)
+	committed := map[string]float64{}
+	rs.mu.Lock()
+	for i, c := range rs.lastGood.clientAddrs {
+		rs.lastGood.mus[i] = float64(10 * (i + 1))
+		committed[c] = rs.lastGood.mus[i]
+	}
+	rs.mu.Unlock()
+
+	// Client 0 (the first row) departs, client 4 (past the last) joins.
+	next := &attempt{full: instance{requests: []*RequestBody{
+		{ClientAddr: addr(1), DemandMB: demands[1], LatencySec: f.latencyList()},
+		{ClientAddr: addr(2), DemandMB: demands[2], LatencySec: f.latencyList()},
+		{ClientAddr: addr(3), DemandMB: demands[3], LatencySec: f.latencyList()},
+		{ClientAddr: addr(4), DemandMB: demands[4], LatencySec: f.latencyList()},
+	}}}
+	if err := rs.gather(ctx, next); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.instantiate(1000, &next.full); err != nil {
+		t.Fatal(err)
+	}
+	_, warmMu := rs.warmStart(&next.full)
+	want := []float64{committed[addr(1)], committed[addr(2)], committed[addr(3)], 0}
+	if !reflect.DeepEqual(warmMu, want) {
+		t.Fatalf("warm μ over clients 1–4 = %v, want %v", warmMu, want)
+	}
+
+	report := submit(1, 2, 3, 4)
+	if !report.Incremental || report.DirtyClients != 1 {
+		t.Fatalf("join + departure round: incremental %v, dirty %d; want incremental, 1", report.Incremental, report.DirtyClients)
+	}
+	for _, i := range []int{1, 2, 3} {
+		if got, _ := committedMu(rs, addr(i)); got != committed[addr(i)] {
+			t.Errorf("surviving client %d committed μ %g, want its own %g", i, got, committed[addr(i)])
+		}
+	}
+	if _, ok := committedMu(rs, addr(0)); ok {
+		t.Error("departed client 0 kept a committed μ")
 	}
 }
 
@@ -305,6 +386,47 @@ func TestPullAllocationAfterQuietRound(t *testing.T) {
 		}
 		if math.Abs(sum-demands[i]) > 1e-6*demands[i] {
 			t.Errorf("client %s pulled row sums to %g, want %g", cl.Addr(), sum, demands[i])
+		}
+	}
+}
+
+// A pull finds its row in the committed round by binary search over the
+// ascending client addresses: the first and the last row come back whole,
+// and a client the round does not cover gets the round id and no split.
+func TestAllocationPullFindsFirstLastAndAbsent(t *testing.T) {
+	f := newFleet(t, []float64{1, 10, 5}, 5, LDDM)
+	demands := []float64{30, 20, 25, 15, 10}
+	submitAll(t, f, demands)
+	report, err := f.replicas[0].RunRound(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pull := func(addr string) AllocationBody {
+		t.Helper()
+		resp, err := sendRaw(t, f, f.replicas[0].Addr(), MsgAllocationPull, PullBody{ClientAddr: addr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body AllocationBody
+		if err := resp.DecodeBody(&body); err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	for _, i := range []int{0, len(f.clients) - 1} {
+		body := pull(f.clients[i].Addr())
+		if body.Round != report.Round {
+			t.Fatalf("client %d pulled round %d, want %d", i, body.Round, report.Round)
+		}
+		for j, replica := range report.ReplicaAddrs {
+			if got, want := body.PerReplicaMB[replica], report.Assignment[i][j]; got != want {
+				t.Errorf("client %d pulled %g MB from %s, the committed row says %g", i, got, replica, want)
+			}
+		}
+	}
+	for _, absent := range []string{"client0", "client3x", "zzz"} {
+		if body := pull(absent); body.Round != report.Round || body.PerReplicaMB != nil {
+			t.Errorf("absent client %s pulled round %d, split %v; want round %d, no split", absent, body.Round, body.PerReplicaMB, report.Round)
 		}
 	}
 }

@@ -37,7 +37,9 @@ const (
 
 // instance is one optimization instance in wire and solver form: requests
 // × infos stated as a RoundSpec (rows in request order, columns in info
-// order) and the opt.Problem it describes.
+// order) and the opt.Problem it describes. Requests ascend strictly by
+// client address and infos by replica address, so every per-client or
+// per-replica join on the round path is a merge of sorted lists.
 type instance struct {
 	requests []*RequestBody
 	infos    []ReplicaInfo
@@ -89,7 +91,7 @@ type attempt struct {
 	// duals kept for the next warm start; suppressed the clients whose
 	// allocation push was withheld because their row did not move.
 	x          [][]float64
-	mus        map[string]float64
+	mus        []float64
 	suppressed int
 }
 
@@ -160,7 +162,7 @@ func (r *ReplicaServer) execute(ctx context.Context, a *attempt) error {
 		// The committed assignment (rescaled within epsilon) is already
 		// optimal for this round's problem: no round-start, install or
 		// notify at all — the replicas keep serving their installed plans.
-		a.x, a.mus, a.suppressed = a.inc.base, a.inc.lg.mus, len(a.full.requests)
+		a.x, a.mus, a.suppressed = a.inc.base, a.inc.mus(), len(a.full.requests)
 		return nil
 	}
 	a.sub, a.solveSpec, a.solveProb, a.grouping = a.full, a.full.spec, a.full.prob, nil
@@ -226,8 +228,9 @@ func (r *ReplicaServer) gather(ctx context.Context, a *attempt) error {
 		return err
 	}
 	// Deterministic column order, mirroring the request-row sort: byte
-	// keys in the cohort registry and row/column maps in the incremental
-	// diff stay aligned across rounds of a stable roster.
+	// keys in the cohort registry stay aligned across rounds of a stable
+	// roster, and instantiate, the incremental diff and the warm start join
+	// columns by merging sorted addresses.
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Addr < infos[j].Addr })
 	a.full.infos = infos
 	return nil
@@ -242,23 +245,44 @@ func (r *ReplicaServer) build(a *attempt) error {
 	return r.instantiate(a.round, &a.full)
 }
 
-// instantiate fills in.spec and in.prob from in.requests × in.infos.
+// instantiate fills in.spec and in.prob from in.requests × in.infos: each
+// request's latency list is merged with the infos, both ascending by
+// replica address, into one row of a matrix carved from one backing array.
 // Latencies a client did not measure are treated as beyond the bound (the
 // replica is not a candidate for that client).
 func (r *ReplicaServer) instantiate(round int, in *instance) error {
-	in.spec = &RoundSpec{Round: round, Replicas: in.infos, MaxLatencySec: r.cfg.MaxLatencySec}
-	for _, req := range in.requests {
-		in.spec.ClientAddrs = append(in.spec.ClientAddrs, req.ClientAddr)
-		in.spec.Demands = append(in.spec.Demands, req.DemandMB)
-		row := make([]float64, len(in.infos))
+	for j := 1; j < len(in.infos); j++ {
+		if in.infos[j].Addr <= in.infos[j-1].Addr {
+			return fmt.Errorf("core: round %d: replica %s does not ascend past %s", round, in.infos[j].Addr, in.infos[j-1].Addr)
+		}
+	}
+	c := len(in.requests)
+	in.spec = &RoundSpec{
+		Round:         round,
+		Replicas:      in.infos,
+		ClientAddrs:   make([]string, c),
+		Demands:       make([]float64, c),
+		LatencySec:    opt.NewMatrix(c, len(in.infos)),
+		MaxLatencySec: r.cfg.MaxLatencySec,
+	}
+	beyond := cohort.InfeasibleLatency(r.cfg.MaxLatencySec)
+	for i, req := range in.requests {
+		in.spec.ClientAddrs[i], in.spec.Demands[i] = req.ClientAddr, req.DemandMB
+		row, lat := in.spec.LatencySec[i], req.LatencySec
 		for j, info := range in.infos {
-			if l, ok := req.LatencySec[info.Addr]; ok {
-				row[j] = l
-			} else {
-				row[j] = cohort.InfeasibleLatency(r.cfg.MaxLatencySec)
+			row[j] = beyond
+			// Mostly the lists match entry for entry, so test equality first.
+			for len(lat) > 0 {
+				if lat[0].Replica == info.Addr {
+					row[j], lat = lat[0].Sec, lat[1:]
+					break
+				}
+				if lat[0].Replica > info.Addr {
+					break
+				}
+				lat = lat[1:] // a replica outside the round
 			}
 		}
-		in.spec.LatencySec = append(in.spec.LatencySec, row)
 	}
 	var err error
 	in.prob, err = specProblem(in.spec)
@@ -374,43 +398,37 @@ func (r *ReplicaServer) warm(a *attempt) {
 // warmStart builds the instance's warm-start matrix (and, when the
 // committed round reported duals, the per-client dual seed) from the
 // last-known-good assignment: old columns are aligned to the new roster by
-// replica address and old rows to the new request set by client address,
-// then the whole matrix is renormalized so every row conserves its demand
-// within this round's capacity and latency constraints. Returns nils when
-// there is no history to warm from.
+// replica address and old rows to the new request set by client address
+// (merges of sorted addresses, see align), then the whole matrix is
+// renormalized so every row conserves its demand within this round's
+// capacity and latency constraints. Returns nils when there is no history
+// to warm from.
 func (r *ReplicaServer) warmStart(in *instance) ([][]float64, []float64) {
 	lg := r.committed()
 	if lg == nil {
 		return nil, nil
 	}
-	colOf := make(map[string]int, len(lg.infos))
-	for j, info := range lg.infos {
-		colOf[info.Addr] = j
-	}
-	rowOf := make(map[string]int, len(lg.clientAddrs))
-	for i, addr := range lg.clientAddrs {
-		rowOf[addr] = i
-	}
+	colMap, _ := align(addrsOf(in.infos), addrsOf(lg.infos))
+	rowMap, _ := align(in.spec.ClientAddrs, lg.clientAddrs)
 	// Pooled scratch: Renormalize allocates its own output, so weights is
 	// dead once it returns.
 	weights := r.pool.Matrix(len(in.requests), len(in.infos))
 	var newCols []int
-	for j, info := range in.infos {
-		if _, ok := colOf[info.Addr]; !ok {
+	for j, oj := range colMap {
+		if oj < 0 {
 			newCols = append(newCols, j)
 		}
 	}
-	for i, req := range in.requests {
-		row, ok := rowOf[req.ClientAddr]
-		if !ok {
+	for i, row := range rowMap {
+		if row < 0 {
 			continue // new client: Renormalize spreads it uniformly
 		}
 		total, kept := 0.0, 0.0
 		for _, v := range lg.assignment[row] {
 			total += v
 		}
-		for j, info := range in.infos {
-			if oj, ok := colOf[info.Addr]; ok {
+		for j, oj := range colMap {
+			if oj >= 0 {
 				weights[i][j] = lg.assignment[row][oj]
 				kept += weights[i][j]
 			}
@@ -433,8 +451,10 @@ func (r *ReplicaServer) warmStart(in *instance) ([][]float64, []float64) {
 	var warmMu []float64
 	if lg.mus != nil {
 		warmMu = make([]float64, len(in.requests))
-		for i, req := range in.requests {
-			warmMu[i] = lg.mus[req.ClientAddr] // zero for new clients
+		for i, row := range rowMap {
+			if row >= 0 {
+				warmMu[i] = lg.mus[row] // new clients start from zero
+			}
 		}
 	}
 	return opt.Renormalize(weights, in.prob.Demands, caps, in.prob.Allowed()), warmMu
@@ -580,34 +600,26 @@ func (r *ReplicaServer) expand(a *attempt) error {
 	return nil
 }
 
-// settleDuals fixes the per-client duals the next warm start seeds from.
-// μ is a per-unit congestion price: every member of a cohort inherits its
-// cohort's dual, so the duals cover the full client set either way. An
-// incremental plan's central solve reports none, so clean clients keep
-// their committed μ and each solved row gets a first-order estimate — the
-// highest marginal cost among the columns now serving it. That overlay is
-// skipped when the committed round carried no duals: a partial one would
-// hand the next warm start zeros for every clean client.
+// settleDuals fixes the per-client duals the next warm start seeds from,
+// one per row of the full instance. μ is a per-unit congestion price: every
+// member of a cohort inherits its cohort's dual, so the duals cover the
+// full client set either way. An incremental plan's central solve reports
+// none, so clean clients keep their committed μ and each solved row gets a
+// first-order estimate — the highest marginal cost among the columns now
+// serving it. That overlay is skipped when the committed round carried no
+// duals: a partial one would hand the next warm start zeros for every clean
+// client.
 //
-// The overlay writes the committed map in place, as a clean plan aliases
-// it: rounds run one at a time and nothing else reads it, so a quiet round
-// pays for its solved rows, not for |C|. The map is rebuilt from this
-// round's clients only once it holds more entries than there are clients,
-// which keeps departed clients' duals from piling up.
+// While the row set is the committed one the overlay writes the committed
+// vector in place, as a clean plan aliases it: rounds run one at a time and
+// nothing else reads it, so a quiet round pays for its solved rows, not for
+// |C|. A round whose clients joined or departed remaps it once
+// (incrementalPlan.mus).
 func (r *ReplicaServer) settleDuals(a *attempt) {
 	a.mus = nil
 	if a.kind == kindIncremental {
-		if a.mus = a.inc.lg.mus; a.mus == nil {
+		if a.mus = a.inc.mus(); a.mus == nil {
 			return
-		}
-		if len(a.mus) > len(a.full.requests) {
-			kept := make(map[string]float64, len(a.full.requests))
-			for _, req := range a.full.requests {
-				if v, ok := a.mus[req.ClientAddr]; ok {
-					kept[req.ClientAddr] = v
-				}
-			}
-			a.mus = kept
 		}
 		prob := a.full.prob
 		price := opt.ColSums(a.x)
@@ -624,11 +636,11 @@ func (r *ReplicaServer) settleDuals(a *attempt) {
 			}
 		}
 	} else if a.duals != nil {
-		a.mus = make(map[string]float64, len(a.full.requests))
+		a.mus = make([]float64, len(a.full.requests))
 	}
 	for k, v := range a.duals {
 		for _, c := range a.members(k) {
-			a.mus[a.sub.spec.ClientAddrs[c]] = v
+			a.mus[a.row(c)] = v
 		}
 	}
 }
@@ -636,7 +648,8 @@ func (r *ReplicaServer) settleDuals(a *attempt) {
 // install puts the result on the replicas, each getting its own column.
 // When the committed round's install is still addressable on every member
 // an incremental plan sends a delta against it — O(dirty) entries instead
-// of the full |C| column.
+// of the full |C| column, built in row order merged with the departed
+// clients, so it ascends by client as the wire requires.
 func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 	clients := a.full.spec.ClientAddrs
 	// The delta's base state must still be among the roundStatesKept newest
@@ -654,14 +667,20 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 			}
 			return r.newMessage(MsgAssign, AssignBody{Round: a.round, Column: col, ClientAddrs: clients})
 		}
-		updates := make(map[string]float64)
+		var updates []ClientMB
+		departed := a.inc.departed
 		for i, addr := range clients {
-			if base[i] == nil || a.x[i][j] != base[i][j] {
-				updates[addr] = a.x[i][j]
+			if base[i] != nil && a.x[i][j] == base[i][j] {
+				continue
 			}
+			for len(departed) > 0 && departed[0] < addr {
+				updates = append(updates, ClientMB{departed[0], 0})
+				departed = departed[1:]
+			}
+			updates = append(updates, ClientMB{addr, a.x[i][j]})
 		}
-		for _, addr := range a.inc.departed {
-			updates[addr] = 0
+		for _, addr := range departed {
+			updates = append(updates, ClientMB{addr, 0})
 		}
 		return r.newMessage(MsgAssign, AssignBody{Round: a.round, BaseRound: a.inc.lg.installedRound, Updates: updates})
 	})

@@ -103,6 +103,11 @@ func checkRoundInvariants(t *testing.T, f *chaosFleet, report *RoundReport, push
 	if len(report.ClientAddrs) != len(f.clients) || len(report.Assignment) != len(f.clients) {
 		t.Fatalf("report covers %d clients / %d rows, want %d", len(report.ClientAddrs), len(report.Assignment), len(f.clients))
 	}
+	for ii := 1; ii < len(report.ClientAddrs); ii++ {
+		if report.ClientAddrs[ii] <= report.ClientAddrs[ii-1] {
+			t.Errorf("report rows do not ascend: %s after %s", report.ClientAddrs[ii], report.ClientAddrs[ii-1])
+		}
+	}
 	rows := opt.RowSums(report.Assignment)
 	for ii, addr := range report.ClientAddrs {
 		i := clientIdx[addr]

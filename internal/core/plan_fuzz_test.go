@@ -1,0 +1,189 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"edr/internal/model"
+	"edr/internal/transport"
+)
+
+// planFuzzClients is the client universe FuzzPlanInstall draws from, in
+// ascending address order; planFuzzAbsent are addresses no install names.
+var planFuzzClients, planFuzzAbsent = func() ([]string, []string) {
+	names := make([]string, 24)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%02d", i)
+	}
+	return names, []string{"", "a", "c", "c05x", "c99", "zz"}
+}()
+
+// fuzzInput hands out a fuzz input a byte at a time, zeros once spent.
+type fuzzInput []byte
+
+func (in *fuzzInput) next() byte {
+	if len(*in) == 0 {
+		return 0
+	}
+	b := (*in)[0]
+	*in = (*in)[1:]
+	return b
+}
+
+// amount maps a byte to an MB figure, a third of them not positive.
+func (in *fuzzInput) amount() float64 { return float64(int(in.next()%12)-4) * 0.75 }
+
+// FuzzPlanInstall drives replica.assign through one replica's handler, wire
+// codec included: a base plan, then full columns and deltas — removals,
+// amounts ≤ 0, clients absent from the base, clients departed from it —
+// against any earlier round. Every installed plan must answer Plan exactly
+// as a map oracle does, for every client and for addresses no install
+// names; a full column whose clients do not strictly ascend must be refused
+// and leave its round without a plan, which a delta then cannot build on.
+func FuzzPlanInstall(f *testing.F) {
+	f.Add([]byte{})
+	// Two scripted seeds: a base missing every third client at 3 MB; a delta
+	// that cycles through departing, zeroing, moving (or adding) and leaving
+	// clients; a full column with two rows swapped (seed 1) or one row
+	// repeated (seed 2); then a delta against that refused round.
+	for _, shuffle := range []byte{1, 2} {
+		var seed []byte
+		for i := range planFuzzClients {
+			seed = append(seed, [][]byte{{0}, {1, 8}, {1, 8}}[i%3]...)
+		}
+		seed = append(seed, 1, 0)
+		for i := range planFuzzClients {
+			seed = append(seed, [][]byte{{0}, {1, 2}, {1, 9}, {3}}[i%4]...)
+		}
+		seed = append(seed, 0, shuffle)
+		for range planFuzzClients {
+			seed = append(seed, 1, 8)
+		}
+		seed = append(seed, 3, 1, 2)
+		for range planFuzzClients {
+			seed = append(seed, 3)
+		}
+		f.Add(seed)
+	}
+	rs, err := NewReplicaServer(transport.NewInProcNetwork(), "replica", nil, ReplicaConfig{Replica: model.NewReplica("replica", 1)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { rs.Close() })
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		rs.mu.Lock()
+		rs.rounds, rs.roundOrder = map[int]*roundState{}, nil
+		rs.mu.Unlock()
+		// oracles[k] is round k's plan; nil for a round whose install was
+		// refused.
+		oracles := []map[string]float64{nil}
+		install := func(body AssignBody) error {
+			rs.mu.Lock()
+			rs.rounds[body.Round] = &roundState{}
+			rs.mu.Unlock()
+			msg, err := transport.NewMessage(MsgAssign, "fuzz", body)
+			if err != nil {
+				t.Fatalf("round %d: marshal: %v", body.Round, err)
+			}
+			_, err = rs.handle(context.Background(), msg)
+			return err
+		}
+		full := func(round int, shuffle byte) {
+			body := AssignBody{Round: round}
+			want := map[string]float64{}
+			for _, c := range planFuzzClients {
+				if in.next()%4 == 0 {
+					continue // not a row of this round
+				}
+				mb := in.amount()
+				body.ClientAddrs = append(body.ClientAddrs, c)
+				body.Column = append(body.Column, mb)
+				if mb > 0 {
+					want[c] = mb
+				}
+			}
+			// shuffle 1 swaps two rows, 2 repeats one: either must be refused.
+			if n := len(body.ClientAddrs); n >= 2 && shuffle%3 != 0 {
+				k := int(in.next()) % (n - 1)
+				if shuffle%3 == 1 {
+					body.ClientAddrs[k], body.ClientAddrs[k+1] = body.ClientAddrs[k+1], body.ClientAddrs[k]
+				} else {
+					body.ClientAddrs[k+1] = body.ClientAddrs[k]
+				}
+				if err := install(body); err == nil {
+					t.Fatalf("round %d: column with rows %v installed", round, body.ClientAddrs)
+				}
+				oracles = append(oracles, nil)
+				return
+			}
+			if err := install(body); err != nil {
+				t.Fatalf("round %d: full install: %v", round, err)
+			}
+			oracles = append(oracles, want)
+		}
+		full(1, 0)
+		for op := 0; op < 6 && len(in) > 0; op++ {
+			round := len(oracles)
+			switch kind := in.next(); kind % 3 {
+			case 0:
+				full(round, in.next())
+			default:
+				base := 1 + int(in.next())%(round-1)
+				body := AssignBody{Round: round, BaseRound: base}
+				want := map[string]float64{}
+				for c, mb := range oracles[base] {
+					want[c] = mb
+				}
+				for _, c := range planFuzzClients {
+					switch in.next() % 4 {
+					case 0: // departs: removed explicitly
+						body.Updates = append(body.Updates, ClientMB{c, 0})
+						delete(want, c)
+					case 1: // new amount, possibly ≤ 0 (a removal too)
+						mb := in.amount()
+						body.Updates = append(body.Updates, ClientMB{c, mb})
+						if mb > 0 {
+							want[c] = mb
+						} else {
+							delete(want, c)
+						}
+					}
+				}
+				err := install(body)
+				if oracles[base] == nil {
+					if err == nil {
+						t.Fatalf("round %d: delta against round %d, which has no plan, installed", round, base)
+					}
+					oracles = append(oracles, nil)
+					continue
+				}
+				if err != nil {
+					t.Fatalf("round %d: delta against round %d: %v", round, base, err)
+				}
+				oracles = append(oracles, want)
+			}
+		}
+		for round, want := range oracles[1:] {
+			round++
+			for _, c := range append(planFuzzClients, planFuzzAbsent...) {
+				if got := rs.Plan(round, c); got != want[c] {
+					t.Fatalf("round %d: Plan(%q) = %g, the oracle says %g", round, c, got, want[c])
+				}
+			}
+			rs.mu.Lock()
+			plan := rs.rounds[round].plan
+			rs.mu.Unlock()
+			if (plan == nil) != (want == nil) || len(plan) != len(want) {
+				t.Fatalf("round %d: plan of %d entries (nil %v), the oracle has %d (nil %v)", round, len(plan), plan == nil, len(want), want == nil)
+			}
+			for k, e := range plan {
+				if !(e.MB > 0) || (k > 0 && e.Client <= plan[k-1].Client) {
+					t.Fatalf("round %d: plan %v holds a non-positive entry or does not ascend at %d", round, plan, k)
+				}
+			}
+		}
+	})
+}

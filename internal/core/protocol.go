@@ -110,8 +110,24 @@ type RequestBody struct {
 	ClientAddr string `json:"client_addr"`
 	// DemandMB is R_c for this request.
 	DemandMB float64 `json:"demand_mb"`
-	// LatencySec maps replica address → measured one-way latency.
-	LatencySec map[string]float64 `json:"latency_sec"`
+	// LatencySec lists the replicas the client measured with their one-way
+	// latencies, in strictly ascending address order (the decoder refuses
+	// any other); a replica absent from it is not a candidate.
+	LatencySec []Latency `json:"latency_sec"`
+}
+
+// Latency is one replica a client measured: its address and one-way
+// latency in seconds.
+type Latency struct {
+	Replica string  `json:"replica"`
+	Sec     float64 `json:"sec"`
+}
+
+// ClientMB is one client's entry in a replica's serving plan: the MB to
+// serve it.
+type ClientMB struct {
+	Client string  `json:"client"`
+	MB     float64 `json:"mb"`
 }
 
 // RequestAck acknowledges a submission.
@@ -177,15 +193,16 @@ type AssignBody struct {
 	// Column[c] is the MB this replica serves to client c (row order of
 	// the round spec). Empty in the delta form.
 	Column []float64 `json:"column"`
-	// ClientAddrs mirrors the round spec's row order. Empty in the delta
+	// ClientAddrs lists the round's clients in row order, which ascends
+	// strictly: a replica refuses a column that does not. Empty in the delta
 	// form.
 	ClientAddrs []string `json:"client_addrs"`
 	// BaseRound selects the delta form: the already-installed round whose
 	// plan this round starts from.
 	BaseRound int `json:"base_round,omitempty"`
-	// Updates maps client address → MB for every entry that differs from
-	// the base plan; a non-positive value removes the client.
-	Updates map[string]float64 `json:"updates,omitempty"`
+	// Updates lists, in strictly ascending client order, every entry that
+	// differs from the base plan; a non-positive MB removes the client.
+	Updates []ClientMB `json:"updates,omitempty"`
 }
 
 // AllocationBody tells a client how its demand was split.

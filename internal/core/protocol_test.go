@@ -72,15 +72,15 @@ func TestProtocolRejectsMalformedBodies(t *testing.T) {
 func TestClientRequestRefusesNonFiniteInput(t *testing.T) {
 	f := newFleet(t, []float64{1, 10, 5}, 2, LDDM)
 	contact := f.replicas[0]
-	badLatency := func(l float64) map[string]float64 {
-		m := f.uniformLatencies()
-		m[f.replicas[1].Addr()] = l
-		return m
+	badLatency := func(l float64) []Latency {
+		lat := f.latencyList()
+		lat[1].Sec = l
+		return lat
 	}
 	for _, body := range []RequestBody{
-		{ClientAddr: "hostile", DemandMB: math.NaN(), LatencySec: f.uniformLatencies()},
-		{ClientAddr: "hostile", DemandMB: math.Inf(1), LatencySec: f.uniformLatencies()},
-		{ClientAddr: "hostile", DemandMB: math.Inf(-1), LatencySec: f.uniformLatencies()},
+		{ClientAddr: "hostile", DemandMB: math.NaN(), LatencySec: f.latencyList()},
+		{ClientAddr: "hostile", DemandMB: math.Inf(1), LatencySec: f.latencyList()},
+		{ClientAddr: "hostile", DemandMB: math.Inf(-1), LatencySec: f.latencyList()},
 		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.NaN())},
 		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.Inf(1))},
 		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.Inf(-1))},

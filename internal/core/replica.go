@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -78,10 +80,10 @@ type lastGoodRound struct {
 	infos       []ReplicaInfo
 	clientAddrs []string
 	assignment  [][]float64
-	// mus holds the round's final per-client dual values when the
-	// algorithm reported them (engine.DualReporter); the next warm start
-	// seeds the dual from here.
-	mus map[string]float64
+	// mus holds the round's final per-client dual values, aligned with
+	// clientAddrs, when the algorithm reported them (engine.DualReporter);
+	// the next warm start seeds the dual from here.
+	mus []float64
 	// prob is the full per-client problem the assignment solved
 	// (rows follow clientAddrs, columns follow infos); the incremental
 	// path diffs the next round against it.
@@ -109,8 +111,10 @@ const roundStatesKept = 8
 type roundState struct {
 	eng *engine.ServerRound
 
-	// Final plan: MB to serve per client address.
-	plan map[string]float64
+	// plan is the installed serving plan: the MB to serve each client with
+	// a positive share, in strictly ascending client order. Nil until the
+	// round's replica.assign arrives.
+	plan []ClientMB
 }
 
 // NewReplicaServer binds a replica server on the given network address.
@@ -407,13 +411,7 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 	r.mu.Lock()
 	if existing, ok := r.pending[body.ClientAddr]; ok {
 		existing.DemandMB += body.DemandMB
-		if existing.LatencySec == nil {
-			// A submission without latencies decodes to a nil map.
-			existing.LatencySec = make(map[string]float64, len(body.LatencySec))
-		}
-		for addr, l := range body.LatencySec {
-			existing.LatencySec[addr] = l
-		}
+		existing.LatencySec = mergeLatencies(existing.LatencySec, body.LatencySec)
 	} else {
 		r.pending[body.ClientAddr] = &body
 	}
@@ -434,20 +432,39 @@ func checkRequest(body *RequestBody) error {
 	if !(body.DemandMB > 0) || math.IsInf(body.DemandMB, 1) {
 		return fmt.Errorf("client %s demand %g MB is not positive and finite", body.ClientAddr, body.DemandMB)
 	}
-	for addr, l := range body.LatencySec {
-		if !(l >= 0) || math.IsInf(l, 1) {
-			return fmt.Errorf("client %s latency %g s to %s is not finite and non-negative", body.ClientAddr, l, addr)
+	for _, l := range body.LatencySec {
+		if !(l.Sec >= 0) || math.IsInf(l.Sec, 1) {
+			return fmt.Errorf("client %s latency %g s to %s is not finite and non-negative", body.ClientAddr, l.Sec, l.Replica)
 		}
 	}
 	return nil
+}
+
+// mergeLatencies merges a repeat submission's latencies into the queued
+// ones. Both lists ascend strictly by replica, and so does the result; a
+// replica measured twice keeps the newer figure.
+func mergeLatencies(queued, newer []Latency) []Latency {
+	out := make([]Latency, 0, len(queued)+len(newer))
+	i := 0
+	for _, l := range newer {
+		for i < len(queued) && queued[i].Replica < l.Replica {
+			out = append(out, queued[i])
+			i++
+		}
+		if i < len(queued) && queued[i].Replica == l.Replica {
+			i++
+		}
+		out = append(out, l)
+	}
+	return append(out, queued[i:]...)
 }
 
 // handleAllocationPull serves a client's row of the last committed round.
 // This is the pull half of change-suppressed fan-out: quiet rounds push
 // nothing, so a non-persistent client retrieves its (unchanged) split here.
 // The row comes from the committed assignment — always ordered by the
-// committed clientAddrs — not the install history, whose row order can
-// predate a clean commit.
+// committed clientAddrs, which ascend, so the row is a binary search away —
+// not the install history, whose row order can predate a clean commit.
 func (r *ReplicaServer) handleAllocationPull(req transport.Message) (transport.Message, error) {
 	var body PullBody
 	if err := req.DecodeBody(&body); err != nil {
@@ -457,10 +474,7 @@ func (r *ReplicaServer) handleAllocationPull(req transport.Message) (transport.M
 	r.mu.Lock()
 	if lg := r.lastGood; lg != nil {
 		reply.Round = lg.round
-		for i, addr := range lg.clientAddrs {
-			if addr != body.ClientAddr {
-				continue
-			}
+		if i, ok := slices.BinarySearch(lg.clientAddrs, body.ClientAddr); ok {
 			per := make(map[string]float64, len(lg.infos))
 			for j, info := range lg.infos {
 				if lg.assignment[i][j] > 0 {
@@ -468,7 +482,6 @@ func (r *ReplicaServer) handleAllocationPull(req transport.Message) (transport.M
 				}
 			}
 			reply.PerReplicaMB = per
-			break
 		}
 	}
 	r.mu.Unlock()
@@ -585,7 +598,7 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 	if err != nil {
 		return transport.Message{}, err
 	}
-	var plan map[string]float64
+	var plan []ClientMB
 	if body.BaseRound > 0 {
 		base, err := r.lookupRound(body.BaseRound)
 		if err != nil {
@@ -597,25 +610,18 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 		if basePlan == nil {
 			return transport.Message{}, fmt.Errorf("core: delta assign round %d: round %d has no installed plan", body.Round, body.BaseRound)
 		}
-		plan = make(map[string]float64, len(basePlan)+len(body.Updates))
-		for addr, mb := range basePlan {
-			plan[addr] = mb
-		}
-		for addr, mb := range body.Updates {
-			if mb > 0 {
-				plan[addr] = mb
-			} else {
-				delete(plan, addr)
-			}
-		}
+		plan = applyUpdates(basePlan, body.Updates)
 	} else {
 		if len(body.Column) != len(body.ClientAddrs) {
 			return transport.Message{}, fmt.Errorf("core: assign round %d: %d amounts for %d clients", body.Round, len(body.Column), len(body.ClientAddrs))
 		}
-		plan = make(map[string]float64, len(body.Column))
+		plan = make([]ClientMB, 0, len(body.Column))
 		for i, addr := range body.ClientAddrs {
+			if i > 0 && addr <= body.ClientAddrs[i-1] {
+				return transport.Message{}, fmt.Errorf("core: assign round %d: client %q at row %d does not ascend past %q", body.Round, addr, i, body.ClientAddrs[i-1])
+			}
 			if body.Column[i] > 0 {
-				plan[addr] = body.Column[i]
+				plan = append(plan, ClientMB{addr, body.Column[i]})
 			}
 		}
 	}
@@ -625,16 +631,44 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 	return r.newMessage(MsgAssign+".ack", nil)
 }
 
+// applyUpdates is a delta install: one merge of the base plan with the
+// updates, both ascending by client. An update replaces its client's entry,
+// or removes it when not positive. On a client in both the entry keeps the
+// base plan's string, so the plan does not pin the update list's names.
+// The base plan is only read.
+func applyUpdates(base, updates []ClientMB) []ClientMB {
+	plan := make([]ClientMB, 0, len(base)+len(updates))
+	i := 0
+	for _, u := range updates {
+		for i < len(base) && base[i].Client < u.Client {
+			plan = append(plan, base[i])
+			i++
+		}
+		if i < len(base) && base[i].Client == u.Client {
+			u.Client = base[i].Client
+			i++
+		}
+		if u.MB > 0 {
+			plan = append(plan, u)
+		}
+	}
+	return append(plan, base[i:]...)
+}
+
 // Plan returns the MB this replica was assigned to serve to the given
 // client in the given round (0 when none).
 func (r *ReplicaServer) Plan(round int, clientAddr string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.rounds[round]
-	if !ok || st.plan == nil {
+	if !ok {
 		return 0
 	}
-	return st.plan[clientAddr]
+	k, found := slices.BinarySearchFunc(st.plan, clientAddr, func(e ClientMB, addr string) int { return strings.Compare(e.Client, addr) })
+	if !found {
+		return 0
+	}
+	return st.plan[k].MB
 }
 
 // handleDownload serves the FileDownload role: synthetic payload bytes,

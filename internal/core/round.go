@@ -248,10 +248,10 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 	}
 	r.pending = make(map[string]*RequestBody)
 	r.mu.Unlock()
-	// Deterministic row order (the pending map iterates randomly): a
-	// stable roster then yields identical row order round over round,
-	// which is what lets the incremental diff run with identity row maps
-	// and the cohort registry hit its cross-round cache.
+	// Deterministic row order, ascending by client address (the pending map
+	// iterates randomly): a stable roster then yields identical row order
+	// round over round, which is what lets the incremental diff run with
+	// identity row maps and the cohort registry hit its cross-round cache.
 	slices.SortFunc(requests, func(a, b *RequestBody) int { return strings.Compare(a.ClientAddr, b.ClientAddr) })
 	r.Stats.RoundsInitiated.Inc(1)
 	start := time.Now()

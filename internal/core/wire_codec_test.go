@@ -55,7 +55,7 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 		}
 	}
 
-	request := RequestBody{ClientAddr: f.clients[0].Addr(), DemandMB: 30, LatencySec: f.uniformLatencies()}
+	request := RequestBody{ClientAddr: f.clients[0].Addr(), DemandMB: 30, LatencySec: f.latencyList()}
 	refuse(contact, MsgClientRequest, request)
 	if n := contact.PendingRequests(); n != 0 {
 		t.Fatalf("refused client.request left %d pending", n)

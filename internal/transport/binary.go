@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -162,7 +163,7 @@ func ReadString(b []byte) (string, []byte, error) {
 
 // ReadStrings consumes a list written by AppendStrings. The count is checked
 // against the bytes left (every string costs at least its header) before
-// anything is allocated.
+// anything is allocated, and the strings share one backing allocation.
 func ReadStrings(b []byte) ([]string, []byte, error) {
 	n, b, err := ReadUint32(b)
 	if err != nil {
@@ -171,13 +172,95 @@ func ReadStrings(b []byte) ([]string, []byte, error) {
 	if uint64(n)*2 > uint64(len(b)) {
 		return nil, nil, fmt.Errorf("transport: binary list claims %d strings, %d bytes left", n, len(b))
 	}
-	v := make([]string, n)
-	for i := range v {
-		if v[i], b, err = ReadString(b); err != nil {
-			return nil, nil, err
-		}
+	size, err := listSize(b, int(n), 0, false)
+	if err != nil {
+		return nil, nil, err
 	}
-	return v, b, nil
+	all, v := string(b[:size]), make([]string, n)
+	for i, off := 0, 0; i < len(v); i++ {
+		l := int(binary.LittleEndian.Uint16(b[off:]))
+		v[i] = all[off+2 : off+2+l]
+		off += 2 + l
+	}
+	return v, b[size:], nil
+}
+
+// AppendPairs appends a pair list: a u32 count, then per pair its key as
+// AppendString writes it and its f64 value. pair(i) yields the i-th pair;
+// keys must ascend strictly in byte order, so a list has exactly one
+// encoding and ReadPairs accepts what this writes.
+func AppendPairs(b []byte, n int, pair func(i int) (string, float64)) ([]byte, error) {
+	b = AppendUint32(b, uint32(n))
+	var prev string
+	for i := 0; i < n; i++ {
+		key, v := pair(i)
+		if i > 0 && key <= prev {
+			return nil, fmt.Errorf("transport: pair list key %q at %d does not ascend past %q", key, i, prev)
+		}
+		var err error
+		if b, err = AppendString(b, key); err != nil {
+			return nil, err
+		}
+		b = AppendFloat64(b, v)
+		prev = key
+	}
+	return b, nil
+}
+
+// ReadPairs consumes a pair list written by AppendPairs, building each
+// element with pair(key, value). A list whose keys repeat or descend is
+// refused, as is a count the bytes left cannot hold (a pair costs at least
+// 10); the keys share one backing allocation. An empty list reads as nil.
+func ReadPairs[T any](b []byte, pair func(key string, v float64) T) ([]T, []byte, error) {
+	n, b, err := ReadUint32(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(n)*10 > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("transport: binary pair list claims %d pairs, %d bytes left", n, len(b))
+	}
+	if n == 0 {
+		return nil, b, nil
+	}
+	size, err := listSize(b, int(n), 8, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	all, v := string(b[:size]), make([]T, n)
+	for i, off := 0, 0; i < len(v); i++ {
+		l := int(binary.LittleEndian.Uint16(b[off:]))
+		x, _, _ := ReadFloat64(b[off+2+l:])
+		v[i] = pair(all[off+2:off+2+l], x)
+		off += 2 + l + 8
+	}
+	return v, b[size:], nil
+}
+
+// listSize walks n length-headed strings at the front of b, each followed
+// by gap bytes of other fields (8 for a pair's value), and returns the
+// bytes they occupy. Every header and gap must fit in b; with ascending set,
+// the strings must strictly ascend. The list's strings are then cut from
+// one copy of those bytes, so a list costs one allocation for its names
+// (and pins its headers and values with them).
+func listSize(b []byte, n, gap int, ascending bool) (int, error) {
+	off := 0
+	var prev []byte
+	for i := 0; i < n; i++ {
+		if len(b)-off < 2 {
+			return 0, fmt.Errorf("transport: binary body truncated (want string header, %d bytes left)", len(b)-off)
+		}
+		l := int(binary.LittleEndian.Uint16(b[off:]))
+		if l+gap > len(b)-off-2 {
+			return 0, fmt.Errorf("transport: binary string claims %d bytes and %d more, %d left", l, gap, len(b)-off-2)
+		}
+		key := b[off+2 : off+2+l]
+		if ascending && i > 0 && bytes.Compare(prev, key) >= 0 {
+			return 0, fmt.Errorf("transport: pair list key %q at %d does not ascend past %q", key, i, prev)
+		}
+		prev = key
+		off += 2 + l + gap
+	}
+	return off, nil
 }
 
 // ReadUint32 consumes a little-endian u32.

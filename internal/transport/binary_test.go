@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -237,6 +238,83 @@ func TestBinaryStringPrimitives(t *testing.T) {
 	}
 	if _, _, err := ReadString([]byte{0xff, 0xff, 'a'}); err == nil {
 		t.Fatal("string with 65 535 claimed bytes decoded from 1")
+	}
+}
+
+type testPair struct {
+	key string
+	v   float64
+}
+
+// A pair list round-trips with the bytes behind it, keys strictly
+// ascending both ways: the writer refuses a list out of order or with a key
+// twice, and so does the reader, as it does a truncated one.
+func TestBinaryPairPrimitives(t *testing.T) {
+	want := []testPair{{"", 0}, {"r1", 1.5}, {"r10", -2}, {"r2", math.Inf(1)}}
+	at := func(list []testPair) func(int) (string, float64) {
+		return func(i int) (string, float64) { return list[i].key, list[i].v }
+	}
+	full, err := AppendPairs(nil, len(want), at(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full = AppendUint32(full, 7)
+	read := func(b []byte) ([]testPair, []byte, error) {
+		return ReadPairs(b, func(k string, v float64) testPair { return testPair{k, v} })
+	}
+	got, rest, err := read(full)
+	if err != nil || !reflect.DeepEqual(got, want) || len(rest) != 4 || rest[0] != 7 {
+		t.Fatalf("round trip: %v, %d bytes left, err %v", got, len(rest), err)
+	}
+	for cut := 0; cut < len(full)-4; cut++ {
+		if _, _, err := read(full[:cut]); err == nil {
+			t.Fatalf("cut=%d: truncated pair list decoded without error", cut)
+		}
+	}
+	if empty, rest, err := read(AppendUint32(nil, 0)); err != nil || empty != nil || len(rest) != 0 {
+		t.Fatalf("empty list: %v, %d bytes left, err %v", empty, len(rest), err)
+	}
+	for _, bad := range [][]testPair{{{"r2", 1}, {"r1", 1}}, {{"r1", 1}, {"r1", 2}}} {
+		if _, err := AppendPairs(nil, len(bad), at(bad)); err == nil {
+			t.Errorf("%v appended", bad)
+		}
+		var b []byte
+		b = AppendUint32(b, uint32(len(bad)))
+		for _, p := range bad {
+			b, _ = AppendString(b, p.key)
+			b = AppendFloat64(b, p.v)
+		}
+		if _, _, err := read(b); err == nil {
+			t.Errorf("%v decoded", bad)
+		}
+	}
+	if _, _, err := read(AppendUint32(nil, math.MaxUint32)); err == nil {
+		t.Fatal("pair list with 2³² claimed pairs decoded")
+	}
+}
+
+// A decoded list's strings share one allocation: a list read costs the
+// slice and one backing string, however many names it holds.
+func TestBinaryListsAllocateTheirNamesOnce(t *testing.T) {
+	names := make([]string, 200)
+	for i := range names {
+		names[i] = "client-" + strings.Repeat("x", i%13) + string(rune('a'+i%26)) + string(rune('a'+i/26))
+	}
+	slices.Sort(names)
+	list, err := AppendStrings(nil, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := AppendPairs(nil, len(names), func(i int) (string, float64) { return names[i], float64(i) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { _, _, _ = ReadStrings(list) }); n != 2 {
+		t.Errorf("ReadStrings of %d names: %v allocations, want 2", len(names), n)
+	}
+	pair := func(k string, v float64) testPair { return testPair{k, v} }
+	if n := testing.AllocsPerRun(50, func() { _, _, _ = ReadPairs(pairs, pair) }); n != 2 {
+		t.Errorf("ReadPairs of %d names: %v allocations, want 2", len(names), n)
 	}
 }
 
