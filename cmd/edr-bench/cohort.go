@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"edr/internal/central"
@@ -18,25 +17,19 @@ import (
 // cohort layer (group → reduced distributed-kernel solve → disaggregate),
 // verify the per-client invariants, and report compression, timings, and
 // the optimality gap against the centralized reference on the reduced
-// instance. cohorts is "auto" (unbounded grouping), "off" (solve
-// ungrouped — slow at scale, for comparison), or a number (MaxCohorts
-// bound, enforced by quantum coarsening).
+// instance. cohorts is "auto" (group by feasibility mask) or "off" (solve
+// ungrouped — slow at scale, for comparison).
 func runCohortScale(clients int, cohorts string, seed uint64) error {
 	if clients <= 0 {
 		return fmt.Errorf("cohort-scale: -clients must be positive, got %d", clients)
 	}
-	opts := cohort.Options{}
 	ungrouped := false
 	switch cohorts {
 	case "auto", "":
 	case "off":
 		ungrouped = true
 	default:
-		n, err := strconv.Atoi(cohorts)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("cohort-scale: -cohorts wants 'auto', 'off', or a positive count, got %q", cohorts)
-		}
-		opts.MaxCohorts = n
+		return fmt.Errorf("cohort-scale: -cohorts wants 'auto' or 'off', got %q", cohorts)
 	}
 
 	const replicas = 10
@@ -70,7 +63,7 @@ func runCohortScale(clients int, cohorts string, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		gg, err := cohort.Group(p, opts)
+		gg, err := cohort.Group(p, cohort.Options{})
 		if err != nil {
 			return err
 		}
@@ -97,8 +90,7 @@ func runCohortScale(clients int, cohorts string, seed uint64) error {
 		return nil
 	}
 
-	fmt.Printf("cohort-scale: grouped to %d cohorts (%.0fx compression, quantum %.0f µs)\n",
-		g.K(), g.Ratio(), g.Quantum()*1e6)
+	fmt.Printf("cohort-scale: grouped to %d cohorts (%.0fx compression)\n", g.K(), g.Ratio())
 
 	t0 = time.Now()
 	res, err := mkSolver().Solve(g.Reduced())

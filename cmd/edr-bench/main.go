@@ -24,7 +24,7 @@ func main() {
 		out     = flag.String("out", "", "directory to write CSV tables into (empty: don't write)")
 		list    = flag.Bool("list", false, "list available experiments and exit")
 		clients = flag.Int("clients", 0, "client-scale cohort demo: raw client count to aggregate and solve (e.g. 100000); 0 disables")
-		cohorts = flag.String("cohorts", "auto", "with -clients: 'auto' (unbounded grouping), 'off' (ungrouped solve), or a cohort-count bound")
+		cohorts = flag.String("cohorts", "auto", "with -clients: 'auto' (group by feasibility mask) or 'off' (ungrouped solve)")
 	)
 	flag.Parse()
 

@@ -59,12 +59,10 @@ func main() {
 
 		// Client-scale cohort aggregation (internal/cohort): rounds with at
 		// least -cohort-min pending requests merge clients sharing a
-		// feasibility mask and latency class into virtual clients, solve at
-		// cohort granularity, and disaggregate back to exact per-client
+		// feasibility mask into virtual clients, solve at cohort
+		// granularity, and disaggregate back to exact per-client
 		// allocations.
-		cohortMin     = flag.Int("cohort-min", 0, "pending-request threshold that enables cohort aggregation (0 disables)")
-		cohortQuantum = flag.Duration("cohort-quantum", 0, "latency quantization step for cohort keying (0 = T/4)")
-		cohortMax     = flag.Int("cohort-max", 0, "cohort-count bound, enforced by coarsening the quantum (0 = unbounded)")
+		cohortMin = flag.Int("cohort-min", 0, "pending-request threshold that enables cohort aggregation (0 disables)")
 
 		// Cross-round incremental re-optimization: diff each round against
 		// the committed one and re-solve only the clients that drifted,
@@ -146,8 +144,6 @@ func main() {
 		Telemetry:    bus,
 
 		CohortMinClients: *cohortMin,
-		CohortQuantumSec: cohortQuantum.Seconds(),
-		CohortMax:        *cohortMax,
 
 		Incremental: *incremental,
 		DeltaEps:    *deltaEps,

@@ -187,7 +187,7 @@ func maskedInstance(t testing.TB, r *sim.Rand, clients, replicas int) *opt.Probl
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prob.Sparsity().Density() < 1 {
+		if prob.Sparsity().NNZ() < prob.C()*prob.N() {
 			return prob
 		}
 	}

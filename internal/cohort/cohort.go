@@ -1,6 +1,6 @@
 // Package cohort is the client-scale sharding layer: it groups raw
-// clients into virtual clients ("cohorts") keyed by (region,
-// latency-class), emits a reduced opt.Problem the distributed rounds
+// clients into virtual clients ("cohorts") keyed by their latency-
+// feasibility mask, emits a reduced opt.Problem the distributed rounds
 // solve unchanged, and disaggregates the cohort-level assignment back to
 // per-client loads proportionally to demand.
 //
@@ -8,14 +8,14 @@
 // EDR objective E_g depends on an assignment only through the per-replica
 // column sums S_n (each replica's energy is a function of its own load),
 // and the feasible set is a transportation polytope whose rows interact
-// only through those column sums. Two clients with the same
-// latency-feasibility mask are therefore interchangeable: merging them
-// into one virtual client with summed demand preserves the set of
-// achievable column-sum vectors exactly, so the reduced optimum equals
-// the ungrouped optimum and proportional disaggregation recovers a
-// per-client split with the same cost. Aggregation error appears only
-// when a cohort mixes masks — which the exact keying below never does —
-// leaving solver convergence as the only measured gap (see Gap).
+// only through those column sums. Latency enters the problem only through
+// the mask (p_{c,n} = 0 where l_{c,n} > T), so two clients with the same
+// mask are interchangeable: merging them into one virtual client with
+// summed demand preserves the set of achievable column-sum vectors
+// exactly, so the reduced optimum equals the ungrouped optimum and
+// proportional disaggregation recovers a per-client split with the same
+// cost. The mask is therefore the coarsest lossless key, and the one
+// used; solver convergence is the only measured gap (see Gap).
 //
 // This is the decomposition of Feng/Xu/Li's ADMM cloud-traffic framework
 // and the geographic demand aggregation of energy-aware CDN load
@@ -30,26 +30,13 @@ import (
 	"edr/internal/opt"
 )
 
-// InfeasibleLatency returns the sentinel latency the reduced problem
-// carries for links outside a cohort's mask — the same "well beyond the
-// bound" convention the runtime uses for unmeasured links.
+// InfeasibleLatency returns the sentinel latency the runtime writes for
+// unmeasured links: well beyond the bound, so the link is masked out.
 func InfeasibleLatency(maxLatency float64) float64 { return 10 * maxLatency }
 
-// Options tunes the grouping.
-type Options struct {
-	// Quantum is the latency quantization step in seconds: feasible
-	// latencies are bucketed by floor(l/Quantum), so clients sharing a
-	// feasibility mask and per-replica buckets share a cohort. 0 selects
-	// MaxLatency/4 — coarse enough that a geographic region quantizes to
-	// a handful of cohorts, fine enough that a cohort's representative
-	// latency stays within one bucket of every member's truth.
-	Quantum float64
-	// MaxCohorts, when positive, bounds the cohort count by doubling the
-	// quantum until the grouping fits (or the key degenerates to the
-	// feasibility mask alone, the coarsest lossless key). 0 means no
-	// bound.
-	MaxCohorts int
-}
+// Options configures the grouping. It has no fields: the feasibility mask
+// is the only key, so there is nothing to tune.
+type Options struct{}
 
 // Grouping is one aggregation of a problem's clients into cohorts. It is
 // immutable after Group returns.
@@ -58,120 +45,33 @@ type Grouping struct {
 	reduced *opt.Problem
 	members [][]int // cohort → member client indices, in client order
 	of      []int   // client → cohort index
-	quantum float64
 }
 
-// Group partitions prob's clients into cohorts: clients whose feasibility
-// mask under prob.MaxLatency and quantized latency vector match share a
-// cohort. The reduced problem sums member demands and carries
-// demand-weighted representative latencies, so a cohort's mask equals its
-// members' shared mask and every reduced-feasible assignment
-// disaggregates to an ungrouped-feasible one.
+// Group partitions prob's clients into cohorts of clients sharing a
+// feasibility mask under prob.MaxLatency, numbered in first-seen client
+// order. It is Registry.Group on a fresh registry.
 func Group(prob *opt.Problem, opts Options) (*Grouping, error) {
-	if prob == nil || prob.System == nil {
-		return nil, fmt.Errorf("cohort: problem has no system")
-	}
-	c, n := prob.C(), prob.N()
-	if c == 0 || n == 0 {
-		return nil, fmt.Errorf("cohort: empty problem (%d clients, %d replicas)", c, n)
-	}
-	quantum := opts.Quantum
-	if quantum <= 0 {
-		quantum = prob.MaxLatency / 4
-	}
-	mask := prob.Allowed()
-	var of []int
-	var members [][]int
-	for {
-		of, members = groupAt(prob, mask, quantum)
-		if opts.MaxCohorts <= 0 || len(members) <= opts.MaxCohorts || quantum >= prob.MaxLatency {
-			break
-		}
-		// Too fine: coarsen the latency classes and regroup. Once the
-		// quantum reaches MaxLatency every feasible link is in bucket
-		// zero and the key is the mask alone — no further coarsening is
-		// lossless, so that is where the doubling stops.
-		quantum *= 2
-		if quantum > prob.MaxLatency {
-			quantum = prob.MaxLatency
-		}
-	}
-	g := &Grouping{orig: prob, members: members, of: of, quantum: quantum}
-	g.reduced = g.buildReduced(mask)
-	return g, nil
+	g, _, err := NewRegistry().Group(prob, opts)
+	return g, err
 }
 
-// groupAt buckets every client at the given quantum and returns the
-// client→cohort map and cohort member lists (cohorts in first-seen client
-// order, members in client order).
-func groupAt(prob *opt.Problem, mask [][]bool, quantum float64) ([]int, [][]int) {
-	c, n := prob.C(), prob.N()
-	of := make([]int, c)
-	var members [][]int
-	index := make(map[string]int)
-	key := make([]byte, n)
-	for i := 0; i < c; i++ {
-		for j := 0; j < n; j++ {
-			if !mask[i][j] {
-				key[j] = 0xFF // infeasible class
-				continue
-			}
-			b := int(prob.Latency[i][j] / quantum)
-			if b > 0xFE {
-				b = 0xFE
-			}
-			key[j] = byte(b)
-		}
-		k, ok := index[string(key)]
-		if !ok {
-			k = len(members)
-			index[string(key)] = k
-			members = append(members, nil)
-		}
-		of[i] = k
-		members[k] = append(members[k], i)
-	}
-	return of, members
-}
-
-// buildReduced assembles the cohort-level problem: summed demands and
-// demand-weighted representative latencies (uniform-weighted when a
-// cohort's total demand is zero), with masked-out links pushed beyond the
-// bound. Because every member shares the mask, feasible representative
-// latencies are convex combinations of values ≤ T and stay ≤ T — the
-// reduced mask is exactly the shared member mask.
+// buildReduced assembles the cohort-level problem: summed demands, and
+// each cohort's latency row copied from its lead member. The solve reads
+// latency only through the mask, which every member shares.
 func (g *Grouping) buildReduced(mask [][]bool) *opt.Problem {
 	n := g.orig.N()
 	demands := make([]float64, len(g.members))
 	latency := opt.NewMatrix(len(g.members), n)
 	reducedMask := make([][]bool, len(g.members))
-	inf := InfeasibleLatency(g.orig.MaxLatency)
 	for k, mem := range g.members {
-		total := 0.0
 		for _, c := range mem {
-			total += g.orig.Demands[c]
+			demands[k] += g.orig.Demands[c]
 		}
-		demands[k] = total
 		lead := mem[0]
+		copy(latency[k], g.orig.Latency[lead])
 		// The cohort's mask IS the shared member mask — alias the lead
 		// member's row (mask rows are read-only shared state).
 		reducedMask[k] = mask[lead]
-		for j := 0; j < n; j++ {
-			if !mask[lead][j] {
-				latency[k][j] = inf
-				continue
-			}
-			num, den := 0.0, 0.0
-			for _, c := range mem {
-				w := g.orig.Demands[c]
-				if total == 0 {
-					w = 1
-				}
-				num += w * g.orig.Latency[c][j]
-				den += w
-			}
-			latency[k][j] = num / den
-		}
 	}
 	p := &opt.Problem{
 		System:     g.orig.System,
@@ -192,10 +92,6 @@ func (g *Grouping) K() int { return len(g.members) }
 
 // C returns the raw client count |C|.
 func (g *Grouping) C() int { return len(g.of) }
-
-// Quantum returns the latency quantization step the grouping settled on
-// (it may exceed Options.Quantum when MaxCohorts forced coarsening).
-func (g *Grouping) Quantum() float64 { return g.quantum }
 
 // Ratio returns the compression ratio |C|/|K|.
 func (g *Grouping) Ratio() float64 { return float64(g.C()) / float64(g.K()) }

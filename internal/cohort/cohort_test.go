@@ -2,6 +2,7 @@ package cohort
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"edr/internal/central"
@@ -29,57 +30,65 @@ func regional(t *testing.T, seed uint64, clients, replicas, regions int) *opt.Pr
 	return prob
 }
 
-func TestGroupPartitionsByMaskAndClass(t *testing.T) {
-	prob := regional(t, 1, 400, 8, 12)
-	g, err := Group(prob, Options{})
-	if err != nil {
-		t.Fatalf("Group: %v", err)
-	}
-	if g.K() <= 0 || g.K() > prob.C() {
-		t.Fatalf("cohort count %d outside (0, %d]", g.K(), prob.C())
-	}
-	if g.C() != prob.C() {
-		t.Fatalf("C() = %d, want %d", g.C(), prob.C())
-	}
-	// Region structure must compress: far fewer cohorts than clients.
-	if g.Ratio() < 2 {
-		t.Fatalf("compression ratio %.2f < 2 on a 12-region topology (K=%d)", g.Ratio(), g.K())
-	}
-	// Partition: every client in exactly one cohort, members consistent
-	// with CohortOf.
-	seen := make([]bool, prob.C())
-	for k := 0; k < g.K(); k++ {
-		for _, c := range g.Members(k) {
-			if seen[c] {
-				t.Fatalf("client %d appears in two cohorts", c)
-			}
-			seen[c] = true
-			if g.CohortOf(c) != k {
-				t.Fatalf("CohortOf(%d) = %d, want %d", c, g.CohortOf(c), k)
-			}
+// TestCohortsAreMaskClasses pins the key: two clients share a cohort iff
+// their feasibility masks are equal. Besides a regional fleet it runs one
+// mask group whose feasible latencies straddle T/4 — same-host clients
+// measured over loopback — which must come out as a single cohort.
+func TestCohortsAreMaskClasses(t *testing.T) {
+	base := regional(t, 2, 60, 6, 3)
+	lat := opt.NewMatrix(base.C(), base.N())
+	for c := range lat {
+		for j := range lat[c] {
+			lat[c][j] = base.MaxLatency * (0.2 + 0.1*float64((c+j)%2)) // either side of T/4
 		}
+		lat[c][base.N()-1] = InfeasibleLatency(base.MaxLatency)
 	}
-	for c, ok := range seen {
-		if !ok {
-			t.Fatalf("client %d in no cohort", c)
-		}
-	}
-	// Cohort-mates share the feasibility mask and latency class.
-	mask := prob.Allowed()
-	q := g.Quantum()
-	for k := 0; k < g.K(); k++ {
-		mem := g.Members(k)
-		lead := mem[0]
-		for _, c := range mem[1:] {
-			for j := 0; j < prob.N(); j++ {
-				if mask[c][j] != mask[lead][j] {
-					t.Fatalf("cohort %d mixes masks at replica %d (clients %d, %d)", k, j, lead, c)
-				}
-				if mask[c][j] && int(prob.Latency[c][j]/q) != int(prob.Latency[lead][j]/q) {
-					t.Fatalf("cohort %d mixes latency classes at replica %d", k, j)
+	straddle := &opt.Problem{System: base.System, Demands: base.Demands, Latency: lat, MaxLatency: base.MaxLatency}
+	for _, tc := range []struct {
+		name string
+		prob *opt.Problem
+	}{
+		{"regional", regional(t, 1, 400, 8, 12)},
+		{"straddle", straddle},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prob := tc.prob
+			g, err := Group(prob, Options{})
+			if err != nil {
+				t.Fatalf("Group: %v", err)
+			}
+			if g.C() != prob.C() {
+				t.Fatalf("C() = %d, want %d", g.C(), prob.C())
+			}
+			// Partition: every client in exactly one cohort, members
+			// consistent with CohortOf.
+			seen := make([]bool, prob.C())
+			for k := 0; k < g.K(); k++ {
+				for _, c := range g.Members(k) {
+					if seen[c] {
+						t.Fatalf("client %d appears in two cohorts", c)
+					}
+					seen[c] = true
+					if g.CohortOf(c) != k {
+						t.Fatalf("CohortOf(%d) = %d, want %d", c, g.CohortOf(c), k)
+					}
 				}
 			}
-		}
+			for c, ok := range seen {
+				if !ok {
+					t.Fatalf("client %d in no cohort", c)
+				}
+			}
+			mask := prob.Allowed()
+			for a := 0; a < prob.C(); a++ {
+				for b := a + 1; b < prob.C(); b++ {
+					same, equal := g.CohortOf(a) == g.CohortOf(b), slices.Equal(mask[a], mask[b])
+					if same != equal {
+						t.Fatalf("clients %d, %d: same cohort %v, equal masks %v", a, b, same, equal)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -120,35 +129,6 @@ func TestReducedProblemInvariants(t *testing.T) {
 	// Reduced feasibility implies the cohorted round can run at all.
 	if err := opt.CheckFeasible(red); err != nil {
 		t.Fatalf("reduced instance infeasible: %v", err)
-	}
-}
-
-func TestMaxCohortsCoarsens(t *testing.T) {
-	prob := regional(t, 3, 500, 8, 20)
-	fine, err := Group(prob, Options{Quantum: prob.MaxLatency / 64})
-	if err != nil {
-		t.Fatalf("fine Group: %v", err)
-	}
-	bound := fine.K()/2 + 1
-	coarse, err := Group(prob, Options{Quantum: prob.MaxLatency / 64, MaxCohorts: bound})
-	if err != nil {
-		t.Fatalf("coarse Group: %v", err)
-	}
-	if coarse.K() > fine.K() {
-		t.Fatalf("coarsening grew cohorts: %d > %d", coarse.K(), fine.K())
-	}
-	if coarse.Quantum() <= fine.Quantum() {
-		t.Fatalf("coarsening kept quantum %g ≤ %g", coarse.Quantum(), fine.Quantum())
-	}
-	// At quantum == MaxLatency the key is the mask alone — the bound may
-	// still be exceeded, but never by more than the mask count.
-	maskOnly, err := Group(prob, Options{Quantum: prob.MaxLatency})
-	if err != nil {
-		t.Fatalf("mask-only Group: %v", err)
-	}
-	if coarse.K() > bound && coarse.K() != maskOnly.K() {
-		t.Fatalf("coarse K=%d exceeds bound %d without hitting the mask-only floor %d",
-			coarse.K(), bound, maskOnly.K())
 	}
 }
 

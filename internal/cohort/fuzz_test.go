@@ -11,20 +11,18 @@ import (
 
 // FuzzCohortRoundTrip hardens the aggregate→solve→disaggregate path
 // against adversarial instances: arbitrary latency structure (boundary
-// values, infeasible links, zero latencies), zero demands, degenerate
-// quanta, and solver outputs perturbed with negatives, masked-link junk,
-// and huge magnitudes. The invariants under fuzz are exactly the runtime
-// contract: per-client demand conservation, zero load on latency-
-// infeasible links, and no NaN/Inf anywhere in the disaggregated matrix.
+// values, infeasible links, zero latencies), zero demands, and solver
+// outputs perturbed with negatives, masked-link junk, and huge
+// magnitudes. The invariants under fuzz are exactly the runtime contract:
+// per-client demand conservation, zero load on latency-infeasible links,
+// and no NaN/Inf anywhere in the disaggregated matrix. The unused float
+// argument was a latency quantum; it stays so the committed corpus loads.
 func FuzzCohortRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint8(20), uint8(2), 0.0, 0.3)
 	f.Add(uint64(7), uint8(0), uint8(0), 1e-12, -2.0)
 	f.Add(uint64(42), uint8(255), uint8(7), 0.0018, 1e6)
 	f.Add(uint64(99), uint8(63), uint8(3), 1e9, 0.0)
-	f.Fuzz(func(t *testing.T, seed uint64, nc, nr uint8, quantum, perturb float64) {
-		if math.IsNaN(quantum) || math.IsInf(quantum, 0) {
-			return
-		}
+	f.Fuzz(func(t *testing.T, seed uint64, nc, nr uint8, _, perturb float64) {
 		if math.IsNaN(perturb) || math.IsInf(perturb, 0) || math.Abs(perturb) > 1e9 {
 			return
 		}
@@ -68,7 +66,7 @@ func FuzzCohortRoundTrip(f *testing.F) {
 			t.Fatalf("fuzz instance invalid: %v", err)
 		}
 
-		g, err := Group(prob, Options{Quantum: math.Abs(quantum), MaxCohorts: (int(nc) % 5) * 10})
+		g, err := Group(prob, Options{})
 		if err != nil {
 			t.Fatalf("Group: %v", err)
 		}

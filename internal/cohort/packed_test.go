@@ -10,8 +10,8 @@ import (
 )
 
 // packedTestInstance builds a masked instance with real cohort structure:
-// clients fall into a few latency classes so the grouping compresses, and
-// every class keeps some replicas infeasible so the sparsity is strict.
+// clients fall into a few feasibility masks so the grouping compresses,
+// and every mask keeps some replicas infeasible so the sparsity is strict.
 func packedTestInstance(t *testing.T, clients, replicas int, seed uint64) (*opt.Problem, *Grouping) {
 	t.Helper()
 	r := sim.NewRand(seed)

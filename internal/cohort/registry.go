@@ -7,12 +7,12 @@ import (
 	"edr/internal/opt"
 )
 
-// Registry persists cohort identity across rounds. Grouping alone is
-// stateless: cohort k of round t and cohort k of round t+1 are unrelated
-// (first-seen client order decides numbering), so nothing cohort-scoped —
-// warm duals, cached masks, sparsity views — can be carried between
-// rounds. The registry fixes that by interning each cohort's byte key
-// (feasibility mask + quantized latency classes) into a stable ID that is
+// Registry persists cohort identity across rounds. A fresh registry
+// numbers cohorts in first-seen client order, so on its own cohort k of
+// round t and cohort k of round t+1 are unrelated and nothing
+// cohort-scoped — warm duals, cached masks, sparsity views — could be
+// carried between rounds. A kept registry fixes that by interning each
+// cohort's byte key (its feasibility mask) into a stable ID that is
 // assigned once and never reused, ordering every grouping it produces by
 // stable ID. Two consequences the runtime builds on:
 //
@@ -31,9 +31,8 @@ import (
 // every byte key and simply misses the cache — correctness is unaffected.
 // A Registry is not safe for concurrent use.
 type Registry struct {
-	quantum float64
-	ids     map[string]int // interned cohort key → stable ID
-	next    int
+	ids  map[string]int // interned cohort key → stable ID
+	next int
 
 	// Cached last grouping, keyed by the per-client stable-ID vector.
 	stableOf []int
@@ -56,7 +55,6 @@ func NewRegistry() *Registry {
 func (r *Registry) Reset() {
 	r.ids = make(map[string]int)
 	r.next = 0
-	r.quantum = 0
 	r.stableOf = nil
 	r.n = 0
 	r.members = nil
@@ -70,15 +68,13 @@ func (r *Registry) Reset() {
 // interned over its lifetime.
 func (r *Registry) Cohorts() int { return r.next }
 
-// Group is the registry-backed replacement for the package-level Group:
-// same grouping semantics, but cohorts are ordered by stable ID and quiet
-// rounds reuse the cached partition, reduced mask, representative
-// latencies, and primed Sparsity. The boolean reports a cache hit. The
-// returned Grouping always disaggregates against prob (fresh demands);
-// on a hit the representative latencies are the cached round's — members
-// share latency buckets by construction, so the drift is below one
-// quantum and invisible to the solve, which reads only the mask.
-func (r *Registry) Group(prob *opt.Problem, opts Options) (*Grouping, bool, error) {
+// Group partitions prob's clients into cohorts of equal feasibility mask,
+// ordered by stable ID, and reuses the cached partition, reduced mask,
+// latency rows and primed Sparsity on a quiet round. The boolean reports a
+// cache hit. The returned Grouping always disaggregates against prob
+// (fresh demands); on a hit the reduced latency rows are the cached
+// round's, which carry the same masks — all the solve reads of them.
+func (r *Registry) Group(prob *opt.Problem, _ Options) (*Grouping, bool, error) {
 	if prob == nil || prob.System == nil {
 		return nil, false, fmt.Errorf("cohort: problem has no system")
 	}
@@ -86,35 +82,8 @@ func (r *Registry) Group(prob *opt.Problem, opts Options) (*Grouping, bool, erro
 	if c == 0 || n == 0 {
 		return nil, false, fmt.Errorf("cohort: empty problem (%d clients, %d replicas)", c, n)
 	}
-	quantum := r.quantum
-	if quantum <= 0 {
-		quantum = opts.Quantum
-		if quantum <= 0 {
-			quantum = prob.MaxLatency / 4
-		}
-	}
 	mask := prob.Allowed()
-	var keys []string
-	var members [][]int
-	for {
-		_, members, keys = groupKeyed(prob, mask, quantum)
-		if opts.MaxCohorts <= 0 || len(members) <= opts.MaxCohorts || quantum >= prob.MaxLatency {
-			break
-		}
-		quantum *= 2
-		if quantum > prob.MaxLatency {
-			quantum = prob.MaxLatency
-		}
-	}
-	if quantum != r.quantum {
-		// The keyspace changed (first round, or MaxCohorts forced a
-		// coarser quantum): previously interned IDs describe different
-		// buckets, so identity restarts.
-		r.ids = make(map[string]int)
-		r.next = 0
-		r.quantum = quantum
-		r.stableOf = nil
-	}
+	members, keys := groupKeyed(mask)
 
 	// Intern keys and reorder cohorts by stable ID rank: surviving cohorts
 	// keep their relative positions, new ones slot in at the end.
@@ -147,7 +116,7 @@ func (r *Registry) Group(prob *opt.Problem, opts Options) (*Grouping, bool, erro
 	}
 
 	if r.cacheHit(stableOf, n) {
-		g := &Grouping{orig: prob, members: r.members, of: r.of, quantum: quantum}
+		g := &Grouping{orig: prob, members: r.members, of: r.of}
 		demands := make([]float64, len(r.members))
 		for k, mem := range r.members {
 			for _, cl := range mem {
@@ -165,7 +134,7 @@ func (r *Registry) Group(prob *opt.Problem, opts Options) (*Grouping, bool, erro
 		return g, true, nil
 	}
 
-	g := &Grouping{orig: prob, members: ordMembers, of: ordOf, quantum: quantum}
+	g := &Grouping{orig: prob, members: ordMembers, of: ordOf}
 	g.reduced = g.buildReduced(mask)
 	r.stableOf = stableOf
 	r.n = n
@@ -191,36 +160,32 @@ func (r *Registry) cacheHit(stableOf []int, n int) bool {
 	return true
 }
 
-// groupKeyed is groupAt plus the cohort key strings (first-seen order),
-// which the registry interns for stable identity.
-func groupKeyed(prob *opt.Problem, mask [][]bool, quantum float64) ([]int, [][]int, []string) {
-	c, n := prob.C(), prob.N()
-	of := make([]int, c)
+// groupKeyed partitions clients by feasibility mask and returns the cohort
+// member lists (cohorts in first-seen client order, members in client
+// order) with each cohort's key: one byte a replica, 0xFF on a masked link
+// and 0 on a feasible one.
+func groupKeyed(mask [][]bool) ([][]int, []string) {
 	var members [][]int
 	var keys []string
 	index := make(map[string]int)
-	key := make([]byte, n)
-	for i := 0; i < c; i++ {
-		for j := 0; j < n; j++ {
-			if !mask[i][j] {
-				key[j] = 0xFF // infeasible class
-				continue
+	var key []byte
+	for i, row := range mask {
+		key = key[:0]
+		for _, ok := range row {
+			if ok {
+				key = append(key, 0)
+			} else {
+				key = append(key, 0xFF)
 			}
-			b := int(prob.Latency[i][j] / quantum)
-			if b > 0xFE {
-				b = 0xFE
-			}
-			key[j] = byte(b)
 		}
-		k, ok := index[string(key)]
-		if !ok {
+		k, seen := index[string(key)]
+		if !seen {
 			k = len(members)
 			index[string(key)] = k
 			members = append(members, nil)
 			keys = append(keys, string(key))
 		}
-		of[i] = k
 		members[k] = append(members[k], i)
 	}
-	return of, members, keys
+	return members, keys
 }

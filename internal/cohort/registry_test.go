@@ -76,32 +76,6 @@ func TestRegistryQuietRoundReusesGrouping(t *testing.T) {
 	}
 }
 
-func TestRegistryMatchesStatelessGroup(t *testing.T) {
-	prob := regional(t, 11, 300, 6, 10)
-	reg := NewRegistry()
-	gr, _, err := reg.Group(prob, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := Group(prob, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr.K() != gs.K() || gr.Quantum() != gs.Quantum() {
-		t.Fatalf("registry grouping K=%d q=%g, stateless K=%d q=%g",
-			gr.K(), gr.Quantum(), gs.K(), gs.Quantum())
-	}
-	// Same partition: clients share a registry cohort iff they share a
-	// stateless cohort (numbering may differ).
-	for c := 1; c < prob.C(); c++ {
-		same1 := gr.CohortOf(c) == gr.CohortOf(c-1)
-		same2 := gs.CohortOf(c) == gs.CohortOf(c-1)
-		if same1 != same2 {
-			t.Fatalf("clients %d,%d grouped differently: registry %v, stateless %v", c-1, c, same1, same2)
-		}
-	}
-}
-
 func TestRegistryDriftAppendsNewCohortLast(t *testing.T) {
 	prob := regional(t, 13, 200, 6, 8)
 	reg := NewRegistry()

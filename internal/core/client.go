@@ -23,7 +23,7 @@ type Client struct {
 	node transport.Node
 
 	mu      sync.Mutex
-	demand  float64 // last submitted demand, for cohort allocations
+	demand  float64 // RequestAck.QueuedMB of the last submission
 	contact string  // last contact replica, for allocation pulls
 	ackSeq  int     // RequestAck.Round watermark of the last submission
 	alloc   chan AllocationBody
@@ -85,11 +85,10 @@ func (c *Client) handleAllocation(req transport.Message) (transport.Message, err
 // handleCohortAllocation expands a cohort-level allocation into this
 // client's own per-replica split (unit share × own demand) and records it
 // like a per-client allocation — WaitAllocation callers see no difference.
-// The demand is the client's own last-submitted figure: cohort members
-// split cohort load proportionally to demand, so the unit vector times
-// R_c reproduces the member row the initiator installed (a client that
-// re-submits a different demand mid-round sees one transiently scaled
-// allocation; the next round solves with the new figure).
+// The demand is the queued figure the last ack reported, which the round
+// solved for: cohort members split cohort load proportionally to demand,
+// so the unit vector times R_c reproduces the member row the initiator
+// installed.
 func (c *Client) handleCohortAllocation(req transport.Message) (transport.Message, error) {
 	var body CohortAllocationBody
 	if err := req.DecodeBody(&body); err != nil {
@@ -143,6 +142,8 @@ func (c *Client) Ping(ctx context.Context, replicaAddr string) (time.Duration, e
 // address → measured one-way latency seconds (the client's view of the
 // network); replicas absent from the map are not candidates.
 func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB float64, latencies map[string]float64) error {
+	// A round may push before the ack lands; until then the submission
+	// itself is the best guess at the queued demand.
 	c.mu.Lock()
 	c.demand = demandMB
 	c.mu.Unlock()
@@ -159,12 +160,10 @@ func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB flo
 	if err := resp.DecodeBody(&ack); err != nil {
 		return err
 	}
-	if !ack.Accepted {
-		return fmt.Errorf("core: replica %s rejected request", contactReplica)
-	}
 	c.mu.Lock()
 	c.contact = contactReplica
 	c.ackSeq = ack.Round
+	c.demand = ack.QueuedMB
 	c.mu.Unlock()
 	return nil
 }
@@ -196,10 +195,11 @@ func (c *Client) WaitAllocation(ctx context.Context) (AllocationBody, error) {
 // caller's split did not move, so a one-shot client must pull its row. A
 // pulled row is accepted only when the committed round passed the
 // submission's RequestAck.Round watermark AND the row's mass matches the
-// submitted demand — a round that drained the queue just before this
-// submission can commit past the watermark without covering it, and the
-// demand check rejects the stale row it would hand back (identical-demand
-// staleness is indistinguishable and harmless: the row is the same).
+// queued demand, RequestAck.QueuedMB — a round that drained the queue just
+// before this submission can commit past the watermark without covering
+// it, and the demand check rejects the stale row it would hand back
+// (identical-demand staleness is indistinguishable and harmless: the row
+// is the same).
 func (c *Client) WaitAllocationSteady(ctx context.Context, poll time.Duration) (AllocationBody, error) {
 	c.mu.Lock()
 	contact, ackSeq, demand := c.contact, c.ackSeq, c.demand

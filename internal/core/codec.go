@@ -22,11 +22,11 @@ import (
 // matrix = one v2 kinded frame):
 //
 //	RequestBody           string ClientAddr | f64 DemandMB | pairs LatencySec
-//	RequestAck            u8 Accepted | u32 Pending | u32 Round
+//	RequestAck            u32 Round | f64 QueuedMB
 //	RoundSpec             u32 Round | u32 n, n × (string Addr | f64 Price Alpha
 //	                      Beta Gamma Bandwidth BaseMB) | strings ClientAddrs |
 //	                      floats Demands | matrix LatencySec |
-//	                      f64 MaxLatencySec | u32 RawClients | matrix Warm
+//	                      f64 MaxLatencySec | matrix Warm
 //	AssignBody            u32 Round | u32 BaseRound | floats Column |
 //	                      strings ClientAddrs | pairs Updates
 //	AllocationBody        u32 Round | pairs PerReplicaMB | string Algorithm |
@@ -103,19 +103,6 @@ func (r *reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("core: "+format, args...)
 	}
-}
-
-func (r *reader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail("binary body truncated (want u8)")
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
 }
 
 func (r *reader) u32() int {
@@ -224,22 +211,16 @@ func (b *RequestBody) UnmarshalBinary(data []byte) error {
 }
 
 func (b RequestAck) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 9)}
-	accepted := byte(0)
-	if b.Accepted {
-		accepted = 1
-	}
-	w.b = append(w.b, accepted)
-	w.u32(b.Pending)
+	w := writer{b: make([]byte, 0, 12)}
 	w.u32(b.Round)
+	w.f64(b.QueuedMB)
 	return w.done()
 }
 
 func (b *RequestAck) UnmarshalBinary(data []byte) error {
 	r := reader{b: data}
-	b.Accepted = r.u8() != 0
-	b.Pending = r.u32()
 	b.Round = r.u32()
+	b.QueuedMB = r.f64()
 	return r.err
 }
 
@@ -264,7 +245,6 @@ func (s RoundSpec) MarshalBinary() ([]byte, error) {
 	w.floats(s.Demands)
 	w.matrix(s.LatencySec)
 	w.f64(s.MaxLatencySec)
-	w.u32(s.RawClients)
 	w.matrix(s.Warm)
 	return w.done()
 }
@@ -298,7 +278,6 @@ func (s *RoundSpec) UnmarshalBinary(data []byte) error {
 	}
 	s.LatencySec = r.matrix(len(s.Demands), len(s.Replicas))
 	s.MaxLatencySec = r.f64()
-	s.RawClients = r.u32()
 	s.Warm = r.matrix(len(s.Demands), len(s.Replicas))
 	return r.err
 }

@@ -40,8 +40,8 @@ func codecCases() []binaryBody {
 		&RequestBody{ClientAddr: "c1", DemandMB: 0, LatencySec: []Latency{{"r1", 0.0005}}},
 		&RequestBody{ClientAddr: "c1", DemandMB: 25.125, LatencySec: []Latency{{"r1", 0.0005}, {"r2", 0.0011}, {"r3", 1e-9}}},
 		&RequestAck{},
-		&RequestAck{Accepted: true, Pending: 10000, Round: 41},
-		&RequestAck{Pending: 3, Round: 2},
+		&RequestAck{Round: 41, QueuedMB: 25.125},
+		&RequestAck{Round: 2, QueuedMB: 3},
 		&RoundSpec{},
 		&RoundSpec{ // nil Warm, one infeasible pair
 			Round: 7, Replicas: infos, ClientAddrs: []string{"c1", "c2", "c3"},
@@ -53,8 +53,8 @@ func codecCases() []binaryBody {
 			Round: 8, Replicas: infos, ClientAddrs: []string{"c1", "c4"},
 			Demands:       []float64{40, 2.5},
 			LatencySec:    [][]float64{{0.0005, 0.0007}, {0.0005, 0.0009}},
-			MaxLatencySec: 0.0018, RawClients: 10000,
-			Warm: [][]float64{{40, 0}, {0, 2.5}},
+			MaxLatencySec: 0.0018,
+			Warm:          [][]float64{{40, 0}, {0, 2.5}},
 		},
 		&AssignBody{},
 		&AssignBody{Round: 7, Column: []float64{4, 0, 2.5}, ClientAddrs: []string{"c1", "c2", "c3"}},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"edr/internal/model"
 	"edr/internal/opt"
@@ -43,9 +44,10 @@ func cohortFleet(t *testing.T, prices []float64, nClients int, alg Algorithm) *f
 	return f
 }
 
-// classLatencies gives client i one of three shared latency profiles, so
-// 12 clients collapse to 3 cohorts: a near class, a far-but-feasible
-// class, and a class for which the last replica is beyond the bound.
+// classLatencies gives client i one of three shared latency profiles: a
+// near class, a far-but-feasible class, and a class for which the last
+// replica is beyond the bound. The near and far classes share the
+// all-feasible mask, so 12 clients collapse to 2 cohorts.
 func classLatencies(f *fleet, i int) map[string]float64 {
 	m := make(map[string]float64, len(f.replicas))
 	for j, r := range f.replicas {
@@ -86,10 +88,10 @@ func TestCohortedRoundEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if report.Cohorts != 3 {
-				t.Fatalf("Cohorts = %d, want 3", report.Cohorts)
+			if report.Cohorts != 2 {
+				t.Fatalf("Cohorts = %d, want 2", report.Cohorts)
 			}
-			if want := float64(nClients) / 3; math.Abs(report.CohortRatio-want) > 1e-12 {
+			if want := float64(nClients) / 2; math.Abs(report.CohortRatio-want) > 1e-12 {
 				t.Fatalf("CohortRatio = %g, want %g", report.CohortRatio, want)
 			}
 			if len(report.ClientAddrs) != nClients || len(report.Assignment) != nClients {
@@ -159,8 +161,8 @@ func TestCohortedRoundEndToEnd(t *testing.T) {
 			if !second.WarmStarted {
 				t.Fatal("second cohorted round did not warm-start")
 			}
-			if second.Cohorts != 3 {
-				t.Fatalf("second round Cohorts = %d, want 3", second.Cohorts)
+			if second.Cohorts != 2 {
+				t.Fatalf("second round Cohorts = %d, want 2", second.Cohorts)
 			}
 			checkCohortDuals(t, f)
 		})
@@ -168,8 +170,9 @@ func TestCohortedRoundEndToEnd(t *testing.T) {
 }
 
 // checkCohortDuals holds the committed duals of a dual-reporting algorithm
-// to the cohort they were solved for: every member of a latency class (one
-// cohort) carries the same μ.
+// to the cohort they were solved for: every member of a mask class (one
+// cohort) carries the same μ as the cohort's first member — client 0 for
+// the all-feasible mask, client 2 for the masked class.
 func checkCohortDuals(t *testing.T, f *fleet) {
 	t.Helper()
 	if f.replicas[0].committed().mus == nil {
@@ -180,10 +183,78 @@ func checkCohortDuals(t *testing.T, f *fleet) {
 		if !ok {
 			t.Fatalf("client %s has no committed dual", cl.Addr())
 		}
-		if head, _ := committedMu(f.replicas[0], f.clients[i%3].Addr()); mu != head {
-			t.Fatalf("cohort %d: member %s holds μ %g, its first member %g", i%3, cl.Addr(), mu, head)
+		lead := 0
+		if i%3 == 2 {
+			lead = 2
+		}
+		if head, _ := committedMu(f.replicas[0], f.clients[lead].Addr()); mu != head {
+			t.Fatalf("member %s holds μ %g, its first member %s %g", cl.Addr(), mu, f.clients[lead].Addr(), head)
 		}
 	}
+}
+
+// TestCohortPushScalesQueuedDemand pins what a cohort member is told: the
+// demand the round solved, which adds up repeat submissions, not the last
+// figure the client sent. Six clients in three mask classes each submit
+// 5 MB and then 3 MB before the round; the round commits 8 MB rows, the
+// cohort push must carry 8 MB, and a client whose push was consumed must
+// accept the pulled 8 MB row.
+func TestCohortPushScalesQueuedDemand(t *testing.T) {
+	f := cohortFleet(t, []float64{1, 10, 5}, 6, LDDM)
+	ctx := context.Background()
+	latencies := func(i int) map[string]float64 {
+		m := f.uniformLatencies()
+		if i%3 > 0 {
+			m[f.replicas[i%3].Addr()] = 0.0050 // one class per masked replica
+		}
+		return m
+	}
+	for i, cl := range f.clients {
+		for _, mb := range []float64{5, 3} {
+			if err := cl.Submit(ctx, f.replicas[0].Addr(), mb, latencies(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	report, err := f.replicas[0].RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Cohorts != 3 {
+		t.Fatalf("Cohorts = %d, want 3", report.Cohorts)
+	}
+	for i, row := range opt.RowSums(report.Assignment) {
+		if math.Abs(row-8) > 1e-6 {
+			t.Fatalf("committed row %d carries %g MB, want 8", i, row)
+		}
+	}
+	for i, cl := range f.clients {
+		alloc, err := cl.WaitAllocation(ctx)
+		if err != nil {
+			t.Fatalf("client %d push: %v", i, err)
+		}
+		if got := allocatedMB(alloc); math.Abs(got-8) > 1e-6 {
+			t.Fatalf("client %d pushed %g MB, the round committed 8", i, got)
+		}
+	}
+	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	alloc, err := f.clients[0].WaitAllocationSteady(pctx, 5*time.Millisecond)
+	if err != nil {
+		t.Fatalf("pull after the push was consumed: %v", err)
+	}
+	if got := allocatedMB(alloc); math.Abs(got-8) > 1e-6 {
+		t.Fatalf("pulled %g MB, want 8", got)
+	}
+}
+
+// allocatedMB is an allocation's total mass.
+func allocatedMB(alloc AllocationBody) float64 {
+	total := 0.0
+	for _, mb := range alloc.PerReplicaMB {
+		total += mb
+	}
+	return total
 }
 
 // TestCohortingDisabledBelowThreshold pins the gate: fewer pending

@@ -84,18 +84,12 @@ type ReplicaConfig struct {
 	// CohortMinClients, when positive, enables cohort aggregation
 	// (internal/cohort) for rounds this replica initiates once the pending
 	// request count reaches the threshold: clients sharing a feasibility
-	// mask and quantized latency vector are merged into virtual clients,
+	// mask are merged into virtual clients,
 	// the distributed round runs at cohort granularity, and the result is
 	// disaggregated back to per-client allocations (demand conserved
 	// exactly, feasibility by construction). 0 disables cohorting; every
 	// round then solves at raw client granularity.
 	CohortMinClients int
-	// CohortQuantumSec is the latency quantization step (seconds) for
-	// cohort keying; 0 means MaxLatencySec/4.
-	CohortQuantumSec float64
-	// CohortMax, when positive, bounds the cohort count by coarsening the
-	// quantum until the grouping fits; 0 leaves the count unbounded.
-	CohortMax int
 	// Incremental enables cross-round incremental re-optimization for
 	// rounds this replica initiates: the incoming round is diffed against
 	// the last committed one (opt.DiffRounds), clean clients keep their

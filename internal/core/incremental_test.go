@@ -345,7 +345,7 @@ func TestIncrementalReplicaChangePromotesClients(t *testing.T) {
 // nothing to clients whose split did not move, so a one-shot client (the
 // edrctl path) falls back to pulling its committed row. The submission ack
 // carries a round watermark; the pull is accepted once the committed round
-// passes it and the row's mass matches the submitted demand.
+// passes it and the row's mass matches the queued demand.
 func TestPullAllocationAfterQuietRound(t *testing.T) {
 	f := newFleetCfg(t, []float64{1, 10, 5}, 2, LDDM, func(i int, cfg *ReplicaConfig) {
 		cfg.Incremental = true

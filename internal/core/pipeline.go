@@ -313,8 +313,7 @@ func (r *ReplicaServer) plan(a *attempt, allowIncremental bool) {
 // capacity and the frozen base load, so the solver optimizes the true
 // global objective restricted to those rows (the frozen part contributes a
 // constant). At client scale the rows are then merged into cohorts —
-// clients sharing a feasibility mask and latency class become one virtual
-// client. The objective depends on an assignment only through per-replica
+// clients sharing a feasibility mask become one virtual client. The objective depends on an assignment only through per-replica
 // column sums, so the reduced optimum matches the ungrouped one and
 // expanding it loses nothing (see internal/cohort). Grouping goes through
 // the cross-round registry, which keeps cohort identity stable while the
@@ -336,10 +335,7 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 		a.solveSpec, a.solveProb = a.sub.spec, a.sub.prob
 	}
 	if n := r.cfg.CohortMinClients; n > 0 && len(a.sub.requests) >= n {
-		g, _, err := r.registry.Group(a.sub.prob, cohort.Options{
-			Quantum:    r.cfg.CohortQuantumSec,
-			MaxCohorts: r.cfg.CohortMax,
-		})
+		g, _, err := r.registry.Group(a.sub.prob, cohort.Options{})
 		if err == nil && g.K() < a.sub.prob.C() {
 			a.grouping = g
 			a.solveProb = g.Reduced()
@@ -347,7 +343,6 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 				Round:         a.round,
 				Replicas:      a.sub.infos,
 				MaxLatencySec: r.cfg.MaxLatencySec,
-				RawClients:    len(a.sub.requests),
 				Demands:       a.solveProb.Demands,
 				LatencySec:    a.solveProb.Latency,
 				ClientAddrs:   make([]string, g.K()),
@@ -692,7 +687,7 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 // told (clients with no committed row always are); the rest pull on
 // demand. A full cohorted round batches instead: every member of a cohort
 // receives the same prebuilt message — the cohort's per-unit split over
-// its feasible replicas — and scales it by its own submitted demand, so
+// its feasible replicas — and scales it by its own queued demand, so
 // the phase costs |K| marshals + |C| sends rather than |C| marshals of
 // |N|-entry maps. Client failures never abort a round: the other clients'
 // allocations stand, and client.allocation.pull is the recovery path.

@@ -130,18 +130,18 @@ type ClientMB struct {
 	MB     float64 `json:"mb"`
 }
 
-// RequestAck acknowledges a submission.
+// RequestAck acknowledges a submission; a refused one is an error reply.
 type RequestAck struct {
-	// Accepted reports queue admission.
-	Accepted bool `json:"accepted"`
-	// Pending is the initiator's queue depth after admission.
-	Pending int `json:"pending"`
 	// Round is the highest round id that does NOT cover this submission:
 	// the initiator's round sequence at admission. The queue drains into a
 	// round under the same lock that admitted this request, so the first
 	// committed round with id beyond this watermark includes the caller —
 	// poll MsgAllocationPull until the reply passes it.
 	Round int `json:"round,omitempty"`
+	// QueuedMB is the caller's queued demand after admission: repeat
+	// submissions before a round add up, so this is the figure the round
+	// solves for and the scale of the caller's cohort allocation.
+	QueuedMB float64 `json:"queued_mb"`
 }
 
 // PullBody asks the initiator for the caller's committed allocation row.
@@ -163,12 +163,6 @@ type RoundSpec struct {
 	LatencySec [][]float64 `json:"latency_sec"`
 	// MaxLatencySec is T.
 	MaxLatencySec float64 `json:"max_latency_sec"`
-	// RawClients, when positive, reports that the spec's rows are cohorts
-	// (virtual clients) aggregated from this many raw clients; the
-	// initiator disaggregates the result before installing it. Purely
-	// informational for participants — the iteration protocol is
-	// row-granularity-agnostic.
-	RawClients int `json:"raw_clients,omitempty"`
 	// Warm, when present, is the initiator's warm-start assignment
 	// (clients × replicas, same row/column order as the spec): the
 	// last-known-good split renormalized over this round's roster.
@@ -219,9 +213,10 @@ type AllocationBody struct {
 // CohortAllocationBody is the batched form of AllocationBody for cohorted
 // rounds: one body, built and marshaled once per cohort, is delivered to
 // every member. A member reconstructs its own split as UnitMB[t]·R_c on
-// Replicas[t] with R_c its own submitted demand — cohort members share a
-// feasibility mask and latency class, so the per-unit split is common by
-// construction and only the demand scale is per-member. The body is
+// Replicas[t] with R_c its own queued demand (RequestAck.QueuedMB) —
+// cohort members share a feasibility mask and split the cohort's load in
+// proportion to demand, so the per-unit split is common by construction
+// and only the demand scale is per-member. The body is
 // therefore O(feasible replicas), independent of cohort population.
 type CohortAllocationBody struct {
 	Round int `json:"round"`

@@ -409,17 +409,18 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 		return transport.Message{}, fmt.Errorf("core: bad request from %s: %w", req.From, err)
 	}
 	r.mu.Lock()
+	queued := &body
 	if existing, ok := r.pending[body.ClientAddr]; ok {
 		existing.DemandMB += body.DemandMB
 		existing.LatencySec = mergeLatencies(existing.LatencySec, body.LatencySec)
+		queued = existing
 	} else {
 		r.pending[body.ClientAddr] = &body
 	}
-	depth := len(r.pending)
-	seq := r.roundSeq
+	ack := RequestAck{Round: r.roundSeq, QueuedMB: queued.DemandMB}
 	r.mu.Unlock()
 	r.Stats.RequestsReceived.Inc(1)
-	return r.newMessage(MsgClientRequest+".ack", RequestAck{Accepted: true, Pending: depth, Round: seq})
+	return r.newMessage(MsgClientRequest+".ack", ack)
 }
 
 // checkRequest refuses a submission no client can mean: no address, a

@@ -163,7 +163,7 @@ func maskedInstanceSpec(t *testing.T, r *sim.Rand, spec probgen.Spec) *opt.Probl
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prob.Sparsity().Density() < 1 {
+		if prob.Sparsity().NNZ() < prob.C()*prob.N() {
 			return prob
 		}
 	}

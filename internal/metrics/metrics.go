@@ -1,130 +1,13 @@
-// Package metrics provides the small measurement toolkit the experiment
-// harness and the live runtime share: response-time recorders with
-// percentile summaries, counters, histograms, and per-replica
-// accumulators.
+// Package metrics holds the runtime's lock-free instruments: counters for
+// the node and transport stats structs, and the histograms the admin
+// plane exports.
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// ReservoirSize caps the memory one Timer holds: at most this many
-// samples are kept for percentile estimation. Below the cap percentiles
-// are exact; above it the kept samples are a uniform random reservoir
-// (Vitter's Algorithm R), so percentiles become unbiased estimates while
-// Count, Mean, StdDev, Min and Max stay exact from running aggregates. A
-// long-running edrd therefore pays a fixed ~8 KiB per Timer no matter how
-// many rounds it serves.
-const ReservoirSize = 1024
-
-// Timer records durations and summarizes them. Safe for concurrent use.
-// Memory is bounded by ReservoirSize (see its doc for the exactness
-// contract).
-type Timer struct {
-	mu      sync.Mutex
-	count   int64
-	sum     float64
-	sumSq   float64
-	min     time.Duration
-	max     time.Duration
-	samples []time.Duration // uniform reservoir of at most ReservoirSize
-}
-
-// Record adds one observation.
-func (t *Timer) Record(d time.Duration) {
-	t.mu.Lock()
-	t.count++
-	f := float64(d)
-	t.sum += f
-	t.sumSq += f * f
-	if t.count == 1 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	if len(t.samples) < ReservoirSize {
-		t.samples = append(t.samples, d)
-	} else if j := rand.Int64N(t.count); j < ReservoirSize {
-		t.samples[j] = d
-	}
-	t.mu.Unlock()
-}
-
-// Count returns the number of observations (exact, even past the
-// reservoir cap).
-func (t *Timer) Count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.count)
-}
-
-// Summary describes a duration distribution.
-type Summary struct {
-	Count            int
-	Mean, P50, P95   time.Duration
-	Min, Max, StdDev time.Duration
-}
-
-// Summarize computes the distribution summary. An empty timer yields the
-// zero Summary. Count, Mean, StdDev, Min and Max are exact; P50/P95 are
-// exact until ReservoirSize observations, then reservoir estimates.
-func (t *Timer) Summarize() Summary {
-	t.mu.Lock()
-	samples := make([]time.Duration, len(t.samples))
-	copy(samples, t.samples)
-	count, sum, sumSq := t.count, t.sum, t.sumSq
-	min, max := t.min, t.max
-	t.mu.Unlock()
-	if count == 0 {
-		return Summary{}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	n := float64(count)
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		Count:  int(count),
-		Mean:   time.Duration(mean),
-		P50:    percentile(samples, 0.50),
-		P95:    percentile(samples, 0.95),
-		Min:    min,
-		Max:    max,
-		StdDev: time.Duration(math.Sqrt(variance)),
-	}
-}
-
-// percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted samples by
-// nearest-rank.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v min=%v max=%v",
-		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-		s.P95.Round(time.Microsecond), s.Min.Round(time.Microsecond), s.Max.Round(time.Microsecond))
-}
 
 // Counter is a concurrent event counter. It is a single atomic word:
 // safe to embed by value in hot-path stats structs (core.ClientStats,
@@ -208,53 +91,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Cumulative[i] = run
 	}
 	return s
-}
-
-// Accumulator sums float64 contributions per named key (e.g. per-replica
-// energy cost). Safe for concurrent use.
-type Accumulator struct {
-	mu sync.Mutex
-	m  map[string]float64
-}
-
-// NewAccumulator returns an empty accumulator.
-func NewAccumulator() *Accumulator {
-	return &Accumulator{m: make(map[string]float64)}
-}
-
-// Add accumulates v under key.
-func (a *Accumulator) Add(key string, v float64) {
-	a.mu.Lock()
-	a.m[key] += v
-	a.mu.Unlock()
-}
-
-// Get returns the sum for key (0 if never added).
-func (a *Accumulator) Get(key string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.m[key]
-}
-
-// Total sums all keys.
-func (a *Accumulator) Total() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	total := 0.0
-	for _, v := range a.m {
-		total += v
-	}
-	return total
-}
-
-// Keys returns the keys in sorted order.
-func (a *Accumulator) Keys() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	keys := make([]string, 0, len(a.m))
-	for k := range a.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

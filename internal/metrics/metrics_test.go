@@ -1,102 +1,9 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-func TestTimerSummary(t *testing.T) {
-	var tm Timer
-	for i := 1; i <= 100; i++ {
-		tm.Record(time.Duration(i) * time.Millisecond)
-	}
-	s := tm.Summarize()
-	if s.Count != 100 {
-		t.Fatalf("Count = %d", s.Count)
-	}
-	if s.Min != time.Millisecond || s.Max != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if s.P50 != 50*time.Millisecond {
-		t.Fatalf("P50 = %v, want 50ms", s.P50)
-	}
-	if s.P95 != 95*time.Millisecond {
-		t.Fatalf("P95 = %v, want 95ms", s.P95)
-	}
-	if s.Mean < 50*time.Millisecond || s.Mean > 51*time.Millisecond {
-		t.Fatalf("Mean = %v, want 50.5ms", s.Mean)
-	}
-	if s.StdDev <= 0 {
-		t.Fatalf("StdDev = %v", s.StdDev)
-	}
-}
-
-func TestTimerEmpty(t *testing.T) {
-	var tm Timer
-	s := tm.Summarize()
-	if s.Count != 0 || s.Mean != 0 || s.P95 != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-	if tm.Count() != 0 {
-		t.Fatal("Count != 0")
-	}
-}
-
-func TestTimerSingleSample(t *testing.T) {
-	var tm Timer
-	tm.Record(7 * time.Millisecond)
-	s := tm.Summarize()
-	if s.P50 != 7*time.Millisecond || s.P95 != 7*time.Millisecond || s.Min != s.Max {
-		t.Fatalf("single-sample summary = %+v", s)
-	}
-}
-
-func TestTimerConcurrent(t *testing.T) {
-	var tm Timer
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				tm.Record(time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if tm.Count() != 800 {
-		t.Fatalf("Count = %d, want 800", tm.Count())
-	}
-}
-
-func TestTimerReservoirBound(t *testing.T) {
-	var tm Timer
-	const n = 10 * ReservoirSize
-	for i := 1; i <= n; i++ {
-		tm.Record(time.Duration(i) * time.Microsecond)
-	}
-	if tm.Count() != n {
-		t.Fatalf("Count = %d, want %d (exact past the cap)", tm.Count(), n)
-	}
-	if len(tm.samples) != ReservoirSize {
-		t.Fatalf("reservoir holds %d samples, want cap %d", len(tm.samples), ReservoirSize)
-	}
-	s := tm.Summarize()
-	if s.Min != time.Microsecond || s.Max != n*time.Microsecond {
-		t.Fatalf("min/max = %v/%v, want exact extremes", s.Min, s.Max)
-	}
-	wantMean := time.Duration(n+1) / 2 * time.Microsecond
-	if s.Mean < wantMean-time.Microsecond || s.Mean > wantMean+time.Microsecond {
-		t.Fatalf("Mean = %v, want ≈%v (exact from running sums)", s.Mean, wantMean)
-	}
-	// The reservoir P50 is an estimate; a uniform 1..n stream should put
-	// it well inside the middle half.
-	if s.P50 < n/4*time.Microsecond || s.P50 > 3*n/4*time.Microsecond {
-		t.Fatalf("P50 = %v, implausible for uniform 1..%d µs", s.P50, n)
-	}
-}
 
 func TestHistogram(t *testing.T) {
 	h := NewHistogram([]float64{0.1, 1, 10})
@@ -152,15 +59,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestSummaryString(t *testing.T) {
-	var tm Timer
-	tm.Record(time.Millisecond)
-	s := tm.Summarize().String()
-	if !strings.Contains(s, "n=1") || !strings.Contains(s, "mean=") {
-		t.Fatalf("String = %q", s)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc(5)
@@ -185,25 +83,5 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 16000 {
 		t.Fatalf("Value = %d, want 16000", c.Value())
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	a := NewAccumulator()
-	a.Add("replica1", 10)
-	a.Add("replica2", 5)
-	a.Add("replica1", 2.5)
-	if got := a.Get("replica1"); got != 12.5 {
-		t.Fatalf("Get(replica1) = %g", got)
-	}
-	if got := a.Get("ghost"); got != 0 {
-		t.Fatalf("Get(ghost) = %g", got)
-	}
-	if got := a.Total(); got != 17.5 {
-		t.Fatalf("Total = %g", got)
-	}
-	keys := a.Keys()
-	if len(keys) != 2 || keys[0] != "replica1" || keys[1] != "replica2" {
-		t.Fatalf("Keys = %v", keys)
 	}
 }

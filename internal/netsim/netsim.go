@@ -141,7 +141,7 @@ func GeoTopology(r *sim.Rand, clients, replicas int, fracFar float64) *Topology 
 // follow the GeoTopology shape — one close home replica, most links
 // moderate, a fracFar fraction beyond the latency bound. This is the
 // structure that makes cohort aggregation effective: millions of clients
-// quantize to a few hundred (region, latency-class) cohorts, exactly the
+// share a few hundred feasibility masks, hence cohorts, exactly the
 // geographic demand aggregation of energy-aware CDN load balancing.
 func RegionalTopology(r *sim.Rand, clients, replicas, regions int, fracFar float64) *Topology {
 	if regions <= 0 {

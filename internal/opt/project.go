@@ -7,38 +7,11 @@ import (
 )
 
 // This file implements the Euclidean projection primitives used by every
-// solver: box clipping, the exact sort-based simplex projection (Held,
-// Wolfe & Crowder 1974; Duchi et al. 2008), the bisection-based capped
-// simplex projection, and halfspace projection. All operate in place on
-// vectors; the matrix-level feasible-set projection composes them via
-// Dykstra's algorithm (see dykstra.go).
-
-// ClipBox projects x onto the box [lo_i, hi_i] in place.
-// It panics on mismatched lengths or lo > hi.
-func ClipBox(x, lo, hi []float64) {
-	if len(x) != len(lo) || len(x) != len(hi) {
-		panic("opt: ClipBox length mismatch")
-	}
-	for i := range x {
-		if lo[i] > hi[i] {
-			panic(fmt.Sprintf("opt: ClipBox lo[%d]=%g > hi[%d]=%g", i, lo[i], i, hi[i]))
-		}
-		if x[i] < lo[i] {
-			x[i] = lo[i]
-		} else if x[i] > hi[i] {
-			x[i] = hi[i]
-		}
-	}
-}
-
-// ClipNonneg projects x onto the nonnegative orthant in place.
-func ClipNonneg(x []float64) {
-	for i := range x {
-		if x[i] < 0 {
-			x[i] = 0
-		}
-	}
-}
+// solver: the exact sort-based simplex projection (Held, Wolfe & Crowder
+// 1974; Duchi et al. 2008), the bisection-based capped simplex
+// projection, and halfspace projection. All operate in place on vectors;
+// the matrix-level feasible-set projection composes them via Dykstra's
+// algorithm (see dykstra.go).
 
 // ProjectSimplex projects x in place onto {y : y ≥ 0, Σy = s} using the
 // exact O(d log d) sort-and-threshold algorithm. s must be ≥ 0.
@@ -124,26 +97,6 @@ func ProjectSimplexScratch(x, scratch []float64, s float64) {
 	for i := range x {
 		x[i] = math.Max(x[i]-theta, 0)
 	}
-}
-
-// ProjectSimplexUpper projects x in place onto {y : y ≥ 0, Σy ≤ s}.
-// If the nonnegative clip already satisfies the budget the clip is the
-// projection; otherwise the solution lies on the face Σy = s.
-func ProjectSimplexUpper(x []float64, s float64) {
-	if s < 0 {
-		panic(fmt.Sprintf("opt: ProjectSimplexUpper with negative budget %g", s))
-	}
-	sum := 0.0
-	for _, v := range x {
-		if v > 0 {
-			sum += v
-		}
-	}
-	if sum <= s {
-		ClipNonneg(x)
-		return
-	}
-	ProjectSimplex(x, s)
 }
 
 // ProjectCappedSimplex projects x in place onto
@@ -244,19 +197,6 @@ func ProjectHalfspaceSumLE(x []float64, b float64) {
 	shift := (sum - b) / float64(len(x))
 	for i := range x {
 		x[i] -= shift
-	}
-}
-
-// MaskZero zeroes the coordinates of x where allowed is false — the
-// latency-feasibility pattern p_{c,n} = 0 for l_{c,n} > T.
-func MaskZero(x []float64, allowed []bool) {
-	if len(x) != len(allowed) {
-		panic("opt: MaskZero length mismatch")
-	}
-	for i := range x {
-		if !allowed[i] {
-			x[i] = 0
-		}
 	}
 }
 

@@ -16,26 +16,6 @@ func sum(x []float64) float64 {
 	return s
 }
 
-func TestClipBox(t *testing.T) {
-	x := []float64{-1, 0.5, 3}
-	ClipBox(x, []float64{0, 0, 0}, []float64{1, 1, 1})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if x[i] != want[i] {
-			t.Fatalf("ClipBox = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestClipBoxInvertedBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ClipBox with lo > hi did not panic")
-		}
-	}()
-	ClipBox([]float64{0}, []float64{2}, []float64{1})
-}
-
 func TestProjectSimplexBasic(t *testing.T) {
 	x := []float64{0.5, 0.5}
 	ProjectSimplex(x, 1)
@@ -157,29 +137,6 @@ func TestProjectSimplexIdempotentProperty(t *testing.T) {
 	}
 }
 
-func TestProjectSimplexUpperUnderBudget(t *testing.T) {
-	x := []float64{0.2, -0.5, 0.1}
-	ProjectSimplexUpper(x, 10)
-	// Under budget: just the nonnegative clip.
-	want := []float64{0.2, 0, 0.1}
-	for i := range want {
-		if x[i] != want[i] {
-			t.Fatalf("got %v, want %v", x, want)
-		}
-	}
-}
-
-func TestProjectSimplexUpperOverBudget(t *testing.T) {
-	x := []float64{4, 4}
-	ProjectSimplexUpper(x, 2)
-	if math.Abs(sum(x)-2) > 1e-9 {
-		t.Fatalf("sum = %g, want 2", sum(x))
-	}
-	if math.Abs(x[0]-1) > 1e-9 || math.Abs(x[1]-1) > 1e-9 {
-		t.Fatalf("got %v, want (1,1)", x)
-	}
-}
-
 func TestProjectCappedSimplexRespectsCaps(t *testing.T) {
 	x := []float64{10, 0, 0}
 	u := []float64{2, 3, 4}
@@ -294,14 +251,6 @@ func TestProjectHalfspaceSumLE(t *testing.T) {
 	}
 	if math.Abs(x[0]-2) > 1e-12 {
 		t.Fatalf("excess not removed uniformly: %v", x)
-	}
-}
-
-func TestMaskZero(t *testing.T) {
-	x := []float64{1, 2, 3}
-	MaskZero(x, []bool{true, false, true})
-	if x[0] != 1 || x[1] != 0 || x[2] != 3 {
-		t.Fatalf("MaskZero = %v", x)
 	}
 }
 

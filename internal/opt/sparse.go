@@ -96,17 +96,6 @@ func NewSparsity(mask [][]bool) *Sparsity {
 // NNZ returns the number of allowed (client, replica) pairs.
 func (sp *Sparsity) NNZ() int { return len(sp.ColIdx) }
 
-// Density returns nnz / (C·N), the fraction of feasible entries.
-func (sp *Sparsity) Density() float64 {
-	if sp.C == 0 || sp.N == 0 {
-		return 0
-	}
-	return float64(sp.NNZ()) / float64(sp.C*sp.N)
-}
-
-// RowNNZ returns the number of feasible replicas for client c.
-func (sp *Sparsity) RowNNZ(c int) int { return sp.RowStart[c+1] - sp.RowStart[c] }
-
 // ColNNZ returns the number of feasible clients for replica n.
 func (sp *Sparsity) ColNNZ(n int) int { return sp.ColStart[n+1] - sp.ColStart[n] }
 

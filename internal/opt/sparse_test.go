@@ -49,11 +49,8 @@ func TestSparsityIndexes(t *testing.T) {
 			t.Fatalf("PosCSR/PosCSC not inverse at CSC slot %d", k)
 		}
 	}
-	if sp.MaxRowNNZ() != 2 || sp.RowNNZ(1) != 1 || sp.ColNNZ(1) != 1 {
-		t.Fatalf("row/col nnz wrong: max=%d row1=%d col1=%d", sp.MaxRowNNZ(), sp.RowNNZ(1), sp.ColNNZ(1))
-	}
-	if d := sp.Density(); math.Abs(d-5.0/9.0) > 1e-15 {
-		t.Fatalf("Density = %g", d)
+	if sp.NNZ() != 5 || sp.MaxRowNNZ() != 2 || sp.ColNNZ(1) != 1 {
+		t.Fatalf("nnz wrong: total=%d max=%d col1=%d", sp.NNZ(), sp.MaxRowNNZ(), sp.ColNNZ(1))
 	}
 }
 
@@ -103,8 +100,8 @@ func TestSparsityFullMask(t *testing.T) {
 	// A fully-feasible instance is a density-1 CSR: every slot present,
 	// rows and columns all full width.
 	sp := NewSparsity(maskOf([]bool{true, true}, []bool{true, true}))
-	if sp.NNZ() != 4 || sp.Density() != 1 || sp.MaxRowNNZ() != 2 || sp.ColNNZ(0) != 2 {
-		t.Fatalf("full mask: nnz=%d density=%g maxRow=%d col0=%d", sp.NNZ(), sp.Density(), sp.MaxRowNNZ(), sp.ColNNZ(0))
+	if sp.NNZ() != 4 || sp.MaxRowNNZ() != 2 || sp.ColNNZ(0) != 2 {
+		t.Fatalf("full mask: nnz=%d maxRow=%d col0=%d", sp.NNZ(), sp.MaxRowNNZ(), sp.ColNNZ(0))
 	}
 }
 
@@ -174,7 +171,7 @@ func TestProjectFeasibleMatchesDenseDykstra(t *testing.T) {
 				}
 			}
 			p.InvalidateMask()
-			if p.Sparsity().Density() != 1 {
+			if p.Sparsity().NNZ() != p.C()*p.N() {
 				t.Fatalf("trial %d: mask not full", trial)
 			}
 		}
