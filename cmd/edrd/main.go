@@ -71,7 +71,7 @@ func main() {
 		deltaEps    = flag.Float64("delta-eps", 0, "relative drift threshold for the incremental diff and notify suppression (0 = 1e-3)")
 
 		// Transient-fault tolerance knobs.
-		rpcTimeout   = flag.Duration("rpc-timeout", 3*time.Second, "deadline per coordination RPC attempt (lower it when injecting faults: a black-holed send stalls this long)")
+		rpcTimeout   = flag.Duration("rpc-timeout", 3*time.Second, "deadline per coordination RPC attempt; a first attempt's clock starts with its fan-out wave (lower it when injecting faults: a black-holed send stalls this long)")
 		sendRetries  = flag.Int("send-retries", 2, "coordination RPC retries before a failure is attributed to the peer (-1 disables)")
 		retryBase    = flag.Duration("retry-base", 50*time.Millisecond, "backoff before the first RPC retry; doubles per attempt with jitter")
 		roundRetries = flag.Int("round-retries", 3, "round restarts after member failures before degrading (-1 disables)")

@@ -62,7 +62,10 @@ type ReplicaConfig struct {
 	// own: 0.02 relative demand residual for LDDM, a 1e-3 primal residual
 	// relative to 1+‖R‖ for ADMM, 1e-3 estimate movement for CDPSM.
 	Tol float64
-	// RPCTimeout bounds each coordination message; 0 means 3s.
+	// RPCTimeout bounds each attempt of a coordination message; 0 means
+	// 3s. A first attempt's clock starts at its wave: every send of one
+	// fan-out wave shares one deadline for its first attempt, and each
+	// retry gets RPCTimeout of its own.
 	RPCTimeout time.Duration
 	// BytesPerMB scales download payloads (synthetic content);
 	// 0 means 1024 (1 KiB per MB) so tests and demos stay fast.

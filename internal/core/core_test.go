@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,7 +33,15 @@ func newFleet(t *testing.T, prices []float64, nClients int, alg Algorithm) *flee
 // incremental rounds, cohorting or other non-default settings use it.
 func newFleetCfg(t *testing.T, prices []float64, nClients int, alg Algorithm, mutate func(i int, cfg *ReplicaConfig)) *fleet {
 	t.Helper()
-	f := &fleet{net: transport.NewInProcNetwork()}
+	inproc := transport.NewInProcNetwork()
+	return newFleetOn(t, inproc, inproc, prices, nClients, alg, mutate)
+}
+
+// newFleetOn builds a fleet like newFleetCfg on network, a fabric that
+// delivers through inproc (inproc itself, or a wrapper around it).
+func newFleetOn(t testing.TB, network transport.Network, inproc *transport.InProcNetwork, prices []float64, nClients int, alg Algorithm, mutate func(i int, cfg *ReplicaConfig)) *fleet {
+	t.Helper()
+	f := &fleet{net: inproc}
 	names := make([]string, len(prices))
 	for i := range prices {
 		names[i] = replicaName(i)
@@ -45,7 +54,7 @@ func newFleetCfg(t *testing.T, prices []float64, nClients int, alg Algorithm, mu
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		rs, err := NewReplicaServer(f.net, replicaName(i), names, cfg)
+		rs, err := NewReplicaServer(network, replicaName(i), names, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +62,7 @@ func newFleetCfg(t *testing.T, prices []float64, nClients int, alg Algorithm, mu
 		f.replicas = append(f.replicas, rs)
 	}
 	for i := 0; i < nClients; i++ {
-		cl, err := NewClient(f.net, clientName(i))
+		cl, err := NewClient(network, clientName(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,6 +281,54 @@ func TestRepeatSubmissionsMergeLatencies(t *testing.T) {
 	want := []Latency{{r1, 2e-4}, {r2, 5e-4}, {r3, 6e-4}}
 	if got.DemandMB != 30 || !reflect.DeepEqual(got.LatencySec, want) {
 		t.Fatalf("queued %g MB with latencies %v, want 30 MB with %v", got.DemandMB, got.LatencySec, want)
+	}
+}
+
+// A repeat submission whose queued sum would overflow to +Inf is refused,
+// naming the client, and the queued row stays as it was: the other
+// clients' next round commits instead of failing on an infinite demand.
+// The fleet is provisioned to serve any single finite demand (linear
+// network energy, 1e308 MB/s a replica), so only the sum could fail it;
+// a finite demand above capacity is admission's business, not this check's.
+func TestRepeatSubmissionOverflowRefused(t *testing.T) {
+	f := newFleetCfg(t, []float64{1, 1, 1}, 6, LDDM, func(_ int, cfg *ReplicaConfig) {
+		cfg.Replica.Bandwidth = 1e308
+		cfg.Replica.Gamma = 1
+	})
+	ctx := context.Background()
+	initiator := f.replicas[0]
+	const huge = 9e307 // finite; twice it is not
+	for i, cl := range f.clients {
+		demand := 10.0
+		if i == 0 {
+			demand = huge
+		}
+		if err := cl.Submit(ctx, initiator.Addr(), demand, f.uniformLatencies()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := f.clients[0].Submit(ctx, initiator.Addr(), huge, f.uniformLatencies())
+	if err == nil || !strings.Contains(err.Error(), f.clients[0].Addr()) {
+		t.Fatalf("overflowing repeat: err = %v, want a refusal naming %s", err, f.clients[0].Addr())
+	}
+	initiator.mu.Lock()
+	queued := initiator.pending[f.clients[0].Addr()].DemandMB
+	initiator.mu.Unlock()
+	if queued != huge {
+		t.Fatalf("refused repeat left %g MB queued, want %g", queued, huge)
+	}
+	report, err := initiator.RunRound(ctx)
+	if err != nil {
+		t.Fatalf("round after a refused repeat failed: %v", err)
+	}
+	rows := opt.RowSums(report.Assignment)
+	if len(rows) != len(f.clients) {
+		t.Fatalf("round scheduled %d clients, want %d", len(rows), len(f.clients))
+	}
+	for i, got := range rows[1:] {
+		if math.Abs(got-10) > 1e-6 {
+			t.Fatalf("client %d served %g MB, want 10", i+1, got)
+		}
 	}
 }
 

@@ -217,9 +217,13 @@ func (r *ReplicaServer) gather(ctx context.Context, a *attempt) error {
 	if len(members) == 0 {
 		return fmt.Errorf("core: replica %s: no active ring members", r.Addr())
 	}
+	req, err := r.newMessage(MsgReplicaInfo, nil)
+	if err != nil {
+		return err
+	}
 	infos := make([]ReplicaInfo, len(members))
-	if err := engine.FanOut(ctx, len(members), func(ctx context.Context, i int) error {
-		resp, err := r.sendReplica(ctx, members[i], MsgReplicaInfo, nil)
+	if err := engine.FanOut(ctx, len(members), r.cfg.RPCTimeout, func(ctx context.Context, i int) error {
+		resp, err := r.sendReplicaMsg(ctx, members[i], req)
 		if err != nil {
 			return err
 		}
@@ -460,7 +464,7 @@ func (r *ReplicaServer) warmStart(in *instance) ([][]float64, []float64) {
 // except on a degraded round, which is best-effort: a replica it cannot
 // reach keeps its previous plan, exactly the fallback being republished.
 func (r *ReplicaServer) toReplicas(ctx context.Context, a *attempt, msg func(j int) (transport.Message, error)) error {
-	return engine.FanOut(ctx, len(a.full.infos), func(ctx context.Context, j int) error {
+	return engine.FanOut(ctx, len(a.full.infos), r.cfg.RPCTimeout, func(ctx context.Context, j int) error {
 		req, err := msg(j)
 		if err != nil {
 			return err
@@ -526,6 +530,7 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 	a.trace = roundTrace{observe: r.cfg.Telemetry.Active()}
 	driver := &engine.Driver{
 		Transport: roundTransport{r},
+		Timeout:   r.cfg.RPCTimeout,
 		Observe:   a.trace.observe,
 		OnIterate: func(_ int, residual, cost float64) { a.trace.add(residual, cost) },
 	}
@@ -741,7 +746,7 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 			batched[k], _ = r.newMessage(MsgCohortAllocation, body)
 		}
 	}
-	_ = engine.FanOut(ctx, len(tell), func(ctx context.Context, t int) error {
+	_ = engine.FanOut(ctx, len(tell), r.cfg.RPCTimeout, func(ctx context.Context, t int) error {
 		i := tell[t]
 		if batched != nil {
 			if msg := batched[a.grouping.CohortOf(i)]; msg.Type != "" {
@@ -761,7 +766,9 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 			Algorithm:    r.cfg.Algorithm.String(),
 			Iterations:   a.iterations,
 		}
-		_, _ = r.sendRetry(ctx, clients[i], MsgAllocation, body)
+		if msg, err := r.newMessage(MsgAllocation, body); err == nil {
+			_, _ = r.sendMsgRetry(ctx, clients[i], msg)
+		}
 		return nil
 	})
 }

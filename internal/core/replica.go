@@ -399,7 +399,10 @@ func (p peerSender) Send(ctx context.Context, to, verb string, body any) (engine
 
 // handleClientRequest queues a client's demand (ClientListener role).
 // Repeat submissions from the same client before a round runs are
-// aggregated into one row, as one scheduling window would see them.
+// aggregated into one row, as one scheduling window would see them; a
+// repeat whose sum would not be finite is refused, leaving the queued row
+// as it was — an infinite row would fail every round, and every round puts
+// all its drained requests back.
 func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Message, error) {
 	var body RequestBody
 	if err := req.DecodeBody(&body); err != nil {
@@ -411,6 +414,10 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 	r.mu.Lock()
 	queued := &body
 	if existing, ok := r.pending[body.ClientAddr]; ok {
+		if sum := existing.DemandMB + body.DemandMB; math.IsInf(sum, 1) {
+			r.mu.Unlock()
+			return transport.Message{}, fmt.Errorf("core: bad request from %s: client %s queued demand %g MB plus %g MB is not finite", req.From, body.ClientAddr, existing.DemandMB, body.DemandMB)
+		}
 		existing.DemandMB += body.DemandMB
 		existing.LatencySec = mergeLatencies(existing.LatencySec, body.LatencySec)
 		queued = existing

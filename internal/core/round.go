@@ -114,33 +114,31 @@ func (e *failedMemberError) Error() string {
 
 func (e *failedMemberError) Unwrap() error { return e.err }
 
-// sendMsg performs one coordination RPC attempt of a prebuilt message
-// with the configured timeout.
-func (r *ReplicaServer) sendMsg(ctx context.Context, to string, req transport.Message) (transport.Message, error) {
-	cctx, cancel := context.WithTimeout(ctx, r.cfg.RPCTimeout)
-	defer cancel()
-	resp, err := r.node.Send(cctx, to, req)
+// sendMsg performs one coordination RPC attempt of a prebuilt message. A
+// first attempt sent from a wave runs under the wave's shared deadline
+// (engine.FirstAttempt); a retry, or a send outside any wave, arms its own
+// RPCTimeout.
+func (r *ReplicaServer) sendMsg(ctx context.Context, attempt int, to string, req transport.Message) (transport.Message, error) {
+	actx, ok := engine.FirstAttempt(ctx)
+	if attempt > 0 || !ok {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, r.cfg.RPCTimeout)
+		defer cancel()
+	}
+	resp, err := r.node.Send(actx, to, req)
 	r.Stats.CoordMessages.Inc(1)
 	return resp, err
 }
 
-// sendRetry performs a coordination RPC, retrying transient failures up to
-// SendRetries times with exponential backoff and jitter. The body is
-// marshaled once; retries resend the identical bytes.
-func (r *ReplicaServer) sendRetry(ctx context.Context, to, msgType string, body any) (transport.Message, error) {
-	req, err := r.newMessage(msgType, body)
-	if err != nil {
-		return transport.Message{}, err
-	}
-	return r.sendMsgRetry(ctx, to, req)
-}
-
-// sendMsgRetry is the retry loop over a prebuilt message. Retrying is safe
-// because a failed attempt was never delivered (both fabrics fail sends
-// before the destination handler runs), so a lost packet or a latency
-// spike costs a retry, not a member's life. Retries stop as soon as the
-// surrounding context ends — a cancelled fan-out wave must not keep
-// hammering a peer.
+// sendMsgRetry performs a coordination RPC of a prebuilt message, retrying
+// transient failures up to SendRetries times with exponential backoff and
+// jitter; retries resend the identical bytes. Retrying is safe because a
+// failed attempt was never delivered (both fabrics fail sends before the
+// destination handler runs), so a lost packet or a latency spike costs a
+// retry, not a member's life. ctx is the wave's context, never an
+// attempt's: retries stop as soon as the wave ends — a cancelled fan-out
+// wave must not keep hammering a peer — while a first attempt that ran out
+// its shared deadline is retried like any other lost attempt.
 func (r *ReplicaServer) sendMsgRetry(ctx context.Context, to string, req transport.Message) (transport.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt <= r.cfg.SendRetries; attempt++ {
@@ -151,7 +149,7 @@ func (r *ReplicaServer) sendMsgRetry(ctx context.Context, to string, req transpo
 			r.Stats.SendRetried.Inc(1)
 			r.cfg.Telemetry.Publish(telemetry.RPCRetried{Peer: to, Verb: req.Type, Attempt: attempt})
 		}
-		resp, err := r.sendMsg(ctx, to, req)
+		resp, err := r.sendMsg(ctx, attempt, to, req)
 		if err == nil {
 			return resp, nil
 		}
@@ -181,15 +179,6 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) error {
 	}
 }
 
-// sendReplica marshals body and sends it as sendReplicaMsg does.
-func (r *ReplicaServer) sendReplica(ctx context.Context, to, msgType string, body any) (transport.Message, error) {
-	req, err := r.newMessage(msgType, body)
-	if err != nil {
-		return transport.Message{}, err
-	}
-	return r.sendReplicaMsg(ctx, to, req)
-}
-
 // sendReplicaMsg is sendMsgRetry with member-failure attribution: only after
 // the retry budget is exhausted is the failure pinned on the destination.
 func (r *ReplicaServer) sendReplicaMsg(ctx context.Context, to string, req transport.Message) (transport.Message, error) {
@@ -199,7 +188,8 @@ func (r *ReplicaServer) sendReplicaMsg(ctx context.Context, to string, req trans
 			// The round's own budget ran out (or its wave was cancelled)
 			// mid-send. That is the initiator's failure, not the peer's:
 			// attributing it would declare live members dead whenever a
-			// slow round hits its deadline.
+			// slow round hits its deadline. ctx is the wave's, so a first
+			// attempt's shared deadline running out does not count here.
 			return transport.Message{}, err
 		}
 		return transport.Message{}, &failedMemberError{addr: to, err: err}
@@ -218,7 +208,11 @@ func (mr msgReply) Decode(into any) error { return mr.m.DecodeBody(into) }
 type roundTransport struct{ r *ReplicaServer }
 
 func (t roundTransport) Replica(ctx context.Context, addr, verb string, body any) (engine.Reply, error) {
-	resp, err := t.r.sendReplica(ctx, addr, verb, body)
+	req, err := t.r.newMessage(verb, body)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := t.r.sendReplicaMsg(ctx, addr, req)
 	if err != nil {
 		return nil, err
 	}

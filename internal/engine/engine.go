@@ -27,6 +27,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"edr/internal/opt"
 )
@@ -71,8 +72,10 @@ type Reply interface {
 // ReplicaServer implements it with its retry/backoff/attribution stack;
 // tests implement it in-process.
 type Transport interface {
-	// Replica performs one coordination RPC to a replica. An error after
-	// the transport's retry budget should carry member-failure
+	// Replica performs one coordination RPC to a replica. ctx is the
+	// wave's context; when the Driver has a Timeout, FirstAttempt(ctx)
+	// yields the context the RPC's first attempt runs under. An error
+	// after the transport's retry budget should carry member-failure
 	// attribution so the caller can prune the peer and restart.
 	Replica(ctx context.Context, addr, verb string, body any) (Reply, error)
 }
@@ -144,6 +147,10 @@ type DualReporter interface {
 // Exec are not safe for concurrent use.
 type Driver struct {
 	Transport Transport
+	// Timeout, when positive, is the deadline each wave arms for its
+	// sends' first attempts: one timer per wave, not one per RPC (see
+	// FirstAttempt). Zero arms none, for transports that never block.
+	Timeout time.Duration
 	// Observe gates trajectory recording: when false, OnIterate is never
 	// called and no per-iteration objective is evaluated, keeping the
 	// unobserved hot path free of extra work.
@@ -273,18 +280,20 @@ func (e *RefusedReplyError) Unwrap() error { return e.Err }
 // Exec runs one exchange on the round's senders: ex.Verb goes to every
 // replica concurrently, one RPC each. It keeps FanOut's contract — the
 // first error cancels the wave's context so the remaining sends abort
-// promptly, and Exec still waits for every sender to finish before
-// returning, so callers may reuse the buffers Body and Fold touched. It is
-// valid only while Run is executing (an Algorithm's Recover calls it for a
-// closing exchange).
+// promptly, every first attempt shares one deadline d.Timeout away, and
+// Exec still waits for every sender to finish before returning, so callers
+// may reuse the buffers Body and Fold touched. It is valid only while Run
+// is executing (an Algorithm's Recover calls it for a closing exchange).
 func (d *Driver) Exec(ctx context.Context, ex Exchange) error {
 	if d.jobs == nil {
 		return errors.New("engine: Exec outside Run")
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	wave, _, disarm := armWave(wctx, d.Timeout)
+	defer disarm()
 	for _, jobs := range d.jobs {
-		jobs <- job{ctx: wctx, ex: ex}
+		jobs <- job{ctx: wave, ex: ex}
 	}
 	var first error
 	for range d.jobs {
@@ -304,6 +313,41 @@ func (d *Driver) Exec(ctx context.Context, ex Exchange) error {
 // |C| sockets open at once.
 const fanOutWidth = 256
 
+// rearmShare sets how stale a first-attempt deadline a FanOut worker keeps:
+// once 1/rearmShare of the timeout has passed, a worker sending in sequence
+// arms a deadline of its own, so no first attempt starts with less than
+// (rearmShare−1)/rearmShare of the timeout.
+const rearmShare = 16
+
+// firstAttemptKey is the context key under which a wave's context carries
+// its first-attempt context.
+type firstAttemptKey struct{}
+
+// FirstAttempt returns the context a send's first attempt runs under, when
+// ctx is the context of a wave armed with a timeout (one FanOut hands its
+// fn, or an Exec hands its Transport): the wave plus one deadline the
+// wave's first attempts share. ok is false outside such a wave; a sender
+// then bounds the attempt itself, as it bounds every retry. Only the
+// attempt runs under the returned context — whether the wave itself has
+// ended is ctx's to say, since the first-attempt context is always expired
+// after a first attempt that timed out.
+func FirstAttempt(ctx context.Context) (first context.Context, ok bool) {
+	first, ok = ctx.Value(firstAttemptKey{}).(context.Context)
+	return first, ok
+}
+
+// armWave returns wctx carrying a first-attempt context whose deadline is
+// timeout away, that deadline, and the function releasing its timer. With
+// timeout <= 0 it returns wctx unchanged and arms nothing.
+func armWave(wctx context.Context, timeout time.Duration) (wave context.Context, deadline time.Time, disarm context.CancelFunc) {
+	if timeout <= 0 {
+		return wctx, time.Time{}, func() {}
+	}
+	first, disarm := context.WithTimeout(wctx, timeout)
+	deadline, _ = first.Deadline()
+	return context.WithValue(wctx, firstAttemptKey{}, first), deadline, disarm
+}
+
 // FanOut runs fn for every index in [0, count) on min(count, fanOutWidth)
 // goroutines and returns the first error — the one-shot form of a wave, for
 // callers without a round's senders (round start, install, notify). The
@@ -316,9 +360,16 @@ const fanOutWidth = 256
 // of running out their full RPC timeouts, and indices not yet started are
 // skipped; FanOut still waits for every started fn to return, so callers may
 // reuse the buffers the callbacks wrote to.
-func FanOut(ctx context.Context, count int, fn func(ctx context.Context, i int) error) error {
+//
+// With timeout > 0 the wave arms one first-attempt deadline, timeout away,
+// which the context handed to fn carries (FirstAttempt). A goroutine that
+// reaches an index after 1/rearmShare of that time has passed arms a fresh
+// one for itself, so a long wave's last sends are not cut short.
+func FanOut(ctx context.Context, count int, timeout time.Duration, fn func(ctx context.Context, i int) error) error {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	wave, deadline, disarm := armWave(wctx, timeout)
+	defer disarm()
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
@@ -330,12 +381,20 @@ func FanOut(ctx context.Context, count int, fn func(ctx context.Context, i int) 
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			// This goroutine's wave context: the shared one until it re-arms.
+			wave, deadline := wave, deadline
+			release := func() {}
+			defer func() { release() }()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= count {
 					return
 				}
-				if err := fn(wctx, i); err != nil && failed.CompareAndSwap(false, true) {
+				if timeout > 0 && time.Until(deadline) < timeout-timeout/rearmShare {
+					release()
+					wave, deadline, release = armWave(wctx, timeout)
+				}
+				if err := fn(wave, i); err != nil && failed.CompareAndSwap(false, true) {
 					first = err
 					cancel()
 				}

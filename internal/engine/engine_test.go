@@ -450,7 +450,7 @@ func BenchmarkEngineExchange(b *testing.B) {
 func TestFanOutCancelsWaveOnError(t *testing.T) {
 	started := make(chan struct{})
 	blocked := make(chan struct{})
-	err := FanOut(context.Background(), 2, func(ctx context.Context, i int) error {
+	err := FanOut(context.Background(), 2, 0, func(ctx context.Context, i int) error {
 		if i == 0 {
 			<-started // fail only once the other call is in flight
 			return errors.New("boom")
@@ -487,7 +487,7 @@ func TestFanOutBoundsInFlightCalls(t *testing.T) {
 		done           = make(chan error, 1)
 	)
 	go func() {
-		done <- FanOut(context.Background(), count, func(ctx context.Context, i int) error {
+		done <- FanOut(context.Background(), count, 0, func(ctx context.Context, i int) error {
 			n := inFlight.Add(1)
 			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
 			}
@@ -530,7 +530,7 @@ func TestFanOutSkipsUnstartedAfterError(t *testing.T) {
 		started, finished atomic.Int32
 		allIn             = make(chan struct{})
 	)
-	err := FanOut(context.Background(), count, func(ctx context.Context, i int) error {
+	err := FanOut(context.Background(), count, 0, func(ctx context.Context, i int) error {
 		if started.Add(1) == fanOutWidth {
 			close(allIn) // every worker holds a call: fail the wave now
 		}
@@ -563,7 +563,7 @@ func TestFanOutRunsNarrowWaveAllAtOnce(t *testing.T) {
 		barrier.Add(count)
 		done := make(chan error, 1)
 		go func() {
-			done <- FanOut(context.Background(), count, func(context.Context, int) error {
+			done <- FanOut(context.Background(), count, 0, func(context.Context, int) error {
 				barrier.Done()
 				barrier.Wait()
 				return nil
@@ -581,7 +581,71 @@ func TestFanOutRunsNarrowWaveAllAtOnce(t *testing.T) {
 }
 
 func TestFanOutEmpty(t *testing.T) {
-	if err := FanOut(context.Background(), 0, nil); err != nil {
+	if err := FanOut(context.Background(), 0, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A wave whose goroutines send in sequence past 1/rearmShare of the
+// timeout re-arms: every first attempt starts with at least
+// (rearmShare−1)/rearmShare of the timeout left, where one shared deadline
+// would leave the last ones a fraction of it.
+func TestFanOutWaveDeadlineRearms(t *testing.T) {
+	const (
+		timeout = 320 * time.Millisecond
+		perSend = 10 * time.Millisecond
+		rounds  = 8 // sends per goroutine: 80ms, four times the re-arm slack
+		count   = rounds * fanOutWidth
+		// Allowance for the gap between a goroutine's check and fn reading
+		// the clock, which a loaded or race-instrumented run can stretch.
+		// Without re-arming the last sends would start with 250ms left,
+		// well under the 280ms this still demands.
+		slack = timeout / rearmShare
+	)
+	watchGoroutines(t)
+	var (
+		mu        sync.Mutex
+		deadlines = map[time.Time]bool{}
+		worst     = timeout
+	)
+	err := FanOut(context.Background(), count, timeout, func(ctx context.Context, i int) error {
+		first, ok := FirstAttempt(ctx)
+		if !ok {
+			return errors.New("wave context carries no first-attempt context")
+		}
+		dl, ok := first.Deadline()
+		if !ok {
+			return errors.New("first-attempt context has no deadline")
+		}
+		left := time.Until(dl)
+		mu.Lock()
+		deadlines[dl.Round(0)] = true
+		worst = min(worst, left)
+		mu.Unlock()
+		time.Sleep(perSend)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor := timeout - timeout/rearmShare - slack; worst < floor {
+		t.Fatalf("a first attempt started with %v of its %v deadline left, want at least %v", worst, timeout, floor)
+	}
+	if len(deadlines) < 2 {
+		t.Fatalf("a %v wave of sequential sends never re-armed its %v deadline", rounds*perSend, timeout)
+	}
+}
+
+// A wave without a timeout arms nothing: FirstAttempt reports none, so a
+// sender bounds its attempts itself.
+func TestFanOutWithoutTimeoutArmsNothing(t *testing.T) {
+	err := FanOut(context.Background(), 3, 0, func(ctx context.Context, i int) error {
+		if _, ok := FirstAttempt(ctx); ok {
+			return errors.New("a wave without a timeout carries a first-attempt context")
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }
