@@ -153,6 +153,7 @@ func main() {
 	}
 	defer server.Close()
 	if *admin != "" {
+		server.RegisterMetrics(collector.Registry)
 		adminSrv, err := telemetry.ServeAdmin(*admin, telemetry.AdminConfig{
 			Registry: collector.Registry,
 			Status:   func() any { return server.Status() },
@@ -162,7 +163,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer adminSrv.Close()
-		log.Printf("edrd: admin plane on http://%s (/metrics /healthz /status /debug/rounds)", adminSrv.Addr())
+		log.Printf("edrd: admin plane on http://%s (/metrics /healthz /status /debug/rounds /debug/pprof/)", adminSrv.Addr())
 	}
 
 	server.Monitor().Interval = *heartbeat

@@ -71,6 +71,7 @@ func main() {
 		defer rs.Close()
 		replicas = append(replicas, rs)
 	}
+	replicas[0].RegisterMetrics(collector.Registry)
 	admin, err := telemetry.ServeAdmin("127.0.0.1:0", telemetry.AdminConfig{
 		Registry: collector.Registry,
 		Status:   func() any { return replicas[0].Status() },

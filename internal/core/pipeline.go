@@ -621,11 +621,7 @@ func (r *ReplicaServer) settleDuals(a *attempt) {
 		if a.mus = a.inc.mus(); a.mus == nil {
 			return
 		}
-		prob := a.full.prob
-		price := opt.ColSums(a.x)
-		for j, load := range price {
-			price[j] = prob.System.Replicas[j].MarginalCost(load)
-		}
+		prob, price := a.full.prob, a.inc.audit.Marginal
 		a.duals = make([]float64, len(a.solveSpec.ClientAddrs))
 		for k := range a.duals {
 			i := a.row(a.members(k)[0])
@@ -773,6 +769,15 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 	})
 }
 
+// objective is the result's energy cost: on an incremental plan the gate
+// already took it from the merged matrix.
+func (a *attempt) objective() float64 {
+	if a.kind == kindIncremental {
+		return a.inc.audit.Cost
+	}
+	return a.full.prob.Cost(a.x)
+}
+
 // commit records the attempt's outcome and reports it. It is the only
 // writer of the committed round: the fallback for degraded rounds, the
 // seed of the next warm start, the reference of the next incremental diff
@@ -787,7 +792,7 @@ func (r *ReplicaServer) commit(a *attempt) *RoundReport {
 		ReplicaAddrs:       addrsOf(a.full.infos),
 		ClientAddrs:        a.full.spec.ClientAddrs,
 		Assignment:         a.x,
-		Objective:          a.full.prob.Cost(a.x),
+		Objective:          a.objective(),
 		Degraded:           a.kind == kindDegraded,
 		WarmStarted:        a.solveSpec != nil && a.solveSpec.Warm != nil,
 		Incremental:        a.kind == kindIncremental || a.kind == kindClean,
@@ -806,10 +811,6 @@ func (r *ReplicaServer) commit(a *attempt) *RoundReport {
 	if report.Incremental {
 		r.Stats.RoundsIncremental.Inc(1)
 	}
-	if a.kind == kindIncremental {
-		report.DirtyClients = len(a.sub.requests)
-		report.SubsolveGap = a.subGap
-	}
 	lg := &lastGoodRound{
 		round:          a.round,
 		infos:          a.full.infos,
@@ -819,6 +820,13 @@ func (r *ReplicaServer) commit(a *attempt) *RoundReport {
 		prob:           a.full.prob,
 		installed:      a.x,
 		installedRound: a.round,
+	}
+	if a.kind == kindIncremental {
+		report.DirtyClients = len(a.sub.requests)
+		report.SubsolveGap = a.subGap
+		// The gate measured this very matrix on this very problem: the
+		// next plan's baseGap.
+		lg.kktGap, lg.gapKnown = a.inc.audit.KKTGap, true
 	}
 	if a.kind == kindClean {
 		// The fleet still serves the last installed plan — nothing was

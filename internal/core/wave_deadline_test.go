@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -243,13 +241,8 @@ func BenchmarkNotifyWave(b *testing.B) {
 	}
 	r := f.replicas[0]
 	r.mu.Lock()
-	requests := make([]*RequestBody, 0, len(r.pending))
-	for _, req := range r.pending {
-		requests = append(requests, req)
-	}
-	r.pending = map[string]*RequestBody{}
+	requests := drain(r.pending, nil)
 	r.mu.Unlock()
-	slices.SortFunc(requests, func(x, y *RequestBody) int { return strings.Compare(x.ClientAddr, y.ClientAddr) })
 	a := &attempt{full: instance{requests: requests}}
 	if err := r.gather(ctx, a); err != nil {
 		b.Fatal(err)

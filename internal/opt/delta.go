@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -98,29 +99,53 @@ func DiffRounds(prev, next *Problem, rowMap, colMap []int, eps float64) (*RoundD
 			continue
 		}
 		row, prow := nextMask[c], prevMask[pc]
-		changed, promoted := false, false
+		changed := false
 		for n, ok := range row {
 			if ok != prow[colMap[n]] {
 				changed = true
 				break
 			}
-			if ok && dirtyRep[n] {
-				promoted = true
-			}
 		}
-		switch {
-		case changed:
+		if changed {
 			d.MaskChanged++
 			d.DirtyClients = append(d.DirtyClients, c)
-		case promoted:
-			d.Promoted++
-			d.DirtyClients = append(d.DirtyClients, c)
-		default:
+		} else {
 			d.CleanClients = append(d.CleanClients, c)
 		}
 	}
-	sort.Ints(d.DirtyClients)
+	d.Promote(next, dirtyRep)
 	return d, nil
+}
+
+// Promote moves every clean client that can reach a column marked in cols
+// into the dirty set, counting it in Promoted. It is the promotion rule
+// DiffRounds applies to replicas whose parameters changed, and it serves
+// any other event that re-prices columns — load leaving with departed
+// clients, say: every row that can reach a re-priced column re-enters the
+// subproblem, so no clean row freezes load on one.
+func (d *RoundDelta) Promote(next *Problem, cols []bool) {
+	if !slices.Contains(cols, true) {
+		return
+	}
+	mask := next.Allowed()
+	clean := d.CleanClients[:0]
+	for _, c := range d.CleanClients {
+		reaches := false
+		for n, ok := range mask[c] {
+			if ok && cols[n] {
+				reaches = true
+				break
+			}
+		}
+		if reaches {
+			d.Promoted++
+			d.DirtyClients = append(d.DirtyClients, c)
+		} else {
+			clean = append(clean, c)
+		}
+	}
+	d.CleanClients = clean
+	sort.Ints(d.DirtyClients)
 }
 
 // KKTGap is the cheap first-order optimality check gating incremental
@@ -139,32 +164,6 @@ func DiffRounds(prev, next *Problem, rowMap, colMap []int, eps float64) (*RoundD
 // a small fraction of the objective and escalates to a full solve when it
 // is large. A return of 0 means x passes the stationarity spot-check.
 func KKTGap(p *Problem, x [][]float64) float64 {
-	n := p.N()
-	cols := ColSums(x)
-	marginal := make([]float64, n)
-	unsat := make([]bool, n)
-	for j := 0; j < n; j++ {
-		rep := p.System.Replicas[j]
-		marginal[j] = rep.MarginalCost(cols[j])
-		unsat[j] = cols[j] < rep.Bandwidth-1e-9*math.Max(1, rep.Bandwidth)
-	}
-	mask := p.Allowed()
-	const tiny = 1e-9
-	gap := 0.0
-	for c, row := range x {
-		maxUsed := math.Inf(-1)
-		minFree := math.Inf(1)
-		for j, v := range row {
-			if v > tiny*math.Max(1, p.Demands[c]) && marginal[j] > maxUsed {
-				maxUsed = marginal[j]
-			}
-			if mask[c][j] && unsat[j] && marginal[j] < minFree {
-				minFree = marginal[j]
-			}
-		}
-		if diff := maxUsed - minFree; diff > 0 && !math.IsInf(maxUsed, -1) && !math.IsInf(minFree, 1) {
-			gap += p.Demands[c] * diff
-		}
-	}
-	return gap
+	marginal, unsat := p.marginals(ColSums(x))
+	return p.stationarityGap(x, marginal, unsat)
 }

@@ -179,25 +179,8 @@ func (p *Problem) Gradient(x [][]float64) [][]float64 {
 // negativity (−p)₊, and latency-mask violations. A feasible point has
 // Violation ≈ 0.
 func (p *Problem) Violation(x [][]float64) float64 {
-	worst := 0.0
-	rows := RowSums(x)
-	for c, r := range rows {
-		worst = math.Max(worst, math.Abs(r-p.Demands[c]))
-	}
-	cols := ColSums(x)
-	for n, load := range cols {
-		worst = math.Max(worst, load-p.System.Replicas[n].Bandwidth)
-	}
-	mask := p.Allowed()
-	for c := range x {
-		for n, v := range x[c] {
-			worst = math.Max(worst, -v)
-			if !mask[c][n] {
-				worst = math.Max(worst, math.Abs(v))
-			}
-		}
-	}
-	return worst
+	loads, worst := p.scan(x)
+	return p.capacityExcess(worst, loads)
 }
 
 // Feasible reports whether x satisfies every constraint within tol.
