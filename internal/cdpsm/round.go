@@ -57,10 +57,11 @@ type CommitBody struct {
 
 func init() {
 	engine.Register(engine.Registration{
-		Name:   "CDPSM",
-		New:    func() engine.Algorithm { return &roundAlg{} },
-		Server: serverHalf{},
-		Verbs:  []string{MsgStep, MsgEstimate, MsgCommit},
+		Name:       "CDPSM",
+		New:        func() engine.Algorithm { return &roundAlg{} },
+		Server:     serverHalf{},
+		Verbs:      []string{MsgStep, MsgEstimate, MsgCommit},
+		ServerWarm: true,
 	})
 }
 
@@ -235,22 +236,19 @@ type serverHalf struct{}
 // initiator shipped one (an epoch change renormalized the last-known-good
 // split over the new roster) and the uniform start otherwise — every
 // agent seeds from the same point either way, so consensus starts
-// agreeing instead of spending iterations re-converging. The seed is
-// gathered onto the support once; its dims were checked where the round
-// spec was decoded.
+// agreeing instead of spending iterations re-converging. The warm seed
+// arrives packed over the support, checked where the round spec was
+// decoded; the uniform start is gathered onto the support.
 func state(sr *engine.ServerRound) (*serverState, error) {
 	st, err := sr.State("CDPSM", func() (any, error) {
-		start := sr.Warm
-		if start == nil {
-			var err error
-			if start, err = sr.Prob.UniformStart(); err != nil {
+		sp := sr.Prob.Sparsity()
+		v := sr.Warm
+		if v == nil {
+			start, err := sr.Prob.UniformStart()
+			if err != nil {
 				return nil, err
 			}
-		}
-		sp := sr.Prob.Sparsity()
-		v := sp.Gather(nil, start)
-		if err := checkEstimate(v, sp.NNZ()); err != nil {
-			return nil, fmt.Errorf("cdpsm: warm seed on %s: %w", sr.Self, err)
+			v = sp.Gather(nil, start)
 		}
 		return &serverState{committed: v}, nil
 	})

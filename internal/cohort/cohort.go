@@ -30,10 +30,6 @@ import (
 	"edr/internal/opt"
 )
 
-// InfeasibleLatency returns the sentinel latency the runtime writes for
-// unmeasured links: well beyond the bound, so the link is masked out.
-func InfeasibleLatency(maxLatency float64) float64 { return 10 * maxLatency }
-
 // Options configures the grouping. It has no fields: the feasibility mask
 // is the only key, so there is nothing to tune.
 type Options struct{}
@@ -55,36 +51,19 @@ func Group(prob *opt.Problem, opts Options) (*Grouping, error) {
 	return g, err
 }
 
-// buildReduced assembles the cohort-level problem: summed demands, and
-// each cohort's latency row copied from its lead member. The solve reads
-// latency only through the mask, which every member shares.
-func (g *Grouping) buildReduced(mask [][]bool) *opt.Problem {
-	n := g.orig.N()
+// reduce sets the cohort-level problem: summed demands over the cohorts'
+// masks redMask, with their sparsity view sp. The solve reads latency only
+// through the mask, which every member shares, so the reduced problem
+// carries no latencies: its primed mask stands in for them.
+func (g *Grouping) reduce(redMask [][]bool, sp *opt.Sparsity) {
 	demands := make([]float64, len(g.members))
-	latency := opt.NewMatrix(len(g.members), n)
-	reducedMask := make([][]bool, len(g.members))
 	for k, mem := range g.members {
 		for _, c := range mem {
 			demands[k] += g.orig.Demands[c]
 		}
-		lead := mem[0]
-		copy(latency[k], g.orig.Latency[lead])
-		// The cohort's mask IS the shared member mask — alias the lead
-		// member's row (mask rows are read-only shared state).
-		reducedMask[k] = mask[lead]
 	}
-	p := &opt.Problem{
-		System:     g.orig.System,
-		Demands:    demands,
-		Latency:    latency,
-		MaxLatency: g.orig.MaxLatency,
-	}
-	// Prime the reduced problem's cached feasibility views: the grouping
-	// already knows the cohort masks exactly, so the first solver (or
-	// packed-adapter) touch must not re-derive them from the sentinel
-	// latencies. The |K|×|N| sparsity build is cheap next to grouping.
-	p.PrimeMask(reducedMask, opt.NewSparsity(reducedMask))
-	return p
+	g.reduced = &opt.Problem{System: g.orig.System, Demands: demands}
+	g.reduced.PrimeMask(redMask, sp)
 }
 
 // K returns the cohort count |K|.

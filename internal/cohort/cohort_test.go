@@ -41,7 +41,7 @@ func TestCohortsAreMaskClasses(t *testing.T) {
 		for j := range lat[c] {
 			lat[c][j] = base.MaxLatency * (0.2 + 0.1*float64((c+j)%2)) // either side of T/4
 		}
-		lat[c][base.N()-1] = InfeasibleLatency(base.MaxLatency)
+		lat[c][base.N()-1] = 10 * base.MaxLatency
 	}
 	straddle := &opt.Problem{System: base.System, Demands: base.Demands, Latency: lat, MaxLatency: base.MaxLatency}
 	for _, tc := range []struct {

@@ -40,7 +40,6 @@ type Registry struct {
 	members  [][]int
 	of       []int
 	redMask  [][]bool
-	redLat   [][]float64
 	sparse   *opt.Sparsity
 }
 
@@ -60,7 +59,6 @@ func (r *Registry) Reset() {
 	r.members = nil
 	r.of = nil
 	r.redMask = nil
-	r.redLat = nil
 	r.sparse = nil
 }
 
@@ -69,11 +67,9 @@ func (r *Registry) Reset() {
 func (r *Registry) Cohorts() int { return r.next }
 
 // Group partitions prob's clients into cohorts of equal feasibility mask,
-// ordered by stable ID, and reuses the cached partition, reduced mask,
-// latency rows and primed Sparsity on a quiet round. The boolean reports a
-// cache hit. The returned Grouping always disaggregates against prob
-// (fresh demands); on a hit the reduced latency rows are the cached
-// round's, which carry the same masks — all the solve reads of them.
+// ordered by stable ID, and reuses the cached partition, reduced mask and
+// primed Sparsity on a quiet round. The boolean reports a cache hit. The
+// returned Grouping always disaggregates against prob (fresh demands).
 func (r *Registry) Group(prob *opt.Problem, _ Options) (*Grouping, bool, error) {
 	if prob == nil || prob.System == nil {
 		return nil, false, fmt.Errorf("cohort: problem has no system")
@@ -117,32 +113,24 @@ func (r *Registry) Group(prob *opt.Problem, _ Options) (*Grouping, bool, error) 
 
 	if r.cacheHit(stableOf, n) {
 		g := &Grouping{orig: prob, members: r.members, of: r.of}
-		demands := make([]float64, len(r.members))
-		for k, mem := range r.members {
-			for _, cl := range mem {
-				demands[k] += prob.Demands[cl]
-			}
-		}
-		red := &opt.Problem{
-			System:     prob.System,
-			Demands:    demands,
-			Latency:    r.redLat,
-			MaxLatency: prob.MaxLatency,
-		}
-		red.PrimeMask(r.redMask, r.sparse)
-		g.reduced = red
+		g.reduce(r.redMask, r.sparse)
 		return g, true, nil
 	}
 
+	// A cohort's mask IS the shared member mask — alias the lead member's
+	// row (mask rows are read-only shared state). The |K|×|N| sparsity
+	// build is cheap next to grouping.
+	r.redMask = make([][]bool, len(ordMembers))
+	for k, mem := range ordMembers {
+		r.redMask[k] = mask[mem[0]]
+	}
+	r.sparse = opt.NewSparsity(r.redMask)
 	g := &Grouping{orig: prob, members: ordMembers, of: ordOf}
-	g.reduced = g.buildReduced(mask)
+	g.reduce(r.redMask, r.sparse)
 	r.stableOf = stableOf
 	r.n = n
 	r.members = ordMembers
 	r.of = ordOf
-	r.redMask = g.reduced.Allowed()
-	r.redLat = g.reduced.Latency
-	r.sparse = g.reduced.Sparsity()
 	return g, false, nil
 }
 

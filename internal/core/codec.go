@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"edr/internal/transport"
@@ -19,14 +20,14 @@ import (
 // Layouts, all little-endian, built from the transport primitives (string =
 // u16 length + bytes, strings = u32 count + strings, floats = u32 count +
 // f64s, pairs = u32 count + (string, f64) pairs whose keys strictly ascend,
-// matrix = one v2 kinded frame):
+// bitmap = u32 byte count + ⌈|C|·|N|/8⌉ bytes whose bit k, bit k%8 of byte
+// k/8, is mask cell (k/|N|, k%|N|), no bit set at or past |C|·|N|):
 //
 //	RequestBody           string ClientAddr | f64 DemandMB | pairs LatencySec
 //	RequestAck            u32 Round | f64 QueuedMB
 //	RoundSpec             u32 Round | u32 n, n × (string Addr | f64 Price Alpha
 //	                      Beta Gamma Bandwidth BaseMB) | strings ClientAddrs |
-//	                      floats Demands | matrix LatencySec |
-//	                      f64 MaxLatencySec | matrix Warm
+//	                      floats Demands | bitmap Feasible | floats Warm
 //	AssignBody            u32 Round | u32 BaseRound | floats Column |
 //	                      strings ClientAddrs | pairs Updates
 //	AllocationBody        u32 Round | pairs PerReplicaMB | string Algorithm |
@@ -40,13 +41,14 @@ import (
 // request's latencies and the delta's updates are Go slices kept in that
 // order from the client to the replica's plan, and a map (PerReplicaMB) is
 // sorted on its way out. A body has exactly one byte representation. A
-// zero-length list or matrix decodes as nil, which is what JSON decodes an
+// zero-length list or mask decodes as nil, which is what JSON decodes an
 // absent one to. A decoded list's strings share one allocation.
 //
 // Decoders take hostile input: a claimed count is checked against the bytes
 // left before anything is allocated for it (a string costs at least 2 bytes,
-// a pair 10, a ReplicaInfo 50), a RoundSpec matrix must have the spec's own
-// rows × columns, and paired lists must agree in length.
+// a pair 10, a ReplicaInfo 50), a RoundSpec mask must fit the spec's own
+// clients × replicas and its warm seed be one finite, non-negative value
+// per set bit, and paired lists must agree in length.
 
 // minReplicaInfoBytes is the size of a ReplicaInfo with an empty address.
 const minReplicaInfoBytes = 2 + 6*8
@@ -63,7 +65,24 @@ func (w *writer) f64(v float64) { w.b = transport.AppendFloat64(w.b, v) }
 
 func (w *writer) floats(v []float64) { w.b = transport.AppendFloats(w.b, v) }
 
-func (w *writer) matrix(m [][]float64) { w.b = transport.AppendMatrixKinded(w.b, m, nil) }
+// mask writes m, which must have rows × cols cells, as a bitmap.
+func (w *writer) mask(m [][]bool, rows, cols int) {
+	width := (rows*cols + 7) / 8
+	w.u32(width)
+	w.b = append(w.b, make([]byte, width)...)
+	bm, k := w.b[len(w.b)-width:], 0
+	for _, row := range m {
+		for _, ok := range row {
+			if ok && k < rows*cols {
+				bm[k>>3] |= 1 << (k & 7)
+			}
+			k++
+		}
+	}
+	if k != rows*cols && w.err == nil {
+		w.err = fmt.Errorf("core: feasibility mask has %d cells for %d clients × %d replicas", k, rows, cols)
+	}
+}
 
 func (w *writer) str(s string) {
 	if w.err == nil {
@@ -167,31 +186,34 @@ func readPairs[T any](r *reader, pair func(key string, v float64) T) []T {
 	return v
 }
 
-// matrix consumes a kinded frame that must be rows × cols or empty (an
-// absent matrix; specProblem refuses a spec that needed one). The dims are
-// checked before the frame is decoded: a sparse frame allocates by its
-// header, not by its length.
-func (r *reader) matrix(rows, cols int) [][]float64 {
-	if r.err != nil {
-		return nil
+// mask consumes a rows × cols bitmap written by writer.mask and returns the
+// mask (nil when it has no cells) with its count of set bits. The width
+// must be exactly ⌈rows·cols/8⌉ and no bit may be set past the last cell,
+// so a mask has one encoding.
+func (r *reader) mask(rows, cols int) ([][]bool, int) {
+	cells := rows * cols
+	width := (cells + 7) / 8
+	if got := r.u32(); r.err == nil && (got != width || got > len(r.b)) {
+		r.fail("feasibility bitmap of %d bytes (%d left) for %d clients × %d replicas, which take %d", got, len(r.b), rows, cols, width)
 	}
-	// A kinded frame opens u8 kind | u32 rows | u32 cols.
-	if len(r.b) < 9 {
-		r.fail("binary matrix frame truncated")
-		return nil
+	if r.err != nil || cells == 0 {
+		return nil, 0
 	}
-	gotRows, rest, _ := transport.ReadUint32(r.b[1:])
-	gotCols, _, _ := transport.ReadUint32(rest)
-	if (gotRows != 0 || gotCols != 0) && (int(gotRows) != rows || int(gotCols) != cols) {
-		r.fail("binary matrix is %d×%d, the spec has %d clients × %d replicas", gotRows, gotCols, rows, cols)
-		return nil
+	bm := r.b[:width]
+	if r.b = r.b[width:]; bm[width-1]>>((cells-1)%8+1) != 0 {
+		r.fail("feasibility bitmap sets bits past its %d cells", cells)
+		return nil, 0
 	}
-	var m [][]float64
-	m, r.b, r.err = transport.ReadMatrixKinded(r.b, nil)
-	if len(m) == 0 {
-		return nil
+	m, all, nnz := make([][]bool, rows), make([]bool, cells), 0
+	for k := range all {
+		if all[k] = bm[k>>3]&(1<<(k&7)) != 0; all[k] {
+			nnz++
+		}
 	}
-	return m
+	for c := range m {
+		m[c], all = all[:cols:cols], all[cols:]
+	}
+	return m, nnz
 }
 
 func (b RequestBody) MarshalBinary() ([]byte, error) {
@@ -225,11 +247,7 @@ func (b *RequestAck) UnmarshalBinary(data []byte) error {
 }
 
 func (s RoundSpec) MarshalBinary() ([]byte, error) {
-	cells := len(s.Demands) * len(s.Replicas)
-	if s.Warm != nil {
-		cells *= 2
-	}
-	w := writer{b: make([]byte, 0, 64+64*len(s.Replicas)+32*len(s.ClientAddrs)+8*cells)}
+	w := writer{b: make([]byte, 0, 64+64*len(s.Replicas)+32*len(s.ClientAddrs)+len(s.Demands)*len(s.Replicas)/8+8*len(s.Warm))}
 	w.u32(s.Round)
 	w.u32(len(s.Replicas))
 	for _, info := range s.Replicas {
@@ -243,9 +261,8 @@ func (s RoundSpec) MarshalBinary() ([]byte, error) {
 	}
 	w.strs(s.ClientAddrs)
 	w.floats(s.Demands)
-	w.matrix(s.LatencySec)
-	w.f64(s.MaxLatencySec)
-	w.matrix(s.Warm)
+	w.mask(s.Feasible, len(s.Demands), len(s.Replicas))
+	w.floats(s.Warm)
 	return w.done()
 }
 
@@ -276,9 +293,14 @@ func (s *RoundSpec) UnmarshalBinary(data []byte) error {
 	if r.err == nil && len(s.Demands) != len(s.ClientAddrs) {
 		r.fail("binary round spec has %d demands for %d clients", len(s.Demands), len(s.ClientAddrs))
 	}
-	s.LatencySec = r.matrix(len(s.Demands), len(s.Replicas))
-	s.MaxLatencySec = r.f64()
-	s.Warm = r.matrix(len(s.Demands), len(s.Replicas))
+	var nnz int
+	s.Feasible, nnz = r.mask(len(s.Demands), len(s.Replicas))
+	s.Warm = r.floats()
+	for k, v := range s.Warm {
+		if r.err == nil && (len(s.Warm) != nnz || !(v >= 0) || math.IsInf(v, 1)) {
+			r.fail("round spec warm seed of %d values for %d feasible pairs has %v at %d", len(s.Warm), nnz, v, k)
+		}
+	}
 	return r.err
 }
 

@@ -4,11 +4,13 @@ import (
 	"encoding"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"edr/internal/opt"
 	"edr/internal/transport"
 )
 
@@ -45,16 +47,20 @@ func codecCases() []binaryBody {
 		&RoundSpec{},
 		&RoundSpec{ // nil Warm, one infeasible pair
 			Round: 7, Replicas: infos, ClientAddrs: []string{"c1", "c2", "c3"},
-			Demands:       []float64{10, 0, 30},
-			LatencySec:    [][]float64{{0.0005, 0.0007}, {0.0005, 1}, {0.0001, 0.0002}},
-			MaxLatencySec: 0.0018,
+			Demands:  []float64{10, 0, 30},
+			Feasible: [][]bool{{true, true}, {true, false}, {true, true}},
 		},
 		&RoundSpec{ // cohorted, warm-started from a mostly-zero split
 			Round: 8, Replicas: infos, ClientAddrs: []string{"c1", "c4"},
-			Demands:       []float64{40, 2.5},
-			LatencySec:    [][]float64{{0.0005, 0.0007}, {0.0005, 0.0009}},
-			MaxLatencySec: 0.0018,
-			Warm:          [][]float64{{40, 0}, {0, 2.5}},
+			Demands:  []float64{40, 2.5},
+			Feasible: [][]bool{{true, true}, {true, true}},
+			Warm:     []float64{40, 0, 0, 2.5},
+		},
+		&RoundSpec{ // warm over a sparse support: 5 cells, 2 feasible
+			Round: 9, Replicas: infos[:1], ClientAddrs: []string{"c1", "c2", "c3", "c4", "c5"},
+			Demands:  []float64{1, 0, 0, 2, 0},
+			Feasible: [][]bool{{true}, {false}, {false}, {true}, {false}},
+			Warm:     []float64{1, 2},
 		},
 		&AssignBody{},
 		&AssignBody{Round: 7, Column: []float64{4, 0, 2.5}, ClientAddrs: []string{"c1", "c2", "c3"}},
@@ -171,55 +177,78 @@ func (h hostile) str(s string) hostile {
 	return b
 }
 
+// hostileCase is a body a decoder must refuse; field, when set, is the
+// field the refusal must name.
+type hostileCase struct {
+	name  string
+	into  binaryBody
+	data  hostile
+	field string
+}
+
 // hostileCases are bodies every decoder must refuse. A decoder must not
 // take a count's word for it: a header claiming more entries than the bytes
 // behind it could hold is refused before anything is allocated for it, lists
 // that have to pair up must agree in length, and a pair list's keys must
 // strictly ascend — out of order or repeated, two byte strings would decode
-// to one body.
-func hostileCases() []struct {
-	name string
-	into binaryBody
-	data hostile
-} {
+// to one body. A round spec's mask and warm seed must also fit the roster
+// the spec spelled out, with exactly one encoding, and their refusals name
+// the field.
+func hostileCases() []hostileCase {
 	const huge = 1 << 30
-	emptyMatrix := func(h hostile) hostile { return append(h, transport.MatrixFull).u32(0).u32(0) }
+	// roster opens a spec of 3 clients × 1 replica: a 1-byte bitmap.
+	roster := func() hostile {
+		h := hostile{}.u32(1).u32(1).str("r")
+		for k := 0; k < 6; k++ {
+			h = h.f64(1)
+		}
+		return h.u32(3).str("a").str("b").str("c").u32(3).f64(1).f64(2).f64(3)
+	}
+	// warm follows a bitmap of clients a and c (nnz 2) with a warm seed.
+	warm := func(v ...float64) hostile {
+		h := append(roster().u32(1), 0b101).u32(uint32(len(v)))
+		for _, x := range v {
+			h = h.f64(x)
+		}
+		return h
+	}
 	// Each opens a two-pair list, freshly: appending to a shared prefix
 	// would let one case overwrite another.
 	request := func() hostile { return hostile{}.str("c").f64(1).u32(2) }
 	update := func() hostile { return hostile{}.u32(2).u32(1).u32(0).u32(0).u32(2) }
 	allocation := func() hostile { return hostile{}.u32(1).u32(2) }
-	return []struct {
-		name string
-		into binaryBody
-		data hostile
-	}{
-		{"request: map count", &RequestBody{}, hostile{}.str("c").f64(1).u32(huge)},
-		{"request: truncated string", &RequestBody{}, hostile{0xff, 0xff, 'c'}},
-		{"ack: truncated", &RequestAck{}, hostile{1, 0, 0}},
-		{"spec: replica count", &RoundSpec{}, hostile{}.u32(1).u32(huge)},
-		{"spec: client count", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(huge)},
-		{"spec: demand count", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(0).u32(huge)},
-		{"spec: demands without clients", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(0).u32(1).f64(5)},
-		{"spec: matrix larger than the roster", &RoundSpec{},
-			append(hostile{}.u32(1).u32(0).u32(0).u32(0), transport.MatrixSparse).u32(1 << 11).u32(1 << 11).u32(0)},
-		{"spec: delta matrix", &RoundSpec{},
-			append(hostile{}.u32(1).u32(0).u32(0).u32(0), transport.MatrixDelta).u32(0).u32(0).u32(0)},
-		{"spec: warm larger than the roster", &RoundSpec{},
-			append(emptyMatrix(hostile{}.u32(1).u32(0).u32(0).u32(0)).f64(1).u32(0), transport.MatrixSparse).u32(1 << 11).u32(1 << 11).u32(0)},
-		{"assign: column count", &AssignBody{}, hostile{}.u32(1).u32(0).u32(huge)},
-		{"assign: address count", &AssignBody{}, hostile{}.u32(1).u32(0).u32(0).u32(huge)},
-		{"assign: update count", &AssignBody{}, hostile{}.u32(1).u32(1).u32(0).u32(0).u32(huge)},
-		{"assign: amounts without clients", &AssignBody{}, hostile{}.u32(1).u32(0).u32(1).f64(4).u32(0).u32(0)},
-		{"allocation: map count", &AllocationBody{}, hostile{}.u32(1).u32(huge)},
-		{"cohort allocation: replica count", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(huge)},
-		{"cohort allocation: units without replicas", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(0).u32(1).f64(1)},
-		{"request: latencies out of order", &RequestBody{}, request().str("r2").f64(1e-4).str("r1").f64(1e-4)},
-		{"request: latency twice", &RequestBody{}, request().str("r1").f64(1e-4).str("r1").f64(2e-4)},
-		{"assign: updates out of order", &AssignBody{}, update().str("c2").f64(1).str("c1").f64(1)},
-		{"assign: update twice", &AssignBody{}, update().str("c1").f64(1).str("c1").f64(0)},
-		{"allocation: replicas out of order", &AllocationBody{}, allocation().str("r2").f64(1).str("r1").f64(1).str("LDDM").u32(9)},
-		{"allocation: replica twice", &AllocationBody{}, allocation().str("r1").f64(1).str("r1").f64(2).str("LDDM").u32(9)},
+	return []hostileCase{
+		{"request: map count", &RequestBody{}, hostile{}.str("c").f64(1).u32(huge), ""},
+		{"request: truncated string", &RequestBody{}, hostile{0xff, 0xff, 'c'}, ""},
+		{"ack: truncated", &RequestAck{}, hostile{1, 0, 0}, ""},
+		{"spec: replica count", &RoundSpec{}, hostile{}.u32(1).u32(huge), ""},
+		{"spec: client count", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(huge), ""},
+		{"spec: demand count", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(0).u32(huge), ""},
+		{"spec: demands without clients", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(0).u32(1).f64(5), ""},
+		{"spec: bitmap wider than the roster", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(0).u32(0).u32(huge), "feasibility bitmap"},
+		{"spec: bitmap shorter than the roster", &RoundSpec{}, roster().u32(0).u32(0), "feasibility bitmap"},
+		{"spec: bitmap longer than the roster", &RoundSpec{}, append(roster().u32(2), 0b101, 0).u32(0), "feasibility bitmap"},
+		{"spec: bitmap truncated", &RoundSpec{}, roster().u32(1), "feasibility bitmap"},
+		{"spec: bit past the roster", &RoundSpec{}, append(roster().u32(1), 0b1101).u32(0), "feasibility bitmap"},
+		{"spec: warm longer than the support", &RoundSpec{}, warm(1, 2, 3), "warm seed"},
+		{"spec: warm shorter than the support", &RoundSpec{}, warm(1), "warm seed"},
+		{"spec: NaN warm", &RoundSpec{}, warm(1, math.NaN()), "warm seed"},
+		{"spec: +Inf warm", &RoundSpec{}, warm(math.Inf(1), 3), "warm seed"},
+		{"spec: -Inf warm", &RoundSpec{}, warm(1, math.Inf(-1)), "warm seed"},
+		{"spec: negative warm", &RoundSpec{}, warm(-1e-300, 3), "warm seed"},
+		{"assign: column count", &AssignBody{}, hostile{}.u32(1).u32(0).u32(huge), ""},
+		{"assign: address count", &AssignBody{}, hostile{}.u32(1).u32(0).u32(0).u32(huge), ""},
+		{"assign: update count", &AssignBody{}, hostile{}.u32(1).u32(1).u32(0).u32(0).u32(huge), ""},
+		{"assign: amounts without clients", &AssignBody{}, hostile{}.u32(1).u32(0).u32(1).f64(4).u32(0).u32(0), ""},
+		{"allocation: map count", &AllocationBody{}, hostile{}.u32(1).u32(huge), ""},
+		{"cohort allocation: replica count", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(huge), ""},
+		{"cohort allocation: units without replicas", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(0).u32(1).f64(1), ""},
+		{"request: latencies out of order", &RequestBody{}, request().str("r2").f64(1e-4).str("r1").f64(1e-4), ""},
+		{"request: latency twice", &RequestBody{}, request().str("r1").f64(1e-4).str("r1").f64(2e-4), ""},
+		{"assign: updates out of order", &AssignBody{}, update().str("c2").f64(1).str("c1").f64(1), ""},
+		{"assign: update twice", &AssignBody{}, update().str("c1").f64(1).str("c1").f64(0), ""},
+		{"allocation: replicas out of order", &AllocationBody{}, allocation().str("r2").f64(1).str("r1").f64(1).str("LDDM").u32(9), ""},
+		{"allocation: replica twice", &AllocationBody{}, allocation().str("r1").f64(1).str("r1").f64(2).str("LDDM").u32(9), ""},
 	}
 }
 
@@ -231,6 +260,8 @@ func TestControlCodecRejectsHostileInput(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name the %s", tc.name, err, tc.field)
 		}
 		// Generous: the point is megabytes-for-bytes, not the error string.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
@@ -304,13 +335,8 @@ func FuzzControlBodies(f *testing.F) {
 			return
 		}
 		// Strings, list and map entries cost the input at least what they
-		// occupy decoded. The exception is a RoundSpec's two matrices, which
-		// may arrive sparse: they are bounded by the roster the same input
-		// spelled out instead (at least 10 bytes a client, 50 a replica).
+		// occupy decoded; a mask cell costs a bit and decodes to a byte.
 		limit := 64 + 8*len(data)
-		if spec, ok := body.(*RoundSpec); ok {
-			limit += 2 * 8 * len(spec.Demands) * len(spec.Replicas)
-		}
 		if got := decodedBytes(reflect.ValueOf(body)); got > limit {
 			t.Fatalf("%T: %d input bytes decoded to %d", body, len(data), got)
 		}
@@ -326,6 +352,64 @@ func FuzzControlBodies(f *testing.F) {
 		second, err := again.MarshalBinary()
 		if err != nil || string(second) != string(first) {
 			t.Fatalf("%T: re-encoding is not a fixed point (err %v)", body, err)
+		}
+	})
+}
+
+// FuzzFeasibilityBitmap checks the round spec's mask encoding: a rows ×
+// cols mask (cell k set where bit k of bits is) survives writer.mask and
+// reader.mask unchanged, with the support the replica solves over — its
+// opt.Sparsity — intact; and a byte string reader.mask accepts re-encodes
+// to itself, so every non-canonical string (a width other than
+// ⌈rows·cols/8⌉, a bit set past the last cell) is refused.
+func FuzzFeasibilityBitmap(f *testing.F) {
+	f.Add(uint8(3), uint8(1), []byte{0b101})
+	f.Add(uint8(3), uint8(1), []byte{0b1101})
+	f.Add(uint8(100), uint8(10), []byte(strings.Repeat("\xa5", 125)))
+	f.Add(uint8(2), uint8(3), []byte{0x3f, 0})
+	f.Add(uint8(0), uint8(4), []byte{})
+	f.Fuzz(func(t *testing.T, rows, cols uint8, bits []byte) {
+		c, n := int(rows), int(cols)%17
+		mask := make([][]bool, c)
+		for i := range mask {
+			mask[i] = make([]bool, n)
+			for j := range mask[i] {
+				k := i*n + j
+				mask[i][j] = k>>3 < len(bits) && bits[k>>3]&(1<<(k&7)) != 0
+			}
+		}
+		w := writer{}
+		w.mask(mask, c, n)
+		enc, err := w.done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := reader{b: enc}
+		got, nnz := r.mask(c, n)
+		if r.err != nil || len(r.b) != 0 {
+			t.Fatalf("%d×%d mask does not decode whole: %v, %d bytes left", c, n, r.err, len(r.b))
+		}
+		if c*n == 0 {
+			if got != nil {
+				t.Fatalf("a mask with no cells decoded to %v", got)
+			}
+		} else {
+			want := opt.NewSparsity(mask)
+			if !reflect.DeepEqual(got, mask) || nnz != want.NNZ() || !reflect.DeepEqual(opt.NewSparsity(got), want) {
+				t.Fatalf("%d×%d mask round trip\n got %v (%d set)\nwant %v", c, n, got, nnz, mask)
+			}
+		}
+
+		raw := append(transport.AppendUint32(nil, uint32(len(bits))), bits...)
+		r = reader{b: raw}
+		dec, _ := r.mask(c, n)
+		if r.err != nil {
+			return
+		}
+		w = writer{}
+		w.mask(dec, c, n)
+		if again, err := w.done(); err != nil || string(again) != string(raw) {
+			t.Fatalf("%d×%d: accepted a bitmap that is not its mask's encoding (%v)", c, n, err)
 		}
 	})
 }

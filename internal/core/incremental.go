@@ -81,7 +81,8 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 		}
 		colMap[j] = j
 	}
-	rowMap, gone := align(in.spec.ClientAddrs, lg.clientAddrs)
+	var gone []int
+	rowMap := align(in.spec.ClientAddrs, lg.clientAddrs, &gone)
 	delta, err := opt.DiffRounds(lg.prob, prob, rowMap, colMap, r.cfg.DeltaEps)
 	if err != nil {
 		return nil
@@ -206,15 +207,16 @@ func (p *incrementalPlan) mus() []float64 {
 }
 
 // align merges two address lists that ascend strictly: at[i] is the index
-// in old of next[i] (−1 when old lacks it), and gone lists, ascending, the
-// indices in old of the addresses next lacks.
-func align(next, old []string) (at, gone []int) {
+// in old of next[i] (−1 when old lacks it). A non-nil gone collects,
+// ascending, the indices in old of the addresses next lacks.
+func align(next, old []string, gone *[]int) (at []int) {
 	at = make([]int, len(next))
 	o := 0
 	for i, addr := range next {
-		for o < len(old) && old[o] < addr {
-			gone = append(gone, o)
-			o++
+		for ; o < len(old) && old[o] < addr; o++ {
+			if gone != nil {
+				*gone = append(*gone, o)
+			}
 		}
 		at[i] = -1
 		if o < len(old) && old[o] == addr {
@@ -222,10 +224,10 @@ func align(next, old []string) (at, gone []int) {
 			o++
 		}
 	}
-	for ; o < len(old); o++ {
-		gone = append(gone, o)
+	for ; gone != nil && o < len(old); o++ {
+		*gone = append(*gone, o)
 	}
-	return at, gone
+	return at
 }
 
 // gate vets the merged full-problem result: exact feasibility (clean rows

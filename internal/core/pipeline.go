@@ -77,8 +77,10 @@ type attempt struct {
 	grouping  *cohort.Grouping
 	solveSpec *RoundSpec
 	solveProb *opt.Problem
-	warmMu    []float64
-	trace     roundTrace
+	// warm and warmMu seed the solve (nil when cold).
+	warm   [][]float64
+	warmMu []float64
+	trace  roundTrace
 	// solved is the solve's output, rows of solveSpec × columns; duals are
 	// its rows' final dual values (nil when the method reports none).
 	solved     [][]float64
@@ -251,34 +253,33 @@ func (r *ReplicaServer) build(a *attempt) error {
 
 // instantiate fills in.spec and in.prob from in.requests × in.infos: each
 // request's latency list is merged with the infos, both ascending by
-// replica address, into one row of a matrix carved from one backing array.
-// Latencies a client did not measure are treated as beyond the bound (the
-// replica is not a candidate for that client).
+// replica address, into one row of the feasibility mask, carved from one
+// backing array; a replica the client did not measure, or measured beyond
+// the bound, is not a candidate. No latency value goes further.
 func (r *ReplicaServer) instantiate(round int, in *instance) error {
 	for j := 1; j < len(in.infos); j++ {
 		if in.infos[j].Addr <= in.infos[j-1].Addr {
 			return fmt.Errorf("core: round %d: replica %s does not ascend past %s", round, in.infos[j].Addr, in.infos[j-1].Addr)
 		}
 	}
-	c := len(in.requests)
+	c, n := len(in.requests), len(in.infos)
 	in.spec = &RoundSpec{
-		Round:         round,
-		Replicas:      in.infos,
-		ClientAddrs:   make([]string, c),
-		Demands:       make([]float64, c),
-		LatencySec:    opt.NewMatrix(c, len(in.infos)),
-		MaxLatencySec: r.cfg.MaxLatencySec,
+		Round:       round,
+		Replicas:    in.infos,
+		ClientAddrs: make([]string, c),
+		Demands:     make([]float64, c),
+		Feasible:    make([][]bool, c),
 	}
-	beyond := cohort.InfeasibleLatency(r.cfg.MaxLatencySec)
+	cells := make([]bool, c*n)
 	for i, req := range in.requests {
 		in.spec.ClientAddrs[i], in.spec.Demands[i] = req.ClientAddr, req.DemandMB
-		row, lat := in.spec.LatencySec[i], req.LatencySec
+		row, lat := cells[i*n:(i+1)*n:(i+1)*n], req.LatencySec
+		in.spec.Feasible[i] = row
 		for j, info := range in.infos {
-			row[j] = beyond
 			// Mostly the lists match entry for entry, so test equality first.
 			for len(lat) > 0 {
 				if lat[0].Replica == info.Addr {
-					row[j], lat = lat[0].Sec, lat[1:]
+					row[j], lat = lat[0].Sec <= r.cfg.MaxLatencySec, lat[1:]
 					break
 				}
 				if lat[0].Replica > info.Addr {
@@ -344,12 +345,11 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 			a.grouping = g
 			a.solveProb = g.Reduced()
 			a.solveSpec = &RoundSpec{
-				Round:         a.round,
-				Replicas:      a.sub.infos,
-				MaxLatencySec: r.cfg.MaxLatencySec,
-				Demands:       a.solveProb.Demands,
-				LatencySec:    a.solveProb.Latency,
-				ClientAddrs:   make([]string, g.K()),
+				Round:       a.round,
+				Replicas:    a.sub.infos,
+				Demands:     a.solveProb.Demands,
+				Feasible:    a.solveProb.Allowed(),
+				ClientAddrs: make([]string, g.K()),
 			}
 			// A cohort's row is named after its first member; cohorts are
 			// disjoint, so the names are distinct.
@@ -370,7 +370,9 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 // history has nothing to warm from and starts cold, from the uniform split.
 // Cohorted solves fold the per-client history into cohort rows (and
 // per-client duals into demand-weighted cohort duals). For a degraded
-// round the renormalized history is not a seed but the result.
+// round the renormalized history is not a seed but the result. The seed
+// travels, packed over the solve's support, only on a full solve whose
+// server half reads it (engine.Registration.ServerWarm).
 func (r *ReplicaServer) warm(a *attempt) {
 	if a.kind == kindDegraded {
 		a.x, _ = r.warmStart(&a.full)
@@ -380,9 +382,9 @@ func (r *ReplicaServer) warm(a *attempt) {
 	if g := a.grouping; g != nil && warm != nil {
 		// Packed fold: gather the per-client history straight into the
 		// cohorts' CSR slots, then scatter once into a pooled |K|×|N|
-		// matrix for the spec. No dense |C|×|N| intermediate, and the
+		// matrix for the solver. No dense |C|×|N| intermediate, and the
 		// pooled buffers are done being read before the attempt releases
-		// them (the spec is marshaled by start, the seed consumed by solve).
+		// them (warm and solve consume them within the attempt).
 		_, redSp := g.Sparse()
 		warmPk := g.AggregateRowsPacked(warm, r.pool.Vector(redSp.NNZ()))
 		warm = r.pool.Matrix(g.K(), a.sub.prob.N())
@@ -391,7 +393,10 @@ func (r *ReplicaServer) warm(a *attempt) {
 			mu = g.AggregateDualsInto(mu, r.pool.Vector(g.K()))
 		}
 	}
-	a.solveSpec.Warm, a.warmMu = warm, mu
+	a.warm, a.warmMu = warm, mu
+	if r.alg.ServerWarm && a.kind == kindFull && warm != nil {
+		a.solveSpec.Warm = a.solveProb.Sparsity().Gather(nil, warm)
+	}
 }
 
 // warmStart builds the instance's warm-start matrix (and, when the
@@ -407,8 +412,8 @@ func (r *ReplicaServer) warmStart(in *instance) ([][]float64, []float64) {
 	if lg == nil {
 		return nil, nil
 	}
-	colMap, _ := align(addrsOf(in.infos), addrsOf(lg.infos))
-	rowMap, _ := align(in.spec.ClientAddrs, lg.clientAddrs)
+	colMap := align(addrsOf(in.infos), addrsOf(lg.infos), nil)
+	rowMap := align(in.spec.ClientAddrs, lg.clientAddrs, nil)
 	// Pooled scratch: Renormalize allocates its own output, so weights is
 	// dead once it returns.
 	weights := r.pool.Matrix(len(in.requests), len(in.infos))
@@ -512,7 +517,7 @@ func (r *ReplicaServer) start(ctx context.Context, a *attempt) error {
 func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 	a.duals = nil
 	if a.kind == kindIncremental {
-		res, err := opt.FrankWolfeFrom(a.solveProb, a.solveSpec.Warm, opt.FWOptions{})
+		res, err := opt.FrankWolfeFrom(a.solveProb, a.warm, opt.FWOptions{})
 		if err != nil {
 			return err
 		}
@@ -522,10 +527,6 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 			return errEscalateFull
 		}
 		return nil
-	}
-	reg, ok := engine.Lookup(string(r.cfg.Algorithm))
-	if !ok {
-		return fmt.Errorf("core: unknown algorithm %q", r.cfg.Algorithm)
 	}
 	a.trace = roundTrace{observe: r.cfg.Telemetry.Active()}
 	driver := &engine.Driver{
@@ -540,11 +541,11 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 		ReplicaAddrs: addrsOf(a.full.infos),
 		MaxIters:     r.cfg.MaxIters,
 		Tol:          r.cfg.Tol,
-		Warm:         a.solveSpec.Warm,
+		Warm:         a.warm,
 		WarmMu:       a.warmMu,
 		Pool:         r.pool,
 	}
-	alg := reg.New()
+	alg := r.alg.New()
 	var err error
 	if a.solved, a.iterations, err = driver.Run(ctx, alg, rd); err != nil {
 		// A refused reply is the sender's failure: RunRound restarts
@@ -794,7 +795,7 @@ func (r *ReplicaServer) commit(a *attempt) *RoundReport {
 		Assignment:         a.x,
 		Objective:          a.objective(),
 		Degraded:           a.kind == kindDegraded,
-		WarmStarted:        a.solveSpec != nil && a.solveSpec.Warm != nil,
+		WarmStarted:        a.warm != nil,
 		Incremental:        a.kind == kindIncremental || a.kind == kindClean,
 		SuppressedNotifies: a.suppressed,
 		Residuals:          a.trace.residuals,

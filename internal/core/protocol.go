@@ -149,7 +149,8 @@ type PullBody struct {
 	ClientAddr string `json:"client_addr"`
 }
 
-// RoundSpec ships the full problem of one round to every replica.
+// RoundSpec ships the full problem of one round to every replica; latency
+// only as the feasibility mask it induces, all the optimizer reads of it.
 type RoundSpec struct {
 	// Round is the initiator-local round number.
 	Round int `json:"round"`
@@ -159,16 +160,14 @@ type RoundSpec struct {
 	ClientAddrs []string `json:"client_addrs"`
 	// Demands holds R_c per client (row order).
 	Demands []float64 `json:"demands"`
-	// LatencySec is the client×replica latency matrix.
-	LatencySec [][]float64 `json:"latency_sec"`
-	// MaxLatencySec is T.
-	MaxLatencySec float64 `json:"max_latency_sec"`
-	// Warm, when present, is the initiator's warm-start assignment
-	// (clients × replicas, same row/column order as the spec): the
-	// last-known-good split renormalized over this round's roster.
-	// Participants seed full-solution estimates from it (CDPSM); the
-	// initiator seeds its own primal iterate (ADMM) from the same matrix.
-	Warm [][]float64 `json:"warm,omitempty"`
+	// Feasible is the latency-feasibility mask, clients × replicas:
+	// Feasible[c][n] reports that replica n may serve client c.
+	Feasible [][]bool `json:"feasible"`
+	// Warm, when present, is the initiator's warm start (the last-known-good
+	// split renormalized over this round's roster) packed over Feasible's
+	// support in opt.Sparsity CSR order. It travels only to algorithms whose
+	// server half seeds from it (engine.Registration.ServerWarm).
+	Warm []float64 `json:"warm,omitempty"`
 }
 
 // AssignBody installs the final per-replica serving plan. Two forms:

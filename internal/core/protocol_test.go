@@ -148,10 +148,9 @@ func TestSpecProblemRejectsBadSpecs(t *testing.T) {
 		Replicas: []ReplicaInfo{
 			{Addr: "a", Price: 1, Alpha: 1, Beta: 0.01, Gamma: 3, Bandwidth: 100},
 		},
-		ClientAddrs:   []string{"c1"},
-		Demands:       []float64{10},
-		LatencySec:    [][]float64{{0.0005}},
-		MaxLatencySec: 0.0018,
+		ClientAddrs: []string{"c1"},
+		Demands:     []float64{10},
+		Feasible:    [][]bool{{true}},
 	}
 	if _, err := specProblem(&good); err != nil {
 		t.Fatal(err)
@@ -174,12 +173,6 @@ func TestSpecProblemRejectsBadSpecs(t *testing.T) {
 	if _, err := specProblem(&bad); err == nil {
 		t.Error("gamma < 1 accepted")
 	}
-
-	bad = good
-	bad.MaxLatencySec = 0
-	if _, err := specProblem(&bad); err == nil {
-		t.Error("zero latency bound accepted")
-	}
 }
 
 func TestPlanUnknownRound(t *testing.T) {
@@ -196,10 +189,9 @@ func TestRoundStartForUnlistedReplicaRejected(t *testing.T) {
 		Replicas: []ReplicaInfo{
 			{Addr: "someone-else", Price: 1, Alpha: 1, Beta: 0.01, Gamma: 3, Bandwidth: 100},
 		},
-		ClientAddrs:   []string{"c1"},
-		Demands:       []float64{10},
-		LatencySec:    [][]float64{{0.0005}},
-		MaxLatencySec: 0.0018,
+		ClientAddrs: []string{"c1"},
+		Demands:     []float64{10},
+		Feasible:    [][]bool{{true}},
 	}
 	if _, err := sendRaw(t, f, f.replicas[0].Addr(), MsgRoundStart, spec); err == nil {
 		t.Error("round start without this replica in the column list accepted")

@@ -27,6 +27,7 @@ import (
 // ring fault-tolerance protocol.
 type ReplicaServer struct {
 	cfg    ReplicaConfig
+	alg    *engine.Registration // the registration of cfg.Algorithm
 	node   transport.Node
 	ring   *ring.Ring
 	mon    *ring.Monitor
@@ -139,7 +140,8 @@ func NewReplicaServer(network transport.Network, addr string, members []string, 
 		pool:      &opt.Pool{},
 		registry:  cohort.NewRegistry(),
 	}
-	if _, ok := engine.Lookup(string(r.cfg.Algorithm)); !ok {
+	var ok bool
+	if r.alg, ok = engine.Lookup(string(r.cfg.Algorithm)); !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q", r.cfg.Algorithm)
 	}
 	node, err := network.Listen(addr, r.handle)
@@ -526,6 +528,8 @@ func (r *ReplicaServer) handleReplicaInfo(req transport.Message) (transport.Mess
 }
 
 // specProblem reconstructs the optimization instance a RoundSpec describes.
+// The spec's feasibility mask is primed as the problem's own: latency enters
+// the optimization only through it, so no latency value is needed.
 func specProblem(spec *RoundSpec) (*opt.Problem, error) {
 	replicas := make([]model.Replica, len(spec.Replicas))
 	for j, info := range spec.Replicas {
@@ -543,12 +547,8 @@ func specProblem(spec *RoundSpec) (*opt.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	prob := &opt.Problem{
-		System:     sys,
-		Demands:    spec.Demands,
-		Latency:    spec.LatencySec,
-		MaxLatency: spec.MaxLatencySec,
-	}
+	prob := &opt.Problem{System: sys, Demands: spec.Demands}
+	prob.PrimeMask(spec.Feasible, nil)
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}

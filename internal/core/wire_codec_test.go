@@ -23,11 +23,10 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 	contact, target := f.replicas[0], f.replicas[1]
 
 	spec := RoundSpec{
-		Round:         900,
-		ClientAddrs:   []string{"c1", "c2"},
-		Demands:       []float64{10, 20},
-		LatencySec:    [][]float64{{0.0005, 0.0005, 0.0005}, {0.0005, 0.0005, 0.0005}},
-		MaxLatencySec: 0.0018,
+		Round:       900,
+		ClientAddrs: []string{"c1", "c2"},
+		Demands:     []float64{10, 20},
+		Feasible:    [][]bool{{true, true, true}, {true, true, true}},
 	}
 	for _, rs := range f.replicas {
 		resp, err := sendRaw(t, f, rs.Addr(), MsgReplicaInfo, nil)

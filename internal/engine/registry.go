@@ -18,6 +18,9 @@ type Registration struct {
 	Server ServerHalf
 	// Verbs lists the wire message types routed to Server.
 	Verbs []string
+	// ServerWarm declares that Server seeds from the round's warm start
+	// (ServerRound.Warm), so it travels; else it stays in Round.Warm.
+	ServerWarm bool
 }
 
 var (

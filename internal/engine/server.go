@@ -31,10 +31,10 @@ type ServerRound struct {
 	ReplicaAddrs []string
 	// Peers reaches the other replicas of the round.
 	Peers PeerSender
-	// Warm, when non-nil, is the initiator's warm-start assignment
-	// (client×replica) shipped with the round spec; participant state
-	// that holds a full-solution estimate (CDPSM) seeds from it.
-	Warm [][]float64
+	// Warm, when non-nil, is the initiator's warm start packed over Prob's
+	// support (opt.Sparsity CSR order), shipped with the round spec when
+	// the registration sets ServerWarm; CDPSM seeds its estimates from it.
+	Warm []float64
 
 	mu     sync.Mutex
 	states map[string]any

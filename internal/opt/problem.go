@@ -20,6 +20,7 @@ type Problem struct {
 	Latency [][]float64
 	// MaxLatency is T, the user-defined maximum tolerable latency
 	// (seconds). Replicas with l_{c,n} > T may not serve client c.
+	// Both may be unset on a problem whose mask was primed (PrimeMask).
 	MaxLatency float64
 
 	// maskMu guards mask and sparse, the cached feasibility views Allowed()
@@ -44,6 +45,12 @@ func (p *Problem) Validate() error {
 		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 			return fmt.Errorf("opt: client %d demand %g invalid", c, r)
 		}
+	}
+	p.maskMu.Lock()
+	primed := p.mask != nil
+	p.maskMu.Unlock()
+	if primed && p.Latency == nil {
+		return nil // the primed mask stands in for Latency and MaxLatency
 	}
 	if len(p.Latency) != len(p.Demands) {
 		return fmt.Errorf("opt: latency has %d rows for %d clients", len(p.Latency), len(p.Demands))
@@ -114,9 +121,10 @@ func (p *Problem) Sparsity() *Sparsity {
 // precomputed values, so a Problem assembled from structures that already
 // know their mask (the cohort layer's reduced instance) never rebuilds
 // either on first solver touch. The mask must agree with Latency and
-// MaxLatency — callers own that contract — and both arguments become
-// shared read-only state, exactly as if Allowed()/Sparsity() had built
-// them. Panics on dimension mismatch, matching the package's contract
+// MaxLatency — callers own that contract — or, with Latency nil, stands in
+// for them. Both arguments become shared read-only state, exactly as if
+// Allowed()/Sparsity() had built them (sp nil: built on first use).
+// Panics on dimension mismatch, matching the package's contract
 // violations elsewhere.
 func (p *Problem) PrimeMask(mask [][]bool, sp *Sparsity) {
 	if len(mask) != p.C() {
@@ -139,7 +147,7 @@ func (p *Problem) PrimeMask(mask [][]bool, sp *Sparsity) {
 // InvalidateMask drops the cached feasibility mask and its sparsity view.
 // Call it after mutating Latency or MaxLatency on a Problem that may
 // already have served Allowed() or Sparsity() (e.g. probgen folding a
-// placement map into the latencies).
+// placement map into the latencies); never on one without Latency.
 func (p *Problem) InvalidateMask() {
 	p.maskMu.Lock()
 	p.mask = nil
