@@ -62,10 +62,6 @@ func (r *Registry) Reset() {
 	r.sparse = nil
 }
 
-// Cohorts returns how many distinct cohort identities the registry has
-// interned over its lifetime.
-func (r *Registry) Cohorts() int { return r.next }
-
 // Group partitions prob's clients into cohorts of equal feasibility mask,
 // ordered by stable ID, and reuses the cached partition, reduced mask and
 // primed Sparsity on a quiet round. The boolean reports a cache hit. The

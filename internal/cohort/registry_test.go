@@ -132,12 +132,12 @@ func TestRegistryResetDropsIdentity(t *testing.T) {
 	if _, _, err := reg.Group(prob, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Cohorts() == 0 {
+	if reg.next == 0 {
 		t.Fatal("no identities interned")
 	}
 	reg.Reset()
-	if reg.Cohorts() != 0 {
-		t.Fatalf("%d identities survived Reset", reg.Cohorts())
+	if reg.next != 0 {
+		t.Fatalf("%d identities survived Reset", reg.next)
 	}
 	if _, hit, err := reg.Group(prob, Options{}); err != nil || hit {
 		t.Fatalf("post-Reset Group: hit=%v err=%v, want fresh miss", hit, err)

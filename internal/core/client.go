@@ -26,6 +26,10 @@ type Client struct {
 	demand  float64 // RequestAck.QueuedMB of the last submission
 	contact string  // last contact replica, for allocation pulls
 	ackSeq  int     // RequestAck.Round watermark of the last submission
+	// sent is the latency list last sent to contact in full, and version
+	// the RequestAck.LatencyVersion contact holds it under (0 for none).
+	sent    []Latency
+	version uint32
 	alloc   chan AllocationBody
 
 	// Stats counts client activity.
@@ -140,32 +144,78 @@ func (c *Client) Ping(ctx context.Context, replicaAddr string) (time.Duration, e
 
 // Submit sends one request to the contact replica. latencies maps replica
 // address → measured one-way latency seconds (the client's view of the
-// network); replicas absent from the map are not candidates.
+// network); replicas absent from the map are not candidates. When the
+// contact is the last one and latencies equal the list last sent to it,
+// the request carries the demand and that list's version only; a contact
+// that no longer holds the version gets the list in full, in a second RPC.
+// On an error the demand a cohort allocation scales by stays the last
+// acknowledged one.
 func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB float64, latencies map[string]float64) error {
 	// A round may push before the ack lands; until then the submission
 	// itself is the best guess at the queued demand.
 	c.mu.Lock()
+	acked := c.demand
 	c.demand = demandMB
+	body := RequestBody{ClientAddr: c.Addr(), DemandMB: demandMB}
+	if contactReplica == c.contact && c.version != 0 && sameLatencies(c.sent, latencies) {
+		body.LatencyVersion = c.version
+	}
 	c.mu.Unlock()
-	body := RequestBody{ClientAddr: c.Addr(), DemandMB: demandMB, LatencySec: latencyList(latencies)}
-	req, err := transport.NewMessage(MsgClientRequest, c.Addr(), body)
-	if err != nil {
-		return err
+	var sent []Latency
+	if body.LatencyVersion == 0 {
+		sent = latencyList(latencies)
+		body.LatencySec = sent
 	}
-	resp, err := c.node.Send(ctx, contactReplica, req)
-	if err != nil {
-		return fmt.Errorf("core: submit to %s: %w", contactReplica, err)
-	}
-	var ack RequestAck
-	if err := resp.DecodeBody(&ack); err != nil {
-		return err
+	ack, err := c.send(ctx, contactReplica, body)
+	if err == nil && body.LatencyVersion != 0 && ack.LatencyVersion == 0 {
+		// A miss: the contact queued nothing and asks for the list.
+		sent = latencyList(latencies)
+		body.LatencyVersion, body.LatencySec = 0, sent
+		ack, err = c.send(ctx, contactReplica, body)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.demand = acked
+		return err
+	}
 	c.contact = contactReplica
 	c.ackSeq = ack.Round
 	c.demand = ack.QueuedMB
-	c.mu.Unlock()
+	c.version = ack.LatencyVersion
+	if sent != nil {
+		c.sent = sent
+	}
 	return nil
+}
+
+// send sends one client.request to contact and decodes its ack.
+func (c *Client) send(ctx context.Context, contact string, body RequestBody) (RequestAck, error) {
+	var ack RequestAck
+	req, err := transport.NewMessage(MsgClientRequest, c.Addr(), body)
+	if err != nil {
+		return ack, err
+	}
+	resp, err := c.node.Send(ctx, contact, req)
+	if err != nil {
+		return ack, fmt.Errorf("core: submit to %s: %w", contact, err)
+	}
+	err = resp.DecodeBody(&ack)
+	return ack, err
+}
+
+// sameLatencies reports whether m holds exactly list's pairs: list's keys
+// are distinct, so equal lengths and a match for each entry suffice.
+func sameLatencies(list []Latency, m map[string]float64) bool {
+	if len(list) != len(m) {
+		return false
+	}
+	for _, l := range list {
+		if sec, ok := m[l.Replica]; !ok || sec != l.Sec {
+			return false
+		}
+	}
+	return true
 }
 
 // latencyList lists latencies as a request carries them, ascending by

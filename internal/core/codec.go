@@ -23,8 +23,9 @@ import (
 // bitmap = u32 byte count + ⌈|C|·|N|/8⌉ bytes whose bit k, bit k%8 of byte
 // k/8, is mask cell (k/|N|, k%|N|), no bit set at or past |C|·|N|):
 //
-//	RequestBody           string ClientAddr | f64 DemandMB | pairs LatencySec
-//	RequestAck            u32 Round | f64 QueuedMB
+//	RequestBody           string ClientAddr | f64 DemandMB | u32 LatencyVersion |
+//	                      pairs LatencySec
+//	RequestAck            u32 Round | f64 QueuedMB | u32 LatencyVersion
 //	RoundSpec             u32 Round | u32 n, n × (string Addr | f64 Price Alpha
 //	                      Beta Gamma Bandwidth BaseMB) | strings ClientAddrs |
 //	                      floats Demands | bitmap Feasible | floats Warm
@@ -40,9 +41,12 @@ import (
 // a list out of order, or with a key twice, is refused both ways: the
 // request's latencies and the delta's updates are Go slices kept in that
 // order from the client to the replica's plan, and a map (PerReplicaMB) is
-// sorted on its way out. A body has exactly one byte representation. A
-// zero-length list or mask decodes as nil, which is what JSON decodes an
-// absent one to. A decoded list's strings share one allocation.
+// sorted on its way out. A request names its latencies one way: in full
+// (LatencyVersion 0 and the list) or by the version its contact acked for
+// that list (and no pairs); one with both is refused both ways. A body has
+// exactly one byte representation. A zero-length list or mask decodes as
+// nil, which is what JSON decodes an absent one to. A decoded list's
+// strings share one allocation.
 //
 // Decoders take hostile input: a claimed count is checked against the bytes
 // left before anything is allocated for it (a string costs at least 2 bytes,
@@ -217,9 +221,13 @@ func (r *reader) mask(rows, cols int) ([][]bool, int) {
 }
 
 func (b RequestBody) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 16+len(b.ClientAddr)+32*len(b.LatencySec))}
+	w := writer{b: make([]byte, 0, 20+len(b.ClientAddr)+32*len(b.LatencySec))}
+	if b.LatencyVersion != 0 && len(b.LatencySec) > 0 {
+		w.err = bothEncodings(b.ClientAddr, b.LatencyVersion, len(b.LatencySec))
+	}
 	w.str(b.ClientAddr)
 	w.f64(b.DemandMB)
+	w.u32(int(b.LatencyVersion))
 	w.pairs(len(b.LatencySec), func(i int) (string, float64) { return b.LatencySec[i].Replica, b.LatencySec[i].Sec })
 	return w.done()
 }
@@ -228,14 +236,25 @@ func (b *RequestBody) UnmarshalBinary(data []byte) error {
 	r := reader{b: data}
 	b.ClientAddr = r.str()
 	b.DemandMB = r.f64()
+	b.LatencyVersion = uint32(r.u32())
 	b.LatencySec = readPairs(&r, func(addr string, sec float64) Latency { return Latency{addr, sec} })
+	if r.err == nil && b.LatencyVersion != 0 && b.LatencySec != nil {
+		r.err = bothEncodings(b.ClientAddr, b.LatencyVersion, len(b.LatencySec))
+	}
 	return r.err
 }
 
+// bothEncodings refuses a request that names its latencies twice: by
+// version and as a list.
+func bothEncodings(client string, version uint32, n int) error {
+	return fmt.Errorf("core: request from %s carries latency version %d and %d latencies", client, version, n)
+}
+
 func (b RequestAck) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 12)}
+	w := writer{b: make([]byte, 0, 16)}
 	w.u32(b.Round)
 	w.f64(b.QueuedMB)
+	w.u32(int(b.LatencyVersion))
 	return w.done()
 }
 
@@ -243,6 +262,7 @@ func (b *RequestAck) UnmarshalBinary(data []byte) error {
 	r := reader{b: data}
 	b.Round = r.u32()
 	b.QueuedMB = r.f64()
+	b.LatencyVersion = uint32(r.u32())
 	return r.err
 }
 

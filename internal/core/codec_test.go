@@ -41,8 +41,10 @@ func codecCases() []binaryBody {
 		&RequestBody{},
 		&RequestBody{ClientAddr: "c1", DemandMB: 0, LatencySec: []Latency{{"r1", 0.0005}}},
 		&RequestBody{ClientAddr: "c1", DemandMB: 25.125, LatencySec: []Latency{{"r1", 0.0005}, {"r2", 0.0011}, {"r3", 1e-9}}},
+		&RequestBody{ClientAddr: "c1", DemandMB: 3.5, LatencyVersion: 0xfffffffe}, // demand-only
 		&RequestAck{},
 		&RequestAck{Round: 41, QueuedMB: 25.125},
+		&RequestAck{Round: 41, QueuedMB: 25.125, LatencyVersion: 7},
 		&RequestAck{Round: 2, QueuedMB: 3},
 		&RoundSpec{},
 		&RoundSpec{ // nil Warm, one infeasible pair
@@ -134,7 +136,8 @@ func TestControlCodecRoundHeader(t *testing.T) {
 
 // A string the u16 header cannot describe fails the marshal; it is never
 // written with a truncated length. Neither is a pair list whose keys do not
-// strictly ascend, which no decoder would take back.
+// strictly ascend, nor a request naming its latencies by version and as a
+// list, which no decoder would take back.
 func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 	long := strings.Repeat("x", 1<<16)
 	for _, body := range []binaryBody{
@@ -154,11 +157,12 @@ func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 	for _, body := range []binaryBody{
 		&RequestBody{ClientAddr: "c", LatencySec: []Latency{{"r2", 1}, {"r1", 1}}},
 		&RequestBody{ClientAddr: "c", LatencySec: []Latency{{"r1", 1}, {"r1", 2}}},
+		&RequestBody{ClientAddr: "c", LatencyVersion: 3, LatencySec: []Latency{{"r1", 1}}},
 		&AssignBody{BaseRound: 1, Updates: []ClientMB{{"c2", 1}, {"c1", 1}}},
 		&AssignBody{BaseRound: 1, Updates: []ClientMB{{"c1", 1}, {"c1", 0}}},
 	} {
 		if _, err := body.MarshalBinary(); err == nil {
-			t.Errorf("%+v with keys out of order marshaled", body)
+			t.Errorf("%+v with keys out of order, or named twice, marshaled", body)
 		}
 	}
 	ok := &RequestBody{ClientAddr: long[:1<<16-1]}
@@ -214,13 +218,16 @@ func hostileCases() []hostileCase {
 	}
 	// Each opens a two-pair list, freshly: appending to a shared prefix
 	// would let one case overwrite another.
-	request := func() hostile { return hostile{}.str("c").f64(1).u32(2) }
+	request := func() hostile { return hostile{}.str("c").f64(1).u32(0).u32(2) }
 	update := func() hostile { return hostile{}.u32(2).u32(1).u32(0).u32(0).u32(2) }
 	allocation := func() hostile { return hostile{}.u32(1).u32(2) }
 	return []hostileCase{
-		{"request: map count", &RequestBody{}, hostile{}.str("c").f64(1).u32(huge), ""},
+		{"request: map count", &RequestBody{}, hostile{}.str("c").f64(1).u32(0).u32(huge), ""},
 		{"request: truncated string", &RequestBody{}, hostile{0xff, 0xff, 'c'}, ""},
 		{"ack: truncated", &RequestAck{}, hostile{1, 0, 0}, ""},
+		{"ack: truncated version", &RequestAck{}, hostile{}.u32(1).f64(2).u32(9)[:15], ""},
+		{"request: truncated version", &RequestBody{}, hostile{}.str("c").f64(1).u32(9)[:13], ""},
+		{"request: version and latencies", &RequestBody{}, hostile{}.str("c").f64(1).u32(5).u32(1).str("r1").f64(1e-4), "latency version"},
 		{"spec: replica count", &RoundSpec{}, hostile{}.u32(1).u32(huge), ""},
 		{"spec: client count", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(huge), ""},
 		{"spec: demand count", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(0).u32(huge), ""},

@@ -110,6 +110,12 @@ type RequestBody struct {
 	ClientAddr string `json:"client_addr"`
 	// DemandMB is R_c for this request.
 	DemandMB float64 `json:"demand_mb"`
+	// LatencyVersion, when not 0, stands for the latency list this contact
+	// last acked for the client under that version (RequestAck), and
+	// LatencySec is empty: an unchanged resubmission carries its demand
+	// only. A contact that no longer holds that version queues nothing and
+	// acks version 0, asking for the list in full.
+	LatencyVersion uint32 `json:"latency_version,omitempty"`
 	// LatencySec lists the replicas the client measured with their one-way
 	// latencies, in strictly ascending address order (the decoder refuses
 	// any other); a replica absent from it is not a candidate.
@@ -142,6 +148,12 @@ type RequestAck struct {
 	// submissions before a round add up, so this is the figure the round
 	// solves for and the scale of the caller's cohort allocation.
 	QueuedMB float64 `json:"queued_mb"`
+	// LatencyVersion names the latency list the contact now holds for the
+	// caller: a fresh version, never reused, for a list sent in full; the
+	// request's own for a demand-only resubmission. 0 answers a version the
+	// contact does not hold (a restart, a sweep, a newer list): nothing was
+	// queued, and the caller resends in full.
+	LatencyVersion uint32 `json:"latency_version,omitempty"`
 }
 
 // PullBody asks the initiator for the caller's committed allocation row.

@@ -39,6 +39,8 @@ type ReplicaServer struct {
 	rounds     map[int]*roundState     // participant-side state, keyed by round id
 	roundOrder []int                   // ids of rounds, oldest first (see roundStatesKept)
 	roundSeq   int
+	drains     int                    // how many times a round drained pending
+	latencies  *latencyTable          // the latency lists clients resubmit by version
 	lastGood   *lastGoodRound         // fallback assignment for degraded rounds
 	lastReport *RoundReport           // most recent completed round (admin /status)
 	infoCache  map[string]ReplicaInfo // model parameters of every replica ever seen in a round
@@ -136,6 +138,7 @@ func NewReplicaServer(network transport.Network, addr string, members []string, 
 		cfg:       cfg.withDefaults(),
 		pending:   make(map[string]*RequestBody),
 		rounds:    make(map[int]*roundState),
+		latencies: newLatencyTable(),
 		infoCache: make(map[string]ReplicaInfo),
 		pool:      &opt.Pool{},
 		registry:  cohort.NewRegistry(),
@@ -255,11 +258,20 @@ func (r *ReplicaServer) PendingRequests() int {
 }
 
 // RegisterMetrics exposes the replica's own gauges on an admin registry:
-// edr_pending_requests, the queue depth the next round drains.
+// edr_pending_requests, the queue depth the next round drains, and
+// edr_latency_versions, how many clients' latency lists it holds for
+// demand-only resubmissions.
 func (r *ReplicaServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("edr_pending_requests",
 		"Client requests queued for this replica's next round.", nil,
 		func() float64 { return float64(r.PendingRequests()) })
+	reg.Gauge("edr_latency_versions",
+		"Client latency lists this replica holds for demand-only resubmissions.", nil,
+		func() float64 {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return float64(r.latencies.len())
+		})
 }
 
 // LastReport returns the most recent completed round this replica
@@ -420,7 +432,11 @@ func (p peerSender) Send(ctx context.Context, to, verb string, body any) (engine
 // aggregated into one row, as one scheduling window would see them; a
 // repeat whose sum would not be finite is refused, leaving the queued row
 // as it was — an infinite row would fail every round, and every round puts
-// all its drained requests back.
+// all its drained requests back. A list sent in full is stored and acked
+// with a fresh version; a demand-only resubmission is queued with the list
+// its version names, so what follows sees the request the client would
+// have sent in full, or, when the version is not held, queues nothing and
+// acks version 0.
 func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Message, error) {
 	var body RequestBody
 	if err := req.DecodeBody(&body); err != nil {
@@ -430,6 +446,15 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 		return transport.Message{}, fmt.Errorf("core: bad request from %s: %w", req.From, err)
 	}
 	r.mu.Lock()
+	ack := RequestAck{Round: r.roundSeq, LatencyVersion: body.LatencyVersion}
+	if body.LatencyVersion != 0 {
+		lat, ok := r.latencies.resolve(body.ClientAddr, body.LatencyVersion, r.drains)
+		if !ok {
+			r.mu.Unlock()
+			return r.newMessage(MsgClientRequest+".ack", RequestAck{Round: ack.Round})
+		}
+		body.LatencySec, body.LatencyVersion = lat, 0
+	}
 	queued := &body
 	if existing, ok := r.pending[body.ClientAddr]; ok {
 		if sum := existing.DemandMB + body.DemandMB; math.IsInf(sum, 1) {
@@ -442,7 +467,10 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 	} else {
 		r.pending[body.ClientAddr] = &body
 	}
-	ack := RequestAck{Round: r.roundSeq, QueuedMB: queued.DemandMB}
+	if ack.LatencyVersion == 0 {
+		ack.LatencyVersion = r.latencies.store(body.ClientAddr, body.LatencySec, r.drains)
+	}
+	ack.QueuedMB = queued.DemandMB
 	r.mu.Unlock()
 	r.Stats.RequestsReceived.Inc(1)
 	return r.newMessage(MsgClientRequest+".ack", ack)

@@ -230,28 +230,10 @@ func (t roundTransport) Replica(ctx context.Context, addr, verb string, body any
 // and reported with Degraded set, so the fleet keeps serving through an
 // outage the optimizer cannot coordinate across.
 func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
-	// Drain the pending queue into this round.
-	r.mu.Lock()
-	if len(r.pending) == 0 {
-		r.mu.Unlock()
+	requests := r.drainPending()
+	if requests == nil {
 		return nil, fmt.Errorf("core: replica %s: no pending requests", r.Addr())
 	}
-	// Take the queue whole and hand ingest the map the previous round
-	// emptied, so submissions keep landing while the requests are ordered.
-	queue := r.pending
-	r.pending, r.spare = r.spare, nil
-	if r.pending == nil {
-		r.pending = make(map[string]*RequestBody, len(queue))
-	}
-	var roster []string
-	if r.lastGood != nil {
-		roster = r.lastGood.clientAddrs
-	}
-	r.mu.Unlock()
-	requests := drain(queue, roster)
-	r.mu.Lock()
-	r.spare = queue
-	r.mu.Unlock()
 	r.Stats.RoundsInitiated.Inc(1)
 	start := time.Now()
 
@@ -304,6 +286,35 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 		r.cfg.Telemetry.Publish(telemetry.RoundFailed{Err: lastErr.Error()})
 	}
 	return nil, lastErr
+}
+
+// drainPending drains the pending queue into a round's requests (nil when
+// none are queued) and sweeps the latency lists this drain retires. It takes
+// the queue whole and hands ingest the map the previous round emptied, so
+// submissions keep landing while the requests are ordered.
+func (r *ReplicaServer) drainPending() []*RequestBody {
+	r.mu.Lock()
+	if len(r.pending) == 0 {
+		r.mu.Unlock()
+		return nil
+	}
+	queue := r.pending
+	r.pending, r.spare = r.spare, nil
+	if r.pending == nil {
+		r.pending = make(map[string]*RequestBody, len(queue))
+	}
+	var roster []string
+	if r.lastGood != nil {
+		roster = r.lastGood.clientAddrs
+	}
+	r.drains++
+	r.latencies.sweep(r.drains)
+	r.mu.Unlock()
+	requests := drain(queue, roster)
+	r.mu.Lock()
+	r.spare = queue
+	r.mu.Unlock()
+	return requests
 }
 
 // drainSlack is how far the roster clients that did not submit may

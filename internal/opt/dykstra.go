@@ -67,12 +67,12 @@ func Dykstra(x [][]float64, sets []SetProjection, opts DykstraOptions) (int, err
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
 		for i, project := range sets {
 			// y = x + correction_i ; x = P_i(y) ; correction_i = y − x.
-			Add(x, corrections[i])
+			AXPY(x, 1, corrections[i])
 			Copy(corrections[i], x)
 			if err := project(x); err != nil {
 				return sweep, fmt.Errorf("opt: dykstra set %d: %w", i, err)
 			}
-			Sub(corrections[i], x)
+			AXPY(corrections[i], -1, x)
 		}
 		ok, err := inAllSets()
 		if err != nil {

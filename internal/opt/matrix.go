@@ -63,26 +63,6 @@ func Fill(m [][]float64, v float64) {
 	}
 }
 
-// Add computes dst += a element-wise.
-func Add(dst, a [][]float64) {
-	checkSameShape(dst, a, "Add")
-	for i := range dst {
-		for j := range dst[i] {
-			dst[i][j] += a[i][j]
-		}
-	}
-}
-
-// Sub computes dst -= a element-wise.
-func Sub(dst, a [][]float64) {
-	checkSameShape(dst, a, "Sub")
-	for i := range dst {
-		for j := range dst[i] {
-			dst[i][j] -= a[i][j]
-		}
-	}
-}
-
 // AXPY computes dst += s·a element-wise.
 func AXPY(dst [][]float64, s float64, a [][]float64) {
 	checkSameShape(dst, a, "AXPY")

@@ -61,18 +61,6 @@ func TestArithmetic(t *testing.T) {
 	a := [][]float64{{1, 2}, {3, 4}}
 	b := [][]float64{{10, 20}, {30, 40}}
 
-	sum := Clone(a)
-	Add(sum, b)
-	if sum[1][1] != 44 {
-		t.Fatalf("Add: %v", sum)
-	}
-
-	diff := Clone(b)
-	Sub(diff, a)
-	if diff[0][0] != 9 || diff[1][1] != 36 {
-		t.Fatalf("Sub: %v", diff)
-	}
-
 	ax := Clone(a)
 	AXPY(ax, 2, b)
 	if ax[0][1] != 42 {
@@ -125,8 +113,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 	a := NewMatrix(2, 2)
 	b := NewMatrix(2, 3)
 	for name, fn := range map[string]func(){
-		"Add":  func() { Add(a, b) },
-		"Sub":  func() { Sub(a, b) },
+		"AXPY": func() { AXPY(a, 1, b) },
 		"Dist": func() { Dist(a, b) },
 		"Copy": func() { Copy(a, b) },
 	} {

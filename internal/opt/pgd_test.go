@@ -48,7 +48,7 @@ func TestPGDPrefersCheapReplica(t *testing.T) {
 	if res.X[0][0] <= res.X[0][1] {
 		t.Fatalf("cheap replica got %g, expensive got %g", res.X[0][0], res.X[0][1])
 	}
-	if !p.Feasible(res.X, 1e-4) {
+	if p.Violation(res.X) > 1e-4 {
 		t.Fatalf("PGD result infeasible: violation %g", p.Violation(res.X))
 	}
 }
@@ -149,7 +149,7 @@ func TestPGDImprovesProperty(t *testing.T) {
 		if res.Objective > startCost*1.001+1e-6 {
 			t.Fatalf("trial %d: PGD worsened objective %g → %g", trial, startCost, res.Objective)
 		}
-		if !p.Feasible(res.X, 1e-3) {
+		if p.Violation(res.X) > 1e-3 {
 			t.Fatalf("trial %d: infeasible result (violation %g)", trial, p.Violation(res.X))
 		}
 	}

@@ -191,11 +191,6 @@ func (p *Problem) Violation(x [][]float64) float64 {
 	return p.capacityExcess(worst, loads)
 }
 
-// Feasible reports whether x satisfies every constraint within tol.
-func (p *Problem) Feasible(x [][]float64, tol float64) bool {
-	return p.Violation(x) <= tol
-}
-
 // UniformStart returns the canonical starting point: each client's demand
 // split evenly across its latency-feasible replicas. The result satisfies
 // demand, box, and mask constraints; capacities may be violated (solvers

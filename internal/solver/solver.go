@@ -41,12 +41,6 @@ type CommStats struct {
 	Scalars int
 }
 
-// Add accumulates other into s.
-func (s *CommStats) Add(other CommStats) {
-	s.Messages += other.Messages
-	s.Scalars += other.Scalars
-}
-
 // Solver computes a load split for one problem instance.
 type Solver interface {
 	// Name identifies the algorithm in figures ("LDDM", "CDPSM", ...).

@@ -67,11 +67,3 @@ func TestVerifyRejectsInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCommStatsAdd(t *testing.T) {
-	a := CommStats{Messages: 3, Scalars: 10}
-	a.Add(CommStats{Messages: 2, Scalars: 7})
-	if a.Messages != 5 || a.Scalars != 17 {
-		t.Fatalf("Add = %+v", a)
-	}
-}
