@@ -340,13 +340,14 @@ func BenchmarkProjectSimplex(b *testing.B) {
 	r := sim.NewRand(2)
 	x := make([]float64, 64)
 	src := make([]float64, 64)
+	scratch := make([]float64, 64)
 	for i := range src {
 		src[i] = r.Range(-10, 10)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		copy(x, src)
-		opt.ProjectSimplex(x, 25)
+		opt.ProjectSimplexScratch(x, scratch, 25)
 	}
 }
 

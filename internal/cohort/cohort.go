@@ -85,10 +85,6 @@ func (g *Grouping) CohortOf(c int) int { return g.of[c] }
 // Read-only; it shares the original problem's System.
 func (g *Grouping) Reduced() *opt.Problem { return g.reduced }
 
-// Orig returns the full per-client problem the grouping was built from.
-// Read-only.
-func (g *Grouping) Orig() *opt.Problem { return g.orig }
-
 // Disaggregate maps a cohort-level assignment (|K|×|N|) back to a
 // per-client one (|C|×|N|): each member receives its cohort's split
 // scaled by demand share, so per-client demand is conserved exactly

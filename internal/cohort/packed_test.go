@@ -63,7 +63,7 @@ func packedTestInstance(t *testing.T, clients, replicas int, seed uint64) (*opt.
 // packed disaggregation is bitwise the sparsity gather of the dense one,
 // on clean, perturbed, and zero cohort assignments.
 func TestPackedDisaggregateMatchesDense(t *testing.T) {
-	_, g := packedTestInstance(t, 60, 5, 11)
+	prob, g := packedTestInstance(t, 60, 5, 11)
 	fullSp, redSp := g.Sparse()
 	xk, err := g.Reduced().UniformStart()
 	if err != nil {
@@ -99,7 +99,7 @@ func TestPackedDisaggregateMatchesDense(t *testing.T) {
 		}
 		// Scattering the packed result back reproduces the dense matrix
 		// exactly (masked entries are exact zeros on both sides).
-		x := opt.NewMatrix(g.C(), g.Orig().N())
+		x := opt.NewMatrix(g.C(), prob.N())
 		fullSp.Scatter(x, packed)
 		for c := range x {
 			for j := range x[c] {
@@ -155,10 +155,10 @@ func TestAggregateRowsPackedMatchesDense(t *testing.T) {
 	}
 }
 
-// denseDuals is the reference for AggregateDualsInto: each cohort's dual is
-// its members' demand-weighted mean (plain mean for a zero-demand cohort),
-// 0 when no member has a dual.
-func denseDuals(g *Grouping, mu []float64) []float64 {
+// denseDuals is the reference for AggregateDualsInto on g, grouped from
+// prob: each cohort's dual is its members' demand-weighted mean (plain mean
+// for a zero-demand cohort), 0 when no member has a dual.
+func denseDuals(prob *opt.Problem, g *Grouping, mu []float64) []float64 {
 	out := make([]float64, g.K())
 	for k := range out {
 		num, den := 0.0, 0.0
@@ -166,7 +166,7 @@ func denseDuals(g *Grouping, mu []float64) []float64 {
 			if c >= len(mu) {
 				continue
 			}
-			w := g.Orig().Demands[c]
+			w := prob.Demands[c]
 			if g.Reduced().Demands[k] == 0 {
 				w = 1
 			}
@@ -183,13 +183,13 @@ func denseDuals(g *Grouping, mu []float64) []float64 {
 // TestAggregateDualsIntoMatchesDense pins the dual fold against its
 // reference, on clean and on dirty (pooled) output buffers.
 func TestAggregateDualsIntoMatchesDense(t *testing.T) {
-	_, g := packedTestInstance(t, 60, 5, 13)
+	prob, g := packedTestInstance(t, 60, 5, 13)
 	r := sim.NewRand(5)
 	mu := make([]float64, g.C())
 	for i := range mu {
 		mu[i] = r.Range(-2, 2)
 	}
-	want := denseDuals(g, mu)
+	want := denseDuals(prob, g, mu)
 	got := g.AggregateDualsInto(mu, make([]float64, g.K()))
 	for k := range want {
 		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {

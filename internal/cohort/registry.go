@@ -3,6 +3,7 @@ package cohort
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"edr/internal/opt"
 )
@@ -29,10 +30,11 @@ import (
 // stable order across rounds (the runtime sorts request rows by client
 // address and replica columns by address); a permuted column order changes
 // every byte key and simply misses the cache — correctness is unaffected.
-// A Registry is not safe for concurrent use.
+// A Registry is not safe for concurrent use, except for Keys.
 type Registry struct {
 	ids  map[string]int // interned cohort key → stable ID
 	next int
+	keys atomic.Int64 // len(ids), for Keys
 
 	// Cached last grouping, keyed by the per-client stable-ID vector.
 	stableOf []int
@@ -48,12 +50,18 @@ func NewRegistry() *Registry {
 	return &Registry{ids: make(map[string]int)}
 }
 
+// Keys reports how many cohort keys the registry holds interned: it grows
+// with every new mask and only Reset shrinks it. It may be called
+// concurrently with Group and Reset.
+func (r *Registry) Keys() int { return int(r.keys.Load()) }
+
 // Reset drops all interned identity and cached structures — the runtime
 // calls it on membership epoch changes, where column order (and with it
 // every byte key) shifts.
 func (r *Registry) Reset() {
 	r.ids = make(map[string]int)
 	r.next = 0
+	r.keys.Store(0)
 	r.stableOf = nil
 	r.n = 0
 	r.members = nil
@@ -86,6 +94,7 @@ func (r *Registry) Group(prob *opt.Problem, _ Options) (*Grouping, bool, error) 
 			id = r.next
 			r.next++
 			r.ids[key] = id
+			r.keys.Add(1)
 		}
 		stable[k] = id
 	}

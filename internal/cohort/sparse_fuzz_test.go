@@ -143,7 +143,7 @@ func FuzzSparseCohortEquiv(f *testing.F) {
 		for i := range mu {
 			mu[i] = r.Range(-3, 3)
 		}
-		duWant := denseDuals(g, mu)
+		duWant := denseDuals(prob, g, mu)
 		duGot := g.AggregateDualsInto(mu, make([]float64, g.K()))
 		for k := range duWant {
 			if math.Float64bits(duGot[k]) != math.Float64bits(duWant[k]) {

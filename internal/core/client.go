@@ -30,7 +30,9 @@ type Client struct {
 	// the RequestAck.LatencyVersion contact holds it under (0 for none).
 	sent    []Latency
 	version uint32
-	alloc   chan AllocationBody
+	// alloc is a one-slot mailbox: it holds the newest allocation no
+	// WaitAllocation took yet (see deliver).
+	alloc chan AllocationBody
 
 	// Stats counts client activity.
 	Stats ClientStats
@@ -44,7 +46,7 @@ type ClientStats struct {
 
 // NewClient binds a client endpoint on the network.
 func NewClient(network transport.Network, addr string) (*Client, error) {
-	c := &Client{alloc: make(chan AllocationBody, 64)}
+	c := &Client{alloc: make(chan AllocationBody, 1)}
 	node, err := network.Listen(addr, c.handle)
 	if err != nil {
 		return nil, err
@@ -76,14 +78,23 @@ func (c *Client) handleAllocation(req transport.Message) (transport.Message, err
 	if err := req.DecodeBody(&body); err != nil {
 		return transport.Message{}, err
 	}
-	c.Stats.Allocations.Inc(1)
-	select {
-	case c.alloc <- body:
-	default:
-		// Drop rather than block the initiator: a client that stopped
-		// consuming allocations should not stall the fleet.
-	}
+	c.deliver(body)
 	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
+}
+
+// deliver puts a pushed allocation in the mailbox, replacing one nobody
+// took: a consumer that lags gets the newest allocation, never a stale one,
+// and a client that stopped consuming never stalls the initiator's push.
+// Stats.Allocations counts every push, taken or replaced.
+func (c *Client) deliver(body AllocationBody) {
+	c.Stats.Allocations.Inc(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.alloc:
+	default:
+	}
+	c.alloc <- body // only consumers take, so under c.mu the slot is free
 }
 
 // handleCohortAllocation expands a cohort-level allocation into this
@@ -111,18 +122,12 @@ func (c *Client) handleCohortAllocation(req transport.Message) (transport.Messag
 			per[addr] = v
 		}
 	}
-	alloc := AllocationBody{
+	c.deliver(AllocationBody{
 		Round:        body.Round,
 		PerReplicaMB: per,
 		Algorithm:    body.Algorithm,
 		Iterations:   body.Iterations,
-	}
-	c.Stats.Allocations.Inc(1)
-	select {
-	case c.alloc <- alloc:
-	default:
-		// Drop rather than block the initiator, as with per-client allocations.
-	}
+	})
 	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
 }
 
@@ -229,7 +234,9 @@ func latencyList(latencies map[string]float64) []Latency {
 	return list
 }
 
-// WaitAllocation blocks until the next allocation arrives or ctx ends.
+// WaitAllocation returns the newest allocation not yet taken, blocking
+// until one arrives or ctx ends. A consumer that lags behind several pushes
+// gets the last of them; the ones it missed are gone.
 func (c *Client) WaitAllocation(ctx context.Context) (AllocationBody, error) {
 	select {
 	case body := <-c.alloc:

@@ -29,8 +29,7 @@ import (
 //	RoundSpec             u32 Round | u32 n, n × (string Addr | f64 Price Alpha
 //	                      Beta Gamma Bandwidth BaseMB) | strings ClientAddrs |
 //	                      floats Demands | bitmap Feasible | floats Warm
-//	AssignBody            u32 Round | u32 BaseRound | floats Column |
-//	                      strings ClientAddrs | pairs Updates
+//	AssignBody            u32 Round | u32 BaseRound | pairs Updates
 //	AllocationBody        u32 Round | pairs PerReplicaMB | string Algorithm |
 //	                      u32 Iterations
 //	CohortAllocationBody  u32 Round | string Algorithm | u32 Iterations |
@@ -325,11 +324,9 @@ func (s *RoundSpec) UnmarshalBinary(data []byte) error {
 }
 
 func (b AssignBody) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 32+8*len(b.Column)+24*len(b.ClientAddrs)+32*len(b.Updates))}
+	w := writer{b: make([]byte, 0, 16+32*len(b.Updates)), err: b.check()}
 	w.u32(b.Round)
 	w.u32(b.BaseRound)
-	w.floats(b.Column)
-	w.strs(b.ClientAddrs)
 	w.pairs(len(b.Updates), func(i int) (string, float64) { return b.Updates[i].Client, b.Updates[i].MB })
 	return w.done()
 }
@@ -338,13 +335,23 @@ func (b *AssignBody) UnmarshalBinary(data []byte) error {
 	r := reader{b: data}
 	b.Round = r.u32()
 	b.BaseRound = r.u32()
-	b.Column = r.floats()
-	b.ClientAddrs = r.strs()
-	if r.err == nil && len(b.Column) != len(b.ClientAddrs) {
-		r.fail("binary assign round %d has %d amounts for %d clients", b.Round, len(b.Column), len(b.ClientAddrs))
-	}
 	b.Updates = readPairs(&r, func(addr string, mb float64) ClientMB { return ClientMB{addr, mb} })
+	if r.err == nil {
+		r.err = b.check()
+	}
 	return r.err
+}
+
+// check refuses an update no install could apply: a non-finite MB, or a
+// full install's (BaseRound 0) entry that is not positive, since the empty
+// plan has nothing to remove.
+func (b AssignBody) check() error {
+	for _, u := range b.Updates {
+		if math.IsNaN(u.MB) || math.IsInf(u.MB, 0) || (b.BaseRound == 0 && !(u.MB > 0)) {
+			return fmt.Errorf("core: assign round %d (base %d) carries %g MB for %q", b.Round, b.BaseRound, u.MB, u.Client)
+		}
+	}
+	return nil
 }
 
 func (b AllocationBody) MarshalBinary() ([]byte, error) {

@@ -65,7 +65,7 @@ func codecCases() []binaryBody {
 			Warm:     []float64{1, 2},
 		},
 		&AssignBody{},
-		&AssignBody{Round: 7, Column: []float64{4, 0, 2.5}, ClientAddrs: []string{"c1", "c2", "c3"}},
+		&AssignBody{Round: 7, Updates: []ClientMB{{"c1", 4}, {"c3", 2.5}}},
 		&AssignBody{Round: 9, BaseRound: 7, Updates: []ClientMB{{"c1", 4.25}, {"c3", 0}, {"c9", 1}}},
 		&AssignBody{Round: 10, BaseRound: 9},
 		&AllocationBody{},
@@ -136,8 +136,9 @@ func TestControlCodecRoundHeader(t *testing.T) {
 
 // A string the u16 header cannot describe fails the marshal; it is never
 // written with a truncated length. Neither is a pair list whose keys do not
-// strictly ascend, nor a request naming its latencies by version and as a
-// list, which no decoder would take back.
+// strictly ascend, a request naming its latencies by version and as a list,
+// nor an assign carrying a non-finite MB or, against the empty plan, one
+// that is not positive, which no decoder would take back.
 func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 	long := strings.Repeat("x", 1<<16)
 	for _, body := range []binaryBody{
@@ -145,7 +146,7 @@ func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 		&RequestBody{ClientAddr: "c", LatencySec: []Latency{{long, 1}}},
 		&RoundSpec{Replicas: []ReplicaInfo{{Addr: long}}},
 		&RoundSpec{ClientAddrs: []string{"ok", long}},
-		&AssignBody{ClientAddrs: []string{long}, Column: []float64{1}},
+		&AssignBody{Updates: []ClientMB{{long, 1}}},
 		&AssignBody{BaseRound: 1, Updates: []ClientMB{{long, 1}}},
 		&AllocationBody{Algorithm: long},
 		&CohortAllocationBody{Replicas: []string{long}, UnitMB: []float64{1}},
@@ -163,6 +164,16 @@ func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 	} {
 		if _, err := body.MarshalBinary(); err == nil {
 			t.Errorf("%+v with keys out of order, or named twice, marshaled", body)
+		}
+	}
+	for _, body := range []binaryBody{
+		&AssignBody{Round: 4, Updates: []ClientMB{{"c1", 1}, {"c2", 0}}},
+		&AssignBody{Round: 4, Updates: []ClientMB{{"c1", -1}}},
+		&AssignBody{Round: 4, BaseRound: 3, Updates: []ClientMB{{"c1", math.NaN()}}},
+		&AssignBody{Round: 4, BaseRound: 3, Updates: []ClientMB{{"c1", math.Inf(-1)}}},
+	} {
+		if _, err := body.MarshalBinary(); err == nil {
+			t.Errorf("%+v with an entry no install applies marshaled", body)
 		}
 	}
 	ok := &RequestBody{ClientAddr: long[:1<<16-1]}
@@ -197,7 +208,8 @@ type hostileCase struct {
 // strictly ascend — out of order or repeated, two byte strings would decode
 // to one body. A round spec's mask and warm seed must also fit the roster
 // the spec spelled out, with exactly one encoding, and their refusals name
-// the field.
+// the field. An assign's entries must be finite, and positive against the
+// empty plan, and their refusals name the round.
 func hostileCases() []hostileCase {
 	const huge = 1 << 30
 	// roster opens a spec of 3 clients × 1 replica: a 1-byte bitmap.
@@ -219,7 +231,7 @@ func hostileCases() []hostileCase {
 	// Each opens a two-pair list, freshly: appending to a shared prefix
 	// would let one case overwrite another.
 	request := func() hostile { return hostile{}.str("c").f64(1).u32(0).u32(2) }
-	update := func() hostile { return hostile{}.u32(2).u32(1).u32(0).u32(0).u32(2) }
+	update := func() hostile { return hostile{}.u32(2).u32(1).u32(2) }
 	allocation := func() hostile { return hostile{}.u32(1).u32(2) }
 	return []hostileCase{
 		{"request: map count", &RequestBody{}, hostile{}.str("c").f64(1).u32(0).u32(huge), ""},
@@ -243,10 +255,11 @@ func hostileCases() []hostileCase {
 		{"spec: +Inf warm", &RoundSpec{}, warm(math.Inf(1), 3), "warm seed"},
 		{"spec: -Inf warm", &RoundSpec{}, warm(1, math.Inf(-1)), "warm seed"},
 		{"spec: negative warm", &RoundSpec{}, warm(-1e-300, 3), "warm seed"},
-		{"assign: column count", &AssignBody{}, hostile{}.u32(1).u32(0).u32(huge), ""},
-		{"assign: address count", &AssignBody{}, hostile{}.u32(1).u32(0).u32(0).u32(huge), ""},
-		{"assign: update count", &AssignBody{}, hostile{}.u32(1).u32(1).u32(0).u32(0).u32(huge), ""},
-		{"assign: amounts without clients", &AssignBody{}, hostile{}.u32(1).u32(0).u32(1).f64(4).u32(0).u32(0), ""},
+		{"assign: update count", &AssignBody{}, hostile{}.u32(1).u32(1).u32(huge), ""},
+		{"assign: base-less zero entry", &AssignBody{}, hostile{}.u32(6).u32(0).u32(2).str("c1").f64(4).str("c2").f64(0), "assign round 6"},
+		{"assign: base-less negative entry", &AssignBody{}, hostile{}.u32(6).u32(0).u32(1).str("c1").f64(-2), "assign round 6"},
+		{"assign: NaN update", &AssignBody{}, hostile{}.u32(6).u32(5).u32(1).str("c1").f64(math.NaN()), "assign round 6"},
+		{"assign: +Inf entry", &AssignBody{}, hostile{}.u32(6).u32(0).u32(1).str("c1").f64(math.Inf(1)), "assign round 6"},
 		{"allocation: map count", &AllocationBody{}, hostile{}.u32(1).u32(huge), ""},
 		{"cohort allocation: replica count", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(huge), ""},
 		{"cohort allocation: units without replicas", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(0).u32(1).f64(1), ""},
@@ -426,7 +439,7 @@ var codecSink int
 
 // BenchmarkControlCodec is one encode plus one decode of the bodies that
 // dominate a fleet-scale round, binary beside encoding/json: a request
-// naming 10 replicas, a full 10 000-client assign column, the 100-update
+// naming 10 replicas, a full install serving 10 000 clients, the 100-update
 // delta assign of a 1 %-drift round, and a cohort allocation.
 func BenchmarkControlCodec(b *testing.B) {
 	request := &RequestBody{ClientAddr: "client-004217", DemandMB: 12.5}
@@ -439,8 +452,7 @@ func BenchmarkControlCodec(b *testing.B) {
 	}
 	assign := &AssignBody{Round: 12}
 	for i := 0; i < 10000; i++ {
-		assign.ClientAddrs = append(assign.ClientAddrs, fmt.Sprintf("client-%06d", i))
-		assign.Column = append(assign.Column, float64(i%7)*1.375)
+		assign.Updates = append(assign.Updates, ClientMB{fmt.Sprintf("client-%06d", i), float64(1+i%7) * 1.375})
 	}
 	delta := &AssignBody{Round: 13, BaseRound: 12}
 	for i := 0; i < 10000; i += 100 {

@@ -642,11 +642,13 @@ func (r *ReplicaServer) settleDuals(a *attempt) {
 	}
 }
 
-// install puts the result on the replicas, each getting its own column.
-// When the committed round's install is still addressable on every member
-// an incremental plan sends a delta against it — O(dirty) entries instead
-// of the full |C| column, built in row order merged with the departed
-// clients, so it ascends by client as the wire requires.
+// install puts the result on the replicas, each getting the entries of its
+// own column that differ from a base plan, in row order — which ascends by
+// client, as the wire requires. When the committed round's install is
+// still addressable on every member, an incremental plan diffs against it:
+// O(dirty) entries instead of the whole column, merged with the departed
+// clients' removals. Otherwise the base is the empty plan and the column's
+// positive entries alone travel.
 func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 	clients := a.full.spec.ClientAddrs
 	// The delta's base state must still be among the roundStatesKept newest
@@ -656,30 +658,42 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 	if a.kind == kindIncremental && r.startsSinceInstall.Load() < roundStatesKept {
 		base = a.inc.instPrev
 	}
+	baseRound, departed := 0, []string(nil)
+	if base != nil {
+		baseRound, departed = a.inc.lg.installedRound, a.inc.departed
+	}
 	return r.toReplicas(ctx, a, func(j int) (transport.Message, error) {
-		if base == nil {
-			col := make([]float64, len(clients))
-			for i := range col {
-				col[i] = a.x[i][j]
-			}
-			return r.newMessage(MsgAssign, AssignBody{Round: a.round, Column: col, ClientAddrs: clients})
-		}
 		var updates []ClientMB
-		departed := a.inc.departed
+		if base == nil {
+			served := 0
+			for _, row := range a.x {
+				if row[j] > 0 {
+					served++
+				}
+			}
+			updates = make([]ClientMB, 0, served)
+		}
+		departed := departed
 		for i, addr := range clients {
-			if base[i] != nil && a.x[i][j] == base[i][j] {
+			v := a.x[i][j]
+			if base == nil || base[i] == nil {
+				// The base holds no entry for the client: one ≤ 0 stays out.
+				if !(v > 0) {
+					continue
+				}
+			} else if v == base[i][j] {
 				continue
 			}
 			for len(departed) > 0 && departed[0] < addr {
 				updates = append(updates, ClientMB{departed[0], 0})
 				departed = departed[1:]
 			}
-			updates = append(updates, ClientMB{addr, a.x[i][j]})
+			updates = append(updates, ClientMB{addr, v})
 		}
 		for _, addr := range departed {
 			updates = append(updates, ClientMB{addr, 0})
 		}
-		return r.newMessage(MsgAssign, AssignBody{Round: a.round, BaseRound: a.inc.lg.installedRound, Updates: updates})
+		return r.newMessage(MsgAssign, AssignBody{Round: a.round, BaseRound: baseRound, Updates: updates})
 	})
 }
 

@@ -35,17 +35,18 @@ func (in *fuzzInput) next() byte {
 func (in *fuzzInput) amount() float64 { return float64(int(in.next()%12)-4) * 0.75 }
 
 // FuzzPlanInstall drives replica.assign through one replica's handler, wire
-// codec included: a base plan, then full columns and deltas — removals,
+// codec included: a base plan, then full installs and deltas — removals,
 // amounts ≤ 0, clients absent from the base, clients departed from it —
 // against any earlier round. Every installed plan must answer Plan exactly
 // as a map oracle does, for every client and for addresses no install
-// names; a full column whose clients do not strictly ascend must be refused
-// and leave its round without a plan, which a delta then cannot build on.
+// names; a full install whose clients do not strictly ascend must be
+// refused and leave its round without a plan, which a delta then cannot
+// build on.
 func FuzzPlanInstall(f *testing.F) {
 	f.Add([]byte{})
 	// Two scripted seeds: a base missing every third client at 3 MB; a delta
 	// that cycles through departing, zeroing, moving (or adding) and leaving
-	// clients; a full column with two rows swapped (seed 1) or one row
+	// clients; a full install with two entries swapped (seed 1) or one entry
 	// repeated (seed 2); then a delta against that refused round.
 	for _, shuffle := range []byte{1, 2} {
 		var seed []byte
@@ -80,16 +81,19 @@ func FuzzPlanInstall(f *testing.F) {
 		// oracles[k] is round k's plan; nil for a round whose install was
 		// refused.
 		oracles := []map[string]float64{nil}
-		install := func(body AssignBody) error {
+		send := func(round int, msg transport.Message) error {
 			rs.mu.Lock()
-			rs.rounds[body.Round] = &roundState{}
+			rs.rounds[round] = &roundState{}
 			rs.mu.Unlock()
+			_, err := rs.handle(context.Background(), msg)
+			return err
+		}
+		install := func(body AssignBody) error {
 			msg, err := transport.NewMessage(MsgAssign, "fuzz", body)
 			if err != nil {
 				t.Fatalf("round %d: marshal: %v", body.Round, err)
 			}
-			_, err = rs.handle(context.Background(), msg)
-			return err
+			return send(body.Round, msg)
 		}
 		full := func(round int, shuffle byte) {
 			body := AssignBody{Round: round}
@@ -98,23 +102,30 @@ func FuzzPlanInstall(f *testing.F) {
 				if in.next()%4 == 0 {
 					continue // not a row of this round
 				}
-				mb := in.amount()
-				body.ClientAddrs = append(body.ClientAddrs, c)
-				body.Column = append(body.Column, mb)
-				if mb > 0 {
+				// An amount ≤ 0 is a row the replica does not serve, which
+				// a full install leaves out.
+				if mb := in.amount(); mb > 0 {
+					body.Updates = append(body.Updates, ClientMB{c, mb})
 					want[c] = mb
 				}
 			}
-			// shuffle 1 swaps two rows, 2 repeats one: either must be refused.
-			if n := len(body.ClientAddrs); n >= 2 && shuffle%3 != 0 {
+			// shuffle 1 swaps two entries, 2 repeats one: either must be
+			// refused. The marshaler refuses them too, so the bytes are
+			// written by hand.
+			if n := len(body.Updates); n >= 2 && shuffle%3 != 0 {
 				k := int(in.next()) % (n - 1)
 				if shuffle%3 == 1 {
-					body.ClientAddrs[k], body.ClientAddrs[k+1] = body.ClientAddrs[k+1], body.ClientAddrs[k]
+					body.Updates[k], body.Updates[k+1] = body.Updates[k+1], body.Updates[k]
 				} else {
-					body.ClientAddrs[k+1] = body.ClientAddrs[k]
+					body.Updates[k+1].Client = body.Updates[k].Client
 				}
-				if err := install(body); err == nil {
-					t.Fatalf("round %d: column with rows %v installed", round, body.ClientAddrs)
+				raw := transport.AppendUint32(transport.AppendUint32(transport.AppendUint32(nil, uint32(round)), 0), uint32(n))
+				for _, u := range body.Updates {
+					raw, _ = transport.AppendString(raw, u.Client)
+					raw = transport.AppendFloat64(raw, u.MB)
+				}
+				if err := send(round, transport.Message{Type: MsgAssign, From: "fuzz", Body: raw}); err == nil {
+					t.Fatalf("round %d: install with entries %v installed", round, body.Updates)
 				}
 				oracles = append(oracles, nil)
 				return

@@ -182,31 +182,26 @@ type RoundSpec struct {
 	Warm []float64 `json:"warm,omitempty"`
 }
 
-// AssignBody installs the final per-replica serving plan. Two forms:
-// the full form carries the replica's whole column (Column/ClientAddrs),
-// while the delta form (BaseRound > 0) tells the replica to start from
-// the plan it installed for BaseRound and apply only Updates — the
-// incremental path's change-suppressed install, which shrinks the
-// steady-state fan-out from O(|C|) to O(dirty). A replica holding no
-// state for BaseRound rejects the delta, failing the round into its
-// usual restart path; the initiator only sends deltas against a round it
-// installed on every member and that is recent enough to still be held
-// (roundStatesKept), so that means the member lost state (restart) and
-// the full solve re-seeds it.
+// AssignBody installs the final per-replica serving plan as the entries
+// that differ from a base plan. With BaseRound 0 the base is the empty plan,
+// so Updates lists every client the replica serves, each with a positive
+// MB: it is the plan. With BaseRound > 0 the replica starts from the plan
+// it installed for BaseRound and applies Updates — the incremental path's
+// change-suppressed install, which shrinks the steady-state fan-out from
+// O(|C|) to O(dirty). A replica holding no state for BaseRound rejects the
+// delta, failing the round into its usual restart path; the initiator only
+// sends deltas against a round it installed on every member and that is
+// recent enough to still be held (roundStatesKept), so that means the
+// member lost state (restart) and the full solve re-seeds it.
 type AssignBody struct {
 	Round int `json:"round"`
-	// Column[c] is the MB this replica serves to client c (row order of
-	// the round spec). Empty in the delta form.
-	Column []float64 `json:"column"`
-	// ClientAddrs lists the round's clients in row order, which ascends
-	// strictly: a replica refuses a column that does not. Empty in the delta
-	// form.
-	ClientAddrs []string `json:"client_addrs"`
-	// BaseRound selects the delta form: the already-installed round whose
-	// plan this round starts from.
+	// BaseRound is the already-installed round whose plan this round starts
+	// from; 0 for the empty plan.
 	BaseRound int `json:"base_round,omitempty"`
 	// Updates lists, in strictly ascending client order, every entry that
-	// differs from the base plan; a non-positive MB removes the client.
+	// differs from the base plan. Against a round's plan a non-positive MB
+	// removes the client; against the empty plan every MB is positive.
+	// Every MB is finite.
 	Updates []ClientMB `json:"updates,omitempty"`
 }
 

@@ -258,20 +258,33 @@ func (r *ReplicaServer) PendingRequests() int {
 }
 
 // RegisterMetrics exposes the replica's own gauges on an admin registry:
-// edr_pending_requests, the queue depth the next round drains, and
+// edr_pending_requests, the queue depth the next round drains;
 // edr_latency_versions, how many clients' latency lists it holds for
-// demand-only resubmissions.
+// demand-only resubmissions; and the two stores that grow with the rounds
+// and are bounded only by their pruning — edr_round_states, the
+// participant round states held (at most roundStatesKept), and
+// edr_cohort_keys, the cohort masks the initiator's registry interned
+// (pruned only on a membership change).
 func (r *ReplicaServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("edr_pending_requests",
 		"Client requests queued for this replica's next round.", nil,
 		func() float64 { return float64(r.PendingRequests()) })
-	reg.Gauge("edr_latency_versions",
-		"Client latency lists this replica holds for demand-only resubmissions.", nil,
-		func() float64 {
+	locked := func(n func() int) func() float64 {
+		return func() float64 {
 			r.mu.Lock()
 			defer r.mu.Unlock()
-			return float64(r.latencies.len())
-		})
+			return float64(n())
+		}
+	}
+	reg.Gauge("edr_latency_versions",
+		"Client latency lists this replica holds for demand-only resubmissions.", nil,
+		locked(func() int { return r.latencies.len() }))
+	reg.Gauge("edr_round_states",
+		"Participant round states this replica holds.", nil,
+		locked(func() int { return len(r.rounds) }))
+	reg.Gauge("edr_cohort_keys",
+		"Cohort keys interned by this replica's cohort registry.", nil,
+		func() float64 { return float64(r.registry.Keys()) })
 }
 
 // LastReport returns the most recent completed round this replica
@@ -639,8 +652,9 @@ func (r *ReplicaServer) lookupRound(round int) (*roundState, error) {
 	return st, nil
 }
 
-// handleAssign installs the final serving plan — either a full column or
-// a delta against an earlier round's installed plan (see AssignBody).
+// handleAssign installs the final serving plan: a full install's updates
+// are the plan as decoded, a delta is applied to an earlier round's
+// installed plan (see AssignBody).
 func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, error) {
 	var body AssignBody
 	if err := req.DecodeBody(&body); err != nil {
@@ -650,7 +664,7 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 	if err != nil {
 		return transport.Message{}, err
 	}
-	var plan []ClientMB
+	plan := body.Updates
 	if body.BaseRound > 0 {
 		base, err := r.lookupRound(body.BaseRound)
 		if err != nil {
@@ -663,19 +677,8 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 			return transport.Message{}, fmt.Errorf("core: delta assign round %d: round %d has no installed plan", body.Round, body.BaseRound)
 		}
 		plan = applyUpdates(basePlan, body.Updates)
-	} else {
-		if len(body.Column) != len(body.ClientAddrs) {
-			return transport.Message{}, fmt.Errorf("core: assign round %d: %d amounts for %d clients", body.Round, len(body.Column), len(body.ClientAddrs))
-		}
-		plan = make([]ClientMB, 0, len(body.Column))
-		for i, addr := range body.ClientAddrs {
-			if i > 0 && addr <= body.ClientAddrs[i-1] {
-				return transport.Message{}, fmt.Errorf("core: assign round %d: client %q at row %d does not ascend past %q", body.Round, addr, i, body.ClientAddrs[i-1])
-			}
-			if body.Column[i] > 0 {
-				plan = append(plan, ClientMB{addr, body.Column[i]})
-			}
-		}
+	} else if plan == nil {
+		plan = []ClientMB{} // installed, serving no client
 	}
 	r.mu.Lock()
 	st.plan = plan

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -207,5 +208,62 @@ func TestDegradedRoundPublishesDegradedEvents(t *testing.T) {
 	}
 	if st := ra.Status(); !st.Degraded {
 		t.Fatal("status does not flag the degraded round")
+	}
+}
+
+// The growth gauges are read race-free while rounds run (the suite runs
+// under -race, with a scraper beside the rounds), and stay bounded: after
+// 3·roundStatesKept rounds every replica holds at most roundStatesKept
+// round states, and the initiator's cohort registry one key per
+// feasibility mask its rounds saw — here one.
+func TestGrowthGaugesStayBounded(t *testing.T) {
+	f := newFleetCfg(t, []float64{1, 3, 5}, 40, LDDM, func(_ int, cfg *ReplicaConfig) {
+		cfg.CohortMinClients = 2
+	})
+	ctx := context.Background()
+	contact := f.replicas[0]
+	regs := make([]*telemetry.Registry, len(f.replicas))
+	for i, rs := range f.replicas {
+		regs[i] = telemetry.NewRegistry()
+		rs.RegisterMetrics(regs[i])
+	}
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			for _, reg := range regs {
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	lat := f.uniformLatencies()
+	for round := 1; round <= 3*roundStatesKept; round++ {
+		for i, cl := range f.clients {
+			if err := cl.Submit(ctx, contact.Addr(), float64(1+(i+round)%5), lat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := contact.RunRound(ctx); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	close(stop)
+	scraper.Wait()
+	for i, reg := range regs {
+		if got := gaugeValue(t, reg, "edr_round_states"); got < 1 || got > roundStatesKept {
+			t.Errorf("replica %d holds %g round states after %d rounds, want 1..%d", i, got, 3*roundStatesKept, roundStatesKept)
+		}
+	}
+	if got := gaugeValue(t, regs[0], "edr_cohort_keys"); got != 1 {
+		t.Errorf("the initiator's registry holds %g cohort keys for one feasibility mask", got)
 	}
 }

@@ -75,7 +75,7 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 	refuse(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
 	serve(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
 
-	assign := AssignBody{Round: spec.Round, Column: []float64{4, 0}, ClientAddrs: spec.ClientAddrs}
+	assign := AssignBody{Round: spec.Round, Updates: []ClientMB{{"c1", 4}}}
 	refuse(target, MsgAssign, assign)
 	if got := target.Plan(spec.Round, "c1"); got != 0 {
 		t.Fatalf("refused replica.assign installed %g MB for c1", got)

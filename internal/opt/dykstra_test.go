@@ -19,7 +19,7 @@ func TestDykstraNoSets(t *testing.T) {
 func TestDykstraSingleSetIsPlainProjection(t *testing.T) {
 	x := [][]float64{{3, 3}}
 	set := func(m [][]float64) error {
-		ProjectSimplex(m[0], 2)
+		projectSimplex(m[0], 2)
 		return nil
 	}
 	if _, err := Dykstra(x, []SetProjection{set}, DykstraOptions{}); err != nil {

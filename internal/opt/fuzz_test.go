@@ -22,7 +22,7 @@ func FuzzProjectSimplex(f *testing.F) {
 			return
 		}
 		x := []float64{a, b, c, d}
-		ProjectSimplex(x, sum)
+		projectSimplex(x, sum)
 		total := 0.0
 		for i, v := range x {
 			if v < -1e-6 {

@@ -13,47 +13,11 @@ import (
 // the matrix-level feasible-set projection composes them via Dykstra's
 // algorithm (see dykstra.go).
 
-// ProjectSimplex projects x in place onto {y : y ≥ 0, Σy = s} using the
-// exact O(d log d) sort-and-threshold algorithm. s must be ≥ 0.
-func ProjectSimplex(x []float64, s float64) {
-	if s < 0 {
-		panic(fmt.Sprintf("opt: ProjectSimplex with negative sum %g", s))
-	}
-	d := len(x)
-	if d == 0 {
-		return
-	}
-	if s == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return
-	}
-	sorted := make([]float64, d)
-	copy(sorted, x)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	// Find ρ = max{k : sorted[k] − (cum_k − s)/(k+1) > 0}.
-	cum := 0.0
-	theta := 0.0
-	for k := 0; k < d; k++ {
-		cum += sorted[k]
-		t := (cum - s) / float64(k+1)
-		if sorted[k]-t > 0 {
-			theta = t
-		} else {
-			break
-		}
-	}
-	for i := range x {
-		x[i] = math.Max(x[i]-theta, 0)
-	}
-}
-
-// ProjectSimplexScratch is ProjectSimplex backed by caller scratch (len ≥
-// len(x)) instead of a per-call allocation, with an insertion sort for the
-// short vectors the packed sparse kernels hand it (a masked row holds a
-// handful of entries). The threshold math is identical to ProjectSimplex:
-// exact, no bisection.
+// ProjectSimplexScratch projects x in place onto {y : y ≥ 0, Σy = s} using
+// the exact sort-and-threshold algorithm, no bisection. s must be ≥ 0. The
+// sort runs in caller scratch (len ≥ len(x)) rather than a per-call
+// allocation, as an insertion sort for the short vectors the packed sparse
+// kernels hand it (a masked row holds a handful of entries).
 func ProjectSimplexScratch(x, scratch []float64, s float64) {
 	if s < 0 {
 		panic(fmt.Sprintf("opt: ProjectSimplexScratch with negative sum %g", s))

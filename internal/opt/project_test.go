@@ -16,30 +16,35 @@ func sum(x []float64) float64 {
 	return s
 }
 
+// projectSimplex is ProjectSimplexScratch with scratch of its own.
+func projectSimplex(x []float64, s float64) {
+	ProjectSimplexScratch(x, make([]float64, len(x)), s)
+}
+
 func TestProjectSimplexBasic(t *testing.T) {
 	x := []float64{0.5, 0.5}
-	ProjectSimplex(x, 1)
+	projectSimplex(x, 1)
 	if math.Abs(x[0]-0.5) > 1e-12 || math.Abs(x[1]-0.5) > 1e-12 {
 		t.Fatalf("point already on simplex moved: %v", x)
 	}
 
 	x = []float64{2, 0}
-	ProjectSimplex(x, 1)
+	projectSimplex(x, 1)
 	// Projection of (2,0) onto the unit simplex is (1.5,−0.5) clipped → (1,0)?
 	// The exact solution: θ = 0.5 with support {0} → x = (1.5−θ?..). Work it
 	// out: sorted=(2,0); k=0: t=(2−1)/1=1, 2−1>0 ⇒ θ=1; k=1: t=(2−1)/2=0.5,
 	// 0−0.5<0 stop. x = (max(2−1,0), max(0−1,0)) = (1, 0).
 	if math.Abs(x[0]-1) > 1e-12 || x[1] != 0 {
-		t.Fatalf("ProjectSimplex((2,0),1) = %v, want (1,0)", x)
+		t.Fatalf("projectSimplex((2,0),1) = %v, want (1,0)", x)
 	}
 }
 
 func TestProjectSimplexZeroSum(t *testing.T) {
 	x := []float64{3, -2, 5}
-	ProjectSimplex(x, 0)
+	projectSimplex(x, 0)
 	for _, v := range x {
 		if v != 0 {
-			t.Fatalf("ProjectSimplex(_, 0) = %v", x)
+			t.Fatalf("projectSimplex(_, 0) = %v", x)
 		}
 	}
 }
@@ -50,20 +55,24 @@ func TestProjectSimplexNegativeSumPanics(t *testing.T) {
 			t.Fatal("negative simplex sum did not panic")
 		}
 	}()
-	ProjectSimplex([]float64{1}, -1)
+	projectSimplex([]float64{1}, -1)
 }
 
-// Property: the result is feasible — nonnegative and sums to s.
+// Property: the result is feasible — nonnegative and sums to s — on short
+// vectors (insertion sort) and long ones (sort.Sort) alike.
 func TestProjectSimplexFeasibleProperty(t *testing.T) {
 	r := sim.NewRand(99)
 	for trial := 0; trial < 500; trial++ {
 		d := 1 + r.Intn(12)
+		if trial%5 == 4 {
+			d = 33 + r.Intn(32)
+		}
 		s := r.Range(0, 50)
 		x := make([]float64, d)
 		for i := range x {
 			x[i] = r.Range(-20, 20)
 		}
-		ProjectSimplex(x, s)
+		projectSimplex(x, s)
 		for _, v := range x {
 			if v < -1e-12 {
 				t.Fatalf("negative coordinate %g", v)
@@ -88,7 +97,7 @@ func TestProjectSimplexOptimalityProperty(t *testing.T) {
 			v[i] = r.Range(-5, 5)
 		}
 		y := append([]float64(nil), v...)
-		ProjectSimplex(y, s)
+		projectSimplex(y, s)
 		// Random feasible z: uniform Dirichlet-ish point scaled to s.
 		z := make([]float64, d)
 		for i := range z {
@@ -122,9 +131,9 @@ func TestProjectSimplexIdempotentProperty(t *testing.T) {
 			}
 			x[i] = v
 		}
-		ProjectSimplex(x, s)
+		projectSimplex(x, s)
 		y := append([]float64(nil), x...)
-		ProjectSimplex(y, s)
+		projectSimplex(y, s)
 		for i := range x {
 			if math.Abs(x[i]-y[i]) > 1e-9*(1+s) {
 				return false
@@ -222,7 +231,7 @@ func TestCappedAgreesWithPlainWhenCapsSlack(t *testing.T) {
 			x[i] = r.Range(-5, 5)
 		}
 		plain := append([]float64(nil), x...)
-		ProjectSimplex(plain, s)
+		projectSimplex(plain, s)
 		u := make([]float64, d)
 		for i := range u {
 			u[i] = s + 1 // cap slack: can never bind
