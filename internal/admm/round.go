@@ -56,8 +56,8 @@ type roundAlg struct {
 	warmU      []float64 // additive dual offset from the previous round
 	acc        []float64 // this round's dual ascent, accumulated from zero
 	share      []float64
-	served     []float64   // per-client totals of z, frozen for the next wave
-	primal     [][]float64 // client×replica scratch for trajectory costing
+	served     []float64 // per-client totals of z, frozen for the next wave
+	primal     []float64 // z in CSR order, for trajectory costing
 	demandNorm float64
 
 	exchanges []engine.Exchange
@@ -83,25 +83,22 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	a.warmU = rd.Pool.Vector(c)
 	a.share = rd.Pool.Vector(c)
 	a.served = rd.Pool.Vector(c)
-	a.primal = rd.Pool.Matrix(c, n)
+	a.primal = rd.Pool.Vector(nnz)
 	a.demandNorm = 0
 	for i := 0; i < c; i++ {
 		a.share[i] = rd.Prob.Demands[i] / float64(n)
 		a.demandNorm += rd.Prob.Demands[i] * rd.Prob.Demands[i]
 	}
 	a.demandNorm = math.Sqrt(a.demandNorm)
-	warm := rd.Warm != nil && len(rd.Warm) == c
-	for j := 0; j < n; j++ {
-		for s := a.sp.ColStart[j]; s < a.sp.ColStart[j+1]; s++ {
-			i := a.sp.RowIdx[s]
-			a.caps[s] = rd.Prob.Demands[i]
-			// Seed z from the warm-start assignment. The warm split
-			// conserves demand, so the primal residual starts near zero and
-			// the loop spends its iterations on optimality, not on
-			// re-finding feasibility from the origin.
-			if warm && len(rd.Warm[i]) == n {
-				a.z[s] = rd.Warm[i][j]
-			}
+	warm := len(rd.Warm) == nnz
+	for s, i := range a.sp.RowIdx {
+		a.caps[s] = rd.Prob.Demands[i]
+		// Seed z from the warm-start assignment. The warm split conserves
+		// demand, so the primal residual starts near zero and the loop
+		// spends its iterations on optimality, not on re-finding
+		// feasibility from the origin.
+		if warm {
+			a.z[s] = rd.Warm[a.sp.PosCSR[s]]
 		}
 	}
 	a.sumServed()
@@ -183,26 +180,20 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 // next round can warm-start from them. Returned in a non-pooled buffer.
 func (a *roundAlg) Duals() []float64 { return a.u }
 
-// Primal exposes the current iterate, scattered into client×replica form,
-// for trajectory costing. Off-support entries stay the pool's zeros.
-func (a *roundAlg) Primal() [][]float64 {
-	a.scatter(a.primal)
-	return a.primal
-}
+// Primal exposes the current iterate, in CSR order, for trajectory costing.
+func (a *roundAlg) Primal() []float64 { return a.toCSR(a.primal) }
 
-// scatter writes z into x's support entries.
-func (a *roundAlg) scatter(x [][]float64) {
-	for j := 0; j < a.sp.N; j++ {
-		for s := a.sp.ColStart[j]; s < a.sp.ColStart[j+1]; s++ {
-			x[a.sp.RowIdx[s]][j] = a.z[s]
-		}
+// toCSR writes z, held in CSC order, into x in CSR order.
+func (a *roundAlg) toCSR(x []float64) []float64 {
+	for s, k := range a.sp.PosCSR {
+		x[k] = a.z[s]
 	}
+	return x
 }
 
-func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, error) {
-	final := opt.NewMatrix(a.rd.Prob.C(), a.rd.Prob.N())
-	a.scatter(final)
-	if err := opt.ProjectFeasible(a.rd.Prob, final, 1e-6); err != nil {
+func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([]float64, error) {
+	final := a.toCSR(make([]float64, len(a.z)))
+	if err := opt.ProjectFeasiblePacked(a.rd.Prob, final, 1e-6); err != nil {
 		return nil, fmt.Errorf("admm: primal recovery: %w", err)
 	}
 	return final, nil

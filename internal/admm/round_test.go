@@ -18,6 +18,28 @@ import (
 	"edr/internal/solver"
 )
 
+// A warm seed arrives packed in CSR order while z is held in CSC order: on
+// a masked instance, where the two orders differ, Primal hands the seed
+// back bit for bit right after Init.
+func TestWarmSeedIsPrimalAfterInit(t *testing.T) {
+	prob := maskedInstance(t, sim.NewRand(23), 12, 4)
+	warm := make([]float64, prob.Sparsity().NNZ())
+	for k := range warm {
+		warm[k] = float64(k) + 0.25 // distinct, so any slot mix-up shows
+	}
+	rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: make([]string, prob.N()), Warm: warm, Pool: &opt.Pool{}}
+	defer rd.Pool.Release()
+	alg := &roundAlg{}
+	if err := alg.Init(rd); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range alg.Primal() {
+		if math.Float64bits(v) != math.Float64bits(warm[k]) {
+			t.Fatalf("slot %d: Primal %v after Init, warm seed %v", k, v, warm[k])
+		}
+	}
+}
+
 // The initiator's scaled dual is, bit for bit and at every iteration, the
 // warm offset plus what the per-client accumulators of the retired
 // client.muupdate wave would hold (zero at the start of a round, one step

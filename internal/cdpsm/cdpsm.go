@@ -90,7 +90,7 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 	// estimate, the common point they are converging to.
 	sp := prob.Sparsity()
 	n := prob.N()
-	ests, mean, x := make([][]float64, n), make([]float64, sp.NNZ()), opt.NewMatrix(prob.C(), n)
+	ests, mean := make([][]float64, n), make([]float64, sp.NNZ())
 	history := func(int, float64, float64) float64 {
 		for j := range ests {
 			st, err := state(lb.Server(j))
@@ -102,8 +102,7 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 			st.mu.Unlock()
 		}
 		average(mean, ests)
-		sp.Scatter(x, mean)
-		return prob.Cost(x)
+		return prob.PackedCost(mean)
 	}
 	// Each iteration every replica pulls the |N|−1 other estimates of nnz
 	// ≤ |C|·|N| supported scalars: O(|C|·|N|³) system-wide (paper §III-D.1).

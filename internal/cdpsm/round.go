@@ -135,28 +135,25 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 // converged toward. The estimates are summed in column order, not in
 // arrival order, so a round's answer does not depend on which reply
 // lands first.
-func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, error) {
+func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([]float64, error) {
 	ests := make([][]float64, len(a.rd.ReplicaAddrs))
 	if err := d.Exec(ctx, a.collect(ests)); err != nil {
 		return nil, err
 	}
-	sp := a.rd.Prob.Sparsity()
-	sum := make([]float64, sp.NNZ())
+	mean := make([]float64, a.rd.Prob.Sparsity().NNZ()) // escapes into the report
 	for _, e := range ests {
 		for k, x := range e {
-			sum[k] += x
+			mean[k] += x
 		}
 	}
 	scale := 1 / float64(len(ests))
-	for k := range sum {
-		sum[k] *= scale
+	for k := range mean {
+		mean[k] *= scale
 	}
-	x := opt.NewMatrix(sp.C, sp.N) // freshly allocated: escapes into the report
-	sp.Scatter(x, sum)
-	if err := opt.ProjectFeasible(a.rd.Prob, x, 1e-6); err != nil {
+	if err := opt.ProjectFeasiblePacked(a.rd.Prob, mean, 1e-6); err != nil {
 		return nil, fmt.Errorf("cdpsm: final polish: %w", err)
 	}
-	return x, nil
+	return mean, nil
 }
 
 // collect is Recover's closing exchange: it checks each replica's

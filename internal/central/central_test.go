@@ -3,14 +3,10 @@ package central
 import (
 	"testing"
 
-	"edr/internal/opt"
 	"edr/internal/probgen"
 	"edr/internal/sim"
 	"edr/internal/solver"
 )
-
-// optConstant aliases opt.ConstantStep for brevity in tests.
-func optConstant(d float64) opt.StepRule { return opt.ConstantStep(d) }
 
 func TestCentralName(t *testing.T) {
 	if New().Name() != "Central" {
@@ -91,7 +87,7 @@ func TestCentralConvergesWithConstantStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New()
-	s.Step = optConstant(0.01)
+	s.Step = func(int) float64 { return 0.01 }
 	s.MaxIters = 500
 	res, err := s.Solve(prob)
 	if err != nil {

@@ -166,16 +166,3 @@ func (g *Grouping) AggregateDualsInto(mu []float64, dst []float64) []float64 {
 	}
 	return dst
 }
-
-// ScatterMember writes client c's packed assignment segment from a packed
-// full vector into a dense per-replica row (len |N|), zeroing infeasible
-// links — the per-member dense materialization the plan install performs.
-func (g *Grouping) ScatterMember(dst []float64, packed []float64, c int) {
-	fullSp, _ := g.Sparse()
-	for j := range dst {
-		dst[j] = 0
-	}
-	for fk := fullSp.RowStart[c]; fk < fullSp.RowStart[c+1]; fk++ {
-		dst[fullSp.ColIdx[fk]] = packed[fk]
-	}
-}

@@ -208,34 +208,3 @@ func TestAggregateDualsIntoMatchesDense(t *testing.T) {
 		}
 	}
 }
-
-// TestScatterMember pins the per-member dense materialization against the
-// full disaggregated matrix.
-func TestScatterMember(t *testing.T) {
-	prob, g := packedTestInstance(t, 40, 5, 21)
-	_, redSp := g.Sparse()
-	xk, err := g.Reduced().UniformStart()
-	if err != nil {
-		t.Fatalf("UniformStart: %v", err)
-	}
-	dense, err := g.Disaggregate(xk)
-	if err != nil {
-		t.Fatalf("Disaggregate: %v", err)
-	}
-	packed, err := g.DisaggregatePacked(redSp.Gather(nil, xk), nil)
-	if err != nil {
-		t.Fatalf("DisaggregatePacked: %v", err)
-	}
-	row := make([]float64, prob.N())
-	for j := range row {
-		row[j] = -1 // must be fully overwritten
-	}
-	for c := 0; c < g.C(); c++ {
-		g.ScatterMember(row, packed, c)
-		for j := range row {
-			if math.Float64bits(row[j]) != math.Float64bits(dense[c][j]) {
-				t.Fatalf("client %d col %d: %g vs %g", c, j, row[j], dense[c][j])
-			}
-		}
-	}
-}

@@ -77,13 +77,14 @@ type attempt struct {
 	grouping  *cohort.Grouping
 	solveSpec *RoundSpec
 	solveProb *opt.Problem
-	// warm and warmMu seed the solve (nil when cold).
-	warm   [][]float64
+	// warm and warmMu seed the solve (nil when cold); warm is packed over
+	// solveProb's sparsity in CSR order.
+	warm   []float64
 	warmMu []float64
 	trace  roundTrace
-	// solved is the solve's output, rows of solveSpec × columns; duals are
-	// its rows' final dual values (nil when the method reports none).
-	solved     [][]float64
+	// solved is the solve's output, packed like warm; duals are its rows'
+	// final dual values (nil when the method reports none).
+	solved     []float64
 	iterations int
 	duals      []float64
 	// subGap is the duality gap the incremental plan's central sub-solve
@@ -368,34 +369,34 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 // demand-conserving point near the previous optimum — what makes epoch
 // changes (join, drain, departure) cheap. A round with no committed
 // history has nothing to warm from and starts cold, from the uniform split.
-// Cohorted solves fold the per-client history into cohort rows (and
-// per-client duals into demand-weighted cohort duals). For a degraded
-// round the renormalized history is not a seed but the result. The seed
-// travels, packed over the solve's support, only on a full solve whose
-// server half reads it (engine.Registration.ServerWarm).
+// The seed is packed over the solve's support: cohorted solves fold the
+// per-client history straight into the cohorts' slots (and per-client
+// duals into demand-weighted cohort duals). For a degraded round the
+// renormalized history is not a seed but the result. The seed travels
+// only on a full solve whose server half reads it
+// (engine.Registration.ServerWarm). Its pooled buffers are done being read
+// before the attempt releases them: start marshals it, and the solve
+// consumes it.
 func (r *ReplicaServer) warm(a *attempt) {
 	if a.kind == kindDegraded {
 		a.x, _ = r.warmStart(&a.full)
 		return
 	}
 	warm, mu := r.warmStart(&a.sub)
-	if g := a.grouping; g != nil && warm != nil {
-		// Packed fold: gather the per-client history straight into the
-		// cohorts' CSR slots, then scatter once into a pooled |K|×|N|
-		// matrix for the solver. No dense |C|×|N| intermediate, and the
-		// pooled buffers are done being read before the attempt releases
-		// them (warm and solve consume them within the attempt).
-		_, redSp := g.Sparse()
-		warmPk := g.AggregateRowsPacked(warm, r.pool.Vector(redSp.NNZ()))
-		warm = r.pool.Matrix(g.K(), a.sub.prob.N())
-		redSp.Scatter(warm, warmPk)
+	a.warm, a.warmMu = nil, mu
+	sp := a.solveProb.Sparsity()
+	switch g := a.grouping; {
+	case warm == nil:
+	case g != nil:
+		a.warm = g.AggregateRowsPacked(warm, r.pool.Vector(sp.NNZ()))
 		if mu != nil {
-			mu = g.AggregateDualsInto(mu, r.pool.Vector(g.K()))
+			a.warmMu = g.AggregateDualsInto(mu, r.pool.Vector(g.K()))
 		}
+	default:
+		a.warm = sp.Gather(r.pool.Vector(sp.NNZ()), warm)
 	}
-	a.warm, a.warmMu = warm, mu
-	if r.alg.ServerWarm && a.kind == kindFull && warm != nil {
-		a.solveSpec.Warm = a.solveProb.Sparsity().Gather(nil, warm)
+	if r.alg.ServerWarm && a.kind == kindFull && a.warm != nil {
+		a.solveSpec.Warm = a.warm
 	}
 }
 
@@ -517,11 +518,19 @@ func (r *ReplicaServer) start(ctx context.Context, a *attempt) error {
 func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 	a.duals = nil
 	if a.kind == kindIncremental {
-		res, err := opt.FrankWolfeFrom(a.solveProb, a.warm, opt.FWOptions{})
+		// The central sub-solve is the one dense step: the seed scatters
+		// into it and its answer is gathered back out.
+		sp := a.solveProb.Sparsity()
+		x0 := r.pool.Matrix(sp.C, sp.N) // all zeros, an infeasible start, when cold
+		if a.warm != nil {
+			sp.Scatter(x0, a.warm)
+		}
+		res, err := opt.FrankWolfeFrom(a.solveProb, x0, opt.FWOptions{})
 		if err != nil {
 			return err
 		}
-		a.solved, a.iterations, a.subGap = res.X, res.Iterations, res.Gap
+		a.solved = sp.Gather(r.pool.Vector(sp.NNZ()), res.X)
+		a.iterations, a.subGap = res.Iterations, res.Gap
 		if !res.Converged {
 			r.Stats.SubsolveUnconverged.Inc(1)
 			return errEscalateFull
@@ -566,33 +575,32 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 
 // expand turns the solved rows into the round's per-client result.
 // Cohorted rows disaggregate packed (slot to slot through the paired
-// sparsity views) and scatter straight into their result rows, so the only
-// dense |C|×|N| matrix built is the one the report and the warm-start
-// history need anyway. On an incremental plan the result is the scaffold —
-// the rescaled committed assignment — with the dirty rows filled in, and
-// must pass the gate before anything is installed.
+// sparsity views); each result row is then filled from its packed
+// segment, so the only dense |C|×|N| matrix built is the one the report
+// and the warm-start history need anyway. On an incremental plan the
+// result is the scaffold — the rescaled committed assignment — with the
+// dirty rows filled in, and must pass the gate before anything is
+// installed.
 func (r *ReplicaServer) expand(a *attempt) error {
-	switch {
-	case a.kind == kindIncremental:
+	if a.kind == kindIncremental {
 		a.x = a.inc.base
-	case a.grouping == nil:
-		a.x = a.solved
-		return nil
-	default:
+	} else {
 		a.x = opt.NewMatrix(a.full.prob.C(), a.full.prob.N()) // escapes into the report
 	}
+	packed, sp := a.solved, a.sub.prob.Sparsity()
 	if g := a.grouping; g != nil {
-		_, redSp := g.Sparse()
-		packed, err := g.DisaggregatePacked(redSp.Gather(nil, a.solved), nil)
-		if err != nil {
+		var err error
+		if packed, err = g.DisaggregatePacked(a.solved, nil); err != nil {
 			return err
 		}
-		for idx := range a.sub.requests {
-			g.ScatterMember(a.x[a.row(idx)], packed, idx)
-		}
-	} else {
-		for idx, row := range a.solved {
-			copy(a.x[a.row(idx)], row)
+	}
+	for idx := range a.sub.requests {
+		// A dirty row's old mass may sit on a column it can no longer
+		// reach, where its packed segment has no slot.
+		row := a.x[a.row(idx)]
+		clear(row)
+		for k := sp.RowStart[idx]; k < sp.RowStart[idx+1]; k++ {
+			row[sp.ColIdx[k]] = packed[k]
 		}
 	}
 	if a.kind == kindIncremental {
@@ -743,7 +751,7 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 			sum := 0.0
 			for t, j := range cols {
 				body.Replicas[t] = infos[j].Addr
-				body.UnitMB[t] = math.Max(a.solved[k][j], 0)
+				body.UnitMB[t] = math.Max(a.solved[redSp.RowStart[k]+t], 0)
 				sum += body.UnitMB[t]
 			}
 			for t := range body.UnitMB {

@@ -46,12 +46,12 @@ type Round struct {
 	// Tol is the configured convergence tolerance; <= 0 selects the
 	// algorithm's own default.
 	Tol float64
-	// Warm, when non-nil, is a demand-conserving client×replica starting
-	// assignment (the last-known-good split renormalized over this
+	// Warm, when non-nil, is a demand-conserving starting assignment packed
+	// over Prob.Sparsity() (the last-known-good split renormalized over this
 	// round's roster — see opt.Renormalize). Algorithms holding a primal
-	// iterate seed from it instead of their cold start; algorithms
-	// without one (LDDM iterates on duals only) ignore it.
-	Warm [][]float64
+	// iterate seed from it instead of their cold start; algorithms without
+	// one (LDDM iterates on duals only) ignore it.
+	Warm []float64
 	// WarmMu, when non-nil, carries the previous round's final per-client
 	// dual values in this round's row order (from a DualReporter, below).
 	// The initiator holds the round's duals, so an algorithm warm-starts
@@ -113,11 +113,11 @@ type Algorithm interface {
 	// the telemetry trajectory — compute it once here, not in a separate
 	// trace branch.
 	Converged(k int) (residual float64, done bool)
-	// Recover assembles the final assignment after the loop ends. The
-	// returned matrix must be freshly allocated (not Pool-owned): it
-	// outlives the round. Algorithms needing a closing exchange (CDPSM's
-	// estimate collection) run it through d.Exec.
-	Recover(ctx context.Context, d *Driver) ([][]float64, error)
+	// Recover assembles the final assignment, packed over Prob.Sparsity(),
+	// after the loop ends. The returned vector must be freshly allocated
+	// (not Pool-owned): it outlives the round. Algorithms needing a closing
+	// exchange (CDPSM's estimate collection) run it through d.Exec.
+	Recover(ctx context.Context, d *Driver) ([]float64, error)
 }
 
 // PrimalTracer is optionally implemented by algorithms that hold a
@@ -126,9 +126,9 @@ type Algorithm interface {
 // the initiator holds no primal between consensus steps) simply don't
 // implement it and get a residual-only trajectory.
 type PrimalTracer interface {
-	// Primal returns the current primal iterate in client×replica layout,
+	// Primal returns the current primal iterate packed over Prob.Sparsity(),
 	// or nil when none is available this iteration.
-	Primal() [][]float64
+	Primal() []float64
 }
 
 // DualReporter is implemented by algorithms whose per-client dual values
@@ -174,10 +174,10 @@ type job struct {
 }
 
 // Run drives one round of alg to convergence (or rd.MaxIters) and returns
-// the recovered assignment and the number of iterations executed. The
-// round's Pool is released and its senders are stopped before returning,
-// success or failure alike.
-func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([][]float64, int, error) {
+// the recovered assignment, packed, and the number of iterations executed.
+// The round's Pool is released and its senders are stopped before
+// returning, success or failure alike.
+func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, int, error) {
 	if rd.Pool == nil {
 		rd.Pool = &opt.Pool{}
 	}
@@ -201,7 +201,7 @@ func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([][]float64
 			cost := math.NaN()
 			if tracer != nil {
 				if x := tracer.Primal(); x != nil {
-					cost = rd.Prob.Cost(x)
+					cost = rd.Prob.PackedCost(x)
 				}
 			}
 			d.OnIterate(k, residual, cost)

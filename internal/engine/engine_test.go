@@ -87,12 +87,12 @@ func (a *sumAlg) Converged(k int) (float64, bool) {
 	return residual, residual <= 0
 }
 
-func (a *sumAlg) Recover(ctx context.Context, d *Driver) ([][]float64, error) {
+func (a *sumAlg) Recover(ctx context.Context, d *Driver) ([]float64, error) {
 	a.recovers++
-	return [][]float64{{a.total}}, nil
+	return []float64{a.total}, nil
 }
 
-func (a *sumAlg) Primal() [][]float64 { return nil }
+func (a *sumAlg) Primal() []float64 { return nil }
 
 func testRound() *Round {
 	return &Round{
@@ -113,8 +113,8 @@ func TestDriverRunsUntilConverged(t *testing.T) {
 	if iters != 3 {
 		t.Fatalf("iterations = %d, want 3", iters)
 	}
-	if final[0][0] != 9 {
-		t.Fatalf("recovered %v, want 9", final[0][0])
+	if final[0] != 9 {
+		t.Fatalf("recovered %v, want 9", final[0])
 	}
 	if alg.inits != 1 || alg.recovers != 1 {
 		t.Fatalf("inits=%d recovers=%d, want 1/1", alg.inits, alg.recovers)
@@ -240,13 +240,13 @@ func (a *waveAlg) Iterate(k int) []Exchange {
 
 func (a *waveAlg) Converged(int) (float64, bool) { return 1, false }
 
-func (a *waveAlg) Recover(ctx context.Context, d *Driver) ([][]float64, error) {
+func (a *waveAlg) Recover(ctx context.Context, d *Driver) ([]float64, error) {
 	if a.closing {
 		if err := d.Exec(ctx, Exchange{Verb: "toy.close"}); err != nil {
 			return nil, err
 		}
 	}
-	return [][]float64{{0}}, nil
+	return []float64{0}, nil
 }
 
 // funcTransport adapts a function to Transport.

@@ -114,7 +114,9 @@ func (l *Loopback) Solve(alg Algorithm, perIter solver.CommStats, history func(k
 	if err != nil {
 		return nil, err
 	}
-	res.Assignment, res.Objective, res.Iterations, res.Converged = x, l.rd.Prob.Cost(x), iters, v.done
+	res.Assignment = opt.NewMatrix(l.rd.Prob.C(), l.rd.Prob.N())
+	l.rd.Prob.Sparsity().Scatter(res.Assignment, x)
+	res.Objective, res.Iterations, res.Converged = l.rd.Prob.Cost(res.Assignment), iters, v.done
 	res.Comm = solver.CommStats{Messages: perIter.Messages * iters, Scalars: perIter.Scalars * iters}
 	return res, nil
 }
@@ -132,7 +134,7 @@ func (v *verdict) Converged(k int) (float64, bool) {
 	return residual, done
 }
 
-func (v *verdict) Primal() [][]float64 {
+func (v *verdict) Primal() []float64 {
 	if t, ok := v.Algorithm.(PrimalTracer); ok {
 		return t.Primal()
 	}

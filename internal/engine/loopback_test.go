@@ -81,8 +81,8 @@ func (a *loopAlg) Iterate(k int) []Exchange {
 
 func (a *loopAlg) Converged(k int) (float64, bool) { return float64(k), k == a.doneAt }
 
-func (a *loopAlg) Recover(ctx context.Context, d *Driver) ([][]float64, error) {
-	return opt.NewMatrix(a.rd.Prob.C(), a.rd.Prob.N()), nil
+func (a *loopAlg) Recover(ctx context.Context, d *Driver) ([]float64, error) {
+	return make([]float64, a.rd.Prob.Sparsity().NNZ()), nil
 }
 
 // newLoop builds a loopback round over n toy replicas.

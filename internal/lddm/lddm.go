@@ -2,7 +2,7 @@ package lddm
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"edr/internal/engine"
 	"edr/internal/opt"
@@ -71,20 +71,6 @@ func AutoStepValue(prob *opt.Problem, rampIters float64) float64 {
 	return meanMarginal / (rampIters * meanDemand)
 }
 
-// DemandResidual returns the worst relative demand violation of x's row
-// sums, max_c |Σ_n x[c][n] − R_c| / max(R_c, 1), using rows (len(x)) as
-// scratch.
-func DemandResidual(x [][]float64, demands, rows []float64) float64 {
-	opt.RowSumsInto(rows, x)
-	maxRel := 0.0
-	for i, r := range rows {
-		if rel := math.Abs(r-demands[i]) / math.Max(demands[i], 1); rel > maxRel {
-			maxRel = rel
-		}
-	}
-	return maxRel
-}
-
 // Solve implements solver.Solver.
 func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) { return s.solve(prob, nil) }
 
@@ -102,11 +88,11 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 	var repairErr error
 	if s.FeasibleHistory {
 		history = func(k int, _, _ float64) float64 {
-			repaired := opt.Clone(alg.Primal())
-			if err := opt.ProjectFeasible(prob, repaired, 1e-4); err != nil && repairErr == nil {
+			repaired := slices.Clone(alg.Primal())
+			if err := opt.ProjectFeasiblePacked(prob, repaired, 1e-4); err != nil && repairErr == nil {
 				repairErr = fmt.Errorf("lddm: history repair at iteration %d: %w", k, err)
 			}
-			return prob.Cost(repaired)
+			return prob.PackedCost(repaired)
 		}
 	}
 	// Each iteration every replica receives the multipliers of the clients

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"edr/internal/engine"
@@ -53,14 +54,14 @@ func packReply(packed []float64, clients []int, demands []float64) SolveReply {
 }
 
 // Unpack checks the reply against a support of len(clients) clients and
-// writes it into column j of x: for the p-th client i, demands[i] where bit
-// p is set, the listed value where p is listed, 0 otherwise. Rows outside
-// clients are not touched, nor is anything written when the reply is
-// refused. A listed share must lie strictly inside (0, R_c): the honest
-// partial take = min(R_c, …) always does, and anything else — negative,
-// NaN, infinite, or a whole demand the bitmap should carry — would go
-// straight into the primal and from there into μ.
-func (r *SolveReply) Unpack(clients []int, demands []float64, x [][]float64, j int) error {
+// writes it into packed x at the p-th client's slot slots[p]: for the p-th
+// client i, demands[i] where bit p is set, the listed value where p is
+// listed, 0 otherwise. No other slot is touched, nor is anything written
+// when the reply is refused. A listed share must lie strictly inside
+// (0, R_c): the honest partial take = min(R_c, …) always does, and
+// anything else — negative, NaN, infinite, or a whole demand the bitmap
+// should carry — would go straight into the primal and from there into μ.
+func (r *SolveReply) Unpack(clients, slots []int, demands, x []float64) error {
 	if r.M != len(clients) {
 		return fmt.Errorf("decision over %d clients for a support of %d", r.M, len(clients))
 	}
@@ -77,10 +78,10 @@ func (r *SolveReply) Unpack(clients []int, demands []float64, x [][]float64, j i
 		if r.served(p) {
 			v = demands[i]
 		}
-		x[i][j] = v
+		x[slots[p]] = v
 	}
 	for e, p := range r.Pos {
-		x[clients[p]][j] = r.Val[e]
+		x[slots[p]] = r.Val[e]
 	}
 	return nil
 }
@@ -126,10 +127,12 @@ func init() {
 // roundAlg is the initiator half of Algorithm 2 over the fabric: replicas
 // answer local solves, the initiator takes the multiplier step on the
 // columns they return, and the final assignment is recovered from a
-// doubling suffix average of the primal. One iteration is one wave of |N|
-// RPCs. The paper assigns the μ update to the clients; in EDR's topology
-// every input of that update (served, R_c, the step) reaches a client only
-// through the initiator, so the step is taken where the data already is.
+// doubling suffix average of the primal. The primal and its average are
+// packed over the support in CSR order, so each client's served total is
+// a contiguous sum. One iteration is one wave of |N| RPCs. The paper
+// assigns the μ update to the clients; in EDR's topology every input of
+// that update (served, R_c, the step) reaches a client only through the
+// initiator, so the step is taken where the data already is.
 type roundAlg struct {
 	rd   *engine.Round
 	tol  float64
@@ -138,8 +141,7 @@ type roundAlg struct {
 	mu          []float64
 	muPacked    []float64 // μ gathered in CSC order: replica j's body is its column's slice
 	sp          *opt.Sparsity
-	primal, avg [][]float64
-	rows        []float64
+	primal, avg []float64
 	windowStart int
 	residual    float64
 
@@ -147,7 +149,7 @@ type roundAlg struct {
 }
 
 func (a *roundAlg) Init(rd *engine.Round) error {
-	c, n := rd.Prob.C(), rd.Prob.N()
+	c := rd.Prob.C()
 	a.rd = rd
 	a.tol = rd.Tol
 	if a.tol <= 0 {
@@ -162,16 +164,13 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		// multipliers, not the primal, are LDDM's iterate.
 		copy(a.mu, rd.WarmMu)
 	}
-	a.primal = rd.Pool.Matrix(c, n)
-	a.avg = rd.Pool.Matrix(c, n)
-	a.rows = rd.Pool.Vector(c)
 	a.windowStart = 1
 	// Each replica's local solve reads only its feasible clients'
 	// multipliers, so each is sent just those, in its CSC column's order;
-	// its reply covers the same support, and off-support primal entries
-	// stay the pool's zeros.
+	// its reply covers the same support.
 	a.sp = rd.Prob.Sparsity()
-	a.muPacked = rd.Pool.Vector(a.sp.NNZ())
+	nnz := a.sp.NNZ()
+	a.primal, a.avg, a.muPacked = rd.Pool.Vector(nnz), rd.Pool.Vector(nnz), rd.Pool.Vector(nnz)
 	a.exchanges = []engine.Exchange{
 		{
 			// Local solves, one per replica (Algorithm 2 lines 4–5;
@@ -188,8 +187,8 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 				var reply SolveReply
 				err := r.Decode(&reply)
 				if err == nil {
-					clients := a.sp.RowIdx[a.sp.ColStart[j]:a.sp.ColStart[j+1]]
-					err = reply.Unpack(clients, rd.Prob.Demands, a.primal, j)
+					lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
+					err = reply.Unpack(a.sp.RowIdx[lo:hi], a.sp.PosCSR[lo:hi], rd.Prob.Demands, a.primal)
 				}
 				if err != nil {
 					return fmt.Errorf("lddm: local solve from %s: %w", rd.ReplicaAddrs[j], err)
@@ -208,24 +207,34 @@ func (a *roundAlg) Iterate(k int) []engine.Exchange { return a.exchanges }
 // doubling suffix average and tests its demand residual: the raw
 // water-filling iterate oscillates under a constant dual step, so the
 // averaged iterate — also what Recover starts from — is the thing to test
-// and to trace. The convergence gate waits for a window of 16 so a
-// freshly-restarted average cannot spuriously pass.
+// and to trace. Its residual is the worst relative demand violation of
+// the average's rows, max_c |Σ_n avg_{c,n} − R_c| / max(R_c, 1). The
+// convergence gate waits for a window of 16 so a freshly-restarted average
+// cannot spuriously pass.
 func (a *roundAlg) Converged(k int) (float64, bool) {
-	for i, row := range a.primal {
-		served := 0.0
-		for _, v := range row {
-			served += v
-		}
-		a.mu[i] += a.step * (served - a.rd.Prob.Demands[i])
-	}
 	if k == a.windowStart*2 {
 		a.windowStart = k
-		opt.Fill(a.avg, 0)
+		clear(a.avg)
 	}
 	w := k - a.windowStart + 1
-	opt.Scale(a.avg, float64(w-1)/float64(w))
-	opt.AXPY(a.avg, 1/float64(w), a.primal)
-	a.residual = DemandResidual(a.avg, a.rd.Prob.Demands, a.rows)
+	keep, add := float64(w-1)/float64(w), 1/float64(w)
+	a.residual = 0
+	for i, d := range a.rd.Prob.Demands {
+		lo, hi := a.sp.RowStart[i], a.sp.RowStart[i+1]
+		served, averaged := 0.0, 0.0
+		for t, v := range a.primal[lo:hi] {
+			served += v
+			// The scaled average is rounded before the fresh share is
+			// added, so no fused multiply-add can move its bits.
+			a.avg[lo+t] = float64(a.avg[lo+t] * keep)
+			a.avg[lo+t] += add * v
+			averaged += a.avg[lo+t]
+		}
+		a.mu[i] += a.step * (served - d)
+		if rel := math.Abs(averaged-d) / math.Max(d, 1); rel > a.residual {
+			a.residual = rel
+		}
+	}
 	return a.residual, w >= 16 && a.residual <= a.tol
 }
 
@@ -234,11 +243,11 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 func (a *roundAlg) Duals() []float64 { return a.mu }
 
 // Primal exposes the suffix-averaged iterate for trajectory costing.
-func (a *roundAlg) Primal() [][]float64 { return a.avg }
+func (a *roundAlg) Primal() []float64 { return a.avg }
 
-func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([][]float64, error) {
-	final := opt.Clone(a.avg)
-	if err := opt.ProjectFeasible(a.rd.Prob, final, 1e-6); err != nil {
+func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([]float64, error) {
+	final := slices.Clone(a.avg)
+	if err := opt.ProjectFeasiblePacked(a.rd.Prob, final, 1e-6); err != nil {
 		return nil, fmt.Errorf("lddm: primal recovery: %w", err)
 	}
 	return final, nil

@@ -69,7 +69,7 @@ func (s *spyTransport) Replica(ctx context.Context, addr, verb string, body any)
 }
 
 // run drives alg over the spy's round.
-func (s *spyTransport) run(d *engine.Driver, alg engine.Algorithm) ([][]float64, int, error) {
+func (s *spyTransport) run(d *engine.Driver, alg engine.Algorithm) ([]float64, int, error) {
 	d.Transport = s
 	return d.Run(context.Background(), alg, s.lb.Round())
 }
@@ -107,7 +107,7 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 		"masked": maskedInstance(t, r, 10, 4),
 	} {
 		t.Run(name, func(t *testing.T) {
-			c, n := prob.C(), prob.N()
+			c := prob.C()
 			clients := make([]clientAccumulator, c)
 			step := AutoStepValue(prob, 0)
 			sp := prob.Sparsity()
@@ -134,8 +134,8 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 					iters = k
 					for i := 0; i < c; i++ {
 						served := 0.0
-						for j := 0; j < n; j++ {
-							served += alg.primal[i][j]
+						for _, v := range alg.primal[sp.RowStart[i]:sp.RowStart[i+1]] {
+							served += v
 						}
 						want := clients[i].update(served, prob.Demands[i], step)
 						if math.Float64bits(alg.mu[i]) != math.Float64bits(want) {
@@ -163,7 +163,7 @@ func TestRoundWarmDuals(t *testing.T) {
 	prob := maskedInstance(t, sim.NewRand(29), 16, 5)
 	sp := prob.Sparsity()
 	pool := &opt.Pool{}
-	run := func(maxIters int, warmMu []float64) ([][]float64, []float64) {
+	run := func(maxIters int, warmMu []float64) ([]float64, []float64) {
 		t.Helper()
 		defer pool.Release()
 		lt := newSpy(t, prob, maxIters, 1e-12)
@@ -197,8 +197,8 @@ func TestRoundWarmDuals(t *testing.T) {
 			t.Fatalf("reported dual %d changed after later rounds: %v → %v", i, kept[i], duals[i])
 		}
 	}
-	ref := prob.Cost(long)
-	coldGap, warmGap := math.Abs(prob.Cost(cold)-ref), math.Abs(prob.Cost(warm)-ref)
+	ref := prob.PackedCost(long)
+	coldGap, warmGap := math.Abs(prob.PackedCost(cold)-ref), math.Abs(prob.PackedCost(warm)-ref)
 	if warmGap >= coldGap {
 		t.Fatalf("warm round %g from the long round's cost, cold round %g", warmGap, coldGap)
 	}

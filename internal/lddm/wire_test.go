@@ -88,18 +88,10 @@ func TestLocalSolveReplyBitExact(t *testing.T) {
 							lo, hi := sp.ColStart[j], sp.ColStart[j+1]
 							got := make([]float64, 0, hi-lo)
 							for s := lo; s < hi; s++ {
-								got = append(got, alg.primal[sp.RowIdx[s]][j])
+								got = append(got, alg.primal[sp.PosCSR[s]])
 							}
 							if !sameBits(got, want[j]) {
 								t.Fatalf("iteration %d, replica %d: folded %v, SolveLocal %v", k, j, got, want[j])
-							}
-						}
-						allowed := prob.Allowed()
-						for i := range alg.primal {
-							for j, v := range alg.primal[i] {
-								if !allowed[i][j] && math.Float64bits(v) != 0 {
-									t.Fatalf("iteration %d: off-support entry (%d,%d) = %v", k, i, j, v)
-								}
 							}
 						}
 					},
@@ -121,8 +113,9 @@ func TestLocalSolveReplyBitExact(t *testing.T) {
 }
 
 // Hand-built local problems at the water-filling's edges: each column
-// survives packReply → binary → Unpack bit for bit, off-support rows
-// untouched, with at most one explicit entry.
+// survives packReply → binary → Unpack bit for bit, each client written
+// through its own slot and no other slot touched, with at most one
+// explicit entry.
 func TestLocalSolveReplyEdgeColumns(t *testing.T) {
 	rep := func(mutate func(*model.Replica)) model.Replica {
 		r := model.NewReplica("r", 2)
@@ -190,24 +183,24 @@ func TestLocalSolveReplyEdgeColumns(t *testing.T) {
 		if err := msg.DecodeBody(&got); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		col := opt.NewMatrix(len(tc.lp.Demands), 2)
-		for i := range col {
-			col[i][1] = math.NaN() // a neighbouring column Unpack must not touch
+		// Slots in reverse support order, and one past them a slot of
+		// another column that Unpack must not touch.
+		m := len(tc.lp.Clients)
+		slots, x := make([]int, m), make([]float64, m+1)
+		for p := range slots {
+			slots[p] = m - 1 - p
 		}
-		if err := got.Unpack(tc.lp.Clients, tc.lp.Demands, col, 0); err != nil {
+		x[m] = math.NaN()
+		if err := got.Unpack(tc.lp.Clients, slots, tc.lp.Demands, x); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		inSupport := make([]bool, len(col))
 		for p, i := range tc.lp.Clients {
-			inSupport[i] = true
-			if math.Float64bits(col[i][0]) != math.Float64bits(packed[p]) {
-				t.Fatalf("%s: client %d rebuilt as %v, SolveLocal %v", tc.name, i, col[i][0], packed[p])
+			if math.Float64bits(x[slots[p]]) != math.Float64bits(packed[p]) {
+				t.Fatalf("%s: client %d rebuilt as %v, SolveLocal %v", tc.name, i, x[slots[p]], packed[p])
 			}
 		}
-		for i, row := range col {
-			if (!inSupport[i] && math.Float64bits(row[0]) != 0) || !math.IsNaN(row[1]) {
-				t.Fatalf("%s: Unpack wrote outside its column's support (row %d = %v)", tc.name, i, row)
-			}
+		if !math.IsNaN(x[m]) {
+			t.Fatalf("%s: Unpack wrote outside its column's slots (%v)", tc.name, x)
 		}
 	}
 }
@@ -350,13 +343,10 @@ func TestSolveReplyRefusesOutOfRangeShares(t *testing.T) {
 		{math.Inf(-1), false},
 	} {
 		reply := SolveReply{M: 2, Served: []byte{0x01}, Pos: []int{1}, Val: []float64{tc.val}}
-		col := opt.NewMatrix(len(demands), 1)
-		for i := range col {
-			col[i][0] = -7 // what a refused reply must leave in place
-		}
-		err := reply.Unpack(clients, demands, col, 0)
+		col := []float64{-7, -7} // what a refused reply must leave in place
+		err := reply.Unpack(clients, []int{0, 1}, demands, col)
 		if tc.ok {
-			if err != nil || col[0][0] != 4 || col[2][0] != tc.val {
+			if err != nil || col[0] != 4 || col[1] != tc.val {
 				t.Errorf("share %v: refused (%v) or rebuilt as %v", tc.val, err, col)
 			}
 			continue
@@ -364,9 +354,9 @@ func TestSolveReplyRefusesOutOfRangeShares(t *testing.T) {
 		if err == nil {
 			t.Errorf("share %v accepted", tc.val)
 		}
-		for i := range col {
-			if col[i][0] != -7 {
-				t.Errorf("share %v: refused reply wrote row %d = %v", tc.val, i, col[i][0])
+		for p, v := range col {
+			if v != -7 {
+				t.Errorf("share %v: refused reply wrote slot %d = %v", tc.val, p, v)
 			}
 		}
 	}
@@ -491,18 +481,18 @@ func FuzzLocalSolveBodies(f *testing.F) {
 				t.Fatalf("%T: valid body does not round-trip (err %v)", valid, err)
 			}
 		}
-		col := opt.NewMatrix(m, 1)
-		if err := reply.Unpack(clients, demands, col, 0); err != nil {
+		col := make([]float64, m)
+		if err := reply.Unpack(clients, clients, demands, col); err != nil {
 			t.Fatal(err)
 		}
 		for p := range packed {
-			if math.Float64bits(col[p][0]) != math.Float64bits(packed[p]) {
-				t.Fatalf("client %d: packed %v (demand %v) rebuilt as %v", p, packed[p], demands[p], col[p][0])
+			if math.Float64bits(col[p]) != math.Float64bits(packed[p]) {
+				t.Fatalf("client %d: packed %v (demand %v) rebuilt as %v", p, packed[p], demands[p], col[p])
 			}
 		}
 		if hostile {
 			bad := packReply(raw, clients, demands)
-			if err := bad.Unpack(clients, demands, col, 0); err == nil {
+			if err := bad.Unpack(clients, clients, demands, col); err == nil {
 				t.Fatalf("column %v over demands %v: out-of-range share accepted", raw, demands)
 			}
 		}

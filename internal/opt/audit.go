@@ -50,6 +50,31 @@ func (p *Problem) scan(x [][]float64) (loads []float64, worst float64) {
 	return loads, worst
 }
 
+// PackedCost is Cost of the matrix that v, packed over p.Sparsity() in
+// CSR order, scatters into — bit for bit, since each column sums its
+// entries in client order as Cost's row-by-row loads do.
+func (p *Problem) PackedCost(v []float64) float64 {
+	return p.System.CostOfLoads(p.Sparsity().ColSumsInto(make([]float64, p.N()), v))
+}
+
+// PackedViolation is Violation of the matrix that v, packed over
+// p.Sparsity() in CSR order, scatters into — bit for bit: scan's sums run
+// in the same orders, and the off-support zeros it visits move neither a
+// sum nor the worst.
+func (p *Problem) PackedViolation(v []float64) float64 {
+	sp := p.Sparsity()
+	worst := 0.0
+	for c := 0; c < sp.C; c++ {
+		sum := 0.0
+		for _, x := range v[sp.RowStart[c]:sp.RowStart[c+1]] {
+			sum += x
+			worst = math.Max(worst, -x)
+		}
+		worst = math.Max(worst, math.Abs(sum-p.Demands[c]))
+	}
+	return p.capacityExcess(worst, sp.ColSumsInto(make([]float64, sp.N), v))
+}
+
 // capacityExcess folds the columns' capacity excess (Σ_c p_{c,n} − B_n)₊
 // into worst.
 func (p *Problem) capacityExcess(worst float64, loads []float64) float64 {

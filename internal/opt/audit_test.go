@@ -40,7 +40,8 @@ func threePassViolation(p *Problem, x [][]float64) float64 {
 // it replaces on matrices that break every constraint: entries off the
 // latency mask, negative, over capacity, infinite and NaN. Violation, Cost
 // and KKTGap must match bit for bit, and so must the column loads and
-// their marginal costs.
+// their marginal costs. The packed measures must match the dense ones on
+// the matrix the packed vector scatters into, bit for bit too.
 func FuzzAudit(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(3), []byte{})
 	f.Add(uint64(2), uint8(5), uint8(2), []byte{0, 7, 13, 22, 31, 44})
@@ -105,6 +106,14 @@ func FuzzAudit(f *testing.F) {
 			if want := p.System.Replicas[j].MarginalCost(load); !sameFloat(au.Marginal[j], want) {
 				t.Fatalf("audit marginal[%d] %v, MarginalCost %v", j, au.Marginal[j], want)
 			}
+		}
+		v, scattered := p.Sparsity().Gather(nil, x), NewMatrix(c, n)
+		p.Sparsity().Scatter(scattered, v)
+		if got, want := p.PackedViolation(v), p.Violation(scattered); !sameFloat(got, want) {
+			t.Fatalf("PackedViolation %v, Violation of the scattered matrix %v", got, want)
+		}
+		if got, want := p.PackedCost(v), p.Cost(scattered); !sameFloat(got, want) {
+			t.Fatalf("PackedCost %v, Cost of the scattered matrix %v", got, want)
 		}
 	})
 }

@@ -111,22 +111,13 @@ func ColSums(m [][]float64) []float64 {
 
 // RowSums returns the per-row sums Σ_n m[c][n] — the per-client served load.
 func RowSums(m [][]float64) []float64 {
-	return RowSumsInto(make([]float64, len(m)), m)
-}
-
-// RowSumsInto is RowSums writing into caller-owned scratch, for hot loops
-// that compute the same residual every iteration.
-func RowSumsInto(dst []float64, m [][]float64) []float64 {
-	if len(dst) != len(m) {
-		panic(fmt.Sprintf("opt: RowSumsInto got %d-slot dst for %d rows", len(dst), len(m)))
-	}
-	for i := range m {
-		dst[i] = 0
-		for _, v := range m[i] {
-			dst[i] += v
+	sums := make([]float64, len(m))
+	for i, row := range m {
+		for _, v := range row {
+			sums[i] += v
 		}
 	}
-	return dst
+	return sums
 }
 
 func checkSameShape(a, b [][]float64, op string) {

@@ -13,16 +13,6 @@ import (
 // StepRule selects the step size for iteration k (1-based).
 type StepRule func(k int) float64
 
-// ConstantStep returns a StepRule with a fixed step d — the rule the paper
-// uses for both distributed algorithms "to guarantee fairness of the
-// comparison".
-func ConstantStep(d float64) StepRule {
-	if d <= 0 {
-		panic(fmt.Sprintf("opt: non-positive constant step %g", d))
-	}
-	return func(int) float64 { return d }
-}
-
 // DiminishingStep returns d/√k, the classic divergent-series rule with
 // guaranteed subgradient-method convergence.
 func DiminishingStep(d float64) StepRule {

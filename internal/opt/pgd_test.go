@@ -7,22 +7,6 @@ import (
 	"edr/internal/sim"
 )
 
-func TestConstantStep(t *testing.T) {
-	s := ConstantStep(0.5)
-	if s(1) != 0.5 || s(100) != 0.5 {
-		t.Fatal("ConstantStep not constant")
-	}
-}
-
-func TestConstantStepNonPositivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ConstantStep(0) did not panic")
-		}
-	}()
-	ConstantStep(0)
-}
-
 func TestDiminishingStep(t *testing.T) {
 	s := DiminishingStep(2)
 	if s(1) != 2 {
@@ -161,7 +145,7 @@ func TestPGDOnIterationCallback(t *testing.T) {
 	var objs []float64
 	_, err := ProjectedGradient(p, mustUniform(t, p), PGDOptions{
 		MaxIters: 50,
-		Step:     ConstantStep(0.05),
+		Step:     func(int) float64 { return 0.05 },
 		Tol:      1e-14, // force all 50 iterations
 		OnIteration: func(k int, obj float64) {
 			iters = append(iters, k)

@@ -59,15 +59,3 @@ func TestPoolConcurrentAcquire(t *testing.T) {
 		seen[&m[0][0]] = true
 	}
 }
-
-func TestRowSumsInto(t *testing.T) {
-	m := [][]float64{{1, 2}, {3, 4}}
-	dst := []float64{99, 99}
-	got := RowSumsInto(dst, m)
-	if &got[0] != &dst[0] {
-		t.Fatal("RowSumsInto did not write into dst")
-	}
-	if got[0] != 3 || got[1] != 7 {
-		t.Fatalf("RowSumsInto = %v, want [3 7]", got)
-	}
-}

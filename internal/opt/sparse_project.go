@@ -1,9 +1,6 @@
 package opt
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SparseProjector is Dykstra's alternating projection specialized to the
 // packed CSR layout: it projects packed iterates onto the intersection of
@@ -212,13 +209,28 @@ func (pj *SparseProjector) FinishRows(v []float64) error {
 }
 
 // ProjectFeasible projects x in place onto the feasible region of prob,
-// then verifies the result. tol bounds the acceptable residual violation.
-// Off-support entries of x are zeroed (the projection onto the mask
-// subspace — the feasible set lies inside it), the packed iterate is
-// Dykstra-projected with incrementally maintained column sums, rows get a
-// final exact pass so demands hold exactly even if Dykstra stopped on the
-// column set, and the result is scattered back and verified.
+// then verifies the result: ProjectFeasiblePacked on x's supported
+// entries, scattered back. Off-support entries of x are zeroed (the
+// projection onto the mask subspace — the feasible set lies inside it); x
+// is left as it was when the projection fails.
 func ProjectFeasible(prob *Problem, x [][]float64, tol float64) error {
+	sp := prob.Sparsity()
+	v := sp.Gather(nil, x)
+	if err := ProjectFeasiblePacked(prob, v, tol); err != nil {
+		return err
+	}
+	sp.Scatter(x, v)
+	return nil
+}
+
+// ProjectFeasiblePacked projects v, packed over prob.Sparsity() in CSR
+// order, in place onto the feasible region of prob, then verifies the
+// result. tol bounds the acceptable residual violation. v is
+// Dykstra-projected with incrementally maintained column sums, and rows
+// get a final exact pass so demands hold exactly even if Dykstra stopped on
+// the column set. A violation that is not a number — a NaN or infinite
+// entry spread through its column — fails the check.
+func ProjectFeasiblePacked(prob *Problem, v []float64, tol float64) error {
 	if tol <= 0 {
 		tol = 1e-6
 	}
@@ -228,7 +240,6 @@ func ProjectFeasible(prob *Problem, x [][]float64, tol float64) error {
 		bounds[n] = prob.System.Replicas[n].Bandwidth
 	}
 	pj := NewSparseProjector(sp, prob.Demands, bounds)
-	v := sp.Gather(nil, x)
 	// The row/column sets can meet at a shallow angle when capacities are
 	// tight, making Dykstra's linear rate slow; sweeps are cheap (O(nnz))
 	// so a generous bound is the right trade.
@@ -238,8 +249,7 @@ func ProjectFeasible(prob *Problem, x [][]float64, tol float64) error {
 	if err := pj.FinishRows(v); err != nil {
 		return err
 	}
-	sp.Scatter(x, v)
-	if viol := prob.Violation(x); viol > tol && !math.IsNaN(viol) {
+	if viol := prob.PackedViolation(v); !(viol <= tol) {
 		return fmt.Errorf("opt: projection left violation %g > tol %g (instance may be infeasible)", viol, tol)
 	}
 	return nil

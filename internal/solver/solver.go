@@ -65,7 +65,8 @@ func Verify(prob *opt.Problem, res *Result, tol float64) error {
 			return fmt.Errorf("solver: row %d has %d cols for %d replicas", c, len(row), prob.N())
 		}
 	}
-	if v := prob.Violation(res.Assignment); v > tol {
+	// A NaN violation compares false against everything: it must fail.
+	if v := prob.Violation(res.Assignment); !(v <= tol) {
 		return fmt.Errorf("solver: assignment violates constraints by %g (tol %g)", v, tol)
 	}
 	return nil

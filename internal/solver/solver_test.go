@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,5 +66,27 @@ func TestVerifyRejectsInfeasible(t *testing.T) {
 	// But a loose tolerance accepts it.
 	if err := Verify(prob, res, 3); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A NaN or infinite entry spreads through the projection to every client
+// of its column, and the violation measured on the result is NaN, which
+// compares false against any tolerance. Both projection entry points must
+// refuse it, and Verify must refuse an assignment holding a NaN.
+func TestNonFiniteIsNeverFeasible(t *testing.T) {
+	prob := testProblem(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		x := [][]float64{{bad, 1}, {3, 17}}
+		if err := opt.ProjectFeasible(prob, x, 1e-6); err == nil {
+			t.Errorf("ProjectFeasible accepted a %v entry, projecting to %v", bad, x)
+		}
+		v := []float64{bad, 1, 3, 17}
+		if err := opt.ProjectFeasiblePacked(prob, v, 1e-6); err == nil {
+			t.Errorf("ProjectFeasiblePacked accepted a %v entry, projecting to %v", bad, v)
+		}
+	}
+	res := &Result{Assignment: [][]float64{{math.NaN(), 10}, {math.NaN(), 10}}}
+	if err := Verify(prob, res, 1e-6); err == nil {
+		t.Error("Verify accepted a NaN assignment")
 	}
 }

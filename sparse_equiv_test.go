@@ -1,6 +1,7 @@
 package edr_test
 
 import (
+	"math"
 	"testing"
 
 	"edr/internal/admm"
@@ -22,7 +23,10 @@ import (
 //     land where generic Dykstra over the dense row/column sets of
 //     opt.FeasibleSetProjections lands (the dense water-filling and
 //     proximal-column references are unexported and are compared, full
-//     masks included, in the lddm and admm package tests);
+//     masks included, in the lddm and admm package tests), and
+//     opt.ProjectFeasiblePacked, the entry point the engines call, must
+//     agree with ProjectFeasible bit for bit on the support, refusing
+//     exactly when it refuses;
 //   - engine level: every engine's result passes solver.Verify and puts
 //     nothing on a latency-infeasible link, and LDDM and ADMM land within
 //     5% of the centralized optimum (CDPSM's constant-step consensus does
@@ -49,12 +53,21 @@ func FuzzSparseDenseEquiv(f *testing.F) {
 				x[i][j] = r.Range(-5, 20) // off-support entries included: both sides must zero them
 			}
 		}
-		dense, packed := opt.Clone(x), x
+		dense, packed, v := opt.Clone(x), x, prob.Sparsity().Gather(nil, x)
 		if _, err := opt.Dykstra(dense, opt.FeasibleSetProjections(prob), opt.DykstraOptions{MaxSweeps: 5000, Tol: 1e-7}); err != nil {
 			t.Fatalf("dense projection: %v", err)
 		}
-		if err := opt.ProjectFeasible(prob, packed, 1e-6); err != nil {
+		err, errPacked := opt.ProjectFeasible(prob, packed, 1e-6), opt.ProjectFeasiblePacked(prob, v, 1e-6)
+		if (err == nil) != (errPacked == nil) {
+			t.Fatalf("ProjectFeasible says %v, ProjectFeasiblePacked %v", err, errPacked)
+		}
+		if err != nil {
 			t.Fatalf("packed projection: %v", err)
+		}
+		for k, want := range prob.Sparsity().Gather(nil, packed) {
+			if math.Float64bits(v[k]) != math.Float64bits(want) {
+				t.Fatalf("slot %d: ProjectFeasiblePacked %v, ProjectFeasible %v", k, v[k], want)
+			}
 		}
 		if d := opt.Dist(dense, packed); d > 1e-4 {
 			t.Fatalf("packed projection is %g away from the dense Dykstra reference", d)
