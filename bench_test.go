@@ -442,8 +442,8 @@ func BenchmarkMaxFlowFeasibility(b *testing.B) {
 	}
 }
 
-// BenchmarkMatrixWireBytes round-trips the frame CDPSM pulls from every
-// peer every iteration — the packed estimate of a fully feasible 100×10
+// BenchmarkMatrixWireBytes round-trips the frame each CDPSM replica returns
+// every iteration — the packed estimate of a fully feasible 100×10
 // instance, 1 000 values — through the wire codec, reporting bytes/frame.
 func BenchmarkMatrixWireBytes(b *testing.B) {
 	r := sim.NewRand(7)
@@ -451,7 +451,7 @@ func BenchmarkMatrixWireBytes(b *testing.B) {
 	for k := range est {
 		est[k] = r.Range(0, 40)
 	}
-	body := cdpsm.EstimateReply{Estimate: est}
+	body := cdpsm.StepReply{Estimate: est}
 	bench := func(b *testing.B, msg transport.Message) {
 		var buf bytes.Buffer
 		if err := transport.WriteFrame(&buf, msg); err != nil {
@@ -469,7 +469,7 @@ func BenchmarkMatrixWireBytes(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var back cdpsm.EstimateReply
+			var back cdpsm.StepReply
 			if err := got.DecodeBody(&back); err != nil {
 				b.Fatal(err)
 			}
@@ -477,7 +477,7 @@ func BenchmarkMatrixWireBytes(b *testing.B) {
 		b.ReportMetric(frameBytes, "bytes/frame")
 	}
 	b.Run("Binary", func(b *testing.B) {
-		msg, err := transport.NewMessage("cdpsm.estimate.ack", "replica1", body)
+		msg, err := transport.NewMessage(cdpsm.MsgStep+".ack", "replica1", body)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,8 +31,8 @@ func main() {
 			report.Algorithm, report.Objective, report.Iterations, coordMsgs, report.Restarts)
 	}
 	fmt.Println("\nAll three converge to (nearly) the same energy-cost optimum; they differ")
-	fmt.Println("in how much coordination that decision takes. CDPSM ships full solution")
-	fmt.Println("matrices between all replica pairs every iteration; LDDM and ADMM exchange")
+	fmt.Println("in how much coordination that decision takes. CDPSM ships a full solution")
+	fmt.Println("estimate to and from every replica every iteration; LDDM and ADMM exchange")
 	fmt.Println("only per-client scalars, with ADMM's proximal damping needing the fewest")
 	fmt.Println("iterations.")
 }

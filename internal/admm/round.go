@@ -191,7 +191,7 @@ func (a *roundAlg) toCSR(x []float64) []float64 {
 	return x
 }
 
-func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([]float64, error) {
+func (a *roundAlg) Recover() ([]float64, error) {
 	final := a.toCSR(make([]float64, len(a.z)))
 	if err := opt.ProjectFeasiblePacked(a.rd.Prob, final, 1e-6); err != nil {
 		return nil, fmt.Errorf("admm: primal recovery: %w", err)

@@ -214,7 +214,7 @@ func FuzzProxBodies(f *testing.F) {
 		var req ProxBody
 		wrongLength := req.UnmarshalBinary(in) == nil && len(req.Target) != hi-lo
 		ex.Body(j)
-		if resp, err := lb.Send(context.Background(), addr, MsgProx, rawBody(in)); err != nil {
+		if resp, err := lb.Replica(context.Background(), addr, MsgProx, rawBody(in)); err != nil {
 			if !strings.Contains(err.Error(), addr) {
 				t.Fatalf("request refused without naming %s: %v", addr, err)
 			}

@@ -34,9 +34,8 @@ import (
 )
 
 // Solver runs CDPSM on one problem instance: the engine's round (round.go)
-// driven over an in-process engine.Loopback — the replicas pull each
-// other's estimates through it — so it executes the loop a live fleet
-// runs, with the settings below preset.
+// driven over an in-process engine.Loopback, so it executes the loop a live
+// fleet runs, with the settings below preset.
 type Solver struct {
 	// Step is the constant step size d_k; 0 means DefaultStep, the fleet's.
 	// The paper's experiments run 5·10⁻⁴.
@@ -86,28 +85,22 @@ func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result,
 	if err != nil {
 		return nil, err
 	}
-	// History records the objective of the replicas' mean committed
-	// estimate, the common point they are converging to.
-	sp := prob.Sparsity()
-	n := prob.N()
-	ests, mean := make([][]float64, n), make([]float64, sp.NNZ())
+	// History records the objective of the replicas' mean estimate, the
+	// common point they are converging to.
+	alg := &roundAlg{step: s.Step}
+	mean := make([]float64, prob.Sparsity().NNZ())
 	history := func(int, float64, float64) float64 {
-		for j := range ests {
-			st, err := state(lb.Server(j))
-			if err != nil {
-				return math.NaN()
-			}
-			st.mu.Lock()
-			ests[j] = st.committed
-			st.mu.Unlock()
-		}
-		average(mean, ests)
+		average(mean, alg.ests, 0) // column order
 		return prob.PackedCost(mean)
 	}
-	// Each iteration every replica pulls the |N|−1 other estimates of nnz
-	// ≤ |C|·|N| supported scalars: O(|C|·|N|³) system-wide (paper §III-D.1).
-	peers, nnz := n*(n-1), sp.NNZ()
-	return lb.Solve(&roundAlg{step: s.Step}, solver.CommStats{Messages: peers, Scalars: peers * nnz}, history)
+	// The declared communication is the paper's peer exchange (§III-D.1),
+	// the count Fig 5 reproduces, not the fleet's: each iteration every
+	// replica pulls the |N|−1 other estimates of nnz ≤ |C|·|N| supported
+	// scalars, O(|C|·|N|³) system-wide. The fleet averages at the
+	// initiator and moves 2|N| vectors of nnz scalars instead.
+	n, nnz := prob.N(), prob.Sparsity().NNZ()
+	peers := n * (n - 1)
+	return lb.Solve(alg, solver.CommStats{Messages: peers, Scalars: peers * nnz}, history)
 }
 
 // newLocalProjector builds agent i's packed local-set projector: every

@@ -236,7 +236,7 @@ func TestCDPSMSparseCommCountsNNZ(t *testing.T) {
 }
 
 // Solve gives the same answer bit for bit with bodies handed over and
-// through the real codecs (the packed estimate frames between peers
+// through the real codecs (the packed means and estimates of every step
 // included).
 func TestSolveLoopbackMatchesCodec(t *testing.T) {
 	r := sim.NewRand(59)

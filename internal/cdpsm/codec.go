@@ -6,24 +6,21 @@ import (
 	"edr/internal/transport"
 )
 
-// Compact binary codecs (transport binary body v1) for the CDPSM verbs.
-// The estimate exchange is the round's dominant traffic — every step pulls
-// each peer's committed estimate, nnz floats packed over the support — and
-// all five bodies are binary, the small requests too:
+// Compact binary codecs (transport binary body v1) for the CDPSM step.
+// Both bodies carry a vector of nnz floats packed over the round's support,
+// the round's dominant traffic:
 //
-//	step:         [u32 round] [f64 step]
-//	step ack:     [f64 moved]
-//	estimate:     [u32 round]
-//	estimate ack: [u32 nnz] [nnz × f64 estimate]
-//	commit:       [u32 round]
+//	step:     [u32 round] [f64 step] [u32 nnz] [nnz × f64 mean]
+//	step ack: [u32 nnz] [nnz × f64 estimate]
 //
-// Per the wire convention, every request body leads with its u32 LE round
-// id. Both estimate decoders refuse trailing bytes, so a decoded estimate
-// body re-encodes to the bytes it came from.
+// Per the wire convention, the request body leads with its u32 LE round
+// id. Both decoders refuse trailing bytes, so a decoded body re-encodes to
+// the bytes it came from.
 
 func (b StepBody) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(nil, uint32(b.Round))
-	return transport.AppendFloat64(out, b.Step), nil
+	out := transport.AppendUint32(make([]byte, 0, 16+8*len(b.Mean)), uint32(b.Round))
+	out = transport.AppendFloat64(out, b.Step)
+	return transport.AppendFloats(out, b.Mean), nil
 }
 
 func (b *StepBody) UnmarshalBinary(data []byte) error {
@@ -31,48 +28,26 @@ func (b *StepBody) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	step, _, err := transport.ReadFloat64(data)
+	step, data, err := transport.ReadFloat64(data)
 	if err != nil {
 		return err
 	}
-	b.Round, b.Step = int(round), step
-	return nil
-}
-
-func (b StepReply) MarshalBinary() ([]byte, error) {
-	return transport.AppendFloat64(nil, b.Moved), nil
-}
-
-func (b *StepReply) UnmarshalBinary(data []byte) error {
-	moved, _, err := transport.ReadFloat64(data)
-	if err != nil {
-		return err
-	}
-	b.Moved = moved
-	return nil
-}
-
-func (b EstimateBody) MarshalBinary() ([]byte, error) {
-	return transport.AppendUint32(nil, uint32(b.Round)), nil
-}
-
-func (b *EstimateBody) UnmarshalBinary(data []byte) error {
-	round, data, err := transport.ReadUint32(data)
+	mean, data, err := transport.ReadFloats(data)
 	if err != nil {
 		return err
 	}
 	if len(data) != 0 {
-		return fmt.Errorf("cdpsm: %d trailing bytes after the round", len(data))
+		return fmt.Errorf("cdpsm: %d trailing bytes after the mean", len(data))
 	}
-	b.Round = int(round)
+	b.Round, b.Step, b.Mean = int(round), step, mean
 	return nil
 }
 
-func (b EstimateReply) MarshalBinary() ([]byte, error) {
+func (b StepReply) MarshalBinary() ([]byte, error) {
 	return transport.AppendFloats(make([]byte, 0, 4+8*len(b.Estimate)), b.Estimate), nil
 }
 
-func (b *EstimateReply) UnmarshalBinary(data []byte) error {
+func (b *StepReply) UnmarshalBinary(data []byte) error {
 	est, data, err := transport.ReadFloats(data)
 	if err != nil {
 		return err
@@ -81,18 +56,5 @@ func (b *EstimateReply) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("cdpsm: %d trailing bytes after the estimate", len(data))
 	}
 	b.Estimate = est
-	return nil
-}
-
-func (b CommitBody) MarshalBinary() ([]byte, error) {
-	return transport.AppendUint32(nil, uint32(b.Round)), nil
-}
-
-func (b *CommitBody) UnmarshalBinary(data []byte) error {
-	round, _, err := transport.ReadUint32(data)
-	if err != nil {
-		return err
-	}
-	b.Round = int(round)
 	return nil
 }

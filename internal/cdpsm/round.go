@@ -4,86 +4,80 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 
 	"edr/internal/engine"
 	"edr/internal/opt"
 )
 
-// CDPSM wire protocol. The initiator drives the synchronous iteration of
-// Algorithm 1 with step/commit waves; the replicas exchange committed
-// estimates among themselves (the real O(|N|²) traffic) when a step
-// message arrives.
+// CDPSM wire protocol. The initiator holds every replica's estimate and
+// drives the synchronous iteration of Algorithm 1 with one step wave per
+// iteration: each replica is sent the consensus it would have formed from
+// all the estimates and answers with its next one. No replica talks to
+// another.
 const (
-	// MsgStep is initiator → replica: pull every peer's committed
-	// estimate, take one consensus-projected-subgradient step, and stage
-	// the result.
+	// MsgStep is initiator → replica: take one projected-subgradient step
+	// from the consensus the body carries and return the new estimate.
 	MsgStep = "replica.cdpsm.step"
-	// MsgEstimate is replica → replica (and initiator → replica during
-	// recovery): return the committed estimate.
+	// MsgEstimate is a retired verb with no handler: replica → replica, the
+	// pull of a peer's estimate before the initiator formed the consensus.
+	// The name is kept because the benchmark's verb → phase table compiles
+	// against it.
 	MsgEstimate = "replica.cdpsm.estimate"
-	// MsgCommit is initiator → replica: promote the staged estimate.
+	// MsgCommit is a retired verb with no handler: initiator → replica, the
+	// promotion of a staged estimate (see MsgEstimate).
 	MsgCommit = "replica.cdpsm.commit"
 )
 
-// StepBody asks one replica to run one consensus + subgradient step.
-type StepBody struct {
-	Round int     `json:"round"`
-	Step  float64 `json:"step"`
-}
-
-// StepReply reports how far the replica's staged estimate moved
-// (Frobenius distance to its committed one).
-type StepReply struct {
-	Moved float64 `json:"moved"`
-}
-
-// EstimateBody requests a replica's committed estimate.
-type EstimateBody struct {
-	Round int `json:"round"`
-}
-
-// EstimateReply carries a replica's committed estimate packed over the
-// round's support: one value per allowed (client, replica) pair, in
+// StepBody asks one replica to run one subgradient step from Mean, the
+// consensus V^i of Eq. 3 over every replica's current estimate, packed over
+// the round's support: one value per allowed (client, replica) pair, in
 // opt.Sparsity CSR order.
-type EstimateReply struct {
-	Estimate []float64 `json:"estimate"`
+type StepBody struct {
+	Round int       `json:"round"`
+	Step  float64   `json:"step"`
+	Mean  []float64 `json:"mean"`
 }
 
-// CommitBody promotes a replica's staged estimate.
-type CommitBody struct {
-	Round int `json:"round"`
+// StepReply carries the replica's new estimate, packed as StepBody.Mean.
+type StepReply struct {
+	Estimate []float64 `json:"estimate"`
 }
 
 func init() {
 	engine.Register(engine.Registration{
-		Name:       "CDPSM",
-		New:        func() engine.Algorithm { return &roundAlg{} },
-		Server:     serverHalf{},
-		Verbs:      []string{MsgStep, MsgEstimate, MsgCommit},
-		ServerWarm: true,
+		Name:   "CDPSM",
+		New:    func() engine.Algorithm { return &roundAlg{} },
+		Server: serverHalf{},
+		Verbs:  []string{MsgStep},
 	})
 }
 
-// roundAlg is the initiator half of Algorithm 1 over the fabric: step
-// (each replica pulls every peer's committed estimate and stages its
-// update) then commit, per iteration; the final assignment is the average
-// of the committed estimates, polished to exact feasibility. No
-// initiator-side primal iterate exists between consensus steps, so the
-// algorithm records a residual-only trajectory (it implements no
+// roundAlg is the initiator half of Algorithm 1 over the fabric. It holds
+// the |N| current estimates; per iteration it sends each replica the
+// consensus that replica forms (average) and folds the estimate it
+// returns. The |N| averages run on the round's senders, in parallel. The
+// final assignment is the average of the estimates, polished to exact
+// feasibility. No single primal iterate exists between consensus steps,
+// so the algorithm records a residual-only trajectory (it implements no
 // PrimalTracer).
 type roundAlg struct {
 	rd   *engine.Round
 	tol  float64
 	step float64 // constant step; preset by Solver, else DefaultStep
 
+	// ests[j] is replica j's current estimate and next[j] the one its step
+	// returned; Converged swaps them. Neither is ever written into.
+	ests, next [][]float64
+	// means[j] is the consensus sent to replica j.
+	means [][]float64
 	moved []float64
 
 	exchanges []engine.Exchange
 }
 
 func (a *roundAlg) Init(rd *engine.Round) error {
-	n := len(rd.ReplicaAddrs)
+	n, nnz := len(rd.ReplicaAddrs), rd.Prob.Sparsity().NNZ()
 	a.rd = rd
 	a.tol = rd.Tol
 	if a.tol <= 0 {
@@ -92,35 +86,55 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	if a.step <= 0 {
 		a.step = DefaultStep // the fleet presets none
 	}
-	a.moved = rd.Pool.Vector(n)
-	a.exchanges = []engine.Exchange{
-		{
-			Verb: MsgStep,
-			Body: func(j int) any {
-				return StepBody{Round: rd.Seq, Step: a.step}
-			},
-			Fold: func(j int, r engine.Reply) error {
-				var reply StepReply
-				if err := r.Decode(&reply); err != nil {
-					return err
-				}
-				a.moved[j] = reply.Moved
-				return nil
-			},
-		},
-		{
-			Verb: MsgCommit,
-			Body: func(j int) any {
-				return CommitBody{Round: rd.Seq}
-			},
-		},
+	// Every agent seeds from the same point: the round's warm start (the
+	// last-known-good split renormalized over the roster) when there is
+	// one, else the uniform start, so consensus starts agreeing.
+	seed := rd.Warm
+	if len(seed) != nnz {
+		start, err := rd.Prob.UniformStart()
+		if err != nil {
+			return err
+		}
+		seed = rd.Prob.Sparsity().Gather(nil, start)
 	}
+	a.ests, a.next = make([][]float64, n), make([][]float64, n)
+	a.means = make([][]float64, n)
+	for j := range a.ests {
+		a.ests[j] = seed
+		a.means[j] = rd.Pool.Vector(nnz)
+	}
+	a.moved = rd.Pool.Vector(n)
+	a.exchanges = []engine.Exchange{{
+		Verb: MsgStep,
+		Body: func(j int) any {
+			average(a.means[j], a.ests, j)
+			return StepBody{Round: rd.Seq, Step: a.step, Mean: a.means[j]}
+		},
+		Fold: func(j int, r engine.Reply) error {
+			var reply StepReply
+			err := r.Decode(&reply)
+			if err == nil {
+				err = checkEstimate(reply.Estimate, nnz)
+			}
+			if err != nil {
+				return fmt.Errorf("cdpsm: estimate from %s: %w", rd.ReplicaAddrs[j], err)
+			}
+			sum := 0.0
+			for k, x := range reply.Estimate {
+				d := x - a.ests[j][k]
+				sum += d * d
+			}
+			a.next[j], a.moved[j] = reply.Estimate, math.Sqrt(sum)
+			return nil
+		},
+	}}
 	return nil
 }
 
 func (a *roundAlg) Iterate(int) []engine.Exchange { return a.exchanges }
 
 func (a *roundAlg) Converged(k int) (float64, bool) {
+	a.ests, a.next = a.next, a.ests
 	maxMoved := 0.0
 	for _, m := range a.moved {
 		if m > maxMoved {
@@ -130,23 +144,18 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 	return maxMoved, maxMoved <= a.tol
 }
 
-// Recover averages the replicas' committed estimates and polishes the
-// result onto the exact feasible region — the common point the agents
-// converged toward. The estimates are summed in column order, not in
-// arrival order, so a round's answer does not depend on which reply
-// lands first.
-func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([]float64, error) {
-	ests := make([][]float64, len(a.rd.ReplicaAddrs))
-	if err := d.Exec(ctx, a.collect(ests)); err != nil {
-		return nil, err
-	}
+// Recover averages the replicas' estimates and polishes the result onto
+// the exact feasible region — the common point the agents converged toward.
+// The estimates are summed in column order, so a round's answer does not
+// depend on which reply landed first.
+func (a *roundAlg) Recover() ([]float64, error) {
 	mean := make([]float64, a.rd.Prob.Sparsity().NNZ()) // escapes into the report
-	for _, e := range ests {
+	for _, e := range a.ests {
 		for k, x := range e {
 			mean[k] += x
 		}
 	}
-	scale := 1 / float64(len(ests))
+	scale := 1 / float64(len(a.ests))
 	for k := range mean {
 		mean[k] *= scale
 	}
@@ -156,52 +165,31 @@ func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([]float64, er
 	return mean, nil
 }
 
-// collect is Recover's closing exchange: it checks each replica's
-// committed estimate and keeps it in ests at the replica's column.
-func (a *roundAlg) collect(ests [][]float64) engine.Exchange {
-	nnz := a.rd.Prob.Sparsity().NNZ()
-	return engine.Exchange{
-		Verb: MsgEstimate,
-		Body: func(int) any { return EstimateBody{Round: a.rd.Seq} },
-		Fold: func(j int, r engine.Reply) (err error) {
-			ests[j], err = decodeEstimate(r, a.rd.ReplicaAddrs[j], nnz)
-			return err
-		},
-	}
-}
-
-// average writes the consensus Σ_j a_j·P^j of Eq. 3 into dst, with the
-// uniform weights a_j = 1/len(ests) of a complete communication graph,
-// summing every entry in the order the estimates are given. The weights
-// come from the count of estimates actually gathered, not from a matrix
-// fixed at round setup, so when an epoch changes |N| the next round's
-// consensus is rebuilt for the new roster with no extra machinery.
-func average(dst []float64, ests [][]float64) {
+// average writes replica i's consensus V^i = Σ_j a_j·P^j of Eq. 3 into
+// dst, with the uniform weights a_j = 1/len(ests) of a complete
+// communication graph. It sums ests[i] first, then the others in column
+// order, as agent i of Algorithm 1 combines its own estimate with the ones
+// it gathers; TestSolverGolden pins the bits of that order. The weights
+// come from the count of estimates, not from a matrix fixed at round
+// setup, so when an epoch changes |N| the next round's consensus is rebuilt
+// for the new roster with no extra machinery.
+func average(dst []float64, ests [][]float64, i int) {
 	w := 1 / float64(len(ests))
 	opt.VecFill(dst, 0)
-	for _, e := range ests {
+	for k, x := range ests[i] {
+		dst[k] += w * x
+	}
+	for j, e := range ests {
+		if j == i {
+			continue
+		}
 		for k, x := range e {
 			dst[k] += w * x
 		}
 	}
 }
 
-// decodeEstimate decodes an estimate reply from the replica at addr and
-// checks it, so a bad peer is refused, by name, before its values reach
-// consensus or the final average.
-func decodeEstimate(r engine.Reply, addr string, nnz int) ([]float64, error) {
-	var reply EstimateReply
-	err := r.Decode(&reply)
-	if err == nil {
-		err = checkEstimate(reply.Estimate, nnz)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cdpsm: estimate from %s: %w", addr, err)
-	}
-	return reply.Estimate, nil
-}
-
-// checkEstimate refuses a packed estimate that is not one finite value per
+// checkEstimate refuses a packed vector that is not one finite value per
 // supported pair.
 func checkEstimate(v []float64, nnz int) error {
 	if len(v) != nnz {
@@ -215,130 +203,42 @@ func checkEstimate(v []float64, nnz int) error {
 	return nil
 }
 
-// serverState is one replica's CDPSM view of a round: the committed
-// estimate its peers pull and the staged successor awaiting commit, both
-// packed over the round's support. Commit replaces the committed vector and
-// nothing writes into it, so a pull shares it instead of copying.
-type serverState struct {
-	mu        sync.Mutex
-	committed []float64
-	staged    []float64
-}
-
-// serverHalf answers the three CDPSM verbs on a participant replica.
+// serverHalf answers MsgStep on a participant replica. The reply is a
+// function of the request alone: a replica keeps no CDPSM state.
 type serverHalf struct{}
 
-// state fetches (or lazily builds) the round's CDPSM participant state.
-// The initial committed estimate is the round's warm start when the
-// initiator shipped one (an epoch change renormalized the last-known-good
-// split over the new roster) and the uniform start otherwise — every
-// agent seeds from the same point either way, so consensus starts
-// agreeing instead of spending iterations re-converging. The warm seed
-// arrives packed over the support, checked where the round spec was
-// decoded; the uniform start is gathered onto the support.
-func state(sr *engine.ServerRound) (*serverState, error) {
-	st, err := sr.State("CDPSM", func() (any, error) {
-		sp := sr.Prob.Sparsity()
-		v := sr.Warm
-		if v == nil {
-			start, err := sr.Prob.UniformStart()
-			if err != nil {
-				return nil, err
-			}
-			v = sp.Gather(nil, start)
-		}
-		return &serverState{committed: v}, nil
-	})
+func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (any, error) {
+	next, err := step(req, sr)
 	if err != nil {
+		return nil, fmt.Errorf("cdpsm: replica %s: %w", sr.Self, err)
+	}
+	return StepReply{Estimate: next}, nil
+}
+
+// step runs one subgradient step on the packed consensus the initiator
+// sent: take the local gradient step, project onto the local constraint
+// set, and return the result as the replica's new estimate. The mean is
+// cloned before it is stepped on: a handed-over body shares the
+// initiator's buffer, which the next iteration's consensus overwrites. A
+// mean, or a step from it, that is not one finite value per supported pair
+// is refused, so no replica answers with an estimate its initiator refuses.
+func step(req engine.Reply, sr *engine.ServerRound) ([]float64, error) {
+	var body StepBody
+	if err := req.Decode(&body); err != nil {
 		return nil, err
 	}
-	return st.(*serverState), nil
-}
-
-func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (any, error) {
-	switch verb {
-	case MsgStep:
-		var body StepBody
-		if err := req.Decode(&body); err != nil {
-			return nil, err
-		}
-		return handleStep(ctx, &body, sr)
-	case MsgEstimate:
-		var body EstimateBody
-		if err := req.Decode(&body); err != nil {
-			return nil, fmt.Errorf("cdpsm: replica %s: %w", sr.Self, err)
-		}
-		st, err := state(sr)
-		if err != nil {
-			return nil, err
-		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return EstimateReply{Estimate: st.committed}, nil
-	case MsgCommit:
-		var body CommitBody
-		if err := req.Decode(&body); err != nil {
-			return nil, err
-		}
-		st, err := state(sr)
-		if err != nil {
-			return nil, err
-		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.staged == nil {
-			return nil, fmt.Errorf("cdpsm: commit round %d with no staged estimate", body.Round)
-		}
-		st.committed, st.staged = st.staged, nil
-		return nil, nil
-	}
-	return nil, fmt.Errorf("cdpsm: unhandled verb %q", verb)
-}
-
-// handleStep runs one consensus + subgradient step on packed estimates:
-// pull peers' committed estimates, average with uniform weights (Eq. 3),
-// take the local gradient step, project onto the local constraint set, and
-// stage.
-func handleStep(ctx context.Context, body *StepBody, sr *engine.ServerRound) (StepReply, error) {
-	st, err := state(sr)
-	if err != nil {
-		return StepReply{}, err
-	}
 	sp := sr.Prob.Sparsity()
-	estimates := make([][]float64, 1, len(sr.ReplicaAddrs))
-	st.mu.Lock()
-	estimates[0] = st.committed
-	st.mu.Unlock()
-	for _, addr := range sr.ReplicaAddrs {
-		if addr == sr.Self {
-			continue
-		}
-		resp, err := sr.Peers.Send(ctx, addr, MsgEstimate, EstimateBody{Round: sr.Round})
-		if err != nil {
-			return StepReply{}, fmt.Errorf("cdpsm: step: fetch estimate from %s: %w", addr, err)
-		}
-		est, err := decodeEstimate(resp, addr, sp.NNZ())
-		if err != nil {
-			return StepReply{}, err
-		}
-		estimates = append(estimates, est)
+	if err := checkEstimate(body.Mean, sp.NNZ()); err != nil {
+		return nil, fmt.Errorf("step mean: %w", err)
 	}
-
-	next := make([]float64, sp.NNZ())
-	average(next, estimates)
+	next := slices.Clone(body.Mean)
 	gradientStep(sr.Prob, sr.Col, next, body.Step)
 	pj := newLocalProjector(sr.Prob, sp, sr.Col)
 	if _, err := pj.Project(next, opt.DykstraOptions{MaxSweeps: 60, Tol: 1e-9}); err != nil {
-		return StepReply{}, fmt.Errorf("cdpsm: step projection: %w", err)
+		return nil, fmt.Errorf("step projection: %w", err)
 	}
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	sum := 0.0
-	for k, x := range next {
-		d := x - st.committed[k]
-		sum += d * d
+	if err := checkEstimate(next, sp.NNZ()); err != nil {
+		return nil, fmt.Errorf("stepped estimate: %w", err)
 	}
-	st.staged = next
-	return StepReply{Moved: math.Sqrt(sum)}, nil
+	return next, nil
 }

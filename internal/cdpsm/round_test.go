@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding"
 	"encoding/binary"
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -17,42 +18,68 @@ import (
 	"edr/internal/sim"
 )
 
-// One replica whose committed estimate holds a NaN poisons no consensus:
-// every peer's step refuses it, naming that replica, and so does Recover —
-// with bodies handed over and through the real codecs alike.
+// poisonReply is a step reply whose estimate reads NaN at one slot once
+// decoded, as a faulty replica would send it.
+type poisonReply struct{ engine.Reply }
+
+func (r poisonReply) Decode(into any) error {
+	err := r.Reply.Decode(into)
+	if reply, ok := into.(*StepReply); ok && err == nil {
+		reply.Estimate = slices.Clone(reply.Estimate)
+		reply.Estimate[3] = math.NaN()
+	}
+	return err
+}
+
+// poisonTransport carries a round over a loopback and poisons bad's replies.
+type poisonTransport struct {
+	lb  *engine.Loopback
+	bad string
+}
+
+func (p poisonTransport) Replica(ctx context.Context, addr, verb string, body any) (engine.Reply, error) {
+	rep, err := p.lb.Replica(ctx, addr, verb, body)
+	if err == nil && addr == p.bad {
+		rep = poisonReply{rep}
+	}
+	return rep, err
+}
+
+// A non-finite value poisons no consensus: the initiator refuses a step
+// reply carrying a NaN as the sending replica's failure, naming it, and a
+// replica refuses a step whose mean is not one finite value per supported
+// pair, naming itself — with bodies handed over and through the real codecs
+// alike.
 func TestNonFiniteEstimateRefusedNamingReplica(t *testing.T) {
 	prob, err := probgen.MustFeasible(sim.NewRand(5), probgen.Spec{Clients: 6, Replicas: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nnz := prob.Sparsity().NNZ()
 	const bad = 2
 	for name, carry := range map[string]engine.Carrier{"hand-over": nil, "codec": wiretest.Codec} {
 		t.Run(name, func(t *testing.T) {
-			lb, err := engine.NewLoopback(prob, 1, 0, carry)
+			lb, err := engine.NewLoopback(prob, 3, 0, carry)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := state(lb.Server(bad))
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.committed = slices.Clone(st.committed)
-			st.committed[3] = math.NaN()
 			rd := lb.Round()
 			badAddr := rd.ReplicaAddrs[bad]
-			for j, addr := range rd.ReplicaAddrs {
-				if j == bad {
-					continue
-				}
-				_, err := lb.Send(context.Background(), addr, MsgStep, StepBody{Round: rd.Seq, Step: DefaultStep})
-				if err == nil || !strings.Contains(err.Error(), badAddr) {
-					t.Fatalf("%s stepped on %s's NaN estimate: error %v", addr, badAddr, err)
-				}
+			_, _, err = (&engine.Driver{Transport: poisonTransport{lb, badAddr}}).Run(context.Background(), &roundAlg{}, rd)
+			var refused *engine.RefusedReplyError
+			if !errors.As(err, &refused) || refused.Addr != badAddr || !strings.Contains(err.Error(), badAddr) {
+				t.Fatalf("the initiator folded %s's NaN estimate: error %v", badAddr, err)
 			}
-			rd.MaxIters = 0 // straight to Recover
-			_, _, err = (&engine.Driver{Transport: lb}).Run(context.Background(), &roundAlg{}, rd)
-			if err == nil || !strings.Contains(err.Error(), badAddr) {
-				t.Fatalf("Recover averaged %s's NaN estimate: error %v", badAddr, err)
+
+			nan := make([]float64, nnz)
+			nan[3] = math.NaN()
+			for _, mean := range [][]float64{nan, make([]float64, nnz-1), nil} {
+				for _, addr := range rd.ReplicaAddrs {
+					_, err := lb.Replica(context.Background(), addr, MsgStep, StepBody{Round: rd.Seq, Step: DefaultStep, Mean: mean})
+					if err == nil || !strings.Contains(err.Error(), addr) {
+						t.Fatalf("%s stepped from a %d-value mean %v: error %v", addr, len(mean), mean, err)
+					}
+				}
 			}
 		})
 	}
@@ -63,22 +90,22 @@ type rawBody []byte
 
 func (b rawBody) MarshalBinary() ([]byte, error) { return b, nil }
 
-// wireBody is either estimate body, for the fuzz target.
+// wireBody is either step body, for the fuzz target.
 type wireBody interface {
 	encoding.BinaryMarshaler
 	encoding.BinaryUnmarshaler
 }
 
-// FuzzEstimateBodies feeds arbitrary bytes to both estimate decoders — the
-// first byte picks one, and a replica — and, through wiretest.Codec, to
-// the real Handle of that replica over an engine.Loopback and to the real
-// Fold of Recover's collection. Nothing may panic; whatever decodes must
-// re-encode to exactly the input bytes (the encoding is canonical); a
-// request Handle serves must come back as an estimate the Fold accepts,
-// and a refusal must name the replica. A vector built from the same bytes
+// FuzzStepBodies feeds arbitrary bytes to both step decoders — the first
+// byte picks one, and a replica — and, through wiretest.Codec, to the real
+// Handle of that replica over an engine.Loopback and to the real Fold of
+// the step wave. Nothing may panic; whatever decodes must re-encode to
+// exactly the input bytes (the encoding is canonical); a request Handle
+// serves must come back as an estimate the Fold accepts, and a refusal
+// must name the replica. A reply, and a vector built from the same bytes,
 // is folded bit for bit when it holds one finite value per supported pair,
 // and refused with an error naming the replica otherwise.
-func FuzzEstimateBodies(f *testing.F) {
+func FuzzStepBodies(f *testing.F) {
 	prob := maskedInstance(f, sim.NewRand(11), 8, 3)
 	nnz, n := prob.Sparsity().NNZ(), prob.N()
 	lb, err := engine.NewLoopback(prob, 1, 0, wiretest.Codec)
@@ -91,26 +118,23 @@ func FuzzEstimateBodies(f *testing.F) {
 	if err := alg.Init(rd); err != nil {
 		f.Fatal(err)
 	}
-	ests := make([][]float64, n)
-	fold := alg.collect(ests).Fold
+	fold := alg.exchanges[0].Fold
 
-	st, err := state(lb.Server(0))
-	if err != nil {
-		f.Fatal(err)
-	}
+	seed := alg.ests[0]
 	for k, s := range []wireBody{
-		&EstimateBody{Round: 1},
-		&EstimateReply{Estimate: st.committed},
-		&EstimateReply{Estimate: append(make([]float64, nnz-1), 2)},
-		&EstimateReply{Estimate: append([]float64{math.NaN(), math.Inf(-1)}, st.committed[2:]...)},
-		&EstimateReply{Estimate: []float64{}},
+		&StepBody{Round: 1, Step: DefaultStep, Mean: seed},
+		&StepBody{Round: 1, Step: DefaultStep, Mean: append([]float64{math.NaN()}, seed[1:]...)},
+		&StepReply{Estimate: seed},
+		&StepReply{Estimate: append(make([]float64, nnz-1), 2)},
+		&StepReply{Estimate: append([]float64{math.NaN(), math.Inf(-1)}, seed[2:]...)},
+		&StepReply{Estimate: []float64{}},
 	} {
 		bin, err := s.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}
 		pick := byte(2 * k)
-		if _, ok := s.(*EstimateReply); ok {
+		if _, ok := s.(*StepReply); ok {
 			pick++
 		}
 		f.Add(append([]byte{pick}, bin...))
@@ -121,9 +145,9 @@ func FuzzEstimateBodies(f *testing.F) {
 		}
 		j, in := int(data[0]/2)%n, data[1:]
 		addr := rd.ReplicaAddrs[j]
-		var body wireBody = &EstimateBody{}
+		var body wireBody = &StepBody{}
 		if data[0]%2 == 1 {
-			body = &EstimateReply{}
+			body = &StepReply{}
 		}
 		if body.UnmarshalBinary(in) == nil {
 			out, err := body.MarshalBinary()
@@ -133,7 +157,7 @@ func FuzzEstimateBodies(f *testing.F) {
 		}
 
 		// The bytes as replica j's request, then as its reply.
-		if resp, err := lb.Send(context.Background(), addr, MsgEstimate, rawBody(in)); err != nil {
+		if resp, err := lb.Replica(context.Background(), addr, MsgStep, rawBody(in)); err != nil {
 			if !strings.Contains(err.Error(), addr) {
 				t.Fatalf("request refused without naming %s: %v", addr, err)
 			}
@@ -149,13 +173,13 @@ func FuzzEstimateBodies(f *testing.F) {
 			if refuse != (err != nil) || (err != nil && !strings.Contains(err.Error(), addr)) {
 				t.Fatalf("%d-value estimate for %s: fold error %v, want refused %v", len(sent), addr, err, refuse)
 			}
-			if err == nil && !slices.EqualFunc(ests[j], sent, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-				t.Fatalf("folded %v, sent %v", ests[j], sent)
+			if err == nil && !slices.EqualFunc(alg.next[j], sent, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Fatalf("folded %v, sent %v", alg.next[j], sent)
 			}
 		}
-		var reply EstimateReply
+		var reply StepReply
 		refuse := reply.UnmarshalBinary(in) != nil || hostile(reply.Estimate)
-		rep, _ := wiretest.Codec(MsgEstimate+".ack", rawBody(in))
+		rep, _ := wiretest.Codec(MsgStep+".ack", rawBody(in))
 		check(rep, reply.Estimate, refuse)
 
 		// A vector from the same bytes, 8 a value, then one value short and
@@ -167,7 +191,7 @@ func FuzzEstimateBodies(f *testing.F) {
 			}
 		}
 		for _, v := range [][]float64{raw, raw[:nnz-1], append(slices.Clone(raw), 0)} {
-			rep, err := wiretest.Codec(MsgEstimate+".ack", EstimateReply{Estimate: v})
+			rep, err := wiretest.Codec(MsgStep+".ack", StepReply{Estimate: v})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -266,7 +266,7 @@ func (b *RequestAck) UnmarshalBinary(data []byte) error {
 }
 
 func (s RoundSpec) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 64+64*len(s.Replicas)+32*len(s.ClientAddrs)+len(s.Demands)*len(s.Replicas)/8+8*len(s.Warm))}
+	w := writer{b: make([]byte, 0, 64+64*len(s.Replicas)+32*len(s.ClientAddrs)+len(s.Demands)*len(s.Replicas)/8)}
 	w.u32(s.Round)
 	w.u32(len(s.Replicas))
 	for _, info := range s.Replicas {
@@ -281,7 +281,6 @@ func (s RoundSpec) MarshalBinary() ([]byte, error) {
 	w.strs(s.ClientAddrs)
 	w.floats(s.Demands)
 	w.mask(s.Feasible, len(s.Demands), len(s.Replicas))
-	w.floats(s.Warm)
 	return w.done()
 }
 
@@ -312,13 +311,9 @@ func (s *RoundSpec) UnmarshalBinary(data []byte) error {
 	if r.err == nil && len(s.Demands) != len(s.ClientAddrs) {
 		r.fail("binary round spec has %d demands for %d clients", len(s.Demands), len(s.ClientAddrs))
 	}
-	var nnz int
-	s.Feasible, nnz = r.mask(len(s.Demands), len(s.Replicas))
-	s.Warm = r.floats()
-	for k, v := range s.Warm {
-		if r.err == nil && (len(s.Warm) != nnz || !(v >= 0) || math.IsInf(v, 1)) {
-			r.fail("round spec warm seed of %d values for %d feasible pairs has %v at %d", len(s.Warm), nnz, v, k)
-		}
+	s.Feasible, _ = r.mask(len(s.Demands), len(s.Replicas))
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("round spec has %d trailing bytes after the feasibility bitmap", len(r.b))
 	}
 	return r.err
 }

@@ -47,22 +47,20 @@ func codecCases() []binaryBody {
 		&RequestAck{Round: 41, QueuedMB: 25.125, LatencyVersion: 7},
 		&RequestAck{Round: 2, QueuedMB: 3},
 		&RoundSpec{},
-		&RoundSpec{ // nil Warm, one infeasible pair
+		&RoundSpec{ // one infeasible pair
 			Round: 7, Replicas: infos, ClientAddrs: []string{"c1", "c2", "c3"},
 			Demands:  []float64{10, 0, 30},
 			Feasible: [][]bool{{true, true}, {true, false}, {true, true}},
 		},
-		&RoundSpec{ // cohorted, warm-started from a mostly-zero split
+		&RoundSpec{ // cohorted, fully feasible
 			Round: 8, Replicas: infos, ClientAddrs: []string{"c1", "c4"},
 			Demands:  []float64{40, 2.5},
 			Feasible: [][]bool{{true, true}, {true, true}},
-			Warm:     []float64{40, 0, 0, 2.5},
 		},
-		&RoundSpec{ // warm over a sparse support: 5 cells, 2 feasible
+		&RoundSpec{ // a sparse support: 5 cells, 2 feasible
 			Round: 9, Replicas: infos[:1], ClientAddrs: []string{"c1", "c2", "c3", "c4", "c5"},
 			Demands:  []float64{1, 0, 0, 2, 0},
 			Feasible: [][]bool{{true}, {false}, {false}, {true}, {false}},
-			Warm:     []float64{1, 2},
 		},
 		&AssignBody{},
 		&AssignBody{Round: 7, Updates: []ClientMB{{"c1", 4}, {"c3", 2.5}}},
@@ -206,9 +204,10 @@ type hostileCase struct {
 // behind it could hold is refused before anything is allocated for it, lists
 // that have to pair up must agree in length, and a pair list's keys must
 // strictly ascend — out of order or repeated, two byte strings would decode
-// to one body. A round spec's mask and warm seed must also fit the roster
-// the spec spelled out, with exactly one encoding, and their refusals name
-// the field. An assign's entries must be finite, and positive against the
+// to one body. A round spec's mask must also fit the roster the spec
+// spelled out, with exactly one encoding, its refusals naming the field, and
+// nothing may follow it: a spec still carrying the retired warm seed is
+// refused. An assign's entries must be finite, and positive against the
 // empty plan, and their refusals name the round.
 func hostileCases() []hostileCase {
 	const huge = 1 << 30
@@ -220,7 +219,8 @@ func hostileCases() []hostileCase {
 		}
 		return h.u32(3).str("a").str("b").str("c").u32(3).f64(1).f64(2).f64(3)
 	}
-	// warm follows a bitmap of clients a and c (nnz 2) with a warm seed.
+	// warm follows a bitmap of clients a and c (nnz 2) with a warm seed in
+	// the retired layout.
 	warm := func(v ...float64) hostile {
 		h := append(roster().u32(1), 0b101).u32(uint32(len(v)))
 		for _, x := range v {
@@ -249,12 +249,12 @@ func hostileCases() []hostileCase {
 		{"spec: bitmap longer than the roster", &RoundSpec{}, append(roster().u32(2), 0b101, 0).u32(0), "feasibility bitmap"},
 		{"spec: bitmap truncated", &RoundSpec{}, roster().u32(1), "feasibility bitmap"},
 		{"spec: bit past the roster", &RoundSpec{}, append(roster().u32(1), 0b1101).u32(0), "feasibility bitmap"},
-		{"spec: warm longer than the support", &RoundSpec{}, warm(1, 2, 3), "warm seed"},
-		{"spec: warm shorter than the support", &RoundSpec{}, warm(1), "warm seed"},
-		{"spec: NaN warm", &RoundSpec{}, warm(1, math.NaN()), "warm seed"},
-		{"spec: +Inf warm", &RoundSpec{}, warm(math.Inf(1), 3), "warm seed"},
-		{"spec: -Inf warm", &RoundSpec{}, warm(1, math.Inf(-1)), "warm seed"},
-		{"spec: negative warm", &RoundSpec{}, warm(-1e-300, 3), "warm seed"},
+		{"spec: warm seed", &RoundSpec{}, warm(1, 2), "trailing bytes"},
+		{"spec: empty warm seed", &RoundSpec{}, warm(), "trailing bytes"},
+		{"spec: warm longer than the support", &RoundSpec{}, warm(1, 2, 3), "trailing bytes"},
+		{"spec: NaN warm", &RoundSpec{}, warm(1, math.NaN()), "trailing bytes"},
+		{"spec: one trailing byte", &RoundSpec{}, append(roster().u32(1), 0b101, 0), "trailing bytes"},
+		{"spec: trailing byte after an empty bitmap", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(0).u32(0).u32(0).u32(0), "trailing bytes"},
 		{"assign: update count", &AssignBody{}, hostile{}.u32(1).u32(1).u32(huge), ""},
 		{"assign: base-less zero entry", &AssignBody{}, hostile{}.u32(6).u32(0).u32(2).str("c1").f64(4).str("c2").f64(0), "assign round 6"},
 		{"assign: base-less negative entry", &AssignBody{}, hostile{}.u32(6).u32(0).u32(1).str("c1").f64(-2), "assign round 6"},

@@ -75,22 +75,23 @@ func roundSurvivesDeadClient(t *testing.T, alg Algorithm) {
 	}
 }
 
-// nanProxNetwork is an in-process fabric on which one replica, while armed,
-// overwrites every float of its replica.admm.prox replies with NaN: it
-// answers each wave on time, with a body no honest replica sends.
-type nanProxNetwork struct {
+// nanReplyNetwork is an in-process fabric on which one replica, while
+// armed, overwrites every float of its replies to verb with NaN: it answers
+// each wave on time, with a body no honest replica sends.
+type nanReplyNetwork struct {
 	*transport.InProcNetwork
 	bad   string
+	verb  string
 	armed atomic.Bool
 }
 
-func (n *nanProxNetwork) Listen(name string, h transport.Handler) (transport.Node, error) {
+func (n *nanReplyNetwork) Listen(name string, h transport.Handler) (transport.Node, error) {
 	if name != n.bad {
 		return n.InProcNetwork.Listen(name, h)
 	}
 	return n.InProcNetwork.Listen(name, func(ctx context.Context, req transport.Message) (transport.Message, error) {
 		resp, err := h(ctx, req)
-		if err != nil || req.Type != MsgADMMProx || !n.armed.Load() {
+		if err != nil || req.Type != n.verb || !n.armed.Load() {
 			return resp, err
 		}
 		body := slices.Clone(resp.Body)
@@ -109,16 +110,23 @@ func (n *nanProxNetwork) Listen(name string, h transport.Handler) (transport.Nod
 func TestRefusedReplyPinnedOnSender(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		alg     Algorithm
+		verb    string
 		retries int
-	}{{"restart", 0}, {"degrade", -1}} {
+	}{
+		{"restart", ADMM, MsgADMMProx, 0},
+		{"degrade", ADMM, MsgADMMProx, -1},
+		{"CDPSM-restart", CDPSM, MsgCDPSMStep, 0},
+		{"CDPSM-degrade", CDPSM, MsgCDPSMStep, -1},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := &nanProxNetwork{InProcNetwork: transport.NewInProcNetwork(), bad: "rb"}
+			net := &nanReplyNetwork{InProcNetwork: transport.NewInProcNetwork(), bad: "rb", verb: tc.verb}
 			names := []string{"ra", "rb", "rc"}
 			var replicas []*ReplicaServer
 			for i, name := range names {
 				rs, err := NewReplicaServer(net, name, names, ReplicaConfig{
 					Replica:      model.NewReplica(name, []float64{1, 4, 9}[i]),
-					Algorithm:    ADMM,
+					Algorithm:    tc.alg,
 					RoundRetries: tc.retries,
 				})
 				if err != nil {

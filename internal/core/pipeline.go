@@ -372,11 +372,10 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 // The seed is packed over the solve's support: cohorted solves fold the
 // per-client history straight into the cohorts' slots (and per-client
 // duals into demand-weighted cohort duals). For a degraded round the
-// renormalized history is not a seed but the result. The seed travels
-// only on a full solve whose server half reads it
-// (engine.Registration.ServerWarm). Its pooled buffers are done being read
-// before the attempt releases them: start marshals it, and the solve
-// consumes it.
+// renormalized history is not a seed but the result. The seed stays on the
+// initiator, which holds every algorithm's iterate; its pooled buffers are
+// done being read before the attempt releases them, once the solve has
+// consumed it.
 func (r *ReplicaServer) warm(a *attempt) {
 	if a.kind == kindDegraded {
 		a.x, _ = r.warmStart(&a.full)
@@ -394,9 +393,6 @@ func (r *ReplicaServer) warm(a *attempt) {
 		}
 	default:
 		a.warm = sp.Gather(r.pool.Vector(sp.NNZ()), warm)
-	}
-	if r.alg.ServerWarm && a.kind == kindFull && a.warm != nil {
-		a.solveSpec.Warm = a.warm
 	}
 }
 

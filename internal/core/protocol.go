@@ -10,12 +10,13 @@
 // iterations over the fabric — for LDDM, each replica solves its local
 // water-filling problem and each *client* updates its own multiplier μ_c
 // (exactly the division of labor in Algorithm 2); for CDPSM, each replica
-// keeps a full-solution estimate and exchanges it with every other replica
-// each iteration (Algorithm 1). The final assignment is installed on the
-// replicas and pushed to the clients, which then download their bytes from
-// the selected replicas in parallel. Replica failures at any point are
-// handled by the ring monitor: the dead member is pruned, survivors are
-// notified, and the round restarts on the new ring.
+// steps a full-solution estimate from the consensus of all of them, which
+// the initiator forms and sends it each iteration (Algorithm 1). The final
+// assignment is installed on the replicas and pushed to the clients, which
+// then download their bytes from the selected replicas in parallel.
+// Replica failures at any point are handled by the ring monitor: the dead
+// member is pruned, survivors are notified, and the round restarts on the
+// new ring.
 package core
 
 import (
@@ -64,25 +65,20 @@ const (
 // Algorithm-owned verbs (see the respective packages for semantics).
 // MsgMuUpdate is a retired verb with no handler (see engine.MsgMuUpdate).
 const (
-	MsgLocalSolve    = lddm.MsgLocalSolve
-	MsgMuUpdate      = engine.MsgMuUpdate
-	MsgADMMProx      = admm.MsgProx
-	MsgCDPSMStep     = cdpsm.MsgStep
-	MsgCDPSMEstimate = cdpsm.MsgEstimate
-	MsgCDPSMCommit   = cdpsm.MsgCommit
+	MsgLocalSolve = lddm.MsgLocalSolve
+	MsgMuUpdate   = engine.MsgMuUpdate
+	MsgADMMProx   = admm.MsgProx
+	MsgCDPSMStep  = cdpsm.MsgStep
 )
 
 // Algorithm-owned wire bodies, aliased under their historical names.
 type (
-	LocalSolveBody     = lddm.SolveBody
-	LocalSolveReply    = lddm.SolveReply
-	ADMMProxBody       = admm.ProxBody
-	ADMMProxReply      = admm.ProxReply
-	CDPSMStepBody      = cdpsm.StepBody
-	CDPSMStepReply     = cdpsm.StepReply
-	CDPSMEstimateBody  = cdpsm.EstimateBody
-	CDPSMEstimateReply = cdpsm.EstimateReply
-	CDPSMCommitBody    = cdpsm.CommitBody
+	LocalSolveBody  = lddm.SolveBody
+	LocalSolveReply = lddm.SolveReply
+	ADMMProxBody    = admm.ProxBody
+	ADMMProxReply   = admm.ProxReply
+	CDPSMStepBody   = cdpsm.StepBody
+	CDPSMStepReply  = cdpsm.StepReply
 )
 
 // ReplicaInfo carries one replica's energy-model parameters (Table I) to
@@ -175,11 +171,6 @@ type RoundSpec struct {
 	// Feasible is the latency-feasibility mask, clients × replicas:
 	// Feasible[c][n] reports that replica n may serve client c.
 	Feasible [][]bool `json:"feasible"`
-	// Warm, when present, is the initiator's warm start (the last-known-good
-	// split renormalized over this round's roster) packed over Feasible's
-	// support in opt.Sparsity CSR order. It travels only to algorithms whose
-	// server half seeds from it (engine.Registration.ServerWarm).
-	Warm []float64 `json:"warm,omitempty"`
 }
 
 // AssignBody installs the final per-replica serving plan as the entries

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"edr/internal/cdpsm"
 	"edr/internal/transport"
 )
 
@@ -53,8 +54,8 @@ func TestProtocolRejectsMalformedBodies(t *testing.T) {
 		{MsgRoundStart, RoundSpec{Round: 1}},              // empty spec
 		{MsgLocalSolve, LocalSolveBody{Round: 99}},        // unknown round
 		{MsgCDPSMStep, CDPSMStepBody{Round: 99}},          // unknown round
-		{MsgCDPSMEstimate, CDPSMEstimateBody{Round: 99}},  // unknown round
-		{MsgCDPSMCommit, CDPSMCommitBody{Round: 99}},      // unknown round
+		{cdpsm.MsgEstimate, nil},                          // retired verb
+		{cdpsm.MsgCommit, nil},                            // retired verb
 		{MsgAssign, AssignBody{Round: 99}},                // unknown round
 		{MsgDownload, DownloadBody{Round: 1, SizeMB: -5}}, // negative size
 		{MsgAllocation, nil},                              // replicas don't take allocations
@@ -108,7 +109,10 @@ func TestClientRequestRefusesNonFiniteInput(t *testing.T) {
 	checkFeasibleReport(t, f, report, demands)
 }
 
-func TestCDPSMCommitWithoutStageRejected(t *testing.T) {
+// A replica steps only from a consensus of one finite value per supported
+// pair: any other mean is refused with an error naming the replica, so a
+// faulty initiator's step is pinned where it was refused.
+func TestCDPSMStepRefusesHostileMean(t *testing.T) {
 	f := newFleet(t, []float64{1, 2}, 1, CDPSM)
 	ctx := context.Background()
 	if err := f.clients[0].Submit(ctx, f.replicas[0].Addr(), 10, f.uniformLatencies()); err != nil {
@@ -118,9 +122,24 @@ func TestCDPSMCommitWithoutStageRejected(t *testing.T) {
 	if _, err := f.replicas[0].RunRound(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// A commit after the round, with nothing staged, must fail.
-	if _, err := sendRaw(t, f, f.replicas[1].Addr(), MsgCDPSMCommit, CDPSMCommitBody{Round: 1}); err == nil {
-		t.Error("commit without staged estimate accepted")
+	target := f.replicas[1]
+	st, err := target.lookupRound(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnz := st.eng.Prob.Sparsity().NNZ()
+	resp, err := sendRaw(t, f, target.Addr(), MsgCDPSMStep, CDPSMStepBody{Round: 1, Step: cdpsm.DefaultStep, Mean: make([]float64, nnz)})
+	var reply CDPSMStepReply
+	if err != nil || resp.DecodeBody(&reply) != nil || len(reply.Estimate) != nnz {
+		t.Fatalf("a zero mean was not stepped from: %v", err)
+	}
+	nan := make([]float64, nnz)
+	nan[0] = math.NaN()
+	for _, mean := range [][]float64{nan, {math.Inf(1), 0}, make([]float64, nnz+1), nil} {
+		_, err := sendRaw(t, f, target.Addr(), MsgCDPSMStep, CDPSMStepBody{Round: 1, Step: cdpsm.DefaultStep, Mean: mean})
+		if err == nil || !strings.Contains(err.Error(), target.Addr()) {
+			t.Errorf("step from mean %v: error %v, want a refusal naming %s", mean, err, target.Addr())
+		}
 	}
 }
 

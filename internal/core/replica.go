@@ -420,26 +420,6 @@ func (r *ReplicaServer) newMessage(msgType string, v any) (transport.Message, er
 	return transport.NewMessage(msgType, r.Addr(), v)
 }
 
-// peerSender is the fabric handle an algorithm's server half uses to reach
-// its peer replicas mid-iteration (CDPSM's estimate pulls): one-shot sends
-// bounded by RPCTimeout — retrying is the initiator's business.
-type peerSender struct{ r *ReplicaServer }
-
-func (p peerSender) Send(ctx context.Context, to, verb string, body any) (engine.Reply, error) {
-	req, err := p.r.newMessage(verb, body)
-	if err != nil {
-		return nil, err
-	}
-	cctx, cancel := context.WithTimeout(ctx, p.r.cfg.RPCTimeout)
-	defer cancel()
-	resp, err := p.r.node.Send(cctx, to, req)
-	p.r.Stats.CoordMessages.Inc(1)
-	if err != nil {
-		return nil, err
-	}
-	return msgReply{resp}, nil
-}
-
 // handleClientRequest queues a client's demand (ClientListener role).
 // Repeat submissions from the same client before a round runs are
 // aggregated into one row, as one scheduling window would see them; a
@@ -625,8 +605,6 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 		Col:          myCol,
 		Self:         r.Addr(),
 		ReplicaAddrs: addrsOf(spec.Replicas),
-		Warm:         spec.Warm,
-		Peers:        peerSender{r},
 	}}
 	r.mu.Lock()
 	if _, held := r.rounds[spec.Round]; !held {

@@ -23,7 +23,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -114,17 +113,17 @@ type Algorithm interface {
 	// trace branch.
 	Converged(k int) (residual float64, done bool)
 	// Recover assembles the final assignment, packed over Prob.Sparsity(),
-	// after the loop ends. The returned vector must be freshly allocated
-	// (not Pool-owned): it outlives the round. Algorithms needing a closing
-	// exchange (CDPSM's estimate collection) run it through d.Exec.
-	Recover(ctx context.Context, d *Driver) ([]float64, error)
+	// from the algorithm's own state after the loop ends. The returned
+	// vector must be freshly allocated (not Pool-owned): it outlives the
+	// round.
+	Recover() ([]float64, error)
 }
 
 // PrimalTracer is optionally implemented by algorithms that hold a
 // costable primal iterate between iterations; the driver records its
 // objective on the telemetry trajectory. Algorithms without one (CDPSM —
-// the initiator holds no primal between consensus steps) simply don't
-// implement it and get a residual-only trajectory.
+// the initiator holds |N| estimates, no single primal, between consensus
+// steps) simply don't implement it and get a residual-only trajectory.
 type PrimalTracer interface {
 	// Primal returns the current primal iterate packed over Prob.Sparsity(),
 	// or nil when none is available this iteration.
@@ -143,8 +142,8 @@ type DualReporter interface {
 }
 
 // Driver runs Algorithms over a Transport. The zero value is unusable;
-// populate Transport at least. A Driver runs one round at a time: Run and
-// Exec are not safe for concurrent use.
+// populate Transport at least. A Driver runs one round at a time: Run is
+// not safe for concurrent use.
 type Driver struct {
 	Transport Transport
 	// Timeout, when positive, is the deadline each wave arms for its
@@ -192,7 +191,7 @@ func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, 
 	for k := 1; k <= rd.MaxIters; k++ {
 		iterations = k
 		for _, ex := range alg.Iterate(k) {
-			if err := d.Exec(ctx, ex); err != nil {
+			if err := d.exec(ctx, ex); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -210,7 +209,7 @@ func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, 
 			break
 		}
 	}
-	final, err := alg.Recover(ctx, d)
+	final, err := alg.Recover()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -236,7 +235,7 @@ func (d *Driver) startSenders(addrs []string) {
 	}
 }
 
-// stopSenders ends the round's senders and waits for them to exit. Exec
+// stopSenders ends the round's senders and waits for them to exit. exec
 // returns only once every sender has reported, so they are all idle here.
 func (d *Driver) stopSenders() {
 	for _, jobs := range d.jobs {
@@ -277,17 +276,13 @@ func (e *RefusedReplyError) Error() string { return e.Err.Error() }
 
 func (e *RefusedReplyError) Unwrap() error { return e.Err }
 
-// Exec runs one exchange on the round's senders: ex.Verb goes to every
+// exec runs one exchange on the round's senders: ex.Verb goes to every
 // replica concurrently, one RPC each. It keeps FanOut's contract — the
 // first error cancels the wave's context so the remaining sends abort
 // promptly, every first attempt shares one deadline d.Timeout away, and
-// Exec still waits for every sender to finish before returning, so callers
-// may reuse the buffers Body and Fold touched. It is valid only while Run
-// is executing (an Algorithm's Recover calls it for a closing exchange).
-func (d *Driver) Exec(ctx context.Context, ex Exchange) error {
-	if d.jobs == nil {
-		return errors.New("engine: Exec outside Run")
-	}
+// exec still waits for every sender to finish before returning, so callers
+// may reuse the buffers Body and Fold touched.
+func (d *Driver) exec(ctx context.Context, ex Exchange) error {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	wave, _, disarm := armWave(wctx, d.Timeout)
@@ -325,7 +320,7 @@ type firstAttemptKey struct{}
 
 // FirstAttempt returns the context a send's first attempt runs under, when
 // ctx is the context of a wave armed with a timeout (one FanOut hands its
-// fn, or an Exec hands its Transport): the wave plus one deadline the
+// fn, or a Run wave hands its Transport): the wave plus one deadline the
 // wave's first attempts share. ok is false outside such a wave; a sender
 // then bounds the attempt itself, as it bounds every retry. Only the
 // attempt runs under the returned context — whether the wave itself has

@@ -87,7 +87,7 @@ func (a *sumAlg) Converged(k int) (float64, bool) {
 	return residual, residual <= 0
 }
 
-func (a *sumAlg) Recover(ctx context.Context, d *Driver) ([]float64, error) {
+func (a *sumAlg) Recover() ([]float64, error) {
 	a.recovers++
 	return []float64{a.total}, nil
 }
@@ -223,12 +223,10 @@ func goid() string {
 
 // waveAlg is a toy Algorithm for the driver's wave mechanics: one exchange
 // per iteration whose body is the iteration number, never converging, with
-// an optional closing exchange from Recover (CDPSM's shape) and an optional
-// Fold.
+// an optional Fold.
 type waveAlg struct {
-	k       int
-	fold    func(i int, r Reply) error
-	closing bool
+	k    int
+	fold func(i int, r Reply) error
 }
 
 func (a *waveAlg) Init(*Round) error { return nil }
@@ -240,14 +238,7 @@ func (a *waveAlg) Iterate(k int) []Exchange {
 
 func (a *waveAlg) Converged(int) (float64, bool) { return 1, false }
 
-func (a *waveAlg) Recover(ctx context.Context, d *Driver) ([]float64, error) {
-	if a.closing {
-		if err := d.Exec(ctx, Exchange{Verb: "toy.close"}); err != nil {
-			return nil, err
-		}
-	}
-	return []float64{0}, nil
-}
+func (a *waveAlg) Recover() ([]float64, error) { return []float64{0}, nil }
 
 // funcTransport adapts a function to Transport.
 type funcTransport func(ctx context.Context, addr, verb string, body any) (Reply, error)
@@ -285,7 +276,7 @@ func watchGoroutines(t *testing.T) int {
 
 // One iteration is one wave: a round makes exactly iters × |N| transport
 // calls, |N| per iteration, and each replica is served by one goroutine for
-// the whole round — Recover's closing exchange included.
+// the whole round.
 func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 	const replicas, iters = 5, 40
 	base := watchGoroutines(t)
@@ -293,7 +284,6 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 		mu      sync.Mutex
 		calls   int
 		perIter = map[int]int{}
-		closing int
 		sender  = map[string]map[string]bool{} // addr → goroutine ids that served it
 		peak    int
 	)
@@ -302,11 +292,7 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		calls++
-		if verb == "toy.close" {
-			closing++
-		} else {
-			perIter[body.(int)]++
-		}
+		perIter[body.(int)]++
 		if sender[addr] == nil {
 			sender[addr] = map[string]bool{}
 		}
@@ -315,13 +301,12 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 		return fakeReply{}, nil
 	})
 	d := &Driver{Transport: tr}
-	_, got, err := d.Run(context.Background(), &waveAlg{closing: true}, waveRound(replicas, iters))
+	_, got, err := d.Run(context.Background(), &waveAlg{}, waveRound(replicas, iters))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != iters || calls != (iters+1)*replicas || closing != replicas {
-		t.Fatalf("iterations %d, calls %d, closing calls %d; want %d, %d, %d",
-			got, calls, closing, iters, (iters+1)*replicas, replicas)
+	if got != iters || calls != iters*replicas {
+		t.Fatalf("iterations %d, calls %d; want %d, %d", got, calls, iters, iters*replicas)
 	}
 	if len(perIter) != iters {
 		t.Fatalf("%d waves, want one per iteration (%d)", len(perIter), iters)
@@ -345,9 +330,6 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 	}
 	if peak > base+replicas+2 {
 		t.Fatalf("goroutines peaked at %d during the round, baseline %d + %d senders", peak, base, replicas)
-	}
-	if err := d.Exec(context.Background(), Exchange{Verb: "toy.late"}); err == nil {
-		t.Fatal("Exec after Run returned: want an error, the senders are gone")
 	}
 }
 
@@ -390,8 +372,8 @@ func TestDriverStopsSendersOnError(t *testing.T) {
 	})
 }
 
-// Exec keeps FanOut's contract: the first error cancels the wave's context,
-// and Exec (hence Run) returns only after every Fold has finished.
+// A wave keeps FanOut's contract: the first error cancels the wave's
+// context, and Run returns only after every Fold has finished.
 func TestExecFirstErrorCancelsWaveAndWaitsForFolds(t *testing.T) {
 	watchGoroutines(t)
 	var (

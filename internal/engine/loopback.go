@@ -19,17 +19,16 @@ type Carrier func(verb string, body any) (Reply, error)
 
 // Loopback runs a round's replicas in this process: one ServerRound per
 // column, every verb handed straight to the server half registered for it
-// (ServerFor). It is the round's Transport and every replica's PeerSender,
-// so a server half that pulls from its peers mid-iteration (CDPSM) reaches
-// them the same way. The in-process solvers are the engine's Algorithms
-// run over a Loopback: the paper's figures and the fleet run one loop.
+// (ServerFor). It is the round's Transport. The in-process solvers are the
+// engine's Algorithms run over a Loopback: the paper's figures and the
+// fleet run one loop.
 //
 // Bodies are handed over, not marshaled: a receiver decodes the very
 // slices its sender built, so no body is copied. That is sound for the
 // rounds registered here — each handler is done with its request when it
-// replies, and every reply is built afresh or, like a committed CDPSM
-// estimate, never written again — and each engine's solver test checks
-// that it gives the real codecs' answer bit for bit.
+// replies (CDPSM's clones the mean it steps on), and every reply is built
+// afresh — and each engine's solver test checks that it gives the real
+// codecs' answer bit for bit.
 type Loopback struct {
 	rd      *Round
 	servers []*ServerRound
@@ -60,7 +59,7 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*
 	for j := range addrs {
 		addrs[j] = fmt.Sprintf("loop/%d", j)
 		l.cols[addrs[j]] = j
-		l.servers[j] = &ServerRound{Round: 1, Prob: prob, Col: j, Self: addrs[j], ReplicaAddrs: addrs, Peers: l}
+		l.servers[j] = &ServerRound{Round: 1, Prob: prob, Col: j, Self: addrs[j], ReplicaAddrs: addrs}
 	}
 	l.rd = &Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs, MaxIters: maxIters, Tol: tol}
 	return l, nil
@@ -69,19 +68,11 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*
 // Round returns the round the loopback serves.
 func (l *Loopback) Round() *Round { return l.rd }
 
-// Server returns replica j's participant state.
-func (l *Loopback) Server(j int) *ServerRound { return l.servers[j] }
-
-// Replica implements Transport.
+// Replica implements Transport: the request and the reply each cross once.
 func (l *Loopback) Replica(ctx context.Context, addr, verb string, body any) (Reply, error) {
-	return l.Send(ctx, addr, verb, body)
-}
-
-// Send implements PeerSender: the request and the reply each cross once.
-func (l *Loopback) Send(ctx context.Context, to, verb string, body any) (Reply, error) {
-	j, ok := l.cols[to]
+	j, ok := l.cols[addr]
 	if !ok {
-		return nil, fmt.Errorf("engine: loopback has no replica %q", to)
+		return nil, fmt.Errorf("engine: loopback has no replica %q", addr)
 	}
 	reg, ok := ServerFor(verb)
 	if !ok || reg.Server == nil {

@@ -12,21 +12,18 @@ import (
 	"edr/internal/solver"
 )
 
-// Toy verbs for the loopback tests: an ask makes the replica pull its ring
-// successor's column through its PeerSender and answer with both.
-const (
-	loopAsk  = "test.loop.ask"
-	loopPeer = "test.loop.peer"
-)
+// Toy verb for the loopback tests: the replica answers an ask with the
+// iteration it carried and its own column and address.
+const loopAsk = "test.loop.ask"
 
 type loopBody struct {
 	Iter int `json:"iter"`
-	Col  int `json:"col"`
 }
 
 type loopReply struct {
-	Col  int `json:"col"`
-	Peer int `json:"peer"`
+	Iter int    `json:"iter"`
+	Col  int    `json:"col"`
+	Self string `json:"self"`
 }
 
 type loopServer struct{}
@@ -36,23 +33,11 @@ func (loopServer) Handle(ctx context.Context, verb string, req Reply, sr *Server
 	if err := req.Decode(&body); err != nil {
 		return nil, err
 	}
-	if verb == loopPeer {
-		return loopBody{Iter: body.Iter, Col: sr.Col}, nil
-	}
-	next := sr.ReplicaAddrs[(sr.Col+1)%len(sr.ReplicaAddrs)]
-	resp, err := sr.Peers.Send(ctx, next, loopPeer, loopBody{Iter: body.Iter})
-	if err != nil {
-		return nil, err
-	}
-	var peer loopBody
-	if err := resp.Decode(&peer); err != nil {
-		return nil, err
-	}
-	return loopReply{Col: sr.Col, Peer: peer.Col}, nil
+	return loopReply{Iter: body.Iter, Col: sr.Col, Self: sr.Self}, nil
 }
 
 func init() {
-	Register(Registration{Name: "TEST-LOOP", New: func() Algorithm { return &loopAlg{} }, Server: loopServer{}, Verbs: []string{loopAsk, loopPeer}})
+	Register(Registration{Name: "TEST-LOOP", New: func() Algorithm { return &loopAlg{} }, Server: loopServer{}, Verbs: []string{loopAsk}})
 }
 
 // loopAlg asks every replica once per iteration and stops at doneAt (never
@@ -81,7 +66,7 @@ func (a *loopAlg) Iterate(k int) []Exchange {
 
 func (a *loopAlg) Converged(k int) (float64, bool) { return float64(k), k == a.doneAt }
 
-func (a *loopAlg) Recover(ctx context.Context, d *Driver) ([]float64, error) {
+func (a *loopAlg) Recover() ([]float64, error) {
 	return make([]float64, a.rd.Prob.Sparsity().NNZ()), nil
 }
 
@@ -110,9 +95,8 @@ func loopProblem(t *testing.T, n int) *opt.Problem {
 }
 
 // Every verb reaches the server half registered for it on the addressed
-// column, a server half reaches its peers through the same loopback, and
-// Solve reports the algorithm's own stop verdict, its history and its
-// analytic communication.
+// peer's column, and Solve reports the algorithm's own stop verdict, its
+// history and its analytic communication.
 func TestLoopbackRoutesVerbsAndPeers(t *testing.T) {
 	lb := newLoop(t, 3, 10)
 	alg := &loopAlg{doneAt: 4}
@@ -135,12 +119,9 @@ func TestLoopbackRoutesVerbsAndPeers(t *testing.T) {
 		t.Fatalf("comm %+v", res.Comm)
 	}
 	for j, r := range alg.replies {
-		if r.Col != j || r.Peer != (j+1)%3 {
+		if r.Iter != 4 || r.Col != j || r.Self != lb.Round().ReplicaAddrs[j] {
 			t.Fatalf("replica %d answered %+v", j, r)
 		}
-	}
-	if lb.Server(1).Col != 1 || lb.Server(1).Self != lb.Round().ReplicaAddrs[1] {
-		t.Fatalf("server 1 is %+v", lb.Server(1))
 	}
 }
 
@@ -167,7 +148,7 @@ func TestLoopbackVerdictAtBound(t *testing.T) {
 
 func TestLoopbackRefusesUnknownPeerAndVerb(t *testing.T) {
 	lb := newLoop(t, 2, 1)
-	if _, err := lb.Send(context.Background(), "nowhere", loopAsk, loopBody{}); err == nil || !strings.Contains(err.Error(), "nowhere") {
+	if _, err := lb.Replica(context.Background(), "nowhere", loopAsk, loopBody{}); err == nil || !strings.Contains(err.Error(), "nowhere") {
 		t.Fatalf("unknown peer: %v", err)
 	}
 	addr := lb.Round().ReplicaAddrs[0]

@@ -7,13 +7,6 @@ import (
 	"edr/internal/opt"
 )
 
-// PeerSender lets a participant's server half talk to its peer replicas
-// mid-iteration (CDPSM's estimate pulls). One-shot sends: retrying is the
-// initiator's business.
-type PeerSender interface {
-	Send(ctx context.Context, to, verb string, body any) (Reply, error)
-}
-
 // ServerRound is the participant side of one round: the problem instance,
 // this replica's column, and lazily-built per-algorithm state. It is
 // created when the initiator installs the round (round.start) and shared
@@ -29,12 +22,6 @@ type ServerRound struct {
 	// order.
 	Self         string
 	ReplicaAddrs []string
-	// Peers reaches the other replicas of the round.
-	Peers PeerSender
-	// Warm, when non-nil, is the initiator's warm start packed over Prob's
-	// support (opt.Sparsity CSR order), shipped with the round spec when
-	// the registration sets ServerWarm; CDPSM seeds its estimates from it.
-	Warm []float64
 
 	mu     sync.Mutex
 	states map[string]any
@@ -43,7 +30,7 @@ type ServerRound struct {
 // State returns the named algorithm's participant state for this round,
 // building it on first use. Lazy construction means a replica pays only
 // for the algorithm actually driven over it — an LDDM round never builds
-// CDPSM's full-matrix estimate.
+// ADMM's cached caps.
 func (sr *ServerRound) State(alg string, build func() (any, error)) (any, error) {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()

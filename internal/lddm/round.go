@@ -245,7 +245,7 @@ func (a *roundAlg) Duals() []float64 { return a.mu }
 // Primal exposes the suffix-averaged iterate for trajectory costing.
 func (a *roundAlg) Primal() []float64 { return a.avg }
 
-func (a *roundAlg) Recover(ctx context.Context, d *engine.Driver) ([]float64, error) {
+func (a *roundAlg) Recover() ([]float64, error) {
 	final := slices.Clone(a.avg)
 	if err := opt.ProjectFeasiblePacked(a.rd.Prob, final, 1e-6); err != nil {
 		return nil, fmt.Errorf("lddm: primal recovery: %w", err)
