@@ -169,15 +169,19 @@ func run(args []string) error {
 	}
 	fmt.Printf("allocation (round %d, %s, %d iterations, %v):\n",
 		alloc.Round, alloc.Algorithm, alloc.Iterations, time.Since(start).Round(time.Millisecond))
-	for addr, mb := range alloc.PerReplicaMB {
-		fmt.Printf("  %-22s %8.2f MB\n", addr, mb)
+	selected := 0
+	for j, mb := range alloc.PerReplicaMB {
+		if mb > 0 {
+			fmt.Printf("  %-22s %8.2f MB\n", alloc.Replicas[j], mb)
+			selected++
+		}
 	}
 	if *download {
 		n, err := client.Download(ctx, alloc)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("downloaded %d payload bytes across %d replicas\n", n, len(alloc.PerReplicaMB))
+		fmt.Printf("downloaded %d payload bytes across %d replicas\n", n, selected)
 	}
 	return nil
 }

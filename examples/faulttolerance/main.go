@@ -122,7 +122,7 @@ func main() {
 	}
 	fmt.Printf("round %d degraded: %v — reused last-good split over %v\n",
 		report.Round, report.Degraded, report.ReplicaAddrs)
-	if _, ok := collect().PerReplicaMB["r4"]; ok {
+	if collect().MB("r4") > 0 {
 		log.Fatal("degraded allocation still points at the partitioned replica!")
 	}
 	fmt.Println("degraded round kept every MB of demand served; r4 was not falsely pruned")
@@ -144,7 +144,7 @@ func main() {
 	}
 	fmt.Printf("round %d used %d replicas (degraded: %v); survivors: %v\n",
 		report.Round, len(report.ReplicaAddrs), report.Degraded, report.ReplicaAddrs)
-	if _, ok := collect().PerReplicaMB["r3"]; ok {
+	if collect().MB("r3") > 0 {
 		log.Fatal("dead replica still selected!")
 	}
 	stats := net.Stats()

@@ -88,7 +88,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		selected := 0
+		for _, mb := range alloc.PerReplicaMB {
+			if mb > 0 {
+				selected++
+			}
+		}
 		fmt.Printf("  %-6s downloaded %5d payload bytes from %d replicas\n",
-			cl.Addr(), n, len(alloc.PerReplicaMB))
+			cl.Addr(), n, selected)
 	}
 }

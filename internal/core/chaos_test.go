@@ -312,7 +312,7 @@ func TestDegradedRoundFallsBackToLastGood(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := alloc.PerReplicaMB["r3"]; ok {
+		if alloc.MB("r3") > 0 {
 			t.Fatal("degraded allocation points a client at the unreachable replica")
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -26,10 +27,14 @@ type Client struct {
 	demand  float64 // RequestAck.QueuedMB of the last submission
 	contact string  // last contact replica, for allocation pulls
 	ackSeq  int     // RequestAck.Round watermark of the last submission
-	// sent is the latency list last sent to contact in full, and version
-	// the RequestAck.LatencyVersion contact holds it under (0 for none).
-	sent    []Latency
-	version uint32
+	// sent is the latency list last sent to contact in full, and id the
+	// handle contact names the client and that list by (RequestAck.Handle;
+	// 0 for none).
+	sent []Latency
+	id   uint32
+	// held is the roster the last full-form push listed, which the short
+	// form names by hash.
+	held heldRoster
 	// alloc is a one-slot mailbox: it holds the newest allocation no
 	// WaitAllocation took yet (see deliver).
 	alloc chan AllocationBody
@@ -63,29 +68,63 @@ func (c *Client) Close() error { return c.node.Close() }
 
 func (c *Client) handle(ctx context.Context, req transport.Message) (transport.Message, error) {
 	switch req.Type {
-	case MsgAllocation:
-		return c.handleAllocation(req)
-	case MsgCohortAllocation:
-		return c.handleCohortAllocation(req)
+	case MsgAllocation, MsgCohortAllocation:
+		return c.handlePush(req)
 	default:
 		return transport.Message{}, fmt.Errorf("core: client %s: unknown message type %q", c.Addr(), req.Type)
 	}
 }
 
-// handleAllocation records the round outcome for WaitAllocation.
-func (c *Client) handleAllocation(req transport.Message) (transport.Message, error) {
-	var body AllocationBody
-	if err := req.DecodeBody(&body); err != nil {
-		return transport.Message{}, err
+// rosterMiss is the body of the ack a client answers a short-form push
+// with when it does not hold the roster the push names: the initiator then
+// sends the full form. A miss is not an error reply, which would be
+// retried, and not a delivery.
+var rosterMiss = []byte{'m'}
+
+// rosterMissed reports whether resp is a push's miss ack.
+func rosterMissed(resp transport.Message) bool { return string(resp.Body) == string(rosterMiss) }
+
+// handlePush records a pushed allocation for WaitAllocation. A cohort push
+// carries the cohort's unit split, which the client scales by its own
+// queued demand, the figure its last ack reported and the round solved
+// for: cohort members split cohort load in proportion to demand, so the
+// unit vector times R_c reproduces the member row the initiator installed.
+// WaitAllocation callers see no difference between the verbs. A push
+// carrying a value that is not finite and non-negative is refused, as is
+// one whose scaled MB is not finite. The body is decoded in place of
+// transport.DecodeBody, whose interface argument would put it on the heap:
+// a push on a known roster allocates its PerReplicaMB alone.
+func (c *Client) handlePush(req transport.Message) (transport.Message, error) {
+	c.mu.Lock()
+	held, demand := c.held, c.demand
+	c.mu.Unlock()
+	body, miss, err := decodePush(req.Body, &held)
+	if err != nil {
+		return transport.Message{}, fmt.Errorf("core: client %s: decode %s body: %w", c.Addr(), req.Type, err)
 	}
+	ack := transport.Message{Type: MsgAllocation + ".ack", From: c.Addr()}
+	if miss {
+		ack.Body = rosterMiss
+		return ack, nil
+	}
+	if req.Type == MsgCohortAllocation {
+		for j, unit := range body.PerReplicaMB {
+			if body.PerReplicaMB[j] = unit * demand; math.IsInf(body.PerReplicaMB[j], 0) {
+				return transport.Message{}, fmt.Errorf("core: client %s: unit share %g of %g MB is not finite", c.Addr(), unit, demand)
+			}
+		}
+	}
+	c.mu.Lock()
+	c.held = held
+	c.mu.Unlock()
 	c.deliver(body)
-	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
+	return ack, nil
 }
 
 // deliver puts a pushed allocation in the mailbox, replacing one nobody
 // took: a consumer that lags gets the newest allocation, never a stale one,
 // and a client that stopped consuming never stalls the initiator's push.
-// Stats.Allocations counts every push, taken or replaced.
+// Stats.Allocations counts every push delivered, taken or replaced.
 func (c *Client) deliver(body AllocationBody) {
 	c.Stats.Allocations.Inc(1)
 	c.mu.Lock()
@@ -95,40 +134,6 @@ func (c *Client) deliver(body AllocationBody) {
 	default:
 	}
 	c.alloc <- body // only consumers take, so under c.mu the slot is free
-}
-
-// handleCohortAllocation expands a cohort-level allocation into this
-// client's own per-replica split (unit share × own demand) and records it
-// like a per-client allocation — WaitAllocation callers see no difference.
-// The demand is the queued figure the last ack reported, which the round
-// solved for: cohort members split cohort load proportionally to demand,
-// so the unit vector times R_c reproduces the member row the initiator
-// installed.
-func (c *Client) handleCohortAllocation(req transport.Message) (transport.Message, error) {
-	var body CohortAllocationBody
-	if err := req.DecodeBody(&body); err != nil {
-		return transport.Message{}, err
-	}
-	if len(body.UnitMB) != len(body.Replicas) {
-		return transport.Message{}, fmt.Errorf("core: client %s: %d unit entries for %d replicas",
-			c.Addr(), len(body.UnitMB), len(body.Replicas))
-	}
-	c.mu.Lock()
-	demand := c.demand
-	c.mu.Unlock()
-	per := make(map[string]float64, len(body.Replicas))
-	for t, addr := range body.Replicas {
-		if v := body.UnitMB[t] * demand; v > 0 {
-			per[addr] = v
-		}
-	}
-	c.deliver(AllocationBody{
-		Round:        body.Round,
-		PerReplicaMB: per,
-		Algorithm:    body.Algorithm,
-		Iterations:   body.Iterations,
-	})
-	return transport.NewMessage(MsgAllocation+".ack", c.Addr(), nil)
 }
 
 // Ping measures the round-trip time to a replica by timing a
@@ -151,31 +156,31 @@ func (c *Client) Ping(ctx context.Context, replicaAddr string) (time.Duration, e
 // address → measured one-way latency seconds (the client's view of the
 // network); replicas absent from the map are not candidates. When the
 // contact is the last one and latencies equal the list last sent to it,
-// the request carries the demand and that list's version only; a contact
-// that no longer holds the version gets the list in full, in a second RPC.
-// On an error the demand a cohort allocation scales by stays the last
-// acknowledged one.
+// the request is the handle form: the handle that contact issued and the
+// demand. A contact that does not hold the handle gets the full form, in a
+// second RPC. On an error the demand a cohort allocation scales by stays
+// the last acknowledged one.
 func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB float64, latencies map[string]float64) error {
 	// A round may push before the ack lands; until then the submission
 	// itself is the best guess at the queued demand.
 	c.mu.Lock()
 	acked := c.demand
 	c.demand = demandMB
-	body := RequestBody{ClientAddr: c.Addr(), DemandMB: demandMB}
-	if contactReplica == c.contact && c.version != 0 && sameLatencies(c.sent, latencies) {
-		body.LatencyVersion = c.version
+	body := RequestBody{DemandMB: demandMB}
+	if contactReplica == c.contact && c.id != 0 && sameLatencies(c.sent, latencies) {
+		body.Handle = c.id
 	}
 	c.mu.Unlock()
 	var sent []Latency
-	if body.LatencyVersion == 0 {
+	if body.Handle == 0 {
 		sent = latencyList(latencies)
-		body.LatencySec = sent
+		body.ClientAddr, body.LatencySec = c.Addr(), sent
 	}
 	ack, err := c.send(ctx, contactReplica, body)
-	if err == nil && body.LatencyVersion != 0 && ack.LatencyVersion == 0 {
-		// A miss: the contact queued nothing and asks for the list.
+	if err == nil && body.Handle != 0 && ack.Handle == 0 {
+		// A miss: the contact queued nothing and asks for the full form.
 		sent = latencyList(latencies)
-		body.LatencyVersion, body.LatencySec = 0, sent
+		body = RequestBody{ClientAddr: c.Addr(), DemandMB: demandMB, LatencySec: sent}
 		ack, err = c.send(ctx, contactReplica, body)
 	}
 	c.mu.Lock()
@@ -187,26 +192,30 @@ func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB flo
 	c.contact = contactReplica
 	c.ackSeq = ack.Round
 	c.demand = ack.QueuedMB
-	c.version = ack.LatencyVersion
+	c.id = ack.Handle
 	if sent != nil {
 		c.sent = sent
 	}
 	return nil
 }
 
-// send sends one client.request to contact and decodes its ack.
+// send sends one client.request to contact and decodes its ack. Both
+// bodies are coded in place of NewMessage and DecodeBody, whose interface
+// arguments would put them on the heap.
 func (c *Client) send(ctx context.Context, contact string, body RequestBody) (RequestAck, error) {
 	var ack RequestAck
-	req, err := transport.NewMessage(MsgClientRequest, c.Addr(), body)
+	b, err := body.MarshalBinary()
 	if err != nil {
-		return ack, err
+		return ack, fmt.Errorf("core: marshal %s body: %w", MsgClientRequest, err)
 	}
-	resp, err := c.node.Send(ctx, contact, req)
+	resp, err := c.node.Send(ctx, contact, transport.Message{Type: MsgClientRequest, From: c.Addr(), Body: b})
 	if err != nil {
 		return ack, fmt.Errorf("core: submit to %s: %w", contact, err)
 	}
-	err = resp.DecodeBody(&ack)
-	return ack, err
+	if err := ack.UnmarshalBinary(resp.Body); err != nil {
+		return ack, fmt.Errorf("core: decode %s body: %w", resp.Type, err)
+	}
+	return ack, nil
 }
 
 // sameLatencies reports whether m holds exactly list's pairs: list's keys
@@ -289,7 +298,7 @@ func (c *Client) WaitAllocationSteady(ctx context.Context, poll time.Duration) (
 			for _, mb := range body.PerReplicaMB {
 				sum += mb
 			}
-			if diff := sum - demand; diff > 1e-3*demand || diff < -1e-3*demand {
+			if !(math.Abs(sum-demand) <= 1e-3*demand) {
 				continue
 			}
 			return body, nil
@@ -300,12 +309,20 @@ func (c *Client) WaitAllocationSteady(ctx context.Context, poll time.Duration) (
 // Download fetches the allocated bytes from every selected replica in
 // parallel and returns the total payload size received.
 func (c *Client) Download(ctx context.Context, alloc AllocationBody) (int, error) {
+	if len(alloc.PerReplicaMB) != len(alloc.Replicas) {
+		return 0, fmt.Errorf("core: allocation has %d values for %d replicas", len(alloc.PerReplicaMB), len(alloc.Replicas))
+	}
 	type result struct {
 		n   int
 		err error
 	}
 	results := make(chan result, len(alloc.PerReplicaMB))
-	for addr, sizeMB := range alloc.PerReplicaMB {
+	fetches := 0
+	for j, sizeMB := range alloc.PerReplicaMB {
+		if !(sizeMB > 0) {
+			continue
+		}
+		fetches++
 		go func(addr string, sizeMB float64) {
 			req, err := transport.NewMessage(MsgDownload, c.Addr(), DownloadBody{Round: alloc.Round, SizeMB: sizeMB})
 			if err != nil {
@@ -323,11 +340,11 @@ func (c *Client) Download(ctx context.Context, alloc AllocationBody) (int, error
 				return
 			}
 			results <- result{n: len(reply.Payload)}
-		}(addr, sizeMB)
+		}(alloc.Replicas[j], sizeMB)
 	}
 	total := 0
 	var firstErr error
-	for range alloc.PerReplicaMB {
+	for i := 0; i < fetches; i++ {
 		res := <-results
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err

@@ -32,9 +32,9 @@ func TestWaitAllocationReturnsNewest(t *testing.T) {
 	defer initiator.Close()
 	ctx := context.Background()
 	for round := 1; round <= pushes; round++ {
-		verb, body := MsgAllocation, any(AllocationBody{Round: round, PerReplicaMB: map[string]float64{"r1": float64(round)}, Algorithm: "LDDM"})
+		verb, body := MsgAllocation, AllocationBody{Round: round, Replicas: []string{"r1"}, PerReplicaMB: []float64{float64(round)}, Algorithm: "LDDM"}
 		if round%7 == 0 {
-			verb, body = MsgCohortAllocation, CohortAllocationBody{Round: round, Algorithm: "LDDM", Replicas: []string{"r1"}, UnitMB: []float64{1}}
+			verb, body.PerReplicaMB = MsgCohortAllocation, []float64{1} // a unit share
 		}
 		msg, err := transport.NewMessage(verb, initiator.Name(), body)
 		if err != nil {

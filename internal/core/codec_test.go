@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -25,26 +26,26 @@ type binaryBody interface {
 func controlBodies() []binaryBody {
 	return []binaryBody{
 		&RequestBody{}, &RequestAck{}, &RoundSpec{}, &AssignBody{},
-		&AllocationBody{}, &CohortAllocationBody{},
+		&AllocationBody{},
 	}
 }
 
 // codecCases are the bodies the round-trip tests and the fuzz corpus start
-// from: every codec, with its empty, nil-Warm, delta-form, zero-demand and
-// refused shapes.
+// from: every codec, with its empty, handle-form, delta-form, zero-demand
+// and zero-share shapes.
 func codecCases() []binaryBody {
 	infos := []ReplicaInfo{
 		{Addr: "r1", Price: 1, Alpha: 1, Beta: 0.01, Gamma: 3, Bandwidth: 100},
 		{Addr: "r2", Price: 8, Alpha: 2, Beta: 0.02, Gamma: 2, Bandwidth: 50, BaseMB: 12.5},
 	}
 	return []binaryBody{
-		&RequestBody{},
+		&RequestBody{ClientAddr: "c2"},
 		&RequestBody{ClientAddr: "c1", DemandMB: 0, LatencySec: []Latency{{"r1", 0.0005}}},
 		&RequestBody{ClientAddr: "c1", DemandMB: 25.125, LatencySec: []Latency{{"r1", 0.0005}, {"r2", 0.0011}, {"r3", 1e-9}}},
-		&RequestBody{ClientAddr: "c1", DemandMB: 3.5, LatencyVersion: 0xfffffffe}, // demand-only
+		&RequestBody{Handle: 0xfffffffe, DemandMB: 3.5}, // the handle form: no address
 		&RequestAck{},
 		&RequestAck{Round: 41, QueuedMB: 25.125},
-		&RequestAck{Round: 41, QueuedMB: 25.125, LatencyVersion: 7},
+		&RequestAck{Round: 41, QueuedMB: 25.125, Handle: 7},
 		&RequestAck{Round: 2, QueuedMB: 3},
 		&RoundSpec{},
 		&RoundSpec{ // one infeasible pair
@@ -67,9 +68,9 @@ func codecCases() []binaryBody {
 		&AssignBody{Round: 9, BaseRound: 7, Updates: []ClientMB{{"c1", 4.25}, {"c3", 0}, {"c9", 1}}},
 		&AssignBody{Round: 10, BaseRound: 9},
 		&AllocationBody{},
-		&AllocationBody{Round: 7, PerReplicaMB: map[string]float64{"r2": 3, "r1": 7}, Algorithm: "LDDM", Iterations: 200},
-		&CohortAllocationBody{},
-		&CohortAllocationBody{Round: 7, Algorithm: "ADMM", Iterations: 12, Replicas: []string{"r1", "r2"}, UnitMB: []float64{0.75, 0.25}},
+		&AllocationBody{Round: 7, Replicas: []string{"r1", "r2"}, PerReplicaMB: []float64{7, 3}, Algorithm: "LDDM", Iterations: 200},
+		&AllocationBody{Round: 7, Algorithm: "CDPSM"}, // an absent client's pull reply
+		&AllocationBody{Round: 7, Algorithm: "ADMM", Iterations: 12, Replicas: []string{"r1", "r2", "r3"}, PerReplicaMB: []float64{0, 0.75, 0}},
 	}
 }
 
@@ -105,7 +106,6 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(fromBin, fromJSON) {
 			t.Errorf("%s: codecs disagree\nbinary %+v\n  JSON %+v", name, fromBin, fromJSON)
 		}
-		// Map iteration order (PerReplicaMB) must not reach the wire.
 		for rep := 0; rep < 8; rep++ {
 			again, err := in.MarshalBinary()
 			if err != nil {
@@ -133,10 +133,12 @@ func TestControlCodecRoundHeader(t *testing.T) {
 }
 
 // A string the u16 header cannot describe fails the marshal; it is never
-// written with a truncated length. Neither is a pair list whose keys do not
-// strictly ascend, a request naming its latencies by version and as a list,
-// nor an assign carrying a non-finite MB or, against the empty plan, one
-// that is not positive, which no decoder would take back.
+// written with a truncated length. Neither is a pair list or a roster whose
+// keys do not strictly ascend, a request that mixes the handle form with an
+// address or a list, a full form with no address, an allocation whose
+// values do not pair with its roster or carry a NaN or infinite MB, nor an
+// assign carrying a non-finite MB or, against the empty plan, one that is
+// not positive, which no decoder would take back.
 func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 	long := strings.Repeat("x", 1<<16)
 	for _, body := range []binaryBody{
@@ -147,7 +149,7 @@ func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 		&AssignBody{Updates: []ClientMB{{long, 1}}},
 		&AssignBody{BaseRound: 1, Updates: []ClientMB{{long, 1}}},
 		&AllocationBody{Algorithm: long},
-		&CohortAllocationBody{Replicas: []string{long}, UnitMB: []float64{1}},
+		&AllocationBody{Replicas: []string{long}, PerReplicaMB: []float64{1}},
 	} {
 		if _, err := body.MarshalBinary(); err == nil {
 			t.Errorf("%T with a 64 KiB string marshaled", body)
@@ -156,12 +158,26 @@ func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 	for _, body := range []binaryBody{
 		&RequestBody{ClientAddr: "c", LatencySec: []Latency{{"r2", 1}, {"r1", 1}}},
 		&RequestBody{ClientAddr: "c", LatencySec: []Latency{{"r1", 1}, {"r1", 2}}},
-		&RequestBody{ClientAddr: "c", LatencyVersion: 3, LatencySec: []Latency{{"r1", 1}}},
+		&RequestBody{Handle: 3, LatencySec: []Latency{{"r1", 1}}},
+		&RequestBody{Handle: 3, ClientAddr: "c"},
+		&RequestBody{DemandMB: 1},
 		&AssignBody{BaseRound: 1, Updates: []ClientMB{{"c2", 1}, {"c1", 1}}},
 		&AssignBody{BaseRound: 1, Updates: []ClientMB{{"c1", 1}, {"c1", 0}}},
+		&AllocationBody{Replicas: []string{"r2", "r1"}, PerReplicaMB: []float64{1, 1}},
+		&AllocationBody{Replicas: []string{"r1", "r1"}, PerReplicaMB: []float64{1, 1}},
 	} {
 		if _, err := body.MarshalBinary(); err == nil {
 			t.Errorf("%+v with keys out of order, or named twice, marshaled", body)
+		}
+	}
+	for _, body := range []binaryBody{
+		&AllocationBody{Replicas: []string{"r1"}},
+		&AllocationBody{Replicas: []string{"r1"}, PerReplicaMB: []float64{1, 2}},
+		&AllocationBody{Replicas: []string{"r1"}, PerReplicaMB: []float64{math.NaN()}},
+		&AllocationBody{Replicas: []string{"r1"}, PerReplicaMB: []float64{math.Inf(1)}},
+	} {
+		if _, err := body.MarshalBinary(); err == nil {
+			t.Errorf("%+v with values no client takes marshaled", body)
 		}
 	}
 	for _, body := range []binaryBody{
@@ -184,11 +200,15 @@ func TestControlCodecRejectsOversizedStrings(t *testing.T) {
 type hostile []byte
 
 func (h hostile) u32(v uint32) hostile  { return transport.AppendUint32(h, v) }
+func (h hostile) u64(v uint64) hostile  { return binary.LittleEndian.AppendUint64(h, v) }
 func (h hostile) f64(v float64) hostile { return transport.AppendFloat64(h, v) }
 func (h hostile) str(s string) hostile {
 	b, _ := transport.AppendString(h, s)
 	return b
 }
+
+// MarshalBinary sends h as it is (transport.NewMessage).
+func (h hostile) MarshalBinary() ([]byte, error) { return h, nil }
 
 // hostileCase is a body a decoder must refuse; field, when set, is the
 // field the refusal must name.
@@ -208,7 +228,10 @@ type hostileCase struct {
 // spelled out, with exactly one encoding, its refusals naming the field, and
 // nothing may follow it: a spec still carrying the retired warm seed is
 // refused. An assign's entries must be finite, and positive against the
-// empty plan, and their refusals name the round.
+// empty plan, and their refusals name the round. A request is one form or
+// the other, whole; a push's roster must ascend and hash to the roster it
+// names, its columns must fit that roster, with one value each, finite and
+// positive, and a short form names a roster no fresh decoder holds.
 func hostileCases() []hostileCase {
 	const huge = 1 << 30
 	// roster opens a spec of 3 clients × 1 replica: a 1-byte bitmap.
@@ -230,16 +253,24 @@ func hostileCases() []hostileCase {
 	}
 	// Each opens a two-pair list, freshly: appending to a shared prefix
 	// would let one case overwrite another.
-	request := func() hostile { return hostile{}.str("c").f64(1).u32(0).u32(2) }
+	request := func() hostile { return hostile{}.u32(0).str("c").f64(1).u32(2) }
 	update := func() hostile { return hostile{}.u32(2).u32(1).u32(2) }
-	allocation := func() hostile { return hostile{}.u32(1).u32(2) }
+	// push opens an allocation naming the roster hash; listed is the full
+	// form over r1 < r2 < r3 up to its 1-byte column bitmap, cols.
+	push := func(hash uint64) hostile { return hostile{}.u32(1).str("LDDM").u32(9).u64(hash) }
+	listed := func(cols byte) hostile {
+		return append(push(rosterHash([]string{"r1", "r2", "r3"})).u32(3).str("r1").str("r2").str("r3").u32(1), cols)
+	}
 	return []hostileCase{
-		{"request: map count", &RequestBody{}, hostile{}.str("c").f64(1).u32(0).u32(huge), ""},
-		{"request: truncated string", &RequestBody{}, hostile{0xff, 0xff, 'c'}, ""},
+		{"request: map count", &RequestBody{}, hostile{}.u32(0).str("c").f64(1).u32(huge), ""},
+		{"request: truncated string", &RequestBody{}, append(hostile{}.u32(0), 0xff, 0xff, 'c'), ""},
 		{"ack: truncated", &RequestAck{}, hostile{1, 0, 0}, ""},
-		{"ack: truncated version", &RequestAck{}, hostile{}.u32(1).f64(2).u32(9)[:15], ""},
-		{"request: truncated version", &RequestBody{}, hostile{}.str("c").f64(1).u32(9)[:13], ""},
-		{"request: version and latencies", &RequestBody{}, hostile{}.str("c").f64(1).u32(5).u32(1).str("r1").f64(1e-4), "latency version"},
+		{"ack: truncated handle", &RequestAck{}, hostile{}.u32(1).f64(2).u32(9)[:15], ""},
+		{"request: truncated handle form", &RequestBody{}, hostile{}.u32(9).f64(1)[:11], ""},
+		{"request: handle form and latencies", &RequestBody{}, hostile{}.u32(5).f64(1).u32(1).str("r1").f64(1e-4), "trailing bytes"},
+		{"request: handle form and one trailing byte", &RequestBody{}, append(hostile{}.u32(5).f64(1), 0), "trailing bytes"},
+		{"request: full form with an empty address", &RequestBody{}, hostile{}.u32(0).str("").f64(1).u32(0), "names no client"},
+		{"request: full form and one trailing byte", &RequestBody{}, append(hostile{}.u32(0).str("c").f64(1).u32(0), 0), "trailing bytes"},
 		{"spec: replica count", &RoundSpec{}, hostile{}.u32(1).u32(huge), ""},
 		{"spec: client count", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(huge), ""},
 		{"spec: demand count", &RoundSpec{}, hostile{}.u32(1).u32(0).u32(0).u32(huge), ""},
@@ -260,15 +291,26 @@ func hostileCases() []hostileCase {
 		{"assign: base-less negative entry", &AssignBody{}, hostile{}.u32(6).u32(0).u32(1).str("c1").f64(-2), "assign round 6"},
 		{"assign: NaN update", &AssignBody{}, hostile{}.u32(6).u32(5).u32(1).str("c1").f64(math.NaN()), "assign round 6"},
 		{"assign: +Inf entry", &AssignBody{}, hostile{}.u32(6).u32(0).u32(1).str("c1").f64(math.Inf(1)), "assign round 6"},
-		{"allocation: map count", &AllocationBody{}, hostile{}.u32(1).u32(huge), ""},
-		{"cohort allocation: replica count", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(huge), ""},
-		{"cohort allocation: units without replicas", &CohortAllocationBody{}, hostile{}.u32(1).str("LDDM").u32(9).u32(0).u32(1).f64(1), ""},
+		{"allocation: roster count", &AllocationBody{}, push(1).u32(huge), ""},
+		{"allocation: values without a roster", &AllocationBody{}, push(0).u32(0).u32(0).u32(1).f64(1), "values"},
 		{"request: latencies out of order", &RequestBody{}, request().str("r2").f64(1e-4).str("r1").f64(1e-4), ""},
 		{"request: latency twice", &RequestBody{}, request().str("r1").f64(1e-4).str("r1").f64(2e-4), ""},
 		{"assign: updates out of order", &AssignBody{}, update().str("c2").f64(1).str("c1").f64(1), ""},
 		{"assign: update twice", &AssignBody{}, update().str("c1").f64(1).str("c1").f64(0), ""},
-		{"allocation: replicas out of order", &AllocationBody{}, allocation().str("r2").f64(1).str("r1").f64(1).str("LDDM").u32(9), ""},
-		{"allocation: replica twice", &AllocationBody{}, allocation().str("r1").f64(1).str("r1").f64(2).str("LDDM").u32(9), ""},
+		{"allocation: roster out of order", &AllocationBody{}, push(rosterHash([]string{"r2", "r1"})).u32(2).str("r2").str("r1").u32(1).u32(0), "ascend"},
+		{"allocation: replica twice", &AllocationBody{}, push(rosterHash([]string{"r1", "r1"})).u32(2).str("r1").str("r1").u32(1).u32(0), "ascend"},
+		{"allocation: hash of another roster", &AllocationBody{}, push(rosterHash([]string{"r1"})).u32(2).str("r1").str("r2").u32(1).u32(0), "hash"},
+		{"allocation: short form", &AllocationBody{}, append(push(rosterHash([]string{"r1"})).u32(0).u32(1), 0b1).u32(1).f64(1), "does not list"},
+		{"allocation: column past the roster", &AllocationBody{}, listed(0b1001).u32(2).f64(1).f64(1), "column bitmap"},
+		{"allocation: columns wider than the roster", &AllocationBody{}, append(push(rosterHash([]string{"r1"})).u32(1).str("r1").u32(2), 1, 0).u32(1).f64(1), "column bitmap"},
+		{"allocation: more values than columns", &AllocationBody{}, listed(0b011).u32(3).f64(1).f64(1).f64(1), "values"},
+		{"allocation: fewer values than columns", &AllocationBody{}, listed(0b011).u32(1).f64(1), "values"},
+		{"allocation: values past the body", &AllocationBody{}, listed(0b011).u32(2).f64(1), "values"},
+		{"allocation: NaN value", &AllocationBody{}, listed(0b001).u32(1).f64(math.NaN()), "not finite and positive"},
+		{"allocation: +Inf value", &AllocationBody{}, listed(0b010).u32(1).f64(math.Inf(1)), "not finite and positive"},
+		{"allocation: negative value", &AllocationBody{}, listed(0b100).u32(1).f64(-1), "not finite and positive"},
+		{"allocation: zero in a column", &AllocationBody{}, listed(0b100).u32(1).f64(0), "not finite and positive"},
+		{"allocation: one trailing byte", &AllocationBody{}, append(listed(0b001).u32(1).f64(1), 0), "trailing bytes"},
 	}
 }
 
@@ -440,15 +482,15 @@ var codecSink int
 // BenchmarkControlCodec is one encode plus one decode of the bodies that
 // dominate a fleet-scale round, binary beside encoding/json: a request
 // naming 10 replicas, a full install serving 10 000 clients, the 100-update
-// delta assign of a 1 %-drift round, and a cohort allocation.
+// delta assign of a 1 %-drift round, and a cohort allocation in full.
 func BenchmarkControlCodec(b *testing.B) {
 	request := &RequestBody{ClientAddr: "client-004217", DemandMB: 12.5}
-	cohort := &CohortAllocationBody{Round: 12, Algorithm: "LDDM", Iterations: 200}
+	cohort := &AllocationBody{Round: 12, Algorithm: "LDDM", Iterations: 200}
 	for j := 0; j < 10; j++ {
 		addr := fmt.Sprintf("replica-%02d", j)
 		request.LatencySec = append(request.LatencySec, Latency{addr, 0.0004 + 0.0001*float64(j)})
 		cohort.Replicas = append(cohort.Replicas, addr)
-		cohort.UnitMB = append(cohort.UnitMB, 0.1)
+		cohort.PerReplicaMB = append(cohort.PerReplicaMB, 0.1)
 	}
 	assign := &AssignBody{Round: 12}
 	for i := 0; i < 10000; i++ {

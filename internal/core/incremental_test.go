@@ -419,7 +419,7 @@ func TestAllocationPullFindsFirstLastAndAbsent(t *testing.T) {
 			t.Fatalf("client %d pulled round %d, want %d", i, body.Round, report.Round)
 		}
 		for j, replica := range report.ReplicaAddrs {
-			if got, want := body.PerReplicaMB[replica], report.Assignment[i][j]; got != want {
+			if got, want := body.MB(replica), report.Assignment[i][j]; got != want {
 				t.Errorf("client %d pulled %g MB from %s, the committed row says %g", i, got, replica, want)
 			}
 		}

@@ -6,59 +6,71 @@ import (
 )
 
 // latencyTable is a contact replica's record of the latency list each
-// client last sent in full, under the version its ack named: a client whose
-// latencies have not changed resubmits its demand and that version only
-// (RequestBody.LatencyVersion). An entry not used for roundStatesKept
-// drains is swept at the next drain; entries are kept in order of use, so
-// a sweep pops only what it drops.
+// client last sent in full, under the handle its ack issued: a client whose
+// latencies have not changed resubmits its demand and that handle only
+// (RequestBody.Handle), which stands for its address and its list. An entry
+// not used for roundStatesKept drains is swept at the next drain; entries
+// are kept in order of use, so a sweep pops only what it drops.
 type latencyTable struct {
 	byClient map[string]*list.Element // each holds a *latencyEntry
+	byHandle map[uint32]*list.Element // the same elements, by handle
 	byUse    list.List                // most recently used at the front
-	last     uint32                   // the last version issued
 }
 
 type latencyEntry struct {
-	client  string
-	version uint32
-	list    []Latency
-	used    int // the replica's drain count when the entry was last used
+	client string
+	handle uint32
+	list   []Latency
+	used   int // the replica's drain count when the entry was last used
 }
 
-// newLatencyTable starts the version sequence at a random point, so that a
-// replica restarted on the same address is unlikely to issue a version its
-// predecessor did; a client that names one the table does not hold is
-// asked for its list.
 func newLatencyTable() *latencyTable {
-	return &latencyTable{byClient: make(map[string]*list.Element), last: rand.Uint32()}
+	return &latencyTable{byClient: make(map[string]*list.Element), byHandle: make(map[uint32]*list.Element)}
 }
 
-// resolve returns the list stored for client under version, marking it used
-// at drain; false when the table holds another version or none.
-func (t *latencyTable) resolve(client string, version uint32, drain int) ([]Latency, bool) {
-	el, ok := t.byClient[client]
-	if !ok || el.Value.(*latencyEntry).version != version {
-		return nil, false
+// resolve returns the client and list handle stands for, marking the entry
+// used at drain; false when the table holds no such handle.
+func (t *latencyTable) resolve(handle uint32, drain int) (string, []Latency, bool) {
+	el, ok := t.byHandle[handle]
+	if !ok {
+		return "", nil, false
 	}
 	e := el.Value.(*latencyEntry)
 	e.used = drain
 	t.byUse.MoveToFront(el)
-	return e.list, true
+	return e.client, e.list, true
 }
 
-// store records lat as client's list, used at drain, under a fresh version,
+// store records lat as client's list, used at drain, under a fresh handle,
 // which it returns. lat is kept, not copied: neither side may modify it.
 func (t *latencyTable) store(client string, lat []Latency, drain int) uint32 {
-	if t.last++; t.last == 0 {
-		t.last = 1 // 0 means "no version"
-	}
+	h := t.draw()
 	if el, ok := t.byClient[client]; ok {
 		e := el.Value.(*latencyEntry)
-		e.version, e.list, e.used = t.last, lat, drain
+		delete(t.byHandle, e.handle)
+		e.handle, e.list, e.used = h, lat, drain
+		t.byHandle[h] = el
 		t.byUse.MoveToFront(el)
 	} else {
-		t.byClient[client] = t.byUse.PushFront(&latencyEntry{client: client, version: t.last, list: lat, used: drain})
+		el := t.byUse.PushFront(&latencyEntry{client: client, handle: h, list: lat, used: drain})
+		t.byClient[client], t.byHandle[h] = el, el
 	}
-	return t.last
+	return h
+}
+
+// draw picks a handle at random among those not held, never 0 ("no
+// handle"): a handle does not lead to its neighbour's entry by counting,
+// and a replica restarted on the same address is unlikely to issue one its
+// predecessor did. A client naming a handle the table does not hold for it
+// is asked for its list.
+func (t *latencyTable) draw() uint32 {
+	for {
+		if h := rand.Uint32(); h != 0 {
+			if _, held := t.byHandle[h]; !held {
+				return h
+			}
+		}
+	}
 }
 
 // sweep drops every entry last used more than roundStatesKept drains
@@ -70,6 +82,7 @@ func (t *latencyTable) sweep(drain int) {
 			return
 		}
 		delete(t.byClient, e.client)
+		delete(t.byHandle, e.handle)
 		t.byUse.Remove(el)
 	}
 }

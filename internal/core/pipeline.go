@@ -706,13 +706,16 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 // its row moved beyond DeltaEps of its demand against what it was last
 // told (clients with no committed row always are); the rest pull on
 // demand. A full cohorted round batches instead: every member of a cohort
-// receives the same prebuilt message — the cohort's per-unit split over
-// its feasible replicas — and scales it by its own queued demand, so
-// the phase costs |K| marshals + |C| sends rather than |C| marshals of
-// |N|-entry maps. Client failures never abort a round: the other clients'
-// allocations stand, and client.allocation.pull is the recovery path.
+// receives the same prebuilt message — the cohort's per-unit split — and
+// scales it by its own queued demand, so the phase costs |K| marshals +
+// |C| sends rather than |C| marshals. Every push names the replicas by the
+// round's roster hash (the short form); a client that does not hold that
+// roster answers with a miss and is sent the full form, which lists it, in
+// the same fan-out slot. Client failures never abort a round: the other
+// clients' allocations stand, and client.allocation.pull is the recovery
+// path.
 func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
-	clients, infos := a.full.spec.ClientAddrs, a.full.infos
+	clients, roster := a.full.spec.ClientAddrs, addrsOf(a.full.infos)
 	tell := make([]int, 0, len(clients))
 	for i := range clients {
 		moved := a.kind != kindIncremental || a.inc.prev[i] == nil
@@ -731,61 +734,66 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 	}
 	a.suppressed = len(clients) - len(tell)
 
-	var batched []transport.Message
+	h := pushHeader{round: a.round, algorithm: r.cfg.Algorithm.String(), iterations: a.iterations, roster: roster, hash: rosterHash(roster)}
+	// A body that fails to marshal is no message (no Type): its clients
+	// are left to pull.
+	message := func(verb string, vals []float64, full bool) transport.Message {
+		b, err := h.marshal(vals, full)
+		if err != nil {
+			return transport.Message{}
+		}
+		return transport.Message{Type: verb, From: r.Addr(), Body: b}
+	}
+	var short, full []transport.Message
 	if g := a.grouping; g != nil && a.kind == kindFull {
 		_, redSp := g.Sparse()
-		batched = make([]transport.Message, g.K())
-		for k := range batched {
+		short, full = make([]transport.Message, g.K()), make([]transport.Message, g.K())
+		unit := make([]float64, len(roster))
+		for k := range short {
+			clear(unit)
 			cols := redSp.ColIdx[redSp.RowStart[k]:redSp.RowStart[k+1]]
-			body := CohortAllocationBody{
-				Round:      a.round,
-				Algorithm:  r.cfg.Algorithm.String(),
-				Iterations: a.iterations,
-				Replicas:   make([]string, len(cols)),
-				UnitMB:     make([]float64, len(cols)),
-			}
 			sum := 0.0
 			for t, j := range cols {
-				body.Replicas[t] = infos[j].Addr
-				body.UnitMB[t] = math.Max(a.solved[redSp.RowStart[k]+t], 0)
-				sum += body.UnitMB[t]
+				unit[j] = math.Max(a.solved[redSp.RowStart[k]+t], 0)
+				sum += unit[j]
 			}
-			for t := range body.UnitMB {
+			for _, j := range cols {
 				if sum > 0 {
-					body.UnitMB[t] /= sum
+					unit[j] /= sum
 				} else {
-					body.UnitMB[t] = 1 / float64(len(cols))
+					unit[j] = 1 / float64(len(cols))
 				}
 			}
-			// A body that fails to marshal leaves its members to pull.
-			batched[k], _ = r.newMessage(MsgCohortAllocation, body)
+			short[k], full[k] = message(MsgCohortAllocation, unit, false), message(MsgCohortAllocation, unit, true)
 		}
 	}
 	_ = engine.FanOut(ctx, len(tell), r.cfg.RPCTimeout, func(ctx context.Context, t int) error {
 		i := tell[t]
-		if batched != nil {
-			if msg := batched[a.grouping.CohortOf(i)]; msg.Type != "" {
-				_, _ = r.sendMsgRetry(ctx, clients[i], msg)
-			}
+		if short != nil {
+			k := a.grouping.CohortOf(i)
+			r.push(ctx, clients[i], short[k], func() transport.Message { return full[k] })
 			return nil
 		}
-		per := make(map[string]float64, len(infos))
-		for j, info := range infos {
-			if a.x[i][j] > 0 {
-				per[info.Addr] = a.x[i][j]
-			}
-		}
-		body := AllocationBody{
-			Round:        a.round,
-			PerReplicaMB: per,
-			Algorithm:    r.cfg.Algorithm.String(),
-			Iterations:   a.iterations,
-		}
-		if msg, err := r.newMessage(MsgAllocation, body); err == nil {
-			_, _ = r.sendMsgRetry(ctx, clients[i], msg)
-		}
+		r.push(ctx, clients[i], message(MsgAllocation, a.x[i], false), func() transport.Message { return message(MsgAllocation, a.x[i], true) })
 		return nil
 	})
+}
+
+// push sends a client its allocation in the short form and, when the
+// client answers that it does not hold the roster the push names, the full
+// form: both land before the fan-out slot returns. A message with no Type
+// is not sent.
+func (r *ReplicaServer) push(ctx context.Context, to string, short transport.Message, full func() transport.Message) {
+	if short.Type == "" {
+		return
+	}
+	resp, err := r.sendMsgRetry(ctx, to, short)
+	if err != nil || !rosterMissed(resp) {
+		return
+	}
+	if msg := full(); msg.Type != "" {
+		_, _ = r.sendMsgRetry(ctx, to, msg)
+	}
 }
 
 // objective is the result's energy cost: on an incremental plan the gate

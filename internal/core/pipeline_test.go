@@ -156,7 +156,7 @@ func checkRoundInvariants(t *testing.T, f *chaosFleet, report *RoundReport, push
 			t.Errorf("%s holds an allocation of round %d, want %d", addr, alloc.Round, report.Round)
 		}
 		for jj, replica := range report.ReplicaAddrs {
-			if got, want := alloc.PerReplicaMB[replica], report.Assignment[ii][jj]; !near(got, want) {
+			if got, want := alloc.MB(replica), report.Assignment[ii][jj]; !near(got, want) {
 				t.Errorf("%s told %g MB from %s, report says %g", addr, got, replica, want)
 			}
 		}

@@ -20,6 +20,8 @@
 package core
 
 import (
+	"slices"
+
 	"edr/internal/admm"
 	"edr/internal/cdpsm"
 	"edr/internal/engine"
@@ -43,8 +45,10 @@ const (
 	// MsgAllocation is initiator → client: deliver the final allocation.
 	MsgAllocation = "client.allocation"
 	// MsgCohortAllocation is initiator → client on cohorted rounds: deliver
-	// the client's cohort-level allocation (shared per-unit split + member
-	// demands) in one message built once per cohort.
+	// the client's cohort-level allocation, a per-unit split the member
+	// scales by its own queued demand, in one message built once per
+	// cohort. It carries the client.allocation layout with unit shares for
+	// MB.
 	MsgCohortAllocation = "client.allocation.cohort"
 	// MsgAllocationPull is client → initiator: fetch the caller's row of
 	// the last committed round. Change-suppressed rounds deliberately skip
@@ -99,19 +103,22 @@ type ReplicaInfo struct {
 	BaseMB float64 `json:"base_mb,omitempty"`
 }
 
-// RequestBody is the client.request payload.
+// RequestBody is the client.request payload, in one of two forms. The full
+// form names the client and lists its latencies; the handle form names the
+// client by the handle its contact issued it (RequestAck.Handle) and
+// carries the demand only.
 type RequestBody struct {
+	// Handle, when not 0, stands for ClientAddr and the latency list the
+	// client last sent this contact in full, and both are empty: an
+	// unchanged resubmission carries its demand only. A contact that does
+	// not hold the handle for the sender queues nothing and acks handle 0,
+	// asking for the full form.
+	Handle uint32 `json:"handle,omitempty"`
 	// ClientAddr is the client's transport address (for allocation
 	// delivery).
 	ClientAddr string `json:"client_addr"`
 	// DemandMB is R_c for this request.
 	DemandMB float64 `json:"demand_mb"`
-	// LatencyVersion, when not 0, stands for the latency list this contact
-	// last acked for the client under that version (RequestAck), and
-	// LatencySec is empty: an unchanged resubmission carries its demand
-	// only. A contact that no longer holds that version queues nothing and
-	// acks version 0, asking for the list in full.
-	LatencyVersion uint32 `json:"latency_version,omitempty"`
 	// LatencySec lists the replicas the client measured with their one-way
 	// latencies, in strictly ascending address order (the decoder refuses
 	// any other); a replica absent from it is not a candidate.
@@ -144,12 +151,13 @@ type RequestAck struct {
 	// submissions before a round add up, so this is the figure the round
 	// solves for and the scale of the caller's cohort allocation.
 	QueuedMB float64 `json:"queued_mb"`
-	// LatencyVersion names the latency list the contact now holds for the
-	// caller: a fresh version, never reused, for a list sent in full; the
-	// request's own for a demand-only resubmission. 0 answers a version the
-	// contact does not hold (a restart, a sweep, a newer list): nothing was
-	// queued, and the caller resends in full.
-	LatencyVersion uint32 `json:"latency_version,omitempty"`
+	// Handle is the client's name at this contact: it stands for the
+	// client's address and the latency list the contact now holds for it.
+	// A fresh handle, drawn at random among those not held, answers a list
+	// sent in full; the request's own answers the handle form. 0 answers a
+	// handle the contact does not hold for the sender (a restart, a sweep):
+	// nothing was queued, and the caller resends in full.
+	Handle uint32 `json:"handle,omitempty"`
 }
 
 // PullBody asks the initiator for the caller's committed allocation row.
@@ -196,35 +204,28 @@ type AssignBody struct {
 	Updates []ClientMB `json:"updates,omitempty"`
 }
 
-// AllocationBody tells a client how its demand was split.
+// AllocationBody tells a client how its demand was split: the push of
+// client.allocation and client.allocation.cohort, and the pull reply.
 type AllocationBody struct {
 	Round int `json:"round"`
-	// PerReplicaMB maps replica address → MB to download from it.
-	PerReplicaMB map[string]float64 `json:"per_replica_mb"`
+	// Replicas is the round's roster, ascending by address. The client
+	// shares one roster among the pushes that name it: never modify it.
+	Replicas []string `json:"replicas"`
+	// PerReplicaMB[j] is the MB to download from Replicas[j], 0 for none.
+	PerReplicaMB []float64 `json:"per_replica_mb"`
 	// Algorithm names the method that produced the split.
 	Algorithm string `json:"algorithm"`
 	// Iterations is how many distributed iterations the round ran.
 	Iterations int `json:"iterations"`
 }
 
-// CohortAllocationBody is the batched form of AllocationBody for cohorted
-// rounds: one body, built and marshaled once per cohort, is delivered to
-// every member. A member reconstructs its own split as UnitMB[t]·R_c on
-// Replicas[t] with R_c its own queued demand (RequestAck.QueuedMB) —
-// cohort members share a feasibility mask and split the cohort's load in
-// proportion to demand, so the per-unit split is common by construction
-// and only the demand scale is per-member. The body is
-// therefore O(feasible replicas), independent of cohort population.
-type CohortAllocationBody struct {
-	Round int `json:"round"`
-	// Algorithm and Iterations mirror AllocationBody.
-	Algorithm  string `json:"algorithm"`
-	Iterations int    `json:"iterations"`
-	// Replicas lists the cohort's feasible replica addresses.
-	Replicas []string `json:"replicas"`
-	// UnitMB[t] is the fraction of a member's demand served by Replicas[t]
-	// (sums to 1 when the cohort carries load).
-	UnitMB []float64 `json:"unit_mb"`
+// MB is the MB to download from replica, 0 when none.
+func (b AllocationBody) MB(replica string) float64 {
+	j, ok := slices.BinarySearch(b.Replicas, replica)
+	if !ok || j >= len(b.PerReplicaMB) {
+		return 0
+	}
+	return b.PerReplicaMB[j]
 }
 
 // DownloadBody requests bytes from a replica.

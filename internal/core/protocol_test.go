@@ -48,17 +48,18 @@ func TestProtocolRejectsMalformedBodies(t *testing.T) {
 		body    any
 	}{
 		{MsgClientRequest, "not an object"},
-		{MsgClientRequest, RequestBody{}},                 // empty addr/demand
-		{MsgClientRequest, RequestBody{ClientAddr: "x"}},  // zero demand
-		{MsgRoundStart, "garbage"},                        // undecodable
-		{MsgRoundStart, RoundSpec{Round: 1}},              // empty spec
-		{MsgLocalSolve, LocalSolveBody{Round: 99}},        // unknown round
-		{MsgCDPSMStep, CDPSMStepBody{Round: 99}},          // unknown round
-		{cdpsm.MsgEstimate, nil},                          // retired verb
-		{cdpsm.MsgCommit, nil},                            // retired verb
-		{MsgAssign, AssignBody{Round: 99}},                // unknown round
-		{MsgDownload, DownloadBody{Round: 1, SizeMB: -5}}, // negative size
-		{MsgAllocation, nil},                              // replicas don't take allocations
+		{MsgClientRequest, hostile{}.u32(0).str("").f64(1).u32(0)}, // no addr
+		{MsgClientRequest, RequestBody{Handle: 9}},                 // handle form, zero demand
+		{MsgClientRequest, RequestBody{ClientAddr: "x"}},           // zero demand
+		{MsgRoundStart, "garbage"},                                 // undecodable
+		{MsgRoundStart, RoundSpec{Round: 1}},                       // empty spec
+		{MsgLocalSolve, LocalSolveBody{Round: 99}},                 // unknown round
+		{MsgCDPSMStep, CDPSMStepBody{Round: 99}},                   // unknown round
+		{cdpsm.MsgEstimate, nil},                                   // retired verb
+		{cdpsm.MsgCommit, nil},                                     // retired verb
+		{MsgAssign, AssignBody{Round: 99}},                         // unknown round
+		{MsgDownload, DownloadBody{Round: 1, SizeMB: -5}},          // negative size
+		{MsgAllocation, nil},                                       // replicas don't take allocations
 	}
 	for _, tc := range cases {
 		if _, err := sendRaw(t, f, addr, tc.msgType, tc.body); err == nil {

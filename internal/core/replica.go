@@ -36,11 +36,12 @@ type ReplicaServer struct {
 	mu         sync.Mutex
 	pending    map[string]*RequestBody // keyed by client address, demand aggregated
 	spare      map[string]*RequestBody // the queue the last round drained, emptied for reuse
+	slab       []RequestBody           // the chunk new pending rows are carved from (slot)
 	rounds     map[int]*roundState     // participant-side state, keyed by round id
 	roundOrder []int                   // ids of rounds, oldest first (see roundStatesKept)
 	roundSeq   int
 	drains     int                    // how many times a round drained pending
-	latencies  *latencyTable          // the latency lists clients resubmit by version
+	latencies  *latencyTable          // the clients' handles and latency lists
 	lastGood   *lastGoodRound         // fallback assignment for degraded rounds
 	lastReport *RoundReport           // most recent completed round (admin /status)
 	infoCache  map[string]ReplicaInfo // model parameters of every replica ever seen in a round
@@ -259,9 +260,9 @@ func (r *ReplicaServer) PendingRequests() int {
 
 // RegisterMetrics exposes the replica's own gauges on an admin registry:
 // edr_pending_requests, the queue depth the next round drains;
-// edr_latency_versions, how many clients' latency lists it holds for
-// demand-only resubmissions; and the two stores that grow with the rounds
-// and are bounded only by their pruning — edr_round_states, the
+// edr_latency_versions, how many clients' handles and latency lists it
+// holds for handle-form resubmissions; and the two stores that grow with
+// the rounds and are bounded only by their pruning — edr_round_states, the
 // participant round states held (at most roundStatesKept), and
 // edr_cohort_keys, the cohort masks the initiator's registry interned
 // (pruned only on a membership change).
@@ -277,7 +278,7 @@ func (r *ReplicaServer) RegisterMetrics(reg *telemetry.Registry) {
 		}
 	}
 	reg.Gauge("edr_latency_versions",
-		"Client latency lists this replica holds for demand-only resubmissions.", nil,
+		"Client handles and latency lists this replica holds for handle-form resubmissions.", nil,
 		locked(func() int { return r.latencies.len() }))
 	reg.Gauge("edr_round_states",
 		"Participant round states this replica holds.", nil,
@@ -425,63 +426,98 @@ func (r *ReplicaServer) newMessage(msgType string, v any) (transport.Message, er
 // aggregated into one row, as one scheduling window would see them; a
 // repeat whose sum would not be finite is refused, leaving the queued row
 // as it was — an infinite row would fail every round, and every round puts
-// all its drained requests back. A list sent in full is stored and acked
-// with a fresh version; a demand-only resubmission is queued with the list
-// its version names, so what follows sees the request the client would
-// have sent in full, or, when the version is not held, queues nothing and
-// acks version 0.
+// all its drained requests back. A full form is stored and acked with a
+// fresh handle; a handle form is queued with the address and list its
+// handle stands for, so what follows sees the request the client would
+// have sent in full, or, when the contact holds no such handle for the
+// sender, queues nothing and acks handle 0.
+//
+// The body is decoded and the ack marshaled in place of DecodeBody and
+// NewMessage, whose interface arguments would put both on the heap, and a
+// new row is carved from the slab (slot): an unchanged resubmission costs
+// the ack's bytes and nothing else.
 func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Message, error) {
 	var body RequestBody
-	if err := req.DecodeBody(&body); err != nil {
-		return transport.Message{}, err
+	if err := body.UnmarshalBinary(req.Body); err != nil {
+		return transport.Message{}, fmt.Errorf("core: decode %s body: %w", req.Type, err)
 	}
 	if err := checkRequest(&body); err != nil {
 		return transport.Message{}, fmt.Errorf("core: bad request from %s: %w", req.From, err)
 	}
 	r.mu.Lock()
-	ack := RequestAck{Round: r.roundSeq, LatencyVersion: body.LatencyVersion}
-	if body.LatencyVersion != 0 {
-		lat, ok := r.latencies.resolve(body.ClientAddr, body.LatencyVersion, r.drains)
-		if !ok {
+	ack := RequestAck{Round: r.roundSeq, Handle: body.Handle}
+	if body.Handle != 0 {
+		// A handle held for another client is not the sender's.
+		client, lat, ok := r.latencies.resolve(body.Handle, r.drains)
+		if !ok || client != req.From {
 			r.mu.Unlock()
-			return r.newMessage(MsgClientRequest+".ack", RequestAck{Round: ack.Round})
+			return r.requestAck(RequestAck{Round: ack.Round})
 		}
-		body.LatencySec, body.LatencyVersion = lat, 0
+		body.ClientAddr, body.LatencySec = client, lat
 	}
-	queued := &body
-	if existing, ok := r.pending[body.ClientAddr]; ok {
-		if sum := existing.DemandMB + body.DemandMB; math.IsInf(sum, 1) {
+	queued, ok := r.pending[body.ClientAddr]
+	if ok {
+		if sum := queued.DemandMB + body.DemandMB; math.IsInf(sum, 1) {
 			r.mu.Unlock()
-			return transport.Message{}, fmt.Errorf("core: bad request from %s: client %s queued demand %g MB plus %g MB is not finite", req.From, body.ClientAddr, existing.DemandMB, body.DemandMB)
+			return transport.Message{}, fmt.Errorf("core: bad request from %s: client %s queued demand %g MB plus %g MB is not finite", req.From, body.ClientAddr, queued.DemandMB, body.DemandMB)
 		}
-		existing.DemandMB += body.DemandMB
-		existing.LatencySec = mergeLatencies(existing.LatencySec, body.LatencySec)
-		queued = existing
+		queued.DemandMB += body.DemandMB
+		// The stored list was the last merged into the row: every full
+		// form stores its list and merges it under one lock, so merging it
+		// again would change nothing.
+		if body.Handle == 0 {
+			queued.LatencySec = mergeLatencies(queued.LatencySec, body.LatencySec)
+		}
 	} else {
-		r.pending[body.ClientAddr] = &body
+		queued = r.slot()
+		*queued = RequestBody{ClientAddr: body.ClientAddr, DemandMB: body.DemandMB, LatencySec: body.LatencySec}
+		r.pending[body.ClientAddr] = queued
 	}
-	if ack.LatencyVersion == 0 {
-		ack.LatencyVersion = r.latencies.store(body.ClientAddr, body.LatencySec, r.drains)
+	if body.Handle == 0 {
+		ack.Handle = r.latencies.store(body.ClientAddr, body.LatencySec, r.drains)
 	}
 	ack.QueuedMB = queued.DemandMB
 	r.mu.Unlock()
 	r.Stats.RequestsReceived.Inc(1)
-	return r.newMessage(MsgClientRequest+".ack", ack)
+	return r.requestAck(ack)
 }
 
-// checkRequest refuses a submission no client can mean: no address, a
-// demand that is not positive and finite, or a latency that is not finite
-// and non-negative.
-func checkRequest(body *RequestBody) error {
-	if body.ClientAddr == "" {
-		return fmt.Errorf("no client address")
+// slabChunk is how many queued rows one slab allocation holds.
+const slabChunk = 256
+
+// slot returns a row for ingest to queue a new client into, carved from
+// the current slab chunk. drainPending hands the chunk to the round along
+// with the queue and ingest starts a new one, so a window's ingest never
+// writes a row a round reads; a requeued row keeps its chunk alive.
+// Called with r.mu held.
+func (r *ReplicaServer) slot() *RequestBody {
+	if len(r.slab) == cap(r.slab) {
+		r.slab = make([]RequestBody, 0, slabChunk)
 	}
+	r.slab = r.slab[:len(r.slab)+1]
+	return &r.slab[len(r.slab)-1]
+}
+
+// requestAck builds a client.request ack; marshaling it in place of
+// NewMessage makes its 16 bytes the ack's one allocation.
+func (r *ReplicaServer) requestAck(ack RequestAck) (transport.Message, error) {
+	b, err := ack.MarshalBinary()
+	if err != nil {
+		return transport.Message{}, err
+	}
+	return transport.Message{Type: MsgClientRequest + ".ack", From: r.Addr(), Body: b}, nil
+}
+
+// checkRequest refuses a submission no client can mean: a demand that is
+// not positive and finite, or a latency that is not finite and
+// non-negative. The decoder already refused a full form with no address.
+func checkRequest(body *RequestBody) error {
 	if !(body.DemandMB > 0) || math.IsInf(body.DemandMB, 1) {
-		return fmt.Errorf("client %s demand %g MB is not positive and finite", body.ClientAddr, body.DemandMB)
+		return fmt.Errorf("demand %g MB is not positive and finite", body.DemandMB)
 	}
 	for _, l := range body.LatencySec {
 		if !(l.Sec >= 0) || math.IsInf(l.Sec, 1) {
-			return fmt.Errorf("client %s latency %g s to %s is not finite and non-negative", body.ClientAddr, l.Sec, l.Replica)
+			return fmt.Errorf("latency %g s to %s is not finite and non-negative", l.Sec, l.Replica)
 		}
 	}
 	return nil
@@ -522,13 +558,13 @@ func (r *ReplicaServer) handleAllocationPull(req transport.Message) (transport.M
 	if lg := r.lastGood; lg != nil {
 		reply.Round = lg.round
 		if i, ok := slices.BinarySearch(lg.clientAddrs, body.ClientAddr); ok {
-			per := make(map[string]float64, len(lg.infos))
-			for j, info := range lg.infos {
-				if lg.assignment[i][j] > 0 {
-					per[info.Addr] = lg.assignment[i][j]
+			reply.Replicas = addrsOf(lg.infos)
+			reply.PerReplicaMB = make([]float64, len(lg.infos))
+			for j, v := range lg.assignment[i] {
+				if v > 0 {
+					reply.PerReplicaMB[j] = v
 				}
 			}
-			reply.PerReplicaMB = per
 		}
 	}
 	r.mu.Unlock()

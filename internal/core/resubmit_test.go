@@ -64,9 +64,10 @@ func queuedRequest(rs *ReplicaServer, client string) *RequestBody {
 	return nil
 }
 
-// An unchanged resubmission to the same contact carries its demand and
-// version only, and queues the row a full resubmission would have; an
-// edited map, a changed key set or another contact sends the list again.
+// An unchanged resubmission to the same contact is the handle form, its
+// handle and demand in 12 bytes, and it queues the row a full resubmission
+// would have; an edited map, a changed key set or another contact sends
+// the full form again.
 func TestUnchangedResubmissionCarriesDemandOnly(t *testing.T) {
 	tap := newRequestTap()
 	f := newFleetOn(t, tap, tap.InProcNetwork, []float64{1, 2, 3}, 1, LDDM, nil)
@@ -86,47 +87,47 @@ func TestUnchangedResubmissionCarriesDemandOnly(t *testing.T) {
 	}
 
 	first := submit(r1, 10)
-	if first.LatencyVersion != 0 || len(first.LatencySec) != 3 {
-		t.Fatalf("first submission %+v, want the full list", first)
+	if first.Handle != 0 || first.ClientAddr != cl.Addr() || len(first.LatencySec) != 3 {
+		t.Fatalf("first submission %+v, want the full form", first)
 	}
 	second := submit(r1, 4)
-	if second.LatencyVersion == 0 || second.LatencySec != nil {
-		t.Fatalf("unchanged resubmission %+v, want demand and version only", second)
+	if second.Handle == 0 || second.ClientAddr != "" || second.LatencySec != nil {
+		t.Fatalf("unchanged resubmission %+v, want handle and demand only", second)
 	}
 	bin, err := second.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 + len(cl.Addr()) + 8 + 4 + 4; len(bin) != want {
-		t.Fatalf("demand-only body is %d bytes, want %d", len(bin), want)
+	if len(bin) != 12 {
+		t.Fatalf("handle-form body is %d bytes, want 12", len(bin))
 	}
 	if got := queuedRequest(r1, cl.Addr()); got.DemandMB != 14 || !reflect.DeepEqual(got.LatencySec, f.latencyList()) {
 		t.Fatalf("queued %g MB with %v, want 14 MB with %v", got.DemandMB, got.LatencySec, f.latencyList())
 	}
 
 	lat[r2.Addr()] = 0.0007 // an edit
-	if got := submit(r1, 1); got.LatencyVersion != 0 || len(got.LatencySec) != 3 {
+	if got := submit(r1, 1); got.Handle != 0 || len(got.LatencySec) != 3 {
 		t.Fatalf("edited latencies sent %+v, want the full list", got)
 	}
 	delete(lat, r2.Addr()) // a smaller key set
-	if got := submit(r1, 1); got.LatencyVersion != 0 || len(got.LatencySec) != 2 {
+	if got := submit(r1, 1); got.Handle != 0 || len(got.LatencySec) != 2 {
 		t.Fatalf("dropped replica sent %+v, want the full list", got)
 	}
-	if got := submit(r1, 1); got.LatencyVersion == 0 {
-		t.Fatalf("unchanged resubmission sent %+v, want its version", got)
+	if got := submit(r1, 1); got.Handle == 0 {
+		t.Fatalf("unchanged resubmission sent %+v, want its handle", got)
 	}
-	if got := submit(r2, 1); got.LatencyVersion != 0 {
+	if got := submit(r2, 1); got.Handle != 0 {
 		t.Fatalf("a new contact got %+v, want the full list", got)
 	}
-	if got := submit(r1, 1); got.LatencyVersion != 0 {
+	if got := submit(r1, 1); got.Handle != 0 {
 		t.Fatalf("switching back to a contact sent %+v, want the full list", got)
 	}
 }
 
-// A contact that no longer holds the version — it restarted, or swept the
+// A contact that no longer holds the handle — it restarted, or swept the
 // entry after roundStatesKept drains without a use — queues nothing for it
-// and asks for the list, which Submit resends in the same call: one extra
-// RPC, and the row queued is the one a full submission queues.
+// and asks for the full form, which Submit resends in the same call: one
+// extra RPC, and the row queued is the one a full submission queues.
 func TestLatencyVersionMissResendsInFull(t *testing.T) {
 	tap := newRequestTap()
 	f := newFleetOn(t, tap, tap.InProcNetwork, []float64{1, 2}, 2, LDDM, nil)
@@ -140,8 +141,8 @@ func TestLatencyVersionMissResendsInFull(t *testing.T) {
 		return tap.take()
 	}
 	missed := func(got []RequestBody) bool {
-		return len(got) == 2 && got[0].LatencyVersion != 0 && got[0].LatencySec == nil &&
-			got[1].LatencyVersion == 0 && len(got[1].LatencySec) == len(f.replicas)
+		return len(got) == 2 && got[0].Handle != 0 && got[0].LatencySec == nil &&
+			got[1].Handle == 0 && len(got[1].LatencySec) == len(f.replicas)
 	}
 	check := func(rs *ReplicaServer, mb float64) {
 		t.Helper()
@@ -160,11 +161,11 @@ func TestLatencyVersionMissResendsInFull(t *testing.T) {
 	}
 	t.Cleanup(func() { rs.Close() })
 	if got := submit(cl, addr, 5); !missed(got) {
-		t.Fatalf("resubmission to a restarted contact sent %+v, want a demand-only miss then the list", got)
+		t.Fatalf("resubmission to a restarted contact sent %+v, want a handle-form miss then the full form", got)
 	}
 	check(rs, 5)
-	if got := submit(cl, addr, 2); len(got) != 1 || got[0].LatencyVersion == 0 {
-		t.Fatalf("resubmission after the resend sent %+v, want one demand-only request", got)
+	if got := submit(cl, addr, 2); len(got) != 1 || got[0].Handle == 0 {
+		t.Fatalf("resubmission after the resend sent %+v, want one handle-form request", got)
 	}
 	check(rs, 7)
 
@@ -176,8 +177,8 @@ func TestLatencyVersionMissResendsInFull(t *testing.T) {
 			t.Fatal("nothing drained")
 		}
 		if d == roundStatesKept {
-			if got := submit(cl, addr, 3); len(got) != 1 || got[0].LatencyVersion == 0 {
-				t.Fatalf("resubmission after %d idle drains sent %+v, want one demand-only request", d, got)
+			if got := submit(cl, addr, 3); len(got) != 1 || got[0].Handle == 0 {
+				t.Fatalf("resubmission after %d idle drains sent %+v, want one handle-form request", d, got)
 			}
 			check(rs, 3)
 		}
@@ -189,7 +190,7 @@ func TestLatencyVersionMissResendsInFull(t *testing.T) {
 		rs.drainPending()
 	}
 	if got := submit(cl, addr, 6); !missed(got) {
-		t.Fatalf("resubmission after the sweep sent %+v, want a demand-only miss then the list", got)
+		t.Fatalf("resubmission after the sweep sent %+v, want a handle-form miss then the full form", got)
 	}
 	check(rs, 6)
 }
@@ -335,7 +336,7 @@ func sameRows(got, want []RequestBody) bool {
 	}
 	for i := range got {
 		if got[i].ClientAddr != want[i].ClientAddr || got[i].DemandMB != want[i].DemandMB ||
-			got[i].LatencyVersion != 0 || !slices.Equal(got[i].LatencySec, want[i].LatencySec) {
+			got[i].Handle != 0 || !slices.Equal(got[i].LatencySec, want[i].LatencySec) {
 			return false
 		}
 	}
@@ -355,11 +356,11 @@ func resubmitSeed(ops ...[2]byte) []byte {
 // FuzzResubmitEquiv runs a random sequence of submissions (repeats within
 // a window, contact switches, refused NaN demands), latency edits, dropped
 // and re-added replicas, drains (which sweep) and replica restarts on the
-// same address through the versioned path, and after every step holds each
+// same address through the handle path, and after every step holds each
 // replica's queue to a full-list oracle: the same clients with the same
 // demands and latency lists, bit for bit. It also holds the path to its
-// promises: a submission goes demand-only exactly when the contact and the
-// map are the last successful submission's, and costs a second, full
+// promises: a submission is the handle form exactly when the contact and
+// the map are the last successful submission's, and costs a second, full
 // request exactly when the contact restarted or swept the entry since.
 func FuzzResubmitEquiv(f *testing.F) {
 	const (
@@ -455,7 +456,7 @@ func FuzzResubmitEquiv(f *testing.F) {
 					if err == nil {
 						t.Fatal("NaN demand accepted")
 					}
-					if len(sent) != 1 || (sent[0].LatencyVersion != 0) != demandOnly {
+					if len(sent) != 1 || (sent[0].Handle != 0) != demandOnly {
 						t.Fatalf("refused submission sent %+v, demand-only %v", sent, demandOnly)
 					}
 					break
@@ -465,15 +466,15 @@ func FuzzResubmitEquiv(f *testing.F) {
 				}
 				switch {
 				case miss:
-					if len(sent) != 2 || sent[0].LatencyVersion == 0 || sent[1].LatencyVersion != 0 {
-						t.Fatalf("client %d to %s: sent %+v, want a demand-only miss then the list", c, names[j], sent)
+					if len(sent) != 2 || sent[0].Handle == 0 || sent[1].Handle != 0 {
+						t.Fatalf("client %d to %s: sent %+v, want a handle-form miss then the full form", c, names[j], sent)
 					}
 				case demandOnly:
-					if len(sent) != 1 || sent[0].LatencyVersion == 0 || sent[0].LatencySec != nil {
-						t.Fatalf("client %d to %s: sent %+v, want one demand-only request", c, names[j], sent)
+					if len(sent) != 1 || sent[0].Handle == 0 || sent[0].ClientAddr != "" || sent[0].LatencySec != nil {
+						t.Fatalf("client %d to %s: sent %+v, want one handle-form request", c, names[j], sent)
 					}
 				default:
-					if len(sent) != 1 || sent[0].LatencyVersion != 0 {
+					if len(sent) != 1 || sent[0].Handle != 0 {
 						t.Fatalf("client %d to %s: sent %+v, want one full request", c, names[j], sent)
 					}
 				}

@@ -291,7 +291,8 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 // drainPending drains the pending queue into a round's requests (nil when
 // none are queued) and sweeps the latency lists this drain retires. It takes
 // the queue whole and hands ingest the map the previous round emptied, so
-// submissions keep landing while the requests are ordered.
+// submissions keep landing while the requests are ordered; the rows stay in
+// their slab chunks, and ingest carves the next window's from a new one.
 func (r *ReplicaServer) drainPending() []*RequestBody {
 	r.mu.Lock()
 	if len(r.pending) == 0 {
@@ -299,7 +300,7 @@ func (r *ReplicaServer) drainPending() []*RequestBody {
 		return nil
 	}
 	queue := r.pending
-	r.pending, r.spare = r.spare, nil
+	r.pending, r.spare, r.slab = r.spare, nil, nil
 	if r.pending == nil {
 		r.pending = make(map[string]*RequestBody, len(queue))
 	}

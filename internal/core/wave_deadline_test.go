@@ -129,7 +129,9 @@ func TestWaveDeadlineSharedByLDDMWaves(t *testing.T) {
 }
 
 // A round's notify is one wave: every pushed client sees the same
-// deadline, on the per-client path and on the cohort-batched one.
+// deadline, on the per-client path and on the cohort-batched one. The
+// checked round is the second: in the first, every client also gets the
+// full form after its roster miss (TestRosterMissResendsFullForm).
 func TestWaveDeadlineSharedByNotifyWave(t *testing.T) {
 	for _, tc := range []struct {
 		name, verb string
@@ -140,7 +142,19 @@ func TestWaveDeadlineSharedByNotifyWave(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f, net := deadlineFleet(t, []float64{1, 3, 5}, 12, func(_ int, cfg *ReplicaConfig) { cfg.CohortMinClients = tc.cohorts })
-			report, err := f.replicas[0].RunRound(context.Background())
+			ctx := context.Background()
+			if _, err := f.replicas[0].RunRound(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for i, cl := range f.clients {
+				if err := cl.Submit(ctx, f.replicas[0].Addr(), float64(5+i), f.uniformLatencies()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			net.mu.Lock()
+			net.seen = nil
+			net.mu.Unlock()
+			report, err := f.replicas[0].RunRound(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
