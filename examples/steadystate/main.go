@@ -1,4 +1,4 @@
-// Steady state: a day of continuous EDR operation on the discrete-event
+// Steady state: a day of continuous EDR operation on the virtual-time
 // simulator. A YouTube-patterned request stream arrives on the virtual
 // clock; every scheduling window the pending batch is optimized with LDDM
 // and played onto the simulated SystemG cluster; the Dominion-PX-style

@@ -1,10 +1,6 @@
 package admm
 
-import (
-	"fmt"
-
-	"edr/internal/transport"
-)
+import "edr/internal/transport"
 
 // Compact binary codecs for the ADMM verb: the proximal targets over the
 // replica's support of m clients out, the one shift that decides its
@@ -18,42 +14,34 @@ import (
 // it came from.
 
 func (b ProxBody) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(make([]byte, 0, 16+8*len(b.Target)), uint32(b.Round))
-	out = transport.AppendFloat64(out, b.Rho)
-	return transport.AppendFloats(out, b.Target), nil
+	w := transport.NewWriter(make([]byte, 0, 16+8*len(b.Target)))
+	w.U32(b.Round)
+	w.F64(b.Rho)
+	w.Floats(b.Target)
+	return w.Done()
 }
 
 func (b *ProxBody) UnmarshalBinary(data []byte) error {
-	round, data, err := transport.ReadUint32(data)
-	if err != nil {
+	r := transport.NewReader(data)
+	round, rho, target := r.U32(), r.F64(), r.Floats()
+	if err := r.Done(); err != nil {
 		return err
 	}
-	rho, data, err := transport.ReadFloat64(data)
-	if err != nil {
-		return err
-	}
-	target, data, err := transport.ReadFloats(data)
-	if err != nil {
-		return err
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("admm: %d trailing bytes after the targets", len(data))
-	}
-	b.Round, b.Rho, b.Target = int(round), rho, target
+	b.Round, b.Rho, b.Target = round, rho, target
 	return nil
 }
 
 func (b ProxReply) MarshalBinary() ([]byte, error) {
-	return transport.AppendFloat64(make([]byte, 0, 8), b.Shift), nil
+	w := transport.NewWriter(make([]byte, 0, 8))
+	w.F64(b.Shift)
+	return w.Done()
 }
 
 func (b *ProxReply) UnmarshalBinary(data []byte) error {
-	shift, data, err := transport.ReadFloat64(data)
-	if err != nil {
+	r := transport.NewReader(data)
+	shift := r.F64()
+	if err := r.Done(); err != nil {
 		return err
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("admm: %d trailing bytes after the shift", len(data))
 	}
 	b.Shift = shift
 	return nil

@@ -1,10 +1,6 @@
 package cdpsm
 
-import (
-	"fmt"
-
-	"edr/internal/transport"
-)
+import "edr/internal/transport"
 
 // Compact binary codecs (transport binary body v1) for the CDPSM step.
 // Both bodies carry a vector of nnz floats packed over the round's support,
@@ -18,42 +14,34 @@ import (
 // the bytes it came from.
 
 func (b StepBody) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(make([]byte, 0, 16+8*len(b.Mean)), uint32(b.Round))
-	out = transport.AppendFloat64(out, b.Step)
-	return transport.AppendFloats(out, b.Mean), nil
+	w := transport.NewWriter(make([]byte, 0, 16+8*len(b.Mean)))
+	w.U32(b.Round)
+	w.F64(b.Step)
+	w.Floats(b.Mean)
+	return w.Done()
 }
 
 func (b *StepBody) UnmarshalBinary(data []byte) error {
-	round, data, err := transport.ReadUint32(data)
-	if err != nil {
+	r := transport.NewReader(data)
+	round, step, mean := r.U32(), r.F64(), r.Floats()
+	if err := r.Done(); err != nil {
 		return err
 	}
-	step, data, err := transport.ReadFloat64(data)
-	if err != nil {
-		return err
-	}
-	mean, data, err := transport.ReadFloats(data)
-	if err != nil {
-		return err
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("cdpsm: %d trailing bytes after the mean", len(data))
-	}
-	b.Round, b.Step, b.Mean = int(round), step, mean
+	b.Round, b.Step, b.Mean = round, step, mean
 	return nil
 }
 
 func (b StepReply) MarshalBinary() ([]byte, error) {
-	return transport.AppendFloats(make([]byte, 0, 4+8*len(b.Estimate)), b.Estimate), nil
+	w := transport.NewWriter(make([]byte, 0, 4+8*len(b.Estimate)))
+	w.Floats(b.Estimate)
+	return w.Done()
 }
 
 func (b *StepReply) UnmarshalBinary(data []byte) error {
-	est, data, err := transport.ReadFloats(data)
-	if err != nil {
+	r := transport.NewReader(data)
+	est := r.Floats()
+	if err := r.Done(); err != nil {
 		return err
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("cdpsm: %d trailing bytes after the estimate", len(data))
 	}
 	b.Estimate = est
 	return nil

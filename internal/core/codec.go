@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -19,11 +18,12 @@ import (
 // download bodies are JSON. A body's type is its only codec
 // (transport.DecodeBody): a JSON body sent to one of these verbs is refused.
 //
-// Layouts, all little-endian, built from the transport primitives (string =
-// u16 length + bytes, strings = u32 count + strings, floats = u32 count +
-// f64s, pairs = u32 count + (string, f64) pairs whose keys strictly ascend,
-// bitmap = u32 byte count + ⌈k/8⌉ bytes over k cells whose bit i, bit i%8 of
-// byte i/8, is cell i, no bit set at or past k):
+// Layouts, all little-endian, written and read with transport.Writer and
+// transport.Reader (string = u16 length + bytes, strings = u32 count +
+// strings, floats = u32 count + f64s, pairs = u32 count + (string, f64)
+// pairs whose keys strictly ascend, bitmap = u32 byte count + ⌈k/8⌉ bytes
+// over k cells whose bit i, bit i%8 of byte i/8, is cell i, no bit set at
+// or past k):
 //
 //	RequestBody     u32 Handle | f64 DemandMB                     (Handle ≠ 0)
 //	                u32 0 | string ClientAddr | f64 DemandMB | pairs LatencySec
@@ -66,37 +66,14 @@ import (
 // left before anything is allocated for it (a string costs at least 2 bytes,
 // a pair 10, a ReplicaInfo 50, a value 8), a RoundSpec mask must fit the
 // spec's own clients × replicas, a push's columns its roster, paired lists
-// must agree in length, and a request, a round spec and a push refuse any
-// byte past their last field.
+// must agree in length, and no body may carry a byte past its last field.
 
 // minReplicaInfoBytes is the size of a ReplicaInfo with an empty address.
 const minReplicaInfoBytes = 2 + 6*8
 
-// writer accumulates a body; the first string the codec cannot carry sticks
-// as err and fails the marshal.
-type writer struct {
-	b   []byte
-	err error
-}
-
-func (w *writer) u32(v int)     { w.b = transport.AppendUint32(w.b, uint32(v)) }
-func (w *writer) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *writer) f64(v float64) { w.b = transport.AppendFloat64(w.b, v) }
-
-func (w *writer) floats(v []float64) { w.b = transport.AppendFloats(w.b, v) }
-
-// bitmap writes the header of a bitmap of cells bits and returns its
-// bytes, all clear, for the caller to set bits in.
-func (w *writer) bitmap(cells int) []byte {
-	width := (cells + 7) / 8
-	w.u32(width)
-	w.b = append(w.b, make([]byte, width)...)
-	return w.b[len(w.b)-width:]
-}
-
-// mask writes m, which must have rows × cols cells, as a bitmap.
-func (w *writer) mask(m [][]bool, rows, cols int) {
-	bm, k := w.bitmap(rows*cols), 0
+// writeMask writes m, which must have rows × cols cells, as a bitmap.
+func writeMask(w *transport.Writer, m [][]bool, rows, cols int) {
+	bm, k := w.Bitmap(rows*cols), 0
 	for _, row := range m {
 		for _, ok := range row {
 			if ok && k < rows*cols {
@@ -105,177 +82,26 @@ func (w *writer) mask(m [][]bool, rows, cols int) {
 			k++
 		}
 	}
-	if k != rows*cols && w.err == nil {
-		w.err = fmt.Errorf("core: feasibility mask has %d cells for %d clients × %d replicas", k, rows, cols)
+	if k != rows*cols {
+		w.Fail(fmt.Errorf("core: feasibility mask has %d cells for %d clients × %d replicas", k, rows, cols))
 	}
 }
 
-func (w *writer) str(s string) {
-	if w.err == nil {
-		w.b, w.err = transport.AppendString(w.b, s)
-	}
-}
-
-func (w *writer) strs(v []string) {
-	if w.err == nil {
-		w.b, w.err = transport.AppendStrings(w.b, v)
-	}
-}
-
-// pairs writes a pair list; keys that do not strictly ascend fail the
-// marshal (transport.AppendPairs).
-func (w *writer) pairs(n int, pair func(i int) (string, float64)) {
-	if w.err == nil {
-		w.b, w.err = transport.AppendPairs(w.b, n, pair)
-	}
-}
-
-func (w *writer) done() ([]byte, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	return w.b, nil
-}
-
-// reader consumes a body; the first failure sticks as err and every later
-// read returns a zero value.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("core: "+format, args...)
-	}
-}
-
-func (r *reader) u32() int {
-	if r.err != nil {
-		return 0
-	}
-	var v uint32
-	v, r.b, r.err = transport.ReadUint32(r.b)
-	return int(v)
-}
-
-func (r *reader) u64() uint64 {
-	if r.err == nil && len(r.b) < 8 {
-		r.fail("binary body truncated (want u64, %d bytes left)", len(r.b))
-	}
-	if r.err != nil {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *reader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	var v float64
-	v, r.b, r.err = transport.ReadFloat64(r.b)
-	return v
-}
-
-func (r *reader) str() string {
-	if r.err != nil {
-		return ""
-	}
-	var s string
-	s, r.b, r.err = transport.ReadString(r.b)
-	return s
-}
-
-// intern consumes a string, returning held itself when the bytes spell
-// it, so a name every push repeats costs no allocation.
-func (r *reader) intern(held string) string {
-	if r.err != nil {
-		return ""
-	}
-	if len(r.b) >= 2 {
-		if n := int(binary.LittleEndian.Uint16(r.b)); n <= len(r.b)-2 && string(r.b[2:2+n]) == held {
-			r.b = r.b[2+n:]
-			return held
-		}
-	}
-	return r.str()
-}
-
-func (r *reader) strs() []string {
-	if r.err != nil {
-		return nil
-	}
-	var v []string
-	v, r.b, r.err = transport.ReadStrings(r.b)
-	if len(v) == 0 {
-		return nil
-	}
-	return v
-}
-
-func (r *reader) floats() []float64 {
-	if r.err != nil {
-		return nil
-	}
-	var v []float64
-	v, r.b, r.err = transport.ReadFloats(r.b)
-	if len(v) == 0 {
-		return nil
-	}
-	return v
-}
-
-// readPairs consumes a pair list (transport.ReadPairs): keys strictly
-// ascending, an empty list read as nil.
-func readPairs[T any](r *reader, pair func(key string, v float64) T) []T {
-	if r.err != nil {
-		return nil
-	}
-	var v []T
-	v, r.b, r.err = transport.ReadPairs(r.b, pair)
-	return v
-}
-
-// bitmap consumes a bitmap of cells bits written by writer.bitmap and
-// returns its bytes (nil when it has no cells); what names it in a refusal.
-// The width must be exactly ⌈cells/8⌉ and no bit may be set past the last
-// cell, so a bitmap has one encoding.
-func (r *reader) bitmap(cells int, what string) []byte {
-	width := (cells + 7) / 8
-	if got := r.u32(); r.err == nil && (got != width || got > len(r.b)) {
-		r.fail("%s of %d bytes (%d left) for %d cells, which take %d", what, got, len(r.b), cells, width)
-	}
-	if r.err != nil || cells == 0 {
-		return nil
-	}
-	bm := r.b[:width]
-	if r.b = r.b[width:]; bm[width-1]>>((cells-1)%8+1) != 0 {
-		r.fail("%s sets bits past its %d cells", what, cells)
-		return nil
-	}
-	return bm
-}
-
-// mask consumes a rows × cols bitmap written by writer.mask and returns the
-// mask (nil when it has no cells) with its count of set bits.
-func (r *reader) mask(rows, cols int) ([][]bool, int) {
-	bm := r.bitmap(rows*cols, "feasibility bitmap")
+// readMask consumes a rows × cols bitmap written by writeMask and returns
+// the mask (nil when it has no cells).
+func readMask(r *transport.Reader, rows, cols int) [][]bool {
+	bm := r.Bitmap(rows*cols, "feasibility bitmap")
 	if bm == nil {
-		return nil, 0
+		return nil
 	}
-	m, all, nnz := make([][]bool, rows), make([]bool, rows*cols), 0
+	m, all := make([][]bool, rows), make([]bool, rows*cols)
 	for k := range all {
-		if all[k] = bm[k>>3]&(1<<(k&7)) != 0; all[k] {
-			nnz++
-		}
+		all[k] = bm[k>>3]&(1<<(k&7)) != 0
 	}
 	for c := range m {
 		m[c], all = all[:cols:cols], all[cols:]
 	}
-	return m, nnz
+	return m
 }
 
 func (b RequestBody) MarshalBinary() ([]byte, error) {
@@ -283,38 +109,35 @@ func (b RequestBody) MarshalBinary() ([]byte, error) {
 		if b.ClientAddr != "" || len(b.LatencySec) > 0 {
 			return nil, bothForms(b.Handle, b.ClientAddr, len(b.LatencySec))
 		}
-		w := writer{b: make([]byte, 0, 12)}
-		w.u32(int(b.Handle))
-		w.f64(b.DemandMB)
-		return w.done()
+		w := transport.NewWriter(make([]byte, 0, 12))
+		w.U32(int(b.Handle))
+		w.F64(b.DemandMB)
+		return w.Done()
 	}
-	w := writer{b: make([]byte, 0, 20+len(b.ClientAddr)+32*len(b.LatencySec))}
+	w := transport.NewWriter(make([]byte, 0, 20+len(b.ClientAddr)+32*len(b.LatencySec)))
 	if b.ClientAddr == "" {
-		w.err = errNoClient
+		w.Fail(errNoClient)
 	}
-	w.u32(0)
-	w.str(b.ClientAddr)
-	w.f64(b.DemandMB)
-	w.pairs(len(b.LatencySec), func(i int) (string, float64) { return b.LatencySec[i].Replica, b.LatencySec[i].Sec })
-	return w.done()
+	w.U32(0)
+	w.Str(b.ClientAddr)
+	w.F64(b.DemandMB)
+	w.Pairs(len(b.LatencySec), func(i int) (string, float64) { return b.LatencySec[i].Replica, b.LatencySec[i].Sec })
+	return w.Done()
 }
 
 func (b *RequestBody) UnmarshalBinary(data []byte) error {
-	r := reader{b: data}
-	*b = RequestBody{Handle: uint32(r.u32())}
+	r := transport.NewReader(data)
+	*b = RequestBody{Handle: uint32(r.U32())}
 	if b.Handle != 0 {
-		b.DemandMB = r.f64()
+		b.DemandMB = r.F64()
 	} else {
-		if b.ClientAddr = r.str(); r.err == nil && b.ClientAddr == "" {
-			r.err = errNoClient
+		if b.ClientAddr = r.Str(); r.Err() == nil && b.ClientAddr == "" {
+			r.Fail(errNoClient)
 		}
-		b.DemandMB = r.f64()
-		b.LatencySec = readPairs(&r, func(addr string, sec float64) Latency { return Latency{addr, sec} })
+		b.DemandMB = r.F64()
+		b.LatencySec = transport.ReadPairs(&r, func(addr string, sec float64) Latency { return Latency{addr, sec} })
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("request has %d trailing bytes", len(r.b))
-	}
-	return r.err
+	return r.Done()
 }
 
 // errNoClient refuses a full-form request with no client address: the
@@ -328,91 +151,89 @@ func bothForms(handle uint32, client string, n int) error {
 }
 
 func (b RequestAck) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 16)}
-	w.u32(b.Round)
-	w.f64(b.QueuedMB)
-	w.u32(int(b.Handle))
-	return w.done()
+	w := transport.NewWriter(make([]byte, 0, 16))
+	w.U32(b.Round)
+	w.F64(b.QueuedMB)
+	w.U32(int(b.Handle))
+	return w.Done()
 }
 
 func (b *RequestAck) UnmarshalBinary(data []byte) error {
-	r := reader{b: data}
-	b.Round = r.u32()
-	b.QueuedMB = r.f64()
-	b.Handle = uint32(r.u32())
-	return r.err
+	r := transport.NewReader(data)
+	b.Round = r.U32()
+	b.QueuedMB = r.F64()
+	b.Handle = uint32(r.U32())
+	return r.Done()
 }
 
 func (s RoundSpec) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 64+64*len(s.Replicas)+32*len(s.ClientAddrs)+len(s.Demands)*len(s.Replicas)/8)}
-	w.u32(s.Round)
-	w.u32(len(s.Replicas))
+	w := transport.NewWriter(make([]byte, 0, 64+64*len(s.Replicas)+32*len(s.ClientAddrs)+len(s.Demands)*len(s.Replicas)/8))
+	w.U32(s.Round)
+	w.U32(len(s.Replicas))
 	for _, info := range s.Replicas {
-		w.str(info.Addr)
-		w.f64(info.Price)
-		w.f64(info.Alpha)
-		w.f64(info.Beta)
-		w.f64(info.Gamma)
-		w.f64(info.Bandwidth)
-		w.f64(info.BaseMB)
+		w.Str(info.Addr)
+		w.F64(info.Price)
+		w.F64(info.Alpha)
+		w.F64(info.Beta)
+		w.F64(info.Gamma)
+		w.F64(info.Bandwidth)
+		w.F64(info.BaseMB)
 	}
-	w.strs(s.ClientAddrs)
-	w.floats(s.Demands)
-	w.mask(s.Feasible, len(s.Demands), len(s.Replicas))
-	return w.done()
+	w.Strs(s.ClientAddrs)
+	w.Floats(s.Demands)
+	writeMask(&w, s.Feasible, len(s.Demands), len(s.Replicas))
+	return w.Done()
 }
 
 func (s *RoundSpec) UnmarshalBinary(data []byte) error {
-	r := reader{b: data}
-	s.Round = r.u32()
-	n := r.u32()
-	if r.err == nil && uint64(n)*minReplicaInfoBytes > uint64(len(r.b)) {
-		r.fail("binary round spec claims %d replicas, %d bytes left", n, len(r.b))
+	r := transport.NewReader(data)
+	s.Round = r.U32()
+	n := r.U32()
+	if r.Err() == nil && uint64(n)*minReplicaInfoBytes > uint64(r.Len()) {
+		r.Fail(fmt.Errorf("core: binary round spec claims %d replicas, %d bytes left", n, r.Len()))
 	}
 	s.Replicas = nil
-	if r.err == nil && n > 0 {
+	if r.Err() == nil && n > 0 {
 		s.Replicas = make([]ReplicaInfo, n)
 	}
 	for j := range s.Replicas {
 		s.Replicas[j] = ReplicaInfo{
-			Addr:      r.str(),
-			Price:     r.f64(),
-			Alpha:     r.f64(),
-			Beta:      r.f64(),
-			Gamma:     r.f64(),
-			Bandwidth: r.f64(),
-			BaseMB:    r.f64(),
+			Addr:      r.Str(),
+			Price:     r.F64(),
+			Alpha:     r.F64(),
+			Beta:      r.F64(),
+			Gamma:     r.F64(),
+			Bandwidth: r.F64(),
+			BaseMB:    r.F64(),
 		}
 	}
-	s.ClientAddrs = r.strs()
-	s.Demands = r.floats()
-	if r.err == nil && len(s.Demands) != len(s.ClientAddrs) {
-		r.fail("binary round spec has %d demands for %d clients", len(s.Demands), len(s.ClientAddrs))
+	s.ClientAddrs = r.Strs()
+	s.Demands = r.Floats()
+	if r.Err() == nil && len(s.Demands) != len(s.ClientAddrs) {
+		r.Fail(fmt.Errorf("core: binary round spec has %d demands for %d clients", len(s.Demands), len(s.ClientAddrs)))
 	}
-	s.Feasible, _ = r.mask(len(s.Demands), len(s.Replicas))
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("round spec has %d trailing bytes after the feasibility bitmap", len(r.b))
-	}
-	return r.err
+	s.Feasible = readMask(&r, len(s.Demands), len(s.Replicas))
+	return r.Done()
 }
 
 func (b AssignBody) MarshalBinary() ([]byte, error) {
-	w := writer{b: make([]byte, 0, 16+32*len(b.Updates)), err: b.check()}
-	w.u32(b.Round)
-	w.u32(b.BaseRound)
-	w.pairs(len(b.Updates), func(i int) (string, float64) { return b.Updates[i].Client, b.Updates[i].MB })
-	return w.done()
+	w := transport.NewWriter(make([]byte, 0, 16+32*len(b.Updates)))
+	w.Fail(b.check())
+	w.U32(b.Round)
+	w.U32(b.BaseRound)
+	w.Pairs(len(b.Updates), func(i int) (string, float64) { return b.Updates[i].Client, b.Updates[i].MB })
+	return w.Done()
 }
 
 func (b *AssignBody) UnmarshalBinary(data []byte) error {
-	r := reader{b: data}
-	b.Round = r.u32()
-	b.BaseRound = r.u32()
-	b.Updates = readPairs(&r, func(addr string, mb float64) ClientMB { return ClientMB{addr, mb} })
-	if r.err == nil {
-		r.err = b.check()
+	r := transport.NewReader(data)
+	b.Round = r.U32()
+	b.BaseRound = r.U32()
+	b.Updates = transport.ReadPairs(&r, func(addr string, mb float64) ClientMB { return ClientMB{addr, mb} })
+	if err := r.Done(); err != nil {
+		return err
 	}
-	return r.err
+	return b.check()
 }
 
 // check refuses an update no install could apply: a non-finite MB, or a
@@ -482,17 +303,17 @@ func (h *pushHeader) marshal(vals []float64, full bool) ([]byte, error) {
 	if full {
 		size += 16 * len(h.roster)
 	}
-	w := writer{b: make([]byte, 0, size)}
-	w.u32(h.round)
-	w.str(h.algorithm)
-	w.u32(h.iterations)
-	w.u64(h.hash)
+	w := transport.NewWriter(make([]byte, 0, size))
+	w.U32(h.round)
+	w.Str(h.algorithm)
+	w.U32(h.iterations)
+	w.U64(h.hash)
 	if full {
-		w.strs(h.roster)
+		w.Strs(h.roster)
 	} else {
-		w.u32(0)
+		w.U32(0)
 	}
-	bm, set := w.bitmap(len(vals)), 0
+	bm, set := w.Bitmap(len(vals)), 0
 	for j, v := range vals {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("core: allocation round %d carries %g MB for %q", h.round, v, h.roster[j])
@@ -502,13 +323,13 @@ func (h *pushHeader) marshal(vals []float64, full bool) ([]byte, error) {
 			set++
 		}
 	}
-	w.u32(set)
+	w.U32(set)
 	for _, v := range vals {
 		if v > 0 {
-			w.f64(v)
+			w.F64(v)
 		}
 	}
-	return w.done()
+	return w.Done()
 }
 
 // heldRoster is what a push receiver keeps between pushes: the roster the
@@ -527,21 +348,25 @@ type heldRoster struct {
 // known roster the body's Replicas is held's own slice, and decoding
 // allocates PerReplicaMB alone.
 func decodePush(data []byte, held *heldRoster) (b AllocationBody, miss bool, err error) {
-	r := reader{b: data}
-	b.Round = r.u32()
-	b.Algorithm = r.intern(held.algorithm)
-	b.Iterations = r.u32()
-	hash := r.u64()
-	full := r.err == nil && !(len(r.b) >= 4 && binary.LittleEndian.Uint32(r.b) == 0)
+	r := transport.NewReader(data)
+	b.Round = r.U32()
+	b.Algorithm = r.Intern(held.algorithm)
+	b.Iterations = r.U32()
+	hash := r.U64()
+	// A roster count of 0 is the short form, and the empty roster's full
+	// form, which are the same bytes; any other count is read again as the
+	// head of the listed roster.
+	listed := r
+	full := r.U32() != 0
 	if full {
-		if b.Replicas = r.strs(); r.err == nil {
-			r.err = rosterOrder(b.Replicas)
+		r = listed
+		if b.Replicas = r.Strs(); r.Err() == nil {
+			r.Fail(rosterOrder(b.Replicas))
 		}
-		if r.err == nil && rosterHash(b.Replicas) != hash {
-			r.fail("allocation roster hash %016x does not name its %d replicas", hash, len(b.Replicas))
+		if r.Err() == nil && rosterHash(b.Replicas) != hash {
+			r.Fail(fmt.Errorf("core: allocation roster hash %016x does not name its %d replicas", hash, len(b.Replicas)))
 		}
-	} else if r.err == nil {
-		r.b = r.b[4:]
+	} else if r.Err() == nil {
 		switch hash {
 		case 0:
 		case held.hash:
@@ -551,32 +376,29 @@ func decodePush(data []byte, held *heldRoster) (b AllocationBody, miss bool, err
 		}
 	}
 	n := len(b.Replicas)
-	bm := r.bitmap(n, "column bitmap")
+	bm := r.Bitmap(n, "column bitmap")
 	set := 0
 	for _, x := range bm {
 		set += bits.OnesCount8(x)
 	}
-	if got := r.u32(); r.err == nil && (got != set || uint64(got)*8 > uint64(len(r.b))) {
-		r.fail("allocation has %d values (%d bytes left) for %d columns", got, len(r.b), set)
+	if got := r.U32(); r.Err() == nil && (got != set || uint64(got)*8 > uint64(r.Len())) {
+		r.Fail(fmt.Errorf("core: allocation has %d values (%d bytes left) for %d columns", got, r.Len(), set))
 	}
-	if r.err == nil && n > 0 {
+	if r.Err() == nil && n > 0 {
 		b.PerReplicaMB = make([]float64, n)
-		for j := 0; j < n && r.err == nil; j++ {
+		for j := 0; j < n && r.Err() == nil; j++ {
 			if bm[j>>3]&(1<<(j&7)) == 0 {
 				continue
 			}
-			if v := r.f64(); v > 0 && !math.IsInf(v, 1) {
+			if v := r.F64(); v > 0 && !math.IsInf(v, 1) {
 				b.PerReplicaMB[j] = v
 			} else {
-				r.fail("allocation carries %g for %q, which is not finite and positive", v, b.Replicas[j])
+				r.Fail(fmt.Errorf("core: allocation carries %g for %q, which is not finite and positive", v, b.Replicas[j]))
 			}
 		}
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("allocation has %d trailing bytes", len(r.b))
-	}
-	if r.err != nil {
-		return AllocationBody{}, false, r.err
+	if err := r.Done(); err != nil {
+		return AllocationBody{}, false, err
 	}
 	if full {
 		held.replicas, held.hash = b.Replicas, hash

@@ -119,11 +119,15 @@ func FuzzPlanInstall(f *testing.F) {
 				} else {
 					body.Updates[k+1].Client = body.Updates[k].Client
 				}
-				raw := transport.AppendUint32(transport.AppendUint32(transport.AppendUint32(nil, uint32(round)), 0), uint32(n))
+				w := transport.NewWriter(nil)
+				w.U32(round)
+				w.U32(0)
+				w.U32(n)
 				for _, u := range body.Updates {
-					raw, _ = transport.AppendString(raw, u.Client)
-					raw = transport.AppendFloat64(raw, u.MB)
+					w.Str(u.Client)
+					w.F64(u.MB)
 				}
+				raw, _ := w.Done()
 				if err := send(round, transport.Message{Type: MsgAssign, From: "fuzz", Body: raw}); err == nil {
 					t.Fatalf("round %d: install with entries %v installed", round, body.Updates)
 				}

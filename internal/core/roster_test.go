@@ -37,12 +37,12 @@ func (n *pushTap) Listen(name string, h transport.Handler) (transport.Node, erro
 		resp, err := h(ctx, req)
 		if err == nil && (req.Type == MsgAllocation || req.Type == MsgCohortAllocation) {
 			// The full form lists its roster; the short form's count is 0.
-			r := reader{b: req.Body}
-			r.u32()
-			r.str()
-			r.u32()
-			r.u64()
-			rec := pushRecord{full: r.u32() > 0, miss: rosterMissed(resp)}
+			r := transport.NewReader(req.Body)
+			r.U32()
+			r.Str()
+			r.U32()
+			r.U64()
+			rec := pushRecord{full: r.U32() > 0, miss: rosterMissed(resp)}
 			n.mu.Lock()
 			n.pushes[name] = append(n.pushes[name], rec)
 			n.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"edr/internal/model"
 	"edr/internal/netsim"
 	"edr/internal/transport"
 )
@@ -344,16 +343,4 @@ func SubmitRequest(ctx context.Context, client transport.Node, mappingNode strin
 		return fmt.Errorf("donar: submit to %s: %w", mappingNode, err)
 	}
 	return nil
-}
-
-// SpecsFromSystem converts a model system + addresses into ReplicaSpecs.
-func SpecsFromSystem(sys *model.System, addrs []string) ([]ReplicaSpec, error) {
-	if len(addrs) != sys.N() {
-		return nil, fmt.Errorf("donar: %d addresses for %d replicas", len(addrs), sys.N())
-	}
-	specs := make([]ReplicaSpec, sys.N())
-	for j, rep := range sys.Replicas {
-		specs[j] = ReplicaSpec{Addr: addrs[j], BandwidthMBps: rep.Bandwidth}
-	}
-	return specs, nil
 }

@@ -19,66 +19,54 @@ import (
 // refuses, so a decoded body re-encodes to the bytes it came from.
 
 func (b SolveBody) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(make([]byte, 0, 8+8*len(b.Mu)), uint32(b.Round))
-	return transport.AppendFloats(out, b.Mu), nil
+	w := transport.NewWriter(make([]byte, 0, 8+8*len(b.Mu)))
+	w.U32(b.Round)
+	w.Floats(b.Mu)
+	return w.Done()
 }
 
 func (b *SolveBody) UnmarshalBinary(data []byte) error {
-	round, data, err := transport.ReadUint32(data)
-	if err != nil {
+	r := transport.NewReader(data)
+	round, mu := r.U32(), r.Floats()
+	if err := r.Done(); err != nil {
 		return err
 	}
-	mu, data, err := transport.ReadFloats(data)
-	if err != nil {
-		return err
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("lddm: %d trailing bytes after the multipliers", len(data))
-	}
-	b.Round, b.Mu = int(round), mu
+	b.Round, b.Mu = round, mu
 	return nil
 }
 
 func (b SolveReply) MarshalBinary() ([]byte, error) {
-	out := transport.AppendUint32(make([]byte, 0, 8+len(b.Served)+12*len(b.Pos)), uint32(b.M))
-	out = append(out, b.Served...)
-	out = transport.AppendUint32(out, uint32(len(b.Pos)))
+	w := transport.NewWriter(make([]byte, 0, 8+len(b.Served)+12*len(b.Pos)))
+	w.U32(b.M)
+	w.Raw(b.Served)
+	w.U32(len(b.Pos))
 	for e, p := range b.Pos {
-		out = transport.AppendUint32(out, uint32(p))
-		out = transport.AppendFloat64(out, b.Val[e])
+		w.U32(p)
+		w.F64(b.Val[e])
 	}
-	return out, nil
+	return w.Done()
 }
 
 func (b *SolveReply) UnmarshalBinary(data []byte) error {
-	m, data, err := transport.ReadUint32(data)
-	if err != nil {
-		return err
+	r := transport.NewReader(data)
+	m := r.U32()
+	reply := SolveReply{M: m, Served: append([]byte{}, r.Raw((m+7)/8)...)}
+	count := r.U32()
+	if r.Err() == nil && count*12 != r.Len() {
+		r.Fail(fmt.Errorf("lddm: %d partial shares in %d bytes", count, r.Len()))
 	}
-	width := (uint64(m) + 7) / 8
-	if width > uint64(len(data)) {
-		return fmt.Errorf("lddm: bitmap over %d clients needs %d bytes, %d left", m, width, len(data))
-	}
-	r := SolveReply{M: int(m), Served: append([]byte{}, data[:width]...)}
-	count, data, err := transport.ReadUint32(data[width:])
-	if err != nil {
-		return err
-	}
-	if uint64(count)*12 != uint64(len(data)) {
-		return fmt.Errorf("lddm: %d partial shares in %d bytes", count, len(data))
-	}
-	if count > 0 {
-		r.Pos, r.Val = make([]int, count), make([]float64, count)
-		for e := range r.Pos {
-			var p uint32
-			p, data, _ = transport.ReadUint32(data)
-			r.Pos[e] = int(p)
-			r.Val[e], data, _ = transport.ReadFloat64(data)
+	if r.Err() == nil && count > 0 {
+		reply.Pos, reply.Val = make([]int, count), make([]float64, count)
+		for e := range reply.Pos {
+			reply.Pos[e], reply.Val[e] = r.U32(), r.F64()
 		}
 	}
-	if err := r.valid(); err != nil {
+	if err := r.Done(); err != nil {
+		return err
+	}
+	if err := reply.valid(); err != nil {
 		return fmt.Errorf("lddm: %w", err)
 	}
-	*b = r
+	*b = reply
 	return nil
 }

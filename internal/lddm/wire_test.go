@@ -205,20 +205,27 @@ func TestLocalSolveReplyEdgeColumns(t *testing.T) {
 	}
 }
 
-// replyBytes builds a binary reply body field by field, valid or not.
-func replyBytes(m uint32, bitmap []byte, count uint32, entries ...any) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, m)
-	b = append(b, bitmap...)
-	b = binary.LittleEndian.AppendUint32(b, count)
-	for _, e := range entries {
-		switch v := e.(type) {
+// wireBytes builds a binary body field by field, valid or not: a uint32
+// is written as a u32, a float64 as an f64 and a []byte as it is.
+func wireBytes(fields ...any) []byte {
+	w := transport.NewWriter(nil)
+	for _, f := range fields {
+		switch v := f.(type) {
 		case uint32:
-			b = binary.LittleEndian.AppendUint32(b, v)
+			w.U32(int(v))
 		case float64:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			w.F64(v)
+		case []byte:
+			w.Raw(v)
 		}
 	}
+	b, _ := w.Done()
 	return b
+}
+
+// replyBytes builds a reply body field by field, valid or not.
+func replyBytes(m uint32, bitmap []byte, count uint32, entries ...any) []byte {
+	return wireBytes(append([]any{m, bitmap, count}, entries...)...)
 }
 
 // A malformed reply or request is refused with an error naming the replica
@@ -284,7 +291,7 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 		{"short multipliers", mustMessage(t, SolveBody{Round: 1, Mu: mu(m - 1)})},
 		{"long multipliers", mustMessage(t, SolveBody{Round: 1, Mu: mu(m + 1)})},
 		{"JSON multipliers", transport.Message{Type: MsgLocalSolve, Body: []byte(`{"Round":1,"Mu":[0]}`)}},
-		{"count beyond the bytes left", transport.Message{Type: MsgLocalSolve, Body: binary.LittleEndian.AppendUint32(make([]byte, 4), uint32(m))}},
+		{"count beyond the bytes left", transport.Message{Type: MsgLocalSolve, Body: wireBytes(uint32(0), uint32(m))}},
 		{"trailing bytes", transport.Message{Type: MsgLocalSolve, Body: append(mustMessage(t, SolveBody{Round: 1, Mu: mu(m)}).Body, 0)}},
 	}
 	for _, tc := range requests {

@@ -1,10 +1,7 @@
-// Package sim provides a deterministic virtual-time substrate for the EDR
-// simulator: a manually advanced clock and a discrete-event queue.
-//
-// All experiment harnesses run on virtual time so that power integration,
-// workload arrival, and transfer completion are reproducible bit-for-bit
-// across runs and machines. Real-time components (the TCP transport) use
-// the wall clock instead; both satisfy the Clock interface.
+// Package sim provides the simulator's deterministic substrate: a seeded
+// random source with Zipf draws, the fixed Epoch traces start at, and a
+// manually advanced virtual clock beside the wall clock, both satisfying
+// the Clock interface.
 package sim
 
 import (

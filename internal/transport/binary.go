@@ -3,22 +3,24 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sync/atomic"
 )
 
-// Compact binary body codec, version 1. Two kinds of body dominate a
-// round's bytes and codec time: the engine's vector-bearing iteration verbs
-// — every CDPSM step pulls each peer's estimate, nnz float64s packed over
-// the support, which would cost ~19 bytes per value as JSON text — and the
-// control-plane bodies paid once per client or per replica every round
-// (internal/core/codec.go). Bodies that implement
-// encoding.BinaryMarshaler/BinaryUnmarshaler are carried as raw
-// little-endian scalars, length-headed strings and vectors and kinded
-// matrix frames (at most 8 bytes per element, no reflection), assembled
-// from the primitives below.
+// Compact binary body codec, version 1. The bodies a round sends once per
+// client, per replica or per iteration are binary: the engines' iteration
+// verbs (LDDM's μ and reply, ADMM's targets and shift, the CDPSM step
+// carrying the initiator's consensus and answered with the replica's
+// estimate, each vector packed over the round's support) and the
+// control-plane bodies of internal/core/codec.go. A body implements
+// encoding.BinaryMarshaler/BinaryUnmarshaler and is written and read with
+// the Writer and Reader below: little-endian scalars, length-headed
+// strings, vectors and lists, and bitmaps, with no reflection and at most
+// 8 bytes per value. The kinded matrix frame at the end of this file is
+// built from the same Writer and Reader, but no round body carries one.
 //
 // Wire format: every frame, whatever codec its body's type picked, has one
 // layout:
@@ -99,200 +101,343 @@ func decodeFrame(payload []byte) (Message, error) {
 	return m, nil
 }
 
-// --- Body primitives ----------------------------------------------------
+// --- Body codec ---------------------------------------------------------
 //
-// The Append*/Read* pairs below are the vocabulary algorithm packages
-// build their MarshalBinary/UnmarshalBinary from. All scalars are
-// little-endian; vectors, lists and matrices carry u32 dims headers and a
-// string a u16 length.
+// Writer and Reader are the one vocabulary every binary body is written
+// and read in. All scalars are little-endian:
+//
+//	u32, u64, f64   4, 8 and 8 bytes (f64: IEEE-754 bits)
+//	string          u16 length + bytes
+//	strings         u32 count + strings
+//	floats          u32 count + f64s
+//	pairs           u32 count + (string, f64) pairs, keys strictly ascending
+//	bitmap          u32 byte count + ⌈k/8⌉ bytes over k cells: cell i is
+//	                bit i%8 of byte i/8, no bit set at or past k
+//
+// A layout the writer refuses (a string over 64 KiB, pair keys out of
+// order) is refused by the reader too, so a body has one encoding. Both
+// keep the first error, so a codec checks once, at Done.
 
-// AppendUint32 appends v little-endian.
-func AppendUint32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
+// Writer appends a body to a buffer. The first value the layout cannot
+// carry sticks as its error and fails Done.
+type Writer struct {
+	b   []byte
+	err error
 }
 
-// AppendFloat64 appends v's IEEE-754 bits little-endian.
-func AppendFloat64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
+// NewWriter returns a Writer appending to buf.
+func NewWriter(buf []byte) Writer { return Writer{b: buf} }
 
-// AppendFloats appends a u32 length header followed by the values.
-func AppendFloats(b []byte, v []float64) []byte {
-	b = AppendUint32(b, uint32(len(v)))
+// U32 appends v as a u32.
+func (w *Writer) U32(v int) { w.b = binary.LittleEndian.AppendUint32(w.b, uint32(v)) }
+
+// U64 appends v.
+func (w *Writer) U64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+
+// F64 appends v's IEEE-754 bits.
+func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+
+// Raw appends p as it is, with no header.
+func (w *Writer) Raw(p []byte) { w.b = append(w.b, p...) }
+
+// Floats appends a u32 count followed by the values.
+func (w *Writer) Floats(v []float64) {
+	w.U32(len(v))
 	for _, x := range v {
-		b = AppendFloat64(b, x)
+		w.F64(x)
 	}
-	return b
 }
 
-// AppendString appends a u16 length header followed by s's bytes. A string
-// the header cannot describe is an error, never a truncated length.
-func AppendString(b []byte, s string) ([]byte, error) {
+// Str appends a u16 length followed by s's bytes. A string the header
+// cannot describe fails the body; it is never written with a truncated
+// length.
+func (w *Writer) Str(s string) {
 	if len(s) > math.MaxUint16 {
-		return nil, fmt.Errorf("transport: string of %d bytes exceeds the %d the binary codec carries", len(s), math.MaxUint16)
+		w.tooLong(s)
+		return
 	}
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...), nil
+	w.b = append(binary.LittleEndian.AppendUint16(w.b, uint16(len(s))), s...)
 }
 
-// AppendStrings appends a u32 count followed by each string as AppendString
-// writes it.
-func AppendStrings(b []byte, v []string) ([]byte, error) {
-	b = AppendUint32(b, uint32(len(v)))
-	var err error
+// tooLong is Str's refusal, kept out of line so that Str inlines.
+//
+//go:noinline
+func (w *Writer) tooLong(s string) {
+	w.Fail(fmt.Errorf("transport: string of %d bytes exceeds the %d the binary codec carries", len(s), math.MaxUint16))
+}
+
+// Strs appends a u32 count followed by each string as Str writes it.
+func (w *Writer) Strs(v []string) {
+	l := NewWriter(w.b) // see Pairs
+	l.U32(len(v))
 	for _, s := range v {
-		if b, err = AppendString(b, s); err != nil {
-			return nil, err
+		l.Str(s)
+	}
+	w.b = l.b
+	w.Fail(l.err)
+}
+
+// Pairs appends a pair list of n pairs; pair(i) yields the i-th. Keys
+// that do not strictly ascend in byte order fail the body, so a list has
+// exactly one encoding and ReadPairs accepts what this writes.
+func (w *Writer) Pairs(n int, pair func(i int) (string, float64)) {
+	// The loop writes a local Writer: a store through w would pay the GC's
+	// write barrier per field, a store to the stack pays none.
+	l := NewWriter(w.b)
+	l.U32(n)
+	var prev string
+	for i := 0; i < n && l.err == nil; i++ {
+		key, v := pair(i)
+		if i > 0 && key <= prev {
+			l.Fail(fmt.Errorf("transport: pair list key %q at %d does not ascend past %q", key, i, prev))
+		}
+		l.Str(key)
+		l.F64(v)
+		prev = key
+	}
+	w.b = l.b
+	w.Fail(l.err)
+}
+
+// Bitmap appends the header of a bitmap of cells bits and returns its
+// bytes, all clear, for the caller to set bits in.
+func (w *Writer) Bitmap(cells int) []byte {
+	width := (cells + 7) / 8
+	w.U32(width)
+	w.b = append(w.b, make([]byte, width)...)
+	return w.b[len(w.b)-width:]
+}
+
+// Fail makes err the body's error unless it already has one; a nil err
+// changes nothing.
+func (w *Writer) Fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// Done returns the body, or the first error it met.
+func (w *Writer) Done() ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.b, nil
+}
+
+// Reader consumes a body. The first failure sticks as its error, and every
+// later read returns a zero value. A count is checked against the bytes
+// left before anything is allocated for it, and an empty list reads as
+// nil.
+type Reader struct {
+	b   []byte
+	err error
+}
+
+// NewReader returns a Reader over b.
+func NewReader(b []byte) Reader { return Reader{b: b} }
+
+// Err returns the first failure, if any.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the bytes left.
+func (r *Reader) Len() int { return len(r.b) }
+
+// Fail makes err the body's error unless it already has one; a nil err
+// changes nothing.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// Done returns the first failure, or refuses the body if bytes are left
+// after its last field.
+func (r *Reader) Done() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("transport: %d trailing bytes after the body's last field", len(r.b))
+	}
+	return r.err
+}
+
+// Raw consumes n bytes with no header and returns them, aliasing the body.
+func (r *Reader) Raw(n int) []byte {
+	if r.err != nil || n > len(r.b) {
+		if r.err == nil {
+			r.err = errTruncated
+		}
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+var errTruncated = errors.New("transport: binary body truncated")
+
+// U32 consumes a u32.
+func (r *Reader) U32() int {
+	if p := r.Raw(4); p != nil {
+		return int(binary.LittleEndian.Uint32(p))
+	}
+	return 0
+}
+
+// U64 consumes a u64.
+func (r *Reader) U64() uint64 {
+	if p := r.Raw(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// F64 consumes a float64.
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Floats consumes a vector written by Writer.Floats.
+func (r *Reader) Floats() []float64 {
+	n := r.U32()
+	if r.err == nil && uint64(n)*8 > uint64(len(r.b)) {
+		r.err = fmt.Errorf("transport: binary vector claims %d values, %d bytes left", n, len(r.b))
+	}
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
+	}
+	r.b = r.b[8*n:]
+	return v
+}
+
+// Str consumes a string written by Writer.Str.
+func (r *Reader) Str() string {
+	p := r.Raw(2)
+	if p == nil {
+		return ""
+	}
+	n := int(binary.LittleEndian.Uint16(p))
+	if n > len(r.b) {
+		r.err = fmt.Errorf("transport: binary string claims %d bytes, %d left", n, len(r.b))
+		return ""
+	}
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// Intern consumes a string, returning held itself when the bytes spell
+// it, so a name every body repeats costs no allocation.
+func (r *Reader) Intern(held string) string {
+	if r.err == nil && len(r.b) >= 2 {
+		if n := int(binary.LittleEndian.Uint16(r.b)); n <= len(r.b)-2 && string(r.b[2:2+n]) == held {
+			r.b = r.b[2+n:]
+			return held
 		}
 	}
-	return b, nil
+	return r.Str()
 }
 
-// ReadString consumes a string written by AppendString.
-func ReadString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("transport: binary body truncated (want string header, %d bytes left)", len(b))
+// Strs consumes a list written by Writer.Strs. Its strings share one
+// backing allocation.
+func (r *Reader) Strs() []string {
+	n := r.U32()
+	if r.err == nil && uint64(n)*2 > uint64(len(r.b)) {
+		r.err = fmt.Errorf("transport: binary list claims %d strings, %d bytes left", n, len(r.b))
 	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if n > len(b) {
-		return "", nil, fmt.Errorf("transport: binary string claims %d bytes, %d left", n, len(b))
+	if r.err != nil || n == 0 {
+		return nil
 	}
-	return string(b[:n]), b[n:], nil
-}
-
-// ReadStrings consumes a list written by AppendStrings. The count is checked
-// against the bytes left (every string costs at least its header) before
-// anything is allocated, and the strings share one backing allocation.
-func ReadStrings(b []byte) ([]string, []byte, error) {
-	n, b, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, err
+	size := r.listSize(n, 0, false)
+	if r.err != nil {
+		return nil
 	}
-	if uint64(n)*2 > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("transport: binary list claims %d strings, %d bytes left", n, len(b))
-	}
-	size, err := listSize(b, int(n), 0, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	all, v := string(b[:size]), make([]string, n)
+	all, v := string(r.b[:size]), make([]string, n)
 	for i, off := 0, 0; i < len(v); i++ {
-		l := int(binary.LittleEndian.Uint16(b[off:]))
+		l := int(binary.LittleEndian.Uint16(r.b[off:]))
 		v[i] = all[off+2 : off+2+l]
 		off += 2 + l
 	}
-	return v, b[size:], nil
+	r.b = r.b[size:]
+	return v
 }
 
-// AppendPairs appends a pair list: a u32 count, then per pair its key as
-// AppendString writes it and its f64 value. pair(i) yields the i-th pair;
-// keys must ascend strictly in byte order, so a list has exactly one
-// encoding and ReadPairs accepts what this writes.
-func AppendPairs(b []byte, n int, pair func(i int) (string, float64)) ([]byte, error) {
-	b = AppendUint32(b, uint32(n))
-	var prev string
-	for i := 0; i < n; i++ {
-		key, v := pair(i)
-		if i > 0 && key <= prev {
-			return nil, fmt.Errorf("transport: pair list key %q at %d does not ascend past %q", key, i, prev)
-		}
-		var err error
-		if b, err = AppendString(b, key); err != nil {
-			return nil, err
-		}
-		b = AppendFloat64(b, v)
-		prev = key
-	}
-	return b, nil
-}
-
-// ReadPairs consumes a pair list written by AppendPairs, building each
+// ReadPairs consumes a pair list written by Writer.Pairs, building each
 // element with pair(key, value). A list whose keys repeat or descend is
 // refused, as is a count the bytes left cannot hold (a pair costs at least
-// 10); the keys share one backing allocation. An empty list reads as nil.
-func ReadPairs[T any](b []byte, pair func(key string, v float64) T) ([]T, []byte, error) {
-	n, b, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, err
+// 10); the keys share one backing allocation. It is a function, not a
+// method, because a method cannot take a type parameter.
+func ReadPairs[T any](r *Reader, pair func(key string, v float64) T) []T {
+	n := r.U32()
+	if r.err == nil && uint64(n)*10 > uint64(len(r.b)) {
+		r.err = fmt.Errorf("transport: binary pair list claims %d pairs, %d bytes left", n, len(r.b))
 	}
-	if uint64(n)*10 > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("transport: binary pair list claims %d pairs, %d bytes left", n, len(b))
+	if r.err != nil || n == 0 {
+		return nil
 	}
-	if n == 0 {
-		return nil, b, nil
+	size := r.listSize(n, 8, true)
+	if r.err != nil {
+		return nil
 	}
-	size, err := listSize(b, int(n), 8, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	all, v := string(b[:size]), make([]T, n)
+	all, v := string(r.b[:size]), make([]T, n)
 	for i, off := 0, 0; i < len(v); i++ {
-		l := int(binary.LittleEndian.Uint16(b[off:]))
-		x, _, _ := ReadFloat64(b[off+2+l:])
+		l := int(binary.LittleEndian.Uint16(r.b[off:]))
+		x := math.Float64frombits(binary.LittleEndian.Uint64(r.b[off+2+l:]))
 		v[i] = pair(all[off+2:off+2+l], x)
 		off += 2 + l + 8
 	}
-	return v, b[size:], nil
+	r.b = r.b[size:]
+	return v
 }
 
-// listSize walks n length-headed strings at the front of b, each followed
-// by gap bytes of other fields (8 for a pair's value), and returns the
-// bytes they occupy. Every header and gap must fit in b; with ascending set,
+// listSize walks n length-headed strings at the front of the body, each
+// followed by gap bytes of other fields (8 for a pair's value), and returns
+// the bytes they occupy. Every header and gap must fit; with ascending set,
 // the strings must strictly ascend. The list's strings are then cut from
 // one copy of those bytes, so a list costs one allocation for its names
 // (and pins its headers and values with them).
-func listSize(b []byte, n, gap int, ascending bool) (int, error) {
-	off := 0
+func (r *Reader) listSize(n, gap int, ascending bool) int {
+	b, off := r.b, 0
 	var prev []byte
 	for i := 0; i < n; i++ {
 		if len(b)-off < 2 {
-			return 0, fmt.Errorf("transport: binary body truncated (want string header, %d bytes left)", len(b)-off)
+			r.err = fmt.Errorf("transport: binary body truncated (want string header, %d bytes left)", len(b)-off)
+			return 0
 		}
 		l := int(binary.LittleEndian.Uint16(b[off:]))
 		if l+gap > len(b)-off-2 {
-			return 0, fmt.Errorf("transport: binary string claims %d bytes and %d more, %d left", l, gap, len(b)-off-2)
+			r.err = fmt.Errorf("transport: binary string claims %d bytes and %d more, %d left", l, gap, len(b)-off-2)
+			return 0
 		}
 		key := b[off+2 : off+2+l]
 		if ascending && i > 0 && bytes.Compare(prev, key) >= 0 {
-			return 0, fmt.Errorf("transport: pair list key %q at %d does not ascend past %q", key, i, prev)
+			r.err = fmt.Errorf("transport: pair list key %q at %d does not ascend past %q", key, i, prev)
+			return 0
 		}
 		prev = key
 		off += 2 + l + gap
 	}
-	return off, nil
+	return off
 }
 
-// ReadUint32 consumes a little-endian u32.
-func ReadUint32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, fmt.Errorf("transport: binary body truncated (want u32, %d bytes left)", len(b))
+// Bitmap consumes a bitmap of cells bits written by Writer.Bitmap and
+// returns its bytes, aliasing the body (nil when it has no cells); what
+// names it in a refusal. The width must be exactly ⌈cells/8⌉ and no bit
+// may be set past the last cell, so a bitmap has one encoding.
+func (r *Reader) Bitmap(cells int, what string) []byte {
+	width := (cells + 7) / 8
+	if got := r.U32(); r.err == nil && (got != width || got > len(r.b)) {
+		r.err = fmt.Errorf("transport: %s of %d bytes (%d left) for %d cells, which take %d", what, got, len(r.b), cells, width)
 	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
-}
-
-// ReadFloat64 consumes a little-endian float64.
-func ReadFloat64(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("transport: binary body truncated (want f64, %d bytes left)", len(b))
+	if r.err != nil || cells == 0 {
+		return nil
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
-}
-
-// ReadFloats consumes a length-headed vector written by AppendFloats.
-func ReadFloats(b []byte) ([]float64, []byte, error) {
-	n, b, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, err
+	bm := r.Raw(width)
+	if bm[width-1]>>((cells-1)%8+1) != 0 {
+		r.err = fmt.Errorf("transport: %s sets bits past its %d cells", what, cells)
+		return nil
 	}
-	if uint64(n)*8 > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("transport: binary vector claims %d values, %d bytes left", n, len(b))
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i], b, _ = ReadFloat64(b)
-	}
-	return v, b, nil
+	return bm
 }
 
 // --- Kinded matrix frames -----------------------------------------------
@@ -314,7 +459,7 @@ func ReadFloats(b []byte) ([]float64, []byte, error) {
 // the receiver to hold the same base the sender diffed against; no verb
 // negotiates a base any more, and every caller outside the tests passes a
 // nil base. Vectors (ADMM targets, CDPSM estimates) are packed over the
-// support and ride plain AppendFloats frames: a packed vector has no
+// support and ride plain floats (Writer.Floats): a packed vector has no
 // structural zeros for a sparse frame to drop.
 const (
 	// MatrixFull is the dense row-major layout.
@@ -385,39 +530,39 @@ func AppendMatrixKinded(b []byte, m, base [][]float64) []byte {
 			kind = MatrixDelta
 		}
 	}
-	b = append(b, byte(kind))
-	b = AppendUint32(b, uint32(rows))
-	b = AppendUint32(b, uint32(cols))
+	w := NewWriter(append(b, byte(kind)))
+	w.U32(rows)
+	w.U32(cols)
 	switch kind {
 	case MatrixFull:
 		for _, row := range m {
 			for _, x := range row {
-				b = AppendFloat64(b, x)
+				w.F64(x)
 			}
 		}
 	case MatrixSparse:
-		b = AppendUint32(b, uint32(nonzero))
+		w.U32(nonzero)
 		for i, row := range m {
 			for j, x := range row {
 				if math.Float64bits(x) != 0 {
-					b = AppendUint32(b, uint32(i*cols+j))
-					b = AppendFloat64(b, x)
+					w.U32(i*cols + j)
+					w.F64(x)
 				}
 			}
 		}
 	case MatrixDelta:
-		b = AppendUint32(b, uint32(changed))
+		w.U32(changed)
 		for i, row := range m {
 			for j, x := range row {
 				if math.Float64bits(x) != math.Float64bits(base[i][j]) {
-					b = AppendUint32(b, uint32(i*cols+j))
-					b = AppendFloat64(b, x)
+					w.U32(i*cols + j)
+					w.F64(x)
 				}
 			}
 		}
 	}
 	matrixFrameStats[kind].Add(1)
-	return b
+	return w.b
 }
 
 // ReadMatrixKinded consumes a kinded matrix frame. base supplies the
@@ -425,20 +570,12 @@ func AppendMatrixKinded(b []byte, m, base [][]float64) []byte {
 // decoding a delta without a matching base is an error. The returned
 // matrix is always freshly allocated.
 func ReadMatrixKinded(b []byte, base [][]float64) ([][]float64, []byte, error) {
-	if len(b) < 1 {
-		return nil, nil, fmt.Errorf("transport: kinded matrix frame truncated")
+	r := NewReader(b)
+	kind := r.Raw(1)
+	rows, cols := r.U32(), r.U32()
+	if r.err != nil {
+		return nil, nil, r.err
 	}
-	kind := b[0]
-	b = b[1:]
-	rows32, b, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols32, b, err := ReadUint32(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, cols := int(rows32), int(cols32)
 	if rows != 0 && cols == 0 {
 		return nil, nil, fmt.Errorf("transport: kinded matrix claims %d rows of zero columns", rows)
 	}
@@ -447,71 +584,51 @@ func ReadMatrixKinded(b []byte, base [][]float64) ([][]float64, []byte, error) {
 	if uint64(rows)*uint64(cols) > MaxFrameBytes/8 {
 		return nil, nil, fmt.Errorf("transport: kinded matrix claims %d×%d elements", rows, cols)
 	}
-	newMatrix := func() [][]float64 {
-		backing := make([]float64, rows*cols)
-		m := make([][]float64, rows)
-		for i := range m {
-			m[i], backing = backing[:cols:cols], backing[cols:]
-		}
-		return m
+	full := kind[0] == MatrixFull
+	switch {
+	case full && uint64(rows)*uint64(cols)*8 > uint64(len(r.b)):
+		return nil, nil, fmt.Errorf("transport: kinded matrix claims %d×%d values, %d bytes left", rows, cols, len(r.b))
+	case kind[0] > MatrixDelta:
+		return nil, nil, fmt.Errorf("transport: unknown matrix frame kind %d", kind[0])
+	case kind[0] == MatrixDelta && (base == nil || len(base) != rows || (rows > 0 && len(base[0]) != cols)):
+		return nil, nil, fmt.Errorf("transport: %d×%d delta matrix frame without a matching base", rows, cols)
 	}
-	readEntries := func(m [][]float64) ([]byte, error) {
-		count, rest, err := ReadUint32(b)
-		if err != nil {
-			return nil, err
-		}
-		if uint64(count)*12 > uint64(len(rest)) {
-			return nil, fmt.Errorf("transport: kinded matrix claims %d entries, %d bytes left", count, len(rest))
-		}
-		if uint64(count) > uint64(rows*cols) {
-			return nil, fmt.Errorf("transport: kinded matrix claims %d entries for %d×%d", count, rows, cols)
-		}
-		for e := uint32(0); e < count; e++ {
-			var idx uint32
-			idx, rest, _ = ReadUint32(rest)
-			var v float64
-			v, rest, _ = ReadFloat64(rest)
-			if int(idx) >= rows*cols {
-				return nil, fmt.Errorf("transport: kinded matrix entry index %d out of %d×%d", idx, rows, cols)
-			}
-			m[int(idx)/cols][int(idx)%cols] = v
-		}
-		return rest, nil
+	backing := make([]float64, rows*cols)
+	m := make([][]float64, rows)
+	for i := range m {
+		m[i], backing = backing[:cols:cols], backing[cols:]
 	}
-	switch kind {
-	case MatrixFull:
-		if uint64(rows)*uint64(cols)*8 > uint64(len(b)) {
-			return nil, nil, fmt.Errorf("transport: kinded matrix claims %d×%d values, %d bytes left", rows, cols, len(b))
-		}
-		m := newMatrix()
+	if full {
 		for i := range m {
 			for j := range m[i] {
-				m[i][j], b, _ = ReadFloat64(b)
+				m[i][j] = r.F64()
 			}
 		}
-		return m, b, nil
-	case MatrixSparse:
-		m := newMatrix()
-		rest, err := readEntries(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, rest, nil
-	case MatrixDelta:
-		if base == nil || len(base) != rows || (rows > 0 && len(base[0]) != cols) {
-			return nil, nil, fmt.Errorf("transport: %d×%d delta matrix frame without a matching base", rows, cols)
-		}
-		m := newMatrix()
+		return m, r.b, nil
+	}
+	if kind[0] == MatrixDelta {
 		for i := range m {
 			copy(m[i], base[i])
 		}
-		rest, err := readEntries(m)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, rest, nil
 	}
-	return nil, nil, fmt.Errorf("transport: unknown matrix frame kind %d", kind)
+	count := r.U32()
+	if r.err == nil && uint64(count)*12 > uint64(len(r.b)) {
+		r.err = fmt.Errorf("transport: kinded matrix claims %d entries, %d bytes left", count, len(r.b))
+	}
+	if r.err == nil && count > rows*cols {
+		r.err = fmt.Errorf("transport: kinded matrix claims %d entries for %d×%d", count, rows, cols)
+	}
+	for e := 0; e < count && r.err == nil; e++ {
+		if idx, v := r.U32(), r.F64(); idx < rows*cols {
+			m[idx/cols][idx%cols] = v
+		} else {
+			r.err = fmt.Errorf("transport: kinded matrix entry index %d out of %d×%d", idx, rows, cols)
+		}
+	}
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	return m, r.b, nil
 }
 
 // BinaryRound reads the u32 LE round id every engine request body leads

@@ -19,20 +19,22 @@ type matrixBody struct {
 }
 
 func (b matrixBody) MarshalBinary() ([]byte, error) {
-	out := AppendUint32(nil, uint32(b.Round))
-	return AppendMatrixKinded(out, b.M, nil), nil
+	w := NewWriter(nil)
+	w.U32(b.Round)
+	return AppendMatrixKinded(w.b, b.M, nil), nil
 }
 
 func (b *matrixBody) UnmarshalBinary(data []byte) error {
-	round, data, err := ReadUint32(data)
+	r := NewReader(data)
+	round := r.U32()
+	if r.err != nil {
+		return r.err
+	}
+	m, _, err := ReadMatrixKinded(r.b, nil)
 	if err != nil {
 		return err
 	}
-	m, _, err := ReadMatrixKinded(data, nil)
-	if err != nil {
-		return err
-	}
-	b.Round, b.M = int(round), m
+	b.Round, b.M = round, m
 	return nil
 }
 
@@ -158,31 +160,28 @@ func TestBinaryPrimitivesRejectTruncation(t *testing.T) {
 		{"sparse", sparse, nil, MatrixSparse},
 		{"delta", delta, base, MatrixDelta},
 	} {
-		head := AppendFloats(AppendFloat64(AppendUint32(nil, 9), 1.5), []float64{1, 2, 3})
+		w := NewWriter(nil)
+		w.U32(9)
+		w.F64(1.5)
+		w.Floats([]float64{1, 2, 3})
+		head := w.b
 		full := AppendMatrixKinded(head, tc.m, tc.base)
 		if full[len(head)] != tc.kind {
 			t.Fatalf("%s: chooser picked kind %d", tc.name, full[len(head)])
 		}
 		for cut := 0; cut < len(full); cut++ {
-			b := full[:cut]
-			v, b2, err := ReadUint32(b)
-			if err != nil {
+			r := NewReader(full[:cut])
+			v, f, floats := r.U32(), r.F64(), r.Floats()
+			if r.err != nil {
+				if cut >= len(head) {
+					t.Fatalf("cut=%d: head refused: %v", cut, r.err)
+				}
 				continue
 			}
-			if v != 9 {
-				t.Fatalf("cut=%d: u32 = %d", cut, v)
+			if v != 9 || f != 1.5 || len(floats) != 3 {
+				t.Fatalf("cut=%d: read %d, %g, %v", cut, v, f, floats)
 			}
-			f, b2, err := ReadFloat64(b2)
-			if err != nil {
-				continue
-			}
-			if f != 1.5 {
-				t.Fatalf("cut=%d: f64 = %g", cut, f)
-			}
-			if _, b2, err = ReadFloats(b2); err != nil {
-				continue
-			}
-			if _, _, err = ReadMatrixKinded(b2, tc.base); err == nil {
+			if _, _, err := ReadMatrixKinded(r.b, tc.base); err == nil {
 				t.Fatalf("%s cut=%d: truncated matrix decoded without error", tc.name, cut)
 			}
 		}
@@ -192,51 +191,65 @@ func TestBinaryPrimitivesRejectTruncation(t *testing.T) {
 	// claim (whose element product is 0 but which would still allocate one
 	// row header per claimed row).
 	for kind := byte(MatrixFull); kind <= MatrixDelta; kind++ {
-		huge := AppendUint32(AppendUint32([]byte{kind}, math.MaxUint32), math.MaxUint32)
-		if _, _, err := ReadMatrixKinded(huge, nil); err == nil {
+		if _, _, err := ReadMatrixKinded(u32s([]byte{kind}, math.MaxUint32, math.MaxUint32), nil); err == nil {
 			t.Fatalf("kind %d matrix with 2³²×2³² claimed dims decoded", kind)
 		}
-		zeroCols := AppendUint32(AppendUint32([]byte{kind}, math.MaxUint32), 0)
-		if _, _, err := ReadMatrixKinded(zeroCols, nil); err == nil {
+		if _, _, err := ReadMatrixKinded(u32s([]byte{kind}, math.MaxUint32, 0), nil); err == nil {
 			t.Fatalf("kind %d matrix with 2³² rows of zero columns decoded", kind)
 		}
 	}
-	entries := AppendUint32(AppendUint32(AppendUint32([]byte{MatrixSparse}, 2), 2), math.MaxUint32)
-	if _, _, err := ReadMatrixKinded(entries, nil); err == nil {
+	if _, _, err := ReadMatrixKinded(u32s([]byte{MatrixSparse}, 2, 2, math.MaxUint32), nil); err == nil {
 		t.Fatal("sparse matrix with 2³² claimed entries decoded")
 	}
-	if _, _, err := ReadFloats(AppendUint32(nil, math.MaxUint32)); err == nil {
+	r := NewReader(u32s(nil, math.MaxUint32))
+	if r.Floats(); r.err == nil {
 		t.Fatal("vector with 2³² claimed length decoded")
 	}
 }
 
+// u32s appends each of v to b as a u32.
+func u32s(b []byte, v ...int) []byte {
+	w := NewWriter(b)
+	for _, x := range v {
+		w.U32(x)
+	}
+	return w.b
+}
+
 func TestBinaryStringPrimitives(t *testing.T) {
 	want := []string{"", "replica-1", "ünïcode", strings.Repeat("x", math.MaxUint16)}
-	full, err := AppendStrings(nil, want)
+	w := NewWriter(nil)
+	w.Strs(want)
+	full, err := w.Done()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rest, err := ReadStrings(full)
-	if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip: %d strings, %d bytes left, err %v", len(got), len(rest), err)
+	r := NewReader(full)
+	if got := r.Strs(); r.Done() != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: %d strings, err %v", len(got), r.err)
 	}
 	for cut := 0; cut < len(full); cut += 1 + cut/16 {
-		if _, _, err := ReadStrings(full[:cut]); err == nil {
+		r := NewReader(full[:cut])
+		if r.Strs(); r.err == nil {
 			t.Fatalf("cut=%d: truncated list decoded without error", cut)
 		}
 	}
 	// A string the u16 header cannot describe is refused, not truncated.
-	if _, err := AppendString(nil, strings.Repeat("x", math.MaxUint16+1)); err == nil {
+	w = NewWriter(nil)
+	if w.Str(strings.Repeat("x", math.MaxUint16+1)); w.err == nil {
 		t.Fatal("64 KiB string appended")
 	}
-	if _, err := AppendStrings(nil, []string{"ok", strings.Repeat("x", math.MaxUint16+1)}); err == nil {
+	w = NewWriter(nil)
+	if w.Strs([]string{"ok", strings.Repeat("x", math.MaxUint16+1)}); w.err == nil {
 		t.Fatal("list holding a 64 KiB string appended")
 	}
 	// A corrupt count must not cause a giant allocation.
-	if _, _, err := ReadStrings(AppendUint32(nil, math.MaxUint32)); err == nil {
+	r = NewReader(u32s(nil, math.MaxUint32))
+	if r.Strs(); r.err == nil {
 		t.Fatal("list with 2³² claimed strings decoded")
 	}
-	if _, _, err := ReadString([]byte{0xff, 0xff, 'a'}); err == nil {
+	r = NewReader([]byte{0xff, 0xff, 'a'})
+	if r.Str(); r.err == nil {
 		t.Fatal("string with 65 535 claimed bytes decoded from 1")
 	}
 }
@@ -254,41 +267,45 @@ func TestBinaryPairPrimitives(t *testing.T) {
 	at := func(list []testPair) func(int) (string, float64) {
 		return func(i int) (string, float64) { return list[i].key, list[i].v }
 	}
-	full, err := AppendPairs(nil, len(want), at(want))
+	w := NewWriter(nil)
+	w.Pairs(len(want), at(want))
+	w.U32(7)
+	full, err := w.Done()
 	if err != nil {
 		t.Fatal(err)
 	}
-	full = AppendUint32(full, 7)
-	read := func(b []byte) ([]testPair, []byte, error) {
-		return ReadPairs(b, func(k string, v float64) testPair { return testPair{k, v} })
+	read := func(b []byte) ([]testPair, Reader) {
+		r := NewReader(b)
+		return ReadPairs(&r, func(k string, v float64) testPair { return testPair{k, v} }), r
 	}
-	got, rest, err := read(full)
-	if err != nil || !reflect.DeepEqual(got, want) || len(rest) != 4 || rest[0] != 7 {
-		t.Fatalf("round trip: %v, %d bytes left, err %v", got, len(rest), err)
+	got, r := read(full)
+	if r.err != nil || !reflect.DeepEqual(got, want) || r.U32() != 7 || r.Done() != nil {
+		t.Fatalf("round trip: %v, %d bytes left, err %v", got, r.Len(), r.err)
 	}
 	for cut := 0; cut < len(full)-4; cut++ {
-		if _, _, err := read(full[:cut]); err == nil {
+		if _, r := read(full[:cut]); r.err == nil {
 			t.Fatalf("cut=%d: truncated pair list decoded without error", cut)
 		}
 	}
-	if empty, rest, err := read(AppendUint32(nil, 0)); err != nil || empty != nil || len(rest) != 0 {
-		t.Fatalf("empty list: %v, %d bytes left, err %v", empty, len(rest), err)
+	if empty, r := read(u32s(nil, 0)); r.Done() != nil || empty != nil {
+		t.Fatalf("empty list: %v, %d bytes left, err %v", empty, r.Len(), r.err)
 	}
 	for _, bad := range [][]testPair{{{"r2", 1}, {"r1", 1}}, {{"r1", 1}, {"r1", 2}}} {
-		if _, err := AppendPairs(nil, len(bad), at(bad)); err == nil {
+		w := NewWriter(nil)
+		if w.Pairs(len(bad), at(bad)); w.err == nil {
 			t.Errorf("%v appended", bad)
 		}
-		var b []byte
-		b = AppendUint32(b, uint32(len(bad)))
+		w = NewWriter(nil)
+		w.U32(len(bad))
 		for _, p := range bad {
-			b, _ = AppendString(b, p.key)
-			b = AppendFloat64(b, p.v)
+			w.Str(p.key)
+			w.F64(p.v)
 		}
-		if _, _, err := read(b); err == nil {
+		if _, r := read(w.b); r.err == nil {
 			t.Errorf("%v decoded", bad)
 		}
 	}
-	if _, _, err := read(AppendUint32(nil, math.MaxUint32)); err == nil {
+	if _, r := read(u32s(nil, math.MaxUint32)); r.err == nil {
 		t.Fatal("pair list with 2³² claimed pairs decoded")
 	}
 }
@@ -301,19 +318,23 @@ func TestBinaryListsAllocateTheirNamesOnce(t *testing.T) {
 		names[i] = "client-" + strings.Repeat("x", i%13) + string(rune('a'+i%26)) + string(rune('a'+i/26))
 	}
 	slices.Sort(names)
-	list, err := AppendStrings(nil, names)
+	w := NewWriter(nil)
+	w.Strs(names)
+	list, err := w.Done()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := AppendPairs(nil, len(names), func(i int) (string, float64) { return names[i], float64(i) })
+	w = NewWriter(nil)
+	w.Pairs(len(names), func(i int) (string, float64) { return names[i], float64(i) })
+	pairs, err := w.Done()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(50, func() { _, _, _ = ReadStrings(list) }); n != 2 {
-		t.Errorf("ReadStrings of %d names: %v allocations, want 2", len(names), n)
+	if n := testing.AllocsPerRun(50, func() { r := NewReader(list); r.Strs() }); n != 2 {
+		t.Errorf("Reader.Strs of %d names: %v allocations, want 2", len(names), n)
 	}
 	pair := func(k string, v float64) testPair { return testPair{k, v} }
-	if n := testing.AllocsPerRun(50, func() { _, _, _ = ReadPairs(pairs, pair) }); n != 2 {
+	if n := testing.AllocsPerRun(50, func() { r := NewReader(pairs); ReadPairs(&r, pair) }); n != 2 {
 		t.Errorf("ReadPairs of %d names: %v allocations, want 2", len(names), n)
 	}
 }
@@ -326,7 +347,7 @@ func FuzzMatrixCodec(f *testing.F) {
 	sb, _ := seed.MarshalBinary()
 	f.Add(sb)
 	f.Add([]byte{})
-	f.Add(AppendUint32(nil, math.MaxUint32))
+	f.Add(u32s(nil, math.MaxUint32))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b matrixBody
 		if err := b.UnmarshalBinary(data); err == nil {

@@ -16,16 +16,18 @@ type deltaBody struct {
 }
 
 func (b deltaBody) MarshalBinary() ([]byte, error) {
-	out := AppendUint32(nil, uint32(int32(b.Iter)))
-	return AppendMatrixKinded(out, b.M, b.Base), nil
+	w := NewWriter(nil)
+	w.U32(b.Iter)
+	return AppendMatrixKinded(w.b, b.M, b.Base), nil
 }
 
 func (b *deltaBody) UnmarshalBinary(data []byte) error {
-	iter, data, err := ReadUint32(data)
-	if err != nil {
-		return err
+	r := NewReader(data)
+	iter := r.U32()
+	if r.err != nil {
+		return r.err
 	}
-	m, _, err := ReadMatrixKinded(data, b.Base)
+	m, _, err := ReadMatrixKinded(r.b, b.Base)
 	if err != nil {
 		return err
 	}
@@ -196,7 +198,7 @@ func FuzzDeltaCodec(f *testing.F) {
 	withBase, _ := deltaBody{Iter: 5, M: m, Base: base}.MarshalBinary()
 	f.Add(withBase, true)
 	f.Add([]byte{}, false)
-	f.Add(AppendUint32(nil, math.MaxUint32), true)
+	f.Add(u32s(nil, math.MaxUint32), true)
 	f.Fuzz(func(t *testing.T, data []byte, useBase bool) {
 		b := deltaBody{}
 		if useBase {
