@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"edr/internal/opt"
 )
@@ -17,14 +18,21 @@ var errEscalateFull = errors.New("core: incremental result rejected; escalating 
 
 // incrementalPlan is one round's dirty-set work order, produced by
 // planIncremental: the diff against the committed round plus the merged
-// matrix scaffold the sub-solve completes.
+// rows the sub-solve completes.
 type incrementalPlan struct {
 	delta *opt.RoundDelta
-	// base is the full |C|×|N| merged-assignment scaffold: clean rows
-	// carry the committed row (columns permuted to this round's order,
-	// rescaled by demand ratio so row sums land exactly on the new
-	// demands); dirty rows are zero until the sub-solve fills them.
+	// base is the merged assignment, one row per client. A clean client
+	// whose demand is exactly its committed one shares its committed row —
+	// committed rows are never written, so consecutive rounds may share
+	// them. A clean client whose demand moved within DeltaEps gets the
+	// committed row rescaled by the demand ratio, so its row sum lands
+	// exactly on the new demand; the dirty rows, carved from one backing
+	// array, are zero until the sub-solve fills them.
 	base [][]float64
+	// changed lists, ascending, the rows base does not share with the
+	// committed assignment: the dirty and the rescaled ones. No other row
+	// can differ from its committed row, so install and notify walk these.
+	changed []int
 	// prev[i] is client i's committed row, unrescaled (nil for clients with
 	// no history) — the reference the change-suppressed notify fan-out
 	// compares against. Read-only: the rows are the committed round's own.
@@ -107,7 +115,7 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 	n := len(infos)
 	plan := &incrementalPlan{
 		delta:    delta,
-		base:     opt.NewMatrix(len(requests), n),
+		base:     make([][]float64, len(requests)),
 		prev:     make([][]float64, len(requests)),
 		rowMap:   rowMap,
 		frozen:   make([]float64, n),
@@ -130,6 +138,7 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 			plan.instPrev[i] = lg.installed[pr]
 		}
 	}
+	var rescaled []int
 	for _, i := range delta.CleanClients {
 		dOld := lg.prob.Demands[rowMap[i]]
 		if dOld <= 0 {
@@ -140,14 +149,27 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 		}
 		// Rescale the committed row by the (within-epsilon) demand ratio:
 		// clean row sums then equal the new demands exactly, so the merged
-		// matrix conserves demand by construction.
-		ratio := prob.Demands[i] / dOld
-		for j := 0; j < n; j++ {
-			v := plan.prev[i][j] * ratio
-			plan.base[i][j] = v
+		// matrix conserves demand by construction. At ratio 1 the rescaled
+		// row is the committed row, bit for bit, so it is shared.
+		row := plan.prev[i]
+		if ratio := prob.Demands[i] / dOld; ratio != 1 {
+			scaled := make([]float64, n)
+			for j, v := range row {
+				scaled[j] = v * ratio
+			}
+			row, rescaled = scaled, append(rescaled, i)
+		}
+		plan.base[i] = row
+		for j, v := range row {
 			plan.frozen[j] += v
 		}
 	}
+	cells := make([]float64, len(delta.DirtyClients)*n)
+	for k, i := range delta.DirtyClients {
+		plan.base[i] = cells[k*n : (k+1)*n : (k+1)*n]
+	}
+	plan.changed = append(slices.Clone(delta.DirtyClients), rescaled...)
+	slices.Sort(plan.changed)
 	for j, info := range infos {
 		res := info.Bandwidth - plan.frozen[j]
 		if floor := 1e-12 * math.Max(1, info.Bandwidth); res < floor {
@@ -242,17 +264,19 @@ func align(next, old []string, gone *[]int) (at []int) {
 func (p *incrementalPlan) gate(prob *opt.Problem, merged [][]float64) error {
 	scale := 1.0
 	for _, d := range prob.Demands {
-		scale = math.Max(scale, d)
+		scale = max(scale, d) // finite: the problem validated its demands
 	}
 	for _, rep := range prob.System.Replicas {
-		scale = math.Max(scale, rep.Bandwidth)
+		scale = max(scale, rep.Bandwidth)
 	}
 	p.audit = prob.Audit(merged)
-	if p.audit.Violation > 1e-6*scale {
+	// Each measure must be within its bound: a NaN one, which compares
+	// false against everything, fails.
+	if !(p.audit.Violation <= 1e-6*scale) {
 		return errEscalateFull
 	}
 	gapLimit := math.Max(2*p.baseGap, 0.10*math.Max(math.Abs(p.audit.Cost), 1))
-	if p.audit.KKTGap > gapLimit {
+	if !(p.audit.KKTGap <= gapLimit) {
 		return errEscalateFull
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -598,6 +599,30 @@ func TestCohortedDriftTracksFullFleet(t *testing.T) {
 		checkFeasibleReport(t, inc, got, demands)
 		if gap := math.Abs(got.Objective-want.Objective) / math.Max(1, math.Abs(want.Objective)); gap > 0.15 {
 			t.Fatalf("%g%% drift: incremental objective %g vs full %g (rel gap %g)", 100*frac, got.Objective, want.Objective, gap)
+		}
+	}
+}
+
+// The incremental gate refuses a merged matrix with a non-finite cell.
+// Every comparison against NaN is false, so a gate that asks "is it over
+// the bound?" waves a NaN Violation through; the gate must ask "is it
+// within the bound?" instead, as solver.Verify does.
+func TestGateRefusesNonFiniteMerge(t *testing.T) {
+	prob, err := specProblem(&RoundSpec{
+		Replicas: []ReplicaInfo{
+			{Addr: "a", Price: 1, Alpha: 1, Beta: 0.01, Gamma: 2, Bandwidth: 100},
+			{Addr: "b", Price: 4, Alpha: 1, Beta: 0.01, Gamma: 2, Bandwidth: 100},
+		},
+		Demands:  []float64{1, 2},
+		Feasible: [][]bool{{true, true}, {true, true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		plan := &incrementalPlan{}
+		if err := plan.gate(prob, [][]float64{{0.5, 0.5}, {bad, 1}}); !errors.Is(err, errEscalateFull) {
+			t.Fatalf("gate passed a merge with a %v cell (violation %v, cost %v): %v", bad, plan.audit.Violation, plan.audit.Cost, err)
 		}
 	}
 }

@@ -69,8 +69,8 @@ type attempt struct {
 	// solve covers — full itself except on incremental plans, where it is
 	// the dirty rows against residual capacity.
 	full, sub instance
-	// inc is the diff against the committed round with the merged-matrix
-	// scaffold (incremental and clean plans only).
+	// inc is the diff against the committed round with the merged rows
+	// (incremental and clean plans only).
 	inc *incrementalPlan
 	// grouping folds sub into cohorts; solveSpec/solveProb are what the
 	// participants and the solver see (sub's, or the cohort-reduced form).
@@ -571,12 +571,12 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 
 // expand turns the solved rows into the round's per-client result.
 // Cohorted rows disaggregate packed (slot to slot through the paired
-// sparsity views); each result row is then filled from its packed
-// segment, so the only dense |C|×|N| matrix built is the one the report
-// and the warm-start history need anyway. On an incremental plan the
-// result is the scaffold — the rescaled committed assignment — with the
-// dirty rows filled in, and must pass the gate before anything is
-// installed.
+// sparsity views); each result row, zero until now, is then filled from
+// its packed segment, so the only dense |C|×|N| matrix built is the one
+// the report and the warm-start history need anyway. On an incremental
+// plan the result is the plan's merged rows — the committed rows, shared
+// or rescaled — with the dirty rows filled in, and must pass the gate
+// before anything is installed.
 func (r *ReplicaServer) expand(a *attempt) error {
 	if a.kind == kindIncremental {
 		a.x = a.inc.base
@@ -591,10 +591,7 @@ func (r *ReplicaServer) expand(a *attempt) error {
 		}
 	}
 	for idx := range a.sub.requests {
-		// A dirty row's old mass may sit on a column it can no longer
-		// reach, where its packed segment has no slot.
 		row := a.x[a.row(idx)]
-		clear(row)
 		for k := sp.RowStart[idx]; k < sp.RowStart[idx+1]; k++ {
 			row[sp.ColIdx[k]] = packed[k]
 		}
@@ -652,7 +649,11 @@ func (r *ReplicaServer) settleDuals(a *attempt) {
 // still addressable on every member, an incremental plan diffs against it:
 // O(dirty) entries instead of the whole column, merged with the departed
 // clients' removals. Otherwise the base is the empty plan and the column's
-// positive entries alone travel.
+// positive entries alone travel. The diff walks only the plan's changed
+// rows when the base is the committed assignment itself: every other row
+// is then the base row, shared. After a clean commit the fleet still
+// serves an older install, which any row may differ from, so the diff
+// walks every row.
 func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 	clients := a.full.spec.ClientAddrs
 	// The delta's base state must still be among the roundStatesKept newest
@@ -666,6 +667,12 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 	if base != nil {
 		baseRound, departed = a.inc.lg.installedRound, a.inc.departed
 	}
+	var rows []int
+	if base != nil && a.inc.lg.installedRound == a.inc.lg.round {
+		rows = a.inc.changed
+	} else {
+		rows = allRows(len(clients))
+	}
 	return r.toReplicas(ctx, a, func(j int) (transport.Message, error) {
 		var updates []ClientMB
 		if base == nil {
@@ -678,8 +685,8 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 			updates = make([]ClientMB, 0, served)
 		}
 		departed := departed
-		for i, addr := range clients {
-			v := a.x[i][j]
+		for _, i := range rows {
+			addr, v := clients[i], a.x[i][j]
 			if base == nil || base[i] == nil {
 				// The base holds no entry for the client: one ≤ 0 stays out.
 				if !(v > 0) {
@@ -705,31 +712,37 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 // fan-out is change-suppressed: a client is told only when some entry of
 // its row moved beyond DeltaEps of its demand against what it was last
 // told (clients with no committed row always are); the rest pull on
-// demand. A full cohorted round batches instead: every member of a cohort
-// receives the same prebuilt message — the cohort's per-unit split — and
-// scales it by its own queued demand, so the phase costs |K| marshals +
-// |C| sends rather than |C| marshals. Every push names the replicas by the
-// round's roster hash (the short form); a client that does not hold that
-// roster answers with a miss and is sent the full form, which lists it, in
-// the same fan-out slot. Client failures never abort a round: the other
-// clients' allocations stand, and client.allocation.pull is the recovery
-// path.
+// demand. Only the plan's changed rows are compared: every other row is
+// the committed row itself. A full cohorted round batches instead: every
+// member of a cohort receives the same prebuilt message — the cohort's
+// per-unit split — and scales it by its own queued demand, so the phase
+// costs |K| marshals + |C| sends rather than |C| marshals. Every push
+// names the replicas by the round's roster hash (the short form); a client
+// that does not hold that roster answers with a miss and is sent the full
+// form, which lists it, in the same fan-out slot. Client failures never
+// abort a round: the other clients' allocations stand, and
+// client.allocation.pull is the recovery path.
 func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 	clients, roster := a.full.spec.ClientAddrs, addrsOf(a.full.infos)
-	tell := make([]int, 0, len(clients))
-	for i := range clients {
-		moved := a.kind != kindIncremental || a.inc.prev[i] == nil
-		if !moved {
-			tol := r.cfg.DeltaEps * math.Max(a.full.prob.Demands[i], 1e-12)
-			for j, v := range a.x[i] {
-				if math.Abs(v-a.inc.prev[i][j]) > tol {
-					moved = true
-					break
+	var tell []int
+	if a.kind != kindIncremental {
+		tell = allRows(len(clients))
+	} else {
+		tell = make([]int, 0, len(a.inc.changed))
+		for _, i := range a.inc.changed {
+			moved := a.inc.prev[i] == nil
+			if !moved {
+				tol := r.cfg.DeltaEps * math.Max(a.full.prob.Demands[i], 1e-12)
+				for j, v := range a.x[i] {
+					if math.Abs(v-a.inc.prev[i][j]) > tol {
+						moved = true
+						break
+					}
 				}
 			}
-		}
-		if moved {
-			tell = append(tell, i)
+			if moved {
+				tell = append(tell, i)
+			}
 		}
 	}
 	a.suppressed = len(clients) - len(tell)
@@ -777,6 +790,15 @@ func (r *ReplicaServer) notify(ctx context.Context, a *attempt) {
 		r.push(ctx, clients[i], message(MsgAllocation, a.x[i], false), func() transport.Message { return message(MsgAllocation, a.x[i], true) })
 		return nil
 	})
+}
+
+// allRows lists the rows 0..n-1.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 // push sends a client its allocation in the short form and, when the

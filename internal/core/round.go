@@ -30,7 +30,10 @@ type RoundReport struct {
 	// column/row order.
 	ReplicaAddrs []string `json:"replica_addrs"`
 	ClientAddrs  []string `json:"client_addrs"`
-	// Assignment is the final load split (clients × replicas).
+	// Assignment is the final load split (clients × replicas). Its rows
+	// are never written after commit, and consecutive reports may share
+	// them: a quiet round reuses every row it did not change. Copy a row
+	// before changing it.
 	Assignment [][]float64 `json:"assignment"`
 	// Objective is the total energy cost of the assignment.
 	Objective float64 `json:"objective"`

@@ -140,7 +140,8 @@ func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
 		}
 	}
 
-	if v := prob.Violation(x); v > 1e-6 {
+	// A NaN violation compares false against everything: it must fail.
+	if v := prob.Violation(x); !(v <= 1e-6) {
 		return nil, fmt.Errorf("donar: final assignment violates constraints by %g", v)
 	}
 	res.Assignment = x

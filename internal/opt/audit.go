@@ -30,22 +30,35 @@ func (p *Problem) Audit(x [][]float64) Audit {
 // negativity (−p)₊, mass off the latency mask |p|, and demand error
 // |Σ_n p_{c,n} − R_c|. Loads accumulate row by row from zero and row sums
 // entry by entry, as ColSums, RowSums and model.System.TotalCost do, so
-// every sum is theirs bit for bit; the worst is a maximum, and math.Max is
-// order-independent, so it is too.
+// every sum is theirs bit for bit. The worst folds its candidates with
+// plain comparisons yet returns exactly what a math.Max fold would, which
+// is order-independent: +Inf if any candidate is +Inf, else NaN if any is
+// NaN, else the largest. A NaN entry makes its row sum NaN, so the
+// row-sum candidate alone is watched for NaN.
 func (p *Problem) scan(x [][]float64) (loads []float64, worst float64) {
 	loads = make([]float64, p.N())
 	mask := p.Allowed()
+	nan := false
 	for c, row := range x {
-		sum := 0.0
+		sum, allowed := 0.0, mask[c]
 		for n, v := range row {
 			sum += v
 			loads[n] += v
-			worst = math.Max(worst, -v)
-			if !mask[c][n] {
-				worst = math.Max(worst, math.Abs(v))
+			if -v > worst {
+				worst = -v
+			}
+			if !allowed[n] && math.Abs(v) > worst {
+				worst = math.Abs(v)
 			}
 		}
-		worst = math.Max(worst, math.Abs(sum-p.Demands[c]))
+		if e := math.Abs(sum - p.Demands[c]); e > worst {
+			worst = e
+		} else if e != e {
+			nan = true
+		}
+	}
+	if nan && !math.IsInf(worst, 1) {
+		worst = math.NaN()
 	}
 	return loads, worst
 }
@@ -107,13 +120,15 @@ func (p *Problem) stationarityGap(x [][]float64, marginal []float64, unsat []boo
 	for c, row := range x {
 		maxUsed := math.Inf(-1)
 		minFree := math.Inf(1)
-		used := tiny * math.Max(1, p.Demands[c])
+		used := tiny * max(1, p.Demands[c])
+		allowed := mask[c]
 		for j, v := range row {
-			if v > used && marginal[j] > maxUsed {
-				maxUsed = marginal[j]
+			m := marginal[j]
+			if v > used && m > maxUsed {
+				maxUsed = m
 			}
-			if mask[c][j] && unsat[j] && marginal[j] < minFree {
-				minFree = marginal[j]
+			if allowed[j] && unsat[j] && m < minFree {
+				minFree = m
 			}
 		}
 		if diff := maxUsed - minFree; diff > 0 && !math.IsInf(maxUsed, -1) && !math.IsInf(minFree, 1) {

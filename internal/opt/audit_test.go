@@ -117,3 +117,39 @@ func FuzzAudit(f *testing.F) {
 		}
 	})
 }
+
+// auditSink keeps BenchmarkAudit's result live.
+var auditSink Audit
+
+// BenchmarkAudit times one audit of a quiet round's merged matrix at fleet
+// scale: 10 000 clients over 10 replicas, each client reaching a rotating
+// half of them and splitting its demand evenly over that half.
+func BenchmarkAudit(b *testing.B) {
+	const clients, replicas = 10000, 10
+	r := sim.NewRand(1)
+	prices := make([]float64, replicas)
+	for j := range prices {
+		prices[j] = r.Range(1, 20)
+	}
+	demands := make([]float64, clients)
+	for i := range demands {
+		demands[i] = r.Range(0.005, 0.05)
+	}
+	p := testProblem(b, prices, demands)
+	for c := range p.Latency {
+		for n := range p.Latency[c] {
+			if (n-c%replicas+replicas)%replicas >= replicas/2 {
+				p.Latency[c][n] = 0.005 // beyond the bound
+			}
+		}
+	}
+	x, err := p.UniformStart()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		auditSink = p.Audit(x)
+	}
+}
