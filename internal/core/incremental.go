@@ -35,14 +35,18 @@ type incrementalPlan struct {
 	changed []int
 	// prev[i] is client i's committed row, unrescaled (nil for clients with
 	// no history) — the reference the change-suppressed notify fan-out
-	// compares against. Read-only: the rows are the committed round's own.
+	// compares against. Read-only: the rows are the committed round's own,
+	// and under the identity row map prev is the committed assignment
+	// itself.
 	prev [][]float64
 	// instPrev[i] is client i's row of the *installed* assignment — the
 	// values replicas actually hold under lg.installedRound, which the delta
 	// install diffs against. Equal to prev except after clean commits (which
-	// rescale without installing), and read-only like it.
+	// rescale without installing), and read-only like it: under the
+	// identity row map it is the committed installed array itself.
 	instPrev [][]float64
-	// rowMap[i] is client i's committed row (−1 for a newcomer); departed
+	// rowMap[i] is client i's committed row (−1 for a newcomer), nil when
+	// the clients are the committed ones in the same order; departed
 	// lists, ascending, the committed clients absent from this round: the
 	// delta install must remove them from the base plan.
 	rowMap   []int
@@ -77,20 +81,23 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 	if lg == nil || lg.prob == nil {
 		return nil
 	}
-	if len(lg.infos) != len(infos) {
+	if !sameRoster(infos, lg.infos) {
 		r.registry.Reset()
 		return nil
 	}
 	colMap := make([]int, len(infos))
-	for j, info := range infos {
-		if info.Addr != lg.infos[j].Addr {
-			r.registry.Reset()
-			return nil
-		}
+	for j := range colMap {
 		colMap[j] = j
 	}
-	var gone []int
-	rowMap := align(in.spec.ClientAddrs, lg.clientAddrs, &gone)
+	// An instance that shares the committed addresses (instantiate) has the
+	// committed clients in the same order: its row map is the identity.
+	var gone, rowMap []int
+	if addrs := in.spec.ClientAddrs; len(addrs) != len(lg.clientAddrs) || &addrs[0] != &lg.clientAddrs[0] {
+		rowMap = align(addrs, lg.clientAddrs, &gone)
+		if len(gone) == 0 && len(rowMap) == len(lg.clientAddrs) {
+			rowMap = nil // every committed client, none new: the identity
+		}
+	}
 	delta, err := opt.DiffRounds(lg.prob, prob, rowMap, colMap, r.cfg.DeltaEps)
 	if err != nil {
 		return nil
@@ -116,7 +123,7 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 	plan := &incrementalPlan{
 		delta:    delta,
 		base:     make([][]float64, len(requests)),
-		prev:     make([][]float64, len(requests)),
+		prev:     lg.assignment,
 		rowMap:   rowMap,
 		frozen:   make([]float64, n),
 		residual: make([]float64, n),
@@ -127,20 +134,26 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 	}
 	haveInstall := lg.installedRound > 0 && len(lg.installed) == len(lg.clientAddrs)
 	if haveInstall {
-		plan.instPrev = make([][]float64, len(requests))
+		plan.instPrev = lg.installed
 	}
-	for i, pr := range rowMap {
-		if pr < 0 {
-			continue
-		}
-		plan.prev[i] = lg.assignment[pr]
+	if rowMap != nil {
+		plan.prev = make([][]float64, len(requests))
 		if haveInstall {
-			plan.instPrev[i] = lg.installed[pr]
+			plan.instPrev = make([][]float64, len(requests))
+		}
+		for i, pr := range rowMap {
+			if pr < 0 {
+				continue
+			}
+			plan.prev[i] = lg.assignment[pr]
+			if haveInstall {
+				plan.instPrev[i] = lg.installed[pr]
+			}
 		}
 	}
 	var rescaled []int
 	for _, i := range delta.CleanClients {
-		dOld := lg.prob.Demands[rowMap[i]]
+		dOld := lg.prob.Demands[plan.committedRow(i)]
 		if dOld <= 0 {
 			// A clean client with zero historical demand cannot be
 			// rescaled onto its new demand; admission guarantees positive
@@ -205,6 +218,14 @@ func vacated(lg *lastGoodRound, gone []int, eps float64) []bool {
 	return cols
 }
 
+// committedRow is client i's committed row (−1 for a newcomer).
+func (p *incrementalPlan) committedRow(i int) int {
+	if p.rowMap == nil {
+		return i
+	}
+	return p.rowMap[i]
+}
+
 // mus is the committed duals row-aligned with this round (nil when the
 // committed round reported none). While the row set is the committed one
 // that is the committed vector itself, which the caller may overlay in
@@ -216,7 +237,7 @@ func (p *incrementalPlan) mus() []float64 {
 		return nil
 	}
 	// No committed row departed and none joined: the rows are the same.
-	if len(p.departed) == 0 && len(p.rowMap) == len(old) {
+	if p.rowMap == nil {
 		return old
 	}
 	mus := make([]float64, len(p.rowMap))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"edr/internal/cohort"
@@ -39,12 +40,14 @@ const (
 // × infos stated as a RoundSpec (rows in request order, columns in info
 // order) and the opt.Problem it describes. Requests ascend strictly by
 // client address and infos by replica address, so every per-client or
-// per-replica join on the round path is a merge of sorted lists.
+// per-replica join on the round path is a merge of sorted lists. lats[i]
+// is the latency list row i's feasibility row was built from.
 type instance struct {
 	requests []*RequestBody
 	infos    []ReplicaInfo
 	spec     *RoundSpec
 	prob     *opt.Problem
+	lats     [][]Latency
 }
 
 // addrsOf lists the replicas' addresses in column order.
@@ -54,6 +57,12 @@ func addrsOf(infos []ReplicaInfo) []string {
 		addrs[j] = info.Addr
 	}
 	return addrs
+}
+
+// sameRoster reports whether a and b list the same replicas in the same
+// order.
+func sameRoster(a, b []ReplicaInfo) bool {
+	return slices.EqualFunc(a, b, func(x, y ReplicaInfo) bool { return x.Addr == y.Addr })
 }
 
 // attempt is the state of one pass over the stage sequence. RunRound fills
@@ -252,35 +261,100 @@ func (r *ReplicaServer) build(a *attempt) error {
 	return r.instantiate(a.round, &a.full)
 }
 
-// instantiate fills in.spec and in.prob from in.requests × in.infos: each
-// request's latency list is merged with the infos, both ascending by
-// replica address, into one row of the feasibility mask, carved from one
-// backing array; a replica the client did not measure, or measured beyond
-// the bound, is not a candidate. No latency value goes further.
+// instantiate states the round's full instance (see state), reusing what
+// the committed round built.
 func (r *ReplicaServer) instantiate(round int, in *instance) error {
+	return in.state(round, r.committed(), r.cfg.MaxLatencySec)
+}
+
+// state fills in.spec, in.prob and in.lats from in.requests × in.infos:
+// each request's latency list is merged with the infos, both ascending by
+// replica address, into one row of the feasibility mask; a replica the
+// client did not measure, or measured beyond maxLatency, is not a
+// candidate. No latency value goes further.
+//
+// A row whose request carries the very list the committed round (lg, nil
+// for none) built its row from — what a handle-form resubmission resolves
+// to, and stored lists are never modified — over the same roster is that
+// committed mask row, shared; the other rows are carved from one backing
+// array. When every row is shared and the client roster is the committed
+// one, the instance also shares the committed addresses, mask and sparsity
+// view, and allocates only its demands.
+func (in *instance) state(round int, lg *lastGoodRound, maxLatency float64) error {
 	for j := 1; j < len(in.infos); j++ {
 		if in.infos[j].Addr <= in.infos[j-1].Addr {
 			return fmt.Errorf("core: round %d: replica %s does not ascend past %s", round, in.infos[j].Addr, in.infos[j-1].Addr)
 		}
 	}
 	c, n := len(in.requests), len(in.infos)
-	in.spec = &RoundSpec{
-		Round:       round,
-		Replicas:    in.infos,
-		ClientAddrs: make([]string, c),
-		Demands:     make([]float64, c),
-		Feasible:    make([][]bool, c),
+	in.spec = &RoundSpec{Round: round, Replicas: in.infos, Demands: make([]float64, c)}
+	// old, oldAddrs and oldLats are the committed rows, when they were built
+	// over this roster.
+	var (
+		old      [][]bool
+		oldAddrs []string
+		oldLats  [][]Latency
+	)
+	if lg != nil && lg.lats != nil && sameRoster(in.infos, lg.infos) {
+		old, oldAddrs, oldLats = lg.prob.Allowed(), lg.clientAddrs, lg.lats
 	}
-	cells := make([]bool, c*n)
+	// identical holds while every row so far is the committed row of the
+	// same index; the per-row arrays are allocated, holding the rows so
+	// far, once it fails.
+	identical, fresh, o := old != nil && len(oldAddrs) == c, 0, 0
+	split := func(i int) {
+		identical = false
+		in.spec.ClientAddrs = append(make([]string, 0, c), oldAddrs[:i]...)[:c]
+		in.spec.Feasible = append(make([][]bool, 0, c), old[:i]...)[:c]
+		in.lats = append(make([][]Latency, 0, c), oldLats[:i]...)[:c]
+	}
+	if !identical {
+		split(0)
+	}
 	for i, req := range in.requests {
-		in.spec.ClientAddrs[i], in.spec.Demands[i] = req.ClientAddr, req.DemandMB
-		row, lat := cells[i*n:(i+1)*n:(i+1)*n], req.LatencySec
+		in.spec.Demands[i] = req.DemandMB
+		for o < len(oldAddrs) && oldAddrs[o] < req.ClientAddr {
+			o++
+		}
+		var row []bool
+		if o < len(oldAddrs) && oldAddrs[o] == req.ClientAddr {
+			if lat := oldLats[o]; len(lat) > 0 && len(lat) == len(req.LatencySec) && &lat[0] == &req.LatencySec[0] {
+				row = old[o]
+			}
+			o++
+		}
+		if identical && (row == nil || o-1 != i) {
+			split(i)
+		}
+		if !identical {
+			in.spec.ClientAddrs[i], in.spec.Feasible[i], in.lats[i] = req.ClientAddr, row, req.LatencySec
+			if row == nil {
+				fresh++
+			}
+		}
+	}
+	if identical {
+		in.spec.ClientAddrs, in.spec.Feasible, in.lats = oldAddrs, old, oldLats
+		var err error
+		if in.prob, err = specProblem(in.spec); err == nil {
+			// The committed sparsity view indexes this very mask.
+			in.prob.PrimeMask(old, lg.prob.Sparsity())
+		}
+		return err
+	}
+	cells := make([]bool, fresh*n)
+	for i, req := range in.requests {
+		if in.spec.Feasible[i] != nil {
+			continue
+		}
+		row, lat := cells[:n:n], req.LatencySec
+		cells = cells[n:]
 		in.spec.Feasible[i] = row
 		for j, info := range in.infos {
 			// Mostly the lists match entry for entry, so test equality first.
 			for len(lat) > 0 {
 				if lat[0].Replica == info.Addr {
-					row[j], lat = lat[0].Sec <= r.cfg.MaxLatencySec, lat[1:]
+					row[j], lat = lat[0].Sec <= maxLatency, lat[1:]
 					break
 				}
 				if lat[0].Replica > info.Addr {
@@ -335,7 +409,7 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 			info.Bandwidth, info.BaseMB = a.inc.residual[j], a.inc.frozen[j]
 			a.sub.infos[j] = info
 		}
-		if err := r.instantiate(a.round, &a.sub); err != nil {
+		if err := a.sub.state(a.round, nil, r.cfg.MaxLatencySec); err != nil {
 			return err
 		}
 		a.solveSpec, a.solveProb = a.sub.spec, a.sub.prob
@@ -381,7 +455,18 @@ func (r *ReplicaServer) warm(a *attempt) {
 		a.x, _ = r.warmStart(&a.full)
 		return
 	}
-	warm, mu := r.warmStart(&a.sub)
+	var warm [][]float64
+	var mu []float64
+	if a.kind == kindIncremental {
+		// The plan already knows each dirty row's committed row.
+		rows := make([]int, len(a.sub.requests))
+		for idx := range rows {
+			rows[idx] = a.inc.committedRow(a.row(idx))
+		}
+		warm, mu = r.warmFrom(a.inc.lg, &a.sub, rows)
+	} else {
+		warm, mu = r.warmStart(&a.sub)
+	}
 	a.warm, a.warmMu = nil, mu
 	sp := a.solveProb.Sparsity()
 	switch g := a.grouping; {
@@ -409,8 +494,13 @@ func (r *ReplicaServer) warmStart(in *instance) ([][]float64, []float64) {
 	if lg == nil {
 		return nil, nil
 	}
+	return r.warmFrom(lg, in, align(in.spec.ClientAddrs, lg.clientAddrs, nil))
+}
+
+// warmFrom is warmStart from the committed round lg, with rowMap[i] the
+// committed row of the instance's row i (−1 for none).
+func (r *ReplicaServer) warmFrom(lg *lastGoodRound, in *instance, rowMap []int) ([][]float64, []float64) {
 	colMap := align(addrsOf(in.infos), addrsOf(lg.infos), nil)
-	rowMap := align(in.spec.ClientAddrs, lg.clientAddrs, nil)
 	// Pooled scratch: Renormalize allocates its own output, so weights is
 	// dead once it returns.
 	weights := r.pool.Matrix(len(in.requests), len(in.infos))
@@ -864,6 +954,7 @@ func (r *ReplicaServer) commit(a *attempt) *RoundReport {
 		round:          a.round,
 		infos:          a.full.infos,
 		clientAddrs:    report.ClientAddrs,
+		lats:           a.full.lats,
 		assignment:     a.x,
 		mus:            a.mus,
 		prob:           a.full.prob,

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"testing"
 
 	"edr/internal/model"
+	"edr/internal/sim"
 	"edr/internal/transport"
 )
 
@@ -18,6 +20,19 @@ var planFuzzClients, planFuzzAbsent = func() ([]string, []string) {
 	}
 	return names, []string{"", "a", "c", "c05x", "c99", "zz"}
 }()
+
+// entries lists the plan's entries in order: nil for no plan, empty for
+// an installed plan that serves no client.
+func (p *servingPlan) entries() []ClientMB {
+	if p == nil {
+		return nil
+	}
+	out := []ClientMB{}
+	for _, chunk := range p.chunks {
+		out = append(out, chunk...)
+	}
+	return out
+}
 
 // fuzzInput hands out a fuzz input a byte at a time, zeros once spent.
 type fuzzInput []byte
@@ -189,7 +204,7 @@ func FuzzPlanInstall(f *testing.F) {
 				}
 			}
 			rs.mu.Lock()
-			plan := rs.rounds[round].plan
+			plan := rs.rounds[round].plan.entries()
 			rs.mu.Unlock()
 			if (plan == nil) != (want == nil) || len(plan) != len(want) {
 				t.Fatalf("round %d: plan of %d entries (nil %v), the oracle has %d (nil %v)", round, len(plan), plan == nil, len(want), want == nil)
@@ -201,4 +216,133 @@ func FuzzPlanInstall(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Delta installs copy only the chunks of a serving plan their updates fall
+// in and share the rest with their base, so a newer install must never
+// change an older round's plan. A seeded chain grows plans across many
+// chunks — runs of new clients that split a chunk, removals that empty
+// one, deltas against any earlier round, full installs between — and after
+// every install checks Plan for every round so far against that round's
+// oracle, and every plan's chunks: none empty, none longer than
+// 2·planChunk, entries positive and ascending across them.
+func TestPlanInstallsKeepEveryRound(t *testing.T) {
+	rs, err := NewReplicaServer(transport.NewInProcNetwork(), "replica", nil, ReplicaConfig{Replica: model.NewReplica("replica", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	names := make([]string, 600)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%03d", i)
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		r := sim.NewRand(seed)
+		rs.mu.Lock()
+		rs.rounds, rs.roundOrder = map[int]*roundState{}, nil
+		rs.mu.Unlock()
+		oracles := []map[string]float64{nil}
+		install := func(body AssignBody, want map[string]float64) {
+			t.Helper()
+			msg, err := transport.NewMessage(MsgAssign, "test", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs.mu.Lock()
+			rs.rounds[body.Round] = &roundState{}
+			rs.mu.Unlock()
+			if _, err := rs.handle(context.Background(), msg); err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, body.Round, err)
+			}
+			oracles = append(oracles, want)
+			for round, want := range oracles[1:] {
+				round++
+				for _, c := range names {
+					if got := rs.Plan(round, c); got != want[c] {
+						t.Fatalf("seed %d: after installing round %d, Plan(%d, %q) = %g, the oracle says %g", seed, body.Round, round, c, got, want[c])
+					}
+				}
+				rs.mu.Lock()
+				plan := rs.rounds[round].plan
+				rs.mu.Unlock()
+				last := ""
+				for _, chunk := range plan.chunks {
+					if len(chunk) == 0 || len(chunk) > 2*planChunk {
+						t.Fatalf("seed %d round %d: a chunk of %d entries", seed, round, len(chunk))
+					}
+					for _, e := range chunk {
+						if !(e.MB > 0) || e.Client <= last {
+							t.Fatalf("seed %d round %d: entry %v after %q", seed, round, e, last)
+						}
+						last = e.Client
+					}
+				}
+			}
+		}
+		full := func(density float64) {
+			want := map[string]float64{}
+			body := AssignBody{Round: len(oracles)}
+			for _, c := range names {
+				if r.Float64() < density {
+					mb := r.Range(0.5, 5)
+					body.Updates = append(body.Updates, ClientMB{c, mb})
+					want[c] = mb
+				}
+			}
+			install(body, want)
+		}
+		full(0.4)
+		full(0) // the empty plan, which deltas may build on too
+		for op := 0; op < 40; op++ {
+			if op%13 == 12 {
+				full(0.4)
+				continue
+			}
+			base := 1 + r.Intn(len(oracles)-1)
+			want := maps.Clone(oracles[base])
+			body := AssignBody{Round: len(oracles), BaseRound: base}
+			// A run of consecutive clients, every one set or removed, and a
+			// few scattered updates.
+			from, run := r.Intn(len(names)), planChunk+r.Intn(3*planChunk)
+			for i, c := range names {
+				inRun := i >= from && i < from+run
+				if !inRun && r.Float64() > 0.01 {
+					continue
+				}
+				mb := r.Range(-2, 5)
+				if inRun {
+					// Runs alternately fill (splitting the chunks they grow)
+					// and remove (emptying chunks).
+					mb = float64(op%2) * r.Range(0.5, 5)
+				}
+				body.Updates = append(body.Updates, ClientMB{c, mb})
+				if mb > 0 {
+					want[c] = mb
+				} else {
+					delete(want, c)
+				}
+			}
+			install(body, want)
+		}
+	}
+}
+
+// A delta install of one entry copies one chunk and shares every other
+// with its base.
+func TestPlanDeltaSharesUntouchedChunks(t *testing.T) {
+	var updates []ClientMB
+	for i := 0; i < 10*planChunk; i++ {
+		updates = append(updates, ClientMB{fmt.Sprintf("c%04d", i), 1})
+	}
+	base := new(servingPlan)
+	base.carve(updates)
+	next := base.apply([]ClientMB{{fmt.Sprintf("c%04d", 3*planChunk+1), 2}})
+	if len(next.chunks) != len(base.chunks) {
+		t.Fatalf("%d chunks after a one-entry delta, %d before", len(next.chunks), len(base.chunks))
+	}
+	for k := range base.chunks {
+		if shared := &next.chunks[k][0] == &base.chunks[k][0]; shared == (k == 3) {
+			t.Fatalf("chunk %d shared %v", k, shared)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -161,7 +162,7 @@ func installedPlan(rs *ReplicaServer, round int) ([]ClientMB, bool) {
 	if !ok || st.plan == nil {
 		return nil, false
 	}
-	return st.plan, true
+	return st.plan.entries(), true
 }
 
 // A round in which clients only left must re-optimize the survivors: the
@@ -318,19 +319,25 @@ func TestIncrementalChainReusesAudit(t *testing.T) {
 // regions, each reaching a rotating half of ten replicas, with 100
 // clients' demands drifting ±20 % per op and every client resubmitting.
 // The queue is refilled outside the timer, so ns/op and allocs/op are the
-// round itself. Each case replaces a share of the clients per op with
+// round itself. Each new= case replaces a share of the clients per op with
 // clients absent from the committed roster: at 0 % the round is the quiet
 // one (drain, diff, dirty-subset solve, gate, delta install, suppressed
 // notifies), and the churned cases measure a drain whose queue the roster
-// describes only in part, or not at all.
+// describes only in part, or not at all. The clients= cases are the quiet
+// round at a quarter and at twice the fleet, still with 100 drifting
+// clients: how a quiet round's cost grows with the clients that did not
+// move.
 func BenchmarkQuietRound(b *testing.B) {
 	for _, joined := range []int{0, 5000, 10000} {
-		b.Run(fmt.Sprintf("new=%d%%", joined/100), func(b *testing.B) { benchQuietRound(b, joined) })
+		b.Run(fmt.Sprintf("new=%d%%", joined/100), func(b *testing.B) { benchQuietRound(b, 10000, joined) })
+	}
+	for _, clients := range []int{2500, 20000} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) { benchQuietRound(b, clients, 0) })
 	}
 }
 
-func benchQuietRound(b *testing.B, joined int) {
-	const nClients, regions, drifted = 10000, 10, 100
+func benchQuietRound(b *testing.B, nClients, joined int) {
+	const regions, drifted = 10, 100
 	prices := []float64{3, 7, 12, 5, 9, 2, 14, 6, 11, 4}
 	inproc := transport.NewInProcNetwork()
 	f := newFleetOn(b, inproc, inproc, prices, nClients+joined, LDDM, func(_ int, cfg *ReplicaConfig) {
@@ -530,11 +537,27 @@ func TestQuietRoundGolden(t *testing.T) {
 	}
 }
 
+// installedChunks deep-copies the chunks of the serving plan rs installed
+// for round (nil when it holds none).
+func installedChunks(rs *ReplicaServer, round int) [][]ClientMB {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	st, ok := rs.rounds[round]
+	if !ok || st.plan == nil {
+		return nil
+	}
+	out := [][]ClientMB{}
+	for _, chunk := range st.plan.chunks {
+		out = append(out, slices.Clone(chunk))
+	}
+	return out
+}
+
 // A committed assignment's rows are never written after commit, though
 // consecutive rounds share the rows a quiet round did not change: after
 // the quiet chain and a degraded round, every report's Assignment and
-// every plan a replica installed must read exactly as it did when its
-// round returned.
+// every plan a replica installed — chunk by chunk, deep-copied as its
+// round returned — must read exactly as it did when its round returned.
 func TestCommittedRowsNeverChange(t *testing.T) {
 	inproc := transport.NewInProcNetwork()
 	net := transport.NewFaultyNetwork(inproc, 1)
@@ -545,7 +568,7 @@ func TestCommittedRowsNeverChange(t *testing.T) {
 	type snapshot struct {
 		report     *RoundReport
 		assignment [][]float64
-		plans      [][]ClientMB // per replica; nil where none is held
+		plans      [][][]ClientMB // per replica, its chunks; nil where none is held
 	}
 	var kept []snapshot
 	shared := 0
@@ -555,8 +578,7 @@ func TestCommittedRowsNeverChange(t *testing.T) {
 			s.assignment[i] = slices.Clone(row)
 		}
 		for _, rs := range f.replicas {
-			plan, _ := installedPlan(rs, report.Round)
-			s.plans = append(s.plans, slices.Clone(plan))
+			s.plans = append(s.plans, installedChunks(rs, report.Round))
 		}
 		if len(kept) > 0 {
 			last := kept[len(kept)-1].report.Assignment
@@ -599,15 +621,131 @@ func TestCommittedRowsNeverChange(t *testing.T) {
 			}
 		}
 		for j, r := range f.replicas {
-			plan, ok := installedPlan(r, s.report.Round)
-			if !ok {
+			plan := installedChunks(r, s.report.Round)
+			if plan == nil {
 				continue // evicted, or never installed
 			}
-			if !slices.EqualFunc(plan, s.plans[j], func(a, b ClientMB) bool {
-				return a.Client == b.Client && math.Float64bits(a.MB) == math.Float64bits(b.MB)
+			if !slices.EqualFunc(plan, s.plans[j], func(a, b []ClientMB) bool {
+				return slices.EqualFunc(a, b, func(a, b ClientMB) bool {
+					return a.Client == b.Client && math.Float64bits(a.MB) == math.Float64bits(b.MB)
+				})
 			}) {
 				t.Fatalf("round %d: replica %s's plan reads %v, installed %v", s.report.Round, r.Addr(), plan, s.plans[j])
 			}
 		}
+	}
+}
+
+// A round shares a committed mask row only with a request that carries the
+// very latency list the row was built from. After a quiet round the
+// committed problem's mask rows, sparsity view and addresses are the very
+// objects of the round before. A client that re-sends its full form with a
+// latency now beyond T toward a replica serving it gets a fresh row, is
+// dirty, and is assigned nothing on that replica. A client that departs and
+// returns gets a fresh row too, though its list reads the same.
+func TestSharedMaskRowsNeverStale(t *testing.T) {
+	const nClients = 12
+	f := newFleetCfg(t, []float64{1, 10, 5, 3}, nClients, LDDM, func(_ int, cfg *ReplicaConfig) {
+		cfg.Incremental = true
+		cfg.CohortMinClients = 2
+	})
+	rs := f.replicas[0]
+	ctx := context.Background()
+	lats := make([]map[string]float64, nClients)
+	for i := range lats {
+		lats[i] = classLatencies(f, i)
+	}
+	demands := make([]float64, nClients)
+	for i := range demands {
+		demands[i] = 1 + float64(i%5)/2
+	}
+	round := func(away int) (*RoundReport, *lastGoodRound) {
+		t.Helper()
+		for i, cl := range f.clients {
+			if i == away {
+				continue
+			}
+			if err := cl.Submit(ctx, rs.Addr(), demands[i], lats[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report, err := rs.RunRound(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report, rs.committed()
+	}
+	// rowOf is client i's committed mask row, nil when lg lacks it.
+	rowOf := func(lg *lastGoodRound, i int) []bool {
+		k, ok := slices.BinarySearch(lg.clientAddrs, f.clients[i].Addr())
+		if !ok {
+			return nil
+		}
+		return lg.prob.Allowed()[k]
+	}
+	same := func(a, b []bool) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+	_, first := round(-1)
+	quiet, lg := round(-1)
+	if !quiet.Incremental || quiet.DirtyClients != 0 {
+		t.Fatalf("repeat round: incremental %v, dirty %d; want a clean commit", quiet.Incremental, quiet.DirtyClients)
+	}
+	if lg.prob.Sparsity() != first.prob.Sparsity() || &lg.clientAddrs[0] != &first.clientAddrs[0] {
+		t.Fatal("the quiet round rebuilt the committed sparsity view or addresses")
+	}
+	for i := range f.clients {
+		if !same(rowOf(lg, i), rowOf(first, i)) {
+			t.Fatalf("the quiet round rebuilt client %d's mask row", i)
+		}
+	}
+
+	// Client k re-sends in full: the replica serving it most is now beyond T.
+	k, j := -1, -1
+	for i, row := range lg.assignment {
+		if feasible := slices.Index(lg.prob.Allowed()[i], false); feasible >= 0 {
+			continue // keep k on three replicas at least
+		}
+		for col, v := range row {
+			if k < 0 || v > lg.assignment[k][j] {
+				k, j = i, col
+			}
+		}
+	}
+	if k < 0 || !(lg.assignment[k][j] > 0) {
+		t.Fatal("no client reaching every replica is served")
+	}
+	moved := maps.Clone(lats[k])
+	moved[f.replicas[j].Addr()] = 0.0050 // beyond T = 1.8 ms
+	lats[k] = moved
+	before := lg
+	report, lg := round(-1)
+	if !report.Incremental || report.DirtyClients == 0 {
+		t.Fatalf("round with a changed mask row: incremental %v, dirty %d; want dirty rows", report.Incremental, report.DirtyClients)
+	}
+	if row := rowOf(lg, k); same(row, rowOf(before, k)) || row[j] {
+		t.Fatalf("client %d's mask row after its full form: %v, shared %v", k, row, same(row, rowOf(before, k)))
+	}
+	if v := report.Assignment[k][j]; v != 0 {
+		t.Fatalf("client %d assigned %g MB on replica %d, now beyond T", k, v, j)
+	}
+	if v := f.replicas[j].Plan(report.Round, f.clients[k].Addr()); v != 0 {
+		t.Fatalf("replica %d installed %g MB for client %d, now beyond T", j, v, k)
+	}
+	for i := range f.clients {
+		if i != k && !same(rowOf(lg, i), rowOf(before, i)) {
+			t.Fatalf("client %d's unchanged mask row was rebuilt", i)
+		}
+	}
+
+	// Client m departs for a round and returns with the same list.
+	m := (k + 1) % nClients
+	before = lg
+	_, lg = round(m)
+	if rowOf(lg, m) != nil {
+		t.Fatalf("departed client %d holds a committed row", m)
+	}
+	_, lg = round(-1)
+	if row := rowOf(lg, m); row == nil || same(row, rowOf(before, m)) || !slices.Equal(row, rowOf(before, m)) {
+		t.Fatalf("returning client %d's mask row %v: shared with its old row %v", m, row, rowOf(before, m))
 	}
 }

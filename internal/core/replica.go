@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,7 +86,10 @@ type lastGoodRound struct {
 	round       int
 	infos       []ReplicaInfo
 	clientAddrs []string
-	assignment  [][]float64
+	// lats[i] is the latency list row i of prob's mask was built from: the
+	// next round shares that row with a request that carries the same list.
+	lats       [][]Latency
+	assignment [][]float64
 	// mus holds the round's final per-client dual values, aligned with
 	// clientAddrs, when the algorithm reported them (engine.DualReporter);
 	// the next warm start seeds the dual from here.
@@ -123,10 +127,9 @@ const roundStatesKept = 8
 type roundState struct {
 	eng *engine.ServerRound
 
-	// plan is the installed serving plan: the MB to serve each client with
-	// a positive share, in strictly ascending client order. Nil until the
-	// round's replica.assign arrives.
-	plan []ClientMB
+	// plan is the installed serving plan. Nil until the round's
+	// replica.assign arrives.
+	plan *servingPlan
 }
 
 // NewReplicaServer binds a replica server on the given network address.
@@ -678,7 +681,7 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 	if err != nil {
 		return transport.Message{}, err
 	}
-	plan := body.Updates
+	var plan *servingPlan
 	if body.BaseRound > 0 {
 		base, err := r.lookupRound(body.BaseRound)
 		if err != nil {
@@ -690,14 +693,90 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 		if basePlan == nil {
 			return transport.Message{}, fmt.Errorf("core: delta assign round %d: round %d has no installed plan", body.Round, body.BaseRound)
 		}
-		plan = applyUpdates(basePlan, body.Updates)
-	} else if plan == nil {
-		plan = []ClientMB{} // installed, serving no client
+		plan = basePlan.apply(body.Updates)
+	} else {
+		plan = new(servingPlan)
+		plan.carve(body.Updates)
 	}
 	r.mu.Lock()
 	st.plan = plan
 	r.mu.Unlock()
 	return r.newMessage(MsgAssign+".ack", nil)
+}
+
+// planChunk is how many entries a serving plan's chunk holds when it is
+// carved; a chunk a delta grows past twice that is carved again.
+const planChunk = 32
+
+// servingPlan is an installed serving plan: the MB to serve each client
+// with a positive share, in strictly ascending client order, held as
+// chunks that each ascend and that ascend one after another. No chunk is
+// empty, and none is written once installed: a delta install copies the
+// chunks its updates fall in and shares every other one with its base, so
+// the round states a replica keeps (roundStatesKept) hold one copy of what
+// their plans have in common.
+type servingPlan struct {
+	chunks [][]ClientMB
+}
+
+// carve appends entries, which ascend past the plan's last entry, as chunks
+// of planChunk entries that share entries' backing array; each chunk's
+// capacity ends at its length.
+func (p *servingPlan) carve(entries []ClientMB) {
+	for len(entries) > 0 {
+		n := min(planChunk, len(entries))
+		p.chunks = append(p.chunks, entries[:n:n])
+		entries = entries[n:]
+	}
+}
+
+// apply is a delta install: the plan with updates, which ascend by client,
+// merged in. A chunk owns the updates from its first client up to the next
+// chunk's first client (the first chunk also those before it, the last
+// those after it); a chunk that owns none is shared, the others are merged
+// with theirs (applyUpdates) and carved again when they outgrew
+// 2·planChunk. The receiver is only read.
+func (p *servingPlan) apply(updates []ClientMB) *servingPlan {
+	out := &servingPlan{chunks: make([][]ClientMB, 0, len(p.chunks)+len(updates)/planChunk+1)}
+	if len(p.chunks) == 0 {
+		out.carve(applyUpdates(nil, updates))
+		return out
+	}
+	for k, chunk := range p.chunks {
+		n := len(updates)
+		if k+1 < len(p.chunks) {
+			next := p.chunks[k+1][0].Client
+			for n = 0; n < len(updates) && updates[n].Client < next; n++ {
+			}
+		}
+		if n == 0 {
+			out.chunks = append(out.chunks, chunk)
+			continue
+		}
+		merged := applyUpdates(chunk, updates[:n])
+		updates = updates[n:]
+		if len(merged) > 2*planChunk {
+			out.carve(merged)
+		} else if len(merged) > 0 {
+			out.chunks = append(out.chunks, merged)
+		}
+	}
+	return out
+}
+
+// lookup is the MB the plan serves client (0 when none): a binary search
+// over the chunks' first clients, then one within the chunk.
+func (p *servingPlan) lookup(client string) float64 {
+	k := sort.Search(len(p.chunks), func(k int) bool { return p.chunks[k][0].Client > client }) - 1
+	if k < 0 {
+		return 0
+	}
+	chunk := p.chunks[k]
+	i, found := slices.BinarySearchFunc(chunk, client, func(e ClientMB, addr string) int { return strings.Compare(e.Client, addr) })
+	if !found {
+		return 0
+	}
+	return chunk[i].MB
 }
 
 // applyUpdates is a delta install: one merge of the base plan with the
@@ -730,14 +809,10 @@ func (r *ReplicaServer) Plan(round int, clientAddr string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st, ok := r.rounds[round]
-	if !ok {
+	if !ok || st.plan == nil {
 		return 0
 	}
-	k, found := slices.BinarySearchFunc(st.plan, clientAddr, func(e ClientMB, addr string) int { return strings.Compare(e.Client, addr) })
-	if !found {
-		return 0
-	}
-	return st.plan[k].MB
+	return st.plan.lookup(clientAddr)
 }
 
 // handleDownload serves the FileDownload role: synthetic payload bytes,

@@ -47,14 +47,20 @@ func (d *RoundDelta) Dirty() bool { return len(d.DirtyClients) > 0 }
 // one and returns the dirty sets.
 //
 // rowMap[c] gives the previous-round row index of next-round client c, or
-// −1 for a client with no previous row (new this round → dirty). colMap[n]
+// −1 for a client with no previous row (new this round → dirty); a nil
+// rowMap is the identity, which needs the same client count. colMap[n]
 // gives the previous-round column of next-round replica n; the replica
 // rosters must be identical up to permutation — membership changes are an
 // epoch change the caller handles by full solve, not a diff. eps is the
 // relative demand-drift threshold: client c is clean only while
-// |R_new − R_old| ≤ eps·max(R_old, R_new, tiny).
+// |R_new − R_old| ≤ eps·max(R_old, R_new, tiny). A feasibility row next
+// shares with prev (the same slice) is not compared when the column map is
+// the identity.
 func DiffRounds(prev, next *Problem, rowMap, colMap []int, eps float64) (*RoundDelta, error) {
-	if len(rowMap) != next.C() {
+	if rowMap == nil && next.C() != prev.C() {
+		return nil, fmt.Errorf("opt: DiffRounds identity rowMap for %d→%d clients", prev.C(), next.C())
+	}
+	if rowMap != nil && len(rowMap) != next.C() {
 		return nil, fmt.Errorf("opt: DiffRounds rowMap has %d entries for %d clients", len(rowMap), next.C())
 	}
 	if len(colMap) != next.N() || next.N() != prev.N() {
@@ -65,14 +71,20 @@ func DiffRounds(prev, next *Problem, rowMap, colMap []int, eps float64) (*RoundD
 		return nil, fmt.Errorf("opt: DiffRounds negative epsilon %g", eps)
 	}
 	seen := make([]bool, prev.N())
+	identCols := true
 	for n, pn := range colMap {
 		if pn < 0 || pn >= prev.N() || seen[pn] {
 			return nil, fmt.Errorf("opt: DiffRounds colMap[%d]=%d is not a permutation of the previous columns", n, pn)
 		}
 		seen[pn] = true
+		identCols = identCols && pn == n
 	}
 
 	d := &RoundDelta{}
+	if rowMap == nil {
+		// The steady state: most clients stay clean.
+		d.CleanClients = make([]int, 0, next.C())
+	}
 	dirtyRep := make([]bool, next.N())
 	for n := range dirtyRep {
 		a, b := next.System.Replicas[n], prev.System.Replicas[colMap[n]]
@@ -86,7 +98,10 @@ func DiffRounds(prev, next *Problem, rowMap, colMap []int, eps float64) (*RoundD
 	prevMask, nextMask := prev.Allowed(), next.Allowed()
 	const tiny = 1e-12
 	for c := 0; c < next.C(); c++ {
-		pc := rowMap[c]
+		pc := c
+		if rowMap != nil {
+			pc = rowMap[c]
+		}
 		if pc < 0 || pc >= prev.C() {
 			d.MaskChanged++
 			d.DirtyClients = append(d.DirtyClients, c)
@@ -100,10 +115,12 @@ func DiffRounds(prev, next *Problem, rowMap, colMap []int, eps float64) (*RoundD
 		}
 		row, prow := nextMask[c], prevMask[pc]
 		changed := false
-		for n, ok := range row {
-			if ok != prow[colMap[n]] {
-				changed = true
-				break
+		if !identCols || len(row) == 0 || &row[0] != &prow[0] {
+			for n, ok := range row {
+				if ok != prow[colMap[n]] {
+					changed = true
+					break
+				}
 			}
 		}
 		if changed {

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -143,5 +144,34 @@ func TestKKTGapRespectsSaturation(t *testing.T) {
 	}
 	if math.Signbit(KKTGap(p, x)) {
 		t.Fatal("gap must be non-negative")
+	}
+}
+
+// A nil row map is the identity: it classifies exactly as the explicit
+// one, and a mask row the next problem shares with the previous one is
+// clean unless its demand drifted. Client counts that differ refuse it.
+func TestDiffRoundsNilRowMapIsIdentity(t *testing.T) {
+	prev := testProblem(t, []float64{1, 5, 9}, []float64{10, 20, 30, 40})
+	next := testProblem(t, []float64{1, 5, 9}, []float64{10, 25, 30, 40})
+	next.Latency[2][0] = 0.005 // client 2 loses replica 0
+	mask := next.Allowed()
+	// Clients 0 and 1 share their previous rows.
+	shared := [][]bool{prev.Allowed()[0], prev.Allowed()[1], mask[2], mask[3]}
+	next.PrimeMask(shared, nil)
+	rowMap, colMap := identMaps(4, 3)
+	want, err := DiffRounds(prev, next, rowMap, colMap, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DiffRounds(prev, next, nil, colMap, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(got.DirtyClients) != "[1 2]" {
+		t.Fatalf("nil row map: %+v; explicit identity: %+v; want clients 1 and 2 dirty", got, want)
+	}
+	fewer := testProblem(t, []float64{1, 5, 9}, []float64{10, 20, 30})
+	if _, err := DiffRounds(prev, fewer, nil, colMap, 1e-3); err == nil {
+		t.Fatal("nil row map accepted across 4→3 clients")
 	}
 }

@@ -141,12 +141,11 @@ func TestWorldScheduleBadN(t *testing.T) {
 }
 
 func TestTariffDeterministicWithSim(t *testing.T) {
-	// Tariffs are pure functions of time; combined with the virtual clock
-	// they give reproducible dynamic-pricing rounds.
-	clock := sim.NewVirtualClock()
+	// Tariffs are pure functions of time; read at the simulator's fixed
+	// epoch they give reproducible dynamic-pricing rounds.
 	s := WorldSchedule(4)
-	a := s.PricesAt(clock.Now())
-	b := s.PricesAt(clock.Now())
+	a := s.PricesAt(sim.Epoch)
+	b := s.PricesAt(sim.Epoch)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same instant, different prices")
