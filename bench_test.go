@@ -488,7 +488,7 @@ func BenchmarkMatrixWireBytes(b *testing.B) {
 // BenchmarkWireCodec measures one frame round-trip of the TCP codec.
 func BenchmarkWireCodec(b *testing.B) {
 	payload := make([]float64, 96*3)
-	msg, err := transport.NewMessage("replica.solution", "replica1", payload)
+	msg, err := transport.NewMessage("replica.solution", "replica1", cdpsm.StepReply{Estimate: payload})
 	if err != nil {
 		b.Fatal(err)
 	}

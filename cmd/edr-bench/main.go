@@ -19,21 +19,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (table1, fig3..fig9) or 'all'")
-		seed    = flag.Uint64("seed", 2013, "base random seed (experiments are deterministic per seed)")
-		out     = flag.String("out", "", "directory to write CSV tables into (empty: don't write)")
-		list    = flag.Bool("list", false, "list available experiments and exit")
-		clients = flag.Int("clients", 0, "client-scale cohort demo: raw client count to aggregate and solve (e.g. 100000); 0 disables")
-		cohorts = flag.String("cohorts", "auto", "with -clients: 'auto' (group by feasibility mask) or 'off' (ungrouped solve)")
+		exp  = flag.String("exp", "all", "experiment id (table1, fig3..fig9) or 'all'")
+		seed = flag.Uint64("seed", 2013, "base random seed (experiments are deterministic per seed)")
+		out  = flag.String("out", "", "directory to write CSV tables into (empty: don't write)")
+		list = flag.Bool("list", false, "list available experiments and exit")
 	)
 	flag.Parse()
-
-	if *clients > 0 {
-		if err := runCohortScale(*clients, *cohorts, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.Registry() {

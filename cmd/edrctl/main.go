@@ -97,11 +97,10 @@ func runMembership(op membership.Op, args []string) error {
 	if err != nil {
 		return err
 	}
-	var reply membership.ProposeReply
-	if err := resp.DecodeBody(&reply); err != nil {
+	var e membership.Epoch
+	if err := resp.DecodeBody(&e); err != nil {
 		return err
 	}
-	e := reply.Epoch
 	fmt.Printf("epoch %d committed: %d members, active [%s]", e.Seq, len(e.Members), strings.Join(e.Active(), " "))
 	if len(e.Drained) > 0 {
 		fmt.Printf(", drained [%s]", strings.Join(e.Drained, " "))

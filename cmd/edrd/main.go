@@ -30,6 +30,7 @@ import (
 	"edr/internal/membership"
 	"edr/internal/model"
 	"edr/internal/telemetry"
+	"edr/internal/telemetry/admin"
 	"edr/internal/transport"
 )
 
@@ -52,7 +53,7 @@ func main() {
 		autoscale = flag.Bool("autoscale", false, "evaluate the energy-aware scale policy after every round this node initiates")
 		scaleLow  = flag.Float64("scale-low", 0, "utilization floor below which the fleet scales in (0 = default 0.30)")
 		scaleHigh = flag.Float64("scale-high", 0, "utilization ceiling above which the fleet scales out (0 = default 0.75)")
-		admin     = flag.String("admin", "", "admin-plane bind address (e.g. 127.0.0.1:9090); empty disables telemetry at zero cost")
+		adminAddr = flag.String("admin", "", "admin-plane bind address (e.g. 127.0.0.1:9090); empty disables telemetry at zero cost")
 		roundLog  = flag.Int("round-log", telemetry.DefaultRoundLog, "round reports retained for /debug/rounds")
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "ring heartbeat interval")
 		maxIters  = flag.Int("max-iters", 200, "distributed iteration bound per round")
@@ -125,7 +126,7 @@ func main() {
 		bus       *telemetry.Bus
 		collector *telemetry.Collector
 	)
-	if *admin != "" {
+	if *adminAddr != "" {
 		bus = telemetry.NewBus()
 		collector = telemetry.NewCollector(*roundLog)
 		collector.Attach(bus)
@@ -152,9 +153,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer server.Close()
-	if *admin != "" {
+	if *adminAddr != "" {
 		server.RegisterMetrics(collector.Registry)
-		adminSrv, err := telemetry.ServeAdmin(*admin, telemetry.AdminConfig{
+		adminSrv, err := admin.Serve(*adminAddr, admin.Config{
 			Registry: collector.Registry,
 			Status:   func() any { return server.Status() },
 			Rounds:   collector.Rounds,

@@ -29,6 +29,7 @@ import (
 	"edr/internal/core"
 	"edr/internal/model"
 	"edr/internal/telemetry"
+	"edr/internal/telemetry/admin"
 	"edr/internal/transport"
 )
 
@@ -72,7 +73,7 @@ func main() {
 		replicas = append(replicas, rs)
 	}
 	replicas[0].RegisterMetrics(collector.Registry)
-	admin, err := telemetry.ServeAdmin("127.0.0.1:0", telemetry.AdminConfig{
+	plane, err := admin.Serve("127.0.0.1:0", admin.Config{
 		Registry: collector.Registry,
 		Status:   func() any { return replicas[0].Status() },
 		Rounds:   collector.Rounds,
@@ -80,8 +81,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer admin.Close()
-	base := "http://" + admin.Addr()
+	defer plane.Close()
+	base := "http://" + plane.Addr()
 	fmt.Println("admin plane listening on", base)
 
 	ctx := context.Background()

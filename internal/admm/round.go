@@ -2,6 +2,7 @@ package admm
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"math"
 
@@ -118,7 +119,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 			// Proximal solves (parallel: disjoint z and target slices;
 			// served is frozen for the wave).
 			Verb: MsgProx,
-			Body: func(j int) any {
+			Body: func(j int) encoding.BinaryMarshaler {
 				lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
 				for s := lo; s < hi; s++ {
 					i := a.sp.RowIdx[s]
@@ -209,7 +210,7 @@ type serverState struct {
 // serverHalf answers MsgProx on a participant replica.
 type serverHalf struct{}
 
-func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (any, error) {
+func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (encoding.BinaryMarshaler, error) {
 	var body ProxBody
 	if err := req.Decode(&body); err != nil {
 		return nil, fmt.Errorf("admm: replica %s: %w", sr.Self, err)

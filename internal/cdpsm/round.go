@@ -2,6 +2,7 @@ package cdpsm
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"math"
 	"slices"
@@ -34,14 +35,14 @@ const (
 // the round's support: one value per allowed (client, replica) pair, in
 // opt.Sparsity CSR order.
 type StepBody struct {
-	Round int       `json:"round"`
-	Step  float64   `json:"step"`
-	Mean  []float64 `json:"mean"`
+	Round int
+	Step  float64
+	Mean  []float64
 }
 
 // StepReply carries the replica's new estimate, packed as StepBody.Mean.
 type StepReply struct {
-	Estimate []float64 `json:"estimate"`
+	Estimate []float64
 }
 
 func init() {
@@ -106,7 +107,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	a.moved = rd.Pool.Vector(n)
 	a.exchanges = []engine.Exchange{{
 		Verb: MsgStep,
-		Body: func(j int) any {
+		Body: func(j int) encoding.BinaryMarshaler {
 			average(a.means[j], a.ests, j)
 			return StepBody{Round: rd.Seq, Step: a.step, Mean: a.means[j]}
 		},
@@ -207,7 +208,7 @@ func checkEstimate(v []float64, nnz int) error {
 // function of the request alone: a replica keeps no CDPSM state.
 type serverHalf struct{}
 
-func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (any, error) {
+func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (encoding.BinaryMarshaler, error) {
 	next, err := step(req, sr)
 	if err != nil {
 		return nil, fmt.Errorf("cdpsm: replica %s: %w", sr.Self, err)

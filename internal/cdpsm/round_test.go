@@ -22,7 +22,7 @@ import (
 // decoded, as a faulty replica would send it.
 type poisonReply struct{ engine.Reply }
 
-func (r poisonReply) Decode(into any) error {
+func (r poisonReply) Decode(into encoding.BinaryUnmarshaler) error {
 	err := r.Reply.Decode(into)
 	if reply, ok := into.(*StepReply); ok && err == nil {
 		reply.Estimate = slices.Clone(reply.Estimate)
@@ -37,7 +37,7 @@ type poisonTransport struct {
 	bad string
 }
 
-func (p poisonTransport) Replica(ctx context.Context, addr, verb string, body any) (engine.Reply, error) {
+func (p poisonTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (engine.Reply, error) {
 	rep, err := p.lb.Replica(ctx, addr, verb, body)
 	if err == nil && addr == p.bad {
 		rep = poisonReply{rep}

@@ -334,12 +334,7 @@ func (c *Client) Download(ctx context.Context, alloc AllocationBody) (int, error
 				results <- result{err: fmt.Errorf("core: download from %s: %w", addr, err)}
 				return
 			}
-			var reply DownloadReply
-			if err := resp.DecodeBody(&reply); err != nil {
-				results <- result{err: err}
-				return
-			}
-			results <- result{n: len(reply.Payload)}
+			results <- result{n: len(resp.Body)}
 		}(alloc.Replicas[j], sizeMB)
 	}
 	total := 0

@@ -9,14 +9,12 @@ import (
 	"edr/internal/transport"
 )
 
-// Binary codecs for the runtime-owned bodies on a round's path: what a
-// client submits and is told (client.request and its ack, client.allocation,
-// client.allocation.cohort and the pull reply) and what the initiator
-// installs on the replicas (round.start, replica.assign). They are paid once
-// per client or per replica every round, so they are binary like the
-// iteration verbs; replica.info, the pull request, membership, ring and
-// download bodies are JSON. A body's type is its only codec
-// (transport.DecodeBody): a JSON body sent to one of these verbs is refused.
+// Binary codecs for the runtime-owned bodies: what a client submits and is
+// told (client.request and its ack, client.allocation,
+// client.allocation.cohort, the pull and its reply), what the initiator
+// gathers from and installs on the replicas (replica.info's answer,
+// round.start, replica.assign) and what a download asks for. The download's
+// reply is the payload's bytes, with no header.
 //
 // Layouts, all little-endian, written and read with transport.Writer and
 // transport.Reader (string = u16 length + bytes, strings = u32 count +
@@ -28,14 +26,16 @@ import (
 //	RequestBody     u32 Handle | f64 DemandMB                     (Handle ≠ 0)
 //	                u32 0 | string ClientAddr | f64 DemandMB | pairs LatencySec
 //	RequestAck      u32 Round | f64 QueuedMB | u32 Handle
-//	RoundSpec       u32 Round | u32 n, n × (string Addr | f64 Price Alpha
-//	                Beta Gamma Bandwidth BaseMB) | strings ClientAddrs |
+//	ReplicaInfo     string Addr | f64 Price Alpha Beta Gamma Bandwidth BaseMB
+//	RoundSpec       u32 Round | u32 n, n × ReplicaInfo | strings ClientAddrs |
 //	                floats Demands | bitmap Feasible (|C|·|N| cells, cell
 //	                k = (k/|N|, k%|N|))
 //	AssignBody      u32 Round | u32 BaseRound | pairs Updates
 //	AllocationBody  u32 Round | string Algorithm | u32 Iterations |
 //	                u64 Roster | strings Replicas | bitmap Columns (one
 //	                cell per roster entry) | floats Values
+//	PullBody        string ClientAddr
+//	DownloadBody    u32 Round | f64 SizeMB
 //
 // RoundSpec and AssignBody lead with their round id per the wire convention
 // (transport.BinaryRound). A pair list is written in ascending key order and
@@ -59,8 +59,7 @@ import (
 // value of 0 is no column. The pull reply is always the full form.
 //
 // A body has exactly one byte representation. A zero-length list or mask
-// decodes as nil, which is what JSON decodes an absent one to. A decoded
-// list's strings share one allocation.
+// decodes as nil. A decoded list's strings share one allocation.
 //
 // Decoders take hostile input: a claimed count is checked against the bytes
 // left before anything is allocated for it (a string costs at least 2 bytes,
@@ -70,6 +69,58 @@ import (
 
 // minReplicaInfoBytes is the size of a ReplicaInfo with an empty address.
 const minReplicaInfoBytes = 2 + 6*8
+
+// writeInfo writes one replica's parameters: replica.info's answer, and
+// each entry of a round spec's roster.
+func writeInfo(w *transport.Writer, info ReplicaInfo) {
+	w.Str(info.Addr)
+	w.F64(info.Price)
+	w.F64(info.Alpha)
+	w.F64(info.Beta)
+	w.F64(info.Gamma)
+	w.F64(info.Bandwidth)
+	w.F64(info.BaseMB)
+}
+
+// readInfo consumes what writeInfo writes.
+func readInfo(r *transport.Reader) ReplicaInfo {
+	return ReplicaInfo{
+		Addr:      r.Str(),
+		Price:     r.F64(),
+		Alpha:     r.F64(),
+		Beta:      r.F64(),
+		Gamma:     r.F64(),
+		Bandwidth: r.F64(),
+		BaseMB:    r.F64(),
+	}
+}
+
+func (info ReplicaInfo) MarshalBinary() ([]byte, error) {
+	return transport.Encode(minReplicaInfoBytes+len(info.Addr), func(w *transport.Writer) { writeInfo(w, info) })
+}
+
+func (info *ReplicaInfo) UnmarshalBinary(data []byte) error {
+	return transport.Decode(data, func(r *transport.Reader) { *info = readInfo(r) })
+}
+
+func (b PullBody) MarshalBinary() ([]byte, error) {
+	return transport.Encode(2+len(b.ClientAddr), func(w *transport.Writer) { w.Str(b.ClientAddr) })
+}
+
+func (b *PullBody) UnmarshalBinary(data []byte) error {
+	return transport.Decode(data, func(r *transport.Reader) { b.ClientAddr = r.Str() })
+}
+
+func (b DownloadBody) MarshalBinary() ([]byte, error) {
+	return transport.Encode(12, func(w *transport.Writer) {
+		w.U32(b.Round)
+		w.F64(b.SizeMB)
+	})
+}
+
+func (b *DownloadBody) UnmarshalBinary(data []byte) error {
+	return transport.Decode(data, func(r *transport.Reader) { *b = DownloadBody{Round: r.U32(), SizeMB: r.F64()} })
+}
 
 // writeMask writes m, which must have rows × cols cells, as a bitmap.
 func writeMask(w *transport.Writer, m [][]bool, rows, cols int) {
@@ -171,13 +222,7 @@ func (s RoundSpec) MarshalBinary() ([]byte, error) {
 	w.U32(s.Round)
 	w.U32(len(s.Replicas))
 	for _, info := range s.Replicas {
-		w.Str(info.Addr)
-		w.F64(info.Price)
-		w.F64(info.Alpha)
-		w.F64(info.Beta)
-		w.F64(info.Gamma)
-		w.F64(info.Bandwidth)
-		w.F64(info.BaseMB)
+		writeInfo(&w, info)
 	}
 	w.Strs(s.ClientAddrs)
 	w.Floats(s.Demands)
@@ -188,25 +233,7 @@ func (s RoundSpec) MarshalBinary() ([]byte, error) {
 func (s *RoundSpec) UnmarshalBinary(data []byte) error {
 	r := transport.NewReader(data)
 	s.Round = r.U32()
-	n := r.U32()
-	if r.Err() == nil && uint64(n)*minReplicaInfoBytes > uint64(r.Len()) {
-		r.Fail(fmt.Errorf("core: binary round spec claims %d replicas, %d bytes left", n, r.Len()))
-	}
-	s.Replicas = nil
-	if r.Err() == nil && n > 0 {
-		s.Replicas = make([]ReplicaInfo, n)
-	}
-	for j := range s.Replicas {
-		s.Replicas[j] = ReplicaInfo{
-			Addr:      r.Str(),
-			Price:     r.F64(),
-			Alpha:     r.F64(),
-			Beta:      r.F64(),
-			Gamma:     r.F64(),
-			Bandwidth: r.F64(),
-			BaseMB:    r.F64(),
-		}
-	}
+	s.Replicas = transport.ReadList(&r, minReplicaInfoBytes, readInfo)
 	s.ClientAddrs = r.Strs()
 	s.Demands = r.Floats()
 	if r.Err() == nil && len(s.Demands) != len(s.ClientAddrs) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"edr/internal/membership"
 	"edr/internal/opt"
 	"edr/internal/transport"
 )
@@ -20,12 +21,13 @@ type binaryBody interface {
 	encoding.BinaryUnmarshaler
 }
 
-// controlBodies lists one fresh value of every body codec.go covers, in the
-// order FuzzControlBodies numbers them.
+// controlBodies lists one fresh value of every body codec.go covers, and of
+// the membership bodies, in the order FuzzControlBodies numbers them.
 func controlBodies() []binaryBody {
 	return []binaryBody{
 		&RequestBody{}, &RequestAck{}, &RoundSpec{}, &AssignBody{},
-		&AllocationBody{},
+		&AllocationBody{}, &ReplicaInfo{}, &PullBody{}, &DownloadBody{},
+		&membership.Epoch{}, &membership.EpochAck{}, &membership.ProposeBody{},
 	}
 }
 
@@ -70,6 +72,20 @@ func codecCases() []binaryBody {
 		&AllocationBody{Round: 7, Replicas: []string{"r1", "r2"}, PerReplicaMB: []float64{7, 3}, Algorithm: "LDDM", Iterations: 200},
 		&AllocationBody{Round: 7, Algorithm: "CDPSM"}, // an absent client's pull reply
 		&AllocationBody{Round: 7, Algorithm: "ADMM", Iterations: 12, Replicas: []string{"r1", "r2", "r3"}, PerReplicaMB: []float64{0, 0.75, 0}},
+		&ReplicaInfo{},
+		&infos[0],
+		&infos[1],
+		&PullBody{},
+		&PullBody{ClientAddr: "127.0.0.1:40113"},
+		&DownloadBody{},
+		&DownloadBody{Round: 7, SizeMB: 12.5},
+		&membership.Epoch{},
+		&membership.Epoch{Seq: 3, Members: []string{"r1", "r2", "r3"}},
+		&membership.Epoch{Seq: 4, Members: []string{"r1", "r2", "r3"}, Drained: []string{"r2"}},
+		&membership.EpochAck{},
+		&membership.EpochAck{Seq: 4, Accepted: true},
+		&membership.ProposeBody{},
+		&membership.ProposeBody{Op: membership.OpDrain, Addr: "r2"},
 	}
 }
 
@@ -120,7 +136,7 @@ func TestControlCodecRoundTrip(t *testing.T) {
 // The routed bodies lead with their round id, so a dispatcher can read it
 // without decoding (transport.BinaryRound).
 func TestControlCodecRoundHeader(t *testing.T) {
-	for _, body := range []any{RoundSpec{Round: 77}, AssignBody{Round: 77, BaseRound: 3}} {
+	for _, body := range []encoding.BinaryMarshaler{RoundSpec{Round: 77}, AssignBody{Round: 77, BaseRound: 3}} {
 		msg, err := transport.NewMessage("x", "n", body)
 		if err != nil {
 			t.Fatal(err)
@@ -236,8 +252,9 @@ type hostileCase struct {
 // empty plan, and their refusals name the round. A request is one form or
 // the other, whole; a push's roster must ascend and hash to the roster it
 // names, its columns must fit that roster, with one value each, finite and
-// positive, and a short form names a roster no fresh decoder holds. No
-// body takes a byte past its last field, an ack or an install included.
+// positive, and a short form names a roster no fresh decoder holds. An
+// epoch ack's flag is 0 or 1. No body takes a byte past its last field, an
+// ack, an install, a download or an epoch included.
 func hostileCases() []hostileCase {
 	const huge = 1 << 30
 	// roster opens a spec of 3 clients × 1 replica: a 1-byte bitmap.
@@ -319,6 +336,19 @@ func hostileCases() []hostileCase {
 		{"allocation: one trailing byte", &AllocationBody{}, append(listed(0b001).u32(1).f64(1), 0), "trailing bytes"},
 		{"ack: one trailing byte", &RequestAck{}, append(hostile{}.u32(41).f64(25.125).u32(7), 0xff), "trailing bytes"},
 		{"assign: full install and one trailing byte", &AssignBody{}, append(hostile{}.u32(7).u32(0).u32(1).str("c1").f64(4), 0xff), "trailing bytes"},
+		{"info: truncated", &ReplicaInfo{}, hostile{}.str("r1").f64(1).f64(1).f64(1).f64(1).f64(1), ""},
+		{"info: one trailing byte", &ReplicaInfo{}, append(hostile{}.str("r1").f64(1).f64(1).f64(1).f64(1).f64(1).f64(0), 0), "trailing bytes"},
+		{"pull: truncated address", &PullBody{}, append(hostile{}, 9, 0, 'c'), ""},
+		{"pull: one trailing byte", &PullBody{}, append(hostile{}.str("c1"), 0), "trailing bytes"},
+		{"download: truncated", &DownloadBody{}, hostile{}.u32(1).f64(2)[:11], ""},
+		{"download: one trailing byte", &DownloadBody{}, append(hostile{}.u32(1).f64(2), 0), "trailing bytes"},
+		{"epoch: member count", &membership.Epoch{}, hostile{}.u32(1).u32(huge), ""},
+		{"epoch: no drained list", &membership.Epoch{}, hostile{}.u32(1).u32(1).str("r1"), ""},
+		{"epoch: one trailing byte", &membership.Epoch{}, append(hostile{}.u32(1).u32(1).str("r1").u32(0), 0), "trailing bytes"},
+		{"epoch ack: flag 2", &membership.EpochAck{}, hostile{}.u32(4).u32(2), "flag"},
+		{"epoch ack: one trailing byte", &membership.EpochAck{}, append(hostile{}.u32(4).u32(1), 0), "trailing bytes"},
+		{"propose: no address", &membership.ProposeBody{}, hostile{}.str("drain"), ""},
+		{"propose: one trailing byte", &membership.ProposeBody{}, append(hostile{}.str("drain").str("r2"), 0), "trailing bytes"},
 	}
 }
 
@@ -371,7 +401,8 @@ func decodedBytes(v reflect.Value) int {
 	}
 }
 
-// FuzzControlBodies feeds arbitrary bytes to every decoder in codec.go:
+// FuzzControlBodies feeds arbitrary bytes to every decoder in codec.go and
+// to the membership bodies':
 // none may panic, none may build a body out of proportion to its input, and
 // whatever decodes must re-encode to exactly the bytes it came from, since
 // a body has one byte representation.

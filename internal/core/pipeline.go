@@ -229,7 +229,7 @@ func (r *ReplicaServer) gather(ctx context.Context, a *attempt) error {
 	if len(members) == 0 {
 		return fmt.Errorf("core: replica %s: no active ring members", r.Addr())
 	}
-	req, err := r.newMessage(MsgReplicaInfo, nil)
+	req, err := transport.NewMessage(MsgReplicaInfo, r.Addr(), nil)
 	if err != nil {
 		return err
 	}
@@ -577,7 +577,7 @@ func (r *ReplicaServer) toReplicas(ctx context.Context, a *attempt, msg func(j i
 // Every replica gets the same spec, so it is marshaled once.
 func (r *ReplicaServer) start(ctx context.Context, a *attempt) error {
 	r.startsSinceInstall.Add(1)
-	req, err := r.newMessage(MsgRoundStart, a.solveSpec)
+	req, err := transport.NewMessage(MsgRoundStart, r.Addr(), a.solveSpec)
 	if err != nil {
 		return err
 	}
@@ -794,7 +794,7 @@ func (r *ReplicaServer) install(ctx context.Context, a *attempt) error {
 		for _, addr := range departed {
 			updates = append(updates, ClientMB{addr, 0})
 		}
-		return r.newMessage(MsgAssign, AssignBody{Round: a.round, BaseRound: baseRound, Updates: updates})
+		return transport.NewMessage(MsgAssign, r.Addr(), AssignBody{Round: a.round, BaseRound: baseRound, Updates: updates})
 	})
 }
 

@@ -88,19 +88,18 @@ type (
 // ReplicaInfo carries one replica's energy-model parameters (Table I) to
 // the round initiator.
 type ReplicaInfo struct {
-	Addr      string  `json:"addr"`
-	Price     float64 `json:"price"`
-	Alpha     float64 `json:"alpha"`
-	Beta      float64 `json:"beta"`
-	Gamma     float64 `json:"gamma"`
-	Bandwidth float64 `json:"bandwidth"`
+	Addr      string
+	Price     float64
+	Alpha     float64
+	Beta      float64
+	Gamma     float64
+	Bandwidth float64
 	// BaseMB is frozen load already committed to this replica by rows
 	// outside the round's problem. Replicas report 0; the initiator sets
 	// it on incremental sub-rounds, where Bandwidth carries the residual
 	// capacity and the energy model must be evaluated at BaseMB + load
-	// (see model.Replica.Base). Omitted on the wire when zero, so full
-	// rounds are byte-identical to pre-incremental builds.
-	BaseMB float64 `json:"base_mb,omitempty"`
+	// (see model.Replica.Base).
+	BaseMB float64
 }
 
 // RequestBody is the client.request payload, in one of two forms. The full
@@ -113,30 +112,30 @@ type RequestBody struct {
 	// unchanged resubmission carries its demand only. A contact that does
 	// not hold the handle for the sender queues nothing and acks handle 0,
 	// asking for the full form.
-	Handle uint32 `json:"handle,omitempty"`
+	Handle uint32
 	// ClientAddr is the client's transport address (for allocation
 	// delivery).
-	ClientAddr string `json:"client_addr"`
+	ClientAddr string
 	// DemandMB is R_c for this request.
-	DemandMB float64 `json:"demand_mb"`
+	DemandMB float64
 	// LatencySec lists the replicas the client measured with their one-way
 	// latencies, in strictly ascending address order (the decoder refuses
 	// any other); a replica absent from it is not a candidate.
-	LatencySec []Latency `json:"latency_sec"`
+	LatencySec []Latency
 }
 
 // Latency is one replica a client measured: its address and one-way
 // latency in seconds.
 type Latency struct {
-	Replica string  `json:"replica"`
-	Sec     float64 `json:"sec"`
+	Replica string
+	Sec     float64
 }
 
 // ClientMB is one client's entry in a replica's serving plan: the MB to
 // serve it.
 type ClientMB struct {
-	Client string  `json:"client"`
-	MB     float64 `json:"mb"`
+	Client string
+	MB     float64
 }
 
 // RequestAck acknowledges a submission; a refused one is an error reply.
@@ -146,39 +145,39 @@ type RequestAck struct {
 	// round under the same lock that admitted this request, so the first
 	// committed round with id beyond this watermark includes the caller —
 	// poll MsgAllocationPull until the reply passes it.
-	Round int `json:"round,omitempty"`
+	Round int
 	// QueuedMB is the caller's queued demand after admission: repeat
 	// submissions before a round add up, so this is the figure the round
 	// solves for and the scale of the caller's cohort allocation.
-	QueuedMB float64 `json:"queued_mb"`
+	QueuedMB float64
 	// Handle is the client's name at this contact: it stands for the
 	// client's address and the latency list the contact now holds for it.
 	// A fresh handle, drawn at random among those not held, answers a list
 	// sent in full; the request's own answers the handle form. 0 answers a
 	// handle the contact does not hold for the sender (a restart, a sweep):
 	// nothing was queued, and the caller resends in full.
-	Handle uint32 `json:"handle,omitempty"`
+	Handle uint32
 }
 
 // PullBody asks the initiator for the caller's committed allocation row.
 type PullBody struct {
-	ClientAddr string `json:"client_addr"`
+	ClientAddr string
 }
 
 // RoundSpec ships the full problem of one round to every replica; latency
 // only as the feasibility mask it induces, all the optimizer reads of it.
 type RoundSpec struct {
 	// Round is the initiator-local round number.
-	Round int `json:"round"`
+	Round int
 	// Replicas lists the participating replicas in column order.
-	Replicas []ReplicaInfo `json:"replicas"`
+	Replicas []ReplicaInfo
 	// ClientAddrs lists the participating clients in row order.
-	ClientAddrs []string `json:"client_addrs"`
+	ClientAddrs []string
 	// Demands holds R_c per client (row order).
-	Demands []float64 `json:"demands"`
+	Demands []float64
 	// Feasible is the latency-feasibility mask, clients × replicas:
 	// Feasible[c][n] reports that replica n may serve client c.
-	Feasible [][]bool `json:"feasible"`
+	Feasible [][]bool
 }
 
 // AssignBody installs the final per-replica serving plan as the entries
@@ -193,30 +192,30 @@ type RoundSpec struct {
 // recent enough to still be held (roundStatesKept), so that means the
 // member lost state (restart) and the full solve re-seeds it.
 type AssignBody struct {
-	Round int `json:"round"`
+	Round int
 	// BaseRound is the already-installed round whose plan this round starts
 	// from; 0 for the empty plan.
-	BaseRound int `json:"base_round,omitempty"`
+	BaseRound int
 	// Updates lists, in strictly ascending client order, every entry that
 	// differs from the base plan. Against a round's plan a non-positive MB
 	// removes the client; against the empty plan every MB is positive.
 	// Every MB is finite.
-	Updates []ClientMB `json:"updates,omitempty"`
+	Updates []ClientMB
 }
 
 // AllocationBody tells a client how its demand was split: the push of
 // client.allocation and client.allocation.cohort, and the pull reply.
 type AllocationBody struct {
-	Round int `json:"round"`
+	Round int
 	// Replicas is the round's roster, ascending by address. The client
 	// shares one roster among the pushes that name it: never modify it.
-	Replicas []string `json:"replicas"`
+	Replicas []string
 	// PerReplicaMB[j] is the MB to download from Replicas[j], 0 for none.
-	PerReplicaMB []float64 `json:"per_replica_mb"`
+	PerReplicaMB []float64
 	// Algorithm names the method that produced the split.
-	Algorithm string `json:"algorithm"`
+	Algorithm string
 	// Iterations is how many distributed iterations the round ran.
-	Iterations int `json:"iterations"`
+	Iterations int
 }
 
 // MB is the MB to download from replica, 0 when none.
@@ -228,14 +227,9 @@ func (b AllocationBody) MB(replica string) float64 {
 	return b.PerReplicaMB[j]
 }
 
-// DownloadBody requests bytes from a replica.
+// DownloadBody requests bytes from a replica. The reply's body is the
+// payload itself: synthetic content, BytesPerMB per requested MB.
 type DownloadBody struct {
-	Round  int     `json:"round"`
-	SizeMB float64 `json:"size_mb"`
-}
-
-// DownloadReply carries the (scale-reduced) payload.
-type DownloadReply struct {
-	// Payload is synthetic content, BytesPerMB per requested MB.
-	Payload []byte `json:"payload"`
+	Round  int
+	SizeMB float64
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"math"
 	"strings"
@@ -14,15 +15,9 @@ import (
 // rawSeq disambiguates prober node names across sendRaw calls.
 var rawSeq int
 
-// sendRaw delivers an arbitrary message to a fleet member, in the codec a
-// current node would pick for the body.
-func sendRaw(t *testing.T, f *fleet, to string, msgType string, body any) (transport.Message, error) {
-	t.Helper()
-	return sendRawWith(t, f, to, msgType, body, transport.NewMessage)
-}
-
-func sendRawWith(t *testing.T, f *fleet, to, msgType string, body any,
-	build func(msgType, from string, v any) (transport.Message, error)) (transport.Message, error) {
+// sendRaw delivers an arbitrary message to a fleet member from a fresh
+// prober node.
+func sendRaw(t *testing.T, f *fleet, to string, msgType string, body encoding.BinaryMarshaler) (transport.Message, error) {
 	t.Helper()
 	rawSeq++
 	name := fmt.Sprintf("raw-%d-%s", rawSeq, msgType)
@@ -33,7 +28,7 @@ func sendRawWith(t *testing.T, f *fleet, to, msgType string, body any,
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	msg, err := build(msgType, node.Name(), body)
+	msg, err := transport.NewMessage(msgType, node.Name(), body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,15 +38,17 @@ func sendRawWith(t *testing.T, f *fleet, to, msgType string, body any,
 func TestProtocolRejectsMalformedBodies(t *testing.T) {
 	f := newFleet(t, []float64{1, 2}, 1, LDDM)
 	addr := f.replicas[0].Addr()
+	// A download whose payload would outgrow any frame, by one byte.
+	overFrame := float64(transport.MaxFrameBytes+1) / float64(f.replicas[0].cfg.BytesPerMB)
 	cases := []struct {
 		msgType string
-		body    any
+		body    encoding.BinaryMarshaler
 	}{
-		{MsgClientRequest, "not an object"},
+		{MsgClientRequest, hostile("not an object")},
 		{MsgClientRequest, hostile{}.u32(0).str("").f64(1).u32(0)}, // no addr
 		{MsgClientRequest, RequestBody{Handle: 9}},                 // handle form, zero demand
 		{MsgClientRequest, RequestBody{ClientAddr: "x"}},           // zero demand
-		{MsgRoundStart, "garbage"},                                 // undecodable
+		{MsgRoundStart, hostile("garbage")},                        // undecodable
 		{MsgRoundStart, RoundSpec{Round: 1}},                       // empty spec
 		{MsgLocalSolve, LocalSolveBody{Round: 99}},                 // unknown round
 		{MsgCDPSMStep, CDPSMStepBody{Round: 99}},                   // unknown round
@@ -59,12 +56,22 @@ func TestProtocolRejectsMalformedBodies(t *testing.T) {
 		{cdpsm.MsgCommit, nil},                                     // retired verb
 		{MsgAssign, AssignBody{Round: 99}},                         // unknown round
 		{MsgDownload, DownloadBody{Round: 1, SizeMB: -5}},          // negative size
-		{MsgAllocation, nil},                                       // replicas don't take allocations
+		{MsgDownload, DownloadBody{Round: 1, SizeMB: 1e308}},       // no slice that long
+		{MsgDownload, DownloadBody{Round: 1, SizeMB: math.NaN()}},
+		{MsgDownload, DownloadBody{Round: 1, SizeMB: math.Inf(1)}},
+		{MsgDownload, DownloadBody{Round: 1, SizeMB: overFrame}},
+		{MsgAllocation, nil}, // replicas don't take allocations
 	}
 	for _, tc := range cases {
-		if _, err := sendRaw(t, f, addr, tc.msgType, tc.body); err == nil {
+		_, err := sendRaw(t, f, addr, tc.msgType, tc.body)
+		if err == nil {
 			t.Errorf("%s with body %v accepted", tc.msgType, tc.body)
+		} else if sender := fmt.Sprintf("raw-%d-", rawSeq); tc.msgType == MsgDownload && !strings.Contains(err.Error(), sender) {
+			t.Errorf("%s with body %v: error %v does not name the sender %s…", tc.msgType, tc.body, err, sender)
 		}
+	}
+	if n := f.replicas[0].Stats.DownloadsServed.Value(); n != 0 {
+		t.Errorf("%d refused downloads counted as served", n)
 	}
 }
 

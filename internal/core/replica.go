@@ -415,13 +415,7 @@ func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registrati
 	if err != nil {
 		return transport.Message{}, err
 	}
-	return r.newMessage(req.Type+".ack", body)
-}
-
-// newMessage builds a request or reply from this node: binary for every
-// body that has a binary codec, JSON for the rest.
-func (r *ReplicaServer) newMessage(msgType string, v any) (transport.Message, error) {
-	return transport.NewMessage(msgType, r.Addr(), v)
+	return transport.NewMessage(req.Type+".ack", r.Addr(), body)
 }
 
 // handleClientRequest queues a client's demand (ClientListener role).
@@ -571,7 +565,7 @@ func (r *ReplicaServer) handleAllocationPull(req transport.Message) (transport.M
 		}
 	}
 	r.mu.Unlock()
-	return r.newMessage(MsgAllocationPull+".ack", reply)
+	return transport.NewMessage(MsgAllocationPull+".ack", r.Addr(), reply)
 }
 
 // handleReplicaInfo reports this replica's model parameters.
@@ -655,7 +649,7 @@ func (r *ReplicaServer) handleRoundStart(req transport.Message) (transport.Messa
 		r.roundOrder = r.roundOrder[1:]
 	}
 	r.mu.Unlock()
-	return r.newMessage(MsgRoundStart+".ack", nil)
+	return transport.NewMessage(MsgRoundStart+".ack", r.Addr(), nil)
 }
 
 // lookupRound fetches participant state.
@@ -701,7 +695,7 @@ func (r *ReplicaServer) handleAssign(req transport.Message) (transport.Message, 
 	r.mu.Lock()
 	st.plan = plan
 	r.mu.Unlock()
-	return r.newMessage(MsgAssign+".ack", nil)
+	return transport.NewMessage(MsgAssign+".ack", r.Addr(), nil)
 }
 
 // planChunk is how many entries a serving plan's chunk holds when it is
@@ -822,15 +816,17 @@ func (r *ReplicaServer) handleDownload(req transport.Message) (transport.Message
 	if err := req.DecodeBody(&body); err != nil {
 		return transport.Message{}, err
 	}
-	if body.SizeMB < 0 {
-		return transport.Message{}, fmt.Errorf("core: download of %g MB", body.SizeMB)
+	// NaN, ±Inf and a size whose payload no frame carries are refused
+	// before anything is allocated for them.
+	size := body.SizeMB * float64(r.cfg.BytesPerMB)
+	if !(body.SizeMB >= 0 && size <= transport.MaxFrameBytes) {
+		return transport.Message{}, fmt.Errorf("core: download of %g MB from %s", body.SizeMB, req.From)
 	}
-	size := int(body.SizeMB * float64(r.cfg.BytesPerMB))
-	payload := make([]byte, size)
+	payload := make([]byte, int(size))
 	for i := range payload {
 		payload[i] = byte(i)
 	}
 	r.Stats.DownloadsServed.Inc(1)
 	r.Stats.MBServed.Inc(int64(body.SizeMB))
-	return transport.NewMessage(MsgDownload+".ack", r.Addr(), DownloadReply{Payload: payload})
+	return transport.Message{Type: MsgDownload + ".ack", From: r.Addr(), Body: payload}, nil
 }

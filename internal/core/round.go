@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding"
 	"errors"
 	"fmt"
 	"math"
@@ -203,15 +204,15 @@ func (r *ReplicaServer) sendReplicaMsg(ctx context.Context, to string, req trans
 // msgReply adapts a transport.Message to the engine's Reply.
 type msgReply struct{ m transport.Message }
 
-func (mr msgReply) Decode(into any) error { return mr.m.DecodeBody(into) }
+func (mr msgReply) Decode(into encoding.BinaryUnmarshaler) error { return mr.m.DecodeBody(into) }
 
 // roundTransport adapts the replica's retry/attribution stack to the
 // engine's Transport: sends carry member-failure attribution so RunRound
 // can prune the peer and restart.
 type roundTransport struct{ r *ReplicaServer }
 
-func (t roundTransport) Replica(ctx context.Context, addr, verb string, body any) (engine.Reply, error) {
-	req, err := t.r.newMessage(verb, body)
+func (t roundTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (engine.Reply, error) {
+	req, err := transport.NewMessage(verb, t.r.Addr(), body)
 	if err != nil {
 		return nil, err
 	}

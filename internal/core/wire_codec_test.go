@@ -1,23 +1,17 @@
 package core
 
 import (
+	"encoding"
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"edr/internal/transport"
 )
 
-// jsonMessage builds a message whose body is JSON whatever its type.
-func jsonMessage(msgType, from string, v any) (transport.Message, error) {
-	b, err := json.Marshal(v)
-	return transport.Message{Type: msgType, From: from, Body: b}, err
-}
-
-// A body's type is its only codec: a JSON body sent to a binary verb is
-// refused with an error naming the verb, and leaves no pending request, no
-// round state and no installed plan behind — while its binary twin is
-// served. replica.info, whose body is JSON, is still answered.
+// Every verb takes its body in its one binary layout. The same body as
+// JSON text, which a peer of an older version sends, or with one byte past
+// its last field is refused with an error naming the verb, and leaves no
+// pending request, no round state and no installed plan behind, while the
+// body itself is served.
 func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 	f := newFleet(t, []float64{1, 10, 5}, 1, LDDM)
 	contact, target := f.replicas[0], f.replicas[1]
@@ -40,14 +34,23 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 		spec.Replicas = append(spec.Replicas, info)
 	}
 
-	refuse := func(to *ReplicaServer, verb string, body any) {
+	refuse := func(to *ReplicaServer, verb string, body encoding.BinaryMarshaler) {
 		t.Helper()
-		_, err := sendRawWith(t, f, to.Addr(), verb, body, jsonMessage)
-		if err == nil || !strings.Contains(err.Error(), verb) {
-			t.Fatalf("JSON %s: error %v, want a refusal naming the verb", verb, err)
+		js, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin, err := body.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, foreign := range []hostile{js, append(bin, 0)} {
+			if _, err := sendRaw(t, f, to.Addr(), verb, foreign); err == nil || !strings.Contains(err.Error(), verb) {
+				t.Fatalf("%s body %q: error %v, want a refusal naming the verb", verb, foreign, err)
+			}
 		}
 	}
-	serve := func(to *ReplicaServer, verb string, body any) {
+	serve := func(to *ReplicaServer, verb string, body encoding.BinaryMarshaler) {
 		t.Helper()
 		if _, err := sendRaw(t, f, to.Addr(), verb, body); err != nil {
 			t.Fatalf("binary %s: %v", verb, err)
@@ -84,4 +87,13 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 	if got := target.Plan(spec.Round, "c1"); got != 4 {
 		t.Fatalf("binary replica.assign installed %g MB for c1, want 4", got)
 	}
+
+	refuse(contact, MsgAllocationPull, PullBody{ClientAddr: "c1"})
+	serve(contact, MsgAllocationPull, PullBody{ClientAddr: "c1"})
+	download := DownloadBody{Round: spec.Round, SizeMB: 4}
+	refuse(target, MsgDownload, download)
+	if n := target.Stats.DownloadsServed.Value(); n != 0 {
+		t.Fatalf("refused download.request served %d downloads", n)
+	}
+	serve(target, MsgDownload, download)
 }

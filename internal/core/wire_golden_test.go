@@ -8,6 +8,7 @@ import (
 	"edr/internal/admm"
 	"edr/internal/cdpsm"
 	"edr/internal/lddm"
+	"edr/internal/membership"
 	"edr/internal/transport"
 )
 
@@ -55,7 +56,8 @@ func goldenFrame(name, hex string, m, base [][]float64) goldenCase {
 }
 
 // Every binary layout, pinned byte for byte: one instance of each body a
-// round sends, and one kinded frame of each kind. Each encodes to its hex
+// round, a download or a membership change sends, and one kinded frame of
+// each kind (the DONAR bodies are pinned in their own package). Each encodes to its hex
 // and decodes to a body that encodes to the same hex again.
 func TestWireGoldenBytes(t *testing.T) {
 	roster := []string{"r1", "r2", "r3"}
@@ -81,6 +83,12 @@ func TestWireGoldenBytes(t *testing.T) {
 		goldenBody("allocation, full form", "0700000004004c44444d0900000025404f0f42c85ae1030000000200723102007232020072330100000005020000000000000000001c400000000000000840", &AllocationBody{Round: 7, Algorithm: "LDDM", Iterations: 9, Replicas: roster, PerReplicaMB: []float64{7, 0, 3}}),
 		goldenPush("allocation, short form", "0700000004004c44444d0900000025404f0f42c85ae1000000000100000002010000000000000000000440", push, []float64{0, 2.5, 0}),
 		goldenPush("cohort push, short form", "08000000040041444d4d0300000025404f0f42c85ae100000000010000000502000000000000000000d03f000000000000e83f", cohort, []float64{0.25, 0, 0.75}),
+		goldenBody("replica info", "0200723200000000000020400000000000000040000000000000d03f000000000000004000000000000049400000000000002940", &spec.Replicas[1]),
+		goldenBody("pull", "02006331", &PullBody{ClientAddr: "c1"}),
+		goldenBody("download", "070000000000000000000440", &DownloadBody{Round: 7, SizeMB: 2.5}),
+		goldenBody("membership epoch", "04000000030000000200723102007232020072330100000002007232", &membership.Epoch{Seq: 4, Members: []string{"r1", "r2", "r3"}, Drained: []string{"r2"}}),
+		goldenBody("membership epoch ack", "0400000001000000", &membership.EpochAck{Seq: 4, Accepted: true}),
+		goldenBody("membership proposal", "0500647261696e02007232", &membership.ProposeBody{Op: membership.OpDrain, Addr: "r2"}),
 		goldenBody("lddm solve", "0300000002000000000000000000e03f000000000000f0bf", &lddm.SolveBody{Round: 3, Mu: []float64{0.5, -1}}),
 		goldenBody("lddm reply", "0a00000005020200000001000000000000000000e03f080000000000000000000040", &lddm.SolveReply{M: 10, Served: []byte{0b101, 0b10}, Pos: []int{1, 8}, Val: []float64{0.5, 2}}),
 		goldenBody("admm prox", "04000000000000000000004002000000000000000000f03f000000000000e03f", &admm.ProxBody{Round: 4, Rho: 2, Target: []float64{1, 0.5}}),

@@ -37,51 +37,49 @@ const (
 // ReplicaSpec describes one backend replica to the mapping layer. DONAR
 // needs only capacity — it is energy-oblivious by design.
 type ReplicaSpec struct {
-	Addr          string  `json:"addr"`
-	BandwidthMBps float64 `json:"bandwidth_mbps"`
+	Addr          string
+	BandwidthMBps float64
 }
 
 // requestBody is the MsgRequest payload.
 type requestBody struct {
-	ClientAddr string             `json:"client_addr"`
-	DemandMB   float64            `json:"demand_mb"`
-	LatencySec map[string]float64 `json:"latency_sec"`
+	ClientAddr string
+	DemandMB   float64
+	LatencySec map[string]float64
 }
 
-// collectReply returns a node's pending requests.
-type collectReply struct {
-	Requests []requestBody `json:"requests"`
-}
+// requests is a node's pending requests: the MsgCollect reply.
+type requests []requestBody
 
 // localSolveBody carries the peers' aggregate loads per replica (column
 // order of the epoch's replica list).
 type localSolveBody struct {
-	Epoch      int           `json:"epoch"`
-	Replicas   []ReplicaSpec `json:"replicas"`
-	OtherLoads []float64     `json:"other_loads"`
-	Requests   []requestBody `json:"requests"`
+	Epoch      int
+	Replicas   []ReplicaSpec
+	OtherLoads []float64
+	Requests   requests
 }
 
 // localSolveReply returns the node's per-client placements and its own
 // aggregate contribution.
 type localSolveReply struct {
 	// Assignments[i] maps replica address → MB for request i.
-	Assignments []map[string]float64 `json:"assignments"`
+	Assignments []map[string]float64
 	// Loads is this node's per-replica aggregate (column order).
-	Loads []float64 `json:"loads"`
+	Loads []float64
 }
 
 // notifyBody asks a node to push allocations to its clients.
 type notifyBody struct {
-	Epoch       int                  `json:"epoch"`
-	ClientAddrs []string             `json:"client_addrs"`
-	Allocations []map[string]float64 `json:"allocations"`
+	Epoch       int
+	ClientAddrs []string
+	Allocations []map[string]float64
 }
 
 // AllocationBody is what a client receives.
 type AllocationBody struct {
-	Epoch        int                `json:"epoch"`
-	PerReplicaMB map[string]float64 `json:"per_replica_mb"`
+	Epoch        int
+	PerReplicaMB map[string]float64
 }
 
 // MappingNode is one DONAR coordinator.
@@ -90,7 +88,7 @@ type MappingNode struct {
 	kappa float64
 
 	mu      sync.Mutex
-	pending []requestBody
+	pending requests
 }
 
 // NewMappingNode binds a mapping node on the fabric.
@@ -133,11 +131,10 @@ func (m *MappingNode) handle(ctx context.Context, req transport.Message) (transp
 		return transport.NewMessage(MsgRequest+".ack", m.Addr(), nil)
 	case MsgCollect:
 		m.mu.Lock()
-		out := make([]requestBody, len(m.pending))
-		copy(out, m.pending)
+		out := m.pending
 		m.pending = nil
 		m.mu.Unlock()
-		return transport.NewMessage(MsgCollect+".ack", m.Addr(), collectReply{Requests: out})
+		return transport.NewMessage(MsgCollect+".ack", m.Addr(), out)
 	case MsgLocalSolve:
 		var body localSolveBody
 		if err := req.DecodeBody(&body); err != nil {
@@ -242,7 +239,7 @@ func (m *MappingNode) RunEpoch(ctx context.Context, peers []string, replicas []R
 	n := len(replicas)
 
 	// 1. Collect each node's pending requests.
-	perNode := make([][]requestBody, len(all))
+	perNode := make([]requests, len(all))
 	total := 0
 	for i, addr := range all {
 		msg, err := transport.NewMessage(MsgCollect, m.Addr(), nil)
@@ -253,12 +250,10 @@ func (m *MappingNode) RunEpoch(ctx context.Context, peers []string, replicas []R
 		if err != nil {
 			return nil, fmt.Errorf("donar: collect from %s: %w", addr, err)
 		}
-		var reply collectReply
-		if err := resp.DecodeBody(&reply); err != nil {
+		if err := resp.DecodeBody(&perNode[i]); err != nil {
 			return nil, err
 		}
-		perNode[i] = reply.Requests
-		total += len(reply.Requests)
+		total += len(perNode[i])
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("donar: no pending requests")

@@ -23,6 +23,7 @@ package engine
 
 import (
 	"context"
+	"encoding"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -64,7 +65,7 @@ type Round struct {
 
 // Reply decodes one peer's response body.
 type Reply interface {
-	Decode(into any) error
+	Decode(into encoding.BinaryUnmarshaler) error
 }
 
 // Transport is the fabric the driver runs exchanges over. The runtime's
@@ -76,7 +77,7 @@ type Transport interface {
 	// yields the context the RPC's first attempt runs under. An error
 	// after the transport's retry budget should carry member-failure
 	// attribution so the caller can prune the peer and restart.
-	Replica(ctx context.Context, addr, verb string, body any) (Reply, error)
+	Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error)
 }
 
 // Exchange is one declarative fan-out wave: the driver sends Verb to
@@ -89,7 +90,7 @@ type Exchange struct {
 	Verb string
 	// Body builds the request body for peer i (nil Body sends an empty
 	// body).
-	Body func(i int) any
+	Body func(i int) encoding.BinaryMarshaler
 	// Fold consumes peer i's reply (nil Fold discards it).
 	Fold func(i int, r Reply) error
 }
@@ -248,7 +249,7 @@ func (d *Driver) stopSenders() {
 // send performs replica i's part of a wave: build the body, one RPC, fold
 // the reply.
 func (d *Driver) send(jb job, i int, addr string) error {
-	var body any
+	var body encoding.BinaryMarshaler
 	if jb.ex.Body != nil {
 		body = jb.ex.Body(i)
 	}

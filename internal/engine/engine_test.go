@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding"
 	"errors"
 	"fmt"
 	"runtime"
@@ -14,15 +15,29 @@ import (
 	"edr/internal/opt"
 )
 
+// toyCodec gives a toy body the codec methods the engine's interfaces ask
+// for. These tests hand bodies over or fake the transport, so neither is
+// ever called; both are value methods so that a value satisfies both.
+type toyCodec struct{}
+
+func (toyCodec) MarshalBinary() ([]byte, error) { return nil, errors.New("toy body has no codec") }
+func (toyCodec) UnmarshalBinary([]byte) error   { return errors.New("toy body has no codec") }
+
+// num is the toy algorithms' body and reply: one number.
+type num float64
+
+func (num) MarshalBinary() ([]byte, error) { return nil, errors.New("toy body has no codec") }
+func (*num) UnmarshalBinary([]byte) error  { return errors.New("toy body has no codec") }
+
 // fakeReply wraps an in-process value behind the Reply interface.
 type fakeReply struct{ v float64 }
 
-func (f fakeReply) Decode(into any) error {
-	p, ok := into.(*float64)
+func (f fakeReply) Decode(into encoding.BinaryUnmarshaler) error {
+	p, ok := into.(*num)
 	if !ok {
-		return fmt.Errorf("fake reply decodes into *float64, got %T", into)
+		return fmt.Errorf("fake reply decodes into *num, got %T", into)
 	}
-	*p = f.v
+	*p = num(f.v)
 	return nil
 }
 
@@ -48,7 +63,7 @@ func (t *fakeTransport) roundTrip(addr, verb string) (Reply, error) {
 	return fakeReply{v: t.values[addr]}, nil
 }
 
-func (t *fakeTransport) Replica(ctx context.Context, addr, verb string, body any) (Reply, error) {
+func (t *fakeTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 	return t.roundTrip(addr, verb)
 }
 
@@ -74,7 +89,7 @@ func (a *sumAlg) Iterate(k int) []Exchange {
 	return []Exchange{{
 		Verb: "toy.pull",
 		Fold: func(i int, r Reply) error {
-			return r.Decode(&a.pulled[i])
+			return r.Decode((*num)(&a.pulled[i]))
 		},
 	}}
 }
@@ -233,7 +248,7 @@ func (a *waveAlg) Init(*Round) error { return nil }
 
 func (a *waveAlg) Iterate(k int) []Exchange {
 	a.k = k
-	return []Exchange{{Verb: "toy.wave", Body: func(int) any { return a.k }, Fold: a.fold}}
+	return []Exchange{{Verb: "toy.wave", Body: func(int) encoding.BinaryMarshaler { return num(a.k) }, Fold: a.fold}}
 }
 
 func (a *waveAlg) Converged(int) (float64, bool) { return 1, false }
@@ -241,9 +256,9 @@ func (a *waveAlg) Converged(int) (float64, bool) { return 1, false }
 func (a *waveAlg) Recover() ([]float64, error) { return []float64{0}, nil }
 
 // funcTransport adapts a function to Transport.
-type funcTransport func(ctx context.Context, addr, verb string, body any) (Reply, error)
+type funcTransport func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error)
 
-func (f funcTransport) Replica(ctx context.Context, addr, verb string, body any) (Reply, error) {
+func (f funcTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 	return f(ctx, addr, verb, body)
 }
 
@@ -287,12 +302,12 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 		sender  = map[string]map[string]bool{} // addr → goroutine ids that served it
 		peak    int
 	)
-	tr := funcTransport(func(ctx context.Context, addr, verb string, body any) (Reply, error) {
+	tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 		id, g := goid(), runtime.NumGoroutine()
 		mu.Lock()
 		defer mu.Unlock()
 		calls++
-		perIter[body.(int)]++
+		perIter[int(body.(num))]++
 		if sender[addr] == nil {
 			sender[addr] = map[string]bool{}
 		}
@@ -337,8 +352,8 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 func TestDriverStopsSendersOnError(t *testing.T) {
 	t.Run("replica error", func(t *testing.T) {
 		watchGoroutines(t)
-		tr := funcTransport(func(ctx context.Context, addr, verb string, body any) (Reply, error) {
-			if body.(int) == 3 && addr == "r1" {
+		tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
+			if body.(num) == 3 && addr == "r1" {
 				return nil, errors.New("peer down")
 			}
 			return fakeReply{}, nil
@@ -353,8 +368,8 @@ func TestDriverStopsSendersOnError(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		var waiting atomic.Int32
-		tr := funcTransport(func(ctx context.Context, addr, verb string, body any) (Reply, error) {
-			if body.(int) < 3 {
+		tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
+			if body.(num) < 3 {
 				return fakeReply{}, nil
 			}
 			// Iteration 3: every send blocks; the last one in gives up on
@@ -381,7 +396,7 @@ func TestExecFirstErrorCancelsWaveAndWaitsForFolds(t *testing.T) {
 		inFold     = make(chan struct{})
 		foldsEnded atomic.Int32
 	)
-	tr := funcTransport(func(ctx context.Context, addr, verb string, body any) (Reply, error) {
+	tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 		if addr == "r0" {
 			<-inFold // fail only once r1 is inside its Fold
 			return nil, errors.New("boom")
@@ -419,7 +434,9 @@ func (a *bareAlg) Iterate(int) []Exchange { return a.exchanges }
 // transport: the engine's own cost per iteration. A wave must not spawn —
 // what is left is the wave context (2 allocs/op) and 10 channel hand-offs.
 func BenchmarkEngineExchange(b *testing.B) {
-	tr := funcTransport(func(context.Context, string, string, any) (Reply, error) { return fakeReply{}, nil })
+	tr := funcTransport(func(context.Context, string, string, encoding.BinaryMarshaler) (Reply, error) {
+		return fakeReply{}, nil
+	})
 	d := &Driver{Transport: tr}
 	alg := &bareAlg{exchanges: []Exchange{{Verb: "toy.wave"}}}
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"reflect"
 
@@ -15,7 +16,7 @@ const DefaultMaxIters = 200
 
 // Carrier hands a sent body across to the receiving side as the Reply it
 // decodes.
-type Carrier func(verb string, body any) (Reply, error)
+type Carrier func(verb string, body encoding.BinaryMarshaler) (Reply, error)
 
 // Loopback runs a round's replicas in this process: one ServerRound per
 // column, every verb handed straight to the server half registered for it
@@ -51,7 +52,7 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*
 		maxIters = DefaultMaxIters
 	}
 	if carry == nil {
-		carry = func(_ string, body any) (Reply, error) { return handOver{body}, nil }
+		carry = func(_ string, body encoding.BinaryMarshaler) (Reply, error) { return handOver{body}, nil }
 	}
 	n := prob.N()
 	addrs := make([]string, n)
@@ -69,7 +70,7 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*
 func (l *Loopback) Round() *Round { return l.rd }
 
 // Replica implements Transport: the request and the reply each cross once.
-func (l *Loopback) Replica(ctx context.Context, addr, verb string, body any) (Reply, error) {
+func (l *Loopback) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 	j, ok := l.cols[addr]
 	if !ok {
 		return nil, fmt.Errorf("engine: loopback has no replica %q", addr)
@@ -134,12 +135,12 @@ func (v *verdict) Primal() []float64 {
 
 // handOver carries body without a codec: Decode sets its target, a
 // pointer to body's type, to body itself — a typed copy of the value whose
-// slices still share the sender's memory, and whose codec context
-// (`json:"-"` fields) is the sender's, meaningless without a codec. A nil
-// body decodes as nothing.
-type handOver struct{ body any }
+// slices still share the sender's memory, and whose fields no codec
+// writes are the sender's, meaningless without a codec. A nil body decodes
+// as nothing.
+type handOver struct{ body encoding.BinaryMarshaler }
 
-func (r handOver) Decode(into any) error {
+func (r handOver) Decode(into encoding.BinaryUnmarshaler) error {
 	if r.body == nil {
 		return nil
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"math"
 	"strings"
@@ -17,18 +18,20 @@ import (
 const loopAsk = "test.loop.ask"
 
 type loopBody struct {
-	Iter int `json:"iter"`
+	toyCodec
+	Iter int
 }
 
 type loopReply struct {
-	Iter int    `json:"iter"`
-	Col  int    `json:"col"`
-	Self string `json:"self"`
+	toyCodec
+	Iter int
+	Col  int
+	Self string
 }
 
 type loopServer struct{}
 
-func (loopServer) Handle(ctx context.Context, verb string, req Reply, sr *ServerRound) (any, error) {
+func (loopServer) Handle(ctx context.Context, verb string, req Reply, sr *ServerRound) (encoding.BinaryMarshaler, error) {
 	var body loopBody
 	if err := req.Decode(&body); err != nil {
 		return nil, err
@@ -59,7 +62,7 @@ func (a *loopAlg) Iterate(k int) []Exchange {
 	a.k = k
 	return []Exchange{{
 		Verb: loopAsk,
-		Body: func(i int) any { return loopBody{Iter: a.k} },
+		Body: func(i int) encoding.BinaryMarshaler { return loopBody{Iter: a.k} },
 		Fold: func(i int, r Reply) error { return r.Decode(&a.replies[i]) },
 	}}
 }
@@ -158,9 +161,10 @@ func TestLoopbackRefusesUnknownPeerAndVerb(t *testing.T) {
 }
 
 type handBody struct {
-	N    int       `json:"n"`
-	Vec  []float64 `json:"vec"`
-	Base []float64 `json:"-"`
+	toyCodec
+	N    int
+	Vec  []float64
+	Base []float64 // context a codec would not write
 }
 
 // A body is handed over as it is: the receiver gets the sent value, its

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding"
 	"sync"
 
 	"edr/internal/opt"
@@ -54,5 +55,5 @@ func (sr *ServerRound) State(alg string, build func() (any, error)) (any, error)
 // initiator. Handlers may run concurrently for different messages; state
 // shared across verbs must lock.
 type ServerHalf interface {
-	Handle(ctx context.Context, verb string, req Reply, sr *ServerRound) (reply any, err error)
+	Handle(ctx context.Context, verb string, req Reply, sr *ServerRound) (reply encoding.BinaryMarshaler, err error)
 }

@@ -4,6 +4,7 @@
 package wiretest
 
 import (
+	"encoding"
 	"math"
 	"slices"
 	"testing"
@@ -14,14 +15,14 @@ import (
 )
 
 // Codec marshals each body into a transport.Message and decodes from it.
-func Codec(verb string, body any) (engine.Reply, error) {
+func Codec(verb string, body encoding.BinaryMarshaler) (engine.Reply, error) {
 	m, err := transport.NewMessage(verb, "loopback", body)
 	return message{m}, err
 }
 
 type message struct{ m transport.Message }
 
-func (w message) Decode(into any) error { return w.m.DecodeBody(into) }
+func (w message) Decode(into encoding.BinaryUnmarshaler) error { return w.m.DecodeBody(into) }
 
 // SameOverCodec fails t unless solve gives the same assignment,
 // iterations, stop verdict and history, bit for bit, with bodies handed

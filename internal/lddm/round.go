@@ -2,6 +2,7 @@ package lddm
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"math"
 	"slices"
@@ -19,8 +20,8 @@ const MsgLocalSolve = "replica.localsolve"
 // that replica's support: Mu[p] is μ of the p-th client of the replica's CSC
 // column (ascending client id), the only multipliers its local solve reads.
 type SolveBody struct {
-	Round int       `json:"round"`
-	Mu    []float64 `json:"mu"`
+	Round int
+	Mu    []float64
 }
 
 // SolveReply is a replica's water-filling decision over its support of M
@@ -32,10 +33,10 @@ type SolveBody struct {
 // usually one entry; the codec does not rely on that. The initiator
 // rebuilds the column from its own demands (Unpack).
 type SolveReply struct {
-	M      int       `json:"m"`
-	Served []byte    `json:"served"`
-	Pos    []int     `json:"pos,omitempty"`
-	Val    []float64 `json:"val,omitempty"`
+	M      int
+	Served []byte
+	Pos    []int
+	Val    []float64
 }
 
 // packReply encodes the packed column SolveLocal returned for clients.
@@ -176,7 +177,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 			// Local solves, one per replica (Algorithm 2 lines 4–5;
 			// parallel: disjoint primal columns and μ slices).
 			Verb: MsgLocalSolve,
-			Body: func(j int) any {
+			Body: func(j int) encoding.BinaryMarshaler {
 				lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
 				for s := lo; s < hi; s++ {
 					a.muPacked[s] = a.mu[a.sp.RowIdx[s]]
@@ -266,7 +267,7 @@ type serverState struct {
 // a function of the request alone.
 type serverHalf struct{}
 
-func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (any, error) {
+func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (encoding.BinaryMarshaler, error) {
 	var body SolveBody
 	if err := req.Decode(&body); err != nil {
 		return nil, fmt.Errorf("lddm: replica %s: %w", sr.Self, err)

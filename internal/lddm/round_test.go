@@ -2,6 +2,7 @@ package lddm
 
 import (
 	"context"
+	"encoding"
 	"fmt"
 	"math"
 	"slices"
@@ -20,7 +21,7 @@ import (
 // wireReply decodes a marshaled message, as the live fabric's replies do.
 type wireReply struct{ m transport.Message }
 
-func (w wireReply) Decode(into any) error { return w.m.DecodeBody(into) }
+func (w wireReply) Decode(into encoding.BinaryUnmarshaler) error { return w.m.DecodeBody(into) }
 
 // spyTransport runs a round over an engine.Loopback that carries every body
 // through the real codecs. onSolve sees each request as the replica
@@ -42,7 +43,7 @@ func newSpy(t *testing.T, prob *opt.Problem, maxIters int, tol float64) *spyTran
 	return &spyTransport{lb: lb}
 }
 
-func (s *spyTransport) Replica(ctx context.Context, addr, verb string, body any) (engine.Reply, error) {
+func (s *spyTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (engine.Reply, error) {
 	col := slices.Index(s.lb.Round().ReplicaAddrs, addr)
 	if s.onSolve != nil {
 		req, err := wiretest.Codec(verb, body)

@@ -3,6 +3,7 @@ package lddm
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -531,7 +532,7 @@ func BenchmarkLocalSolveWire(b *testing.B) {
 		body.Mu = append(body.Mu, lp.Mu[i])
 	}
 	reply := packReply(packed, lp.Clients, lp.Demands)
-	frameBytes := func(verb string, v any) float64 {
+	frameBytes := func(verb string, v encoding.BinaryMarshaler) float64 {
 		msg, err := transport.NewMessage(verb, "replica-01", v)
 		if err != nil {
 			b.Fatal(err)

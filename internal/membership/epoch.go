@@ -29,13 +29,13 @@ import (
 type Epoch struct {
 	// Seq is the configuration's sequence number, starting at 1 for the
 	// first proposed change (0 is the bootstrap configuration).
-	Seq int `json:"seq"`
+	Seq int
 	// Members is the full sorted member list (transport addresses).
-	Members []string `json:"members"`
+	Members []string
 	// Drained lists members excluded from new scheduling rounds while
 	// still alive, heartbeating, and serving previously installed plans.
 	// Always a subset of Members.
-	Drained []string `json:"drained,omitempty"`
+	Drained []string
 }
 
 // normalize sorts and dedups both lists in place.
@@ -137,7 +137,9 @@ func (e *Epoch) clone() Epoch {
 }
 
 // Wire protocol. Owners route both verbs to the Manager's handlers, like
-// the ring monitor's heartbeat/death verbs.
+// the ring monitor's heartbeat/death verbs. A disseminated epoch is the
+// Epoch itself, answered with an EpochAck; a proposal is a ProposeBody,
+// answered with the Epoch the coordinator committed (codec.go).
 const (
 	// EpochType is coordinator → member: apply a committed epoch.
 	EpochType = "membership.epoch"
@@ -147,17 +149,12 @@ const (
 	ProposeType = "membership.propose"
 )
 
-// EpochBody carries a disseminated epoch.
-type EpochBody struct {
-	Epoch Epoch `json:"epoch"`
-}
-
 // EpochAck is the member's reply: Accepted when the epoch was applied (or
 // already held verbatim); otherwise Seq tells the coordinator the newer
 // sequence the member holds, so a stale proposer can catch up.
 type EpochAck struct {
-	Seq      int  `json:"seq"`
-	Accepted bool `json:"accepted"`
+	Seq      int
+	Accepted bool
 }
 
 // Op names a membership change a ProposeBody requests.
@@ -176,11 +173,6 @@ const (
 
 // ProposeBody asks the receiving member to coordinate a membership change.
 type ProposeBody struct {
-	Op   Op     `json:"op"`
-	Addr string `json:"addr"`
-}
-
-// ProposeReply returns the epoch the coordinator committed.
-type ProposeReply struct {
-	Epoch Epoch `json:"epoch"`
+	Op   Op
+	Addr string
 }

@@ -182,7 +182,6 @@ func (m *Manager) Propose(ctx context.Context, next Epoch) (Epoch, error) {
 		ackM sync.Mutex
 		errs []string
 	)
-	body := EpochBody{Epoch: next}
 	for _, to := range targets {
 		if to == m.Self {
 			continue
@@ -190,7 +189,7 @@ func (m *Manager) Propose(ctx context.Context, next Epoch) (Epoch, error) {
 		wg.Add(1)
 		go func(to string) {
 			defer wg.Done()
-			ack, err := m.sendEpoch(ctx, to, body)
+			ack, err := m.sendEpoch(ctx, to, next)
 			ackM.Lock()
 			defer ackM.Unlock()
 			switch {
@@ -212,8 +211,8 @@ func (m *Manager) Propose(ctx context.Context, next Epoch) (Epoch, error) {
 }
 
 // sendEpoch ships one epoch to one member and decodes its ack.
-func (m *Manager) sendEpoch(ctx context.Context, to string, body EpochBody) (EpochAck, error) {
-	req, err := transport.NewMessage(EpochType, m.Self, body)
+func (m *Manager) sendEpoch(ctx context.Context, to string, e Epoch) (EpochAck, error) {
+	req, err := transport.NewMessage(EpochType, m.Self, e)
 	if err != nil {
 		return EpochAck{}, err
 	}
@@ -303,14 +302,14 @@ func (m *Manager) JoinVia(ctx context.Context, contact string) (Epoch, error) {
 	if err != nil {
 		return Epoch{}, fmt.Errorf("membership: join via %s: %w", contact, err)
 	}
-	var reply ProposeReply
-	if err := resp.DecodeBody(&reply); err != nil {
+	var committed Epoch
+	if err := resp.DecodeBody(&committed); err != nil {
 		return Epoch{}, err
 	}
-	if _, err := m.Apply(reply.Epoch, contact); err != nil && !errors.Is(err, ErrStale) {
+	if _, err := m.Apply(committed, contact); err != nil && !errors.Is(err, ErrStale) {
 		return Epoch{}, err
 	}
-	return reply.Epoch, nil
+	return committed, nil
 }
 
 // HandleEpoch applies a disseminated epoch (EpochType handler). Stale
@@ -318,11 +317,11 @@ func (m *Manager) JoinVia(ctx context.Context, contact string) (Epoch, error) {
 // a protocol answer, not a transport error — so coordinators can
 // distinguish "behind" from "unreachable".
 func (m *Manager) HandleEpoch(req transport.Message) (transport.Message, error) {
-	var body EpochBody
-	if err := req.DecodeBody(&body); err != nil {
+	var e Epoch
+	if err := req.DecodeBody(&e); err != nil {
 		return transport.Message{}, err
 	}
-	_, err := m.Apply(body.Epoch, req.From)
+	_, err := m.Apply(e, req.From)
 	if err != nil && !errors.Is(err, ErrStale) {
 		return transport.Message{}, err
 	}
@@ -345,5 +344,5 @@ func (m *Manager) HandlePropose(ctx context.Context, req transport.Message) (tra
 	if err != nil {
 		return transport.Message{}, err
 	}
-	return transport.NewMessage(ProposeType+".ack", m.Self, ProposeReply{Epoch: committed})
+	return transport.NewMessage(ProposeType+".ack", m.Self, committed)
 }

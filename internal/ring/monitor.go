@@ -2,6 +2,7 @@ package ring
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -61,16 +62,12 @@ type Monitor struct {
 }
 
 // HeartbeatType and DeathType are the message types the protocol uses.
-// Owners must route them to HandleHeartbeat / HandleDeath.
+// Owners must route them to HandleHeartbeat / HandleDeath. A heartbeat has
+// an empty body; a death notice's body is the dead member's name.
 const (
 	HeartbeatType = "ring.heartbeat"
 	DeathType     = "ring.death"
 )
-
-// deathNotice is the body of a DeathType message.
-type deathNotice struct {
-	Dead string `json:"dead"`
-}
 
 // Start launches the heartbeat loop. Call Stop to end it.
 func (m *Monitor) Start() {
@@ -230,18 +227,16 @@ func (m *Monitor) DeclareDead(dead string) {
 		return // someone else already handled it
 	}
 	m.Bus.Publish(telemetry.MemberDeclared{Member: dead, By: m.Self})
-	notice, err := transport.NewMessage(DeathType, m.Self, deathNotice{Dead: dead})
-	if err == nil {
-		for _, member := range m.Ring.Members() {
-			if member == m.Self {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), m.timeout())
-			// Best effort: a peer that also died will be caught by its own
-			// predecessor's heartbeat.
-			_, _ = m.Node.Send(ctx, member, notice)
-			cancel()
+	notice := transport.Message{Type: DeathType, From: m.Self, Body: []byte(dead)}
+	for _, member := range m.Ring.Members() {
+		if member == m.Self {
+			continue
 		}
+		ctx, cancel := context.WithTimeout(context.Background(), m.timeout())
+		// Best effort: a peer that also died will be caught by its own
+		// predecessor's heartbeat.
+		_, _ = m.Node.Send(ctx, member, notice)
+		cancel()
 	}
 	if m.OnFailure != nil {
 		m.OnFailure(dead)
@@ -255,19 +250,19 @@ func (m *Monitor) HandleHeartbeat(req transport.Message) (transport.Message, err
 
 // HandleDeath applies a death notice from a peer.
 func (m *Monitor) HandleDeath(req transport.Message) (transport.Message, error) {
-	var notice deathNotice
-	if err := req.DecodeBody(&notice); err != nil {
-		return transport.Message{}, err
+	dead := string(req.Body)
+	if dead == "" {
+		return transport.Message{}, fmt.Errorf("ring: death notice from %s names no member", req.From)
 	}
-	if m.Drained != nil && m.Drained(notice.Dead) {
+	if m.Drained != nil && m.Drained(dead) {
 		// A peer raced its declaration against the drain epoch: the member
 		// is deliberately quiet, not dead. Keep it.
 		return transport.NewMessage(DeathType+".ack", m.Self, nil)
 	}
-	if m.Ring.Remove(notice.Dead) {
-		m.Bus.Publish(telemetry.MemberDeclared{Member: notice.Dead, By: req.From})
+	if m.Ring.Remove(dead) {
+		m.Bus.Publish(telemetry.MemberDeclared{Member: dead, By: req.From})
 		if m.OnFailure != nil {
-			m.OnFailure(notice.Dead)
+			m.OnFailure(dead)
 		}
 	}
 	return transport.NewMessage(DeathType+".ack", m.Self, nil)

@@ -192,7 +192,10 @@ func TestHandleDeathIdempotent(t *testing.T) {
 	net := transport.NewInProcNetwork()
 	names := []string{"a", "b", "c"}
 	a := newTestMember(t, net, "a", names)
-	notice, _ := transport.NewMessage(DeathType, "c", deathNotice{Dead: "b"})
+	if _, err := a.monitor.HandleDeath(transport.Message{Type: DeathType, From: "c"}); err == nil {
+		t.Fatal("a death notice naming no member was accepted")
+	}
+	notice := transport.Message{Type: DeathType, From: "c", Body: []byte("b")}
 	if _, err := a.monitor.HandleDeath(notice); err != nil {
 		t.Fatal(err)
 	}
@@ -453,10 +456,7 @@ func TestHandleDeathIgnoresDrained(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	a := newTestMember(t, net, "a", names)
 	a.monitor.Drained = drainSet("b")
-	notice, err := transport.NewMessage(DeathType, "c", deathNotice{Dead: "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	notice := transport.Message{Type: DeathType, From: "c", Body: []byte("b")}
 	if _, err := a.monitor.HandleDeath(notice); err != nil {
 		t.Fatal(err)
 	}

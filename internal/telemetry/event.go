@@ -1,9 +1,9 @@
 // Package telemetry is the EDR runtime's observability plane: a
 // lock-cheap typed event bus the core/ring/transport layers publish
 // into, a metrics registry rendered in Prometheus text exposition
-// format, a collector that turns events into metrics and a bounded
-// round log, and an embedded HTTP admin server exposing /metrics,
-// /healthz, /status, and /debug/rounds.
+// format, and a collector that turns events into metrics and a bounded
+// round log. Package admin serves them over HTTP as /metrics, /healthz,
+// /status and /debug/rounds.
 //
 // The package deliberately knows nothing about core, ring, or
 // transport: events carry plain data, so every layer can publish

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"io"
-	"net/http"
 	"regexp"
 	"strings"
 	"sync"
@@ -210,54 +208,5 @@ func TestCollectorRoundAccounting(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestAdminEndpoints(t *testing.T) {
-	c := NewCollector(0)
-	bus := NewBus()
-	defer c.Attach(bus)()
-	bus.Publish(RoundCompleted{Round: 1, Algorithm: "LDDM", Residuals: []float64{0.5, 0.1}, Costs: []float64{9, 8}})
-
-	srv, err := ServeAdmin("127.0.0.1:0", AdminConfig{
-		Registry: c.Registry,
-		Status:   func() any { return map[string]any{"ring": []string{"r1", "r2"}} },
-		Rounds:   c.Rounds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(body)
-	}
-
-	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
-		t.Fatalf("/healthz = %d %q", code, body)
-	}
-	code, body := get("/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics = %d", code)
-	}
-	checkPrometheusText(t, body)
-	if !strings.Contains(body, `edr_rounds_total{algorithm="LDDM"} 1`) {
-		t.Fatalf("/metrics missing round counter:\n%s", body)
-	}
-	if code, body := get("/status"); code != 200 || !strings.Contains(body, `"ring"`) {
-		t.Fatalf("/status = %d %q", code, body)
-	}
-	if code, body := get("/debug/rounds"); code != 200 || !strings.Contains(body, `"residuals"`) {
-		t.Fatalf("/debug/rounds = %d %q", code, body)
 	}
 }

@@ -10,20 +10,21 @@ import (
 	"sync/atomic"
 )
 
-// Compact binary body codec, version 1. The bodies a round sends once per
-// client, per replica or per iteration are binary: the engines' iteration
-// verbs (LDDM's μ and reply, ADMM's targets and shift, the CDPSM step
-// carrying the initiator's consensus and answered with the replica's
-// estimate, each vector packed over the round's support) and the
-// control-plane bodies of internal/core/codec.go. A body implements
+// Compact binary body codec, version 1. Every body on the wire is binary:
+// the engines' iteration verbs (LDDM's μ and reply, ADMM's targets and
+// shift, the CDPSM step carrying the initiator's consensus and answered
+// with the replica's estimate, each vector packed over the round's
+// support), the runtime's control-plane bodies (internal/core/codec.go),
+// membership epochs and the DONAR runtime's bodies. A body implements
 // encoding.BinaryMarshaler/BinaryUnmarshaler and is written and read with
 // the Writer and Reader below: little-endian scalars, length-headed
 // strings, vectors and lists, and bitmaps, with no reflection and at most
-// 8 bytes per value. The kinded matrix frame at the end of this file is
-// built from the same Writer and Reader, but no round body carries one.
+// 8 bytes per value. A body that is one string or one byte run (the TCP
+// error reply, a download's payload, a death notice) is those bytes, with
+// no header. The kinded matrix frame at the end of this file is built from
+// the same Writer and Reader, but no round body carries one.
 //
-// Wire format: every frame, whatever codec its body's type picked, has one
-// layout:
+// Wire format: every frame has one layout:
 //
 //	[u32 BE  len]
 //	[u8      version (=1)]
@@ -31,12 +32,11 @@ import (
 //	[u16 BE  len(From)] [From]
 //	[body bytes]
 //
-// The body's Go type picks its codec on both ends (NewMessage,
-// DecodeBody): a body sent in the codec its receiver's type does not
-// speak is refused, never reinterpreted. Body convention: every request
-// body addressed to a round's participant state (the engine verbs,
-// round.start, replica.assign) starts with its u32 LE round id, so a
-// dispatcher can route a body without decoding it.
+// A body's layout is fixed by its Go type on both ends (NewMessage,
+// DecodeBody), and its decoder refuses any other bytes. Body convention:
+// every request body addressed to a round's participant state (the engine
+// verbs, round.start, replica.assign) starts with its u32 LE round id, so
+// a dispatcher can route a body without decoding it.
 
 // BinaryVersion is the envelope version emitted and accepted.
 const BinaryVersion = 1
@@ -224,6 +224,14 @@ func (w *Writer) Done() ([]byte, error) {
 	return w.b, nil
 }
 
+// Encode returns the body write writes into a buffer of capacity size, or
+// the first error it met.
+func Encode(size int, write func(w *Writer)) ([]byte, error) {
+	w := NewWriter(make([]byte, 0, size))
+	write(&w)
+	return w.Done()
+}
+
 // Reader consumes a body. The first failure sticks as its error, and every
 // later read returns a zero value. A count is checked against the bytes
 // left before anything is allocated for it, and an empty list reads as
@@ -257,6 +265,14 @@ func (r *Reader) Done() error {
 		r.err = fmt.Errorf("transport: %d trailing bytes after the body's last field", len(r.b))
 	}
 	return r.err
+}
+
+// Decode reads data with read and refuses it, as Done does, if bytes are
+// left after read's last field.
+func Decode(data []byte, read func(r *Reader)) error {
+	r := NewReader(data)
+	read(&r)
+	return r.Done()
 }
 
 // Raw consumes n bytes with no header and returns them, aliasing the body.
@@ -387,6 +403,25 @@ func ReadPairs[T any](r *Reader, pair func(key string, v float64) T) []T {
 		off += 2 + l + 8
 	}
 	r.b = r.b[size:]
+	return v
+}
+
+// ReadList consumes a u32 count and then that many elements, each read by
+// elem and at least min bytes long: a count the bytes left cannot hold is
+// refused before anything is allocated for it, and an empty list reads as
+// nil.
+func ReadList[T any](r *Reader, min int, elem func(r *Reader) T) []T {
+	n := r.U32()
+	if r.err == nil && uint64(n)*uint64(min) > uint64(len(r.b)) {
+		r.err = fmt.Errorf("transport: binary list claims %d elements of %d bytes or more, %d bytes left", n, min, len(r.b))
+	}
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	v := make([]T, n)
+	for i := range v {
+		v[i] = elem(r)
+	}
 	return v
 }
 

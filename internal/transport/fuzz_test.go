@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ import (
 // exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
 	// Seed with valid frames and near-valid corruptions.
-	for _, body := range []any{[]float64{1, 2, 3}, matrixBody{Round: 2, M: testMatrix(2, 3)}} {
+	for _, body := range []encoding.BinaryMarshaler{textBody("1, 2, 3"), matrixBody{Round: 2, M: testMatrix(2, 3)}} {
 		var valid bytes.Buffer
 		m, _ := NewMessage("replica.solution", "r1", body)
 		_ = WriteFrame(&valid, m)

@@ -21,12 +21,12 @@ func TestInProcSendReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, _ := NewMessage("ping", "client", "hello")
+	req, _ := NewMessage("ping", "client", textBody("hello"))
 	resp, err := client.Send(context.Background(), "server", req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body string
+	var body textBody
 	if err := resp.DecodeBody(&body); err != nil || body != "hello" {
 		t.Fatalf("resp = %+v, err = %v", resp, err)
 	}

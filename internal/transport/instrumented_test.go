@@ -22,7 +22,7 @@ func TestInstrumentedCountsPerPeerAndVerb(t *testing.T) {
 	net := NewInstrumented(NewInProcNetwork(), reg, bus)
 
 	echo, err := net.Listen("echo", func(ctx context.Context, req Message) (Message, error) {
-		return NewMessage(req.Type+".ack", "echo", map[string]string{"pong": "yes"})
+		return NewMessage(req.Type+".ack", "echo", textBody("pong"))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestInstrumentedCountsPerPeerAndVerb(t *testing.T) {
 	defer caller.Close()
 
 	ctx := context.Background()
-	req, err := NewMessage("test.ping", "caller", map[string]string{"ping": "1"})
+	req, err := NewMessage("test.ping", "caller", textBody("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}

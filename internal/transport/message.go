@@ -14,15 +14,13 @@ package transport
 import (
 	"encoding"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// Message is the envelope exchanged between EDR nodes. Its body's Go type
-// picks the codec, on both ends: a type that implements
-// encoding.BinaryMarshaler travels in its compact binary form (binary.go),
-// any other type as JSON.
+// Message is the envelope exchanged between EDR nodes. Every body is
+// binary: its Go type implements encoding.BinaryMarshaler on the sending
+// end and encoding.BinaryUnmarshaler on the receiving one (binary.go).
 type Message struct {
 	// Type routes the message (e.g. "client.request", "replica.solution",
 	// "ring.heartbeat").
@@ -36,40 +34,25 @@ type Message struct {
 // BodyLen reports the payload size in bytes.
 func (m Message) BodyLen() int { return len(m.Body) }
 
-// NewMessage builds a Message with the body marshaled from v: binary when v
-// implements encoding.BinaryMarshaler, JSON otherwise. A nil v leaves the
-// body empty.
-func NewMessage(msgType, from string, v any) (Message, error) {
+// NewMessage builds a Message with the body v marshals to. A nil v leaves
+// the body empty.
+func NewMessage(msgType, from string, v encoding.BinaryMarshaler) (Message, error) {
 	m := Message{Type: msgType, From: from}
-	var err error
-	switch bm := v.(type) {
-	case nil:
-	case encoding.BinaryMarshaler:
-		m.Body, err = bm.MarshalBinary()
-	default:
-		m.Body, err = json.Marshal(v)
+	if v == nil {
+		return m, nil
 	}
+	body, err := v.MarshalBinary()
 	if err != nil {
 		return Message{}, fmt.Errorf("transport: marshal %s body: %w", msgType, err)
 	}
+	m.Body = body
 	return m, nil
 }
 
-// DecodeBody unmarshals the message body into v with the codec v's type
-// picks: binary when v implements encoding.BinaryUnmarshaler, JSON
-// otherwise. A body in the other codec is refused by the decoder, with an
-// error naming the message type.
-func (m Message) DecodeBody(v any) error {
-	if bu, ok := v.(encoding.BinaryUnmarshaler); ok {
-		if err := bu.UnmarshalBinary(m.Body); err != nil {
-			return fmt.Errorf("transport: decode %s body: %w", m.Type, err)
-		}
-		return nil
-	}
-	if len(m.Body) == 0 {
-		return fmt.Errorf("transport: %s message has empty body", m.Type)
-	}
-	if err := json.Unmarshal(m.Body, v); err != nil {
+// DecodeBody unmarshals the message body into v, with an error naming the
+// message type when v refuses it.
+func (m Message) DecodeBody(v encoding.BinaryUnmarshaler) error {
+	if err := v.UnmarshalBinary(m.Body); err != nil {
 		return fmt.Errorf("transport: decode %s body: %w", m.Type, err)
 	}
 	return nil

@@ -11,12 +11,23 @@ import (
 	"testing/quick"
 )
 
+// textBody is a one-string body for the envelope tests.
+type textBody string
+
+func (b textBody) MarshalBinary() ([]byte, error) {
+	w := NewWriter(nil)
+	w.Str(string(b))
+	return w.Done()
+}
+
+func (b *textBody) UnmarshalBinary(data []byte) error {
+	r := NewReader(data)
+	*b = textBody(r.Str())
+	return r.Done()
+}
+
 func TestNewMessageAndDecodeRoundTrip(t *testing.T) {
-	type payload struct {
-		X int      `json:"x"`
-		S []string `json:"s"`
-	}
-	in := payload{X: 7, S: []string{"a", "b"}}
+	in := textBody("a, b")
 	m, err := NewMessage("test.type", "node1", in)
 	if err != nil {
 		t.Fatal(err)
@@ -24,12 +35,12 @@ func TestNewMessageAndDecodeRoundTrip(t *testing.T) {
 	if m.Type != "test.type" || m.From != "node1" {
 		t.Fatalf("envelope = %+v", m)
 	}
-	var out payload
+	var out textBody
 	if err := m.DecodeBody(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.X != in.X || len(out.S) != 2 || out.S[1] != "b" {
-		t.Fatalf("round trip mismatch: %+v", out)
+	if out != in {
+		t.Fatalf("round trip mismatch: %q", out)
 	}
 }
 
@@ -41,29 +52,32 @@ func TestNewMessageNilBody(t *testing.T) {
 	if len(m.Body) != 0 {
 		t.Fatalf("nil body produced %q", m.Body)
 	}
-	var v int
+	var v textBody
 	if err := m.DecodeBody(&v); err == nil {
 		t.Fatal("DecodeBody on empty body succeeded")
 	}
 }
 
+// A body its codec refuses to write fails NewMessage, naming the type.
 func TestNewMessageUnmarshalableBody(t *testing.T) {
-	if _, err := NewMessage("bad", "n", func() {}); err == nil {
-		t.Fatal("function body marshaled")
+	if _, err := NewMessage("bad", "n", textBody(strings.Repeat("x", 1<<16))); err == nil || !strings.Contains(err.Error(), "bad") {
+		t.Fatalf("an over-long string body marshaled: %v", err)
 	}
 }
 
+// A body in another layout is refused, and the error names the message
+// type.
 func TestDecodeBodyTypeMismatch(t *testing.T) {
-	m, _ := NewMessage("t", "n", "a string")
-	var v struct{ X int }
-	if err := m.DecodeBody(&v); err == nil {
-		t.Fatal("string decoded into struct")
+	m, _ := NewMessage("replica.cdpsm.step", "n", matrixBody{Round: 1, M: testMatrix(1, 1)})
+	var v textBody
+	if err := m.DecodeBody(&v); err == nil || !strings.Contains(err.Error(), "replica.cdpsm.step") {
+		t.Fatalf("matrix body decoded as a string %q: %v", v, err)
 	}
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in, _ := NewMessage("replica.solution", "r3", map[string]float64{"load": 42.5})
+	in, _ := NewMessage("replica.solution", "r3", textBody("load 42.5"))
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +93,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameMultipleSequential(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
-		m, _ := NewMessage("seq", "n", i)
+		m, _ := NewMessage("seq", "n", matrixBody{Round: i})
 		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +103,12 @@ func TestFrameMultipleSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v int
+		var v matrixBody
 		if err := m.DecodeBody(&v); err != nil {
 			t.Fatal(err)
 		}
-		if v != i {
-			t.Fatalf("frame %d decoded as %d", i, v)
+		if v.Round != i {
+			t.Fatalf("frame %d decoded as %d", i, v.Round)
 		}
 	}
 	if _, err := ReadFrame(&buf); err != io.EOF {
@@ -167,7 +181,7 @@ func TestReadFrameGarbageJSON(t *testing.T) {
 // Property: arbitrary string payloads survive the wire intact.
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(msgType, from, body string) bool {
-		in, err := NewMessage(msgType, from, body)
+		in, err := NewMessage(msgType, from, textBody(body))
 		if err != nil {
 			return false
 		}
@@ -179,11 +193,11 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var decoded string
+		var decoded textBody
 		if err := out.DecodeBody(&decoded); err != nil {
 			return false
 		}
-		return out.Type == msgType && out.From == from && decoded == body
+		return out.Type == msgType && out.From == from && string(decoded) == body
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

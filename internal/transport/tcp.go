@@ -224,8 +224,8 @@ func (nd *tcpNode) serveConn(conn net.Conn) {
 		}
 		resp, err := nd.handler(nd.ctx, req)
 		if err != nil {
-			// A string always marshals: the error text goes as JSON.
-			resp, _ = NewMessage("error", nd.name, err.Error())
+			// The error reply's body is the error text itself.
+			resp = Message{Type: "error", From: nd.name, Body: []byte(err.Error())}
 		}
 		conn.SetWriteDeadline(time.Now().Add(nd.frameTO))
 		err = WriteFrame(conn, resp)
@@ -372,11 +372,7 @@ func (nd *tcpNode) Send(ctx context.Context, to string, req Message) (Message, e
 		return Message{}, err
 	}
 	if resp.Type == "error" {
-		var msg string
-		if err := resp.DecodeBody(&msg); err != nil {
-			msg = "remote handler error"
-		}
-		return Message{}, fmt.Errorf("transport: remote %q: %s", to, msg)
+		return Message{}, fmt.Errorf("transport: remote %q: %s", to, resp.Body)
 	}
 	return resp, nil
 }

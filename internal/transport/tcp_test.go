@@ -32,13 +32,13 @@ func newTCPPair(t *testing.T, h Handler) (server, client Node) {
 
 func TestTCPSendReceive(t *testing.T) {
 	server, client := newTCPPair(t, echoHandler)
-	req, _ := NewMessage("ping", "", map[string]int{"k": 3})
+	req, _ := NewMessage("ping", "", textBody("k=3"))
 	resp, err := client.Send(context.Background(), server.Name(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body map[string]int
-	if err := resp.DecodeBody(&body); err != nil || body["k"] != 3 {
+	var body textBody
+	if err := resp.DecodeBody(&body); err != nil || body != "k=3" {
 		t.Fatalf("resp body = %s err = %v", resp.Body, err)
 	}
 }
@@ -156,7 +156,7 @@ func TestTCPLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = float64(i) * 1.5
 	}
-	req, err := NewMessage("bulk", "", big)
+	req, err := NewMessage("bulk", "", matrixBody{Round: 1, M: [][]float64{big}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestTCPLargePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []float64
+	var out matrixBody
 	if err := resp.DecodeBody(&out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(big) || out[49999] != big[49999] {
+	if len(out.M) != 1 || len(out.M[0]) != len(big) || out.M[0][49999] != big[49999] {
 		t.Fatal("large payload corrupted")
 	}
 }

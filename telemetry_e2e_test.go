@@ -20,6 +20,7 @@ import (
 	"edr/internal/core"
 	"edr/internal/model"
 	"edr/internal/telemetry"
+	"edr/internal/telemetry/admin"
 	"edr/internal/transport"
 )
 
@@ -82,7 +83,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		replicas = append(replicas, rs)
 	}
 	replicas[0].RegisterMetrics(collector.Registry)
-	admin, err := telemetry.ServeAdmin("127.0.0.1:0", telemetry.AdminConfig{
+	plane, err := admin.Serve("127.0.0.1:0", admin.Config{
 		Registry: collector.Registry,
 		Status:   func() any { return replicas[0].Status() },
 		Rounds:   collector.Rounds,
@@ -90,8 +91,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer admin.Close()
-	base := "http://" + admin.Addr()
+	defer plane.Close()
+	base := "http://" + plane.Addr()
 
 	ctx := t.Context()
 	lat := map[string]float64{"replica1": 0.0005, "replica2": 0.0005, "replica3": 0.0005}
