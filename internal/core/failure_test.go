@@ -375,3 +375,22 @@ func TestPingMeasuresLatency(t *testing.T) {
 func modelReplica(price float64) model.Replica {
 	return model.NewReplica("r", price)
 }
+
+// Every retry waits a positive time of at most 7.5 s (the 5 s cap plus
+// its jitter), however many retries a replica is configured for: the
+// doubling is capped before it can shift a 50 ms base past int64.
+func TestBackoffStaysBounded(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	base := (&ReplicaConfig{}).withDefaults().RetryBase
+	for attempt := 1; attempt <= 100; attempt++ {
+		for draw := 0; draw < 20; draw++ {
+			if d := backoff(base, attempt); d <= 0 || d > 7500*time.Millisecond {
+				t.Fatalf("attempt %d: backoff %v, want within (0, 7.5s]", attempt, d)
+			}
+		}
+		if err := sleepBackoff(cancelled, base, attempt); err == nil {
+			t.Fatalf("attempt %d: sleepBackoff on a cancelled context returned nil", attempt)
+		}
+	}
+}

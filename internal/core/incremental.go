@@ -61,9 +61,15 @@ type incrementalPlan struct {
 	// result is gated against (an absolute gate would reject merged
 	// results no worse than the full solve it escalates to).
 	baseGap float64
-	// audit is the gate's measure of the merged matrix, which the duals
-	// estimate and the report read instead of re-deriving it.
-	audit opt.Audit
+	// carried is the committed assignment's audit state: lg's, or built by
+	// this plan when the committed round is a full one. audit is the
+	// measure of the merged matrix taken from it — by the gate, or on a
+	// clean plan by the commit — which the duals estimate and the report
+	// read instead of re-deriving it; step carries the state to that
+	// matrix when the round commits.
+	carried *opt.AuditState
+	audit   opt.Audit
+	step    *opt.AuditStep
 	// lg is the committed round the plan diffed against.
 	lg *lastGoodRound
 }
@@ -193,9 +199,11 @@ func (r *ReplicaServer) planIncremental(in *instance) *incrementalPlan {
 		}
 		plan.residual[j] = res
 	}
-	plan.baseGap = lg.kktGap
-	if !lg.gapKnown {
-		plan.baseGap = opt.KKTGap(lg.prob, lg.assignment)
+	plan.baseGap, plan.carried = lg.kktGap, lg.audit
+	if plan.carried == nil {
+		var committed opt.Audit
+		committed, plan.carried = lg.prob.AuditCarried(lg.assignment)
+		plan.baseGap = committed.KKTGap
 	}
 	return plan
 }
@@ -290,7 +298,7 @@ func (p *incrementalPlan) gate(prob *opt.Problem, merged [][]float64) error {
 	for _, rep := range prob.System.Replicas {
 		scale = max(scale, rep.Bandwidth)
 	}
-	p.audit = prob.Audit(merged)
+	p.measure(prob, merged)
 	// Each measure must be within its bound: a NaN one, which compares
 	// false against everything, fails.
 	if !(p.audit.Violation <= 1e-6*scale) {
@@ -301,4 +309,10 @@ func (p *incrementalPlan) gate(prob *opt.Problem, merged [][]float64) error {
 		return errEscalateFull
 	}
 	return nil
+}
+
+// measure audits the merged matrix from the committed audit state: only
+// the changed rows (and newcomers) are measured, the rest are carried.
+func (p *incrementalPlan) measure(prob *opt.Problem, merged [][]float64) {
+	p.audit, p.step = prob.AuditFrom(merged, p.carried, p.rowMap, p.changed)
 }

@@ -175,6 +175,7 @@ func (r *ReplicaServer) execute(ctx context.Context, a *attempt) error {
 		// optimal for this round's problem: no round-start, install or
 		// notify at all — the replicas keep serving their installed plans.
 		a.x, a.mus, a.suppressed = a.inc.base, a.inc.mus(), len(a.full.requests)
+		a.inc.measure(a.full.prob, a.x)
 		return nil
 	}
 	a.sub, a.solveSpec, a.solveProb, a.grouping = a.full, a.full.spec, a.full.prob, nil
@@ -908,10 +909,10 @@ func (r *ReplicaServer) push(ctx context.Context, to string, short transport.Mes
 	}
 }
 
-// objective is the result's energy cost: on an incremental plan the gate
-// already took it from the merged matrix.
+// objective is the result's energy cost: on an incremental or clean plan
+// the plan's audit already took it from the merged matrix.
 func (a *attempt) objective() float64 {
-	if a.kind == kindIncremental {
+	if a.kind == kindIncremental || a.kind == kindClean {
 		return a.inc.audit.Cost
 	}
 	return a.full.prob.Cost(a.x)
@@ -947,9 +948,6 @@ func (r *ReplicaServer) commit(a *attempt) *RoundReport {
 		r.Stats.RoundsDegraded.Inc(1)
 		return report
 	}
-	if report.Incremental {
-		r.Stats.RoundsIncremental.Inc(1)
-	}
 	lg := &lastGoodRound{
 		round:          a.round,
 		infos:          a.full.infos,
@@ -964,9 +962,12 @@ func (r *ReplicaServer) commit(a *attempt) *RoundReport {
 	if a.kind == kindIncremental {
 		report.DirtyClients = len(a.sub.requests)
 		report.SubsolveGap = a.subGap
-		// The gate measured this very matrix on this very problem: the
-		// next plan's baseGap.
-		lg.kktGap, lg.gapKnown = a.inc.audit.KKTGap, true
+	}
+	if report.Incremental {
+		r.Stats.RoundsIncremental.Inc(1)
+		// The plan's audit measured this very matrix on this very problem:
+		// the next plan's baseGap and audit state.
+		lg.audit, lg.kktGap = a.inc.step.Carry(), a.inc.audit.KKTGap
 	}
 	if a.kind == kindClean {
 		// The fleet still serves the last installed plan — nothing was

@@ -262,8 +262,10 @@ func TestDepartureOnlyRoundReoptimizes(t *testing.T) {
 // A seeded chain of drifting rounds, with clients leaving and rejoining:
 // what a round reads instead of re-deriving must equal what it would have
 // derived. Every reported Objective is the problem's Cost of the reported
-// Assignment bit for bit, and every KKT gap a commit carries forward is
-// KKTGap of the committed assignment on the committed problem bit for bit.
+// Assignment bit for bit; every incremental or clean commit carries an
+// audit state forward, whose KKT gap is KKTGap of the committed assignment
+// on the committed problem and whose audit of that assignment is the full
+// audit, bit for bit.
 func TestIncrementalChainReusesAudit(t *testing.T) {
 	const nClients = 90
 	f := newFleetCfg(t, []float64{1, 10, 5, 3}, nClients, LDDM, func(_ int, cfg *ReplicaConfig) {
@@ -300,10 +302,19 @@ func TestIncrementalChainReusesAudit(t *testing.T) {
 		if got, want := report.Objective, lg.prob.Cost(report.Assignment); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("round %d: Objective %v, Cost %v", report.Round, got, want)
 		}
-		if lg.gapKnown {
+		if report.Incremental && lg.audit == nil {
+			t.Fatalf("round %d: an incremental commit carried no audit state", report.Round)
+		}
+		if lg.audit != nil {
 			carried++
 			if want := opt.KKTGap(lg.prob, lg.assignment); math.Float64bits(lg.kktGap) != math.Float64bits(want) {
 				t.Fatalf("round %d: carried gap %v, KKTGap %v", report.Round, lg.kktGap, want)
+			}
+			got, _ := lg.prob.AuditFrom(lg.assignment, lg.audit, nil, nil)
+			want := lg.prob.Audit(lg.assignment)
+			if math.Float64bits(got.Violation) != math.Float64bits(want.Violation) || math.Float64bits(got.KKTGap) != math.Float64bits(want.KKTGap) {
+				t.Fatalf("round %d: carried audit (violation %v, gap %v), full audit (%v, %v)",
+					report.Round, got.Violation, got.KKTGap, want.Violation, want.KKTGap)
 			}
 		}
 		if report.Incremental && report.DirtyClients > 0 {

@@ -106,12 +106,15 @@ type lastGoodRound struct {
 	// what replicas really hold — never against assignment.
 	installed      [][]float64
 	installedRound int
-	// kktGap is opt.KKTGap(prob, assignment) when gapKnown: an incremental
-	// commit records the gate's, which measured the same matrix on the
-	// same problem. Full and clean commits leave it unknown, and the next
-	// plan computes it.
-	kktGap   float64
-	gapKnown bool
+	// audit is the assignment's carried audit state on prob, and kktGap
+	// its KKT gap, bit for bit opt.KKTGap(prob, assignment): incremental
+	// and clean commits carry both forward from the audit of the matrix
+	// they commit. A full commit leaves audit nil; the next incremental plan
+	// builds both in one pass (opt.Problem.AuditCarried). A carry reuses
+	// the state's arrays, so like the duals overlay (settleDuals) it rests
+	// on rounds running one at a time.
+	audit  *opt.AuditState
+	kktGap float64
 }
 
 // roundStatesKept bounds the participant-side round states a replica

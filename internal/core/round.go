@@ -165,15 +165,10 @@ func (r *ReplicaServer) sendMsgRetry(ctx context.Context, to string, req transpo
 	return transport.Message{}, lastErr
 }
 
-// sleepBackoff waits RetryBase·2^(attempt−1) with ±50% jitter, honoring
-// ctx cancellation. Jitter decorrelates the fleet's retry storms.
+// sleepBackoff waits out backoff(base, attempt), honoring ctx
+// cancellation.
 func sleepBackoff(ctx context.Context, base time.Duration, attempt int) error {
-	d := base << (attempt - 1)
-	if max := 5 * time.Second; d > max {
-		d = max
-	}
-	d = d/2 + time.Duration(rand.Int64N(int64(d)))
-	timer := time.NewTimer(d)
+	timer := time.NewTimer(backoff(base, attempt))
 	defer timer.Stop()
 	select {
 	case <-timer.C:
@@ -181,6 +176,19 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// backoff is the wait before retry attempt (from 1): base·2^(attempt−1),
+// at most 5 s, with ±50% jitter, which decorrelates the fleet's retry
+// storms. The cap is applied before the shift, which would otherwise wrap
+// to a negative wait from attempt 39 at the default 50 ms base.
+func backoff(base time.Duration, attempt int) time.Duration {
+	const ceiling = 5 * time.Second
+	d := ceiling
+	if shift := attempt - 1; shift < 63 && base <= ceiling>>shift {
+		d = base << shift
+	}
+	return d/2 + time.Duration(rand.Int64N(int64(d)))
 }
 
 // sendReplicaMsg is sendMsgRetry with member-failure attribution: only after

@@ -3,6 +3,7 @@ package donar
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"edr/internal/netsim"
@@ -67,6 +68,23 @@ type localSolveReply struct {
 	Assignments []map[string]float64
 	// Loads is this node's per-replica aggregate (column order).
 	Loads []float64
+}
+
+// check refuses a reply that does not fit the epoch: one finite,
+// non-negative load per replica and one placement per request sent.
+func (r *localSolveReply) check(replicas, requests int) error {
+	if len(r.Loads) != replicas {
+		return fmt.Errorf("%d loads for %d replicas", len(r.Loads), replicas)
+	}
+	for j, load := range r.Loads {
+		if !(load >= 0) || math.IsInf(load, 1) {
+			return fmt.Errorf("load %g on replica %d", load, j)
+		}
+	}
+	if len(r.Assignments) != requests {
+		return fmt.Errorf("%d placements for %d requests", len(r.Assignments), requests)
+	}
+	return nil
 }
 
 // notifyBody asks a node to push allocations to its clients.
@@ -292,6 +310,9 @@ func (m *MappingNode) RunEpoch(ctx context.Context, peers []string, replicas []R
 			var reply localSolveReply
 			if err := resp.DecodeBody(&reply); err != nil {
 				return nil, err
+			}
+			if err := reply.check(n, len(perNode[i])); err != nil {
+				return nil, fmt.Errorf("donar: local solve on %s: %w", addr, err)
 			}
 			nodeLoads[i] = reply.Loads
 			nodeAssignments[i] = reply.Assignments

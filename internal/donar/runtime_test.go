@@ -3,6 +3,7 @@ package donar
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -196,5 +197,46 @@ func TestDonarRuntimeUnplaceable(t *testing.T) {
 	_, err := f.nodes[0].RunEpoch(ctx, nil, []ReplicaSpec{{Addr: "r", BandwidthMBps: 100}}, 3)
 	if err == nil {
 		t.Fatal("unplaceable demand succeeded")
+	}
+}
+
+// RunEpoch refuses a local-solve reply whose shape does not fit the epoch,
+// naming the node that sent it, instead of storing it: a short Loads used
+// to panic the initiator where it summed the epoch's loads.
+func TestRunEpochRefusesMisshapenReplies(t *testing.T) {
+	replicas := []ReplicaSpec{{Addr: "replicaA", BandwidthMBps: 100}, {Addr: "replicaB", BandwidthMBps: 100}}
+	one := []map[string]float64{{"replicaA": 10}}
+	for _, tc := range []struct {
+		name  string
+		reply localSolveReply
+	}{
+		{"short loads", localSolveReply{Assignments: one, Loads: []float64{10}}},
+		{"long loads", localSolveReply{Assignments: one, Loads: []float64{10, 0, 0}}},
+		{"NaN load", localSolveReply{Assignments: one, Loads: []float64{math.NaN(), 0}}},
+		{"infinite load", localSolveReply{Assignments: one, Loads: []float64{math.Inf(1), 0}}},
+		{"negative load", localSolveReply{Assignments: one, Loads: []float64{10, -1}}},
+		{"no placements", localSolveReply{Loads: []float64{10, 0}}},
+		{"extra placement", localSolveReply{Assignments: append(one, one...), Loads: []float64{10, 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newDonarFleet(t, 1, nil)
+			fake, err := f.net.Listen("fakepeer", func(_ context.Context, req transport.Message) (transport.Message, error) {
+				switch req.Type {
+				case MsgCollect:
+					return transport.NewMessage(MsgCollect+".ack", "fakepeer", requests{{ClientAddr: "dc1", DemandMB: 10}})
+				case MsgLocalSolve:
+					return transport.NewMessage(MsgLocalSolve+".ack", "fakepeer", tc.reply)
+				}
+				return transport.NewMessage(req.Type+".ack", "fakepeer", nil)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fake.Close()
+			_, err = f.nodes[0].RunEpoch(context.Background(), []string{"fakepeer"}, replicas, 2)
+			if err == nil || !strings.Contains(err.Error(), "fakepeer") {
+				t.Fatalf("RunEpoch on a %s reply: error %v, want one naming fakepeer", tc.name, err)
+			}
+		})
 	}
 }
