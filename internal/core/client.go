@@ -32,6 +32,10 @@ type Client struct {
 	// 0 for none).
 	sent []Latency
 	id   uint32
+	// rec is the client's standing record at contact, the same the contact
+	// keeps for it; beat counts the identical Submits since it stood.
+	rec  standing
+	beat uint32
 	// held is the roster the last full-form push listed, which the short
 	// form names by hash.
 	held heldRoster
@@ -160,17 +164,42 @@ func (c *Client) Ping(ctx context.Context, replicaAddr string) (time.Duration, e
 // demand. A contact that does not hold the handle gets the full form, in a
 // second RPC. On an error the demand a cohort allocation scales by stays
 // the last acknowledged one.
+//
+// A client whose request stands at its contact (see standing) sends
+// nothing for an identical Submit — same contact, demand and latencies —
+// but every standingRenewal-th, a handle-form renewal at a phase its
+// handle sets: the contact queues its standing demand each round. Any
+// change, any error, or a renewal acked with handle 0 or with another
+// queued demand ends standing, and a Submit to another contact withdraws
+// the standing demand from the old one first (Withdraw).
 func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB float64, latencies map[string]float64) error {
+	c.mu.Lock()
+	same := contactReplica == c.contact && c.id != 0 && sameLatencies(c.sent, latencies)
+	if same && c.rec.stands && math.Float64bits(demandMB) == c.rec.bits {
+		if c.beat++; (c.beat+c.id)%standingRenewal != 0 {
+			c.mu.Unlock()
+			return nil
+		}
+	}
 	// A round may push before the ack lands; until then the submission
 	// itself is the best guess at the queued demand.
-	c.mu.Lock()
 	acked := c.demand
 	c.demand = demandMB
 	body := RequestBody{DemandMB: demandMB}
-	if contactReplica == c.contact && c.id != 0 && sameLatencies(c.sent, latencies) {
+	if same {
 		body.Handle = c.id
 	}
+	withdraw := c.rec.stands && contactReplica != c.contact
+	old, oldID := c.contact, c.id
+	if withdraw {
+		c.id, c.sent, c.rec = 0, nil, standing{}
+	}
 	c.mu.Unlock()
+	if withdraw {
+		// Best effort: an old contact that cannot be told drops the
+		// standing demand when it lapses.
+		_ = c.withdraw(ctx, old, oldID)
+	}
 	var sent []Latency
 	if body.Handle == 0 {
 		sent = latencyList(latencies)
@@ -186,7 +215,13 @@ func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB flo
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
+		// The contact drops its record of the client when it refuses it
+		// (ReplicaServer.unstand); another contact's error leaves the
+		// record of the last contact as it is.
 		c.demand = acked
+		if contactReplica == c.contact {
+			c.rec = standing{}
+		}
 		return err
 	}
 	c.contact = contactReplica
@@ -195,6 +230,37 @@ func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB flo
 	c.id = ack.Handle
 	if sent != nil {
 		c.sent = sent
+	}
+	if stood := c.rec.stands; c.rec.admit(body.Handle != 0, demandMB, ack) && !stood {
+		c.beat = 0
+	}
+	return nil
+}
+
+// Withdraw ends the client's standing demand at its contact and takes back
+// what it queued there since the contact's last round: the client is gone
+// from the next round. A client that holds no handle has nothing to
+// withdraw. A silent client departs without it only when its standing
+// lapses, roundStatesKept drains after its last request.
+func (c *Client) Withdraw(ctx context.Context) error {
+	c.mu.Lock()
+	contact, id := c.contact, c.id
+	c.id, c.sent, c.rec = 0, nil, standing{}
+	c.mu.Unlock()
+	if id == 0 {
+		return nil
+	}
+	return c.withdraw(ctx, contact, id)
+}
+
+// withdraw sends one client.withdraw naming handle to contact.
+func (c *Client) withdraw(ctx context.Context, contact string, handle uint32) error {
+	b, err := WithdrawBody{Handle: handle}.MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("core: marshal %s body: %w", MsgClientWithdraw, err)
+	}
+	if _, err := c.node.Send(ctx, contact, transport.Message{Type: MsgClientWithdraw, From: c.Addr(), Body: b}); err != nil {
+		return fmt.Errorf("core: withdraw from %s: %w", contact, err)
 	}
 	return nil
 }
@@ -265,7 +331,9 @@ func (c *Client) WaitAllocation(ctx context.Context) (AllocationBody, error) {
 // before this submission can commit past the watermark without covering
 // it, and the demand check rejects the stale row it would hand back
 // (identical-demand staleness is indistinguishable and harmless: the row
-// is the same).
+// is the same). A Submit that sent nothing, the client standing, leaves the
+// last request's watermark: every round since has held the standing demand,
+// so a pull may return the row of a round committed before the Submit.
 func (c *Client) WaitAllocationSteady(ctx context.Context, poll time.Duration) (AllocationBody, error) {
 	c.mu.Lock()
 	contact, ackSeq, demand := c.contact, c.ackSeq, c.demand

@@ -26,6 +26,7 @@ import (
 //	RequestBody     u32 Handle | f64 DemandMB                     (Handle ≠ 0)
 //	                u32 0 | string ClientAddr | f64 DemandMB | pairs LatencySec
 //	RequestAck      u32 Round | f64 QueuedMB | u32 Handle
+//	WithdrawBody    u32 Handle                                    (Handle ≠ 0)
 //	ReplicaInfo     string Addr | f64 Price Alpha Beta Gamma Bandwidth BaseMB
 //	RoundSpec       u32 Round | u32 n, n × ReplicaInfo | strings ClientAddrs |
 //	                floats Demands | bitmap Feasible (|C|·|N| cells, cell
@@ -200,6 +201,27 @@ var errNoClient = errors.New("core: full-form request names no client")
 func bothForms(handle uint32, client string, n int) error {
 	return fmt.Errorf("core: request carries handle %d with client %q and %d latencies", handle, client, n)
 }
+
+func (b WithdrawBody) MarshalBinary() ([]byte, error) {
+	w := transport.NewWriter(make([]byte, 0, 4))
+	if b.Handle == 0 {
+		w.Fail(errNoHandle)
+	}
+	w.U32(int(b.Handle))
+	return w.Done()
+}
+
+func (b *WithdrawBody) UnmarshalBinary(data []byte) error {
+	r := transport.NewReader(data)
+	if b.Handle = uint32(r.U32()); r.Err() == nil && b.Handle == 0 {
+		r.Fail(errNoHandle)
+	}
+	return r.Done()
+}
+
+// errNoHandle refuses a withdrawal naming handle 0, which no contact
+// issues.
+var errNoHandle = errors.New("core: withdrawal names no handle")
 
 func (b RequestAck) MarshalBinary() ([]byte, error) {
 	w := transport.NewWriter(make([]byte, 0, 16))

@@ -28,6 +28,7 @@ func controlBodies() []binaryBody {
 		&RequestBody{}, &RequestAck{}, &RoundSpec{}, &AssignBody{},
 		&AllocationBody{}, &ReplicaInfo{}, &PullBody{}, &DownloadBody{},
 		&membership.Epoch{}, &membership.EpochAck{}, &membership.ProposeBody{},
+		&WithdrawBody{},
 	}
 }
 
@@ -253,8 +254,9 @@ type hostileCase struct {
 // the other, whole; a push's roster must ascend and hash to the roster it
 // names, its columns must fit that roster, with one value each, finite and
 // positive, and a short form names a roster no fresh decoder holds. An
-// epoch ack's flag is 0 or 1. No body takes a byte past its last field, an
-// ack, an install, a download or an epoch included.
+// epoch ack's flag is 0 or 1, and a withdrawal names a handle, never 0.
+// No body takes a byte past its last field, an ack, an install, a download,
+// an epoch or a withdrawal included.
 func hostileCases() []hostileCase {
 	const huge = 1 << 30
 	// roster opens a spec of 3 clients × 1 replica: a 1-byte bitmap.
@@ -349,6 +351,9 @@ func hostileCases() []hostileCase {
 		{"epoch ack: one trailing byte", &membership.EpochAck{}, append(hostile{}.u32(4).u32(1), 0), "trailing bytes"},
 		{"propose: no address", &membership.ProposeBody{}, hostile{}.str("drain"), ""},
 		{"propose: one trailing byte", &membership.ProposeBody{}, append(hostile{}.str("drain").str("r2"), 0), "trailing bytes"},
+		{"withdraw: handle 0", &WithdrawBody{}, hostile{}.u32(0), "handle"},
+		{"withdraw: truncated", &WithdrawBody{}, hostile{}.u32(7)[:3], ""},
+		{"withdraw: one trailing byte", &WithdrawBody{}, append(hostile{}.u32(7), 0), "trailing bytes"},
 	}
 }
 
@@ -406,8 +411,8 @@ func decodedBytes(v reflect.Value) int {
 // none may panic, none may build a body out of proportion to its input, and
 // whatever decodes must re-encode to exactly the bytes it came from, since
 // a body has one byte representation.
-// The first input byte picks the decoder. The seeds are every codec case
-// and every refused body of hostileCases.
+// The first input byte picks the decoder. The seeds are every codec case,
+// every refused body of hostileCases and a withdrawal.
 func FuzzControlBodies(f *testing.F) {
 	kinds := controlBodies()
 	seed := func(body binaryBody, bin []byte) {
@@ -427,6 +432,12 @@ func FuzzControlBodies(f *testing.F) {
 	for _, tc := range hostileCases() {
 		seed(tc.into, tc.data)
 	}
+	// Appended past the seeds above, which keep their numbers.
+	withdraw, err := WithdrawBody{Handle: 0x01020304}.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed(&WithdrawBody{}, withdraw)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -50,6 +50,11 @@ const (
 	// cohort. It carries the client.allocation layout with unit shares for
 	// MB.
 	MsgCohortAllocation = "client.allocation.cohort"
+	// MsgClientWithdraw is client → replica: end the sender's standing
+	// demand at the contact, whose handle the body names, and take back
+	// what it queued since the last drain. The client is gone from the
+	// contact's next round. Its ack is empty.
+	MsgClientWithdraw = "client.withdraw"
 	// MsgAllocationPull is client → initiator: fetch the caller's row of
 	// the last committed round. Change-suppressed rounds deliberately skip
 	// the allocation push for clients whose split did not move, which is
@@ -113,6 +118,15 @@ type RequestBody struct {
 	// not hold the handle for the sender queues nothing and acks handle 0,
 	// asking for the full form.
 	Handle uint32
+	// The contact's record of a queued row, never on the wire, held in
+	// Handle's padding so a row stays 56 bytes: stands reports that the
+	// client stood after the request (see standing), carried marks a failed
+	// round's row put back (requeue) and gone a withdrawal — a request
+	// replaces a carried or gone row instead of adding to it — and drain is
+	// the contact's drain count at admission, mod 256: a row that stands is
+	// drained again within roundStatesKept+1 drains or lapses.
+	stands, carried, gone bool
+	drain                 uint8
 	// ClientAddr is the client's transport address (for allocation
 	// delivery).
 	ClientAddr string
@@ -140,11 +154,15 @@ type ClientMB struct {
 
 // RequestAck acknowledges a submission; a refused one is an error reply.
 type RequestAck struct {
-	// Round is the highest round id that does NOT cover this submission:
-	// the initiator's round sequence at admission. The queue drains into a
-	// round under the same lock that admitted this request, so the first
-	// committed round with id beyond this watermark includes the caller —
-	// poll MsgAllocationPull until the reply passes it.
+	// Round is the initiator's round sequence at admission. A round drains
+	// the queue first and then bumps the sequence once per attempt
+	// (runAttempt), so no round up to this id covers the submission, but
+	// the first committed round past it may not either: one whose queue was
+	// drained before the admission, and whose attempt bumped the sequence
+	// after it. WaitAllocationSteady polls MsgAllocationPull until the
+	// reply passes this watermark and checks the row's demand for that
+	// reason. Consecutive rounds on two handle-form acks are half of what
+	// makes a client stand (standing).
 	Round int
 	// QueuedMB is the caller's queued demand after admission: repeat
 	// submissions before a round add up, so this is the figure the round
@@ -156,6 +174,12 @@ type RequestAck struct {
 	// sent in full; the request's own answers the handle form. 0 answers a
 	// handle the contact does not hold for the sender (a restart, a sweep):
 	// nothing was queued, and the caller resends in full.
+	Handle uint32
+}
+
+// WithdrawBody is the client.withdraw payload: the handle the contact
+// issued the client (RequestAck.Handle), never 0.
+type WithdrawBody struct {
 	Handle uint32
 }
 

@@ -20,75 +20,115 @@ import (
 	"edr/internal/workload"
 )
 
-// FuzzDrainOrder checks the roster-order drain against its definition —
-// the pending set sorted by client address — over random committed
-// rosters and queues: clients that joined since the roster, clients the
-// roster lists that did not submit, repeat submissions and a failed
-// round's put-back. The rows must ascend strictly and the queue must be
-// left empty.
+// FuzzDrainOrder checks the drain against its definition — the pending
+// set without its withdrawals, plus the previous drain's standing rows of
+// clients that queued nothing and have not lapsed, sorted by client
+// address — over random previous drains and queues: clients that joined
+// since, clients the previous drain lists that did not submit, standing
+// rows fresh and lapsed, repeat submissions, withdrawals and a failed
+// round's put-back. The rows must ascend strictly, be the queued or the
+// standing row itself, the counts of standing and lapsed rows must match,
+// and the queue must be left empty.
 func FuzzDrainOrder(f *testing.F) {
 	f.Add(uint64(1), uint16(40), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint64(2), uint16(0), []byte{9, 9, 9, 200, 17, 3})
 	f.Add(uint64(3), uint16(1000), []byte{255, 0, 128})
 	f.Add(uint64(4), uint16(7), []byte{})
+	f.Add(uint64(5), uint16(300), []byte{3, 7, 11, 2, 5, 8, 14})
 	f.Fuzz(func(t *testing.T, seed uint64, rosterLen uint16, ops []byte) {
 		const universe = 300
 		r := sim.NewRand(seed)
 		addr := func(k int) string { return fmt.Sprintf("client%03d", k) }
-		var roster []string
-		for k := 0; k < universe && len(roster) < int(rosterLen); k++ {
+		drains := roundStatesKept + 3
+		// prev is the previous drain's requests: a roster in which some
+		// rows stand, admitted up to two drains past the lapse horizon ago.
+		var prev []*RequestBody
+		standing := 0
+		for k := 0; k < universe && len(prev) < int(rosterLen); k++ {
 			if r.Float64() < 0.6 {
-				roster = append(roster, addr(k))
+				row := &RequestBody{ClientAddr: addr(k), DemandMB: 1}
+				if r.Float64() < 0.4 {
+					row.stands, row.drain = true, uint8(drains-1-r.Intn(roundStatesKept+2))
+					standing++
+				}
+				prev = append(prev, row)
 			}
 		}
 		pending := make(map[string]*RequestBody)
 		submit := func(k int) {
 			a := addr(k)
-			if req, ok := pending[a]; ok {
+			if req, ok := pending[a]; ok && !req.carried && !req.gone {
 				req.DemandMB++ // a repeat aggregates into the queued row
 				return
 			}
-			pending[a] = &RequestBody{ClientAddr: a, DemandMB: 1}
+			pending[a] = &RequestBody{ClientAddr: a, DemandMB: 1, stands: r.Float64() < 0.3, drain: uint8(drains)}
 		}
+		withdraw := func(k int) { pending[addr(k)] = &RequestBody{ClientAddr: addr(k), gone: true} }
 		for _, k := range r.Perm(universe)[:r.Intn(universe)] {
 			submit(k)
 		}
 		for _, op := range ops {
-			switch op % 3 {
+			switch op % 4 {
 			case 0, 1:
 				submit(int(op) * 7 % universe)
 			case 2:
 				// A failed round: drain, new submissions land meanwhile, and
 				// the drained requests go back under the newer ones.
-				failed := drain(pending, roster)
+				drains++
+				failed, n, _ := drain(pending, prev, standing, drains)
+				prev, standing = failed, n
 				for k := 0; k < int(op)%5; k++ {
 					submit(r.Intn(universe))
 				}
 				requeue(pending, failed)
+			case 3:
+				withdraw(int(op) * 11 % universe)
 			}
 		}
-		want := make([]string, 0, len(pending))
-		queued := make(map[string]*RequestBody, len(pending))
-		for a, req := range pending {
-			want = append(want, a)
-			queued[a] = req
+		drains++
+		want := make(map[string]*RequestBody, len(pending)+standing)
+		wantStanding, wantLapsed := 0, 0
+		for _, p := range prev {
+			if _, queued := pending[p.ClientAddr]; queued || !p.stands {
+				continue
+			}
+			if uint8(drains)-p.drain > roundStatesKept {
+				wantLapsed++
+				continue
+			}
+			want[p.ClientAddr] = p
 		}
-		slices.Sort(want)
+		for a, req := range pending {
+			if !req.gone {
+				want[a] = req
+			}
+		}
+		order := make([]string, 0, len(want))
+		for a, req := range want {
+			order = append(order, a)
+			if req.stands {
+				wantStanding++
+			}
+		}
+		slices.Sort(order)
 
-		got := drain(pending, roster)
+		got, gotStanding, gotLapsed := drain(pending, prev, standing, drains)
 		if len(pending) != 0 {
 			t.Fatalf("drain left %d requests queued", len(pending))
 		}
-		if len(got) != len(want) {
-			t.Fatalf("drained %d requests, want %d", len(got), len(want))
+		if len(got) != len(order) {
+			t.Fatalf("drained %d requests, want %d", len(got), len(order))
 		}
 		for i, req := range got {
-			if req.ClientAddr != want[i] || req != queued[want[i]] {
-				t.Fatalf("row %d is %s, want %s's queued request", i, req.ClientAddr, want[i])
+			if req.ClientAddr != order[i] || req != want[order[i]] {
+				t.Fatalf("row %d is %s, want %s's queued or standing row", i, req.ClientAddr, order[i])
 			}
 			if i > 0 && got[i-1].ClientAddr >= req.ClientAddr {
 				t.Fatalf("rows %d and %d do not ascend: %s, %s", i-1, i, got[i-1].ClientAddr, req.ClientAddr)
 			}
+		}
+		if gotStanding != wantStanding || gotLapsed != wantLapsed {
+			t.Fatalf("drain counts %d standing and %d lapsed, want %d and %d", gotStanding, gotLapsed, wantStanding, wantLapsed)
 		}
 	})
 }
@@ -96,7 +136,8 @@ func FuzzDrainOrder(f *testing.F) {
 // Submissions that land while a round drains and solves are scheduled
 // exactly once: the round takes the queue whole and ingest continues into
 // the map the previous round emptied, so none is lost to the swap or
-// drained twice. Run it under -race.
+// drained twice. Each client alternates two demands, so none ever stands
+// and every submission is a request of its own. Run it under -race.
 func TestSubmissionsDuringRoundsAreScheduledOnce(t *testing.T) {
 	const nClients, perClient, demand = 100, 20, 0.1
 	f := newFleetCfg(t, []float64{1, 10, 5}, nClients, LDDM, func(_ int, cfg *ReplicaConfig) {
@@ -110,7 +151,7 @@ func TestSubmissionsDuringRoundsAreScheduledOnce(t *testing.T) {
 		go func(cl *Client) {
 			defer wg.Done()
 			for k := 0; k < perClient; k++ {
-				if err := cl.Submit(ctx, rs.Addr(), demand, f.uniformLatencies()); err != nil {
+				if err := cl.Submit(ctx, rs.Addr(), demand*float64(1+k%2), f.uniformLatencies()); err != nil {
 					t.Error(err)
 					return
 				}
@@ -148,7 +189,7 @@ func TestSubmissionsDuringRoundsAreScheduledOnce(t *testing.T) {
 		round()
 	}
 	t.Logf("%d rounds", rounds)
-	if want := float64(nClients * perClient * demand); math.Abs(scheduled-want) > 1e-6*want {
+	if want := float64(nClients*perClient/2) * 3 * demand; math.Abs(scheduled-want) > 1e-6*want {
 		t.Fatalf("%d rounds scheduled %g MB of the %g MB submitted", rounds, scheduled, want)
 	}
 }
@@ -674,6 +715,10 @@ func TestSharedMaskRowsNeverStale(t *testing.T) {
 		t.Helper()
 		for i, cl := range f.clients {
 			if i == away {
+				// It stands by now, so it departs by withdrawing.
+				if err := cl.Withdraw(ctx); err != nil {
+					t.Fatal(err)
+				}
 				continue
 			}
 			if err := cl.Submit(ctx, rs.Addr(), demands[i], lats[i]); err != nil {

@@ -48,6 +48,11 @@ type ReplicaServer struct {
 	infoCache  map[string]ReplicaInfo // model parameters of every replica ever seen in a round
 	pool       *opt.Pool              // recycles initiator-side round scratch
 	registry   *cohort.Registry       // stable cross-round cohort identity (initiator side)
+	// last is the previous drain's requests, whose standing rows the next
+	// drain queues again, and standing how many of them stand. Only the
+	// round goroutine touches last; standing is read by the gauges too.
+	last     []*RequestBody
+	standing atomic.Int64
 	// startsSinceInstall counts the round.start waves this initiator sent
 	// since it last committed an install: once it reaches roundStatesKept
 	// the members may have pruned the delta-install base.
@@ -69,6 +74,7 @@ type ReplicaStats struct {
 	MBServed          metrics.Counter // whole MB, rounded down per download
 	CoordMessages     metrics.Counter // coordination messages this node sent
 	SendRetried       metrics.Counter // coordination RPC retry attempts
+	StandingLapses    metrics.Counter // standing clients dropped unrenewed
 
 	// SubsolveUnconverged counts the escalations caused by an incremental
 	// sub-solve reaching its iteration bound without its gap certificate.
@@ -257,25 +263,39 @@ func (r *ReplicaServer) Close() error {
 	return r.node.Close()
 }
 
-// PendingRequests reports the current queue depth.
+// PendingRequests reports how many clients sent a request or a withdrawal
+// since the last drain, with a failed round's rows put back. Standing
+// clients that sent nothing are not counted (StandingClients).
 func (r *ReplicaServer) PendingRequests() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.pending)
 }
 
+// StandingClients reports how many clients stood at the last drain: the
+// next drain queues each of them that sends nothing again.
+func (r *ReplicaServer) StandingClients() int { return int(r.standing.Load()) }
+
 // RegisterMetrics exposes the replica's own gauges on an admin registry:
-// edr_pending_requests, the queue depth the next round drains;
-// edr_latency_versions, how many clients' handles and latency lists it
-// holds for handle-form resubmissions; and the two stores that grow with
-// the rounds and are bounded only by their pruning — edr_round_states, the
-// participant round states held (at most roundStatesKept), and
-// edr_cohort_keys, the cohort masks the initiator's registry interned
-// (pruned only on a membership change).
+// edr_pending_requests, the clients that sent a request since the last
+// drain; edr_standing_clients, those standing at the last drain, and
+// edr_standing_lapses_total, the standing clients dropped because they
+// stopped renewing; edr_latency_versions, how many clients' handles and
+// latency lists it holds for handle-form resubmissions; and the two stores
+// that grow with the rounds and are bounded only by their pruning —
+// edr_round_states, the participant round states held (at most
+// roundStatesKept), and edr_cohort_keys, the cohort masks the initiator's
+// registry interned (pruned only on a membership change).
 func (r *ReplicaServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("edr_pending_requests",
-		"Client requests queued for this replica's next round.", nil,
+		"Clients that sent a request or a withdrawal to this replica since its last drain, with a failed round's rows put back; standing clients that sent nothing are not counted.", nil,
 		func() float64 { return float64(r.PendingRequests()) })
+	reg.Gauge("edr_standing_clients",
+		"Clients whose unchanged request stood at this replica's last drain: each drain queues them without a request.", nil,
+		func() float64 { return float64(r.StandingClients()) })
+	reg.CounterFunc("edr_standing_lapses_total",
+		"Standing clients this replica dropped after roundStatesKept drains without a request from them.", nil,
+		func() float64 { return float64(r.Stats.StandingLapses.Value()) })
 	locked := func(n func() int) func() float64 {
 		return func() float64 {
 			r.mu.Lock()
@@ -374,6 +394,8 @@ func (r *ReplicaServer) handle(ctx context.Context, req transport.Message) (tran
 	switch req.Type {
 	case MsgClientRequest:
 		return r.handleClientRequest(req)
+	case MsgClientWithdraw:
+		return r.handleWithdraw(req)
 	case MsgReplicaInfo:
 		return r.handleReplicaInfo(req)
 	case MsgRoundStart:
@@ -426,11 +448,14 @@ func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registrati
 // aggregated into one row, as one scheduling window would see them; a
 // repeat whose sum would not be finite is refused, leaving the queued row
 // as it was — an infinite row would fail every round, and every round puts
-// all its drained requests back. A full form is stored and acked with a
-// fresh handle; a handle form is queued with the address and list its
-// handle stands for, so what follows sees the request the client would
-// have sent in full, or, when the contact holds no such handle for the
-// sender, queues nothing and acks handle 0.
+// all its drained requests back. A request replaces a row a failed round
+// put back, or a withdrawal, instead of adding to it. A full form is stored
+// and acked with a fresh handle; a handle form is queued with the address
+// and list its handle stands for, so what follows sees the request the
+// client would have sent in full, or, when the contact holds no such handle
+// for the sender, queues nothing and acks handle 0. The client's standing
+// record admits the request (standing.admit), and the row notes the
+// verdict for the drain; a refusal ends the client's standing (unstand).
 //
 // The body is decoded and the ack marshaled in place of DecodeBody and
 // NewMessage, whose interface arguments would put both on the heap, and a
@@ -442,22 +467,28 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 		return transport.Message{}, fmt.Errorf("core: decode %s body: %w", req.Type, err)
 	}
 	if err := checkRequest(&body); err != nil {
+		r.mu.Lock()
+		r.unstand(req.From)
+		r.mu.Unlock()
 		return transport.Message{}, fmt.Errorf("core: bad request from %s: %w", req.From, err)
 	}
 	r.mu.Lock()
 	ack := RequestAck{Round: r.roundSeq, Handle: body.Handle}
+	var entry *latencyEntry
 	if body.Handle != 0 {
 		// A handle held for another client is not the sender's.
-		client, lat, ok := r.latencies.resolve(body.Handle, r.drains)
-		if !ok || client != req.From {
+		var ok bool
+		entry, ok = r.latencies.resolve(body.Handle, r.drains)
+		if !ok || entry.client != req.From {
 			r.mu.Unlock()
 			return r.requestAck(RequestAck{Round: ack.Round})
 		}
-		body.ClientAddr, body.LatencySec = client, lat
+		body.ClientAddr, body.LatencySec = entry.client, entry.list
 	}
 	queued, ok := r.pending[body.ClientAddr]
-	if ok {
+	if ok && !queued.carried && !queued.gone {
 		if sum := queued.DemandMB + body.DemandMB; math.IsInf(sum, 1) {
+			r.unstand(req.From)
 			r.mu.Unlock()
 			return transport.Message{}, fmt.Errorf("core: bad request from %s: client %s queued demand %g MB plus %g MB is not finite", req.From, body.ClientAddr, queued.DemandMB, body.DemandMB)
 		}
@@ -469,17 +500,70 @@ func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Me
 			queued.LatencySec = mergeLatencies(queued.LatencySec, body.LatencySec)
 		}
 	} else {
+		// A carried row is the failed round's too, so it is not written.
 		queued = r.slot()
 		*queued = RequestBody{ClientAddr: body.ClientAddr, DemandMB: body.DemandMB, LatencySec: body.LatencySec}
 		r.pending[body.ClientAddr] = queued
 	}
 	if body.Handle == 0 {
-		ack.Handle = r.latencies.store(body.ClientAddr, body.LatencySec, r.drains)
+		entry = r.latencies.store(body.ClientAddr, body.LatencySec, r.drains)
+		ack.Handle = entry.handle
 	}
 	ack.QueuedMB = queued.DemandMB
+	queued.stands = entry.rec.admit(body.Handle != 0, body.DemandMB, ack)
+	queued.drain = uint8(r.drains)
 	r.mu.Unlock()
 	r.Stats.RequestsReceived.Inc(1)
 	return r.requestAck(ack)
+}
+
+// unstand ends client's standing after a refused request, as the client
+// ends it on any error: its record starts over, a row it queued since the
+// last drain no longer stands, and when it stood with nothing queued a
+// withdrawal takes the standing row's place at the next drain. A row put
+// back by a failed round or a withdrawal is left as it is: neither stands.
+// Called with r.mu held.
+func (r *ReplicaServer) unstand(client string) {
+	e, ok := r.latencies.entry(client)
+	if !ok {
+		return
+	}
+	stood := e.rec.stands
+	e.rec = standing{}
+	if row, ok := r.pending[client]; ok {
+		if !row.carried && !row.gone {
+			row.stands = false
+		}
+	} else if stood {
+		r.queueGone(client)
+	}
+}
+
+// queueGone queues client's withdrawal in place of anything it queued
+// since the last drain: the next drain drops the client's standing row.
+// Called with r.mu held.
+func (r *ReplicaServer) queueGone(client string) {
+	row := r.slot()
+	*row = RequestBody{ClientAddr: client, gone: true}
+	r.pending[client] = row
+}
+
+// handleWithdraw ends a client's standing at this contact: the handle's
+// entry is dropped, and a withdrawal takes the place of whatever the client
+// queued since the last drain, so the next round goes without it. A handle
+// the contact does not hold for the sender changes nothing — the client
+// cannot be standing here — and is acked all the same.
+func (r *ReplicaServer) handleWithdraw(req transport.Message) (transport.Message, error) {
+	var body WithdrawBody
+	if err := body.UnmarshalBinary(req.Body); err != nil {
+		return transport.Message{}, fmt.Errorf("core: decode %s body: %w", req.Type, err)
+	}
+	r.mu.Lock()
+	if r.latencies.drop(body.Handle, req.From) {
+		r.queueGone(req.From)
+	}
+	r.mu.Unlock()
+	return transport.Message{Type: MsgClientWithdraw + ".ack", From: r.Addr()}, nil
 }
 
 // slabChunk is how many queued rows one slab allocation holds.

@@ -19,11 +19,13 @@ import (
 )
 
 // requestTap wraps the in-process fabric and records every client.request
-// a replica receives, as decoded, in arrival order.
+// a replica receives, as decoded, in arrival order, and the replica every
+// client.withdraw reaches.
 type requestTap struct {
 	*transport.InProcNetwork
-	mu       sync.Mutex
-	requests []RequestBody
+	mu          sync.Mutex
+	requests    []RequestBody
+	withdrawals []string
 }
 
 func newRequestTap() *requestTap {
@@ -32,13 +34,18 @@ func newRequestTap() *requestTap {
 
 func (n *requestTap) Listen(name string, h transport.Handler) (transport.Node, error) {
 	return n.InProcNetwork.Listen(name, func(ctx context.Context, req transport.Message) (transport.Message, error) {
-		if req.Type == MsgClientRequest {
+		switch req.Type {
+		case MsgClientRequest:
 			var body RequestBody
 			if req.DecodeBody(&body) == nil {
 				n.mu.Lock()
 				n.requests = append(n.requests, body)
 				n.mu.Unlock()
 			}
+		case MsgClientWithdraw:
+			n.mu.Lock()
+			n.withdrawals = append(n.withdrawals, name)
+			n.mu.Unlock()
 		}
 		return h(ctx, req)
 	})
@@ -50,6 +57,15 @@ func (n *requestTap) take() []RequestBody {
 	defer n.mu.Unlock()
 	out := n.requests
 	n.requests = nil
+	return out
+}
+
+// takeWithdrawals returns the replicas withdrawn from since the last call.
+func (n *requestTap) takeWithdrawals() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := n.withdrawals
+	n.withdrawals = nil
 	return out
 }
 
@@ -288,29 +304,37 @@ func TestLatencyVersionsGaugeSweepsIdleClients(t *testing.T) {
 
 // resubmitOracle is the queue a replica builds from full-list submissions
 // only: per client, the summed demand and the union of its latencies, a
-// newer figure replacing an older one.
+// newer figure replacing an older one, or a withdrawal, which a submission
+// replaces.
 type resubmitOracle map[string]*oracleRow
 
 type oracleRow struct {
 	demand float64
 	lat    map[string]float64
+	gone   bool
 }
 
-func (o resubmitOracle) submit(client string, demand float64, lat map[string]float64) {
+// submit queues a submission and returns the client's queued demand.
+func (o resubmitOracle) submit(client string, demand float64, lat map[string]float64) float64 {
 	row, ok := o[client]
-	if !ok {
+	if !ok || row.gone {
 		o[client] = &oracleRow{demand: demand, lat: maps.Clone(lat)}
-		return
+		return demand
 	}
 	row.demand += demand
 	maps.Copy(row.lat, lat)
+	return row.demand
 }
 
-// requests lists the queue as drain orders it.
+// requests lists the queue in client order, withdrawals included.
 func (o resubmitOracle) requests() []RequestBody {
 	out := make([]RequestBody, 0, len(o))
 	for client, row := range o {
-		out = append(out, RequestBody{ClientAddr: client, DemandMB: row.demand, LatencySec: latencyList(row.lat)})
+		if row.gone {
+			out = append(out, RequestBody{ClientAddr: client, gone: true})
+		} else {
+			out = append(out, RequestBody{ClientAddr: client, DemandMB: row.demand, LatencySec: latencyList(row.lat)})
+		}
 	}
 	slices.SortFunc(out, func(a, b RequestBody) int { return strings.Compare(a.ClientAddr, b.ClientAddr) })
 	return out
@@ -328,14 +352,14 @@ func queued(rs *ReplicaServer) []RequestBody {
 	return out
 }
 
-// sameRows compares queues by demand and latency list; an empty list is
-// one whether nil or not.
+// sameRows compares queues by demand, latency list and withdrawal; an
+// empty list is one whether nil or not.
 func sameRows(got, want []RequestBody) bool {
 	if len(got) != len(want) {
 		return false
 	}
 	for i := range got {
-		if got[i].ClientAddr != want[i].ClientAddr || got[i].DemandMB != want[i].DemandMB ||
+		if got[i].ClientAddr != want[i].ClientAddr || got[i].DemandMB != want[i].DemandMB || got[i].gone != want[i].gone ||
 			got[i].Handle != 0 || !slices.Equal(got[i].LatencySec, want[i].LatencySec) {
 			return false
 		}
@@ -343,8 +367,24 @@ func sameRows(got, want []RequestBody) bool {
 	return true
 }
 
+// standModel is the standing rule as the oracle states it: what one end of
+// a client.request keeps of the last one admitted, and the verdict.
+type standModel struct {
+	handled bool
+	demand  float64
+	round   int
+	stands  bool
+}
+
+// admit records an admitted request: the handle form when handled, for
+// demand, acked with round and queued.
+func (m *standModel) admit(handled bool, demand float64, round int, queued float64) {
+	m.stands = handled && m.handled && demand == m.demand && queued == demand && (m.stands || round == m.round+1)
+	m.handled, m.demand, m.round = handled, demand, round
+}
+
 // resubmitSeed encodes FuzzResubmitEquiv ops: each is an opcode byte
-// (op % 8) and one argument byte.
+// (op % 10) and one argument byte.
 func resubmitSeed(ops ...[2]byte) []byte {
 	var out []byte
 	for _, op := range ops {
@@ -355,13 +395,20 @@ func resubmitSeed(ops ...[2]byte) []byte {
 
 // FuzzResubmitEquiv runs a random sequence of submissions (repeats within
 // a window, contact switches, refused NaN demands), latency edits, dropped
-// and re-added replicas, drains (which sweep) and replica restarts on the
-// same address through the handle path, and after every step holds each
-// replica's queue to a full-list oracle: the same clients with the same
-// demands and latency lists, bit for bit. It also holds the path to its
-// promises: a submission is the handle form exactly when the contact and
-// the map are the last successful submission's, and costs a second, full
-// request exactly when the contact restarted or swept the entry since.
+// and re-added replicas, drains (which sweep, and bump the round sequence
+// as the round that follows would), runs of drains long enough to lapse,
+// withdrawals and replica restarts on the same address through the handle
+// path, and after every step holds each replica's queue to a full-list
+// oracle: the same clients with the same demands, latency lists and
+// withdrawals, bit for bit. A drain must return the oracle's queue plus the
+// rows of the clients the oracle has standing there that queued nothing and
+// did not lapse. It also holds the path to its promises: a submission sends
+// nothing exactly when the client stands and its renewal is not due; it is
+// the handle form exactly when the contact and the map are the last
+// successful submission's and the client did not withdraw since; it costs a
+// second, full request exactly when the contact restarted or swept the
+// entry since; and it withdraws from the old contact first exactly when the
+// client stood there.
 func FuzzResubmitEquiv(f *testing.F) {
 	const (
 		nClients  = 3
@@ -383,6 +430,22 @@ func FuzzResubmitEquiv(f *testing.F) {
 		}
 		f.Add(resubmitSeed(append(ops, submit(0, 0), submit(0, 0))...))
 	}
+	// Client 0 stands on replica 1, skips, renews, switches contact and
+	// back, withdraws, stands again and lapses.
+	var ops [][2]byte
+	for w := 0; w < 2*standingRenewal+3; w++ {
+		ops = append(ops, submit(0, 0), drainOp(0))
+	}
+	ops = append(ops, submit(0, 1), drainOp(0), submit(0, 0), drainOp(0), [2]byte{8, 0}, drainOp(0))
+	for w := 0; w < 4; w++ {
+		ops = append(ops, submit(0, 0), drainOp(0))
+	}
+	f.Add(resubmitSeed(append(ops, [2]byte{9, 0}, submit(0, 0), submit(0, 0))...))
+	// A standing client refused by its contact, then by another one it
+	// switches to: either way both ends drop its standing.
+	stand := resubmitSeed(submit(0, 0), drainOp(0), submit(0, 0), drainOp(0), submit(0, 0), drainOp(0))
+	f.Add(append(slices.Clip(stand), resubmitSeed([2]byte{7, 0}, drainOp(0), submit(0, 0), drainOp(0), drainOp(0))...))
+	f.Add(append(slices.Clip(stand), resubmitSeed([2]byte{7, 3}, submit(0, 0), drainOp(0), drainOp(0))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tap := newRequestTap()
 		names := make([]string, nReplicas)
@@ -419,26 +482,108 @@ func FuzzResubmitEquiv(f *testing.F) {
 				lats[c][fmt.Sprintf("replica%d", k+1)] = 1e-4 * float64(1+c)
 			}
 		}
+		// What each replica holds: its queue, the verdict on each queued
+		// row, its record of each client, the standing rows as of its last
+		// drain, its drain count and its round sequence.
+		type standRow struct {
+			demand float64
+			lat    map[string]float64
+			drain  int
+		}
 		oracle := make([]resubmitOracle, nReplicas)
-		drains := make([]int, nReplicas)
+		verdict := make([]map[int]bool, nReplicas)
+		records := make([]map[int]*standModel, nReplicas)
+		standRows := make([]map[int]standRow, nReplicas)
+		drains, rounds := make([]int, nReplicas), make([]int, nReplicas)
+		reset := func(j int) {
+			oracle[j], verdict[j], records[j], standRows[j] = resubmitOracle{}, map[int]bool{}, map[int]*standModel{}, map[int]standRow{}
+			drains[j], rounds[j] = 0, 0
+		}
 		for j := range oracle {
-			oracle[j] = resubmitOracle{}
+			reset(j)
 		}
 		// What each client's last successful submission left behind.
 		type last struct {
-			contact  int // -1 before the first
-			lat      map[string]float64
-			drain    int  // the contact's drain count then
-			restarts bool // the contact restarted since
+			contact  int                // -1 before the first
+			lat      map[string]float64 // nil when the client holds no handle
+			drain    int                // the contact's drain count then
+			restarts bool               // the contact restarted since
+			view     standModel         // the client's standing record
+			beat     uint32             // identical Submits since it stood
 		}
 		prev := make([]last, nClients)
 		for c := range prev {
 			prev[c].contact = -1
 		}
+		// held reports whether client c's last contact still holds its handle.
+		held := func(c int) bool {
+			p := prev[c]
+			return p.lat != nil && !p.restarts && drains[p.contact]-p.drain <= roundStatesKept
+		}
+		// withdrawn queues client c's withdrawal at its last contact.
+		withdrawn := func(c int) {
+			if j := prev[c].contact; held(c) {
+				oracle[j][clients[c].Addr()] = &oracleRow{gone: true}
+				verdict[j][c] = false
+			}
+		}
+		drainOnce := func(j int, restartsRound bool) {
+			t.Helper()
+			busy := len(oracle[j]) > 0 || len(standRows[j]) > 0
+			got := replicas[j].drainPending()
+			if busy {
+				drains[j]++
+			}
+			var want []RequestBody
+			for c, cl := range clients {
+				if row, ok := oracle[j][cl.Addr()]; ok {
+					if !row.gone {
+						want = append(want, RequestBody{ClientAddr: cl.Addr(), DemandMB: row.demand, LatencySec: latencyList(row.lat)})
+					}
+					if verdict[j][c] && !row.gone {
+						standRows[j][c] = standRow{row.demand, maps.Clone(row.lat), drains[j] - 1}
+					} else {
+						delete(standRows[j], c)
+					}
+					continue
+				}
+				if s, ok := standRows[j][c]; ok {
+					if drains[j]-s.drain > roundStatesKept {
+						delete(standRows[j], c)
+						continue
+					}
+					want = append(want, RequestBody{ClientAddr: cl.Addr(), DemandMB: s.demand, LatencySec: latencyList(s.lat)})
+				}
+			}
+			rows := make([]RequestBody, len(got))
+			for i, req := range got {
+				rows[i] = *req
+				rows[i].stands, rows[i].drain = false, 0
+			}
+			if !sameRows(rows, want) {
+				t.Fatalf("drain of %s\n got %+v\nwant %+v", names[j], rows, want)
+			}
+			if got := replicas[j].StandingClients(); got != len(standRows[j]) {
+				t.Fatalf("%s: %d clients stand, want %d", names[j], got, len(standRows[j]))
+			}
+			if got != nil {
+				// The round's attempt bumps the sequence; a restarted round
+				// bumps it once more.
+				bump := 1
+				if restartsRound {
+					bump = 2
+				}
+				replicas[j].mu.Lock()
+				replicas[j].roundSeq += bump
+				replicas[j].mu.Unlock()
+				rounds[j] += bump
+			}
+			oracle[j], verdict[j] = resubmitOracle{}, map[int]bool{}
+		}
 		ctx := context.Background()
 
 		for len(data) >= 2 {
-			op, arg := data[0]%8, int(data[1])
+			op, arg := data[0]%10, int(data[1])
 			data = data[2:]
 			c, j, key := arg%nClients, (arg/nClients)%nReplicas, fmt.Sprintf("replica%d", (arg/nClients)%nKeys+1)
 			switch op {
@@ -447,11 +592,26 @@ func FuzzResubmitEquiv(f *testing.F) {
 				if op == 7 {
 					demand = math.NaN()
 				}
-				p := prev[c]
-				demandOnly := p.contact == j && reflect.DeepEqual(p.lat, lats[c])
+				p := &prev[c]
+				demandOnly := p.contact == j && p.lat != nil && reflect.DeepEqual(p.lat, lats[c])
 				miss := demandOnly && (p.restarts || drains[j]-p.drain > roundStatesKept)
+				clients[c].mu.Lock()
+				handle := clients[c].id
+				clients[c].mu.Unlock()
+				skip := false
+				if demandOnly && p.view.stands && demand == p.view.demand {
+					p.beat++
+					skip = (p.beat+handle)%standingRenewal != 0
+				}
+				leaves := !skip && p.view.stands && p.contact != j
+				if leaves {
+					withdrawn(c)
+				}
 				err := clients[c].Submit(ctx, names[j], demand, lats[c])
-				sent := tap.take()
+				sent, left := tap.take(), tap.takeWithdrawals()
+				if wantLeft := leaves; (len(left) == 1 && left[0] == names[p.contact]) != wantLeft || len(left) > 1 {
+					t.Fatalf("client %d to %s withdrew from %v, want a withdrawal from its old contact %v", c, names[j], left, wantLeft)
+				}
 				if op == 7 {
 					if err == nil {
 						t.Fatal("NaN demand accepted")
@@ -459,12 +619,35 @@ func FuzzResubmitEquiv(f *testing.F) {
 					if len(sent) != 1 || (sent[0].Handle != 0) != demandOnly {
 						t.Fatalf("refused submission sent %+v, demand-only %v", sent, demandOnly)
 					}
+					// Both ends drop the client's standing: a queued row no
+					// longer stands, and a standing row with none queued
+					// gives way to a withdrawal.
+					if leaves {
+						p.lat, p.view = nil, standModel{}
+					}
+					if j != p.contact {
+						break
+					}
+					p.view = standModel{}
+					if rec := records[j][c]; rec != nil {
+						stood := rec.stands && held(c)
+						*rec = standModel{}
+						if row, ok := oracle[j][clients[c].Addr()]; ok && !row.gone {
+							verdict[j][c] = false
+						} else if !ok && stood {
+							oracle[j][clients[c].Addr()] = &oracleRow{gone: true}
+						}
+					}
 					break
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				switch {
+				case skip:
+					if len(sent) != 0 {
+						t.Fatalf("client %d standing at %s: sent %+v, want nothing", c, names[j], sent)
+					}
 				case miss:
 					if len(sent) != 2 || sent[0].Handle == 0 || sent[1].Handle != 0 {
 						t.Fatalf("client %d to %s: sent %+v, want a handle-form miss then the full form", c, names[j], sent)
@@ -478,34 +661,57 @@ func FuzzResubmitEquiv(f *testing.F) {
 						t.Fatalf("client %d to %s: sent %+v, want one full request", c, names[j], sent)
 					}
 				}
-				oracle[j].submit(clients[c].Addr(), demand, lats[c])
-				prev[c] = last{contact: j, lat: maps.Clone(lats[c]), drain: drains[j]}
+				if skip {
+					break
+				}
+				handled := demandOnly && !miss
+				queuedMB := oracle[j].submit(clients[c].Addr(), demand, lats[c])
+				rec := records[j][c]
+				if rec == nil {
+					rec = &standModel{}
+					records[j][c] = rec
+				}
+				rec.admit(handled, demand, rounds[j], queuedMB)
+				verdict[j][c] = rec.stands
+				stood := p.view.stands
+				p.view.admit(handled, demand, rounds[j], queuedMB)
+				if p.view.stands && !stood {
+					p.beat = 0
+				}
+				if p.view.stands != rec.stands {
+					t.Fatalf("client %d and %s disagree on its standing", c, names[j])
+				}
+				p.contact, p.lat, p.drain, p.restarts = j, maps.Clone(lats[c]), drains[j], false
 			case 3:
 				lats[c][key] = 1e-4 * float64(1+(arg/(nClients*nKeys))%4)
 			case 4:
 				delete(lats[c], key)
 			case 5:
-				want := oracle[j].requests()
-				got := replicas[j].drainPending()
-				if len(want) > 0 {
-					drains[j]++
-				}
-				rows := make([]RequestBody, len(got))
-				for i, req := range got {
-					rows[i] = *req
-				}
-				if !sameRows(rows, want) {
-					t.Fatalf("drain of %s\n got %+v\nwant %+v", names[j], rows, want)
-				}
-				oracle[j] = resubmitOracle{}
+				drainOnce(j, arg&0x80 != 0)
 			case 6:
 				replicas[j].Close()
 				start(j)
-				oracle[j], drains[j] = resubmitOracle{}, 0
+				reset(j)
 				for c := range prev {
 					if prev[c].contact == j {
 						prev[c].restarts = true
 					}
+				}
+			case 8:
+				if prev[c].lat != nil {
+					withdrawn(c)
+				}
+				if err := clients[c].Withdraw(ctx); err != nil {
+					t.Fatal(err)
+				}
+				left := tap.takeWithdrawals()
+				if want := prev[c].lat != nil; (len(left) == 1 && left[0] == names[prev[c].contact]) != want || len(left) > 1 {
+					t.Fatalf("client %d withdrew from %v, want a withdrawal from its contact %v", c, left, want)
+				}
+				prev[c].lat, prev[c].view = nil, standModel{}
+			case 9:
+				for d := 0; d <= roundStatesKept; d++ {
+					drainOnce(j, false)
 				}
 			}
 			for j, rs := range replicas {
@@ -525,9 +731,18 @@ func FuzzResubmitEquiv(f *testing.F) {
 
 // BenchmarkSubmitWindow is one scheduling window's ingest: 10 000
 // in-process clients, each measuring 10 replicas, submit one request each
-// to one contact, whose queue is drained between windows (untimed). After
-// the first window every submission is an unchanged resubmission.
+// to one contact, which drains its queue and bumps its round sequence
+// between windows, as a round would (untimed). Under /standing every
+// submission after the first window is unchanged, so once the clients
+// stand a window is the skip path plus one renewal in standingRenewal;
+// under /changed every demand moves every window, so no client stands and
+// every submission is a handle-form RPC.
 func BenchmarkSubmitWindow(b *testing.B) {
+	b.Run("standing", func(b *testing.B) { benchSubmitWindow(b, false) })
+	b.Run("changed", func(b *testing.B) { benchSubmitWindow(b, true) })
+}
+
+func benchSubmitWindow(b *testing.B, changed bool) {
 	const clients, replicas = 10000, 10
 	prices := make([]float64, replicas)
 	for j := range prices {
@@ -549,20 +764,35 @@ func BenchmarkSubmitWindow(b *testing.B) {
 		cls[i] = cl
 	}
 	contact, ctx := f.replicas[0], context.Background()
+	demand := 0.01
 	window := func() {
+		if changed {
+			demand = 0.03 - demand
+		}
 		for _, cl := range cls {
-			if err := cl.Submit(ctx, contact.Addr(), 0.01, lat); err != nil {
+			if err := cl.Submit(ctx, contact.Addr(), demand, lat); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.StopTimer()
 		contact.drainPending()
+		contact.mu.Lock()
+		contact.roundSeq++
+		contact.mu.Unlock()
 		b.StartTimer()
 	}
-	window()
+	for w := 0; w < 3; w++ {
+		window() // the full forms, then the pair of handle forms a client stands on
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		window()
+	}
+	b.StopTimer()
+	if want := 0; changed && contact.StandingClients() != want {
+		b.Fatalf("%d clients stand with every demand moving", contact.StandingClients())
+	} else if !changed && contact.StandingClients() != clients {
+		b.Fatalf("%d of %d unchanged clients stand", contact.StandingClients(), clients)
 	}
 }

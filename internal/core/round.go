@@ -244,7 +244,7 @@ func (t roundTransport) Replica(ctx context.Context, addr, verb string, body enc
 func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 	requests := r.drainPending()
 	if requests == nil {
-		return nil, fmt.Errorf("core: replica %s: no pending requests", r.Addr())
+		return nil, fmt.Errorf("core: replica %s: %w", r.Addr(), errNoPending)
 	}
 	r.Stats.RoundsInitiated.Inc(1)
 	start := time.Now()
@@ -300,14 +300,21 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 	return nil, lastErr
 }
 
-// drainPending drains the pending queue into a round's requests (nil when
-// none are queued) and sweeps the latency lists this drain retires. It takes
-// the queue whole and hands ingest the map the previous round emptied, so
-// submissions keep landing while the requests are ordered; the rows stay in
-// their slab chunks, and ingest carves the next window's from a new one.
+// errNoPending is RunRound's refusal when nothing is queued and no client
+// stands: a queue of withdrawals alone drains to nothing.
+var errNoPending = errors.New("no pending requests")
+
+// drainPending drains the pending queue and the standing clients into a
+// round's requests (nil when there are none) and sweeps the latency lists
+// this drain retires. It takes the queue whole and hands ingest the map the
+// previous round emptied, so submissions keep landing while the requests
+// are ordered; the rows stay in their slab chunks, and ingest carves the
+// next window's from a new one. The standing rows are the previous drain's
+// (r.last), which only the round goroutine touches: r.mu is held for the
+// swap and the sweep alone.
 func (r *ReplicaServer) drainPending() []*RequestBody {
 	r.mu.Lock()
-	if len(r.pending) == 0 {
+	if len(r.pending) == 0 && r.standing.Load() == 0 {
 		r.mu.Unlock()
 		return nil
 	}
@@ -316,56 +323,77 @@ func (r *ReplicaServer) drainPending() []*RequestBody {
 	if r.pending == nil {
 		r.pending = make(map[string]*RequestBody, len(queue))
 	}
-	var roster []string
-	if r.lastGood != nil {
-		roster = r.lastGood.clientAddrs
-	}
 	r.drains++
-	r.latencies.sweep(r.drains)
+	drains := r.drains
+	r.latencies.sweep(drains)
 	r.mu.Unlock()
-	requests := drain(queue, roster)
+	requests, stands, lapsed := drain(queue, r.last, int(r.standing.Load()), drains)
+	r.last = requests
+	r.standing.Store(int64(stands))
+	r.Stats.StandingLapses.Inc(int64(lapsed))
 	r.mu.Lock()
 	r.spare = queue
 	r.mu.Unlock()
+	if len(requests) == 0 {
+		return nil
+	}
 	return requests
 }
 
-// drainSlack is how far the roster clients that did not submit may
-// outnumber those that did before drain stops walking the roster.
+// drainSlack is how far the previous drain's clients that did not submit
+// may outnumber those that did before drain stops walking them.
 const drainSlack = 64
 
 // drain empties pending into a round's requests, ascending strictly by
 // client address: a stable roster then yields identical row order round
 // over round, which is what lets the incremental diff run with identity
-// row maps and the cohort registry hit its cross-round cache. roster is
-// the committed round's client list, already in that order, so in steady
-// state the drain walks it and looks each client up instead of sorting the
-// queue; the clients the walk did not reach are sorted, then merged in.
-// The walk stops once every request is found, or once the roster's absent
-// clients outnumber its queued ones by drainSlack — churn, or a short
-// queue against a long roster — so it costs at most 2·|pending|+drainSlack
-// lookups, and with no overlap the drain is the plain sort. The emptied
-// map keeps its buckets for a later window's ingest.
-func drain(pending map[string]*RequestBody, roster []string) []*RequestBody {
-	requests := make([]*RequestBody, 0, len(pending))
-	absent := 0
-	for _, addr := range roster {
-		if len(requests) == len(pending) || absent > len(requests)+drainSlack {
+// row maps and the cohort registry hit its cross-round cache. prev is the
+// previous drain's requests, already in that order, of which stood rows
+// stand; drains is this drain's count.
+//
+// The drain walks prev and looks each client up in pending, one lookup a
+// client: a queued row replaces the client's previous one and a withdrawal
+// drops it; otherwise a standing row is queued again, unless it lapsed —
+// its request was admitted more than roundStatesKept drains ago, the
+// horizon on which the latency table sweeps its handle. The clients the
+// walk did not reach are sorted, then merged in. With no standing row in
+// prev the walk stops once every queued row is found, or once prev's absent
+// clients outnumber its queued ones by drainSlack — churn, or a short queue
+// against a long roster — so it costs at most 2·|pending|+drainSlack
+// lookups, and with no overlap the drain is the plain sort. It returns the
+// requests, how many of them stand, and how many standing rows lapsed. The
+// emptied map keeps its buckets for a later window's ingest.
+func drain(pending map[string]*RequestBody, prev []*RequestBody, stood, drains int) ([]*RequestBody, int, int) {
+	requests := make([]*RequestBody, 0, len(pending)+stood)
+	found, absent, seen, stands, lapsed := 0, 0, 0, 0, 0
+	for _, p := range prev {
+		if seen == stood && (found == len(pending) || absent > found+drainSlack) {
 			break
 		}
-		if req, ok := pending[addr]; ok {
-			requests = append(requests, req)
-		} else {
+		if p.stands {
+			seen++
+		}
+		if req, ok := pending[p.ClientAddr]; ok {
+			found++
+			if !req.gone {
+				requests = append(requests, req)
+				if req.stands {
+					stands++
+				}
+			}
+			continue
+		}
+		switch {
+		case !p.stands:
 			absent++
+		case uint8(drains)-p.drain > roundStatesKept:
+			lapsed++
+		default:
+			requests = append(requests, p)
+			stands++
 		}
 	}
-	if len(requests) == 0 {
-		// The roster describes none of the queue: sort it whole.
-		for _, req := range pending {
-			requests = append(requests, req)
-		}
-		slices.SortFunc(requests, byClientAddr)
-	} else if len(requests) < len(pending) {
+	if found < len(pending) {
 		// Remove the walked requests, sort what is left and merge it in
 		// from the back, into the slots the slice already has.
 		for _, req := range requests {
@@ -373,7 +401,12 @@ func drain(pending map[string]*RequestBody, roster []string) []*RequestBody {
 		}
 		rest := make([]*RequestBody, 0, len(pending))
 		for _, req := range pending {
-			rest = append(rest, req)
+			if !req.gone {
+				rest = append(rest, req)
+				if req.stands {
+					stands++
+				}
+			}
 		}
 		slices.SortFunc(rest, byClientAddr)
 		i := len(requests) - 1
@@ -388,17 +421,20 @@ func drain(pending map[string]*RequestBody, roster []string) []*RequestBody {
 		}
 	}
 	clear(pending)
-	return requests
+	return requests, stands, lapsed
 }
 
 func byClientAddr(a, b *RequestBody) int { return strings.Compare(a.ClientAddr, b.ClientAddr) }
 
 // requeue puts a failed round's drained requests back so the next round
-// retries them; a client that resubmitted in the meantime keeps its newer
-// demand.
+// retries them, marked carried: a client's next request replaces its
+// carried row rather than adding to it, and one that resubmitted in the
+// meantime keeps its newer demand. Standing rows are not put back: the
+// next drain queues them again from the requests it follows.
 func requeue(pending map[string]*RequestBody, requests []*RequestBody) {
 	for _, req := range requests {
-		if _, ok := pending[req.ClientAddr]; !ok {
+		if _, ok := pending[req.ClientAddr]; !ok && !req.stands {
+			req.carried = true
 			pending[req.ClientAddr] = req
 		}
 	}
@@ -433,10 +469,11 @@ func (r *ReplicaServer) finishRound(report *RoundReport, start time.Time) {
 }
 
 // ServeRounds runs scheduling rounds on a timer until ctx ends: every
-// interval, pending requests (if any) are scheduled with RunRound. Round
-// outcomes are delivered to onRound (which may be nil); errors to onError
-// (which may be nil). This is the loop cmd/edrd runs; it lives here so
-// deployments embedding the library get the same behavior.
+// interval, pending requests and standing clients (if any) are scheduled
+// with RunRound. Round outcomes are delivered to onRound (which may be
+// nil); errors to onError (which may be nil). This is the loop cmd/edrd
+// runs; it lives here so deployments embedding the library get the same
+// behavior.
 func (r *ReplicaServer) ServeRounds(ctx context.Context, interval time.Duration, onRound func(*RoundReport), onError func(error)) {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -448,12 +485,15 @@ func (r *ReplicaServer) ServeRounds(ctx context.Context, interval time.Duration,
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			if r.PendingRequests() == 0 {
+			if r.PendingRequests() == 0 && r.StandingClients() == 0 {
 				continue
 			}
 			rctx, cancel := context.WithTimeout(ctx, 10*interval)
 			report, err := r.RunRound(rctx)
 			cancel()
+			if errors.Is(err, errNoPending) {
+				continue
+			}
 			if err != nil {
 				if onError != nil {
 					onError(err)

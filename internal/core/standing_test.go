@@ -1,0 +1,393 @@
+package core
+
+import (
+	"context"
+	"math"
+	"slices"
+	"testing"
+	"time"
+
+	"edr/internal/model"
+	"edr/internal/telemetry"
+)
+
+// standingFleet is a fleet of three replicas and n clients on a tap, with
+// every client's demand at 1 + i/4 MB and uniform latencies.
+type standingFleet struct {
+	*fleet
+	tap     *requestTap
+	demands []float64
+}
+
+func newStandingFleet(t *testing.T, n int) *standingFleet {
+	t.Helper()
+	tap := newRequestTap()
+	f := &standingFleet{fleet: newFleetOn(t, tap, tap.InProcNetwork, []float64{1, 4, 2}, n, LDDM, func(_ int, cfg *ReplicaConfig) {
+		cfg.Incremental = true
+	}), tap: tap}
+	for i := 0; i < n; i++ {
+		f.demands = append(f.demands, 1+float64(i)/4)
+	}
+	return f
+}
+
+// window has the clients for which submits reports true Submit their
+// demand to contact, then runs contact's round when anything is queued or
+// stands there. It returns the round's report (nil when none ran) and the
+// client.request count the Submits cost.
+func (f *standingFleet) window(t *testing.T, contact *ReplicaServer, submits func(i int) bool) (*RoundReport, int) {
+	t.Helper()
+	ctx := context.Background()
+	for i, cl := range f.clients {
+		if submits(i) {
+			if err := cl.Submit(ctx, contact.Addr(), f.demands[i], f.uniformLatencies()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sent := len(f.tap.take())
+	if contact.PendingRequests() == 0 && contact.StandingClients() == 0 {
+		return nil, sent
+	}
+	report, err := contact.RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report, sent
+}
+
+// scheduled maps each client in report to the MB its row holds.
+func scheduled(report *RoundReport) map[string]float64 {
+	out := make(map[string]float64, len(report.ClientAddrs))
+	for i, addr := range report.ClientAddrs {
+		for _, v := range report.Assignment[i] {
+			out[addr] += v
+		}
+	}
+	return out
+}
+
+// checkScheduled fails unless report schedules exactly the clients in
+// want, each its demand.
+func (f *standingFleet) checkScheduled(t *testing.T, report *RoundReport, want func(i int) bool) {
+	t.Helper()
+	got := scheduled(report)
+	for i, cl := range f.clients {
+		mb, in := got[cl.Addr()]
+		if in != want(i) {
+			t.Fatalf("round %d: client %d scheduled %v, want %v", report.Round, i, in, want(i))
+		}
+		if in && math.Abs(mb-f.demands[i]) > 1e-6*f.demands[i] {
+			t.Fatalf("round %d: client %d scheduled %g MB, want %g", report.Round, i, mb, f.demands[i])
+		}
+	}
+}
+
+func everyClient(int) bool { return true }
+
+// A client whose request does not change stands after two handle-form
+// windows, then sends one identical Submit in standingRenewal: the rest
+// cost no request, and its demand is in every round all the same.
+func TestStandingClientSkipsIdenticalResubmission(t *testing.T) {
+	const n = 8
+	f := newStandingFleet(t, n)
+	contact := f.replicas[0]
+	reg := telemetry.NewRegistry()
+	contact.RegisterMetrics(reg)
+	// Window 1 sends the full forms, windows 2 and 3 the handle-form pair
+	// each client stands on.
+	for w := 1; w <= 3; w++ {
+		report, sent := f.window(t, contact, everyClient)
+		if sent != n {
+			t.Fatalf("window %d sent %d requests, want %d", w, sent, n)
+		}
+		f.checkScheduled(t, report, everyClient)
+	}
+	if got := contact.StandingClients(); got != n {
+		t.Fatalf("%d clients stand after three identical windows, want %d", got, n)
+	}
+	if got := gaugeValue(t, reg, "edr_standing_clients"); got != n {
+		t.Fatalf("edr_standing_clients reads %g, want %d", got, n)
+	}
+	total := 0
+	for w := 4; w < 4+3*standingRenewal; w++ {
+		report, sent := f.window(t, contact, everyClient)
+		total += sent
+		f.checkScheduled(t, report, everyClient)
+		if !report.Incremental || report.DirtyClients != 0 {
+			t.Fatalf("window %d: incremental %v, dirty %d; want a clean commit", w, report.Incremental, report.DirtyClients)
+		}
+	}
+	if want := 3 * n; total != want {
+		t.Fatalf("%d windows of standing clients sent %d requests, want one renewal per client per %d windows, %d", 3*standingRenewal, total, standingRenewal, want)
+	}
+	if got := contact.PendingRequests(); got != 0 {
+		t.Fatalf("%d requests pending after the round", got)
+	}
+}
+
+// A client that submits every other window never stands, however steady
+// its demand: each of its Submits sends a request, and it departs in the
+// windows it skips.
+func TestStandingNeedsConsecutiveWindows(t *testing.T) {
+	f := newStandingFleet(t, 3)
+	contact := f.replicas[0]
+	steady := func(i int) bool { return i != 2 }
+	for w := 1; w <= 12; w++ {
+		sparse := w%2 == 1
+		if sparse {
+			if err := f.clients[2].Submit(context.Background(), contact.Addr(), f.demands[2], f.uniformLatencies()); err != nil {
+				t.Fatal(err)
+			}
+			if sent := len(f.tap.take()); sent != 1 {
+				t.Fatalf("window %d: the sparse client's Submit sent %d requests, want 1", w, sent)
+			}
+		}
+		report, _ := f.window(t, contact, steady)
+		f.checkScheduled(t, report, func(i int) bool { return steady(i) || sparse })
+	}
+	if got := contact.StandingClients(); got != 2 {
+		t.Fatalf("%d clients stand, want the 2 steady ones", got)
+	}
+}
+
+// A withdrawn client is gone from the next round; the others keep
+// standing, and its next Submit sends the full form and schedules it again.
+func TestWithdrawDepartsNextRound(t *testing.T) {
+	f := newStandingFleet(t, 4)
+	contact := f.replicas[0]
+	for w := 0; w < 4; w++ {
+		f.window(t, contact, everyClient)
+	}
+	ctx := context.Background()
+	if err := f.clients[1].Withdraw(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.tap.takeWithdrawals(); !slices.Equal(got, []string{contact.Addr()}) {
+		t.Fatalf("withdrawals reached %v, want %s", got, contact.Addr())
+	}
+	gone := func(i int) bool { return i != 1 }
+	report, _ := f.window(t, contact, gone)
+	f.checkScheduled(t, report, gone)
+	if v := contact.Plan(report.Round, f.clients[1].Addr()); v != 0 {
+		t.Fatalf("%s still serves the withdrawn client %g MB", contact.Addr(), v)
+	}
+	if got := contact.StandingClients(); got != 3 {
+		t.Fatalf("%d clients stand after a withdrawal, want 3", got)
+	}
+	// A client holding no handle has nothing to withdraw.
+	if err := f.clients[1].Withdraw(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.tap.takeWithdrawals(); len(got) != 0 {
+		t.Fatalf("a second withdrawal reached %v, want none", got)
+	}
+	if err := f.clients[1].Submit(ctx, contact.Addr(), f.demands[1], f.uniformLatencies()); err != nil {
+		t.Fatal(err)
+	}
+	if sent := f.tap.take(); len(sent) != 1 || sent[0].Handle != 0 {
+		t.Fatalf("the returning client sent %+v, want the full form", sent)
+	}
+	report, _ = f.window(t, contact, gone)
+	f.checkScheduled(t, report, everyClient)
+}
+
+// A standing client that stops submitting is queued for roundStatesKept−1
+// more drains and lapses at the drain that sweeps its handle, which
+// edr_standing_lapses_total counts; its next Submit finds no handle and
+// resends in full.
+func TestStandingLapses(t *testing.T) {
+	f := newStandingFleet(t, 3)
+	contact := f.replicas[0]
+	reg := telemetry.NewRegistry()
+	contact.RegisterMetrics(reg)
+	for w := 0; w < 3; w++ {
+		f.window(t, contact, everyClient) // client 0 stands after its third request
+	}
+	silent := func(i int) bool { return i != 0 }
+	for d := 1; d < roundStatesKept; d++ {
+		report, _ := f.window(t, contact, silent)
+		f.checkScheduled(t, report, everyClient)
+	}
+	if got := gaugeValue(t, reg, "edr_standing_lapses_total"); got != 0 {
+		t.Fatalf("%g lapses before the horizon", got)
+	}
+	report, _ := f.window(t, contact, silent)
+	f.checkScheduled(t, report, silent)
+	if got := gaugeValue(t, reg, "edr_standing_lapses_total"); got != 1 {
+		t.Fatalf("edr_standing_lapses_total reads %g, want 1", got)
+	}
+	if got := contact.StandingClients(); got != 2 {
+		t.Fatalf("%d clients stand after the lapse, want 2", got)
+	}
+	// The client still believes it stands: identical Submits send nothing
+	// until its renewal, which misses and resends in full.
+	var sent []RequestBody
+	for k := 0; k < standingRenewal && len(sent) == 0; k++ {
+		if err := f.clients[0].Submit(context.Background(), contact.Addr(), f.demands[0], f.uniformLatencies()); err != nil {
+			t.Fatal(err)
+		}
+		sent = f.tap.take()
+	}
+	if len(sent) != 2 || sent[0].Handle == 0 || sent[1].Handle != 0 {
+		t.Fatalf("the lapsed client's renewal sent %+v, want a miss then the full form", sent)
+	}
+}
+
+// After a contact restarts, every standing client's next renewal misses
+// and resends in full: within standingRenewal windows all of them are back
+// in the round, and each stays in every round after it came back.
+func TestContactRestartReadmitsStandingClients(t *testing.T) {
+	const n = 8
+	f := newStandingFleet(t, n)
+	contact := f.replicas[0]
+	for w := 0; w < 4; w++ {
+		f.window(t, contact, everyClient)
+	}
+	addr := contact.Addr()
+	contact.Close()
+	peers := []string{f.replicas[1].Addr(), f.replicas[2].Addr()}
+	restarted, err := NewReplicaServer(f.tap, addr, peers, ReplicaConfig{Replica: model.NewReplica(addr, 1), Algorithm: LDDM, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Close() })
+	back := map[string]bool{}
+	for w := 1; w <= standingRenewal; w++ {
+		report, _ := f.window(t, restarted, everyClient)
+		if report == nil {
+			continue
+		}
+		for _, c := range report.ClientAddrs {
+			back[c] = true
+		}
+		if got := scheduled(report); len(got) < len(back) {
+			t.Fatalf("window %d after the restart schedules %d clients, %d came back", w, len(got), len(back))
+		}
+	}
+	if len(back) != n {
+		t.Fatalf("%d of %d standing clients back within %d windows of the restart", len(back), n, standingRenewal)
+	}
+	report, _ := f.window(t, restarted, everyClient)
+	f.checkScheduled(t, report, everyClient)
+}
+
+// A standing client that submits to another contact withdraws from the old
+// one first: the old contact's next round goes without it, the new one's
+// schedules it, and no client is counted at both.
+func TestContactSwitchWithdraws(t *testing.T) {
+	f := newStandingFleet(t, 4)
+	old, next := f.replicas[0], f.replicas[1]
+	for w := 0; w < 4; w++ {
+		f.window(t, old, everyClient)
+	}
+	ctx := context.Background()
+	f.tap.takeWithdrawals()
+	if err := f.clients[3].Submit(ctx, next.Addr(), f.demands[3], f.uniformLatencies()); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.tap.takeWithdrawals(); !slices.Equal(got, []string{old.Addr()}) {
+		t.Fatalf("switching contact withdrew from %v, want %s", got, old.Addr())
+	}
+	stay := func(i int) bool { return i != 3 }
+	report, _ := f.window(t, old, stay)
+	f.checkScheduled(t, report, stay)
+	report, err := next.RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scheduled(report); len(got) != 1 || math.Abs(got[f.clients[3].Addr()]-f.demands[3]) > 1e-6 {
+		t.Fatalf("the new contact scheduled %v, want the switched client's %g MB", got, f.demands[3])
+	}
+}
+
+// A failed round puts its rows back, and a client's next request replaces
+// its row instead of adding to it: a 5 % overload that fails one round does
+// not compound, and the next window's demand, under capacity, commits.
+func TestRequeuedRowIsReplaced(t *testing.T) {
+	f := newFleet(t, []float64{1, 2, 3}, 4, LDDM) // 3 × 100 MB
+	ctx := context.Background()
+	rs := f.replicas[0]
+	submit := func(mb float64) {
+		t.Helper()
+		for _, cl := range f.clients {
+			if err := cl.Submit(ctx, rs.Addr(), mb, f.uniformLatencies()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submit(78.75)
+	if _, err := rs.RunRound(ctx); err == nil {
+		t.Fatal("a round over 315 MB of demand on 300 MB of capacity committed")
+	}
+	submit(70)
+	for _, cl := range f.clients {
+		if got := queuedRequest(rs, cl.Addr()); got == nil || got.DemandMB != 70 {
+			t.Fatalf("client %s queued %+v after a failed round, want 70 MB", cl.Addr(), got)
+		}
+	}
+	report, err := rs.RunRound(ctx)
+	if err != nil {
+		t.Fatalf("the round after a failed one: %v", err)
+	}
+	for addr, mb := range scheduled(report) {
+		if math.Abs(mb-70) > 1e-6 {
+			t.Fatalf("client %s scheduled %g MB, want 70", addr, mb)
+		}
+	}
+}
+
+// ServeRounds keeps running rounds while a client stands, though it sends
+// nothing, and the withdrawal that leaves nothing to schedule is neither a
+// round nor an error.
+func TestServeRoundsUntilWithdraw(t *testing.T) {
+	f := newFleet(t, []float64{1, 4}, 1, LDDM)
+	rs, cl := f.replicas[0], f.clients[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reports := make(chan *RoundReport, 16)
+	go rs.ServeRounds(ctx, 20*time.Millisecond,
+		func(rep *RoundReport) {
+			select {
+			case reports <- rep:
+			default:
+			}
+		},
+		func(err error) { t.Errorf("round error: %v", err) },
+	)
+	next := func(what string) {
+		t.Helper()
+		select {
+		case <-reports:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no round %s", what)
+		}
+	}
+	for w := 0; w < 3; w++ {
+		if err := cl.Submit(ctx, rs.Addr(), 12, f.uniformLatencies()); err != nil {
+			t.Fatal(err)
+		}
+		next("after a submission")
+	}
+	next("while the client stands")
+	if rs.StandingClients() != 1 {
+		t.Fatalf("%d clients stand, want 1", rs.StandingClients())
+	}
+	if err := cl.Withdraw(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); rs.PendingRequests() > 0 || rs.StandingClients() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the withdrawal was never drained")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for len(reports) > 0 {
+		<-reports // a round already under way when the client withdrew
+	}
+	select {
+	case rep := <-reports:
+		t.Fatalf("round %d ran with no client left", rep.Round)
+	case <-time.After(100 * time.Millisecond):
+	}
+}

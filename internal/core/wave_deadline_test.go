@@ -255,7 +255,7 @@ func BenchmarkNotifyWave(b *testing.B) {
 	}
 	r := f.replicas[0]
 	r.mu.Lock()
-	requests := drain(r.pending, nil)
+	requests, _, _ := drain(r.pending, nil, 0, 1)
 	r.mu.Unlock()
 	a := &attempt{full: instance{requests: requests}}
 	if err := r.gather(ctx, a); err != nil {

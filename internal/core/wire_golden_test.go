@@ -77,6 +77,7 @@ func TestWireGoldenBytes(t *testing.T) {
 		goldenBody("request, full form", "000000000200633100000000002039400200000002007231000000000000e03f02007232000000000000d03f", &RequestBody{ClientAddr: "c1", DemandMB: 25.125, LatencySec: []Latency{{"r1", 0.5}, {"r2", 0.25}}}),
 		goldenBody("request, handle form", "040302010000000000000c40", &RequestBody{Handle: 0x01020304, DemandMB: 3.5}),
 		goldenBody("request ack", "29000000000000000020394007000000", &RequestAck{Round: 41, QueuedMB: 25.125, Handle: 7}),
+		goldenBody("withdraw", "04030201", &WithdrawBody{Handle: 0x01020304}),
 		goldenBody("round spec with a mask", "050000000200000002007231000000000000f03f000000000000f03f000000000000e03f0000000000000840000000000000594000000000000000000200723200000000000020400000000000000040000000000000d03f00000000000000400000000000004940000000000000294003000000020063310200633202006333030000000000000000002440000000000000e03f0000000000003e400100000027", spec),
 		goldenBody("assign, full install", "070000000000000002000000020063310000000000001040020063330000000000000440", &AssignBody{Round: 7, Updates: []ClientMB{{"c1", 4}, {"c3", 2.5}}}),
 		goldenBody("assign, delta", "090000000700000002000000020063310000000000001140020063330000000000000000", &AssignBody{Round: 9, BaseRound: 7, Updates: []ClientMB{{"c1", 4.25}, {"c3", 0}}}),
