@@ -216,7 +216,7 @@ func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB flo
 	defer c.mu.Unlock()
 	if err != nil {
 		// The contact drops its record of the client when it refuses it
-		// (ReplicaServer.unstand); another contact's error leaves the
+		// (clientTable.refuse); another contact's error leaves the
 		// record of the last contact as it is.
 		c.demand = acked
 		if contactReplica == c.contact {

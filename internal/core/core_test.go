@@ -274,10 +274,7 @@ func TestRepeatSubmissionsMergeLatencies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs := f.replicas[0]
-	rs.mu.Lock()
-	got := *rs.pending[f.clients[0].Addr()]
-	rs.mu.Unlock()
+	got := queuedRequest(f.replicas[0], f.clients[0].Addr())
 	want := []Latency{{r1, 2e-4}, {r2, 5e-4}, {r3, 6e-4}}
 	if got.DemandMB != 30 || !reflect.DeepEqual(got.LatencySec, want) {
 		t.Fatalf("queued %g MB with latencies %v, want 30 MB with %v", got.DemandMB, got.LatencySec, want)
@@ -311,10 +308,7 @@ func TestRepeatSubmissionOverflowRefused(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), f.clients[0].Addr()) {
 		t.Fatalf("overflowing repeat: err = %v, want a refusal naming %s", err, f.clients[0].Addr())
 	}
-	initiator.mu.Lock()
-	queued := initiator.pending[f.clients[0].Addr()].DemandMB
-	initiator.mu.Unlock()
-	if queued != huge {
+	if queued := queuedRequest(initiator, f.clients[0].Addr()).DemandMB; queued != huge {
 		t.Fatalf("refused repeat left %g MB queued, want %g", queued, huge)
 	}
 	report, err := initiator.RunRound(ctx)

@@ -110,7 +110,7 @@ type ReplicaInfo struct {
 // RequestBody is the client.request payload, in one of two forms. The full
 // form names the client and lists its latencies; the handle form names the
 // client by the handle its contact issued it (RequestAck.Handle) and
-// carries the demand only.
+// carries the demand only. A contact queues a round's rows in the full form.
 type RequestBody struct {
 	// Handle, when not 0, stands for ClientAddr and the latency list the
 	// client last sent this contact in full, and both are empty: an
@@ -118,17 +118,9 @@ type RequestBody struct {
 	// not hold the handle for the sender queues nothing and acks handle 0,
 	// asking for the full form.
 	Handle uint32
-	// The contact's record of a queued row, never on the wire, held in
-	// Handle's padding so a row stays 56 bytes: stands reports that the
-	// client stood after the request (see standing), carried marks a failed
-	// round's row put back (requeue) and gone a withdrawal — a request
-	// replaces a carried or gone row instead of adding to it — and drain is
-	// the contact's drain count at admission, mod 256: a row that stands is
-	// drained again within roundStatesKept+1 drains or lapses.
-	stands, carried, gone bool
-	drain                 uint8
 	// ClientAddr is the client's transport address (for allocation
-	// delivery).
+	// delivery). A full form names its sender: the contact refuses one that
+	// names another client.
 	ClientAddr string
 	// DemandMB is R_c for this request.
 	DemandMB float64
@@ -154,15 +146,15 @@ type ClientMB struct {
 
 // RequestAck acknowledges a submission; a refused one is an error reply.
 type RequestAck struct {
-	// Round is the initiator's round sequence at admission. A round drains
-	// the queue first and then bumps the sequence once per attempt
-	// (runAttempt), so no round up to this id covers the submission, but
-	// the first committed round past it may not either: one whose queue was
-	// drained before the admission, and whose attempt bumped the sequence
-	// after it. WaitAllocationSteady polls MsgAllocationPull until the
-	// reply passes this watermark and checks the row's demand for that
-	// reason. Consecutive rounds on two handle-form acks are half of what
-	// makes a client stand (standing).
+	// Round is the initiator's round sequence at admission. A round drains the
+	// queue first and then bumps the sequence once per attempt (runAttempt), or
+	// once when it commits no rows (commitEmpty), so no round up to this id
+	// covers the submission, but the first committed round past it may not
+	// either: one whose queue was drained before the admission, and whose
+	// attempt bumped the sequence after it. WaitAllocationSteady polls
+	// MsgAllocationPull until the reply passes this watermark and checks the
+	// row's demand for that reason. Consecutive rounds on two handle-form acks
+	// are half of what makes a client stand (standing).
 	Round int
 	// QueuedMB is the caller's queued demand after admission: repeat
 	// submissions before a round add up, so this is the figure the round

@@ -15,12 +15,16 @@ import (
 // rawSeq disambiguates prober node names across sendRaw calls.
 var rawSeq int
 
+// nextRawName is the name of the prober node the next sendRaw of msgType
+// sends from: a full-form client.request names its sender.
+func nextRawName(msgType string) string { return fmt.Sprintf("raw-%d-%s", rawSeq+1, msgType) }
+
 // sendRaw delivers an arbitrary message to a fleet member from a fresh
 // prober node.
 func sendRaw(t *testing.T, f *fleet, to string, msgType string, body encoding.BinaryMarshaler) (transport.Message, error) {
 	t.Helper()
+	name := nextRawName(msgType)
 	rawSeq++
-	name := fmt.Sprintf("raw-%d-%s", rawSeq, msgType)
 	node, err := f.net.Listen(name, func(ctx context.Context, m transport.Message) (transport.Message, error) {
 		return transport.Message{Type: "ok"}, nil
 	})
@@ -63,6 +67,10 @@ func TestProtocolRejectsMalformedBodies(t *testing.T) {
 		{MsgAllocation, nil}, // replicas don't take allocations
 	}
 	for _, tc := range cases {
+		if req, ok := tc.body.(RequestBody); ok && req.ClientAddr != "" {
+			req.ClientAddr = nextRawName(tc.msgType) // refused for its demand, not its name
+			tc.body = req
+		}
 		_, err := sendRaw(t, f, addr, tc.msgType, tc.body)
 		if err == nil {
 			t.Errorf("%s with body %v accepted", tc.msgType, tc.body)
@@ -87,14 +95,15 @@ func TestClientRequestRefusesNonFiniteInput(t *testing.T) {
 		return lat
 	}
 	for _, body := range []RequestBody{
-		{ClientAddr: "hostile", DemandMB: math.NaN(), LatencySec: f.latencyList()},
-		{ClientAddr: "hostile", DemandMB: math.Inf(1), LatencySec: f.latencyList()},
-		{ClientAddr: "hostile", DemandMB: math.Inf(-1), LatencySec: f.latencyList()},
-		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.NaN())},
-		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.Inf(1))},
-		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(math.Inf(-1))},
-		{ClientAddr: "hostile", DemandMB: 10, LatencySec: badLatency(-1e-3)},
+		{DemandMB: math.NaN(), LatencySec: f.latencyList()},
+		{DemandMB: math.Inf(1), LatencySec: f.latencyList()},
+		{DemandMB: math.Inf(-1), LatencySec: f.latencyList()},
+		{DemandMB: 10, LatencySec: badLatency(math.NaN())},
+		{DemandMB: 10, LatencySec: badLatency(math.Inf(1))},
+		{DemandMB: 10, LatencySec: badLatency(math.Inf(-1))},
+		{DemandMB: 10, LatencySec: badLatency(-1e-3)},
 	} {
+		body.ClientAddr = nextRawName(MsgClientRequest) // the hostile sender names itself
 		_, err := sendRaw(t, f, contact.Addr(), MsgClientRequest, body)
 		if sender := fmt.Sprintf("raw-%d-", rawSeq); err == nil || !strings.Contains(err.Error(), sender) {
 			t.Errorf("demand %g, latencies %v: error %v, want a refusal naming %s…", body.DemandMB, body.LatencySec, err, sender)

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,122 +21,208 @@ import (
 	"edr/internal/workload"
 )
 
-// FuzzDrainOrder checks the drain against its definition — the pending
-// set without its withdrawals, plus the previous drain's standing rows of
-// clients that queued nothing and have not lapsed, sorted by client
-// address — over random previous drains and queues: clients that joined
-// since, clients the previous drain lists that did not submit, standing
-// rows fresh and lapsed, repeat submissions, withdrawals and a failed
-// round's put-back. The rows must ascend strictly, be the queued or the
-// standing row itself, the counts of standing and lapsed rows must match,
-// and the queue must be left empty.
+// FuzzDrainOrder checks every drain of a contact's client table against
+// its definition — the queued requests, plus the last drain's rows of the
+// clients that queued nothing and either were put back by a failed round
+// or stand and have not lapsed, sorted by client address — over random
+// tables: a roster built over the previous drains with rows standing fresh
+// and lapsed, clients that joined since, clients the last drain lists that
+// did not submit, repeat submissions, withdrawals and a failed round's
+// put-back. The rows must ascend strictly; a put-back or standing row must
+// be the last drain's row itself, and a queued request's row carry the
+// queued demand over the list it was queued with; the counts of standing
+// and lapsed rows must match, and the queue must be left empty.
 func FuzzDrainOrder(f *testing.F) {
 	f.Add(uint64(1), uint16(40), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint64(2), uint16(0), []byte{9, 9, 9, 200, 17, 3})
 	f.Add(uint64(3), uint16(1000), []byte{255, 0, 128})
 	f.Add(uint64(4), uint16(7), []byte{})
 	f.Add(uint64(5), uint16(300), []byte{3, 7, 11, 2, 5, 8, 14})
+	// Failed rounds back to back, then withdrawals of the roster.
+	f.Add(uint64(6), uint16(20), []byte{2, 6, 10, 14, 3, 7, 11, 15, 19, 23})
 	f.Fuzz(func(t *testing.T, seed uint64, rosterLen uint16, ops []byte) {
 		const universe = 300
 		r := sim.NewRand(seed)
 		addr := func(k int) string { return fmt.Sprintf("client%03d", k) }
-		drains := roundStatesKept + 3
-		// prev is the previous drain's requests: a roster in which some
-		// rows stand, admitted up to two drains past the lapse horizon ago.
-		var prev []*RequestBody
-		standing := 0
-		for k := 0; k < universe && len(prev) < int(rosterLen); k++ {
-			if r.Float64() < 0.6 {
-				row := &RequestBody{ClientAddr: addr(k), DemandMB: 1}
-				if r.Float64() < 0.4 {
-					row.stands, row.drain = true, uint8(drains-1-r.Intn(roundStatesKept+2))
-					standing++
-				}
-				prev = append(prev, row)
-			}
+		lat := []Latency{{"replica1", 1e-4}}
+		tab := &clientTable{byAddr: make(map[string]*clientRecord), byHandle: make(map[uint32]*clientRecord)}
+		// The model: what each client queued since the last drain, its row
+		// in the last drain, and the drain count at the last use of each
+		// handle the table holds.
+		type queuedModel struct {
+			mb                    float64
+			stands, carried, gone bool
 		}
-		pending := make(map[string]*RequestBody)
-		submit := func(k int) {
+		type rowModel struct {
+			row    *RequestBody
+			stands bool
+		}
+		queue := map[string]*queuedModel{}
+		last := map[string]rowModel{}
+		held := map[string]int{}
+		drains := 0
+		submit := func(k int, stands bool) {
 			a := addr(k)
-			if req, ok := pending[a]; ok && !req.carried && !req.gone {
-				req.DemandMB++ // a repeat aggregates into the queued row
+			if _, err := tab.request(a, &RequestBody{ClientAddr: a, DemandMB: 1, LatencySec: lat}, 0); err != nil {
+				t.Fatal(err)
+			}
+			tab.byAddr[a].rec.stands = stands // the verdict, drawn
+			q := queue[a]
+			if q == nil || q.carried || q.gone {
+				q = &queuedModel{} // a request replaces a put-back row or a withdrawal
+				queue[a] = q
+			}
+			q.mb++ // a repeat aggregates into the queued demand
+			q.stands = stands
+			held[a] = drains
+		}
+		withdraw := func(k int) {
+			a := addr(k)
+			if _, ok := held[a]; !ok {
 				return
 			}
-			pending[a] = &RequestBody{ClientAddr: a, DemandMB: 1, stands: r.Float64() < 0.3, drain: uint8(drains)}
+			c := tab.byAddr[a]
+			if c == nil || c.handle == 0 {
+				t.Fatalf("the table holds no handle for %s", a)
+			}
+			tab.withdraw(c.handle, a)
+			queue[a] = &queuedModel{gone: true}
+			delete(held, a)
 		}
-		withdraw := func(k int) { pending[addr(k)] = &RequestBody{ClientAddr: addr(k), gone: true} }
+		drain := func() {
+			t.Helper()
+			busy := len(queue) > 0
+			for _, l := range last {
+				busy = busy || l.stands
+			}
+			joining := tab.joining
+			tab.joining = nil
+			slices.SortFunc(joining, func(a, b *clientRecord) int { return strings.Compare(a.addr, b.addr) })
+			got, gotLapsed := tab.drain(joining)
+			if !busy {
+				if got != nil {
+					t.Fatalf("a drain with nothing queued and nothing standing drained %d rows", len(got))
+				}
+				return
+			}
+			drains++
+			for a, used := range held {
+				if drains-used > roundStatesKept {
+					delete(held, a)
+				}
+			}
+			want := make(map[string]rowModel, len(queue)+len(last))
+			wantLapsed := 0
+			for a, l := range last {
+				if queue[a] != nil || !l.stands {
+					continue
+				}
+				if _, ok := held[a]; !ok {
+					wantLapsed++ // its handle retired with this drain
+					continue
+				}
+				want[a] = l
+			}
+			for a, q := range queue {
+				switch {
+				case q.gone:
+				case q.carried:
+					want[a] = rowModel{last[a].row, false}
+				default:
+					want[a] = rowModel{&RequestBody{ClientAddr: a, DemandMB: q.mb, LatencySec: lat}, q.stands}
+				}
+			}
+			order := make([]string, 0, len(want))
+			for a := range want {
+				order = append(order, a)
+			}
+			slices.Sort(order)
+			if len(got) != len(order) {
+				t.Fatalf("drained %d rows, want %d", len(got), len(order))
+			}
+			wantStanding := 0
+			next := make(map[string]rowModel, len(want))
+			for i, row := range got {
+				w := want[order[i]]
+				if row.ClientAddr != order[i] {
+					t.Fatalf("row %d is %s, want %s", i, row.ClientAddr, order[i])
+				}
+				if q := queue[order[i]]; q != nil && !q.carried {
+					if row.DemandMB != w.row.DemandMB || !slices.Equal(row.LatencySec, lat) {
+						t.Fatalf("row %d is %+v, want %s's queued %g MB over the list it queued", i, *row, order[i], w.row.DemandMB)
+					}
+				} else if row != w.row {
+					t.Fatalf("row %d is not %s's row of the last drain", i, order[i])
+				}
+				if i > 0 && got[i-1].ClientAddr >= row.ClientAddr {
+					t.Fatalf("rows %d and %d do not ascend: %s, %s", i-1, i, got[i-1].ClientAddr, row.ClientAddr)
+				}
+				if w.stands {
+					wantStanding++
+				}
+				next[order[i]] = rowModel{row, w.stands}
+			}
+			if tab.standing != wantStanding || gotLapsed != wantLapsed {
+				t.Fatalf("drain counts %d standing and %d lapsed, want %d and %d", tab.standing, gotLapsed, wantStanding, wantLapsed)
+			}
+			for _, c := range tab.byAddr {
+				if c.pends() || tab.touched != 0 {
+					t.Fatalf("drain left %s queued, %d pending", c.addr, tab.touched)
+				}
+			}
+			last, queue = next, map[string]*queuedModel{}
+		}
+		// The previous drains: a roster whose standing rows were admitted
+		// over the last roundStatesKept+2 windows, so some lapse on the way,
+		// and whose other rows were admitted in the last one.
+		window := make(map[int]int)
+		for k := 0; k < universe && len(window) < int(rosterLen); k++ {
+			if r.Float64() < 0.6 {
+				window[k] = roundStatesKept + 1
+				if r.Float64() < 0.4 {
+					window[k] = r.Intn(roundStatesKept + 2)
+				}
+			}
+		}
+		for w := 0; w <= roundStatesKept+1; w++ {
+			for k := 0; k < universe; k++ {
+				if kw, ok := window[k]; ok && kw == w {
+					submit(k, kw < roundStatesKept+1)
+				}
+			}
+			drain()
+		}
 		for _, k := range r.Perm(universe)[:r.Intn(universe)] {
-			submit(k)
+			submit(k, r.Float64() < 0.3)
 		}
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1:
-				submit(int(op) * 7 % universe)
+				submit(int(op)*7%universe, r.Float64() < 0.3)
 			case 2:
 				// A failed round: drain, new submissions land meanwhile, and
-				// the drained requests go back under the newer ones.
-				drains++
-				failed, n, _ := drain(pending, prev, standing, drains)
-				prev, standing = failed, n
+				// the drained rows go back under the newer ones.
+				drain()
 				for k := 0; k < int(op)%5; k++ {
-					submit(r.Intn(universe))
+					submit(r.Intn(universe), r.Float64() < 0.3)
 				}
-				requeue(pending, failed)
+				tab.requeue()
+				for a, l := range last {
+					if queue[a] == nil && !l.stands {
+						queue[a] = &queuedModel{carried: true}
+					}
+				}
 			case 3:
 				withdraw(int(op) * 11 % universe)
 			}
 		}
-		drains++
-		want := make(map[string]*RequestBody, len(pending)+standing)
-		wantStanding, wantLapsed := 0, 0
-		for _, p := range prev {
-			if _, queued := pending[p.ClientAddr]; queued || !p.stands {
-				continue
-			}
-			if uint8(drains)-p.drain > roundStatesKept {
-				wantLapsed++
-				continue
-			}
-			want[p.ClientAddr] = p
-		}
-		for a, req := range pending {
-			if !req.gone {
-				want[a] = req
-			}
-		}
-		order := make([]string, 0, len(want))
-		for a, req := range want {
-			order = append(order, a)
-			if req.stands {
-				wantStanding++
-			}
-		}
-		slices.Sort(order)
-
-		got, gotStanding, gotLapsed := drain(pending, prev, standing, drains)
-		if len(pending) != 0 {
-			t.Fatalf("drain left %d requests queued", len(pending))
-		}
-		if len(got) != len(order) {
-			t.Fatalf("drained %d requests, want %d", len(got), len(order))
-		}
-		for i, req := range got {
-			if req.ClientAddr != order[i] || req != want[order[i]] {
-				t.Fatalf("row %d is %s, want %s's queued or standing row", i, req.ClientAddr, order[i])
-			}
-			if i > 0 && got[i-1].ClientAddr >= req.ClientAddr {
-				t.Fatalf("rows %d and %d do not ascend: %s, %s", i-1, i, got[i-1].ClientAddr, req.ClientAddr)
-			}
-		}
-		if gotStanding != wantStanding || gotLapsed != wantLapsed {
-			t.Fatalf("drain counts %d standing and %d lapsed, want %d and %d", gotStanding, gotLapsed, wantStanding, wantLapsed)
-		}
+		drain()
 	})
 }
 
 // Submissions that land while a round drains and solves are scheduled
-// exactly once: the round takes the queue whole and ingest continues into
-// the map the previous round emptied, so none is lost to the swap or
+// exactly once: the drain takes every queued request under the lock and
+// ingest queues into the emptied records, so none is lost to the drain or
 // drained twice. Each client alternates two demands, so none ever stands
 // and every submission is a request of its own. Run it under -race.
 func TestSubmissionsDuringRoundsAreScheduledOnce(t *testing.T) {
@@ -421,12 +508,19 @@ func benchQuietRound(b *testing.B, nClients, joined int) {
 		}
 	}
 	ctx := context.Background()
+	// refill queues each active client's row as it is: a client's first
+	// request makes its record.
 	refill := func() {
 		rs.mu.Lock()
+		defer rs.mu.Unlock()
 		for _, i := range active {
-			rs.pending[requests[i].ClientAddr] = requests[i]
+			if c := rs.clients.byAddr[requests[i].ClientAddr]; c != nil {
+				rs.clients.enqueue(c)
+				c.queued = requests[i]
+			} else if _, err := rs.clients.request(requests[i].ClientAddr, requests[i], rs.roundSeq); err != nil {
+				b.Fatal(err)
+			}
 		}
-		rs.mu.Unlock()
 	}
 	run := func() {
 		if _, err := rs.RunRound(ctx); err != nil {

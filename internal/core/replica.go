@@ -35,24 +35,15 @@ type ReplicaServer struct {
 	member *membership.Manager
 
 	mu         sync.Mutex
-	pending    map[string]*RequestBody // keyed by client address, demand aggregated
-	spare      map[string]*RequestBody // the queue the last round drained, emptied for reuse
-	slab       []RequestBody           // the chunk new pending rows are carved from (slot)
-	rounds     map[int]*roundState     // participant-side state, keyed by round id
-	roundOrder []int                   // ids of rounds, oldest first (see roundStatesKept)
+	clients    *clientTable        // the clients this replica is the contact of
+	rounds     map[int]*roundState // participant-side state, keyed by round id
+	roundOrder []int               // ids of rounds, oldest first (see roundStatesKept)
 	roundSeq   int
-	drains     int                    // how many times a round drained pending
-	latencies  *latencyTable          // the clients' handles and latency lists
 	lastGood   *lastGoodRound         // fallback assignment for degraded rounds
 	lastReport *RoundReport           // most recent completed round (admin /status)
 	infoCache  map[string]ReplicaInfo // model parameters of every replica ever seen in a round
 	pool       *opt.Pool              // recycles initiator-side round scratch
 	registry   *cohort.Registry       // stable cross-round cohort identity (initiator side)
-	// last is the previous drain's requests, whose standing rows the next
-	// drain queues again, and standing how many of them stand. Only the
-	// round goroutine touches last; standing is read by the gauges too.
-	last     []*RequestBody
-	standing atomic.Int64
 	// startsSinceInstall counts the round.start waves this initiator sent
 	// since it last committed an install: once it reaches roundStatesKept
 	// the members may have pruned the delta-install base.
@@ -100,9 +91,9 @@ type lastGoodRound struct {
 	// clientAddrs, when the algorithm reported them (engine.DualReporter);
 	// the next warm start seeds the dual from here.
 	mus []float64
-	// prob is the full per-client problem the assignment solved
-	// (rows follow clientAddrs, columns follow infos); the incremental
-	// path diffs the next round against it.
+	// prob is the full per-client problem the assignment solved (rows
+	// follow clientAddrs, columns follow infos; nil after commitEmpty): the
+	// incremental path diffs the next round against it.
 	prob *opt.Problem
 	// installed is the assignment actually fanned out to replica round
 	// state, and installedRound the round id it was installed under.
@@ -149,9 +140,8 @@ func NewReplicaServer(network transport.Network, addr string, members []string, 
 	}
 	r := &ReplicaServer{
 		cfg:       cfg.withDefaults(),
-		pending:   make(map[string]*RequestBody),
+		clients:   &clientTable{byAddr: make(map[string]*clientRecord), byHandle: make(map[uint32]*clientRecord)},
 		rounds:    make(map[int]*roundState),
-		latencies: newLatencyTable(),
 		infoCache: make(map[string]ReplicaInfo),
 		pool:      &opt.Pool{},
 		registry:  cohort.NewRegistry(),
@@ -263,35 +253,39 @@ func (r *ReplicaServer) Close() error {
 	return r.node.Close()
 }
 
-// PendingRequests reports how many clients sent a request or a withdrawal
-// since the last drain, with a failed round's rows put back. Standing
-// clients that sent nothing are not counted (StandingClients).
+// PendingRequests reports how many clients queued something since the
+// last drain: a request, a withdrawal, or a failed round's row put back.
+// Standing clients that sent nothing are not counted (StandingClients).
 func (r *ReplicaServer) PendingRequests() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.pending)
+	return r.clients.touched
 }
 
 // StandingClients reports how many clients stood at the last drain: the
 // next drain queues each of them that sends nothing again.
-func (r *ReplicaServer) StandingClients() int { return int(r.standing.Load()) }
+func (r *ReplicaServer) StandingClients() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.clients.standing
+}
 
 // RegisterMetrics exposes the replica's own gauges on an admin registry:
-// edr_pending_requests, the clients that sent a request since the last
+// edr_pending_requests, the clients that queued something since the last
 // drain; edr_standing_clients, those standing at the last drain, and
 // edr_standing_lapses_total, the standing clients dropped because they
 // stopped renewing; edr_latency_versions, how many clients' handles and
-// latency lists it holds for handle-form resubmissions; and the two stores
+// latency lists it holds for handle-form requests; and the two stores
 // that grow with the rounds and are bounded only by their pruning —
 // edr_round_states, the participant round states held (at most
 // roundStatesKept), and edr_cohort_keys, the cohort masks the initiator's
 // registry interned (pruned only on a membership change).
 func (r *ReplicaServer) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Gauge("edr_pending_requests",
-		"Clients that sent a request or a withdrawal to this replica since its last drain, with a failed round's rows put back; standing clients that sent nothing are not counted.", nil,
+		"Clients that queued a request or a withdrawal at this replica since its last drain, or whose row a failed round put back; standing clients that sent nothing are not counted.", nil,
 		func() float64 { return float64(r.PendingRequests()) })
 	reg.Gauge("edr_standing_clients",
-		"Clients whose unchanged request stood at this replica's last drain: each drain queues them without a request.", nil,
+		"Clients whose unchanged request stood at this replica's last drain: the next drain queues each of them again without a request.", nil,
 		func() float64 { return float64(r.StandingClients()) })
 	reg.CounterFunc("edr_standing_lapses_total",
 		"Standing clients this replica dropped after roundStatesKept drains without a request from them.", nil,
@@ -304,8 +298,8 @@ func (r *ReplicaServer) RegisterMetrics(reg *telemetry.Registry) {
 		}
 	}
 	reg.Gauge("edr_latency_versions",
-		"Client handles and latency lists this replica holds for handle-form resubmissions.", nil,
-		locked(func() int { return r.latencies.len() }))
+		"Client handles and latency lists this replica holds for handle-form requests; each is dropped roundStatesKept drains after its last use.", nil,
+		locked(func() int { return len(r.clients.byHandle) }))
 	reg.Gauge("edr_round_states",
 		"Participant round states this replica holds.", nil,
 		locked(func() int { return len(r.rounds) }))
@@ -443,148 +437,26 @@ func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registrati
 	return transport.NewMessage(req.Type+".ack", r.Addr(), body)
 }
 
-// handleClientRequest queues a client's demand (ClientListener role).
-// Repeat submissions from the same client before a round runs are
-// aggregated into one row, as one scheduling window would see them; a
-// repeat whose sum would not be finite is refused, leaving the queued row
-// as it was — an infinite row would fail every round, and every round puts
-// all its drained requests back. A request replaces a row a failed round
-// put back, or a withdrawal, instead of adding to it. A full form is stored
-// and acked with a fresh handle; a handle form is queued with the address
-// and list its handle stands for, so what follows sees the request the
-// client would have sent in full, or, when the contact holds no such handle
-// for the sender, queues nothing and acks handle 0. The client's standing
-// record admits the request (standing.admit), and the row notes the
-// verdict for the drain; a refusal ends the client's standing (unstand).
-//
-// The body is decoded and the ack marshaled in place of DecodeBody and
-// NewMessage, whose interface arguments would put both on the heap, and a
-// new row is carved from the slab (slot): an unchanged resubmission costs
-// the ack's bytes and nothing else.
+// handleClientRequest queues a client's demand (ClientListener role) in its
+// record (clientTable.request). The body is decoded and the ack marshaled
+// in place of DecodeBody and NewMessage, whose interface arguments would
+// put both on the heap, and a new row is carved from a slab
+// (clientTable.carve): an unchanged resubmission costs the ack's 16 bytes
+// and nothing else.
 func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Message, error) {
 	var body RequestBody
 	if err := body.UnmarshalBinary(req.Body); err != nil {
 		return transport.Message{}, fmt.Errorf("core: decode %s body: %w", req.Type, err)
 	}
-	if err := checkRequest(&body); err != nil {
-		r.mu.Lock()
-		r.unstand(req.From)
-		r.mu.Unlock()
+	r.mu.Lock()
+	ack, err := r.clients.request(req.From, &body, r.roundSeq)
+	r.mu.Unlock()
+	if err != nil {
 		return transport.Message{}, fmt.Errorf("core: bad request from %s: %w", req.From, err)
 	}
-	r.mu.Lock()
-	ack := RequestAck{Round: r.roundSeq, Handle: body.Handle}
-	var entry *latencyEntry
-	if body.Handle != 0 {
-		// A handle held for another client is not the sender's.
-		var ok bool
-		entry, ok = r.latencies.resolve(body.Handle, r.drains)
-		if !ok || entry.client != req.From {
-			r.mu.Unlock()
-			return r.requestAck(RequestAck{Round: ack.Round})
-		}
-		body.ClientAddr, body.LatencySec = entry.client, entry.list
+	if ack.Handle != 0 { // handle 0 is a miss: nothing was queued
+		r.Stats.RequestsReceived.Inc(1)
 	}
-	queued, ok := r.pending[body.ClientAddr]
-	if ok && !queued.carried && !queued.gone {
-		if sum := queued.DemandMB + body.DemandMB; math.IsInf(sum, 1) {
-			r.unstand(req.From)
-			r.mu.Unlock()
-			return transport.Message{}, fmt.Errorf("core: bad request from %s: client %s queued demand %g MB plus %g MB is not finite", req.From, body.ClientAddr, queued.DemandMB, body.DemandMB)
-		}
-		queued.DemandMB += body.DemandMB
-		// The stored list was the last merged into the row: every full
-		// form stores its list and merges it under one lock, so merging it
-		// again would change nothing.
-		if body.Handle == 0 {
-			queued.LatencySec = mergeLatencies(queued.LatencySec, body.LatencySec)
-		}
-	} else {
-		// A carried row is the failed round's too, so it is not written.
-		queued = r.slot()
-		*queued = RequestBody{ClientAddr: body.ClientAddr, DemandMB: body.DemandMB, LatencySec: body.LatencySec}
-		r.pending[body.ClientAddr] = queued
-	}
-	if body.Handle == 0 {
-		entry = r.latencies.store(body.ClientAddr, body.LatencySec, r.drains)
-		ack.Handle = entry.handle
-	}
-	ack.QueuedMB = queued.DemandMB
-	queued.stands = entry.rec.admit(body.Handle != 0, body.DemandMB, ack)
-	queued.drain = uint8(r.drains)
-	r.mu.Unlock()
-	r.Stats.RequestsReceived.Inc(1)
-	return r.requestAck(ack)
-}
-
-// unstand ends client's standing after a refused request, as the client
-// ends it on any error: its record starts over, a row it queued since the
-// last drain no longer stands, and when it stood with nothing queued a
-// withdrawal takes the standing row's place at the next drain. A row put
-// back by a failed round or a withdrawal is left as it is: neither stands.
-// Called with r.mu held.
-func (r *ReplicaServer) unstand(client string) {
-	e, ok := r.latencies.entry(client)
-	if !ok {
-		return
-	}
-	stood := e.rec.stands
-	e.rec = standing{}
-	if row, ok := r.pending[client]; ok {
-		if !row.carried && !row.gone {
-			row.stands = false
-		}
-	} else if stood {
-		r.queueGone(client)
-	}
-}
-
-// queueGone queues client's withdrawal in place of anything it queued
-// since the last drain: the next drain drops the client's standing row.
-// Called with r.mu held.
-func (r *ReplicaServer) queueGone(client string) {
-	row := r.slot()
-	*row = RequestBody{ClientAddr: client, gone: true}
-	r.pending[client] = row
-}
-
-// handleWithdraw ends a client's standing at this contact: the handle's
-// entry is dropped, and a withdrawal takes the place of whatever the client
-// queued since the last drain, so the next round goes without it. A handle
-// the contact does not hold for the sender changes nothing — the client
-// cannot be standing here — and is acked all the same.
-func (r *ReplicaServer) handleWithdraw(req transport.Message) (transport.Message, error) {
-	var body WithdrawBody
-	if err := body.UnmarshalBinary(req.Body); err != nil {
-		return transport.Message{}, fmt.Errorf("core: decode %s body: %w", req.Type, err)
-	}
-	r.mu.Lock()
-	if r.latencies.drop(body.Handle, req.From) {
-		r.queueGone(req.From)
-	}
-	r.mu.Unlock()
-	return transport.Message{Type: MsgClientWithdraw + ".ack", From: r.Addr()}, nil
-}
-
-// slabChunk is how many queued rows one slab allocation holds.
-const slabChunk = 256
-
-// slot returns a row for ingest to queue a new client into, carved from
-// the current slab chunk. drainPending hands the chunk to the round along
-// with the queue and ingest starts a new one, so a window's ingest never
-// writes a row a round reads; a requeued row keeps its chunk alive.
-// Called with r.mu held.
-func (r *ReplicaServer) slot() *RequestBody {
-	if len(r.slab) == cap(r.slab) {
-		r.slab = make([]RequestBody, 0, slabChunk)
-	}
-	r.slab = r.slab[:len(r.slab)+1]
-	return &r.slab[len(r.slab)-1]
-}
-
-// requestAck builds a client.request ack; marshaling it in place of
-// NewMessage makes its 16 bytes the ack's one allocation.
-func (r *ReplicaServer) requestAck(ack RequestAck) (transport.Message, error) {
 	b, err := ack.MarshalBinary()
 	if err != nil {
 		return transport.Message{}, err
@@ -592,10 +464,27 @@ func (r *ReplicaServer) requestAck(ack RequestAck) (transport.Message, error) {
 	return transport.Message{Type: MsgClientRequest + ".ack", From: r.Addr(), Body: b}, nil
 }
 
-// checkRequest refuses a submission no client can mean: a demand that is
-// not positive and finite, or a latency that is not finite and
-// non-negative. The decoder already refused a full form with no address.
-func checkRequest(body *RequestBody) error {
+// handleWithdraw takes a client's withdrawal (clientTable.withdraw), acked
+// whether or not the contact holds the handle for the sender.
+func (r *ReplicaServer) handleWithdraw(req transport.Message) (transport.Message, error) {
+	var body WithdrawBody
+	if err := body.UnmarshalBinary(req.Body); err != nil {
+		return transport.Message{}, fmt.Errorf("core: decode %s body: %w", req.Type, err)
+	}
+	r.mu.Lock()
+	r.clients.withdraw(body.Handle, req.From)
+	r.mu.Unlock()
+	return transport.Message{Type: MsgClientWithdraw + ".ack", From: r.Addr()}, nil
+}
+
+// checkRequest refuses a submission from no client can mean: a full form
+// naming another client, a demand that is not positive and finite, or a
+// latency that is not finite and non-negative. The decoder already refused
+// a full form with no address.
+func checkRequest(body *RequestBody, from string) error {
+	if body.Handle == 0 && body.ClientAddr != from {
+		return fmt.Errorf("a full form names client %s, not its sender", body.ClientAddr)
+	}
 	if !(body.DemandMB > 0) || math.IsInf(body.DemandMB, 1) {
 		return fmt.Errorf("demand %g MB is not positive and finite", body.DemandMB)
 	}

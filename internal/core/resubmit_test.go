@@ -69,13 +69,32 @@ func (n *requestTap) takeWithdrawals() []string {
 	return out
 }
 
+// queuedRow is what a client queued at its contact since the last drain:
+// the row the next drain gives it, or a withdrawal.
+type queuedRow struct {
+	RequestBody
+	gone bool
+}
+
+// queuedOf is c's queued row; false when c queued nothing.
+func queuedOf(c *clientRecord) (queuedRow, bool) {
+	switch {
+	case c.withdrawn:
+		return queuedRow{RequestBody: RequestBody{ClientAddr: c.addr}, gone: true}, true
+	case c.queued != nil:
+		return queuedRow{RequestBody: *c.queued}, true
+	}
+	return queuedRow{}, false
+}
+
 // queuedRequest is rs's queued row for client, nil when none.
-func queuedRequest(rs *ReplicaServer, client string) *RequestBody {
+func queuedRequest(rs *ReplicaServer, client string) *queuedRow {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if req, ok := rs.pending[client]; ok {
-		cp := *req
-		return &cp
+	if c := rs.clients.byAddr[client]; c != nil {
+		if row, ok := queuedOf(c); ok {
+			return &row
+		}
 	}
 	return nil
 }
@@ -211,6 +230,47 @@ func TestLatencyVersionMissResendsInFull(t *testing.T) {
 	check(rs, 6)
 }
 
+// A full-form request speaks for its sender only: one naming another client
+// is refused before anything is queued or stored, so the named client's
+// queued demand and handle stay as they were and its round schedules what
+// it asked for.
+func TestFullFormForAnotherClientRefused(t *testing.T) {
+	tap := newRequestTap()
+	f := newFleetOn(t, tap, tap.InProcNetwork, []float64{1, 2, 3}, 2, LDDM, nil)
+	ctx := context.Background()
+	contact, sender, named := f.replicas[0], f.clients[0], f.clients[1]
+	if err := named.Submit(ctx, contact.Addr(), 2, f.uniformLatencies()); err != nil {
+		t.Fatal(err)
+	}
+	body, err := RequestBody{ClientAddr: named.Addr(), DemandMB: 7, LatencySec: f.latencyList()}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sender.node.Send(ctx, contact.Addr(), transport.Message{Type: MsgClientRequest, From: sender.Addr(), Body: body}); err == nil {
+		t.Fatalf("%s's full form naming %s was admitted", sender.Addr(), named.Addr())
+	}
+	if got := queuedRequest(contact, named.Addr()); got == nil || got.DemandMB != 2 {
+		t.Fatalf("%s queued %+v after the refusal, want its own 2 MB", named.Addr(), got)
+	}
+	if got := queuedRequest(contact, sender.Addr()); got != nil {
+		t.Fatalf("the refused request queued %+v for its sender", got)
+	}
+	tap.take()
+	if err := named.Submit(ctx, contact.Addr(), 2, f.uniformLatencies()); err != nil {
+		t.Fatal(err)
+	}
+	if sent := tap.take(); len(sent) != 1 || sent[0].Handle == 0 {
+		t.Fatalf("%s's next Submit sent %+v, want one handle-form request", named.Addr(), sent)
+	}
+	report, err := contact.RunRound(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scheduled(report); len(got) != 1 || math.Abs(got[named.Addr()]-4) > 1e-6 {
+		t.Fatalf("the round scheduled %v, want %s's 4 MB alone", got, named.Addr())
+	}
+}
+
 // A refused submission leaves the client's demand at the last acknowledged
 // figure: the cohort push scales its unit split by it, so a refused NaN
 // demand must not turn the next push into an empty row.
@@ -327,34 +387,43 @@ func (o resubmitOracle) submit(client string, demand float64, lat map[string]flo
 }
 
 // requests lists the queue in client order, withdrawals included.
-func (o resubmitOracle) requests() []RequestBody {
-	out := make([]RequestBody, 0, len(o))
+func (o resubmitOracle) requests() []queuedRow {
+	out := make([]queuedRow, 0, len(o))
 	for client, row := range o {
 		if row.gone {
-			out = append(out, RequestBody{ClientAddr: client, gone: true})
+			out = append(out, queuedRow{RequestBody: RequestBody{ClientAddr: client}, gone: true})
 		} else {
-			out = append(out, RequestBody{ClientAddr: client, DemandMB: row.demand, LatencySec: latencyList(row.lat)})
+			out = append(out, queuedRow{RequestBody: RequestBody{ClientAddr: client, DemandMB: row.demand, LatencySec: latencyList(row.lat)}})
 		}
 	}
-	slices.SortFunc(out, func(a, b RequestBody) int { return strings.Compare(a.ClientAddr, b.ClientAddr) })
+	slices.SortFunc(out, byQueuedAddr)
 	return out
 }
 
-// queued lists rs's pending rows in client order.
-func queued(rs *ReplicaServer) []RequestBody {
+func byQueuedAddr(a, b queuedRow) int { return strings.Compare(a.ClientAddr, b.ClientAddr) }
+
+// queued lists rs's queued rows in client order, and fails unless
+// PendingRequests counts them.
+func queued(t *testing.T, rs *ReplicaServer) []queuedRow {
+	t.Helper()
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	out := make([]RequestBody, 0, len(rs.pending))
-	for _, req := range rs.pending {
-		out = append(out, *req)
+	var out []queuedRow
+	for _, c := range rs.clients.byAddr {
+		if row, ok := queuedOf(c); ok {
+			out = append(out, row)
+		}
 	}
-	slices.SortFunc(out, func(a, b RequestBody) int { return strings.Compare(a.ClientAddr, b.ClientAddr) })
+	if rs.clients.touched != len(out) {
+		t.Fatalf("%s counts %d clients pending, %d queued", rs.Addr(), rs.clients.touched, len(out))
+	}
+	slices.SortFunc(out, byQueuedAddr)
 	return out
 }
 
 // sameRows compares queues by demand, latency list and withdrawal; an
 // empty list is one whether nil or not.
-func sameRows(got, want []RequestBody) bool {
+func sameRows(got, want []queuedRow) bool {
 	if len(got) != len(want) {
 		return false
 	}
@@ -446,6 +515,10 @@ func FuzzResubmitEquiv(f *testing.F) {
 	stand := resubmitSeed(submit(0, 0), drainOp(0), submit(0, 0), drainOp(0), submit(0, 0), drainOp(0))
 	f.Add(append(slices.Clip(stand), resubmitSeed([2]byte{7, 0}, drainOp(0), submit(0, 0), drainOp(0), drainOp(0))...))
 	f.Add(append(slices.Clip(stand), resubmitSeed([2]byte{7, 3}, submit(0, 0), drainOp(0), drainOp(0))...))
+	// The last client withdraws, and the last standing client lapses: each
+	// drain after it leaves no rows.
+	f.Add(resubmitSeed(submit(0, 0), drainOp(0), [2]byte{8, 0}, drainOp(0), drainOp(0)))
+	f.Add(append(slices.Clip(stand), resubmitSeed([2]byte{9, 0}, drainOp(0), submit(0, 0))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tap := newRequestTap()
 		names := make([]string, nReplicas)
@@ -534,11 +607,11 @@ func FuzzResubmitEquiv(f *testing.F) {
 			if busy {
 				drains[j]++
 			}
-			var want []RequestBody
+			var want []queuedRow
 			for c, cl := range clients {
 				if row, ok := oracle[j][cl.Addr()]; ok {
 					if !row.gone {
-						want = append(want, RequestBody{ClientAddr: cl.Addr(), DemandMB: row.demand, LatencySec: latencyList(row.lat)})
+						want = append(want, queuedRow{RequestBody: RequestBody{ClientAddr: cl.Addr(), DemandMB: row.demand, LatencySec: latencyList(row.lat)}})
 					}
 					if verdict[j][c] && !row.gone {
 						standRows[j][c] = standRow{row.demand, maps.Clone(row.lat), drains[j] - 1}
@@ -552,13 +625,12 @@ func FuzzResubmitEquiv(f *testing.F) {
 						delete(standRows[j], c)
 						continue
 					}
-					want = append(want, RequestBody{ClientAddr: cl.Addr(), DemandMB: s.demand, LatencySec: latencyList(s.lat)})
+					want = append(want, queuedRow{RequestBody: RequestBody{ClientAddr: cl.Addr(), DemandMB: s.demand, LatencySec: latencyList(s.lat)}})
 				}
 			}
-			rows := make([]RequestBody, len(got))
+			rows := make([]queuedRow, len(got))
 			for i, req := range got {
-				rows[i] = *req
-				rows[i].stands, rows[i].drain = false, 0
+				rows[i] = queuedRow{RequestBody: *req}
 			}
 			if !sameRows(rows, want) {
 				t.Fatalf("drain of %s\n got %+v\nwant %+v", names[j], rows, want)
@@ -566,7 +638,7 @@ func FuzzResubmitEquiv(f *testing.F) {
 			if got := replicas[j].StandingClients(); got != len(standRows[j]) {
 				t.Fatalf("%s: %d clients stand, want %d", names[j], got, len(standRows[j]))
 			}
-			if got != nil {
+			if len(got) > 0 {
 				// The round's attempt bumps the sequence; a restarted round
 				// bumps it once more.
 				bump := 1
@@ -715,11 +787,11 @@ func FuzzResubmitEquiv(f *testing.F) {
 				}
 			}
 			for j, rs := range replicas {
-				if got, want := queued(rs), oracle[j].requests(); !sameRows(got, want) {
+				if got, want := queued(t, rs), oracle[j].requests(); !sameRows(got, want) {
 					t.Fatalf("%s queue\n got %+v\nwant %+v", names[j], got, want)
 				}
 				rs.mu.Lock()
-				n := rs.latencies.len()
+				n := len(rs.clients.byHandle)
 				rs.mu.Unlock()
 				if n > nClients {
 					t.Fatalf("%s holds %d latency lists for %d clients", names[j], n, nClients)

@@ -231,23 +231,25 @@ func (t roundTransport) Replica(ctx context.Context, addr, verb string, body enc
 	return msgReply{resp}, nil
 }
 
-// RunRound schedules all pending requests: it drains the queue, runs the
-// configured distributed algorithm across the current ring, installs the
-// assignment on the replicas, and notifies the clients. When a ring member
-// fails mid-round — meaning every RPC retry to it was exhausted — the
-// member is declared dead (pruned and broadcast, §III-C) and the round
-// restarts on the survivors, up to RoundRetries times. When the retry
-// budget itself is exhausted the round degrades instead of failing: the
-// last-known-good assignment is renormalized over the reachable replicas
-// and reported with Degraded set, so the fleet keeps serving through an
-// outage the optimizer cannot coordinate across.
+// RunRound schedules all pending requests: it drains the queue and the
+// standing clients, runs the configured distributed algorithm across the
+// current ring, installs the assignment on the replicas, and notifies the
+// clients; a drain that leaves no rows commits an empty round instead
+// (commitEmpty). When a ring member fails mid-round — meaning every RPC
+// retry to it was exhausted — the member is declared dead (pruned and
+// broadcast, §III-C) and the round restarts on the survivors, up to
+// RoundRetries times. When the retry budget itself is exhausted the round
+// degrades instead of failing: the last-known-good assignment is
+// renormalized over the reachable replicas and reported with Degraded set,
+// so the fleet keeps serving through an outage the optimizer cannot
+// coordinate across.
 func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 	requests := r.drainPending()
-	if requests == nil {
-		return nil, fmt.Errorf("core: replica %s: %w", r.Addr(), errNoPending)
+	start := time.Now()
+	if len(requests) == 0 {
+		return r.commitEmpty(requests != nil, start)
 	}
 	r.Stats.RoundsInitiated.Inc(1)
-	start := time.Now()
 
 	var lastErr error
 	restarts := 0
@@ -292,7 +294,7 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 	// The round failed outright. Put the drained requests back so the next
 	// round (the daemon's next tick) retries them.
 	r.mu.Lock()
-	requeue(r.pending, requests)
+	r.clients.requeue()
 	r.mu.Unlock()
 	if lastErr != nil {
 		r.cfg.Telemetry.Publish(telemetry.RoundFailed{Err: lastErr.Error()})
@@ -300,144 +302,49 @@ func (r *ReplicaServer) RunRound(ctx context.Context) (*RoundReport, error) {
 	return nil, lastErr
 }
 
-// errNoPending is RunRound's refusal when nothing is queued and no client
-// stands: a queue of withdrawals alone drains to nothing.
+// errNoPending is RunRound's refusal when there is nothing to schedule: no
+// drain ran, or it left no rows and the committed round has none either.
 var errNoPending = errors.New("no pending requests")
 
-// drainPending drains the pending queue and the standing clients into a
-// round's requests (nil when there are none) and sweeps the latency lists
-// this drain retires. It takes the queue whole and hands ingest the map the
-// previous round emptied, so submissions keep landing while the requests
-// are ordered; the rows stay in their slab chunks, and ingest carves the
-// next window's from a new one. The standing rows are the previous drain's
-// (r.last), which only the round goroutine touches: r.mu is held for the
-// swap and the sweep alone.
+// commitEmpty commits a round with no rows when a drain ran and left none,
+// and the committed round has rows: the clients it lists departed. It draws
+// a round id and runs no stage — there is nothing to solve, install or
+// notify, and opt.Problem refuses an instance with no clients — so no
+// replica holds a plan for the round, a pull finds no row, and AutoScale
+// sees no load. The committed round keeps its roster for a degraded round
+// to fall back on, and holds no problem: the next round is a full one.
+// Anything else is errNoPending.
+func (r *ReplicaServer) commitEmpty(drained bool, start time.Time) (*RoundReport, error) {
+	r.mu.Lock()
+	lg := r.lastGood
+	if !drained || lg == nil || len(lg.clientAddrs) == 0 {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("core: replica %s: %w", r.Addr(), errNoPending)
+	}
+	r.roundSeq++
+	r.lastGood = &lastGoodRound{round: r.roundSeq, infos: lg.infos}
+	report := &RoundReport{Round: r.roundSeq, Algorithm: r.cfg.Algorithm.String(), ReplicaAddrs: addrsOf(lg.infos)}
+	r.mu.Unlock()
+	r.Stats.RoundsInitiated.Inc(1)
+	r.finishRound(report, start)
+	return report, nil
+}
+
+// drainPending drains the queue and the standing clients into a round's
+// requests (clientTable.drain): nil when no drain ran, empty when it left
+// no rows. It sorts the records joining unlocked — a record's address is
+// fixed — and holds r.mu for the drain's one pass alone.
 func (r *ReplicaServer) drainPending() []*RequestBody {
 	r.mu.Lock()
-	if len(r.pending) == 0 && r.standing.Load() == 0 {
-		r.mu.Unlock()
-		return nil
-	}
-	queue := r.pending
-	r.pending, r.spare, r.slab = r.spare, nil, nil
-	if r.pending == nil {
-		r.pending = make(map[string]*RequestBody, len(queue))
-	}
-	r.drains++
-	drains := r.drains
-	r.latencies.sweep(drains)
+	joining := r.clients.joining
+	r.clients.joining = nil
 	r.mu.Unlock()
-	requests, stands, lapsed := drain(queue, r.last, int(r.standing.Load()), drains)
-	r.last = requests
-	r.standing.Store(int64(stands))
-	r.Stats.StandingLapses.Inc(int64(lapsed))
+	slices.SortFunc(joining, func(a, b *clientRecord) int { return strings.Compare(a.addr, b.addr) })
 	r.mu.Lock()
-	r.spare = queue
+	requests, lapsed := r.clients.drain(joining)
 	r.mu.Unlock()
-	if len(requests) == 0 {
-		return nil
-	}
+	r.Stats.StandingLapses.Inc(int64(lapsed))
 	return requests
-}
-
-// drainSlack is how far the previous drain's clients that did not submit
-// may outnumber those that did before drain stops walking them.
-const drainSlack = 64
-
-// drain empties pending into a round's requests, ascending strictly by
-// client address: a stable roster then yields identical row order round
-// over round, which is what lets the incremental diff run with identity
-// row maps and the cohort registry hit its cross-round cache. prev is the
-// previous drain's requests, already in that order, of which stood rows
-// stand; drains is this drain's count.
-//
-// The drain walks prev and looks each client up in pending, one lookup a
-// client: a queued row replaces the client's previous one and a withdrawal
-// drops it; otherwise a standing row is queued again, unless it lapsed —
-// its request was admitted more than roundStatesKept drains ago, the
-// horizon on which the latency table sweeps its handle. The clients the
-// walk did not reach are sorted, then merged in. With no standing row in
-// prev the walk stops once every queued row is found, or once prev's absent
-// clients outnumber its queued ones by drainSlack — churn, or a short queue
-// against a long roster — so it costs at most 2·|pending|+drainSlack
-// lookups, and with no overlap the drain is the plain sort. It returns the
-// requests, how many of them stand, and how many standing rows lapsed. The
-// emptied map keeps its buckets for a later window's ingest.
-func drain(pending map[string]*RequestBody, prev []*RequestBody, stood, drains int) ([]*RequestBody, int, int) {
-	requests := make([]*RequestBody, 0, len(pending)+stood)
-	found, absent, seen, stands, lapsed := 0, 0, 0, 0, 0
-	for _, p := range prev {
-		if seen == stood && (found == len(pending) || absent > found+drainSlack) {
-			break
-		}
-		if p.stands {
-			seen++
-		}
-		if req, ok := pending[p.ClientAddr]; ok {
-			found++
-			if !req.gone {
-				requests = append(requests, req)
-				if req.stands {
-					stands++
-				}
-			}
-			continue
-		}
-		switch {
-		case !p.stands:
-			absent++
-		case uint8(drains)-p.drain > roundStatesKept:
-			lapsed++
-		default:
-			requests = append(requests, p)
-			stands++
-		}
-	}
-	if found < len(pending) {
-		// Remove the walked requests, sort what is left and merge it in
-		// from the back, into the slots the slice already has.
-		for _, req := range requests {
-			delete(pending, req.ClientAddr)
-		}
-		rest := make([]*RequestBody, 0, len(pending))
-		for _, req := range pending {
-			if !req.gone {
-				rest = append(rest, req)
-				if req.stands {
-					stands++
-				}
-			}
-		}
-		slices.SortFunc(rest, byClientAddr)
-		i := len(requests) - 1
-		requests = requests[:len(requests)+len(rest)]
-		for k := len(requests) - 1; len(rest) > 0; k-- {
-			last := rest[len(rest)-1]
-			if i >= 0 && requests[i].ClientAddr > last.ClientAddr {
-				requests[k], i = requests[i], i-1
-			} else {
-				requests[k], rest = last, rest[:len(rest)-1]
-			}
-		}
-	}
-	clear(pending)
-	return requests, stands, lapsed
-}
-
-func byClientAddr(a, b *RequestBody) int { return strings.Compare(a.ClientAddr, b.ClientAddr) }
-
-// requeue puts a failed round's drained requests back so the next round
-// retries them, marked carried: a client's next request replaces its
-// carried row rather than adding to it, and one that resubmitted in the
-// meantime keeps its newer demand. Standing rows are not put back: the
-// next drain queues them again from the requests it follows.
-func requeue(pending map[string]*RequestBody, requests []*RequestBody) {
-	for _, req := range requests {
-		if _, ok := pending[req.ClientAddr]; !ok && !req.stands {
-			req.carried = true
-			pending[req.ClientAddr] = req
-		}
-	}
 }
 
 // finishRound stamps the report's duration, remembers it for the admin
@@ -470,10 +377,10 @@ func (r *ReplicaServer) finishRound(report *RoundReport, start time.Time) {
 
 // ServeRounds runs scheduling rounds on a timer until ctx ends: every
 // interval, pending requests and standing clients (if any) are scheduled
-// with RunRound. Round outcomes are delivered to onRound (which may be
-// nil); errors to onError (which may be nil). This is the loop cmd/edrd
-// runs; it lives here so deployments embedding the library get the same
-// behavior.
+// with RunRound. Round outcomes are delivered to onRound (which may be nil);
+// errors but errNoPending to onError (which may be nil). This is the loop
+// cmd/edrd runs; it lives here so deployments embedding the library get the
+// same behavior.
 func (r *ReplicaServer) ServeRounds(ctx context.Context, interval time.Duration, onRound func(*RoundReport), onError func(error)) {
 	if interval <= 0 {
 		interval = 2 * time.Second
@@ -485,17 +392,11 @@ func (r *ReplicaServer) ServeRounds(ctx context.Context, interval time.Duration,
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			if r.PendingRequests() == 0 && r.StandingClients() == 0 {
-				continue
-			}
 			rctx, cancel := context.WithTimeout(ctx, 10*interval)
 			report, err := r.RunRound(rctx)
 			cancel()
-			if errors.Is(err, errNoPending) {
-				continue
-			}
 			if err != nil {
-				if onError != nil {
+				if onError != nil && !errors.Is(err, errNoPending) {
 					onError(err)
 				}
 				continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -338,8 +339,8 @@ func TestRequeuedRowIsReplaced(t *testing.T) {
 }
 
 // ServeRounds keeps running rounds while a client stands, though it sends
-// nothing, and the withdrawal that leaves nothing to schedule is neither a
-// round nor an error.
+// nothing; the withdrawal of the last client is one round with no rows, and
+// after it no round runs and no error is reported.
 func TestServeRoundsUntilWithdraw(t *testing.T) {
 	f := newFleet(t, []float64{1, 4}, 1, LDDM)
 	rs, cl := f.replicas[0], f.clients[0]
@@ -376,18 +377,111 @@ func TestServeRoundsUntilWithdraw(t *testing.T) {
 	if err := cl.Withdraw(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); rs.PendingRequests() > 0 || rs.StandingClients() > 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the withdrawal was never drained")
+	deadline := time.After(5 * time.Second)
+	for emptied := false; !emptied; {
+		select {
+		case rep := <-reports:
+			// A round already under way when the client withdrew lists it.
+			emptied = len(rep.ClientAddrs) == 0
+		case <-deadline:
+			t.Fatal("no round committed the withdrawal")
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	for len(reports) > 0 {
-		<-reports // a round already under way when the client withdrew
+	if rs.PendingRequests() > 0 || rs.StandingClients() > 0 {
+		t.Fatalf("%d clients queued and %d standing after the withdrawal's round", rs.PendingRequests(), rs.StandingClients())
 	}
 	select {
 	case rep := <-reports:
 		t.Fatalf("round %d ran with no client left", rep.Round)
 	case <-time.After(100 * time.Millisecond):
 	}
+}
+
+// checkDeparted fails unless report is a round past before that commits no
+// rows: it is the contact's last report, a pull finds the round and no
+// allocation in it, and no replica holds a plan for any client under it.
+func (f *standingFleet) checkDeparted(t *testing.T, contact *ReplicaServer, before, report *RoundReport) {
+	t.Helper()
+	if report.Round <= before.Round || len(report.ClientAddrs) != 0 || len(report.Assignment) != 0 {
+		t.Fatalf("round %d lists %v after round %d, want a later round with no rows", report.Round, report.ClientAddrs, before.Round)
+	}
+	if last := contact.LastReport(); last != report {
+		t.Fatalf("the last report is round %d, want %d", last.Round, report.Round)
+	}
+	for _, cl := range f.clients {
+		resp, err := sendRaw(t, f.fleet, contact.Addr(), MsgAllocationPull, PullBody{ClientAddr: cl.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pulled AllocationBody
+		if err := resp.DecodeBody(&pulled); err != nil {
+			t.Fatal(err)
+		}
+		if pulled.Round != report.Round || len(pulled.PerReplicaMB) != 0 {
+			t.Fatalf("%s pulled %+v, want round %d with no allocation", cl.Addr(), pulled, report.Round)
+		}
+		for _, rs := range f.replicas {
+			if v := rs.Plan(report.Round, cl.Addr()); v != 0 {
+				t.Fatalf("%s serves %s %g MB under round %d", rs.Addr(), cl.Addr(), v, report.Round)
+			}
+		}
+	}
+}
+
+// When the last client withdraws, the next round commits with no rows
+// instead of leaving the client's row committed: replicas, pulls and the
+// autoscaler's report all see no load. An empty fleet then runs no round,
+// and a client that returns is scheduled.
+func TestLastWithdrawalCommitsEmptyRound(t *testing.T) {
+	f := newStandingFleet(t, 1)
+	contact, ctx := f.replicas[0], context.Background()
+	before, _ := f.window(t, contact, everyClient)
+	if err := f.clients[0].Withdraw(ctx); err != nil {
+		t.Fatal(err)
+	}
+	report, err := contact.RunRound(ctx)
+	if err != nil {
+		t.Fatalf("the round after the last withdrawal: %v", err)
+	}
+	f.checkDeparted(t, contact, before, report)
+	if _, err := contact.RunRound(ctx); !errors.Is(err, errNoPending) {
+		t.Fatalf("a round on an empty fleet: %v, want %v", err, errNoPending)
+	}
+	report, _ = f.window(t, contact, everyClient)
+	f.checkScheduled(t, report, everyClient)
+}
+
+// When the last standing client lapses, the drain that retires its handle
+// commits a round with no rows; the client is scheduled again once its
+// renewal has resent its request in full.
+func TestLastStandingLapseCommitsEmptyRound(t *testing.T) {
+	f := newStandingFleet(t, 1)
+	contact := f.replicas[0]
+	for w := 0; w < 3; w++ {
+		f.window(t, contact, everyClient) // the client stands after its third request
+	}
+	silent := func(int) bool { return false }
+	var before *RoundReport
+	for d := 1; d < roundStatesKept; d++ {
+		before, _ = f.window(t, contact, silent)
+		f.checkScheduled(t, before, everyClient)
+	}
+	report, _ := f.window(t, contact, silent)
+	if report == nil {
+		t.Fatal("no round ran at the lapse")
+	}
+	f.checkDeparted(t, contact, before, report)
+	if got := contact.StandingClients(); got != 0 {
+		t.Fatalf("%d clients stand after the lapse, want 0", got)
+	}
+	if report, _ := f.window(t, contact, silent); report != nil {
+		t.Fatalf("round %d ran on an empty fleet", report.Round)
+	}
+	for w := 0; w < standingRenewal; w++ {
+		if report, _ = f.window(t, contact, everyClient); report != nil {
+			f.checkScheduled(t, report, everyClient)
+			return
+		}
+	}
+	t.Fatalf("the lapsed client was not scheduled within %d windows", standingRenewal)
 }

@@ -254,10 +254,7 @@ func BenchmarkNotifyWave(b *testing.B) {
 		}
 	}
 	r := f.replicas[0]
-	r.mu.Lock()
-	requests, _, _ := drain(r.pending, nil, 0, 1)
-	r.mu.Unlock()
-	a := &attempt{full: instance{requests: requests}}
+	a := &attempt{full: instance{requests: r.drainPending()}}
 	if err := r.gather(ctx, a); err != nil {
 		b.Fatal(err)
 	}

@@ -62,6 +62,7 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 	if n := contact.PendingRequests(); n != 0 {
 		t.Fatalf("refused client.request left %d pending", n)
 	}
+	request.ClientAddr = nextRawName(MsgClientRequest) // a full form names its sender
 	serve(contact, MsgClientRequest, request)
 	if n := contact.PendingRequests(); n != 1 {
 		t.Fatalf("binary client.request: %d pending, want 1", n)
