@@ -57,7 +57,7 @@ func init() {
 // roundAlg is the initiator half of Algorithm 1 over the fabric. It holds
 // the |N| current estimates; per iteration it sends each replica the
 // consensus that replica forms (average) and folds the estimate it
-// returns. The |N| averages run on the round's senders, in parallel. The
+// returns. The |N| averages run on the wave's claimants, in parallel. The
 // final assignment is the average of the estimates, polished to exact
 // feasibility. No single primal iterate exists between consensus steps,
 // so the algorithm records a residual-only trajectory (it implements no

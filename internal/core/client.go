@@ -33,9 +33,11 @@ type Client struct {
 	sent []Latency
 	id   uint32
 	// rec is the client's standing record at contact, the same the contact
-	// keeps for it; beat counts the identical Submits since it stood.
-	rec  standing
-	beat uint32
+	// keeps for it; beat counts the identical Submits since it stood, and
+	// phase (renewalPhase of the client's address) sets which of them renew.
+	rec   standing
+	beat  uint32
+	phase uint32
 	// held is the roster the last full-form push listed, which the short
 	// form names by hash.
 	held heldRoster
@@ -60,7 +62,7 @@ func NewClient(network transport.Network, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.node = node
+	c.node, c.phase = node, renewalPhase(node.Name())
 	return c, nil
 }
 
@@ -167,8 +169,8 @@ func (c *Client) Ping(ctx context.Context, replicaAddr string) (time.Duration, e
 //
 // A client whose request stands at its contact (see standing) sends
 // nothing for an identical Submit — same contact, demand and latencies —
-// but every standingRenewal-th, a handle-form renewal at a phase its
-// handle sets: the contact queues its standing demand each round. Any
+// but every standingRenewal-th, a handle-form renewal at a phase its own
+// address sets: the contact queues its standing demand each round. Any
 // change, any error, or a renewal acked with handle 0 or with another
 // queued demand ends standing, and a Submit to another contact withdraws
 // the standing demand from the old one first (Withdraw).
@@ -176,7 +178,7 @@ func (c *Client) Submit(ctx context.Context, contactReplica string, demandMB flo
 	c.mu.Lock()
 	same := contactReplica == c.contact && c.id != 0 && sameLatencies(c.sent, latencies)
 	if same && c.rec.stands && math.Float64bits(demandMB) == c.rec.bits {
-		if c.beat++; (c.beat+c.id)%standingRenewal != 0 {
+		if c.beat++; (c.beat+c.phase)%standingRenewal != 0 {
 			c.mu.Unlock()
 			return nil
 		}

@@ -66,6 +66,20 @@ type standing struct {
 // be lost or late before the client's handle, and its standing, lapse.
 const standingRenewal = roundStatesKept / 2
 
+// renewalPhase is the phase at which a standing client renews, taken from
+// a hash of its own address (FNV-1a, its halves folded together): fixed
+// for the client's lifetime and the same run after run, so a fleet renews
+// on the same beats each time, and spread over the standingRenewal beats
+// so a contact's renewals do not all land in one window. The handle would
+// do neither; it is drawn at random (clientTable.draw).
+func renewalPhase(addr string) uint32 {
+	x := uint32(2166136261)
+	for i := 0; i < len(addr); i++ {
+		x = (x ^ uint32(addr[i])) * 16777619
+	}
+	return x ^ x>>16
+}
+
 // admit records an admitted request — handled when it was the handle form,
 // for demand MB, acked with ack — and reports whether the client stands
 // after it.

@@ -667,13 +667,10 @@ func FuzzResubmitEquiv(f *testing.F) {
 				p := &prev[c]
 				demandOnly := p.contact == j && p.lat != nil && reflect.DeepEqual(p.lat, lats[c])
 				miss := demandOnly && (p.restarts || drains[j]-p.drain > roundStatesKept)
-				clients[c].mu.Lock()
-				handle := clients[c].id
-				clients[c].mu.Unlock()
 				skip := false
 				if demandOnly && p.view.stands && demand == p.view.demand {
 					p.beat++
-					skip = (p.beat+handle)%standingRenewal != 0
+					skip = (p.beat+renewalPhase(clients[c].Addr()))%standingRenewal != 0
 				}
 				leaves := !skip && p.view.stands && p.contact != j
 				if leaves {

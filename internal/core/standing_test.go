@@ -127,6 +127,54 @@ func TestStandingClientSkipsIdenticalResubmission(t *testing.T) {
 	}
 }
 
+// Renewals land on beats the clients' own addresses set, not the handles
+// their contact drew at random: two fresh fleets built alike renew on
+// identical beats, each client once in standingRenewal windows, and the
+// fleet's renewals spread over more than one window of each cycle.
+func TestStandingRenewalBeatsReproducible(t *testing.T) {
+	const n, windows = 12, 3 * standingRenewal
+	renewals := func() [][]int {
+		f := newStandingFleet(t, n)
+		contact := f.replicas[0]
+		for w := 1; w <= 3; w++ {
+			f.window(t, contact, everyClient)
+		}
+		if got := contact.StandingClients(); got != n {
+			t.Fatalf("%d clients stand, want %d", got, n)
+		}
+		ctx := context.Background()
+		beats := make([][]int, n)
+		for w := 0; w < windows; w++ {
+			for i, cl := range f.clients {
+				if err := cl.Submit(ctx, contact.Addr(), f.demands[i], f.uniformLatencies()); err != nil {
+					t.Fatal(err)
+				}
+				if len(f.tap.take()) > 0 {
+					beats[i] = append(beats[i], w)
+				}
+			}
+			if _, err := contact.RunRound(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return beats
+	}
+	first, second := renewals(), renewals()
+	windowsUsed := map[int]bool{}
+	for i := range first {
+		if !slices.Equal(first[i], second[i]) {
+			t.Fatalf("client %d renewed on beats %v in one fleet and %v in the other", i, first[i], second[i])
+		}
+		if len(first[i]) != windows/standingRenewal {
+			t.Fatalf("client %d renewed on beats %v, want one in every %d", i, first[i], standingRenewal)
+		}
+		windowsUsed[first[i][0]] = true
+	}
+	if len(windowsUsed) < 2 {
+		t.Fatalf("all %d clients renew in the same window of %d", n, standingRenewal)
+	}
+}
+
 // A client that submits every other window never stands, however steady
 // its demand: each of its Submits sends a request, and it departs in the
 // windows it skips.

@@ -9,12 +9,13 @@
 // into local state (dual steps included — the initiator already holds
 // everything they read), tests a residual, and finally recovers a feasible
 // primal assignment. The driver owns everything that is the same across
-// methods — concurrent fan-out on senders that live for the round,
-// retry/cancellation semantics (delegated to the Transport), iteration
-// accounting, and the
-// residual/cost trajectory hook telemetry consumes — while an Algorithm
-// describes only what differs: the per-iteration exchanges (verb, body
-// builder, reply folder), the convergence test, and primal recovery.
+// methods — concurrent fan-out in claimed waves (the driver's goroutine
+// sends, and helpers that live for the round claim the replicas it has not
+// reached), retry/cancellation semantics (delegated to the Transport),
+// iteration accounting, and the residual/cost trajectory hook telemetry
+// consumes — while an Algorithm describes only what differs: the
+// per-iteration exchanges (verb, body builder, reply folder), the
+// convergence test, and primal recovery.
 // Adding a new method (dual gradient tracking, an accelerated variant) is
 // a ~100-line registry entry, not a fork of internal/core. The fleet runs
 // the driver over its replicas; the in-process solvers run the same
@@ -159,23 +160,37 @@ type Driver struct {
 	// and primal cost (NaN when the algorithm exposes no primal).
 	OnIterate func(iter int, residual, cost float64)
 
-	// The round's senders, one per replica, alive from Run's start to its
-	// return: jobs[i] feeds sender i, results collects one error per
-	// sender per wave (sized to the sends, so a sender never blocks on it).
-	jobs    []chan job
-	results chan error
-	senders sync.WaitGroup
+	// The round's claimed wave and its |N|−1 helpers, alive from Run's
+	// start to its return (see exec).
+	wave    wave
+	wake    chan struct{}
+	helpers sync.WaitGroup
 }
 
-// job is one sender's share of a wave.
-type job struct {
-	ctx context.Context
-	ex  Exchange
+// wave is one exchange in flight, reused for every wave of a round. The
+// goroutine that calls exec and the round's helpers claim its replica
+// indexes from next; done counts the sends finished or skipped, and the
+// claimant that brings it to n hands the driver the one wake-up it waits
+// for on finished. Between waves next stays at or past n, so a helper
+// woken late claims nothing; exec writes the other fields before it
+// resets next, and a claimant reads them only after claiming an index
+// below n.
+type wave struct {
+	addrs    []string
+	n        int64
+	next     atomic.Int64
+	done     atomic.Int64
+	failed   atomic.Bool
+	first    error // written by the one claimant that sets failed
+	ctx      context.Context
+	cancel   context.CancelFunc
+	ex       Exchange
+	finished chan struct{}
 }
 
 // Run drives one round of alg to convergence (or rd.MaxIters) and returns
 // the recovered assignment, packed, and the number of iterations executed.
-// The round's Pool is released and its senders are stopped before
+// The round's Pool is released and its helpers are stopped before
 // returning, success or failure alike.
 func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, int, error) {
 	if rd.Pool == nil {
@@ -185,8 +200,8 @@ func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, 
 	if err := alg.Init(rd); err != nil {
 		return nil, 0, err
 	}
-	d.startSenders(rd.ReplicaAddrs)
-	defer d.stopSenders()
+	d.startHelpers(rd.ReplicaAddrs)
+	defer d.stopHelpers()
 	tracer, _ := alg.(PrimalTracer)
 	iterations := 0
 	for k := 1; k <= rd.MaxIters; k++ {
@@ -217,49 +232,78 @@ func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, 
 	return final, iterations, nil
 }
 
-// startSenders starts one sender goroutine per replica. A round runs
-// hundreds of waves over the same peers; a goroutine spawned per RPC has to
-// regrow its stack through the transport's frames every time, while a
-// sender that lives for the round grows it once.
-func (d *Driver) startSenders(addrs []string) {
-	d.jobs = make([]chan job, len(addrs))
-	d.results = make(chan error, len(addrs))
-	d.senders.Add(len(addrs))
-	for i, addr := range addrs {
-		d.jobs[i] = make(chan job)
-		go func(i int, addr string, jobs <-chan job) {
-			defer d.senders.Done()
-			for jb := range jobs {
-				d.results <- d.send(jb, i, addr)
+// startHelpers starts the round's |N|−1 helpers. A round runs hundreds of
+// waves over the same peers; a goroutine spawned per wave or per RPC has
+// to regrow its stack through the transport's frames every time, while a
+// helper that lives for the round grows it once. The goroutine calling
+// exec is the |N|th claimant, so a wave never waits for a hand-off to
+// start its first send.
+func (d *Driver) startHelpers(addrs []string) {
+	w := &d.wave
+	w.addrs, w.n = addrs, int64(len(addrs))
+	w.next.Store(w.n)
+	w.finished = make(chan struct{}, 1)
+	helpers := max(len(addrs)-1, 0)
+	// One pending wake-up per helper: exec never waits to wake one, and a
+	// wake-up no helper has taken yet is not worth a second.
+	d.wake = make(chan struct{}, helpers)
+	d.helpers.Add(helpers)
+	for h := 0; h < helpers; h++ {
+		go func() {
+			defer d.helpers.Done()
+			for range d.wake {
+				d.claim()
 			}
-		}(i, addr, d.jobs[i])
+		}()
 	}
 }
 
-// stopSenders ends the round's senders and waits for them to exit. exec
-// returns only once every sender has reported, so they are all idle here.
-func (d *Driver) stopSenders() {
-	for _, jobs := range d.jobs {
-		close(jobs)
-	}
-	d.senders.Wait()
-	d.jobs, d.results = nil, nil
+// stopHelpers ends the round's helpers and waits for them to exit. exec
+// returns only once every claimed send has finished, so none is sending.
+func (d *Driver) stopHelpers() {
+	close(d.wake)
+	d.helpers.Wait()
+	d.wake, d.wave = nil, wave{}
 }
 
-// send performs replica i's part of a wave: build the body, one RPC, fold
+// claim takes the wave's next unclaimed index until none is left: it sends
+// to that replica or, once the wave has failed, skips it, and counts it
+// finished either way. The claimant that finishes the wave's last index
+// wakes the driver.
+func (d *Driver) claim() {
+	w := &d.wave
+	for {
+		i := w.next.Add(1) - 1
+		if i >= w.n {
+			return
+		}
+		if !w.failed.Load() {
+			if err := d.send(int(i)); err != nil && w.failed.CompareAndSwap(false, true) {
+				w.first = err
+				w.cancel()
+			}
+		}
+		if w.done.Add(1) == w.n {
+			w.finished <- struct{}{}
+		}
+	}
+}
+
+// send performs replica i's part of the wave: build the body, one RPC, fold
 // the reply.
-func (d *Driver) send(jb job, i int, addr string) error {
+func (d *Driver) send(i int) error {
+	w := &d.wave
 	var body encoding.BinaryMarshaler
-	if jb.ex.Body != nil {
-		body = jb.ex.Body(i)
+	if w.ex.Body != nil {
+		body = w.ex.Body(i)
 	}
-	reply, err := d.Transport.Replica(jb.ctx, addr, jb.ex.Verb, body)
+	reply, err := d.Transport.Replica(w.ctx, w.addrs[i], w.ex.Verb, body)
 	if err != nil {
 		return err
 	}
-	if jb.ex.Fold != nil {
-		if err := jb.ex.Fold(i, reply); err != nil {
-			return &RefusedReplyError{Addr: addr, Err: err}
+	if w.ex.Fold != nil {
+		if err := w.ex.Fold(i, reply); err != nil {
+			return &RefusedReplyError{Addr: w.addrs[i], Err: err}
 		}
 	}
 	return nil
@@ -277,28 +321,37 @@ func (e *RefusedReplyError) Error() string { return e.Err.Error() }
 
 func (e *RefusedReplyError) Unwrap() error { return e.Err }
 
-// exec runs one exchange on the round's senders: ex.Verb goes to every
-// replica concurrently, one RPC each. It keeps FanOut's contract — the
-// first error cancels the wave's context so the remaining sends abort
-// promptly, every first attempt shares one deadline d.Timeout away, and
-// exec still waits for every sender to finish before returning, so callers
-// may reuse the buffers Body and Fold touched.
+// exec runs one exchange as a claimed wave: ex.Verb goes to every replica
+// concurrently, one RPC each. The calling goroutine sends too; the round's
+// idle helpers are woken as the wave starts and claim whatever it has not
+// reached, so a blocked send holds up only its own claimant. It keeps
+// FanOut's contract — the first error cancels the wave's context so the
+// sends in flight abort promptly and the indexes not yet claimed are
+// skipped, every first attempt shares one deadline d.Timeout away, and
+// exec still waits for every started send to finish before returning, so
+// callers may reuse the buffers Body and Fold touched.
 func (d *Driver) exec(ctx context.Context, ex Exchange) error {
+	w := &d.wave
+	if w.n == 0 {
+		return nil
+	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	wave, _, disarm := armWave(wctx, d.Timeout)
+	armed, _, disarm := armWave(wctx, d.Timeout)
 	defer disarm()
-	for _, jobs := range d.jobs {
-		jobs <- job{ctx: wave, ex: ex}
-	}
-	var first error
-	for range d.jobs {
-		if err := <-d.results; err != nil && first == nil {
-			first = err
-			cancel()
+	w.ctx, w.cancel, w.ex, w.first = armed, cancel, ex, nil
+	w.failed.Store(false)
+	w.done.Store(0)
+	w.next.Store(0) // the wave is open: every field above is written
+	for h := int64(1); h < w.n; h++ {
+		select {
+		case d.wake <- struct{}{}:
+		default: // every helper already has a wake-up pending
 		}
 	}
-	return first
+	d.claim()
+	<-w.finished
+	return w.first
 }
 
 // fanOutWidth bounds the goroutines one FanOut wave runs on. It is far
@@ -346,7 +399,7 @@ func armWave(wctx context.Context, timeout time.Duration) (wave context.Context,
 
 // FanOut runs fn for every index in [0, count) on min(count, fanOutWidth)
 // goroutines and returns the first error — the one-shot form of a wave, for
-// callers without a round's senders (round start, install, notify). The
+// callers without a round's helpers (round start, install, notify). The
 // paper's server and client are multithreaded ("create new threads to
 // communicate with all the replicas at the same time"), so one coordination
 // wave costs one round trip of wall time, not count × RTT. Each goroutine

@@ -290,8 +290,10 @@ func watchGoroutines(t *testing.T) int {
 }
 
 // One iteration is one wave: a round makes exactly iters × |N| transport
-// calls, |N| per iteration, and each replica is served by one goroutine for
-// the whole round.
+// calls, |N| per iteration. The waves run on the goroutine calling Run and
+// |N|−1 helpers that live for the round: at most |N| goroutines ever send,
+// however many waves the round runs, so none is started per wave, and none
+// is left once Run returns.
 func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 	const replicas, iters = 5, 40
 	base := watchGoroutines(t)
@@ -299,7 +301,7 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 		mu      sync.Mutex
 		calls   int
 		perIter = map[int]int{}
-		sender  = map[string]map[string]bool{} // addr → goroutine ids that served it
+		senders = map[string]bool{} // goroutine ids that sent
 		peak    int
 	)
 	tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
@@ -308,10 +310,7 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 		defer mu.Unlock()
 		calls++
 		perIter[int(body.(num))]++
-		if sender[addr] == nil {
-			sender[addr] = map[string]bool{}
-		}
-		sender[addr][id] = true
+		senders[id] = true
 		peak = max(peak, g)
 		return fakeReply{}, nil
 	})
@@ -331,24 +330,102 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 			t.Fatalf("iteration %d made %d calls, want %d", k, n, replicas)
 		}
 	}
-	ids := map[string]bool{}
-	for addr, set := range sender {
-		if len(set) != 1 {
-			t.Fatalf("%s was served by %d goroutines, want one sender for the round", addr, len(set))
-		}
-		for id := range set {
-			ids[id] = true
-		}
+	if len(senders) > replicas {
+		t.Fatalf("%d goroutines sent over %d waves, want at most the %d the round starts with", len(senders), iters, replicas)
 	}
-	if len(ids) != replicas {
-		t.Fatalf("%d distinct senders for %d replicas", len(ids), replicas)
-	}
-	if peak > base+replicas+2 {
-		t.Fatalf("goroutines peaked at %d during the round, baseline %d + %d senders", peak, base, replicas)
+	// The goroutine calling Run is in base; the round adds |N|−1 helpers.
+	if peak > base+replicas-1 {
+		t.Fatalf("goroutines peaked at %d during the round, baseline %d + %d helpers", peak, base, replicas-1)
 	}
 }
 
-// The senders are stopped on every return path.
+// A blocked send holds up only its own claimant: in every wave the first
+// send to start waits until every other send of its wave has started,
+// which the wave's other claimants must reach without it.
+func TestDriverBlockedSendDoesNotHoldItsWave(t *testing.T) {
+	const replicas, iters = 6, 50
+	watchGoroutines(t)
+	var (
+		mu      sync.Mutex
+		started = map[int]int{}
+		allIn   = map[int]chan struct{}{}
+	)
+	tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
+		k := int(body.(num))
+		mu.Lock()
+		started[k]++
+		n := started[k]
+		if allIn[k] == nil {
+			allIn[k] = make(chan struct{})
+		}
+		in := allIn[k]
+		if n == replicas {
+			close(in)
+		}
+		mu.Unlock()
+		if n == 1 {
+			select {
+			case <-in:
+			case <-time.After(10 * time.Second):
+				mu.Lock()
+				defer mu.Unlock()
+				return nil, fmt.Errorf("wave %d: %d of %d sends started while the first was blocked", k, started[k], replicas)
+			}
+		}
+		return fakeReply{}, nil
+	})
+	d := &Driver{Transport: tr}
+	if _, _, err := d.Run(context.Background(), &waveAlg{}, waveRound(replicas, iters)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A send that fails while indexes of its wave are still unclaimed ends the
+// wave: those sends are skipped, not started, and exec still waits for the
+// sends already started before it returns. The wave is six replicas wide
+// but claimed by two goroutines, exec's and one helper, so indexes are
+// certain to be unclaimed when the failure hits, whatever the scheduler
+// does: the first send fails once the second has started, and the second
+// runs on after the failure.
+func TestExecSkipsUnclaimedIndexesAfterError(t *testing.T) {
+	const replicas, claimants = 6, 2
+	watchGoroutines(t)
+	var started, finished atomic.Int32
+	secondIn := make(chan struct{})
+	d := &Driver{Transport: funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
+		defer finished.Add(1)
+		switch started.Add(1) {
+		case 1:
+			<-secondIn
+			return nil, errors.New("boom")
+		case 2:
+			close(secondIn)
+			<-ctx.Done() // the first send's error cancels the wave
+			time.Sleep(5 * time.Millisecond)
+			return nil, ctx.Err()
+		}
+		return fakeReply{}, nil
+	})}
+	addrs := waveRound(replicas, 0).ReplicaAddrs
+	d.startHelpers(addrs[:claimants])
+	defer d.stopHelpers()
+	w := &d.wave
+	w.addrs, w.n = addrs, replicas
+	w.next.Store(w.n)
+	err := d.exec(context.Background(), Exchange{Verb: "toy.wave"})
+	s, f := started.Load(), finished.Load()
+	if err == nil || err.Error() != "boom" {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if s != f {
+		t.Fatalf("exec returned with %d sends started and %d finished", s, f)
+	}
+	if s != claimants {
+		t.Fatalf("%d sends of the failed wave started, want the %d in flight when it failed and the rest skipped", s, claimants)
+	}
+}
+
+// The helpers are stopped on every return path.
 func TestDriverStopsSendersOnError(t *testing.T) {
 	t.Run("replica error", func(t *testing.T) {
 		watchGoroutines(t)
@@ -431,8 +508,9 @@ type bareAlg struct {
 func (a *bareAlg) Iterate(int) []Exchange { return a.exchanges }
 
 // BenchmarkEngineExchange is one wave over 10 replicas on a no-op
-// transport: the engine's own cost per iteration. A wave must not spawn —
-// what is left is the wave context (2 allocs/op) and 10 channel hand-offs.
+// transport: the engine's own cost per iteration. A wave must not spawn
+// and hands nothing to a goroutine — the driver claims sends itself — so
+// what is left is the wave context (2 allocs/op) and the helpers' wake-ups.
 func BenchmarkEngineExchange(b *testing.B) {
 	tr := funcTransport(func(context.Context, string, string, encoding.BinaryMarshaler) (Reply, error) {
 		return fakeReply{}, nil

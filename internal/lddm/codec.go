@@ -2,6 +2,7 @@ package lddm
 
 import (
 	"fmt"
+	"slices"
 
 	"edr/internal/transport"
 )
@@ -18,16 +19,33 @@ import (
 // Both decoders reject trailing bytes and any reply SolveReply.valid
 // refuses, so a decoded body re-encodes to the bytes it came from.
 
+// MarshalBinary encodes the request. A body the initiator built with a
+// request buffer (see roundAlg) encodes into that buffer, grown once and
+// reused wave after wave: the returned bytes are then valid until the
+// next encoding of the same body, which the fabrics allow because Send is
+// done with a request's bytes when it returns (transport.Node).
 func (b SolveBody) MarshalBinary() ([]byte, error) {
-	w := transport.NewWriter(make([]byte, 0, 8+8*len(b.Mu)))
+	var buf []byte
+	if b.buf != nil {
+		buf = (*b.buf)[:0]
+	}
+	w := transport.NewWriter(slices.Grow(buf, 8+8*len(b.Mu)))
 	w.U32(b.Round)
 	w.Floats(b.Mu)
-	return w.Done()
+	data, err := w.Done()
+	if b.buf != nil && err == nil {
+		*b.buf = data
+	}
+	return data, err
 }
 
+// UnmarshalBinary decodes a request into b, reusing b.Mu's storage for the
+// multipliers when it has the room: the replica decodes every wave into
+// the one buffer its round state holds. A refused body leaves b as it was,
+// though the storage under b.Mu may have been written.
 func (b *SolveBody) UnmarshalBinary(data []byte) error {
 	r := transport.NewReader(data)
-	round, mu := r.U32(), r.Floats()
+	round, mu := r.U32(), r.AppendFloats(b.Mu[:0])
 	if err := r.Done(); err != nil {
 		return err
 	}

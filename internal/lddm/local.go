@@ -26,6 +26,7 @@ package lddm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"edr/internal/model"
 )
@@ -46,10 +47,11 @@ type LocalProblem struct {
 	// served.
 	Clients []int
 
-	// heap is the candidate scratch, kept across solves: a LocalProblem is
-	// solved by one goroutine at a time (the replica's server state holds
-	// it under its lock).
+	// heap is the candidate scratch and out the column SolveLocal returns,
+	// both kept across solves: a LocalProblem is solved by one goroutine at
+	// a time (the replica's server state holds it under its lock).
 	heap []candidate
+	out  []float64
 }
 
 // candidate is a positive-demand client awaiting the water-filling: its
@@ -120,7 +122,9 @@ func marginalLoad(r model.Replica, m float64) float64 {
 }
 
 // SolveLocal solves the replica-local problem exactly by water-filling,
-// returning the column values for lp.Clients (same order).
+// returning the column values for lp.Clients (same order). The column is
+// lp's own buffer: it is valid until lp's next solve, which overwrites it,
+// so a caller that keeps two results copies the first.
 //
 // The objective is Φ(S) + Σ μ_c p_c with Φ convex increasing, so the
 // optimum allocates to clients in ascending-μ order: client c receives
@@ -137,7 +141,9 @@ func SolveLocal(lp *LocalProblem) ([]float64, error) {
 	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
-	p := make([]float64, len(lp.Clients))
+	p := slices.Grow(lp.out[:0], len(lp.Clients))[:len(lp.Clients)]
+	clear(p)
+	lp.out = p
 
 	h := lp.heap[:0]
 	for idx, i := range lp.Clients {

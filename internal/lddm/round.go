@@ -22,6 +22,10 @@ const MsgLocalSolve = "replica.localsolve"
 type SolveBody struct {
 	Round int
 	Mu    []float64
+
+	// buf, when set, is the request buffer MarshalBinary encodes into (the
+	// initiator keeps one per replica); it is not on the wire.
+	buf *[]byte
 }
 
 // SolveReply is a replica's water-filling decision over its support of M
@@ -146,6 +150,12 @@ type roundAlg struct {
 	windowStart int
 	residual    float64
 
+	// Per replica: the request body, reused wave after wave with its
+	// encoding buffer. exec waits for every send of a wave, so replica j's
+	// buffer is free again when the next wave builds its body.
+	bodies []SolveBody
+	bufs   [][]byte
+
 	exchanges []engine.Exchange
 }
 
@@ -172,6 +182,12 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	a.sp = rd.Prob.Sparsity()
 	nnz := a.sp.NNZ()
 	a.primal, a.avg, a.muPacked = rd.Pool.Vector(nnz), rd.Pool.Vector(nnz), rd.Pool.Vector(nnz)
+	n := rd.Prob.N()
+	a.bodies, a.bufs = make([]SolveBody, n), make([][]byte, n)
+	for j := range a.bodies {
+		lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
+		a.bodies[j] = SolveBody{Round: rd.Seq, Mu: a.muPacked[lo:hi:hi], buf: &a.bufs[j]}
+	}
 	a.exchanges = []engine.Exchange{
 		{
 			// Local solves, one per replica (Algorithm 2 lines 4–5;
@@ -182,7 +198,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 				for s := lo; s < hi; s++ {
 					a.muPacked[s] = a.mu[a.sp.RowIdx[s]]
 				}
-				return SolveBody{Round: rd.Seq, Mu: a.muPacked[lo:hi:hi]}
+				return &a.bodies[j]
 			},
 			Fold: func(j int, r engine.Reply) error {
 				var reply SolveReply
@@ -257,10 +273,14 @@ func (a *roundAlg) Recover() ([]float64, error) {
 // serverState is one replica's LDDM view of a round: its local
 // water-filling problem, re-solved against each iteration's multipliers.
 // local.Mu is full-length scratch the packed multipliers are scattered
-// into; only the support's entries are ever written or read.
+// into; only the support's entries are ever written or read. Each request
+// is decoded into body, its packed multipliers into mu. All are used under
+// lock.
 type serverState struct {
-	mu    sync.Mutex
+	lock  sync.Mutex
 	local *LocalProblem
+	body  SolveBody
+	mu    []float64
 }
 
 // serverHalf answers MsgLocalSolve on a participant replica. The reply is
@@ -268,23 +288,44 @@ type serverState struct {
 type serverHalf struct{}
 
 func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (encoding.BinaryMarshaler, error) {
-	var body SolveBody
-	if err := req.Decode(&body); err != nil {
-		return nil, fmt.Errorf("lddm: replica %s: %w", sr.Self, err)
-	}
-	st, err := sr.State("LDDM", func() (any, error) {
-		sp := sr.Prob.Sparsity()
-		return &serverState{local: &LocalProblem{
-			Replica: sr.Prob.System.Replicas[sr.Col],
-			Mu:      make([]float64, sr.Prob.C()),
-			Demands: sr.Prob.Demands,
-			Clients: sp.RowIdx[sp.ColStart[sr.Col]:sp.ColStart[sr.Col+1]:sp.ColStart[sr.Col+1]],
-		}}, nil
-	})
+	st, err := sr.State("LDDM", func() (any, error) { return newServerState(sr), nil })
 	if err != nil {
 		return nil, err
 	}
 	ls := st.(*serverState)
+	ls.lock.Lock()
+	defer ls.lock.Unlock()
+	packed, err := ls.solve(req, sr)
+	if err != nil {
+		return nil, err
+	}
+	return packReply(packed, ls.local.Clients, ls.local.Demands), nil
+}
+
+func newServerState(sr *engine.ServerRound) *serverState {
+	sp := sr.Prob.Sparsity()
+	lo, hi := sp.ColStart[sr.Col], sp.ColStart[sr.Col+1]
+	return &serverState{
+		local: &LocalProblem{
+			Replica: sr.Prob.System.Replicas[sr.Col],
+			Mu:      make([]float64, sr.Prob.C()),
+			Demands: sr.Prob.Demands,
+			Clients: sp.RowIdx[lo:hi:hi],
+		},
+		mu: make([]float64, 0, hi-lo),
+	}
+}
+
+// solve decodes a request and water-fills against its multipliers,
+// returning SolveLocal's column. Once the state exists it allocates
+// nothing: the request decodes into ls.body and ls.mu, and the column is
+// ls.local's own buffer. The caller holds ls.lock.
+func (ls *serverState) solve(req engine.Reply, sr *engine.ServerRound) ([]float64, error) {
+	ls.body = SolveBody{Mu: ls.mu}
+	body := &ls.body
+	if err := req.Decode(body); err != nil {
+		return nil, fmt.Errorf("lddm: replica %s: %w", sr.Self, err)
+	}
 	if len(body.Mu) != len(ls.local.Clients) {
 		return nil, fmt.Errorf("lddm: replica %s, round %d: %d multipliers for a support of %d clients",
 			sr.Self, body.Round, len(body.Mu), len(ls.local.Clients))
@@ -297,14 +338,8 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 				sr.Self, body.Round, v, p)
 		}
 	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
 	for p, i := range ls.local.Clients {
 		ls.local.Mu[i] = body.Mu[p]
 	}
-	packed, err := SolveLocal(ls.local)
-	if err != nil {
-		return nil, err
-	}
-	return packReply(packed, ls.local.Clients, ls.local.Demands), nil
+	return SolveLocal(ls.local)
 }

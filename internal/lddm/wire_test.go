@@ -436,7 +436,29 @@ func FuzzLocalSolveBodies(f *testing.F) {
 			return &SolveReply{}
 		}
 		body, in := fresh(), data[1:]
-		if body.UnmarshalBinary(in) == nil {
+		decoded := body.UnmarshalBinary(in) == nil
+		if data[0]%2 == 0 {
+			// As the round uses it: decoded into the storage of an earlier
+			// body, the request is accepted or refused alike and decodes
+			// to the same body, and re-encoded through a kept buffer it
+			// gives the same bytes, in that buffer.
+			kept := &SolveBody{Round: 7, Mu: []float64{9, 9, 9, 9}[:1]}
+			if err := kept.UnmarshalBinary(in); (err == nil) != decoded {
+				t.Fatalf("a request refused %v fresh decodes with %v into kept storage", !decoded, err)
+			}
+			if decoded {
+				if !sameBody(body, kept) {
+					t.Fatalf("kept storage decodes %+v, fresh %+v", kept, body)
+				}
+				buf := []byte{1, 2, 3}
+				kept.buf = &buf
+				enc, err := kept.MarshalBinary()
+				if err != nil || !bytes.Equal(enc, in) || !bytes.Equal(buf, in) {
+					t.Fatalf("re-encoded through a kept buffer: %x (err %v), buffer %x, want %x", enc, err, buf, in)
+				}
+			}
+		}
+		if decoded {
 			first, err := body.MarshalBinary()
 			if err != nil {
 				t.Fatalf("%T decoded but does not re-encode: %v", body, err)
@@ -567,4 +589,109 @@ func BenchmarkLocalSolveWire(b *testing.B) {
 	}
 	b.ReportMetric(reqBytes, "B/request")
 	b.ReportMetric(replyBytes, "B/reply")
+}
+
+// handleRound is BenchmarkLocalSolveWire's replica as a one-replica round:
+// 70 of 100 clients within its latency bound, μ and demands drawn alike.
+// It returns the initiator's half, already Init'ed with that μ, and the
+// replica's side of the round.
+func handleRound(tb testing.TB) (*roundAlg, *engine.ServerRound) {
+	tb.Helper()
+	r := sim.NewRand(5)
+	const c = 100
+	prob := &opt.Problem{
+		System:     &model.System{Replicas: []model.Replica{model.NewReplica("r", 3)}},
+		Demands:    make([]float64, c),
+		Latency:    make([][]float64, c),
+		MaxLatency: 1,
+	}
+	mu := make([]float64, c)
+	for i := 0; i < c; i++ {
+		mu[i], prob.Demands[i] = r.Range(-12, 0), r.Range(1, 6)
+		prob.Latency[i] = []float64{0}
+		if i%10 >= 7 {
+			prob.Latency[i][0] = 2
+		}
+	}
+	addrs := []string{"r"}
+	alg := &roundAlg{}
+	if err := alg.Init(&engine.Round{Seq: 12, Prob: prob, ReplicaAddrs: addrs, Pool: &opt.Pool{}}); err != nil {
+		tb.Fatal(err)
+	}
+	copy(alg.mu, mu)
+	return alg, &engine.ServerRound{Round: 12, Prob: prob, Col: 0, Self: addrs[0], ReplicaAddrs: addrs}
+}
+
+// BenchmarkLocalSolveHandle is one local solve of an LDDM wave end to end
+// through the real codecs, on BenchmarkLocalSolveWire's replica: the
+// initiator builds and encodes the request, the replica's Handle decodes
+// and solves it and its reply is encoded, and the initiator's Fold decodes
+// and unpacks it into the primal.
+func BenchmarkLocalSolveHandle(b *testing.B) {
+	alg, sr := handleRound(b)
+	ex := alg.exchanges[0]
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		req, err := transport.NewMessage(MsgLocalSolve, "initiator", ex.Body(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		reply, err := serverHalf{}.Handle(ctx, MsgLocalSolve, wireReply{req}, sr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := transport.NewMessage(MsgLocalSolve+".ack", sr.Self, reply)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ex.Fold(0, wireReply{resp}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Once a replica's state exists, decoding a request and water-filling
+// against it allocate nothing: μ decodes into the state's buffer and the
+// column is the local problem's own. The initiator's request bytes are
+// likewise its per-replica buffer, encoded again in place.
+func TestLocalSolveSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	alg, sr := handleRound(t)
+	body := alg.exchanges[0].Body(0)
+	msg, err := transport.NewMessage(MsgLocalSolve, "initiator", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req engine.Reply = wireReply{msg}
+	st, err := sr.State("LDDM", func() (any, error) { return newServerState(sr), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := st.(*serverState)
+	want, err := ls.solve(req, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = slices.Clone(want) // the next solve overwrites the column
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ls.solve(req, sr); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("decode and solve allocate %v times, want 0", n)
+	}
+	if got, _ := ls.solve(req, sr); !sameBits(got, want) {
+		t.Fatalf("steady-state solve %v, first solve %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := body.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("encoding a request allocates %v times, want 0", n)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -310,20 +311,27 @@ func (r *Reader) U64() uint64 {
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Floats consumes a vector written by Writer.Floats.
-func (r *Reader) Floats() []float64 {
+func (r *Reader) Floats() []float64 { return r.AppendFloats(nil) }
+
+// AppendFloats consumes a vector written by Writer.Floats and appends its
+// values to dst, growing it only when it lacks the room, so a caller that
+// hands back the same buffer each time decodes without allocating. On a
+// refused body it returns dst unchanged.
+func (r *Reader) AppendFloats(dst []float64) []float64 {
 	n := r.U32()
 	if r.err == nil && uint64(n)*8 > uint64(len(r.b)) {
 		r.err = fmt.Errorf("transport: binary vector claims %d values, %d bytes left", n, len(r.b))
 	}
 	if r.err != nil || n == 0 {
-		return nil
+		return dst
 	}
-	v := make([]float64, n)
+	dst = slices.Grow(dst, n)
+	v := dst[len(dst) : len(dst)+n]
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[8*i:]))
 	}
 	r.b = r.b[8*n:]
-	return v
+	return dst[:len(dst)+n]
 }
 
 // Str consumes a string written by Writer.Str.

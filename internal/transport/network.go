@@ -6,7 +6,9 @@ import (
 )
 
 // Handler processes one request message and returns the response. Handlers
-// run concurrently; implementations must be safe for concurrent use.
+// run concurrently; implementations must be safe for concurrent use. A
+// handler may be handed the sender's own req.Body (the in-process fabric
+// does), so it copies whatever of it it keeps past its return.
 type Handler func(ctx context.Context, req Message) (Message, error)
 
 // ErrUnknownPeer is returned by Send when the destination is not reachable
@@ -23,6 +25,9 @@ type Node interface {
 	// in-process fabric, host:port on TCP).
 	Name() string
 	// Send delivers req to the named peer and waits for its response.
+	// Send is done with req.Body when it returns, error or not: no
+	// goroutine of the fabric reads it afterwards, so the caller may reuse
+	// the bytes for its next request.
 	Send(ctx context.Context, to string, req Message) (Message, error)
 	// Close releases the endpoint. Further Sends fail with ErrClosed.
 	Close() error
