@@ -1,10 +1,10 @@
 package edr_test
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// network-energy degree γ (linear vs cubic switch fabrics), the
-// constant-step sizes both distributed methods run with, the fleet size
-// (the |N|³ communication asymmetry between CDPSM and LDDM), and the
-// Dykstra projection budget. Run a slice with e.g.
+// network-energy degree γ (linear vs cubic switch fabrics), LDDM's dual
+// step ramp and CDPSM's constant step, the fleet size (the |N|³
+// communication asymmetry between CDPSM and LDDM), and the lineup of all
+// five optimizers on one instance. Run a slice with e.g.
 //
 //	go test -bench=Ablation -benchmem
 

@@ -351,27 +351,8 @@ func BenchmarkProjectSimplex(b *testing.B) {
 	}
 }
 
-// BenchmarkProjectCappedSimplex measures the bisection projection.
-func BenchmarkProjectCappedSimplex(b *testing.B) {
-	r := sim.NewRand(3)
-	x := make([]float64, 64)
-	src := make([]float64, 64)
-	u := make([]float64, 64)
-	for i := range src {
-		src[i] = r.Range(-10, 10)
-		u[i] = r.Range(0.5, 5)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		copy(x, src)
-		if err := opt.ProjectCappedSimplex(x, u, 25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProjectFeasible measures the Dykstra feasible-set projection on
-// the paper-scale polytope.
+// BenchmarkProjectFeasible measures the packed Dykstra feasible-set
+// projection on the paper-scale polytope.
 func BenchmarkProjectFeasible(b *testing.B) {
 	prob := paperScaleProblem(b, 4)
 	start, err := prob.UniformStart()

@@ -8,7 +8,6 @@ import (
 	"edr/internal/central"
 	"edr/internal/engine"
 	"edr/internal/lddm"
-	"edr/internal/model"
 	"edr/internal/opt"
 	"edr/internal/probgen"
 	"edr/internal/sim"
@@ -193,117 +192,6 @@ func maskedInstance(t testing.TB, r *sim.Rand, clients, replicas int) *opt.Probl
 	}
 	t.Fatal("no masked instance in 50 draws")
 	return nil
-}
-
-// proximalColumnDense is the dense reference the packed kernel is checked
-// against: a full-length column over all |C| clients with the latency mask
-// handled inside the slice projection. The penalty sums over the support
-// only — masked entries contribute a constant (0 − target_i)², irrelevant
-// to the argmin but large enough to drown the h1/h2 comparison in rounding
-// noise once the ternary interval is small.
-func proximalColumnDense(rep model.Replica, allowed []bool, caps, target []float64, rho float64, iters int) ([]float64, error) {
-	c := len(target)
-	capSum := 0.0
-	for i := 0; i < c; i++ {
-		if allowed[i] {
-			capSum += caps[i]
-		}
-	}
-	z := make([]float64, c)
-	maxS := math.Min(rep.Bandwidth, capSum)
-	if maxS <= 0 {
-		return z, nil
-	}
-	probe := make([]float64, c)
-	eval := func(S float64) (float64, error) {
-		copy(probe, target)
-		if err := opt.ProjectMaskedCappedSimplex(probe, caps, allowed, S); err != nil {
-			return 0, err
-		}
-		d := 0.0
-		for i := 0; i < c; i++ {
-			if allowed[i] {
-				diff := probe[i] - target[i]
-				d += diff * diff
-			}
-		}
-		return rep.Cost(S) + rho/2*d, nil
-	}
-	lo, hi := 0.0, maxS
-	for it := 0; it < iters && hi-lo > 1e-9*(1+maxS); it++ {
-		m1 := lo + (hi-lo)/3
-		m2 := hi - (hi-lo)/3
-		h1, err := eval(m1)
-		if err != nil {
-			return nil, err
-		}
-		h2, err := eval(m2)
-		if err != nil {
-			return nil, err
-		}
-		if h1 <= h2 {
-			hi = m2
-		} else {
-			lo = m1
-		}
-	}
-	copy(z, target)
-	if err := opt.ProjectMaskedCappedSimplex(z, caps, allowed, (lo+hi)/2); err != nil {
-		return nil, err
-	}
-	return z, nil
-}
-
-func TestProximalColumnMatchesDenseOracle(t *testing.T) {
-	// The dense oracle minimizes the same function by a ternary search over
-	// the column sum, accurate only to its 1-D tolerance (≈ 1e-6 entry-wise),
-	// so the exact packed kernel must reach an objective no worse than it.
-	r := sim.NewRand(73)
-	for trial := 0; trial < 40; trial++ {
-		c := r.IntBetween(1, 10)
-		rep := model.NewReplica("r", r.Range(1, 20))
-		rep.Bandwidth = r.Range(20, 120)
-		allowed := make([]bool, c)
-		caps := make([]float64, c)
-		target := make([]float64, c)
-		packedCaps := []float64{}
-		packedTarget := []float64{}
-		idx := []int{}
-		for i := 0; i < c; i++ {
-			// The last ten trials run the full (density-1) column.
-			allowed[i] = trial >= 30 || r.Float64() < 0.7
-			caps[i] = r.Range(0, 30)
-			target[i] = r.Range(-10, 30)
-			if allowed[i] {
-				packedCaps = append(packedCaps, caps[i])
-				packedTarget = append(packedTarget, target[i])
-				idx = append(idx, i)
-			}
-		}
-		rho := r.Range(0.01, 2)
-		dense, err := proximalColumnDense(rep, allowed, caps, target, rho, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packed, err := proximal(rep, packedCaps, packedTarget, rho)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := make([]float64, len(idx))
-		for p, i := range idx {
-			oracle[p] = dense[i]
-		}
-		got := proxObjective(rep, packed, packedTarget, rho)
-		want := proxObjective(rep, oracle, packedTarget, rho)
-		if got > want+1e-12*(1+math.Abs(want)) {
-			t.Fatalf("trial %d: objective %v above the ternary oracle's %v", trial, got, want)
-		}
-		for i, v := range dense {
-			if !allowed[i] && v != 0 {
-				t.Fatalf("trial %d: dense wrote masked client %d", trial, i)
-			}
-		}
-	}
 }
 
 func TestADMMSparseCommCountsNNZ(t *testing.T) {

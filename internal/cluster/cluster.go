@@ -70,13 +70,6 @@ func (n *Node) SetUtilization(at time.Time, u float64) {
 	n.timeline = append(n.timeline, utilPoint{at: at, util: u})
 }
 
-// AddUtilization shifts the node's utilization by delta at time at —
-// convenient for overlapping activities (each transfer adds its share,
-// then removes it when done). The result is clamped to [0, 1].
-func (n *Node) AddUtilization(at time.Time, delta float64) {
-	n.SetUtilization(at, n.UtilizationAt(at)+delta)
-}
-
 // UtilizationAt returns the step-function value at time t (0 before the
 // first recorded point).
 func (n *Node) UtilizationAt(t time.Time) float64 {

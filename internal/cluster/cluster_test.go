@@ -91,20 +91,6 @@ func TestSetUtilizationOutOfOrderPanics(t *testing.T) {
 	n.SetUtilization(sim.Epoch, 0.5)
 }
 
-func TestAddUtilizationOverlappingActivities(t *testing.T) {
-	n := NewSystemGNode("r")
-	t0 := sim.Epoch
-	n.AddUtilization(t0, 0.3)                     // transfer A starts
-	n.AddUtilization(t0.Add(time.Second), 0.3)    // transfer B starts
-	n.AddUtilization(t0.Add(2*time.Second), -0.3) // A ends
-	if got := n.UtilizationAt(t0.Add(1500 * time.Millisecond)); got != 0.6 {
-		t.Fatalf("overlap util = %g, want 0.6", got)
-	}
-	if got := n.UtilizationAt(t0.Add(3 * time.Second)); got != 0.3 {
-		t.Fatalf("after A ends util = %g, want 0.3", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	n := NewSystemGNode("r")
 	n.SetUtilization(sim.Epoch, 1)

@@ -161,23 +161,6 @@ func (g *Grouping) Disaggregate(xk [][]float64) ([][]float64, error) {
 	return x, nil
 }
 
-// AggregateRows folds a per-client matrix (|C|×|N|) into cohort rows by
-// summation — the adjoint of Disaggregate, used to seed warm starts at
-// cohort granularity from a per-client history.
-func (g *Grouping) AggregateRows(full [][]float64) [][]float64 {
-	n := g.orig.N()
-	out := opt.NewMatrix(g.K(), n)
-	for c, k := range g.of {
-		if c >= len(full) {
-			break
-		}
-		for j, v := range full[c] {
-			out[k][j] += v
-		}
-	}
-	return out
-}
-
 // Check verifies a disaggregated assignment's invariants against the
 // original problem: per-client demand conservation within tol, zero load
 // on latency-infeasible links, and finite entries. Tests, the fuzz

@@ -7,8 +7,8 @@ import (
 	"edr/internal/opt"
 )
 
-// This file holds the sparsity-aware cohort adapters: packed counterparts
-// of Disaggregate/AggregateRows that move assignments between the full
+// This file holds the sparsity-aware cohort adapters: a packed
+// Disaggregate and a packed row fold that move assignments between the full
 // (|C|×|N|) and reduced (|K|×|N|) instances through their opt.Sparsity
 // views, with no dense |C|×|N| intermediate, plus the per-client → cohort
 // dual fold.
@@ -28,14 +28,16 @@ func (g *Grouping) Sparse() (full, reduced *opt.Sparsity) {
 }
 
 // AggregateRowsPacked folds a per-client dense matrix into packed cohort
-// rows (reduced CSR order), the packed adjoint of Disaggregate. Only the
-// feasible entries of full are read; for mask-supported input (anything
-// produced by Disaggregate or Renormalize) the result is bitwise the
-// reduced-sparsity gather of AggregateRows' dense output. Rows of full
-// beyond its length (departed clients mid-reconfiguration) contribute
-// nothing, matching the dense adapter. A nil dst allocates; otherwise
-// len(dst) must be the reduced NNZ (dst is overwritten, so pooled scratch
-// needs no pre-zeroing beyond what Pool already does).
+// rows (reduced CSR order) by summation, the packed adjoint of
+// Disaggregate, used to seed warm starts at cohort granularity from a
+// per-client history. Only the feasible entries of full are read; for
+// mask-supported input (anything produced by Disaggregate or Renormalize)
+// the result is bitwise the reduced-sparsity gather of the members' row
+// sums, each cohort's members added in client order. Clients beyond
+// len(full) (departed mid-reconfiguration) contribute nothing. A nil dst
+// allocates; otherwise len(dst) must be the reduced NNZ (dst is
+// overwritten, so pooled scratch needs no pre-zeroing beyond what Pool
+// already does).
 func (g *Grouping) AggregateRowsPacked(full [][]float64, dst []float64) []float64 {
 	fullSp, redSp := g.Sparse()
 	if dst == nil {

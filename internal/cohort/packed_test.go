@@ -132,9 +132,27 @@ func TestPackedDisaggregateErrors(t *testing.T) {
 	}
 }
 
+// memberRowSums folds full into cohort rows densely: each cohort's row is
+// the sum of its members' rows, added in client order, and clients past
+// len(full) add nothing.
+func memberRowSums(g *Grouping, full [][]float64) [][]float64 {
+	out := opt.NewMatrix(g.K(), g.Reduced().N())
+	for k, row := range out {
+		for _, c := range g.Members(k) {
+			if c >= len(full) {
+				continue
+			}
+			for j, v := range full[c] {
+				row[j] += v
+			}
+		}
+	}
+	return out
+}
+
 // TestAggregateRowsPackedMatchesDense pins the warm-start fold: packed
-// aggregation equals the reduced-sparsity gather of the dense adapter for
-// mask-supported input, including short (departed-client) inputs.
+// aggregation equals the reduced-sparsity gather of the members' dense row
+// sums for mask-supported input, including short (departed-client) inputs.
 func TestAggregateRowsPackedMatchesDense(t *testing.T) {
 	prob, g := packedTestInstance(t, 60, 5, 7)
 	_, redSp := g.Sparse()
@@ -144,7 +162,7 @@ func TestAggregateRowsPackedMatchesDense(t *testing.T) {
 	}
 	for _, rows := range []int{len(warm), len(warm) / 2} {
 		in := warm[:rows]
-		dense := g.AggregateRows(in)
+		dense := memberRowSums(g, in)
 		want := redSp.Gather(nil, dense)
 		got := g.AggregateRowsPacked(in, nil)
 		for s := range got {

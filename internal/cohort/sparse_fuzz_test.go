@@ -13,7 +13,8 @@ import (
 // counterparts on adversarial masks: whatever instance and solver output
 // the fuzzer invents, DisaggregatePacked must be bitwise the full-sparsity
 // gather of Disaggregate, AggregateRowsPacked bitwise the reduced-sparsity
-// gather of AggregateRows, AggregateDualsInto bitwise its reference — and
+// gather of the members' row sums, AggregateDualsInto bitwise its
+// reference — and
 // the packed result must conserve every client's demand (row sums match
 // the dense invariant exactly, bit for bit). This is the contract that
 // lets core run cohorted rounds packed end to end without a behavioral
@@ -129,7 +130,7 @@ func FuzzSparseCohortEquiv(f *testing.F) {
 
 		// Aggregation equivalence on the disaggregated matrix (the shape
 		// warm starts feed through this path).
-		aggDense := g.AggregateRows(dense)
+		aggDense := memberRowSums(g, dense)
 		aggWant := redSp.Gather(nil, aggDense)
 		aggPk := g.AggregateRowsPacked(dense, nil)
 		for s := range aggPk {

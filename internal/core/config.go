@@ -8,6 +8,12 @@ import (
 	"edr/internal/engine"
 	"edr/internal/model"
 	"edr/internal/telemetry"
+
+	// Each engine registers itself with the engine registry when it is
+	// linked; core names all three, so it links all three.
+	_ "edr/internal/admm"
+	_ "edr/internal/cdpsm"
+	_ "edr/internal/lddm"
 )
 
 // Algorithm names the distributed optimization method a replica fleet

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"edr/internal/cdpsm"
 	"edr/internal/model"
 	"edr/internal/opt"
 	"edr/internal/transport"
@@ -116,8 +117,8 @@ func TestRefusedReplyPinnedOnSender(t *testing.T) {
 	}{
 		{"restart", ADMM, MsgADMMProx, 0},
 		{"degrade", ADMM, MsgADMMProx, -1},
-		{"CDPSM-restart", CDPSM, MsgCDPSMStep, 0},
-		{"CDPSM-degrade", CDPSM, MsgCDPSMStep, -1},
+		{"CDPSM-restart", CDPSM, cdpsm.MsgStep, 0},
+		{"CDPSM-degrade", CDPSM, cdpsm.MsgStep, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := &nanReplyNetwork{InProcNetwork: transport.NewInProcNetwork(), bad: "rb", verb: tc.verb}

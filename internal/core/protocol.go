@@ -8,10 +8,12 @@
 // initiates a round: it collects every ring member's model parameters,
 // builds the optimization instance, and drives synchronous algorithm
 // iterations over the fabric — for LDDM, each replica solves its local
-// water-filling problem and each *client* updates its own multiplier μ_c
-// (exactly the division of labor in Algorithm 2); for CDPSM, each replica
-// steps a full-solution estimate from the consensus of all of them, which
-// the initiator forms and sends it each iteration (Algorithm 1). The final
+// water-filling problem and the initiator, holding every replica's reply,
+// takes the dual step on each client's multiplier μ_c (Algorithm 2's
+// update, run where the replies meet, so clients see no traffic between
+// their request and their allocation); for CDPSM, each replica steps a
+// full-solution estimate from the consensus of all of them, which the
+// initiator forms and sends it each iteration (Algorithm 1). The final
 // assignment is installed on the replicas and pushed to the clients, which
 // then download their bytes from the selected replicas in parallel.
 // Replica failures at any point are handled by the ring monitor: the dead
@@ -23,16 +25,14 @@ import (
 	"slices"
 
 	"edr/internal/admm"
-	"edr/internal/cdpsm"
 	"edr/internal/engine"
 	"edr/internal/lddm"
 )
 
 // Message types of the EDR wire protocol owned by the runtime itself.
-// The per-algorithm iteration verbs live with their algorithm packages
-// (the engine registry routes them to the right server half); they are
-// aliased below so this package's wire documentation stays complete and
-// historical names keep compiling.
+// The per-algorithm iteration verbs and their bodies live with their
+// algorithm packages (the engine registry routes them to the right server
+// half).
 const (
 	// MsgClientRequest is client → replica: submit a demand.
 	MsgClientRequest = "client.request"
@@ -71,23 +71,13 @@ const (
 	MsgDownload = "download.request"
 )
 
-// Algorithm-owned verbs (see the respective packages for semantics).
-// MsgMuUpdate is a retired verb with no handler (see engine.MsgMuUpdate).
+// Algorithm-owned verbs the benchmark's verb → phase table names through
+// this package (see the respective packages for semantics). MsgMuUpdate is
+// a retired verb with no handler (see engine.MsgMuUpdate).
 const (
 	MsgLocalSolve = lddm.MsgLocalSolve
 	MsgMuUpdate   = engine.MsgMuUpdate
 	MsgADMMProx   = admm.MsgProx
-	MsgCDPSMStep  = cdpsm.MsgStep
-)
-
-// Algorithm-owned wire bodies, aliased under their historical names.
-type (
-	LocalSolveBody  = lddm.SolveBody
-	LocalSolveReply = lddm.SolveReply
-	ADMMProxBody    = admm.ProxBody
-	ADMMProxReply   = admm.ProxReply
-	CDPSMStepBody   = cdpsm.StepBody
-	CDPSMStepReply  = cdpsm.StepReply
 )
 
 // ReplicaInfo carries one replica's energy-model parameters (Table I) to

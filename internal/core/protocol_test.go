@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"edr/internal/cdpsm"
+	"edr/internal/lddm"
 	"edr/internal/transport"
 )
 
@@ -54,8 +55,8 @@ func TestProtocolRejectsMalformedBodies(t *testing.T) {
 		{MsgClientRequest, RequestBody{ClientAddr: "x"}},           // zero demand
 		{MsgRoundStart, hostile("garbage")},                        // undecodable
 		{MsgRoundStart, RoundSpec{Round: 1}},                       // empty spec
-		{MsgLocalSolve, LocalSolveBody{Round: 99}},                 // unknown round
-		{MsgCDPSMStep, CDPSMStepBody{Round: 99}},                   // unknown round
+		{MsgLocalSolve, lddm.SolveBody{Round: 99}},                 // unknown round
+		{cdpsm.MsgStep, cdpsm.StepBody{Round: 99}},                 // unknown round
 		{cdpsm.MsgEstimate, nil},                                   // retired verb
 		{cdpsm.MsgCommit, nil},                                     // retired verb
 		{MsgAssign, AssignBody{Round: 99}},                         // unknown round
@@ -145,15 +146,15 @@ func TestCDPSMStepRefusesHostileMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	nnz := st.eng.Prob.Sparsity().NNZ()
-	resp, err := sendRaw(t, f, target.Addr(), MsgCDPSMStep, CDPSMStepBody{Round: 1, Step: cdpsm.DefaultStep, Mean: make([]float64, nnz)})
-	var reply CDPSMStepReply
+	resp, err := sendRaw(t, f, target.Addr(), cdpsm.MsgStep, cdpsm.StepBody{Round: 1, Step: cdpsm.DefaultStep, Mean: make([]float64, nnz)})
+	var reply cdpsm.StepReply
 	if err != nil || resp.DecodeBody(&reply) != nil || len(reply.Estimate) != nnz {
 		t.Fatalf("a zero mean was not stepped from: %v", err)
 	}
 	nan := make([]float64, nnz)
 	nan[0] = math.NaN()
 	for _, mean := range [][]float64{nan, {math.Inf(1), 0}, make([]float64, nnz+1), nil} {
-		_, err := sendRaw(t, f, target.Addr(), MsgCDPSMStep, CDPSMStepBody{Round: 1, Step: cdpsm.DefaultStep, Mean: mean})
+		_, err := sendRaw(t, f, target.Addr(), cdpsm.MsgStep, cdpsm.StepBody{Round: 1, Step: cdpsm.DefaultStep, Mean: mean})
 		if err == nil || !strings.Contains(err.Error(), target.Addr()) {
 			t.Errorf("step from mean %v: error %v, want a refusal naming %s", mean, err, target.Addr())
 		}
@@ -172,7 +173,7 @@ func TestLocalSolveMultiplierLengthChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round 1 had two clients; a 1-multiplier solve must be rejected.
-	body := LocalSolveBody{Round: 1, Mu: []float64{0}}
+	body := lddm.SolveBody{Round: 1, Mu: []float64{0}}
 	if _, err := sendRaw(t, f, f.replicas[1].Addr(), MsgLocalSolve, body); err == nil {
 		t.Error("short multiplier vector accepted")
 	}

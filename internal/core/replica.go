@@ -104,7 +104,7 @@ type lastGoodRound struct {
 	installed      [][]float64
 	installedRound int
 	// audit is the assignment's carried audit state on prob, and kktGap
-	// its KKT gap, bit for bit opt.KKTGap(prob, assignment): incremental
+	// its KKT gap, bit for bit prob.Audit(assignment).KKTGap: incremental
 	// and clean commits carry both forward from the audit of the matrix
 	// they commit. A full commit leaves audit nil; the next incremental plan
 	// builds both in one pass (opt.Problem.AuditCarried). A carry reuses

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"edr/internal/cdpsm"
 	"edr/internal/opt"
 	"edr/internal/transport"
 )
@@ -93,9 +94,9 @@ func TestCDPSMRoundTopology(t *testing.T) {
 				if err := spec.UnmarshalBinary(m.body); err != nil {
 					t.Errorf("round %d: start body for %s: %v", round, m.to, err)
 				}
-			case MsgCDPSMStep:
+			case cdpsm.MsgStep:
 				steps++
-				var body CDPSMStepBody
+				var body cdpsm.StepBody
 				if err := body.UnmarshalBinary(m.body); err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +106,7 @@ func TestCDPSMRoundTopology(t *testing.T) {
 			}
 		}
 		if want := len(f.replicas) * iters; steps != want {
-			t.Fatalf("round %d: %d %s sends for %d replicas × %d iterations, want %d", round, steps, MsgCDPSMStep, len(f.replicas), iters, want)
+			t.Fatalf("round %d: %d %s sends for %d replicas × %d iterations, want %d", round, steps, cdpsm.MsgStep, len(f.replicas), iters, want)
 		}
 
 		if round == 2 {

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"edr/internal/admm"
+	"edr/internal/lddm"
 )
 
 // Every verb takes its body in its one binary layout. The same body as
@@ -74,10 +77,10 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 	}
 	serve(target, MsgRoundStart, spec)
 
-	refuse(target, MsgLocalSolve, LocalSolveBody{Round: spec.Round, Mu: []float64{-100, -80}})
-	serve(target, MsgLocalSolve, LocalSolveBody{Round: spec.Round, Mu: []float64{-100, -80}})
-	refuse(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
-	serve(target, MsgADMMProx, ADMMProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
+	refuse(target, MsgLocalSolve, lddm.SolveBody{Round: spec.Round, Mu: []float64{-100, -80}})
+	serve(target, MsgLocalSolve, lddm.SolveBody{Round: spec.Round, Mu: []float64{-100, -80}})
+	refuse(target, MsgADMMProx, admm.ProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
+	serve(target, MsgADMMProx, admm.ProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
 
 	assign := AssignBody{Round: spec.Round, Updates: []ClientMB{{"c1", 4}}}
 	refuse(target, MsgAssign, assign)

@@ -214,18 +214,6 @@ func (s *System) CostOfLoads(loads []float64) float64 {
 	return total
 }
 
-// EnergyOfLoads evaluates Σ_n E_n given per-replica column sums directly.
-func (s *System) EnergyOfLoads(loads []float64) float64 {
-	if len(loads) != s.N() {
-		panic(fmt.Sprintf("model: EnergyOfLoads got %d loads for %d replicas", len(loads), s.N()))
-	}
-	total := 0.0
-	for i, r := range s.Replicas {
-		total += r.Energy(loads[i])
-	}
-	return total
-}
-
 // Gradient returns ∂E_g/∂p_{c,n} for every entry of p. Because the
 // objective depends on p only through column sums, the gradient is constant
 // along each column: g[c][n] = u_n·(α_n + β_n·γ_n·(Σ_c p)^{γ_n−1}).

@@ -209,10 +209,6 @@ func TestCostOfLoadsAgreesWithTotalCost(t *testing.T) {
 	if got := s.CostOfLoads(loads); math.Abs(got-fromMatrix) > 1e-9 {
 		t.Fatalf("CostOfLoads = %g, TotalCost = %g", got, fromMatrix)
 	}
-	eFromMatrix, _ := s.TotalEnergy(p)
-	if got := s.EnergyOfLoads(loads); math.Abs(got-eFromMatrix) > 1e-9 {
-		t.Fatalf("EnergyOfLoads = %g, TotalEnergy = %g", got, eFromMatrix)
-	}
 }
 
 func TestCostOfLoadsWrongLengthPanics(t *testing.T) {

@@ -6,10 +6,10 @@ import (
 )
 
 // Audit is one assignment's feasibility, cost and stationarity, measured
-// together: Violation, Cost and KKTGap hold exactly — bit for bit — what
-// Problem.Violation, Problem.Cost and KKTGap return on the same matrix,
-// from one pass over it for the sums and one more for the gap instead of
-// three passes with a column-sum pass each.
+// together in two passes over x, one for the sums and one for the gap:
+// Violation and Cost hold exactly — bit for bit — what Problem.Violation
+// and Problem.Cost return on the same matrix, and KKTGap is the
+// stationarity gap at x's column loads (see stationarityGap).
 //
 // Problem.Audit measures every row. AuditFrom returns the same Audit, bit
 // for bit, from the AuditState of a previous matrix: it measures only the
@@ -123,8 +123,22 @@ func (p *Problem) marginals(loads []float64) (marginal []float64, unsat []bool) 
 	return marginal, unsat
 }
 
-// stationarityGap is KKTGap's per-client pass over x given the columns'
-// marginals and spare capacity.
+// stationarityGap is the cheap first-order optimality check gating
+// incremental results, given the columns' marginals and spare capacity at
+// x's loads. For the EDR objective the feasible set is a transportation
+// polytope and the cost depends on the assignment only through column
+// sums, so at an optimum every client's served replicas share the lowest
+// attainable marginal: no used replica may be strictly more expensive (at
+// the margin) than a reachable replica with spare capacity. The gap sums,
+// over clients, R_c times the positive part of
+//
+//	max marginal over used replicas − min marginal over unsaturated
+//	reachable replicas
+//
+// which upper-bounds nothing exactly but scales like the first-order
+// improvement a mass shift could achieve; the runtime compares it against
+// a small fraction of the objective and escalates to a full solve when it
+// is large. A gap of 0 means x passes the stationarity spot-check.
 func (p *Problem) stationarityGap(x [][]float64, marginal []float64, unsat []bool) float64 {
 	mask := p.Allowed()
 	const tiny = 1e-9

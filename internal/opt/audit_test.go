@@ -40,9 +40,10 @@ func threePassViolation(p *Problem, x [][]float64) float64 {
 // FuzzAudit checks the one-pass audit against the three separate checks
 // it replaces on matrices that break every constraint: entries off the
 // latency mask, negative, over capacity, infinite and NaN. Violation, Cost
-// and KKTGap must match bit for bit, and so must the column loads and
-// their marginal costs. The packed measures must match the dense ones on
-// the matrix the packed vector scatters into, bit for bit too.
+// and the stationarity gap at ColSums' loads must match bit for bit, and so
+// must the column loads and their marginal costs. The packed measures must
+// match the dense ones on the matrix the packed vector scatters into, bit
+// for bit too.
 func FuzzAudit(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(3), []byte{})
 	f.Add(uint64(2), uint8(5), uint8(2), []byte{0, 7, 13, 22, 31, 44})
@@ -100,8 +101,9 @@ func FuzzAudit(f *testing.F) {
 		if want := p.Cost(x); !sameFloat(au.Cost, want) {
 			t.Fatalf("audit cost %v, Cost %v", au.Cost, want)
 		}
-		if want := KKTGap(p, x); !sameFloat(au.KKTGap, want) {
-			t.Fatalf("audit gap %v, KKTGap %v", au.KKTGap, want)
+		marginal, unsat := p.marginals(ColSums(x))
+		if want := p.stationarityGap(x, marginal, unsat); !sameFloat(au.KKTGap, want) {
+			t.Fatalf("audit gap %v, stationarity gap at ColSums %v", au.KKTGap, want)
 		}
 		for j, load := range ColSums(x) {
 			if want := p.System.Replicas[j].MarginalCost(load); !sameFloat(au.Marginal[j], want) {

@@ -164,23 +164,3 @@ func (d *RoundDelta) Promote(next *Problem, cols []bool) {
 	d.CleanClients = clean
 	sort.Ints(d.DirtyClients)
 }
-
-// KKTGap is the cheap first-order optimality check gating incremental
-// results. For the EDR objective the feasible set is a transportation
-// polytope and the cost depends on the assignment only through column
-// sums, so at an optimum every client's served replicas share the lowest
-// attainable marginal: no used replica may be strictly more expensive (at
-// the margin) than a reachable replica with spare capacity. The returned
-// gap sums, over clients, R_c times the positive part of
-//
-//	max marginal over used replicas − min marginal over unsaturated
-//	reachable replicas
-//
-// which upper-bounds nothing exactly but scales like the first-order
-// improvement a mass shift could achieve; the runtime compares it against
-// a small fraction of the objective and escalates to a full solve when it
-// is large. A return of 0 means x passes the stationarity spot-check.
-func KKTGap(p *Problem, x [][]float64) float64 {
-	marginal, unsat := p.marginals(ColSums(x))
-	return p.stationarityGap(x, marginal, unsat)
-}

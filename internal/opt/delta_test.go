@@ -118,7 +118,7 @@ func TestKKTGapDetectsMisplacedLoad(t *testing.T) {
 	// (near-)optimal split passes with a tiny gap.
 	p := testProblem(t, []float64{1, 9}, []float64{10})
 	bad := [][]float64{{0, 10}}
-	if g := KKTGap(p, bad); g <= 0 {
+	if g := p.Audit(bad).KKTGap; g <= 0 {
 		t.Fatalf("misplaced load scored gap %g, want > 0", g)
 	}
 	// Optimal: everything on the cheap replica until its marginal reaches
@@ -126,7 +126,7 @@ func TestKKTGapDetectsMisplacedLoad(t *testing.T) {
 	// marginal at load 10 is 1·(1+0.03·100)=4 < 9, so all-on-cheap is
 	// optimal and the used replica has the lowest marginal.
 	good := [][]float64{{10, 0}}
-	if g := KKTGap(p, good); g != 0 {
+	if g := p.Audit(good).KKTGap; g != 0 {
 		t.Fatalf("optimal split scored gap %g, want 0", g)
 	}
 }
@@ -139,10 +139,10 @@ func TestKKTGapRespectsSaturation(t *testing.T) {
 	// per-client difference is exactly zero.
 	p := testProblem(t, []float64{1, 9}, []float64{140})
 	x := [][]float64{{100, 40}} // replica 0 at its 100 MB bandwidth cap
-	if g := KKTGap(p, x); g != 0 {
+	if g := p.Audit(x).KKTGap; g != 0 {
 		t.Fatalf("saturated-optimal split scored gap %g, want 0", g)
 	}
-	if math.Signbit(KKTGap(p, x)) {
+	if math.Signbit(p.Audit(x).KKTGap) {
 		t.Fatal("gap must be non-negative")
 	}
 }

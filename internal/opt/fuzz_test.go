@@ -35,38 +35,3 @@ func FuzzProjectSimplex(f *testing.F) {
 		}
 	})
 }
-
-// FuzzProjectCappedSimplex checks the bisection projection never panics
-// and always lands inside the box with the right sum when the set is
-// non-empty.
-func FuzzProjectCappedSimplex(f *testing.F) {
-	f.Add(1.0, -2.0, 3.0, 2.0, 2.0, 2.0, 3.0)
-	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0)
-	f.Fuzz(func(t *testing.T, a, b, c, u1, u2, u3, s float64) {
-		for _, v := range []float64{a, b, c, u1, u2, u3, s} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e9 {
-				return
-			}
-		}
-		u := []float64{math.Abs(u1), math.Abs(u2), math.Abs(u3)}
-		capSum := u[0] + u[1] + u[2]
-		sum := math.Abs(s)
-		if sum > capSum {
-			sum = capSum
-		}
-		x := []float64{a, b, c}
-		if err := ProjectCappedSimplex(x, u, sum); err != nil {
-			t.Fatalf("non-empty set rejected: %v", err)
-		}
-		total := 0.0
-		for i, v := range x {
-			if v < -1e-6 || v > u[i]+1e-6 {
-				t.Fatalf("x[%d] = %g outside [0, %g]", i, v, u[i])
-			}
-			total += v
-		}
-		if math.Abs(total-sum) > 1e-5*(1+sum) {
-			t.Fatalf("sum = %g, want %g", total, sum)
-		}
-	})
-}

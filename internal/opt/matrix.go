@@ -1,8 +1,9 @@
 // Package opt is the convex-optimization toolkit underlying every solver in
-// this module: dense matrix helpers, Euclidean projections onto the
-// polytopes of the EDR replica-selection problem (simplexes, capped
-// simplexes, halfspaces, and their intersection via Dykstra's algorithm), a
-// max-flow feasibility oracle, and a projected-gradient reference method.
+// this module: dense matrix helpers, the Euclidean projection onto the
+// transportation polytope of the EDR replica-selection problem (packed
+// Dykstra sweeps over its row simplexes and column halfspaces), a max-flow
+// feasibility oracle, a min-cost-flow linear oracle, and the
+// projected-gradient and Frank-Wolfe reference methods.
 //
 // Matrices are [][]float64 in row-major client×replica layout, matching the
 // paper's P = [p_{c,n}] with rows indexed by client c and columns by

@@ -218,15 +218,3 @@ func (p *Problem) UniformStart() ([][]float64, error) {
 	}
 	return x, nil
 }
-
-// Caps returns per-entry upper bounds for row projections: p_{c,n} ≤ R_c
-// (a client never receives more than it asked for from any one replica).
-func (p *Problem) Caps() [][]float64 {
-	u := NewMatrix(p.C(), p.N())
-	for c := range u {
-		for n := range u[c] {
-			u[c][n] = p.Demands[c]
-		}
-	}
-	return u
-}

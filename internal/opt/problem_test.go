@@ -162,14 +162,6 @@ func TestUniformStartNoFeasibleReplica(t *testing.T) {
 	}
 }
 
-func TestCaps(t *testing.T) {
-	p := testProblem(t, []float64{1, 2}, []float64{7, 3})
-	u := p.Caps()
-	if u[0][0] != 7 || u[0][1] != 7 || u[1][0] != 3 || u[1][1] != 3 {
-		t.Fatalf("Caps = %v", u)
-	}
-}
-
 func TestCostGradientDelegation(t *testing.T) {
 	p := testProblem(t, []float64{2, 4}, []float64{10})
 	x := [][]float64{{6, 4}}

@@ -2,12 +2,13 @@ package opt
 
 import "fmt"
 
-// SparseProjector is Dykstra's alternating projection specialized to the
-// packed CSR layout: it projects packed iterates onto the intersection of
-// the per-client capped simplexes {Σ_n p = R_c, 0 ≤ p ≤ R_c} and the
-// per-replica capacity halfspaces {Σ_c p ≤ bound_n}, all restricted to the
-// mask support. Three structural facts make it cheaper than the dense
-// generic Dykstra:
+// SparseProjector is Dykstra's alternating projection (whose correction
+// terms make the limit the nearest point of the intersection, not merely a
+// point in it) specialized to the packed CSR layout: it projects packed
+// iterates onto the intersection of the per-client simplexes
+// {Σ_n p = R_c, p ≥ 0} and the per-replica capacity halfspaces
+// {Σ_c p ≤ bound_n}, all restricted to the mask support. Three structural
+// facts keep it cheap:
 //
 //   - row projections operate on contiguous row segments of the packed
 //     vector — no gather, no per-call allocation;
@@ -35,6 +36,14 @@ type SparseProjector struct {
 	scratch []float64 // row-copy scratch: pre-sweep values, membership checks
 }
 
+// DykstraOptions tunes SparseProjector.Project's sweep loop: it runs at
+// most MaxSweeps passes over both set families and stops once the iterate
+// is within Tol of every set.
+type DykstraOptions struct {
+	MaxSweeps int
+	Tol       float64
+}
+
 // NewSparseProjector builds a projector over sp with per-client demands and
 // per-column capacity bounds (use math.Inf(1) for unconstrained columns).
 func NewSparseProjector(sp *Sparsity, demands, bounds []float64) *SparseProjector {
@@ -59,7 +68,6 @@ func NewSparseProjector(sp *Sparsity, demands, bounds []float64) *SparseProjecto
 // sweep count. Callers wanting exact demand rows afterwards (Dykstra may
 // stop on the column set) follow with FinishRows.
 func (pj *SparseProjector) Project(v []float64, opts DykstraOptions) (int, error) {
-	opts.defaults()
 	sp := pj.sp
 	if len(v) != sp.NNZ() {
 		panic(fmt.Sprintf("opt: Project got %d-slot vector for %d nnz", len(v), sp.NNZ()))
@@ -84,7 +92,7 @@ func (pj *SparseProjector) Project(v []float64, opts DykstraOptions) (int, error
 }
 
 // rowPhase is one Dykstra pass over the row sets: add the row corrections,
-// project each contiguous row segment onto its capped simplex, record the
+// project each contiguous row segment onto its simplex, record the
 // new corrections, and fold each entry's movement into its column's sum.
 func (pj *SparseProjector) rowPhase(v []float64) error {
 	sp := pj.sp
@@ -103,8 +111,7 @@ func (pj *SparseProjector) rowPhase(v []float64) error {
 			seg[k] += cr[k]
 		}
 		// The row set {Σy = r, 0 ≤ y ≤ r} is the plain simplex: the
-		// per-entry cap r is implied by Σy = r, y ≥ 0, so the exact
-		// sort-based projection replaces the capped bisection.
+		// per-entry cap r is implied by Σy = r, y ≥ 0.
 		ProjectSimplexScratch(seg, pj.caps, r)
 		for k := range seg {
 			y := pre[k] + cr[k]
@@ -154,7 +161,9 @@ func (pj *SparseProjector) colPhase(v []float64) {
 
 // converged reports whether v is within tol of every set: column
 // memberships read off the maintained sums in O(N), row memberships project
-// per-row scratch copies (the same membership test the dense Dykstra runs).
+// per-row scratch copies. Testing membership rather than per-sweep movement
+// matters: the iterate can sit still for several sweeps while the
+// corrections still accumulate, so a movement-based stop fires early.
 func (pj *SparseProjector) converged(v []float64, tol float64) (bool, error) {
 	sp := pj.sp
 	colDist2 := 0.0
@@ -189,7 +198,7 @@ func (pj *SparseProjector) converged(v []float64, tol float64) (bool, error) {
 	return total <= tol*tol, nil
 }
 
-// FinishRows projects every row of v exactly onto its capped simplex (no
+// FinishRows projects every row of v exactly onto its simplex (no
 // corrections), so the demand equalities hold exactly even when Dykstra
 // stopped on the column set.
 func (pj *SparseProjector) FinishRows(v []float64) error {

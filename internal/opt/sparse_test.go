@@ -143,27 +143,102 @@ func sparseTestInstance(t *testing.T, r *sim.Rand, clients, replicas int) (*Prob
 	return p, x
 }
 
-// denseProjectFeasible is the reference ProjectFeasible is checked
-// against: generic Dykstra over the dense row/column sets of
-// FeasibleSetProjections, then an exact final row pass.
-func denseProjectFeasible(p *Problem, x [][]float64, tol float64) error {
-	if _, err := Dykstra(x, FeasibleSetProjections(p), DykstraOptions{MaxSweeps: 5000, Tol: tol / 10}); err != nil {
-		return err
-	}
-	mask, caps := p.Allowed(), p.Caps()
-	for c := range x {
-		if err := ProjectMaskedCappedSimplex(x[c], caps[c], mask[c], p.Demands[c]); err != nil {
-			return err
+// projectionGap certifies y as the Euclidean projection of x onto p's
+// feasible region by its optimality condition: y = P(x) exactly when y
+// minimizes ⟨y − x, z⟩ over feasible z, so with w = y − x the gap
+// ⟨w, y⟩ − min_z ⟨w, z⟩ is 0 at P(x), and because ½‖z − x‖² is 1-strongly
+// convex it bounds ‖y − P(x)‖ ≤ √(2·gap) at any feasible y.
+// MinCostAssignment solves that linear program exactly but needs w ≥ 0 on
+// the mask, so each row of w is shifted by its least masked entry: every
+// feasible row sums to R_c, so a row shift moves ⟨w, z⟩ by the same amount
+// for every z and leaves the argmin alone. Off the mask y and z are 0.
+func projectionGap(p *Problem, x, y [][]float64) (float64, error) {
+	mask := p.Allowed()
+	w := NewMatrix(p.C(), p.N())
+	for c, row := range w {
+		lo := math.Inf(1)
+		for n, ok := range mask[c] {
+			if ok {
+				row[n] = y[c][n] - x[c][n]
+				lo = math.Min(lo, row[n])
+			}
+		}
+		for n, ok := range mask[c] {
+			if ok {
+				row[n] -= lo
+			}
 		}
 	}
-	return nil
+	z, err := MinCostAssignment(p, w)
+	if err != nil {
+		return 0, err
+	}
+	gap := 0.0
+	for c, row := range w {
+		for n, wv := range row {
+			gap += wv * (y[c][n] - z[c][n])
+		}
+	}
+	return gap, nil
 }
 
-func TestProjectFeasibleMatchesDenseDykstra(t *testing.T) {
+// tightenCapacity scales every bandwidth of p by one factor, 1.2× the
+// least that keeps p feasible, so the capacity halfspaces bind.
+func tightenCapacity(t *testing.T, p *Problem) {
+	t.Helper()
+	reps := p.System.Replicas
+	full := make([]float64, len(reps))
+	for n := range reps {
+		full[n] = reps[n].Bandwidth
+	}
+	scale := func(f float64) {
+		for n := range reps {
+			reps[n].Bandwidth = f * full[n]
+		}
+	}
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if scale(mid); CheckFeasible(p) == nil {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	scale(math.Min(1, 1.2*hi))
+}
+
+// projectConverged runs ProjectFeasible's sweeps on x to a membership
+// tolerance of 1e-13 instead of 1e-7, then its exact row pass.
+func projectConverged(t *testing.T, p *Problem, x [][]float64) [][]float64 {
+	t.Helper()
+	sp := p.Sparsity()
+	bounds := make([]float64, sp.N)
+	for n := range bounds {
+		bounds[n] = p.System.Replicas[n].Bandwidth
+	}
+	pj := NewSparseProjector(sp, p.Demands, bounds)
+	v := sp.Gather(nil, x)
+	if _, err := pj.Project(v, DykstraOptions{MaxSweeps: 100000, Tol: 1e-13}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pj.FinishRows(v); err != nil {
+		t.Fatal(err)
+	}
+	z := NewMatrix(sp.C, sp.N)
+	sp.Scatter(z, v)
+	return z
+}
+
+func TestProjectFeasibleCertifiedOptimal(t *testing.T) {
 	r := sim.NewRand(2013)
-	for trial := 0; trial < 30; trial++ {
+	binding := 0
+	for trial := 0; trial < 40; trial++ {
 		p, x := sparseTestInstance(t, r, r.IntBetween(3, 12), r.IntBetween(2, 5))
-		if trial >= 20 {
+		if trial >= 30 {
+			// Tight capacity: the trials above leave every column slack.
+			tightenCapacity(t, p)
+		} else if trial >= 20 {
 			// Full masks: the density-1 case runs the same packed projector.
 			for c := range p.Latency {
 				for n := range p.Latency[c] {
@@ -175,25 +250,108 @@ func TestProjectFeasibleMatchesDenseDykstra(t *testing.T) {
 				t.Fatalf("trial %d: mask not full", trial)
 			}
 		}
-		dense := Clone(x)
-		packed := Clone(x)
-		if err := denseProjectFeasible(p, dense, 1e-6); err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
+		y := Clone(x)
+		if err := ProjectFeasible(p, y, 1e-6); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := ProjectFeasible(p, packed, 1e-6); err != nil {
-			t.Fatalf("trial %d packed: %v", trial, err)
+		if v := p.Violation(y); v > 1e-6 {
+			t.Fatalf("trial %d: projection violation %g", trial, v)
 		}
-		if v := p.Violation(packed); v > 1e-6 {
-			t.Fatalf("trial %d: packed projection violation %g", trial, v)
+		certified := y
+		if trial >= 30 {
+			// Where a capacity binds, y meets it only to the projector's
+			// stopping tolerance, and the certificate assumes a feasible
+			// point: certify the same sweeps run to convergence, and hold
+			// y near them.
+			certified = projectConverged(t, p, x)
+			if d := Dist(y, certified); d > 1e-5 {
+				t.Fatalf("trial %d: projection %g away from its converged sweeps", trial, d)
+			}
 		}
-		// Both are (approximate) Euclidean projections of the same point
-		// onto the same convex set, so they must nearly coincide.
-		if d := Dist(dense, packed); d > 1e-4 {
-			t.Fatalf("trial %d: dense and packed projections differ by %g", trial, d)
+		gap, err := projectionGap(p, x, certified)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if gap := math.Abs(p.Cost(dense) - p.Cost(packed)); gap > 1e-6*(1+p.Cost(dense)) {
-			t.Fatalf("trial %d: objective gap %g", trial, gap)
+		if gap > 1e-10 {
+			t.Fatalf("trial %d: projection gap %g > 1e-10: not the nearest feasible point", trial, gap)
 		}
+		for n, load := range ColSums(certified) {
+			if load > p.System.Replicas[n].Bandwidth-1e-9 {
+				binding++
+			}
+		}
+	}
+	if binding == 0 {
+		t.Fatal("no trial's projection met a capacity bound")
+	}
+}
+
+func TestProjectFeasibleSatisfiesAllConstraints(t *testing.T) {
+	p := testProblem(t, []float64{1, 8, 3}, []float64{40, 70, 20})
+	p.Latency[0][1] = 0.01 // client 0 may not use replica 1
+	x, err := p.UniformStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Perturb away from feasibility.
+	x[1][0] += 55
+	x[2][2] -= 10
+	if err := ProjectFeasible(p, x, 1e-6); err != nil {
+		t.Fatal(err)
+	}
+	if v := p.Violation(x); v > 1e-5 {
+		t.Fatalf("violation after projection = %g", v)
+	}
+	if x[0][1] != 0 {
+		t.Fatalf("masked entry nonzero: %g", x[0][1])
+	}
+}
+
+// Property: projection of an already-feasible point stays (almost) put.
+func TestProjectFeasibleFixedPointProperty(t *testing.T) {
+	r := sim.NewRand(321)
+	for trial := 0; trial < 30; trial++ {
+		p := randomProblem(t, r, 4, 3)
+		x, err := FeasiblePoint(p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		before := Clone(x)
+		if err := ProjectFeasible(p, x, 1e-6); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if d := Dist(before, x); d > 1e-4*(1+Dist(before, NewMatrix(p.C(), p.N()))) {
+			t.Fatalf("trial %d: feasible point moved by %g", trial, d)
+		}
+	}
+}
+
+// Property: projection output is feasible for random infeasible inputs.
+func TestProjectFeasibleAlwaysFeasibleProperty(t *testing.T) {
+	r := sim.NewRand(654)
+	for trial := 0; trial < 30; trial++ {
+		p := randomProblem(t, r, 5, 4)
+		x := NewMatrix(p.C(), p.N())
+		for c := range x {
+			for n := range x[c] {
+				x[c][n] = r.Range(-10, 40)
+			}
+		}
+		if err := ProjectFeasible(p, x, 1e-5); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if v := p.Violation(x); v > 1e-4 {
+			t.Fatalf("trial %d: violation %g", trial, v)
+		}
+	}
+}
+
+func TestProjectFeasibleInfeasibleInstance(t *testing.T) {
+	// Total demand 500 exceeds total capacity 200.
+	p := testProblem(t, []float64{1, 2}, []float64{500})
+	x, _ := p.UniformStart()
+	if err := ProjectFeasible(p, x, 1e-6); err == nil {
+		t.Fatal("infeasible instance projected without error")
 	}
 }
 

@@ -63,17 +63,3 @@ func Regions() []Region {
 		{Name: "asia-east", CentsPerKWh: 18},
 	}
 }
-
-// FromRegions returns the first n catalog prices, cycling if n exceeds the
-// catalog size.
-func FromRegions(n int) []float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("pricing: FromRegions(%d) needs n > 0", n))
-	}
-	regions := Regions()
-	prices := make([]float64, n)
-	for i := range prices {
-		prices[i] = regions[i%len(regions)].CentsPerKWh
-	}
-	return prices
-}

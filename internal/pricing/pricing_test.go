@@ -90,23 +90,3 @@ func TestRegionsOrderedCheapToExpensive(t *testing.T) {
 		}
 	}
 }
-
-func TestFromRegionsCycles(t *testing.T) {
-	n := len(Regions()) + 3
-	prices := FromRegions(n)
-	if len(prices) != n {
-		t.Fatalf("len = %d, want %d", len(prices), n)
-	}
-	if prices[len(Regions())] != prices[0] {
-		t.Fatal("FromRegions does not cycle")
-	}
-}
-
-func TestFromRegionsBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FromRegions(-1) did not panic")
-		}
-	}()
-	FromRegions(-1)
-}

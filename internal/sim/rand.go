@@ -79,18 +79,6 @@ func (r *Rand) Exp(rate float64) float64 {
 	return -math.Log(1-u) / rate
 }
 
-// Norm returns a normally distributed float64 with the given mean and
-// standard deviation, via the Box-Muller transform.
-func (r *Rand) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	u2 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Perm returns a random permutation of [0, n) (Fisher-Yates).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

@@ -120,25 +120,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := NewRand(17)
-	const mean, sd, n = 10.0, 3.0, 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Norm(mean, sd)
-		sum += v
-		sumSq += v * v
-	}
-	m := sum / n
-	variance := sumSq/n - m*m
-	if math.Abs(m-mean) > 0.05 {
-		t.Fatalf("Norm mean = %g, want ~%g", m, mean)
-	}
-	if math.Abs(math.Sqrt(variance)-sd) > 0.05 {
-		t.Fatalf("Norm stddev = %g, want ~%g", math.Sqrt(variance), sd)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRand(seed)

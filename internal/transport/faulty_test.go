@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,14 +78,41 @@ func TestFaultyDropBlackholesUntilDeadline(t *testing.T) {
 	}
 }
 
+// sendJudged sends one ping from a to b and reports whether the injector
+// dropped it, reading the verdict off net's counters rather than off a
+// deadline: the injector judges a send before the send blocks, a dropped
+// send is cancelled once judged (it would black-hole until its context
+// ends), and any other send runs to delivery with no deadline to beat.
+// Sends must not overlap.
+func sendJudged(t *testing.T, net *FaultyNetwork, a Node) (dropped bool) {
+	t.Helper()
+	before := net.Stats()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- send(ctx, a, "b") }()
+	st := net.Stats()
+	for st.Sent == before.Sent {
+		runtime.Gosched()
+		st = net.Stats()
+	}
+	if st.Dropped > before.Dropped {
+		cancel()
+		<-done
+		return true
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("send the injector let through failed: %v", err)
+	}
+	return false
+}
+
 func TestFaultyDropRateIsStatistical(t *testing.T) {
 	net, a, delivered := newFaultyPair(t, 42)
 	net.SetLink("a", "b", Faults{Drop: 0.5})
 	const n = 400
 	for i := 0; i < n; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_ = send(ctx, a, "b")
-		cancel()
+		sendJudged(t, net, a)
 	}
 	got := delivered.Load()
 	if got < n/4 || got > 3*n/4 {
@@ -97,19 +125,17 @@ func TestFaultyDropRateIsStatistical(t *testing.T) {
 }
 
 func TestFaultySeededDeterminism(t *testing.T) {
-	// Same seed, same single-threaded schedule → identical fault pattern.
-	outcome := func(seed uint64) []bool {
+	// Same seed, same single-threaded schedule → identical verdicts.
+	verdicts := func(seed uint64) []bool {
 		net, a, _ := newFaultyPair(t, seed)
 		net.SetDefault(Faults{Drop: 0.3})
-		var got []bool
+		var dropped []bool
 		for i := 0; i < 50; i++ {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-			got = append(got, send(ctx, a, "b") == nil)
-			cancel()
+			dropped = append(dropped, sendJudged(t, net, a))
 		}
-		return got
+		return dropped
 	}
-	x, y := outcome(99), outcome(99)
+	x, y := verdicts(99), verdicts(99)
 	for i := range x {
 		if x[i] != y[i] {
 			t.Fatalf("send %d differed across identically seeded runs", i)

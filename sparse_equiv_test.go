@@ -14,19 +14,18 @@ import (
 	"edr/internal/solver"
 )
 
-// FuzzSparseDenseEquiv checks the one packed solver core against what is
-// left of the dense code — the references — on random instances, masked
-// (odd seeds: wide-area draws with structural zeros) and fully feasible
-// (even seeds: cluster draws, the density-1 CSR) alike:
+// FuzzSparseDenseEquiv checks the one packed solver core against exact
+// references on random instances, masked (odd seeds: wide-area draws with
+// structural zeros) and fully feasible (even seeds: cluster draws, the
+// density-1 CSR) alike:
 //
 //   - kernel level: the packed projector behind opt.ProjectFeasible must
-//     land where generic Dykstra over the dense row/column sets of
-//     opt.FeasibleSetProjections lands (the dense water-filling and
-//     proximal-column references are unexported and are compared, full
-//     masks included, in the lddm and admm package tests), and
-//     opt.ProjectFeasiblePacked, the entry point the engines call, must
-//     agree with ProjectFeasible bit for bit on the support, refusing
-//     exactly when it refuses;
+//     pass the projection certificate (see projectionGap) with a gap of at
+//     most 1e-10, and opt.ProjectFeasiblePacked, the entry point the
+//     engines call, must agree with ProjectFeasible bit for bit on the
+//     support, refusing exactly when it refuses (the water-filling and
+//     proximal-column kernels are checked, full masks included, in the
+//     lddm and admm package tests);
 //   - engine level: every engine's result passes solver.Verify and puts
 //     nothing on a latency-infeasible link, and LDDM and ADMM land within
 //     5% of the centralized optimum (CDPSM's constant-step consensus does
@@ -53,10 +52,7 @@ func FuzzSparseDenseEquiv(f *testing.F) {
 				x[i][j] = r.Range(-5, 20) // off-support entries included: both sides must zero them
 			}
 		}
-		dense, packed, v := opt.Clone(x), x, prob.Sparsity().Gather(nil, x)
-		if _, err := opt.Dykstra(dense, opt.FeasibleSetProjections(prob), opt.DykstraOptions{MaxSweeps: 5000, Tol: 1e-7}); err != nil {
-			t.Fatalf("dense projection: %v", err)
-		}
+		packed, v := opt.Clone(x), prob.Sparsity().Gather(nil, x)
 		err, errPacked := opt.ProjectFeasible(prob, packed, 1e-6), opt.ProjectFeasiblePacked(prob, v, 1e-6)
 		if (err == nil) != (errPacked == nil) {
 			t.Fatalf("ProjectFeasible says %v, ProjectFeasiblePacked %v", err, errPacked)
@@ -69,8 +65,11 @@ func FuzzSparseDenseEquiv(f *testing.F) {
 				t.Fatalf("slot %d: ProjectFeasiblePacked %v, ProjectFeasible %v", k, v[k], want)
 			}
 		}
-		if d := opt.Dist(dense, packed); d > 1e-4 {
-			t.Fatalf("packed projection is %g away from the dense Dykstra reference", d)
+		if viol := prob.Violation(packed); viol > 1e-6 {
+			t.Fatalf("packed projection violation %g", viol)
+		}
+		if gap, err := projectionGap(prob, x, packed); err != nil || gap > 1e-10 {
+			t.Fatalf("packed projection gap %g (%v): not the nearest feasible point", gap, err)
 		}
 
 		ref, err := central.New().Solve(prob)
@@ -105,4 +104,41 @@ func FuzzSparseDenseEquiv(f *testing.F) {
 			}
 		}
 	})
+}
+
+// projectionGap certifies y as the Euclidean projection of x onto prob's
+// feasible region by its optimality condition: y = P(x) exactly when y
+// minimizes ⟨y − x, z⟩ over feasible z, so with w = y − x the gap
+// ⟨w, y⟩ − min_z ⟨w, z⟩ is 0 at P(x) and bounds ‖y − P(x)‖ ≤ √(2·gap) at
+// any feasible y. opt.MinCostAssignment solves the linear program exactly
+// once each row of w is shifted to be non-negative on the mask; feasible
+// rows sum to R_c, so the shift leaves the argmin alone.
+func projectionGap(prob *opt.Problem, x, y [][]float64) (float64, error) {
+	mask := prob.Allowed()
+	w := opt.NewMatrix(prob.C(), prob.N())
+	for c, row := range w {
+		lo := math.Inf(1)
+		for n, ok := range mask[c] {
+			if ok {
+				row[n] = y[c][n] - x[c][n]
+				lo = math.Min(lo, row[n])
+			}
+		}
+		for n, ok := range mask[c] {
+			if ok {
+				row[n] -= lo
+			}
+		}
+	}
+	z, err := opt.MinCostAssignment(prob, w)
+	if err != nil {
+		return 0, err
+	}
+	gap := 0.0
+	for c, row := range w {
+		for n, wv := range row {
+			gap += wv * (y[c][n] - z[c][n])
+		}
+	}
+	return gap, nil
 }
