@@ -210,7 +210,7 @@ type serverState struct {
 // serverHalf answers MsgProx on a participant replica.
 type serverHalf struct{}
 
-func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (encoding.BinaryMarshaler, error) {
+func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) ([]byte, error) {
 	var body ProxBody
 	if err := req.Decode(&body); err != nil {
 		return nil, fmt.Errorf("admm: replica %s: %w", sr.Self, err)
@@ -237,5 +237,5 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	if err != nil {
 		return nil, fmt.Errorf("admm: replica %s: %w", sr.Self, err)
 	}
-	return ProxReply{Shift: shift}, nil
+	return ProxReply{Shift: shift}.MarshalBinary()
 }

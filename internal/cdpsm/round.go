@@ -208,12 +208,12 @@ func checkEstimate(v []float64, nnz int) error {
 // function of the request alone: a replica keeps no CDPSM state.
 type serverHalf struct{}
 
-func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (encoding.BinaryMarshaler, error) {
+func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) ([]byte, error) {
 	next, err := step(req, sr)
 	if err != nil {
 		return nil, fmt.Errorf("cdpsm: replica %s: %w", sr.Self, err)
 	}
-	return StepReply{Estimate: next}, nil
+	return StepReply{Estimate: next}.MarshalBinary()
 }
 
 // step runs one subgradient step on the packed consensus the initiator

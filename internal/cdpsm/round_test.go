@@ -18,17 +18,16 @@ import (
 	"edr/internal/sim"
 )
 
-// poisonReply is a step reply whose estimate reads NaN at one slot once
-// decoded, as a faulty replica would send it.
-type poisonReply struct{ engine.Reply }
-
-func (r poisonReply) Decode(into encoding.BinaryUnmarshaler) error {
-	err := r.Reply.Decode(into)
-	if reply, ok := into.(*StepReply); ok && err == nil {
-		reply.Estimate = slices.Clone(reply.Estimate)
-		reply.Estimate[3] = math.NaN()
+// poison is a step reply whose estimate reads NaN at one slot, as a faulty
+// replica would send it.
+func poison(rep engine.Reply) (engine.Reply, error) {
+	var reply StepReply
+	if err := rep.Decode(&reply); err != nil {
+		return engine.Reply{}, err
 	}
-	return err
+	reply.Estimate[3] = math.NaN()
+	body, err := reply.MarshalBinary()
+	return engine.Reply{Verb: rep.Verb, Body: body}, err
 }
 
 // poisonTransport carries a round over a loopback and poisons bad's replies.
@@ -40,7 +39,7 @@ type poisonTransport struct {
 func (p poisonTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (engine.Reply, error) {
 	rep, err := p.lb.Replica(ctx, addr, verb, body)
 	if err == nil && addr == p.bad {
-		rep = poisonReply{rep}
+		return poison(rep)
 	}
 	return rep, err
 }

@@ -179,6 +179,42 @@ func TestLocalSolveMultiplierLengthChecked(t *testing.T) {
 	}
 }
 
+// A local solve dispatched through the replica's handler allocates only
+// the reply's bytes once the round's state exists: the request reaches the
+// LDDM server half, and its reply leaves under the ack name, unboxed.
+func TestLocalSolveDispatchAllocatesOnlyItsReply(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	f := newFleet(t, []float64{1, 2}, 3, LDDM)
+	ctx := context.Background()
+	for _, cl := range f.clients {
+		if err := cl.Submit(ctx, f.replicas[0].Addr(), 10, f.uniformLatencies()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.replicas[0].RunRound(ctx); err != nil {
+		t.Fatal(err)
+	}
+	req, err := transport.NewMessage(MsgLocalSolve, f.replicas[0].Addr(), lddm.SolveBody{Round: 1, Mu: []float64{-40, -3, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := f.replicas[1]
+	var resp transport.Message
+	if n := testing.AllocsPerRun(100, func() {
+		if resp, err = r.handle(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("a dispatched local solve allocates %v times, want at most 1", n)
+	}
+	var reply lddm.SolveReply
+	if resp.Type != MsgLocalSolve+".ack" || resp.From != r.Addr() || resp.DecodeBody(&reply) != nil || reply.M != 3 {
+		t.Fatalf("reply %q from %q decodes to %+v", resp.Type, resp.From, reply)
+	}
+}
+
 func TestSpecProblemRejectsBadSpecs(t *testing.T) {
 	good := RoundSpec{
 		Round: 1,

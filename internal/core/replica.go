@@ -420,7 +420,8 @@ func (r *ReplicaServer) handle(ctx context.Context, req transport.Message) (tran
 // half. Every algorithm body leads with the round id (transport.BinaryRound),
 // which locates the participant state the server half operates on. A body
 // that is not the verb's binary one is refused naming the verb: by the
-// round lookup, or by the server half's decoder (transport.DecodeBody).
+// round lookup, or by the server half's decoder (engine.Reply.Decode). Both
+// messages pass as values: a dispatch allocates only the reply's bytes.
 func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registration, req transport.Message) (transport.Message, error) {
 	round, err := transport.BinaryRound(req)
 	if err != nil {
@@ -430,19 +431,19 @@ func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registrati
 	if err != nil {
 		return transport.Message{}, fmt.Errorf("core: %s: %w", req.Type, err)
 	}
-	body, err := reg.Server.Handle(ctx, req.Type, msgReply{req}, st.eng)
+	body, err := reg.Server.Handle(ctx, req.Type, engine.Reply{Verb: req.Type, Body: req.Body}, st.eng)
 	if err != nil {
 		return transport.Message{}, err
 	}
-	return transport.NewMessage(req.Type+".ack", r.Addr(), body)
+	return transport.Message{Type: reg.Ack(req.Type), From: r.Addr(), Body: body}, nil
 }
 
 // handleClientRequest queues a client's demand (ClientListener role) in its
-// record (clientTable.request). The body is decoded and the ack marshaled
-// in place of DecodeBody and NewMessage, whose interface arguments would
-// put both on the heap, and a new row is carved from a slab
-// (clientTable.carve): an unchanged resubmission costs the ack's 16 bytes
-// and nothing else.
+// record (clientTable.request). Like handleEngine it builds its messages
+// itself, where DecodeBody and NewMessage would put the body and the ack
+// on the heap through their interface arguments, and a new row is carved
+// from a slab (clientTable.carve): an unchanged resubmission costs the
+// ack's 16 bytes and nothing else.
 func (r *ReplicaServer) handleClientRequest(req transport.Message) (transport.Message, error) {
 	var body RequestBody
 	if err := body.UnmarshalBinary(req.Body); err != nil {

@@ -209,26 +209,17 @@ func (r *ReplicaServer) sendReplicaMsg(ctx context.Context, to string, req trans
 	return resp, nil
 }
 
-// msgReply adapts a transport.Message to the engine's Reply.
-type msgReply struct{ m transport.Message }
-
-func (mr msgReply) Decode(into encoding.BinaryUnmarshaler) error { return mr.m.DecodeBody(into) }
-
 // roundTransport adapts the replica's retry/attribution stack to the
 // engine's Transport: sends carry member-failure attribution so RunRound
 // can prune the peer and restart.
 type roundTransport struct{ r *ReplicaServer }
 
 func (t roundTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (engine.Reply, error) {
-	req, err := transport.NewMessage(verb, t.r.Addr(), body)
-	if err != nil {
-		return nil, err
+	msg, err := transport.NewMessage(verb, t.r.Addr(), body)
+	if err == nil {
+		msg, err = t.r.sendReplicaMsg(ctx, addr, msg) // the zero message on error
 	}
-	resp, err := t.r.sendReplicaMsg(ctx, addr, req)
-	if err != nil {
-		return nil, err
-	}
-	return msgReply{resp}, nil
+	return engine.Reply{Verb: msg.Type, Body: msg.Body}, err
 }
 
 // RunRound schedules all pending requests: it drains the queue and the

@@ -25,7 +25,9 @@ package engine
 import (
 	"context"
 	"encoding"
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,9 +66,31 @@ type Round struct {
 	Pool *opt.Pool
 }
 
-// Reply decodes one peer's response body.
-type Reply interface {
-	Decode(into encoding.BinaryUnmarshaler) error
+// Reply is a body as its peer receives it (a request on the replica, a reply
+// on the initiator): verb and bytes, a value that costs no allocation to
+// carry. A Loopback hands a request over without a codec in handed instead.
+type Reply struct {
+	Verb   string
+	Body   []byte
+	handed encoding.BinaryMarshaler
+}
+
+// Decode unmarshals the body into into, with an error naming the verb when
+// into refuses it. A handed-over request sets into, a pointer to its type,
+// to the sent value: its slices and the fields no codec writes are shared.
+func (r Reply) Decode(into encoding.BinaryUnmarshaler) error {
+	if r.handed != nil {
+		dst, src := reflect.ValueOf(into), reflect.Indirect(reflect.ValueOf(r.handed))
+		if dst.Kind() != reflect.Pointer || dst.IsNil() || dst.Elem().Type() != src.Type() {
+			return fmt.Errorf("engine: loopback cannot decode %T into %T", r.handed, into)
+		}
+		dst.Elem().Set(src)
+		return nil
+	}
+	if err := into.UnmarshalBinary(r.Body); err != nil {
+		return fmt.Errorf("engine: decode %s body: %w", r.Verb, err)
+	}
+	return nil
 }
 
 // Transport is the fabric the driver runs exchanges over. The runtime's

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"encoding"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,30 +17,34 @@ import (
 	"edr/internal/opt"
 )
 
-// toyCodec gives a toy body the codec methods the engine's interfaces ask
-// for. These tests hand bodies over or fake the transport, so neither is
-// ever called; both are value methods so that a value satisfies both.
+// toyCodec gives a toy request the codec methods the engine's interfaces
+// ask for. These tests hand requests over or fake the transport, so neither
+// is ever called; both are value methods so that a value satisfies both.
 type toyCodec struct{}
 
 func (toyCodec) MarshalBinary() ([]byte, error) { return nil, errors.New("toy body has no codec") }
 func (toyCodec) UnmarshalBinary([]byte) error   { return errors.New("toy body has no codec") }
 
-// num is the toy algorithms' body and reply: one number.
+// num is the toy algorithms' body and reply: one number, eight bytes on
+// the wire.
 type num float64
 
-func (num) MarshalBinary() ([]byte, error) { return nil, errors.New("toy body has no codec") }
-func (*num) UnmarshalBinary([]byte) error  { return errors.New("toy body has no codec") }
+func (n num) MarshalBinary() ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(nil, math.Float64bits(float64(n))), nil
+}
 
-// fakeReply wraps an in-process value behind the Reply interface.
-type fakeReply struct{ v float64 }
-
-func (f fakeReply) Decode(into encoding.BinaryUnmarshaler) error {
-	p, ok := into.(*num)
-	if !ok {
-		return fmt.Errorf("fake reply decodes into *num, got %T", into)
+func (n *num) UnmarshalBinary(b []byte) error {
+	if len(b) != 8 {
+		return fmt.Errorf("toy number of %d bytes", len(b))
 	}
-	*p = num(f.v)
+	*n = num(math.Float64frombits(binary.LittleEndian.Uint64(b)))
 	return nil
+}
+
+// numReply is the reply carrying v.
+func numReply(v float64) Reply {
+	b, _ := num(v).MarshalBinary()
+	return Reply{Verb: "toy.ack", Body: b}
 }
 
 // fakeTransport answers every send with the peer's configured value and
@@ -58,9 +64,9 @@ func (t *fakeTransport) roundTrip(addr, verb string) (Reply, error) {
 	}
 	t.sent[verb]++
 	if addr == t.failOn {
-		return nil, errors.New("peer down")
+		return Reply{}, errors.New("peer down")
 	}
-	return fakeReply{v: t.values[addr]}, nil
+	return numReply(t.values[addr]), nil
 }
 
 func (t *fakeTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
@@ -312,7 +318,7 @@ func TestDriverOneWavePerIterationOnRoundSenders(t *testing.T) {
 		perIter[int(body.(num))]++
 		senders[id] = true
 		peak = max(peak, g)
-		return fakeReply{}, nil
+		return Reply{}, nil
 	})
 	d := &Driver{Transport: tr}
 	_, got, err := d.Run(context.Background(), &waveAlg{}, waveRound(replicas, iters))
@@ -369,10 +375,10 @@ func TestDriverBlockedSendDoesNotHoldItsWave(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				mu.Lock()
 				defer mu.Unlock()
-				return nil, fmt.Errorf("wave %d: %d of %d sends started while the first was blocked", k, started[k], replicas)
+				return Reply{}, fmt.Errorf("wave %d: %d of %d sends started while the first was blocked", k, started[k], replicas)
 			}
 		}
-		return fakeReply{}, nil
+		return Reply{}, nil
 	})
 	d := &Driver{Transport: tr}
 	if _, _, err := d.Run(context.Background(), &waveAlg{}, waveRound(replicas, iters)); err != nil {
@@ -397,14 +403,14 @@ func TestExecSkipsUnclaimedIndexesAfterError(t *testing.T) {
 		switch started.Add(1) {
 		case 1:
 			<-secondIn
-			return nil, errors.New("boom")
+			return Reply{}, errors.New("boom")
 		case 2:
 			close(secondIn)
 			<-ctx.Done() // the first send's error cancels the wave
 			time.Sleep(5 * time.Millisecond)
-			return nil, ctx.Err()
+			return Reply{}, ctx.Err()
 		}
-		return fakeReply{}, nil
+		return Reply{}, nil
 	})}
 	addrs := waveRound(replicas, 0).ReplicaAddrs
 	d.startHelpers(addrs[:claimants])
@@ -431,9 +437,9 @@ func TestDriverStopsSendersOnError(t *testing.T) {
 		watchGoroutines(t)
 		tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 			if body.(num) == 3 && addr == "r1" {
-				return nil, errors.New("peer down")
+				return Reply{}, errors.New("peer down")
 			}
-			return fakeReply{}, nil
+			return Reply{}, nil
 		})
 		d := &Driver{Transport: tr}
 		if _, _, err := d.Run(context.Background(), &waveAlg{}, waveRound(4, 10)); err == nil || err.Error() != "peer down" {
@@ -447,7 +453,7 @@ func TestDriverStopsSendersOnError(t *testing.T) {
 		var waiting atomic.Int32
 		tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 			if body.(num) < 3 {
-				return fakeReply{}, nil
+				return Reply{}, nil
 			}
 			// Iteration 3: every send blocks; the last one in gives up on
 			// the round.
@@ -455,7 +461,7 @@ func TestDriverStopsSendersOnError(t *testing.T) {
 				cancel()
 			}
 			<-ctx.Done()
-			return nil, ctx.Err()
+			return Reply{}, ctx.Err()
 		})
 		d := &Driver{Transport: tr}
 		if _, _, err := d.Run(ctx, &waveAlg{}, waveRound(4, 10)); !errors.Is(err, context.Canceled) {
@@ -476,10 +482,10 @@ func TestExecFirstErrorCancelsWaveAndWaitsForFolds(t *testing.T) {
 	tr := funcTransport(func(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 		if addr == "r0" {
 			<-inFold // fail only once r1 is inside its Fold
-			return nil, errors.New("boom")
+			return Reply{}, errors.New("boom")
 		}
 		waveCtx.Store(ctx)
-		return fakeReply{}, nil
+		return Reply{}, nil
 	})
 	alg := &waveAlg{fold: func(i int, r Reply) error {
 		close(inFold)
@@ -513,7 +519,7 @@ func (a *bareAlg) Iterate(int) []Exchange { return a.exchanges }
 // what is left is the wave context (2 allocs/op) and the helpers' wake-ups.
 func BenchmarkEngineExchange(b *testing.B) {
 	tr := funcTransport(func(context.Context, string, string, encoding.BinaryMarshaler) (Reply, error) {
-		return fakeReply{}, nil
+		return Reply{}, nil
 	})
 	d := &Driver{Transport: tr}
 	alg := &bareAlg{exchanges: []Exchange{{Verb: "toy.wave"}}}

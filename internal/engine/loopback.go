@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding"
 	"fmt"
-	"reflect"
 
 	"edr/internal/opt"
 	"edr/internal/solver"
@@ -14,8 +13,8 @@ import (
 // sets no bound: the live fleet's default and the in-process solvers'.
 const DefaultMaxIters = 200
 
-// Carrier hands a sent body across to the receiving side as the Reply it
-// decodes.
+// Carrier carries a request body across to its replica as the Reply the
+// replica decodes.
 type Carrier func(verb string, body encoding.BinaryMarshaler) (Reply, error)
 
 // Loopback runs a round's replicas in this process: one ServerRound per
@@ -24,12 +23,12 @@ type Carrier func(verb string, body encoding.BinaryMarshaler) (Reply, error)
 // engine's Algorithms run over a Loopback: the paper's figures and the
 // fleet run one loop.
 //
-// Bodies are handed over, not marshaled: a receiver decodes the very
-// slices its sender built, so no body is copied. That is sound for the
-// rounds registered here — each handler is done with its request when it
-// replies (CDPSM's clones the mean it steps on), and every reply is built
-// afresh — and each engine's solver test checks that it gives the real
-// codecs' answer bit for bit.
+// Requests are handed over, not marshaled: a replica decodes the very
+// slices its initiator built, so the large direction of a wave copies
+// nothing. That is sound because each handler is done with its request
+// when it replies (CDPSM's clones the mean it steps on). Replies cross as
+// the bytes the handler encoded, as on the wire. Each engine's solver test
+// checks that the hand-over gives the real codecs' answer bit for bit.
 type Loopback struct {
 	rd      *Round
 	servers []*ServerRound
@@ -39,7 +38,7 @@ type Loopback struct {
 
 // NewLoopback checks prob and builds an in-process round of it: replica j
 // is addressed "loop/j", maxIters ≤ 0 selects DefaultMaxIters, tol ≤ 0 the
-// algorithm's own default, and carry nil hands each body over as it is,
+// algorithm's own default, and carry nil hands each request over as it is,
 // without a copy.
 func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*Loopback, error) {
 	if err := prob.Validate(); err != nil {
@@ -52,7 +51,7 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*
 		maxIters = DefaultMaxIters
 	}
 	if carry == nil {
-		carry = func(_ string, body encoding.BinaryMarshaler) (Reply, error) { return handOver{body}, nil }
+		carry = handOver
 	}
 	n := prob.N()
 	addrs := make([]string, n)
@@ -69,25 +68,23 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*
 // Round returns the round the loopback serves.
 func (l *Loopback) Round() *Round { return l.rd }
 
-// Replica implements Transport: the request and the reply each cross once.
+// Replica implements Transport: the request crosses through the carrier,
+// and the reply as the bytes the server half encoded.
 func (l *Loopback) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 	j, ok := l.cols[addr]
 	if !ok {
-		return nil, fmt.Errorf("engine: loopback has no replica %q", addr)
+		return Reply{}, fmt.Errorf("engine: loopback has no replica %q", addr)
 	}
 	reg, ok := ServerFor(verb)
 	if !ok || reg.Server == nil {
-		return nil, fmt.Errorf("engine: loopback: no server half for %q", verb)
+		return Reply{}, fmt.Errorf("engine: loopback: no server half for %q", verb)
 	}
 	req, err := l.carry(verb, body)
 	if err != nil {
-		return nil, err
+		return Reply{}, err
 	}
 	reply, err := reg.Server.Handle(ctx, verb, req, l.servers[j])
-	if err != nil {
-		return nil, err
-	}
-	return l.carry(verb+".ack", reply)
+	return Reply{Verb: reg.Ack(verb), Body: reply}, err
 }
 
 // Solve drives alg over the loopback's round and reports the run as a
@@ -133,21 +130,7 @@ func (v *verdict) Primal() []float64 {
 	return nil
 }
 
-// handOver carries body without a codec: Decode sets its target, a
-// pointer to body's type, to body itself — a typed copy of the value whose
-// slices still share the sender's memory, and whose fields no codec
-// writes are the sender's, meaningless without a codec. A nil body decodes
-// as nothing.
-type handOver struct{ body encoding.BinaryMarshaler }
-
-func (r handOver) Decode(into encoding.BinaryUnmarshaler) error {
-	if r.body == nil {
-		return nil
-	}
-	dst, src := reflect.ValueOf(into), reflect.Indirect(reflect.ValueOf(r.body))
-	if dst.Kind() != reflect.Pointer || dst.IsNil() || dst.Elem().Type() != src.Type() {
-		return fmt.Errorf("engine: loopback cannot decode %T into %T", r.body, into)
-	}
-	dst.Elem().Set(src)
-	return nil
+// handOver is the Loopback's default Carrier: body crosses without a codec.
+func handOver(verb string, body encoding.BinaryMarshaler) (Reply, error) {
+	return Reply{Verb: verb, handed: body}, nil
 }

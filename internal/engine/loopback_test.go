@@ -22,21 +22,31 @@ type loopBody struct {
 	Iter int
 }
 
+// loopReply crosses as bytes, as every reply does: its codec is a line of
+// text.
 type loopReply struct {
-	toyCodec
 	Iter int
 	Col  int
 	Self string
 }
 
+func (r loopReply) MarshalBinary() ([]byte, error) {
+	return fmt.Appendf(nil, "%d %d %s", r.Iter, r.Col, r.Self), nil
+}
+
+func (r *loopReply) UnmarshalBinary(b []byte) error {
+	_, err := fmt.Sscanf(string(b), "%d %d %s", &r.Iter, &r.Col, &r.Self)
+	return err
+}
+
 type loopServer struct{}
 
-func (loopServer) Handle(ctx context.Context, verb string, req Reply, sr *ServerRound) (encoding.BinaryMarshaler, error) {
+func (loopServer) Handle(ctx context.Context, verb string, req Reply, sr *ServerRound) ([]byte, error) {
 	var body loopBody
 	if err := req.Decode(&body); err != nil {
 		return nil, err
 	}
-	return loopReply{Iter: body.Iter, Col: sr.Col, Self: sr.Self}, nil
+	return loopReply{Iter: body.Iter, Col: sr.Col, Self: sr.Self}.MarshalBinary()
 }
 
 func init() {
@@ -167,28 +177,48 @@ type handBody struct {
 	Base []float64 // context a codec would not write
 }
 
-// A body is handed over as it is: the receiver gets the sent value, its
-// slices and codec context included, with nothing copied.
+// A request is handed over as it is: the receiver gets the sent value, its
+// slices and codec context included, with nothing copied. A nil request
+// crosses as the empty body it is on the wire, and the reply crosses as
+// the bytes its handler encoded, under the verb's ack name.
 func TestLoopbackHandsBodiesOver(t *testing.T) {
+	handed := func(body encoding.BinaryMarshaler) Reply {
+		r, err := handOver(loopAsk, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	sent := handBody{N: 3, Vec: []float64{1, 2}, Base: []float64{9}}
 	got := handBody{Base: []float64{8}}
-	if err := (handOver{sent}).Decode(&got); err != nil {
+	if err := handed(sent).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got.N != 3 || &got.Vec[0] != &sent.Vec[0] || &got.Base[0] != &sent.Base[0] {
 		t.Fatalf("decoded %+v, not the sent value", got)
 	}
-	if err := (handOver{&sent}).Decode(&got); err != nil {
+	if err := handed(&sent).Decode(&got); err != nil {
 		t.Fatalf("pointer body: %v", err)
 	}
-	untouched := loopBody{Iter: 5}
-	if err := (handOver{nil}).Decode(&untouched); err != nil || untouched.Iter != 5 {
-		t.Fatalf("nil body decoded into %+v, %v", untouched, err)
+	var empty num
+	if err := handed(nil).Decode(&empty); err == nil || !strings.Contains(err.Error(), "0 bytes") || !strings.Contains(err.Error(), loopAsk) {
+		t.Fatalf("nil body decoded as %v, %v; want the empty body refused naming %s", empty, err, loopAsk)
 	}
-	if err := (handOver{loopBody{}}).Decode(&got); err == nil {
+	if err := handed(loopBody{}).Decode(&got); err == nil {
 		t.Fatal("decoded into the wrong type")
 	}
-	if err := (handOver{sent}).Decode(got); err == nil {
+	if err := handed(sent).Decode(got); err == nil {
 		t.Fatal("decoded into a value, not a pointer")
+	}
+
+	lb := newLoop(t, 2, 1)
+	addr := lb.Round().ReplicaAddrs[1]
+	rep, err := lb.Replica(context.Background(), addr, loopAsk, loopBody{Iter: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply loopReply
+	if rep.Verb != loopAsk+".ack" || rep.handed != nil || rep.Decode(&reply) != nil || reply != (loopReply{Iter: 7, Col: 1, Self: addr}) {
+		t.Fatalf("reply %q carrying %q (handed %v) decodes to %+v", rep.Verb, rep.Body, rep.handed, reply)
 	}
 }

@@ -18,7 +18,11 @@ type Registration struct {
 	Server ServerHalf
 	// Verbs lists the wire message types routed to Server.
 	Verbs []string
+	acks  map[string]string // each verb's ack name, built once at Register
 }
+
+// Ack names the reply to verb, one of r.Verbs: verb + ".ack".
+func (r *Registration) Ack(verb string) string { return r.acks[verb] }
 
 var (
 	regMu     sync.RWMutex
@@ -45,9 +49,10 @@ func Register(reg Registration) {
 		}
 	}
 	r := reg
+	r.acks = make(map[string]string, len(r.Verbs))
 	byName[r.Name] = &r
 	for _, v := range r.Verbs {
-		byVerb[v] = &r
+		byVerb[v], r.acks[v] = &r, v+".ack"
 	}
 	nameOrder = append(nameOrder, r.Name)
 	sort.Strings(nameOrder)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding"
 	"sync"
 
 	"edr/internal/opt"
@@ -50,10 +49,11 @@ func (sr *ServerRound) State(alg string, build func() (any, error)) (any, error)
 }
 
 // ServerHalf answers an algorithm's wire verbs on a participant replica.
-// Handle returns the reply body (wrapped into the verb's ack by the
-// replica server) or an error, which the transport surfaces to the
-// initiator. Handlers may run concurrently for different messages; state
-// shared across verbs must lock.
+// Handle returns the encoded reply, the caller's to keep and send as the
+// verb's ack (Registration.Ack), or an error the transport surfaces to the
+// initiator. Handlers may run concurrently, even on one round's state (a
+// TCP retry can overlap its first attempt): shared state must lock, and a
+// reply built in it is encoded before the lock is let go.
 type ServerHalf interface {
-	Handle(ctx context.Context, verb string, req Reply, sr *ServerRound) (reply encoding.BinaryMarshaler, err error)
+	Handle(ctx context.Context, verb string, req Reply, sr *ServerRound) (reply []byte, err error)
 }

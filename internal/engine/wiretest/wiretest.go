@@ -1,4 +1,4 @@
-// Package wiretest carries an engine.Loopback's bodies through the real
+// Package wiretest carries an engine.Loopback's requests through the real
 // wire codecs, as the fleet does, so a test can hold the loopback's
 // hand-over to the codecs' answer.
 package wiretest
@@ -14,20 +14,17 @@ import (
 	"edr/internal/transport"
 )
 
-// Codec marshals each body into a transport.Message and decodes from it.
+// Codec marshals a body as transport.NewMessage does; the Reply decodes
+// from those bytes.
 func Codec(verb string, body encoding.BinaryMarshaler) (engine.Reply, error) {
 	m, err := transport.NewMessage(verb, "loopback", body)
-	return message{m}, err
+	return engine.Reply{Verb: m.Type, Body: m.Body}, err
 }
 
-type message struct{ m transport.Message }
-
-func (w message) Decode(into encoding.BinaryUnmarshaler) error { return w.m.DecodeBody(into) }
-
 // SameOverCodec fails t unless solve gives the same assignment,
-// iterations, stop verdict and history, bit for bit, with bodies handed
+// iterations, stop verdict and history, bit for bit, with requests handed
 // over (a nil carrier) and through Codec: the codecs lose nothing, and no
-// receiver computes on memory the hand-over shares with its sender but
+// replica computes on memory the hand-over shares with its initiator but
 // the wire would have copied.
 func SameOverCodec(t testing.TB, solve func(engine.Carrier) (*solver.Result, error)) {
 	t.Helper()

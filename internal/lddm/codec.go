@@ -65,19 +65,19 @@ func (b SolveReply) MarshalBinary() ([]byte, error) {
 	return w.Done()
 }
 
+// UnmarshalBinary decodes a reply into b, reusing the storage under its
+// slices as SolveBody's decoder does: the initiator decodes each replica's
+// replies into one it keeps. A refused body leaves b's fields as they were.
 func (b *SolveReply) UnmarshalBinary(data []byte) error {
 	r := transport.NewReader(data)
 	m := r.U32()
-	reply := SolveReply{M: m, Served: append([]byte{}, r.Raw((m+7)/8)...)}
+	reply := SolveReply{M: m, Served: append(b.Served[:0], r.Raw((m+7)/8)...), Pos: b.Pos[:0], Val: b.Val[:0]}
 	count := r.U32()
 	if r.Err() == nil && count*12 != r.Len() {
 		r.Fail(fmt.Errorf("lddm: %d partial shares in %d bytes", count, r.Len()))
 	}
-	if r.Err() == nil && count > 0 {
-		reply.Pos, reply.Val = make([]int, count), make([]float64, count)
-		for e := range reply.Pos {
-			reply.Pos[e], reply.Val[e] = r.U32(), r.F64()
-		}
+	for e := 0; r.Err() == nil && e < count; e++ {
+		reply.Pos, reply.Val = append(reply.Pos, r.U32()), append(reply.Val, r.F64())
 	}
 	if err := r.Done(); err != nil {
 		return err

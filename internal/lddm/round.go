@@ -43,9 +43,12 @@ type SolveReply struct {
 	Val    []float64
 }
 
-// packReply encodes the packed column SolveLocal returned for clients.
-func packReply(packed []float64, clients []int, demands []float64) SolveReply {
-	r := SolveReply{M: len(packed), Served: make([]byte, (len(packed)+7)/8)}
+// pack sets r, reusing its storage, to the decision behind the packed column
+// SolveLocal returned for clients: a replica's state keeps one for every wave.
+func (r *SolveReply) pack(packed []float64, clients []int, demands []float64) {
+	w := (len(packed) + 7) / 8
+	r.M, r.Served, r.Pos, r.Val = len(packed), slices.Grow(r.Served[:0], w)[:w], r.Pos[:0], r.Val[:0]
+	clear(r.Served)
 	for p, v := range packed {
 		switch bits := math.Float64bits(v); {
 		case bits == math.Float64bits(demands[clients[p]]):
@@ -55,23 +58,20 @@ func packReply(packed []float64, clients []int, demands []float64) SolveReply {
 			r.Val = append(r.Val, v)
 		}
 	}
-	return r
 }
 
-// Unpack checks the reply against a support of len(clients) clients and
-// writes it into packed x at the p-th client's slot slots[p]: for the p-th
-// client i, demands[i] where bit p is set, the listed value where p is
-// listed, 0 otherwise. No other slot is touched, nor is anything written
-// when the reply is refused. A listed share must lie strictly inside
-// (0, R_c): the honest partial take = min(R_c, …) always does, and
-// anything else — negative, NaN, infinite, or a whole demand the bitmap
-// should carry — would go straight into the primal and from there into μ.
+// Unpack checks a valid reply (one its decoder accepted, or pack built)
+// against a support of len(clients) clients and writes it into packed x at
+// the p-th client's slot slots[p]: for the p-th client i, demands[i] where
+// bit p is set, the listed value where p is listed, 0 otherwise. No other
+// slot is touched, nor is anything written when the reply is refused. A
+// listed share must lie strictly inside (0, R_c): the honest partial
+// take = min(R_c, …) always does, and anything else — negative, NaN,
+// infinite, or a whole demand the bitmap should carry — would go straight
+// into the primal and from there into μ.
 func (r *SolveReply) Unpack(clients, slots []int, demands, x []float64) error {
 	if r.M != len(clients) {
 		return fmt.Errorf("decision over %d clients for a support of %d", r.M, len(clients))
-	}
-	if err := r.valid(); err != nil {
-		return err
 	}
 	for e, p := range r.Pos {
 		if v, d := r.Val[e], demands[clients[p]]; !(v > 0 && v < d) {
@@ -93,19 +93,14 @@ func (r *SolveReply) Unpack(clients, slots []int, demands, x []float64) error {
 
 func (r *SolveReply) served(p int) bool { return r.Served[p>>3]&(1<<(p&7)) != 0 }
 
-// valid checks what a reply must satisfy whatever the support: a
-// ⌈M/8⌉-byte bitmap with no bit set at or past M, and one value per listed
-// position, the positions strictly ascending, below M and clear in the
-// bitmap — so every column has exactly one encoding.
+// valid checks what a decoded reply must satisfy whatever the support,
+// beyond the ⌈M/8⌉-byte bitmap and one value per listed position its
+// decoder reads: no bitmap bit set at or past M, and the positions
+// strictly ascending, below M and clear in the bitmap — so every column
+// has exactly one encoding.
 func (r *SolveReply) valid() error {
-	if r.M < 0 || len(r.Served) != (r.M+7)/8 {
-		return fmt.Errorf("%d-byte bitmap over %d clients", len(r.Served), r.M)
-	}
 	if tail := r.M % 8; tail != 0 && r.Served[len(r.Served)-1]>>tail != 0 {
 		return fmt.Errorf("bitmap sets bits past its %d clients", r.M)
-	}
-	if len(r.Pos) != len(r.Val) {
-		return fmt.Errorf("%d positions for %d values", len(r.Pos), len(r.Val))
 	}
 	prev := -1
 	for _, p := range r.Pos {
@@ -150,11 +145,12 @@ type roundAlg struct {
 	windowStart int
 	residual    float64
 
-	// Per replica: the request body, reused wave after wave with its
-	// encoding buffer. exec waits for every send of a wave, so replica j's
-	// buffer is free again when the next wave builds its body.
-	bodies []SolveBody
-	bufs   [][]byte
+	// Per replica, reused wave after wave: the request body with its
+	// encoding buffer, and the reply. exec waits for every send of a wave,
+	// so replica j's are free again when the next wave builds its body.
+	bodies  []SolveBody
+	bufs    [][]byte
+	replies []SolveReply
 
 	exchanges []engine.Exchange
 }
@@ -183,7 +179,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	nnz := a.sp.NNZ()
 	a.primal, a.avg, a.muPacked = rd.Pool.Vector(nnz), rd.Pool.Vector(nnz), rd.Pool.Vector(nnz)
 	n := rd.Prob.N()
-	a.bodies, a.bufs = make([]SolveBody, n), make([][]byte, n)
+	a.bodies, a.bufs, a.replies = make([]SolveBody, n), make([][]byte, n), make([]SolveReply, n)
 	for j := range a.bodies {
 		lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
 		a.bodies[j] = SolveBody{Round: rd.Seq, Mu: a.muPacked[lo:hi:hi], buf: &a.bufs[j]}
@@ -201,11 +197,10 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 				return &a.bodies[j]
 			},
 			Fold: func(j int, r engine.Reply) error {
-				var reply SolveReply
-				err := r.Decode(&reply)
+				err := r.Decode(&a.replies[j])
 				if err == nil {
 					lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
-					err = reply.Unpack(a.sp.RowIdx[lo:hi], a.sp.PosCSR[lo:hi], rd.Prob.Demands, a.primal)
+					err = a.replies[j].Unpack(a.sp.RowIdx[lo:hi], a.sp.PosCSR[lo:hi], rd.Prob.Demands, a.primal)
 				}
 				if err != nil {
 					return fmt.Errorf("lddm: local solve from %s: %w", rd.ReplicaAddrs[j], err)
@@ -274,20 +269,23 @@ func (a *roundAlg) Recover() ([]float64, error) {
 // water-filling problem, re-solved against each iteration's multipliers.
 // local.Mu is full-length scratch the packed multipliers are scattered
 // into; only the support's entries are ever written or read. Each request
-// is decoded into body, its packed multipliers into mu. All are used under
-// lock.
+// is decoded into body, its packed multipliers into mu, and each decision
+// is packed into reply. All are used under lock.
 type serverState struct {
 	lock  sync.Mutex
 	local *LocalProblem
 	body  SolveBody
 	mu    []float64
+	reply SolveReply
 }
 
 // serverHalf answers MsgLocalSolve on a participant replica. The reply is
 // a function of the request alone.
 type serverHalf struct{}
 
-func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) (encoding.BinaryMarshaler, error) {
+// Handle encodes the decision while it holds the state the decision is packed
+// into; the bytes are all a steady-state local solve allocates.
+func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr *engine.ServerRound) ([]byte, error) {
 	st, err := sr.State("LDDM", func() (any, error) { return newServerState(sr), nil })
 	if err != nil {
 		return nil, err
@@ -299,7 +297,8 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 	if err != nil {
 		return nil, err
 	}
-	return packReply(packed, ls.local.Clients, ls.local.Demands), nil
+	ls.reply.pack(packed, ls.local.Clients, ls.local.Demands)
+	return ls.reply.MarshalBinary()
 }
 
 func newServerState(sr *engine.ServerRound) *serverState {

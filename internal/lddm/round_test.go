@@ -18,10 +18,8 @@ import (
 	"edr/internal/transport"
 )
 
-// wireReply decodes a marshaled message, as the live fabric's replies do.
-type wireReply struct{ m transport.Message }
-
-func (w wireReply) Decode(into encoding.BinaryUnmarshaler) error { return w.m.DecodeBody(into) }
+// wireReply is the Reply a fleet peer receives for m.
+func wireReply(m transport.Message) engine.Reply { return engine.Reply{Verb: m.Type, Body: m.Body} }
 
 // spyTransport runs a round over an engine.Loopback that carries every body
 // through the real codecs. onSolve sees each request as the replica
@@ -48,14 +46,14 @@ func (s *spyTransport) Replica(ctx context.Context, addr, verb string, body enco
 	if s.onSolve != nil {
 		req, err := wiretest.Codec(verb, body)
 		if err != nil {
-			return nil, err
+			return engine.Reply{}, err
 		}
 		var decoded SolveBody
 		if err := req.Decode(&decoded); err != nil {
-			return nil, err
+			return engine.Reply{}, err
 		}
 		if err := s.onSolve(col, decoded); err != nil {
-			return nil, err
+			return engine.Reply{}, err
 		}
 	}
 	reply, err := s.lb.Replica(ctx, addr, verb, body)
@@ -64,7 +62,7 @@ func (s *spyTransport) Replica(ctx context.Context, addr, verb string, body enco
 	}
 	var decoded SolveReply
 	if err := reply.Decode(&decoded); err != nil {
-		return nil, err
+		return engine.Reply{}, err
 	}
 	return reply, s.onReply(col, decoded)
 }

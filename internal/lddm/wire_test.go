@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"edr/internal/engine"
@@ -114,7 +115,7 @@ func TestLocalSolveReplyBitExact(t *testing.T) {
 }
 
 // Hand-built local problems at the water-filling's edges: each column
-// survives packReply → binary → Unpack bit for bit, each client written
+// survives pack → binary → Unpack bit for bit, each client written
 // through its own slot and no other slot touched, with at most one
 // explicit entry.
 func TestLocalSolveReplyEdgeColumns(t *testing.T) {
@@ -172,7 +173,8 @@ func TestLocalSolveReplyEdgeColumns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		reply := packReply(packed, tc.lp.Clients, tc.lp.Demands)
+		var reply SolveReply
+		reply.pack(packed, tc.lp.Clients, tc.lp.Demands)
 		if n := len(reply.Pos); n > 1 || (n == 1) != tc.partial {
 			t.Fatalf("%s: %d explicit entries for column %v (partial share expected: %v)", tc.name, n, packed, tc.partial)
 		}
@@ -277,7 +279,7 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 		{"empty", binBody([]byte{0})},
 	}
 	for _, tc := range replies {
-		err := fold(j, wireReply{tc.msg})
+		err := fold(j, wireReply(tc.msg))
 		if err == nil || !strings.Contains(err.Error(), addrs[j]) {
 			t.Errorf("%s: fold error %v, want one naming %s", tc.name, err, addrs[j])
 		}
@@ -296,12 +298,12 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 		{"trailing bytes", transport.Message{Type: MsgLocalSolve, Body: append(mustMessage(t, SolveBody{Round: 1, Mu: mu(m)}).Body, 0)}},
 	}
 	for _, tc := range requests {
-		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply{tc.msg}, sr)
+		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply(tc.msg), sr)
 		if err == nil || !strings.Contains(err.Error(), addrs[j]) {
 			t.Errorf("%s: handler error %v, want one naming %s", tc.name, err, addrs[j])
 		}
 	}
-	wellFormed := wireReply{mustMessage(t, SolveBody{Round: 1, Mu: mu(m)})}
+	wellFormed := wireReply(mustMessage(t, SolveBody{Round: 1, Mu: mu(m)}))
 	if _, err := (serverHalf{}).Handle(context.Background(), MsgLocalSolve, wellFormed, sr); err != nil {
 		t.Fatalf("well-formed request refused: %v", err)
 	}
@@ -324,7 +326,7 @@ func TestLocalSolveRefusesNonFiniteMultipliers(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		mu := make([]float64, m)
 		mu[m-1] = bad
-		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply{mustMessage(t, SolveBody{Round: 1, Mu: mu})}, sr)
+		_, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, wireReply(mustMessage(t, SolveBody{Round: 1, Mu: mu})), sr)
 		if err == nil || !strings.Contains(err.Error(), addrs[j]) {
 			t.Errorf("μ %v: handler error %v, want one naming %s", bad, err, addrs[j])
 		}
@@ -377,6 +379,70 @@ func mustMessage(t *testing.T, body SolveBody) transport.Message {
 		t.Fatal(err)
 	}
 	return msg
+}
+
+// bodyFields is what a body's fields hold: its scalars, and the array,
+// length and capacity of each slice.
+type bodyFields struct {
+	round, m            int
+	mu, served, pos, vl sliceHeader
+}
+
+type sliceHeader struct {
+	first    any
+	len, cap int
+}
+
+func headerOf[T any](s []T) sliceHeader {
+	h := sliceHeader{len: len(s), cap: cap(s)}
+	if cap(s) > 0 {
+		h.first = &s[:1][0]
+	}
+	return h
+}
+
+// fieldsOf reads b's fields, to check that a refused decode left them be.
+func fieldsOf(b wireBody) bodyFields {
+	switch b := b.(type) {
+	case *SolveBody:
+		return bodyFields{round: b.Round, mu: headerOf(b.Mu)}
+	case *SolveReply:
+		return bodyFields{m: b.M, served: headerOf(b.Served), pos: headerOf(b.Pos), vl: headerOf(b.Val)}
+	}
+	return bodyFields{}
+}
+
+// A reply decodes into the storage of the one it replaces when that has
+// the room, and a refused reply leaves the fields of the one it was
+// decoded into as they were.
+func TestSolveReplyDecodesIntoKeptStorage(t *testing.T) {
+	kept := SolveReply{M: 9, Served: make([]byte, 2, 4), Pos: make([]int, 0, 4), Val: make([]float64, 0, 4)}
+	held := fieldsOf(&kept)
+	valid := SolveReply{M: 12, Served: []byte{0x01, 0x08}, Pos: []int{1, 4}, Val: []float64{0.5, 0.25}}
+	bin, err := valid.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kept.UnmarshalBinary(bin); err != nil || !sameBody(&kept, &valid) {
+		t.Fatalf("decoded %+v (err %v), want %+v", kept, err, valid)
+	}
+	if got := fieldsOf(&kept); got.served.first != held.served.first || got.pos.first != held.pos.first || got.vl.first != held.vl.first {
+		t.Fatal("a reply that fits the kept storage was decoded into new storage")
+	}
+	held = fieldsOf(&kept)
+	for _, bad := range [][]byte{
+		bin[:len(bin)-1],
+		append(slices.Clone(bin), 0),
+		replyBytes(12, []byte{0x01, 0x08}, 1, uint32(0), 0.5), // position 0 is in the bitmap
+		replyBytes(9, []byte{0, 0x02}, 0),                     // a bit past m
+	} {
+		if err := kept.UnmarshalBinary(bad); err == nil {
+			t.Fatalf("%x decoded", bad)
+		}
+		if got := fieldsOf(&kept); got != held {
+			t.Fatalf("refusing %x changed the kept reply's fields from %+v to %+v", bad, held, got)
+		}
+	}
 }
 
 // wireBody is either LDDM body, for the fuzz target.
@@ -437,22 +503,35 @@ func FuzzLocalSolveBodies(f *testing.F) {
 		}
 		body, in := fresh(), data[1:]
 		decoded := body.UnmarshalBinary(in) == nil
-		if data[0]%2 == 0 {
-			// As the round uses it: decoded into the storage of an earlier
-			// body, the request is accepted or refused alike and decodes
-			// to the same body, and re-encoded through a kept buffer it
-			// gives the same bytes, in that buffer.
-			kept := &SolveBody{Round: 7, Mu: []float64{9, 9, 9, 9}[:1]}
-			if err := kept.UnmarshalBinary(in); (err == nil) != decoded {
-				t.Fatalf("a request refused %v fresh decodes with %v into kept storage", !decoded, err)
+		// As the round uses them: decoded into the storage of an earlier
+		// body, a request or a reply is accepted or refused alike, decodes
+		// to the same body and re-encodes to the same bytes; one refused
+		// leaves the earlier body's fields as they were. A request
+		// re-encoded through a kept buffer gives those bytes in that
+		// buffer.
+		var kept wireBody = &SolveBody{Round: 7, Mu: []float64{9, 9, 9, 9}[:1]}
+		if data[0]%2 == 1 {
+			kept = &SolveReply{M: 3, Served: []byte{0x05, 9, 9}[:1], Pos: []int{1, 7, 7}[:1], Val: []float64{0.5, 9, 9}[:1]}
+		}
+		held := fieldsOf(kept)
+		if err := kept.UnmarshalBinary(in); (err == nil) != decoded {
+			t.Fatalf("%T refused %v fresh decodes with %v into kept storage", kept, !decoded, err)
+		}
+		if !decoded && fieldsOf(kept) != held {
+			t.Fatalf("a refused %T changed the kept body's fields from %+v to %+v", kept, held, fieldsOf(kept))
+		}
+		if decoded {
+			if !sameBody(body, kept) {
+				t.Fatalf("kept storage decodes %+v, fresh %+v", kept, body)
 			}
-			if decoded {
-				if !sameBody(body, kept) {
-					t.Fatalf("kept storage decodes %+v, fresh %+v", kept, body)
-				}
+			enc, err := kept.MarshalBinary()
+			if err != nil || !bytes.Equal(enc, in) {
+				t.Fatalf("%T decoded into kept storage re-encodes to %x (err %v), want %x", kept, enc, err, in)
+			}
+			if req, ok := kept.(*SolveBody); ok {
 				buf := []byte{1, 2, 3}
-				kept.buf = &buf
-				enc, err := kept.MarshalBinary()
+				req.buf = &buf
+				enc, err := req.MarshalBinary()
 				if err != nil || !bytes.Equal(enc, in) || !bytes.Equal(buf, in) {
 					t.Fatalf("re-encoded through a kept buffer: %x (err %v), buffer %x, want %x", enc, err, buf, in)
 				}
@@ -497,7 +576,8 @@ func FuzzLocalSolveBodies(f *testing.F) {
 				hostile = true
 			}
 		}
-		reply := packReply(packed, clients, demands)
+		var reply SolveReply
+		reply.pack(packed, clients, demands)
 		for _, pair := range [][2]wireBody{
 			{&SolveBody{Round: m, Mu: packed}, &SolveBody{}},
 			{&reply, &SolveReply{}},
@@ -521,7 +601,8 @@ func FuzzLocalSolveBodies(f *testing.F) {
 			}
 		}
 		if hostile {
-			bad := packReply(raw, clients, demands)
+			var bad SolveReply
+			bad.pack(raw, clients, demands)
 			if err := bad.Unpack(clients, clients, demands, col); err == nil {
 				t.Fatalf("column %v over demands %v: out-of-range share accepted", raw, demands)
 			}
@@ -553,7 +634,8 @@ func BenchmarkLocalSolveWire(b *testing.B) {
 	for _, i := range lp.Clients {
 		body.Mu = append(body.Mu, lp.Mu[i])
 	}
-	reply := packReply(packed, lp.Clients, lp.Demands)
+	var reply SolveReply
+	reply.pack(packed, lp.Clients, lp.Demands)
 	frameBytes := func(verb string, v encoding.BinaryMarshaler) float64 {
 		msg, err := transport.NewMessage(verb, "replica-01", v)
 		if err != nil {
@@ -625,7 +707,7 @@ func handleRound(tb testing.TB) (*roundAlg, *engine.ServerRound) {
 // BenchmarkLocalSolveHandle is one local solve of an LDDM wave end to end
 // through the real codecs, on BenchmarkLocalSolveWire's replica: the
 // initiator builds and encodes the request, the replica's Handle decodes
-// and solves it and its reply is encoded, and the initiator's Fold decodes
+// and solves it and encodes its reply, and the initiator's Fold decodes
 // and unpacks it into the primal.
 func BenchmarkLocalSolveHandle(b *testing.B) {
 	alg, sr := handleRound(b)
@@ -638,15 +720,11 @@ func BenchmarkLocalSolveHandle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reply, err := serverHalf{}.Handle(ctx, MsgLocalSolve, wireReply{req}, sr)
+		reply, err := serverHalf{}.Handle(ctx, MsgLocalSolve, wireReply(req), sr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resp, err := transport.NewMessage(MsgLocalSolve+".ack", sr.Self, reply)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ex.Fold(0, wireReply{resp}); err != nil {
+		if err := ex.Fold(0, engine.Reply{Verb: MsgLocalSolve + ".ack", Body: reply}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -654,19 +732,23 @@ func BenchmarkLocalSolveHandle(b *testing.B) {
 
 // Once a replica's state exists, decoding a request and water-filling
 // against it allocate nothing: μ decodes into the state's buffer and the
-// column is the local problem's own. The initiator's request bytes are
-// likewise its per-replica buffer, encoded again in place.
+// column is the local problem's own. The whole of Handle allocates only
+// the reply's bytes: the decision is packed into the state's reply. The
+// initiator's request bytes are its per-replica buffer, encoded again in
+// place, and its Fold decodes the reply into the one it keeps for the
+// replica.
 func TestLocalSolveSteadyStateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	alg, sr := handleRound(t)
-	body := alg.exchanges[0].Body(0)
+	ex := alg.exchanges[0]
+	body := ex.Body(0)
 	msg, err := transport.NewMessage(MsgLocalSolve, "initiator", body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req engine.Reply = wireReply{msg}
+	req := wireReply(msg)
 	st, err := sr.State("LDDM", func() (any, error) { return newServerState(sr), nil })
 	if err != nil {
 		t.Fatal(err)
@@ -693,5 +775,105 @@ func TestLocalSolveSteadyStateAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("encoding a request allocates %v times, want 0", n)
+	}
+
+	ctx := context.Background()
+	first, err := serverHalf{}.Handle(ctx, MsgLocalSolve, req, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply []byte
+	if n := testing.AllocsPerRun(100, func() {
+		if reply, err = (serverHalf{}).Handle(ctx, MsgLocalSolve, req, sr); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("Handle allocates %v times, want 1 (the reply's bytes)", n)
+	}
+	if !bytes.Equal(reply, first) || len(reply) != cap(reply) {
+		t.Fatalf("steady-state reply %x (capacity %d), first %x", reply, cap(reply), first)
+	}
+	resp := engine.Reply{Verb: MsgLocalSolve + ".ack", Body: reply}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ex.Fold(0, resp); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Fold allocates %v times, want 0", n)
+	}
+	got := make([]float64, len(want))
+	for p, s := range alg.sp.PosCSR {
+		got[p] = alg.primal[s]
+	}
+	if !sameBits(got, want) {
+		t.Fatalf("folded column %v, solved %v", got, want)
+	}
+}
+
+// Two requests to one replica's round state that overlap, as a TCP retry
+// can overlap its first attempt, each get back the bytes of the column of
+// their own μ: the handler encodes its reply before it lets go of the state
+// it packed the reply into.
+func TestLocalSolveOverlappingRequestsGetTheirOwnColumn(t *testing.T) {
+	alg, sr := handleRound(t)
+	ex := alg.exchanges[0]
+	sp := alg.sp
+	var reqs [2]engine.Reply
+	var want [2][]float64
+	for k := range reqs {
+		if k == 1 {
+			for i := range alg.mu {
+				alg.mu[i] /= 3 // cheaper clients: the fill serves more of them
+			}
+		}
+		msg, err := transport.NewMessage(MsgLocalSolve, "initiator", ex.Body(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg.Body = slices.Clone(msg.Body) // the next encoding reuses the buffer
+		reqs[k] = wireReply(msg)
+		lp := &LocalProblem{Replica: sr.Prob.System.Replicas[0], Mu: alg.mu, Demands: sr.Prob.Demands, Clients: sp.RowIdx}
+		col, err := SolveLocal(lp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = col
+	}
+	if sameBits(want[0], want[1]) {
+		t.Fatal("both multiplier vectors give one column; the test would prove nothing")
+	}
+	const solves = 1000
+	var wg sync.WaitGroup
+	start, errs := make(chan struct{}), make(chan error, 2)
+	for k := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var reply SolveReply
+			col := make([]float64, len(want[k]))
+			for n := 0; n < solves; n++ {
+				b, err := serverHalf{}.Handle(context.Background(), MsgLocalSolve, reqs[k], sr)
+				if err == nil {
+					err = reply.UnmarshalBinary(b)
+				}
+				if err == nil {
+					err = reply.Unpack(sp.RowIdx, sp.PosCSR, sr.Prob.Demands, col)
+				}
+				if err == nil && !sameBits(col, want[k]) {
+					err = fmt.Errorf("request %d, solve %d: got the column %v, want %v", k, n, col, want[k])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
