@@ -282,7 +282,7 @@ func TestSubmissionsDuringRoundsAreScheduledOnce(t *testing.T) {
 
 // installedPlan returns the serving plan rs installed for round, and
 // whether it holds one.
-func installedPlan(rs *ReplicaServer, round int) ([]ClientMB, bool) {
+func installedPlan(rs *ReplicaServer, round int) ([]clientMB, bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	st, ok := rs.rounds[round]
@@ -684,14 +684,14 @@ func TestQuietRoundGolden(t *testing.T) {
 
 // installedChunks deep-copies the chunks of the serving plan rs installed
 // for round (nil when it holds none).
-func installedChunks(rs *ReplicaServer, round int) [][]ClientMB {
+func installedChunks(rs *ReplicaServer, round int) []transport.Pairs {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	st, ok := rs.rounds[round]
 	if !ok || st.plan == nil {
 		return nil
 	}
-	out := [][]ClientMB{}
+	out := []transport.Pairs{}
 	for _, chunk := range st.plan.chunks {
 		out = append(out, slices.Clone(chunk))
 	}
@@ -713,7 +713,7 @@ func TestCommittedRowsNeverChange(t *testing.T) {
 	type snapshot struct {
 		report     *RoundReport
 		assignment [][]float64
-		plans      [][][]ClientMB // per replica, its chunks; nil where none is held
+		plans      [][]transport.Pairs // per replica, its chunks; nil where none is held
 	}
 	var kept []snapshot
 	shared := 0
@@ -770,8 +770,8 @@ func TestCommittedRowsNeverChange(t *testing.T) {
 			if plan == nil {
 				continue // evicted, or never installed
 			}
-			if !slices.EqualFunc(plan, s.plans[j], func(a, b []ClientMB) bool {
-				return slices.EqualFunc(a, b, func(a, b ClientMB) bool {
+			if !slices.EqualFunc(plan, s.plans[j], func(a, b transport.Pairs) bool {
+				return slices.EqualFunc(listOf(a), listOf(b), func(a, b clientMB) bool {
 					return a.Client == b.Client && math.Float64bits(a.MB) == math.Float64bits(b.MB)
 				})
 			}) {

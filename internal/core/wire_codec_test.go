@@ -82,7 +82,7 @@ func TestBinaryVerbsRefuseJSONBodies(t *testing.T) {
 	refuse(target, MsgADMMProx, admm.ProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
 	serve(target, MsgADMMProx, admm.ProxBody{Round: spec.Round, Rho: 1, Target: []float64{4, 6}})
 
-	assign := AssignBody{Round: spec.Round, Updates: []ClientMB{{"c1", 4}}}
+	assign := assignOf(spec.Round, 0, []clientMB{{"c1", 4}})
 	refuse(target, MsgAssign, assign)
 	if got := target.Plan(spec.Round, "c1"); got != 0 {
 		t.Fatalf("refused replica.assign installed %g MB for c1", got)

@@ -79,8 +79,8 @@ func TestWireGoldenBytes(t *testing.T) {
 		goldenBody("request ack", "29000000000000000020394007000000", &RequestAck{Round: 41, QueuedMB: 25.125, Handle: 7}),
 		goldenBody("withdraw", "04030201", &WithdrawBody{Handle: 0x01020304}),
 		goldenBody("round spec with a mask", "050000000200000002007231000000000000f03f000000000000f03f000000000000e03f0000000000000840000000000000594000000000000000000200723200000000000020400000000000000040000000000000d03f00000000000000400000000000004940000000000000294003000000020063310200633202006333030000000000000000002440000000000000e03f0000000000003e400100000027", spec),
-		goldenBody("assign, full install", "070000000000000002000000020063310000000000001040020063330000000000000440", &AssignBody{Round: 7, Updates: []ClientMB{{"c1", 4}, {"c3", 2.5}}}),
-		goldenBody("assign, delta", "090000000700000002000000020063310000000000001140020063330000000000000000", &AssignBody{Round: 9, BaseRound: 7, Updates: []ClientMB{{"c1", 4.25}, {"c3", 0}}}),
+		goldenBody("assign, full install", "070000000000000002000000020063310000000000001040020063330000000000000440", assignOf(7, 0, []clientMB{{"c1", 4}, {"c3", 2.5}})),
+		goldenBody("assign, delta", "090000000700000002000000020063310000000000001140020063330000000000000000", assignOf(9, 7, []clientMB{{"c1", 4.25}, {"c3", 0}})),
 		goldenBody("allocation, full form", "0700000004004c44444d0900000025404f0f42c85ae1030000000200723102007232020072330100000005020000000000000000001c400000000000000840", &AllocationBody{Round: 7, Algorithm: "LDDM", Iterations: 9, Replicas: roster, PerReplicaMB: []float64{7, 0, 3}}),
 		goldenPush("allocation, short form", "0700000004004c44444d0900000025404f0f42c85ae1000000000100000002010000000000000000000440", push, []float64{0, 2.5, 0}),
 		goldenPush("cohort push, short form", "08000000040041444d4d0300000025404f0f42c85ae100000000010000000502000000000000000000d03f000000000000e83f", cohort, []float64{0.25, 0, 0.75}),

@@ -387,31 +387,66 @@ func (r *Reader) Strs() []string {
 }
 
 // ReadPairs consumes a pair list written by Writer.Pairs, building each
-// element with pair(key, value). A list whose keys repeat or descend is
-// refused, as is a count the bytes left cannot hold (a pair costs at least
-// 10); the keys share one backing allocation. It is a function, not a
-// method, because a method cannot take a type parameter.
+// element with pair(key, value). It refuses what PairBytes refuses; the
+// keys share one backing allocation. It is a function, not a method,
+// because a method cannot take a type parameter.
 func ReadPairs[T any](r *Reader, pair func(key string, v float64) T) []T {
+	n, raw := r.PairBytes()
+	if n == 0 {
+		return nil
+	}
+	all, v := string(raw), make([]T, n)
+	for i, off := 0, 0; i < len(v); i++ {
+		key, x, next := raw.At(off)
+		v[i] = pair(all[off+2:off+2+len(key)], x)
+		off = next
+	}
+	return v
+}
+
+// PairBytes consumes a pair list written by Writer.Pairs and returns its
+// count and its pairs as written, aliasing the body. A list whose keys
+// repeat or descend is refused, as is a count the bytes left cannot hold
+// (a pair costs at least 10); an empty or refused list reads as 0 and nil.
+func (r *Reader) PairBytes() (int, Pairs) {
 	n := r.U32()
 	if r.err == nil && uint64(n)*10 > uint64(len(r.b)) {
 		r.err = fmt.Errorf("transport: binary pair list claims %d pairs, %d bytes left", n, len(r.b))
 	}
 	if r.err != nil || n == 0 {
-		return nil
+		return 0, nil
 	}
 	size := r.listSize(n, 8, true)
 	if r.err != nil {
-		return nil
+		return 0, nil
 	}
-	all, v := string(r.b[:size]), make([]T, n)
-	for i, off := 0, 0; i < len(v); i++ {
-		l := int(binary.LittleEndian.Uint16(r.b[off:]))
-		x := math.Float64frombits(binary.LittleEndian.Uint64(r.b[off+2+l:]))
-		v[i] = pair(all[off+2:off+2+l], x)
-		off += 2 + l + 8
-	}
+	raw := r.b[:size]
 	r.b = r.b[size:]
-	return v
+	return n, raw
+}
+
+// Pairs is a pair list's pairs as written, with no count: each key's u16
+// length, the key and its f64 value, back to back. It holds no pointer
+// for the GC to trace.
+type Pairs []byte
+
+// At returns the pair at offset off, its key aliasing p, and the offset
+// past it.
+func (p Pairs) At(off int) (key []byte, v float64, next int) {
+	l := int(binary.LittleEndian.Uint16(p[off:]))
+	next = off + 2 + l + 8
+	return p[off+2 : off+2+l], math.Float64frombits(binary.LittleEndian.Uint64(p[next-8:])), next
+}
+
+// Len is how many pairs p holds, or -1 when its bytes are not whole pairs.
+func (p Pairs) Len() (n int) {
+	for off := 0; off < len(p); n++ {
+		if len(p)-off < 10 || int(binary.LittleEndian.Uint16(p[off:])) > len(p)-off-10 {
+			return -1
+		}
+		_, _, off = p.At(off)
+	}
+	return n
 }
 
 // ReadList consumes a u32 count and then that many elements, each read by
