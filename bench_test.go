@@ -165,10 +165,10 @@ func BenchmarkFig9EDRRoundTelemetry(b *testing.B) { benchEDRRound(b, true) }
 // long-lived unobserved fleet at paper scale (100 clients, 10 replicas) —
 // the steady state a deployed initiator sits in. Unlike benchEDRRound, the
 // fleet is built once outside the timer, so the per-op allocation figure
-// isolates the round hot path itself: the number this guards is what the
-// engine's buffer pool (opt.Pool) exists to keep flat across rounds. The
-// kernels are serial; the round's replicas step concurrently, one
-// engine.Driver sender each, so GOMAXPROCS sets how many run at once.
+// isolates the round hot path itself: what one round allocates, which a
+// deployed initiator pays every scheduling window. The kernels are serial;
+// the round's replicas step concurrently, one engine.Driver sender each,
+// so GOMAXPROCS sets how many run at once.
 func BenchmarkSteadyStateRound(b *testing.B) {
 	const nReplicas = 10
 	prices := []float64{3, 7, 12, 5, 9, 2, 14, 6, 11, 4}[:nReplicas]

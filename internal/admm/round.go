@@ -76,15 +76,15 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	// targets, so the iterate lives on the support alone.
 	a.sp = rd.Prob.Sparsity()
 	nnz := a.sp.NNZ()
-	a.z = rd.Pool.Vector(nnz)
-	a.targets = rd.Pool.Vector(nnz)
-	a.caps = rd.Pool.Vector(nnz)
-	a.u = make([]float64, c) // escapes via Duals; not pool-owned
-	a.acc = rd.Pool.Vector(c)
-	a.warmU = rd.Pool.Vector(c)
-	a.share = rd.Pool.Vector(c)
-	a.served = rd.Pool.Vector(c)
-	a.primal = rd.Pool.Vector(nnz)
+	a.z = make([]float64, nnz)
+	a.targets = make([]float64, nnz)
+	a.caps = make([]float64, nnz)
+	a.u = make([]float64, c)
+	a.acc = make([]float64, c)
+	a.warmU = make([]float64, c)
+	a.share = make([]float64, c)
+	a.served = make([]float64, c)
+	a.primal = make([]float64, nnz)
 	a.demandNorm = 0
 	for i := 0; i < c; i++ {
 		a.share[i] = rd.Prob.Demands[i] / float64(n)
@@ -178,7 +178,7 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 }
 
 // Duals reports the final scaled dual values (engine.DualReporter) so the
-// next round can warm-start from them. Returned in a non-pooled buffer.
+// next round can warm-start from them.
 func (a *roundAlg) Duals() []float64 { return a.u }
 
 // Primal exposes the current iterate, in CSR order, for trajectory costing.

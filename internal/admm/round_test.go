@@ -27,8 +27,7 @@ func TestWarmSeedIsPrimalAfterInit(t *testing.T) {
 	for k := range warm {
 		warm[k] = float64(k) + 0.25 // distinct, so any slot mix-up shows
 	}
-	rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: make([]string, prob.N()), Warm: warm, Pool: &opt.Pool{}}
-	defer rd.Pool.Release()
+	rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: make([]string, prob.N()), Warm: warm}
 	alg := &roundAlg{}
 	if err := alg.Init(rd); err != nil {
 		t.Fatal(err)
@@ -161,7 +160,6 @@ func FuzzProxBodies(f *testing.F) {
 		f.Fatal(err)
 	}
 	rd := lb.Round()
-	rd.Pool = &opt.Pool{}
 	alg := &roundAlg{}
 	if err := alg.Init(rd); err != nil {
 		f.Fatal(err)

@@ -173,7 +173,7 @@ func TestLocalGradientOnlyOwnColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	const agent, step = 1, 0.05
-	before := sp.Gather(nil, start)
+	before := sp.Gather(start)
 	v := slices.Clone(before)
 	gradientStep(prob, agent, v, step)
 	load := 0.0

@@ -96,15 +96,15 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		if err != nil {
 			return err
 		}
-		seed = rd.Prob.Sparsity().Gather(nil, start)
+		seed = rd.Prob.Sparsity().Gather(start)
 	}
 	a.ests, a.next = make([][]float64, n), make([][]float64, n)
 	a.means = make([][]float64, n)
 	for j := range a.ests {
 		a.ests[j] = seed
-		a.means[j] = rd.Pool.Vector(nnz)
+		a.means[j] = make([]float64, nnz)
 	}
-	a.moved = rd.Pool.Vector(n)
+	a.moved = make([]float64, n)
 	a.exchanges = []engine.Exchange{{
 		Verb: MsgStep,
 		Body: func(j int) encoding.BinaryMarshaler {

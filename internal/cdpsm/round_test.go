@@ -13,7 +13,6 @@ import (
 
 	"edr/internal/engine"
 	"edr/internal/engine/wiretest"
-	"edr/internal/opt"
 	"edr/internal/probgen"
 	"edr/internal/sim"
 )
@@ -112,7 +111,6 @@ func FuzzStepBodies(f *testing.F) {
 		f.Fatal(err)
 	}
 	rd := lb.Round()
-	rd.Pool = &opt.Pool{}
 	alg := &roundAlg{}
 	if err := alg.Init(rd); err != nil {
 		f.Fatal(err)

@@ -225,7 +225,7 @@ func TestAggregateRowsAndDuals(t *testing.T) {
 	for c := range mu {
 		mu[c] = 2.5
 	}
-	for k, v := range g.AggregateDualsInto(mu, make([]float64, g.K())) {
+	for k, v := range g.AggregateDuals(mu) {
 		if math.Abs(v-2.5) > 1e-12 {
 			t.Fatalf("constant duals not preserved: cohort %d got %g", k, v)
 		}

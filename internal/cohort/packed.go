@@ -34,19 +34,10 @@ func (g *Grouping) Sparse() (full, reduced *opt.Sparsity) {
 // mask-supported input (anything produced by Disaggregate or Renormalize)
 // the result is bitwise the reduced-sparsity gather of the members' row
 // sums, each cohort's members added in client order. Clients beyond
-// len(full) (departed mid-reconfiguration) contribute nothing. A nil dst
-// allocates; otherwise len(dst) must be the reduced NNZ (dst is
-// overwritten, so pooled scratch needs no pre-zeroing beyond what Pool
-// already does).
-func (g *Grouping) AggregateRowsPacked(full [][]float64, dst []float64) []float64 {
+// len(full) (departed mid-reconfiguration) contribute nothing.
+func (g *Grouping) AggregateRowsPacked(full [][]float64) []float64 {
 	fullSp, redSp := g.Sparse()
-	if dst == nil {
-		dst = make([]float64, redSp.NNZ())
-	}
-	if len(dst) != redSp.NNZ() {
-		panic(fmt.Sprintf("cohort: AggregateRowsPacked got %d-slot dst for %d nnz", len(dst), redSp.NNZ()))
-	}
-	opt.VecFill(dst, 0)
+	dst := make([]float64, redSp.NNZ())
 	for c, k := range g.of {
 		if c >= len(full) {
 			break
@@ -66,18 +57,13 @@ func (g *Grouping) AggregateRowsPacked(full [][]float64, dst []float64) []float6
 // demand share, exact-conservation residual folded into the first-maximum
 // entry, even-spread fallback for loaded-but-zero rows — and bitwise the
 // same values at every feasible slot (masked slots simply do not exist
-// here; Disaggregate writes exact zeros there). A nil dst allocates;
-// otherwise len(dst) must be the full NNZ. Every slot of dst is written.
-func (g *Grouping) DisaggregatePacked(vk []float64, dst []float64) ([]float64, error) {
+// here; Disaggregate writes exact zeros there).
+func (g *Grouping) DisaggregatePacked(vk []float64) ([]float64, error) {
 	fullSp, redSp := g.Sparse()
 	if len(vk) != redSp.NNZ() {
 		return nil, fmt.Errorf("cohort: DisaggregatePacked got %d slots for %d reduced nnz", len(vk), redSp.NNZ())
 	}
-	if dst == nil {
-		dst = make([]float64, fullSp.NNZ())
-	} else if len(dst) != fullSp.NNZ() {
-		return nil, fmt.Errorf("cohort: DisaggregatePacked got %d-slot dst for %d full nnz", len(dst), fullSp.NNZ())
-	}
+	dst := make([]float64, fullSp.NNZ())
 	row := make([]float64, redSp.MaxRowNNZ())
 	for k, mem := range g.members {
 		kb, ke := redSp.RowStart[k], redSp.RowStart[k+1]
@@ -138,15 +124,12 @@ func (g *Grouping) DisaggregatePacked(vk []float64, dst []float64) ([]float64, e
 	return dst, nil
 }
 
-// AggregateDualsInto folds per-client dual values into demand-weighted
-// cohort duals (uniform-weighted for zero-demand cohorts) — μ is a per-unit
-// price, so the cohort's dual is its members' demand-weighted average. The
-// output is caller-owned (pooled): dst must have length |K| and is
-// overwritten. Returns dst.
-func (g *Grouping) AggregateDualsInto(mu []float64, dst []float64) []float64 {
-	if len(dst) != g.K() {
-		panic(fmt.Sprintf("cohort: AggregateDualsInto got %d-slot dst for %d cohorts", len(dst), g.K()))
-	}
+// AggregateDuals folds per-client dual values into demand-weighted cohort
+// duals (uniform-weighted for zero-demand cohorts), one per cohort — μ is a
+// per-unit price, so the cohort's dual is its members' demand-weighted
+// average.
+func (g *Grouping) AggregateDuals(mu []float64) []float64 {
+	dst := make([]float64, g.K())
 	for k, mem := range g.members {
 		num, den := 0.0, 0.0
 		for _, c := range mem {
@@ -162,8 +145,6 @@ func (g *Grouping) AggregateDualsInto(mu []float64, dst []float64) []float64 {
 		}
 		if den > 0 {
 			dst[k] = num / den
-		} else {
-			dst[k] = 0
 		}
 	}
 	return dst

@@ -79,19 +79,23 @@ func TestPackedDisaggregateMatchesDense(t *testing.T) {
 				}
 			}
 		},
-		"zero": func() { opt.Fill(xk, 0) },
+		"zero": func() {
+			for _, row := range xk {
+				clear(row)
+			}
+		},
 	} {
 		mutate()
 		dense, err := g.Disaggregate(xk)
 		if err != nil {
 			t.Fatalf("%s: Disaggregate: %v", name, err)
 		}
-		vk := redSp.Gather(nil, xk)
-		packed, err := g.DisaggregatePacked(vk, nil)
+		vk := redSp.Gather(xk)
+		packed, err := g.DisaggregatePacked(vk)
 		if err != nil {
 			t.Fatalf("%s: DisaggregatePacked: %v", name, err)
 		}
-		want := fullSp.Gather(nil, dense)
+		want := fullSp.Gather(dense)
 		for s := range packed {
 			if math.Float64bits(packed[s]) != math.Float64bits(want[s]) {
 				t.Fatalf("%s: slot %d: packed %g dense %g", name, s, packed[s], want[s])
@@ -118,16 +122,16 @@ func TestPackedDisaggregateMatchesDense(t *testing.T) {
 func TestPackedDisaggregateErrors(t *testing.T) {
 	_, g := packedTestInstance(t, 40, 4, 3)
 	_, redSp := g.Sparse()
-	if _, err := g.DisaggregatePacked(make([]float64, redSp.NNZ()+1), nil); err == nil {
+	if _, err := g.DisaggregatePacked(make([]float64, redSp.NNZ()+1)); err == nil {
 		t.Fatal("wrong vk length accepted")
 	}
 	vk := make([]float64, redSp.NNZ())
 	vk[0] = math.NaN()
-	if _, err := g.DisaggregatePacked(vk, nil); err == nil {
+	if _, err := g.DisaggregatePacked(vk); err == nil {
 		t.Fatal("NaN load accepted")
 	}
 	vk[0] = math.Inf(1)
-	if _, err := g.DisaggregatePacked(vk, nil); err == nil {
+	if _, err := g.DisaggregatePacked(vk); err == nil {
 		t.Fatal("Inf load accepted")
 	}
 }
@@ -163,8 +167,8 @@ func TestAggregateRowsPackedMatchesDense(t *testing.T) {
 	for _, rows := range []int{len(warm), len(warm) / 2} {
 		in := warm[:rows]
 		dense := memberRowSums(g, in)
-		want := redSp.Gather(nil, dense)
-		got := g.AggregateRowsPacked(in, nil)
+		want := redSp.Gather(dense)
+		got := g.AggregateRowsPacked(in)
 		for s := range got {
 			if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
 				t.Fatalf("rows=%d slot %d: packed %g dense %g", rows, s, got[s], want[s])
@@ -173,7 +177,7 @@ func TestAggregateRowsPackedMatchesDense(t *testing.T) {
 	}
 }
 
-// denseDuals is the reference for AggregateDualsInto on g, grouped from
+// denseDuals is the reference for AggregateDuals on g, grouped from
 // prob: each cohort's dual is its members' demand-weighted mean (plain mean
 // for a zero-demand cohort), 0 when no member has a dual.
 func denseDuals(prob *opt.Problem, g *Grouping, mu []float64) []float64 {
@@ -199,7 +203,7 @@ func denseDuals(prob *opt.Problem, g *Grouping, mu []float64) []float64 {
 }
 
 // TestAggregateDualsIntoMatchesDense pins the dual fold against its
-// reference, on clean and on dirty (pooled) output buffers.
+// reference.
 func TestAggregateDualsIntoMatchesDense(t *testing.T) {
 	prob, g := packedTestInstance(t, 60, 5, 13)
 	r := sim.NewRand(5)
@@ -208,21 +212,10 @@ func TestAggregateDualsIntoMatchesDense(t *testing.T) {
 		mu[i] = r.Range(-2, 2)
 	}
 	want := denseDuals(prob, g, mu)
-	got := g.AggregateDualsInto(mu, make([]float64, g.K()))
+	got := g.AggregateDuals(mu)
 	for k := range want {
 		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 			t.Fatalf("cohort %d: %g vs %g", k, got[k], want[k])
-		}
-	}
-	// Dirty dst must be fully overwritten.
-	dirty := make([]float64, g.K())
-	for k := range dirty {
-		dirty[k] = 1e9
-	}
-	got = g.AggregateDualsInto(mu, dirty)
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("dirty dst survived at %d: %g vs %g", k, got[k], want[k])
 		}
 	}
 }

@@ -13,9 +13,8 @@ import (
 // counterparts on adversarial masks: whatever instance and solver output
 // the fuzzer invents, DisaggregatePacked must be bitwise the full-sparsity
 // gather of Disaggregate, AggregateRowsPacked bitwise the reduced-sparsity
-// gather of the members' row sums, AggregateDualsInto bitwise its
-// reference — and
-// the packed result must conserve every client's demand (row sums match
+// gather of the members' row sums, AggregateDuals bitwise its reference —
+// and the packed result must conserve every client's demand (row sums match
 // the dense invariant exactly, bit for bit). This is the contract that
 // lets core run cohorted rounds packed end to end without a behavioral
 // flag: the two paths are indistinguishable on the feasible support. The
@@ -91,12 +90,12 @@ func FuzzSparseCohortEquiv(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Disaggregate rejected finite input: %v", err)
 		}
-		vk := redSp.Gather(nil, xk)
-		packed, err := g.DisaggregatePacked(vk, nil)
+		vk := redSp.Gather(xk)
+		packed, err := g.DisaggregatePacked(vk)
 		if err != nil {
 			t.Fatalf("DisaggregatePacked rejected finite input: %v", err)
 		}
-		wantPk := fullSp.Gather(nil, dense)
+		wantPk := fullSp.Gather(dense)
 		for s := range packed {
 			if math.Float64bits(packed[s]) != math.Float64bits(wantPk[s]) {
 				t.Fatalf("disaggregate slot %d: packed %x dense %x",
@@ -131,8 +130,8 @@ func FuzzSparseCohortEquiv(f *testing.F) {
 		// Aggregation equivalence on the disaggregated matrix (the shape
 		// warm starts feed through this path).
 		aggDense := memberRowSums(g, dense)
-		aggWant := redSp.Gather(nil, aggDense)
-		aggPk := g.AggregateRowsPacked(dense, nil)
+		aggWant := redSp.Gather(aggDense)
+		aggPk := g.AggregateRowsPacked(dense)
 		for s := range aggPk {
 			if math.Float64bits(aggPk[s]) != math.Float64bits(aggWant[s]) {
 				t.Fatalf("aggregate slot %d: packed %x dense %x",
@@ -145,7 +144,7 @@ func FuzzSparseCohortEquiv(f *testing.F) {
 			mu[i] = r.Range(-3, 3)
 		}
 		duWant := denseDuals(prob, g, mu)
-		duGot := g.AggregateDualsInto(mu, make([]float64, g.K()))
+		duGot := g.AggregateDuals(mu)
 		for k := range duWant {
 			if math.Float64bits(duGot[k]) != math.Float64bits(duWant[k]) {
 				t.Fatalf("dual %d: %g vs %g", k, duGot[k], duWant[k])

@@ -145,8 +145,6 @@ func (r *ReplicaServer) committed() *lastGoodRound {
 // re-planned as a full solve on the spot — escalation is a second pass over
 // the same gathered instance, not a round restart.
 func (r *ReplicaServer) runAttempt(ctx context.Context, a *attempt) (*RoundReport, error) {
-	// Stages draw scratch from the pool; nothing pooled outlives the attempt.
-	defer r.pool.Release()
 	if err := r.gather(ctx, a); err != nil {
 		return nil, err
 	}
@@ -448,9 +446,7 @@ func (r *ReplicaServer) reduce(a *attempt) error {
 // per-client history straight into the cohorts' slots (and per-client
 // duals into demand-weighted cohort duals). For a degraded round the
 // renormalized history is not a seed but the result. The seed stays on the
-// initiator, which holds every algorithm's iterate; its pooled buffers are
-// done being read before the attempt releases them, once the solve has
-// consumed it.
+// initiator, which holds every algorithm's iterate.
 func (r *ReplicaServer) warm(a *attempt) {
 	if a.kind == kindDegraded {
 		a.x, _ = r.warmStart(&a.full)
@@ -469,16 +465,15 @@ func (r *ReplicaServer) warm(a *attempt) {
 		warm, mu = r.warmStart(&a.sub)
 	}
 	a.warm, a.warmMu = nil, mu
-	sp := a.solveProb.Sparsity()
 	switch g := a.grouping; {
 	case warm == nil:
 	case g != nil:
-		a.warm = g.AggregateRowsPacked(warm, r.pool.Vector(sp.NNZ()))
+		a.warm = g.AggregateRowsPacked(warm)
 		if mu != nil {
-			a.warmMu = g.AggregateDualsInto(mu, r.pool.Vector(g.K()))
+			a.warmMu = g.AggregateDuals(mu)
 		}
 	default:
-		a.warm = sp.Gather(r.pool.Vector(sp.NNZ()), warm)
+		a.warm = a.solveProb.Sparsity().Gather(warm)
 	}
 }
 
@@ -499,12 +494,11 @@ func (r *ReplicaServer) warmStart(in *instance) ([][]float64, []float64) {
 }
 
 // warmFrom is warmStart from the committed round lg, with rowMap[i] the
-// committed row of the instance's row i (−1 for none).
+// committed row of the instance's row i (−1 for none). The committed rows
+// are copied into a fresh matrix, which Renormalize rescales in place.
 func (r *ReplicaServer) warmFrom(lg *lastGoodRound, in *instance, rowMap []int) ([][]float64, []float64) {
 	colMap := align(addrsOf(in.infos), addrsOf(lg.infos), nil)
-	// Pooled scratch: Renormalize allocates its own output, so weights is
-	// dead once it returns.
-	weights := r.pool.Matrix(len(in.requests), len(in.infos))
+	weights := opt.NewMatrix(len(in.requests), len(in.infos))
 	var newCols []int
 	for j, oj := range colMap {
 		if oj < 0 {
@@ -608,7 +602,7 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 		// The central sub-solve is the one dense step: the seed scatters
 		// into it and its answer is gathered back out.
 		sp := a.solveProb.Sparsity()
-		x0 := r.pool.Matrix(sp.C, sp.N) // all zeros, an infeasible start, when cold
+		x0 := opt.NewMatrix(sp.C, sp.N) // all zeros, an infeasible start, when cold
 		if a.warm != nil {
 			sp.Scatter(x0, a.warm)
 		}
@@ -616,7 +610,7 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 		if err != nil {
 			return err
 		}
-		a.solved = sp.Gather(r.pool.Vector(sp.NNZ()), res.X)
+		a.solved = sp.Gather(res.X)
 		a.iterations, a.subGap = res.Iterations, res.Gap
 		if !res.Converged {
 			r.Stats.SubsolveUnconverged.Inc(1)
@@ -639,7 +633,6 @@ func (r *ReplicaServer) solve(ctx context.Context, a *attempt) error {
 		Tol:          r.cfg.Tol,
 		Warm:         a.warm,
 		WarmMu:       a.warmMu,
-		Pool:         r.pool,
 	}
 	alg := r.alg.New()
 	var err error
@@ -677,7 +670,7 @@ func (r *ReplicaServer) expand(a *attempt) error {
 	packed, sp := a.solved, a.sub.prob.Sparsity()
 	if g := a.grouping; g != nil {
 		var err error
-		if packed, err = g.DisaggregatePacked(a.solved, nil); err != nil {
+		if packed, err = g.DisaggregatePacked(a.solved); err != nil {
 			return err
 		}
 	}

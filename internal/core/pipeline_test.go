@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -318,4 +319,60 @@ func TestRoundStatePruning(t *testing.T) {
 		}
 		checkRoundInvariants(t, f, report, pushed, drifted, true, true)
 	})
+}
+
+// TestRoundScratchNotRetainedAcrossShapes: a round's scratch is garbage
+// once the round ends, whatever its shape. The client count falls by three
+// a round, so no two rounds share a |C|×|N| shape; an initiator that kept
+// a buffer per shape it had solved would grow its heap round after round
+// while the instance shrinks.
+func TestRoundScratchNotRetainedAcrossShapes(t *testing.T) {
+	const (
+		nClients = 400
+		rounds   = 120
+		step     = 3
+		slack    = 1 << 20
+	)
+	prices := make([]float64, 10)
+	for j := range prices {
+		prices[j] = float64(1 + j)
+	}
+	f := newFleetCfg(t, prices, nClients, LDDM, func(_ int, cfg *ReplicaConfig) { cfg.MaxIters = -1 })
+	rs, lats, ctx := f.replicas[0], f.uniformLatencies(), context.Background()
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var settled uint64
+	for round := 1; round <= rounds; round++ {
+		active := nClients - step*(round-1)
+		for i, cl := range f.clients {
+			var err error
+			if i < active {
+				err = cl.Submit(ctx, rs.Addr(), 1, lats)
+			} else {
+				err = cl.Withdraw(ctx)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		report, err := rs.RunRound(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(report.ClientAddrs) != active {
+			t.Fatalf("round %d solved %d clients, want %d", round, len(report.ClientAddrs), active)
+		}
+		if round == 10 {
+			settled = heap()
+		}
+	}
+	end := heap()
+	t.Logf("live heap after round 10: %d B; after round %d: %d B", settled, rounds, end)
+	if end > settled+slack {
+		t.Fatalf("heap after %d shrinking rounds is %d B, %d B over round 10's", rounds, end, end-settled)
+	}
 }

@@ -41,7 +41,6 @@ type ReplicaServer struct {
 	lastGood   *lastGoodRound         // fallback assignment for degraded rounds
 	lastReport *RoundReport           // most recent completed round (admin /status)
 	infoCache  map[string]ReplicaInfo // model parameters of every replica ever seen in a round
-	pool       *opt.Pool              // recycles initiator-side round scratch
 	registry   *cohort.Registry       // stable cross-round cohort identity (initiator side)
 	// startsSinceInstall counts the round.start waves this initiator sent
 	// since it last committed an install: once it reaches roundStatesKept
@@ -142,7 +141,6 @@ func NewReplicaServer(network transport.Network, addr string, members []string, 
 		clients:   &clientTable{byAddr: make(map[string]*clientRecord), byHandle: make(map[uint32]*clientRecord)},
 		rounds:    make(map[int]*roundState),
 		infoCache: make(map[string]ReplicaInfo),
-		pool:      &opt.Pool{},
 		registry:  cohort.NewRegistry(),
 	}
 	var ok bool

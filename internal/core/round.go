@@ -61,8 +61,9 @@ type RoundReport struct {
 	// with every clean client keeping its committed row. A round with
 	// DirtyClients == 0 committed the previous assignment outright.
 	Incremental bool `json:"incremental,omitempty"`
-	// DirtyClients is how many clients the incremental diff re-solved
-	// (len(ClientAddrs) on full rounds with Incremental unset).
+	// DirtyClients is how many clients the incremental diff re-solved. It
+	// is set only on incremental rounds: full, escalated and degraded
+	// rounds report 0.
 	DirtyClients int `json:"dirty_clients,omitempty"`
 	// SubsolveGap is the duality gap an incremental round's central
 	// sub-solve stopped on after Iterations steps: a certified bound on how

@@ -112,13 +112,15 @@ func TestCDPSMRoundTopology(t *testing.T) {
 		if round == 2 {
 			// The seed is the committed split renormalized over the same
 			// roster and demands, gathered onto the support; each agent's
-			// first consensus averages |N| copies of it.
+			// first consensus averages |N| copies of it. Renormalize
+			// rescales in place, and committed rows are never written, so
+			// it rescales a copy.
 			prob := initiator.committed().prob
 			caps := make([]float64, len(seeded.infos))
 			for j, info := range seeded.infos {
 				caps[j] = info.Bandwidth
 			}
-			seed := prob.Sparsity().Gather(nil, opt.Renormalize(seeded.assignment, prob.Demands, caps, prob.Allowed()))
+			seed := prob.Sparsity().Gather(opt.Renormalize(opt.Clone(seeded.assignment), prob.Demands, caps, prob.Allowed()))
 			want := make([]float64, len(seed))
 			w := 1 / float64(len(f.replicas))
 			for range f.replicas {

@@ -60,10 +60,6 @@ type Round struct {
 	// The initiator holds the round's duals, so an algorithm warm-starts
 	// them by seeding its own vector from WarmMu — no wire change involved.
 	WarmMu []float64
-	// Pool recycles the round's scratch matrices/vectors; the driver
-	// creates one when nil and releases it when the round ends. Buffers
-	// that outlive the round (the recovered assignment) must be cloned.
-	Pool *opt.Pool
 }
 
 // Reply is a body as its peer receives it (a request on the replica, a reply
@@ -125,8 +121,8 @@ type Exchange struct {
 // (full barrier between exchanges) and asks Converged whether to stop;
 // Recover assembles the final feasible assignment.
 type Algorithm interface {
-	// Init prepares per-round state (scratch from rd.Pool, defaults for
-	// rd.Tol). The Round stays valid until the driver returns.
+	// Init prepares per-round state (its scratch, defaults for rd.Tol).
+	// The Round stays valid until the driver returns.
 	Init(rd *Round) error
 	// Iterate returns iteration k's exchanges. Implementations may return
 	// a cached slice whose closures read k from algorithm state.
@@ -140,8 +136,7 @@ type Algorithm interface {
 	Converged(k int) (residual float64, done bool)
 	// Recover assembles the final assignment, packed over Prob.Sparsity(),
 	// from the algorithm's own state after the loop ends. The returned
-	// vector must be freshly allocated (not Pool-owned): it outlives the
-	// round.
+	// vector outlives the round.
 	Recover() ([]float64, error)
 }
 
@@ -214,13 +209,9 @@ type wave struct {
 
 // Run drives one round of alg to convergence (or rd.MaxIters) and returns
 // the recovered assignment, packed, and the number of iterations executed.
-// The round's Pool is released and its helpers are stopped before
-// returning, success or failure alike.
+// The round's helpers are stopped before returning, success or failure
+// alike.
 func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, int, error) {
-	if rd.Pool == nil {
-		rd.Pool = &opt.Pool{}
-	}
-	defer rd.Pool.Release()
 	if err := alg.Init(rd); err != nil {
 		return nil, 0, err
 	}

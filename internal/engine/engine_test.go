@@ -203,38 +203,6 @@ func TestDriverReplicaErrorAborts(t *testing.T) {
 	}
 }
 
-func TestDriverDefaultsAndReleasesPool(t *testing.T) {
-	tr := &fakeTransport{values: map[string]float64{"r1": 1, "r2": 2}}
-	rd := testRound()
-	d := &Driver{Transport: tr}
-	if _, _, err := d.Run(context.Background(), d.poolProbe(t, rd), rd); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// poolProbe returns an Algorithm that asserts the driver installed a Pool
-// before Init and that Pool buffers are usable.
-func (d *Driver) poolProbe(t *testing.T, rd *Round) Algorithm {
-	t.Helper()
-	return &probeAlg{t: t}
-}
-
-type probeAlg struct {
-	t *testing.T
-	sumAlg
-}
-
-func (p *probeAlg) Init(rd *Round) error {
-	if rd.Pool == nil {
-		p.t.Fatal("driver did not default the pool")
-	}
-	if v := rd.Pool.Vector(3); len(v) != 3 {
-		p.t.Fatalf("pool vector len %d", len(v))
-	}
-	p.target = 3
-	return p.sumAlg.Init(rd)
-}
-
 // goid returns the calling goroutine's id, parsed from its stack header
 // ("goroutine 123 [running]:") — test-only, to tell senders apart.
 func goid() string {

@@ -165,7 +165,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	if a.step == 0 {
 		a.step = AutoStepValue(rd.Prob, 0) // the fleet presets none
 	}
-	a.mu = make([]float64, c) // escapes via Duals; not pool-owned
+	a.mu = make([]float64, c)
 	if len(rd.WarmMu) == c {
 		// Resume the dual ascent where the previous round left it: the
 		// multipliers, not the primal, are LDDM's iterate.
@@ -177,7 +177,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	// its reply covers the same support.
 	a.sp = rd.Prob.Sparsity()
 	nnz := a.sp.NNZ()
-	a.primal, a.avg, a.muPacked = rd.Pool.Vector(nnz), rd.Pool.Vector(nnz), rd.Pool.Vector(nnz)
+	a.primal, a.avg, a.muPacked = make([]float64, nnz), make([]float64, nnz), make([]float64, nnz)
 	n := rd.Prob.N()
 	a.bodies, a.bufs, a.replies = make([]SolveBody, n), make([][]byte, n), make([]SolveReply, n)
 	for j := range a.bodies {
@@ -251,7 +251,7 @@ func (a *roundAlg) Converged(k int) (float64, bool) {
 }
 
 // Duals reports the final multipliers (engine.DualReporter) so the next
-// round can warm-start from them. Returned in a non-pooled buffer.
+// round can warm-start from them.
 func (a *roundAlg) Duals() []float64 { return a.mu }
 
 // Primal exposes the suffix-averaged iterate for trajectory costing.

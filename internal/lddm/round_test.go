@@ -156,15 +156,13 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 // Warm duals: a round seeded with the previous round's reported μ ships
 // exactly that μ in its first wave, and with a short iteration budget lands
 // nearer the long cold round's cost than a cold round with the same budget.
-// The reported duals outlive the round's pool, which the initiator keeps
-// across rounds and releases after each.
+// The reported duals outlive their round: later rounds leave them as they
+// were.
 func TestRoundWarmDuals(t *testing.T) {
 	prob := maskedInstance(t, sim.NewRand(29), 16, 5)
 	sp := prob.Sparsity()
-	pool := &opt.Pool{}
 	run := func(maxIters int, warmMu []float64) ([]float64, []float64) {
 		t.Helper()
-		defer pool.Release()
 		lt := newSpy(t, prob, maxIters, 1e-12)
 		var solves atomic.Int64 // the first wave is the first |N| solves
 		lt.onSolve = func(j int, body SolveBody) error {
@@ -180,7 +178,7 @@ func TestRoundWarmDuals(t *testing.T) {
 		}
 		alg := &roundAlg{}
 		rd := lt.lb.Round()
-		rd.WarmMu, rd.Pool = warmMu, pool
+		rd.WarmMu = warmMu
 		x, _, err := lt.run(&engine.Driver{}, alg)
 		if err != nil {
 			t.Fatal(err)

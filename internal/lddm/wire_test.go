@@ -248,12 +248,10 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 		t.Fatalf("widest support has %d clients; want a multi-byte bitmap", m)
 	}
 	width := (m + 7) / 8
-	rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs, Pool: &opt.Pool{}}
 	alg := &roundAlg{}
-	if err := alg.Init(rd); err != nil {
+	if err := alg.Init(&engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs}); err != nil {
 		t.Fatal(err)
 	}
-	defer rd.Pool.Release()
 	fold := alg.exchanges[0].Fold
 
 	binBody := func(b []byte) transport.Message { return transport.Message{Type: MsgLocalSolve + ".ack", Body: b} }
@@ -697,7 +695,7 @@ func handleRound(tb testing.TB) (*roundAlg, *engine.ServerRound) {
 	}
 	addrs := []string{"r"}
 	alg := &roundAlg{}
-	if err := alg.Init(&engine.Round{Seq: 12, Prob: prob, ReplicaAddrs: addrs, Pool: &opt.Pool{}}); err != nil {
+	if err := alg.Init(&engine.Round{Seq: 12, Prob: prob, ReplicaAddrs: addrs}); err != nil {
 		tb.Fatal(err)
 	}
 	copy(alg.mu, mu)

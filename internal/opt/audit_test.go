@@ -110,7 +110,7 @@ func FuzzAudit(f *testing.F) {
 				t.Fatalf("audit marginal[%d] %v, MarginalCost %v", j, au.Marginal[j], want)
 			}
 		}
-		v, scattered := p.Sparsity().Gather(nil, x), NewMatrix(c, n)
+		v, scattered := p.Sparsity().Gather(x), NewMatrix(c, n)
 		p.Sparsity().Scatter(scattered, v)
 		if got, want := p.PackedViolation(v), p.Violation(scattered); !sameFloat(got, want) {
 			t.Fatalf("PackedViolation %v, Violation of the scattered matrix %v", got, want)

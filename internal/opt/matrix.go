@@ -55,15 +55,6 @@ func Copy(dst, src [][]float64) {
 	}
 }
 
-// Fill sets every entry of m to v.
-func Fill(m [][]float64, v float64) {
-	for i := range m {
-		for j := range m[i] {
-			m[i][j] = v
-		}
-	}
-}
-
 // AXPY computes dst += s·a element-wise.
 func AXPY(dst [][]float64, s float64, a [][]float64) {
 	checkSameShape(dst, a, "AXPY")

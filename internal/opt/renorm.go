@@ -18,18 +18,16 @@ package opt
 // of passes; if total demand exceeds total capacity (no feasible split
 // exists) some cap excess remains, which downstream solvers project out.
 //
+// The rescaling is in place: weights is overwritten and returned, so a
+// caller hands over a matrix it owns — never a committed assignment.
+//
 // This is the shared warm-start / degraded-round kernel: both paths
 // restate stale history over the current roster.
 func Renormalize(weights [][]float64, demands []float64, caps []float64, allowed [][]bool) [][]float64 {
-	c := len(demands)
-	n := 0
-	if c > 0 {
-		n = len(weights[0])
+	if len(demands) == 0 || len(weights[0]) == 0 {
+		return weights
 	}
-	out := NewMatrix(c, n)
-	if n == 0 {
-		return out
-	}
+	c, n := len(demands), len(weights[0])
 	for i := 0; i < c; i++ {
 		row := weights[i]
 		sum := 0.0
@@ -41,7 +39,9 @@ func Renormalize(weights [][]float64, demands []float64, caps []float64, allowed
 		if sum > 0 {
 			for j := 0; j < n; j++ {
 				if row[j] > 0 {
-					out[i][j] = demands[i] * row[j] / sum
+					row[j] = demands[i] * row[j] / sum
+				} else {
+					row[j] = 0
 				}
 			}
 			continue
@@ -55,24 +55,22 @@ func Renormalize(weights [][]float64, demands []float64, caps []float64, allowed
 				count++
 			}
 		}
+		share := demands[i] / float64(n)
 		if count > 0 {
-			share := demands[i] / float64(count)
-			for j := 0; j < n; j++ {
-				if allowed == nil || allowed[i][j] {
-					out[i][j] = share
-				}
-			}
-		} else {
-			share := demands[i] / float64(n)
-			for j := 0; j < n; j++ {
-				out[i][j] = share
+			share = demands[i] / float64(count)
+		}
+		for j := 0; j < n; j++ {
+			if count == 0 || allowed == nil || allowed[i][j] {
+				row[j] = share
+			} else {
+				row[j] = 0
 			}
 		}
 	}
 	if caps != nil {
-		redistributeCapExcess(out, caps, allowed)
+		redistributeCapExcess(weights, caps, allowed)
 	}
-	return out
+	return weights
 }
 
 // redistributeCapExcess shrinks over-cap columns and moves the excess,

@@ -15,6 +15,17 @@ func rowSumsClose(t *testing.T, x [][]float64, demands []float64) {
 	}
 }
 
+// renormalize calls Renormalize and checks that it rescaled weights in
+// place: the result is its weights argument.
+func renormalize(t *testing.T, weights [][]float64, demands, caps []float64, allowed [][]bool) [][]float64 {
+	t.Helper()
+	out := Renormalize(weights, demands, caps, allowed)
+	if len(out) != len(weights) || len(out) > 0 && &out[0] != &weights[0] {
+		t.Fatal("Renormalize returned a matrix other than its weights argument")
+	}
+	return out
+}
+
 func TestRenormalizeShrunkRosterConservesDemand(t *testing.T) {
 	// History over 3 replicas; replica 1 left. Weights are the surviving
 	// columns of the old assignment (caller aligned), so proportions among
@@ -24,7 +35,7 @@ func TestRenormalizeShrunkRosterConservesDemand(t *testing.T) {
 		{10, 20}, // old split 10/15/20 → survivors 10,20
 		{0, 5},   // old split 0/15/5 → survivors 0,5
 	}
-	out := Renormalize(weights, demands, nil, nil)
+	out := renormalize(t, weights, demands, nil, nil)
 	rowSumsClose(t, out, demands)
 	if math.Abs(out[0][0]-10) > 1e-9 || math.Abs(out[0][1]-20) > 1e-9 {
 		t.Fatalf("row 0 proportions lost: %v", out[0])
@@ -47,7 +58,7 @@ func TestRenormalizeGrownRosterUniformFallback(t *testing.T) {
 		{true, true, true},
 		{true, false, true},
 	}
-	out := Renormalize(weights, demands, nil, allowed)
+	out := renormalize(t, weights, demands, nil, allowed)
 	rowSumsClose(t, out, demands)
 	if out[0][2] != 0 {
 		t.Fatalf("new replica should start without load from history: %v", out[0])
@@ -66,7 +77,7 @@ func TestRenormalizeRespectsCaps(t *testing.T) {
 		{30, 0},
 	}
 	caps := []float64{40, 100}
-	out := Renormalize(weights, demands, caps, nil)
+	out := renormalize(t, weights, demands, caps, nil)
 	rowSumsClose(t, out, demands)
 	cols := ColSums(out)
 	for j, cap := range caps {
@@ -89,7 +100,7 @@ func TestRenormalizeCapsWithMask(t *testing.T) {
 		{true, true, false},
 		{true, true, true},
 	}
-	out := Renormalize(weights, demands, caps, allowed)
+	out := renormalize(t, weights, demands, caps, allowed)
 	rowSumsClose(t, out, demands)
 	if out[0][2] != 0 {
 		t.Fatalf("excess leaked onto a disallowed column: %v", out[0])
@@ -111,12 +122,39 @@ func TestRenormalizeInfeasibleStillConserves(t *testing.T) {
 		{1, 1},
 	}
 	caps := []float64{30, 30}
-	out := Renormalize(weights, demands, caps, nil)
+	out := renormalize(t, weights, demands, caps, nil)
 	rowSumsClose(t, out, demands)
 }
 
 func TestRenormalizeEmptyAndZeroColumns(t *testing.T) {
-	if out := Renormalize(nil, nil, nil, nil); len(out) != 0 {
+	if out := renormalize(t, nil, nil, nil, nil); len(out) != 0 {
 		t.Fatalf("empty input should give empty output, got %v", out)
+	}
+	if out := renormalize(t, [][]float64{{}, {}}, []float64{1, 2}, nil, nil); len(out) != 2 || len(out[0]) != 0 {
+		t.Fatalf("zero columns should stay zero columns, got %v", out)
+	}
+}
+
+func TestRenormalizeZeroesNonPositiveWeights(t *testing.T) {
+	// Overwriting in place must still clear what the history leaves
+	// unusable: non-positive weights beside a positive one, and a row with
+	// no positive weight whose uniform fallback skips disallowed columns.
+	demands := []float64{12, 12}
+	weights := [][]float64{
+		{-3, 6, math.Copysign(0, -1)},
+		{-1, -2, -4},
+	}
+	allowed := [][]bool{
+		{true, true, true},
+		{true, false, true},
+	}
+	out := renormalize(t, weights, demands, nil, allowed)
+	want := [][]float64{{0, 12, 0}, {6, 0, 6}}
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(out[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("row %d reads %v, want %v", i, out[i], want[i])
+			}
+		}
 	}
 }

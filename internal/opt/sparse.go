@@ -102,16 +102,11 @@ func (sp *Sparsity) ColNNZ(n int) int { return sp.ColStart[n+1] - sp.ColStart[n]
 // MaxRowNNZ returns the widest row's nnz — the scratch size row kernels need.
 func (sp *Sparsity) MaxRowNNZ() int { return sp.maxRow }
 
-// Gather packs the supported entries of dense m into dst (CSR order),
-// allocating when dst is nil. Off-support entries of m are dropped — the
-// projection onto the mask subspace.
-func (sp *Sparsity) Gather(dst []float64, m [][]float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, sp.NNZ())
-	}
-	if len(dst) != sp.NNZ() {
-		panic(fmt.Sprintf("opt: Gather got %d-slot dst for %d nnz", len(dst), sp.NNZ()))
-	}
+// Gather packs the supported entries of dense m into a new vector (CSR
+// order). Off-support entries of m are dropped — the projection onto the
+// mask subspace.
+func (sp *Sparsity) Gather(m [][]float64) []float64 {
+	dst := make([]float64, sp.NNZ())
 	for c := 0; c < sp.C; c++ {
 		row := m[c]
 		for k := sp.RowStart[c]; k < sp.RowStart[c+1]; k++ {

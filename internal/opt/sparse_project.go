@@ -224,7 +224,7 @@ func (pj *SparseProjector) FinishRows(v []float64) error {
 // is left as it was when the projection fails.
 func ProjectFeasible(prob *Problem, x [][]float64, tol float64) error {
 	sp := prob.Sparsity()
-	v := sp.Gather(nil, x)
+	v := sp.Gather(x)
 	if err := ProjectFeasiblePacked(prob, v, tol); err != nil {
 		return err
 	}

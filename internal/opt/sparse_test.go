@@ -72,7 +72,7 @@ func TestGatherScatterColSums(t *testing.T) {
 				m[i][j] = r.Range(-5, 5)
 			}
 		}
-		v := sp.Gather(nil, m)
+		v := sp.Gather(m)
 		out := NewMatrix(c, n)
 		sp.Scatter(out, v)
 		for i := range m {
@@ -218,7 +218,7 @@ func projectConverged(t *testing.T, p *Problem, x [][]float64) [][]float64 {
 		bounds[n] = p.System.Replicas[n].Bandwidth
 	}
 	pj := NewSparseProjector(sp, p.Demands, bounds)
-	v := sp.Gather(nil, x)
+	v := sp.Gather(x)
 	if _, err := pj.Project(v, DykstraOptions{MaxSweeps: 100000, Tol: 1e-13}); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestSparseProjectorSingleColumnBound(t *testing.T) {
 	}
 	bounds[agent] = p.System.Replicas[agent].Bandwidth
 	pj := NewSparseProjector(sp, p.Demands, bounds)
-	v := sp.Gather(nil, x)
+	v := sp.Gather(x)
 	if _, err := pj.Project(v, DykstraOptions{MaxSweeps: 200, Tol: 1e-9}); err != nil {
 		t.Fatal(err)
 	}

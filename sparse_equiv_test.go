@@ -108,7 +108,7 @@ func FuzzSparseDenseEquiv(f *testing.F) {
 // for bit on the support and refuse alike, and returns the projection.
 func projectBoth(t *testing.T, prob *opt.Problem, x [][]float64) ([][]float64, error) {
 	t.Helper()
-	packed, v := opt.Clone(x), prob.Sparsity().Gather(nil, x)
+	packed, v := opt.Clone(x), prob.Sparsity().Gather(x)
 	err, errPacked := opt.ProjectFeasible(prob, packed, 1e-6), opt.ProjectFeasiblePacked(prob, v, 1e-6)
 	if (err == nil) != (errPacked == nil) {
 		t.Fatalf("ProjectFeasible says %v, ProjectFeasiblePacked %v", err, errPacked)
@@ -116,7 +116,7 @@ func projectBoth(t *testing.T, prob *opt.Problem, x [][]float64) ([][]float64, e
 	if err != nil {
 		return nil, err
 	}
-	for k, want := range prob.Sparsity().Gather(nil, packed) {
+	for k, want := range prob.Sparsity().Gather(packed) {
 		if math.Float64bits(v[k]) != math.Float64bits(want) {
 			t.Fatalf("slot %d: ProjectFeasiblePacked %v, ProjectFeasible %v", k, v[k], want)
 		}
@@ -199,7 +199,7 @@ func projectConverged(t *testing.T, prob *opt.Problem, x [][]float64) [][]float6
 		bounds[n] = prob.System.Replicas[n].Bandwidth
 	}
 	pj := opt.NewSparseProjector(sp, prob.Demands, bounds)
-	v := sp.Gather(nil, x)
+	v := sp.Gather(x)
 	if _, err := pj.Project(v, opt.DykstraOptions{MaxSweeps: 100000, Tol: 1e-13}); err != nil {
 		t.Fatal(err)
 	}
