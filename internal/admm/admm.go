@@ -55,11 +55,8 @@ func New() *Solver { return &Solver{} }
 func (s *Solver) Name() string { return "ADMM" }
 
 // Solve implements solver.Solver.
-func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) { return s.solve(prob, nil) }
-
-// solve runs Solve's round with carry as the loopback's carrier.
-func (s *Solver) solve(prob *opt.Problem, carry engine.Carrier) (*solver.Result, error) {
-	lb, err := engine.NewLoopback(prob, s.MaxIters, s.Tol, carry)
+func (s *Solver) Solve(prob *opt.Problem) (*solver.Result, error) {
+	lb, err := engine.NewLoopback(prob, s.MaxIters, s.Tol)
 	if err != nil {
 		return nil, err
 	}

@@ -147,7 +147,7 @@ func TestADMMHistoryResidualsDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := engine.NewLoopback(prob, 0, 0, nil)
+	lb, err := engine.NewLoopback(prob, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

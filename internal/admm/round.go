@@ -35,7 +35,7 @@ func init() {
 		Name:   "ADMM",
 		New:    func() engine.Algorithm { return &roundAlg{} },
 		Server: serverHalf{},
-		Verbs:  []string{MsgProx},
+		Verb:   MsgProx,
 	})
 }
 
@@ -60,11 +60,9 @@ type roundAlg struct {
 	served     []float64 // per-client totals of z, frozen for the next wave
 	primal     []float64 // z in CSR order, for trajectory costing
 	demandNorm float64
-
-	exchanges []engine.Exchange
 }
 
-func (a *roundAlg) Init(rd *engine.Round) error {
+func (a *roundAlg) Init(rd *engine.Round) (engine.Exchange, error) {
 	c, n := rd.Prob.C(), rd.Prob.N()
 	a.rd = rd
 	a.tol = rd.Tol
@@ -114,37 +112,34 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		copy(a.warmU, rd.WarmMu)
 		copy(a.u, a.warmU)
 	}
-	a.exchanges = []engine.Exchange{
-		{
-			// Proximal solves (parallel: disjoint z and target slices;
-			// served is frozen for the wave).
-			Verb: MsgProx,
-			Body: func(j int) encoding.BinaryMarshaler {
-				lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
-				for s := lo; s < hi; s++ {
-					i := a.sp.RowIdx[s]
-					a.targets[s] = a.z[s] - a.served[i]/float64(n) + a.share[i] - a.u[i]
-				}
-				return ProxBody{Round: rd.Seq, Rho: a.rho, Target: a.targets[lo:hi:hi]}
-			},
-			Fold: func(j int, r engine.Reply) error {
-				var reply ProxReply
-				err := r.Decode(&reply)
-				if err == nil && !(reply.Shift >= 0) {
-					err = fmt.Errorf("shift %v is not a nonnegative number", reply.Shift)
-				}
-				if err != nil {
-					return fmt.Errorf("admm: reply from %s: %w", rd.ReplicaAddrs[j], err)
-				}
-				// The rebuilt column lies in [0, R_c] on the support by
-				// construction, whatever shift the replica chose.
-				lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
-				ProximalColumn(a.z[lo:hi], a.caps[lo:hi], a.targets[lo:hi], reply.Shift)
-				return nil
-			},
+	return engine.Exchange{
+		// Proximal solves (parallel: disjoint z and target slices; served
+		// is frozen for the wave: by Init, then by each Converged).
+		Verb: MsgProx,
+		Body: func(j int) encoding.BinaryMarshaler {
+			lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
+			for s := lo; s < hi; s++ {
+				i := a.sp.RowIdx[s]
+				a.targets[s] = a.z[s] - a.served[i]/float64(n) + a.share[i] - a.u[i]
+			}
+			return ProxBody{Round: rd.Seq, Rho: a.rho, Target: a.targets[lo:hi:hi]}
 		},
-	}
-	return nil
+		Fold: func(j int, r engine.Reply) error {
+			var reply ProxReply
+			err := r.Decode(&reply)
+			if err == nil && !(reply.Shift >= 0) {
+				err = fmt.Errorf("shift %v is not a nonnegative number", reply.Shift)
+			}
+			if err != nil {
+				return fmt.Errorf("admm: reply from %s: %w", rd.ReplicaAddrs[j], err)
+			}
+			// The rebuilt column lies in [0, R_c] on the support by
+			// construction, whatever shift the replica chose.
+			lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
+			ProximalColumn(a.z[lo:hi], a.caps[lo:hi], a.targets[lo:hi], reply.Shift)
+			return nil
+		},
+	}, nil
 }
 
 // sumServed totals z per client in one CSC pass, each client's entries
@@ -155,10 +150,6 @@ func (a *roundAlg) sumServed() {
 		a.served[i] += a.z[s]
 	}
 }
-
-// Iterate returns the proximal wave; the served totals it reads were
-// frozen when the previous iterate was complete (Init, then Converged).
-func (a *roundAlg) Iterate(k int) []engine.Exchange { return a.exchanges }
 
 // Converged takes the scaled dual step on the fresh columns and tests the
 // primal residual, both off each client's served total.

@@ -11,11 +11,9 @@ import (
 	"testing"
 
 	"edr/internal/engine"
-	"edr/internal/engine/wiretest"
 	"edr/internal/opt"
 	"edr/internal/probgen"
 	"edr/internal/sim"
-	"edr/internal/solver"
 )
 
 // A warm seed arrives packed in CSR order while z is held in CSC order: on
@@ -29,7 +27,7 @@ func TestWarmSeedIsPrimalAfterInit(t *testing.T) {
 	}
 	rd := &engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: make([]string, prob.N()), Warm: warm}
 	alg := &roundAlg{}
-	if err := alg.Init(rd); err != nil {
+	if _, err := alg.Init(rd); err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range alg.Primal() {
@@ -63,7 +61,7 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 			prob := tc.prob
 			c, n := prob.C(), prob.N()
 			warm := make([]float64, c)
-			lb, err := engine.NewLoopback(prob, 25, 1e-12, wiretest.Codec)
+			lb, err := engine.NewLoopback(prob, 25, 1e-12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,24 +110,6 @@ func TestRoundDualStepMatchesClientAccumulator(t *testing.T) {
 	}
 }
 
-// Solve gives the same answer bit for bit with bodies handed over and
-// through the real codecs.
-func TestSolveLoopbackMatchesCodec(t *testing.T) {
-	r := sim.NewRand(41)
-	full, err := probgen.MustFeasible(r, probgen.Spec{Clients: 12, Replicas: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, prob := range map[string]*opt.Problem{"full": full, "masked": maskedInstance(t, r, 10, 4)} {
-		t.Run(name, func(t *testing.T) {
-			s := &Solver{MaxIters: 80, Tol: 1e-6}
-			wiretest.SameOverCodec(t, func(carry engine.Carrier) (*solver.Result, error) {
-				return s.solve(prob, carry)
-			})
-		})
-	}
-}
-
 // rawBody hands bytes to a codec as they are: its binary form is itself.
 type rawBody []byte
 
@@ -142,9 +122,8 @@ type wireBody interface {
 }
 
 // FuzzProxBodies feeds arbitrary bytes to both ADMM decoders — the first
-// byte picks one, and a replica — and, through wiretest.Codec, to the real
-// Handle of that replica over an engine.Loopback and to the real Fold of the
-// initiator. Nothing may panic; whatever decodes must re-encode to exactly
+// byte picks one, and a replica — and to the real Handle of that replica
+// over an engine.Loopback and to the real Fold of the initiator. Nothing may panic; whatever decodes must re-encode to exactly
 // the input bytes (the encoding is canonical); a request Handle serves must
 // come back as a shift Fold accepts, and every refusal must name the
 // replica. Handle refuses targets of the wrong length for the replica's
@@ -155,16 +134,16 @@ func FuzzProxBodies(f *testing.F) {
 	prob := maskedInstance(f, sim.NewRand(11), 8, 3)
 	n := prob.N()
 	sp := prob.Sparsity()
-	lb, err := engine.NewLoopback(prob, 1, 0, wiretest.Codec)
+	lb, err := engine.NewLoopback(prob, 1, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	rd := lb.Round()
 	alg := &roundAlg{}
-	if err := alg.Init(rd); err != nil {
+	ex, err := alg.Init(rd)
+	if err != nil {
 		f.Fatal(err)
 	}
-	ex := alg.exchanges[0]
 
 	support := func(j int) int { return sp.ColStart[j+1] - sp.ColStart[j] }
 	target := make([]float64, support(0))
@@ -226,8 +205,7 @@ func FuzzProxBodies(f *testing.F) {
 		// targets of the wave the reply answers.
 		ex.Body(j)
 		sent := slices.Clone(alg.targets[lo:hi])
-		rep, _ := wiretest.Codec(MsgProx+".ack", rawBody(in))
-		err := ex.Fold(j, rep)
+		err := ex.Fold(j, engine.Reply{Verb: MsgProx + ".ack", Body: in})
 		shift := math.NaN()
 		if len(in) == 8 {
 			shift = math.Float64frombits(binary.LittleEndian.Uint64(in))

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"edr/internal/central"
-	"edr/internal/engine"
-	"edr/internal/engine/wiretest"
 	"edr/internal/opt"
 	"edr/internal/probgen"
 	"edr/internal/sim"
@@ -232,24 +230,5 @@ func TestCDPSMSparseCommCountsNNZ(t *testing.T) {
 	}
 	if perIter >= prob.N()*(prob.N()-1)*prob.C()*prob.N() {
 		t.Fatal("comm accounting on a masked instance no cheaper than a full one")
-	}
-}
-
-// Solve gives the same answer bit for bit with bodies handed over and
-// through the real codecs (the packed means and estimates of every step
-// included).
-func TestSolveLoopbackMatchesCodec(t *testing.T) {
-	r := sim.NewRand(59)
-	full, err := probgen.MustFeasible(r, probgen.Spec{Clients: 8, Replicas: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, prob := range map[string]*opt.Problem{"full": full, "masked": maskedInstance(t, r, 8, 4)} {
-		t.Run(name, func(t *testing.T) {
-			s := &Solver{MaxIters: 40, Step: 0.0005, Tol: 1e-9}
-			wiretest.SameOverCodec(t, func(carry engine.Carrier) (*solver.Result, error) {
-				return s.solve(prob, carry)
-			})
-		})
 	}
 }

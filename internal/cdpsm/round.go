@@ -5,7 +5,6 @@ import (
 	"encoding"
 	"fmt"
 	"math"
-	"slices"
 
 	"edr/internal/engine"
 	"edr/internal/opt"
@@ -50,7 +49,7 @@ func init() {
 		Name:   "CDPSM",
 		New:    func() engine.Algorithm { return &roundAlg{} },
 		Server: serverHalf{},
-		Verbs:  []string{MsgStep},
+		Verb:   MsgStep,
 	})
 }
 
@@ -73,11 +72,9 @@ type roundAlg struct {
 	// means[j] is the consensus sent to replica j.
 	means [][]float64
 	moved []float64
-
-	exchanges []engine.Exchange
 }
 
-func (a *roundAlg) Init(rd *engine.Round) error {
+func (a *roundAlg) Init(rd *engine.Round) (engine.Exchange, error) {
 	n, nnz := len(rd.ReplicaAddrs), rd.Prob.Sparsity().NNZ()
 	a.rd = rd
 	a.tol = rd.Tol
@@ -94,7 +91,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 	if len(seed) != nnz {
 		start, err := rd.Prob.UniformStart()
 		if err != nil {
-			return err
+			return engine.Exchange{}, err
 		}
 		seed = rd.Prob.Sparsity().Gather(start)
 	}
@@ -105,7 +102,7 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		a.means[j] = make([]float64, nnz)
 	}
 	a.moved = make([]float64, n)
-	a.exchanges = []engine.Exchange{{
+	return engine.Exchange{
 		Verb: MsgStep,
 		Body: func(j int) encoding.BinaryMarshaler {
 			average(a.means[j], a.ests, j)
@@ -128,11 +125,8 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 			a.next[j], a.moved[j] = reply.Estimate, math.Sqrt(sum)
 			return nil
 		},
-	}}
-	return nil
+	}, nil
 }
-
-func (a *roundAlg) Iterate(int) []engine.Exchange { return a.exchanges }
 
 func (a *roundAlg) Converged(k int) (float64, bool) {
 	a.ests, a.next = a.next, a.ests
@@ -218,11 +212,10 @@ func (serverHalf) Handle(ctx context.Context, verb string, req engine.Reply, sr 
 
 // step runs one subgradient step on the packed consensus the initiator
 // sent: take the local gradient step, project onto the local constraint
-// set, and return the result as the replica's new estimate. The mean is
-// cloned before it is stepped on: a handed-over body shares the
-// initiator's buffer, which the next iteration's consensus overwrites. A
-// mean, or a step from it, that is not one finite value per supported pair
-// is refused, so no replica answers with an estimate its initiator refuses.
+// set, and return the result as the replica's new estimate. The step runs
+// in place on the decoded mean, which belongs to the replica alone. A mean,
+// or a step from it, that is not one finite value per supported pair is
+// refused, so no replica answers with an estimate its initiator refuses.
 func step(req engine.Reply, sr *engine.ServerRound) ([]float64, error) {
 	var body StepBody
 	if err := req.Decode(&body); err != nil {
@@ -232,14 +225,13 @@ func step(req engine.Reply, sr *engine.ServerRound) ([]float64, error) {
 	if err := checkEstimate(body.Mean, sp.NNZ()); err != nil {
 		return nil, fmt.Errorf("step mean: %w", err)
 	}
-	next := slices.Clone(body.Mean)
-	gradientStep(sr.Prob, sr.Col, next, body.Step)
+	gradientStep(sr.Prob, sr.Col, body.Mean, body.Step)
 	pj := newLocalProjector(sr.Prob, sp, sr.Col)
-	if _, err := pj.Project(next, opt.DykstraOptions{MaxSweeps: 60, Tol: 1e-9}); err != nil {
+	if _, err := pj.Project(body.Mean, opt.DykstraOptions{MaxSweeps: 60, Tol: 1e-9}); err != nil {
 		return nil, fmt.Errorf("step projection: %w", err)
 	}
-	if err := checkEstimate(next, sp.NNZ()); err != nil {
+	if err := checkEstimate(body.Mean, sp.NNZ()); err != nil {
 		return nil, fmt.Errorf("stepped estimate: %w", err)
 	}
-	return next, nil
+	return body.Mean, nil
 }

@@ -406,7 +406,7 @@ func (r *ReplicaServer) handle(ctx context.Context, req transport.Message) (tran
 	case membership.ProposeType:
 		return r.member.HandlePropose(ctx, req)
 	default:
-		if reg, ok := engine.ServerFor(req.Type); ok && reg.Server != nil {
+		if reg, ok := engine.ServerFor(req.Type); ok {
 			return r.handleEngine(ctx, reg, req)
 		}
 		return transport.Message{}, fmt.Errorf("core: replica %s: unknown message type %q", r.Addr(), req.Type)
@@ -432,7 +432,7 @@ func (r *ReplicaServer) handleEngine(ctx context.Context, reg *engine.Registrati
 	if err != nil {
 		return transport.Message{}, err
 	}
-	return transport.Message{Type: reg.Ack(req.Type), From: r.Addr(), Body: body}, nil
+	return transport.Message{Type: reg.Ack, From: r.Addr(), Body: body}, nil
 }
 
 // handleClientRequest queues a client's demand (ClientListener role) in its

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"edr/internal/netsim"
@@ -49,6 +50,20 @@ type requestBody struct {
 	LatencySec map[string]float64
 }
 
+// check refuses a request the epoch could not place: a demand that is not
+// positive and finite, or a latency that is not finite and non-negative.
+func (b *requestBody) check() error {
+	if b.ClientAddr == "" || !(b.DemandMB > 0) || math.IsInf(b.DemandMB, 1) {
+		return fmt.Errorf("client %q demands %g MB", b.ClientAddr, b.DemandMB)
+	}
+	for rep, sec := range b.LatencySec {
+		if !(sec >= 0) || math.IsInf(sec, 1) {
+			return fmt.Errorf("latency %g s to %s", sec, rep)
+		}
+	}
+	return nil
+}
+
 // requests is a node's pending requests: the MsgCollect reply.
 type requests []requestBody
 
@@ -71,18 +86,32 @@ type localSolveReply struct {
 }
 
 // check refuses a reply that does not fit the epoch: one finite,
-// non-negative load per replica and one placement per request sent.
-func (r *localSolveReply) check(replicas, requests int) error {
-	if len(r.Loads) != replicas {
-		return fmt.Errorf("%d loads for %d replicas", len(r.Loads), replicas)
+// non-negative load per replica, and per request sent one placement that
+// splits its demand over the epoch's replicas in finite, positive shares.
+func (r *localSolveReply) check(replicas []ReplicaSpec, sent requests) error {
+	if len(r.Loads) != len(replicas) {
+		return fmt.Errorf("%d loads for %d replicas", len(r.Loads), len(replicas))
 	}
 	for j, load := range r.Loads {
 		if !(load >= 0) || math.IsInf(load, 1) {
 			return fmt.Errorf("load %g on replica %d", load, j)
 		}
 	}
-	if len(r.Assignments) != requests {
-		return fmt.Errorf("%d placements for %d requests", len(r.Assignments), requests)
+	if len(r.Assignments) != len(sent) {
+		return fmt.Errorf("%d placements for %d requests", len(r.Assignments), len(sent))
+	}
+	for i, row := range r.Assignments {
+		total := 0.0
+		for addr, mb := range row {
+			inEpoch := slices.ContainsFunc(replicas, func(rep ReplicaSpec) bool { return rep.Addr == addr })
+			if !inEpoch || !(mb > 0) || math.IsInf(mb, 1) {
+				return fmt.Errorf("placement %d puts %g MB on %q: not a positive, finite share of a replica of the epoch", i, mb, addr)
+			}
+			total += mb
+		}
+		if d := sent[i].DemandMB; !(math.Abs(total-d) <= 1e-9*math.Max(d, 1)) {
+			return fmt.Errorf("placement %d places %g MB of a %g MB request", i, total, d)
+		}
 	}
 	return nil
 }
@@ -140,8 +169,8 @@ func (m *MappingNode) handle(ctx context.Context, req transport.Message) (transp
 		if err := req.DecodeBody(&body); err != nil {
 			return transport.Message{}, err
 		}
-		if body.ClientAddr == "" || body.DemandMB <= 0 {
-			return transport.Message{}, fmt.Errorf("donar: bad request from %s", req.From)
+		if err := body.check(); err != nil {
+			return transport.Message{}, fmt.Errorf("donar: bad request from %s: %w", req.From, err)
 		}
 		m.mu.Lock()
 		m.pending = append(m.pending, body)
@@ -311,7 +340,7 @@ func (m *MappingNode) RunEpoch(ctx context.Context, peers []string, replicas []R
 			if err := resp.DecodeBody(&reply); err != nil {
 				return nil, err
 			}
-			if err := reply.check(n, len(perNode[i])); err != nil {
+			if err := reply.check(replicas, perNode[i]); err != nil {
 				return nil, fmt.Errorf("donar: local solve on %s: %w", addr, err)
 			}
 			nodeLoads[i] = reply.Loads

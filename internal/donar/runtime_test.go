@@ -147,16 +147,44 @@ func TestDonarRuntimeEmptyEpoch(t *testing.T) {
 	}
 }
 
+// A request the epoch could not place is refused at admission, so it never
+// fails the epoch that would have collected it alongside valid ones.
 func TestDonarRuntimeRejectsBadRequests(t *testing.T) {
 	f := newDonarFleet(t, 1, []string{"dc1"})
 	ctx := context.Background()
 	sink := f.clients["dc1"]
-	if err := SubmitRequest(ctx, sink.submitNode, f.nodes[0].Addr(), -1, nil); err == nil {
-		t.Fatal("negative demand accepted")
+	lat := map[string]float64{"r": 0.0005}
+	for _, tc := range []struct {
+		name   string
+		demand float64
+		lat    map[string]float64
+	}{
+		{"negative demand", -1, lat},
+		{"NaN demand", math.NaN(), lat},
+		{"infinite demand", math.Inf(1), lat},
+		{"NaN latency", 10, map[string]float64{"r": math.NaN()}},
+	} {
+		if err := SubmitRequest(ctx, sink.submitNode, f.nodes[0].Addr(), tc.demand, tc.lat); err == nil || !strings.Contains(err.Error(), "bad request") {
+			t.Fatalf("%s: error %v, want the request refused", tc.name, err)
+		}
 	}
 	msg, _ := transport.NewMessage("donar.bogus", "dc1", nil)
 	if _, err := sink.submitNode.Send(ctx, f.nodes[0].Addr(), msg); err == nil {
 		t.Fatal("bogus type accepted")
+	}
+	if n := f.nodes[0].Pending(); n != 0 {
+		t.Fatalf("%d refused requests queued", n)
+	}
+
+	if err := SubmitRequest(ctx, sink.submitNode, f.nodes[0].Addr(), 10, lat); err != nil {
+		t.Fatal(err)
+	}
+	report, err := f.nodes[0].RunEpoch(ctx, nil, []ReplicaSpec{{Addr: "r", BandwidthMBps: 100}}, 3)
+	if err != nil {
+		t.Fatalf("epoch over the valid request: %v", err)
+	}
+	if report.Requests != 1 || sink.count() != 1 || math.Abs(sink.total()-10) > 1e-9 {
+		t.Fatalf("epoch placed %d requests; the client got %d allocations of %g MB in all", report.Requests, sink.count(), sink.total())
 	}
 }
 
@@ -209,14 +237,21 @@ func TestRunEpochRefusesMisshapenReplies(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		reply localSolveReply
+		want  string // what the refusal names
 	}{
-		{"short loads", localSolveReply{Assignments: one, Loads: []float64{10}}},
-		{"long loads", localSolveReply{Assignments: one, Loads: []float64{10, 0, 0}}},
-		{"NaN load", localSolveReply{Assignments: one, Loads: []float64{math.NaN(), 0}}},
-		{"infinite load", localSolveReply{Assignments: one, Loads: []float64{math.Inf(1), 0}}},
-		{"negative load", localSolveReply{Assignments: one, Loads: []float64{10, -1}}},
-		{"no placements", localSolveReply{Loads: []float64{10, 0}}},
-		{"extra placement", localSolveReply{Assignments: append(one, one...), Loads: []float64{10, 0}}},
+		{"short loads", localSolveReply{Assignments: one, Loads: []float64{10}}, "load"},
+		{"long loads", localSolveReply{Assignments: one, Loads: []float64{10, 0, 0}}, "load"},
+		{"NaN load", localSolveReply{Assignments: one, Loads: []float64{math.NaN(), 0}}, "load"},
+		{"infinite load", localSolveReply{Assignments: one, Loads: []float64{math.Inf(1), 0}}, "load"},
+		{"negative load", localSolveReply{Assignments: one, Loads: []float64{10, -1}}, "load"},
+		{"no placements", localSolveReply{Loads: []float64{10, 0}}, "placement"},
+		{"extra placement", localSolveReply{Assignments: append(one, one...), Loads: []float64{10, 0}}, "placement"},
+		{"NaN placement", localSolveReply{Assignments: []map[string]float64{{"replicaA": math.NaN()}}, Loads: []float64{10, 0}}, "placement"},
+		{"infinite placement", localSolveReply{Assignments: []map[string]float64{{"replicaA": math.Inf(1)}}, Loads: []float64{10, 0}}, "placement"},
+		{"zero placement", localSolveReply{Assignments: []map[string]float64{{"replicaA": 10, "replicaB": 0}}, Loads: []float64{10, 0}}, "placement"},
+		{"placement outside the epoch", localSolveReply{Assignments: []map[string]float64{{"replicaC": 10}}, Loads: []float64{10, 0}}, "placement"},
+		{"short placement", localSolveReply{Assignments: []map[string]float64{{"replicaA": 6}}, Loads: []float64{10, 0}}, "placement"},
+		{"long placement", localSolveReply{Assignments: []map[string]float64{{"replicaA": 10, "replicaB": 5}}, Loads: []float64{10, 0}}, "placement"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newDonarFleet(t, 1, nil)
@@ -234,8 +269,8 @@ func TestRunEpochRefusesMisshapenReplies(t *testing.T) {
 			}
 			defer fake.Close()
 			_, err = f.nodes[0].RunEpoch(context.Background(), []string{"fakepeer"}, replicas, 2)
-			if err == nil || !strings.Contains(err.Error(), "fakepeer") {
-				t.Fatalf("RunEpoch on a %s reply: error %v, want one naming fakepeer", tc.name, err)
+			if err == nil || !strings.Contains(err.Error(), "fakepeer") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunEpoch on a %s reply: error %v, want one naming fakepeer and the %s", tc.name, err, tc.want)
 			}
 		})
 	}

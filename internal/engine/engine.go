@@ -5,21 +5,19 @@
 //
 // The family of distributed methods EDR runs shares one skeleton (cf. the
 // unified ADM framework of Feng, Xu & Li, arXiv:1407.8309): per iteration
-// the initiator fans a request out to every replica, folds the replies
-// into local state (dual steps included — the initiator already holds
-// everything they read), tests a residual, and finally recovers a feasible
-// primal assignment. The driver owns everything that is the same across
-// methods — concurrent fan-out in claimed waves (the driver's goroutine
-// sends, and helpers that live for the round claim the replicas it has not
-// reached), retry/cancellation semantics (delegated to the Transport),
-// iteration accounting, and the residual/cost trajectory hook telemetry
-// consumes — while an Algorithm describes only what differs: the
-// per-iteration exchanges (verb, body builder, reply folder), the
-// convergence test, and primal recovery.
-// Adding a new method (dual gradient tracking, an accelerated variant) is
-// a ~100-line registry entry, not a fork of internal/core. The fleet runs
-// the driver over its replicas; the in-process solvers run the same
-// Algorithms over a Loopback, so each method has one loop.
+// the initiator sends one request to every replica, folds the replies into
+// local state, takes its own step (a dual update, a consensus swap), tests
+// a residual, and finally recovers a feasible primal assignment. The
+// driver owns what is the same across methods — the iteration's one wave,
+// claimed by the driver's goroutine and helpers that live for the round,
+// retry/cancellation (delegated to the Transport), iteration accounting,
+// and the residual/cost trajectory telemetry consumes — while an Algorithm
+// describes only what differs: its one exchange (verb, body builder, reply
+// folder), the convergence test, and primal recovery. It registers that
+// verb with the server half answering it. The fleet runs the driver over
+// its replicas; the in-process solvers run the same Algorithms over a
+// Loopback, whose requests cross through their codecs as on the wire, so
+// each method has one loop.
 package engine
 
 import (
@@ -27,7 +25,6 @@ import (
 	"encoding"
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,26 +60,15 @@ type Round struct {
 }
 
 // Reply is a body as its peer receives it (a request on the replica, a reply
-// on the initiator): verb and bytes, a value that costs no allocation to
-// carry. A Loopback hands a request over without a codec in handed instead.
+// on the initiator): verb and bytes, a value that costs no allocation to carry.
 type Reply struct {
-	Verb   string
-	Body   []byte
-	handed encoding.BinaryMarshaler
+	Verb string
+	Body []byte
 }
 
 // Decode unmarshals the body into into, with an error naming the verb when
-// into refuses it. A handed-over request sets into, a pointer to its type,
-// to the sent value: its slices and the fields no codec writes are shared.
+// into refuses it.
 func (r Reply) Decode(into encoding.BinaryUnmarshaler) error {
-	if r.handed != nil {
-		dst, src := reflect.ValueOf(into), reflect.Indirect(reflect.ValueOf(r.handed))
-		if dst.Kind() != reflect.Pointer || dst.IsNil() || dst.Elem().Type() != src.Type() {
-			return fmt.Errorf("engine: loopback cannot decode %T into %T", r.handed, into)
-		}
-		dst.Elem().Set(src)
-		return nil
-	}
 	if err := into.UnmarshalBinary(r.Body); err != nil {
 		return fmt.Errorf("engine: decode %s body: %w", r.Verb, err)
 	}
@@ -101,34 +87,27 @@ type Transport interface {
 	Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error)
 }
 
-// Exchange is one declarative fan-out wave: the driver sends Verb to
-// every replica of the round concurrently, building each request body
-// with Body and folding each reply with Fold. Body and Fold are indexed
-// by the replica's position in Round.ReplicaAddrs and may run
-// concurrently for distinct indexes — they must only touch disjoint state
-// unless they lock.
+// Exchange is an algorithm's one wave, run every iteration: Verb goes to
+// every replica concurrently, Body(i) building the request to the replica
+// at Round.ReplicaAddrs[i] and Fold(i, r) consuming its reply. Both run
+// concurrently for distinct indexes: they touch disjoint state or lock.
 type Exchange struct {
 	Verb string
-	// Body builds the request body for peer i (nil Body sends an empty
-	// body).
 	Body func(i int) encoding.BinaryMarshaler
-	// Fold consumes peer i's reply (nil Fold discards it).
 	Fold func(i int, r Reply) error
 }
 
 // Algorithm is the initiator half of a distributed method. The driver
-// calls Init once, then per iteration runs the Iterate exchanges in order
-// (full barrier between exchanges) and asks Converged whether to stop;
-// Recover assembles the final feasible assignment.
+// calls Init once, then per iteration runs the exchange Init returned and
+// asks Converged whether to stop; Recover assembles the final feasible
+// assignment.
 type Algorithm interface {
-	// Init prepares per-round state (its scratch, defaults for rd.Tol).
-	// The Round stays valid until the driver returns.
-	Init(rd *Round) error
-	// Iterate returns iteration k's exchanges. Implementations may return
-	// a cached slice whose closures read k from algorithm state.
-	Iterate(k int) []Exchange
+	// Init prepares per-round state (its scratch, defaults for rd.Tol) and
+	// returns the exchange every iteration runs, reading its inputs from
+	// that state. The Round stays valid until the driver returns.
+	Init(rd *Round) (Exchange, error)
 	// Converged reports iteration k's residual and whether the loop is
-	// done. It runs after the iteration's exchanges complete, every
+	// done. It runs after the iteration's exchange completes, every
 	// iteration, on the driver's goroutine: steps that need the whole
 	// wave's replies (a dual update) belong here. The residual doubles as
 	// the telemetry trajectory — compute it once here, not in a separate
@@ -212,7 +191,8 @@ type wave struct {
 // The round's helpers are stopped before returning, success or failure
 // alike.
 func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, int, error) {
-	if err := alg.Init(rd); err != nil {
+	ex, err := alg.Init(rd)
+	if err != nil {
 		return nil, 0, err
 	}
 	d.startHelpers(rd.ReplicaAddrs)
@@ -221,10 +201,8 @@ func (d *Driver) Run(ctx context.Context, alg Algorithm, rd *Round) ([]float64, 
 	iterations := 0
 	for k := 1; k <= rd.MaxIters; k++ {
 		iterations = k
-		for _, ex := range alg.Iterate(k) {
-			if err := d.exec(ctx, ex); err != nil {
-				return nil, 0, err
-			}
+		if err := d.exec(ctx, ex); err != nil {
+			return nil, 0, err
 		}
 		residual, done := alg.Converged(k)
 		if d.Observe && d.OnIterate != nil {
@@ -308,18 +286,12 @@ func (d *Driver) claim() {
 // the reply.
 func (d *Driver) send(i int) error {
 	w := &d.wave
-	var body encoding.BinaryMarshaler
-	if w.ex.Body != nil {
-		body = w.ex.Body(i)
-	}
-	reply, err := d.Transport.Replica(w.ctx, w.addrs[i], w.ex.Verb, body)
+	reply, err := d.Transport.Replica(w.ctx, w.addrs[i], w.ex.Verb, w.ex.Body(i))
 	if err != nil {
 		return err
 	}
-	if w.ex.Fold != nil {
-		if err := w.ex.Fold(i, reply); err != nil {
-			return &RefusedReplyError{Addr: w.addrs[i], Err: err}
-		}
+	if err := w.ex.Fold(i, reply); err != nil {
+		return &RefusedReplyError{Addr: w.addrs[i], Err: err}
 	}
 	return nil
 }

@@ -17,14 +17,6 @@ import (
 	"edr/internal/opt"
 )
 
-// toyCodec gives a toy request the codec methods the engine's interfaces
-// ask for. These tests hand requests over or fake the transport, so neither
-// is ever called; both are value methods so that a value satisfies both.
-type toyCodec struct{}
-
-func (toyCodec) MarshalBinary() ([]byte, error) { return nil, errors.New("toy body has no codec") }
-func (toyCodec) UnmarshalBinary([]byte) error   { return errors.New("toy body has no codec") }
-
 // num is the toy algorithms' body and reply: one number, eight bytes on
 // the wire.
 type num float64
@@ -84,20 +76,17 @@ type sumAlg struct {
 	recovers int
 }
 
-func (a *sumAlg) Init(rd *Round) error {
+func (a *sumAlg) Init(rd *Round) (Exchange, error) {
 	a.rd = rd
 	a.inits++
 	a.pulled = make([]float64, len(rd.ReplicaAddrs))
-	return nil
-}
-
-func (a *sumAlg) Iterate(k int) []Exchange {
-	return []Exchange{{
+	return Exchange{
 		Verb: "toy.pull",
+		Body: func(int) encoding.BinaryMarshaler { return nil },
 		Fold: func(i int, r Reply) error {
 			return r.Decode((*num)(&a.pulled[i]))
 		},
-	}}
+	}, nil
 }
 
 func (a *sumAlg) Converged(k int) (float64, bool) {
@@ -214,18 +203,25 @@ func goid() string {
 // per iteration whose body is the iteration number, never converging, with
 // an optional Fold.
 type waveAlg struct {
-	k    int
+	k    int // the iteration the next wave runs
 	fold func(i int, r Reply) error
 }
 
-func (a *waveAlg) Init(*Round) error { return nil }
-
-func (a *waveAlg) Iterate(k int) []Exchange {
-	a.k = k
-	return []Exchange{{Verb: "toy.wave", Body: func(int) encoding.BinaryMarshaler { return num(a.k) }, Fold: a.fold}}
+func (a *waveAlg) Init(*Round) (Exchange, error) {
+	a.k = 1
+	fold := a.fold
+	if fold == nil {
+		fold = discard
+	}
+	return Exchange{Verb: "toy.wave", Body: func(int) encoding.BinaryMarshaler { return num(a.k) }, Fold: fold}, nil
 }
 
-func (a *waveAlg) Converged(int) (float64, bool) { return 1, false }
+func (a *waveAlg) Converged(k int) (float64, bool) {
+	a.k = k + 1
+	return 1, false
+}
+
+func discard(int, Reply) error { return nil }
 
 func (a *waveAlg) Recover() ([]float64, error) { return []float64{0}, nil }
 
@@ -386,7 +382,7 @@ func TestExecSkipsUnclaimedIndexesAfterError(t *testing.T) {
 	w := &d.wave
 	w.addrs, w.n = addrs, replicas
 	w.next.Store(w.n)
-	err := d.exec(context.Background(), Exchange{Verb: "toy.wave"})
+	err := d.exec(context.Background(), bareExchange)
 	s, f := started.Load(), finished.Load()
 	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v, want boom", err)
@@ -472,14 +468,14 @@ func TestExecFirstErrorCancelsWaveAndWaitsForFolds(t *testing.T) {
 	}
 }
 
-// bareAlg is waveAlg with a body-less exchange built once, so a wave
+// bareExchange sends empty bodies and discards the replies, so a wave
 // allocates nothing of its own.
-type bareAlg struct {
-	waveAlg
-	exchanges []Exchange
-}
+var bareExchange = Exchange{Verb: "toy.wave", Body: func(int) encoding.BinaryMarshaler { return nil }, Fold: discard}
 
-func (a *bareAlg) Iterate(int) []Exchange { return a.exchanges }
+// bareAlg is waveAlg running bareExchange.
+type bareAlg struct{ waveAlg }
+
+func (a *bareAlg) Init(*Round) (Exchange, error) { return bareExchange, nil }
 
 // BenchmarkEngineExchange is one wave over 10 replicas on a no-op
 // transport: the engine's own cost per iteration. A wave must not spawn
@@ -490,7 +486,7 @@ func BenchmarkEngineExchange(b *testing.B) {
 		return Reply{}, nil
 	})
 	d := &Driver{Transport: tr}
-	alg := &bareAlg{exchanges: []Exchange{{Verb: "toy.wave"}}}
+	alg := &bareAlg{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if _, _, err := d.Run(context.Background(), alg, waveRound(10, b.N)); err != nil {
@@ -703,14 +699,15 @@ func TestFanOutWithoutTimeoutArmsNothing(t *testing.T) {
 
 func TestRegistryRegisterAndLookup(t *testing.T) {
 	Register(Registration{
-		Name:  "TEST-ALG",
-		New:   func() Algorithm { return &sumAlg{} },
-		Verbs: []string{"test.alg.step"},
+		Name:   "TEST-ALG",
+		New:    func() Algorithm { return &sumAlg{} },
+		Server: loopServer{},
+		Verb:   "test.alg.step",
 	})
 	if _, ok := Lookup("TEST-ALG"); !ok {
 		t.Fatal("registered algorithm not found")
 	}
-	if reg, ok := ServerFor("test.alg.step"); !ok || reg.Name != "TEST-ALG" {
+	if reg, ok := ServerFor("test.alg.step"); !ok || reg.Name != "TEST-ALG" || reg.Ack != "test.alg.step.ack" {
 		t.Fatalf("ServerFor = %v, %v", reg, ok)
 	}
 	if _, ok := ServerFor("test.alg.unknown"); ok {
@@ -737,10 +734,18 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}()
 		Register(reg)
 	}
-	Register(Registration{Name: "TEST-DUP", New: func() Algorithm { return &sumAlg{} }, Verbs: []string{"test.dup.step"}})
-	mustPanic("dup name", Registration{Name: "TEST-DUP", New: func() Algorithm { return &sumAlg{} }})
-	mustPanic("dup verb", Registration{Name: "TEST-DUP2", New: func() Algorithm { return &sumAlg{} }, Verbs: []string{"test.dup.step"}})
-	mustPanic("no factory", Registration{Name: "TEST-DUP3"})
+	newAlg := func() Algorithm { return &sumAlg{} }
+	Register(Registration{Name: "TEST-DUP", New: newAlg, Server: loopServer{}, Verb: "test.dup.step"})
+	mustPanic("dup name", Registration{Name: "TEST-DUP", New: newAlg, Server: loopServer{}, Verb: "test.dup.other"})
+	mustPanic("dup verb", Registration{Name: "TEST-DUP2", New: newAlg, Server: loopServer{}, Verb: "test.dup.step"})
+	mustPanic("no factory", Registration{Name: "TEST-DUP3", Server: loopServer{}, Verb: "test.dup.three"})
+	mustPanic("no verb", Registration{Name: "TEST-DUP4", New: newAlg, Server: loopServer{}})
+	mustPanic("no server half", Registration{Name: "TEST-DUP5", New: newAlg, Verb: "test.dup.five"})
+	for _, name := range []string{"TEST-DUP2", "TEST-DUP3", "TEST-DUP4", "TEST-DUP5"} {
+		if _, ok := Lookup(name); ok {
+			t.Fatalf("%s registered despite the panic", name)
+		}
+	}
 }
 
 func TestServerRoundStateLazyAndSticky(t *testing.T) {

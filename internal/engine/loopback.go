@@ -13,34 +13,26 @@ import (
 // sets no bound: the live fleet's default and the in-process solvers'.
 const DefaultMaxIters = 200
 
-// Carrier carries a request body across to its replica as the Reply the
-// replica decodes.
-type Carrier func(verb string, body encoding.BinaryMarshaler) (Reply, error)
-
 // Loopback runs a round's replicas in this process: one ServerRound per
-// column, every verb handed straight to the server half registered for it
+// column, every verb answered by the server half registered for it
 // (ServerFor). It is the round's Transport. The in-process solvers are the
 // engine's Algorithms run over a Loopback: the paper's figures and the
 // fleet run one loop.
 //
-// Requests are handed over, not marshaled: a replica decodes the very
-// slices its initiator built, so the large direction of a wave copies
-// nothing. That is sound because each handler is done with its request
-// when it replies (CDPSM's clones the mean it steps on). Replies cross as
-// the bytes the handler encoded, as on the wire. Each engine's solver test
-// checks that the hand-over gives the real codecs' answer bit for bit.
+// Bodies cross as they cross the wire: a request is marshaled with its
+// codec and the server half decodes those bytes, and the reply crosses as
+// the bytes the handler encoded. A replica therefore owns whatever it
+// decodes, and shares no memory with its initiator.
 type Loopback struct {
 	rd      *Round
 	servers []*ServerRound
 	cols    map[string]int
-	carry   Carrier
 }
 
 // NewLoopback checks prob and builds an in-process round of it: replica j
-// is addressed "loop/j", maxIters ≤ 0 selects DefaultMaxIters, tol ≤ 0 the
-// algorithm's own default, and carry nil hands each request over as it is,
-// without a copy.
-func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*Loopback, error) {
+// is addressed "loop/j", maxIters ≤ 0 selects DefaultMaxIters, and tol ≤ 0
+// the algorithm's own default.
+func NewLoopback(prob *opt.Problem, maxIters int, tol float64) (*Loopback, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,12 +42,9 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*
 	if maxIters <= 0 {
 		maxIters = DefaultMaxIters
 	}
-	if carry == nil {
-		carry = handOver
-	}
 	n := prob.N()
 	addrs := make([]string, n)
-	l := &Loopback{servers: make([]*ServerRound, n), cols: make(map[string]int, n), carry: carry}
+	l := &Loopback{servers: make([]*ServerRound, n), cols: make(map[string]int, n)}
 	for j := range addrs {
 		addrs[j] = fmt.Sprintf("loop/%d", j)
 		l.cols[addrs[j]] = j
@@ -68,23 +57,27 @@ func NewLoopback(prob *opt.Problem, maxIters int, tol float64, carry Carrier) (*
 // Round returns the round the loopback serves.
 func (l *Loopback) Round() *Round { return l.rd }
 
-// Replica implements Transport: the request crosses through the carrier,
-// and the reply as the bytes the server half encoded.
+// Replica implements Transport: the request crosses as the bytes its codec
+// writes (a nil body as the empty body), and the reply as the bytes the
+// server half encoded, under the verb's ack.
 func (l *Loopback) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (Reply, error) {
 	j, ok := l.cols[addr]
 	if !ok {
 		return Reply{}, fmt.Errorf("engine: loopback has no replica %q", addr)
 	}
 	reg, ok := ServerFor(verb)
-	if !ok || reg.Server == nil {
+	if !ok {
 		return Reply{}, fmt.Errorf("engine: loopback: no server half for %q", verb)
 	}
-	req, err := l.carry(verb, body)
-	if err != nil {
-		return Reply{}, err
+	req := Reply{Verb: verb}
+	if body != nil {
+		var err error
+		if req.Body, err = body.MarshalBinary(); err != nil {
+			return Reply{}, fmt.Errorf("engine: loopback: marshal %s body: %w", verb, err)
+		}
 	}
 	reply, err := reg.Server.Handle(ctx, verb, req, l.servers[j])
-	return Reply{Verb: reg.Ack(verb), Body: reply}, err
+	return Reply{Verb: reg.Ack, Body: reply}, err
 }
 
 // Solve drives alg over the loopback's round and reports the run as a
@@ -128,9 +121,4 @@ func (v *verdict) Primal() []float64 {
 		return t.Primal()
 	}
 	return nil
-}
-
-// handOver is the Loopback's default Carrier: body crosses without a codec.
-func handOver(verb string, body encoding.BinaryMarshaler) (Reply, error) {
-	return Reply{Verb: verb, handed: body}, nil
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"encoding"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -17,9 +19,30 @@ import (
 // iteration it carried and its own column and address.
 const loopAsk = "test.loop.ask"
 
+// loopBody is the toy ask: the iteration, and a vector the replica writes
+// into once it has decoded it. Its codec is eight bytes a number.
 type loopBody struct {
-	toyCodec
 	Iter int
+	Vec  []float64
+}
+
+func (b loopBody) MarshalBinary() ([]byte, error) {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(b.Iter))
+	for _, v := range b.Vec {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out, nil
+}
+
+func (b *loopBody) UnmarshalBinary(data []byte) error {
+	if len(data) < 8 || len(data)%8 != 0 {
+		return fmt.Errorf("toy ask of %d bytes", len(data))
+	}
+	b.Iter, b.Vec = int(binary.LittleEndian.Uint64(data)), nil
+	for p := 8; p < len(data); p += 8 {
+		b.Vec = append(b.Vec, math.Float64frombits(binary.LittleEndian.Uint64(data[p:])))
+	}
+	return nil
 }
 
 // loopReply crosses as bytes, as every reply does: its codec is a line of
@@ -46,11 +69,14 @@ func (loopServer) Handle(ctx context.Context, verb string, req Reply, sr *Server
 	if err := req.Decode(&body); err != nil {
 		return nil, err
 	}
+	for k := range body.Vec {
+		body.Vec[k] = -1 // the decoded request is the replica's own
+	}
 	return loopReply{Iter: body.Iter, Col: sr.Col, Self: sr.Self}.MarshalBinary()
 }
 
 func init() {
-	Register(Registration{Name: "TEST-LOOP", New: func() Algorithm { return &loopAlg{} }, Server: loopServer{}, Verbs: []string{loopAsk}})
+	Register(Registration{Name: "TEST-LOOP", New: func() Algorithm { return &loopAlg{} }, Server: loopServer{}, Verb: loopAsk})
 }
 
 // loopAlg asks every replica once per iteration and stops at doneAt (never
@@ -58,26 +84,24 @@ func init() {
 type loopAlg struct {
 	rd      *Round
 	doneAt  int
-	k       int
+	k       int // the iteration the next wave asks
 	replies []loopReply
 }
 
-func (a *loopAlg) Init(rd *Round) error {
-	a.rd = rd
+func (a *loopAlg) Init(rd *Round) (Exchange, error) {
+	a.rd, a.k = rd, 1
 	a.replies = make([]loopReply, len(rd.ReplicaAddrs))
-	return nil
-}
-
-func (a *loopAlg) Iterate(k int) []Exchange {
-	a.k = k
-	return []Exchange{{
+	return Exchange{
 		Verb: loopAsk,
 		Body: func(i int) encoding.BinaryMarshaler { return loopBody{Iter: a.k} },
 		Fold: func(i int, r Reply) error { return r.Decode(&a.replies[i]) },
-	}}
+	}, nil
 }
 
-func (a *loopAlg) Converged(k int) (float64, bool) { return float64(k), k == a.doneAt }
+func (a *loopAlg) Converged(k int) (float64, bool) {
+	a.k = k + 1
+	return float64(k), k == a.doneAt
+}
 
 func (a *loopAlg) Recover() ([]float64, error) {
 	return make([]float64, a.rd.Prob.Sparsity().NNZ()), nil
@@ -86,7 +110,7 @@ func (a *loopAlg) Recover() ([]float64, error) {
 // newLoop builds a loopback round over n toy replicas.
 func newLoop(t *testing.T, n, maxIters int) *Loopback {
 	t.Helper()
-	l, err := NewLoopback(loopProblem(t, n), maxIters, 0, nil)
+	l, err := NewLoopback(loopProblem(t, n), maxIters, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,55 +194,40 @@ func TestLoopbackRefusesUnknownPeerAndVerb(t *testing.T) {
 	}
 }
 
-type handBody struct {
-	toyCodec
-	N    int
-	Vec  []float64
-	Base []float64 // context a codec would not write
-}
+// brokenBody is a request its codec cannot write.
+type brokenBody struct{}
 
-// A request is handed over as it is: the receiver gets the sent value, its
-// slices and codec context included, with nothing copied. A nil request
-// crosses as the empty body it is on the wire, and the reply crosses as
-// the bytes its handler encoded, under the verb's ack name.
-func TestLoopbackHandsBodiesOver(t *testing.T) {
-	handed := func(body encoding.BinaryMarshaler) Reply {
-		r, err := handOver(loopAsk, body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	sent := handBody{N: 3, Vec: []float64{1, 2}, Base: []float64{9}}
-	got := handBody{Base: []float64{8}}
-	if err := handed(sent).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.N != 3 || &got.Vec[0] != &sent.Vec[0] || &got.Base[0] != &sent.Base[0] {
-		t.Fatalf("decoded %+v, not the sent value", got)
-	}
-	if err := handed(&sent).Decode(&got); err != nil {
-		t.Fatalf("pointer body: %v", err)
-	}
-	var empty num
-	if err := handed(nil).Decode(&empty); err == nil || !strings.Contains(err.Error(), "0 bytes") || !strings.Contains(err.Error(), loopAsk) {
-		t.Fatalf("nil body decoded as %v, %v; want the empty body refused naming %s", empty, err, loopAsk)
-	}
-	if err := handed(loopBody{}).Decode(&got); err == nil {
-		t.Fatal("decoded into the wrong type")
-	}
-	if err := handed(sent).Decode(got); err == nil {
-		t.Fatal("decoded into a value, not a pointer")
-	}
+func (brokenBody) MarshalBinary() ([]byte, error) { return nil, errors.New("no bytes for you") }
 
+// A request crosses as the bytes its codec writes, as on the wire: a replica
+// that writes into the request it decoded leaves its initiator's body as it
+// was. A nil request crosses as the empty body, refused by the decoder
+// naming the verb, a body its codec cannot write is refused naming the verb,
+// and the reply crosses as the bytes its handler encoded, under the verb's
+// ack.
+func TestLoopbackCarriesBodiesThroughCodecs(t *testing.T) {
 	lb := newLoop(t, 2, 1)
 	addr := lb.Round().ReplicaAddrs[1]
-	rep, err := lb.Replica(context.Background(), addr, loopAsk, loopBody{Iter: 7})
+	ask := func(body encoding.BinaryMarshaler) (Reply, error) {
+		return lb.Replica(context.Background(), addr, loopAsk, body)
+	}
+	sent := loopBody{Iter: 7, Vec: []float64{1, 2, 3}}
+	rep, err := ask(sent)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fmt.Sprint(sent.Vec) != "[1 2 3]" {
+		t.Fatalf("the replica wrote into the initiator's body: %v", sent.Vec)
+	}
 	var reply loopReply
-	if rep.Verb != loopAsk+".ack" || rep.handed != nil || rep.Decode(&reply) != nil || reply != (loopReply{Iter: 7, Col: 1, Self: addr}) {
-		t.Fatalf("reply %q carrying %q (handed %v) decodes to %+v", rep.Verb, rep.Body, rep.handed, reply)
+	if rep.Verb != loopAsk+".ack" || rep.Decode(&reply) != nil || reply != (loopReply{Iter: 7, Col: 1, Self: addr}) {
+		t.Fatalf("reply %q carrying %q decodes to %+v", rep.Verb, rep.Body, reply)
+	}
+
+	if _, err := ask(nil); err == nil || !strings.Contains(err.Error(), "0 bytes") || !strings.Contains(err.Error(), loopAsk) {
+		t.Fatalf("nil body: %v; want the empty body refused naming %s", err, loopAsk)
+	}
+	if _, err := ask(brokenBody{}); err == nil || !strings.Contains(err.Error(), "no bytes for you") || !strings.Contains(err.Error(), loopAsk) {
+		t.Fatalf("unwritable body: %v; want it refused naming %s", err, loopAsk)
 	}
 }

@@ -6,23 +6,20 @@ import (
 	"sync"
 )
 
-// Registration couples an algorithm's two halves under one wire name.
+// Registration couples an algorithm's two halves under one wire verb.
 type Registration struct {
 	// Name keys the registry and appears in configs, reports, and
 	// metrics. Upper-case by convention ("LDDM", "ADMM").
 	Name string
 	// New builds a fresh initiator half for one round.
 	New func() Algorithm
-	// Server is the participant half answering the algorithm's verbs
-	// (nil for algorithms whose iterations need no replica-side state).
+	// Server is the participant half answering Verb.
 	Server ServerHalf
-	// Verbs lists the wire message types routed to Server.
-	Verbs []string
-	acks  map[string]string // each verb's ack name, built once at Register
+	// Verb is the wire type of the algorithm's exchange, routed to Server.
+	Verb string
+	// Ack names the reply to Verb: Verb + ".ack", built once by Register.
+	Ack string
 }
-
-// Ack names the reply to verb, one of r.Verbs: verb + ".ack".
-func (r *Registration) Ack(verb string) string { return r.acks[verb] }
 
 var (
 	regMu     sync.RWMutex
@@ -31,30 +28,24 @@ var (
 	nameOrder []string
 )
 
-// Register adds an algorithm to the registry, panicking on a duplicate
-// name or verb — registration happens in init() and a collision is a
-// programming error, not a runtime condition.
+// Register adds an algorithm to the registry, panicking on a missing part
+// or a duplicate name or verb — registration happens in init() and either
+// is a programming error, not a runtime condition.
 func Register(reg Registration) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if reg.Name == "" || reg.New == nil {
-		panic("engine: Register needs a name and a factory")
+	if reg.Name == "" || reg.New == nil || reg.Verb == "" || reg.Server == nil {
+		panic("engine: Register needs a name, a factory, a verb and a server half")
 	}
 	if _, dup := byName[reg.Name]; dup {
 		panic(fmt.Sprintf("engine: algorithm %q registered twice", reg.Name))
 	}
-	for _, v := range reg.Verbs {
-		if prev, dup := byVerb[v]; dup {
-			panic(fmt.Sprintf("engine: verb %q claimed by both %s and %s", v, prev.Name, reg.Name))
-		}
+	if prev, dup := byVerb[reg.Verb]; dup {
+		panic(fmt.Sprintf("engine: verb %q claimed by both %s and %s", reg.Verb, prev.Name, reg.Name))
 	}
-	r := reg
-	r.acks = make(map[string]string, len(r.Verbs))
-	byName[r.Name] = &r
-	for _, v := range r.Verbs {
-		byVerb[v], r.acks[v] = &r, v+".ack"
-	}
-	nameOrder = append(nameOrder, r.Name)
+	reg.Ack = reg.Verb + ".ack"
+	byName[reg.Name], byVerb[reg.Verb] = &reg, &reg
+	nameOrder = append(nameOrder, reg.Name)
 	sort.Strings(nameOrder)
 }
 

@@ -48,9 +48,10 @@ func (sr *ServerRound) State(alg string, build func() (any, error)) (any, error)
 	return st, nil
 }
 
-// ServerHalf answers an algorithm's wire verbs on a participant replica.
-// Handle returns the encoded reply, the caller's to keep and send as the
-// verb's ack (Registration.Ack), or an error the transport surfaces to the
+// ServerHalf answers an algorithm's wire verb on a participant replica.
+// Handle decodes req's bytes (a Loopback's too) into memory of its own and
+// returns the encoded reply, the caller's to keep and send as the verb's
+// ack (Registration.Ack), or an error the transport surfaces to the
 // initiator. Handlers may run concurrently, even on one round's state (a
 // TCP retry can overlap its first attempt): shared state must lock, and a
 // reply built in it is encoded before the lock is let go.

@@ -120,7 +120,7 @@ func init() {
 		Name:   "LDDM",
 		New:    func() engine.Algorithm { return &roundAlg{} },
 		Server: serverHalf{},
-		Verbs:  []string{MsgLocalSolve},
+		Verb:   MsgLocalSolve,
 	})
 }
 
@@ -151,11 +151,9 @@ type roundAlg struct {
 	bodies  []SolveBody
 	bufs    [][]byte
 	replies []SolveReply
-
-	exchanges []engine.Exchange
 }
 
-func (a *roundAlg) Init(rd *engine.Round) error {
+func (a *roundAlg) Init(rd *engine.Round) (engine.Exchange, error) {
 	c := rd.Prob.C()
 	a.rd = rd
 	a.tol = rd.Tol
@@ -184,35 +182,30 @@ func (a *roundAlg) Init(rd *engine.Round) error {
 		lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
 		a.bodies[j] = SolveBody{Round: rd.Seq, Mu: a.muPacked[lo:hi:hi], buf: &a.bufs[j]}
 	}
-	a.exchanges = []engine.Exchange{
-		{
-			// Local solves, one per replica (Algorithm 2 lines 4–5;
-			// parallel: disjoint primal columns and μ slices).
-			Verb: MsgLocalSolve,
-			Body: func(j int) encoding.BinaryMarshaler {
-				lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
-				for s := lo; s < hi; s++ {
-					a.muPacked[s] = a.mu[a.sp.RowIdx[s]]
-				}
-				return &a.bodies[j]
-			},
-			Fold: func(j int, r engine.Reply) error {
-				err := r.Decode(&a.replies[j])
-				if err == nil {
-					lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
-					err = a.replies[j].Unpack(a.sp.RowIdx[lo:hi], a.sp.PosCSR[lo:hi], rd.Prob.Demands, a.primal)
-				}
-				if err != nil {
-					return fmt.Errorf("lddm: local solve from %s: %w", rd.ReplicaAddrs[j], err)
-				}
-				return nil
-			},
+	return engine.Exchange{
+		// Local solves, one per replica (Algorithm 2 lines 4–5; parallel:
+		// disjoint primal columns and μ slices).
+		Verb: MsgLocalSolve,
+		Body: func(j int) encoding.BinaryMarshaler {
+			lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
+			for s := lo; s < hi; s++ {
+				a.muPacked[s] = a.mu[a.sp.RowIdx[s]]
+			}
+			return &a.bodies[j]
 		},
-	}
-	return nil
+		Fold: func(j int, r engine.Reply) error {
+			err := r.Decode(&a.replies[j])
+			if err == nil {
+				lo, hi := a.sp.ColStart[j], a.sp.ColStart[j+1]
+				err = a.replies[j].Unpack(a.sp.RowIdx[lo:hi], a.sp.PosCSR[lo:hi], rd.Prob.Demands, a.primal)
+			}
+			if err != nil {
+				return fmt.Errorf("lddm: local solve from %s: %w", rd.ReplicaAddrs[j], err)
+			}
+			return nil
+		},
+	}, nil
 }
-
-func (a *roundAlg) Iterate(k int) []engine.Exchange { return a.exchanges }
 
 // Converged takes the dual step (Algorithm 2 line 6:
 // μ_c += d·(Σ_n P_{c,n} − R_c)), then folds the fresh primal into the

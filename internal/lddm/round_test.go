@@ -10,19 +10,17 @@ import (
 	"testing"
 
 	"edr/internal/engine"
-	"edr/internal/engine/wiretest"
 	"edr/internal/opt"
 	"edr/internal/probgen"
 	"edr/internal/sim"
-	"edr/internal/solver"
 	"edr/internal/transport"
 )
 
 // wireReply is the Reply a fleet peer receives for m.
 func wireReply(m transport.Message) engine.Reply { return engine.Reply{Verb: m.Type, Body: m.Body} }
 
-// spyTransport runs a round over an engine.Loopback that carries every body
-// through the real codecs. onSolve sees each request as the replica
+// spyTransport runs a round over an engine.Loopback, which carries every
+// body through the real codecs. onSolve sees each request as the replica
 // decodes it, before it is answered; onReply sees each reply as the
 // initiator decodes it.
 type spyTransport struct {
@@ -31,10 +29,10 @@ type spyTransport struct {
 	onReply func(col int, reply SolveReply) error
 }
 
-// newSpy builds a codec-carrying loopback round of prob.
+// newSpy builds a loopback round of prob.
 func newSpy(t *testing.T, prob *opt.Problem, maxIters int, tol float64) *spyTransport {
 	t.Helper()
-	lb, err := engine.NewLoopback(prob, maxIters, tol, wiretest.Codec)
+	lb, err := engine.NewLoopback(prob, maxIters, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +42,12 @@ func newSpy(t *testing.T, prob *opt.Problem, maxIters int, tol float64) *spyTran
 func (s *spyTransport) Replica(ctx context.Context, addr, verb string, body encoding.BinaryMarshaler) (engine.Reply, error) {
 	col := slices.Index(s.lb.Round().ReplicaAddrs, addr)
 	if s.onSolve != nil {
-		req, err := wiretest.Codec(verb, body)
+		req, err := transport.NewMessage(verb, "initiator", body)
 		if err != nil {
 			return engine.Reply{}, err
 		}
 		var decoded SolveBody
-		if err := req.Decode(&decoded); err != nil {
+		if err := wireReply(req).Decode(&decoded); err != nil {
 			return engine.Reply{}, err
 		}
 		if err := s.onSolve(col, decoded); err != nil {
@@ -198,23 +196,5 @@ func TestRoundWarmDuals(t *testing.T) {
 	coldGap, warmGap := math.Abs(prob.PackedCost(cold)-ref), math.Abs(prob.PackedCost(warm)-ref)
 	if warmGap >= coldGap {
 		t.Fatalf("warm round %g from the long round's cost, cold round %g", warmGap, coldGap)
-	}
-}
-
-// Solve gives the same answer bit for bit with bodies handed over and
-// through the real codecs.
-func TestSolveLoopbackMatchesCodec(t *testing.T) {
-	r := sim.NewRand(37)
-	full, err := probgen.MustFeasible(r, probgen.Spec{Clients: 12, Replicas: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, prob := range map[string]*opt.Problem{"full": full, "masked": maskedInstance(t, r, 10, 4)} {
-		t.Run(name, func(t *testing.T) {
-			s := &Solver{MaxIters: 150, FeasibleHistory: true}
-			wiretest.SameOverCodec(t, func(carry engine.Carrier) (*solver.Result, error) {
-				return s.solve(prob, carry)
-			})
-		})
 	}
 }

@@ -248,11 +248,11 @@ func TestLocalSolveHostileBodies(t *testing.T) {
 		t.Fatalf("widest support has %d clients; want a multi-byte bitmap", m)
 	}
 	width := (m + 7) / 8
-	alg := &roundAlg{}
-	if err := alg.Init(&engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs}); err != nil {
+	ex, err := (&roundAlg{}).Init(&engine.Round{Seq: 1, Prob: prob, ReplicaAddrs: addrs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	fold := alg.exchanges[0].Fold
+	fold := ex.Fold
 
 	binBody := func(b []byte) transport.Message { return transport.Message{Type: MsgLocalSolve + ".ack", Body: b} }
 	valid := SolveReply{M: m + 1, Served: make([]byte, (m+8)/8)}
@@ -673,9 +673,9 @@ func BenchmarkLocalSolveWire(b *testing.B) {
 
 // handleRound is BenchmarkLocalSolveWire's replica as a one-replica round:
 // 70 of 100 clients within its latency bound, μ and demands drawn alike.
-// It returns the initiator's half, already Init'ed with that μ, and the
-// replica's side of the round.
-func handleRound(tb testing.TB) (*roundAlg, *engine.ServerRound) {
+// It returns the initiator's half, already Init'ed with that μ, its
+// exchange, and the replica's side of the round.
+func handleRound(tb testing.TB) (*roundAlg, engine.Exchange, *engine.ServerRound) {
 	tb.Helper()
 	r := sim.NewRand(5)
 	const c = 100
@@ -695,11 +695,12 @@ func handleRound(tb testing.TB) (*roundAlg, *engine.ServerRound) {
 	}
 	addrs := []string{"r"}
 	alg := &roundAlg{}
-	if err := alg.Init(&engine.Round{Seq: 12, Prob: prob, ReplicaAddrs: addrs}); err != nil {
+	ex, err := alg.Init(&engine.Round{Seq: 12, Prob: prob, ReplicaAddrs: addrs})
+	if err != nil {
 		tb.Fatal(err)
 	}
 	copy(alg.mu, mu)
-	return alg, &engine.ServerRound{Round: 12, Prob: prob, Col: 0, Self: addrs[0], ReplicaAddrs: addrs}
+	return alg, ex, &engine.ServerRound{Round: 12, Prob: prob, Col: 0, Self: addrs[0], ReplicaAddrs: addrs}
 }
 
 // BenchmarkLocalSolveHandle is one local solve of an LDDM wave end to end
@@ -708,8 +709,7 @@ func handleRound(tb testing.TB) (*roundAlg, *engine.ServerRound) {
 // and solves it and encodes its reply, and the initiator's Fold decodes
 // and unpacks it into the primal.
 func BenchmarkLocalSolveHandle(b *testing.B) {
-	alg, sr := handleRound(b)
-	ex := alg.exchanges[0]
+	_, ex, sr := handleRound(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -739,8 +739,7 @@ func TestLocalSolveSteadyStateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	alg, sr := handleRound(t)
-	ex := alg.exchanges[0]
+	alg, ex, sr := handleRound(t)
 	body := ex.Body(0)
 	msg, err := transport.NewMessage(MsgLocalSolve, "initiator", body)
 	if err != nil {
@@ -813,8 +812,7 @@ func TestLocalSolveSteadyStateAllocatesNothing(t *testing.T) {
 // their own μ: the handler encodes its reply before it lets go of the state
 // it packed the reply into.
 func TestLocalSolveOverlappingRequestsGetTheirOwnColumn(t *testing.T) {
-	alg, sr := handleRound(t)
-	ex := alg.exchanges[0]
+	alg, ex, sr := handleRound(t)
 	sp := alg.sp
 	var reqs [2]engine.Reply
 	var want [2][]float64
